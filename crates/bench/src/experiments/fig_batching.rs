@@ -3,12 +3,15 @@
 //! micro-batching in the replay engine.
 //!
 //! PR 2 parallelized the replay-validate loop *across* frames; this
-//! experiment measures the next scaling axis — batching *within* one
-//! interpreter invoke (`Interpreter::invoke_batch` over a preplanned buffer
-//! arena, whole-batch im2col + blocked GEMM convolutions). Because the
-//! batched kernels are bitwise-identical to sequential invokes (pinned by
-//! the `batch_equivalence` property suite), the figure also re-asserts
-//! equality on every run: the speedup is free of numeric drift.
+//! experiment sweeps the next axis — batching *within* one interpreter
+//! invoke (`Interpreter::invoke_batch` over a preplanned buffer arena).
+//! Single and batched invokes run the same kernels (whole-batch im2col +
+//! blocked GEMM convolutions at every batch size), so the sweep shows only
+//! what stacking amortizes — per-invoke dispatch and weight-matrix
+//! streaming — not a kernel gap, and no speedup bar is enforced. Outputs
+//! are bitwise-identical to sequential invokes (pinned by the
+//! `batch_equivalence` property suite); the figure re-asserts that on every
+//! run.
 
 use std::time::Instant;
 

@@ -158,55 +158,6 @@ pub fn record_json_artifact<T: serde::Serialize>(
     path
 }
 
-/// Collects the headline numbers of the given experiments into one
-/// `experiment → metric → value` tree: each experiment's structured
-/// artifact (`<artifact_dir>/<name>_metrics.json`, written by its
-/// `run_measured`) is parsed and its scalar metrics (numbers and booleans)
-/// are kept; strings, arrays and nested objects are dropped. This is the
-/// `BENCH_PR10.json` schema the `bench_record` binary and
-/// `scripts/bench-record.sh` publish as a CI artifact.
-///
-/// # Errors
-///
-/// A readable message naming the missing/unparseable artifact — run the
-/// experiment first (or let `bench_record` run it for you).
-pub fn collect_headline_metrics(experiments: &[&str]) -> Result<serde::Value, String> {
-    let dir = artifact_dir();
-    let mut record = Vec::with_capacity(experiments.len());
-    for name in experiments {
-        let path = dir.join(format!("{name}_metrics.json"));
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("{}: {e} — run the {name} experiment first", path.display()))?;
-        let tree = serde_json::parse_value(&text)
-            .map_err(|e| format!("{}: invalid JSON: {e}", path.display()))?;
-        let metrics = tree
-            .get("metrics")
-            .ok_or_else(|| format!("{}: no `metrics` object", path.display()))?;
-        let serde::Value::Object(entries) = metrics else {
-            return Err(format!(
-                "{}: `metrics` is {}, expected object",
-                path.display(),
-                metrics.kind()
-            ));
-        };
-        let scalars: Vec<(String, serde::Value)> = entries
-            .iter()
-            .filter(|(_, v)| {
-                matches!(
-                    v,
-                    serde::Value::Bool(_)
-                        | serde::Value::Int(_)
-                        | serde::Value::UInt(_)
-                        | serde::Value::Float(_)
-                )
-            })
-            .cloned()
-            .collect();
-        record.push((name.to_string(), serde::Value::Object(scalars)));
-    }
-    Ok(serde::Value::Object(record))
-}
-
 /// Deterministic train/test image split used by every image experiment.
 pub fn image_split(scale: &Scale) -> (Vec<LabeledImage>, Vec<LabeledImage>) {
     synth_image::train_test_split(scale.frame_res, scale.train_n, scale.test_n, 2026)

@@ -180,7 +180,7 @@ impl<'g> ReferenceBackend<'g> {
 
 delegate_backend!(ReferenceBackend, "reference");
 
-/// The production runtime: optimized kernels (blocked loops, batched GEMM).
+/// The production runtime: optimized kernels (im2col + blocked-dot GEMM).
 #[derive(Debug)]
 pub struct OptimizedBackend<'g> {
     interp: Interpreter<'g>,

@@ -3,7 +3,7 @@ use std::time::{Duration, Instant};
 use mlexray_tensor::{DType, Shape, Tensor, TensorData};
 
 use crate::graph::{Graph, TensorDef, TensorId};
-use crate::kernels::{execute_node, KernelCtx};
+use crate::kernels::{execute_node, FloatKernels, KernelCtx};
 use crate::ops::OpKind;
 use crate::plan::{batched_shape, MemoryPlan};
 use crate::resolver::{EdgeNumerics, KernelBugs, KernelFlavor};
@@ -181,7 +181,7 @@ struct ExecState {
     /// Runtime slots, preallocated from the plan; constants stay `None` and
     /// are read straight from the graph.
     values: Vec<Option<Tensor>>,
-    /// f32 scratch for the batched GEMM convolution; capacity reserved at
+    /// f32 scratch for the im2col + GEMM convolution; capacity reserved at
     /// plan time so kernels never reallocate it in steady state.
     scratch: Vec<f32>,
 }
@@ -311,6 +311,9 @@ fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
 pub struct Interpreter<'g> {
     graph: &'g Graph,
     options: InterpreterOptions,
+    /// The float kernel family `options` selects, resolved once here (the
+    /// `OpResolver` choice) instead of per node per invoke.
+    float: FloatKernels,
     single: ExecState,
     /// Cached arenas for batched invokes, one per batch size seen (a replay
     /// shard's tail chunk and its full chunks each keep theirs). Dropped via
@@ -338,6 +341,7 @@ impl<'g> Interpreter<'g> {
         Ok(Interpreter {
             graph,
             options,
+            float: FloatKernels::resolve(options.flavor, options.numerics, &options.bugs),
             single: ExecState::new(graph, 1)?,
             batched: Vec::new(),
             batch_safe: batch_safe(graph),
@@ -437,6 +441,7 @@ impl<'g> Interpreter<'g> {
     fn execute_graph(
         graph: &Graph,
         options: InterpreterOptions,
+        float: FloatKernels,
         state: &mut ExecState,
         observer: &mut dyn LayerObserver,
         batch_base: usize,
@@ -476,13 +481,13 @@ impl<'g> Interpreter<'g> {
                     .as_ref()
                     .unwrap_or_else(|| graph.tensor(TensorId(out_id)));
                 let mut ctx = KernelCtx {
+                    float,
                     flavor: options.flavor,
-                    bugs: &options.bugs,
                     numerics: options.numerics,
-                    batched: frames > 1,
+                    bugs: &options.bugs,
                     scratch,
                 };
-                execute_node(graph, node, &input_refs, out_def, &mut out, &mut ctx)
+                execute_node(node, &input_refs, out_def, &mut out, &mut ctx)
             };
             let latency = node_start.elapsed();
             state.values[out_id] = Some(out);
@@ -561,7 +566,14 @@ impl<'g> Interpreter<'g> {
         self.check_inputs(inputs)?;
         let start = Instant::now();
         Self::stage_inputs(self.graph, &mut self.single, &[inputs])?;
-        Self::execute_graph(self.graph, self.options, &mut self.single, observer, 0)?;
+        Self::execute_graph(
+            self.graph,
+            self.options,
+            self.float,
+            &mut self.single,
+            observer,
+            0,
+        )?;
         let outputs = Self::collect_outputs(self.graph, &self.single)?;
         self.last_batched = None;
         self.last_stats = Some(InvokeStats {
@@ -579,8 +591,9 @@ impl<'g> Interpreter<'g> {
     /// one output set per frame, in order.
     ///
     /// Frames are stacked along the batch (leading) dimension and the whole
-    /// graph executes a single time with batch-aware kernels over a
-    /// preplanned arena; results are **bitwise-identical** to invoking each
+    /// graph executes a single time over a preplanned arena. Every kernel
+    /// treats the leading dimension as the batch, so this is the same code
+    /// `invoke` runs and results are **bitwise-identical** to invoking each
     /// frame separately (the property suite pins this). Graphs that cannot
     /// stack frames (see [`Interpreter::is_batchable`]) — and batches whose
     /// samples carry differing quantization parameters — transparently fall
@@ -625,7 +638,7 @@ impl<'g> Interpreter<'g> {
         let start = Instant::now();
         let state = &mut self.batched[index];
         Self::stage_inputs(self.graph, state, batch)?;
-        Self::execute_graph(self.graph, self.options, state, observer, 0)?;
+        Self::execute_graph(self.graph, self.options, self.float, state, observer, 0)?;
 
         let mut outputs = Vec::with_capacity(frames);
         let mut allocations = 0usize;
@@ -665,7 +678,14 @@ impl<'g> Interpreter<'g> {
         let mut allocations = 0usize;
         for (b, sample) in batch.iter().enumerate() {
             Self::stage_inputs(self.graph, &mut self.single, &[*sample])?;
-            Self::execute_graph(self.graph, self.options, &mut self.single, observer, b)?;
+            Self::execute_graph(
+                self.graph,
+                self.options,
+                self.float,
+                &mut self.single,
+                observer,
+                b,
+            )?;
             let outs = Self::collect_outputs(self.graph, &self.single)?;
             allocations += outs.len();
             outputs.push(outs);

@@ -1,335 +1,67 @@
-//! Convolution kernels: float/quantized, reference/optimized, plus the
-//! injected optimized-depthwise defect of §4.4 and the batched whole-batch
-//! im2col + blocked GEMM fast path.
+//! Convolution kernels that walk the kernel window per output cell: the
+//! float **reference** kernels ([`conv2d_f32`], [`dwconv_f32`] — the oracle
+//! every faster float path is compared against), their edge-emulated twins,
+//! the channel-vectorized depthwise kernel the optimized and SIMD flavors
+//! share, and the quantized kernels with the injected optimized-depthwise
+//! defect of §4.4. The optimized and SIMD float `Conv2d` is the im2col +
+//! GEMM kernel in [`gemm`](super::gemm). Every window loop here is
+//! [`WindowGeom::taps`].
 
 use mlexray_tensor::{QuantParams, Tensor};
 
 use crate::graph::{Node, TensorDef};
+use crate::kernels::window::WindowGeom;
 use crate::kernels::{
     act_qbounds, emulated_dot, f32_slot, out_qparams, qparams_of, requantize, u8_slot,
 };
-use crate::ops::{same_pad_before, Activation, Padding};
+use crate::ops::{Activation, Padding};
 use crate::resolver::{EdgeNumerics, KernelBugs, KernelFlavor, RequantMode};
 use crate::Result;
 
-/// Blocked dot product with four partial accumulators. Matches the optimized
-/// kernel's summation order, which differs from the reference kernel's
-/// sequential order — the benign float drift between the two resolvers.
-#[inline]
-fn dot_blocked(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut s = [0.0f32; 4];
-    let chunks = a.len() / 4;
-    for i in 0..chunks {
-        let o = i * 4;
-        s[0] += a[o] * b[o];
-        s[1] += a[o + 1] * b[o + 1];
-        s[2] += a[o + 2] * b[o + 2];
-        s[3] += a[o + 3] * b[o + 3];
-    }
-    let mut rest = 0.0;
-    for i in chunks * 4..a.len() {
-        rest += a[i] * b[i];
-    }
-    (s[0] + s[1]) + (s[2] + s[3]) + rest
-}
-
-pub(super) struct ConvGeom {
-    pub(super) n: usize,
-    pub(super) in_h: usize,
-    pub(super) in_w: usize,
-    pub(super) in_c: usize,
-    pub(super) out_h: usize,
-    pub(super) out_w: usize,
-    #[allow(dead_code)]
-    pub(super) kh: usize,
-    #[allow(dead_code)]
-    pub(super) kw: usize,
-    pub(super) pad_top: usize,
-    pub(super) pad_left: usize,
-}
-
-pub(super) fn geometry(
-    input: &Tensor,
-    out_def: &TensorDef,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    padding: Padding,
-) -> ConvGeom {
-    let is = input.shape().dims();
-    let os = out_def.shape().dims();
-    let (pad_top, pad_left) = match padding {
-        Padding::Same => (
-            same_pad_before(is[1], kh, stride),
-            same_pad_before(is[2], kw, stride),
-        ),
-        Padding::Valid => (0, 0),
-    };
-    ConvGeom {
-        n: is[0],
-        in_h: is[1],
-        in_w: is[2],
-        in_c: is[3],
-        out_h: os[1],
-        out_w: os[2],
-        kh,
-        kw,
-        pad_top,
-        pad_left,
-    }
-}
-
-/// Float 2-D convolution.
-#[allow(clippy::too_many_arguments)]
+/// Reference float 2-D convolution: naive loops, one sequential accumulator
+/// per output value, seeded with the bias.
 pub(crate) fn conv2d_f32(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     stride: usize,
     padding: Padding,
     activation: Activation,
-    flavor: KernelFlavor,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
-    let input = inputs[0];
-    let weights = inputs[1];
+    let (input, weights) = (inputs[0], inputs[1]);
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
     let x = input.as_f32()?;
     let w = weights.as_f32()?;
     let ws = weights.shape().dims();
     let (out_c, kh, kw) = (ws[0], ws[1], ws[2]);
-    let g = geometry(input, out_def, kh, kw, stride, padding);
+    let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
     let out = f32_slot(out_t, out_def)?;
-    let ksize = kh * kw * g.in_c;
+    let ksize = g.patch_len();
 
-    match flavor {
-        KernelFlavor::Reference => {
-            // Naive loops, sequential accumulation.
-            for n in 0..g.n {
-                for oy in 0..g.out_h {
-                    for ox in 0..g.out_w {
-                        for oc in 0..out_c {
-                            let mut acc = bias.map(|b| b[oc]).unwrap_or(0.0);
-                            for ky in 0..kh {
-                                let iy = (oy * stride + ky) as isize - g.pad_top as isize;
-                                if iy < 0 || iy >= g.in_h as isize {
-                                    continue;
-                                }
-                                for kx in 0..kw {
-                                    let ix = (ox * stride + kx) as isize - g.pad_left as isize;
-                                    if ix < 0 || ix >= g.in_w as isize {
-                                        continue;
-                                    }
-                                    let ibase = ((n * g.in_h + iy as usize) * g.in_w + ix as usize)
-                                        * g.in_c;
-                                    let wbase = ((oc * kh + ky) * kw + kx) * g.in_c;
-                                    for ic in 0..g.in_c {
-                                        acc += x[ibase + ic] * w[wbase + ic];
-                                    }
-                                }
-                            }
-                            let obase = ((n * g.out_h + oy) * g.out_w + ox) * out_c + oc;
-                            out[obase] = activation.apply(acc);
-                        }
-                    }
+    for cell in g.cells() {
+        for oc in 0..out_c {
+            let mut acc = bias.map_or(0.0, |b| b[oc]);
+            for (tap, pixel) in g.taps(&cell) {
+                let xs = &x[pixel * g.c..][..g.c];
+                let ws = &w[oc * ksize + tap * g.c..][..g.c];
+                for ic in 0..g.c {
+                    acc += xs[ic] * ws[ic];
                 }
             }
-        }
-        // A Simd-flavor conv dispatches to `gemm::conv2d_f32_simd` before
-        // reaching this kernel; if it ever lands here it gets the optimized
-        // scalar arithmetic.
-        KernelFlavor::Optimized | KernelFlavor::Simd => {
-            // Per-pixel im2col + blocked dot products.
-            let mut patch = vec![0.0f32; ksize];
-            for n in 0..g.n {
-                for oy in 0..g.out_h {
-                    for ox in 0..g.out_w {
-                        patch.iter_mut().for_each(|v| *v = 0.0);
-                        for ky in 0..kh {
-                            let iy = (oy * stride + ky) as isize - g.pad_top as isize;
-                            if iy < 0 || iy >= g.in_h as isize {
-                                continue;
-                            }
-                            for kx in 0..kw {
-                                let ix = (ox * stride + kx) as isize - g.pad_left as isize;
-                                if ix < 0 || ix >= g.in_w as isize {
-                                    continue;
-                                }
-                                let ibase =
-                                    ((n * g.in_h + iy as usize) * g.in_w + ix as usize) * g.in_c;
-                                let pbase = (ky * kw + kx) * g.in_c;
-                                patch[pbase..pbase + g.in_c]
-                                    .copy_from_slice(&x[ibase..ibase + g.in_c]);
-                            }
-                        }
-                        let obase = ((n * g.out_h + oy) * g.out_w + ox) * out_c;
-                        for oc in 0..out_c {
-                            let wrow = &w[oc * ksize..(oc + 1) * ksize];
-                            let acc =
-                                dot_blocked(&patch, wrow) + bias.map(|b| b[oc]).unwrap_or(0.0);
-                            out[obase + oc] = activation.apply(acc);
-                        }
-                    }
-                }
-            }
+            out[cell.index * out_c + oc] = activation.apply(acc);
         }
     }
     Ok(())
 }
 
-/// Four blocked dot products sharing one left-hand row: computes
-/// `dot_blocked(a, b0..b3)` with each lane's partial-accumulator sequence
-/// identical to [`dot_blocked`]'s, so every output channel's sum is
-/// bitwise-identical to the scalar kernel — but the row is loaded once for
-/// four weight rows and the sixteen accumulator chains expose far more
-/// instruction-level parallelism.
-#[inline]
-fn dot_blocked_x4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    debug_assert!(a.len() == b0.len() && a.len() == b1.len());
-    debug_assert!(a.len() == b2.len() && a.len() == b3.len());
-    let mut s = [[0.0f32; 4]; 4];
-    let chunks = a.len() / 4;
-    for i in 0..chunks {
-        let o = i * 4;
-        let (a0, a1, a2, a3) = (a[o], a[o + 1], a[o + 2], a[o + 3]);
-        for (lane, b) in [b0, b1, b2, b3].into_iter().enumerate() {
-            s[lane][0] += a0 * b[o];
-            s[lane][1] += a1 * b[o + 1];
-            s[lane][2] += a2 * b[o + 2];
-            s[lane][3] += a3 * b[o + 3];
-        }
-    }
-    let mut rest = [0.0f32; 4];
-    for i in chunks * 4..a.len() {
-        rest[0] += a[i] * b0[i];
-        rest[1] += a[i] * b1[i];
-        rest[2] += a[i] * b2[i];
-        rest[3] += a[i] * b3[i];
-    }
-    [
-        (s[0][0] + s[0][1]) + (s[0][2] + s[0][3]) + rest[0],
-        (s[1][0] + s[1][1]) + (s[1][2] + s[1][3]) + rest[1],
-        (s[2][0] + s[2][1]) + (s[2][2] + s[2][3]) + rest[2],
-        (s[3][0] + s[3][1]) + (s[3][2] + s[3][3]) + rest[3],
-    ]
-}
-
-/// How many output rows share one weight fetch per GEMM tile. Large enough
-/// to amortize streaming the weight matrix, small enough that a tile of
-/// im2col rows stays cache-resident.
-const GEMM_ROW_TILE: usize = 16;
-
-/// Batched optimized float convolution: one im2col matrix over the whole
-/// stacked batch, then a row/output-channel blocked GEMM.
-///
-/// Every output cell is `activation(dot_blocked(patch_row, weight_row) +
-/// bias)` — exactly the arithmetic (and summation order) of the per-pixel
-/// optimized kernel above, so results are bitwise-identical to running the
-/// frames through [`conv2d_f32`] one by one; only the loop structure changes
-/// (weight rows are reused across a tile of pixels, and 1x1 stride-1
-/// convolutions read the input directly instead of materializing patches).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn conv2d_f32_gemm(
-    node: &Node,
-    inputs: &[&Tensor],
-    out_def: &TensorDef,
-    stride: usize,
-    padding: Padding,
-    activation: Activation,
-    scratch: &mut Vec<f32>,
-    out_t: &mut Tensor,
-) -> Result<()> {
-    let _ = node;
-    let input = inputs[0];
-    let weights = inputs[1];
-    let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
-    let x = input.as_f32()?;
-    let w = weights.as_f32()?;
-    let ws = weights.shape().dims();
-    let (out_c, kh, kw) = (ws[0], ws[1], ws[2]);
-    let g = geometry(input, out_def, kh, kw, stride, padding);
-    let out = f32_slot(out_t, out_def)?;
-    let ksize = kh * kw * g.in_c;
-    let rows = g.n * g.out_h * g.out_w;
-
-    // 1x1 stride-1 convolutions (the bulk of MobileNet-family MACs): the
-    // im2col matrix *is* the input buffer, row per pixel.
-    let direct = kh == 1 && kw == 1 && stride == 1 && g.out_h == g.in_h && g.out_w == g.in_w;
-    let matrix: &[f32] = if direct {
-        x
-    } else {
-        scratch.clear();
-        scratch.resize(rows * ksize, 0.0);
-        let mut row = 0usize;
-        for n in 0..g.n {
-            for oy in 0..g.out_h {
-                for ox in 0..g.out_w {
-                    let pbase = row * ksize;
-                    for ky in 0..kh {
-                        let iy = (oy * stride + ky) as isize - g.pad_top as isize;
-                        if iy < 0 || iy >= g.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * stride + kx) as isize - g.pad_left as isize;
-                            if ix < 0 || ix >= g.in_w as isize {
-                                continue;
-                            }
-                            let ibase =
-                                ((n * g.in_h + iy as usize) * g.in_w + ix as usize) * g.in_c;
-                            let dst = pbase + (ky * kw + kx) * g.in_c;
-                            scratch[dst..dst + g.in_c].copy_from_slice(&x[ibase..ibase + g.in_c]);
-                        }
-                    }
-                    row += 1;
-                }
-            }
-        }
-        scratch
-    };
-
-    for r0 in (0..rows).step_by(GEMM_ROW_TILE) {
-        let r1 = (r0 + GEMM_ROW_TILE).min(rows);
-        let mut oc = 0usize;
-        while oc + 4 <= out_c {
-            let w0 = &w[oc * ksize..(oc + 1) * ksize];
-            let w1 = &w[(oc + 1) * ksize..(oc + 2) * ksize];
-            let w2 = &w[(oc + 2) * ksize..(oc + 3) * ksize];
-            let w3 = &w[(oc + 3) * ksize..(oc + 4) * ksize];
-            let b: [f32; 4] = std::array::from_fn(|k| bias.map(|b| b[oc + k]).unwrap_or(0.0));
-            for r in r0..r1 {
-                let accs = dot_blocked_x4(&matrix[r * ksize..(r + 1) * ksize], w0, w1, w2, w3);
-                let obase = r * out_c + oc;
-                for k in 0..4 {
-                    out[obase + k] = activation.apply(accs[k] + b[k]);
-                }
-            }
-            oc += 4;
-        }
-        while oc < out_c {
-            let wrow = &w[oc * ksize..(oc + 1) * ksize];
-            let b = bias.map(|b| b[oc]).unwrap_or(0.0);
-            for r in r0..r1 {
-                let acc = dot_blocked(&matrix[r * ksize..(r + 1) * ksize], wrow) + b;
-                out[r * out_c + oc] = activation.apply(acc);
-            }
-            oc += 1;
-        }
-    }
-    Ok(())
-}
-
-/// Edge-emulated float convolution: per-pixel tap gathering (reference loop
+/// Edge-emulated float convolution: per-cell tap gathering (reference loop
 /// structure, so any batch size runs natively) with the reduction folded
 /// under the emulator's numerics — accumulation order, multiply-add
 /// contraction. Taps are gathered in the reference kernel's `(ky, kx, ic)`
 /// order, so the faithful configuration is bitwise-identical to
-/// [`conv2d_f32`] under [`KernelFlavor::Reference`].
+/// [`conv2d_f32`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_f32_emulated(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     stride: usize,
@@ -339,142 +71,81 @@ pub(crate) fn conv2d_f32_emulated(
     scratch: &mut Vec<f32>,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
-    let input = inputs[0];
-    let weights = inputs[1];
+    let (input, weights) = (inputs[0], inputs[1]);
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
     let x = input.as_f32()?;
     let w = weights.as_f32()?;
     let ws = weights.shape().dims();
     let (out_c, kh, kw) = (ws[0], ws[1], ws[2]);
-    let g = geometry(input, out_def, kh, kw, stride, padding);
+    let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
     let out = f32_slot(out_t, out_def)?;
-    let ksize = kh * kw * g.in_c;
+    let ksize = g.patch_len();
     // Weight offsets of the gathered taps, relative to an output channel's
     // weight row (the validity pattern is shared across output channels).
     let mut offsets: Vec<usize> = Vec::with_capacity(ksize);
 
-    for n in 0..g.n {
-        for oy in 0..g.out_h {
-            for ox in 0..g.out_w {
-                scratch.clear();
-                offsets.clear();
-                for ky in 0..kh {
-                    let iy = (oy * stride + ky) as isize - g.pad_top as isize;
-                    if iy < 0 || iy >= g.in_h as isize {
-                        continue;
-                    }
-                    for kx in 0..kw {
-                        let ix = (ox * stride + kx) as isize - g.pad_left as isize;
-                        if ix < 0 || ix >= g.in_w as isize {
-                            continue;
-                        }
-                        let ibase = ((n * g.in_h + iy as usize) * g.in_w + ix as usize) * g.in_c;
-                        let wbase = (ky * kw + kx) * g.in_c;
-                        for ic in 0..g.in_c {
-                            scratch.push(x[ibase + ic]);
-                            offsets.push(wbase + ic);
-                        }
-                    }
-                }
-                let obase = ((n * g.out_h + oy) * g.out_w + ox) * out_c;
-                for oc in 0..out_c {
-                    let wrow = &w[oc * ksize..(oc + 1) * ksize];
-                    let acc = emulated_dot(
-                        bias.map(|b| b[oc]).unwrap_or(0.0),
-                        scratch.len(),
-                        |i| (scratch[i], wrow[offsets[i]]),
-                        numerics,
-                    );
-                    out[obase + oc] = activation.apply(acc);
-                }
-            }
+    for cell in g.cells() {
+        scratch.clear();
+        offsets.clear();
+        for (tap, pixel) in g.taps(&cell) {
+            scratch.extend_from_slice(&x[pixel * g.c..][..g.c]);
+            offsets.extend(tap * g.c..(tap + 1) * g.c);
+        }
+        for oc in 0..out_c {
+            let wrow = &w[oc * ksize..][..ksize];
+            let acc = emulated_dot(
+                bias.map_or(0.0, |b| b[oc]),
+                scratch.len(),
+                |i| (scratch[i], wrow[offsets[i]]),
+                numerics,
+            );
+            out[cell.index * out_c + oc] = activation.apply(acc);
         }
     }
     Ok(())
 }
 
-/// Float depthwise 2-D convolution.
-#[allow(clippy::too_many_arguments)]
+/// Reference float depthwise 2-D convolution: each channel is an
+/// independent sequential sum over its window in `(ky, kx)` order, seeded
+/// with the bias.
 pub(crate) fn dwconv_f32(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     stride: usize,
     padding: Padding,
     activation: Activation,
-    flavor: KernelFlavor,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
-    let input = inputs[0];
-    let weights = inputs[1];
+    let (input, weights) = (inputs[0], inputs[1]);
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
     let x = input.as_f32()?;
     let w = weights.as_f32()?;
     let ws = weights.shape().dims();
     let (kh, kw, c) = (ws[1], ws[2], ws[3]);
-    let g = geometry(input, out_def, kh, kw, stride, padding);
+    let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
     let out = f32_slot(out_t, out_def)?;
 
-    // Same arithmetic in both flavors for float depthwise — the loop order
-    // differs (channel-outer for optimized), giving identical results since
-    // each channel is an independent sequential sum.
-    let channel_outer = flavor == KernelFlavor::Optimized;
-    let mut body = |ch: usize, n: usize, oy: usize, ox: usize| {
-        let mut acc = bias.map(|b| b[ch]).unwrap_or(0.0);
-        for ky in 0..kh {
-            let iy = (oy * stride + ky) as isize - g.pad_top as isize;
-            if iy < 0 || iy >= g.in_h as isize {
-                continue;
-            }
-            for kx in 0..kw {
-                let ix = (ox * stride + kx) as isize - g.pad_left as isize;
-                if ix < 0 || ix >= g.in_w as isize {
-                    continue;
-                }
-                let i = ((n * g.in_h + iy as usize) * g.in_w + ix as usize) * c + ch;
-                acc += x[i] * w[(ky * kw + kx) * c + ch];
-            }
-        }
-        let o = ((n * g.out_h + oy) * g.out_w + ox) * c + ch;
-        out[o] = activation.apply(acc);
-    };
-    if channel_outer {
+    for cell in g.cells() {
+        let taps = g.taps(&cell);
         for ch in 0..c {
-            for n in 0..g.n {
-                for oy in 0..g.out_h {
-                    for ox in 0..g.out_w {
-                        body(ch, n, oy, ox);
-                    }
-                }
+            let mut acc = bias.map_or(0.0, |b| b[ch]);
+            for (tap, pixel) in taps.clone() {
+                acc += x[pixel * c + ch] * w[tap * c + ch];
             }
-        }
-    } else {
-        for n in 0..g.n {
-            for oy in 0..g.out_h {
-                for ox in 0..g.out_w {
-                    for ch in 0..c {
-                        body(ch, n, oy, ox);
-                    }
-                }
-            }
+            out[cell.index * c + ch] = activation.apply(acc);
         }
     }
     Ok(())
 }
 
-/// Batched optimized float depthwise convolution: frame-outer (one frame's
-/// activation stays cache-resident per sweep) with a branch-free interior
-/// fast path — output cells whose whole kernel window is in-bounds skip the
-/// per-tap boundary tests that dominate the naive loop.
-///
-/// Per-cell accumulation order is exactly [`dwconv_f32`]'s (taps in
-/// `(ky, kx)` order; out-of-bounds taps contribute nothing either way), so
-/// outputs are bitwise-identical to per-frame execution.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dwconv_f32_batched(
-    node: &Node,
+/// Optimized and SIMD float depthwise convolution: taps outer, channels
+/// inner, so the inner loop runs over contiguous NHWC channels — which the
+/// compiler vectorizes as vertical multiply + add — while each channel's sum
+/// accumulates in its output slot. Every channel still adds its taps in
+/// `(ky, kx)` order onto the bias with **unfused** multiply-adds (Rust never
+/// contracts `a + x * w` into an FMA), so outputs are bitwise-identical to
+/// [`dwconv_f32`] in every flavor and on every host.
+pub(crate) fn dwconv_f32_channels(
     inputs: &[&Tensor],
     out_def: &TensorDef,
     stride: usize,
@@ -482,72 +153,29 @@ pub(crate) fn dwconv_f32_batched(
     activation: Activation,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
-    let input = inputs[0];
-    let weights = inputs[1];
+    let (input, weights) = (inputs[0], inputs[1]);
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
     let x = input.as_f32()?;
     let w = weights.as_f32()?;
     let ws = weights.shape().dims();
     let (kh, kw, c) = (ws[1], ws[2], ws[3]);
-    let g = geometry(input, out_def, kh, kw, stride, padding);
+    let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
     let out = f32_slot(out_t, out_def)?;
 
-    // Interior output range `[o0, o1)`: every tap of the window lands
-    // in-bounds, i.e. `o*stride >= pad` and `o*stride + k - 1 - pad < idim`.
-    let interior = |pad: usize, kdim: usize, idim: usize, odim: usize| {
-        let o0 = pad.div_ceil(stride).min(odim);
-        let limit = (idim + pad).saturating_sub(kdim - 1);
-        let o1 = limit.div_ceil(stride).min(odim);
-        (o0, o1)
-    };
-    let (y0, y1) = interior(g.pad_top, kh, g.in_h, g.out_h);
-    let (x0, x1) = interior(g.pad_left, kw, g.in_w, g.out_w);
-
-    let checked = |out: &mut [f32], ch: usize, n: usize, oy: usize, ox: usize| {
-        let mut acc = bias.map(|b| b[ch]).unwrap_or(0.0);
-        for ky in 0..kh {
-            let iy = (oy * stride + ky) as isize - g.pad_top as isize;
-            if iy < 0 || iy >= g.in_h as isize {
-                continue;
-            }
-            for kx in 0..kw {
-                let ix = (ox * stride + kx) as isize - g.pad_left as isize;
-                if ix < 0 || ix >= g.in_w as isize {
-                    continue;
-                }
-                let i = ((n * g.in_h + iy as usize) * g.in_w + ix as usize) * c + ch;
-                acc += x[i] * w[(ky * kw + kx) * c + ch];
+    for cell in g.cells() {
+        let acc = &mut out[cell.index * c..][..c];
+        match bias {
+            Some(b) => acc.copy_from_slice(b),
+            None => acc.fill(0.0),
+        }
+        for (tap, pixel) in g.taps(&cell) {
+            let (xs, ws) = (&x[pixel * c..][..c], &w[tap * c..][..c]);
+            for ch in 0..c {
+                acc[ch] += xs[ch] * ws[ch];
             }
         }
-        out[((n * g.out_h + oy) * g.out_w + ox) * c + ch] = activation.apply(acc);
-    };
-
-    for n in 0..g.n {
-        for oy in 0..g.out_h {
-            let interior_row = oy >= y0 && oy < y1;
-            for ox in 0..g.out_w {
-                if interior_row && ox >= x0 && ox < x1 {
-                    let base_y = oy * stride - g.pad_top;
-                    let base_x = ox * stride - g.pad_left;
-                    let obase = ((n * g.out_h + oy) * g.out_w + ox) * c;
-                    for ch in 0..c {
-                        let mut acc = bias.map(|b| b[ch]).unwrap_or(0.0);
-                        for ky in 0..kh {
-                            let ibase = ((n * g.in_h + base_y + ky) * g.in_w + base_x) * c + ch;
-                            let wbase = ky * kw * c + ch;
-                            for kx in 0..kw {
-                                acc += x[ibase + kx * c] * w[wbase + kx * c];
-                            }
-                        }
-                        out[obase + ch] = activation.apply(acc);
-                    }
-                } else {
-                    for ch in 0..c {
-                        checked(out, ch, n, oy, ox);
-                    }
-                }
-            }
+        for v in acc {
+            *v = activation.apply(*v);
         }
     }
     Ok(())
@@ -556,10 +184,9 @@ pub(crate) fn dwconv_f32_batched(
 /// Edge-emulated float depthwise convolution: taps gathered per output cell
 /// and channel in the reference `(ky, kx)` order, reduced under the
 /// emulator's numerics. The faithful configuration is bitwise-identical to
-/// [`dwconv_f32`] (whose two flavors only differ in loop order).
+/// [`dwconv_f32`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dwconv_f32_emulated(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     stride: usize,
@@ -569,48 +196,29 @@ pub(crate) fn dwconv_f32_emulated(
     scratch: &mut Vec<f32>,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
-    let input = inputs[0];
-    let weights = inputs[1];
+    let (input, weights) = (inputs[0], inputs[1]);
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
     let x = input.as_f32()?;
     let w = weights.as_f32()?;
     let ws = weights.shape().dims();
     let (kh, kw, c) = (ws[1], ws[2], ws[3]);
-    let g = geometry(input, out_def, kh, kw, stride, padding);
+    let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
     let out = f32_slot(out_t, out_def)?;
 
-    for n in 0..g.n {
-        for oy in 0..g.out_h {
-            for ox in 0..g.out_w {
-                let obase = ((n * g.out_h + oy) * g.out_w + ox) * c;
-                for ch in 0..c {
-                    // Interleaved (value, weight) tap pairs.
-                    scratch.clear();
-                    for ky in 0..kh {
-                        let iy = (oy * stride + ky) as isize - g.pad_top as isize;
-                        if iy < 0 || iy >= g.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * stride + kx) as isize - g.pad_left as isize;
-                            if ix < 0 || ix >= g.in_w as isize {
-                                continue;
-                            }
-                            let i = ((n * g.in_h + iy as usize) * g.in_w + ix as usize) * c + ch;
-                            scratch.push(x[i]);
-                            scratch.push(w[(ky * kw + kx) * c + ch]);
-                        }
-                    }
-                    let acc = emulated_dot(
-                        bias.map(|b| b[ch]).unwrap_or(0.0),
-                        scratch.len() / 2,
-                        |i| (scratch[2 * i], scratch[2 * i + 1]),
-                        numerics,
-                    );
-                    out[obase + ch] = activation.apply(acc);
-                }
+    for cell in g.cells() {
+        for ch in 0..c {
+            // Interleaved (value, weight) tap pairs.
+            scratch.clear();
+            for (tap, pixel) in g.taps(&cell) {
+                scratch.extend([x[pixel * c + ch], w[tap * c + ch]]);
             }
+            let acc = emulated_dot(
+                bias.map_or(0.0, |b| b[ch]),
+                scratch.len() / 2,
+                |i| (scratch[2 * i], scratch[2 * i + 1]),
+                numerics,
+            );
+            out[cell.index * c + ch] = activation.apply(acc);
         }
     }
     Ok(())
@@ -620,8 +228,8 @@ pub(super) fn weight_scale(q: &QuantParams, c: usize) -> f32 {
     q.for_channel(c).0
 }
 
-/// Quantized 2-D convolution (both flavors compute identical i32 math). The
-/// batch dimension is the outer loop, so stacked batches run natively.
+/// Quantized 2-D convolution (both scalar flavors compute identical i32
+/// math; padding taps are skipped, which equals adding `(zp - zp) * w`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_q(
     node: &Node,
@@ -633,8 +241,7 @@ pub(crate) fn conv2d_q(
     requant: RequantMode,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let input = inputs[0];
-    let weights = inputs[1];
+    let (input, weights) = (inputs[0], inputs[1]);
     let bias = inputs.get(2).map(|t| t.as_i32()).transpose()?;
     let (s_in, zp_in) = qparams_of(node, input)?;
     let (s_out, zp_out) = out_qparams(node, out_def)?;
@@ -646,40 +253,23 @@ pub(crate) fn conv2d_q(
     let w = weights.as_i8()?;
     let ws = weights.shape().dims();
     let (out_c, kh, kw) = (ws[0], ws[1], ws[2]);
-    let g = geometry(input, out_def, kh, kw, stride, padding);
+    let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
     let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
     let out = u8_slot(out_t, out_def)?;
+    let ksize = g.patch_len();
 
-    for n in 0..g.n {
-        for oy in 0..g.out_h {
-            for ox in 0..g.out_w {
-                let obase = ((n * g.out_h + oy) * g.out_w + ox) * out_c;
-                for oc in 0..out_c {
-                    let mut acc: i32 = bias.map(|b| b[oc]).unwrap_or(0);
-                    for ky in 0..kh {
-                        let iy = (oy * stride + ky) as isize - g.pad_top as isize;
-                        if iy < 0 || iy >= g.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * stride + kx) as isize - g.pad_left as isize;
-                            if ix < 0 || ix >= g.in_w as isize {
-                                continue;
-                            }
-                            let ibase =
-                                ((n * g.in_h + iy as usize) * g.in_w + ix as usize) * g.in_c;
-                            let wbase = ((oc * kh + ky) * kw + kx) * g.in_c;
-                            for ic in 0..g.in_c {
-                                let xv = x[ibase + ic] as i32 - zp_in;
-                                let wv = w[wbase + ic] as i32;
-                                acc += xv * wv;
-                            }
-                        }
-                    }
-                    let m = (s_in as f64) * (weight_scale(&wq, oc) as f64) / (s_out as f64);
-                    out[obase + oc] = requantize(acc, m, zp_out, qlo, qhi, requant);
+    for cell in g.cells() {
+        for oc in 0..out_c {
+            let mut acc: i32 = bias.map_or(0, |b| b[oc]);
+            for (tap, pixel) in g.taps(&cell) {
+                let xs = &x[pixel * g.c..][..g.c];
+                let ws = &w[oc * ksize + tap * g.c..][..g.c];
+                for ic in 0..g.c {
+                    acc += (xs[ic] as i32 - zp_in) * ws[ic] as i32;
                 }
             }
+            let m = (s_in as f64) * (weight_scale(&wq, oc) as f64) / (s_out as f64);
+            out[cell.index * out_c + oc] = requantize(acc, m, zp_out, qlo, qhi, requant);
         }
     }
     Ok(())
@@ -701,8 +291,7 @@ pub(crate) fn dwconv_q(
     requant: RequantMode,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let input = inputs[0];
-    let weights = inputs[1];
+    let (input, weights) = (inputs[0], inputs[1]);
     let bias = inputs.get(2).map(|t| t.as_i32()).transpose()?;
     let (s_in, zp_in) = qparams_of(node, input)?;
     let (s_out, zp_out) = out_qparams(node, out_def)?;
@@ -714,51 +303,33 @@ pub(crate) fn dwconv_q(
     let w = weights.as_i8()?;
     let ws = weights.shape().dims();
     let (kh, kw, c) = (ws[1], ws[2], ws[3]);
-    let g = geometry(input, out_def, kh, kw, stride, padding);
+    let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
     let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
     let buggy = flavor == KernelFlavor::Optimized && bugs.optimized_dwconv_i16_accumulator;
     let out = u8_slot(out_t, out_def)?;
 
-    for n in 0..g.n {
-        for oy in 0..g.out_h {
-            for ox in 0..g.out_w {
-                let obase = ((n * g.out_h + oy) * g.out_w + ox) * c;
-                for ch in 0..c {
-                    let mut acc: i32 = 0;
-                    let mut acc16: i16 = 0;
-                    for ky in 0..kh {
-                        let iy = (oy * stride + ky) as isize - g.pad_top as isize;
-                        if iy < 0 || iy >= g.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * stride + kx) as isize - g.pad_left as isize;
-                            if ix < 0 || ix >= g.in_w as isize {
-                                continue;
-                            }
-                            let i = ((n * g.in_h + iy as usize) * g.in_w + ix as usize) * c + ch;
-                            let prod = (x[i] as i32 - zp_in) * w[(ky * kw + kx) * c + ch] as i32;
-                            if buggy {
-                                // Injected defect: the optimized kernel
-                                // pre-scales products into the Q13 domain of
-                                // its 16-bit SIMD lane and accumulates with
-                                // wrapping arithmetic.
-                                acc16 = acc16.wrapping_add((prod << 2) as i16);
-                            } else {
-                                acc += prod;
-                            }
-                        }
-                    }
-                    let total = if buggy {
-                        // ...and forgets to scale back down before the bias.
-                        (acc16 as i32 >> 2) + bias.map(|b| b[ch]).unwrap_or(0)
-                    } else {
-                        acc + bias.map(|b| b[ch]).unwrap_or(0)
-                    };
-                    let m = (s_in as f64) * (weight_scale(&wq, ch) as f64) / (s_out as f64);
-                    out[obase + ch] = requantize(total, m, zp_out, qlo, qhi, requant);
+    for cell in g.cells() {
+        for ch in 0..c {
+            let mut acc: i32 = 0;
+            let mut acc16: i16 = 0;
+            for (tap, pixel) in g.taps(&cell) {
+                let prod = (x[pixel * c + ch] as i32 - zp_in) * w[tap * c + ch] as i32;
+                if buggy {
+                    // Injected defect: the optimized kernel pre-scales
+                    // products into the Q13 domain of its 16-bit SIMD lane
+                    // and accumulates with wrapping arithmetic...
+                    acc16 = acc16.wrapping_add((prod << 2) as i16);
+                } else {
+                    acc += prod;
                 }
             }
+            if buggy {
+                // ...and forgets to scale back down before the bias.
+                acc = acc16 as i32 >> 2;
+            }
+            let total = acc + bias.map_or(0, |b| b[ch]);
+            let m = (s_in as f64) * (weight_scale(&wq, ch) as f64) / (s_out as f64);
+            out[cell.index * c + ch] = requantize(total, m, zp_out, qlo, qhi, requant);
         }
     }
     Ok(())

@@ -10,13 +10,11 @@ use crate::Result;
 
 /// Float addition with trailing-suffix broadcast of the rhs.
 pub(crate) fn add_f32(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     activation: Activation,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
     let a = inputs[0].as_f32()?;
     let b = inputs[1].as_f32()?;
     let blen = b.len().max(1);
@@ -68,13 +66,7 @@ fn mul_rhs_index(lhs: &Tensor, rhs: &Tensor, i: usize) -> usize {
 }
 
 /// Float multiplication: same shape, scalar, or `[n,1,1,c]` gate.
-pub(crate) fn mul_f32(
-    node: &Node,
-    inputs: &[&Tensor],
-    out_def: &TensorDef,
-    out_t: &mut Tensor,
-) -> Result<()> {
-    let _ = node;
+pub(crate) fn mul_f32(inputs: &[&Tensor], out_def: &TensorDef, out_t: &mut Tensor) -> Result<()> {
     let a = inputs[0].as_f32()?;
     let b = inputs[1].as_f32()?;
     let out = f32_slot(out_t, out_def)?;
@@ -107,13 +99,11 @@ pub(crate) fn mul_q(
 
 /// Standalone float activation.
 pub(crate) fn act_f32(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     act: Activation,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
     let x = inputs[0].as_f32()?;
     let out = f32_slot(out_t, out_def)?;
     for (o, &v) in out.iter_mut().zip(x) {
@@ -257,12 +247,10 @@ pub(crate) fn concat(
 
 /// Softmax over the last axis.
 pub(crate) fn softmax_f32(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
     let x = inputs[0].as_f32()?;
     let dims = inputs[0].shape().dims();
     let last = dims[dims.len() - 1];
@@ -286,13 +274,11 @@ pub(crate) fn softmax_f32(
 
 /// Inference-style batch normalization over the channel (last) axis.
 pub(crate) fn batch_norm_f32(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     epsilon: f32,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
     let x = inputs[0].as_f32()?;
     let gamma = inputs[1].as_f32()?;
     let beta = inputs[2].as_f32()?;
@@ -309,13 +295,11 @@ pub(crate) fn batch_norm_f32(
 
 /// Layer normalization over the last axis.
 pub(crate) fn layer_norm_f32(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     epsilon: f32,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
     let x = inputs[0].as_f32()?;
     let gamma = inputs[1].as_f32()?;
     let beta = inputs[2].as_f32()?;
@@ -337,12 +321,10 @@ pub(crate) fn layer_norm_f32(
 /// Embedding lookup; out-of-range ids clamp to the table (the `<unk>`
 /// convention lives in the preprocessing layer, not here).
 pub(crate) fn embedding_f32(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
     let ids = inputs[0].as_i32()?;
     let table = inputs[1].as_f32()?;
     let d = inputs[1].shape().dims()[1];
@@ -358,13 +340,7 @@ pub(crate) fn embedding_f32(
 /// Reshape: same data, new shape (any dtype). Keeps the *input's*
 /// quantization parameters on the output slot, matching the semantics of a
 /// data-preserving view.
-pub(crate) fn reshape(
-    node: &Node,
-    inputs: &[&Tensor],
-    out_def: &TensorDef,
-    out_t: &mut Tensor,
-) -> Result<()> {
-    let _ = (node, out_def);
+pub(crate) fn reshape(inputs: &[&Tensor], out_t: &mut Tensor) -> Result<()> {
     let input = inputs[0];
     match input.data() {
         TensorData::F32(src) => out_t.as_f32_mut()?.copy_from_slice(src),
@@ -394,12 +370,10 @@ pub(crate) fn quantize(
 
 /// The `u8 → f32` dequantization boundary.
 pub(crate) fn dequantize(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
     let values = inputs[0].to_f32_vec();
     let out = f32_slot(out_t, out_def)?;
     out.copy_from_slice(&values);

@@ -1,6 +1,6 @@
 //! Fully-connected and matrix-multiplication kernels.
 //!
-//! `fc_f32`/`fc_q` treat the leading dimension as the batch, so a stacked
+//! Every kernel treats the leading dimension as the batch, so a stacked
 //! N-frame invoke runs as one `[N*n, in] x [out, in]^T` GEMM.
 
 use mlexray_tensor::{QuantParams, Tensor};
@@ -10,19 +10,18 @@ use crate::kernels::{
     act_qbounds, emulated_dot, f32_slot, out_qparams, qparams_of, requantize, u8_slot,
 };
 use crate::ops::Activation;
-use crate::resolver::{EdgeNumerics, KernelFlavor, RequantMode};
+use crate::resolver::{EdgeNumerics, RequantMode};
 use crate::Result;
 
-/// Float fully-connected layer, `[n, in] x [out, in]^T`.
+/// Reference float fully-connected layer, `[n, in] x [out, in]^T`: one
+/// sequential accumulator per output feature. The optimized and SIMD flavors
+/// run [`fc_f32_gemm`](super::gemm::fc_f32_gemm).
 pub(crate) fn fc_f32(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     activation: Activation,
-    flavor: KernelFlavor,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
     let x = inputs[0].as_f32()?;
     let w = inputs[1].as_f32()?;
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
@@ -34,52 +33,26 @@ pub(crate) fn fc_f32(
         let xrow = &x[n * in_f..(n + 1) * in_f];
         for o in 0..out_f {
             let wrow = &w[o * in_f..(o + 1) * in_f];
-            let acc = match flavor {
-                KernelFlavor::Reference => {
-                    let mut acc = 0.0f32;
-                    for i in 0..in_f {
-                        acc += xrow[i] * wrow[i];
-                    }
-                    acc
-                }
-                // A Simd-flavor fc dispatches to `gemm::fc_f32_simd` before
-                // reaching this kernel; if it ever lands here it gets the
-                // optimized scalar arithmetic.
-                KernelFlavor::Optimized | KernelFlavor::Simd => {
-                    let mut s = [0.0f32; 4];
-                    let chunks = in_f / 4;
-                    for i in 0..chunks {
-                        let b = i * 4;
-                        s[0] += xrow[b] * wrow[b];
-                        s[1] += xrow[b + 1] * wrow[b + 1];
-                        s[2] += xrow[b + 2] * wrow[b + 2];
-                        s[3] += xrow[b + 3] * wrow[b + 3];
-                    }
-                    let mut rest = 0.0;
-                    for i in chunks * 4..in_f {
-                        rest += xrow[i] * wrow[i];
-                    }
-                    (s[0] + s[1]) + (s[2] + s[3]) + rest
-                }
-            };
-            out[n * out_f + o] = activation.apply(acc + bias.map(|b| b[o]).unwrap_or(0.0));
+            let mut acc = 0.0f32;
+            for i in 0..in_f {
+                acc += xrow[i] * wrow[i];
+            }
+            out[n * out_f + o] = activation.apply(acc + bias.map_or(0.0, |b| b[o]));
         }
     }
     Ok(())
 }
 
 /// Edge-emulated float fully-connected layer: each row reduction runs under
-/// the emulator's numerics. The faithful configuration matches the reference
-/// flavor of [`fc_f32`] bitwise.
+/// the emulator's numerics. The faithful configuration matches [`fc_f32`]
+/// bitwise.
 pub(crate) fn fc_f32_emulated(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     activation: Activation,
     numerics: &EdgeNumerics,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
     let x = inputs[0].as_f32()?;
     let w = inputs[1].as_f32()?;
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
@@ -138,13 +111,11 @@ pub(crate) fn fc_q(
 
 /// Float 2-D matrix multiplication (used by the transformer encoder).
 pub(crate) fn matmul_f32(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     transpose_b: bool,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
     let a = inputs[0].as_f32()?;
     let b = inputs[1].as_f32()?;
     let sa = inputs[0].shape().dims();

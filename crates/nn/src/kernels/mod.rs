@@ -1,45 +1,91 @@
-//! Kernel implementations, both float and quantized, in reference and
-//! optimized flavors.
+//! Kernel implementations, both float and quantized, for every kernel
+//! flavor.
 //!
 //! The dispatch rule mirrors TFLite: `(op, dtype, flavor)` selects an
-//! implementation. Reference kernels are deliberately naive nested loops;
-//! optimized kernels restructure loops (im2col, blocked accumulation), which
-//! changes float summation order — the benign source of the small
-//! checkpoint-vs-mobile drift in Fig. 5 — and is where the injected
-//! depthwise-conv defect of [`KernelBugs`] lives.
+//! implementation, and — as with a TFLite `OpResolver` — the float choice is
+//! resolved **once**, when the interpreter is built ([`FloatKernels`]), not
+//! per node. Each float GEMM-family op (`Conv2d`, `FullyConnected`) has
+//! exactly two implementations:
+//!
+//! * the **reference** kernels (`conv::conv2d_f32`, `fc::fc_f32`) —
+//!   deliberately naive loops with one sequential accumulator, the oracle;
+//! * one im2col + tiled GEMM driver ([`gemm`]) generic over its
+//!   micro-kernel: [`gemm::Blocked4`] for [`KernelFlavor::Optimized`],
+//!   [`gemm::Lanes8`] for [`KernelFlavor::Simd`]. Both reassociate the float
+//!   sum — the benign source of the small checkpoint-vs-mobile drift in
+//!   Fig. 5 — and run the same code at every batch size, so `invoke_batch`
+//!   is bitwise-identical to sequential `invoke`s by construction.
+//!
+//! The edge emulator adds a third, reference-structured family
+//! (`*_emulated`); the injected defects of [`KernelBugs`] live in the
+//! quantized depthwise/pool kernels and the [`gemm::Lanes8`] K-tail.
 //!
 //! Every kernel writes into an arena-provided output slot (`&mut Tensor`,
-//! preallocated from the interpreter's `MemoryPlan`) instead of returning a
-//! fresh tensor, so steady-state execution allocates nothing per node. The
-//! batched execution path additionally routes optimized float convolutions
-//! through [`conv::conv2d_f32_gemm`], a whole-batch im2col + blocked GEMM
-//! whose per-cell arithmetic is bitwise-identical to the per-pixel optimized
-//! kernel.
+//! preallocated from the interpreter's `MemoryPlan`) and the float im2col
+//! matrix lives in the plan-sized scratch, so steady-state float execution
+//! under the reference, optimized and SIMD flavors allocates nothing per
+//! node. What still allocates per node, all outside those paths:
+//! `gemm::conv2d_q_simd` (its `u8` patch matrix, for non-1×1 windows),
+//! `conv::conv2d_f32_emulated` (its tap-offset list), `act_q` (a 256-entry
+//! lookup table), `dequantize` (a float copy of the input) and `concat`
+//! (the output dims).
 
 mod conv;
 mod elementwise;
 mod fc;
 pub mod gemm;
 mod pool;
+mod window;
 
 use mlexray_tensor::{DType, QuantParams, Tensor, TensorData};
 
-use crate::graph::{Graph, Node, TensorDef};
+use crate::graph::{Node, TensorDef};
 use crate::ops::{Activation, OpKind};
 use crate::resolver::{AccumOrder, EdgeNumerics, KernelBugs, KernelFlavor, RequantMode};
 use crate::{NnError, Result};
 
-/// Per-invoke execution context threaded through the dispatch: kernel
-/// family, injected defects, emulated numerics, whether this invoke runs a
-/// stacked batch, and the plan-sized f32 scratch buffer.
+/// Which implementation family the float GEMM-family ops (`Conv2d`,
+/// `DepthwiseConv2d`, `FullyConnected`) run — `(flavor, numerics)` resolved
+/// once per interpreter.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FloatKernels {
+    /// Naive reference kernels.
+    Reference,
+    /// Reference loop structure under emulated edge numerics (whatever the
+    /// flavor).
+    Emulated(EdgeNumerics),
+    /// im2col + tiled GEMM around the blocked-4 scalar micro-kernel.
+    Blocked4,
+    /// im2col + tiled GEMM around the 8-lane virtual-SIMD micro-kernel.
+    Lanes8(gemm::Lanes8),
+}
+
+impl FloatKernels {
+    pub(crate) fn resolve(
+        flavor: KernelFlavor,
+        numerics: Option<EdgeNumerics>,
+        bugs: &KernelBugs,
+    ) -> Self {
+        match (numerics, flavor) {
+            (Some(numerics), _) => FloatKernels::Emulated(numerics),
+            (None, KernelFlavor::Reference) => FloatKernels::Reference,
+            (None, KernelFlavor::Optimized) => FloatKernels::Blocked4,
+            (None, KernelFlavor::Simd) => {
+                FloatKernels::Lanes8(gemm::Lanes8::new(gemm::active_engine(), bugs))
+            }
+        }
+    }
+}
+
+/// Per-invoke execution context threaded through the dispatch: the resolved
+/// float kernels, the flavor (quantized dispatch), the emulated numerics,
+/// injected defects and the plan-sized f32 scratch buffer.
 pub(crate) struct KernelCtx<'a> {
+    pub float: FloatKernels,
     pub flavor: KernelFlavor,
-    pub bugs: &'a KernelBugs,
     /// Emulated edge-runtime numerics; `None` runs native arithmetic.
     pub numerics: Option<EdgeNumerics>,
-    /// True when the interpreter stacked several frames into one invoke —
-    /// enables the batched GEMM convolution path.
-    pub batched: bool,
+    pub bugs: &'a KernelBugs,
     /// Scratch reused across nodes; capacity is reserved at plan time so
     /// `resize` never reallocates in steady state.
     pub scratch: &'a mut Vec<f32>,
@@ -48,7 +94,7 @@ pub(crate) struct KernelCtx<'a> {
 impl KernelCtx<'_> {
     /// Requantization multiplier precision for this invoke's quantized
     /// kernels.
-    pub(crate) fn requant_mode(&self) -> RequantMode {
+    fn requant_mode(&self) -> RequantMode {
         self.numerics.map(|n| n.requant).unwrap_or_default()
     }
 }
@@ -56,7 +102,6 @@ impl KernelCtx<'_> {
 /// Executes one node given resolved input tensors, the output slot
 /// definition (shape, dtype, quantization) and the preallocated output slot.
 pub(crate) fn execute_node(
-    _graph: &Graph,
     node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
@@ -68,183 +113,134 @@ pub(crate) fn execute_node(
         .map(|t| t.dtype() == DType::U8)
         .unwrap_or(false);
     let flavor = ctx.flavor;
+    let requant = ctx.requant_mode();
     let result = match (&node.op, quantized) {
         (
-            OpKind::Conv2d {
+            &OpKind::Conv2d {
                 stride,
                 padding,
                 activation,
             },
             false,
-        ) => {
-            if let Some(numerics) = ctx.numerics {
-                conv::conv2d_f32_emulated(
-                    node,
-                    inputs,
-                    out_def,
-                    *stride,
-                    *padding,
-                    *activation,
-                    &numerics,
-                    ctx.scratch,
-                    out,
-                )
-            } else if flavor == KernelFlavor::Simd {
-                gemm::conv2d_f32_simd(
-                    node,
-                    inputs,
-                    out_def,
-                    *stride,
-                    *padding,
-                    *activation,
-                    ctx.bugs,
-                    ctx.scratch,
-                    out,
-                )
-            } else if ctx.batched && flavor == KernelFlavor::Optimized {
-                conv::conv2d_f32_gemm(
-                    node,
-                    inputs,
-                    out_def,
-                    *stride,
-                    *padding,
-                    *activation,
-                    ctx.scratch,
-                    out,
-                )
-            } else {
-                conv::conv2d_f32(
-                    node,
-                    inputs,
-                    out_def,
-                    *stride,
-                    *padding,
-                    *activation,
-                    flavor,
-                    out,
-                )
+        ) => match ctx.float {
+            FloatKernels::Reference => {
+                conv::conv2d_f32(inputs, out_def, stride, padding, activation, out)
             }
-        }
+            FloatKernels::Emulated(numerics) => conv::conv2d_f32_emulated(
+                inputs,
+                out_def,
+                stride,
+                padding,
+                activation,
+                &numerics,
+                ctx.scratch,
+                out,
+            ),
+            FloatKernels::Blocked4 => gemm::conv2d_f32_gemm(
+                gemm::Blocked4,
+                inputs,
+                out_def,
+                stride,
+                padding,
+                activation,
+                ctx.scratch,
+                out,
+            ),
+            FloatKernels::Lanes8(kernel) => gemm::conv2d_f32_gemm(
+                kernel,
+                inputs,
+                out_def,
+                stride,
+                padding,
+                activation,
+                ctx.scratch,
+                out,
+            ),
+        },
         (
-            OpKind::Conv2d {
+            &OpKind::Conv2d {
                 stride,
                 padding,
                 activation,
             },
             true,
         ) => {
-            if flavor == KernelFlavor::Simd {
-                gemm::conv2d_q_simd(
-                    node,
-                    inputs,
-                    out_def,
-                    *stride,
-                    *padding,
-                    *activation,
-                    ctx.requant_mode(),
-                    out,
-                )
+            let kernel = if flavor == KernelFlavor::Simd {
+                gemm::conv2d_q_simd
             } else {
-                conv::conv2d_q(
-                    node,
-                    inputs,
-                    out_def,
-                    *stride,
-                    *padding,
-                    *activation,
-                    ctx.requant_mode(),
-                    out,
-                )
-            }
+                conv::conv2d_q
+            };
+            kernel(
+                node, inputs, out_def, stride, padding, activation, requant, out,
+            )
         }
         (
-            OpKind::DepthwiseConv2d {
+            &OpKind::DepthwiseConv2d {
                 stride,
                 padding,
                 activation,
             },
             false,
-        ) => {
-            if let Some(numerics) = ctx.numerics {
-                conv::dwconv_f32_emulated(
-                    node,
-                    inputs,
-                    out_def,
-                    *stride,
-                    *padding,
-                    *activation,
-                    &numerics,
-                    ctx.scratch,
-                    out,
-                )
-            } else if flavor == KernelFlavor::Simd {
-                gemm::dwconv_f32_simd(node, inputs, out_def, *stride, *padding, *activation, out)
-            } else if ctx.batched && flavor == KernelFlavor::Optimized {
-                conv::dwconv_f32_batched(node, inputs, out_def, *stride, *padding, *activation, out)
-            } else {
-                conv::dwconv_f32(
-                    node,
-                    inputs,
-                    out_def,
-                    *stride,
-                    *padding,
-                    *activation,
-                    flavor,
-                    out,
-                )
+        ) => match ctx.float {
+            FloatKernels::Reference => {
+                conv::dwconv_f32(inputs, out_def, stride, padding, activation, out)
             }
-        }
+            FloatKernels::Blocked4 | FloatKernels::Lanes8(_) => {
+                conv::dwconv_f32_channels(inputs, out_def, stride, padding, activation, out)
+            }
+            FloatKernels::Emulated(numerics) => conv::dwconv_f32_emulated(
+                inputs,
+                out_def,
+                stride,
+                padding,
+                activation,
+                &numerics,
+                ctx.scratch,
+                out,
+            ),
+        },
         (
-            OpKind::DepthwiseConv2d {
+            &OpKind::DepthwiseConv2d {
                 stride,
                 padding,
                 activation,
             },
             true,
         ) => conv::dwconv_q(
-            node,
-            inputs,
-            out_def,
-            *stride,
-            *padding,
-            *activation,
-            flavor,
-            ctx.bugs,
-            ctx.requant_mode(),
-            out,
+            node, inputs, out_def, stride, padding, activation, flavor, ctx.bugs, requant, out,
         ),
-        (OpKind::FullyConnected { activation }, false) => {
-            if let Some(numerics) = ctx.numerics {
-                fc::fc_f32_emulated(node, inputs, out_def, *activation, &numerics, out)
-            } else if flavor == KernelFlavor::Simd {
-                gemm::fc_f32_simd(node, inputs, out_def, *activation, ctx.bugs, out)
-            } else {
-                fc::fc_f32(node, inputs, out_def, *activation, flavor, out)
+        (&OpKind::FullyConnected { activation }, false) => match ctx.float {
+            FloatKernels::Reference => fc::fc_f32(inputs, out_def, activation, out),
+            FloatKernels::Emulated(numerics) => {
+                fc::fc_f32_emulated(inputs, out_def, activation, &numerics, out)
             }
-        }
-        (OpKind::FullyConnected { activation }, true) => {
-            if flavor == KernelFlavor::Simd {
-                gemm::fc_q_simd(node, inputs, out_def, *activation, ctx.requant_mode(), out)
-            } else {
-                fc::fc_q(node, inputs, out_def, *activation, ctx.requant_mode(), out)
+            FloatKernels::Blocked4 => {
+                gemm::fc_f32_gemm(gemm::Blocked4, inputs, out_def, activation, out)
             }
+            FloatKernels::Lanes8(kernel) => {
+                gemm::fc_f32_gemm(kernel, inputs, out_def, activation, out)
+            }
+        },
+        (&OpKind::FullyConnected { activation }, true) => {
+            let kernel = if flavor == KernelFlavor::Simd {
+                gemm::fc_q_simd
+            } else {
+                fc::fc_q
+            };
+            kernel(node, inputs, out_def, activation, requant, out)
         }
-        (OpKind::MatMul { transpose_b }, _) => {
-            fc::matmul_f32(node, inputs, out_def, *transpose_b, out)
-        }
+        (&OpKind::MatMul { transpose_b }, _) => fc::matmul_f32(inputs, out_def, transpose_b, out),
         (
-            OpKind::AveragePool2d {
+            &OpKind::AveragePool2d {
                 pool_h,
                 pool_w,
                 stride,
                 padding,
             },
             false,
-        ) => pool::avgpool_f32(
-            node, inputs, out_def, *pool_h, *pool_w, *stride, *padding, out,
-        ),
+        ) => pool::avgpool_f32(inputs, out_def, pool_h, pool_w, stride, padding, out),
         (
-            OpKind::AveragePool2d {
+            &OpKind::AveragePool2d {
                 pool_h,
                 pool_w,
                 stride,
@@ -252,30 +248,19 @@ pub(crate) fn execute_node(
             },
             true,
         ) => pool::avgpool_q(
-            node,
-            inputs,
-            out_def,
-            *pool_h,
-            *pool_w,
-            *stride,
-            *padding,
-            ctx.bugs,
-            ctx.requant_mode(),
-            out,
+            node, inputs, out_def, pool_h, pool_w, stride, padding, ctx.bugs, requant, out,
         ),
         (
-            OpKind::MaxPool2d {
+            &OpKind::MaxPool2d {
                 pool_h,
                 pool_w,
                 stride,
                 padding,
             },
             false,
-        ) => pool::maxpool_f32(
-            node, inputs, out_def, *pool_h, *pool_w, *stride, *padding, out,
-        ),
+        ) => pool::maxpool_f32(inputs, out_def, pool_h, pool_w, stride, padding, out),
         (
-            OpKind::MaxPool2d {
+            &OpKind::MaxPool2d {
                 pool_h,
                 pool_w,
                 stride,
@@ -283,56 +268,48 @@ pub(crate) fn execute_node(
             },
             true,
         ) => pool::maxpool_q(
-            node,
-            inputs,
-            out_def,
-            *pool_h,
-            *pool_w,
-            *stride,
-            *padding,
-            ctx.requant_mode(),
-            out,
+            node, inputs, out_def, pool_h, pool_w, stride, padding, requant, out,
         ),
-        (OpKind::Mean, false) => pool::mean_f32(node, inputs, out_def, out),
-        (OpKind::Mean, true) => pool::mean_q(node, inputs, out_def, ctx.requant_mode(), out),
-        (OpKind::Add { activation }, false) => {
-            elementwise::add_f32(node, inputs, out_def, *activation, out)
+        (OpKind::Mean, false) => pool::mean_f32(inputs, out_def, out),
+        (OpKind::Mean, true) => pool::mean_q(node, inputs, out_def, requant, out),
+        (&OpKind::Add { activation }, false) => {
+            elementwise::add_f32(inputs, out_def, activation, out)
         }
-        (OpKind::Add { activation }, true) => {
-            elementwise::add_q(node, inputs, out_def, *activation, out)
+        (&OpKind::Add { activation }, true) => {
+            elementwise::add_q(node, inputs, out_def, activation, out)
         }
-        (OpKind::Mul, false) => elementwise::mul_f32(node, inputs, out_def, out),
+        (OpKind::Mul, false) => elementwise::mul_f32(inputs, out_def, out),
         (OpKind::Mul, true) => elementwise::mul_q(node, inputs, out_def, out),
-        (OpKind::Concat { axis }, _) => elementwise::concat(node, inputs, out_def, *axis, out),
+        (&OpKind::Concat { axis }, _) => elementwise::concat(node, inputs, out_def, axis, out),
         (
-            OpKind::Pad {
+            &OpKind::Pad {
                 top,
                 bottom,
                 left,
                 right,
             },
             _,
-        ) => elementwise::pad(node, inputs, out_def, *top, *bottom, *left, *right, out),
-        (OpKind::Softmax, false) => elementwise::softmax_f32(node, inputs, out_def, out),
+        ) => elementwise::pad(node, inputs, out_def, top, bottom, left, right, out),
+        (OpKind::Softmax, false) => elementwise::softmax_f32(inputs, out_def, out),
         (OpKind::Softmax, true) => Err(unsupported(node, "quantized softmax (insert Dequantize)")),
-        (OpKind::Act(act), false) => elementwise::act_f32(node, inputs, out_def, *act, out),
-        (OpKind::Act(act), true) => elementwise::act_q(node, inputs, out_def, *act, out),
-        (OpKind::BatchNorm { epsilon }, false) => {
-            elementwise::batch_norm_f32(node, inputs, out_def, *epsilon, out)
+        (&OpKind::Act(act), false) => elementwise::act_f32(inputs, out_def, act, out),
+        (&OpKind::Act(act), true) => elementwise::act_q(node, inputs, out_def, act, out),
+        (&OpKind::BatchNorm { epsilon }, false) => {
+            elementwise::batch_norm_f32(inputs, out_def, epsilon, out)
         }
-        (OpKind::LayerNorm { epsilon }, false) => {
-            elementwise::layer_norm_f32(node, inputs, out_def, *epsilon, out)
+        (&OpKind::LayerNorm { epsilon }, false) => {
+            elementwise::layer_norm_f32(inputs, out_def, epsilon, out)
         }
-        (OpKind::Embedding, _) => elementwise::embedding_f32(node, inputs, out_def, out),
-        (OpKind::Reshape { .. }, _) => elementwise::reshape(node, inputs, out_def, out),
+        (OpKind::Embedding, _) => elementwise::embedding_f32(inputs, out_def, out),
+        (OpKind::Reshape { .. }, _) => elementwise::reshape(inputs, out),
         (OpKind::Quantize, _) => elementwise::quantize(node, inputs, out_def, out),
-        (OpKind::Dequantize, _) => elementwise::dequantize(node, inputs, out_def, out),
+        (OpKind::Dequantize, _) => elementwise::dequantize(inputs, out_def, out),
         (op, true) => Err(unsupported(node, &format!("quantized {}", op.type_label()))),
     };
     // The emulator's flush-to-zero knob models ARM's default FTZ mode at
     // node granularity: every float output has its subnormals flushed before
     // the next op can read them.
-    if result.is_ok() && ctx.numerics.map(|n| n.flush_to_zero).unwrap_or(false) {
+    if result.is_ok() && ctx.numerics.is_some_and(|n| n.flush_to_zero) {
         if let TensorData::F32(_) = out.data() {
             for v in out.as_f32_mut()? {
                 if v.is_subnormal() {

@@ -5,79 +5,14 @@
 use mlexray_tensor::Tensor;
 
 use crate::graph::{Node, TensorDef};
+use crate::kernels::window::WindowGeom;
 use crate::kernels::{f32_slot, out_qparams, qparams_of, requantize, u8_slot};
-use crate::ops::{same_pad_before, Padding};
+use crate::ops::Padding;
 use crate::resolver::{KernelBugs, RequantMode};
 use crate::Result;
 
-struct PoolGeom {
-    n: usize,
-    in_h: usize,
-    in_w: usize,
-    c: usize,
-    out_h: usize,
-    out_w: usize,
-    pad_top: usize,
-    pad_left: usize,
-}
-
-fn geometry(
-    input: &Tensor,
-    out_def: &TensorDef,
-    pool_h: usize,
-    pool_w: usize,
-    stride: usize,
-    padding: Padding,
-) -> PoolGeom {
-    let is = input.shape().dims();
-    let os = out_def.shape().dims();
-    let (pad_top, pad_left) = match padding {
-        Padding::Same => (
-            same_pad_before(is[1], pool_h, stride),
-            same_pad_before(is[2], pool_w, stride),
-        ),
-        Padding::Valid => (0, 0),
-    };
-    PoolGeom {
-        n: is[0],
-        in_h: is[1],
-        in_w: is[2],
-        c: is[3],
-        out_h: os[1],
-        out_w: os[2],
-        pad_top,
-        pad_left,
-    }
-}
-
-/// Iterates the valid input window of an output cell.
-fn window(
-    g: &PoolGeom,
-    oy: usize,
-    ox: usize,
-    pool_h: usize,
-    pool_w: usize,
-    stride: usize,
-) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let y0 = (oy * stride) as isize - g.pad_top as isize;
-    let x0 = (ox * stride) as isize - g.pad_left as isize;
-    (0..pool_h).flat_map(move |ky| {
-        (0..pool_w).filter_map(move |kx| {
-            let iy = y0 + ky as isize;
-            let ix = x0 + kx as isize;
-            if iy >= 0 && iy < g.in_h as isize && ix >= 0 && ix < g.in_w as isize {
-                Some((iy as usize, ix as usize))
-            } else {
-                None
-            }
-        })
-    })
-}
-
-/// Float average pooling.
-#[allow(clippy::too_many_arguments)]
+/// Float average pooling over the in-bounds part of each window.
 pub(crate) fn avgpool_f32(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     pool_h: usize,
@@ -86,33 +21,24 @@ pub(crate) fn avgpool_f32(
     padding: Padding,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
     let x = inputs[0].as_f32()?;
-    let g = geometry(inputs[0], out_def, pool_h, pool_w, stride, padding);
+    let g = WindowGeom::new(inputs[0], out_def, pool_h, pool_w, stride, padding);
     let out = f32_slot(out_t, out_def)?;
-    for n in 0..g.n {
-        for oy in 0..g.out_h {
-            for ox in 0..g.out_w {
-                let cells: Vec<(usize, usize)> =
-                    window(&g, oy, ox, pool_h, pool_w, stride).collect();
-                let count = cells.len().max(1) as f32;
-                for ch in 0..g.c {
-                    let mut acc = 0.0f32;
-                    for &(iy, ix) in &cells {
-                        acc += x[((n * g.in_h + iy) * g.in_w + ix) * g.c + ch];
-                    }
-                    out[((n * g.out_h + oy) * g.out_w + ox) * g.c + ch] = acc / count;
-                }
+    for cell in g.cells() {
+        for ch in 0..g.c {
+            let (mut acc, mut count) = (0.0f32, 0usize);
+            for (_, pixel) in g.taps(&cell) {
+                acc += x[pixel * g.c + ch];
+                count += 1;
             }
+            out[cell.index * g.c + ch] = acc / count.max(1) as f32;
         }
     }
     Ok(())
 }
 
 /// Float max pooling.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn maxpool_f32(
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     pool_h: usize,
@@ -121,36 +47,22 @@ pub(crate) fn maxpool_f32(
     padding: Padding,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let _ = node;
     let x = inputs[0].as_f32()?;
-    let g = geometry(inputs[0], out_def, pool_h, pool_w, stride, padding);
+    let g = WindowGeom::new(inputs[0], out_def, pool_h, pool_w, stride, padding);
     let out = f32_slot(out_t, out_def)?;
-    for n in 0..g.n {
-        for oy in 0..g.out_h {
-            for ox in 0..g.out_w {
-                let cells: Vec<(usize, usize)> =
-                    window(&g, oy, ox, pool_h, pool_w, stride).collect();
-                for ch in 0..g.c {
-                    let mut best = f32::NEG_INFINITY;
-                    for &(iy, ix) in &cells {
-                        best = best.max(x[((n * g.in_h + iy) * g.in_w + ix) * g.c + ch]);
-                    }
-                    out[((n * g.out_h + oy) * g.out_w + ox) * g.c + ch] = best;
-                }
-            }
+    for cell in g.cells() {
+        for ch in 0..g.c {
+            out[cell.index * g.c + ch] = g
+                .taps(&cell)
+                .map(|(_, pixel)| x[pixel * g.c + ch])
+                .fold(f32::NEG_INFINITY, f32::max);
         }
     }
     Ok(())
 }
 
 /// Float global reduce-mean: `[n, ..., c] → [n, c]`.
-pub(crate) fn mean_f32(
-    node: &Node,
-    inputs: &[&Tensor],
-    out_def: &TensorDef,
-    out_t: &mut Tensor,
-) -> Result<()> {
-    let _ = node;
+pub(crate) fn mean_f32(inputs: &[&Tensor], out_def: &TensorDef, out_t: &mut Tensor) -> Result<()> {
     let x = inputs[0].as_f32()?;
     let dims = inputs[0].shape().dims();
     let n = dims[0];
@@ -193,33 +105,26 @@ pub(crate) fn avgpool_q(
     let (s_in, zp_in) = qparams_of(node, input)?;
     let (s_out, zp_out) = out_qparams(node, out_def)?;
     let x = input.as_u8()?;
-    let g = geometry(input, out_def, pool_h, pool_w, stride, padding);
+    let g = WindowGeom::new(input, out_def, pool_h, pool_w, stride, padding);
     let out = u8_slot(out_t, out_def)?;
     let m = (s_in as f64) / (s_out as f64);
     let buggy = bugs.avgpool_double_division && pool_h * pool_w >= 16;
-    for n in 0..g.n {
-        for oy in 0..g.out_h {
-            for ox in 0..g.out_w {
-                let cells: Vec<(usize, usize)> =
-                    window(&g, oy, ox, pool_h, pool_w, stride).collect();
-                let count = cells.len().max(1) as i32;
-                for ch in 0..g.c {
-                    let mut acc: i32 = 0;
-                    for &(iy, ix) in &cells {
-                        acc += x[((n * g.in_h + iy) * g.in_w + ix) * g.c + ch] as i32;
-                    }
-                    let avg_q = if buggy {
-                        // Injected defect: divides by the area twice.
-                        (acc / count) / count
-                    } else {
-                        // Rounded average in the quantized domain.
-                        (acc + count / 2) / count
-                    };
-                    let centered = avg_q - zp_in;
-                    out[((n * g.out_h + oy) * g.out_w + ox) * g.c + ch] =
-                        requantize(centered, m, zp_out, 0, 255, requant);
-                }
+    for cell in g.cells() {
+        for ch in 0..g.c {
+            let (mut acc, mut count) = (0i32, 0i32);
+            for (_, pixel) in g.taps(&cell) {
+                acc += x[pixel * g.c + ch] as i32;
+                count += 1;
             }
+            let count = count.max(1);
+            let avg_q = if buggy {
+                // Injected defect: divides by the area twice.
+                (acc / count) / count
+            } else {
+                // Rounded average in the quantized domain.
+                (acc + count / 2) / count
+            };
+            out[cell.index * g.c + ch] = requantize(avg_q - zp_in, m, zp_out, 0, 255, requant);
         }
     }
     Ok(())
@@ -242,28 +147,18 @@ pub(crate) fn maxpool_q(
     let (s_in, zp_in) = qparams_of(node, input)?;
     let (s_out, zp_out) = out_qparams(node, out_def)?;
     let x = input.as_u8()?;
-    let g = geometry(input, out_def, pool_h, pool_w, stride, padding);
+    let g = WindowGeom::new(input, out_def, pool_h, pool_w, stride, padding);
     let m = (s_in as f64) / (s_out as f64);
     let out = u8_slot(out_t, out_def)?;
-    for n in 0..g.n {
-        for oy in 0..g.out_h {
-            for ox in 0..g.out_w {
-                let cells: Vec<(usize, usize)> =
-                    window(&g, oy, ox, pool_h, pool_w, stride).collect();
-                for ch in 0..g.c {
-                    let mut best: i32 = 0;
-                    let mut first = true;
-                    for &(iy, ix) in &cells {
-                        let v = x[((n * g.in_h + iy) * g.in_w + ix) * g.c + ch] as i32;
-                        if first || v > best {
-                            best = v;
-                            first = false;
-                        }
-                    }
-                    out[((n * g.out_h + oy) * g.out_w + ox) * g.c + ch] =
-                        requantize(best - zp_in, m, zp_out, 0, 255, requant);
-                }
-            }
+    for cell in g.cells() {
+        for ch in 0..g.c {
+            // An empty window (unreachable with SAME/VALID geometry) pools to 0.
+            let best = g
+                .taps(&cell)
+                .map(|(_, pixel)| x[pixel * g.c + ch] as i32)
+                .max()
+                .unwrap_or(0);
+            out[cell.index * g.c + ch] = requantize(best - zp_in, m, zp_out, 0, 255, requant);
         }
     }
     Ok(())

@@ -4,7 +4,7 @@
 //! a [`MemoryPlan`]: the byte size and lifetime of every runtime tensor
 //! (graph inputs and node outputs), a greedy first-fit offset assignment that
 //! lets lifetime-disjoint tensors share the same arena range, and the scratch
-//! requirement of the batched GEMM convolution path. The interpreter then
+//! requirement of the im2col + GEMM convolution path. The interpreter then
 //! preallocates one buffer per planned slot and reuses them across invokes,
 //! so steady-state execution performs no per-node allocation — the property
 //! pinned by `InvokeStats::allocations`.
@@ -83,8 +83,9 @@ pub(crate) fn batched_shape(shape: &Shape, batch: usize) -> Result<Shape> {
         .map_err(|e| NnError::InvalidGraph(e.to_string()))
 }
 
-/// Elements of f32 scratch the batched GEMM convolution needs for `node`
-/// (the whole-batch im2col matrix), or 0 when the node needs none.
+/// Elements of f32 scratch the im2col + GEMM convolution needs for `node`
+/// (the whole-batch im2col matrix — at every batch factor, 1 included), or
+/// 0 when the node needs none.
 fn conv_scratch_elems(graph: &Graph, node: &crate::graph::Node, batch: usize) -> usize {
     let OpKind::Conv2d {
         stride, padding, ..
@@ -239,7 +240,7 @@ impl MemoryPlan {
         self.peak_bytes
     }
 
-    /// The f32 scratch elements the batched GEMM convolution path needs
+    /// The f32 scratch elements the im2col + GEMM convolution path needs
     /// (the largest whole-batch im2col matrix in the graph).
     pub fn scratch_elems(&self) -> usize {
         self.scratch_elems
@@ -361,6 +362,9 @@ mod tests {
         let g = b.finish().unwrap();
         let plan = MemoryPlan::for_graph(&g, 2).unwrap();
         assert_eq!(plan.scratch_elems(), 2 * 8 * 8 * (3 * 3 * 3));
+        // Single invokes run the same im2col, so batch 1 reserves it too.
+        let single = MemoryPlan::for_graph(&g, 1).unwrap();
+        assert_eq!(single.scratch_elems(), 8 * 8 * (3 * 3 * 3));
         // 1x1 convs use the direct path and need no scratch.
         assert_eq!(
             MemoryPlan::for_graph(&chain(), 8).unwrap().scratch_elems(),

@@ -50,12 +50,11 @@ MLEXRAY_QUICK=1 cargo test -q -p mlexray-bench --test experiments_smoke fig_metr
 step "cargo build --release"
 cargo build --release
 
-step "rpc suite (release: protocol robustness + 32-session loaded proof + fig_rpc floors + loadgen + metrics scrape + BENCH_PR10)"
+step "rpc suite (release: protocol robustness + 32-session loaded proof + fig_rpc floors + loadgen + metrics scrape)"
 cargo test --release -q -p mlexray-serve --test rpc_protocol --test rpc_loaded
 MLEXRAY_QUICK=1 MLEXRAY_ENFORCE_SCALING=1 cargo test --release -q -p mlexray-bench --test experiments_smoke fig_rpc
 MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen
 MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen -- --metrics
-scripts/bench-record.sh --quick
 
 step "trace suite (release: span pipeline units + trace_suite integration + fig_trace bars + loadgen wire-trace smoke)"
 cargo test --release -q -p mlexray-core --lib trace
@@ -66,9 +65,12 @@ MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen -- --t
 step "exray-lint over the zoo and goldens (fails on any Deny finding)"
 cargo run --release -q -p mlexray-models --bin exray-lint -- --zoo --goldens
 
-step "cargo build --examples && cargo build --benches -p mlexray-bench"
+step "cargo build --examples"
 cargo build --examples
-cargo build --benches -p mlexray-bench
+
+step "exray_bench builds and passes its own tests against these crates (release, offline)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 step "RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
