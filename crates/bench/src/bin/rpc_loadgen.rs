@@ -19,8 +19,8 @@
 //!
 //! With `--trace`, the loopback server runs with the span pipeline on:
 //! every fourth arrival carries a client-minted wire trace context
-//! (protocol v3), a burst of already-expired deadlines forces
-//! always-sample-on-shed traces, and the final `Trace` round-trip must
+//! (protocol v3), requests parked in a held queue past their deadlines
+//! force always-sample-on-shed traces, and the final `Trace` round-trip must
 //! return Chrome-trace JSON that parses and contains the full span chain
 //! (`rpc_decode` → `queue_wait` → `exec` → `respond_encode`) plus the
 //! forced `shed` spans.
@@ -329,54 +329,44 @@ fn main() {
         }
         client
     });
-    if tracer.is_some() {
+    if let (Some(_), Some(server)) = (&tracer, &loopback) {
         // The wire carries whole milliseconds, so an already-expired
-        // deadline is not expressible — instead 12 closed-loop sessions
-        // pile 1 ms-deadline requests onto the two workers until the
-        // queue wait alone exceeds the deadline. Retried rounds make the
-        // shed deterministic whatever the hardware.
+        // deadline is not expressible — instead the workers are held while
+        // four sessions each park a 1 ms-deadline request in the queue (a
+        // session blocks on its `Infer`, so one each), the deadlines lapse,
+        // and the release sheds every one of them at dequeue.
+        const SHED_SESSIONS: usize = 4;
         let frame = &arrivals[0].1;
-        let mut deadline_sheds = 0u64;
-        for _round in 0..10 {
-            if deadline_sheds >= 4 {
-                break;
-            }
-            let round_sheds: u64 = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..12)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut client =
-                                RpcClient::connect(addr.as_str()).expect("shed session connects");
-                            if let Some(token) = &token {
-                                client.hello(token).expect("token accepted");
-                            }
-                            let mut sheds = 0u64;
-                            for _ in 0..4 {
-                                let result = client.infer(
-                                    MODEL,
-                                    vec![frame.clone()],
-                                    Some(Duration::from_millis(1)),
-                                );
-                                if let Err(e) = result {
-                                    if e.server_code() == Some(ErrorCode::DeadlineExpired) {
-                                        sheds += 1;
-                                    }
-                                }
-                            }
-                            sheds
-                        })
+        let service = server.service();
+        service.pause();
+        let deadline_sheds: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..SHED_SESSIONS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut client =
+                            RpcClient::connect(addr.as_str()).expect("shed session connects");
+                        if let Some(token) = &token {
+                            client.hello(token).expect("token accepted");
+                        }
+                        let result =
+                            client.infer(MODEL, vec![frame.clone()], Some(Duration::from_millis(1)));
+                        matches!(result, Err(e) if e.server_code() == Some(ErrorCode::DeadlineExpired))
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shed session thread"))
-                    .sum()
-            });
-            deadline_sheds += round_sheds;
-        }
-        assert!(
-            deadline_sheds > 0,
-            "the overload burst produced no deadline sheds to force-trace"
+                })
+                .collect();
+            while service.queue_depth(MODEL) != Some(SHED_SESSIONS) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(5));
+            service.resume();
+            handles
+                .into_iter()
+                .map(|h| usize::from(h.join().expect("shed session thread")))
+                .sum()
+        });
+        assert_eq!(
+            deadline_sheds, SHED_SESSIONS,
+            "every request whose deadline lapsed in the held queue must be shed"
         );
         println!("trace: forced {deadline_sheds} deadline sheds for always-sampling");
     }

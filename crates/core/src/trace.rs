@@ -105,8 +105,10 @@ pub enum SpanStage {
     Admission = 3,
     /// Queue wait: admission → a worker dequeued the request.
     QueueWait = 4,
-    /// Batch formation: dequeue → the leader's coalesce window closed.
-    /// `arg_a` = batch size, `arg_b` = the batch leader's request id.
+    /// Batch formation: dequeue → the leader stopped gathering followers.
+    /// `arg_a` = batch size, `arg_b` = the batch leader's request id,
+    /// `flavor` = what closed the batch (1 full, 2 callers-in, 3 window,
+    /// 4 drained).
     BatchForm = 5,
     /// The batched `invoke`. `arg_a` = batch size.
     Exec = 6,
@@ -176,7 +178,8 @@ pub struct Span {
     /// The stage.
     pub stage: SpanStage,
     /// Kernel-flavor tag for [`SpanStage::Layer`]/[`SpanStage::Exec`]
-    /// spans (0 reference, 1 optimized, 2 simd, 3 edge); 0 otherwise.
+    /// spans (0 reference, 1 optimized, 2 simd, 3 edge); the batch-close
+    /// reason for [`SpanStage::BatchForm`]; 0 otherwise.
     pub flavor: u8,
     /// Interned model tag ([`TraceHub::intern_model`]).
     pub model: u16,
@@ -410,12 +413,18 @@ impl Trace {
                 SpanStage::Shed => (span.arg_a, 0),
                 _ => (span.arg_a, span.arg_b),
             };
+            // So is what closed the batch, which `batch_form` carries in
+            // place of a kernel flavor.
+            let flavor = match span.stage {
+                SpanStage::BatchForm => 0,
+                _ => span.flavor,
+            };
             out.push_str(&format!(
                 "  {} id {:016x} parent {:016x} flavor {} arg_a {} arg_b {}\n",
                 span.stage.name(),
                 span.span_id,
                 span.parent_span_id,
-                span.flavor,
+                flavor,
                 arg_a,
                 arg_b,
             ));

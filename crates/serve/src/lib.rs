@@ -9,8 +9,8 @@
 //!
 //! ```text
 //!          ┌────────────────────────── InferenceService ─────────────────────────┐
-//! client ─▶ submit ─▶ admission ─▶ bounded queue ─▶ workers: coalesce window ─▶ invoke_batch
-//!   ▲          │        control        (per model)     (≤ max_batch frames)        │
+//! client ─▶ submit ─▶ admission ─▶ bounded queue ─▶ workers: coalesce ────────▶ invoke_batch
+//!   ▲          │        control        (per model)     (full | callers in | window) │
 //!   │          ▼ typed Rejection                                                   ▼
 //!   └── PendingResponse ◀──────────────────────────────────────────── per-request reply
 //!
@@ -29,6 +29,9 @@
 //!   (derivable from an `mlexray-edgesim` device latency model) and stacks
 //!   them into one [`mlexray_nn::Interpreter::invoke_batch`] call. Results
 //!   are bitwise-identical to sequential invokes, whatever the coalescing.
+//!   The leader stops early when nobody is left who could join: every
+//!   closed-loop caller attached to the model (each RPC connection is one)
+//!   already has a request in the system.
 //! * **Admission control** — queue-depth caps, per-request deadlines and a
 //!   drain-then-stop shutdown; every shed path produces a typed
 //!   [`Rejection`], never a silent drop, and [`ModelStats::is_balanced`]
@@ -79,6 +82,7 @@
 
 #![warn(missing_docs)]
 
+mod batcher;
 mod error;
 pub mod metrics;
 mod queue;
@@ -88,10 +92,9 @@ pub mod rpc;
 mod service;
 mod stats;
 
+pub use batcher::BatchPolicy;
 pub use error::{Result, ServeError};
 pub use registry::{ModelRegistry, ServedModel};
 pub use request::{InferResponse, PendingResponse, RejectReason, Rejection, ServeResult};
-pub use service::{
-    BatchPolicy, InferenceService, MonitorPolicy, ServeReport, ServiceConfig, TracePolicy,
-};
+pub use service::{InferenceService, MonitorPolicy, ServeReport, ServiceConfig, TracePolicy};
 pub use stats::ModelStats;

@@ -123,6 +123,9 @@ pub(crate) struct InferRequest {
     /// Wire-propagated or admission-minted trace identity; `None` when the
     /// service runs with tracing off.
     pub(crate) trace: Option<TraceContext>,
+    /// Submitted by an attached closed-loop caller, so counted on the
+    /// model's caller ledger until answered (see [`crate::batcher`]).
+    pub(crate) from_caller: bool,
     pub(crate) reply: SyncSender<ServeResult>,
 }
 

@@ -6,7 +6,8 @@
 //! ```text
 //! accept loop ──▶ connection thread: read frame ▶ decode ▶ dispatch ▶ reply
 //!                   │  Seal ──▶ session arena (Arc<Vec<Tensor>>)
-//!                   │  Infer ─▶ InferenceService::submit_shared (zero-copy)
+//!                   │  Infer ─▶ InferenceService::submit_from (zero-copy;
+//!                   │           the session is a declared closed-loop caller)
 //!                   └─ Load ──▶ registry (lint gate) + service.add_model
 //! ```
 //!
@@ -34,6 +35,7 @@ use mlexray_core::{
 use mlexray_nn::{Graph, Model};
 use mlexray_tensor::Tensor;
 
+use crate::batcher::AttachedCaller;
 use crate::metrics::{Collect, MetricsBuilder, MetricsRegistry};
 use crate::rpc::wire::{
     self, ErrorCode, InferPayload, LoadSource, ModelStatus, RpcRequest, RpcResponse, SealHandle,
@@ -400,6 +402,12 @@ struct Session {
     arena: BTreeMap<SealHandle, Arc<Vec<Tensor>>>,
     next_handle: SealHandle,
     arena_bytes: u64,
+    /// This connection's standing declaration, per model it has sent an
+    /// `Infer` to, that it is a closed-loop caller: `handle_infer` blocks
+    /// on each answer, so the connection never has two requests in the
+    /// system (see [`crate::batcher`]). Dropped with the session, however
+    /// the connection ends.
+    attached: BTreeMap<String, AttachedCaller>,
 }
 
 enum ReadEnd {
@@ -522,6 +530,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
         arena: BTreeMap::new(),
         next_handle: 1,
         arena_bytes: 0,
+        attached: BTreeMap::new(),
     };
     loop {
         let mut len_buf = [0u8; 4];
@@ -938,10 +947,19 @@ fn handle_infer(
         })?,
     };
     let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
+    // Attach on the first Infer to a model; an unknown model has no ledger
+    // and takes the plain path to its typed refusal.
+    if !session.attached.contains_key(model) {
+        if let Some(caller) = inner.service.attach_caller(model) {
+            session.attached.insert(model.to_string(), caller);
+        }
+    }
     let pending = inner
         .service
-        .submit_shared_traced(model, inputs, deadline, trace)
+        .submit_from(session.attached.get(model), model, inputs, deadline, trace)
         .map_err(rejection_to_wire)?;
+    // Blocking here is what makes the connection closed-loop: the batcher
+    // relies on this thread not reading another frame until the answer.
     let response = pending.wait().map_err(rejection_to_wire)?;
     Ok(RpcResponse::Infer(WireInferResponse {
         request_id: response.request_id,

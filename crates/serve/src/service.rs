@@ -5,11 +5,20 @@
 //! # Data path
 //!
 //! ```text
-//! submit() ──try_push──▶ bounded queue ──pop──▶ worker: coalesce ≤ max_batch
-//!    │                                            within the batch window,
-//!    │ typed Rejection                            shed expired deadlines,
-//!    ▼ (QueueFull / ShuttingDown)                 invoke_batch, reply
+//! submit() ──try_push──▶ bounded queue ──pop──▶ worker: shed what expired in
+//!    │                                            the queue, coalesce until
+//!    │ typed Rejection                            full | every caller in |
+//!    ▼ (QueueFull / ShuttingDown)                 window, invoke_batch, reply
 //! ```
+//!
+//! Batch formation — the leader/follower loop, its close-or-wait rule and
+//! the per-model caller ledger that lets a leader stop waiting for
+//! followers that cannot come — lives in [`crate::batcher`]. This module
+//! keeps the ledger's two ordering rules: a request from an attached
+//! caller is counted into the system *before* it is pushed
+//! (`submit_from`), and a batch is counted out *before* its first reply
+//! is sent (`run_batch`, `shed_expired`); the batcher's module docs say
+//! what breaks otherwise.
 //!
 //! Each worker owns a private backend built from the model's
 //! [`BackendSpec`] — the same share-nothing discipline as the sharded
@@ -52,72 +61,15 @@ use mlexray_core::{
     DriftAlarm, LogRecord, LogSink, LogValue, OnlineValidator, OnlineValidatorConfig,
     OnlineValidatorStats, Span, SpanRing, SpanStage, TraceContext, TraceHub, KEY_INFERENCE_LATENCY,
 };
-use mlexray_edgesim::SimulatedDevice;
 use mlexray_nn::{BackendSpec, ExecutionBackend, LayerObserver, LayerRecord};
 use mlexray_tensor::Tensor;
 
-use crate::queue::{PushRefusal, RequestQueue, TimedPop};
+use crate::batcher::{form_batch, AttachedCaller, BatchPolicy, CallerLedger, CloseReason};
+use crate::queue::{PushRefusal, RequestQueue};
 use crate::registry::{ModelRegistry, ServedModel};
 use crate::request::{InferRequest, InferResponse, PendingResponse, RejectReason, Rejection};
 use crate::stats::{ModelCounters, ModelStats};
 use crate::{Result, ServeError};
-
-/// How a model's workers coalesce queued requests into batched invokes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Most requests stacked into one `invoke_batch` call.
-    pub max_batch: usize,
-    /// How long a batch leader waits for followers before invoking with
-    /// what it has. Zero still coalesces whatever is already queued.
-    pub window: Duration,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy {
-            max_batch: 4,
-            window: Duration::from_millis(1),
-        }
-    }
-}
-
-impl BatchPolicy {
-    /// Batch-size-1 serving: every request is its own invoke (the baseline
-    /// the `fig_serving` experiment compares against).
-    pub fn single() -> Self {
-        BatchPolicy {
-            max_batch: 1,
-            window: Duration::ZERO,
-        }
-    }
-
-    /// An explicit size/window pair.
-    pub fn windowed(max_batch: usize, window: Duration) -> Self {
-        BatchPolicy {
-            max_batch: max_batch.max(1),
-            window,
-        }
-    }
-
-    /// Derives the coalescing window from a simulated device's latency
-    /// model ([`SimulatedDevice::suggested_batch_window`]): slower devices
-    /// buy longer windows, and a request never waits longer than ~half the
-    /// compute it is about to pay for.
-    ///
-    /// # Errors
-    ///
-    /// Propagates interpreter errors from the one-off costing run.
-    pub fn for_device(
-        max_batch: usize,
-        device: &SimulatedDevice,
-        entry: &ServedModel,
-        sample_inputs: &[Tensor],
-    ) -> Result<Self> {
-        let window =
-            device.suggested_batch_window(entry.graph(), sample_inputs, entry.spec().options())?;
-        Ok(Self::windowed(max_batch, window))
-    }
-}
 
 /// The always-on monitoring policy of a service.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -273,6 +225,8 @@ struct ModelServer {
     entry: Arc<ServedModel>,
     queue: Arc<RequestQueue<InferRequest>>,
     counters: Arc<ModelCounters>,
+    /// The model's closed-loop callers (see [`crate::batcher`]).
+    ledger: Arc<CallerLedger>,
     validator: Option<Arc<OnlineValidator>>,
     workers: Vec<JoinHandle<()>>,
     worker_count: usize,
@@ -383,6 +337,7 @@ impl InferenceService {
             self.config.start_paused,
         ));
         let counters = Arc::new(ModelCounters::default());
+        let ledger = Arc::new(CallerLedger::default());
         let validator = self
             .config
             .monitor
@@ -401,6 +356,7 @@ impl InferenceService {
                     entry: entry.clone(),
                     queue: queue.clone(),
                     counters: counters.clone(),
+                    ledger: ledger.clone(),
                     validator: validator.clone(),
                     sink: self.sink.clone(),
                     batch: self.config.batch,
@@ -419,6 +375,7 @@ impl InferenceService {
             entry,
             queue,
             counters,
+            ledger,
             validator,
             workers: handles,
             worker_count: workers,
@@ -558,6 +515,30 @@ impl InferenceService {
         deadline: Option<Duration>,
         wire: Option<TraceContext>,
     ) -> std::result::Result<PendingResponse, Rejection> {
+        self.submit_from(None, model, inputs, deadline, wire)
+    }
+
+    /// Declares a closed-loop caller of `model` — one that submits through
+    /// [`Self::submit_from`], one request at a time, waiting for each
+    /// answer — until the guard drops. `None` for a model not served.
+    pub(crate) fn attach_caller(&self, model: &str) -> Option<AttachedCaller> {
+        self.servers.read().get(model).map(|s| s.ledger.attach())
+    }
+
+    /// [`Self::submit_shared_traced`], optionally on behalf of an attached
+    /// caller: its request is counted on the model's caller ledger from
+    /// before it is queued until just before it is answered, which lets a
+    /// batch leader stop waiting for followers once every attached caller
+    /// is accounted for. `caller` must come from [`Self::attach_caller`] on
+    /// the same `model`.
+    pub(crate) fn submit_from(
+        &self,
+        caller: Option<&AttachedCaller>,
+        model: &str,
+        inputs: Arc<Vec<Tensor>>,
+        deadline: Option<Duration>,
+        wire: Option<TraceContext>,
+    ) -> std::result::Result<PendingResponse, Rejection> {
         let entered_at = Instant::now();
         let servers = self.servers.read();
         let Some(server) = servers.get(model) else {
@@ -625,8 +606,14 @@ impl InferenceService {
             admitted_at: entered_at,
             sampled,
             trace,
+            from_caller: caller.is_some(),
             reply,
         };
+        // Ordering rule 1 of `crate::batcher`: counted in before the push.
+        if let Some(caller) = caller {
+            debug_assert!(caller.is_on(&server.ledger), "attached to another model");
+            server.ledger.enter();
+        }
         let refusal = match server.queue.try_push(request) {
             Ok(_) => {
                 server.counters.admitted.fetch_add(1, Ordering::AcqRel);
@@ -656,6 +643,9 @@ impl InferenceService {
             }
             Err(refusal) => refusal,
         };
+        if caller.is_some() {
+            server.ledger.leave(1);
+        }
         if sample_tick.is_some() {
             server.sample_clock.fetch_sub(1, Ordering::AcqRel);
         }
@@ -940,6 +930,14 @@ impl crate::metrics::Collect for InferenceService {
                 model,
                 counters.batches.load(Ordering::Acquire),
             );
+            for reason in CloseReason::ALL {
+                out.counter(
+                    "mlexray_serve_batch_closes_total",
+                    "Coalesced batch invokes executed, by what closed the batch.",
+                    &[("model", name.as_str()), ("reason", reason.label())],
+                    counters.batch_closes[reason.index()].load(Ordering::Acquire),
+                );
+            }
             out.counter(
                 "mlexray_serve_batched_frames_total",
                 "Frames carried by coalesced batches.",
@@ -964,6 +962,17 @@ impl crate::metrics::Collect for InferenceService {
                 model,
                 server.queue.len() as f64,
             );
+            for (state, value) in [
+                ("attached", server.ledger.attached()),
+                ("in_system", server.ledger.in_system()),
+            ] {
+                out.gauge(
+                    "mlexray_serve_callers",
+                    "Closed-loop callers of the model: attached, and with a request in the system.",
+                    &[("model", name.as_str()), ("state", state)],
+                    value as f64,
+                );
+            }
             out.gauge(
                 "mlexray_serve_workers",
                 "Worker threads serving the model.",
@@ -1052,6 +1061,7 @@ struct WorkerCtx {
     entry: Arc<ServedModel>,
     queue: Arc<RequestQueue<InferRequest>>,
     counters: Arc<ModelCounters>,
+    ledger: Arc<CallerLedger>,
     validator: Option<Arc<OnlineValidator>>,
     sink: Option<Arc<dyn LogSink>>,
     batch: BatchPolicy,
@@ -1113,70 +1123,69 @@ fn worker_loop(ctx: WorkerCtx) {
     // One fixed-footprint span ring per worker thread, registered with the
     // hub for its lifetime; pushes after this never allocate.
     let ring = ctx.hub.as_ref().map(|hub| hub.register_ring());
-    loop {
-        let Some(leader) = ctx.queue.pop() else {
-            break; // Closed and drained: deterministic exit.
-        };
-        let mut batch = vec![(leader, Instant::now())];
-        if ctx.batch.max_batch > 1 {
-            let window_ends = Instant::now() + ctx.batch.window;
-            while batch.len() < ctx.batch.max_batch {
-                match ctx.queue.pop_until(window_ends) {
-                    TimedPop::Popped(request) => batch.push((request, Instant::now())),
-                    TimedPop::TimedOut | TimedPop::Drained => break,
-                }
-            }
-        }
-        // Deadline enforcement at dequeue: answer expired requests with the
-        // typed shed reason instead of burning compute on them.
-        let now = Instant::now();
-        let (live, expired): (Vec<_>, Vec<_>) = batch
-            .into_iter()
-            .partition(|(r, _)| r.deadline.map(|d| now <= d).unwrap_or(true));
-        for (request, popped_at) in expired {
-            ctx.counters.shed_deadline.fetch_add(1, Ordering::AcqRel);
-            let missed_by = request
-                .deadline
-                .map(|d| now.duration_since(d))
-                .unwrap_or_default();
-            if let (Some(hub), Some(ring), Some(t)) = (&ctx.hub, &ring, request.trace) {
-                // Always-sample-on-deadline-miss: the forced trace carries
-                // the queue wait that ate the deadline.
-                hub.note_forced();
-                let admitted_ns = hub.ns_of(request.admitted_at);
-                let popped_ns = hub.ns_of(popped_at);
-                ring.push(&Span {
-                    trace_id: t.trace_id,
-                    span_id: span_id_for(t.trace_id, SpanStage::QueueWait, 0),
-                    parent_span_id: span_id_for(t.trace_id, SpanStage::Request, 0),
-                    stage: SpanStage::QueueWait,
-                    flavor: 0,
-                    model: ctx.model_tag,
-                    start_ns: admitted_ns,
-                    dur_ns: popped_ns.saturating_sub(admitted_ns),
-                    arg_a: 0,
-                    arg_b: 0,
-                });
-                emit_shed_trace(
-                    hub,
-                    &t,
-                    ctx.model_tag,
-                    request.admitted_at,
-                    SHED_CODE_DEADLINE,
-                    missed_by.as_nanos() as u64,
-                );
-            }
-            let _ = request.reply.send(Err(Rejection {
-                model: ctx.entry.name().to_string(),
-                request_id: request.id,
-                reason: RejectReason::DeadlineExpired { missed_by },
-            }));
-        }
-        if live.is_empty() {
-            continue;
-        }
-        run_batch(&ctx, ring.as_deref(), backend.as_mut(), live);
+    while let Some(batch) = form_batch(&ctx.queue, ctx.batch, &ctx.ledger, |request, popped_at| {
+        shed_expired(&ctx, ring.as_deref(), request, popped_at)
+    }) {
+        run_batch(
+            &ctx,
+            ring.as_deref(),
+            backend.as_mut(),
+            batch.members,
+            batch.close,
+        );
     }
+}
+
+/// Deadline enforcement at dequeue: a request whose deadline had passed
+/// when a worker popped it is answered with the typed shed reason instead
+/// of burning compute.
+fn shed_expired(
+    ctx: &WorkerCtx,
+    ring: Option<&SpanRing>,
+    request: InferRequest,
+    popped_at: Instant,
+) {
+    ctx.counters.shed_deadline.fetch_add(1, Ordering::AcqRel);
+    let missed_by = request
+        .deadline
+        .map(|d| popped_at.duration_since(d))
+        .unwrap_or_default();
+    if let (Some(hub), Some(ring), Some(t)) = (&ctx.hub, ring, request.trace) {
+        // Always-sample-on-deadline-miss: the forced trace carries the
+        // queue wait that ate the deadline.
+        hub.note_forced();
+        let admitted_ns = hub.ns_of(request.admitted_at);
+        let popped_ns = hub.ns_of(popped_at);
+        ring.push(&Span {
+            trace_id: t.trace_id,
+            span_id: span_id_for(t.trace_id, SpanStage::QueueWait, 0),
+            parent_span_id: span_id_for(t.trace_id, SpanStage::Request, 0),
+            stage: SpanStage::QueueWait,
+            flavor: 0,
+            model: ctx.model_tag,
+            start_ns: admitted_ns,
+            dur_ns: popped_ns.saturating_sub(admitted_ns),
+            arg_a: 0,
+            arg_b: 0,
+        });
+        emit_shed_trace(
+            hub,
+            &t,
+            ctx.model_tag,
+            request.admitted_at,
+            SHED_CODE_DEADLINE,
+            missed_by.as_nanos() as u64,
+        );
+    }
+    // Ordering rule 2 of `crate::batcher`: counted out before the reply.
+    if request.from_caller {
+        ctx.ledger.leave(1);
+    }
+    let _ = request.reply.send(Err(Rejection {
+        model: ctx.entry.name().to_string(),
+        request_id: request.id,
+        reason: RejectReason::DeadlineExpired { missed_by },
+    }));
 }
 
 fn run_batch(
@@ -1184,6 +1193,7 @@ fn run_batch(
     ring: Option<&SpanRing>,
     backend: &mut dyn ExecutionBackend,
     requests: Vec<(InferRequest, Instant)>,
+    close: CloseReason,
 ) {
     let formed_at = Instant::now();
     let leader_id = requests[0].0.id;
@@ -1214,10 +1224,14 @@ fn run_batch(
             .map(|o| (o, Vec::new(), Vec::new()))
     };
     let exec_ended = Instant::now();
+    // Ordering rule 2 of `crate::batcher`: the whole batch is counted out
+    // before its first reply, on the failure path too.
+    ctx.ledger
+        .leave(requests.iter().filter(|(r, _)| r.from_caller).count());
     match result {
         Ok((outputs, layer_records, trace_layers)) => {
             let size = requests.len();
-            ctx.counters.record_batch(size);
+            ctx.counters.record_batch(size, close);
             let exec_latency = backend
                 .last_stats()
                 .map(|s| s.per_frame_latency())
@@ -1258,6 +1272,7 @@ fn run_batch(
                             formed_at,
                             exec_ended,
                             batch_size: size as u64,
+                            close,
                             leader_id,
                             total_latency,
                             trace_layers: &trace_layers,
@@ -1319,6 +1334,7 @@ struct RequestSpans<'a> {
     formed_at: Instant,
     exec_ended: Instant,
     batch_size: u64,
+    close: CloseReason,
     leader_id: u64,
     total_latency: Duration,
     trace_layers: &'a [(u32, u64, u64)],
@@ -1363,7 +1379,8 @@ fn emit_request_spans(s: RequestSpans<'_>) {
         0,
         popped_ns,
         formed_ns,
-        0,
+        // Not a kernel flavor here: what closed the batch.
+        s.close as u8,
         s.batch_size,
         s.leader_id,
     ));

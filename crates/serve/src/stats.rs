@@ -8,6 +8,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
+use crate::batcher::CloseReason;
 use crate::metrics::{HistogramSnapshot, LatencyHistogram};
 
 /// Internal live counters of one model's serving pool. Every admitted
@@ -26,6 +27,8 @@ pub(crate) struct ModelCounters {
     pub(crate) failed: AtomicU64,
     pub(crate) batches: AtomicU64,
     pub(crate) batched_frames: AtomicU64,
+    /// `batches`, split by what closed each one ([`CloseReason::index`]).
+    pub(crate) batch_closes: [AtomicU64; CloseReason::ALL.len()],
     pub(crate) max_batch: AtomicUsize,
     pub(crate) sampled: AtomicU64,
     /// End-to-end (queue + execution) latency of completed requests.
@@ -47,8 +50,9 @@ impl ModelCounters {
         self.exec_latency.record(per_frame.as_nanos() as u64);
     }
 
-    pub(crate) fn record_batch(&self, size: usize) {
+    pub(crate) fn record_batch(&self, size: usize, close: CloseReason) {
         self.batches.fetch_add(1, Ordering::AcqRel);
+        self.batch_closes[close.index()].fetch_add(1, Ordering::AcqRel);
         self.batched_frames.fetch_add(size as u64, Ordering::AcqRel);
         self.max_batch.fetch_max(size, Ordering::AcqRel);
     }
@@ -202,8 +206,8 @@ mod tests {
             counters.record_completion(Duration::from_millis(ms));
         }
         counters.shed_deadline.store(1, Ordering::Release);
-        counters.record_batch(3);
-        counters.record_batch(5);
+        counters.record_batch(3, CloseReason::Window);
+        counters.record_batch(5, CloseReason::Full);
         let stats = counters.snapshot("m", 2);
         assert!(stats.is_balanced(), "{stats:?}");
         // Exact sorted percentiles of [1..7]ms are 4ms (p50) and 7ms

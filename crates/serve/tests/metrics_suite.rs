@@ -293,6 +293,24 @@ fn wire_metrics_matches_drained_books_exactly() {
     assert_eq!(admitted, completed + shed_d + failed);
     assert_eq!(completed, COMPLETED as u64);
     assert_eq!(shed_d, 2);
+    // Every executed batch was closed by exactly one reason.
+    let closes: u64 = ["full", "callers_in", "window", "drained"]
+        .iter()
+        .map(|reason| {
+            get(
+                "mlexray_serve_batch_closes_total",
+                &[("model", "m"), ("reason", reason)],
+            )
+        })
+        .sum();
+    assert_eq!(closes, books.batches);
+    // The drained service holds no request, and the shed clients hung up;
+    // only this scraping session is still an attached caller.
+    let in_system = get(
+        "mlexray_serve_callers",
+        &[("model", "m"), ("state", "in_system")],
+    );
+    assert_eq!(in_system, 0);
 
     // The latency histogram counts every completion and parses as a
     // well-formed Prometheus histogram (parse_exposition already checked

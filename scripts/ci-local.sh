@@ -50,9 +50,9 @@ MLEXRAY_QUICK=1 cargo test -q -p mlexray-bench --test experiments_smoke fig_metr
 step "cargo build --release"
 cargo build --release
 
-step "rpc suite (release: protocol robustness + 32-session loaded proof + fig_rpc floors + loadgen + metrics scrape)"
+step "rpc suite (release: protocol robustness + 32-session loaded proof + fig_rpc smoke + loadgen + metrics scrape)"
 cargo test --release -q -p mlexray-serve --test rpc_protocol --test rpc_loaded
-MLEXRAY_QUICK=1 MLEXRAY_ENFORCE_SCALING=1 cargo test --release -q -p mlexray-bench --test experiments_smoke fig_rpc
+MLEXRAY_QUICK=1 cargo test --release -q -p mlexray-bench --test experiments_smoke fig_rpc
 MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen
 MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen -- --metrics
 
@@ -68,9 +68,15 @@ cargo run --release -q -p mlexray-models --bin exray-lint -- --zoo --goldens
 step "cargo build --examples"
 cargo build --examples
 
-step "exray_bench builds and passes its own tests against these crates (release, offline)"
+step "exray_bench builds, passes its own tests and its four workloads' oracle against these crates (release, offline)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+for w in wire_plain wire_monitored serve_batch replay_validate; do
+  # The output oracle and the books of each workload, not its timings.
+  line="$(bash benchmark/run.sh --workload "$w" --seed 7 --seconds 2 --trace 1 | tail -n 1)"
+  echo "$w: ${line:0:160}"
+  [[ "$line" == *'"correct":true'* && "$line" =~ \"failed\":0[,}] ]]
+done
 
 step "RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
