@@ -5,7 +5,7 @@ use mlexray_tensor::{DType, Shape, Tensor, TensorData};
 use crate::graph::{Graph, TensorDef, TensorId};
 use crate::kernels::{execute_node, FloatKernels, KernelCtx};
 use crate::ops::OpKind;
-use crate::plan::{batched_shape, MemoryPlan};
+use crate::plan::MemoryPlan;
 use crate::resolver::{EdgeNumerics, KernelBugs, KernelFlavor};
 use crate::{NnError, Result};
 
@@ -135,10 +135,11 @@ pub struct InvokeStats {
     /// [`Interpreter::tensor_value`] can expose every intermediate after
     /// the invoke.
     pub arena_bytes: usize,
-    /// Buffer allocations performed to service this invoke's data flow
-    /// (output materialization only — arena slots are preallocated and
-    /// reused, so with a disabled observer this is
-    /// `outputs × frames`, independent of graph depth).
+    /// Output tensors this invoke materialized: `outputs × frames`, the
+    /// interpreter's own count of the buffers it handed out. It is not a
+    /// measurement of the heap — arena slots are preallocated and reused,
+    /// and that nothing else allocates per node is pinned by a counting
+    /// allocator in `tests/alloc_steady_state.rs`, not by this field.
     pub allocations: usize,
     /// Frames executed by this invoke (1 for [`Interpreter::invoke`]).
     pub batch: usize,
@@ -169,90 +170,91 @@ impl InvokeStats {
     }
 }
 
-/// One prepared execution arena: the memory plan for a batch factor plus the
-/// preallocated per-slot buffers and GEMM scratch it describes.
+/// Plans `graph` at `batch` stacked frames. Debug builds re-prove the arena
+/// layout with the independent verifier from the static analyzer, so a
+/// future planner bug fails loudly in tests instead of silently corrupting
+/// activations in release.
+fn verified_plan(graph: &Graph, batch: usize) -> Result<MemoryPlan> {
+    let plan = MemoryPlan::for_graph(graph, batch)?;
+    #[cfg(debug_assertions)]
+    {
+        let findings = crate::analysis::verify_plan(graph, &plan);
+        assert!(
+            findings.is_empty(),
+            "memory plan failed alias verification:\n{}",
+            findings
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
+    }
+    Ok(plan)
+}
+
+/// The interpreter's one execution arena: a preallocated buffer per runtime
+/// slot, stacked to the batch size of the current invoke, plus the float
+/// kernels' scratch. Buffers are re-shaped in place when the batch size
+/// changes and never shrink on their own, so the arena's footprint is that
+/// of the largest batch it has run, however many sizes it has seen.
 #[derive(Debug)]
 struct ExecState {
-    batch: usize,
-    plan: MemoryPlan,
-    /// Batched slot definitions; `None` means the graph's own definition
-    /// applies (always the case at batch factor 1, and for constants).
-    defs: Vec<Option<TensorDef>>,
-    /// Runtime slots, preallocated from the plan; constants stay `None` and
-    /// are read straight from the graph.
+    /// Frames the slots are currently shaped for.
+    frames: usize,
+    /// Runtime slots; constants stay `None` and are read straight from the
+    /// graph.
     values: Vec<Option<Tensor>>,
-    /// f32 scratch for the im2col + GEMM convolution; capacity reserved at
-    /// plan time so kernels never reallocate it in steady state.
+    /// f32 scratch for the im2col matrix and the BatchNorm denominators;
+    /// its capacity covers the largest plan run so far, so kernels never
+    /// reallocate it in steady state.
     scratch: Vec<f32>,
 }
 
 impl ExecState {
-    fn new(graph: &Graph, batch: usize) -> Result<Self> {
-        let plan = MemoryPlan::for_graph(graph, batch)?;
-        // Debug builds re-prove the arena layout with the independent
-        // verifier from the static analyzer, so a future planner bug fails
-        // loudly in tests instead of silently corrupting activations in
-        // release.
-        #[cfg(debug_assertions)]
-        {
-            let findings = crate::analysis::verify_plan(graph, &plan);
-            assert!(
-                findings.is_empty(),
-                "memory plan failed alias verification:\n{}",
-                findings
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
-        }
-        let mut defs: Vec<Option<TensorDef>> = vec![None; graph.tensors().len()];
-        let mut values: Vec<Option<Tensor>> = vec![None; graph.tensors().len()];
-        for (i, def) in graph.tensors().iter().enumerate() {
-            if matches!(def, TensorDef::Constant { .. }) {
-                continue;
-            }
-            let shape = batched_shape(def.shape(), batch)?;
-            if batch > 1 {
-                defs[i] = Some(match def {
-                    TensorDef::Input {
-                        name, dtype, quant, ..
-                    } => TensorDef::Input {
-                        name: name.clone(),
-                        shape: shape.clone(),
-                        dtype: *dtype,
-                        quant: quant.clone(),
-                    },
-                    TensorDef::Activation {
-                        name, dtype, quant, ..
-                    } => TensorDef::Activation {
-                        name: name.clone(),
-                        shape: shape.clone(),
-                        dtype: *dtype,
-                        quant: quant.clone(),
-                    },
-                    TensorDef::Constant { .. } => unreachable!("constants skipped above"),
-                });
-            }
-            let mut slot = Tensor::zeros(def.dtype(), shape);
-            slot.set_quant(def.quant().cloned());
-            values[i] = Some(slot);
-        }
+    /// A one-frame arena for `graph`, sized from its batch-1 `plan`.
+    fn new(graph: &Graph, plan: &MemoryPlan) -> Self {
+        let values = graph
+            .tensors()
+            .iter()
+            .map(|def| {
+                if matches!(def, TensorDef::Constant { .. }) {
+                    return None;
+                }
+                let mut slot = Tensor::zeros(def.dtype(), def.shape().clone());
+                slot.set_quant(def.quant().cloned());
+                Some(slot)
+            })
+            .collect();
         let mut scratch = Vec::new();
         scratch.reserve_exact(plan.scratch_elems());
-        Ok(ExecState {
-            batch,
-            plan,
-            defs,
+        ExecState {
+            frames: 1,
             values,
             scratch,
-        })
+        }
     }
 
-    fn def<'a>(&'a self, graph: &'a Graph, id: usize) -> &'a TensorDef {
-        self.defs[id]
-            .as_ref()
-            .unwrap_or_else(|| graph.tensor(TensorId(id)))
+    /// Re-shapes every slot to `plan`'s batch factor — a no-op when the
+    /// arena already has it — and grows the scratch to `plan`'s need.
+    /// Shrinking frees nothing and regrowing within a buffer's capacity
+    /// allocates nothing; added frames are zero-filled (every kernel
+    /// overwrites its whole output, so their content is never read).
+    fn reshape(&mut self, graph: &Graph, plan: &MemoryPlan) -> Result<()> {
+        if self.frames != plan.batch() {
+            for (slot, def) in self.values.iter_mut().zip(graph.tensors()) {
+                if let Some(slot) = slot {
+                    let lead = def.shape().dims().first().copied().unwrap_or(1);
+                    slot.resize_batch(lead * plan.batch())
+                        .map_err(|e| NnError::InvalidGraph(e.to_string()))?;
+                }
+            }
+            self.frames = plan.batch();
+        }
+        if self.scratch.capacity() < plan.scratch_elems() {
+            self.scratch.clear();
+            self.scratch.reserve_exact(plan.scratch_elems());
+        }
+        Ok(())
     }
 }
 
@@ -272,6 +274,9 @@ fn frame_view(stacked: &Tensor, shape: &Shape, b: usize) -> Result<Tensor> {
     Ok(out)
 }
 
+/// Widest operand list resolved on the stack (`BatchNorm`'s five).
+const MAX_INLINE_INPUTS: usize = 5;
+
 /// Copies `src`'s buffer into `dst` starting at element offset `at`.
 fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
     let n = src.len();
@@ -286,8 +291,18 @@ fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
 
 /// Executes a [`Graph`] node by node, TFLite-interpreter style, over a
 /// preplanned buffer arena ([`MemoryPlan`]): every runtime tensor's buffer
-/// is allocated once, up front, and reused across invokes, so steady-state
-/// execution performs no per-node allocation.
+/// is allocated once, up front, and reused across invokes — and across
+/// batch sizes: there is **one** arena, re-shaped in place when
+/// [`Interpreter::invoke_batch`] changes the number of stacked frames, so
+/// its footprint is that of the largest batch run, not the sum over every
+/// size seen. With a disabled observer the node loop itself neither
+/// allocates nor reads the clock; the heap allocations of a steady-state
+/// float invoke are the returned output tensors (the kernel module docs
+/// list the quantized and emulated kernels that still allocate per node;
+/// a node with more than five inputs — only `Concat` can have them —
+/// spills its operand list to the heap). The one cost of sharing the
+/// arena: an invoke that stacks *more* frames than the one before it
+/// zero-fills the frames it adds, one extra write pass over them.
 ///
 /// # Example
 ///
@@ -314,18 +329,15 @@ pub struct Interpreter<'g> {
     /// The float kernel family `options` selects, resolved once here (the
     /// `OpResolver` choice) instead of per node per invoke.
     float: FloatKernels,
-    single: ExecState,
-    /// Cached arenas for batched invokes, one per batch size seen (a replay
-    /// shard's tail chunk and its full chunks each keep theirs). Dropped via
+    state: ExecState,
+    /// One memory plan per batch size seen, batch 1 first: accounting for
+    /// [`InvokeStats`] and the scratch bound — no buffers hang off a plan.
+    /// Dropped (all but the first) via
     /// [`Interpreter::release_batched_arenas`].
-    batched: Vec<ExecState>,
+    plans: Vec<MemoryPlan>,
     /// Whether the graph can run stacked batches (see
     /// [`Interpreter::is_batchable`]).
     batch_safe: bool,
-    /// Batch size of the most recent stacked invoke, when the last invoke
-    /// ran on a batched arena (decides which arena
-    /// [`Interpreter::tensor_value`] reads).
-    last_batched: Option<usize>,
     last_stats: Option<InvokeStats>,
 }
 
@@ -338,14 +350,14 @@ impl<'g> Interpreter<'g> {
     /// Returns [`NnError::InvalidGraph`] if validation fails.
     pub fn new(graph: &'g Graph, options: InterpreterOptions) -> Result<Self> {
         graph.validate()?;
+        let plan = verified_plan(graph, 1)?;
         Ok(Interpreter {
             graph,
             options,
             float: FloatKernels::resolve(options.flavor, options.numerics, &options.bugs),
-            single: ExecState::new(graph, 1)?,
-            batched: Vec::new(),
+            state: ExecState::new(graph, &plan),
+            plans: vec![plan],
             batch_safe: batch_safe(graph),
-            last_batched: None,
             last_stats: None,
         })
     }
@@ -367,7 +379,22 @@ impl<'g> Interpreter<'g> {
 
     /// The memory plan backing single-frame invokes.
     pub fn memory_plan(&self) -> &MemoryPlan {
-        &self.single.plan
+        &self.plans[0]
+    }
+
+    /// Shapes the arena for `frames` stacked frames and returns the index of
+    /// that batch factor's plan, planning (and, in debug builds, verifying)
+    /// it on first sight.
+    fn prepare(&mut self, frames: usize) -> Result<usize> {
+        let index = match self.plans.iter().position(|p| p.batch() == frames) {
+            Some(i) => i,
+            None => {
+                self.plans.push(verified_plan(self.graph, frames)?);
+                self.plans.len() - 1
+            }
+        };
+        self.state.reshape(self.graph, &self.plans[index])?;
+        Ok(index)
     }
 
     /// Whether [`Interpreter::invoke_batch`] can stack frames into one graph
@@ -435,9 +462,8 @@ impl<'g> Interpreter<'g> {
         Ok(())
     }
 
-    /// Runs every node over the staged arena. `frames` is the number of
-    /// stacked frames in the arena; `batch_base` offsets the frame index
-    /// reported to the observer (used by the per-frame fallback).
+    /// Runs every node over the staged arena. `batch_base` offsets the frame
+    /// index reported to the observer (used by the per-frame fallback).
     fn execute_graph(
         graph: &Graph,
         options: InterpreterOptions,
@@ -446,53 +472,55 @@ impl<'g> Interpreter<'g> {
         observer: &mut dyn LayerObserver,
         batch_base: usize,
     ) -> Result<()> {
-        let frames = state.batch;
+        let frames = state.frames;
+        let observing = observer.enabled();
         // Frames whose observer declined the output view share this one
         // empty placeholder (contract: they never read it, so the dtype
-        // is immaterial).
+        // is immaterial); unused operand positions borrow it too.
         let placeholder = Tensor::zeros(DType::F32, Shape::new([0usize; 0]));
         for (index, node) in graph.nodes().iter().enumerate() {
             let out_id = node.output.0;
-            // Degenerate graphs may write a constant slot; give them a
-            // fresh buffer instead of the (absent) planned slot.
-            let mut out = match state.values[out_id].take() {
-                Some(t) => t,
-                None => {
-                    let d = state.def(graph, out_id);
-                    let mut t = Tensor::zeros(d.dtype(), d.shape().clone());
-                    t.set_quant(d.quant().cloned());
-                    t
-                }
-            };
-            let node_start = Instant::now();
+            let mut out = state.values[out_id]
+                .take()
+                .expect("validated graph: nodes write planned activation slots");
+            // Only an observer reads the latency, so only then is the clock
+            // read.
+            let node_start = observing.then(Instant::now);
             let result = {
-                let (values, defs, scratch) = (&state.values, &state.defs, &mut state.scratch);
-                let input_refs: Vec<&Tensor> = node
-                    .inputs
-                    .iter()
-                    .map(|id| {
-                        values[id.0]
-                            .as_ref()
-                            .or_else(|| graph.tensor(*id).as_constant())
-                            .expect("validated graph guarantees def-before-use")
-                    })
-                    .collect();
-                let out_def = defs[out_id]
-                    .as_ref()
-                    .unwrap_or_else(|| graph.tensor(TensorId(out_id)));
+                let values = &state.values;
+                let resolve = |id: &TensorId| {
+                    values[id.0]
+                        .as_ref()
+                        .or_else(|| graph.tensor(*id).as_constant())
+                        .expect("validated graph guarantees def-before-use")
+                };
+                // Operands are resolved on the stack for every fixed-arity
+                // op; only a wider `Concat` spills to the heap.
+                let mut inline = [&placeholder; MAX_INLINE_INPUTS];
+                let spilled: Vec<&Tensor>;
+                let input_refs: &[&Tensor] = if node.inputs.len() <= MAX_INLINE_INPUTS {
+                    for (operand, id) in inline.iter_mut().zip(&node.inputs) {
+                        *operand = resolve(id);
+                    }
+                    &inline[..node.inputs.len()]
+                } else {
+                    spilled = node.inputs.iter().map(resolve).collect();
+                    &spilled
+                };
                 let mut ctx = KernelCtx {
                     float,
                     flavor: options.flavor,
                     numerics: options.numerics,
                     bugs: &options.bugs,
-                    scratch,
+                    scratch: &mut state.scratch,
                 };
-                execute_node(node, &input_refs, out_def, &mut out, &mut ctx)
+                let out_def = graph.tensor(node.output);
+                execute_node(node, input_refs, out_def, &mut out, &mut ctx)
             };
-            let latency = node_start.elapsed();
+            let latency = node_start.map_or(Duration::ZERO, |start| start.elapsed());
             state.values[out_id] = Some(out);
             result?;
-            if observer.enabled() {
+            if observing {
                 let macs = graph.node_macs(crate::graph::NodeId(index));
                 let produced = state.values[out_id].as_ref().expect("restored above");
                 if frames == 1 {
@@ -506,7 +534,7 @@ impl<'g> Interpreter<'g> {
                         macs,
                     });
                 } else {
-                    let per_shape = graph.tensor(TensorId(out_id)).shape();
+                    let per_shape = graph.tensor(node.output).shape();
                     let share = latency / frames as u32;
                     for b in 0..frames {
                         let frame = batch_base + b;
@@ -565,21 +593,21 @@ impl<'g> Interpreter<'g> {
     ) -> Result<Vec<Tensor>> {
         self.check_inputs(inputs)?;
         let start = Instant::now();
-        Self::stage_inputs(self.graph, &mut self.single, &[inputs])?;
+        self.prepare(1)?;
+        Self::stage_inputs(self.graph, &mut self.state, &[inputs])?;
         Self::execute_graph(
             self.graph,
             self.options,
             self.float,
-            &mut self.single,
+            &mut self.state,
             observer,
             0,
         )?;
-        let outputs = Self::collect_outputs(self.graph, &self.single)?;
-        self.last_batched = None;
+        let outputs = Self::collect_outputs(self.graph, &self.state)?;
         self.last_stats = Some(InvokeStats {
             latency: start.elapsed(),
-            peak_activation_bytes: self.single.plan.peak_bytes(),
-            arena_bytes: self.single.plan.arena_bytes(),
+            peak_activation_bytes: self.plans[0].peak_bytes(),
+            arena_bytes: self.plans[0].arena_bytes(),
             allocations: outputs.len(),
             batch: 1,
             arena_frames: 1,
@@ -628,15 +656,9 @@ impl<'g> Interpreter<'g> {
             return self.invoke_batch_sequential(batch, observer);
         }
 
-        let index = match self.batched.iter().position(|s| s.batch == frames) {
-            Some(i) => i,
-            None => {
-                self.batched.push(ExecState::new(self.graph, frames)?);
-                self.batched.len() - 1
-            }
-        };
         let start = Instant::now();
-        let state = &mut self.batched[index];
+        let plan = self.prepare(frames)?;
+        let state = &mut self.state;
         Self::stage_inputs(self.graph, state, batch)?;
         Self::execute_graph(self.graph, self.options, self.float, state, observer, 0)?;
 
@@ -653,11 +675,10 @@ impl<'g> Interpreter<'g> {
             }
             outputs.push(per_frame);
         }
-        self.last_batched = Some(frames);
         self.last_stats = Some(InvokeStats {
             latency: start.elapsed(),
-            peak_activation_bytes: state.plan.peak_bytes(),
-            arena_bytes: state.plan.arena_bytes(),
+            peak_activation_bytes: self.plans[plan].peak_bytes(),
+            arena_bytes: self.plans[plan].arena_bytes(),
             allocations,
             batch: frames,
             arena_frames: frames,
@@ -666,7 +687,7 @@ impl<'g> Interpreter<'g> {
     }
 
     /// Per-frame fallback for graphs (or batches) that cannot stack: runs
-    /// each sample through the single-frame arena, still reporting the frame
+    /// each sample through the arena at one frame, still reporting the frame
     /// index to the observer.
     fn invoke_batch_sequential(
         &mut self,
@@ -674,27 +695,27 @@ impl<'g> Interpreter<'g> {
         observer: &mut dyn LayerObserver,
     ) -> Result<Vec<Vec<Tensor>>> {
         let start = Instant::now();
+        self.prepare(1)?;
         let mut outputs = Vec::with_capacity(batch.len());
         let mut allocations = 0usize;
         for (b, sample) in batch.iter().enumerate() {
-            Self::stage_inputs(self.graph, &mut self.single, &[*sample])?;
+            Self::stage_inputs(self.graph, &mut self.state, &[*sample])?;
             Self::execute_graph(
                 self.graph,
                 self.options,
                 self.float,
-                &mut self.single,
+                &mut self.state,
                 observer,
                 b,
             )?;
-            let outs = Self::collect_outputs(self.graph, &self.single)?;
+            let outs = Self::collect_outputs(self.graph, &self.state)?;
             allocations += outs.len();
             outputs.push(outs);
         }
-        self.last_batched = None;
         self.last_stats = Some(InvokeStats {
             latency: start.elapsed(),
-            peak_activation_bytes: self.single.plan.peak_bytes(),
-            arena_bytes: self.single.plan.arena_bytes(),
+            peak_activation_bytes: self.plans[0].peak_bytes(),
+            arena_bytes: self.plans[0].arena_bytes(),
             allocations,
             batch: batch.len(),
             arena_frames: 1,
@@ -702,13 +723,21 @@ impl<'g> Interpreter<'g> {
         Ok(outputs)
     }
 
-    /// Drops every cached batched arena (and its plan), returning the
-    /// interpreter to its single-invoke memory footprint. Batched arenas
-    /// are otherwise retained so repeated `invoke_batch` calls of the same
-    /// size pay no replanning or reallocation.
+    /// Shrinks the arena back to one frame — every slot keeps frame 0 of
+    /// its current value in a buffer of exactly that size — and forgets the
+    /// plans of the batch sizes seen, returning the interpreter to its
+    /// single-invoke memory footprint. The arena is otherwise retained at
+    /// its largest size so repeated `invoke_batch` calls pay no replanning
+    /// or reallocation.
     pub fn release_batched_arenas(&mut self) {
-        self.batched.clear();
-        self.last_batched = None;
+        self.plans.truncate(1);
+        for (slot, def) in self.state.values.iter_mut().zip(self.graph.tensors()) {
+            if let Some(slot) = slot {
+                *slot = frame_view(slot, def.shape(), 0).expect("a view has its source's dtype");
+            }
+        }
+        self.state.frames = 1;
+        self.state.scratch = Vec::with_capacity(self.plans[0].scratch_elems());
     }
 
     /// The value of any tensor slot after the last invoke (useful for
@@ -716,16 +745,16 @@ impl<'g> Interpreter<'g> {
     /// not freed, so every intermediate remains readable until the next
     /// invoke; after a stacked batched invoke the value holds all frames.
     pub fn tensor_value(&self, id: TensorId) -> Option<&Tensor> {
-        let state = self
-            .last_batched
-            .and_then(|n| self.batched.iter().find(|s| s.batch == n))
-            .unwrap_or(&self.single);
-        state.values.get(id.0).and_then(Option::as_ref).or_else(|| {
-            self.graph
-                .tensors()
-                .get(id.0)
-                .and_then(TensorDef::as_constant)
-        })
+        self.state
+            .values
+            .get(id.0)
+            .and_then(Option::as_ref)
+            .or_else(|| {
+                self.graph
+                    .tensors()
+                    .get(id.0)
+                    .and_then(TensorDef::as_constant)
+            })
     }
 }
 

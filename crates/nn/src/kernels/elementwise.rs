@@ -8,7 +8,8 @@ use crate::kernels::{f32_slot, out_qparams, qparams_of, u8_slot};
 use crate::ops::Activation;
 use crate::Result;
 
-/// Float addition with trailing-suffix broadcast of the rhs.
+/// Float addition with trailing-suffix broadcast of the rhs: the lhs is
+/// walked in rhs-length rows, so the broadcast costs no index arithmetic.
 pub(crate) fn add_f32(
     inputs: &[&Tensor],
     out_def: &TensorDef,
@@ -19,8 +20,10 @@ pub(crate) fn add_f32(
     let b = inputs[1].as_f32()?;
     let blen = b.len().max(1);
     let out = f32_slot(out_t, out_def)?;
-    for (i, (o, &x)) in out.iter_mut().zip(a).enumerate() {
-        *o = activation.apply(x + b[i % blen]);
+    for (out_row, a_row) in out.chunks_mut(blen).zip(a.chunks(blen)) {
+        for ((o, &x), &y) in out_row.iter_mut().zip(a_row).zip(b) {
+            *o = activation.apply(x + y);
+        }
     }
     Ok(())
 }
@@ -65,13 +68,33 @@ fn mul_rhs_index(lhs: &Tensor, rhs: &Tensor, i: usize) -> usize {
     n * c + ch
 }
 
-/// Float multiplication: same shape, scalar, or `[n,1,1,c]` gate.
+/// Float multiplication: same shape, scalar, or `[n,1,1,c]` gate — one
+/// loop per rhs shape, none of which computes an index per element.
 pub(crate) fn mul_f32(inputs: &[&Tensor], out_def: &TensorDef, out_t: &mut Tensor) -> Result<()> {
     let a = inputs[0].as_f32()?;
     let b = inputs[1].as_f32()?;
     let out = f32_slot(out_t, out_def)?;
-    for (i, (o, &x)) in out.iter_mut().zip(a).enumerate() {
-        *o = x * b[mul_rhs_index(inputs[0], inputs[1], i)];
+    if let [scalar] = *b {
+        for (o, &x) in out.iter_mut().zip(a) {
+            *o = x * scalar;
+        }
+    } else if b.len() == a.len() {
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = x * y;
+        }
+    } else {
+        // [n,1,1,c] gate against [n,h,w,c]: one gate row per frame.
+        let d = inputs[0].shape().dims();
+        let c = d[3].max(1);
+        let frame = (d[1] * d[2] * c).max(1);
+        let frames = out.chunks_mut(frame).zip(a.chunks(frame));
+        for ((out_frame, a_frame), gate) in frames.zip(b.chunks(c)) {
+            for (out_row, a_row) in out_frame.chunks_mut(c).zip(a_frame.chunks(c)) {
+                for ((o, &x), &g) in out_row.iter_mut().zip(a_row).zip(gate) {
+                    *o = x * g;
+                }
+            }
+        }
     }
     Ok(())
 }
@@ -199,15 +222,16 @@ pub(crate) fn concat(
     axis: usize,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let out_dims = out_def.shape().dims().to_vec();
+    // The slot, not its definition, carries the stacked batch dimension.
+    let out_dims = out_t.shape().dims();
     let outer: usize = out_dims[..axis].iter().product::<usize>().max(1);
     let inner: usize = out_dims[axis + 1..].iter().product::<usize>().max(1);
+    let out_axis = out_dims[axis];
     let quantized = inputs[0].dtype() == mlexray_tensor::DType::U8;
     if quantized {
         let (s_out, zp_out) = out_qparams(node, out_def)?;
         let out = u8_slot(out_t, out_def)?;
         let mut axis_off = 0usize;
-        let out_axis = out_dims[axis];
         for t in inputs {
             let (s_in, zp_in) = qparams_of(node, t)?;
             let x = t.as_u8()?;
@@ -228,7 +252,6 @@ pub(crate) fn concat(
     } else {
         let out = f32_slot(out_t, out_def)?;
         let mut axis_off = 0usize;
-        let out_axis = out_dims[axis];
         for t in inputs {
             let x = t.as_f32()?;
             let a = t.shape().dims()[axis];
@@ -272,11 +295,17 @@ pub(crate) fn softmax_f32(
     Ok(())
 }
 
-/// Inference-style batch normalization over the channel (last) axis.
+/// Inference-style batch normalization over the channel (last) axis. The
+/// per-channel denominators `sqrt(var + ε)` are computed once per node into
+/// `scratch` (the memory plan reserves the widest BatchNorm's channel count),
+/// then every channel row is normalized with the reference formula's five
+/// operations in their order — the division stays a division, so the loop
+/// vectorizes without moving a bit.
 pub(crate) fn batch_norm_f32(
     inputs: &[&Tensor],
     out_def: &TensorDef,
     epsilon: f32,
+    scratch: &mut Vec<f32>,
     out_t: &mut Tensor,
 ) -> Result<()> {
     let x = inputs[0].as_f32()?;
@@ -284,11 +313,17 @@ pub(crate) fn batch_norm_f32(
     let beta = inputs[2].as_f32()?;
     let mean = inputs[3].as_f32()?;
     let var = inputs[4].as_f32()?;
-    let c = gamma.len();
+    let c = gamma.len().max(1);
+    debug_assert!(scratch.capacity() >= var.len());
+    scratch.clear();
+    scratch.extend(var.iter().map(|v| (v + epsilon).sqrt()));
+    let denom = scratch.as_slice();
     let out = f32_slot(out_t, out_def)?;
-    for (i, (o, &v)) in out.iter_mut().zip(x).enumerate() {
-        let ch = i % c;
-        *o = gamma[ch] * (v - mean[ch]) / (var[ch] + epsilon).sqrt() + beta[ch];
+    for (out_row, x_row) in out.chunks_mut(c).zip(x.chunks(c)) {
+        let params = gamma.iter().zip(beta).zip(mean).zip(denom);
+        for ((o, &v), (((&g, &b), &m), &d)) in out_row.iter_mut().zip(x_row).zip(params) {
+            *o = g * (v - m) / d + b;
+        }
     }
     Ok(())
 }
@@ -378,4 +413,127 @@ pub(crate) fn dequantize(
     let out = f32_slot(out_t, out_def)?;
     out.copy_from_slice(&values);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernels::det_f32;
+    use mlexray_tensor::{DType, Shape};
+
+    /// Deterministic values salted with the ones the formulas are touchiest
+    /// about: both zeros, subnormals, and the clamp edge of `Relu6`.
+    fn values(seed: u64, n: usize) -> Vec<f32> {
+        const SPECIAL: [f32; 6] = [0.0, -0.0, 1e-40, -3e-39, 6.0, -1.5e-38];
+        let mut values = det_f32(seed, n);
+        for (i, v) in values.iter_mut().enumerate().skip(3).step_by(7) {
+            *v = SPECIAL[(i / 7 + seed as usize) % SPECIAL.len()];
+        }
+        values
+    }
+
+    fn tensor(dims: &[usize], seed: u64) -> Tensor {
+        let shape = Shape::new(dims.to_vec());
+        let data = values(seed, shape.num_elements());
+        Tensor::from_f32(shape, data).unwrap()
+    }
+
+    /// Runs `kernel` into a NaN-poisoned slot shaped like `like` and returns
+    /// the output bits.
+    fn run(like: &Tensor, kernel: impl FnOnce(&TensorDef, &mut Tensor) -> Result<()>) -> Vec<u32> {
+        let def = TensorDef::Activation {
+            name: "out".into(),
+            shape: like.shape().clone(),
+            dtype: DType::F32,
+            quant: None,
+        };
+        let mut out = Tensor::filled_f32(like.shape().clone(), f32::NAN);
+        kernel(&def, &mut out).unwrap();
+        out.as_f32().unwrap().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn bits(values: impl Iterator<Item = f32>) -> Vec<u32> {
+        values.map(f32::to_bits).collect()
+    }
+
+    /// Every `[n, h, w, c]` the suite walks: channel counts below, at and
+    /// off every vector width, odd spatial sizes, one frame and three.
+    fn shapes() -> impl Iterator<Item = [usize; 4]> {
+        [1usize, 3, 8, 13, 32]
+            .into_iter()
+            .flat_map(|c| [1usize, 3].map(|n| [n, 3, 5, c]))
+    }
+
+    /// The per-element formula `batch_norm_f32` replaced: channel by `%`, a
+    /// square root and a division for every element.
+    #[test]
+    fn batch_norm_matches_the_per_element_formula() {
+        for dims in shapes() {
+            let c = dims[3];
+            let x = tensor(&dims, 1);
+            let [gamma, beta, mean] = [2, 3, 4].map(|seed| tensor(&[c], seed));
+            // Variances are non-negative; channel 0 has none at all.
+            let mut var: Vec<f32> = values(5, c).iter().map(|v| v.abs()).collect();
+            var[0] = 0.0;
+            let var = Tensor::from_f32(Shape::vector(c), var).unwrap();
+            let epsilon = 1e-3;
+            let mut scratch = Vec::with_capacity(c);
+            let got = run(&x, |def, out| {
+                batch_norm_f32(
+                    &[&x, &gamma, &beta, &mean, &var],
+                    def,
+                    epsilon,
+                    &mut scratch,
+                    out,
+                )
+            });
+            let [g, b, m, v] = [&gamma, &beta, &mean, &var].map(|t| t.as_f32().unwrap());
+            let want = x.as_f32().unwrap().iter().enumerate().map(|(i, &x)| {
+                let ch = i % c;
+                g[ch] * (x - m[ch]) / (v[ch] + epsilon).sqrt() + b[ch]
+            });
+            assert_eq!(got, bits(want), "BatchNorm over {dims:?}");
+        }
+    }
+
+    /// `add_f32` against `b[i % blen]`, for a channel-vector rhs, a
+    /// frame-shaped rhs and a same-shape rhs.
+    #[test]
+    fn broadcast_add_matches_the_per_element_formula() {
+        for dims in shapes() {
+            let a = tensor(&dims, 6);
+            for rhs in [&dims[3..], &dims[1..], &dims[..]] {
+                let b = tensor(rhs, 7);
+                for activation in [Activation::None, Activation::Relu6] {
+                    let got = run(&a, |def, out| add_f32(&[&a, &b], def, activation, out));
+                    let (av, bv) = (a.as_f32().unwrap(), b.as_f32().unwrap());
+                    let want = av
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &x)| activation.apply(x + bv[i % bv.len()]));
+                    assert_eq!(got, bits(want), "Add of {rhs:?} onto {dims:?}");
+                }
+            }
+        }
+    }
+
+    /// `mul_f32`'s three loops against `mul_rhs_index`, the per-element index
+    /// (two divisions) they replaced and `mul_q` still uses.
+    #[test]
+    fn mul_matches_the_per_element_index_in_all_three_shapes() {
+        for dims in shapes() {
+            let a = tensor(&dims, 8);
+            let gate = [dims[0], 1, 1, dims[3]];
+            for rhs in [&[1usize][..], &dims[..], &gate[..]] {
+                let b = tensor(rhs, 9);
+                let got = run(&a, |def, out| mul_f32(&[&a, &b], def, out));
+                let (av, bv) = (a.as_f32().unwrap(), b.as_f32().unwrap());
+                let want = av
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &x)| x * bv[mul_rhs_index(&a, &b, i)]);
+                assert_eq!(got, bits(want), "Mul of {rhs:?} onto {dims:?}");
+            }
+        }
+    }
 }

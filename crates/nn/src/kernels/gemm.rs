@@ -8,8 +8,13 @@
 //! There is one whole-batch `im2col` (generic over the element type: `f32`
 //! for the float convolutions, `u8` for the quantized SIMD one) and one
 //! tiled float GEMM loop, `gemm_bias_act`, generic — statically dispatched —
-//! over a `MicroKernel`: how one matrix row is reduced against one or four
-//! weight rows. `Blocked4` (four striped scalar accumulators) is the
+//! over a `MicroKernel`, whose single entry point `tile::<M, N>` reduces `M`
+//! matrix rows against `N` weight rows: `M · N` accumulator chains in flight
+//! (one chain cannot hide a multiply-add's latency), each weight vector
+//! loaded once for all `M` rows. The driver asks for `MR × 4` tiles and
+//! `1 × 4`, `MR × 1`, `1 × 1` on the ragged edges; every cell of every shape
+//! is the micro-kernel's one dot, so the tile shape never moves a bit.
+//! `Blocked4` (four striped accumulators per cell, multiply then add) is the
 //! optimized flavor; `Lanes8` (the 8-lane virtual-SIMD dot below) is the
 //! SIMD flavor. Float `Conv2d` and `FullyConnected` in both flavors are that
 //! driver; the reference kernels in `conv.rs` / `fc.rs` are the oracle it is
@@ -28,13 +33,18 @@
 //!
 //! The two engines are **bitwise identical** by construction: per-lane FMA
 //! (`_mm256_fmadd_ps` ≡ `f32::mul_add` lane by lane), a fixed-order
-//! horizontal reduction `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` (never
-//! `hadd`), and a sequential fused tail. Consequently the engine choice never
-//! changes a single output bit: golden records made on an AVX2 machine
-//! verify on any host, and the CI forced-scalar run (`MLEXRAY_SIMD=scalar`)
-//! must match the feature-dispatched run exactly. Quantized kernels
-//! accumulate in exact `i32` arithmetic, where any summation order is
-//! identical — they are bitwise-equal to the *reference* kernels too.
+//! horizontal reduction `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, and a
+//! sequential fused tail. The AVX2 engine reduces four accumulators at once
+//! without leaving the registers, with `hadd` — but only in the one order
+//! that *is* that tree (two rounds of `hadd` pair the lanes exactly as
+//! written above, then the low half is added to the high half); any other
+//! horizontal shuffle would reassociate the sum. Consequently the engine
+//! choice never changes a single output bit: golden records made on an AVX2
+//! machine verify on any host, and the CI forced-scalar run
+//! (`MLEXRAY_SIMD=scalar`) must match the feature-dispatched run exactly.
+//! Quantized kernels accumulate in exact `i32` arithmetic, where any
+//! summation order is identical — they are bitwise-equal to the *reference*
+//! kernels too.
 //!
 //! Feature detection runs **once** per process ([`OnceLock`]); per-call
 //! dispatch is a single atomic load. `MLEXRAY_SIMD=scalar` in the
@@ -99,17 +109,19 @@ fn detect_engine() -> SimdEngine {
 }
 
 // ---------------------------------------------------------------------------
-// Float micro-kernels: how one matrix row is reduced against weight rows
+// Float micro-kernels: how a block of matrix rows is reduced against a block
+// of weight rows
 // ---------------------------------------------------------------------------
 
 /// A float GEMM micro-kernel — the reduction [`gemm_bias_act`] is generic
 /// over.
 pub(crate) trait MicroKernel: Copy {
-    /// `N` dot products sharing the left-hand row `a` (loaded once, `N`
-    /// independent accumulator chains in flight). Each result is
-    /// bitwise-identical to the `N = 1` result on the same pair, so tiling
-    /// output channels never changes a bit.
-    fn dots<const N: usize>(self, a: &[f32], b: [&[f32]; N]) -> [f32; N];
+    /// The `M × N` dot products of matrix rows `a` against weight rows `b`
+    /// (all of one length): `M · N` independent accumulator chains in
+    /// flight, each weight vector loaded once for all `M` rows. Every cell
+    /// is bitwise-identical to the `M = N = 1` result on the same pair, so
+    /// tiling never changes a bit.
+    fn tile<const M: usize, const N: usize>(self, a: [&[f32]; M], b: [&[f32]; N]) -> [[f32; N]; M];
 }
 
 /// The [`KernelFlavor::Optimized`](crate::KernelFlavor::Optimized)
@@ -122,27 +134,49 @@ pub(crate) struct Blocked4;
 
 impl MicroKernel for Blocked4 {
     #[inline]
-    fn dots<const N: usize>(self, a: &[f32], b: [&[f32]; N]) -> [f32; N] {
-        debug_assert!(b.iter().all(|b| b.len() == a.len()));
-        let mut s = [[0.0f32; 4]; N];
-        let chunks = a.len() / 4;
+    fn tile<const M: usize, const N: usize>(self, a: [&[f32]; M], b: [&[f32]; N]) -> [[f32; N]; M] {
+        let k = a[0].len();
+        // Every row re-sliced to the one length: the stripe loop then carries
+        // a single bounds check per four-element step.
+        let (a, b) = (a.map(|row| &row[..k]), b.map(|row| &row[..k]));
+        let stripe = |row: &[f32], o: usize| -> [f32; 4] {
+            *<&[f32; 4]>::try_from(&row[o..o + 4]).expect("a four-element slice")
+        };
+        let mut s = [[[0.0f32; 4]; N]; M];
+        let chunks = k / 4;
         for i in 0..chunks {
             let o = i * 4;
-            let (a0, a1, a2, a3) = (a[o], a[o + 1], a[o + 2], a[o + 3]);
-            for (s, b) in s.iter_mut().zip(b) {
-                s[0] += a0 * b[o];
-                s[1] += a1 * b[o + 1];
-                s[2] += a2 * b[o + 2];
-                s[3] += a3 * b[o + 3];
+            let bs = b.map(|b| stripe(b, o));
+            for (s, a) in s.iter_mut().zip(a) {
+                let a = stripe(a, o);
+                for (s, b) in s.iter_mut().zip(&bs) {
+                    for l in 0..4 {
+                        s[l] += a[l] * b[l];
+                    }
+                }
             }
         }
-        let mut rest = [0.0f32; N];
-        for i in chunks * 4..a.len() {
-            for (r, b) in rest.iter_mut().zip(b) {
-                *r += a[i] * b[i];
+        // Codegen barrier, not arithmetic: the horizontal sums below would
+        // otherwise seed LLVM's SLP vectorizer *across the N outputs*, which
+        // transposes every weight stripe inside the loop above (measured:
+        // the 2 × 4 tile then runs 1.7 × slower than the old 1 × 4 one).
+        // Materializing the accumulators first leaves that loop as `M · N`
+        // four-lane multiply + add chains over plain vector loads.
+        let s = std::hint::black_box(s);
+        let mut rest = [[0.0f32; N]; M];
+        for i in chunks * 4..k {
+            for (rest, a) in rest.iter_mut().zip(a) {
+                for (r, b) in rest.iter_mut().zip(b) {
+                    *r += a[i] * b[i];
+                }
             }
         }
-        std::array::from_fn(|k| (s[k][0] + s[k][1]) + (s[k][2] + s[k][3]) + rest[k])
+        std::array::from_fn(|m| {
+            std::array::from_fn(|n| {
+                let s = s[m][n];
+                (s[0] + s[1]) + (s[2] + s[3]) + rest[m][n]
+            })
+        })
     }
 }
 
@@ -171,17 +205,17 @@ impl Lanes8 {
 
 impl MicroKernel for Lanes8 {
     #[inline]
-    fn dots<const N: usize>(self, a: &[f32], b: [&[f32]; N]) -> [f32; N] {
-        debug_assert!(b.iter().all(|b| b.len() == a.len()));
-        let len = k_len(a.len(), self.skip_k_tail);
-        let (a, b) = (&a[..len], b.map(|b| &b[..len]));
+    fn tile<const M: usize, const N: usize>(self, a: [&[f32]; M], b: [&[f32]; N]) -> [[f32; N]; M] {
+        debug_assert!(a.iter().chain(&b).all(|row| row.len() == a[0].len()));
+        let len = k_len(a[0].len(), self.skip_k_tail);
+        let (a, b) = (a.map(|a| &a[..len]), b.map(|b| &b[..len]));
         match self.engine {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `self.engine` went through `runnable` in `Lanes8::new`,
-            // so AVX2 and FMA were detected on this CPU, and every row was
-            // just sliced to `a`'s length.
-            SimdEngine::Avx2Fma => unsafe { dots_avx2(a, b) },
-            _ => b.map(|b| dot_f32_scalar(a, b)),
+            // so AVX2 and FMA were detected on this CPU, and every row of
+            // `a` and `b` was just sliced to exactly `len` elements.
+            SimdEngine::Avx2Fma => unsafe { tile_avx2(len, a, b) },
+            _ => a.map(|a| b.map(|b| dot_f32_scalar(a, b))),
         }
     }
 }
@@ -214,7 +248,7 @@ fn runnable(engine: SimdEngine) -> SimdEngine {
 /// on a CPU without AVX2+FMA both engines run the scalar mirror.
 pub fn dot_f32_with(engine: SimdEngine, a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    Lanes8::new(engine, &KernelBugs::none()).dots(a, [b])[0]
+    Lanes8::new(engine, &KernelBugs::none()).tile([a], [b])[0][0]
 }
 
 /// Logical reduction length for the f32 GEMM paths: the injected
@@ -251,32 +285,62 @@ fn reduce8(l: [f32; 8]) -> f32 {
     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
+/// The AVX2+FMA engine's `M × N` tile: `M · N` `ymm` accumulators that stay
+/// in registers across the K loop.
+///
 /// # Safety
 ///
-/// The CPU must support AVX2 and FMA, and every row of `b` must be at least
-/// as long as `a`.
+/// The CPU must support AVX2 and FMA, and every row of `a` and `b` must hold
+/// at least `k` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dots_avx2<const N: usize>(a: &[f32], b: [&[f32]; N]) -> [f32; N] {
+unsafe fn tile_avx2<const M: usize, const N: usize>(
+    k: usize,
+    a: [&[f32]; M],
+    b: [&[f32]; N],
+) -> [[f32; N]; M] {
     use std::arch::x86_64::*;
-    let mut acc = [_mm256_setzero_ps(); N];
-    let chunks = a.len() / SIMD_LANES;
+    let mut acc = [[_mm256_setzero_ps(); N]; M];
+    let chunks = k / SIMD_LANES;
     for i in 0..chunks {
         let o = i * SIMD_LANES;
-        let va = _mm256_loadu_ps(a.as_ptr().add(o));
-        for (acc, b) in acc.iter_mut().zip(b) {
-            *acc = _mm256_fmadd_ps(va, _mm256_loadu_ps(b.as_ptr().add(o)), *acc);
+        let vb = b.map(|b| _mm256_loadu_ps(b.as_ptr().add(o)));
+        for (acc, a) in acc.iter_mut().zip(a) {
+            let va = _mm256_loadu_ps(a.as_ptr().add(o));
+            for (acc, vb) in acc.iter_mut().zip(vb) {
+                *acc = _mm256_fmadd_ps(va, vb, *acc);
+            }
         }
     }
-    let mut out = [0.0f32; N];
-    for (sum, acc) in out.iter_mut().zip(acc) {
-        let mut lanes = [0.0f32; SIMD_LANES];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        *sum = reduce8(lanes);
+    let mut out = [[0.0f32; N]; M];
+    for (out, acc) in out.iter_mut().zip(acc) {
+        if N == 4 {
+            // `reduce8` of four accumulators at once, in registers. Within
+            // each 128-bit half `hadd(x, y)` is `[x0+x1, x2+x3, y0+y1,
+            // y2+y3]`, so two rounds leave `(l0+l1)+(l2+l3)` of accumulator
+            // `n` in lane `n` of the low half and `(l4+l5)+(l6+l7)` in lane
+            // `n` of the high half; low + high is the canonical tree.
+            let h = _mm256_hadd_ps(
+                _mm256_hadd_ps(acc[0], acc[1]),
+                _mm256_hadd_ps(acc[2], acc[3]),
+            );
+            let sums = _mm_add_ps(_mm256_castps256_ps128(h), _mm256_extractf128_ps(h, 1));
+            let mut lanes = [0.0f32; 4];
+            _mm_storeu_ps(lanes.as_mut_ptr(), sums);
+            out.copy_from_slice(&lanes);
+        } else {
+            for (sum, acc) in out.iter_mut().zip(acc) {
+                let mut lanes = [0.0f32; SIMD_LANES];
+                _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+                *sum = reduce8(lanes);
+            }
+        }
     }
-    for i in chunks * SIMD_LANES..a.len() {
-        for (sum, b) in out.iter_mut().zip(b) {
-            *sum = a[i].mul_add(b[i], *sum);
+    for i in chunks * SIMD_LANES..k {
+        for (out, a) in out.iter_mut().zip(a) {
+            for (sum, b) in out.iter_mut().zip(b) {
+                *sum = a[i].mul_add(b[i], *sum);
+            }
         }
     }
     out
@@ -377,11 +441,70 @@ fn im2col<'a, T: Copy>(g: &WindowGeom, x: &'a [T], fill: T, scratch: &'a mut Vec
 /// rows stays cache-resident.
 const ROW_TILE: usize = 16;
 
+/// Matrix rows per micro-kernel call, chosen by measurement: `MR × 4`
+/// accumulators, the four weight vectors and a matrix vector must fit the
+/// sixteen vector registers, eight chains are what two FMA ports × four
+/// cycles of latency need, and 2 divides [`ROW_TILE`]. `Conv` time on
+/// `mobilenet_v2@48` as a multiple of the untouched depthwise kernel's in
+/// the same run (three interleaved rounds on a shared 2-vCPU AVX2 host whose
+/// speed drifted ± 40 % between runs; the ratio held), SIMD flavor, batch 4:
+/// `MR` 1 → 5.4–6.2, **2 → 3.9–4.6**, 3 → 4.9–5.8, 4 → 5.7–6.2 (the 1 × 4
+/// tile this replaced: 5.1); the optimized flavor orders the same way
+/// (7.2–7.6, **5.8–6.5**, 7.4–8.5, 8.1–9.7).
+const MR: usize = 2;
+
+/// The operands of one [`gemm_bias_act`] call, shared by every block of it.
+struct Gemm<'a, K> {
+    kernel: K,
+    matrix: &'a [f32],
+    w: &'a [f32],
+    bias: Option<&'a [f32]>,
+    k: usize,
+    out_c: usize,
+    activation: Activation,
+}
+
+impl<K: MicroKernel> Gemm<'_, K> {
+    /// Output rows `r..r + M` × channels `oc..oc + N`: one micro-kernel tile
+    /// and the bias + activation epilogue.
+    #[inline]
+    fn block<const M: usize, const N: usize>(&self, r: usize, oc: usize, out: &mut [f32]) {
+        let k = self.k;
+        let accs = self.kernel.tile::<M, N>(
+            std::array::from_fn(|i| &self.matrix[(r + i) * k..][..k]),
+            std::array::from_fn(|j| &self.w[(oc + j) * k..][..k]),
+        );
+        for (i, accs) in accs.iter().enumerate() {
+            let row = &mut out[(r + i) * self.out_c + oc..][..N];
+            for (j, (o, acc)) in row.iter_mut().zip(accs).enumerate() {
+                let bias = self.bias.map_or(0.0, |b| b[oc + j]);
+                *o = self.activation.apply(acc + bias);
+            }
+        }
+    }
+
+    /// `N` output channels from `oc` over the rows of one tile: [`MR`] rows
+    /// at a time, then the odd rows singly.
+    #[inline]
+    fn strip<const N: usize>(&self, rows: std::ops::Range<usize>, oc: usize, out: &mut [f32]) {
+        let mut r = rows.start;
+        while r + MR <= rows.end {
+            self.block::<MR, N>(r, oc, out);
+            r += MR;
+        }
+        while r < rows.end {
+            self.block::<1, N>(r, oc, out);
+            r += 1;
+        }
+    }
+}
+
 /// The one float GEMM loop: `out[r, oc] = activation(matrix[r] · w[oc] +
 /// bias[oc])` over `matrix: [rows, k]`, `w: [out_c, k]`, `out: [rows,
-/// out_c]`, tiled [`ROW_TILE`] rows × 4 output channels around the
-/// micro-kernel `kernel`. Tiling only reorders *which* cell is computed
-/// when — each cell's arithmetic is the micro-kernel's single dot.
+/// out_c]`, tiled [`ROW_TILE`] rows × 4 output channels and walked in
+/// [`MR`]` × 4` micro-kernel tiles (`1 × 4`, `MR × 1` and `1 × 1` on the
+/// ragged edges). Tiling only reorders *which* cell is computed when — each
+/// cell's arithmetic is the micro-kernel's single dot.
 fn gemm_bias_act<K: MicroKernel>(
     kernel: K,
     matrix: &[f32],
@@ -393,27 +516,24 @@ fn gemm_bias_act<K: MicroKernel>(
 ) {
     let out_c = w.len() / k;
     let rows = out.len() / out_c;
-    let wrow = |oc: usize| &w[oc * k..][..k];
-    let bias_at = |oc: usize| bias.map_or(0.0, |b| b[oc]);
+    let gemm = Gemm {
+        kernel,
+        matrix,
+        w,
+        bias,
+        k,
+        out_c,
+        activation,
+    };
     for r0 in (0..rows).step_by(ROW_TILE) {
         let tile = r0..(r0 + ROW_TILE).min(rows);
         let mut oc = 0usize;
         while oc + 4 <= out_c {
-            let ws: [&[f32]; 4] = std::array::from_fn(|j| wrow(oc + j));
-            let b: [f32; 4] = std::array::from_fn(|j| bias_at(oc + j));
-            for r in tile.clone() {
-                let accs = kernel.dots(&matrix[r * k..][..k], ws);
-                for j in 0..4 {
-                    out[r * out_c + oc + j] = activation.apply(accs[j] + b[j]);
-                }
-            }
+            gemm.strip::<4>(tile.clone(), oc, out);
             oc += 4;
         }
         while oc < out_c {
-            for r in tile.clone() {
-                let [acc] = kernel.dots(&matrix[r * k..][..k], [wrow(oc)]);
-                out[r * out_c + oc] = activation.apply(acc + bias_at(oc));
-            }
+            gemm.strip::<1>(tile.clone(), oc, out);
             oc += 1;
         }
     }
@@ -577,19 +697,7 @@ pub(crate) fn fc_q_simd(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn det_f32(seed: u64, n: usize) -> Vec<f32> {
-        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..n)
-            .map(|_| {
-                s ^= s >> 12;
-                s ^= s << 25;
-                s ^= s >> 27;
-                let bits = s.wrapping_mul(0x2545_F491_4F6C_DD1D);
-                ((bits >> 40) as f32 / (1u64 << 24) as f32) * 3.0 - 1.5
-            })
-            .collect()
-    }
+    use crate::kernels::det_f32;
 
     /// Runs on every host: without AVX2+FMA (or under `MLEXRAY_SIMD=scalar`,
     /// which the explicit-engine entry points ignore) asking for `Avx2Fma`
@@ -631,26 +739,29 @@ mod tests {
     }
 
     /// The tiled driver against one micro-kernel dot per cell, on a shape
-    /// ragged in every tiled dimension: 19 rows (∤ 16), 7 output channels
-    /// (∤ 4), K = 13 (∤ 4, ∤ 8).
+    /// ragged in every tiled dimension — 19 rows (∤ 16, an odd row inside
+    /// the last tile), 7 output channels (∤ 4), K = 13 (∤ 4, ∤ 8) — and on
+    /// matrices of one row (no `MR` pair at all) and two (exactly one).
     #[test]
     fn gemm_driver_matches_per_cell_dots_on_ragged_shapes() {
         fn check<K: MicroKernel>(kernel: K) {
-            let (rows, out_c, k) = (19, 7, 13);
-            let matrix = det_f32(1, rows * k);
-            let w = det_f32(2, out_c * k);
-            let bias = det_f32(3, out_c);
-            let mut out = vec![f32::NAN; rows * out_c];
-            let act = Activation::Relu;
-            gemm_bias_act(kernel, &matrix, &w, Some(&bias), k, act, &mut out);
-            for r in 0..rows {
-                for oc in 0..out_c {
-                    let [dot] = kernel.dots(&matrix[r * k..][..k], [&w[oc * k..][..k]]);
-                    assert_eq!(
-                        out[r * out_c + oc].to_bits(),
-                        act.apply(dot + bias[oc]).to_bits(),
-                        "cell ({r}, {oc})"
-                    );
+            for rows in [19, 1, 2] {
+                let (out_c, k) = (7, 13);
+                let matrix = det_f32(1, rows * k);
+                let w = det_f32(2, out_c * k);
+                let bias = det_f32(3, out_c);
+                let mut out = vec![f32::NAN; rows * out_c];
+                let act = Activation::Relu;
+                gemm_bias_act(kernel, &matrix, &w, Some(&bias), k, act, &mut out);
+                for r in 0..rows {
+                    for oc in 0..out_c {
+                        let [[dot]] = kernel.tile([&matrix[r * k..][..k]], [&w[oc * k..][..k]]);
+                        assert_eq!(
+                            out[r * out_c + oc].to_bits(),
+                            act.apply(dot + bias[oc]).to_bits(),
+                            "cell ({r}, {oc}) of {rows} rows"
+                        );
+                    }
                 }
             }
         }
@@ -658,21 +769,122 @@ mod tests {
         check(Lanes8::new(active_engine(), &KernelBugs::none()));
     }
 
+    /// `tile::<M, N>` on rows `a[..M]` × `b[..N]`, flattened row-major.
+    fn tile_bits<K: MicroKernel, const M: usize, const N: usize>(
+        kernel: K,
+        a: &[Vec<f32>],
+        b: &[Vec<f32>],
+    ) -> Vec<u32> {
+        let tile = kernel.tile::<M, N>(
+            std::array::from_fn(|i| a[i].as_slice()),
+            std::array::from_fn(|j| b[j].as_slice()),
+        );
+        tile.iter().flatten().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every `(M, N)` the driver instantiates, as `(M, N, bits)`.
+    fn driver_tiles<K: MicroKernel>(
+        kernel: K,
+        a: &[Vec<f32>],
+        b: &[Vec<f32>],
+    ) -> Vec<(usize, usize, Vec<u32>)> {
+        vec![
+            (MR, 4, tile_bits::<K, MR, 4>(kernel, a, b)),
+            (1, 4, tile_bits::<K, 1, 4>(kernel, a, b)),
+            (MR, 1, tile_bits::<K, MR, 1>(kernel, a, b)),
+            (1, 1, tile_bits::<K, 1, 1>(kernel, a, b)),
+        ]
+    }
+
+    /// Every cell of every tile shape equals the `tile::<1, 1>` result on the
+    /// same pair of rows.
+    fn assert_tiles_match_single_dots<K: MicroKernel>(
+        kernel: K,
+        a: &[Vec<f32>],
+        b: &[Vec<f32>],
+        what: &str,
+    ) {
+        for (m, n, bits) in driver_tiles(kernel, a, b) {
+            for i in 0..m {
+                for j in 0..n {
+                    let [[dot]] = kernel.tile([a[i].as_slice()], [b[j].as_slice()]);
+                    assert_eq!(
+                        bits[i * n + j],
+                        dot.to_bits(),
+                        "{what}: cell ({i}, {j}) of tile {m}x{n} diverged from its single dot"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn x4_matches_single_row_dots() {
-        let engine = active_engine();
-        let kernel = Lanes8::new(engine, &KernelBugs::none());
-        for len in [1, 8, 17, 65] {
-            let a = det_f32(9, len);
-            let rows: Vec<Vec<f32>> = (0..4).map(|r| det_f32(100 + r, len)).collect();
-            let x4 = kernel.dots(&a, [&rows[0], &rows[1], &rows[2], &rows[3]]);
-            for k in 0..4 {
+        for k in [0, 1, 7, 8, 9, 17, 65, 144] {
+            let a: Vec<Vec<f32>> = (0..MR as u64).map(|r| det_f32(9 + r, k)).collect();
+            let b: Vec<Vec<f32>> = (0..4).map(|r| det_f32(100 + r, k)).collect();
+            assert_tiles_match_single_dots(Blocked4, &a, &b, &format!("Blocked4, K {k}"));
+            for skip in [false, true] {
+                let bugs = KernelBugs {
+                    simd_gemm_k_tail_skip: skip,
+                    ..KernelBugs::none()
+                };
+                let fast = Lanes8::new(SimdEngine::Avx2Fma, &bugs);
+                let mirror = Lanes8::new(SimdEngine::Scalar, &bugs);
+                let what = format!("K {k}, tail skip {skip}");
+                assert_tiles_match_single_dots(fast, &a, &b, &format!("Avx2Fma, {what}"));
+                assert_tiles_match_single_dots(mirror, &a, &b, &format!("Scalar, {what}"));
                 assert_eq!(
-                    x4[k].to_bits(),
-                    dot_f32_with(engine, &a, &rows[k]).to_bits(),
-                    "x4 lane {k} diverged at len {len}"
+                    driver_tiles(fast, &a, &b),
+                    driver_tiles(mirror, &a, &b),
+                    "engines diverged at {what}"
                 );
             }
+        }
+    }
+
+    /// The in-register lane reduction against `reduce8` on lanes the tree's
+    /// order matters for: with K = 8 and unit weights each accumulator lane
+    /// holds exactly one input, so the tile's value *is* the reduction.
+    #[test]
+    fn in_register_reduction_is_the_canonical_tree() {
+        let specials: [[f32; 8]; 5] = [
+            [-0.0; 8],
+            [-0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0, -0.0],
+            [1.0, f32::INFINITY, -2.5, 3.0, 1e30, -1e30, 0.5, -0.0],
+            [
+                f32::NEG_INFINITY,
+                1.0,
+                2.0,
+                3.0,
+                f32::NEG_INFINITY,
+                4.0,
+                5.0,
+                6.0,
+            ],
+            [1.5, -2.0, f32::NAN, 1e-40, 7.0, -0.0, 3.0, 1e38],
+        ];
+        let ones = vec![vec![1.0f32; 8]; 4];
+        let none = KernelBugs::none();
+        for (n, lanes) in specials.iter().enumerate() {
+            // A different rotation of the lanes in each of the MR rows.
+            let a: Vec<Vec<f32>> = (0..MR)
+                .map(|r| (0..8).map(|l| lanes[(l + 3 * r) % 8]).collect())
+                .collect();
+            let fast = Lanes8::new(SimdEngine::Avx2Fma, &none);
+            let mirror = Lanes8::new(SimdEngine::Scalar, &none);
+            assert_tiles_match_single_dots(fast, &a, &ones, &format!("special lanes {n}"));
+            assert_eq!(
+                driver_tiles(fast, &a, &ones),
+                driver_tiles(mirror, &a, &ones),
+                "engines diverged on special lanes {n}"
+            );
+            let expect = reduce8(std::array::from_fn(|l| a[0][l].mul_add(1.0, 0.0)));
+            let [[got, ..]] = fast.tile::<1, 4>(
+                [a[0].as_slice()],
+                std::array::from_fn(|j| ones[j].as_slice()),
+            );
+            assert_eq!(got.to_bits(), expect.to_bits(), "special lanes {n}");
         }
     }
 

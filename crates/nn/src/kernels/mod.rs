@@ -21,14 +21,23 @@
 //! quantized depthwise/pool kernels and the [`gemm::Lanes8`] K-tail.
 //!
 //! Every kernel writes into an arena-provided output slot (`&mut Tensor`,
-//! preallocated from the interpreter's `MemoryPlan`) and the float im2col
-//! matrix lives in the plan-sized scratch, so steady-state float execution
-//! under the reference, optimized and SIMD flavors allocates nothing per
-//! node. What still allocates per node, all outside those paths:
-//! `gemm::conv2d_q_simd` (its `u8` patch matrix, for non-1×1 windows),
-//! `conv::conv2d_f32_emulated` (its tap-offset list), `act_q` (a 256-entry
-//! lookup table), `dequantize` (a float copy of the input) and `concat`
-//! (the output dims).
+//! preallocated from the interpreter's `MemoryPlan`), and the float im2col
+//! matrix and the BatchNorm denominators live in the plan-sized scratch, so
+//! steady-state float execution under the reference, optimized and SIMD
+//! flavors makes no heap allocation per node — measured, not self-reported:
+//! `tests/alloc_steady_state.rs` counts calls into the global allocator and
+//! holds a warmed `invoke` to the same count on 7 nodes as on 62. What
+//! still allocates per node, all outside those paths: `gemm::conv2d_q_simd`
+//! (its `u8` patch matrix, for non-1×1 windows), `conv::conv2d_f32_emulated`
+//! (its tap-offset list), `act_q` (a 256-entry lookup table) and
+//! `dequantize` (a float copy of the input); and the interpreter spills the
+//! operand list of a node with more than five inputs (only `Concat` can
+//! have them).
+//!
+//! The element-wise float kernels (`Add`, `Mul`, `BatchNorm`) have no
+//! flavor: every backend runs the same row-walking loops — the broadcast is
+//! resolved by walking the lhs in rhs-sized rows, never by a `%` or `/` per
+//! element.
 
 mod conv;
 mod elementwise;
@@ -100,7 +109,9 @@ impl KernelCtx<'_> {
 }
 
 /// Executes one node given resolved input tensors, the output slot
-/// definition (shape, dtype, quantization) and the preallocated output slot.
+/// definition (per-frame shape, dtype, quantization) and the preallocated
+/// output slot, whose leading dimension is stacked to the invoke's batch
+/// size — kernels read the batch from their operands, never from `out_def`.
 pub(crate) fn execute_node(
     node: &Node,
     inputs: &[&Tensor],
@@ -295,7 +306,7 @@ pub(crate) fn execute_node(
         (&OpKind::Act(act), false) => elementwise::act_f32(inputs, out_def, act, out),
         (&OpKind::Act(act), true) => elementwise::act_q(node, inputs, out_def, act, out),
         (&OpKind::BatchNorm { epsilon }, false) => {
-            elementwise::batch_norm_f32(inputs, out_def, epsilon, out)
+            elementwise::batch_norm_f32(inputs, out_def, epsilon, ctx.scratch, out)
         }
         (&OpKind::LayerNorm { epsilon }, false) => {
             elementwise::layer_norm_f32(inputs, out_def, epsilon, out)
@@ -425,9 +436,16 @@ pub(crate) fn requantize(
     (zp_out + scaled).clamp(qlo, qhi) as u8
 }
 
+/// Whether `out` holds a whole number of frames of `out_def`'s shape (the
+/// definition is per frame; the slot is stacked to the invoke's batch size).
+fn holds_whole_frames(out: &Tensor, out_def: &TensorDef) -> bool {
+    out.len()
+        .is_multiple_of(out_def.shape().num_elements().max(1))
+}
+
 /// Borrows a float output slot, checking it matches the slot definition.
 pub(crate) fn f32_slot<'a>(out: &'a mut Tensor, out_def: &TensorDef) -> Result<&'a mut [f32]> {
-    debug_assert_eq!(out.len(), out_def.shape().num_elements());
+    debug_assert!(holds_whole_frames(out, out_def));
     Ok(out.as_f32_mut()?)
 }
 
@@ -435,6 +453,22 @@ pub(crate) fn f32_slot<'a>(out: &'a mut Tensor, out_def: &TensorDef) -> Result<&
 /// parameters were attached from the slot definition when the arena was
 /// planned, matching what `out_qparams` reads.
 pub(crate) fn u8_slot<'a>(out: &'a mut Tensor, out_def: &TensorDef) -> Result<&'a mut [u8]> {
-    debug_assert_eq!(out.len(), out_def.shape().num_elements());
+    debug_assert!(holds_whole_frames(out, out_def));
     Ok(out.as_u8_mut()?)
+}
+
+/// Deterministic test values in `[-1.5, 1.5)` (xorshift64*), shared by the
+/// kernel unit tests.
+#[cfg(test)]
+pub(crate) fn det_f32(seed: u64, n: usize) -> Vec<f32> {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..n)
+        .map(|_| {
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            let bits = s.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            ((bits >> 40) as f32 / (1u64 << 24) as f32) * 3.0 - 1.5
+        })
+        .collect()
 }

@@ -3,11 +3,16 @@
 //! Before the first invoke, the interpreter walks the graph once and computes
 //! a [`MemoryPlan`]: the byte size and lifetime of every runtime tensor
 //! (graph inputs and node outputs), a greedy first-fit offset assignment that
-//! lets lifetime-disjoint tensors share the same arena range, and the scratch
-//! requirement of the im2col + GEMM convolution path. The interpreter then
-//! preallocates one buffer per planned slot and reuses them across invokes,
-//! so steady-state execution performs no per-node allocation — the property
-//! pinned by `InvokeStats::allocations`.
+//! lets lifetime-disjoint tensors share the same arena range, and the f32
+//! scratch requirement of the float kernels (the im2col matrix; BatchNorm's
+//! per-channel denominators). The interpreter then preallocates one buffer
+//! per planned slot and reuses them across invokes — and, re-shaped in
+//! place, across batch sizes — so steady-state execution performs no
+//! per-node allocation. `InvokeStats::allocations` reports what the
+//! interpreter *knows* it allocated (the output tensors); the property
+//! itself is pinned from outside by the counting allocator in
+//! `tests/alloc_steady_state.rs`. One plan is kept per batch size seen:
+//! accounting only, no buffers hang off it.
 
 use mlexray_tensor::Shape;
 
@@ -56,7 +61,7 @@ impl PlannedTensor {
 /// whole point, and physically overlapping dead tensors would destroy the
 /// values ML-EXray's drift analysis reads. What the plan buys the
 /// interpreter is the one-time preallocation (zero per-node allocation in
-/// steady state), the GEMM scratch bound, and the arena/peak figures
+/// steady state), the float scratch bound, and the arena/peak figures
 /// surfaced through `InvokeStats`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryPlan {
@@ -83,15 +88,22 @@ pub(crate) fn batched_shape(shape: &Shape, batch: usize) -> Result<Shape> {
         .map_err(|e| NnError::InvalidGraph(e.to_string()))
 }
 
-/// Elements of f32 scratch the im2col + GEMM convolution needs for `node`
-/// (the whole-batch im2col matrix — at every batch factor, 1 included), or
-/// 0 when the node needs none.
-fn conv_scratch_elems(graph: &Graph, node: &crate::graph::Node, batch: usize) -> usize {
-    let OpKind::Conv2d {
-        stride, padding, ..
-    } = &node.op
-    else {
-        return 0;
+/// Elements of f32 scratch `node`'s float kernel needs: the whole-batch
+/// im2col matrix of a convolution (at every batch factor, 1 included), the
+/// per-channel denominators of a BatchNorm (its channel count, whatever the
+/// batch), or 0 when the node needs none.
+fn node_scratch_elems(graph: &Graph, node: &crate::graph::Node, batch: usize) -> usize {
+    let (stride, padding) = match &node.op {
+        OpKind::Conv2d {
+            stride, padding, ..
+        } => (stride, padding),
+        OpKind::BatchNorm { .. } => {
+            return node
+                .inputs
+                .get(4)
+                .map_or(0, |&var| graph.tensor(var).shape().num_elements())
+        }
+        _ => return 0,
     };
     let input = graph.tensor(node.inputs[0]);
     if input.dtype() != mlexray_tensor::DType::F32 || input.shape().rank() != 4 {
@@ -209,7 +221,7 @@ impl MemoryPlan {
         let scratch_elems = graph
             .nodes()
             .iter()
-            .map(|n| conv_scratch_elems(graph, n, batch))
+            .map(|n| node_scratch_elems(graph, n, batch))
             .max()
             .unwrap_or(0);
 
@@ -240,8 +252,9 @@ impl MemoryPlan {
         self.peak_bytes
     }
 
-    /// The f32 scratch elements the im2col + GEMM convolution path needs
-    /// (the largest whole-batch im2col matrix in the graph).
+    /// The f32 scratch elements the float kernels need: the largest
+    /// whole-batch im2col matrix in the graph, or the widest BatchNorm's
+    /// channel count if that is larger.
     pub fn scratch_elems(&self) -> usize {
         self.scratch_elems
     }
@@ -370,5 +383,18 @@ mod tests {
             MemoryPlan::for_graph(&chain(), 8).unwrap().scratch_elems(),
             0
         );
+        // A BatchNorm keeps its per-channel denominators there: its channel
+        // count, whatever the batch.
+        let mut b = GraphBuilder::new("bn");
+        let x = b.input("x", Shape::nhwc(1, 4, 4, 24));
+        let [gamma, beta, mean, var] = ["gamma", "beta", "mean", "var"]
+            .map(|name| b.constant(name, Tensor::filled_f32(Shape::vector(24), 0.5)));
+        let y = b.batch_norm("bn", x, gamma, beta, mean, var, 1e-3).unwrap();
+        b.output(y);
+        let g = b.finish().unwrap();
+        for batch in [1, 8] {
+            let plan = MemoryPlan::for_graph(&g, batch).unwrap();
+            assert_eq!(plan.scratch_elems(), 24);
+        }
     }
 }

@@ -296,6 +296,75 @@ fn runtime_bias_falls_back_and_matches() {
     assert_batch_equivalence(&g, &samples, InterpreterOptions::optimized());
 }
 
+/// One interpreter driven through batch sizes 3 → 1 → 8 → 2 → 8 — its single
+/// arena re-shaped in place, shrinking and regrowing — must produce, at every
+/// step, outputs *and* `tensor_value`s of every node bitwise-identical to an
+/// interpreter that only ever ran the frames one by one.
+#[test]
+fn one_arena_across_batch_sizes_matches_sequential_invokes() {
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.to_f32_vec().iter().map(|v| v.to_bits()).collect()
+    }
+    let mut stacked_graphs = 0;
+    for seed in 0..12u64 {
+        let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(0xa2e4a));
+        let (graph, in_shape) = random_graph(&mut rng);
+        let samples = sample_batch(&mut rng, &in_shape, 8);
+        for flavor in [
+            KernelFlavor::Optimized,
+            KernelFlavor::Reference,
+            KernelFlavor::Simd,
+        ] {
+            let options = InterpreterOptions {
+                flavor,
+                bugs: KernelBugs::none(),
+                numerics: None,
+            };
+            // The oracle: per sample, the outputs and every node's value.
+            let mut sequential = Interpreter::new(&graph, options).unwrap();
+            let expected: Vec<(Vec<Tensor>, Vec<Vec<u32>>)> = samples
+                .iter()
+                .map(|s| {
+                    let outputs = sequential.invoke(s).unwrap();
+                    let nodes = graph.nodes().iter();
+                    let values = nodes.map(|n| bits(sequential.tensor_value(n.output).unwrap()));
+                    (outputs, values.collect())
+                })
+                .collect();
+
+            let mut interp = Interpreter::new(&graph, options).unwrap();
+            stacked_graphs += usize::from(interp.is_batchable());
+            for n in [3usize, 1, 8, 2, 8] {
+                let refs: Vec<&[Tensor]> = samples[..n].iter().map(Vec::as_slice).collect();
+                let outputs = interp.invoke_batch(&refs).unwrap();
+                for (b, frame) in outputs.iter().enumerate() {
+                    assert_eq!(
+                        frame, &expected[b].0,
+                        "seed {seed} {flavor:?} n {n} frame {b}"
+                    );
+                }
+                // A stacked invoke leaves all n frames in each slot; the
+                // per-frame fallback leaves the last frame.
+                let stacked = interp.is_batchable() && n > 1;
+                for (i, node) in graph.nodes().iter().enumerate() {
+                    let held = bits(interp.tensor_value(node.output).unwrap());
+                    let want: Vec<u32> = if stacked {
+                        expected[..n].iter().flat_map(|e| e.1[i].clone()).collect()
+                    } else {
+                        expected[n - 1].1[i].clone()
+                    };
+                    assert_eq!(
+                        held, want,
+                        "seed {seed} {flavor:?} n {n}: tensor_value of node '{}'",
+                        node.name
+                    );
+                }
+            }
+        }
+    }
+    assert!(stacked_graphs > 0, "no generated graph exercised stacking");
+}
+
 #[test]
 fn empty_and_singleton_batches() {
     let mut rng = SmallRng::seed_from_u64(3);

@@ -133,14 +133,20 @@ impl Shape {
     ///
     /// Returns [`TensorError::InvalidShape`] for rank-0 shapes.
     pub fn with_batch(&self, n: usize) -> Result<Shape, TensorError> {
-        if self.0.is_empty() {
-            return Err(TensorError::InvalidShape(
-                "scalar has no batch dimension".into(),
-            ));
-        }
-        let mut dims = self.0.clone();
-        dims[0] = n;
-        Ok(Shape(dims))
+        let mut shape = self.clone();
+        shape.set_batch(n)?;
+        Ok(shape)
+    }
+
+    /// Overwrites the batch (first) dimension in place; fails like
+    /// [`Shape::with_batch`] for rank-0 shapes.
+    pub(crate) fn set_batch(&mut self, n: usize) -> Result<(), TensorError> {
+        let lead = self
+            .0
+            .first_mut()
+            .ok_or_else(|| TensorError::InvalidShape("scalar has no batch dimension".into()))?;
+        *lead = n;
+        Ok(())
     }
 }
 

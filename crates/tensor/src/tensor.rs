@@ -451,6 +451,33 @@ impl Tensor {
         })
     }
 
+    /// Re-shapes the tensor **in place** to `n` along its batch (first)
+    /// dimension, truncating the buffer or extending it with zeros. The
+    /// buffer's allocation is never released and grows to exactly the
+    /// largest size asked for, so a tensor cycled through batch sizes
+    /// reallocates only when it exceeds every size it has held before —
+    /// what lets an interpreter keep one set of activation buffers for all
+    /// batch sizes. Quantization parameters are unaffected.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidShape`] for rank-0 tensors.
+    pub fn resize_batch(&mut self, n: usize) -> Result<()> {
+        self.shape.set_batch(n)?;
+        let len = self.shape.num_elements();
+        fn fit<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+            v.reserve_exact(len.saturating_sub(v.len()));
+            v.resize(len, T::default());
+        }
+        match &mut self.data {
+            TensorData::F32(v) => fit(v, len),
+            TensorData::U8(v) => fit(v, len),
+            TensorData::I8(v) => fit(v, len),
+            TensorData::I32(v) => fit(v, len),
+        }
+        Ok(())
+    }
+
     /// `f32` value at NHWC coordinates (convenience for tests and examples).
     ///
     /// # Errors
@@ -527,6 +554,24 @@ mod tests {
         let r = t.reshape(Shape::vector(4)).unwrap();
         assert_eq!(r.as_f32().unwrap(), &[1.0, 2.0, 3.0, 4.0]);
         assert!(t.reshape(Shape::vector(5)).is_err());
+    }
+
+    #[test]
+    fn resize_batch_reshapes_in_place_and_keeps_its_allocation() {
+        let mut t = Tensor::from_f32(Shape::nhwc(1, 1, 2, 1), vec![1.0, 2.0]).unwrap();
+        t.resize_batch(3).unwrap();
+        assert_eq!(t.shape(), &Shape::nhwc(3, 1, 2, 1));
+        assert_eq!(t.as_f32().unwrap(), &[1.0, 2.0, 0.0, 0.0, 0.0, 0.0]);
+        let grown = t.as_f32().unwrap().as_ptr();
+        t.resize_batch(1).unwrap();
+        assert_eq!(t.as_f32().unwrap(), &[1.0, 2.0]);
+        t.resize_batch(3).unwrap();
+        assert_eq!(
+            t.as_f32().unwrap().as_ptr(),
+            grown,
+            "regrowth within capacity must not reallocate"
+        );
+        assert!(Tensor::scalar_f32(1.0).resize_batch(2).is_err());
     }
 
     #[test]

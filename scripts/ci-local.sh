@@ -33,9 +33,9 @@ cargo test -q -p mlexray-nn --test backend_differential --test golden_kernels
 cargo test -q -p mlexray-core --test differential_replay
 
 step "kernel-simd suites (native dispatch, then MLEXRAY_SIMD=scalar forced fallback)"
-cargo test -q -p mlexray-nn --test golden_kernels --test batch_equivalence --test backend_differential
+cargo test -q -p mlexray-nn --test golden_kernels --test batch_equivalence --test backend_differential --test alloc_steady_state
 cargo test -q -p mlexray-core --test parallel_invoke
-MLEXRAY_SIMD=scalar cargo test -q -p mlexray-nn --test golden_kernels --test batch_equivalence --test backend_differential
+MLEXRAY_SIMD=scalar cargo test -q -p mlexray-nn --test golden_kernels --test batch_equivalence --test backend_differential --test alloc_steady_state
 MLEXRAY_SIMD=scalar cargo test -q -p mlexray-core --test parallel_invoke
 
 step "serve suite (loaded serving integration + sink backpressure stress + fig_serving smoke)"
