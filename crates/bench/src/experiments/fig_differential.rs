@@ -4,7 +4,7 @@
 //!
 //! Four scenarios exercise the §4.4 loop end to end:
 //!
-//! 1. **clean** — `ReferenceBackend` vs `OptimizedBackend` on quantized
+//! 1. **clean** — the reference spec vs the optimized spec on quantized
 //!    MobileNetV2: quantized kernels are flavor-identical, so the report
 //!    must be bitwise clean (the debugger's false-positive floor).
 //! 2. **dwconv-bug** — the injected optimized quantized-depthwise

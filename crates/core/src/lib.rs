@@ -23,10 +23,11 @@
 //!    ([`per_layer_drift`]), per-layer latency analysis, and a suite of
 //!    built-in + user-defined [`Assertion`]s for root-cause analysis. The
 //!    §4.4 cross-runtime technique is [`diff_backends`] /
-//!    [`diff_image_pipelines`]: two [`mlexray_nn::ExecutionBackend`]s
-//!    replay the same frames over the sharded engine, the first divergent
-//!    layer is localized from per-layer drift, and a bisection pass
-//!    confirms whether the defect is op-local ([`DifferentialReport`]).
+//!    [`diff_image_pipelines`]: interpreters built from two
+//!    [`mlexray_nn::BackendSpec`]s replay the same frames over the sharded
+//!    engine, the first divergent layer is localized from per-layer drift,
+//!    and a bisection pass confirms whether the defect is op-local
+//!    ([`DifferentialReport`]).
 //!
 //! # Instrumenting an app (≤ 5 LoC, Table 1)
 //!

@@ -1,9 +1,9 @@
 //! The per-layer differential debugger: §4.4's cross-runtime comparison as
 //! a first-class subsystem.
 //!
-//! A differential run replays the same frames through two
-//! [`ExecutionBackend`]s (described by [`BackendSpec`]s so every replay
-//! worker can build its own instance), aligns the two per-layer
+//! A differential run replays the same frames through interpreters built
+//! from two [`BackendSpec`]s (specs, so every replay worker can build its
+//! own instance), aligns the two per-layer
 //! [`mlexray_nn::LayerRecord`] streams by node name, computes per-layer
 //! drift with the §3.4 normalized-rMSE metric
 //! ([`crate::validate::per_layer_drift`]), and reports the **first

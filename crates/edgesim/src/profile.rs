@@ -47,8 +47,8 @@ pub struct DeviceProfile {
     pub monitor_fixed_ns_gpu: f64,
     /// Marginal monitor cost per logged byte, ns.
     pub monitor_ns_per_byte: f64,
-    /// The device runtime's kernel numerics, for the
-    /// [`mlexray_nn::EdgeEmulatorBackend`]: how this target's arithmetic
+    /// The device runtime's kernel numerics, for
+    /// [`mlexray_nn::BackendSpec::emulator`]: how this target's arithmetic
     /// deviates from the reference kernels.
     pub numerics: EdgeNumerics,
 }

@@ -17,12 +17,12 @@
 //! `DepthwiseConv2D` and a broken quantized `AveragePool2D`. Both are off by
 //! default.
 //!
-//! Execution is pluggable behind the [`ExecutionBackend`] trait: the
-//! [`ReferenceBackend`] and [`OptimizedBackend`] wrap the two scalar kernel
-//! flavors, the [`SimdBackend`] dispatches the runtime-feature-detected
-//! virtual-SIMD GEMM micro-kernels of the [`simd`] module (AVX2/FMA on
-//! x86_64, a bitwise-identical scalar mirror elsewhere), and the
-//! [`EdgeEmulatorBackend`] reproduces a foreign edge runtime's numerics
+//! There is one engine, the [`Interpreter`], and four [`BackendSpec`]s that
+//! say which kernels it resolves at build: `Reference` and `Optimized` are
+//! the two scalar kernel flavors, `Simd` dispatches the
+//! runtime-feature-detected virtual-SIMD GEMM micro-kernels of the [`simd`]
+//! module (AVX2/FMA on x86_64, a bitwise-identical scalar mirror elsewhere),
+//! and `EdgeEmulator` reproduces a foreign edge runtime's numerics
 //! ([`EdgeNumerics`]: GEMM accumulation order, fused multiply-add,
 //! flush-to-zero denormals, reduced-precision requantization) — the
 //! substrate of `mlexray-core`'s per-layer differential debugger.
@@ -62,10 +62,7 @@ mod plan;
 mod quantize;
 mod resolver;
 
-pub use backend::{
-    BackendSpec, BoxedBackend, EdgeEmulatorBackend, ExecutionBackend, OptimizedBackend,
-    ReferenceBackend, SimdBackend,
-};
+pub use backend::{BackendSpec, BoxedBackend};
 pub use convert::convert_to_mobile;
 pub use error::NnError;
 pub use graph::{Graph, GraphBuilder, Node, NodeId, TensorDef, TensorId};

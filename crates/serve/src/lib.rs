@@ -10,9 +10,14 @@
 //! ```text
 //!          ┌────────────────────────── InferenceService ─────────────────────────┐
 //! client ─▶ submit ─▶ admission ─▶ bounded queue ─▶ workers: coalesce ────────▶ invoke_batch
-//!   ▲          │        control        (per model)     (full | callers in | window) │
-//!   │          ▼ typed Rejection                                                   ▼
-//!   └── PendingResponse ◀──────────────────────────────────────────── per-request reply
+//!   ▲                 control        (per model)     (full | callers in | window)  │
+//!   │                    │                 │                                       │
+//!   │             not accepting,    deadline passed                          batch failed
+//!   │               queue full        at the pop                                   │
+//!   │                    └─────────────────┴─────▶ refuse ◀────────────────────────┤
+//!   │                       (one book moved, forced trace, typed Rejection)        │
+//!   │                                                 │                            ▼
+//!   └── PendingResponse ◀─────────────────────────────┴────────────── per-request reply
 //!
 //!            sampled requests ──▶ per-layer records ──▶ ChannelSink (async telemetry)
 //!                      └────────▶ OnlineValidator reservoir ──▶ drift_check()
@@ -22,7 +27,7 @@
 //! * [`ModelRegistry`] — named models ([`mlexray_models::by_name`] zoo
 //!   lookups or arbitrary graphs), each bound to the
 //!   [`mlexray_nn::BackendSpec`] it serves under.
-//! * [`InferenceService`] — per-model worker pools (private backends, a
+//! * [`InferenceService`] — per-model worker pools (private interpreters, a
 //!   global [`ServiceConfig::core_budget`] so pools compose with replay
 //!   sharding) over bounded MPMC queues with a dynamic batching scheduler:
 //!   a batch leader coalesces followers for up to [`BatchPolicy::window`]
@@ -33,9 +38,10 @@
 //!   closed-loop caller attached to the model (each RPC connection is one)
 //!   already has a request in the system.
 //! * **Admission control** — queue-depth caps, per-request deadlines and a
-//!   drain-then-stop shutdown; every shed path produces a typed
-//!   [`Rejection`], never a silent drop, and [`ModelStats::is_balanced`]
-//!   pins the books.
+//!   drain-then-stop shutdown. Every request that ends without an answer
+//!   ends in one function (`refuse` in the diagram): it moves exactly one
+//!   book, force-traces the anomaly and builds the typed [`Rejection`] —
+//!   never a silent drop, and [`ModelStats::is_balanced`] pins the books.
 //! * **Always-on monitoring** — every `sample_every`-th request streams
 //!   per-layer telemetry through the configured [`mlexray_core::LogSink`]
 //!   and feeds a rolling [`mlexray_core::OnlineValidator`];
@@ -91,6 +97,8 @@ mod request;
 pub mod rpc;
 mod service;
 mod stats;
+mod tracing;
+mod worker;
 
 pub use batcher::BatchPolicy;
 pub use error::{Result, ServeError};

@@ -14,15 +14,15 @@
 //!        ── Unseal(handle)                release the arena entry
 //!        ── Status ─▶ readiness, drain state, per-model load
 //!        ── Metrics ─▶ Prometheus text exposition
-//!        ── Trace ─▶ Chrome-trace JSON of recent sampled requests (v3)
+//!        ── Trace ─▶ Chrome-trace JSON of recent sampled requests
 //! ```
 //!
 //! The *seal* verbs are the point: a client uploads an input once,
 //! receives a [`wire::SealHandle`], and every subsequent `Infer` against
 //! that handle moves 8 bytes instead of the tensors. On the server the
-//! sealed tensors live in a per-session arena as `Arc<Vec<Tensor>>` and
-//! are lent to `invoke_batch` by reference via
-//! [`crate::InferenceService::submit_shared`] — zero copies end to end.
+//! sealed tensors live in a per-session arena as `Arc<Vec<Tensor>>`; the
+//! service is handed the `Arc` and its workers lend the tensors to
+//! `invoke_batch` by reference — zero copies end to end.
 //! The `fig_rpc` experiment records the resulting bytes-moved and p95
 //! gap.
 //!

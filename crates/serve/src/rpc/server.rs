@@ -29,9 +29,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use mlexray_core::{
-    chrome_trace_json, span_id_for, LogRecord, LogSink, LogValue, Span, SpanStage, TraceContext,
-};
+use mlexray_core::{chrome_trace_json, LogRecord, LogSink, LogValue, SpanStage, TraceContext};
 use mlexray_nn::{Graph, Model};
 use mlexray_tensor::Tensor;
 
@@ -369,7 +367,6 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
             send_response(
                 &inner,
                 &stream,
-                wire::VERSION,
                 0,
                 &RpcResponse::Error {
                     code: ErrorCode::ShuttingDown,
@@ -390,7 +387,13 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
                 conn_inner.open_connections.fetch_sub(1, Ordering::AcqRel);
             })
             .expect("spawn rpc connection thread");
-        inner.conn_handles.lock().push(handle);
+        let mut handles = inner.conn_handles.lock();
+        // Reap before pushing: a finished thread left unjoined keeps its
+        // stack mapped for the life of the server.
+        for finished in handles.extract_if(.., |h| h.is_finished()) {
+            let _ = finished.join();
+        }
+        handles.push(handle);
     }
 }
 
@@ -472,11 +475,11 @@ fn read_polled(stream: &TcpStream, buf: &mut [u8], inner: &Inner, mid_frame: boo
 /// Writes a response frame, accounting bytes; write failures are swallowed
 /// (a peer that disconnected mid-`Infer` simply never reads its reply —
 /// the server must not care).
-fn send_response(inner: &Inner, stream: &TcpStream, version: u8, id: u64, response: &RpcResponse) {
+fn send_response(inner: &Inner, stream: &TcpStream, id: u64, response: &RpcResponse) {
     if matches!(response, RpcResponse::Error { .. }) {
         inner.errors_sent.fetch_add(1, Ordering::AcqRel);
     }
-    let payload = wire::encode_response_versioned(version, id, response);
+    let payload = wire::encode_response(id, response);
     let mut writer = stream;
     // The frame cap is a *request* defense; responses (tensor outputs) are
     // whatever the model produced, so write without the cap.
@@ -489,7 +492,6 @@ fn send_response(inner: &Inner, stream: &TcpStream, version: u8, id: u64, respon
 fn send_error(
     inner: &Inner,
     stream: &TcpStream,
-    version: u8,
     id: u64,
     code: ErrorCode,
     message: String,
@@ -498,7 +500,6 @@ fn send_error(
     send_response(
         inner,
         stream,
-        version,
         id,
         &RpcResponse::Error {
             code,
@@ -541,7 +542,6 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
                 send_error(
                     inner,
                     &stream,
-                    wire::VERSION,
                     0,
                     ErrorCode::Truncated,
                     "stream ended mid-frame".into(),
@@ -557,7 +557,6 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
             send_error(
                 inner,
                 &stream,
-                wire::VERSION,
                 0,
                 ErrorCode::PayloadTooLarge,
                 format!(
@@ -576,7 +575,6 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
                 send_error(
                     inner,
                     &stream,
-                    wire::VERSION,
                     0,
                     ErrorCode::Truncated,
                     "stream ended mid-frame".into(),
@@ -614,7 +612,6 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
                 send_error(
                     inner,
                     &stream,
-                    wire::VERSION,
                     id,
                     err.code(),
                     err.to_string(),
@@ -632,9 +629,8 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
 }
 
 /// Serves one decoded request; returns `false` to close the connection.
-/// Replies are encoded at the version the request frame arrived with, so a
-/// v2 peer never receives v3-only fields. `decode_span` brackets the wire
-/// decode of this frame, feeding the `rpc_decode` span of traced infers.
+/// `decode_span` brackets the wire decode of this frame, feeding the
+/// `rpc_decode` span of traced infers.
 fn dispatch(
     inner: &Arc<Inner>,
     stream: &TcpStream,
@@ -644,7 +640,6 @@ fn dispatch(
     decode_span: (Instant, Instant),
 ) -> bool {
     let id = frame.id;
-    let version = frame.version;
     let verb = frame.request.verb();
     // Token-table servers require an authenticated session for everything
     // except the handshake itself and health probes.
@@ -657,7 +652,6 @@ fn dispatch(
         send_error(
             inner,
             stream,
-            version,
             id,
             ErrorCode::Unauthenticated,
             "session must Hello with a known token first".into(),
@@ -676,14 +670,10 @@ fn dispatch(
         _ => None,
     };
     if let Some((t, model)) = &door_trace {
-        emit_door_span(
-            inner,
-            t,
-            model,
-            SpanStage::RpcDecode,
-            decode_span.0,
-            decode_span.1,
-        );
+        let (started, ended) = decode_span;
+        inner
+            .service
+            .door_span(*t, model, SpanStage::RpcDecode, started, ended);
     }
     let reply = match frame.request {
         RpcRequest::Hello { token } => handle_hello(inner, session, token),
@@ -710,55 +700,21 @@ fn dispatch(
             log_request(inner, conn_id, session, verb, "ok");
             record_verb(inner, session, verb, "ok");
             let encode_started = Instant::now();
-            send_response(inner, stream, version, id, &response);
+            send_response(inner, stream, id, &response);
             if let Some((t, model)) = &door_trace {
-                emit_door_span(
-                    inner,
-                    t,
-                    model,
-                    SpanStage::RespondEncode,
-                    encode_started,
-                    Instant::now(),
-                );
+                let ended = Instant::now();
+                inner
+                    .service
+                    .door_span(*t, model, SpanStage::RespondEncode, encode_started, ended);
             }
         }
         Err((code, message, detail)) => {
             log_request(inner, conn_id, session, verb, &code.to_string());
             record_verb(inner, session, verb, &code.to_string());
-            send_error(inner, stream, version, id, code, message, detail);
+            send_error(inner, stream, id, code, message, detail);
         }
     }
     true
-}
-
-/// Pushes one door-side span (RPC decode / response encode) of a sampled
-/// wire-propagated trace into the service's shared span ring. No-op when
-/// the service runs with tracing off — the wire context still rides the
-/// request untraced.
-fn emit_door_span(
-    inner: &Inner,
-    trace: &TraceContext,
-    model: &str,
-    stage: SpanStage,
-    started: Instant,
-    ended: Instant,
-) {
-    let Some(hub) = inner.service.trace_hub() else {
-        return;
-    };
-    let start_ns = hub.ns_of(started);
-    hub.shared_ring().push(&Span {
-        trace_id: trace.trace_id,
-        span_id: span_id_for(trace.trace_id, stage, 0),
-        parent_span_id: span_id_for(trace.trace_id, SpanStage::Request, 0),
-        stage,
-        flavor: 0,
-        model: hub.intern_model(model),
-        start_ns,
-        dur_ns: hub.ns_of(ended).saturating_sub(start_ns),
-        arg_a: 0,
-        arg_b: 0,
-    });
 }
 
 /// Bumps the per-(tenant, verb, outcome) request counter feeding
@@ -1014,9 +970,8 @@ fn handle_status(inner: &Inner, session: &Session) -> RpcResponse {
     } else {
         inner.sealed_bytes.load(Ordering::Acquire)
     };
-    // v3 trace visibility: how much the sampler admitted and whether the
-    // ring pipeline ever lost a span. Zeros when tracing is off — v2
-    // clients never see the fields at all.
+    // Trace visibility: how much the sampler admitted and whether the ring
+    // pipeline ever lost a span. Zeros when tracing is off.
     let (dropped_spans, trace_sampled) = match inner.service.trace_hub() {
         Some(hub) => {
             hub.collect();
@@ -1042,7 +997,7 @@ fn handle_metrics(inner: &Inner) -> RpcResponse {
     }
 }
 
-/// Answers the v3 `Trace` verb: drains the span pipeline and renders the
+/// Answers the `Trace` verb: drains the span pipeline and renders the
 /// retained completed traces as Chrome-trace JSON (Perfetto-loadable).
 /// With tracing off the reply is an empty — still loadable — document, not
 /// an error: a scraper should not have to know the service's trace policy.
@@ -1059,5 +1014,49 @@ fn handle_trace(inner: &Inner, max: u32) -> RpcResponse {
         json: chrome_trace_json(&traces),
         traces: traces.len() as u32,
         dropped_spans: hub.counters().dropped_spans,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServiceConfig;
+    use mlexray_nn::BackendSpec;
+
+    /// The acceptor joins connection threads that have finished, so what a
+    /// long-lived server holds is bounded by the connections open at once,
+    /// not by the connections ever accepted.
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let registry = ModelRegistry::new();
+        registry
+            .register_zoo("mini_mobilenet_v2", 24, 8, 1, BackendSpec::reference())
+            .unwrap();
+        let service = InferenceService::start(&registry, ServiceConfig::default(), None).unwrap();
+        let config = RpcServerConfig {
+            poll_interval: Duration::from_millis(1),
+            ..Default::default()
+        };
+        let server = RpcServer::start("127.0.0.1:0", service, registry, config, None).unwrap();
+        let inner = &server.inner;
+        for _ in 0..200 {
+            drop(TcpStream::connect(server.local_addr()).unwrap());
+        }
+        while inner.connections_accepted.load(Ordering::Acquire) < 200
+            || inner.open_connections.load(Ordering::Acquire) > 0
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Two more: a connection is counted before the acceptor reaps, so
+        // once the second is counted the first's reaping pass is over.
+        let _open = [(); 2].map(|()| TcpStream::connect(server.local_addr()).unwrap());
+        while inner.connections_accepted.load(Ordering::Acquire) < 202 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A thread that has just lowered the gauge may not read as finished
+        // yet, hence a bound and not 2.
+        let held = inner.conn_handles.lock().len();
+        assert!(held < 10, "{held} handles held after 202 connections");
+        server.shutdown();
     }
 }

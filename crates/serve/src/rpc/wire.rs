@@ -1,4 +1,4 @@
-//! The versioned wire protocol of the RPC front door.
+//! The wire protocol of the RPC front door.
 //!
 //! # Frame layout
 //!
@@ -20,13 +20,14 @@
 //!
 //! # Versioning rules
 //!
-//! `magic` pins the protocol family; `version` the revision. A server
-//! answers a frame whose magic it does not recognize with
-//! [`ErrorCode::BadMagic`] and closes (the stream cannot be trusted to be
-//! framed at all); an unknown version gets [`ErrorCode::UnsupportedVersion`]
-//! but keeps the connection (framing is intact, the client may retry with
-//! an older version). Body layouts never change within a version — new
-//! verbs require a version bump.
+//! `magic` pins the protocol family; `version` the revision, and exactly
+//! one revision ([`VERSION`]) is spoken. A server answers a frame whose
+//! magic it does not recognize with [`ErrorCode::BadMagic`] and closes (the
+//! stream cannot be trusted to be framed at all); any other version gets
+//! [`ErrorCode::UnsupportedVersion`] but keeps the connection (framing is
+//! intact, the client may retry in the version the error names). Body
+//! layouts never change within a version — new verbs require a version
+//! bump.
 //!
 //! The full byte-level specification lives in `docs/wire-protocol.md`.
 
@@ -39,16 +40,12 @@ use mlexray_tensor::{DType, QuantParams, Shape, Tensor};
 
 /// Protocol magic: `"XR"` little-endian, first on every frame payload.
 pub const MAGIC: u16 = 0x5852;
-/// Current protocol revision. Version 2 added the `Metrics` verb
-/// (kind 7); version 3 added the optional trace-context extension on
-/// `Infer` bodies, the `Trace` verb (kind 8) and the trace counters on
-/// `Status` replies. v1 peers are refused with `UnsupportedVersion`.
+/// The protocol revision, and the only one spoken: a frame at any other
+/// version is refused with `UnsupportedVersion`. (Version 2 added the
+/// `Metrics` verb, kind 7; version 3 the optional trace-context extension
+/// on `Infer` bodies, the `Trace` verb, kind 8, and the trace counters on
+/// `Status` replies.)
 pub const VERSION: u8 = 3;
-/// Oldest revision this implementation still speaks. A v2 peer is served
-/// under v2 semantics: no trace extension, no `Trace` verb, v2 `Status`
-/// bodies — the server always answers in the version the request arrived
-/// in.
-pub const MIN_VERSION: u8 = 2;
 /// Default upper bound on one frame's payload length (32 MiB).
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 32 * 1024 * 1024;
 
@@ -297,11 +294,9 @@ pub enum RpcRequest {
         payload: InferPayload,
         /// Per-request deadline in milliseconds (`0` = none).
         deadline_ms: u32,
-        /// The v3 trace-context extension: a caller-propagated trace
+        /// The trace-context extension: a caller-propagated trace
         /// identity the server carries through the whole serving path.
         /// `None` leaves sampling to the server's own deterministic clock.
-        /// Silently dropped when the frame is encoded for a v2 peer (the
-        /// request still runs, untraced).
         trace: Option<TraceContext>,
     },
     /// Releases a sealed handle's tensors.
@@ -317,11 +312,9 @@ pub enum RpcRequest {
     /// requires authentication when the server runs with a token table.
     Metrics,
     /// Takes up to `max` recently completed traces from the span pipeline
-    /// as Chrome-trace-format JSON (v3 only; a v2 frame with this kind is
-    /// answered [`ErrorCode::UnknownVerb`]). Like `Metrics`, answered
-    /// during drain — tracing is exactly what you want from a draining
-    /// server. A server running with tracing off answers an empty
-    /// document, not an error.
+    /// as Chrome-trace-format JSON. Like `Metrics`, answered during drain
+    /// — tracing is exactly what you want from a draining server. A server
+    /// running with tracing off answers an empty document, not an error.
     Trace {
         /// Most traces to return (`0` = all currently retained).
         max: u32,
@@ -404,10 +397,9 @@ pub struct StatusReply {
     /// Spans the span pipeline dropped (ring overwrites, torn reads,
     /// pending-trace evictions) — bounded tracing sheds under pressure,
     /// but the shed is always visible here. `0` when tracing is off.
-    /// v3-only on the wire: a v2 `Status` body omits it (decodes as 0).
     pub dropped_spans: u64,
     /// Requests the trace sampler selected (every-Nth clock plus forced
-    /// anomaly samples). `0` when tracing is off; v3-only on the wire.
+    /// anomaly samples). `0` when tracing is off.
     pub trace_sampled: u64,
 }
 
@@ -508,9 +500,6 @@ impl RpcResponse {
 pub struct RequestFrame {
     /// Client-chosen correlation id, echoed on the response.
     pub id: u64,
-    /// Protocol revision the frame arrived in ([`MIN_VERSION`]..=
-    /// [`VERSION`]). The server answers in this same version.
-    pub version: u8,
     /// The verb.
     pub request: RpcRequest,
 }
@@ -520,8 +509,6 @@ pub struct RequestFrame {
 pub struct ResponseFrame {
     /// Correlation id of the request this answers.
     pub id: u64,
-    /// Protocol revision the frame arrived in.
-    pub version: u8,
     /// The payload.
     pub response: RpcResponse,
 }
@@ -891,48 +878,37 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-fn header(version: u8, kind: u8, id: u64) -> ByteWriter {
+fn header(kind: u8, id: u64) -> ByteWriter {
     let mut w = ByteWriter::default();
     w.put_u16(MAGIC);
-    w.put_u8(version);
+    w.put_u8(VERSION);
     w.put_u8(kind);
     w.put_u64(id);
     w
 }
 
-/// Reads magic/version/kind/id off a payload. Any revision in
-/// [`MIN_VERSION`]`..=`[`VERSION`] is accepted and reported back — body
-/// decoding branches on it. Unknown kinds are *not* rejected here —
-/// [`decode_request`]/[`decode_response`] police the kind against their
-/// own (per-version) tables.
-fn decode_header(payload: &[u8]) -> Result<(u8, u8, u64, ByteReader<'_>), WireError> {
+/// Reads magic/version/kind/id off a payload. Unknown kinds are *not*
+/// rejected here — [`decode_request`]/[`decode_response`] police the kind
+/// against their own tables.
+fn decode_header(payload: &[u8]) -> Result<(u8, u64, ByteReader<'_>), WireError> {
     let mut r = ByteReader::new(payload);
     let magic = r.take_u16().map_err(|_| WireError::Truncated)?;
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
     let version = r.take_u8().map_err(|_| WireError::Truncated)?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
     let kind = r.take_u8().map_err(|_| WireError::Truncated)?;
     let id = r.take_u64().map_err(|_| WireError::Truncated)?;
-    Ok((version, kind, id, r))
+    Ok((kind, id, r))
 }
 
 /// Encodes a request into a frame payload (header included, length prefix
-/// not — [`write_frame`] adds that) in the current protocol revision.
+/// not — [`write_frame`] adds that).
 pub fn encode_request(id: u64, request: &RpcRequest) -> Vec<u8> {
-    encode_request_versioned(VERSION, id, request)
-}
-
-/// Encodes a request in an explicit protocol revision — how a client
-/// negotiated down to a v2 server keeps talking to it. Version-gated
-/// content degrades instead of erroring: a v2 `Infer` simply omits the
-/// trace extension. (`Trace` has no v2 body; encoding it at v2 produces a
-/// frame the server answers with [`ErrorCode::UnknownVerb`].)
-pub fn encode_request_versioned(version: u8, id: u64, request: &RpcRequest) -> Vec<u8> {
-    let mut w = header(version, request.kind(), id);
+    let mut w = header(request.kind(), id);
     match request {
         RpcRequest::Hello { token } => w.put_str(token),
         RpcRequest::Load { spec, source } => {
@@ -976,18 +952,15 @@ pub fn encode_request_versioned(version: u8, id: u64, request: &RpcRequest) -> V
                     w.put_u64(*handle);
                 }
             }
-            // v3 trace-context extension: a presence flag, then the
-            // context. v2 bodies end at the payload.
-            if version >= 3 {
-                match trace {
-                    Some(t) => {
-                        w.put_u8(1);
-                        w.put_u64(t.trace_id);
-                        w.put_u64(t.parent_span_id);
-                        w.put_u8(u8::from(t.sampled));
-                    }
-                    None => w.put_u8(0),
+            // Trace-context extension: a presence flag, then the context.
+            match trace {
+                Some(t) => {
+                    w.put_u8(1);
+                    w.put_u64(t.trace_id);
+                    w.put_u64(t.parent_span_id);
+                    w.put_u8(u8::from(t.sampled));
                 }
+                None => w.put_u8(0),
             }
         }
         RpcRequest::Unseal { handle } => w.put_u64(*handle),
@@ -1004,7 +977,7 @@ pub fn encode_request_versioned(version: u8, id: u64, request: &RpcRequest) -> V
 /// The full [`WireError`] taxonomy; see the module docs for which errors
 /// keep the connection alive.
 pub fn decode_request(payload: &[u8]) -> Result<RequestFrame, WireError> {
-    let (version, kind, id, mut r) = decode_header(payload)?;
+    let (kind, id, mut r) = decode_header(payload)?;
     let request = match kind {
         KIND_HELLO => RpcRequest::Hello {
             token: r.take_str()?,
@@ -1045,22 +1018,18 @@ pub fn decode_request(payload: &[u8]) -> Result<RequestFrame, WireError> {
                     )))
                 }
             };
-            let trace = if version >= 3 {
-                match r.take_u8()? {
-                    0 => None,
-                    1 => Some(TraceContext {
-                        trace_id: r.take_u64()?,
-                        parent_span_id: r.take_u64()?,
-                        sampled: r.take_u8()? != 0,
-                    }),
-                    other => {
-                        return Err(WireError::Malformed(format!(
-                            "unknown trace-context tag {other}"
-                        )))
-                    }
+            let trace = match r.take_u8()? {
+                0 => None,
+                1 => Some(TraceContext {
+                    trace_id: r.take_u64()?,
+                    parent_span_id: r.take_u64()?,
+                    sampled: r.take_u8()? != 0,
+                }),
+                other => {
+                    return Err(WireError::Malformed(format!(
+                        "unknown trace-context tag {other}"
+                    )))
                 }
-            } else {
-                None
             };
             RpcRequest::Infer {
                 model,
@@ -1074,28 +1043,16 @@ pub fn decode_request(payload: &[u8]) -> Result<RequestFrame, WireError> {
         },
         KIND_STATUS => RpcRequest::Status,
         KIND_METRICS => RpcRequest::Metrics,
-        // The Trace verb joined in v3: to a v2 peer kind 8 does not exist.
-        KIND_TRACE if version >= 3 => RpcRequest::Trace { max: r.take_u32()? },
+        KIND_TRACE => RpcRequest::Trace { max: r.take_u32()? },
         other => return Err(WireError::UnknownKind { kind: other, id }),
     };
     r.expect_end()?;
-    Ok(RequestFrame {
-        id,
-        version,
-        request,
-    })
+    Ok(RequestFrame { id, request })
 }
 
 /// Encodes a response into a frame payload.
 pub fn encode_response(id: u64, response: &RpcResponse) -> Vec<u8> {
-    encode_response_versioned(VERSION, id, response)
-}
-
-/// Encodes a response frame at an explicit wire `version` — the server
-/// answers every request at the version the request frame arrived with, so
-/// a v2 client never sees v3-only fields.
-pub fn encode_response_versioned(version: u8, id: u64, response: &RpcResponse) -> Vec<u8> {
-    let mut w = header(version, response.kind(), id);
+    let mut w = header(response.kind(), id);
     match response {
         RpcResponse::Hello { tenant } => w.put_str(tenant),
         RpcResponse::Load { model, existing } => {
@@ -1127,10 +1084,8 @@ pub fn encode_response_versioned(version: u8, id: u64, response: &RpcResponse) -
                 w.put_u64(m.offered);
                 w.put_u64(m.completed);
             }
-            if version >= 3 {
-                w.put_u64(status.dropped_spans);
-                w.put_u64(status.trace_sampled);
-            }
+            w.put_u64(status.dropped_spans);
+            w.put_u64(status.trace_sampled);
         }
         RpcResponse::Metrics { exposition } => w.put_str(exposition),
         RpcResponse::Trace {
@@ -1161,7 +1116,7 @@ pub fn encode_response_versioned(version: u8, id: u64, response: &RpcResponse) -
 ///
 /// The full [`WireError`] taxonomy.
 pub fn decode_response(payload: &[u8]) -> Result<ResponseFrame, WireError> {
-    let (version, kind, id, mut r) = decode_header(payload)?;
+    let (kind, id, mut r) = decode_header(payload)?;
     let response = match kind {
         k if k == KIND_HELLO | RESP_BIT => RpcResponse::Hello {
             tenant: r.take_str()?,
@@ -1213,25 +1168,20 @@ pub fn decode_response(payload: &[u8]) -> Result<ResponseFrame, WireError> {
                     completed: r.take_u64()?,
                 });
             }
-            let (dropped_spans, trace_sampled) = if version >= 3 {
-                (r.take_u64()?, r.take_u64()?)
-            } else {
-                (0, 0)
-            };
             RpcResponse::Status(StatusReply {
                 ready,
                 draining,
                 open_connections,
                 sealed_bytes,
                 models,
-                dropped_spans,
-                trace_sampled,
+                dropped_spans: r.take_u64()?,
+                trace_sampled: r.take_u64()?,
             })
         }
         k if k == KIND_METRICS | RESP_BIT => RpcResponse::Metrics {
             exposition: r.take_str()?,
         },
-        k if k == KIND_TRACE | RESP_BIT && version >= 3 => RpcResponse::Trace {
+        k if k == KIND_TRACE | RESP_BIT => RpcResponse::Trace {
             json: r.take_str()?,
             traces: r.take_u32()?,
             dropped_spans: r.take_u64()?,
@@ -1244,11 +1194,7 @@ pub fn decode_response(payload: &[u8]) -> Result<ResponseFrame, WireError> {
         other => return Err(WireError::UnknownKind { kind: other, id }),
     };
     r.expect_end()?;
-    Ok(ResponseFrame {
-        id,
-        version,
-        response,
-    })
+    Ok(ResponseFrame { id, response })
 }
 
 /// Writes one length-prefixed frame; returns the bytes put on the wire
@@ -1465,62 +1411,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_frames_round_trip_without_v3_fields() {
-        // A v2 `Infer` omits the trace extension: the context is dropped
-        // on encode and decodes back as `None` — degrade, don't error.
-        let request = RpcRequest::Infer {
-            model: "m".into(),
-            payload: InferPayload::Sealed(9),
-            deadline_ms: 10,
-            trace: Some(TraceContext {
-                trace_id: 1,
-                parent_span_id: 2,
-                sampled: true,
-            }),
-        };
-        let payload = encode_request_versioned(2, 11, &request);
-        let frame = decode_request(&payload).expect("v2 infer");
-        assert_eq!(frame.version, 2);
-        match frame.request {
-            RpcRequest::Infer { trace, .. } => assert_eq!(trace, None),
-            other => panic!("expected Infer, got {other:?}"),
-        }
-
-        // A v2 `Status` body omits the trace counters; they decode as 0.
-        let status = RpcResponse::Status(StatusReply {
-            ready: true,
-            draining: false,
-            open_connections: 1,
-            sealed_bytes: 0,
-            models: vec![],
-            dropped_spans: 55,
-            trace_sampled: 66,
-        });
-        let payload = encode_response_versioned(2, 12, &status);
-        let frame = decode_response(&payload).expect("v2 status");
-        assert_eq!(frame.version, 2);
-        match frame.response {
-            RpcResponse::Status(reply) => {
-                assert_eq!(reply.dropped_spans, 0);
-                assert_eq!(reply.trace_sampled, 0);
-            }
-            other => panic!("expected Status, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn trace_verb_does_not_exist_at_v2() {
-        let payload = encode_request_versioned(2, 21, &RpcRequest::Trace { max: 4 });
-        match decode_request(&payload) {
-            Err(WireError::UnknownKind {
-                kind: KIND_TRACE,
-                id: 21,
-            }) => {}
-            other => panic!("expected UnknownKind, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn header_errors_are_typed() {
         let mut payload = encode_request(1, &RpcRequest::Status);
         payload[0] = 0x00; // break the magic
@@ -1534,6 +1424,13 @@ mod tests {
         assert!(matches!(
             decode_request(&payload),
             Err(WireError::UnsupportedVersion(99))
+        ));
+
+        let mut payload = encode_request(1, &RpcRequest::Status);
+        payload[2] = 2; // the retired revision: refused like any other
+        assert!(matches!(
+            decode_request(&payload),
+            Err(WireError::UnsupportedVersion(2))
         ));
 
         let mut payload = encode_request(7, &RpcRequest::Status);

@@ -11,16 +11,22 @@
 //!    ▼ (QueueFull / ShuttingDown)                 window, invoke_batch, reply
 //! ```
 //!
+//! Admission lives here; the worker side of the picture is
+//! [`crate::worker`], the spans both sides write are [`crate::tracing`],
+//! and the two share one [`ModelPool`] per model. Every request that ends
+//! without an answer — refused at admission, expired in the queue, failed
+//! in its batch — ends in [`ModelPool::refuse`], which moves exactly one
+//! book, force-traces the anomaly and builds the typed [`Rejection`].
+//!
 //! Batch formation — the leader/follower loop, its close-or-wait rule and
 //! the per-model caller ledger that lets a leader stop waiting for
-//! followers that cannot come — lives in [`crate::batcher`]. This module
-//! keeps the ledger's two ordering rules: a request from an attached
-//! caller is counted into the system *before* it is pushed
-//! (`submit_from`), and a batch is counted out *before* its first reply
-//! is sent (`run_batch`, `shed_expired`); the batcher's module docs say
-//! what breaks otherwise.
+//! followers that cannot come — lives in [`crate::batcher`]. Of the
+//! ledger's two ordering rules this module keeps the first: a request from
+//! an attached caller is counted into the system *before* it is pushed
+//! (`submit_from`); the worker keeps the second. The batcher's module docs
+//! say what breaks otherwise.
 //!
-//! Each worker owns a private backend built from the model's
+//! Each worker owns a private interpreter built from the model's
 //! [`BackendSpec`] — the same share-nothing discipline as the sharded
 //! replay engine, and the two compose: the service's worker pools are
 //! capped by [`ServiceConfig::core_budget`], defaulting to the machine
@@ -28,10 +34,9 @@
 //!
 //! # Shared inputs
 //!
-//! Requests travel as [`std::sync::Arc`]`<Vec<Tensor>>`: a caller that
-//! holds a long-lived input (the RPC layer's sealed-tensor arenas) submits
-//! the same allocation any number of times via
-//! [`InferenceService::submit_shared`] without copying tensor data — the
+//! Requests travel as [`std::sync::Arc`]`<Vec<Tensor>>`: the RPC layer,
+//! which holds long-lived inputs in its sealed-tensor arenas, submits the
+//! same allocation any number of times without copying tensor data — the
 //! worker lends the arena-held tensors to `invoke_batch` by reference.
 //! [`InferenceService::submit`] wraps owned inputs in a fresh `Arc`, so the
 //! one-shot path pays a pointer, not a copy.
@@ -57,18 +62,19 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use mlexray_core::{
-    available_cores, layer_output_key, reserve_cores, span_id_for, trace_id_for, CoreLease,
-    DriftAlarm, LogRecord, LogSink, LogValue, OnlineValidator, OnlineValidatorConfig,
-    OnlineValidatorStats, Span, SpanRing, SpanStage, TraceContext, TraceHub, KEY_INFERENCE_LATENCY,
+    available_cores, reserve_cores, trace_id_for, CoreLease, DriftAlarm, LogSink, OnlineValidator,
+    OnlineValidatorConfig, OnlineValidatorStats, SpanRing, SpanStage, TraceContext, TraceHub,
 };
-use mlexray_nn::{BackendSpec, ExecutionBackend, LayerObserver, LayerRecord};
+use mlexray_nn::BackendSpec;
 use mlexray_tensor::Tensor;
 
-use crate::batcher::{form_batch, AttachedCaller, BatchPolicy, CallerLedger, CloseReason};
+use crate::batcher::{AttachedCaller, BatchPolicy, CallerLedger, CloseReason};
 use crate::queue::{PushRefusal, RequestQueue};
 use crate::registry::{ModelRegistry, ServedModel};
-use crate::request::{InferRequest, InferResponse, PendingResponse, RejectReason, Rejection};
+use crate::request::{InferRequest, PendingResponse, RejectReason, Rejection};
 use crate::stats::{ModelCounters, ModelStats};
+use crate::tracing::{SpanWriter, DRIFT_TRACE_IDS, SHED_TRACE_IDS};
+use crate::worker::worker_loop;
 use crate::{Result, ServeError};
 
 /// The always-on monitoring policy of a service.
@@ -221,22 +227,74 @@ pub struct ServeReport {
     pub sink_bytes: Option<u64>,
 }
 
-struct ModelServer {
-    entry: Arc<ServedModel>,
-    queue: Arc<RequestQueue<InferRequest>>,
-    counters: Arc<ModelCounters>,
+/// Everything one model's admission path and its workers share.
+pub(crate) struct ModelPool {
+    pub(crate) entry: Arc<ServedModel>,
+    pub(crate) queue: RequestQueue<InferRequest>,
+    pub(crate) counters: ModelCounters,
     /// The model's closed-loop callers (see [`crate::batcher`]).
-    ledger: Arc<CallerLedger>,
-    validator: Option<Arc<OnlineValidator>>,
-    workers: Vec<JoinHandle<()>>,
+    pub(crate) ledger: Arc<CallerLedger>,
+    pub(crate) validator: Option<OnlineValidator>,
+    pub(crate) sink: Option<Arc<dyn LogSink>>,
+    pub(crate) config: ServiceConfig,
+    /// The span pipeline, present when [`TracePolicy::every`] > 0.
+    pub(crate) hub: Option<Arc<TraceHub>>,
+    /// The model's interned span tag ([`TraceHub::intern_model`]).
+    model_tag: u16,
+    /// The span flavor tag of the model's [`BackendSpec`].
+    pub(crate) flavor: u8,
     worker_count: usize,
     next_id: AtomicU64,
     sample_clock: AtomicU64,
     /// Deterministic trace-sampling clock (same optimistic-tick-with-
     /// rollback discipline as `sample_clock`).
     trace_clock: AtomicU64,
-    /// The model's interned span tag ([`TraceHub::intern_model`]).
-    model_tag: u16,
+}
+
+impl ModelPool {
+    /// The span writer of one request: into `ring` (the hub's shared ring
+    /// when the thread has none of its own), under `trace`. `None` when the
+    /// service does not trace or the request carries no context.
+    pub(crate) fn spans<'a>(
+        &'a self,
+        ring: Option<&'a SpanRing>,
+        trace: Option<TraceContext>,
+    ) -> Option<SpanWriter<'a>> {
+        Some(SpanWriter::new(
+            self.hub.as_deref()?,
+            ring,
+            trace?,
+            self.model_tag,
+        ))
+    }
+
+    /// The one way a request ends without an answer: counts `reason` on the
+    /// book it belongs to, force-traces it (always-sample-on-anomaly, on the
+    /// hub's shared ring) and builds the typed [`Rejection`] — which the
+    /// caller returns or sends on the request's reply channel. Leaving the
+    /// caller ledger stays with the caller: when depends on where.
+    pub(crate) fn refuse(
+        &self,
+        trace: Option<TraceContext>,
+        started_at: Instant,
+        request_id: u64,
+        reason: RejectReason,
+    ) -> Rejection {
+        self.counters.count_refusal(&reason);
+        if let Some(spans) = self.spans(None, trace) {
+            spans.shed(started_at, &reason);
+        }
+        Rejection {
+            model: self.entry.name().to_string(),
+            request_id,
+            reason,
+        }
+    }
+}
+
+struct ModelServer {
+    pool: Arc<ModelPool>,
+    workers: Vec<JoinHandle<()>>,
     /// The pool's claim on the global core ledger, released when the pool
     /// drains (so replay/parallel-invoke runs see serving pressure).
     lease: Option<CoreLease>,
@@ -314,8 +372,8 @@ impl InferenceService {
             budget_left: AtomicUsize::new(budget),
         };
         for entry in entries {
+            let name = entry.name().to_string();
             let server = service.spawn_server(entry)?;
-            let name = server.entry.name().to_string();
             service.servers.write().insert(name, server);
         }
         Ok(service)
@@ -332,57 +390,41 @@ impl InferenceService {
             .store(remaining.saturating_sub(workers), Ordering::Release);
         // Register the pool on the global ledger for its lifetime.
         let lease = reserve_cores(workers);
-        let queue = Arc::new(RequestQueue::new(
-            self.config.queue_capacity,
-            self.config.start_paused,
-        ));
-        let counters = Arc::new(ModelCounters::default());
-        let ledger = Arc::new(CallerLedger::default());
-        let validator = self
-            .config
-            .monitor
-            .validator
-            .filter(|_| self.config.monitor.sample_every > 0)
-            .map(|cfg| Arc::new(OnlineValidator::new(cfg)));
-        let model_tag = self
-            .trace_hub
-            .as_ref()
-            .map(|hub| hub.intern_model(entry.name()))
-            .unwrap_or(0);
-        let flavor = flavor_tag(&entry.spec());
-        let handles = (0..workers)
-            .map(|i| {
-                let ctx = WorkerCtx {
-                    entry: entry.clone(),
-                    queue: queue.clone(),
-                    counters: counters.clone(),
-                    ledger: ledger.clone(),
-                    validator: validator.clone(),
-                    sink: self.sink.clone(),
-                    batch: self.config.batch,
-                    monitor: self.config.monitor,
-                    hub: self.trace_hub.clone(),
-                    model_tag,
-                    flavor,
-                };
-                std::thread::Builder::new()
-                    .name(format!("mlexray-serve-{}-{i}", entry.name()))
-                    .spawn(move || worker_loop(ctx))
-                    .expect("spawn serving worker")
-            })
-            .collect();
-        Ok(ModelServer {
-            entry,
-            queue,
-            counters,
-            ledger,
-            validator,
-            workers: handles,
+        let monitor = self.config.monitor;
+        let pool = Arc::new(ModelPool {
+            queue: RequestQueue::new(self.config.queue_capacity, self.config.start_paused),
+            counters: ModelCounters::default(),
+            ledger: Arc::new(CallerLedger::default()),
+            validator: monitor
+                .validator
+                .filter(|_| monitor.sample_every > 0)
+                .map(OnlineValidator::new),
+            sink: self.sink.clone(),
+            config: self.config,
+            hub: self.trace_hub.clone(),
+            model_tag: self
+                .trace_hub
+                .as_ref()
+                .map_or(0, |hub| hub.intern_model(entry.name())),
+            flavor: flavor_tag(&entry.spec()),
             worker_count: workers,
             next_id: AtomicU64::new(0),
             sample_clock: AtomicU64::new(0),
             trace_clock: AtomicU64::new(0),
-            model_tag,
+            entry,
+        });
+        let workers = (0..workers)
+            .map(|i| {
+                let pool = pool.clone();
+                std::thread::Builder::new()
+                    .name(format!("mlexray-serve-{}-{i}", pool.entry.name()))
+                    .spawn(move || worker_loop(pool))
+                    .expect("spawn serving worker")
+            })
+            .collect();
+        Ok(ModelServer {
+            pool,
+            workers,
             lease: Some(lease),
         })
     }
@@ -421,7 +463,7 @@ impl InferenceService {
             }
         };
         if let Some(mut loser) = displaced {
-            loser.queue.close();
+            loser.pool.queue.close();
             for handle in loser.workers.drain(..) {
                 let _ = handle.join();
             }
@@ -457,7 +499,8 @@ impl InferenceService {
         model: &str,
         inputs: Vec<Tensor>,
     ) -> std::result::Result<PendingResponse, Rejection> {
-        self.submit_shared(model, Arc::new(inputs), self.config.default_deadline)
+        let deadline = self.config.default_deadline;
+        self.submit_from(None, model, Arc::new(inputs), deadline, None)
     }
 
     /// Submits a request with an explicit deadline (`None` = no deadline,
@@ -474,63 +517,37 @@ impl InferenceService {
         inputs: Vec<Tensor>,
         deadline: Option<Duration>,
     ) -> std::result::Result<PendingResponse, Rejection> {
-        self.submit_shared(model, Arc::new(inputs), deadline)
-    }
-
-    /// Submits a request whose inputs the caller keeps alive elsewhere —
-    /// the zero-copy path: the `Arc` is cloned, the tensor data is not.
-    /// The RPC layer's sealed-tensor arenas re-submit one upload this way
-    /// any number of times; workers lend the shared tensors to
-    /// `invoke_batch` by reference.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`Rejection`] when admission control refuses the request.
-    pub fn submit_shared(
-        &self,
-        model: &str,
-        inputs: Arc<Vec<Tensor>>,
-        deadline: Option<Duration>,
-    ) -> std::result::Result<PendingResponse, Rejection> {
-        self.submit_shared_traced(model, inputs, deadline, None)
-    }
-
-    /// [`InferenceService::submit_shared`] with a caller-provided
-    /// [`TraceContext`] — the RPC layer passes the wire-propagated context
-    /// of a v3 `Infer` frame here so a client-sampled request keeps its
-    /// trace identity across the network hop. `None` falls back to the
-    /// service's own deterministic every-Nth sampling clock. Ignored
-    /// entirely when the service runs with [`TracePolicy::off`].
-    ///
-    /// # Errors
-    ///
-    /// A typed [`Rejection`] when admission control refuses the request.
-    /// Refusals are *force-traced*: a shed request always produces a
-    /// completed trace with a [`SpanStage::Shed`] span, whatever the
-    /// sampling clock said, so anomalies are never unobserved.
-    pub fn submit_shared_traced(
-        &self,
-        model: &str,
-        inputs: Arc<Vec<Tensor>>,
-        deadline: Option<Duration>,
-        wire: Option<TraceContext>,
-    ) -> std::result::Result<PendingResponse, Rejection> {
-        self.submit_from(None, model, inputs, deadline, wire)
+        self.submit_from(None, model, Arc::new(inputs), deadline, None)
     }
 
     /// Declares a closed-loop caller of `model` — one that submits through
     /// [`Self::submit_from`], one request at a time, waiting for each
     /// answer — until the guard drops. `None` for a model not served.
     pub(crate) fn attach_caller(&self, model: &str) -> Option<AttachedCaller> {
-        self.servers.read().get(model).map(|s| s.ledger.attach())
+        self.servers
+            .read()
+            .get(model)
+            .map(|s| s.pool.ledger.attach())
     }
 
-    /// [`Self::submit_shared_traced`], optionally on behalf of an attached
-    /// caller: its request is counted on the model's caller ledger from
-    /// before it is queued until just before it is answered, which lets a
-    /// batch leader stop waiting for followers once every attached caller
-    /// is accounted for. `caller` must come from [`Self::attach_caller`] on
-    /// the same `model`.
+    /// The one implementation behind [`Self::submit`],
+    /// [`Self::submit_with_deadline`] and the RPC door.
+    ///
+    /// `inputs` are shared, not copied: the door's sealed-tensor arenas
+    /// re-submit one upload any number of times, and workers lend the
+    /// shared tensors to `invoke_batch` by reference.
+    ///
+    /// `caller`, when given, must come from [`Self::attach_caller`] on the
+    /// same `model`: its request is counted on the model's caller ledger
+    /// from before it is queued until just before it is answered, which
+    /// lets a batch leader stop waiting for followers once every attached
+    /// caller is accounted for.
+    ///
+    /// `wire` is a caller-provided [`TraceContext`] — the door passes the
+    /// context an `Infer` frame carried, so a client-sampled request keeps
+    /// its trace identity across the network hop. `None` falls back to the
+    /// service's own deterministic every-Nth sampling clock. Ignored
+    /// entirely when the service runs with [`TracePolicy::off`].
     pub(crate) fn submit_from(
         &self,
         caller: Option<&AttachedCaller>,
@@ -541,46 +558,30 @@ impl InferenceService {
     ) -> std::result::Result<PendingResponse, Rejection> {
         let entered_at = Instant::now();
         let servers = self.servers.read();
-        let Some(server) = servers.get(model) else {
+        let Some(pool) = servers.get(model).map(|s| &s.pool) else {
             return Err(Rejection {
                 model: model.to_string(),
                 request_id: 0,
                 reason: RejectReason::UnknownModel,
             });
         };
-        let offered_tick = server.counters.offered.fetch_add(1, Ordering::AcqRel);
+        let offered_tick = pool.counters.offered.fetch_add(1, Ordering::AcqRel);
         if !self.accepting.load(Ordering::Acquire) {
-            server.counters.shed_shutdown.fetch_add(1, Ordering::AcqRel);
-            if let Some(hub) = &self.trace_hub {
-                // No admission id exists yet: mint the forced shed trace
-                // from the offered tick in a disjoint id namespace.
-                let trace = wire.unwrap_or_else(|| {
-                    TraceContext::sampled(trace_id_for(model, offered_tick) | (1 << 63))
-                });
-                hub.note_forced();
-                emit_shed_trace(
-                    hub,
-                    &trace,
-                    server.model_tag,
-                    entered_at,
-                    SHED_CODE_SHUTDOWN,
-                    0,
-                );
-            }
-            return Err(Rejection {
-                model: model.to_string(),
-                request_id: 0,
-                reason: RejectReason::ShuttingDown,
+            // No admission id exists yet: the forced shed trace mints its
+            // identity from the offered tick, in a disjoint id namespace.
+            let trace = wire.unwrap_or_else(|| {
+                TraceContext::sampled(trace_id_for(model, offered_tick) | SHED_TRACE_IDS)
             });
+            return Err(pool.refuse(Some(trace), entered_at, 0, RejectReason::ShuttingDown));
         }
-        let id = server.next_id.fetch_add(1, Ordering::AcqRel);
+        let id = pool.next_id.fetch_add(1, Ordering::AcqRel);
         let sample_every = self.config.monitor.sample_every;
         // Sampling ticks over *admitted* requests, not submit attempts —
         // the tick is taken optimistically and rolled back on refusal, so
         // sustained queue-full bursts cannot starve the monitoring stream
         // (ids themselves are identity and may skip).
         let sample_tick =
-            (sample_every > 0).then(|| server.sample_clock.fetch_add(1, Ordering::AcqRel));
+            (sample_every > 0).then(|| pool.sample_clock.fetch_add(1, Ordering::AcqRel));
         let sampled = sample_tick.is_some_and(|tick| tick % sample_every == 0);
         // Trace sampling: a wire context wins (the caller already decided);
         // otherwise the per-model deterministic clock ticks, with the same
@@ -589,7 +590,7 @@ impl InferenceService {
         let mut trace_tick = None;
         let trace = self.trace_hub.as_ref().map(|_| {
             wire.unwrap_or_else(|| {
-                let tick = server.trace_clock.fetch_add(1, Ordering::AcqRel);
+                let tick = pool.trace_clock.fetch_add(1, Ordering::AcqRel);
                 trace_tick = Some(tick);
                 TraceContext {
                     trace_id: trace_id_for(model, id),
@@ -611,29 +612,15 @@ impl InferenceService {
         };
         // Ordering rule 1 of `crate::batcher`: counted in before the push.
         if let Some(caller) = caller {
-            debug_assert!(caller.is_on(&server.ledger), "attached to another model");
-            server.ledger.enter();
+            debug_assert!(caller.is_on(&pool.ledger), "attached to another model");
+            pool.ledger.enter();
         }
-        let refusal = match server.queue.try_push(request) {
+        let refusal = match pool.queue.try_push(request) {
             Ok(_) => {
-                server.counters.admitted.fetch_add(1, Ordering::AcqRel);
-                if let (Some(hub), Some(t)) = (&self.trace_hub, trace) {
-                    if t.sampled {
-                        hub.note_sampled();
-                        let start_ns = hub.ns_of(entered_at);
-                        hub.shared_ring().push(&Span {
-                            trace_id: t.trace_id,
-                            span_id: span_id_for(t.trace_id, SpanStage::Admission, 0),
-                            parent_span_id: span_id_for(t.trace_id, SpanStage::Request, 0),
-                            stage: SpanStage::Admission,
-                            flavor: 0,
-                            model: server.model_tag,
-                            start_ns,
-                            dur_ns: hub.now_ns().saturating_sub(start_ns),
-                            arg_a: 0,
-                            arg_b: 0,
-                        });
-                    }
+                pool.counters.admitted.fetch_add(1, Ordering::AcqRel);
+                if let Some(spans) = pool.spans(None, trace).filter(|s| s.sampled()) {
+                    spans.hub.note_sampled();
+                    spans.timed(SpanStage::Admission, entered_at, Instant::now());
                 }
                 return Ok(PendingResponse {
                     model: model.to_string(),
@@ -644,49 +631,36 @@ impl InferenceService {
             Err(refusal) => refusal,
         };
         if caller.is_some() {
-            server.ledger.leave(1);
+            pool.ledger.leave(1);
         }
         if sample_tick.is_some() {
-            server.sample_clock.fetch_sub(1, Ordering::AcqRel);
+            pool.sample_clock.fetch_sub(1, Ordering::AcqRel);
         }
         if trace_tick.is_some() {
-            server.trace_clock.fetch_sub(1, Ordering::AcqRel);
+            pool.trace_clock.fetch_sub(1, Ordering::AcqRel);
         }
-        let (reason, shed_code, shed_detail) = match refusal {
-            PushRefusal::Full(_, depth) => {
-                server
-                    .counters
-                    .shed_queue_full
-                    .fetch_add(1, Ordering::AcqRel);
-                (
-                    RejectReason::QueueFull { depth },
-                    SHED_CODE_QUEUE_FULL,
-                    depth as u64,
-                )
-            }
-            PushRefusal::Closed(_) => {
-                server.counters.shed_shutdown.fetch_add(1, Ordering::AcqRel);
-                (RejectReason::ShuttingDown, SHED_CODE_SHUTDOWN, 0)
-            }
+        let reason = match refusal {
+            PushRefusal::Full(_, depth) => RejectReason::QueueFull { depth },
+            PushRefusal::Closed(_) => RejectReason::ShuttingDown,
         };
-        if let (Some(hub), Some(t)) = (&self.trace_hub, trace) {
-            // Always-sample-on-shed: the trace is forced whatever the
-            // sampling clock decided.
-            hub.note_forced();
-            emit_shed_trace(
-                hub,
-                &t,
-                server.model_tag,
-                entered_at,
-                shed_code,
-                shed_detail,
-            );
+        Err(pool.refuse(trace, entered_at, id, reason))
+    }
+
+    /// One door-side span (RPC decode / response encode) of a sampled
+    /// wire-propagated trace, on the hub's shared ring. No-op when the
+    /// service runs with tracing off — the wire context still rides the
+    /// request untraced.
+    pub(crate) fn door_span(
+        &self,
+        trace: TraceContext,
+        model: &str,
+        stage: SpanStage,
+        started: Instant,
+        ended: Instant,
+    ) {
+        if let Some(hub) = &self.trace_hub {
+            SpanWriter::new(hub, None, trace, hub.intern_model(model)).timed(stage, started, ended);
         }
-        Err(Rejection {
-            model: model.to_string(),
-            request_id: id,
-            reason,
-        })
     }
 
     /// The span pipeline's hub, when the service runs with tracing on
@@ -702,12 +676,12 @@ impl InferenceService {
         self.servers
             .read()
             .get(model)
-            .map(|s| s.counters.latency_snapshot())
+            .map(|s| s.pool.counters.latency_snapshot())
     }
 
     /// Current queue depth of a model.
     pub fn queue_depth(&self, model: &str) -> Option<usize> {
-        self.servers.read().get(model).map(|s| s.queue.len())
+        self.servers.read().get(model).map(|s| s.pool.queue.len())
     }
 
     /// A live reading of a model's counters. Counters are loaded
@@ -719,20 +693,20 @@ impl InferenceService {
         self.servers
             .read()
             .get(model)
-            .map(|s| s.counters.snapshot(model, s.worker_count))
+            .map(|s| s.pool.counters.snapshot(model, s.pool.worker_count))
     }
 
     /// Holds every worker pool (admission continues; queues fill).
     pub fn pause(&self) {
         for server in self.servers.read().values() {
-            server.queue.pause();
+            server.pool.queue.pause();
         }
     }
 
     /// Releases paused worker pools.
     pub fn resume(&self) {
         for server in self.servers.read().values() {
-            server.queue.resume();
+            server.pool.queue.resume();
         }
     }
 
@@ -749,52 +723,31 @@ impl InferenceService {
     /// differential-run errors.
     pub fn drift_check(&self, model: &str) -> Result<Option<DriftAlarm>> {
         let servers = self.servers.read();
-        let server = servers
+        let pool = &servers
             .get(model)
-            .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-        let Some(validator) = &server.validator else {
+            .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?
+            .pool;
+        let Some(validator) = &pool.validator else {
             return Ok(None);
         };
         let check_start = Instant::now();
         let alarm = validator.check(
-            server.entry.graph(),
+            pool.entry.graph(),
             BackendSpec::reference(),
-            server.entry.spec(),
+            pool.entry.spec(),
         )?;
-        if let (Some(hub), Some(_)) = (&self.trace_hub, &alarm) {
+        if alarm.is_some() {
             // Always-sample-on-drift-alarm: a raised alarm produces a
             // forced trace carrying the offload's cost, so the anomaly is
             // visible in the span stream, not only in the drift books.
-            hub.note_forced();
-            let checks = server.counters.offered.load(Ordering::Acquire);
-            let trace_id = trace_id_for(model, checks) | (1 << 62);
-            let root = span_id_for(trace_id, SpanStage::Request, 0);
-            let start_ns = hub.ns_of(check_start);
-            let end_ns = hub.now_ns();
-            hub.shared_ring().push(&Span {
-                trace_id,
-                span_id: span_id_for(trace_id, SpanStage::DriftCheck, 0),
-                parent_span_id: root,
-                stage: SpanStage::DriftCheck,
-                flavor: 0,
-                model: server.model_tag,
-                start_ns,
-                dur_ns: end_ns.saturating_sub(start_ns),
-                arg_a: 1,
-                arg_b: 0,
-            });
-            hub.shared_ring().push(&Span {
-                trace_id,
-                span_id: root,
-                parent_span_id: 0,
-                stage: SpanStage::Request,
-                flavor: 0,
-                model: server.model_tag,
-                start_ns,
-                dur_ns: end_ns.saturating_sub(start_ns),
-                arg_a: 0,
-                arg_b: 0,
-            });
+            let checks = pool.counters.offered.load(Ordering::Acquire);
+            let trace = TraceContext::sampled(trace_id_for(model, checks) | DRIFT_TRACE_IDS);
+            if let Some(spans) = pool.spans(None, Some(trace)) {
+                spans.hub.note_forced();
+                let (start_ns, end_ns) = (spans.hub.ns_of(check_start), spans.hub.now_ns());
+                spans.child(SpanStage::DriftCheck, 0, start_ns, end_ns, 0, 1, 0);
+                spans.root(start_ns, end_ns.saturating_sub(start_ns), 0);
+            }
         }
         Ok(alarm)
     }
@@ -804,6 +757,7 @@ impl InferenceService {
         self.servers
             .read()
             .get(model)?
+            .pool
             .validator
             .as_ref()
             .map(|v| v.stats())
@@ -830,7 +784,7 @@ impl InferenceService {
             for server in servers.values() {
                 // close() overrides pause, so a paused service still
                 // drains.
-                server.queue.close();
+                server.pool.queue.close();
             }
         }
         // Take the worker handles under the write lock, but join them
@@ -862,11 +816,14 @@ impl InferenceService {
         ServeReport {
             models: servers
                 .iter()
-                .map(|(name, s)| s.counters.snapshot(name, s.worker_count))
+                .map(|(name, s)| s.pool.counters.snapshot(name, s.pool.worker_count))
                 .collect(),
             validators: servers
                 .iter()
-                .filter_map(|(name, s)| s.validator.as_ref().map(|v| (name.clone(), v.stats())))
+                .filter_map(|(name, s)| {
+                    let validator = s.pool.validator.as_ref()?;
+                    Some((name.clone(), validator.stats()))
+                })
                 .collect(),
             sink_bytes: self.sink.as_ref().map(|s| s.bytes_written()),
         }
@@ -883,7 +840,8 @@ impl crate::metrics::Collect for InferenceService {
     fn collect(&self, out: &mut crate::metrics::MetricsBuilder) {
         let servers = self.servers.read();
         for (name, server) in servers.iter() {
-            let counters = &server.counters;
+            let pool = &server.pool;
+            let counters = &pool.counters;
             let model = &[("model", name.as_str())];
             out.counter(
                 "mlexray_serve_requests_offered_total",
@@ -960,11 +918,11 @@ impl crate::metrics::Collect for InferenceService {
                 "mlexray_serve_queue_depth",
                 "Requests currently queued for the model.",
                 model,
-                server.queue.len() as f64,
+                pool.queue.len() as f64,
             );
             for (state, value) in [
-                ("attached", server.ledger.attached()),
-                ("in_system", server.ledger.in_system()),
+                ("attached", pool.ledger.attached()),
+                ("in_system", pool.ledger.in_system()),
             ] {
                 out.gauge(
                     "mlexray_serve_callers",
@@ -977,7 +935,7 @@ impl crate::metrics::Collect for InferenceService {
                 "mlexray_serve_workers",
                 "Worker threads serving the model.",
                 model,
-                server.worker_count as f64,
+                pool.worker_count as f64,
             );
             out.histogram(
                 "mlexray_serve_request_latency_seconds",
@@ -1001,12 +959,6 @@ impl Drop for InferenceService {
     }
 }
 
-/// Shed codes carried in [`SpanStage::Shed`] spans (`arg_a`).
-pub(crate) const SHED_CODE_QUEUE_FULL: u64 = 1;
-pub(crate) const SHED_CODE_DEADLINE: u64 = 2;
-pub(crate) const SHED_CODE_SHUTDOWN: u64 = 3;
-pub(crate) const SHED_CODE_FAILED: u64 = 4;
-
 /// Maps a backend spec to the span flavor tag (SIMD-vs-scalar attribution
 /// comes free on every `exec`/`layer` span).
 fn flavor_tag(spec: &BackendSpec) -> u8 {
@@ -1016,431 +968,4 @@ fn flavor_tag(spec: &BackendSpec) -> u8 {
         "simd" => 2,
         _ => 3,
     }
-}
-
-/// Emits the forced two-span trace of a shed request (a [`SpanStage::Shed`]
-/// marker plus the terminal root) into the hub's shared ring.
-fn emit_shed_trace(
-    hub: &TraceHub,
-    trace: &TraceContext,
-    model_tag: u16,
-    started_at: Instant,
-    shed_code: u64,
-    shed_detail: u64,
-) {
-    let root = span_id_for(trace.trace_id, SpanStage::Request, 0);
-    let start_ns = hub.ns_of(started_at);
-    let end_ns = hub.now_ns();
-    hub.shared_ring().push(&Span {
-        trace_id: trace.trace_id,
-        span_id: span_id_for(trace.trace_id, SpanStage::Shed, 0),
-        parent_span_id: root,
-        stage: SpanStage::Shed,
-        flavor: 0,
-        model: model_tag,
-        start_ns: end_ns,
-        dur_ns: 0,
-        arg_a: shed_code,
-        arg_b: shed_detail,
-    });
-    hub.shared_ring().push(&Span {
-        trace_id: trace.trace_id,
-        span_id: root,
-        parent_span_id: trace.parent_span_id,
-        stage: SpanStage::Request,
-        flavor: 0,
-        model: model_tag,
-        start_ns,
-        dur_ns: end_ns.saturating_sub(start_ns),
-        arg_a: 0,
-        arg_b: 0,
-    });
-}
-
-struct WorkerCtx {
-    entry: Arc<ServedModel>,
-    queue: Arc<RequestQueue<InferRequest>>,
-    counters: Arc<ModelCounters>,
-    ledger: Arc<CallerLedger>,
-    validator: Option<Arc<OnlineValidator>>,
-    sink: Option<Arc<dyn LogSink>>,
-    batch: BatchPolicy,
-    monitor: MonitorPolicy,
-    hub: Option<Arc<TraceHub>>,
-    model_tag: u16,
-    flavor: u8,
-}
-
-/// Streams sampled frames' per-layer records out of a batched invoke.
-/// Frames whose request was not sampled produce nothing. When a frame of
-/// the batch is trace-sampled, its per-layer `(index, latency, macs)`
-/// stream is collected once (layer latencies are per-frame shares,
-/// identical across the batch) and fanned out as `layer` spans to every
-/// traced request afterwards.
-struct SampledCapture {
-    request_ids: Vec<u64>,
-    sampled: Vec<bool>,
-    full: bool,
-    log: bool,
-    records: Vec<LogRecord>,
-    trace_frame: Option<usize>,
-    trace_layers: Vec<(u32, u64, u64)>,
-}
-
-impl LayerObserver for SampledCapture {
-    /// Only deep-monitored frames read layer outputs; trace-only frames
-    /// consume `(index, latency, macs)` and skip the per-frame view copy,
-    /// so span capture costs timer reads, not activation copies.
-    fn wants_output(&self, batch: usize) -> bool {
-        self.log && self.sampled[batch]
-    }
-
-    fn on_layer(&mut self, record: &LayerRecord<'_>) {
-        if Some(record.batch) == self.trace_frame {
-            self.trace_layers.push((
-                record.index as u32,
-                record.latency.as_nanos() as u64,
-                record.macs,
-            ));
-        }
-        if !self.log || !self.sampled[record.batch] {
-            return;
-        }
-        self.records.push(LogRecord {
-            frame: self.request_ids[record.batch],
-            key: layer_output_key(record.name),
-            value: LogValue::of_tensor(record.output, self.full),
-        });
-    }
-}
-
-fn worker_loop(ctx: WorkerCtx) {
-    let mut backend = ctx
-        .entry
-        .spec()
-        .build(ctx.entry.graph())
-        .expect("spec validated at service start");
-    // One fixed-footprint span ring per worker thread, registered with the
-    // hub for its lifetime; pushes after this never allocate.
-    let ring = ctx.hub.as_ref().map(|hub| hub.register_ring());
-    while let Some(batch) = form_batch(&ctx.queue, ctx.batch, &ctx.ledger, |request, popped_at| {
-        shed_expired(&ctx, ring.as_deref(), request, popped_at)
-    }) {
-        run_batch(
-            &ctx,
-            ring.as_deref(),
-            backend.as_mut(),
-            batch.members,
-            batch.close,
-        );
-    }
-}
-
-/// Deadline enforcement at dequeue: a request whose deadline had passed
-/// when a worker popped it is answered with the typed shed reason instead
-/// of burning compute.
-fn shed_expired(
-    ctx: &WorkerCtx,
-    ring: Option<&SpanRing>,
-    request: InferRequest,
-    popped_at: Instant,
-) {
-    ctx.counters.shed_deadline.fetch_add(1, Ordering::AcqRel);
-    let missed_by = request
-        .deadline
-        .map(|d| popped_at.duration_since(d))
-        .unwrap_or_default();
-    if let (Some(hub), Some(ring), Some(t)) = (&ctx.hub, ring, request.trace) {
-        // Always-sample-on-deadline-miss: the forced trace carries the
-        // queue wait that ate the deadline.
-        hub.note_forced();
-        let admitted_ns = hub.ns_of(request.admitted_at);
-        let popped_ns = hub.ns_of(popped_at);
-        ring.push(&Span {
-            trace_id: t.trace_id,
-            span_id: span_id_for(t.trace_id, SpanStage::QueueWait, 0),
-            parent_span_id: span_id_for(t.trace_id, SpanStage::Request, 0),
-            stage: SpanStage::QueueWait,
-            flavor: 0,
-            model: ctx.model_tag,
-            start_ns: admitted_ns,
-            dur_ns: popped_ns.saturating_sub(admitted_ns),
-            arg_a: 0,
-            arg_b: 0,
-        });
-        emit_shed_trace(
-            hub,
-            &t,
-            ctx.model_tag,
-            request.admitted_at,
-            SHED_CODE_DEADLINE,
-            missed_by.as_nanos() as u64,
-        );
-    }
-    // Ordering rule 2 of `crate::batcher`: counted out before the reply.
-    if request.from_caller {
-        ctx.ledger.leave(1);
-    }
-    let _ = request.reply.send(Err(Rejection {
-        model: ctx.entry.name().to_string(),
-        request_id: request.id,
-        reason: RejectReason::DeadlineExpired { missed_by },
-    }));
-}
-
-fn run_batch(
-    ctx: &WorkerCtx,
-    ring: Option<&SpanRing>,
-    backend: &mut dyn ExecutionBackend,
-    requests: Vec<(InferRequest, Instant)>,
-    close: CloseReason,
-) {
-    let formed_at = Instant::now();
-    let leader_id = requests[0].0.id;
-    let inputs: Vec<&[Tensor]> = requests.iter().map(|(r, _)| r.inputs.as_slice()).collect();
-    let traced = |r: &InferRequest| r.trace.is_some_and(|t| t.sampled);
-    let deep_monitor = ctx.sink.is_some() && requests.iter().any(|(r, _)| r.sampled);
-    // Per-layer span collection rides the same observed invoke as deep
-    // monitoring; either alone is enough to pay the observer.
-    let trace_frame = ring
-        .and(Some(()))
-        .and_then(|()| requests.iter().position(|(r, _)| traced(r)));
-    let result = if deep_monitor || trace_frame.is_some() {
-        let mut capture = SampledCapture {
-            request_ids: requests.iter().map(|(r, _)| r.id).collect(),
-            sampled: requests.iter().map(|(r, _)| r.sampled).collect(),
-            full: ctx.monitor.full_capture,
-            log: deep_monitor,
-            records: Vec::new(),
-            trace_frame,
-            trace_layers: Vec::new(),
-        };
-        backend
-            .invoke_batch_observed(&inputs, &mut capture)
-            .map(|outputs| (outputs, capture.records, capture.trace_layers))
-    } else {
-        backend
-            .invoke_batch(&inputs)
-            .map(|o| (o, Vec::new(), Vec::new()))
-    };
-    let exec_ended = Instant::now();
-    // Ordering rule 2 of `crate::batcher`: the whole batch is counted out
-    // before its first reply, on the failure path too.
-    ctx.ledger
-        .leave(requests.iter().filter(|(r, _)| r.from_caller).count());
-    match result {
-        Ok((outputs, layer_records, trace_layers)) => {
-            let size = requests.len();
-            ctx.counters.record_batch(size, close);
-            let exec_latency = backend
-                .last_stats()
-                .map(|s| s.per_frame_latency())
-                .unwrap_or_default();
-            if !exec_latency.is_zero() {
-                ctx.counters.record_exec_latency(exec_latency);
-            }
-            let mut telemetry = layer_records;
-            for ((request, popped_at), outputs) in requests.into_iter().zip(outputs) {
-                let mut drift_ns = None;
-                if request.sampled {
-                    ctx.counters.sampled.fetch_add(1, Ordering::AcqRel);
-                    if let Some(validator) = &ctx.validator {
-                        let observe_start = Instant::now();
-                        validator.observe(request.inputs.as_slice());
-                        drift_ns = Some((observe_start, Instant::now()));
-                    }
-                }
-                let total_latency = request.admitted_at.elapsed();
-                if ctx.monitor.log_latency && ctx.sink.is_some() {
-                    telemetry.push(LogRecord {
-                        frame: request.id,
-                        key: KEY_INFERENCE_LATENCY.to_string(),
-                        value: LogValue::LatencyNs(total_latency.as_nanos() as u64),
-                    });
-                }
-                ctx.counters.record_completion(total_latency);
-                if let (Some(hub), Some(ring), Some(t)) = (&ctx.hub, ring, request.trace) {
-                    if t.sampled {
-                        emit_request_spans(RequestSpans {
-                            hub,
-                            ring,
-                            trace: &t,
-                            model_tag: ctx.model_tag,
-                            flavor: ctx.flavor,
-                            admitted_at: request.admitted_at,
-                            popped_at,
-                            formed_at,
-                            exec_ended,
-                            batch_size: size as u64,
-                            close,
-                            leader_id,
-                            total_latency,
-                            trace_layers: &trace_layers,
-                            drift_ns,
-                        });
-                    }
-                }
-                let _ = request.reply.send(Ok(InferResponse {
-                    request_id: request.id,
-                    outputs,
-                    total_latency,
-                    exec_latency,
-                    batch_size: size,
-                    sampled: request.sampled,
-                }));
-            }
-            if let Some(sink) = &ctx.sink {
-                if !telemetry.is_empty() {
-                    sink.write_batch(telemetry);
-                }
-            }
-        }
-        Err(error) => {
-            let detail = error.to_string();
-            for (request, _) in requests {
-                ctx.counters.failed.fetch_add(1, Ordering::AcqRel);
-                if let (Some(hub), Some(t)) = (&ctx.hub, request.trace) {
-                    // Failures are anomalies: force-traced like sheds.
-                    hub.note_forced();
-                    emit_shed_trace(
-                        hub,
-                        &t,
-                        ctx.model_tag,
-                        request.admitted_at,
-                        SHED_CODE_FAILED,
-                        0,
-                    );
-                }
-                let _ = request.reply.send(Err(Rejection {
-                    model: ctx.entry.name().to_string(),
-                    request_id: request.id,
-                    reason: RejectReason::ExecutionFailed {
-                        detail: detail.clone(),
-                    },
-                }));
-            }
-        }
-    }
-}
-
-struct RequestSpans<'a> {
-    hub: &'a TraceHub,
-    ring: &'a SpanRing,
-    trace: &'a TraceContext,
-    model_tag: u16,
-    flavor: u8,
-    admitted_at: Instant,
-    popped_at: Instant,
-    formed_at: Instant,
-    exec_ended: Instant,
-    batch_size: u64,
-    close: CloseReason,
-    leader_id: u64,
-    total_latency: Duration,
-    trace_layers: &'a [(u32, u64, u64)],
-    drift_ns: Option<(Instant, Instant)>,
-}
-
-/// Emits the full span chain of one completed traced request: queue wait,
-/// batch formation, execution, per-layer kernels, drift-check offload,
-/// respond, and — last, because its arrival completes the trace — the
-/// terminal root whose duration is *exactly* the latency recorded into the
-/// model's bounded histogram (the profiler reconciles against those books).
-fn emit_request_spans(s: RequestSpans<'_>) {
-    let t = s.trace;
-    let root = span_id_for(t.trace_id, SpanStage::Request, 0);
-    let admitted_ns = s.hub.ns_of(s.admitted_at);
-    let popped_ns = s.hub.ns_of(s.popped_at);
-    let formed_ns = s.hub.ns_of(s.formed_at);
-    let exec_end_ns = s.hub.ns_of(s.exec_ended);
-    let span = |stage, index, start_ns: u64, end_ns: u64, flavor, arg_a, arg_b| Span {
-        trace_id: t.trace_id,
-        span_id: span_id_for(t.trace_id, stage, index),
-        parent_span_id: root,
-        stage,
-        flavor,
-        model: s.model_tag,
-        start_ns,
-        dur_ns: end_ns.saturating_sub(start_ns),
-        arg_a,
-        arg_b,
-    };
-    s.ring.push(&span(
-        SpanStage::QueueWait,
-        0,
-        admitted_ns,
-        popped_ns,
-        0,
-        0,
-        0,
-    ));
-    s.ring.push(&span(
-        SpanStage::BatchForm,
-        0,
-        popped_ns,
-        formed_ns,
-        // Not a kernel flavor here: what closed the batch.
-        s.close as u8,
-        s.batch_size,
-        s.leader_id,
-    ));
-    s.ring.push(&span(
-        SpanStage::Exec,
-        0,
-        formed_ns,
-        exec_end_ns,
-        s.flavor,
-        s.batch_size,
-        0,
-    ));
-    // Layer spans are laid end to end from the invoke start; each carries
-    // its per-frame latency share, layer index and MAC estimate.
-    let mut layer_cursor = formed_ns;
-    for (index, latency_ns, macs) in s.trace_layers {
-        s.ring.push(&span(
-            SpanStage::Layer,
-            u64::from(*index),
-            layer_cursor,
-            layer_cursor + latency_ns,
-            s.flavor,
-            u64::from(*index),
-            *macs,
-        ));
-        layer_cursor += latency_ns;
-    }
-    if let Some((start, end)) = s.drift_ns {
-        let start_ns = s.hub.ns_of(start);
-        s.ring.push(&span(
-            SpanStage::DriftCheck,
-            0,
-            start_ns,
-            s.hub.ns_of(end),
-            0,
-            0,
-            0,
-        ));
-    }
-    let respond_end_ns = s.hub.now_ns();
-    s.ring.push(&span(
-        SpanStage::Respond,
-        0,
-        exec_end_ns,
-        respond_end_ns,
-        0,
-        0,
-        0,
-    ));
-    let mut terminal = span(
-        SpanStage::Request,
-        0,
-        admitted_ns,
-        admitted_ns,
-        0,
-        s.batch_size,
-        0,
-    );
-    terminal.span_id = root;
-    terminal.parent_span_id = t.parent_span_id;
-    terminal.dur_ns = s.total_latency.as_nanos() as u64;
-    s.ring.push(&terminal);
 }

@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use crate::batcher::CloseReason;
 use crate::metrics::{HistogramSnapshot, LatencyHistogram};
+use crate::request::RejectReason;
 
 /// Internal live counters of one model's serving pool. Every admitted
 /// request increments exactly one terminal counter (`completed`,
@@ -43,6 +44,20 @@ impl ModelCounters {
     pub(crate) fn record_completion(&self, total: Duration) {
         self.completed.fetch_add(1, Ordering::AcqRel);
         self.latency.record(total.as_nanos() as u64);
+    }
+
+    /// Account one request that ends without an answer — the one map from
+    /// a typed reason to the book it moves.
+    pub(crate) fn count_refusal(&self, reason: &RejectReason) {
+        let book = match reason {
+            RejectReason::QueueFull { .. } => &self.shed_queue_full,
+            RejectReason::DeadlineExpired { .. } => &self.shed_deadline,
+            RejectReason::ShuttingDown => &self.shed_shutdown,
+            RejectReason::ExecutionFailed { .. } => &self.failed,
+            // Not a pool's to count: no pool exists, or it is gone.
+            RejectReason::UnknownModel | RejectReason::ChannelClosed => return,
+        };
+        book.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Account the backend-reported per-frame execution latency.

@@ -1,23 +1,19 @@
 //! End-to-end proof of the span pipeline: sampled traces carry the full
 //! stage chain, structure is deterministic across runs and worker counts,
 //! sheds are force-traced, wire-propagated contexts survive the network
-//! hop, v2 peers keep working untraced, and the anonymous-tenant label is
-//! consistent between the telemetry stream and the metrics exposition.
+//! hop, and the anonymous-tenant label is consistent between the telemetry
+//! stream and the metrics exposition.
 
 use std::collections::BTreeSet;
-use std::io::Write;
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use mlexray_core::{MemorySink, SpanStage, TraceContext};
 use mlexray_nn::{Activation, BackendSpec, GraphBuilder, Model, Padding};
-use mlexray_serve::rpc::{
-    wire, ErrorCode, RpcClient, RpcRequest, RpcResponse, RpcServer, RpcServerConfig,
-};
+use mlexray_serve::rpc::{ErrorCode, RpcClient, RpcServer, RpcServerConfig};
 use mlexray_serve::{
-    BatchPolicy, InferenceService, ModelRegistry, MonitorPolicy, RejectReason, ServiceConfig,
-    TracePolicy,
+    BatchPolicy, InferenceService, ModelRegistry, MonitorPolicy, RejectReason, Rejection,
+    ServiceConfig, TracePolicy,
 };
 use mlexray_tensor::{Shape, Tensor};
 
@@ -219,6 +215,93 @@ fn queue_full_and_deadline_sheds_are_force_traced() {
     service.shutdown();
 }
 
+/// Every way a request can end without an answer, as one table. Whatever
+/// the reason, the caller gets the typed `Rejection`, exactly one book
+/// moves and the drained books balance, and — with the sampling clock at
+/// "almost never" — one forced trace completes whose `Shed` span carries
+/// the code `docs/tracing.md` documents.
+#[test]
+fn every_refusal_is_typed_counted_once_and_force_traced() {
+    type Provoke = fn(&InferenceService) -> Rejection;
+    let table: [(u64, Provoke); 4] = [
+        (1, |service| {
+            service.pause();
+            let queued = service.submit("m", frame_input(1)).unwrap();
+            let overflow = service.submit("m", frame_input(2)).unwrap_err();
+            service.resume();
+            queued.wait().unwrap();
+            overflow
+        }),
+        (2, |service| {
+            service.pause();
+            let queued = service
+                .submit_with_deadline("m", frame_input(1), Some(Duration::from_millis(1)))
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            service.resume();
+            queued.wait().unwrap_err()
+        }),
+        (3, |service| {
+            service.drain();
+            service.submit("m", frame_input(1)).unwrap_err()
+        }),
+        (4, |service| {
+            let wrong_shape = vec![Tensor::filled_f32(Shape::nhwc(1, 4, 4, 3), 0.5)];
+            service
+                .submit("m", wrong_shape)
+                .unwrap()
+                .wait()
+                .unwrap_err()
+        }),
+    ];
+    for (code, provoke) in table {
+        let config = ServiceConfig {
+            queue_capacity: 1,
+            ..traced_config(1, 1_000_000)
+        };
+        let service = InferenceService::start(&traced_registry(), config, None).unwrap();
+        let hub = service.trace_hub().unwrap().clone();
+        // Tick 0 of the sampling clock is a hit: spend it on a request that
+        // completes, so only the forced path can trace what follows.
+        service.submit("m", frame_input(0)).unwrap().wait().unwrap();
+        assert_eq!(hub.take_completed(0).len(), 1);
+        let forced_before = hub.counters().forced;
+
+        let rejection = provoke(&service);
+        let typed = match rejection.reason {
+            RejectReason::QueueFull { .. } => 1,
+            RejectReason::DeadlineExpired { .. } => 2,
+            RejectReason::ShuttingDown => 3,
+            RejectReason::ExecutionFailed { .. } => 4,
+            _ => 0,
+        };
+        assert_eq!(typed, code, "{rejection}");
+        let report = service.drain();
+        let stats = &report.models[0];
+        let books = [
+            stats.shed_queue_full,
+            stats.shed_deadline,
+            stats.shed_shutdown,
+            stats.failed,
+        ];
+        let mut only_its_own = [0; 4];
+        only_its_own[code as usize - 1] = 1;
+        assert_eq!(books, only_its_own, "{rejection}");
+        assert!(stats.is_balanced(), "{stats:?}");
+        assert_eq!(hub.counters().forced, forced_before + 1, "{rejection}");
+        let traces = hub.take_completed(0);
+        assert_eq!(traces.len(), 1, "{rejection}");
+        let root = traces[0].root().expect("terminal request span");
+        let shed = traces[0].stage(SpanStage::Shed).expect("shed span");
+        assert_eq!(shed.arg_a, code, "{rejection}");
+        assert_eq!(shed.parent_span_id, root.span_id);
+        assert_eq!(
+            root.parent_span_id, 0,
+            "an in-process request has no parent"
+        );
+    }
+}
+
 fn start_traced_server(every: u64, sink: Option<Arc<dyn mlexray_core::LogSink>>) -> RpcServer {
     let registry = traced_registry();
     let service = InferenceService::start(&registry, traced_config(1, every), None).unwrap();
@@ -259,68 +342,6 @@ fn wire_trace_context_propagates_end_to_end() {
     }
     let status = client.status().unwrap();
     assert!(status.trace_sampled >= 1, "sampler counter on Status");
-    server.shutdown();
-}
-
-#[test]
-fn v2_session_against_v3_server_runs_untraced_without_error_frames() {
-    let server = start_traced_server(1, None);
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    fn send(stream: &mut TcpStream, id: u64, request: &RpcRequest) {
-        let payload = wire::encode_request_versioned(2, id, request);
-        stream
-            .write_all(&(payload.len() as u32).to_le_bytes())
-            .unwrap();
-        stream.write_all(&payload).unwrap();
-    }
-    fn recv(stream: &mut TcpStream) -> wire::ResponseFrame {
-        let payload = wire::read_frame(stream, u32::MAX).unwrap().unwrap();
-        wire::decode_response(&payload).unwrap()
-    }
-
-    // Hello, Infer, Status — a complete v2 session. Every reply must come
-    // back v2-framed and none may be an error frame.
-    send(&mut stream, 1, &RpcRequest::Hello { token: "".into() });
-    let frame = recv(&mut stream);
-    assert_eq!(frame.version, 2);
-    assert!(matches!(frame.response, RpcResponse::Hello { .. }));
-
-    send(
-        &mut stream,
-        2,
-        &RpcRequest::Infer {
-            model: "m".into(),
-            payload: wire::InferPayload::Tensors(frame_input(2)),
-            deadline_ms: 0,
-            trace: None,
-        },
-    );
-    let frame = recv(&mut stream);
-    assert_eq!(frame.version, 2);
-    assert!(matches!(frame.response, RpcResponse::Infer(_)));
-
-    send(&mut stream, 3, &RpcRequest::Status);
-    let frame = recv(&mut stream);
-    assert_eq!(frame.version, 2);
-    match frame.response {
-        RpcResponse::Status(reply) => {
-            // The v2 body has no trace counters — they decode as zero even
-            // though the server is tracing.
-            assert_eq!(reply.dropped_spans, 0);
-            assert_eq!(reply.trace_sampled, 0);
-        }
-        other => panic!("expected Status, got {other:?}"),
-    }
-
-    // Kind 8 does not exist at v2: typed refusal, connection survives.
-    send(&mut stream, 4, &RpcRequest::Trace { max: 1 });
-    let frame = recv(&mut stream);
-    match frame.response {
-        RpcResponse::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownVerb),
-        other => panic!("expected error frame, got {other:?}"),
-    }
-    send(&mut stream, 5, &RpcRequest::Status);
-    assert!(matches!(recv(&mut stream).response, RpcResponse::Status(_)));
     server.shutdown();
 }
 

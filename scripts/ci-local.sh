@@ -1,90 +1,186 @@
 #!/usr/bin/env bash
-# Reproduces the full CI pipeline locally, in the same order the workflow
-# runs it: lint -> build -> tests -> docs -> offline/vendored invariant ->
-# experiment smoke (with JSON artifacts under target/experiment-artifacts/).
+# The one list of CI commands. `.github/workflows/ci.yml` runs each leg as
+# `scripts/ci-local.sh <leg>`; run it the same way to reproduce one leg, or:
 #
-# Usage: scripts/ci-local.sh [--quick]
-#   --quick   lint + tests only: skip every release build, rustdoc and the
-#             experiment smoke pass
+# Usage: scripts/ci-local.sh [<leg> | --quick]
+#   <leg>     one of the functions below (their names are the workflow's)
+#   --quick   lint + clippy + tier-1 (`cargo test -q`): no release build,
+#             rustdoc or experiment smoke pass
+#   (none)    every leg, in the order listed at the bottom; between them the
+#             legs run every test tier-1 runs, so tier-1 is not run again
+#
+# Experiment JSON lands under target/experiment-artifacts/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-QUICK=0
-[[ "${1:-}" == "--quick" ]] && QUICK=1
-
 step() { printf '\n==> %s\n' "$*"; }
 
-step "cargo fmt --all --check"
-cargo fmt --all --check
+lint() {
+  cargo fmt --all --check
+}
 
-step "cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+clippy() {
+  cargo clippy --workspace --all-targets -- -D warnings
+}
 
-step "cargo test -q (tier-1)"
-cargo test -q
+# The release build is for the examples; test steps compile in debug.
+unit() {
+  cargo build --release
+  cargo test --workspace --lib --bins -q
+  cargo test --workspace --doc -q
+  cargo build --examples
+}
 
-if [[ "$QUICK" == "1" ]]; then
-  step "ci-local --quick: lint + tests green"
-  exit 0
-fi
+# --test '*' selects only integration test targets (plain --tests would rerun
+# every unit test). The excluded crates' integration tests run in legs of
+# their own: mlexray-bench in smoke, mlexray-nn in kernel-suites,
+# backend-suites and kernel-simd, mlexray-serve in serve-suite.
+integration() {
+  cargo test --workspace --exclude mlexray-bench --exclude mlexray-nn \
+    --exclude mlexray-serve --test '*' -q
+}
 
-step "backend suites (differential property + emulator goldens + report determinism)"
-cargo test -q -p mlexray-nn --test backend_differential --test golden_kernels
-cargo test -q -p mlexray-core --test differential_replay
+# batch_equivalence pins invoke_batch == N sequential invokes bitwise in every
+# flavor/bug combination, quantized_paths the quantization edge cases,
+# transforms the conversion passes, lint_suite the static analyzer from both
+# sides (clean graphs lint clean, every injected mutation is caught).
+kernel-suites() {
+  cargo test -p mlexray-nn --test batch_equivalence \
+    --test quantized_paths --test transforms --test lint_suite -q
+}
 
-step "kernel-simd suites (native dispatch, then MLEXRAY_SIMD=scalar forced fallback)"
-cargo test -q -p mlexray-nn --test golden_kernels --test batch_equivalence --test backend_differential --test alloc_steady_state
-cargo test -q -p mlexray-core --test parallel_invoke
-MLEXRAY_SIMD=scalar cargo test -q -p mlexray-nn --test golden_kernels --test batch_equivalence --test backend_differential --test alloc_steady_state
-MLEXRAY_SIMD=scalar cargo test -q -p mlexray-core --test parallel_invoke
+# The multi-spec acceptance surface: injected-defect localization on random
+# graphs, every kernel dispatch arm (and EdgeNumerics knob) as bit patterns,
+# and a DifferentialReport byte-identical across worker counts and
+# micro-batch settings.
+backend-suites() {
+  cargo test -p mlexray-nn --test backend_differential --test golden_kernels -q
+  cargo test -p mlexray-core --test differential_replay -q
+}
 
-step "serve suite (loaded serving integration + sink backpressure stress + fig_serving smoke)"
-cargo test -q -p mlexray-serve
-cargo test -q -p mlexray-core --test sink_stress
-MLEXRAY_QUICK=1 cargo test -q -p mlexray-bench --test experiments_smoke fig_serving
+# Run twice: under native runtime dispatch (AVX2+FMA where the host has it)
+# and with MLEXRAY_SIMD=scalar forcing the scalar mirror engine. The SIMD
+# goldens are recorded bitwise from the SIMD flavor, so the forced-scalar pass
+# proves identical bits on any host, not just that a fallback exists.
+# alloc_steady_state holds — with a counting global allocator — a warmed
+# invoke to a depth-independent allocation count and the one arena to the
+# footprint of its largest batch.
+kernel-simd() {
+  local nn=(-p mlexray-nn --test golden_kernels --test batch_equivalence
+    --test backend_differential --test alloc_steady_state -q)
+  cargo test "${nn[@]}"
+  cargo test -p mlexray-core --test parallel_invoke -q
+  MLEXRAY_SIMD=scalar cargo test "${nn[@]}"
+  MLEXRAY_SIMD=scalar cargo test -p mlexray-core --test parallel_invoke -q
+}
 
-step "metrics suite (histogram properties + wire Metrics acceptance + fig_metrics smoke)"
-cargo test -q -p mlexray-serve --test metrics_suite
-MLEXRAY_QUICK=1 cargo test -q -p mlexray-bench --test experiments_smoke fig_metrics
+# Everything in mlexray-serve: its unit tests (the door reaps finished
+# connection threads, the shed-code table) and the loaded, batcher,
+# monitoring, metrics, rpc and trace suites (trace_suite holds the
+# every-way-a-request-can-end table); sink_stress hammers the backpressure
+# accounting the serving monitor leans on.
+serve-suite() {
+  cargo test -p mlexray-serve -q
+  cargo test -p mlexray-core --test sink_stress -q
+  MLEXRAY_QUICK=1 cargo test -p mlexray-bench --test experiments_smoke fig_serving -q
+}
 
-step "cargo build --release"
-cargo build --release
+# The loadgen scrape smoke runs Poisson load with a concurrent scraper: every
+# exposition must parse, and the final one must match the drained books
+# counter for counter.
+metrics-suite() {
+  cargo test -p mlexray-serve --test metrics_suite -q
+  MLEXRAY_QUICK=1 cargo test -p mlexray-bench --test experiments_smoke fig_metrics -q
+  MLEXRAY_QUICK=1 cargo run -q -p mlexray-bench --bin rpc_loadgen -- --metrics
+}
 
-step "rpc suite (release: protocol robustness + 32-session loaded proof + fig_rpc smoke + loadgen + metrics scrape)"
-cargo test --release -q -p mlexray-serve --test rpc_protocol --test rpc_loaded
-MLEXRAY_QUICK=1 cargo test --release -q -p mlexray-bench --test experiments_smoke fig_rpc
-MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen
-MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen -- --metrics
+# The artifact directory is cleared first (here and in the two legs below) so
+# an upload only ever contains JSON this run's code produced.
+smoke() {
+  rm -rf target/experiment-artifacts
+  MLEXRAY_QUICK=1 cargo test -p mlexray-bench --test experiments_smoke -q
+}
 
-step "trace suite (release: span pipeline units + trace_suite integration + fig_trace bars + loadgen wire-trace smoke)"
-cargo test --release -q -p mlexray-core --lib trace
-cargo test --release -q -p mlexray-serve --test trace_suite
-MLEXRAY_QUICK=1 MLEXRAY_ENFORCE_SCALING=1 cargo test --release -q -p mlexray-bench --test experiments_smoke fig_trace
-MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen -- --trace
+# The RPC front door in release mode, every server on 127.0.0.1:0: protocol
+# robustness, the 32-session loaded proof, the fig_rpc smoke (correctness and
+# the byte saving of sealed re-infers; it ranks no latencies) and the paced
+# rpc_loadgen binary, plain and scraped.
+rpc-suite() {
+  cargo build --release -p mlexray-serve -p mlexray-bench
+  cargo test --release -p mlexray-serve --test rpc_protocol --test rpc_loaded -q
+  rm -rf target/experiment-artifacts
+  MLEXRAY_QUICK=1 cargo test --release -p mlexray-bench --test experiments_smoke fig_rpc -q
+  MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen
+  MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen -- --metrics
+}
 
-step "exray-lint over the zoo and goldens (fails on any Deny finding)"
-cargo run --release -q -p mlexray-models --bin exray-lint -- --zoo --goldens
+# The span pipeline in release mode. fig_trace's bars are relative
+# measurements (traced vs untraced on the same run), so runner noise largely
+# cancels and they are enforced.
+trace-suite() {
+  cargo build --release -p mlexray-serve -p mlexray-bench
+  cargo test --release -p mlexray-core --lib trace -q
+  cargo test --release -p mlexray-serve --test trace_suite -q
+  rm -rf target/experiment-artifacts
+  MLEXRAY_QUICK=1 MLEXRAY_ENFORCE_SCALING=1 \
+    cargo test --release -p mlexray-bench --test experiments_smoke fig_trace -q
+  MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen -- --trace
+}
 
-step "cargo build --examples"
-cargo build --examples
+# exray-lint sweeps every zoo family and golden graph, failing on any Deny
+# finding; lint_zoo additionally holds the sweep to zero Warn findings.
+lint-suite() {
+  cargo run --release -q -p mlexray-models --bin exray-lint -- --zoo --goldens
+  cargo test -p mlexray-models --test lint_zoo -q
+}
 
-step "exray_bench builds, passes its own tests and its four workloads' oracle against these crates (release, offline)"
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
-cargo test --release --offline --manifest-path benchmark/Cargo.toml
-for w in wire_plain wire_monitored serve_batch replay_validate; do
-  # The output oracle and the books of each workload, not its timings.
-  line="$(bash benchmark/run.sh --workload "$w" --seed 7 --seconds 2 --trace 1 | tail -n 1)"
-  echo "$w: ${line:0:160}"
-  [[ "$line" == *'"correct":true'* && "$line" =~ \"failed\":0[,}] ]]
+# exray_bench is a package of its own that tier-1 never compiles, yet it
+# reaches every crate through its `pub` items. Then each workload's bitwise
+# output oracle and balanced books — not its timings, which would flake on a
+# shared runner.
+benchmark-build() {
+  cargo build --release --offline --manifest-path benchmark/Cargo.toml
+  cargo test --release --offline --manifest-path benchmark/Cargo.toml
+  local w line
+  for w in wire_plain wire_monitored serve_batch replay_validate; do
+    line="$(bash benchmark/run.sh --workload "$w" --seed 7 --seconds 2 --trace 1 | tail -n 1)"
+    echo "$w: ${line:0:160}"
+    [[ "$line" == *'"correct":true'* && "$line" =~ \"failed\":0[,}] ]]
+  done
+}
+
+docs() {
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+}
+
+# The vendored-deps invariant: the workspace builds with no network route to
+# crates.io, with the committed lockfile.
+offline-build() {
+  cargo build --release --locked --offline
+}
+
+# What --quick runs after lint and clippy; not a workflow leg.
+tier-1() {
+  cargo test -q
+}
+
+legs=(lint clippy unit integration kernel-suites backend-suites kernel-simd
+  serve-suite metrics-suite rpc-suite trace-suite lint-suite benchmark-build
+  docs offline-build smoke)
+
+case "${1:-}" in
+"") run=("${legs[@]}") ;;
+--quick) run=(lint clippy tier-1) ;;
+*)
+  [[ " ${legs[*]} " == *" $1 "* ]] || {
+    echo "unknown leg '$1' (one of: ${legs[*]})" >&2
+    exit 2
+  }
+  run=("$1")
+  ;;
+esac
+for leg in "${run[@]}"; do
+  step "$leg"
+  "$leg"
 done
-
-step "RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-
-step "cargo build --release --locked --offline (vendored-deps invariant)"
-cargo build --release --locked --offline
-
-step "MLEXRAY_QUICK=1 experiment smoke tests"
-MLEXRAY_QUICK=1 cargo test -p mlexray-bench --test experiments_smoke -q
-
-step "ci-local: all green (artifacts in target/experiment-artifacts/)"
+step "ci-local: green (${run[*]})"
