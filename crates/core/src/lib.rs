@@ -102,10 +102,11 @@ pub use validate::{
     AssertionOutcome, AssertionStatus, BisectionOutcome, BisectionVerdict,
     ChannelArrangementAssertion, ConstantOutputAssertion, DecisionTally, DeploymentValidator,
     DifferentialOptions, DifferentialReport, DifferentialVerdict, DivergentLayer, DriftAlarm,
-    FnAssertion, LatencyBudgetAssertion, LayerDrift, LayerLatency, MemoryBudgetAssertion,
-    NormalizationRangeAssertion, OnlineValidator, OnlineValidatorConfig, OnlineValidatorStats,
-    OrientationAssertion, QuantizationDriftAssertion, ResizeFunctionAssertion, ShardValidation,
-    StragglerLayerAssertion, ValidationContext, ValidationReport, Verdict,
+    DriftFold, FnAssertion, LatencyBudgetAssertion, LayerDrift, LayerLatency,
+    MemoryBudgetAssertion, NormalizationRangeAssertion, OnlineValidator, OnlineValidatorConfig,
+    OnlineValidatorStats, OrientationAssertion, QuantizationDriftAssertion,
+    ResizeFunctionAssertion, ShardValidation, StragglerLayerAssertion, ValidationContext,
+    ValidationReport, Verdict,
 };
 
 /// Result alias used throughout the core crate.

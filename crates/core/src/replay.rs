@@ -9,6 +9,14 @@
 //! [`mlexray_nn::Interpreter`] instances, so no kernel state is shared —
 //! and merges the per-shard results deterministically.
 //!
+//! # What is held, and for how long
+//!
+//! [`replay_sharded`] returns logs: it keeps every shard's records and
+//! merges them. [`replay_validate_sharded`] returns a verdict: a worker
+//! holds one shard's two [`LogSet`]s while it validates them and drops both
+//! before it pulls the next shard, so the run's footprint is `workers ×` one
+//! shard's logs however long the playback set is.
+//!
 //! # Determinism
 //!
 //! The shard partition depends only on the frame count and
@@ -379,7 +387,9 @@ pub fn replay_sharded_to_sink(
     })
 }
 
-/// Everything a sharded replay-validate run produces.
+/// Everything a sharded replay-validate run produces. The logs behind it
+/// are gone by the time it returns (see the module docs); a caller that
+/// wants them runs [`replay_sharded`].
 #[derive(Debug, Clone)]
 pub struct ShardedValidation {
     /// The deterministic merge of all per-shard reports.
@@ -387,17 +397,14 @@ pub struct ShardedValidation {
     /// Per-shard validations, sorted by start frame (shard-level triage:
     /// which stretch of the playback set tripped which assertion).
     pub shards: Vec<ShardValidation>,
-    /// Merged edge logs, globally frame-numbered.
-    pub edge_logs: LogSet,
-    /// Merged reference logs, globally frame-numbered.
-    pub reference_logs: LogSet,
     /// Throughput accounting (frame pairs: each frame ran both pipelines).
     pub stats: ReplayStats,
 }
 
 /// The paper's full loop, sharded: replays every frame through both the
 /// edge pipeline and the reference pipeline, validates each shard locally,
-/// and merges logs and reports deterministically (see the module docs).
+/// and merges the per-shard reports deterministically (see the module
+/// docs).
 ///
 /// Each worker owns one edge interpreter and one reference interpreter for
 /// its whole lifetime; per-shard assertion checks run against shard-local
@@ -413,12 +420,6 @@ pub fn replay_validate_sharded(
     validator: &DeploymentValidator,
     options: &ReplayOptions,
 ) -> Result<ShardedValidation> {
-    struct ShardOutput {
-        validation: ShardValidation,
-        edge_records: Vec<LogRecord>,
-        reference_records: Vec<LogRecord>,
-    }
-
     let started = Instant::now();
     let partition = shard_partition(frames.len(), options.shard_frames);
     let lease = options.lease_workers(partition.len());
@@ -431,52 +432,27 @@ pub fn replay_validate_sharded(
         workers,
         options.effective_queue_depth(workers),
         || Ok((edge.runner()?, reference_pipeline.runner()?)),
-        |(edge_runner, reference_runner), shard| -> Result<ShardOutput> {
+        |(edge_runner, reference_runner), shard| -> Result<ShardValidation> {
             let start = shard.start as u64;
+            let shard_frames = &frames[shard];
             // Shard-local frame numbering (0..len) so assertions that
             // inspect frame 0 run against every shard, not just the first.
             let edge_monitor = Monitor::new(monitor_config);
             let reference_monitor = Monitor::new(monitor_config);
-            run_frames(
-                edge_runner,
-                &frames[shard.clone()],
-                &edge_monitor,
-                micro_batch,
-            )?;
+            run_frames(edge_runner, shard_frames, &edge_monitor, micro_batch)?;
             run_frames(
                 reference_runner,
-                &frames[shard],
+                shard_frames,
                 &reference_monitor,
                 micro_batch,
             )?;
             let edge_logs = edge_monitor.take_logs();
             let reference_logs = reference_monitor.take_logs();
-            let validation = validator.validate_shard(start, &edge_logs, &reference_logs);
-            let rebase = |logs: LogSet| -> Vec<LogRecord> {
-                logs.into_records()
-                    .into_iter()
-                    .map(|mut r| {
-                        r.frame += start;
-                        r
-                    })
-                    .collect()
-            };
-            Ok(ShardOutput {
-                validation,
-                edge_records: rebase(edge_logs),
-                reference_records: rebase(reference_logs),
-            })
+            Ok(validator.validate_shard(start, &edge_logs, &reference_logs))
         },
     )?;
 
-    let mut shards = Vec::with_capacity(chunks.len());
-    let mut edge_records = Vec::new();
-    let mut reference_records = Vec::new();
-    for (_, output) in chunks {
-        shards.push(output.validation);
-        edge_records.extend(output.edge_records);
-        reference_records.extend(output.reference_records);
-    }
+    let shards: Vec<ShardValidation> = chunks.into_iter().map(|(_, shard)| shard).collect();
     let report = validator.merge_shards(&shards);
     let stats = ReplayStats {
         frames: frames.len(),
@@ -487,8 +463,6 @@ pub fn replay_validate_sharded(
     Ok(ShardedValidation {
         report,
         shards,
-        edge_logs: LogSet::new(edge_records),
-        reference_logs: LogSet::new(reference_records),
         stats,
     })
 }

@@ -6,10 +6,12 @@
 //! diagnostic), `Pass` means the check ran and found nothing, `Skipped`
 //! means the logs lacked the data the check needs.
 
+use std::cell::OnceCell;
+
 use mlexray_tensor::{allclose, Shape, TensorStats};
 
 use crate::log::{LogSet, LogValue, KEY_MODEL_OUTPUT, KEY_PREPROCESS_OUTPUT};
-use crate::validate::drift::{layers_above, per_layer_drift};
+use crate::validate::drift::{layers_above, per_layer_drift, LayerDrift};
 use crate::validate::latency::{per_layer_latency, stragglers};
 
 /// Result status of one assertion.
@@ -60,13 +62,33 @@ impl AssertionOutcome {
     }
 }
 
-/// What an assertion sees: both pipelines' logs.
-#[derive(Debug, Clone, Copy)]
+/// What an assertion sees: both pipelines' logs, and the per-layer drift
+/// between them, computed once by whoever asks first (the validator for its
+/// report, or an assertion in a context built by hand).
+#[derive(Debug, Clone)]
 pub struct ValidationContext<'a> {
     /// Edge (instrumented app) logs.
     pub edge: &'a LogSet,
     /// Reference pipeline logs.
     pub reference: &'a LogSet,
+    drift: OnceCell<Vec<LayerDrift>>,
+}
+
+impl<'a> ValidationContext<'a> {
+    /// A context over a pair of log sets.
+    pub fn new(edge: &'a LogSet, reference: &'a LogSet) -> Self {
+        ValidationContext {
+            edge,
+            reference,
+            drift: OnceCell::new(),
+        }
+    }
+
+    /// [`per_layer_drift`] of the edge logs against the reference logs.
+    pub fn drift(&self) -> &[LayerDrift] {
+        let compute = || per_layer_drift(self.edge, self.reference);
+        self.drift.get_or_init(compute)
+    }
 }
 
 /// A root-cause check over a pair of log sets.
@@ -354,11 +376,11 @@ impl Assertion for QuantizationDriftAssertion {
     }
 
     fn check(&self, ctx: &ValidationContext<'_>) -> AssertionOutcome {
-        let drifts = per_layer_drift(ctx.edge, ctx.reference);
+        let drifts = ctx.drift();
         if drifts.is_empty() {
             return AssertionOutcome::skipped(self.name(), "no comparable per-layer outputs");
         }
-        let suspects = layers_above(&drifts, self.threshold);
+        let suspects = layers_above(drifts, self.threshold);
         if suspects.is_empty() {
             return AssertionOutcome::pass(
                 self.name(),
@@ -369,12 +391,19 @@ impl Assertion for QuantizationDriftAssertion {
                 ),
             );
         }
+        // Over a threshold means not NaN: the order is total.
         let mut worst = suspects.clone();
-        worst.sort_by(|a, b| b.mean_nrmse.partial_cmp(&a.mean_nrmse).unwrap());
+        worst.sort_by(|a, b| b.severity().total_cmp(&a.severity()));
         let list: Vec<String> = worst
             .iter()
             .take(3)
-            .map(|d| format!("{} (nRMSE {:.3})", d.layer_name(), d.mean_nrmse))
+            .map(|d| {
+                if d.max_nrmse.is_finite() {
+                    format!("{} (nRMSE {:.3})", d.layer_name(), d.mean_nrmse)
+                } else {
+                    format!("{} (non-finite output)", d.layer_name())
+                }
+            })
             .collect();
         AssertionOutcome::fail(
             self.name(),
@@ -620,10 +649,7 @@ mod tests {
         let reference = vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
         let edge = vec![0.3, 0.2, 0.1, 0.6, 0.5, 0.4];
         let (e, r) = preprocess_logs(edge, reference, Shape::nhwc(1, 1, 2, 3));
-        let ctx = ValidationContext {
-            edge: &e,
-            reference: &r,
-        };
+        let ctx = ValidationContext::new(&e, &r);
         let out = ChannelArrangementAssertion.check(&ctx);
         assert_eq!(out.status, AssertionStatus::Fail, "{}", out.detail);
         // And the normalization assertion must NOT fire on a channel swap.
@@ -639,10 +665,7 @@ mod tests {
         let reference: Vec<f32> = vec![-1.0, -0.5, 0.0, 0.5, 1.0, 0.25];
         let edge: Vec<f32> = reference.iter().map(|v| 0.5 * v + 0.5).collect();
         let (e, r) = preprocess_logs(edge, reference, Shape::nhwc(1, 1, 2, 3));
-        let ctx = ValidationContext {
-            edge: &e,
-            reference: &r,
-        };
+        let ctx = ValidationContext::new(&e, &r);
         let out = NormalizationRangeAssertion.check(&ctx);
         assert_eq!(out.status, AssertionStatus::Fail, "{}", out.detail);
         assert!(out.detail.contains("0.5"), "{}", out.detail);
@@ -657,10 +680,7 @@ mod tests {
         let reference = vec![1.0, 2.0, 3.0, 4.0];
         let edge = vec![2.0, 4.0, 1.0, 3.0];
         let (e, r) = preprocess_logs(edge, reference, Shape::nhwc(1, 2, 2, 1));
-        let ctx = ValidationContext {
-            edge: &e,
-            reference: &r,
-        };
+        let ctx = ValidationContext::new(&e, &r);
         let out = OrientationAssertion.check(&ctx);
         assert_eq!(out.status, AssertionStatus::Fail, "{}", out.detail);
     }
@@ -669,10 +689,7 @@ mod tests {
     fn assertions_pass_on_identical_logs() {
         let vals = vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
         let (e, r) = preprocess_logs(vals.clone(), vals, Shape::nhwc(1, 1, 2, 3));
-        let ctx = ValidationContext {
-            edge: &e,
-            reference: &r,
-        };
+        let ctx = ValidationContext::new(&e, &r);
         for a in [
             &ChannelArrangementAssertion as &dyn Assertion,
             &NormalizationRangeAssertion,
@@ -687,10 +704,7 @@ mod tests {
     fn assertions_skip_without_data() {
         let e = LogSet::default();
         let r = LogSet::default();
-        let ctx = ValidationContext {
-            edge: &e,
-            reference: &r,
-        };
+        let ctx = ValidationContext::new(&e, &r);
         assert_eq!(
             ChannelArrangementAssertion.check(&ctx).status,
             AssertionStatus::Skipped
@@ -720,18 +734,12 @@ mod tests {
         };
         let edge = mk(vec![vec![0.5, 0.5], vec![0.5, 0.5], vec![0.5, 0.5]]);
         let reference = mk(vec![vec![0.9, 0.1], vec![0.2, 0.8], vec![0.6, 0.4]]);
-        let ctx = ValidationContext {
-            edge: &edge,
-            reference: &reference,
-        };
+        let ctx = ValidationContext::new(&edge, &reference);
         assert_eq!(
             ConstantOutputAssertion.check(&ctx).status,
             AssertionStatus::Fail
         );
-        let ctx_ok = ValidationContext {
-            edge: &reference,
-            reference: &reference,
-        };
+        let ctx_ok = ValidationContext::new(&reference, &reference);
         assert_eq!(
             ConstantOutputAssertion.check(&ctx_ok).status,
             AssertionStatus::Pass
@@ -744,10 +752,7 @@ mod tests {
             FnAssertion::failed("custom", "lane distance exceeded")
         });
         let e = LogSet::default();
-        let ctx = ValidationContext {
-            edge: &e,
-            reference: &e,
-        };
+        let ctx = ValidationContext::new(&e, &e);
         let out = a.check(&ctx);
         assert_eq!(out.status, AssertionStatus::Fail);
         assert_eq!(a.name(), "custom");

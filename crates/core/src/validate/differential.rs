@@ -2,11 +2,13 @@
 //! a first-class subsystem.
 //!
 //! A differential run replays the same frames through interpreters built
-//! from two [`BackendSpec`]s (specs, so every replay worker can build its
-//! own instance), aligns the two per-layer
-//! [`mlexray_nn::LayerRecord`] streams by node name, computes per-layer
-//! drift with the §3.4 normalized-rMSE metric
-//! ([`crate::validate::per_layer_drift`]), and reports the **first
+//! from two [`BackendSpec`]s **in lockstep**: per micro-batch chunk the
+//! baseline runs first into a reusable capture, then the candidate runs
+//! with an observer that folds each of its layer outputs against the
+//! captured one ([`DriftFold`], the §3.4 normalized-rMSE metric) the moment
+//! it is produced. A worker holds one chunk of baseline layer outputs,
+//! overwritten by the next; the run holds four bytes per (layer, frame); no
+//! log record is built. The fold yields per-layer drift and the **first
 //! divergent layer** in execution order.
 //!
 //! When [`DifferentialOptions::bisect`] is set, the debugger then confirms
@@ -17,20 +19,23 @@
 //! localization confirmed) or propagated (inherited from upstream
 //! numerics).
 //!
-//! Both runs go through the sharded replay engine ([`crate::replay`]):
-//! frames are partitioned into shards, workers each own a private backend
-//! instance, and per-shard records merge deterministically — the resulting
-//! [`DifferentialReport`] is byte-identical across worker counts and
-//! micro-batch settings (pinned by `crates/core/tests/differential_replay.rs`).
+//! The run goes through the sharded replay engine ([`crate::replay`]):
+//! frames are partitioned into shards, workers each own a private pair of
+//! backend instances, and per-shard folds concatenate in start-frame order
+//! — the resulting [`DifferentialReport`] is byte-identical across worker
+//! counts and micro-batch settings (pinned by
+//! `crates/core/tests/differential_replay.rs`).
+
+use std::borrow::Cow;
 
 use mlexray_nn::{BackendSpec, Graph, GraphBuilder, LayerObserver, LayerRecord, TensorDef};
-use mlexray_tensor::{normalized_rmse, Tensor};
+use mlexray_tensor::Tensor;
 
-use crate::log::{layer_output_key, LogRecord, LogSet, LogValue};
+use crate::log::layer_output_key;
 use crate::monitor::MonitorConfig;
 use crate::pipeline::{ImagePipeline, LabeledFrame};
 use crate::replay::{replay_sharded, run_sharded, shard_partition, ReplayOptions};
-use crate::validate::drift::{per_layer_drift, LayerDrift};
+use crate::validate::drift::{frame_scores, DriftFold};
 use crate::validate::report::{
     BisectionOutcome, BisectionVerdict, DifferentialReport, DifferentialVerdict, DivergentLayer,
 };
@@ -47,8 +52,8 @@ pub struct DifferentialOptions {
     /// Confirm the localization by isolated re-execution of the first
     /// divergent op on reference-prefix inputs.
     pub bisect: bool,
-    /// Sharding/micro-batch tuning for the two replay passes. The monitor
-    /// configuration is ignored — differential runs always capture full
+    /// Sharding/micro-batch tuning for the replay. The monitor
+    /// configuration is ignored — differential runs always compare full
     /// per-layer tensors.
     pub replay: ReplayOptions,
 }
@@ -75,66 +80,105 @@ impl DifferentialOptions {
     }
 }
 
-/// Streams per-layer outputs of a backend run into globally-numbered log
-/// records (frame = `base + in-batch index`), capturing full tensors.
-struct LayerLogCapture {
-    base: u64,
-    records: Vec<LogRecord>,
-}
-
-impl LayerObserver for LayerLogCapture {
-    fn on_layer(&mut self, record: &LayerRecord<'_>) {
-        self.records.push(LogRecord {
-            frame: self.base + record.batch as u64,
-            key: layer_output_key(record.name),
-            value: LogValue::of_tensor(record.output, true),
-        });
+/// A layer output as the real values both sides are compared in: float
+/// tensors are read in place, quantized ones dequantized (as logs are).
+fn real_values(tensor: &Tensor) -> Cow<'_, [f32]> {
+    match tensor.as_f32() {
+        Ok(values) => Cow::Borrowed(values),
+        Err(_) => Cow::Owned(tensor.to_f32_vec()),
     }
 }
 
-/// Replays `frames` through a backend built from `spec` on the sharded
-/// worker pool, returning the merged per-layer log set. Worker count and
-/// micro-batching cannot change the result: layer values are
-/// batching-invariant (the `batch_equivalence` suite pins this) and shards
-/// merge sorted by start frame.
-fn run_backend_sharded(
+/// The baseline's layer outputs of one micro-batch chunk, one buffer per
+/// (node, in-chunk frame) at `node * width + frame`, reused chunk to chunk.
+struct ChunkCapture {
+    width: usize,
+    outputs: Vec<Vec<f32>>,
+}
+
+impl LayerObserver for ChunkCapture {
+    fn on_layer(&mut self, record: &LayerRecord<'_>) {
+        let slot = &mut self.outputs[record.index * self.width + record.batch];
+        slot.clear();
+        slot.extend_from_slice(&real_values(record.output));
+    }
+}
+
+/// The candidate's observer: folds each layer output against the baseline's
+/// captured one while both are hot.
+struct LockstepFold<'a> {
+    baseline: &'a ChunkCapture,
+    /// Global frame number of the chunk's first frame.
+    base: u64,
+    fold: &'a mut DriftFold,
+}
+
+impl LayerObserver for LockstepFold<'_> {
+    fn on_layer(&mut self, record: &LayerRecord<'_>) {
+        let baseline = &self.baseline.outputs[record.index * self.baseline.width + record.batch];
+        let frame = self.base + record.batch as u64;
+        let candidate = real_values(record.output);
+        let key = || layer_output_key(record.name);
+        self.fold
+            .fold(record.index, key, frame, &candidate, baseline);
+    }
+}
+
+/// Replays `frames` through both backends in lockstep on the sharded worker
+/// pool and returns the run's fold. Worker count and micro-batching cannot
+/// change the result: layer values are batching-invariant (the
+/// `batch_equivalence` suite pins this) and shard folds concatenate sorted
+/// by start frame.
+fn fold_backends_sharded(
     graph: &Graph,
-    spec: BackendSpec,
+    baseline: BackendSpec,
+    candidate: BackendSpec,
     frames: &[Vec<Tensor>],
     replay: &ReplayOptions,
-) -> Result<LogSet> {
+) -> Result<DriftFold> {
     let partition = shard_partition(frames.len(), replay.shard_frames);
     let lease = replay.lease_workers(partition.len());
     let workers = lease.cores();
     let micro_batch = replay.micro_batch.max(1);
-    let chunks = run_sharded(
+    let shards = run_sharded(
         &partition,
         workers,
         replay.effective_queue_depth(workers),
-        || spec.build(graph).map_err(ExrayError::from),
-        |backend, shard| -> Result<Vec<LogRecord>> {
-            let mut capture = LayerLogCapture {
-                base: 0,
-                records: Vec::new(),
+        || {
+            let capture = ChunkCapture {
+                width: micro_batch,
+                outputs: vec![Vec::new(); graph.nodes().len() * micro_batch],
             };
+            Ok((baseline.build(graph)?, candidate.build(graph)?, capture))
+        },
+        |(baseline, candidate, capture), shard| -> Result<DriftFold> {
+            let mut fold = DriftFold::default();
             for (i, chunk) in frames[shard.clone()].chunks(micro_batch).enumerate() {
-                capture.base = (shard.start + i * micro_batch) as u64;
                 let refs: Vec<&[Tensor]> = chunk.iter().map(Vec::as_slice).collect();
-                backend.invoke_batch_observed(&refs, &mut capture)?;
+                baseline.invoke_batch_observed(&refs, capture)?;
+                let mut lockstep = LockstepFold {
+                    baseline: capture,
+                    base: (shard.start + i * micro_batch) as u64,
+                    fold: &mut fold,
+                };
+                candidate.invoke_batch_observed(&refs, &mut lockstep)?;
             }
-            Ok(capture.records)
+            Ok(fold)
         },
     )?;
-    Ok(LogSet::new(
-        chunks.into_iter().flat_map(|(_, r)| r).collect(),
-    ))
+    let mut run = DriftFold::default();
+    for (_, shard) in shards {
+        run.absorb(shard);
+    }
+    Ok(run)
 }
 
 /// Runs the full differential debugger over a graph: both backends replay
-/// `frames` (each frame is one input set) through the sharded replay
-/// engine, per-layer drift localizes the first divergent layer, and — with
-/// [`DifferentialOptions::bisect`] — an isolated re-execution of that op on
-/// reference-prefix inputs confirms whether the defect is op-local.
+/// `frames` (each frame is one input set) in lockstep through the sharded
+/// replay engine, per-layer drift localizes the first divergent layer, and
+/// — with [`DifferentialOptions::bisect`] — an isolated re-execution of
+/// that op on reference-prefix inputs confirms whether the defect is
+/// op-local.
 ///
 /// # Errors
 ///
@@ -146,14 +190,12 @@ pub fn diff_backends(
     frames: &[Vec<Tensor>],
     options: &DifferentialOptions,
 ) -> Result<DifferentialReport> {
-    let baseline_logs = run_backend_sharded(graph, baseline, frames, &options.replay)?;
-    let candidate_logs = run_backend_sharded(graph, candidate, frames, &options.replay)?;
+    let fold = fold_backends_sharded(graph, baseline, candidate, frames, &options.replay)?;
     let static_findings = mlexray_nn::analysis::analyze(graph).diagnostics;
     let mut report = localize(
         baseline.label().to_string(),
         candidate.label().to_string(),
-        &baseline_logs,
-        &candidate_logs,
+        &fold,
         frames.len(),
         options.threshold,
     );
@@ -161,15 +203,8 @@ pub fn diff_backends(
     if options.bisect {
         if let Some(divergent) = report.first_divergent.clone() {
             let inputs = &frames[divergent.worst_frame as usize];
-            report.bisection = Some(bisect(
-                graph,
-                baseline,
-                candidate,
-                inputs,
-                &divergent,
-                prefix_max(&report.drift, divergent.index),
-                options.threshold,
-            )?);
+            let outcome = bisect(graph, baseline, candidate, inputs, &divergent, &report)?;
+            report.bisection = Some(outcome);
         }
     }
     Ok(report)
@@ -177,7 +212,9 @@ pub fn diff_backends(
 
 /// Differential run over two image pipelines (the replay-engine shape used
 /// by deployment validation): both pipelines replay the frames sharded with
-/// full per-layer capture, and localization proceeds as in
+/// full per-layer capture — the two may deploy different graph variants, so
+/// layers are matched by name over the merged logs
+/// ([`DriftFold::of_logs`]) — and localization proceeds as in
 /// [`diff_backends`]. Bisection runs when both pipelines deploy the *same*
 /// graph (cross-variant comparisons localize but cannot isolate an op on
 /// shared inputs); the suspect frame is preprocessed through the baseline
@@ -201,69 +238,58 @@ pub fn diff_image_pipelines(
     let mut report = localize(
         baseline_spec.label().to_string(),
         candidate_spec.label().to_string(),
-        &baseline_logs,
-        &candidate_logs,
+        &DriftFold::of_logs(&candidate_logs, &baseline_logs),
         frames.len(),
         options.threshold,
     );
     if options.bisect && baseline.model.graph == candidate.model.graph {
         if let Some(divergent) = report.first_divergent.clone() {
             let image = &frames[divergent.worst_frame as usize].image;
-            let inputs = vec![baseline.preprocess.apply(image)?];
-            report.bisection = Some(bisect(
-                &baseline.model.graph,
+            let inputs = [baseline.preprocess.apply(image)?];
+            let graph = &baseline.model.graph;
+            let outcome = bisect(
+                graph,
                 baseline_spec,
                 candidate_spec,
                 &inputs,
                 &divergent,
-                prefix_max(&report.drift, divergent.index),
-                options.threshold,
-            )?);
+                &report,
+            )?;
+            report.bisection = Some(outcome);
         }
     }
     Ok(report)
 }
 
-/// Worst per-layer `max_nrmse` over the layers before `index` — the prefix
-/// agreement backing a localization.
-fn prefix_max(drift: &[LayerDrift], index: usize) -> f32 {
-    drift
-        .iter()
-        .take_while(|d| d.index != index)
-        .map(|d| d.max_nrmse)
-        .fold(0.0, f32::max)
-}
-
-/// Drift computation + first-divergent localization over two merged log
-/// sets. Drift entries are re-indexed densely in execution order (the raw
-/// key enumeration skips latency keys).
+/// Drift + first-divergent localization, both read from one fold. Drift
+/// entries are re-indexed densely in execution order (the fold's indices
+/// are node or log-key positions, with gaps).
+///
+/// Localization goes by each layer's worst *robust* frame score, never by
+/// the mean: a NaN/Inf produced by one backend makes `mean_nrmse` NaN, and
+/// `NaN > threshold` is false — a mean-based scan would report the exact
+/// defect class this debugger exists for as Equivalent.
 fn localize(
     baseline_label: String,
     candidate_label: String,
-    baseline_logs: &LogSet,
-    candidate_logs: &LogSet,
+    fold: &DriftFold,
     frames: usize,
     threshold: f32,
 ) -> DifferentialReport {
-    let mut drift = per_layer_drift(candidate_logs, baseline_logs);
+    let mut drift = fold.drift();
+    let first_divergent = drift.iter().position(|d| d.max_nrmse > threshold).map(|i| {
+        let d = &drift[i];
+        DivergentLayer {
+            index: i,
+            layer: d.layer_name().to_string(),
+            mean_nrmse: d.mean_nrmse,
+            max_nrmse: d.max_nrmse,
+            worst_frame: fold.worst(d.index).map_or(0, |(frame, _)| frame),
+        }
+    });
     for (i, d) in drift.iter_mut().enumerate() {
         d.index = i;
     }
-    // Localization re-scores each layer with the non-finite-robust metric
-    // rather than trusting the drift aggregate: a NaN/Inf produced by one
-    // backend poisons `mean_nrmse` (NaN) while `f32::max` silently drops it
-    // from `max_nrmse`, so a plain `max_nrmse > threshold` scan would
-    // report the exact defect class this debugger exists for as Equivalent.
-    let first_divergent = drift.iter().find_map(|d| {
-        let (frame, score) = worst_frame_score(candidate_logs, baseline_logs, &d.key);
-        (score > threshold).then(|| DivergentLayer {
-            index: d.index,
-            layer: d.layer_name().to_string(),
-            mean_nrmse: d.mean_nrmse,
-            max_nrmse: score,
-            worst_frame: frame,
-        })
-    });
     let verdict = if first_divergent.is_some() {
         DifferentialVerdict::Diverged
     } else {
@@ -280,52 +306,6 @@ fn localize(
         static_findings: Vec::new(),
         verdict,
     }
-}
-
-/// Divergence score of one layer on one frame: exactly `0.0` for
-/// bitwise-identical values (identical NaNs included), `+inf` when the
-/// values differ and either side carries a non-finite element (NaN/Inf
-/// divergence must never score below any threshold), normalized rMSE
-/// otherwise. Sign-of-zero-only differences score `0.0`.
-fn frame_score(candidate: &[f32], baseline: &[f32]) -> f32 {
-    if candidate.len() == baseline.len()
-        && candidate
-            .iter()
-            .zip(baseline)
-            .all(|(c, b)| c.to_bits() == b.to_bits())
-    {
-        return 0.0;
-    }
-    let nrmse = normalized_rmse(candidate, baseline);
-    if nrmse.is_finite() {
-        nrmse
-    } else {
-        f32::INFINITY
-    }
-}
-
-/// The worst [`frame_score`] for `key` across the compared frames, with the
-/// frame it occurred on (ties resolve to the lowest frame — deterministic
-/// whatever order the shards merged in).
-fn worst_frame_score(candidate: &LogSet, baseline: &LogSet, key: &str) -> (u64, f32) {
-    let frames = candidate.frame_count().min(baseline.frame_count());
-    let mut worst = (0u64, f32::NEG_INFINITY);
-    for frame in 0..frames {
-        let (Some(c), Some(b)) = (candidate.get(frame, key), baseline.get(frame, key)) else {
-            continue;
-        };
-        let (Some(cv), Some(bv)) = (c.value.values(), b.value.values()) else {
-            continue;
-        };
-        if cv.len() != bv.len() {
-            continue;
-        }
-        let score = frame_score(cv, bv);
-        if score > worst.1 {
-            worst = (frame, score);
-        }
-    }
-    (worst.0, worst.1.max(0.0))
 }
 
 /// Captures every node's output tensor (typed, quantized) during a
@@ -353,8 +333,7 @@ fn bisect(
     candidate: BackendSpec,
     frame_inputs: &[Tensor],
     divergent: &DivergentLayer,
-    prefix_max_nrmse: f32,
-    threshold: f32,
+    report: &DifferentialReport,
 ) -> Result<BisectionOutcome> {
     // Trusted prefix activations: the frame replayed under the reference
     // backend (ML-EXray's known-correct runtime), whatever the baseline of
@@ -432,13 +411,16 @@ fn bisect(
     // Same non-finite-robust scoring as localization: identical NaNs agree
     // (score 0), differing values with a NaN/Inf on either side diverge
     // unconditionally.
-    let isolated_nrmse = frame_score(&c, &a);
+    let (_, isolated_nrmse) = frame_scores(&c, &a);
     Ok(BisectionOutcome {
         layer: divergent.layer.clone(),
         frame: divergent.worst_frame,
         isolated_nrmse,
-        prefix_max_nrmse,
-        verdict: if isolated_nrmse > threshold {
+        // How clean the prefix agreement backing the localization is.
+        prefix_max_nrmse: report.drift[..divergent.index]
+            .iter()
+            .fold(0.0, |max, d| max.max(d.max_nrmse)),
+        verdict: if isolated_nrmse > report.threshold {
             BisectionVerdict::OpLocal
         } else {
             BisectionVerdict::Propagated
@@ -566,7 +548,7 @@ mod tests {
     /// naive scan would report a poisoned layer as Equivalent.
     #[test]
     fn nan_divergence_is_flagged_not_silently_equivalent() {
-        use crate::log::{LogRecord, LogValue};
+        use crate::log::{LogRecord, LogSet, LogValue};
         let record = |key: &str, values: Vec<f32>| LogRecord {
             frame: 0,
             key: key.into(),
@@ -583,16 +565,17 @@ mod tests {
             record("layer/a/output", vec![1.0, 2.0]),
             record("layer/b/output", vec![f32::NAN, 2.0]),
         ]);
-        let report = localize("base".into(), "cand".into(), &baseline, &candidate, 1, 0.0);
+        let fold = DriftFold::of_logs(&candidate, &baseline);
+        let report = localize("base".into(), "cand".into(), &fold, 1, 0.0);
         assert_eq!(report.verdict, DifferentialVerdict::Diverged);
         assert_eq!(report.divergent_layer(), Some("b"));
         assert_eq!(report.first_divergent.unwrap().max_nrmse, f32::INFINITY);
 
         // Identical NaNs are agreement; sign-of-zero-only differences do
         // not score; differing values with an Inf diverge unconditionally.
-        assert_eq!(frame_score(&[f32::NAN, 1.0], &[f32::NAN, 1.0]), 0.0);
-        assert_eq!(frame_score(&[0.0], &[-0.0]), 0.0);
-        assert_eq!(frame_score(&[f32::INFINITY], &[1.0]), f32::INFINITY);
+        assert_eq!(frame_scores(&[f32::NAN, 1.0], &[f32::NAN, 1.0]).1, 0.0);
+        assert_eq!(frame_scores(&[0.0], &[-0.0]).1, 0.0);
+        assert_eq!(frame_scores(&[f32::INFINITY], &[1.0]).1, f32::INFINITY);
     }
 
     #[test]

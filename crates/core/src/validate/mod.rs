@@ -16,7 +16,7 @@ pub use assertions::{
     ResizeFunctionAssertion, StragglerLayerAssertion, ValidationContext,
 };
 pub use differential::{diff_backends, diff_image_pipelines, DifferentialOptions};
-pub use drift::{first_drift_jump, layers_above, per_layer_drift, LayerDrift};
+pub use drift::{first_drift_jump, layers_above, per_layer_drift, DriftFold, LayerDrift};
 pub use latency::{compare_layer_latency, per_layer_latency, stragglers, LayerLatency};
 pub use online::{DriftAlarm, OnlineValidator, OnlineValidatorConfig, OnlineValidatorStats};
 pub use report::{

@@ -16,11 +16,19 @@
 //! The check builds its own private backend instances from the
 //! [`BackendSpec`]s, so it never contends with (or perturbs) the serving
 //! workers' interpreters: monitoring stays on, service stays up.
+//!
+//! What is held: the reservoir (at most `window` sampled input frames) for
+//! the validator's lifetime, and a copy of it for the duration of a check.
+//! The check itself runs both backends in lockstep and keeps no layer
+//! output beyond the micro-batch chunk in flight (see
+//! [`crate::validate::diff_backends`]), so its footprint does not grow with
+//! the reservoir.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -107,6 +115,8 @@ pub struct OnlineValidator {
     observed: AtomicU64,
     checks: AtomicU64,
     alarms: AtomicU64,
+    /// Wall-clock nanoseconds of the most recent check that ran.
+    last_check_ns: AtomicU64,
 }
 
 impl fmt::Debug for OnlineValidator {
@@ -127,6 +137,7 @@ impl OnlineValidator {
             observed: AtomicU64::new(0),
             checks: AtomicU64::new(0),
             alarms: AtomicU64::new(0),
+            last_check_ns: AtomicU64::new(0),
         }
     }
 
@@ -163,6 +174,12 @@ impl OnlineValidator {
         }
     }
 
+    /// What the most recent check that ran cost, end to end (zero before
+    /// the first): what an operator pays each time they ask.
+    pub fn last_check(&self) -> Duration {
+        Duration::from_nanos(self.last_check_ns.load(Ordering::Relaxed))
+    }
+
     /// Replays the reservoir through both backends and localizes any drift:
     /// `baseline` is the trusted reference, `live` the spec the service is
     /// actually running. Returns `None` while the reservoir holds fewer than
@@ -188,9 +205,12 @@ impl OnlineValidator {
             }
             reservoir.iter().cloned().collect()
         };
+        let started = Instant::now();
         let frames: Vec<Vec<Tensor>> = snapshot.iter().map(|f| f.as_ref().clone()).collect();
         let report = diff_backends(graph, baseline, live, &frames, &self.config.options)?;
         let raised = !report.is_equivalent();
+        self.last_check_ns
+            .store(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.checks.fetch_add(1, Ordering::AcqRel);
         if raised {
             self.alarms.fetch_add(1, Ordering::AcqRel);
@@ -272,6 +292,7 @@ mod tests {
         assert_eq!(alarm.frames, 6);
         assert_eq!(validator.stats().checks, 1);
         assert_eq!(validator.stats().alarms, 0);
+        assert!(validator.last_check() > Duration::ZERO);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::validate::assertions::{
     ConstantOutputAssertion, NormalizationRangeAssertion, OrientationAssertion,
     QuantizationDriftAssertion, ResizeFunctionAssertion, ValidationContext,
 };
-use crate::validate::drift::{first_drift_jump, layers_above, per_layer_drift, LayerDrift};
+use crate::validate::drift::{first_drift_jump, layers_above, LayerDrift};
 
 /// Side-by-side accuracy of the two pipelines.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -319,38 +319,41 @@ impl DeploymentValidator {
             edge: edge.accuracy(),
             reference: reference.accuracy(),
         };
-        let degraded_accuracy = accuracy
-            .drop()
-            .map(|d| d > self.accuracy_tolerance)
-            .unwrap_or(false);
+        // The context computes the drift once; the report and the
+        // quantization-drift assertion read the same values.
+        let ctx = ValidationContext::new(edge, reference);
+        let drift = ctx.drift().to_vec();
+        let outcomes = self.assertions.iter().map(|a| a.check(&ctx)).collect();
+        self.report(accuracy, drift, outcomes)
+    }
 
-        let drift = per_layer_drift(edge, reference);
-        let suspect_layers = self.suspect_layers(&drift);
-
-        let ctx = ValidationContext { edge, reference };
-        let outcomes: Vec<AssertionOutcome> =
-            self.assertions.iter().map(|a| a.check(&ctx)).collect();
+    /// Suspects and verdict over the parts of a report. Shared by
+    /// [`Self::validate`] and [`Self::merge_shards`], so sharded and
+    /// unsharded reports can never diverge on either.
+    fn report(
+        &self,
+        accuracy: AccuracyComparison,
+        drift: Vec<LayerDrift>,
+        outcomes: Vec<AssertionOutcome>,
+    ) -> ValidationReport {
+        let degraded_accuracy = accuracy.drop().is_some_and(|d| d > self.accuracy_tolerance);
         let any_failed = outcomes.iter().any(|o| o.status == AssertionStatus::Fail);
-
-        let verdict = if degraded_accuracy || any_failed {
-            Verdict::Degraded
-        } else {
-            Verdict::Healthy
-        };
         ValidationReport {
             accuracy,
+            suspect_layers: self.suspect_layers(&drift),
             drift,
-            suspect_layers,
             outcomes,
-            verdict,
+            verdict: if degraded_accuracy || any_failed {
+                Verdict::Degraded
+            } else {
+                Verdict::Healthy
+            },
         }
     }
 
     /// The suspect-layer heuristic of the Fig. 2 flow: layers over the
     /// drift threshold, falling back to the first drift *jump* (§3.4) when
-    /// nothing crosses it outright. Shared by [`Self::validate`] and
-    /// [`Self::merge_shards`] so sharded and unsharded reports can never
-    /// diverge on suspects.
+    /// nothing crosses it outright.
     fn suspect_layers(&self, drift: &[LayerDrift]) -> Vec<String> {
         let mut suspects: Vec<String> = layers_above(drift, self.drift_threshold)
             .iter()
@@ -530,32 +533,15 @@ impl DeploymentValidator {
                 }
             })
             .collect();
-        let suspect_layers = self.suspect_layers(&drift);
-
         let accuracy = AccuracyComparison {
             edge: edge_tally.accuracy(),
             reference: reference_tally.accuracy(),
         };
-        let degraded_accuracy = accuracy
-            .drop()
-            .map(|d| d > self.accuracy_tolerance)
-            .unwrap_or(false);
-        let outcomes: Vec<AssertionOutcome> = outcome_order
+        let outcomes = outcome_order
             .iter()
             .map(|name| outcomes[name].clone())
             .collect();
-        let any_failed = outcomes.iter().any(|o| o.status == AssertionStatus::Fail);
-        ValidationReport {
-            accuracy,
-            drift,
-            suspect_layers,
-            outcomes,
-            verdict: if degraded_accuracy || any_failed {
-                Verdict::Degraded
-            } else {
-                Verdict::Healthy
-            },
-        }
+        self.report(accuracy, drift, outcomes)
     }
 }
 
@@ -659,6 +645,57 @@ mod tests {
             "{}",
             merged.outcomes[0].detail
         );
+    }
+
+    /// A layer that outputs NaN must not pass: its mean drift is NaN, and
+    /// `NaN > threshold` is false everywhere a threshold is read.
+    #[test]
+    fn non_finite_layer_is_suspect_and_fails_quantization_drift() {
+        use mlexray_tensor::Shape;
+        let layer = |key: &str, values: Vec<f32>| LogRecord {
+            frame: 0,
+            key: key.into(),
+            value: LogValue::TensorFull {
+                shape: Shape::vector(values.len()),
+                values,
+            },
+        };
+        let reference = LogSet::new(vec![
+            layer("layer/a/output", vec![1.0, 2.0]),
+            layer("layer/b/output", vec![1.0, 2.0]),
+        ]);
+        let poisoned = LogSet::new(vec![
+            layer("layer/a/output", vec![1.0, 2.0]),
+            layer("layer/b/output", vec![f32::NAN, 2.0]),
+        ]);
+        let v = DeploymentValidator::new();
+        let report = v.validate(&poisoned, &reference);
+        assert_eq!(report.verdict, Verdict::Degraded, "{report}");
+        assert_eq!(report.suspect_layers, ["b"]);
+        assert!(report.drift[1].mean_nrmse.is_nan());
+        assert_eq!(report.drift[1].max_nrmse, f32::INFINITY);
+        let text = report.to_string();
+        assert!(
+            text.contains(
+                "[FAIL] quantization_drift: 1 error-prone layer(s); worst: b (non-finite output)"
+            ),
+            "{text}"
+        );
+        // It survives the shard merge, next to a clean shard.
+        let merged = v.merge_shards(&[
+            v.validate_shard(0, &reference, &reference),
+            v.validate_shard(1, &poisoned, &reference),
+        ]);
+        assert_eq!(merged.verdict, Verdict::Degraded, "{merged}");
+        assert_eq!(merged.suspect_layers, ["b"]);
+
+        // Finite inputs render exactly as before.
+        let finite = v.validate(&reference, &reference).to_string();
+        assert!(
+            finite.contains("[PASS] quantization_drift: all 2 compared layers below nRMSE 0.15"),
+            "{finite}"
+        );
+        assert!(finite.ends_with("verdict: Healthy"), "{finite}");
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn sharded_validation_report_is_identical_across_worker_counts() {
         let result =
             replay_validate_sharded(&pipeline, &reference, &frames, &validator, &options).unwrap();
         assert_eq!(result.shards.len(), 3);
-        assert_eq!(result.edge_logs.frame_count(), 10);
+        assert_eq!(result.stats.frames, 10);
         let text = result.report.to_string();
         match &rendered {
             None => rendered = Some(text),

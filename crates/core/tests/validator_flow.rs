@@ -81,10 +81,7 @@ fn latency_and_memory_budget_assertions() {
         },
     ]);
     let reference = LogSet::default();
-    let ctx = ValidationContext {
-        edge: &edge,
-        reference: &reference,
-    };
+    let ctx = ValidationContext::new(&edge, &reference);
 
     let tight = LatencyBudgetAssertion { budget_ms: 50.0 }.check(&ctx);
     assert_eq!(tight.status, mlexray_core::AssertionStatus::Fail);

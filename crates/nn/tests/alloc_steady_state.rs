@@ -8,8 +8,7 @@
 //! One `#[test]` in a file of its own, so no other test thread allocates
 //! while the counters are being read.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 use mlexray_nn::{
     Activation, Graph, GraphBuilder, Interpreter, InterpreterOptions, KernelBugs, KernelFlavor,
@@ -17,35 +16,9 @@ use mlexray_nn::{
 };
 use mlexray_tensor::{Shape, Tensor};
 
-struct Counting;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are side effects only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{ALLOCATIONS, LIVE_BYTES};
 
 fn filled(dims: Vec<usize>, value: f32) -> Tensor {
     Tensor::filled_f32(Shape::new(dims), value)

@@ -92,21 +92,29 @@ fn bilinear(src: &Image, dst: &mut Image) {
 fn area_average(src: &Image, dst: &mut Image) {
     let sx = src.width() as f32 / dst.width() as f32;
     let sy = src.height() as f32 / dst.height() as f32;
+    // Every output row uses the same source column spans.
+    let spans: Vec<(usize, usize)> = (0..dst.width())
+        .map(|x| {
+            let x_lo = (x as f32 * sx).floor() as usize;
+            let x_hi = (((x + 1) as f32 * sx).ceil() as usize)
+                .min(src.width())
+                .max(x_lo + 1);
+            (x_lo, x_hi)
+        })
+        .collect();
+    let row_len = src.width() * Image::CHANNELS;
     for y in 0..dst.height() {
         let y_lo = (y as f32 * sy).floor() as usize;
         let y_hi = (((y + 1) as f32 * sy).ceil() as usize)
             .min(src.height())
             .max(y_lo + 1);
-        for x in 0..dst.width() {
-            let x_lo = (x as f32 * sx).floor() as usize;
-            let x_hi = (((x + 1) as f32 * sx).ceil() as usize)
-                .min(src.width())
-                .max(x_lo + 1);
+        let rows = &src.data()[y_lo * row_len..y_hi * row_len];
+        for (x, &(x_lo, x_hi)) in spans.iter().enumerate() {
             let mut acc = [0f32; 3];
             let mut count = 0f32;
-            for yy in y_lo..y_hi {
-                for xx in x_lo..x_hi {
-                    let p = src.pixel(xx, yy);
+            for row in rows.chunks_exact(row_len) {
+                let taps = &row[x_lo * Image::CHANNELS..x_hi * Image::CHANNELS];
+                for p in taps.chunks_exact(Image::CHANNELS) {
                     for c in 0..3 {
                         acc[c] += p[c] as f32;
                     }
@@ -155,6 +163,69 @@ mod tests {
         );
         let q = near.pixel(0, 0);
         assert!(q[0] == 0 || q[0] == 255, "nearest should alias: {q:?}");
+    }
+
+    /// The per-tap loop `area_average` replaced — column spans recomputed
+    /// on every row, every tap through `pixel()` — kept as its oracle.
+    fn area_average_per_tap(src: &Image, dst: &mut Image) {
+        let sx = src.width() as f32 / dst.width() as f32;
+        let sy = src.height() as f32 / dst.height() as f32;
+        for y in 0..dst.height() {
+            let y_lo = (y as f32 * sy).floor() as usize;
+            let y_hi = (((y + 1) as f32 * sy).ceil() as usize)
+                .min(src.height())
+                .max(y_lo + 1);
+            for x in 0..dst.width() {
+                let x_lo = (x as f32 * sx).floor() as usize;
+                let x_hi = (((x + 1) as f32 * sx).ceil() as usize)
+                    .min(src.width())
+                    .max(x_lo + 1);
+                let mut acc = [0f32; 3];
+                let mut count = 0f32;
+                for yy in y_lo..y_hi {
+                    for xx in x_lo..x_hi {
+                        let p = src.pixel(xx, yy);
+                        for c in 0..3 {
+                            acc[c] += p[c] as f32;
+                        }
+                        count += 1.0;
+                    }
+                }
+                let px = [
+                    (acc[0] / count).round().clamp(0.0, 255.0) as u8,
+                    (acc[1] / count).round().clamp(0.0, 255.0) as u8,
+                    (acc[2] / count).round().clamp(0.0, 255.0) as u8,
+                ];
+                dst.set_pixel(x, y, px);
+            }
+        }
+    }
+
+    #[test]
+    fn area_average_matches_the_per_tap_loop_on_awkward_sizes() {
+        // Non-square sources and targets, non-integer ratios both ways,
+        // up- and down-scaling, single-row/column extremes.
+        let sizes = [
+            ((60, 60), (24, 24)),
+            ((60, 40), (24, 17)),
+            ((37, 53), (16, 9)),
+            ((13, 7), (5, 3)),
+            ((7, 13), (10, 20)),
+            ((5, 5), (7, 3)),
+            ((64, 1), (9, 1)),
+            ((1, 31), (1, 4)),
+            ((100, 3), (33, 2)),
+        ];
+        for ((w, h), (tw, th)) in sizes {
+            let data: Vec<u8> = (0..w * h * 3)
+                .map(|i| ((i * 2_654_435_761usize) >> 7) as u8)
+                .collect();
+            let src = Image::from_raw(w, h, crate::ChannelOrder::Rgb, data).unwrap();
+            let mut expected = Image::solid(tw, th, [0, 0, 0]);
+            area_average_per_tap(&src, &mut expected);
+            let got = resize(&src, tw, th, ResizeMethod::AreaAverage).unwrap();
+            assert_eq!(got, expected, "{w}x{h} -> {tw}x{th}");
+        }
     }
 
     #[test]

@@ -937,6 +937,40 @@ impl crate::metrics::Collect for InferenceService {
                 model,
                 pool.worker_count as f64,
             );
+            if let Some(validator) = &pool.validator {
+                let stats = validator.stats();
+                for (series, help, value) in [
+                    (
+                        "mlexray_validator_observed_total",
+                        "Sampled request inputs offered to the online validator's reservoir.",
+                        stats.observed,
+                    ),
+                    (
+                        "mlexray_validator_checks_total",
+                        "Online drift checks that ran (the reservoir held enough frames).",
+                        stats.checks,
+                    ),
+                    (
+                        "mlexray_validator_alarms_total",
+                        "Online drift checks that raised an alarm.",
+                        stats.alarms,
+                    ),
+                ] {
+                    out.counter(series, help, model, value);
+                }
+                out.gauge(
+                    "mlexray_validator_reservoir_frames",
+                    "Frames currently held in the online validator's reservoir.",
+                    model,
+                    validator.sampled_frames() as f64,
+                );
+                out.gauge(
+                    "mlexray_validator_last_check_seconds",
+                    "Wall-clock cost of the most recent online drift check that ran.",
+                    model,
+                    validator.last_check().as_secs_f64(),
+                );
+            }
             out.histogram(
                 "mlexray_serve_request_latency_seconds",
                 "End-to-end latency (queue + execution) of completed requests.",

@@ -144,7 +144,9 @@ fn wire_metrics_matches_drained_books_exactly() {
         ServiceConfig {
             workers_per_model: 1,
             batch: BatchPolicy::windowed(4, Duration::from_micros(200)),
-            monitor: MonitorPolicy::off(),
+            // Every request feeds the online validator, so its series have
+            // books to be held to.
+            monitor: MonitorPolicy::sampled(1),
             ..Default::default()
         },
         None,
@@ -202,6 +204,10 @@ fn wire_metrics_matches_drained_books_exactly() {
     for handle in shed_clients {
         handle.join().unwrap();
     }
+
+    // One online drift check over the six completed frames.
+    let alarm = server.service().drift_check("m").unwrap();
+    assert!(alarm.is_some_and(|alarm| !alarm.raised));
 
     // Drain, then scrape over the wire: Metrics answers during drain.
     server.begin_drain();
@@ -272,6 +278,20 @@ fn wire_metrics_matches_drained_books_exactly() {
             "{name}{labels:?}: exposition {got} != books {want}"
         );
     }
+    // The online validator's series are its own counters.
+    let validator = server.service().validator_stats("m").expect("validator on");
+    assert_eq!(
+        (validator.observed, validator.checks, validator.alarms),
+        (COMPLETED as u64, 1, 0)
+    );
+    assert_eq!(
+        (
+            get("mlexray_validator_observed_total", m),
+            get("mlexray_validator_checks_total", m),
+            get("mlexray_validator_alarms_total", m),
+        ),
+        (validator.observed, validator.checks, validator.alarms)
+    );
     // The balance identities hold inside the exposition itself.
     let offered = get("mlexray_serve_requests_offered_total", m);
     let admitted = get("mlexray_serve_requests_admitted_total", m);

@@ -90,13 +90,61 @@ pub fn rmse(a: &[f32], b: &[f32]) -> f32 {
 /// A constant reference output (zero range) degenerates to the raw rMSE so a
 /// drift is still reported rather than dividing by zero.
 ///
+/// One walk over both slices. The squared differences add up left to right
+/// in `f64`, exactly as [`rmse`] adds them, so the value is bitwise
+/// `rmse(edge, reference) / TensorStats::of(reference).range()`; the
+/// reference's extremes are order-free and ride along in eight lanes. A
+/// plain `<` / `>` ignores NaNs the way `f32::min` / `f32::max` do: an
+/// all-NaN reference keeps its `−∞` range and falls through to the raw rMSE.
+///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn normalized_rmse(edge: &[f32], reference: &[f32]) -> f32 {
-    let e = rmse(edge, reference);
-    let stats = TensorStats::of(reference);
-    let range = stats.range();
+    const LANES: usize = 8;
+    assert_eq!(
+        edge.len(),
+        reference.len(),
+        "rmse requires equal-length slices"
+    );
+    if edge.is_empty() {
+        return 0.0;
+    }
+    let mut sum = 0.0f64;
+    let mut lo = [f32::INFINITY; LANES];
+    let mut hi = [f32::NEG_INFINITY; LANES];
+    let mut track = |x: f32, y: f32, lane: usize| {
+        let d = (x - y) as f64;
+        sum += d * d;
+        if y < lo[lane] {
+            lo[lane] = y;
+        }
+        if y > hi[lane] {
+            hi[lane] = y;
+        }
+    };
+    let mut edge_blocks = edge.chunks_exact(LANES);
+    let mut reference_blocks = reference.chunks_exact(LANES);
+    for (xs, ys) in edge_blocks.by_ref().zip(reference_blocks.by_ref()) {
+        for lane in 0..LANES {
+            track(xs[lane], ys[lane], lane);
+        }
+    }
+    let tail = edge_blocks
+        .remainder()
+        .iter()
+        .zip(reference_blocks.remainder());
+    for (lane, (&x, &y)) in tail.enumerate() {
+        track(x, y, lane);
+    }
+    let min = lo
+        .iter()
+        .fold(f32::INFINITY, |m, &v| if v < m { v } else { m });
+    let max = hi
+        .iter()
+        .fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+    let e = (sum / edge.len() as f64).sqrt() as f32;
+    let range = max - min;
     if range > f32::EPSILON {
         e / range
     } else {
@@ -162,6 +210,68 @@ mod tests {
         let reference = [5.0f32, 5.0];
         let edge = [6.0f32, 6.0];
         assert!((normalized_rmse(&edge, &reference) - 1.0).abs() < 1e-6);
+    }
+
+    /// The two-pass composition `normalized_rmse` replaced, kept as the
+    /// oracle its bits are held to.
+    fn two_pass(edge: &[f32], reference: &[f32]) -> f32 {
+        let e = rmse(edge, reference);
+        let range = TensorStats::of(reference).range();
+        if range > f32::EPSILON {
+            e / range
+        } else {
+            e
+        }
+    }
+
+    /// Same bit pattern, or both NaN: Rust leaves the sign and payload of a
+    /// NaN *result* unspecified (an optimized build may propagate a
+    /// different operand's than an unoptimized one).
+    fn assert_same(edge: &[f32], reference: &[f32], case: &str) {
+        let (got, want) = (normalized_rmse(edge, reference), two_pass(edge, reference));
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "{case}: {got:e} ({:08x}) vs {want:e} ({:08x}) on {edge:?} vs {reference:?}",
+            got.to_bits(),
+            want.to_bits()
+        );
+    }
+
+    #[test]
+    fn normalized_rmse_is_bitwise_the_two_pass_composition() {
+        let wave = |i: usize, k: f32| ((i as f32 + 1.0) * k).sin() * (1.0 + i as f32 * 0.37);
+        // Every length through two full lane blocks and all eight tails.
+        for n in 0..=67usize {
+            let reference: Vec<f32> = (0..n).map(|i| wave(i, 0.61)).collect();
+            let edge: Vec<f32> = (0..n)
+                .map(|i| wave(i, 0.61) + wave(i, 1.7) * 1e-2)
+                .collect();
+            assert_same(&edge, &reference, &format!("n={n}"));
+            // The same data with one special value planted at every
+            // position of either side (so it lands in every lane and in the
+            // tail, as the first and as the last extreme).
+            for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1e30] {
+                for at in 0..n {
+                    let mut planted = reference.clone();
+                    planted[at] = special;
+                    for (e, r) in [(&edge, &planted), (&planted, &reference)] {
+                        assert_same(e, r, &format!("n={n} special={special} at={at}"));
+                    }
+                }
+            }
+        }
+        let cases: [(&[f32], &[f32]); 7] = [
+            (&[], &[]),
+            (&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]),
+            (&[1.0, 2.0], &[f32::NAN, f32::NAN]),
+            (&[f32::NAN, f32::NAN], &[f32::NAN, f32::NAN]),
+            (&[0.0, -0.0, 0.0], &[-0.0, 0.0, -0.0]),
+            (&[f32::MAX, 1.0], &[-f32::MAX, 2.0]),
+            (&[f32::INFINITY, 1.0], &[f32::INFINITY, 3.0]),
+        ];
+        for (edge, reference) in cases {
+            assert_same(edge, reference, "special case");
+        }
     }
 
     #[test]

@@ -51,11 +51,14 @@ kernel-suites() {
 
 # The multi-spec acceptance surface: injected-defect localization on random
 # graphs, every kernel dispatch arm (and EdgeNumerics knob) as bit patterns,
-# and a DifferentialReport byte-identical across worker counts and
-# micro-batch settings.
+# a DifferentialReport byte-identical across worker counts and micro-batch
+# settings, the rendered validation and differential reports of
+# mini_mobilenet_v2 against the golden text recorded before the drift fold,
+# and the fold bitwise against the log-scanning loops it replaced.
 backend-suites() {
   cargo test -p mlexray-nn --test backend_differential --test golden_kernels -q
-  cargo test -p mlexray-core --test differential_replay -q
+  cargo test -p mlexray-core --test differential_replay --test golden_reports \
+    --test drift_fold_oracle -q
 }
 
 # Run twice: under native runtime dispatch (AVX2+FMA where the host has it)
@@ -64,14 +67,17 @@ backend-suites() {
 # proves identical bits on any host, not just that a fallback exists.
 # alloc_steady_state holds — with a counting global allocator — a warmed
 # invoke to a depth-independent allocation count and the one arena to the
-# footprint of its largest batch.
+# footprint of its largest batch; alloc_validation holds a differential run's
+# peak to be independent of its frame count and a sharded replay-validate's to
+# about one shard's logs. golden_reports must read the same text either way.
 kernel-simd() {
   local nn=(-p mlexray-nn --test golden_kernels --test batch_equivalence
-    --test backend_differential --test alloc_steady_state -q)
+    --test backend_differential --test alloc_steady_state --test alloc_validation -q)
+  local core=(-p mlexray-core --test parallel_invoke --test golden_reports -q)
   cargo test "${nn[@]}"
-  cargo test -p mlexray-core --test parallel_invoke -q
+  cargo test "${core[@]}"
   MLEXRAY_SIMD=scalar cargo test "${nn[@]}"
-  MLEXRAY_SIMD=scalar cargo test -p mlexray-core --test parallel_invoke -q
+  MLEXRAY_SIMD=scalar cargo test "${core[@]}"
 }
 
 # Everything in mlexray-serve: its unit tests (the door reaps finished
