@@ -5,7 +5,7 @@
 
 use mlexray_datasets::synth_text;
 use mlexray_models::text::{ids_to_tensor, nnlm};
-use mlexray_nn::{Interpreter, InterpreterOptions};
+use mlexray_nn::{BackendSpec, Interpreter};
 use mlexray_preprocess::{TextPreprocessConfig, Tokenizer, Vocabulary};
 use mlexray_tensor::normalized_rmse;
 use mlexray_trainer::{train_or_load, Sample, TrainConfig};
@@ -66,8 +66,7 @@ pub fn run(scale: &Scale) -> String {
     .expect("nnlm trains");
 
     // Evaluate both pipelines and measure embedding-output divergence.
-    let mut interp =
-        Interpreter::new(&model.graph, InterpreterOptions::optimized()).expect("valid");
+    let mut interp = Interpreter::new(&model.graph, BackendSpec::optimized()).expect("valid");
     let mut results = Vec::new();
     let mut divergence = 0.0f64;
     let mut agree = 0usize;

@@ -8,7 +8,7 @@ use mlexray_core::{
 use mlexray_datasets::{synth_audio, synth_text};
 use mlexray_models::{canonical_preprocess, ssd, text::nnlm, MiniFamily};
 use mlexray_nn::{
-    calibrate, convert_to_mobile, quantize_model, InterpreterOptions, KernelBugs, KernelFlavor,
+    calibrate, convert_to_mobile, quantize_model, BackendSpec, KernelBugs, KernelFlavor,
     QuantizationOptions,
 };
 use mlexray_preprocess::{
@@ -194,7 +194,7 @@ pub fn run(scale: &Scale) -> String {
         )
         .expect("reference");
         let edge = collect_logs(
-            &ImagePipeline::new(quant, canonical3).with_options(InterpreterOptions {
+            &ImagePipeline::new(quant, canonical3).with_backend(BackendSpec {
                 flavor: KernelFlavor::Reference,
                 bugs: KernelBugs::paper_2021(),
                 numerics: None,
@@ -216,7 +216,7 @@ pub fn run(scale: &Scale) -> String {
     {
         let edge = collect_logs(
             &ImagePipeline::new(model.clone(), canonical.clone())
-                .with_options(InterpreterOptions::reference()),
+                .with_backend(BackendSpec::reference()),
             &frames[..2],
             MonitorConfig::offline_validation(),
         )

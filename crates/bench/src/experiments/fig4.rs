@@ -8,7 +8,7 @@
 
 use mlexray_datasets::{synth_audio, synth_detect};
 use mlexray_models::{audio::mini_audio_cnn, canonical_preprocess, ssd, MiniFamily};
-use mlexray_nn::{Interpreter, InterpreterOptions};
+use mlexray_nn::{BackendSpec, Interpreter};
 use mlexray_preprocess::{AudioPreprocessConfig, PreprocessBug, SpectrogramNormalization};
 use mlexray_trainer::{evaluate, train_or_load, Sample, TrainConfig};
 
@@ -78,8 +78,7 @@ pub fn detection(scale: &Scale) -> String {
         canonical.with_bug(PreprocessBug::Channel),
         canonical.with_bug(PreprocessBug::Normalization),
     ] {
-        let mut interp =
-            Interpreter::new(&model.graph, InterpreterOptions::optimized()).expect("valid");
+        let mut interp = Interpreter::new(&model.graph, BackendSpec::optimized()).expect("valid");
         let mut all_dets = Vec::new();
         let mut all_gt = Vec::new();
         for scene in &scenes {

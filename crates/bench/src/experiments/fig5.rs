@@ -11,11 +11,11 @@
 
 use mlexray_models::{canonical_preprocess, MiniFamily};
 use mlexray_nn::{
-    calibrate, convert_to_mobile, quantize_model, InterpreterOptions, KernelBugs, KernelFlavor,
+    calibrate, convert_to_mobile, quantize_model, BackendSpec, KernelBugs, KernelFlavor,
     QuantizationOptions,
 };
 
-use crate::experiments::accuracy_with_options;
+use crate::experiments::accuracy_with_backend;
 use crate::support::{format_table, image_split, to_samples, trained_mini, Scale};
 
 /// Runs the Figure 5 sweep.
@@ -38,21 +38,21 @@ pub fn run(scale: &Scale) -> String {
         let quant =
             quantize_model(&mobile, &calib, QuantizationOptions::default()).expect("quantization");
 
-        let reference = accuracy_with_options(&checkpoint, &test, InterpreterOptions::reference());
-        let mobile_acc = accuracy_with_options(&mobile, &test, InterpreterOptions::optimized());
-        let quant_opt = accuracy_with_options(
+        let reference = accuracy_with_backend(&checkpoint, &test, BackendSpec::reference());
+        let mobile_acc = accuracy_with_backend(&mobile, &test, BackendSpec::optimized());
+        let quant_opt = accuracy_with_backend(
             &quant,
             &test,
-            InterpreterOptions {
+            BackendSpec {
                 flavor: KernelFlavor::Optimized,
                 bugs: KernelBugs::paper_2021(),
                 numerics: None,
             },
         );
-        let quant_ref = accuracy_with_options(
+        let quant_ref = accuracy_with_backend(
             &quant,
             &test,
-            InterpreterOptions {
+            BackendSpec {
                 flavor: KernelFlavor::Reference,
                 bugs: KernelBugs::paper_2021(),
                 numerics: None,

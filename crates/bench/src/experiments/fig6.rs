@@ -10,7 +10,7 @@
 use mlexray_core::{collect_logs, per_layer_drift, ImagePipeline, MonitorConfig};
 use mlexray_models::{canonical_preprocess, MiniFamily};
 use mlexray_nn::{
-    calibrate, convert_to_mobile, quantize_model, InterpreterOptions, KernelBugs, KernelFlavor,
+    calibrate, convert_to_mobile, quantize_model, BackendSpec, KernelBugs, KernelFlavor,
     QuantizationOptions,
 };
 
@@ -57,7 +57,7 @@ pub fn panel(family: MiniFamily, scale: &Scale) -> String {
         ("RefOpResolver", KernelFlavor::Reference),
     ] {
         let edge_pipeline =
-            ImagePipeline::new(quant.clone(), canonical.clone()).with_options(InterpreterOptions {
+            ImagePipeline::new(quant.clone(), canonical.clone()).with_backend(BackendSpec {
                 flavor,
                 bugs: KernelBugs::paper_2021(),
                 numerics: None,

@@ -18,7 +18,7 @@ use std::time::Instant;
 use mlexray_core::{replay_sharded, MonitorConfig, ReplayOptions};
 use mlexray_datasets::{InMemoryPlayback, PlaybackSource};
 use mlexray_models::{canonical_preprocess, full_model, mini_model, FullFamily, MiniFamily};
-use mlexray_nn::{Interpreter, InterpreterOptions};
+use mlexray_nn::{BackendSpec, Interpreter};
 use mlexray_tensor::{Shape, Tensor};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -85,7 +85,7 @@ pub fn measure(scale: &Scale) -> BatchingResult {
     .expect("mobilenet zoo model builds");
     let samples = mobilenet_samples(scale, frames);
     let mut interp =
-        Interpreter::new(&model.graph, InterpreterOptions::optimized()).expect("model validates");
+        Interpreter::new(&model.graph, BackendSpec::optimized()).expect("model validates");
 
     // Warm the arena and record the sequential baseline outputs.
     let sequential: Vec<Vec<Tensor>> = samples

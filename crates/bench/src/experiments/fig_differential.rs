@@ -27,8 +27,8 @@ use mlexray_datasets::synth_image::{generate, SynthImageSpec};
 use mlexray_edgesim::DeviceProfile;
 use mlexray_models::{canonical_preprocess, zoo, FullFamily};
 use mlexray_nn::{
-    calibrate, convert_to_mobile, quantize_model, BackendSpec, Graph, Interpreter,
-    InterpreterOptions, KernelBugs, Model, OpKind, QuantizationOptions,
+    calibrate, convert_to_mobile, quantize_model, BackendSpec, Graph, Interpreter, KernelBugs,
+    Model, OpKind, QuantizationOptions,
 };
 use mlexray_tensor::Tensor;
 
@@ -157,12 +157,10 @@ pub fn measure(scale: &Scale) -> DifferentialResult {
         "dwconv-bug (int8 v2)",
         &v2_quant.graph,
         BackendSpec::reference(),
-        BackendSpec::Optimized {
-            bugs: KernelBugs {
-                optimized_dwconv_i16_accumulator: true,
-                ..KernelBugs::none()
-            },
-        },
+        BackendSpec::optimized().with_bugs(KernelBugs {
+            optimized_dwconv_i16_accumulator: true,
+            ..KernelBugs::none()
+        }),
         &v2_frames,
         Some(first_dw),
     ));
@@ -177,12 +175,10 @@ pub fn measure(scale: &Scale) -> DifferentialResult {
         "avgpool-bug (int8 v3)",
         &v3_quant.graph,
         BackendSpec::reference(),
-        BackendSpec::Reference {
-            bugs: KernelBugs {
-                avgpool_double_division: true,
-                ..KernelBugs::none()
-            },
-        },
+        BackendSpec::reference().with_bugs(KernelBugs {
+            avgpool_double_division: true,
+            ..KernelBugs::none()
+        }),
         &v3_frames,
         Some(first_big_pool),
     ));
@@ -216,7 +212,7 @@ pub fn measure(scale: &Scale) -> DifferentialResult {
     ));
 
     // Overhead baseline: one uninstrumented inference pass over the frames.
-    let mut interp = Interpreter::new(&v2_quant.graph, InterpreterOptions::optimized())
+    let mut interp = Interpreter::new(&v2_quant.graph, BackendSpec::optimized())
         .expect("quantized model validates");
     let started = Instant::now();
     for frame in &v2_frames {

@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use mlexray_core::{invoke_batch_parallel, machine_parallelism, ParallelInvokeOptions};
 use mlexray_models::{full_model, FullFamily};
-use mlexray_nn::{Interpreter, InterpreterOptions, KernelBugs, KernelFlavor};
+use mlexray_nn::{BackendSpec, Interpreter, KernelBugs, KernelFlavor};
 use mlexray_tensor::{Shape, Tensor};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -95,7 +95,7 @@ pub fn measure(scale: &Scale) -> SimdResult {
     // outputs captured once untimed (arena warmup doubles as the capture
     // pass), then `reps` timed passes over the whole frame set.
     let run_flavor = |flavor: KernelFlavor| -> (Vec<Vec<Tensor>>, f64) {
-        let options = InterpreterOptions {
+        let options = BackendSpec {
             flavor,
             bugs: KernelBugs::none(),
             numerics: None,
@@ -135,7 +135,7 @@ pub fn measure(scale: &Scale) -> SimdResult {
     // Intra-invoke parallelism: the same 32 frames, shard_frames = BATCH so
     // every worker drains whole batch-8 invokes — the same grouping as the
     // sequential baseline, so outputs must match it bitwise.
-    let spec = mlexray_nn::BackendSpec::simd();
+    let spec = BackendSpec::simd();
     let mut points = Vec::new();
     let mut parallel_bitwise_identical = true;
     let mut best_fps = 0.0f64;

@@ -5,9 +5,9 @@
 //!
 //! 1. **tracing tax** — the zoo model served twice through the in-process
 //!    service, once with [`TracePolicy::off`] and once sampling every 16th
-//!    request; the figure reports the server-side p95 ratio. The strict
-//!    bar (≤5% tax) is enforced with `MLEXRAY_ENFORCE_SCALING=1` in
-//!    release mode, mirroring the other perf figures;
+//!    request; the figure reports the server-side p95 ratio (the smoke
+//!    test holds only a catastrophic floor on it — `benchmark/`'s
+//!    `wire_monitored` vs `wire_plain` is the judge of the tax);
 //! 2. **bounded footprint** — ≥100k spans pushed through a [`TraceHub`]
 //!    and a raw [`SpanRing`], paced and in deliberate overflow; the ring
 //!    footprint must be byte-identical before and after, and every span

@@ -1,6 +1,6 @@
 //! One module per paper artifact. Every `run` function returns the
-//! formatted output its binary prints; `EXPERIMENTS.md` records these
-//! outputs next to the paper's numbers.
+//! formatted output its binary prints; each module's docs name the paper
+//! table or figure it regenerates.
 
 pub mod appendix_a;
 pub mod fig3;
@@ -20,14 +20,14 @@ pub mod table2;
 pub mod table3_5;
 pub mod table4;
 
-use mlexray_nn::{Interpreter, InterpreterOptions, Model};
+use mlexray_nn::{BackendSpec, Interpreter, Model};
 use mlexray_trainer::Sample;
 
-/// Top-1 accuracy of a model under explicit interpreter options (the
+/// Top-1 accuracy of a model under an explicit backend spec (the
 /// trainer's `evaluate` always uses optimized kernels; Fig. 5 needs all four
 /// kernel/variant combinations).
-pub fn accuracy_with_options(model: &Model, data: &[Sample], options: InterpreterOptions) -> f32 {
-    let mut interp = Interpreter::new(&model.graph, options).expect("model graphs validate");
+pub fn accuracy_with_backend(model: &Model, data: &[Sample], backend: BackendSpec) -> f32 {
+    let mut interp = Interpreter::new(&model.graph, backend).expect("model graphs validate");
     let mut correct = 0usize;
     for s in data {
         let out = interp.invoke(&s.inputs).expect("inference succeeds");

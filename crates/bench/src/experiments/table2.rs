@@ -6,7 +6,7 @@ use mlexray_core::{collect_logs, ImagePipeline, MonitorConfig};
 use mlexray_datasets::synth_image::{generate, SynthImageSpec};
 use mlexray_edgesim::{DeviceProfile, Processor, SimulatedDevice};
 use mlexray_models::{canonical_preprocess, zoo, FullFamily};
-use mlexray_nn::{convert_to_mobile, InterpreterOptions};
+use mlexray_nn::{convert_to_mobile, BackendSpec};
 
 use crate::support::{format_table, to_frames, Scale};
 
@@ -51,7 +51,7 @@ pub fn run(scale: &Scale) -> String {
                 .run(
                     &mobile.graph,
                     std::slice::from_ref(&tensor),
-                    InterpreterOptions::optimized(),
+                    BackendSpec::optimized(),
                 )
                 .expect("sim run");
             let overhead_ns = profile.monitor_overhead_ns(processor, bytes_per_frame);

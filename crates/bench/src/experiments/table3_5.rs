@@ -6,7 +6,7 @@ use mlexray_datasets::synth_image::{generate, SynthImageSpec};
 use mlexray_edgesim::{DeviceProfile, Processor, SimulatedDevice};
 use mlexray_models::{canonical_preprocess, zoo, FullFamily};
 use mlexray_nn::{
-    calibrate, convert_to_mobile, quantize_model, InterpreterOptions, Model, QuantizationOptions,
+    calibrate, convert_to_mobile, quantize_model, BackendSpec, Model, QuantizationOptions,
 };
 
 use crate::support::{format_table, Scale};
@@ -85,7 +85,7 @@ fn table(scale: &Scale, int8: bool) -> String {
         let canonical = canonical_preprocess(family.name(), scale.full_input);
         let tensor = canonical.apply(&frame.image).expect("preprocess");
         let run = device
-            .run(&model.graph, &[tensor], InterpreterOptions::optimized())
+            .run(&model.graph, &[tensor], BackendSpec::optimized())
             .expect("sim run");
         let log_bytes = run.per_layer_log_bytes();
         // Per-layer validation latency = inference + log formatting/persist.

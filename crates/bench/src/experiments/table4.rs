@@ -8,8 +8,7 @@ use mlexray_datasets::synth_image::{generate, SynthImageSpec};
 use mlexray_edgesim::{DeviceProfile, Processor, SimulatedDevice};
 use mlexray_models::{canonical_preprocess, zoo, FullFamily};
 use mlexray_nn::{
-    calibrate, convert_to_mobile, quantize_model, InterpreterOptions, KernelFlavor,
-    QuantizationOptions,
+    calibrate, convert_to_mobile, quantize_model, BackendSpec, KernelFlavor, QuantizationOptions,
 };
 
 use crate::support::{format_table, Scale};
@@ -51,7 +50,7 @@ pub fn run(scale: &Scale) -> String {
                 .run(
                     &mobile.graph,
                     std::slice::from_ref(&input),
-                    InterpreterOptions::optimized(),
+                    BackendSpec::optimized(),
                 )
                 .expect("run"),
         ),
@@ -61,7 +60,7 @@ pub fn run(scale: &Scale) -> String {
                 .run(
                     &quant.graph,
                     std::slice::from_ref(&input),
-                    InterpreterOptions::optimized(),
+                    BackendSpec::optimized(),
                 )
                 .expect("run"),
         ),
@@ -71,9 +70,9 @@ pub fn run(scale: &Scale) -> String {
                 .run(
                     &quant.graph,
                     std::slice::from_ref(&input),
-                    InterpreterOptions {
+                    BackendSpec {
                         flavor: KernelFlavor::Reference,
-                        ..InterpreterOptions::optimized()
+                        ..BackendSpec::optimized()
                     },
                 )
                 .expect("run"),
@@ -84,7 +83,7 @@ pub fn run(scale: &Scale) -> String {
                 .run(
                     &mobile.graph,
                     std::slice::from_ref(&input),
-                    InterpreterOptions::optimized(),
+                    BackendSpec::optimized(),
                 )
                 .expect("run"),
         ),

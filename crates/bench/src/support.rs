@@ -33,7 +33,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The default experiment scale (what EXPERIMENTS.md records).
+    /// The default experiment scale (any run without `MLEXRAY_QUICK=1`).
     pub fn default_scale() -> Self {
         Scale {
             input: 24,

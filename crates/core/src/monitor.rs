@@ -333,7 +333,7 @@ mod tests {
 
     #[test]
     fn layer_observer_respects_capture_mode() {
-        use mlexray_nn::{Activation, GraphBuilder, Interpreter, InterpreterOptions, Padding};
+        use mlexray_nn::{Activation, BackendSpec, GraphBuilder, Interpreter, Padding};
         let mut b = GraphBuilder::new("g");
         let x = b.input("x", Shape::nhwc(1, 2, 2, 1));
         let w = b.constant("w", Tensor::filled_f32(Shape::new(vec![1, 1, 1, 1]), 2.0));
@@ -349,7 +349,7 @@ mod tests {
                 layer_latency: true,
                 full_io: false,
             });
-            let mut interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+            let mut interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
             m.on_inference_start();
             interp
                 .invoke_observed(

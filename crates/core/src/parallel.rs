@@ -23,13 +23,12 @@
 //! latencies vary run to run. The `parallel_invoke` integration suite
 //! pins both invariants.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mlexray_nn::{BackendSpec, Graph, LayerObserver, LayerRecord};
 use mlexray_tensor::Tensor;
 
-use crate::budget::{self, CoreLease};
-use crate::replay::{run_sharded, shard_partition};
+use crate::replay::ReplayOptions;
 use crate::{ExrayError, Result};
 
 /// Tuning for one parallel batched invoke.
@@ -69,26 +68,6 @@ impl ParallelInvokeOptions {
         ParallelInvokeOptions {
             workers,
             ..Default::default()
-        }
-    }
-
-    /// Takes the run's core lease and derives the worker count from it:
-    /// elastic (budget headroom) for `workers == 0`, exact otherwise,
-    /// never more workers than shards.
-    fn lease(&self, shards: usize) -> CoreLease {
-        let cap = shards.max(1);
-        if self.workers == 0 {
-            budget::reserve_up_to(cap)
-        } else {
-            budget::reserve_cores(self.workers.min(cap))
-        }
-    }
-
-    fn effective_queue_depth(&self, workers: usize) -> usize {
-        if self.queue_depth == 0 {
-            workers * 2
-        } else {
-            self.queue_depth
         }
     }
 }
@@ -201,17 +180,15 @@ pub fn invoke_batch_parallel(
     frames: &[Vec<Tensor>],
     options: &ParallelInvokeOptions,
 ) -> Result<ParallelInvoke> {
-    let started = Instant::now();
-    let partition = shard_partition(frames.len(), options.shard_frames);
-    // The lease spans the whole run: concurrently-starting pools size
-    // themselves around this invoke instead of on top of it.
-    let lease = options.lease(partition.len());
-    let workers = lease.cores();
+    let plan = ReplayOptions {
+        workers: options.workers,
+        shard_frames: options.shard_frames,
+        queue_depth: options.queue_depth,
+        ..ReplayOptions::default()
+    };
     let capture = options.capture_layers;
-    let chunks = run_sharded(
-        &partition,
-        workers,
-        options.effective_queue_depth(workers),
+    let ((outputs, records), stats) = plan.run(
+        frames.len(),
         || spec.build(graph).map_err(ExrayError::from),
         |backend, shard| -> Result<(Vec<Vec<Tensor>>, Vec<InvokeLayerRecord>)> {
             let refs: Vec<&[Tensor]> = frames[shard.clone()].iter().map(Vec::as_slice).collect();
@@ -223,21 +200,24 @@ pub fn invoke_batch_parallel(
             let outputs = backend.invoke_batch_observed(&refs, &mut observer)?;
             Ok((outputs, observer.records))
         },
+        |shards| {
+            let mut outputs = Vec::with_capacity(frames.len());
+            let mut records = Vec::new();
+            for (shard_outputs, shard_records) in shards {
+                outputs.extend(shard_outputs);
+                records.extend(shard_records);
+            }
+            // Canonical order = the sequential observer's order: each node
+            // in execution order emits its whole batch of frames.
+            records.sort_by_key(|r| (r.index, r.frame));
+            (outputs, records)
+        },
     )?;
-    let mut outputs = Vec::with_capacity(frames.len());
-    let mut records = Vec::new();
-    for (_, (shard_outputs, shard_records)) in chunks {
-        outputs.extend(shard_outputs);
-        records.extend(shard_records);
-    }
-    // Canonical order = the sequential observer's order: each node in
-    // execution order emits its whole batch of frames.
-    records.sort_by_key(|r| (r.index, r.frame));
     Ok(ParallelInvoke {
         outputs,
         records,
-        workers,
-        shards: partition.len(),
-        elapsed: started.elapsed(),
+        workers: stats.workers,
+        shards: stats.shards,
+        elapsed: stats.elapsed,
     })
 }

@@ -1,13 +1,13 @@
 //! Instrumentable inference pipelines: the "edge app" side of ML-EXray.
 //!
-//! A pipeline couples a preprocessing configuration with a model and
-//! interpreter options. Its runner executes frames while reporting telemetry
+//! A pipeline couples a preprocessing configuration with a model and a
+//! backend spec. Its runner executes frames while reporting telemetry
 //! to a [`Monitor`] — preprocessing output, model I/O, per-layer details
 //! (per the monitor's capture mode), latency, memory and the final decision.
 
 use std::time::{Duration, Instant};
 
-use mlexray_nn::{Interpreter, InterpreterOptions, LayerObserver, LayerRecord, Model};
+use mlexray_nn::{BackendSpec, Interpreter, LayerObserver, LayerRecord, Model};
 use mlexray_preprocess::{
     AudioPreprocessConfig, Image, ImagePreprocessConfig, TextPreprocessConfig, Vocabulary,
 };
@@ -46,7 +46,7 @@ fn argmax(values: &[f32]) -> usize {
         .unwrap_or(0)
 }
 
-/// An image-classification app: preprocessing + model + kernel options.
+/// An image-classification app: preprocessing + model + backend spec.
 #[derive(Debug, Clone)]
 pub struct ImagePipeline {
     /// Preprocessing stage (the §4.3 bug surface).
@@ -54,22 +54,22 @@ pub struct ImagePipeline {
     /// The deployed model.
     pub model: Model,
     /// Kernel flavor and bug injection.
-    pub options: InterpreterOptions,
+    pub backend: BackendSpec,
 }
 
 impl ImagePipeline {
-    /// Builds a pipeline with default (optimized, bug-free) options.
+    /// Builds a pipeline on the default (optimized, bug-free) backend.
     pub fn new(model: Model, preprocess: ImagePreprocessConfig) -> Self {
         ImagePipeline {
             preprocess,
             model,
-            options: InterpreterOptions::optimized(),
+            backend: BackendSpec::optimized(),
         }
     }
 
-    /// Overrides interpreter options (reference kernels, injected bugs).
-    pub fn with_options(mut self, options: InterpreterOptions) -> Self {
-        self.options = options;
+    /// Overrides the backend spec (reference kernels, injected bugs).
+    pub fn with_backend(mut self, backend: BackendSpec) -> Self {
+        self.backend = backend;
         self
     }
 
@@ -81,7 +81,7 @@ impl ImagePipeline {
     pub fn runner(&self) -> Result<ImageRunner<'_>> {
         Ok(ImageRunner {
             pipeline: self,
-            interp: Interpreter::new(&self.model.graph, self.options)?,
+            interp: Interpreter::new(&self.model.graph, self.backend)?,
         })
     }
 }
@@ -223,16 +223,16 @@ pub struct AudioPipeline {
     /// The deployed model.
     pub model: Model,
     /// Kernel flavor and bug injection.
-    pub options: InterpreterOptions,
+    pub backend: BackendSpec,
 }
 
 impl AudioPipeline {
-    /// Builds a pipeline with default options.
+    /// Builds a pipeline on the default backend.
     pub fn new(model: Model, preprocess: AudioPreprocessConfig) -> Self {
         AudioPipeline {
             preprocess,
             model,
-            options: InterpreterOptions::optimized(),
+            backend: BackendSpec::optimized(),
         }
     }
 
@@ -244,7 +244,7 @@ impl AudioPipeline {
     pub fn runner(&self) -> Result<AudioRunner<'_>> {
         Ok(AudioRunner {
             pipeline: self,
-            interp: Interpreter::new(&self.model.graph, self.options)?,
+            interp: Interpreter::new(&self.model.graph, self.backend)?,
         })
     }
 }
@@ -293,17 +293,17 @@ pub struct TextPipeline {
     /// The deployed model.
     pub model: Model,
     /// Kernel flavor and bug injection.
-    pub options: InterpreterOptions,
+    pub backend: BackendSpec,
 }
 
 impl TextPipeline {
-    /// Builds a pipeline with default options.
+    /// Builds a pipeline on the default backend.
     pub fn new(model: Model, preprocess: TextPreprocessConfig, vocab: Vocabulary) -> Self {
         TextPipeline {
             preprocess,
             vocab,
             model,
-            options: InterpreterOptions::optimized(),
+            backend: BackendSpec::optimized(),
         }
     }
 
@@ -315,7 +315,7 @@ impl TextPipeline {
     pub fn runner(&self) -> Result<TextRunner<'_>> {
         Ok(TextRunner {
             pipeline: self,
-            interp: Interpreter::new(&self.model.graph, self.options)?,
+            interp: Interpreter::new(&self.model.graph, self.backend)?,
         })
     }
 }

@@ -6,7 +6,7 @@
 //! the debugging-grade reference kernels. Its logs are the baseline every
 //! validation compares against.
 
-use mlexray_nn::{InterpreterOptions, KernelFlavor, Model};
+use mlexray_nn::{BackendSpec, Model};
 use mlexray_preprocess::ImagePreprocessConfig;
 
 use crate::log::LogSet;
@@ -26,10 +26,8 @@ impl ReferencePipeline {
     /// optimized-kernel defects cannot contaminate the baseline — the §4.4
     /// debugging technique.
     pub fn new(model: Model, canonical: ImagePreprocessConfig) -> Self {
-        let mut options = InterpreterOptions::reference();
-        options.flavor = KernelFlavor::Reference;
         ReferencePipeline {
-            pipeline: ImagePipeline::new(model, canonical).with_options(options),
+            pipeline: ImagePipeline::new(model, canonical).with_backend(BackendSpec::reference()),
         }
     }
 
@@ -38,8 +36,7 @@ impl ReferencePipeline {
     /// workstation replay).
     pub fn with_optimized_kernels(model: Model, canonical: ImagePreprocessConfig) -> Self {
         ReferencePipeline {
-            pipeline: ImagePipeline::new(model, canonical)
-                .with_options(InterpreterOptions::optimized()),
+            pipeline: ImagePipeline::new(model, canonical).with_backend(BackendSpec::optimized()),
         }
     }
 

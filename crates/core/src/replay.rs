@@ -85,26 +85,44 @@ impl ReplayOptions {
         }
     }
 
-    /// Takes the run's core lease and derives the worker count from it:
+    /// The one shard plan behind every sharded run: partitions `n_frames`
+    /// by [`ReplayOptions::shard_frames`], takes the run's core lease —
     /// elastic against the global [`crate::budget`] ledger for
     /// `workers == 0`, an exact (ledger-recorded) claim otherwise, never
-    /// more workers than shards. Callers hold the lease for the run's
-    /// duration so concurrent pools size themselves around it.
-    pub(crate) fn lease_workers(&self, shards: usize) -> crate::budget::CoreLease {
-        let cap = shards.max(1);
-        if self.workers == 0 {
+    /// more workers than shards, held until the merge is done so concurrent
+    /// pools size themselves around this run — sizes the bounded queue,
+    /// runs `work` over the shards on that many threads (each worker builds
+    /// its private state with `init` on the first shard it claims) and
+    /// hands the per-shard results, in frame order, to `merge`.
+    pub(crate) fn run<S, T: Send, R>(
+        &self,
+        n_frames: usize,
+        init: impl Fn() -> Result<S> + Sync,
+        work: impl Fn(&mut S, Range<usize>) -> Result<T> + Sync,
+        merge: impl FnOnce(Vec<T>) -> R,
+    ) -> Result<(R, ReplayStats)> {
+        let started = Instant::now();
+        let partition = shard_partition(n_frames, self.shard_frames);
+        let cap = partition.len().max(1);
+        let lease = if self.workers == 0 {
             crate::budget::reserve_up_to(cap)
         } else {
             crate::budget::reserve_cores(self.workers.min(cap))
-        }
-    }
-
-    pub(crate) fn effective_queue_depth(&self, workers: usize) -> usize {
-        if self.queue_depth == 0 {
+        };
+        let workers = lease.cores();
+        let queue_depth = if self.queue_depth == 0 {
             workers * 2
         } else {
             self.queue_depth
-        }
+        };
+        let merged = merge(run_sharded(&partition, workers, queue_depth, init, work)?);
+        let stats = ReplayStats {
+            frames: n_frames,
+            shards: partition.len(),
+            workers,
+            elapsed: started.elapsed(),
+        };
+        Ok((merged, stats))
     }
 }
 
@@ -238,14 +256,15 @@ impl<T> ShardQueue<T> {
 /// Runs `work` over the shard partition on `workers` threads and collects
 /// each shard's output, sorted by start frame. Each worker lazily builds its
 /// own state (interpreter instances) via `init` on the first shard it claims,
-/// so workers that never win a shard never pay for construction.
-pub(crate) fn run_sharded<T: Send, S>(
+/// so workers that never win a shard never pay for construction. A worker's
+/// panic is re-raised here with its own payload.
+fn run_sharded<T: Send, S>(
     partition: &[Range<usize>],
     workers: usize,
     queue_depth: usize,
     init: impl Fn() -> Result<S> + Sync,
     work: impl Fn(&mut S, Range<usize>) -> Result<T> + Sync,
-) -> Result<Vec<(usize, T)>> {
+) -> Result<Vec<T>> {
     let queue: ShardQueue<Range<usize>> = ShardQueue::new(queue_depth);
     let mut chunks: Vec<(usize, T)> = std::thread::scope(|scope| {
         let queue = &queue;
@@ -293,9 +312,12 @@ pub(crate) fn run_sharded<T: Send, S>(
         let mut all = Vec::new();
         let mut first_err = None;
         for handle in handles {
-            match handle.join().expect("replay worker panicked") {
-                Ok(produced) => all.extend(produced),
-                Err(e) => first_err = first_err.or(Some(e)),
+            match handle.join() {
+                Ok(Ok(produced)) => all.extend(produced),
+                Ok(Err(e)) => first_err = first_err.or(Some(e)),
+                // The scope joins the remaining workers (the queue is
+                // closed, so they drain and exit) before this unwinds.
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
         match first_err {
@@ -304,7 +326,7 @@ pub(crate) fn run_sharded<T: Send, S>(
         }
     })?;
     chunks.sort_by_key(|(start, _)| *start);
-    Ok(chunks)
+    Ok(chunks.into_iter().map(|(_, value)| value).collect())
 }
 
 /// Replays `frames` through `pipeline` on a sharded worker pool, returning
@@ -319,31 +341,18 @@ pub fn replay_sharded(
     frames: &[LabeledFrame],
     options: &ReplayOptions,
 ) -> Result<(LogSet, ReplayStats)> {
-    let started = Instant::now();
-    let partition = shard_partition(frames.len(), options.shard_frames);
-    let lease = options.lease_workers(partition.len());
-    let workers = lease.cores();
     let monitor_config = options.monitor;
     let micro_batch = options.micro_batch;
-    let chunks = run_sharded(
-        &partition,
-        workers,
-        options.effective_queue_depth(workers),
+    options.run(
+        frames.len(),
         || pipeline.runner(),
         |runner, shard| -> Result<Vec<LogRecord>> {
             let monitor = Monitor::new(monitor_config).starting_at(shard.start as u64);
             run_frames(runner, &frames[shard], &monitor, micro_batch)?;
             Ok(monitor.take_logs().into_records())
         },
-    )?;
-    let records: Vec<LogRecord> = chunks.into_iter().flat_map(|(_, r)| r).collect();
-    let stats = ReplayStats {
-        frames: frames.len(),
-        shards: partition.len(),
-        workers,
-        elapsed: started.elapsed(),
-    };
-    Ok((LogSet::new(records), stats))
+        |shards| LogSet::new(shards.into_iter().flatten().collect()),
+    )
 }
 
 /// Like [`replay_sharded`], but streams records into `sink` instead of
@@ -361,30 +370,19 @@ pub fn replay_sharded_to_sink(
     options: &ReplayOptions,
     sink: Arc<dyn LogSink>,
 ) -> Result<ReplayStats> {
-    let started = Instant::now();
-    let partition = shard_partition(frames.len(), options.shard_frames);
-    let lease = options.lease_workers(partition.len());
-    let workers = lease.cores();
     let monitor_config = options.monitor;
     let micro_batch = options.micro_batch;
-    run_sharded(
-        &partition,
-        workers,
-        options.effective_queue_depth(workers),
+    let ((), stats) = options.run(
+        frames.len(),
         || pipeline.runner(),
         |runner, shard| -> Result<()> {
             let monitor =
                 Monitor::with_sink(monitor_config, sink.clone()).starting_at(shard.start as u64);
-            run_frames(runner, &frames[shard], &monitor, micro_batch)?;
-            Ok(())
+            run_frames(runner, &frames[shard], &monitor, micro_batch)
         },
+        |_| (),
     )?;
-    Ok(ReplayStats {
-        frames: frames.len(),
-        shards: partition.len(),
-        workers,
-        elapsed: started.elapsed(),
-    })
+    Ok(stats)
 }
 
 /// Everything a sharded replay-validate run produces. The logs behind it
@@ -420,17 +418,11 @@ pub fn replay_validate_sharded(
     validator: &DeploymentValidator,
     options: &ReplayOptions,
 ) -> Result<ShardedValidation> {
-    let started = Instant::now();
-    let partition = shard_partition(frames.len(), options.shard_frames);
-    let lease = options.lease_workers(partition.len());
-    let workers = lease.cores();
     let monitor_config = options.monitor;
     let micro_batch = options.micro_batch;
     let reference_pipeline = reference.pipeline();
-    let chunks = run_sharded(
-        &partition,
-        workers,
-        options.effective_queue_depth(workers),
+    let ((report, shards), stats) = options.run(
+        frames.len(),
         || Ok((edge.runner()?, reference_pipeline.runner()?)),
         |(edge_runner, reference_runner), shard| -> Result<ShardValidation> {
             let start = shard.start as u64;
@@ -450,16 +442,8 @@ pub fn replay_validate_sharded(
             let reference_logs = reference_monitor.take_logs();
             Ok(validator.validate_shard(start, &edge_logs, &reference_logs))
         },
+        |shards| (validator.merge_shards(&shards), shards),
     )?;
-
-    let shards: Vec<ShardValidation> = chunks.into_iter().map(|(_, shard)| shard).collect();
-    let report = validator.merge_shards(&shards);
-    let stats = ReplayStats {
-        frames: frames.len(),
-        shards: partition.len(),
-        workers,
-        elapsed: started.elapsed(),
-    };
     Ok(ShardedValidation {
         report,
         shards,
@@ -485,6 +469,33 @@ mod tests {
                 assert_eq!(shards.last().unwrap().end, n);
             }
         }
+    }
+
+    /// A worker's panic reaches the caller with the worker's own payload,
+    /// and the producer is not left parked on the full queue.
+    #[test]
+    fn worker_panic_resumes_with_its_payload() {
+        let options = ReplayOptions {
+            workers: 1,
+            shard_frames: 1,
+            queue_depth: 1,
+            ..Default::default()
+        };
+        let unwound = std::panic::catch_unwind(|| {
+            options.run(
+                16,
+                || Ok(()),
+                |(), shard| {
+                    if shard.start == 1 {
+                        panic!("boom");
+                    }
+                    Ok(shard.start)
+                },
+                |shards| shards,
+            )
+        });
+        let payload = unwound.expect_err("the worker's panic must unwind the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use mlexray_tensor::Tensor;
 use crate::log::layer_output_key;
 use crate::monitor::MonitorConfig;
 use crate::pipeline::{ImagePipeline, LabeledFrame};
-use crate::replay::{replay_sharded, run_sharded, shard_partition, ReplayOptions};
+use crate::replay::{replay_sharded, ReplayOptions};
 use crate::validate::drift::{frame_scores, DriftFold};
 use crate::validate::report::{
     BisectionOutcome, BisectionVerdict, DifferentialReport, DifferentialVerdict, DivergentLayer,
@@ -136,14 +136,9 @@ fn fold_backends_sharded(
     frames: &[Vec<Tensor>],
     replay: &ReplayOptions,
 ) -> Result<DriftFold> {
-    let partition = shard_partition(frames.len(), replay.shard_frames);
-    let lease = replay.lease_workers(partition.len());
-    let workers = lease.cores();
     let micro_batch = replay.micro_batch.max(1);
-    let shards = run_sharded(
-        &partition,
-        workers,
-        replay.effective_queue_depth(workers),
+    let (run, _stats) = replay.run(
+        frames.len(),
         || {
             let capture = ChunkCapture {
                 width: micro_batch,
@@ -165,11 +160,14 @@ fn fold_backends_sharded(
             }
             Ok(fold)
         },
+        |shards| {
+            let mut run = DriftFold::default();
+            for shard in shards {
+                run.absorb(shard);
+            }
+            run
+        },
     )?;
-    let mut run = DriftFold::default();
-    for (_, shard) in shards {
-        run.absorb(shard);
-    }
     Ok(run)
 }
 
@@ -233,11 +231,9 @@ pub fn diff_image_pipelines(
     replay.monitor = MonitorConfig::offline_validation();
     let (baseline_logs, _) = replay_sharded(baseline, frames, &replay)?;
     let (candidate_logs, _) = replay_sharded(candidate, frames, &replay)?;
-    let baseline_spec = BackendSpec::of_options(baseline.options);
-    let candidate_spec = BackendSpec::of_options(candidate.options);
     let mut report = localize(
-        baseline_spec.label().to_string(),
-        candidate_spec.label().to_string(),
+        baseline.backend.label().to_string(),
+        candidate.backend.label().to_string(),
         &DriftFold::of_logs(&candidate_logs, &baseline_logs),
         frames.len(),
         options.threshold,
@@ -249,8 +245,8 @@ pub fn diff_image_pipelines(
             let graph = &baseline.model.graph;
             let outcome = bisect(
                 graph,
-                baseline_spec,
-                candidate_spec,
+                baseline.backend,
+                candidate.backend,
                 &inputs,
                 &divergent,
                 &report,
@@ -660,12 +656,10 @@ mod tests {
         let report = diff_backends(
             &g,
             BackendSpec::optimized(),
-            BackendSpec::Optimized {
-                bugs: KernelBugs {
-                    avgpool_double_division: true,
-                    ..KernelBugs::none()
-                },
-            },
+            BackendSpec::optimized().with_bugs(KernelBugs {
+                avgpool_double_division: true,
+                ..KernelBugs::none()
+            }),
             &frames,
             &DifferentialOptions::bitwise(),
         )

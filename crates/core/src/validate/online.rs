@@ -226,7 +226,7 @@ impl OnlineValidator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlexray_nn::{Activation, GraphBuilder, KernelBugs, Padding};
+    use mlexray_nn::{Activation, GraphBuilder, Padding};
     use mlexray_tensor::Shape;
 
     fn graph() -> Graph {
@@ -311,9 +311,7 @@ mod tests {
         for i in 0..6 {
             strict.observe(&frame(i));
         }
-        let live = BackendSpec::Optimized {
-            bugs: KernelBugs::none(),
-        };
+        let live = BackendSpec::optimized();
         let alarm = strict
             .check(&g, BackendSpec::reference(), live)
             .unwrap()

@@ -12,8 +12,7 @@ use mlexray_core::{
 };
 use mlexray_nn::{
     calibrate, quantize_model, Activation, BackendSpec, EdgeNumerics, Graph, GraphBuilder,
-    InterpreterOptions, KernelBugs, KernelFlavor, Model, ModelVariant, Padding,
-    QuantizationOptions,
+    KernelBugs, KernelFlavor, Model, ModelVariant, Padding, QuantizationOptions,
 };
 use mlexray_preprocess::{Image, ImagePreprocessConfig};
 use mlexray_tensor::{Shape, Tensor};
@@ -186,12 +185,10 @@ fn injected_bug_report_identical_across_workers_and_micro_batch() {
     let reports = reports_over_grid(
         &quant.graph,
         BackendSpec::reference(),
-        BackendSpec::Optimized {
-            bugs: KernelBugs {
-                optimized_dwconv_i16_accumulator: true,
-                ..KernelBugs::none()
-            },
-        },
+        BackendSpec::optimized().with_bugs(KernelBugs {
+            optimized_dwconv_i16_accumulator: true,
+            ..KernelBugs::none()
+        }),
         &frames,
         0.0,
     );
@@ -217,7 +214,7 @@ fn pipeline_differential_identical_across_workers() {
     let model = Model::checkpoint(graph, "diff");
     let canonical = ImagePreprocessConfig::mobilenet_style(6, 6);
     let baseline = ImagePipeline::new(model.clone(), canonical.clone());
-    let candidate = ImagePipeline::new(model, canonical).with_options(InterpreterOptions {
+    let candidate = ImagePipeline::new(model, canonical).with_backend(BackendSpec {
         flavor: KernelFlavor::Reference,
         bugs: KernelBugs::none(),
         numerics: Some(EdgeNumerics {

@@ -21,8 +21,8 @@ use mlexray_core::{
 use mlexray_datasets::synth_image::{self, SynthImageSpec, NUM_CLASSES};
 use mlexray_models::{by_name, canonical_preprocess};
 use mlexray_nn::{
-    calibrate, convert_to_mobile, quantize_model, BackendSpec, InterpreterOptions, KernelBugs,
-    KernelFlavor, Model, QuantizationOptions,
+    calibrate, convert_to_mobile, quantize_model, BackendSpec, KernelBugs, KernelFlavor, Model,
+    QuantizationOptions,
 };
 use mlexray_preprocess::{ImagePreprocessConfig, PreprocessBug};
 use mlexray_tensor::Tensor;
@@ -147,7 +147,7 @@ fn render_all() -> String {
         let edge = ImagePipeline::new(model.clone(), canonical.with_bug(bug));
         render_validation(&mut out, &format!("{bug:?}"), &validate(&edge, &reference));
     }
-    let buggy_kernels = InterpreterOptions {
+    let buggy_kernels = BackendSpec {
         flavor: KernelFlavor::Optimized,
         bugs: KernelBugs::paper_2021(),
         numerics: None,
@@ -156,7 +156,7 @@ fn render_all() -> String {
         &mut out,
         "quantized, optimized kernels + paper_2021",
         &validate(
-            &ImagePipeline::new(quant.clone(), canonical.clone()).with_options(buggy_kernels),
+            &ImagePipeline::new(quant.clone(), canonical.clone()).with_backend(buggy_kernels),
             &ReferencePipeline::new(mobile, canonical.clone()),
         ),
     );
@@ -175,9 +175,7 @@ fn render_all() -> String {
         (
             "reference vs optimized + paper_2021 (quantized)",
             &quant.graph,
-            BackendSpec::Optimized {
-                bugs: KernelBugs::paper_2021(),
-            },
+            BackendSpec::optimized().with_bugs(KernelBugs::paper_2021()),
         ),
     ] {
         let report = diff_backends(

@@ -5,9 +5,10 @@
 use std::sync::Arc;
 
 use mlexray_core::{
-    replay_sharded, replay_sharded_to_sink, replay_validate_sharded, ChannelSink,
-    ChannelSinkConfig, DeploymentValidator, ImagePipeline, LabeledFrame, LogRecord, LogSink,
-    LogValue, MemorySink, MonitorConfig, ReferencePipeline, ReplayOptions,
+    machine_parallelism, replay_sharded, replay_sharded_to_sink, replay_validate_sharded,
+    reserve_cores, ChannelSink, ChannelSinkConfig, DeploymentValidator, ImagePipeline,
+    LabeledFrame, LogRecord, LogSink, LogValue, MemorySink, MonitorConfig, ReferencePipeline,
+    ReplayOptions,
 };
 use mlexray_nn::{Activation, GraphBuilder, Model, Padding};
 use mlexray_preprocess::{Image, ImagePreprocessConfig};
@@ -111,6 +112,42 @@ fn sharded_validation_report_is_identical_across_worker_counts() {
             ),
         }
     }
+}
+
+/// `workers: 0` sizes the pool from the global core ledger: never more
+/// workers than shards, squeezed to one when another pool holds every core,
+/// and the merged logs do not depend on what was granted.
+#[test]
+fn elastic_pool_sizes_itself_from_the_core_ledger() {
+    let pipeline = pipeline();
+    let frames = frames(6);
+    let elastic = ReplayOptions {
+        workers: 0,
+        shard_frames: 2,
+        ..Default::default()
+    };
+    let (_, stats) = replay_sharded(&pipeline, &frames, &elastic).unwrap();
+    assert!(
+        (1..=3).contains(&stats.workers),
+        "never more workers than shards: {}",
+        stats.workers
+    );
+
+    let hog = reserve_cores(machine_parallelism() * 2);
+    let (squeezed, stats) = replay_sharded(&pipeline, &frames, &elastic).unwrap();
+    drop(hog);
+    assert_eq!(stats.workers, 1, "no headroom left under the hog lease");
+
+    let one_worker = ReplayOptions {
+        workers: 1,
+        ..elastic
+    };
+    let (explicit, _) = replay_sharded(&pipeline, &frames, &one_worker).unwrap();
+    assert_eq!(
+        deterministic_records(squeezed.records()),
+        deterministic_records(explicit.records()),
+        "pressure must not change the merged logs"
+    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The 8-class synthetic image-classification dataset (ImageNet stand-in).
 //!
-//! Class design rationale (see DESIGN.md): each §4.3 preprocessing bug must
-//! hurt accuracy, and in the paper's severity order.
+//! Class design rationale: each §4.3 preprocessing bug must hurt accuracy,
+//! and in the paper's severity order.
 //!
 //! | class | content | sensitive to |
 //! |-------|---------|--------------|

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use mlexray_nn::{Graph, Interpreter, InterpreterOptions, LayerObserver, LayerRecord, NnError};
+use mlexray_nn::{BackendSpec, Graph, Interpreter, LayerObserver, LayerRecord, NnError};
 use mlexray_tensor::{DType, Tensor};
 
 use crate::cost::{DtypeClass, OpCategory};
@@ -129,13 +129,13 @@ impl SimulatedDevice {
         &self,
         graph: &Graph,
         inputs: &[Tensor],
-        options: InterpreterOptions,
+        spec: BackendSpec,
     ) -> Result<SimRun, NnError> {
-        let mut interp = Interpreter::new(graph, options)?;
+        let mut interp = Interpreter::new(graph, spec)?;
         let mut observer = CostObserver {
             profile: &self.profile,
             processor: self.processor,
-            flavor: options.flavor,
+            flavor: spec.flavor,
             layers: Vec::with_capacity(graph.layer_count()),
         };
         let outputs = interp.invoke_observed(inputs, &mut observer)?;
@@ -160,9 +160,9 @@ impl SimulatedDevice {
         &self,
         graph: &Graph,
         inputs: &[Tensor],
-        options: InterpreterOptions,
+        spec: BackendSpec,
     ) -> Result<f64, NnError> {
-        Ok(self.run(graph, inputs, options)?.total_ns)
+        Ok(self.run(graph, inputs, spec)?.total_ns)
     }
 
     /// The dynamic-batching coalescing window this device's latency model
@@ -178,9 +178,9 @@ impl SimulatedDevice {
         &self,
         graph: &Graph,
         inputs: &[Tensor],
-        options: InterpreterOptions,
+        spec: BackendSpec,
     ) -> Result<Duration, NnError> {
-        let ns = self.predicted_invoke_ns(graph, inputs, options)? * 0.5;
+        let ns = self.predicted_invoke_ns(graph, inputs, spec)? * 0.5;
         let clamped = ns.clamp(50_000.0, 20_000_000.0);
         Ok(Duration::from_nanos(clamped as u64))
     }
@@ -189,7 +189,7 @@ impl SimulatedDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlexray_nn::{Activation, GraphBuilder, KernelFlavor, Padding};
+    use mlexray_nn::{Activation, GraphBuilder, Padding};
     use mlexray_tensor::{he_normal, Shape};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -216,9 +216,7 @@ mod tests {
         let device = SimulatedDevice::new(DeviceProfile::pixel4(), Processor::Cpu);
         let g = small_graph();
         let x = Tensor::filled_f32(Shape::nhwc(1, 16, 16, 3), 0.1);
-        let run = device
-            .run(&g, &[x], InterpreterOptions::optimized())
-            .unwrap();
+        let run = device.run(&g, &[x], BackendSpec::optimized()).unwrap();
         assert_eq!(run.layers.len(), 3);
         assert!(run.total_ns > 0.0);
         assert!(run.per_layer_log_bytes() > 0);
@@ -231,15 +229,9 @@ mod tests {
         let g = small_graph();
         let x = Tensor::filled_f32(Shape::nhwc(1, 16, 16, 3), 0.1);
         let opt = device
-            .run(
-                &g,
-                std::slice::from_ref(&x),
-                InterpreterOptions::optimized(),
-            )
+            .run(&g, std::slice::from_ref(&x), BackendSpec::optimized())
             .unwrap();
-        let mut ref_opts = InterpreterOptions::optimized();
-        ref_opts.flavor = KernelFlavor::Reference;
-        let reference = device.run(&g, &[x], ref_opts).unwrap();
+        let reference = device.run(&g, &[x], BackendSpec::reference()).unwrap();
         assert!(reference.total_ns > opt.total_ns * 5.0);
     }
 
@@ -248,14 +240,10 @@ mod tests {
         let g = small_graph();
         let x = Tensor::filled_f32(Shape::nhwc(1, 16, 16, 3), 0.1);
         let cpu = SimulatedDevice::new(DeviceProfile::pixel4(), Processor::Cpu)
-            .run(
-                &g,
-                std::slice::from_ref(&x),
-                InterpreterOptions::optimized(),
-            )
+            .run(&g, std::slice::from_ref(&x), BackendSpec::optimized())
             .unwrap();
         let gpu = SimulatedDevice::new(DeviceProfile::pixel4(), Processor::Gpu)
-            .run(&g, &[x], InterpreterOptions::optimized())
+            .run(&g, &[x], BackendSpec::optimized())
             .unwrap();
         assert!(gpu.total_ns < cpu.total_ns);
     }
@@ -266,16 +254,10 @@ mod tests {
         let g = small_graph();
         let x = Tensor::filled_f32(Shape::nhwc(1, 16, 16, 3), 0.1);
         let opt = device
-            .suggested_batch_window(
-                &g,
-                std::slice::from_ref(&x),
-                InterpreterOptions::optimized(),
-            )
+            .suggested_batch_window(&g, std::slice::from_ref(&x), BackendSpec::optimized())
             .unwrap();
-        let mut ref_opts = InterpreterOptions::optimized();
-        ref_opts.flavor = KernelFlavor::Reference;
         let reference = device
-            .suggested_batch_window(&g, std::slice::from_ref(&x), ref_opts)
+            .suggested_batch_window(&g, std::slice::from_ref(&x), BackendSpec::reference())
             .unwrap();
         // Slower predicted invokes buy longer coalescing windows...
         assert!(reference >= opt, "{reference:?} vs {opt:?}");
@@ -285,7 +267,7 @@ mod tests {
             assert!(window <= Duration::from_millis(20), "{window:?}");
         }
         let predicted = device
-            .predicted_invoke_ns(&g, &[x], InterpreterOptions::optimized())
+            .predicted_invoke_ns(&g, &[x], BackendSpec::optimized())
             .unwrap();
         assert!(predicted > 0.0);
     }
@@ -295,9 +277,7 @@ mod tests {
         let device = SimulatedDevice::new(DeviceProfile::pixel4(), Processor::Cpu);
         let g = small_graph();
         let x = Tensor::filled_f32(Shape::nhwc(1, 16, 16, 3), 0.1);
-        let run = device
-            .run(&g, &[x], InterpreterOptions::optimized())
-            .unwrap();
+        let run = device.run(&g, &[x], BackendSpec::optimized()).unwrap();
         let by_label = run.latency_by_op_label();
         let sum: f64 = by_label.iter().map(|(_, _, ns)| ns).sum();
         assert!((sum - run.total_ns).abs() < 1e-6);

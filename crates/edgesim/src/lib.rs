@@ -1,13 +1,13 @@
 //! Edge-device simulation for the ML-EXray reproduction.
 //!
 //! The paper's latency numbers come from Pixel 4 / Pixel 3 phones and an x86
-//! Android emulator — hardware this reproduction does not have. Per the
-//! DESIGN.md substitution table, this crate provides *calibrated cost
-//! models*: the real interpreter executes the real graph (so outputs,
-//! shapes, memory and log sizes are genuine), while per-layer latency is
-//! computed from a per-op-category ns/MAC table calibrated against Table 4
-//! of the paper (MobileNetV2 on Pixel 4, all four kernel/dtype combinations,
-//! plus the x86 emulator column).
+//! Android emulator — hardware this reproduction does not have. In its
+//! place this crate provides *calibrated cost models*: the real interpreter
+//! executes the real graph (so outputs, shapes, memory and log sizes are
+//! genuine), while per-layer latency is computed from a per-op-category
+//! ns/MAC table calibrated against Table 4 of the paper (MobileNetV2 on
+//! Pixel 4, all four kernel/dtype combinations, plus the x86 emulator
+//! column).
 //!
 //! What the calibration preserves — and what the experiments rely on:
 //!
@@ -23,7 +23,6 @@
 //!
 //! ```
 //! use mlexray_edgesim::{DeviceProfile, Processor, SimulatedDevice};
-//! use mlexray_nn::InterpreterOptions;
 //!
 //! let device = SimulatedDevice::new(DeviceProfile::pixel4(), Processor::Cpu);
 //! assert_eq!(device.profile().name, "Pixel 4");

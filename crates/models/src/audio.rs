@@ -25,13 +25,13 @@ pub fn mini_audio_cnn(frames: usize, bins: usize, classes: usize, seed: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlexray_nn::{Interpreter, InterpreterOptions};
+    use mlexray_nn::{BackendSpec, Interpreter};
     use mlexray_tensor::Tensor;
 
     #[test]
     fn runs_on_spectrogram_shape() {
         let m = mini_audio_cnn(32, 33, 8, 1).unwrap();
-        let mut interp = Interpreter::new(&m.graph, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&m.graph, BackendSpec::optimized()).unwrap();
         let x = Tensor::filled_f32(Shape::nhwc(1, 32, 33, 1), 0.3);
         let p = interp.invoke(&[x]).unwrap();
         let v = p[0].as_f32().unwrap();

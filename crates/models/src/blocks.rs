@@ -223,7 +223,7 @@ impl NetBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlexray_nn::{Interpreter, InterpreterOptions, Model};
+    use mlexray_nn::{BackendSpec, Interpreter, Model};
 
     #[test]
     fn builder_produces_runnable_net() {
@@ -235,7 +235,7 @@ mod tests {
         let out = nb.mean_fc_softmax(c, 5).unwrap();
         nb.b.output(out);
         let model = Model::checkpoint(nb.b.finish().unwrap(), "t");
-        let mut interp = Interpreter::new(&model.graph, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&model.graph, BackendSpec::optimized()).unwrap();
         let y = interp
             .invoke(&[Tensor::filled_f32(Shape::nhwc(1, 8, 8, 3), 0.5)])
             .unwrap();

@@ -120,7 +120,7 @@ pub fn mini_densenet(input: usize, classes: usize, seed: u64) -> Result<Model> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlexray_nn::{Interpreter, InterpreterOptions};
+    use mlexray_nn::{BackendSpec, Interpreter};
     use mlexray_tensor::Tensor;
 
     #[test]
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn mini_densenet_runs() {
         let m = mini_densenet(32, 8, 7).unwrap();
-        let mut interp = Interpreter::new(&m.graph, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&m.graph, BackendSpec::optimized()).unwrap();
         let p = interp
             .invoke(&[Tensor::filled_f32(Shape::nhwc(1, 32, 32, 3), 0.1)])
             .unwrap();

@@ -370,7 +370,7 @@ pub fn mini_inception(input: usize, classes: usize, seed: u64) -> Result<Model> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlexray_nn::{Interpreter, InterpreterOptions, OpKind};
+    use mlexray_nn::{BackendSpec, Interpreter, OpKind};
     use mlexray_tensor::Tensor;
 
     #[test]
@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn mini_inception_runs() {
         let m = mini_inception(32, 8, 4).unwrap();
-        let mut interp = Interpreter::new(&m.graph, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&m.graph, BackendSpec::optimized()).unwrap();
         let p = interp
             .invoke(&[Tensor::filled_f32(Shape::nhwc(1, 32, 32, 3), 0.1)])
             .unwrap();

@@ -418,11 +418,11 @@ pub fn mini_v3(input: usize, classes: usize, seed: u64) -> Result<Model> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlexray_nn::{Interpreter, InterpreterOptions, OpKind};
+    use mlexray_nn::{BackendSpec, Interpreter, OpKind};
     use mlexray_tensor::Tensor;
 
     fn run(model: &Model, input: usize) -> Vec<f32> {
-        let mut interp = Interpreter::new(&model.graph, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&model.graph, BackendSpec::optimized()).unwrap();
         let x = Tensor::filled_f32(Shape::nhwc(1, input, input, 3), 0.1);
         interp.invoke(&[x]).unwrap()[0].as_f32().unwrap().to_vec()
     }

@@ -1,9 +1,9 @@
 //! ResNet-50 v2 (full, checkpoint-style) and a mini residual network.
 //!
 //! Full-size blocks use the conv→BN→ReLU ordering so that every batch-norm
-//! has a foldable convolution producer (see DESIGN.md: the pre-activation
-//! ordering of the original v2 paper is not foldable by TFLite-style
-//! conversion either; deployed graphs look like this one).
+//! has a foldable convolution producer (the pre-activation ordering of the
+//! original v2 paper is not foldable by TFLite-style conversion either;
+//! deployed graphs look like this one).
 
 use mlexray_nn::{Activation, Model, Padding, Result, TensorId};
 use mlexray_tensor::Shape;
@@ -149,7 +149,7 @@ pub fn mini_resnet(input: usize, classes: usize, seed: u64) -> Result<Model> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlexray_nn::{Interpreter, InterpreterOptions};
+    use mlexray_nn::{BackendSpec, Interpreter};
     use mlexray_tensor::Tensor;
 
     #[test]
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn mini_resnet_runs() {
         let m = mini_resnet(32, 8, 3).unwrap();
-        let mut interp = Interpreter::new(&m.graph, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&m.graph, BackendSpec::optimized()).unwrap();
         let p = interp
             .invoke(&[Tensor::filled_f32(Shape::nhwc(1, 32, 32, 3), 0.2)])
             .unwrap();

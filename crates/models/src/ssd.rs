@@ -1,8 +1,8 @@
 //! Mini-SSD: an analytically-constructed single-shot detector.
 //!
-//! Detection training is not the paper's contribution, so (per the DESIGN.md
-//! substitution table) the backbone filters are hand-set color detectors
-//! rather than trained weights: the network computes per-grid-cell class
+//! Detection training is not the paper's contribution, so the backbone
+//! filters are hand-set color detectors rather than trained weights (a
+//! deliberate substitution): the network computes per-grid-cell class
 //! probabilities with a 1x1 color-detector conv, a stride-4 average pool and
 //! a 1x1 classification head + softmax. Post-processing (decode + NMS) and
 //! the mAP@0.5 evaluation are the same code paths a trained SSD would use —
@@ -304,7 +304,7 @@ pub fn mean_average_precision(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlexray_nn::{Interpreter, InterpreterOptions};
+    use mlexray_nn::{BackendSpec, Interpreter};
 
     #[test]
     fn model_shapes() {
@@ -328,7 +328,7 @@ mod tests {
             }
         }
         let input = Tensor::from_f32(Shape::nhwc(1, 32, 32, 3), data).unwrap();
-        let mut interp = Interpreter::new(&m.graph, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&m.graph, BackendSpec::optimized()).unwrap();
         let probs = interp.invoke(&[input]).unwrap();
         let dets = nms(decode(&probs[0], 0.5), 0.5);
         assert_eq!(dets.len(), 1, "{dets:?}");

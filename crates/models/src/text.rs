@@ -150,12 +150,12 @@ pub fn is_transformer(model: &Model) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlexray_nn::{Interpreter, InterpreterOptions};
+    use mlexray_nn::{BackendSpec, Interpreter};
 
     #[test]
     fn nnlm_runs() {
         let m = nnlm(50, 8, 16, 2, 1).unwrap();
-        let mut interp = Interpreter::new(&m.graph, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&m.graph, BackendSpec::optimized()).unwrap();
         let ids = ids_to_tensor(&[2, 3, 4, 0, 0, 0, 0, 0]).unwrap();
         let p = interp.invoke(&[ids]).unwrap();
         let v = p[0].as_f32().unwrap();
@@ -168,7 +168,7 @@ mod tests {
         // Same text through lowercase vs cased id sequences gives different
         // outputs — the Appendix A divergence, at the model level.
         let m = nnlm(50, 4, 8, 2, 2).unwrap();
-        let mut interp = Interpreter::new(&m.graph, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&m.graph, BackendSpec::optimized()).unwrap();
         let lower = interp
             .invoke(&[ids_to_tensor(&[2, 3, 0, 0]).unwrap()])
             .unwrap();
@@ -182,7 +182,7 @@ mod tests {
     fn tiny_bert_runs_and_is_transformer() {
         let m = tiny_bert(50, 8, 16, 2, 3).unwrap();
         assert!(is_transformer(&m));
-        let mut interp = Interpreter::new(&m.graph, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&m.graph, BackendSpec::optimized()).unwrap();
         let ids = ids_to_tensor(&[2, 3, 4, 5, 1, 0, 0, 0]).unwrap();
         let p = interp.invoke(&[ids]).unwrap();
         let v = p[0].as_f32().unwrap();

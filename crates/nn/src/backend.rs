@@ -3,25 +3,26 @@
 //! ML-EXray's central debugging technique replays the same frames through a
 //! known-correct runtime and a suspect runtime, then compares per-layer
 //! outputs. Here "runtime" is one engine — the [`Interpreter`] — whose
-//! kernels are resolved once, at build, from its [`InterpreterOptions`]
-//! (TFLite's `OpResolver` idea). A [`BackendSpec`] names one of the four
-//! kernel configurations that engine runs under:
+//! kernels are resolved once, at build, from its [`BackendSpec`] (TFLite's
+//! `OpResolver` idea). A spec is one struct — kernel flavor, injected
+//! defects, optional emulated numerics — and its four constructors name the
+//! four configurations that engine runs under:
 //!
-//! * [`BackendSpec::Reference`] — the debugging-grade reference kernels
+//! * [`BackendSpec::reference`] — the debugging-grade reference kernels
 //!   (TFLite's `RefOpResolver`): naive loops, canonical summation order.
-//! * [`BackendSpec::Optimized`] — the production kernels (`OpResolver`):
+//! * [`BackendSpec::optimized`] — the production kernels (`OpResolver`):
 //!   blocked accumulation, whole-batch im2col GEMM, and the surface the
 //!   injected [`KernelBugs`] live in.
-//! * [`BackendSpec::Simd`] — the raw-speed kernels (`SimdOpResolver`): the
+//! * [`BackendSpec::simd`] — the raw-speed kernels (`SimdOpResolver`): the
 //!   runtime-feature-dispatched virtual-SIMD GEMM of `kernels::gemm`
 //!   (AVX2/FMA on x86_64, a bitwise-identical scalar mirror elsewhere)
 //!   behind the im2col conv, depthwise and fully-connected paths, with a
 //!   true i8×i8→i32 quantized batched GEMM. Float GEMM outputs differ from
 //!   the scalar flavors only by benign accumulation-order drift; quantized
 //!   outputs are bitwise-identical to the reference kernels.
-//! * [`BackendSpec::EdgeEmulator`] — reproduces a *different* edge
-//!   runtime's numerics ([`EdgeNumerics`]): configurable GEMM accumulation
-//!   order, fused multiply-add contraction, flush-to-zero denormals, and
+//! * [`BackendSpec::emulator`] — reproduces a *different* edge runtime's
+//!   numerics ([`EdgeNumerics`]): configurable GEMM accumulation order,
+//!   fused multiply-add contraction, flush-to-zero denormals, and
 //!   reduced-precision requantization — the "suspect pipeline" side of a
 //!   cross-runtime differential run when no real second runtime is
 //!   available. Device profiles in `mlexray-edgesim` map real targets to
@@ -36,7 +37,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::graph::Graph;
-use crate::interpreter::{Interpreter, InterpreterOptions};
+use crate::interpreter::Interpreter;
 use crate::resolver::{EdgeNumerics, KernelBugs, KernelFlavor};
 use crate::Result;
 
@@ -48,140 +49,81 @@ pub type BoxedBackend<'g> = Interpreter<'g>;
 /// interpreter resolves, with which injected defects and (for the emulator)
 /// which numerics. The sharded differential debugger sends specs across
 /// worker threads and builds one interpreter per worker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum BackendSpec {
-    /// The known-correct baseline: reference kernels, canonical arithmetic.
-    Reference {
-        /// Injected defects (op-spec bugs like the quantized average-pool
-        /// defect fire in *both* scalar resolvers).
-        bugs: KernelBugs,
-    },
-    /// The production runtime: optimized kernels (im2col + blocked-dot
-    /// GEMM).
-    Optimized {
-        /// Injected defects.
-        bugs: KernelBugs,
-    },
-    /// The raw-speed runtime: SIMD-tiled GEMM kernels with one-time runtime
-    /// feature dispatch.
-    Simd {
-        /// Injected defects (this is where the test-only K-tail
-        /// tile-boundary defect lives).
-        bugs: KernelBugs,
-    },
-    /// An emulated foreign edge runtime: the interpreter's kernels with the
-    /// numeric deviations of [`EdgeNumerics`] applied.
-    EdgeEmulator {
-        /// Emulated numerics.
-        numerics: EdgeNumerics,
-        /// Injected defects, active on top of the emulated numerics.
-        bugs: KernelBugs,
-        /// Structural kernel flavor. Emulated numerics fully specify the
-        /// GEMM-family float arithmetic, but the flavor still selects the
-        /// kernel family for the arms emulation does not replace — in
-        /// particular it gates the optimized-only quantized-depthwise
-        /// defect of [`KernelBugs`]. Pipeline-derived specs preserve it so
-        /// bisection re-executes the op under the *same* engine the replay
-        /// ran.
-        flavor: KernelFlavor,
-    },
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct BackendSpec {
+    /// Kernel family (TFLite `OpResolver` vs `RefOpResolver`). Emulated
+    /// numerics fully specify the GEMM-family float arithmetic, but the
+    /// flavor still selects the kernel family for the arms emulation does
+    /// not replace — in particular it gates the optimized-only
+    /// quantized-depthwise defect of [`KernelBugs`].
+    pub flavor: KernelFlavor,
+    /// Injected kernel defects (off by default). Op-spec bugs like the
+    /// quantized average-pool defect fire in *both* scalar flavors; the
+    /// test-only K-tail tile-boundary defect lives in the SIMD flavor.
+    pub bugs: KernelBugs,
+    /// Emulated edge-runtime numerics. `None` (the default) runs the
+    /// flavor's native arithmetic; `Some` routes GEMM-family float kernels
+    /// through the emulated accumulator, applies the configured
+    /// requantization precision to quantized kernels, and optionally flushes
+    /// subnormal outputs to zero after every node.
+    pub numerics: Option<EdgeNumerics>,
 }
 
 impl BackendSpec {
-    /// The clean reference baseline.
+    /// The known-correct baseline: reference kernels, no bugs.
     pub fn reference() -> Self {
-        BackendSpec::Reference {
-            bugs: KernelBugs::none(),
-        }
-    }
-
-    /// The clean production runtime.
-    pub fn optimized() -> Self {
-        BackendSpec::Optimized {
-            bugs: KernelBugs::none(),
-        }
-    }
-
-    /// The clean SIMD runtime.
-    pub fn simd() -> Self {
-        BackendSpec::Simd {
-            bugs: KernelBugs::none(),
-        }
-    }
-
-    /// A clean emulator with the given numerics (reference kernel
-    /// structure).
-    pub fn emulator(numerics: EdgeNumerics) -> Self {
-        BackendSpec::EdgeEmulator {
-            numerics,
-            bugs: KernelBugs::none(),
+        BackendSpec {
             flavor: KernelFlavor::Reference,
+            ..Self::default()
         }
     }
 
-    /// The spec equivalent of raw interpreter options (how pipeline-level
-    /// callers, which carry [`InterpreterOptions`], enter the backend
-    /// world). Lossless: `spec.options()` round-trips.
-    pub fn of_options(options: InterpreterOptions) -> Self {
-        match (options.numerics, options.flavor) {
-            (Some(numerics), flavor) => BackendSpec::EdgeEmulator {
-                numerics,
-                bugs: options.bugs,
-                flavor,
-            },
-            (None, KernelFlavor::Reference) => BackendSpec::Reference { bugs: options.bugs },
-            (None, KernelFlavor::Optimized) => BackendSpec::Optimized { bugs: options.bugs },
-            (None, KernelFlavor::Simd) => BackendSpec::Simd { bugs: options.bugs },
+    /// The production runtime: optimized kernels (im2col + blocked-dot
+    /// GEMM), no bugs. This is the `Default`.
+    pub fn optimized() -> Self {
+        Self::default()
+    }
+
+    /// The raw-speed runtime: SIMD-tiled GEMM kernels with one-time runtime
+    /// feature dispatch, no bugs.
+    pub fn simd() -> Self {
+        BackendSpec {
+            flavor: KernelFlavor::Simd,
+            ..Self::default()
         }
     }
 
-    /// The interpreter options this spec resolves to.
-    pub fn options(&self) -> InterpreterOptions {
-        match *self {
-            BackendSpec::Reference { bugs } => InterpreterOptions {
-                flavor: KernelFlavor::Reference,
-                bugs,
-                numerics: None,
-            },
-            BackendSpec::Optimized { bugs } => InterpreterOptions {
-                flavor: KernelFlavor::Optimized,
-                bugs,
-                numerics: None,
-            },
-            BackendSpec::Simd { bugs } => InterpreterOptions {
-                flavor: KernelFlavor::Simd,
-                bugs,
-                numerics: None,
-            },
-            BackendSpec::EdgeEmulator {
-                numerics,
-                bugs,
-                flavor,
-            } => InterpreterOptions {
-                flavor,
-                bugs,
-                numerics: Some(numerics),
-            },
+    /// An emulated foreign edge runtime: the given numerics over reference
+    /// kernel structure, no bugs.
+    pub fn emulator(numerics: EdgeNumerics) -> Self {
+        BackendSpec {
+            numerics: Some(numerics),
+            ..Self::reference()
         }
+    }
+
+    /// This spec with `bugs` injected (on top of any emulated numerics).
+    pub fn with_bugs(self, bugs: KernelBugs) -> Self {
+        BackendSpec { bugs, ..self }
     }
 
     /// Display name of the backend this spec builds.
     pub fn label(&self) -> &'static str {
-        match self {
-            BackendSpec::Reference { .. } => "reference",
-            BackendSpec::Optimized { .. } => "optimized",
-            BackendSpec::Simd { .. } => "simd",
-            BackendSpec::EdgeEmulator { .. } => "edge-emulator",
+        match (self.numerics, self.flavor) {
+            (Some(_), _) => "edge-emulator",
+            (None, KernelFlavor::Reference) => "reference",
+            (None, KernelFlavor::Optimized) => "optimized",
+            (None, KernelFlavor::Simd) => "simd",
         }
     }
 
-    /// Builds the interpreter for `graph` under this spec's options.
+    /// Builds the interpreter for `graph` under this spec.
     ///
     /// # Errors
     ///
     /// Propagates graph-validation errors.
     pub fn build<'g>(&self, graph: &'g Graph) -> Result<Interpreter<'g>> {
-        Interpreter::new(graph, self.options())
+        Interpreter::new(graph, *self)
     }
 }
 
@@ -236,24 +178,54 @@ mod tests {
             let out = backend.invoke(&[input()]).unwrap();
             assert_eq!(out.len(), 1);
             assert!(backend.last_stats().is_some());
-            assert_eq!(BackendSpec::of_options(spec.options()), spec);
+            assert_eq!(backend.spec(), spec);
         }
     }
 
-    /// Pipeline-derived specs must not lose the kernel flavor under
-    /// emulation: the optimized-only quantized-depthwise defect is gated on
-    /// it, so dropping it would make bisection re-execute a bugged op in a
-    /// defect-free engine and misclassify it as propagated.
+    /// An emulated spec keeps the kernel flavor it was given: the
+    /// optimized-only quantized-depthwise defect is gated on it, so dropping
+    /// it would make bisection re-execute a bugged op in a defect-free
+    /// engine and misclassify it as propagated.
     #[test]
-    fn of_options_preserves_emulator_flavor() {
-        let options = InterpreterOptions {
+    fn emulated_spec_preserves_flavor() {
+        let spec = BackendSpec {
             flavor: KernelFlavor::Optimized,
             bugs: KernelBugs::paper_2021(),
             numerics: Some(EdgeNumerics::faithful()),
         };
-        let spec = BackendSpec::of_options(options);
-        assert_eq!(spec.options(), options, "of_options must round-trip");
+        let g = graph();
+        assert_eq!(spec.build(&g).unwrap().spec(), spec);
         assert_eq!(spec.label(), "edge-emulator");
+    }
+
+    #[test]
+    fn spec_says_what_it_builds() {
+        for (flavor, label) in [
+            (KernelFlavor::Reference, "reference"),
+            (KernelFlavor::Optimized, "optimized"),
+            (KernelFlavor::Simd, "simd"),
+        ] {
+            let native = BackendSpec {
+                flavor,
+                ..BackendSpec::default()
+            };
+            assert_eq!(native.label(), label);
+            let emulated = BackendSpec {
+                numerics: Some(EdgeNumerics::faithful()),
+                ..native
+            };
+            assert_eq!(emulated.label(), "edge-emulator");
+
+            let bugged = emulated.with_bugs(KernelBugs::paper_2021());
+            assert_eq!(
+                bugged,
+                BackendSpec {
+                    bugs: KernelBugs::paper_2021(),
+                    ..emulated
+                }
+            );
+        }
+        assert_eq!(BackendSpec::default(), BackendSpec::optimized());
     }
 
     #[test]

@@ -217,8 +217,9 @@ fn graph_tensor_name(def: &crate::graph::TensorDef) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BackendSpec;
     use crate::graph::GraphBuilder;
-    use crate::interpreter::{Interpreter, InterpreterOptions};
+    use crate::interpreter::Interpreter;
     use crate::ops::Padding;
     use mlexray_tensor::{DType, Shape};
     use rand::rngs::SmallRng;
@@ -270,8 +271,8 @@ mod tests {
         let data: Vec<f32> = (0..50).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let input = Tensor::from_f32(Shape::nhwc(1, 5, 5, 2), data).unwrap();
 
-        let mut i1 = Interpreter::new(&ckpt.graph, InterpreterOptions::reference()).unwrap();
-        let mut i2 = Interpreter::new(&mobile.graph, InterpreterOptions::reference()).unwrap();
+        let mut i1 = Interpreter::new(&ckpt.graph, BackendSpec::reference()).unwrap();
+        let mut i2 = Interpreter::new(&mobile.graph, BackendSpec::reference()).unwrap();
         let a = i1.invoke(std::slice::from_ref(&input)).unwrap();
         let b = i2.invoke(std::slice::from_ref(&input)).unwrap();
         for (u, v) in a[0].as_f32().unwrap().iter().zip(b[0].as_f32().unwrap()) {

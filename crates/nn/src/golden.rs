@@ -18,8 +18,9 @@ use serde::{Deserialize, Serialize};
 
 use mlexray_tensor::{DType, QuantParams, Shape, Tensor, TensorData};
 
+use crate::backend::BackendSpec;
 use crate::graph::{Graph, GraphBuilder, TensorId};
-use crate::interpreter::{Interpreter, InterpreterOptions};
+use crate::interpreter::Interpreter;
 use crate::ops::{Activation, OpKind, Padding};
 use crate::resolver::{AccumOrder, EdgeNumerics, KernelBugs, KernelFlavor, RequantMode};
 use crate::Result;
@@ -64,7 +65,7 @@ impl GoldenCase {
     pub fn run(&self, flavor: KernelFlavor) -> Result<Vec<Tensor>> {
         let mut interp = Interpreter::new(
             &self.graph,
-            InterpreterOptions {
+            BackendSpec {
                 flavor,
                 bugs: self.bugs,
                 numerics: self.numerics,
@@ -1507,7 +1508,7 @@ mod tests {
         };
         let faithful = by_name("conv2d_f32_emu_faithful");
         let emulated = faithful.run(KernelFlavor::Reference).unwrap();
-        let native = Interpreter::new(&faithful.graph, InterpreterOptions::reference())
+        let native = Interpreter::new(&faithful.graph, BackendSpec::reference())
             .unwrap()
             .invoke(&faithful.inputs)
             .unwrap();
@@ -1539,7 +1540,7 @@ mod tests {
         let ftz = by_name("conv2d_f32_emu_ftz");
         let flushed = ftz.run(KernelFlavor::Reference).unwrap();
         assert!(flushed[0].as_f32().unwrap().iter().all(|v| *v == 0.0));
-        let kept = Interpreter::new(&ftz.graph, InterpreterOptions::reference())
+        let kept = Interpreter::new(&ftz.graph, BackendSpec::reference())
             .unwrap()
             .invoke(&ftz.inputs)
             .unwrap();

@@ -2,58 +2,12 @@ use std::time::{Duration, Instant};
 
 use mlexray_tensor::{DType, Shape, Tensor, TensorData};
 
+use crate::backend::BackendSpec;
 use crate::graph::{Graph, TensorDef, TensorId};
 use crate::kernels::{execute_node, FloatKernels, KernelCtx};
 use crate::ops::OpKind;
 use crate::plan::MemoryPlan;
-use crate::resolver::{EdgeNumerics, KernelBugs, KernelFlavor};
 use crate::{NnError, Result};
-
-/// Interpreter configuration: which kernel family to dispatch, which
-/// injected defects are active, and (for the edge-emulator backend) which
-/// emulated numerics to apply.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct InterpreterOptions {
-    /// Kernel family (TFLite `OpResolver` vs `RefOpResolver`).
-    pub flavor: KernelFlavor,
-    /// Injected kernel defects (off by default).
-    pub bugs: KernelBugs,
-    /// Emulated edge-runtime numerics. `None` (the default) runs the
-    /// flavor's native arithmetic; `Some` routes GEMM-family float kernels
-    /// through the emulated accumulator, applies the configured
-    /// requantization precision to quantized kernels, and optionally flushes
-    /// subnormal outputs to zero after every node.
-    pub numerics: Option<EdgeNumerics>,
-}
-
-impl InterpreterOptions {
-    /// Optimized kernels, no bugs — the production default.
-    pub fn optimized() -> Self {
-        InterpreterOptions {
-            flavor: KernelFlavor::Optimized,
-            bugs: KernelBugs::none(),
-            numerics: None,
-        }
-    }
-
-    /// Reference kernels, no bugs — the debugging resolver.
-    pub fn reference() -> Self {
-        InterpreterOptions {
-            flavor: KernelFlavor::Reference,
-            bugs: KernelBugs::none(),
-            numerics: None,
-        }
-    }
-
-    /// Edge-emulator numerics over reference kernel structure, no bugs.
-    pub fn emulated(numerics: EdgeNumerics) -> Self {
-        InterpreterOptions {
-            flavor: KernelFlavor::Reference,
-            bugs: KernelBugs::none(),
-            numerics: Some(numerics),
-        }
-    }
-}
 
 /// Everything ML-EXray's per-layer instrumentation can see about one executed
 /// node: identity, op, output values, measured latency and the frame it
@@ -307,7 +261,7 @@ fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
 /// # Example
 ///
 /// ```
-/// use mlexray_nn::{GraphBuilder, Interpreter, InterpreterOptions};
+/// use mlexray_nn::{BackendSpec, GraphBuilder, Interpreter};
 /// use mlexray_tensor::{Shape, Tensor};
 ///
 /// let mut b = GraphBuilder::new("softmax-only");
@@ -316,7 +270,7 @@ fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
 /// b.output(y);
 /// let graph = b.finish()?;
 ///
-/// let mut interp = Interpreter::new(&graph, InterpreterOptions::optimized())?;
+/// let mut interp = Interpreter::new(&graph, BackendSpec::optimized())?;
 /// let out = interp.invoke(&[Tensor::from_f32(Shape::matrix(1, 3), vec![0.0, 1.0, 2.0])?])?;
 /// let p = out[0].as_f32()?;
 /// assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-5);
@@ -325,8 +279,8 @@ fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
 #[derive(Debug)]
 pub struct Interpreter<'g> {
     graph: &'g Graph,
-    options: InterpreterOptions,
-    /// The float kernel family `options` selects, resolved once here (the
+    spec: BackendSpec,
+    /// The float kernel family `spec` selects, resolved once here (the
     /// `OpResolver` choice) instead of per node per invoke.
     float: FloatKernels,
     state: ExecState,
@@ -348,13 +302,13 @@ impl<'g> Interpreter<'g> {
     /// # Errors
     ///
     /// Returns [`NnError::InvalidGraph`] if validation fails.
-    pub fn new(graph: &'g Graph, options: InterpreterOptions) -> Result<Self> {
+    pub fn new(graph: &'g Graph, spec: BackendSpec) -> Result<Self> {
         graph.validate()?;
         let plan = verified_plan(graph, 1)?;
         Ok(Interpreter {
             graph,
-            options,
-            float: FloatKernels::resolve(options.flavor, options.numerics, &options.bugs),
+            spec,
+            float: FloatKernels::resolve(spec.flavor, spec.numerics, &spec.bugs),
             state: ExecState::new(graph, &plan),
             plans: vec![plan],
             batch_safe: batch_safe(graph),
@@ -362,9 +316,9 @@ impl<'g> Interpreter<'g> {
         })
     }
 
-    /// The interpreter's options.
-    pub fn options(&self) -> InterpreterOptions {
-        self.options
+    /// The spec this interpreter was built under.
+    pub fn spec(&self) -> BackendSpec {
+        self.spec
     }
 
     /// The graph being executed.
@@ -466,7 +420,7 @@ impl<'g> Interpreter<'g> {
     /// index reported to the observer (used by the per-frame fallback).
     fn execute_graph(
         graph: &Graph,
-        options: InterpreterOptions,
+        spec: BackendSpec,
         float: FloatKernels,
         state: &mut ExecState,
         observer: &mut dyn LayerObserver,
@@ -509,9 +463,9 @@ impl<'g> Interpreter<'g> {
                 };
                 let mut ctx = KernelCtx {
                     float,
-                    flavor: options.flavor,
-                    numerics: options.numerics,
-                    bugs: &options.bugs,
+                    flavor: spec.flavor,
+                    numerics: spec.numerics,
+                    bugs: &spec.bugs,
                     scratch: &mut state.scratch,
                 };
                 let out_def = graph.tensor(node.output);
@@ -597,7 +551,7 @@ impl<'g> Interpreter<'g> {
         Self::stage_inputs(self.graph, &mut self.state, &[inputs])?;
         Self::execute_graph(
             self.graph,
-            self.options,
+            self.spec,
             self.float,
             &mut self.state,
             observer,
@@ -660,7 +614,7 @@ impl<'g> Interpreter<'g> {
         let plan = self.prepare(frames)?;
         let state = &mut self.state;
         Self::stage_inputs(self.graph, state, batch)?;
-        Self::execute_graph(self.graph, self.options, self.float, state, observer, 0)?;
+        Self::execute_graph(self.graph, self.spec, self.float, state, observer, 0)?;
 
         let mut outputs = Vec::with_capacity(frames);
         let mut allocations = 0usize;
@@ -702,7 +656,7 @@ impl<'g> Interpreter<'g> {
             Self::stage_inputs(self.graph, &mut self.state, &[*sample])?;
             Self::execute_graph(
                 self.graph,
-                self.options,
+                self.spec,
                 self.float,
                 &mut self.state,
                 observer,
@@ -858,7 +812,7 @@ mod tests {
     #[test]
     fn conv_identity_scales() {
         let g = conv_graph();
-        let mut interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
         let input = Tensor::from_f32(
             Shape::nhwc(1, 3, 3, 1),
             vec![1.0, -1.0, 2.0, 0.5, 0.0, -3.0, 1.5, 2.5, -0.5],
@@ -898,7 +852,7 @@ mod tests {
     #[test]
     fn wrong_input_shape_rejected() {
         let g = conv_graph();
-        let mut interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
         let bad = Tensor::zeros(DType::F32, Shape::nhwc(1, 2, 2, 1));
         assert!(matches!(
             interp.invoke(&[bad]),
@@ -916,7 +870,7 @@ mod tests {
             }
         }
         let g = conv_graph();
-        let mut interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
         let mut obs = Count(Vec::new());
         let x = Tensor::zeros(DType::F32, Shape::nhwc(1, 3, 3, 1));
         interp.invoke_observed(&[x], &mut obs).unwrap();
@@ -931,8 +885,8 @@ mod tests {
             vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
         )
         .unwrap();
-        let mut opt = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
-        let mut reference = Interpreter::new(&g, InterpreterOptions::reference()).unwrap();
+        let mut opt = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
+        let mut reference = Interpreter::new(&g, BackendSpec::reference()).unwrap();
         let a = opt.invoke(std::slice::from_ref(&x)).unwrap();
         let b = reference.invoke(std::slice::from_ref(&x)).unwrap();
         for (u, v) in a[0].as_f32().unwrap().iter().zip(b[0].as_f32().unwrap()) {
@@ -943,7 +897,7 @@ mod tests {
     #[test]
     fn invoke_batch_matches_sequential_invokes() {
         let g = conv_graph();
-        let mut interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
         assert!(interp.is_batchable());
         let samples: Vec<Vec<Tensor>> = (0..4)
             .map(|i| {
@@ -974,7 +928,7 @@ mod tests {
             }
         }
         let g = conv_graph();
-        let mut interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
         let samples: Vec<Vec<Tensor>> = (0..3)
             .map(|i| vec![Tensor::filled_f32(Shape::nhwc(1, 3, 3, 1), i as f32)])
             .collect();
@@ -1017,7 +971,7 @@ mod tests {
         let mut counts = Vec::new();
         for depth in [2usize, 8, 32] {
             let g = build(depth);
-            let mut interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+            let mut interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
             interp.invoke(std::slice::from_ref(&input)).unwrap();
             let first = interp.last_stats().unwrap().allocations;
             interp.invoke(std::slice::from_ref(&input)).unwrap();
@@ -1054,7 +1008,7 @@ mod tests {
         }
         b.output(x);
         let g = b.finish().unwrap();
-        let interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+        let interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
         let plan = interp.memory_plan();
         assert!(
             plan.arena_bytes() < plan.unshared_bytes(),

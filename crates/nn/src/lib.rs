@@ -17,20 +17,21 @@
 //! `DepthwiseConv2D` and a broken quantized `AveragePool2D`. Both are off by
 //! default.
 //!
-//! There is one engine, the [`Interpreter`], and four [`BackendSpec`]s that
-//! say which kernels it resolves at build: `Reference` and `Optimized` are
-//! the two scalar kernel flavors, `Simd` dispatches the
-//! runtime-feature-detected virtual-SIMD GEMM micro-kernels of the [`simd`]
-//! module (AVX2/FMA on x86_64, a bitwise-identical scalar mirror elsewhere),
-//! and `EdgeEmulator` reproduces a foreign edge runtime's numerics
-//! ([`EdgeNumerics`]: GEMM accumulation order, fused multiply-add,
-//! flush-to-zero denormals, reduced-precision requantization) — the
-//! substrate of `mlexray-core`'s per-layer differential debugger.
+//! There is one engine, the [`Interpreter`], and one [`BackendSpec`] struct
+//! whose four constructors say which kernels it resolves at build:
+//! `reference()` and `optimized()` are the two scalar kernel flavors,
+//! `simd()` dispatches the runtime-feature-detected virtual-SIMD GEMM
+//! micro-kernels of the [`simd`] module (AVX2/FMA on x86_64, a
+//! bitwise-identical scalar mirror elsewhere), and `emulator(numerics)`
+//! reproduces a foreign edge runtime's numerics ([`EdgeNumerics`]: GEMM
+//! accumulation order, fused multiply-add, flush-to-zero denormals,
+//! reduced-precision requantization) — the substrate of `mlexray-core`'s
+//! per-layer differential debugger.
 //!
 //! # Example
 //!
 //! ```
-//! use mlexray_nn::{GraphBuilder, Interpreter, InterpreterOptions, Activation, Padding};
+//! use mlexray_nn::{GraphBuilder, Interpreter, BackendSpec, Activation, Padding};
 //! use mlexray_tensor::{Shape, Tensor};
 //!
 //! let mut b = GraphBuilder::new("demo");
@@ -40,7 +41,7 @@
 //! b.output(y);
 //! let graph = b.finish()?;
 //!
-//! let mut interp = Interpreter::new(&graph, InterpreterOptions::optimized())?;
+//! let mut interp = Interpreter::new(&graph, BackendSpec::optimized())?;
 //! let out = interp.invoke(&[Tensor::filled_f32(Shape::nhwc(1, 4, 4, 1), 9.0)])?;
 //! assert!((out[0].as_f32()?[5] - 9.0).abs() < 1e-4);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -66,9 +67,7 @@ pub use backend::{BackendSpec, BoxedBackend};
 pub use convert::convert_to_mobile;
 pub use error::NnError;
 pub use graph::{Graph, GraphBuilder, Node, NodeId, TensorDef, TensorId};
-pub use interpreter::{
-    Interpreter, InterpreterOptions, InvokeStats, LayerObserver, LayerRecord, NullObserver,
-};
+pub use interpreter::{Interpreter, InvokeStats, LayerObserver, LayerRecord, NullObserver};
 pub use kernels::gemm as simd;
 pub use model::{Model, ModelVariant};
 pub use ops::{Activation, OpKind, Padding};

@@ -6,8 +6,9 @@ use std::collections::HashMap;
 
 use mlexray_tensor::{DType, MinMaxObserver, QuantParams, Shape, Tensor};
 
+use crate::backend::BackendSpec;
 use crate::graph::{Graph, GraphBuilder, TensorId};
-use crate::interpreter::{Interpreter, InterpreterOptions};
+use crate::interpreter::Interpreter;
 use crate::model::{Model, ModelVariant};
 use crate::ops::OpKind;
 use crate::{NnError, Result};
@@ -50,7 +51,7 @@ pub fn calibrate<'a>(
     graph: &Graph,
     samples: impl IntoIterator<Item = &'a [Tensor]>,
 ) -> Result<Calibration> {
-    let mut interp = Interpreter::new(graph, InterpreterOptions::optimized())?;
+    let mut interp = Interpreter::new(graph, BackendSpec::optimized())?;
     let mut ranges = vec![MinMaxObserver::new(); graph.tensors().len()];
     let mut count = 0usize;
     for sample in samples {
@@ -395,8 +396,9 @@ pub fn output_params(graph: &Graph, node_name: &str) -> Option<QuantParams> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BackendSpec;
     use crate::graph::GraphBuilder;
-    use crate::interpreter::{Interpreter, InterpreterOptions};
+    use crate::interpreter::Interpreter;
     use crate::ops::{Activation, Padding};
     use mlexray_tensor::Shape;
     use rand::rngs::SmallRng;
@@ -465,8 +467,8 @@ mod tests {
         let q = quantize_model(&m, &calib, QuantizationOptions::default()).unwrap();
         assert_eq!(q.variant, ModelVariant::Quantized);
 
-        let mut fi = Interpreter::new(&m.graph, InterpreterOptions::optimized()).unwrap();
-        let mut qi = Interpreter::new(&q.graph, InterpreterOptions::optimized()).unwrap();
+        let mut fi = Interpreter::new(&m.graph, BackendSpec::optimized()).unwrap();
+        let mut qi = Interpreter::new(&q.graph, BackendSpec::optimized()).unwrap();
         let mut max_err = 0.0f32;
         for sample in samples(7, 8) {
             let a = fi.invoke(&sample).unwrap();
@@ -494,7 +496,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut qi = Interpreter::new(&q.graph, InterpreterOptions::optimized()).unwrap();
+        let mut qi = Interpreter::new(&q.graph, BackendSpec::optimized()).unwrap();
         let out = qi.invoke(&samples(3, 1)[0]).unwrap();
         let p: f32 = out[0].as_f32().unwrap().iter().sum();
         assert!((p - 1.0).abs() < 1e-3);

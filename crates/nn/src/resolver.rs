@@ -37,9 +37,9 @@ impl KernelFlavor {
 /// discovered with per-layer drift analysis (§4.4, Figs. 5–6).
 ///
 /// Both default to **off**; [`KernelBugs::paper_2021`] switches both on for
-/// the reproduction experiments. The substitution is documented in DESIGN.md:
-/// we cannot ship the 2021 TFLite binaries containing the original defects,
-/// so we inject numerically equivalent ones.
+/// the reproduction experiments. They are a substitution: we cannot ship the
+/// 2021 TFLite binaries containing the original defects, so we inject
+/// numerically equivalent ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct KernelBugs {
     /// The **optimized** quantized `DepthwiseConv2D` kernel accumulates into

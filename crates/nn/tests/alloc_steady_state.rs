@@ -11,8 +11,7 @@
 use std::sync::atomic::Ordering;
 
 use mlexray_nn::{
-    Activation, Graph, GraphBuilder, Interpreter, InterpreterOptions, KernelBugs, KernelFlavor,
-    Padding,
+    Activation, BackendSpec, Graph, GraphBuilder, Interpreter, KernelBugs, KernelFlavor, Padding,
 };
 use mlexray_tensor::{Shape, Tensor};
 
@@ -74,8 +73,8 @@ fn residual_stack(blocks: usize, side: usize, c: usize) -> Graph {
     b.finish().unwrap()
 }
 
-fn options(flavor: KernelFlavor) -> InterpreterOptions {
-    InterpreterOptions {
+fn options(flavor: KernelFlavor) -> BackendSpec {
+    BackendSpec {
         flavor,
         bugs: KernelBugs::none(),
         numerics: None,

@@ -137,8 +137,8 @@ proptest! {
 
         let bugs = bug_for(site);
         for candidate in [
-            BackendSpec::Optimized { bugs },
-            BackendSpec::Reference { bugs },
+            BackendSpec::optimized().with_bugs(bugs),
+            BackendSpec::reference().with_bugs(bugs),
         ] {
             let fired = assert_localizes(
                 &graph,
@@ -149,7 +149,7 @@ proptest! {
             );
             // The dwconv defect lives only in the optimized kernel; the
             // avgpool defect is an op-spec bug and fires in both resolvers.
-            if site == BugSite::Dwconv && candidate == (BackendSpec::Reference { bugs }) {
+            if site == BugSite::Dwconv && candidate == BackendSpec::reference().with_bugs(bugs) {
                 prop_assert!(!fired, "reference kernels must ignore the dwconv defect");
             }
         }
@@ -169,7 +169,7 @@ proptest! {
         let same_flavor = diff_backends(
             &graph,
             BackendSpec::optimized(),
-            BackendSpec::Optimized { bugs },
+            BackendSpec::optimized().with_bugs(bugs),
             &samples,
             &options(0.0),
         ).expect("same-flavor differential");
@@ -181,7 +181,7 @@ proptest! {
         let cross_flavor = diff_backends(
             &graph,
             BackendSpec::reference(),
-            BackendSpec::Optimized { bugs },
+            BackendSpec::optimized().with_bugs(bugs),
             &samples,
             &options(1e-4),
         ).expect("cross-flavor differential");
@@ -225,9 +225,7 @@ fn injected_defects_fire_and_localize_on_generated_graphs() {
             if assert_localizes(
                 &graph,
                 BackendSpec::reference(),
-                BackendSpec::Optimized {
-                    bugs: bug_for(site),
-                },
+                BackendSpec::optimized().with_bugs(bug_for(site)),
                 &samples,
                 site,
             ) {
@@ -264,9 +262,7 @@ fn simd_k_tail_bug_localizes_and_bisects_op_local() {
         if assert_localizes(
             &graph,
             BackendSpec::simd(),
-            BackendSpec::Simd {
-                bugs: bug_for(BugSite::SimdKTail),
-            },
+            BackendSpec::simd().with_bugs(bug_for(BugSite::SimdKTail)),
             &samples,
             BugSite::SimdKTail,
         ) {
@@ -289,8 +285,14 @@ fn simd_k_tail_bug_is_inert_outside_the_simd_backend() {
     let (graph, in_shape) = random_graph_with_site(&mut rng, BugSite::SimdKTail);
     let samples = sample_batch(&mut rng, &in_shape, 4);
     for (clean, bugged) in [
-        (BackendSpec::reference(), BackendSpec::Reference { bugs }),
-        (BackendSpec::optimized(), BackendSpec::Optimized { bugs }),
+        (
+            BackendSpec::reference(),
+            BackendSpec::reference().with_bugs(bugs),
+        ),
+        (
+            BackendSpec::optimized(),
+            BackendSpec::optimized().with_bugs(bugs),
+        ),
     ] {
         let report = diff_backends(&graph, clean, bugged, &samples, &options(0.0))
             .expect("differential run succeeds");

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 
 use common::{rand_tensor, random_graph, sample_batch};
 use mlexray_nn::{
-    calibrate, quantize_model, Activation, Graph, GraphBuilder, Interpreter, InterpreterOptions,
+    calibrate, quantize_model, Activation, BackendSpec, Graph, GraphBuilder, Interpreter,
     KernelBugs, KernelFlavor, LayerObserver, LayerRecord, Model, ModelVariant, Padding,
     QuantizationOptions,
 };
@@ -24,7 +24,7 @@ use mlexray_tensor::{Shape, Tensor};
 
 /// Asserts `invoke_batch` output equals sequential invokes, bitwise
 /// (tensor equality covers values, shapes and quantization).
-fn assert_batch_equivalence(graph: &Graph, samples: &[Vec<Tensor>], options: InterpreterOptions) {
+fn assert_batch_equivalence(graph: &Graph, samples: &[Vec<Tensor>], options: BackendSpec) {
     let mut interp = Interpreter::new(graph, options).expect("graph validates");
     let sequential: Vec<Vec<Tensor>> = samples
         .iter()
@@ -55,7 +55,7 @@ proptest! {
             assert_batch_equivalence(
                 &graph,
                 &samples,
-                InterpreterOptions { flavor, bugs: KernelBugs::none(), numerics: None },
+                BackendSpec { flavor, bugs: KernelBugs::none(), numerics: None },
             );
         }
     }
@@ -83,7 +83,7 @@ proptest! {
                 assert_batch_equivalence(
                     &quant.graph,
                     &samples[..n],
-                    InterpreterOptions { flavor, bugs, numerics: None },
+                    BackendSpec { flavor, bugs, numerics: None },
                 );
             }
         }
@@ -131,7 +131,7 @@ proptest! {
 fn run_batched(graph: &Graph, samples: &[Vec<Tensor>], flavor: KernelFlavor) -> Vec<Vec<Tensor>> {
     let mut interp = Interpreter::new(
         graph,
-        InterpreterOptions {
+        BackendSpec {
             flavor,
             bugs: KernelBugs::none(),
             numerics: None,
@@ -172,9 +172,9 @@ fn se_gate_batched_equals_sequential() {
     let samples: Vec<Vec<Tensor>> = (0..4)
         .map(|_| vec![rand_tensor(&mut rng, Shape::nhwc(1, 4, 4, 3))])
         .collect();
-    let interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+    let interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
     assert!(interp.is_batchable(), "SE gate must stack");
-    assert_batch_equivalence(&g, &samples, InterpreterOptions::optimized());
+    assert_batch_equivalence(&g, &samples, BackendSpec::optimized());
 }
 
 /// Graphs that mix frames (activation × activation matmul) must *fall back*
@@ -190,7 +190,7 @@ fn matmul_graph_falls_back_but_matches() {
     let sm = b.softmax("sm", scores).unwrap();
     b.output(sm);
     let g = b.finish().unwrap();
-    let interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+    let interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
     assert!(
         !interp.is_batchable(),
         "activation-by-activation matmul must not stack frames"
@@ -198,7 +198,7 @@ fn matmul_graph_falls_back_but_matches() {
     let samples: Vec<Vec<Tensor>> = (0..3)
         .map(|_| vec![rand_tensor(&mut rng, Shape::matrix(3, 4))])
         .collect();
-    assert_batch_equivalence(&g, &samples, InterpreterOptions::optimized());
+    assert_batch_equivalence(&g, &samples, BackendSpec::optimized());
 }
 
 /// Batched observers see one record per node per frame, with frame-local
@@ -217,7 +217,7 @@ fn batched_observer_matches_sequential_records() {
     let mut rng = SmallRng::seed_from_u64(7);
     let (graph, in_shape) = random_graph(&mut rng);
     let samples = sample_batch(&mut rng, &in_shape, 3);
-    let mut interp = Interpreter::new(&graph, InterpreterOptions::optimized()).unwrap();
+    let mut interp = Interpreter::new(&graph, BackendSpec::optimized()).unwrap();
 
     let mut sequential = Collect::default();
     for (b, s) in samples.iter().enumerate() {
@@ -251,7 +251,7 @@ fn rank1_softmax_falls_back_and_matches() {
     let y = b.softmax("sm", x).unwrap();
     b.output(y);
     let g = b.finish().unwrap();
-    let interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+    let interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
     assert!(
         !interp.is_batchable(),
         "rank-1 runtime tensors must not stack"
@@ -261,7 +261,7 @@ fn rank1_softmax_falls_back_and_matches() {
             vec![Tensor::from_f32(Shape::vector(3), vec![i as f32, 1.0, -(i as f32)]).unwrap()]
         })
         .collect();
-    assert_batch_equivalence(&g, &samples, InterpreterOptions::optimized());
+    assert_batch_equivalence(&g, &samples, BackendSpec::optimized());
 }
 
 /// A runtime-computed bias (legal via the builder: only its length is
@@ -285,7 +285,7 @@ fn runtime_bias_falls_back_and_matches() {
         .unwrap();
     b.output(fc);
     let g = b.finish().unwrap();
-    let interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+    let interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
     assert!(
         !interp.is_batchable(),
         "runtime bias operands must not stack"
@@ -293,7 +293,7 @@ fn runtime_bias_falls_back_and_matches() {
     let samples: Vec<Vec<Tensor>> = (0..4)
         .map(|_| vec![rand_tensor(&mut rng, Shape::nhwc(1, 3, 3, 2))])
         .collect();
-    assert_batch_equivalence(&g, &samples, InterpreterOptions::optimized());
+    assert_batch_equivalence(&g, &samples, BackendSpec::optimized());
 }
 
 /// One interpreter driven through batch sizes 3 → 1 → 8 → 2 → 8 — its single
@@ -315,7 +315,7 @@ fn one_arena_across_batch_sizes_matches_sequential_invokes() {
             KernelFlavor::Reference,
             KernelFlavor::Simd,
         ] {
-            let options = InterpreterOptions {
+            let options = BackendSpec {
                 flavor,
                 bugs: KernelBugs::none(),
                 numerics: None,
@@ -369,7 +369,7 @@ fn one_arena_across_batch_sizes_matches_sequential_invokes() {
 fn empty_and_singleton_batches() {
     let mut rng = SmallRng::seed_from_u64(3);
     let (graph, in_shape) = random_graph(&mut rng);
-    let mut interp = Interpreter::new(&graph, InterpreterOptions::optimized()).unwrap();
+    let mut interp = Interpreter::new(&graph, BackendSpec::optimized()).unwrap();
     assert!(interp.invoke_batch(&[]).unwrap().is_empty());
     let sample = vec![rand_tensor(&mut rng, in_shape)];
     let single = interp.invoke(&sample).unwrap();

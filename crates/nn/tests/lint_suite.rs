@@ -22,8 +22,8 @@ use mlexray_nn::analysis::{
     analyze, certify_batchable, mutate::GraphMutation, verify_plan, LintCode, Severity,
 };
 use mlexray_nn::{
-    calibrate, quantize_model, Graph, Interpreter, InterpreterOptions, MemoryPlan, Model,
-    ModelVariant, QuantizationOptions,
+    calibrate, quantize_model, BackendSpec, Graph, Interpreter, MemoryPlan, Model, ModelVariant,
+    QuantizationOptions,
 };
 
 /// A random float graph from the shared generator.
@@ -95,7 +95,7 @@ proptest! {
     fn batchability_certificate_matches_interpreter(seed in 0u64..100_000) {
         let graph = float_fixture(seed);
         let (certified, reasons) = certify_batchable(&graph);
-        let interp = Interpreter::new(&graph, InterpreterOptions::optimized())
+        let interp = Interpreter::new(&graph, BackendSpec::optimized())
             .expect("graph validates");
         prop_assert_eq!(
             certified,

@@ -4,8 +4,8 @@
 //! golden vectors for the quantized conv and fully-connected kernels.
 
 use mlexray_nn::{
-    calibrate, output_params, quantize_model, Activation, GraphBuilder, Interpreter,
-    InterpreterOptions, Model, ModelVariant, OpKind, Padding, QuantizationOptions,
+    calibrate, output_params, quantize_model, Activation, BackendSpec, GraphBuilder, Interpreter,
+    Model, ModelVariant, OpKind, Padding, QuantizationOptions,
 };
 use mlexray_tensor::{affine_dequantize, affine_quantize_u8, DType, QuantParams, Shape, Tensor};
 
@@ -152,10 +152,7 @@ fn quantized_conv_golden_vector_by_hand() {
     // q=8:  acc = 2*-2+4 = 0  -> 3 + round(0.5*0)   = 3
     // q=255: acc = 2*245+4=494-> 3 + round(0.5*494) = 250
     let expected: Vec<u8> = vec![5, 7, 3, 250];
-    for options in [
-        InterpreterOptions::optimized(),
-        InterpreterOptions::reference(),
-    ] {
+    for options in [BackendSpec::optimized(), BackendSpec::reference()] {
         let mut interp = Interpreter::new(&g, options).unwrap();
         let out = interp.invoke(std::slice::from_ref(&input)).unwrap();
         assert_eq!(out[0].as_u8().unwrap(), &expected[..], "{options:?}");
@@ -219,7 +216,7 @@ fn quantized_fc_golden_vector_by_hand() {
             },
         )
         .unwrap();
-        let mut interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
         let out = interp.invoke(&[input]).unwrap();
         assert_eq!(
             out[0].as_u8().unwrap()[0],
@@ -277,7 +274,7 @@ fn quantizer_assigns_params_and_roundtrips_outputs() {
     assert!(scale > 0.0);
     assert!((0..=255).contains(&zp));
 
-    let mut interp = Interpreter::new(&q.graph, InterpreterOptions::optimized()).unwrap();
+    let mut interp = Interpreter::new(&q.graph, BackendSpec::optimized()).unwrap();
     let out = interp.invoke(&samples[0]).unwrap();
     assert_eq!(out[0].dtype(), DType::F32, "output boundary dequantizes");
     let p: f32 = out[0].as_f32().unwrap().iter().sum();
@@ -324,7 +321,7 @@ fn per_channel_vs_per_tensor_weight_resolution() {
             },
         )
         .unwrap();
-        let mut interp = Interpreter::new(&q.graph, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&q.graph, BackendSpec::optimized()).unwrap();
         let out = interp.invoke(&samples[3]).unwrap();
         // Reconstructed small-channel output.
         out[0].as_f32().unwrap()[1]

@@ -3,8 +3,8 @@
 //! exercises every fusable op.
 
 use mlexray_nn::{
-    convert_to_mobile, Activation, GraphBuilder, Interpreter, InterpreterOptions, Model, OpKind,
-    Padding, TensorId,
+    convert_to_mobile, Activation, BackendSpec, GraphBuilder, Interpreter, Model, OpKind, Padding,
+    TensorId,
 };
 use mlexray_tensor::{he_normal, Shape, Tensor};
 
@@ -51,7 +51,7 @@ impl AddRelu for GraphBuilder {
 }
 
 fn run(model: &Model, input: &Tensor) -> Vec<f32> {
-    let mut interp = Interpreter::new(&model.graph, InterpreterOptions::optimized()).unwrap();
+    let mut interp = Interpreter::new(&model.graph, BackendSpec::optimized()).unwrap();
     interp.invoke(std::slice::from_ref(input)).unwrap()[0]
         .as_f32()
         .unwrap()

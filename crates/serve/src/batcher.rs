@@ -113,8 +113,7 @@ impl BatchPolicy {
         entry: &ServedModel,
         sample_inputs: &[Tensor],
     ) -> Result<Self> {
-        let window =
-            device.suggested_batch_window(entry.graph(), sample_inputs, entry.spec().options())?;
+        let window = device.suggested_batch_window(entry.graph(), sample_inputs, entry.spec())?;
         Ok(Self::windowed(max_batch, window))
     }
 }

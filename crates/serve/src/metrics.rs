@@ -682,7 +682,7 @@ pub fn render_families(families: &[MetricFamily]) -> String {
 /// cumulative (non-decreasing) with the `le="+Inf"` bucket equal to the
 /// family's `_count`. Returns a map from canonical sample key —
 /// `name{labels}` with labels sorted by key — to value. Used by the test
-/// suites and `rpc_loadgen --metrics` to prove a scrape is well-formed.
+/// suites and `fig_metrics` to prove a scrape is well-formed.
 pub fn parse_exposition(text: &str) -> Result<BTreeMap<String, f64>, String> {
     let mut samples = BTreeMap::new();
     // Family name -> declared type.

@@ -187,8 +187,6 @@ pub struct ServiceConfig {
     pub core_budget: usize,
     /// Dynamic-batching policy.
     pub batch: BatchPolicy,
-    /// Deadline applied to requests submitted without an explicit one.
-    pub default_deadline: Option<Duration>,
     /// Start with worker pools paused (admission continues; nothing is
     /// dequeued until [`InferenceService::resume`]) — maintenance windows
     /// and deterministic load tests.
@@ -206,7 +204,6 @@ impl Default for ServiceConfig {
             workers_per_model: 1,
             core_budget: 0,
             batch: BatchPolicy::default(),
-            default_deadline: None,
             start_paused: false,
             monitor: MonitorPolicy::default(),
             trace: TracePolicy::off(),
@@ -488,7 +485,8 @@ impl InferenceService {
         self.accepting.load(Ordering::Acquire)
     }
 
-    /// Submits a request under the default deadline policy.
+    /// Submits a request with no deadline ([`Self::submit_with_deadline`]
+    /// is the one way to give one).
     ///
     /// # Errors
     ///
@@ -499,14 +497,13 @@ impl InferenceService {
         model: &str,
         inputs: Vec<Tensor>,
     ) -> std::result::Result<PendingResponse, Rejection> {
-        let deadline = self.config.default_deadline;
-        self.submit_from(None, model, Arc::new(inputs), deadline, None)
+        self.submit_from(None, model, Arc::new(inputs), None, None)
     }
 
-    /// Submits a request with an explicit deadline (`None` = no deadline,
-    /// overriding any configured default). The deadline is enforced at
-    /// dequeue: a request whose deadline passed while queued is shed with
-    /// [`RejectReason::DeadlineExpired`] instead of burning compute.
+    /// Submits a request with an explicit deadline (`None` = no deadline).
+    /// The deadline is enforced at dequeue: a request whose deadline passed
+    /// while queued is shed with [`RejectReason::DeadlineExpired`] instead
+    /// of burning compute.
     ///
     /// # Errors
     ///

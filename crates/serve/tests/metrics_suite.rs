@@ -9,6 +9,7 @@
 #![recursion_limit = "512"]
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -132,7 +133,8 @@ fn footprint_constant_after_one_million_records() {
 /// drained `ServeReport` books exactly (offered = admitted + sheds,
 /// admitted = completed + deadline-shed + failed), with the sink and RPC
 /// door series present. The scrape happens after drain began — the verb
-/// must keep answering while the server winds down.
+/// must keep answering while the server winds down. A second session
+/// scrapes while the load runs, and every exposition it gets must parse.
 #[test]
 fn wire_metrics_matches_drained_books_exactly() {
     let registry = ModelRegistry::new();
@@ -173,6 +175,20 @@ fn wire_metrics_matches_drained_books_exactly() {
     server.metrics().register(channel.clone());
     let addr = server.local_addr();
 
+    let scraping = Arc::new(AtomicBool::new(true));
+    let scrapes = Arc::new(AtomicUsize::new(0));
+    let scraper = {
+        let (scraping, scrapes) = (scraping.clone(), scrapes.clone());
+        std::thread::spawn(move || {
+            let mut c = RpcClient::connect(addr).unwrap();
+            while scraping.load(Ordering::Acquire) {
+                let exposition = c.metrics().expect("Metrics answers under load");
+                parse_exposition(&exposition).expect("valid exposition under load");
+                scrapes.fetch_add(1, Ordering::Release);
+            }
+        })
+    };
+
     let mut client = RpcClient::connect(addr).unwrap();
     const COMPLETED: usize = 6;
     for i in 0..COMPLETED {
@@ -200,10 +216,20 @@ fn wire_metrics_matches_drained_books_exactly() {
         std::thread::sleep(Duration::from_millis(1));
     }
     std::thread::sleep(Duration::from_millis(10));
+    // At least one scrape completes while both requests sit in the queue.
+    let seen = scrapes.load(Ordering::Acquire);
+    // (A scraper that died on a bad exposition ends the wait; its panic
+    // surfaces at the join below.)
+    while scrapes.load(Ordering::Acquire) == seen && !scraper.is_finished() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     server.service().resume();
     for handle in shed_clients {
         handle.join().unwrap();
     }
+    scraping.store(false, Ordering::Release);
+    scraper.join().unwrap();
+    assert!(scrapes.load(Ordering::Acquire) >= 1);
 
     // One online drift check over the six completed frames.
     let alarm = server.service().drift_check("m").unwrap();

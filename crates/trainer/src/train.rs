@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use mlexray_nn::{Interpreter, InterpreterOptions, Model, OpKind, TensorId};
+use mlexray_nn::{BackendSpec, Interpreter, Model, OpKind, TensorId};
 use mlexray_tensor::Tensor;
 
 use crate::backward::{backward_node, Grads};
@@ -106,7 +106,7 @@ pub fn train(model: Model, data: &[Sample], cfg: &TrainConfig) -> Result<(Model,
         for chunk in order.chunks(cfg.batch_size) {
             let mut batch_grads: HashMap<usize, Vec<f32>> = HashMap::new();
             {
-                let mut interp = Interpreter::new(&tgraph, InterpreterOptions::optimized())?;
+                let mut interp = Interpreter::new(&tgraph, BackendSpec::optimized())?;
                 let scale = 1.0 / chunk.len() as f32;
                 for &idx in chunk {
                     let sample = &data[idx];
@@ -200,7 +200,7 @@ pub fn gradients(model: &Model, sample: &Sample) -> Result<(f32, HashMap<usize, 
     check_classifier(model)?;
     let tgraph = model.graph.split_fused_activations();
     let softmax_idx = tgraph.nodes().len() - 1;
-    let mut interp = Interpreter::new(&tgraph, InterpreterOptions::optimized())?;
+    let mut interp = Interpreter::new(&tgraph, BackendSpec::optimized())?;
     let outputs = interp.invoke(&sample.inputs)?;
     let probs = outputs[0].as_f32()?;
     let p = probs
@@ -261,7 +261,7 @@ pub fn evaluate(model: &Model, data: &[Sample]) -> Result<f32> {
     if data.is_empty() {
         return Ok(0.0);
     }
-    let mut interp = Interpreter::new(&model.graph, InterpreterOptions::optimized())?;
+    let mut interp = Interpreter::new(&model.graph, BackendSpec::optimized())?;
     let mut correct = 0usize;
     for sample in data {
         if predict(&mut interp, &sample.inputs)? == sample.label {

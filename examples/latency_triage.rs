@@ -6,7 +6,7 @@
 
 use mlexray::edgesim::{DeviceProfile, Processor, SimulatedDevice};
 use mlexray::models::{canonical_preprocess, zoo, FullFamily};
-use mlexray::nn::{convert_to_mobile, InterpreterOptions, KernelFlavor};
+use mlexray::nn::{convert_to_mobile, BackendSpec, KernelFlavor};
 use mlexray::preprocess::Image;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,9 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let run = device.run(
             &mobile.graph,
             std::slice::from_ref(&input),
-            InterpreterOptions {
+            BackendSpec {
                 flavor,
-                ..InterpreterOptions::optimized()
+                ..BackendSpec::optimized()
             },
         )?;
         let ms = run.total_ms();

@@ -12,7 +12,7 @@ use mlexray::core::{
 use mlexray::datasets::synth_image::{self, SynthImageSpec};
 use mlexray::models::{canonical_preprocess, mini_model, MiniFamily};
 use mlexray::nn::{
-    calibrate, convert_to_mobile, quantize_model, InterpreterOptions, KernelBugs, KernelFlavor,
+    calibrate, convert_to_mobile, quantize_model, BackendSpec, KernelBugs, KernelFlavor,
     QuantizationOptions,
 };
 use mlexray::trainer::{train, Sample, TrainConfig};
@@ -77,12 +77,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("OpResolver", KernelFlavor::Optimized),
         ("RefOpResolver", KernelFlavor::Reference),
     ] {
-        let edge =
-            ImagePipeline::new(quant.clone(), canonical.clone()).with_options(InterpreterOptions {
-                flavor,
-                bugs: KernelBugs::paper_2021(),
-                numerics: None,
-            });
+        let edge = ImagePipeline::new(quant.clone(), canonical.clone()).with_backend(BackendSpec {
+            flavor,
+            bugs: KernelBugs::paper_2021(),
+            numerics: None,
+        });
         let edge_logs = collect_logs(&edge, &frames, MonitorConfig::offline_validation())?;
         let report = DeploymentValidator::new().validate(&edge_logs, &reference_logs);
         println!("\n--- edge engine: {label} ---");

@@ -91,13 +91,12 @@ serve-suite() {
   MLEXRAY_QUICK=1 cargo test -p mlexray-bench --test experiments_smoke fig_serving -q
 }
 
-# The loadgen scrape smoke runs Poisson load with a concurrent scraper: every
-# exposition must parse, and the final one must match the drained books
-# counter for counter.
+# metrics_suite holds the histogram properties and the wire Metrics
+# acceptance: a session scrapes while load runs (every exposition must
+# parse) and the final scrape matches the drained books counter for counter.
 metrics-suite() {
   cargo test -p mlexray-serve --test metrics_suite -q
   MLEXRAY_QUICK=1 cargo test -p mlexray-bench --test experiments_smoke fig_metrics -q
-  MLEXRAY_QUICK=1 cargo run -q -p mlexray-bench --bin rpc_loadgen -- --metrics
 }
 
 # The artifact directory is cleared first (here and in the two legs below) so
@@ -108,29 +107,25 @@ smoke() {
 }
 
 # The RPC front door in release mode, every server on 127.0.0.1:0: protocol
-# robustness, the 32-session loaded proof, the fig_rpc smoke (correctness and
-# the byte saving of sealed re-infers; it ranks no latencies) and the paced
-# rpc_loadgen binary, plain and scraped.
+# robustness, the 32-session loaded proof and the fig_rpc smoke (correctness
+# and the byte saving of sealed re-infers; it ranks no latencies).
 rpc-suite() {
   cargo build --release -p mlexray-serve -p mlexray-bench
   cargo test --release -p mlexray-serve --test rpc_protocol --test rpc_loaded -q
   rm -rf target/experiment-artifacts
   MLEXRAY_QUICK=1 cargo test --release -p mlexray-bench --test experiments_smoke fig_rpc -q
-  MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen
-  MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen -- --metrics
 }
 
-# The span pipeline in release mode. fig_trace's bars are relative
-# measurements (traced vs untraced on the same run), so runner noise largely
-# cancels and they are enforced.
+# The span pipeline in release mode: the ring and collector unit tests,
+# trace_suite (wire trace context end to end, forced shed spans) and the
+# fig_trace smoke (span-flood drop accounting, profiler reconciliation). The
+# tracing tax is judged by benchmark/ (wire_monitored vs wire_plain), not here.
 trace-suite() {
   cargo build --release -p mlexray-serve -p mlexray-bench
   cargo test --release -p mlexray-core --lib trace -q
   cargo test --release -p mlexray-serve --test trace_suite -q
   rm -rf target/experiment-artifacts
-  MLEXRAY_QUICK=1 MLEXRAY_ENFORCE_SCALING=1 \
-    cargo test --release -p mlexray-bench --test experiments_smoke fig_trace -q
-  MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin rpc_loadgen -- --trace
+  MLEXRAY_QUICK=1 cargo test --release -p mlexray-bench --test experiments_smoke fig_trace -q
 }
 
 # exray-lint sweeps every zoo family and golden graph, failing on any Deny

@@ -4,9 +4,7 @@
 
 use proptest::prelude::*;
 
-use mlexray::nn::{
-    Activation, GraphBuilder, Interpreter, InterpreterOptions, KernelFlavor, Padding,
-};
+use mlexray::nn::{Activation, BackendSpec, GraphBuilder, Interpreter, KernelFlavor, Padding};
 use mlexray::preprocess::{
     flip_horizontal, resize, rotate, ChannelOrder, Image, ResizeMethod, Rotation,
 };
@@ -122,10 +120,10 @@ proptest! {
         let input_data: Vec<f32> = (0..108).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let input = Tensor::from_f32(Shape::nhwc(1, 6, 6, 3), input_data).unwrap();
 
-        let mut opt = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+        let mut opt = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
         let mut reference = Interpreter::new(
             &g,
-            InterpreterOptions { flavor: KernelFlavor::Reference, ..Default::default() },
+            BackendSpec { flavor: KernelFlavor::Reference, ..Default::default() },
         )
         .unwrap();
         let a = opt.invoke(std::slice::from_ref(&input)).unwrap();
@@ -144,7 +142,7 @@ proptest! {
         let y = b.softmax("softmax", x).unwrap();
         b.output(y);
         let g = b.finish().unwrap();
-        let mut interp = Interpreter::new(&g, InterpreterOptions::optimized()).unwrap();
+        let mut interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
         let out = interp
             .invoke(&[Tensor::from_f32(Shape::matrix(1, n), logits).unwrap()])
             .unwrap();

@@ -8,8 +8,8 @@ use mlexray::core::{
 use mlexray::datasets::synth_image::{self, SynthImageSpec};
 use mlexray::models::{canonical_preprocess, mini_model, MiniFamily};
 use mlexray::nn::{
-    calibrate, convert_to_mobile, quantize_model, InterpreterOptions, KernelBugs, KernelFlavor,
-    Model, QuantizationOptions,
+    calibrate, convert_to_mobile, quantize_model, BackendSpec, KernelBugs, KernelFlavor, Model,
+    QuantizationOptions,
 };
 use mlexray::trainer::{evaluate, train, Sample, TrainConfig};
 
@@ -49,7 +49,7 @@ fn setup(family: MiniFamily, seed: u64) -> (Model, Model, Vec<Sample>) {
     (mobile, quant, samples)
 }
 
-fn acc(model: &Model, data: &[Sample], options: InterpreterOptions) -> f32 {
+fn acc(model: &Model, data: &[Sample], options: BackendSpec) -> f32 {
     use mlexray::nn::Interpreter;
     let mut interp = Interpreter::new(&model.graph, options).unwrap();
     let mut correct = 0;
@@ -74,7 +74,7 @@ fn clean_quantization_preserves_accuracy() {
     let (mobile, quant, samples) = setup(MiniFamily::MiniV2, 9);
     let test = &samples[64..];
     let float_acc = evaluate(&mobile, test).unwrap();
-    let quant_acc = acc(&quant, test, InterpreterOptions::optimized());
+    let quant_acc = acc(&quant, test, BackendSpec::optimized());
     assert!(
         (float_acc - quant_acc).abs() < 0.12,
         "clean int8 should track float: {float_acc} vs {quant_acc}"
@@ -89,7 +89,7 @@ fn dwconv_defect_only_hits_the_optimized_resolver() {
     let broken = acc(
         &quant,
         test,
-        InterpreterOptions {
+        BackendSpec {
             flavor: KernelFlavor::Optimized,
             bugs,
             numerics: None,
@@ -98,7 +98,7 @@ fn dwconv_defect_only_hits_the_optimized_resolver() {
     let reference = acc(
         &quant,
         test,
-        InterpreterOptions {
+        BackendSpec {
             flavor: KernelFlavor::Reference,
             bugs,
             numerics: None,
@@ -114,13 +114,13 @@ fn dwconv_defect_only_hits_the_optimized_resolver() {
 fn avgpool_defect_hits_both_resolvers_on_v3() {
     let (_, quant, samples) = setup(MiniFamily::MiniV3, 11);
     let test = &samples[64..];
-    let clean = acc(&quant, test, InterpreterOptions::optimized());
+    let clean = acc(&quant, test, BackendSpec::optimized());
     let bugs = KernelBugs::paper_2021();
     for flavor in [KernelFlavor::Optimized, KernelFlavor::Reference] {
         let broken = acc(
             &quant,
             test,
-            InterpreterOptions {
+            BackendSpec {
                 flavor,
                 bugs,
                 numerics: None,
@@ -156,7 +156,7 @@ fn drift_analysis_localizes_the_defective_ops() {
     )
     .unwrap();
     let edge_logs = collect_logs(
-        &ImagePipeline::new(quant, canonical).with_options(InterpreterOptions {
+        &ImagePipeline::new(quant, canonical).with_backend(BackendSpec {
             flavor: KernelFlavor::Optimized,
             bugs: KernelBugs::paper_2021(),
             numerics: None,
@@ -199,8 +199,8 @@ fn per_tensor_weights_lose_accuracy_on_imbalanced_channels() {
         },
     )
     .unwrap();
-    let pc = acc(&per_channel, test, InterpreterOptions::optimized());
-    let pt = acc(&per_tensor, test, InterpreterOptions::optimized());
+    let pc = acc(&per_channel, test, BackendSpec::optimized());
+    let pt = acc(&per_tensor, test, BackendSpec::optimized());
     assert!(
         pc + 0.05 >= pt,
         "per-channel {pc} should not trail per-tensor {pt}"
