@@ -17,7 +17,7 @@
 //!    the replay-validate loop across worker threads (each with its own
 //!    interpreter) and merges per-shard logs and reports deterministically;
 //!    [`ChannelSink`] moves log persistence off the inference threads
-//!    through a bounded channel into a batching writer thread.
+//!    through a bounded shared buffer into a batching writer thread.
 //! 3. **Deployment validation** — [`DeploymentValidator`] drives the Fig. 2
 //!    flow: accuracy comparison, per-layer normalized-rMSE drift
 //!    ([`per_layer_drift`]), per-layer latency analysis, and a suite of

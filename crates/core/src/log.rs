@@ -84,17 +84,19 @@ pub enum LogValue {
 
 impl LogValue {
     /// Captures a tensor, fully or as a summary. Quantized tensors are
-    /// dequantized so edge logs compare directly against float references.
+    /// dequantized so edge logs compare directly against float references;
+    /// the summary of an `f32` tensor is folded over its buffer in place.
     pub fn of_tensor(tensor: &Tensor, full: bool) -> LogValue {
-        let values = tensor.to_f32_vec();
         if full {
-            LogValue::TensorFull {
+            return LogValue::TensorFull {
                 shape: tensor.shape().clone(),
-                values,
-            }
-        } else {
-            LogValue::TensorSummary(TensorStats::of(&values))
+                values: tensor.to_f32_vec(),
+            };
         }
+        LogValue::TensorSummary(match tensor.as_f32() {
+            Ok(values) => TensorStats::of(values),
+            Err(_) => TensorStats::of(&tensor.to_f32_vec()),
+        })
     }
 
     /// The full values, when this record carries them.
@@ -325,6 +327,18 @@ mod tests {
         let big_full = LogValue::of_tensor(&big, true);
         let big_summary = LogValue::of_tensor(&big, false);
         assert!(big_full.byte_size() > big_summary.byte_size());
+        // A summary is the fold over the (dequantized) values, whether it
+        // walked the tensor's own buffer or a dequantized copy.
+        use mlexray_tensor::QuantParams;
+        let quantized = t
+            .quantize_to_u8(&QuantParams::from_min_max_u8(0.0, 3.0))
+            .unwrap();
+        for tensor in [&t, &quantized] {
+            assert_eq!(
+                LogValue::of_tensor(tensor, false),
+                LogValue::TensorSummary(TensorStats::of(&tensor.to_f32_vec()))
+            );
+        }
     }
 
     #[test]

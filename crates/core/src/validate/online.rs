@@ -6,7 +6,7 @@
 //! reservoir and periodically replay just those frames through a trusted
 //! reference backend. [`OnlineValidator`] is that reservoir plus the check:
 //! [`OnlineValidator::observe`] is called from the serving hot path with
-//! sampled request inputs (a bounded clone, nothing else), and
+//! sampled request inputs (one reference count, nothing else), and
 //! [`OnlineValidator::check`] — run from a background thread or an
 //! operator's probe, never from the inference workers — feeds the reservoir
 //! into the §4.4 differential debugger ([`diff_backends`]) to compare the
@@ -17,8 +17,9 @@
 //! [`BackendSpec`]s, so it never contends with (or perturbs) the serving
 //! workers' interpreters: monitoring stays on, service stays up.
 //!
-//! What is held: the reservoir (at most `window` sampled input frames) for
-//! the validator's lifetime, and a copy of it for the duration of a check.
+//! What is held: the reservoir (at most `window` sampled input frames,
+//! shared with the requests they arrived in rather than copied) for the
+//! validator's lifetime, and a copy of it for the duration of a check.
 //! The check itself runs both backends in lockstep and keeps no layer
 //! output beyond the micro-batch chunk in flight (see
 //! [`crate::validate::diff_backends`]), so its footprint does not grow with
@@ -148,11 +149,13 @@ impl OnlineValidator {
 
     /// Offers one sampled request's inputs to the rolling reservoir
     /// (evicting the oldest frame when full). Called from the serving hot
-    /// path — the cost is one bounded clone (taken *before* the lock) and
-    /// a pointer-move critical section.
-    pub fn observe(&self, inputs: &[Tensor]) {
+    /// path — the cost is one reference count (taken *before* the lock) and
+    /// a pointer-move critical section. The reservoir shares the request's
+    /// tensors: a sampled frame (a sealed upload included) stays alive
+    /// until it rolls out of the `window`-frame reservoir.
+    pub fn observe(&self, inputs: &Arc<Vec<Tensor>>) {
         self.observed.fetch_add(1, Ordering::AcqRel);
-        let frame = Arc::new(inputs.to_vec());
+        let frame = inputs.clone();
         let mut reservoir = self.reservoir.lock();
         if reservoir.len() >= self.config.window.max(1) {
             reservoir.pop_front();
@@ -247,14 +250,14 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn frame(i: usize) -> Vec<Tensor> {
-        vec![Tensor::from_f32(
+    fn frame(i: usize) -> Arc<Vec<Tensor>> {
+        Arc::new(vec![Tensor::from_f32(
             Shape::nhwc(1, 4, 4, 2),
             (0..32)
                 .map(|j| ((i * 32 + j) as f32 * 0.41).cos())
                 .collect(),
         )
-        .unwrap()]
+        .unwrap()])
     }
 
     #[test]

@@ -181,7 +181,7 @@ fn run_batch(
             pool.counters.sampled.fetch_add(1, Ordering::AcqRel);
             if let Some(validator) = &pool.validator {
                 let observe_start = Instant::now();
-                validator.observe(request.inputs.as_slice());
+                validator.observe(&request.inputs);
                 drift_check = Some((observe_start, Instant::now()));
             }
         }

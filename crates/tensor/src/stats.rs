@@ -19,10 +19,15 @@ pub struct TensorStats {
 }
 
 impl TensorStats {
-    /// Computes statistics over a value slice.
+    /// Computes statistics over a value slice in one walk: `Σv` and `Σv²`
+    /// add up left to right in `f64`, the extremes are order-free and ride
+    /// along in eight lanes, as they do in [`normalized_rmse`]. A plain `<`
+    /// / `>` never makes a NaN an extreme (as `f32::min` / `f32::max` ignore
+    /// them), so an all-NaN slice keeps `min = +∞`, `max = −∞`.
     ///
     /// Empty slices produce a zeroed summary with `count == 0`.
     pub fn of(values: &[f32]) -> Self {
+        const LANES: usize = 8;
         if values.is_empty() {
             return TensorStats {
                 min: 0.0,
@@ -33,16 +38,28 @@ impl TensorStats {
                 count: 0,
             };
         }
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
         let mut sum = 0.0f64;
         let mut sq = 0.0f64;
-        for &v in values {
-            min = min.min(v);
-            max = max.max(v);
-            sum += v as f64;
-            sq += (v as f64) * (v as f64);
+        let mut lo = [f32::INFINITY; LANES];
+        let mut hi = [f32::NEG_INFINITY; LANES];
+        for block in values.chunks(LANES) {
+            for (lane, &v) in block.iter().enumerate() {
+                sum += v as f64;
+                sq += (v as f64) * (v as f64);
+                if v < lo[lane] {
+                    lo[lane] = v;
+                }
+                if v > hi[lane] {
+                    hi[lane] = v;
+                }
+            }
         }
+        let min = lo
+            .iter()
+            .fold(f32::INFINITY, |m, &v| if v < m { v } else { m });
+        let max = hi
+            .iter()
+            .fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m });
         let n = values.len() as f64;
         let mean = sum / n;
         let var = (sq / n - mean * mean).max(0.0);
@@ -165,6 +182,7 @@ pub fn allclose(a: &[f32], b: &[f32], rtol: f32, atol: f32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn stats_of_known_values() {
@@ -182,6 +200,88 @@ mod tests {
         let s = TensorStats::of(&[]);
         assert_eq!(s.count, 0);
         assert_eq!(s.range(), 0.0);
+    }
+
+    /// The sequential `f32::min` / `f32::max` loop `TensorStats::of` ran
+    /// before its extremes moved into lanes, kept verbatim as the oracle.
+    fn sequential_stats(values: &[f32]) -> TensorStats {
+        if values.is_empty() {
+            return TensorStats {
+                min: 0.0,
+                max: 0.0,
+                mean: 0.0,
+                std: 0.0,
+                l2: 0.0,
+                count: 0,
+            };
+        }
+        let mut min = f32::INFINITY;
+        let mut max = f32::NEG_INFINITY;
+        let mut sum = 0.0f64;
+        let mut sq = 0.0f64;
+        for &v in values {
+            min = min.min(v);
+            max = max.max(v);
+            sum += v as f64;
+            sq += (v as f64) * (v as f64);
+        }
+        let n = values.len() as f64;
+        let mean = sum / n;
+        let var = (sq / n - mean * mean).max(0.0);
+        TensorStats {
+            min,
+            max,
+            mean: mean as f32,
+            std: var.sqrt() as f32,
+            l2: sq.sqrt() as f32,
+            count: values.len(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Lengths 0..=67 cover two full lane blocks and every tail;
+        /// `picks` plants ±0, ±∞ and NaN among finite values of every
+        /// exponent, and one case in eight is NaN throughout.
+        #[test]
+        fn stats_fold_is_the_sequential_fold(
+            picks in prop::collection::vec(0u8..16, 0..68),
+            bits in prop::collection::vec(0u32..=u32::MAX, 67..68),
+            all_nan in 0u8..8,
+        ) {
+            let values: Vec<f32> = picks
+                .iter()
+                .zip(&bits)
+                .map(|(&pick, &bits)| match pick {
+                    _ if all_nan == 0 => f32::NAN,
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::INFINITY,
+                    3 => f32::NEG_INFINITY,
+                    4 => f32::NAN,
+                    5..=9 if f32::from_bits(bits).is_finite() => f32::from_bits(bits),
+                    _ => (bits % 20_001) as f32 / 100.0 - 100.0,
+                })
+                .collect();
+            let (got, want) = (TensorStats::of(&values), sequential_stats(&values));
+            prop_assert_eq!(got.count, want.count);
+            // Σv and Σv² are added in the same order: every bit is kept (a
+            // NaN result compares as one pattern, see `assert_same`).
+            for (name, g, w) in [
+                ("mean", got.mean, want.mean),
+                ("std", got.std, want.std),
+                ("l2", got.l2, want.l2),
+            ] {
+                prop_assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "{name}: {g:e} vs {w:e} on {values:?}"
+                );
+            }
+            // `==`, not bits: `f32::min` never said which zero it keeps.
+            prop_assert!(got.min == want.min, "min {} vs {} on {values:?}", got.min, want.min);
+            prop_assert!(got.max == want.max, "max {} vs {} on {values:?}", got.max, want.max);
+        }
     }
 
     #[test]

@@ -84,10 +84,14 @@ kernel-simd() {
 # connection threads, the shed-code table) and the loaded, batcher,
 # monitoring, metrics, rpc and trace suites (trace_suite holds the
 # every-way-a-request-can-end table); sink_stress hammers the backpressure
-# accounting the serving monitor leans on.
+# accounting the serving monitor leans on. The sink's unit tests and
+# sink_stress run in release as well: the buffer's condvar protocol is
+# timing-sensitive, and debug and release interleave differently.
 serve-suite() {
   cargo test -p mlexray-serve -q
   cargo test -p mlexray-core --test sink_stress -q
+  cargo test --release -p mlexray-core --lib sink -q
+  cargo test --release -p mlexray-core --test sink_stress -q
   MLEXRAY_QUICK=1 cargo test -p mlexray-bench --test experiments_smoke fig_serving -q
 }
 
