@@ -31,9 +31,13 @@ impl ReferencePipeline {
         }
     }
 
-    /// Builds a reference pipeline that runs optimized kernels instead
-    /// (faster; used when the reference machine is trusted, e.g. a
-    /// workstation replay).
+    /// Builds a reference pipeline that runs the optimized kernels instead:
+    /// a same-runtime baseline. Replaying the canonical configuration on the
+    /// runtime the edge app deploys leaves preprocessing and the model
+    /// variant as the only differences, with no flavor-to-flavor summation
+    /// drift underneath them — at the price of trusting that runtime's
+    /// kernels. It is not the faster choice: on the mini families the
+    /// reference kernels are as quick.
     pub fn with_optimized_kernels(model: Model, canonical: ImagePreprocessConfig) -> Self {
         ReferencePipeline {
             pipeline: ImagePipeline::new(model, canonical).with_backend(BackendSpec::optimized()),
@@ -65,10 +69,7 @@ impl ReferencePipeline {
         frames: &[LabeledFrame],
         config: MonitorConfig,
     ) -> Result<LogSet> {
-        let monitor = Monitor::new(config);
-        let mut runner = self.pipeline.runner()?;
-        runner.run(frames, &monitor)?;
-        Ok(monitor.take_logs())
+        collect_logs(&self.pipeline, frames, config)
     }
 }
 

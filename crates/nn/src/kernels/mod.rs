@@ -7,8 +7,14 @@
 //! per node. Each float GEMM-family op (`Conv2d`, `FullyConnected`) has
 //! exactly two implementations:
 //!
-//! * the **reference** kernels (`conv::conv2d_f32`, `fc::fc_f32`) —
-//!   deliberately naive loops with one sequential accumulator, the oracle;
+//! * the **reference** kernels (`conv::conv2d_f32`, `fc::fc_f32`), the
+//!   oracle: one sequential accumulator per output value, seeded with the
+//!   bias. What is sequential is each value's *sum*, not the loop nest —
+//!   `conv2d_f32` advances the independent sums of eight output channels
+//!   side by side over weight panels the interpreter packs once
+//!   (`pack_conv2d_panels`), changing no bit; the one-sum-at-a-time loops it
+//!   and the reference depthwise replaced live on in `conv`'s tests as the
+//!   oracle's oracle;
 //! * one im2col + tiled GEMM driver ([`gemm`]) generic over its
 //!   micro-kernel: [`gemm::Blocked4`] for [`KernelFlavor::Optimized`],
 //!   [`gemm::Lanes8`] for [`KernelFlavor::Simd`]. Both reassociate the float
@@ -16,15 +22,20 @@
 //!   Fig. 5 — and run the same code at every batch size, so `invoke_batch`
 //!   is bitwise-identical to sequential `invoke`s by construction.
 //!
-//! The edge emulator adds a third, reference-structured family
-//! (`*_emulated`); the injected defects of [`KernelBugs`] live in the
-//! quantized depthwise/pool kernels and the [`gemm::Lanes8`] K-tail.
+//! Float `DepthwiseConv2d` has one native kernel, shared by all three
+//! flavors (`conv::dwconv_f32_channels`: every channel is its own sequential
+//! sum, so there is nothing to reassociate). The edge emulator adds a third,
+//! reference-structured family (`*_emulated`); the injected defects of
+//! [`KernelBugs`] live in the quantized depthwise/pool kernels and the
+//! [`gemm::Lanes8`] K-tail.
 //!
 //! Every kernel writes into an arena-provided output slot (`&mut Tensor`,
 //! preallocated from the interpreter's `MemoryPlan`), and the float im2col
-//! matrix and the BatchNorm denominators live in the plan-sized scratch, so
-//! steady-state float execution under the reference, optimized and SIMD
-//! flavors makes no heap allocation per node — measured, not self-reported:
+//! matrix and the BatchNorm denominators live in the plan-sized scratch (a
+//! reference `Conv2d` whose weights are a runtime tensor packs them into a
+//! buffer the interpreter keeps), so steady-state float execution under the
+//! reference, optimized and SIMD flavors makes no heap allocation per node —
+//! measured, not self-reported:
 //! `tests/alloc_steady_state.rs` counts calls into the global allocator and
 //! holds a warmed `invoke` to the same count on 7 nodes as on 62. What
 //! still allocates per node, all outside those paths: `gemm::conv2d_q_simd`
@@ -48,6 +59,8 @@ mod window;
 
 use mlexray_tensor::{DType, QuantParams, Tensor, TensorData};
 
+pub(crate) use conv::pack_conv2d_panels;
+
 use crate::graph::{Node, TensorDef};
 use crate::ops::{Activation, OpKind};
 use crate::resolver::{AccumOrder, EdgeNumerics, KernelBugs, KernelFlavor, RequantMode};
@@ -58,7 +71,7 @@ use crate::{NnError, Result};
 /// once per interpreter.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FloatKernels {
-    /// Naive reference kernels.
+    /// Reference kernels: one sequential sum per output value.
     Reference,
     /// Reference loop structure under emulated edge numerics (whatever the
     /// flavor).
@@ -98,6 +111,14 @@ pub(crate) struct KernelCtx<'a> {
     /// Scratch reused across nodes; capacity is reserved at plan time so
     /// `resize` never reallocates in steady state.
     pub scratch: &'a mut Vec<f32>,
+    /// The node's weights in [`pack_conv2d_panels`] order: `Some` for a
+    /// reference float `Conv2d` whose weights are a graph constant, packed
+    /// when the interpreter was built.
+    pub conv2d_panels: Option<&'a [f32]>,
+    /// Where a reference float `Conv2d` packs weights that are a runtime
+    /// tensor, on every invoke; grows to the largest such operand and then
+    /// stays.
+    pub runtime_panels: &'a mut Vec<f32>,
 }
 
 impl KernelCtx<'_> {
@@ -135,7 +156,14 @@ pub(crate) fn execute_node(
             false,
         ) => match ctx.float {
             FloatKernels::Reference => {
-                conv::conv2d_f32(inputs, out_def, stride, padding, activation, out)
+                let panels = match ctx.conv2d_panels {
+                    Some(packed) => packed,
+                    None => {
+                        pack_conv2d_panels(inputs[1], ctx.runtime_panels)?;
+                        ctx.runtime_panels.as_slice()
+                    }
+                };
+                conv::conv2d_f32(inputs, panels, out_def, stride, padding, activation, out)
             }
             FloatKernels::Emulated(numerics) => conv::conv2d_f32_emulated(
                 inputs,
@@ -193,10 +221,7 @@ pub(crate) fn execute_node(
             },
             false,
         ) => match ctx.float {
-            FloatKernels::Reference => {
-                conv::dwconv_f32(inputs, out_def, stride, padding, activation, out)
-            }
-            FloatKernels::Blocked4 | FloatKernels::Lanes8(_) => {
+            FloatKernels::Reference | FloatKernels::Blocked4 | FloatKernels::Lanes8(_) => {
                 conv::dwconv_f32_channels(inputs, out_def, stride, padding, activation, out)
             }
             FloatKernels::Emulated(numerics) => conv::dwconv_f32_emulated(

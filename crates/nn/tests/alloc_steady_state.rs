@@ -2,7 +2,8 @@
 //! `#[global_allocator]` instead of the self-reported
 //! `InvokeStats::allocations`: the allocation count of an `invoke` must not
 //! depend on graph depth (no per-node operand list, no per-node BatchNorm
-//! table), and an interpreter cycled through batch sizes must hold the
+//! table) nor on whether the reference `Conv2d` packs its weights per invoke,
+//! and an interpreter cycled through batch sizes must hold the
 //! memory of its largest batch, not the sum over every size it has seen.
 //!
 //! One `#[test]` in a file of its own, so no other test thread allocates
@@ -73,6 +74,23 @@ fn residual_stack(blocks: usize, side: usize, c: usize) -> Graph {
     b.finish().unwrap()
 }
 
+/// One 3×3 `Conv2d` over 13 output channels (an 8-, a 4- and a 1-wide
+/// panel) whose weights are a graph constant, or a second graph input.
+fn lone_conv(runtime_weights: bool) -> Graph {
+    let mut b = GraphBuilder::new("lone-conv");
+    let x = b.input("x", Shape::nhwc(1, 6, 6, 8));
+    let w = if runtime_weights {
+        b.input("w", Shape::new(vec![13, 3, 3, 8]))
+    } else {
+        b.constant("w", filled(vec![13, 3, 3, 8], 0.01))
+    };
+    let conv = b
+        .conv2d("conv", x, w, None, 1, Padding::Same, Activation::Relu)
+        .unwrap();
+    b.output(conv);
+    b.finish().unwrap()
+}
+
 fn options(flavor: KernelFlavor) -> BackendSpec {
     BackendSpec {
         flavor,
@@ -122,6 +140,17 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
             "{flavor:?}: a warmed invoke allocated {few} times on 7 nodes but {many} on 62"
         );
     }
+
+    // (1b) Reference `Conv2d` weights that are a runtime tensor are packed on
+    // every invoke, into a buffer the interpreter keeps: a warmed invoke
+    // allocates what it does when the weights are baked in.
+    let fed = [input[0].clone(), filled(vec![13, 3, 3, 8], 0.01)];
+    let baked = allocations_per_invoke(&lone_conv(false), KernelFlavor::Reference, &input);
+    let packed = allocations_per_invoke(&lone_conv(true), KernelFlavor::Reference, &fed);
+    assert_eq!(
+        baked, packed,
+        "a warmed reference invoke allocated {packed} times packing runtime weights, {baked} without"
+    );
 
     // (2) One arena: the ladder 1..=8, twice, ends holding what batch 8 alone
     // holds, and releasing returns to the single-invoke footprint.

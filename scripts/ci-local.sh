@@ -54,11 +54,13 @@ kernel-suites() {
 # a DifferentialReport byte-identical across worker counts and micro-batch
 # settings, the rendered validation and differential reports of
 # mini_mobilenet_v2 against the golden text recorded before the drift fold,
-# and the fold bitwise against the log-scanning loops it replaced.
+# the fold bitwise against the log-scanning loops it replaced, and the
+# reference flavor (packed-panel Conv2d, shared depthwise) bitwise against the
+# faithful emulator's per-cell gather loops on every zoo family.
 backend-suites() {
   cargo test -p mlexray-nn --test backend_differential --test golden_kernels -q
   cargo test -p mlexray-core --test differential_replay --test golden_reports \
-    --test drift_fold_oracle -q
+    --test drift_fold_oracle --test reference_oracle -q
 }
 
 # Run twice: under native runtime dispatch (AVX2+FMA where the host has it)
@@ -69,11 +71,14 @@ backend-suites() {
 # invoke to a depth-independent allocation count and the one arena to the
 # footprint of its largest batch; alloc_validation holds a differential run's
 # peak to be independent of its frame count and a sharded replay-validate's to
-# about one shard's logs. golden_reports must read the same text either way.
+# about one shard's logs. golden_reports must read the same text either way,
+# and reference_oracle must hold either way: the reference flavor reads no
+# engine.
 kernel-simd() {
   local nn=(-p mlexray-nn --test golden_kernels --test batch_equivalence
     --test backend_differential --test alloc_steady_state --test alloc_validation -q)
-  local core=(-p mlexray-core --test parallel_invoke --test golden_reports -q)
+  local core=(-p mlexray-core --test parallel_invoke --test golden_reports
+    --test reference_oracle -q)
   cargo test "${nn[@]}"
   cargo test "${core[@]}"
   MLEXRAY_SIMD=scalar cargo test "${nn[@]}"
