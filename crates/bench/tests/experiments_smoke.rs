@@ -367,18 +367,23 @@ fn fig_simd_beats_scalar_and_parallel_invoke_stays_bitwise() {
     // Catastrophic-regression floors hold at any scale, debug or release
     // (at quick scale the model is too small for the SIMD GEMM to beat the
     // scalar kernels — dispatch overhead dominates a width-0.25 64x64
-    // MobileNet — so the quick run only guards against collapse).
-    assert!(
-        result.simd_speedup > 0.3,
-        "SIMD backend catastrophically slower than scalar: {:.2}x:\n{out}",
-        result.simd_speedup
-    );
-    assert!(
-        result.combined_speedup > 0.2,
-        "parallel SIMD invoke catastrophically slower than the scalar \
-         baseline: {:.2}x:\n{out}",
-        result.combined_speedup
-    );
+    // MobileNet — so the quick run only guards against collapse). They
+    // compare the AVX2+FMA engine with the optimized kernels: the forced
+    // scalar mirror (`MLEXRAY_SIMD=scalar`) computes every `mul_add` in
+    // software and is held to bits, not to speed.
+    if mlexray_nn::simd::active_engine() != mlexray_nn::simd::SimdEngine::Scalar {
+        assert!(
+            result.simd_speedup > 0.3,
+            "SIMD backend catastrophically slower than scalar: {:.2}x:\n{out}",
+            result.simd_speedup
+        );
+        assert!(
+            result.combined_speedup > 0.2,
+            "parallel SIMD invoke catastrophically slower than the scalar \
+             baseline: {:.2}x:\n{out}",
+            result.combined_speedup
+        );
+    }
     // The structured metrics artifact rides along with the rendered one.
     let metrics = mlexray_bench::support::artifact_dir().join("fig_simd_metrics.json");
     assert!(metrics.exists(), "structured metrics artifact missing");

@@ -7,8 +7,10 @@
 //! experiments run — ragged channel counts, strides, residual and dense
 //! concatenations, squeeze-excite gates — stacked and unstacked.
 //!
-//! The reference flavor reads no SIMD engine, so the suite must hold under
-//! `MLEXRAY_SIMD=scalar` as well (`scripts/ci-local.sh kernel-simd`).
+//! The reference kernels run their AVX2 build where the engine is AVX2+FMA
+//! and their baseline build under `MLEXRAY_SIMD=scalar`; both compute the
+//! same bits, so the suite must hold either way (`scripts/ci-local.sh
+//! kernel-simd`).
 
 use mlexray_core::{diff_backends, DifferentialOptions, ReplayOptions};
 use mlexray_datasets::synth_image::{self, SynthImageSpec, NUM_CLASSES};

@@ -4,7 +4,8 @@ use mlexray_tensor::{DType, Shape, Tensor, TensorData};
 
 use crate::backend::BackendSpec;
 use crate::graph::{Graph, TensorDef, TensorId};
-use crate::kernels::{execute_node, pack_conv2d_panels, FloatKernels, KernelCtx};
+use crate::kernels::gemm::Engine;
+use crate::kernels::{execute_node, pack_weight_panels, FloatKernels, KernelCtx};
 use crate::ops::OpKind;
 use crate::plan::MemoryPlan;
 use crate::{NnError, Result};
@@ -162,10 +163,10 @@ struct ExecState {
     /// its capacity covers the largest plan run so far, so kernels never
     /// reallocate it in steady state.
     scratch: Vec<f32>,
-    /// Where the reference float `Conv2d` packs a runtime weight operand on
-    /// each invoke (constant weights are packed once, in
-    /// [`reference_conv2d_panels`]); empty until such a node runs, then as
-    /// large as the largest of them.
+    /// Where a kernel that reads weight panels packs a runtime weight operand
+    /// on each invoke (constant weights are packed once, in
+    /// [`packed_weight_panels`]); empty until such a node runs, then as large
+    /// as the largest of them.
     runtime_panels: Vec<f32>,
 }
 
@@ -218,26 +219,28 @@ impl ExecState {
     }
 }
 
-/// The reference flavor's panel-ordered copy of every float `Conv2d` weight
-/// operand that is a graph constant, by node index; empty — nothing packed,
-/// nothing held — for every other flavor.
-fn reference_conv2d_panels(graph: &Graph, float: FloatKernels) -> Result<Vec<Option<Vec<f32>>>> {
-    if !matches!(float, FloatKernels::Reference) {
+/// A panel-ordered copy of the float weight operand of every node whose
+/// kernel [reads panels](FloatKernels::reads_panels) — the reference
+/// `Conv2d`, the optimized `Conv2d` and `FullyConnected` — when it is a graph
+/// constant, by node index; empty — nothing packed, nothing held — for the
+/// SIMD flavor and the emulator.
+fn packed_weight_panels(graph: &Graph, float: FloatKernels) -> Result<Vec<Option<Vec<f32>>>> {
+    let nodes = graph.nodes();
+    if !nodes.iter().any(|node| float.reads_panels(&node.op)) {
         return Ok(Vec::new());
     }
-    graph
-        .nodes()
+    nodes
         .iter()
         .map(|node| {
-            let weights = match node.op {
-                OpKind::Conv2d { .. } => graph.tensor(node.inputs[1]).as_constant(),
-                _ => None,
-            };
+            let weights = float
+                .reads_panels(&node.op)
+                .then(|| graph.tensor(node.inputs[1]).as_constant())
+                .flatten();
             weights
                 .filter(|w| w.dtype() == DType::F32)
                 .map(|w| {
                     let mut packed = Vec::new();
-                    pack_conv2d_panels(w, &mut packed)?;
+                    pack_weight_panels(w, &mut packed)?;
                     Ok(packed)
                 })
                 .transpose()
@@ -291,11 +294,13 @@ fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
 /// arena: an invoke that stacks *more* frames than the one before it
 /// zero-fills the frames it adds, one extra write pass over them.
 ///
-/// Beside the arena, an interpreter built under the reference flavor holds
-/// a second copy of its float `Conv2d` weights, laid out once as the
-/// output-channel panels the reference kernel reads — ≈ 9 MB more for
-/// `mobilenet_v2` ×1.0, 12 KB for `mini_mobilenet_v2`; the other flavors
-/// and the emulator pack nothing and hold nothing.
+/// Beside the arena, an interpreter built under the reference or the
+/// optimized flavor holds a second copy of its constant float weights, laid
+/// out once as the output-channel panels those kernels read — the
+/// reference flavor's `Conv2d` weights, the optimized flavor's `Conv2d` and
+/// `FullyConnected` weights: 7.5 KB (reference) and 8.5 KB (optimized) for
+/// `mini_mobilenet_v2`, ≈ 9 MB and ≈ 14 MB for `mobilenet_v2` ×1.0. The
+/// SIMD flavor and the emulator pack nothing and hold nothing.
 ///
 /// # Example
 ///
@@ -322,8 +327,8 @@ pub struct Interpreter<'g> {
     /// The float kernel family `spec` selects, resolved once here (the
     /// `OpResolver` choice) instead of per node per invoke.
     float: FloatKernels,
-    /// See [`reference_conv2d_panels`].
-    conv2d_panels: Vec<Option<Vec<f32>>>,
+    /// See [`packed_weight_panels`].
+    panels: Vec<Option<Vec<f32>>>,
     state: ExecState,
     /// One memory plan per batch size seen, batch 1 first: accounting for
     /// [`InvokeStats`] and the scratch bound — no buffers hang off a plan.
@@ -346,12 +351,12 @@ impl<'g> Interpreter<'g> {
     pub fn new(graph: &'g Graph, spec: BackendSpec) -> Result<Self> {
         graph.validate()?;
         let plan = verified_plan(graph, 1)?;
-        let float = FloatKernels::resolve(spec.flavor, spec.numerics, &spec.bugs);
+        let float = FloatKernels::resolve(spec.flavor, spec.numerics, &spec.bugs, Engine::active());
         Ok(Interpreter {
             graph,
             spec,
             float,
-            conv2d_panels: reference_conv2d_panels(graph, float)?,
+            panels: packed_weight_panels(graph, float)?,
             state: ExecState::new(graph, &plan),
             plans: vec![plan],
             batch_safe: batch_safe(graph),
@@ -465,7 +470,7 @@ impl<'g> Interpreter<'g> {
         graph: &Graph,
         spec: BackendSpec,
         float: FloatKernels,
-        conv2d_panels: &[Option<Vec<f32>>],
+        panels: &[Option<Vec<f32>>],
         state: &mut ExecState,
         observer: &mut dyn LayerObserver,
         batch_base: usize,
@@ -510,8 +515,9 @@ impl<'g> Interpreter<'g> {
                     flavor: spec.flavor,
                     numerics: spec.numerics,
                     bugs: &spec.bugs,
+                    engine: Engine::active(),
                     scratch: &mut state.scratch,
-                    conv2d_panels: conv2d_panels.get(index).and_then(Option::as_deref),
+                    panels: panels.get(index).and_then(Option::as_deref),
                     runtime_panels: &mut state.runtime_panels,
                 };
                 let out_def = graph.tensor(node.output);
@@ -599,7 +605,7 @@ impl<'g> Interpreter<'g> {
             self.graph,
             self.spec,
             self.float,
-            &self.conv2d_panels,
+            &self.panels,
             &mut self.state,
             observer,
             0,
@@ -665,7 +671,7 @@ impl<'g> Interpreter<'g> {
             self.graph,
             self.spec,
             self.float,
-            &self.conv2d_panels,
+            &self.panels,
             state,
             observer,
             0,
@@ -713,7 +719,7 @@ impl<'g> Interpreter<'g> {
                 self.graph,
                 self.spec,
                 self.float,
-                &self.conv2d_panels,
+                &self.panels,
                 &mut self.state,
                 observer,
                 b,

@@ -4,7 +4,8 @@
 //! channel-vectorized depthwise kernel every native flavor shares, and the
 //! quantized kernels with the injected optimized-depthwise defect of §4.4.
 //! The optimized and SIMD float `Conv2d` is the im2col + GEMM kernel in
-//! [`gemm`](super::gemm). Every window loop here is [`WindowGeom::taps`].
+//! [`gemm`](super::gemm). Every window loop here is [`WindowGeom::taps`] or
+//! its row form, [`WindowGeom::row_taps`].
 //!
 //! What makes the reference kernels the oracle is their **sum**, not their
 //! loop nest: every output value is one accumulator seeded with the bias
@@ -13,14 +14,15 @@
 //! padding taps skipped rather than added as `0 · w`. The sums of different
 //! output values share nothing, so which of them advance side by side is
 //! free: [`conv2d_f32`] runs eight output-channel chains at a time over
-//! weights packed once into panels, [`dwconv_f32_channels`] runs all of a
-//! cell's channels. The one-accumulator-at-a-time loops they replaced are
-//! kept verbatim in this module's tests, which hold both kernels to them
-//! bit for bit.
+//! weights packed once into panels, [`dwconv_f32_channels`] runs a whole
+//! output row's channels tap by tap. The one-accumulator-at-a-time loops
+//! they replaced are kept verbatim in this module's tests, which hold both
+//! kernels to them bit for bit — under the baseline build and the AVX2 one.
 
 use mlexray_tensor::{QuantParams, Tensor};
 
 use crate::graph::{Node, TensorDef};
+use crate::kernels::gemm::Engine;
 use crate::kernels::window::{Cell, WindowGeom};
 use crate::kernels::{
     act_qbounds, emulated_dot, f32_slot, out_qparams, qparams_of, requantize, u8_slot,
@@ -29,10 +31,10 @@ use crate::ops::{Activation, Padding};
 use crate::resolver::{EdgeNumerics, KernelBugs, KernelFlavor, RequantMode};
 use crate::Result;
 
-/// The `(first channel, width)` of each output-channel panel of the
-/// reference float `Conv2d`: as many 8-wide panels as fit, then 4-wide, then
-/// single channels for the ragged tail.
-fn conv2d_panels(out_c: usize) -> impl Iterator<Item = (usize, usize)> {
+/// The `(first channel, width)` of each output-channel panel of `out_c`
+/// channels: as many 8-wide panels as fit, then 4-wide, then single
+/// channels for the ragged tail.
+pub(super) fn weight_panels(out_c: usize) -> impl Iterator<Item = (usize, usize)> {
     let mut next = 0;
     std::iter::from_fn(move || {
         let width = match out_c - next {
@@ -46,17 +48,18 @@ fn conv2d_panels(out_c: usize) -> impl Iterator<Item = (usize, usize)> {
     })
 }
 
-/// Lays `[out_c, kh·kw·in_c]` `Conv2d` weights out as [`conv2d_f32`] reads
-/// them: each panel of [`conv2d_panels`] is `[kh·kw·in_c][width]` contiguous
-/// and the panel of channel `oc0` starts at `oc0 · kh·kw·in_c`, so `packed`
-/// ends up as long as the weights. `packed`'s capacity is reused.
-pub(crate) fn pack_conv2d_panels(weights: &Tensor, packed: &mut Vec<f32>) -> Result<()> {
+/// Lays `[out_c, k]` weights — a `Conv2d`'s `[out_c, kh, kw, in_c]`
+/// (`k = kh·kw·in_c`), a `FullyConnected`'s `[out, in]` — out as the panel
+/// kernels read them: each panel of [`weight_panels`] is `[k][width]`
+/// contiguous and the panel of channel `oc0` starts at `oc0 · k`, so
+/// `packed` ends up as long as the weights. `packed`'s capacity is reused.
+pub(crate) fn pack_weight_panels(weights: &Tensor, packed: &mut Vec<f32>) -> Result<()> {
     let w = weights.as_f32()?;
     let out_c = weights.shape().dims()[0];
     let ksize = w.len() / out_c.max(1);
     packed.clear();
     packed.reserve_exact(w.len());
-    for (oc0, width) in conv2d_panels(out_c) {
+    for (oc0, width) in weight_panels(out_c) {
         let rows = &w[oc0 * ksize..][..width * ksize];
         for k in 0..ksize {
             packed.extend((0..width).map(|lane| rows[lane * ksize + k]));
@@ -67,15 +70,15 @@ pub(crate) fn pack_conv2d_panels(weights: &Tensor, packed: &mut Vec<f32>) -> Res
 
 /// One output cell of one `W`-channel panel: `W` independent sequential
 /// sums, each seeded with its bias and adding its `(ky, kx, ic)` products in
-/// order. `W` is a const so the chains live in registers.
-#[inline]
+/// order, before the activation. `W` is a const so the chains live in
+/// registers.
+#[inline(always)]
 fn conv2d_panel_chains<const W: usize>(
     g: &WindowGeom,
     cell: &Cell,
     x: &[f32],
     panel: &[f32],
     bias: Option<&[f32]>,
-    activation: Activation,
     out: &mut [f32],
 ) {
     let mut acc = [0.0f32; W];
@@ -91,16 +94,47 @@ fn conv2d_panel_chains<const W: usize>(
             }
         }
     }
-    for (o, a) in out.iter_mut().zip(acc) {
-        *o = activation.apply(a);
+    out.copy_from_slice(&acc);
+}
+
+native_kernel! {
+    /// The reference `Conv2d` over `x`: per output cell, per panel, the
+    /// panel's chains, then the cell's activation in one pass.
+    fn conv2d_panel_cells(
+        g: &WindowGeom,
+        x: &[f32],
+        panels: &[f32],
+        out_c: usize,
+        bias: Option<&[f32]>,
+        activation: Activation,
+        out: &mut [f32],
+    ) {
+        let ksize = g.patch_len();
+        for cell in g.cells() {
+            let out = &mut out[cell.index * out_c..][..out_c];
+            for (oc0, width) in weight_panels(out_c) {
+                let panel = &panels[oc0 * ksize..][..width * ksize];
+                let bias = bias.map(|b| &b[oc0..oc0 + width]);
+                let out = &mut out[oc0..oc0 + width];
+                match width {
+                    8 => conv2d_panel_chains::<8>(g, &cell, x, panel, bias, out),
+                    4 => conv2d_panel_chains::<4>(g, &cell, x, panel, bias, out),
+                    _ => conv2d_panel_chains::<1>(g, &cell, x, panel, bias, out),
+                }
+            }
+            activation.apply_in_place(out);
+        }
     }
 }
 
 /// Reference float 2-D convolution over `panels`, the weights as
-/// [`pack_conv2d_panels`] lays them out (`inputs[1]` is read for its shape
+/// [`pack_weight_panels`] lays them out (`inputs[1]` is read for its shape
 /// only): one sequential accumulator per output value, seeded with the
-/// bias, a panel's worth of them advancing side by side.
+/// bias, a panel's worth of them advancing side by side, in `engine`'s
+/// build.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_f32(
+    engine: Engine,
     inputs: &[&Tensor],
     panels: &[f32],
     out_def: &TensorDef,
@@ -111,26 +145,11 @@ pub(crate) fn conv2d_f32(
 ) -> Result<()> {
     let (input, weights) = (inputs[0], inputs[1]);
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
-    let x = input.as_f32()?;
     let ws = weights.shape().dims();
     let (out_c, kh, kw) = (ws[0], ws[1], ws[2]);
     let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
-    let out = f32_slot(out_t, out_def)?;
-    let ksize = g.patch_len();
-
-    for cell in g.cells() {
-        let out = &mut out[cell.index * out_c..][..out_c];
-        for (oc0, width) in conv2d_panels(out_c) {
-            let panel = &panels[oc0 * ksize..][..width * ksize];
-            let bias = bias.map(|b| &b[oc0..oc0 + width]);
-            let out = &mut out[oc0..oc0 + width];
-            match width {
-                8 => conv2d_panel_chains::<8>(&g, &cell, x, panel, bias, activation, out),
-                4 => conv2d_panel_chains::<4>(&g, &cell, x, panel, bias, activation, out),
-                _ => conv2d_panel_chains::<1>(&g, &cell, x, panel, bias, activation, out),
-            }
-        }
-    }
+    let (x, out) = (input.as_f32()?, f32_slot(out_t, out_def)?);
+    conv2d_panel_cells(engine, &g, x, panels, out_c, bias, activation, out);
     Ok(())
 }
 
@@ -185,15 +204,71 @@ pub(crate) fn conv2d_f32_emulated(
     Ok(())
 }
 
+/// `acc[ch] += x[ch] · w[ch]` over one pixel's channels: `[f32; 8]`
+/// chunks, then the remainder, each an unfused multiply then add.
+#[inline(always)]
+fn madd_channels(acc: &mut [f32], x: &[f32], w: &[f32]) {
+    let (acc8, acc_rest) = acc.as_chunks_mut::<8>();
+    let (x8, x_rest) = x.as_chunks::<8>();
+    let (w8, w_rest) = w.as_chunks::<8>();
+    for ((acc, x), w) in acc8.iter_mut().zip(x8).zip(w8) {
+        for l in 0..8 {
+            acc[l] += x[l] * w[l];
+        }
+    }
+    for ((acc, x), w) in acc_rest.iter_mut().zip(x_rest).zip(w_rest) {
+        *acc += x * w;
+    }
+}
+
+native_kernel! {
+    /// The depthwise convolution of `x` by `w: [kh·kw, c]`, one output row
+    /// at a time: seed the row with the bias, then tap by tap in `(ky, kx)`
+    /// order add the tap's products onto every cell of the row it lands in
+    /// bounds for, then activate the row in one pass.
+    fn dwconv_rows(
+        g: &WindowGeom,
+        x: &[f32],
+        w: &[f32],
+        bias: Option<&[f32]>,
+        activation: Activation,
+        out: &mut [f32],
+    ) {
+        let c = g.c;
+        let step = g.stride() * c;
+        for row in g.rows() {
+            let out = &mut out[row.index * c..][..g.out_width() * c];
+            match bias {
+                Some(b) => {
+                    for ox in 0..g.out_width() {
+                        out[ox * c..][..c].copy_from_slice(b);
+                    }
+                }
+                None => out.fill(0.0),
+            }
+            for (tap, cells, pixel) in g.row_taps(&row) {
+                let w = &w[tap * c..][..c];
+                let x = &x[pixel * c..];
+                for (i, ox) in cells.enumerate() {
+                    madd_channels(&mut out[ox * c..][..c], &x[i * step..][..c], w);
+                }
+            }
+            activation.apply_in_place(out);
+        }
+    }
+}
+
 /// Float depthwise convolution of every native flavor, the reference
-/// included: taps outer, channels inner, so the inner loop runs over
-/// contiguous NHWC channels — which the compiler vectorizes as vertical
-/// multiply + add — while each channel's sum accumulates in its output slot.
-/// Every channel is still an independent sequential sum that adds its taps
-/// in `(ky, kx)` order onto the bias with **unfused** multiply-adds (Rust
-/// never contracts `a + x * w` into an FMA), so outputs are the reference
-/// bits in every flavor and on every host.
+/// included, in `engine`'s build: output row by output row, taps outer,
+/// the row's cells next, contiguous NHWC channels inner — which the
+/// compiler vectorizes as vertical multiply + add — while each channel's
+/// sum accumulates in its output slot. Every channel is still an
+/// independent sequential sum that adds its in-bounds taps in `(ky, kx)`
+/// order onto the bias with **unfused** multiply-adds (Rust never contracts
+/// `a + x * w` into an FMA), so outputs are the reference bits in every
+/// flavor, on every host and in both builds.
 pub(crate) fn dwconv_f32_channels(
+    engine: Engine,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     stride: usize,
@@ -203,29 +278,18 @@ pub(crate) fn dwconv_f32_channels(
 ) -> Result<()> {
     let (input, weights) = (inputs[0], inputs[1]);
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
-    let x = input.as_f32()?;
-    let w = weights.as_f32()?;
     let ws = weights.shape().dims();
-    let (kh, kw, c) = (ws[1], ws[2], ws[3]);
-    let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
+    let g = WindowGeom::new(input, out_def, ws[1], ws[2], stride, padding);
     let out = f32_slot(out_t, out_def)?;
-
-    for cell in g.cells() {
-        let acc = &mut out[cell.index * c..][..c];
-        match bias {
-            Some(b) => acc.copy_from_slice(b),
-            None => acc.fill(0.0),
-        }
-        for (tap, pixel) in g.taps(&cell) {
-            let (xs, ws) = (&x[pixel * c..][..c], &w[tap * c..][..c]);
-            for ch in 0..c {
-                acc[ch] += xs[ch] * ws[ch];
-            }
-        }
-        for v in acc {
-            *v = activation.apply(*v);
-        }
-    }
+    dwconv_rows(
+        engine,
+        &g,
+        input.as_f32()?,
+        weights.as_f32()?,
+        bias,
+        activation,
+        out,
+    );
     Ok(())
 }
 
@@ -388,6 +452,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::kernels::gemm::SimdEngine;
     use crate::ops::conv_out_size;
     use crate::{BackendSpec, GraphBuilder, Interpreter};
     use mlexray_tensor::{DType, Shape};
@@ -597,13 +662,29 @@ mod tests {
             out.as_f32().unwrap().to_vec()
         }
 
-        fn conv2d_panels(&self) -> Vec<f32> {
+        /// [`conv2d_f32`] over this case's weights packed, in `engine`'s
+        /// build.
+        fn conv2d_panels(&self, engine: Engine) -> Vec<f32> {
             let mut panels = Vec::new();
-            pack_conv2d_panels(&self.weights, &mut panels).unwrap();
+            pack_weight_panels(&self.weights, &mut panels).unwrap();
             self.run(|inputs, out_def, stride, padding, activation, out| {
-                conv2d_f32(inputs, &panels, out_def, stride, padding, activation, out)
+                conv2d_f32(
+                    engine, inputs, &panels, out_def, stride, padding, activation, out,
+                )
             })
         }
+
+        /// [`dwconv_f32_channels`] in `engine`'s build.
+        fn depthwise(&self, engine: Engine) -> Vec<f32> {
+            self.run(|inputs, out_def, stride, padding, activation, out| {
+                dwconv_f32_channels(engine, inputs, out_def, stride, padding, activation, out)
+            })
+        }
+    }
+
+    /// The baseline build and — where this CPU has it — the AVX2 one.
+    fn builds() -> [Engine; 2] {
+        [SimdEngine::Scalar, SimdEngine::Avx2Fma].map(Engine::runnable)
     }
 
     /// Bit for bit, except that two `NaN`s are one value: `fadd` is
@@ -624,7 +705,7 @@ mod tests {
     #[test]
     fn panels_cover_every_channel_once_widest_first() {
         for out_c in 0..=40 {
-            let panels: Vec<_> = conv2d_panels(out_c).collect();
+            let panels: Vec<_> = weight_panels(out_c).collect();
             let mut next = 0;
             for &(oc0, width) in &panels {
                 assert_eq!(oc0, next);
@@ -645,8 +726,8 @@ mod tests {
         /// counts on both sides, stacked batches, every activation, with and
         /// without bias, over all three value classes: the reference
         /// `Conv2d` over its panels, and — same geometry, `in_c` channels —
-        /// the depthwise kernel every native flavor now runs, each against
-        /// the loop the reference flavor ran before.
+        /// the depthwise kernel every native flavor now runs, each in both
+        /// builds, against the loop the reference flavor ran before.
         #[test]
         fn reference_float_convs_are_the_naive_loops_bitwise(
             kh in 0usize..KERNEL_SIDES.len(),
@@ -683,13 +764,18 @@ mod tests {
                 ACTIVATIONS[activation]
             );
             let conv = case([out_c, kh, kw, in_c], false);
-            assert_same_bits(&conv.conv2d_panels(), &conv.run(conv2d_f32_naive), &what);
             let depthwise = case([1, kh, kw, in_c], true);
-            assert_same_bits(
-                &depthwise.run(dwconv_f32_channels),
-                &depthwise.run(dwconv_f32_naive),
-                &format!("depthwise {what}"),
-            );
+            let (conv_want, depthwise_want) =
+                (conv.run(conv2d_f32_naive), depthwise.run(dwconv_f32_naive));
+            for engine in builds() {
+                let what = format!("{engine:?} {what}");
+                assert_same_bits(&conv.conv2d_panels(engine), &conv_want, &what);
+                assert_same_bits(
+                    &depthwise.depthwise(engine),
+                    &depthwise_want,
+                    &format!("depthwise {what}"),
+                );
+            }
         }
     }
 
@@ -715,9 +801,11 @@ mod tests {
                 },
                 true,
             );
-            let got = case.conv2d_panels();
-            assert!(got.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
-            assert_same_bits(&got, &case.run(conv2d_f32_naive), "negative zeros");
+            for engine in builds() {
+                let got = case.conv2d_panels(engine);
+                assert!(got.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+                assert_same_bits(&got, &case.run(conv2d_f32_naive), "negative zeros");
+            }
         }
     }
 

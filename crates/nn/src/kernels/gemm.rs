@@ -1,24 +1,47 @@
 //! The im2col + GEMM kernels behind the
-//! [`KernelFlavor::Optimized`](crate::KernelFlavor::Optimized) and
-//! [`KernelFlavor::Simd`](crate::KernelFlavor::Simd) flavors, and the
-//! runtime-feature-dispatched SIMD engines beneath the latter.
+//! [`KernelFlavor::Optimized`] and [`KernelFlavor::Simd`] flavors, the
+//! runtime-feature-dispatched engines beneath them, and the engine-explicit
+//! entry points the cross-engine test suites pin those engines with.
 //!
-//! # One driver, two micro-kernels
+//! # One im2col, two reductions
 //!
 //! There is one whole-batch `im2col` (generic over the element type: `f32`
-//! for the float convolutions, `u8` for the quantized SIMD one) and one
-//! tiled float GEMM loop, `gemm_bias_act`, generic — statically dispatched —
-//! over a `MicroKernel`, whose single entry point `tile::<M, N>` reduces `M`
-//! matrix rows against `N` weight rows: `M · N` accumulator chains in flight
-//! (one chain cannot hide a multiply-add's latency), each weight vector
-//! loaded once for all `M` rows. The driver asks for `MR × 4` tiles and
-//! `1 × 4`, `MR × 1`, `1 × 1` on the ragged edges; every cell of every shape
-//! is the micro-kernel's one dot, so the tile shape never moves a bit.
-//! `Blocked4` (four striped accumulators per cell, multiply then add) is the
-//! optimized flavor; `Lanes8` (the 8-lane virtual-SIMD dot below) is the
-//! SIMD flavor. Float `Conv2d` and `FullyConnected` in both flavors are that
-//! driver; the reference kernels in `conv.rs` / `fc.rs` are the oracle it is
+//! for the float convolutions, `u8` for the quantized SIMD one); float
+//! `FullyConnected` passes its activations as the matrix. What reduces a
+//! matrix row against the weights is the flavor's, because each flavor's
+//! summation tree is pinned by its goldens:
+//!
+//! * **Optimized — the blocked-4 cell.** Four partial sums striped over the
+//!   index (multiply, then add — never fused), a sequential remainder, then
+//!   `(s0 + s1) + (s2 + s3) + rest + bias`. The `out_c` cells of one matrix
+//!   row share nothing, so they advance side by side: the weights are packed
+//!   once into the output-channel panels the reference `Conv2d` reads
+//!   (`pack_weight_panels`), and every row meets every 8-, 4- or 1-wide
+//!   panel as four `[f32; W]` striped chains — the cell, `W` outputs at a
+//!   time (`blocked4_panels`).
+//! * **Simd — `Lanes8` tiles.** `gemm_bias_act` walks the row-major
+//!   weights in `ROW_TILE`-row tiles and asks `Lanes8::tile` for
+//!   `MR × 4` blocks of cells (`1 × 4`, `MR × 1`, `1 × 1` on the ragged
+//!   edges): `M · N` accumulator chains in flight, each weight vector loaded
+//!   once for all `M` rows. Every cell of every shape is the micro-kernel's
+//!   one dot, so the tile shape never moves a bit.
+//!
+//! The reference kernels in `conv.rs` / `fc.rs` are the oracle both are
 //! tested against.
+//!
+//! # Native builds at the host's vector width
+//!
+//! The x86-64 baseline the crate compiles for is SSE2: four `f32` lanes.
+//! The float kernels of the three native flavors — the blocked-4 panels
+//! here, the reference `Conv2d` panel chains and the shared depthwise kernel
+//! in `conv.rs` — are each written once, as an `#[inline(always)]` body
+//! (`native_kernel!` in `kernels/mod.rs`), and compiled twice: for the
+//! baseline, and once more under `#[target_feature(enable = "avx2")]`,
+//! which runs when the checked `Engine` says `Avx2Fma`. `fma` is *not*
+//! enabled for them: every product is rounded before it is added, as Rust
+//! writes `a + x * w`, so the AVX2 build performs the same operations in
+//! the same order on eight lanes and returns the baseline build's bits.
+//! `MLEXRAY_SIMD=scalar` runs the baseline build.
 //!
 //! # The dual-engine contract
 //!
@@ -50,21 +73,26 @@
 //! dispatch is a single atomic load. `MLEXRAY_SIMD=scalar` in the
 //! environment forces the scalar engine (the CI fallback leg); tests that
 //! need both engines in one process use the engine-explicit entry points
-//! ([`dot_f32_with`], [`dot_q8_with`]) instead of mutating the environment.
-//! Those honour a request for [`SimdEngine::Avx2Fma`] only where the CPU
-//! really has AVX2+FMA — independent of the override — and otherwise run the
-//! mirror, so no caller can reach the intrinsics on a CPU without them.
+//! ([`dot_f32_with`], [`dot_q8_with`], [`execute_node_with`]) instead of
+//! mutating the environment. Those honour a request for
+//! [`SimdEngine::Avx2Fma`] only where the CPU really has AVX2+FMA —
+//! independent of the override — and otherwise run the mirror, so no caller
+//! can reach the intrinsics on a CPU without them.
 
 use std::sync::OnceLock;
 
-use mlexray_tensor::{QuantParams, Tensor};
+use mlexray_tensor::{QuantParams, Shape, Tensor};
 
-use crate::graph::{Node, TensorDef};
-use crate::kernels::conv::weight_scale;
+use crate::graph::{Graph, Node, NodeId, TensorDef};
+use crate::kernels::conv::{weight_panels, weight_scale};
 use crate::kernels::window::WindowGeom;
-use crate::kernels::{act_qbounds, f32_slot, out_qparams, qparams_of, requantize, u8_slot};
+use crate::kernels::{
+    act_qbounds, execute_node, f32_slot, out_qparams, qparams_of, requantize, u8_slot,
+    FloatKernels, KernelCtx,
+};
 use crate::ops::{Activation, Padding};
-use crate::resolver::{KernelBugs, RequantMode};
+use crate::plan::MemoryPlan;
+use crate::resolver::{KernelBugs, KernelFlavor, RequantMode};
 use crate::Result;
 
 /// Vector width of the canonical virtual-SIMD arithmetic (f32 lanes).
@@ -105,118 +133,34 @@ fn detect_engine() -> SimdEngine {
     if std::env::var_os("MLEXRAY_SIMD").is_some_and(|v| v == "scalar") {
         return SimdEngine::Scalar;
     }
-    runnable(SimdEngine::Avx2Fma)
+    Engine::runnable(SimdEngine::Avx2Fma).get()
 }
 
-// ---------------------------------------------------------------------------
-// Float micro-kernels: how a block of matrix rows is reduced against a block
-// of weight rows
-// ---------------------------------------------------------------------------
+/// A [`SimdEngine`] checked against this CPU — the one form in which an
+/// engine reaches a kernel, so `Avx2Fma` inside an `Engine` means AVX2 and
+/// FMA were detected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Engine(SimdEngine);
 
-/// A float GEMM micro-kernel — the reduction [`gemm_bias_act`] is generic
-/// over.
-pub(crate) trait MicroKernel: Copy {
-    /// The `M × N` dot products of matrix rows `a` against weight rows `b`
-    /// (all of one length): `M · N` independent accumulator chains in
-    /// flight, each weight vector loaded once for all `M` rows. Every cell
-    /// is bitwise-identical to the `M = N = 1` result on the same pair, so
-    /// tiling never changes a bit.
-    fn tile<const M: usize, const N: usize>(self, a: [&[f32]; M], b: [&[f32]; N]) -> [[f32; N]; M];
-}
-
-/// The [`KernelFlavor::Optimized`](crate::KernelFlavor::Optimized)
-/// micro-kernel: four partial accumulators striped over the index plus a
-/// sequential remainder, combined as `(s0 + s1) + (s2 + s3) + rest`. This
-/// summation order differs from the reference kernels' single sequential
-/// accumulator — the benign float drift between the two resolvers.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Blocked4;
-
-impl MicroKernel for Blocked4 {
-    #[inline]
-    fn tile<const M: usize, const N: usize>(self, a: [&[f32]; M], b: [&[f32]; N]) -> [[f32; N]; M] {
-        let k = a[0].len();
-        // Every row re-sliced to the one length: the stripe loop then carries
-        // a single bounds check per four-element step.
-        let (a, b) = (a.map(|row| &row[..k]), b.map(|row| &row[..k]));
-        let stripe = |row: &[f32], o: usize| -> [f32; 4] {
-            *<&[f32; 4]>::try_from(&row[o..o + 4]).expect("a four-element slice")
-        };
-        let mut s = [[[0.0f32; 4]; N]; M];
-        let chunks = k / 4;
-        for i in 0..chunks {
-            let o = i * 4;
-            let bs = b.map(|b| stripe(b, o));
-            for (s, a) in s.iter_mut().zip(a) {
-                let a = stripe(a, o);
-                for (s, b) in s.iter_mut().zip(&bs) {
-                    for l in 0..4 {
-                        s[l] += a[l] * b[l];
-                    }
-                }
-            }
-        }
-        // Codegen barrier, not arithmetic: the horizontal sums below would
-        // otherwise seed LLVM's SLP vectorizer *across the N outputs*, which
-        // transposes every weight stripe inside the loop above (measured:
-        // the 2 × 4 tile then runs 1.7 × slower than the old 1 × 4 one).
-        // Materializing the accumulators first leaves that loop as `M · N`
-        // four-lane multiply + add chains over plain vector loads.
-        let s = std::hint::black_box(s);
-        let mut rest = [[0.0f32; N]; M];
-        for i in chunks * 4..k {
-            for (rest, a) in rest.iter_mut().zip(a) {
-                for (r, b) in rest.iter_mut().zip(b) {
-                    *r += a[i] * b[i];
-                }
-            }
-        }
-        std::array::from_fn(|m| {
-            std::array::from_fn(|n| {
-                let s = s[m][n];
-                (s[0] + s[1]) + (s[2] + s[3]) + rest[m][n]
-            })
-        })
-    }
-}
-
-/// The [`KernelFlavor::Simd`](crate::KernelFlavor::Simd) micro-kernel: the
-/// canonical 8-lane virtual-SIMD dot — 8 fused multiply-add lanes striped
-/// over the index, fixed-order lane reduction, sequential fused tail — under
-/// an explicit engine, with the injectable K-tail defect.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Lanes8 {
-    /// Private so that `Avx2Fma` can only get here through [`Lanes8::new`],
-    /// which has checked the CPU for it.
-    engine: SimdEngine,
-    skip_k_tail: bool,
-}
-
-impl Lanes8 {
-    /// `engine` is honoured only if this CPU can run it; asking for
-    /// `Avx2Fma` elsewhere gets the bitwise-identical scalar mirror.
-    pub(crate) fn new(engine: SimdEngine, bugs: &KernelBugs) -> Self {
-        Lanes8 {
-            engine: runnable(engine),
-            skip_k_tail: bugs.simd_gemm_k_tail_skip,
+impl Engine {
+    /// `engine` where this CPU can run it, whatever `MLEXRAY_SIMD` says;
+    /// else the scalar mirror and the baseline builds (same bits either
+    /// way).
+    pub(crate) fn runnable(engine: SimdEngine) -> Self {
+        if avx2_fma_available() {
+            Engine(engine)
+        } else {
+            Engine(SimdEngine::Scalar)
         }
     }
-}
 
-impl MicroKernel for Lanes8 {
-    #[inline]
-    fn tile<const M: usize, const N: usize>(self, a: [&[f32]; M], b: [&[f32]; N]) -> [[f32; N]; M] {
-        debug_assert!(a.iter().chain(&b).all(|row| row.len() == a[0].len()));
-        let len = k_len(a[0].len(), self.skip_k_tail);
-        let (a, b) = (a.map(|a| &a[..len]), b.map(|b| &b[..len]));
-        match self.engine {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `self.engine` went through `runnable` in `Lanes8::new`,
-            // so AVX2 and FMA were detected on this CPU, and every row of
-            // `a` and `b` was just sliced to exactly `len` elements.
-            SimdEngine::Avx2Fma => unsafe { tile_avx2(len, a, b) },
-            _ => a.map(|a| b.map(|b| dot_f32_scalar(a, b))),
-        }
+    /// This process's engine, [`active_engine`].
+    pub(crate) fn active() -> Self {
+        Engine(active_engine())
+    }
+
+    pub(crate) fn get(self) -> SimdEngine {
+        self.0
     }
 }
 
@@ -233,13 +177,48 @@ fn avx2_fma_available() -> bool {
     }
 }
 
-/// The engine that will actually execute a request for `engine`: `Avx2Fma`
-/// only where the CPU has it, else the scalar mirror (same bits either way).
-fn runnable(engine: SimdEngine) -> SimdEngine {
-    if avx2_fma_available() {
-        engine
-    } else {
-        SimdEngine::Scalar
+// ---------------------------------------------------------------------------
+// The Simd flavor's micro-kernel
+// ---------------------------------------------------------------------------
+
+/// The [`KernelFlavor::Simd`] micro-kernel: the canonical 8-lane
+/// virtual-SIMD dot — 8 fused multiply-add lanes striped over the index,
+/// fixed-order lane reduction, sequential fused tail — under an explicit
+/// engine, with the injectable K-tail defect.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lanes8 {
+    engine: Engine,
+    skip_k_tail: bool,
+}
+
+impl Lanes8 {
+    /// `engine` is honoured only if this CPU can run it; asking for
+    /// `Avx2Fma` elsewhere gets the bitwise-identical scalar mirror.
+    pub(crate) fn new(engine: SimdEngine, bugs: &KernelBugs) -> Self {
+        Lanes8 {
+            engine: Engine::runnable(engine),
+            skip_k_tail: bugs.simd_gemm_k_tail_skip,
+        }
+    }
+
+    /// The `M × N` dot products of matrix rows `a` against weight rows `b`
+    /// (all of one length): `M · N` independent accumulator chains in
+    /// flight, each weight vector loaded once for all `M` rows. Every cell
+    /// is bitwise-identical to the `M = N = 1` result on the same pair, so
+    /// tiling never changes a bit.
+    #[inline]
+    fn tile<const M: usize, const N: usize>(self, a: [&[f32]; M], b: [&[f32]; N]) -> [[f32; N]; M] {
+        debug_assert!(a.iter().chain(&b).all(|row| row.len() == a[0].len()));
+        let len = k_len(a[0].len(), self.skip_k_tail);
+        let (a, b) = (a.map(|a| &a[..len]), b.map(|b| &b[..len]));
+        match self.engine.get() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Engine` holds `Avx2Fma` only after AVX2 and FMA
+            // were detected on this CPU, and every row of `a` and `b` was
+            // just sliced to exactly `len` elements.
+            SimdEngine::Avx2Fma => unsafe { tile_avx2(len, a, b) },
+            _ => a.map(|a| b.map(|b| dot_f32_scalar(a, b))),
+        }
     }
 }
 
@@ -357,7 +336,7 @@ unsafe fn tile_avx2<const M: usize, const N: usize>(
 /// scalar loop.
 pub fn dot_q8_with(engine: SimdEngine, a: &[u8], zp: i32, w: &[i8]) -> i32 {
     assert_eq!(a.len(), w.len());
-    match runnable(engine) {
+    match Engine::runnable(engine).get() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `runnable` yields `Avx2Fma` only after detecting AVX2 on
         // this CPU, and the lengths were just checked equal.
@@ -401,7 +380,7 @@ unsafe fn dot_q8_avx2(a: &[u8], zp: i32, w: &[i8]) -> i32 {
 }
 
 // ---------------------------------------------------------------------------
-// im2col and the tiled GEMM driver
+// im2col and the two reductions
 // ---------------------------------------------------------------------------
 
 /// Elements of the patch matrix [`im2col`] materializes for `g` (0 for a
@@ -436,26 +415,140 @@ fn im2col<'a, T: Copy>(g: &WindowGeom, x: &'a [T], fill: T, scratch: &'a mut Vec
     scratch
 }
 
-/// Output rows sharing one weight fetch per GEMM tile: large enough to
-/// amortize streaming the weight matrix, small enough that a tile of matrix
-/// rows stays cache-resident.
+/// Output rows sharing one weight fetch: large enough to amortize streaming
+/// the weights, small enough that a tile of matrix rows stays
+/// cache-resident. Both reductions walk the matrix in tiles of this many
+/// rows.
 const ROW_TILE: usize = 16;
 
-/// Matrix rows per micro-kernel call, chosen by measurement: `MR × 4`
-/// accumulators, the four weight vectors and a matrix vector must fit the
-/// sixteen vector registers, eight chains are what two FMA ports × four
-/// cycles of latency need, and 2 divides [`ROW_TILE`]. `Conv` time on
-/// `mobilenet_v2@48` as a multiple of the untouched depthwise kernel's in
-/// the same run (three interleaved rounds on a shared 2-vCPU AVX2 host whose
-/// speed drifted ± 40 % between runs; the ratio held), SIMD flavor, batch 4:
-/// `MR` 1 → 5.4–6.2, **2 → 3.9–4.6**, 3 → 4.9–5.8, 4 → 5.7–6.2 (the 1 × 4
-/// tile this replaced: 5.1); the optimized flavor orders the same way
-/// (7.2–7.6, **5.8–6.5**, 7.4–8.5, 8.1–9.7).
+/// The blocked-4 cells of matrix rows `a` against the `W` output channels
+/// of one panel (`[k][W]`, as [`pack_weight_panels`] lays it out), into
+/// `out[m · out_c..][..W]` for row `m`, before the activation: per cell,
+/// four partial sums striped over the index, `s_l += a[4i + l] · w[4i + l]`,
+/// a sequential remainder from `0.0`, then `(s0 + s1) + (s2 + s3) + rest +
+/// bias` — a missing bias adds a `0.0`, as it always has. `M` and `W` are
+/// consts, so the `M · 4 · W` chains live in registers and each weight
+/// vector is loaded once for all `M` rows.
+///
+/// [`pack_weight_panels`]: super::conv::pack_weight_panels
+#[inline(always)]
+fn blocked4_chains<const M: usize, const W: usize>(
+    a: [&[f32]; M],
+    panel: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    out_c: usize,
+) {
+    let k = a[0].len();
+    let chunks = k / 4;
+    let a = a.map(|a| &a[..k]);
+    let (w_body, w_rest) = panel.split_at(chunks * 4 * W);
+    let mut s = [[[0.0f32; W]; 4]; M];
+    for (i, w) in w_body.chunks_exact(4 * W).enumerate() {
+        let x: [[f32; 4]; M] = std::array::from_fn(|m| {
+            *<&[f32; 4]>::try_from(&a[m][i * 4..][..4]).expect("a four-element slice")
+        });
+        for l in 0..4 {
+            let w = &w[l * W..][..W];
+            for (s, x) in s.iter_mut().zip(&x) {
+                for j in 0..W {
+                    s[l][j] += x[l] * w[j];
+                }
+            }
+        }
+    }
+    for (m, (s, a)) in s.iter().zip(a).enumerate() {
+        let mut rest = [0.0f32; W];
+        for (&a, w) in a[chunks * 4..].iter().zip(w_rest.chunks_exact(W)) {
+            for j in 0..W {
+                rest[j] += a * w[j];
+            }
+        }
+        for (j, o) in out[m * out_c..][..W].iter_mut().enumerate() {
+            let bias = bias.map_or(0.0, |b| b[j]);
+            *o = (s[0][j] + s[1][j]) + (s[2][j] + s[3][j]) + rest[j] + bias;
+        }
+    }
+}
+
+native_kernel! {
+    /// The Optimized float GEMM: `out[r, oc] = activation(cell(matrix[r],
+    /// w[oc]) + bias[oc])` — the blocked-4 cell of [`blocked4_chains`] —
+    /// over `matrix: [rows, k]`, the `[out_c, k]` weights as
+    /// [`pack_weight_panels`](super::conv::pack_weight_panels) lays them
+    /// out, and `out: [rows, out_c]`. A tile of [`ROW_TILE`] rows meets each
+    /// panel in turn, [`MR`] rows at a time and then the odd row, so the
+    /// panel stays cache-resident across the tile; the activation is one
+    /// pass over the tile's outputs.
+    fn blocked4_panels(
+        matrix: &[f32],
+        panels: &[f32],
+        k: usize,
+        out_c: usize,
+        bias: Option<&[f32]>,
+        activation: Activation,
+        out: &mut [f32],
+    ) {
+        #[inline(always)]
+        fn rows<const M: usize>(
+            matrix: &[f32],
+            r: usize,
+            k: usize,
+            panel: &[f32],
+            width: usize,
+            bias: Option<&[f32]>,
+            out: &mut [f32],
+            out_c: usize,
+        ) {
+            let a: [&[f32]; M] = std::array::from_fn(|m| &matrix[(r + m) * k..][..k]);
+            match width {
+                8 => blocked4_chains::<M, 8>(a, panel, bias, out, out_c),
+                4 => blocked4_chains::<M, 4>(a, panel, bias, out, out_c),
+                _ => blocked4_chains::<M, 1>(a, panel, bias, out, out_c),
+            }
+        }
+        let rows_total = out.len() / out_c;
+        for r0 in (0..rows_total).step_by(ROW_TILE) {
+            let end = (r0 + ROW_TILE).min(rows_total);
+            for (oc0, width) in weight_panels(out_c) {
+                let panel = &panels[oc0 * k..][..width * k];
+                let bias = bias.map(|b| &b[oc0..oc0 + width]);
+                let mut r = r0;
+                while r + MR <= end {
+                    let out = &mut out[r * out_c + oc0..];
+                    rows::<MR>(matrix, r, k, panel, width, bias, out, out_c);
+                    r += MR;
+                }
+                while r < end {
+                    let out = &mut out[r * out_c + oc0..];
+                    rows::<1>(matrix, r, k, panel, width, bias, out, out_c);
+                    r += 1;
+                }
+            }
+            activation.apply_in_place(&mut out[r0 * out_c..end * out_c]);
+        }
+    }
+}
+
+/// Matrix rows per [`Lanes8`] tile and per [`blocked4_panels`] step, chosen
+/// by measurement. `Lanes8`: `MR × 4` accumulators, the four weight vectors
+/// and a matrix vector must fit the sixteen vector registers, eight chains
+/// are what two FMA ports × four cycles of latency need, and 2 divides
+/// [`ROW_TILE`]. `Conv` time on `mobilenet_v2@48` as a multiple of the
+/// untouched depthwise kernel's in the same run (three interleaved rounds on
+/// a shared 2-vCPU AVX2 host whose speed drifted ± 40 % between runs; the
+/// ratio held), SIMD flavor, batch 4: `MR` 1 → 5.4–6.2, **2 → 3.9–4.6**,
+/// 3 → 4.9–5.8, 4 → 5.7–6.2 (the 1 × 4 tile this replaced: 5.1). Blocked-4
+/// panels, GMAC/s of the AVX2 build on five GEMM shapes of the zoo
+/// (`rows × k × out_c` from `256 × 24 × 144` to `36 × 576 × 160`): one row
+/// 17–26, **two 21–29**, three 21–32, four 21–30 — and the baseline build,
+/// whose sixteen `xmm` registers two rows of `4 × 8` chains already fill,
+/// 13–15 for one row, 10–13 for two and 3 for three.
 const MR: usize = 2;
 
 /// The operands of one [`gemm_bias_act`] call, shared by every block of it.
-struct Gemm<'a, K> {
-    kernel: K,
+struct Gemm<'a> {
+    kernel: Lanes8,
     matrix: &'a [f32],
     w: &'a [f32],
     bias: Option<&'a [f32]>,
@@ -464,7 +557,7 @@ struct Gemm<'a, K> {
     activation: Activation,
 }
 
-impl<K: MicroKernel> Gemm<'_, K> {
+impl Gemm<'_> {
     /// Output rows `r..r + M` × channels `oc..oc + N`: one micro-kernel tile
     /// and the bias + activation epilogue.
     #[inline]
@@ -499,14 +592,14 @@ impl<K: MicroKernel> Gemm<'_, K> {
     }
 }
 
-/// The one float GEMM loop: `out[r, oc] = activation(matrix[r] · w[oc] +
+/// The Simd float GEMM: `out[r, oc] = activation(matrix[r] · w[oc] +
 /// bias[oc])` over `matrix: [rows, k]`, `w: [out_c, k]`, `out: [rows,
 /// out_c]`, tiled [`ROW_TILE`] rows × 4 output channels and walked in
 /// [`MR`]` × 4` micro-kernel tiles (`1 × 4`, `MR × 1` and `1 × 1` on the
 /// ragged edges). Tiling only reorders *which* cell is computed when — each
 /// cell's arithmetic is the micro-kernel's single dot.
-fn gemm_bias_act<K: MicroKernel>(
-    kernel: K,
+fn gemm_bias_act(
+    kernel: Lanes8,
     matrix: &[f32],
     w: &[f32],
     bias: Option<&[f32]>,
@@ -539,16 +632,50 @@ fn gemm_bias_act<K: MicroKernel>(
     }
 }
 
+/// What reduces a float GEMM's matrix rows against the weights.
+pub(crate) enum Reduction<'a> {
+    /// The Optimized flavor: blocked-4 cells over the weights packed as
+    /// panels, run by the engine's native build.
+    Blocked4(Engine, &'a [f32]),
+    /// The Simd flavor: [`Lanes8`] tiles over the row-major weights.
+    Lanes8(Lanes8),
+}
+
+impl Reduction<'_> {
+    /// `out = activation(matrix · weightsᵀ + bias)`, `k` the reduction
+    /// length.
+    fn run(
+        self,
+        matrix: &[f32],
+        weights: &Tensor,
+        k: usize,
+        bias: Option<&[f32]>,
+        activation: Activation,
+        out: &mut [f32],
+    ) -> Result<()> {
+        match self {
+            Reduction::Blocked4(engine, panels) => {
+                let out_c = weights.shape().dims()[0];
+                blocked4_panels(engine, matrix, panels, k, out_c, bias, activation, out);
+            }
+            Reduction::Lanes8(kernel) => {
+                gemm_bias_act(kernel, matrix, weights.as_f32()?, bias, k, activation, out)
+            }
+        }
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Kernel entry points (dispatched from `execute_node`)
 // ---------------------------------------------------------------------------
 
-/// Optimized / SIMD float convolution: whole-batch [`im2col`] then
-/// [`gemm_bias_act`] under the flavor's micro-kernel. Handles any batch size
-/// natively, so `invoke` and `invoke_batch` run the same code.
+/// Optimized / SIMD float convolution: whole-batch [`im2col`], then the
+/// flavor's [`Reduction`]. Handles any batch size natively, so `invoke` and
+/// `invoke_batch` run the same code.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn conv2d_f32_gemm<K: MicroKernel>(
-    kernel: K,
+pub(crate) fn conv2d_f32_gemm(
+    reduction: Reduction<'_>,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     stride: usize,
@@ -562,24 +689,14 @@ pub(crate) fn conv2d_f32_gemm<K: MicroKernel>(
     let ws = weights.shape().dims();
     let g = WindowGeom::new(input, out_def, ws[1], ws[2], stride, padding);
     let matrix = im2col(&g, input.as_f32()?, 0.0, scratch);
-    let ksize = g.patch_len();
     let out = f32_slot(out_t, out_def)?;
-    gemm_bias_act(
-        kernel,
-        matrix,
-        weights.as_f32()?,
-        bias,
-        ksize,
-        activation,
-        out,
-    );
-    Ok(())
+    reduction.run(matrix, weights, g.patch_len(), bias, activation, out)
 }
 
 /// Optimized / SIMD float fully-connected layer, `[n, in] x [out, in]^T`:
-/// [`gemm_bias_act`] with the activations as the matrix.
-pub(crate) fn fc_f32_gemm<K: MicroKernel>(
-    kernel: K,
+/// the flavor's [`Reduction`] with the activations as the matrix.
+pub(crate) fn fc_f32_gemm(
+    reduction: Reduction<'_>,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     activation: Activation,
@@ -588,16 +705,7 @@ pub(crate) fn fc_f32_gemm<K: MicroKernel>(
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
     let in_f = inputs[1].shape().dims()[1];
     let out = f32_slot(out_t, out_def)?;
-    gemm_bias_act(
-        kernel,
-        inputs[0].as_f32()?,
-        inputs[1].as_f32()?,
-        bias,
-        in_f,
-        activation,
-        out,
-    );
-    Ok(())
+    reduction.run(inputs[0].as_f32()?, inputs[1], in_f, bias, activation, out)
 }
 
 /// SIMD quantized convolution: whole-batch `u8` [`im2col`] — padding taps
@@ -694,9 +802,60 @@ pub(crate) fn fc_q_simd(
     Ok(())
 }
 
+/// Runs node `node` of `graph` under `flavor` (native numerics, no injected
+/// defect) on an explicit engine and returns its output. `operands` are the
+/// node's inputs in order, constants included, stacked to any batch.
+/// Public so test suites can pin the AVX2 build of every native float
+/// kernel against its baseline build in one process, as [`dot_f32_with`]
+/// pins the dot: `Avx2Fma` is honoured only where the CPU has it, whatever
+/// `MLEXRAY_SIMD` says, and runs the baseline build elsewhere. Weights are
+/// packed on the call, as the interpreter packs a runtime weight operand.
+///
+/// # Errors
+///
+/// Returns what the kernel returns for operands that do not fit the node.
+///
+/// # Panics
+///
+/// If `node` is not a node of `graph` or `operands` is empty.
+pub fn execute_node_with(
+    engine: SimdEngine,
+    flavor: KernelFlavor,
+    graph: &Graph,
+    node: NodeId,
+    operands: &[&Tensor],
+) -> Result<Tensor> {
+    let node = &graph.nodes()[node.0];
+    let lead = |dims: &[usize]| dims.first().copied().unwrap_or(1).max(1);
+    let frames =
+        lead(operands[0].shape().dims()) / lead(graph.tensor(node.inputs[0]).shape().dims());
+    let out_def = graph.tensor(node.output);
+    let mut dims = out_def.shape().dims().to_vec();
+    if let Some(n) = dims.first_mut() {
+        *n *= frames;
+    }
+    let mut out = Tensor::zeros(out_def.dtype(), Shape::new(dims));
+    out.set_quant(out_def.quant().cloned());
+    let mut scratch = Vec::with_capacity(MemoryPlan::for_graph(graph, frames)?.scratch_elems());
+    let (engine, bugs) = (Engine::runnable(engine), KernelBugs::none());
+    let mut ctx = KernelCtx {
+        float: FloatKernels::resolve(flavor, None, &bugs, engine),
+        flavor,
+        numerics: None,
+        bugs: &bugs,
+        engine,
+        scratch: &mut scratch,
+        panels: None,
+        runtime_panels: &mut Vec::new(),
+    };
+    execute_node(node, operands, out_def, &mut out, &mut ctx)?;
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::conv::pack_weight_panels;
     use crate::kernels::det_f32;
 
     /// Runs on every host: without AVX2+FMA (or under `MLEXRAY_SIMD=scalar`,
@@ -738,40 +897,102 @@ mod tests {
         }
     }
 
+    /// The blocked-4 cell as `Blocked4::tile` computed it, one dot at a
+    /// time before the panels: four striped accumulators, a sequential
+    /// remainder, `(s0 + s1) + (s2 + s3) + rest`. Body verbatim, `M = N = 1`.
+    fn blocked4_dot(a: &[f32], b: &[f32]) -> f32 {
+        let k = a.len();
+        let mut s = [0.0f32; 4];
+        let chunks = k / 4;
+        for i in 0..chunks {
+            let o = i * 4;
+            for l in 0..4 {
+                s[l] += a[o + l] * b[o + l];
+            }
+        }
+        let mut rest = 0.0f32;
+        for i in chunks * 4..k {
+            rest += a[i] * b[i];
+        }
+        (s[0] + s[1]) + (s[2] + s[3]) + rest
+    }
+
+    /// The packed-panel Optimized GEMM against one blocked-4 dot plus bias
+    /// per cell, as the tiled driver ran it, on shapes ragged in every
+    /// dimension — rows across the [`ROW_TILE`] boundary, every 8/4/1 panel
+    /// mix, K with and without a remainder — under both engines' builds,
+    /// with and without bias (a missing bias still adds `0.0`, which turns
+    /// a `-0.0` cell into `+0.0`).
+    #[test]
+    fn blocked4_panels_are_the_per_cell_dots_bitwise() {
+        for (rows, out_c, k) in [(19, 13, 13), (1, 8, 4), (2, 7, 17), (33, 24, 9), (3, 1, 1)] {
+            let matrix = det_f32(1, rows * k);
+            let mut w = det_f32(2, out_c * k);
+            // A `-0.0` cell: row 0 against channel 0 is all `-0.0` products.
+            w[..k].fill(-0.0);
+            let matrix: Vec<f32> = matrix
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if i < k { v.abs() } else { v })
+                .collect();
+            let weights = Tensor::from_f32(Shape::matrix(out_c, k), w.clone()).unwrap();
+            let mut panels = Vec::new();
+            pack_weight_panels(&weights, &mut panels).unwrap();
+            let bias = det_f32(3, out_c);
+            for bias in [None, Some(bias.as_slice())] {
+                for engine in [SimdEngine::Avx2Fma, SimdEngine::Scalar] {
+                    let act = Activation::Relu6;
+                    let mut out = vec![f32::NAN; rows * out_c];
+                    let engine = Engine::runnable(engine);
+                    blocked4_panels(engine, &matrix, &panels, k, out_c, bias, act, &mut out);
+                    for r in 0..rows {
+                        for oc in 0..out_c {
+                            let dot = blocked4_dot(&matrix[r * k..][..k], &w[oc * k..][..k]);
+                            let want = act.apply(dot + bias.map_or(0.0, |b| b[oc]));
+                            assert_eq!(
+                                out[r * out_c + oc].to_bits(),
+                                want.to_bits(),
+                                "{engine:?} cell ({r}, {oc}) of {rows}x{out_c}, K {k}, bias {}",
+                                bias.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The tiled driver against one micro-kernel dot per cell, on a shape
     /// ragged in every tiled dimension — 19 rows (∤ 16, an odd row inside
     /// the last tile), 7 output channels (∤ 4), K = 13 (∤ 4, ∤ 8) — and on
     /// matrices of one row (no `MR` pair at all) and two (exactly one).
     #[test]
     fn gemm_driver_matches_per_cell_dots_on_ragged_shapes() {
-        fn check<K: MicroKernel>(kernel: K) {
-            for rows in [19, 1, 2] {
-                let (out_c, k) = (7, 13);
-                let matrix = det_f32(1, rows * k);
-                let w = det_f32(2, out_c * k);
-                let bias = det_f32(3, out_c);
-                let mut out = vec![f32::NAN; rows * out_c];
-                let act = Activation::Relu;
-                gemm_bias_act(kernel, &matrix, &w, Some(&bias), k, act, &mut out);
-                for r in 0..rows {
-                    for oc in 0..out_c {
-                        let [[dot]] = kernel.tile([&matrix[r * k..][..k]], [&w[oc * k..][..k]]);
-                        assert_eq!(
-                            out[r * out_c + oc].to_bits(),
-                            act.apply(dot + bias[oc]).to_bits(),
-                            "cell ({r}, {oc}) of {rows} rows"
-                        );
-                    }
+        let kernel = Lanes8::new(active_engine(), &KernelBugs::none());
+        for rows in [19, 1, 2] {
+            let (out_c, k) = (7, 13);
+            let matrix = det_f32(1, rows * k);
+            let w = det_f32(2, out_c * k);
+            let bias = det_f32(3, out_c);
+            let mut out = vec![f32::NAN; rows * out_c];
+            let act = Activation::Relu;
+            gemm_bias_act(kernel, &matrix, &w, Some(&bias), k, act, &mut out);
+            for r in 0..rows {
+                for oc in 0..out_c {
+                    let [[dot]] = kernel.tile([&matrix[r * k..][..k]], [&w[oc * k..][..k]]);
+                    assert_eq!(
+                        out[r * out_c + oc].to_bits(),
+                        act.apply(dot + bias[oc]).to_bits(),
+                        "cell ({r}, {oc}) of {rows} rows"
+                    );
                 }
             }
         }
-        check(Blocked4);
-        check(Lanes8::new(active_engine(), &KernelBugs::none()));
     }
 
     /// `tile::<M, N>` on rows `a[..M]` × `b[..N]`, flattened row-major.
-    fn tile_bits<K: MicroKernel, const M: usize, const N: usize>(
-        kernel: K,
+    fn tile_bits<const M: usize, const N: usize>(
+        kernel: Lanes8,
         a: &[Vec<f32>],
         b: &[Vec<f32>],
     ) -> Vec<u32> {
@@ -783,27 +1004,22 @@ mod tests {
     }
 
     /// Every `(M, N)` the driver instantiates, as `(M, N, bits)`.
-    fn driver_tiles<K: MicroKernel>(
-        kernel: K,
+    fn driver_tiles(
+        kernel: Lanes8,
         a: &[Vec<f32>],
         b: &[Vec<f32>],
     ) -> Vec<(usize, usize, Vec<u32>)> {
         vec![
-            (MR, 4, tile_bits::<K, MR, 4>(kernel, a, b)),
-            (1, 4, tile_bits::<K, 1, 4>(kernel, a, b)),
-            (MR, 1, tile_bits::<K, MR, 1>(kernel, a, b)),
-            (1, 1, tile_bits::<K, 1, 1>(kernel, a, b)),
+            (MR, 4, tile_bits::<MR, 4>(kernel, a, b)),
+            (1, 4, tile_bits::<1, 4>(kernel, a, b)),
+            (MR, 1, tile_bits::<MR, 1>(kernel, a, b)),
+            (1, 1, tile_bits::<1, 1>(kernel, a, b)),
         ]
     }
 
     /// Every cell of every tile shape equals the `tile::<1, 1>` result on the
     /// same pair of rows.
-    fn assert_tiles_match_single_dots<K: MicroKernel>(
-        kernel: K,
-        a: &[Vec<f32>],
-        b: &[Vec<f32>],
-        what: &str,
-    ) {
+    fn assert_tiles_match_single_dots(kernel: Lanes8, a: &[Vec<f32>], b: &[Vec<f32>], what: &str) {
         for (m, n, bits) in driver_tiles(kernel, a, b) {
             for i in 0..m {
                 for j in 0..n {
@@ -823,7 +1039,6 @@ mod tests {
         for k in [0, 1, 7, 8, 9, 17, 65, 144] {
             let a: Vec<Vec<f32>> = (0..MR as u64).map(|r| det_f32(9 + r, k)).collect();
             let b: Vec<Vec<f32>> = (0..4).map(|r| det_f32(100 + r, k)).collect();
-            assert_tiles_match_single_dots(Blocked4, &a, &b, &format!("Blocked4, K {k}"));
             for skip in [false, true] {
                 let bugs = KernelBugs {
                     simd_gemm_k_tail_skip: skip,

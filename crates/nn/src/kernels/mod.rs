@@ -5,22 +5,29 @@
 //! implementation, and — as with a TFLite `OpResolver` — the float choice is
 //! resolved **once**, when the interpreter is built ([`FloatKernels`]), not
 //! per node. Each float GEMM-family op (`Conv2d`, `FullyConnected`) has
-//! exactly two implementations:
+//! one implementation per summation tree:
 //!
 //! * the **reference** kernels (`conv::conv2d_f32`, `fc::fc_f32`), the
 //!   oracle: one sequential accumulator per output value, seeded with the
 //!   bias. What is sequential is each value's *sum*, not the loop nest —
 //!   `conv2d_f32` advances the independent sums of eight output channels
 //!   side by side over weight panels the interpreter packs once
-//!   (`pack_conv2d_panels`), changing no bit; the one-sum-at-a-time loops it
+//!   (`pack_weight_panels`), changing no bit; the one-sum-at-a-time loops it
 //!   and the reference depthwise replaced live on in `conv`'s tests as the
 //!   oracle's oracle;
-//! * one im2col + tiled GEMM driver ([`gemm`]) generic over its
-//!   micro-kernel: [`gemm::Blocked4`] for [`KernelFlavor::Optimized`],
-//!   [`gemm::Lanes8`] for [`KernelFlavor::Simd`]. Both reassociate the float
-//!   sum — the benign source of the small checkpoint-vs-mobile drift in
-//!   Fig. 5 — and run the same code at every batch size, so `invoke_batch`
-//!   is bitwise-identical to sequential `invoke`s by construction.
+//! * the **optimized** flavor's blocked-4 cell ([`KernelFlavor::Optimized`]:
+//!   four striped partial sums, `(s0 + s1) + (s2 + s3) + rest + bias`),
+//!   run over an im2col matrix against the *same* packed panels, a panel's
+//!   worth of cells side by side ([`gemm`]'s `blocked4_panels`); the
+//!   interpreter packs the constant `Conv2d` and `FullyConnected` weights of
+//!   this flavor too;
+//! * the **SIMD** flavor's tiled GEMM driver over [`gemm::Lanes8`]
+//!   ([`KernelFlavor::Simd`]: the 8-lane virtual-SIMD dot).
+//!
+//! The last two reassociate the float sum — the benign source of the small
+//! checkpoint-vs-mobile drift in Fig. 5 — and all three run the same code at
+//! every batch size, so `invoke_batch` is bitwise-identical to sequential
+//! `invoke`s by construction.
 //!
 //! Float `DepthwiseConv2d` has one native kernel, shared by all three
 //! flavors (`conv::dwconv_f32_channels`: every channel is its own sequential
@@ -29,13 +36,23 @@
 //! [`KernelBugs`] live in the quantized depthwise/pool kernels and the
 //! [`gemm::Lanes8`] K-tail.
 //!
+//! The native float kernels — reference `Conv2d`, optimized `Conv2d` / FC,
+//! the shared depthwise — run at the host's vector width: each body is
+//! written once and compiled twice (`native_kernel!`), for the x86-64
+//! baseline and for AVX2, and the interpreter's engine
+//! ([`gemm::active_engine`]) picks the build. Both builds compute the same
+//! bits (no `fma`: multiply, round, add), so the engine contract of the
+//! [`gemm`] module covers the native flavors as it covers `Lanes8`.
+//!
 //! Every kernel writes into an arena-provided output slot (`&mut Tensor`,
 //! preallocated from the interpreter's `MemoryPlan`), and the float im2col
-//! matrix and the BatchNorm denominators live in the plan-sized scratch (a
-//! reference `Conv2d` whose weights are a runtime tensor packs them into a
-//! buffer the interpreter keeps), so steady-state float execution under the
-//! reference, optimized and SIMD flavors makes no heap allocation per node —
-//! measured, not self-reported:
+//! matrix and the BatchNorm denominators live in the plan-sized scratch.
+//! The reference and optimized flavors hold a second, panel-ordered copy of
+//! their constant float weights (≈ 8 KB for `mini_mobilenet_v2`), packed
+//! when the interpreter is built; a weight operand that is a runtime tensor
+//! is packed on each invoke into a buffer the interpreter keeps. So
+//! steady-state float execution under the reference, optimized and SIMD
+//! flavors makes no heap allocation per node — measured, not self-reported:
 //! `tests/alloc_steady_state.rs` counts calls into the global allocator and
 //! holds a warmed `invoke` to the same count on 7 nodes as on 62. What
 //! still allocates per node, all outside those paths: `gemm::conv2d_q_simd`
@@ -50,6 +67,41 @@
 //! resolved by walking the lhs in rhs-sized rows, never by a `%` or `/` per
 //! element.
 
+/// Defines a native float kernel whose body is written once and compiled
+/// twice: for the x86-64 baseline (SSE2, four lanes) and once more under
+/// `#[target_feature(enable = "avx2")]` (eight). `fma` stays off, so the
+/// AVX2 build rounds every product before adding it, exactly as the
+/// baseline does, and both builds return the same bits. The defined
+/// function takes the `gemm::Engine` to run on before the body's own
+/// arguments; `Avx2Fma` runs the AVX2 build.
+macro_rules! native_kernel {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block
+    ) => {
+        $(#[$attr])*
+        #[allow(clippy::too_many_arguments)]
+        $vis fn $name(engine: $crate::kernels::gemm::Engine, $($arg: $ty),*) {
+            #[inline(always)]
+            fn body($($arg: $ty),*) $body
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            fn avx2($($arg: $ty),*) {
+                body($($arg),*)
+            }
+
+            match engine.get() {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: an `Engine` holds `Avx2Fma` only after AVX2 was
+                // detected on this CPU.
+                $crate::kernels::gemm::SimdEngine::Avx2Fma => unsafe { avx2($($arg),*) },
+                _ => body($($arg),*),
+            }
+        }
+    };
+}
+
 mod conv;
 mod elementwise;
 mod fc;
@@ -59,12 +111,13 @@ mod window;
 
 use mlexray_tensor::{DType, QuantParams, Tensor, TensorData};
 
-pub(crate) use conv::pack_conv2d_panels;
+pub(crate) use conv::pack_weight_panels;
 
 use crate::graph::{Node, TensorDef};
 use crate::ops::{Activation, OpKind};
 use crate::resolver::{AccumOrder, EdgeNumerics, KernelBugs, KernelFlavor, RequantMode};
 use crate::{NnError, Result};
+use gemm::{Engine, Reduction};
 
 /// Which implementation family the float GEMM-family ops (`Conv2d`,
 /// `DepthwiseConv2d`, `FullyConnected`) run — `(flavor, numerics)` resolved
@@ -76,7 +129,7 @@ pub(crate) enum FloatKernels {
     /// Reference loop structure under emulated edge numerics (whatever the
     /// flavor).
     Emulated(EdgeNumerics),
-    /// im2col + tiled GEMM around the blocked-4 scalar micro-kernel.
+    /// im2col, then blocked-4 cells over packed weight panels.
     Blocked4,
     /// im2col + tiled GEMM around the 8-lane virtual-SIMD micro-kernel.
     Lanes8(gemm::Lanes8),
@@ -87,37 +140,55 @@ impl FloatKernels {
         flavor: KernelFlavor,
         numerics: Option<EdgeNumerics>,
         bugs: &KernelBugs,
+        engine: Engine,
     ) -> Self {
         match (numerics, flavor) {
             (Some(numerics), _) => FloatKernels::Emulated(numerics),
             (None, KernelFlavor::Reference) => FloatKernels::Reference,
             (None, KernelFlavor::Optimized) => FloatKernels::Blocked4,
             (None, KernelFlavor::Simd) => {
-                FloatKernels::Lanes8(gemm::Lanes8::new(gemm::active_engine(), bugs))
+                FloatKernels::Lanes8(gemm::Lanes8::new(engine.get(), bugs))
             }
+        }
+    }
+
+    /// Whether these kernels read `op`'s float weights as
+    /// [`pack_weight_panels`] lays them out: the reference `Conv2d`, and the
+    /// optimized `Conv2d` and `FullyConnected`.
+    pub(crate) fn reads_panels(self, op: &OpKind) -> bool {
+        match self {
+            FloatKernels::Reference => matches!(op, OpKind::Conv2d { .. }),
+            FloatKernels::Blocked4 => {
+                matches!(op, OpKind::Conv2d { .. } | OpKind::FullyConnected { .. })
+            }
+            FloatKernels::Emulated(_) | FloatKernels::Lanes8(_) => false,
         }
     }
 }
 
 /// Per-invoke execution context threaded through the dispatch: the resolved
-/// float kernels, the flavor (quantized dispatch), the emulated numerics,
-/// injected defects and the plan-sized f32 scratch buffer.
+/// float kernels and the engine their native builds run on, the flavor
+/// (quantized dispatch), the emulated numerics, injected defects and the
+/// plan-sized f32 scratch buffer.
 pub(crate) struct KernelCtx<'a> {
     pub float: FloatKernels,
     pub flavor: KernelFlavor,
     /// Emulated edge-runtime numerics; `None` runs native arithmetic.
     pub numerics: Option<EdgeNumerics>,
     pub bugs: &'a KernelBugs,
+    /// Which build of the native float kernels runs: `Avx2Fma` the AVX2
+    /// one, `Scalar` the baseline (same bits).
+    pub engine: Engine,
     /// Scratch reused across nodes; capacity is reserved at plan time so
     /// `resize` never reallocates in steady state.
     pub scratch: &'a mut Vec<f32>,
-    /// The node's weights in [`pack_conv2d_panels`] order: `Some` for a
-    /// reference float `Conv2d` whose weights are a graph constant, packed
-    /// when the interpreter was built.
-    pub conv2d_panels: Option<&'a [f32]>,
-    /// Where a reference float `Conv2d` packs weights that are a runtime
-    /// tensor, on every invoke; grows to the largest such operand and then
-    /// stays.
+    /// The node's weights in [`pack_weight_panels`] order: `Some` for a
+    /// node whose kernel [reads panels](FloatKernels::reads_panels) and
+    /// whose weights are a graph constant, packed when the interpreter was
+    /// built.
+    pub panels: Option<&'a [f32]>,
+    /// Where such a kernel packs weights that are a runtime tensor, on every
+    /// invoke; grows to the largest such operand and then stays.
     pub runtime_panels: &'a mut Vec<f32>,
 }
 
@@ -126,6 +197,22 @@ impl KernelCtx<'_> {
     /// kernels.
     fn requant_mode(&self) -> RequantMode {
         self.numerics.map(|n| n.requant).unwrap_or_default()
+    }
+}
+
+/// `weights` in [`pack_weight_panels`] order: the copy packed at build, or
+/// else packed now into `runtime`.
+fn node_panels<'a>(
+    packed: Option<&'a [f32]>,
+    runtime: &'a mut Vec<f32>,
+    weights: &Tensor,
+) -> Result<&'a [f32]> {
+    match packed {
+        Some(packed) => Ok(packed),
+        None => {
+            pack_weight_panels(weights, runtime)?;
+            Ok(runtime)
+        }
     }
 }
 
@@ -156,14 +243,10 @@ pub(crate) fn execute_node(
             false,
         ) => match ctx.float {
             FloatKernels::Reference => {
-                let panels = match ctx.conv2d_panels {
-                    Some(packed) => packed,
-                    None => {
-                        pack_conv2d_panels(inputs[1], ctx.runtime_panels)?;
-                        ctx.runtime_panels.as_slice()
-                    }
-                };
-                conv::conv2d_f32(inputs, panels, out_def, stride, padding, activation, out)
+                let panels = node_panels(ctx.panels, ctx.runtime_panels, inputs[1])?;
+                conv::conv2d_f32(
+                    ctx.engine, inputs, panels, out_def, stride, padding, activation, out,
+                )
             }
             FloatKernels::Emulated(numerics) => conv::conv2d_f32_emulated(
                 inputs,
@@ -176,7 +259,10 @@ pub(crate) fn execute_node(
                 out,
             ),
             FloatKernels::Blocked4 => gemm::conv2d_f32_gemm(
-                gemm::Blocked4,
+                Reduction::Blocked4(
+                    ctx.engine,
+                    node_panels(ctx.panels, ctx.runtime_panels, inputs[1])?,
+                ),
                 inputs,
                 out_def,
                 stride,
@@ -186,7 +272,7 @@ pub(crate) fn execute_node(
                 out,
             ),
             FloatKernels::Lanes8(kernel) => gemm::conv2d_f32_gemm(
-                kernel,
+                Reduction::Lanes8(kernel),
                 inputs,
                 out_def,
                 stride,
@@ -222,7 +308,9 @@ pub(crate) fn execute_node(
             false,
         ) => match ctx.float {
             FloatKernels::Reference | FloatKernels::Blocked4 | FloatKernels::Lanes8(_) => {
-                conv::dwconv_f32_channels(inputs, out_def, stride, padding, activation, out)
+                conv::dwconv_f32_channels(
+                    ctx.engine, inputs, out_def, stride, padding, activation, out,
+                )
             }
             FloatKernels::Emulated(numerics) => conv::dwconv_f32_emulated(
                 inputs,
@@ -251,10 +339,12 @@ pub(crate) fn execute_node(
                 fc::fc_f32_emulated(inputs, out_def, activation, &numerics, out)
             }
             FloatKernels::Blocked4 => {
-                gemm::fc_f32_gemm(gemm::Blocked4, inputs, out_def, activation, out)
+                let panels = node_panels(ctx.panels, ctx.runtime_panels, inputs[1])?;
+                let reduction = Reduction::Blocked4(ctx.engine, panels);
+                gemm::fc_f32_gemm(reduction, inputs, out_def, activation, out)
             }
             FloatKernels::Lanes8(kernel) => {
-                gemm::fc_f32_gemm(kernel, inputs, out_def, activation, out)
+                gemm::fc_f32_gemm(Reduction::Lanes8(kernel), inputs, out_def, activation, out)
             }
         },
         (&OpKind::FullyConnected { activation }, true) => {

@@ -1,6 +1,7 @@
 //! Sliding-window geometry shared by every convolution and pooling kernel:
 //! the one place that resolves SAME/VALID padding, enumerates output cells
-//! and clips a cell's kernel window to the input.
+//! (or output rows) and clips a cell's kernel window (or a row's) to the
+//! input.
 
 use std::ops::Range;
 
@@ -32,6 +33,14 @@ pub(super) struct Cell {
     n: usize,
     oy: usize,
     ox: usize,
+}
+
+/// One output row `(n, oy)`; `index` is the flat NHW offset of its first
+/// cell.
+pub(super) struct Row {
+    pub(super) index: usize,
+    n: usize,
+    oy: usize,
 }
 
 /// Window offsets `k` along one axis whose input coordinate
@@ -84,7 +93,17 @@ impl WindowGeom {
         self.n * self.out_h * self.out_w
     }
 
+    /// Output cells per output row.
+    pub(super) fn out_width(&self) -> usize {
+        self.out_w
+    }
+
+    pub(super) fn stride(&self) -> usize {
+        self.stride
+    }
+
     /// Every output cell, batch-outer, in output memory order.
+    #[inline]
     pub(super) fn cells(&self) -> impl Iterator<Item = Cell> + '_ {
         (0..self.cell_count()).map(move |index| Cell {
             index,
@@ -98,6 +117,7 @@ impl WindowGeom {
     /// `(ky, kx)` order: `tap = ky * kw + kx` indexes the kernel window,
     /// `pixel` is the flat NHW offset of the input pixel under it. Padding
     /// taps are never yielded.
+    #[inline]
     pub(super) fn taps(&self, cell: &Cell) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
         let (y0, x0) = (cell.oy * self.stride, cell.ox * self.stride);
         let frame = cell.n * self.in_h;
@@ -107,6 +127,48 @@ impl WindowGeom {
             kxs.clone()
                 .map(move |kx| (ky * self.kw + kx, row + kx - self.pad_left))
         })
+    }
+
+    /// Every output row, batch-outer, in output memory order.
+    pub(super) fn rows(&self) -> impl Iterator<Item = Row> + '_ {
+        (0..self.n * self.out_h).map(move |r| Row {
+            index: r * self.out_w,
+            n: r / self.out_h,
+            oy: r % self.out_h,
+        })
+    }
+
+    /// [`WindowGeom::taps`] for a whole output row at once: the row's
+    /// in-bounds taps in `(ky, kx)` order as `(tap, cells, pixel)` — tap
+    /// `tap` lands inside the input for exactly the cells `ox ∈ cells` of
+    /// the row, the first of them on input pixel `pixel` and each next one
+    /// `stride` pixels further on. Each cell sees its taps in the order
+    /// `taps` yields them; padding taps are never yielded.
+    pub(super) fn row_taps(
+        &self,
+        row: &Row,
+    ) -> impl Iterator<Item = (usize, Range<usize>, usize)> + '_ {
+        let y0 = row.oy * self.stride;
+        let frame = row.n * self.in_h;
+        clip(y0, self.pad_top, self.kh, self.in_h).flat_map(move |ky| {
+            let in_row = (frame + y0 + ky - self.pad_top) * self.in_w;
+            (0..self.kw).filter_map(move |kx| {
+                let cells = self.cells_in_bounds(kx);
+                let pixel = in_row + cells.start * self.stride + kx;
+                (!cells.is_empty()).then(|| (ky * self.kw + kx, cells, pixel - self.pad_left))
+            })
+        })
+    }
+
+    /// The output columns `ox` whose window column `kx` lands inside the
+    /// input, `0 ≤ ox·stride + kx − pad_left < in_w`.
+    fn cells_in_bounds(&self, kx: usize) -> Range<usize> {
+        let first = self.pad_left.saturating_sub(kx).div_ceil(self.stride);
+        let end = (self.in_w + self.pad_left)
+            .saturating_sub(kx)
+            .div_ceil(self.stride)
+            .min(self.out_w);
+        first..end.max(first)
     }
 
     /// A 1×1 stride-1 window: every cell reads exactly its own input pixel,

@@ -47,6 +47,28 @@ impl Activation {
         }
     }
 
+    /// [`Activation::apply`] to every value of `values`, with the `match`
+    /// taken once instead of per value: each arm is a plain loop over one
+    /// formula, which the compiler vectorizes.
+    #[inline(always)]
+    pub(crate) fn apply_in_place(self, values: &mut [f32]) {
+        #[inline(always)]
+        fn each(values: &mut [f32], act: Activation) {
+            for v in values {
+                *v = act.apply(*v);
+            }
+        }
+        match self {
+            Activation::None => {}
+            Activation::Relu => each(values, Activation::Relu),
+            Activation::Relu6 => each(values, Activation::Relu6),
+            Activation::HardSwish => each(values, Activation::HardSwish),
+            Activation::HardSigmoid => each(values, Activation::HardSigmoid),
+            Activation::Sigmoid => each(values, Activation::Sigmoid),
+            Activation::Gelu => each(values, Activation::Gelu),
+        }
+    }
+
     /// Real-valued output clamp implied by the activation, used to clamp
     /// quantized outputs (`None` means unbounded).
     pub fn clamp_bounds(self) -> Option<(f32, f32)> {

@@ -2,7 +2,8 @@
 //! `#[global_allocator]` instead of the self-reported
 //! `InvokeStats::allocations`: the allocation count of an `invoke` must not
 //! depend on graph depth (no per-node operand list, no per-node BatchNorm
-//! table) nor on whether the reference `Conv2d` packs its weights per invoke,
+//! table) nor on whether the reference or optimized `Conv2d` packs its
+//! weights per invoke,
 //! and an interpreter cycled through batch sizes must hold the
 //! memory of its largest batch, not the sum over every size it has seen.
 //!
@@ -141,16 +142,19 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
         );
     }
 
-    // (1b) Reference `Conv2d` weights that are a runtime tensor are packed on
-    // every invoke, into a buffer the interpreter keeps: a warmed invoke
-    // allocates what it does when the weights are baked in.
+    // (1b) Reference and optimized `Conv2d` weights that are a runtime
+    // tensor are packed on every invoke, into a buffer the interpreter keeps:
+    // a warmed invoke allocates what it does when the weights are baked in.
     let fed = [input[0].clone(), filled(vec![13, 3, 3, 8], 0.01)];
-    let baked = allocations_per_invoke(&lone_conv(false), KernelFlavor::Reference, &input);
-    let packed = allocations_per_invoke(&lone_conv(true), KernelFlavor::Reference, &fed);
-    assert_eq!(
-        baked, packed,
-        "a warmed reference invoke allocated {packed} times packing runtime weights, {baked} without"
-    );
+    for flavor in [KernelFlavor::Reference, KernelFlavor::Optimized] {
+        let baked = allocations_per_invoke(&lone_conv(false), flavor, &input);
+        let packed = allocations_per_invoke(&lone_conv(true), flavor, &fed);
+        assert_eq!(
+            baked, packed,
+            "a warmed {flavor:?} invoke allocated {packed} times packing runtime weights, \
+             {baked} without"
+        );
+    }
 
     // (2) One arena: the ladder 1..=8, twice, ends holding what batch 8 alone
     // holds, and releasing returns to the single-invoke footprint.

@@ -76,10 +76,12 @@ pub fn image_to_tensor(
     wanted: ChannelOrder,
     scheme: NormalizationScheme,
 ) -> Result<Tensor> {
+    let reordered;
     let img = if img.order() == wanted {
-        img.clone()
+        img
     } else {
-        img.to_order(wanted)
+        reordered = img.to_order(wanted);
+        &reordered
     };
     let (w, h) = (img.width(), img.height());
     let mut data = Vec::with_capacity(w * h * 3);

@@ -85,13 +85,16 @@ impl ImagePreprocessConfig {
     ///
     /// Propagates resize/conversion errors.
     pub fn apply(&self, img: &Image) -> Result<Tensor> {
-        let oriented = rotate(img, self.rotation);
-        let resized = resize(
-            &oriented,
-            self.target_width,
-            self.target_height,
-            self.resize,
-        )?;
+        // An upright capture is read where it lies, not copied.
+        let rotated;
+        let oriented = match self.rotation {
+            Rotation::None => img,
+            rotation => {
+                rotated = rotate(img, rotation);
+                &rotated
+            }
+        };
+        let resized = resize(oriented, self.target_width, self.target_height, self.resize)?;
         image_to_tensor(&resized, self.channel_order, self.normalization)
     }
 

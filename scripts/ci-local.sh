@@ -64,19 +64,23 @@ backend-suites() {
 }
 
 # Run twice: under native runtime dispatch (AVX2+FMA where the host has it)
-# and with MLEXRAY_SIMD=scalar forcing the scalar mirror engine. The SIMD
-# goldens are recorded bitwise from the SIMD flavor, so the forced-scalar pass
-# proves identical bits on any host, not just that a fallback exists.
+# and with MLEXRAY_SIMD=scalar forcing the scalar mirror engine and the
+# baseline builds of the native float kernels. The SIMD goldens are recorded
+# bitwise from the SIMD flavor, so the forced-scalar pass proves identical bits
+# on any host, not just that a fallback exists; native_engines pins the AVX2
+# build of every native float kernel against its baseline build in one process
+# (explicit engines), and both against the interpreter's engine.
 # alloc_steady_state holds — with a counting global allocator — a warmed
 # invoke to a depth-independent allocation count and the one arena to the
 # footprint of its largest batch; alloc_validation holds a differential run's
 # peak to be independent of its frame count and a sharded replay-validate's to
 # about one shard's logs. golden_reports must read the same text either way,
-# and reference_oracle must hold either way: the reference flavor reads no
-# engine.
+# and reference_oracle must hold either way: both builds of the reference
+# kernels compute the faithful emulator's bits.
 kernel-simd() {
   local nn=(-p mlexray-nn --test golden_kernels --test batch_equivalence
-    --test backend_differential --test alloc_steady_state --test alloc_validation -q)
+    --test backend_differential --test alloc_steady_state --test alloc_validation
+    --test native_engines -q)
   local core=(-p mlexray-core --test parallel_invoke --test golden_reports
     --test reference_oracle -q)
   cargo test "${nn[@]}"
