@@ -351,7 +351,7 @@ impl<'g> Interpreter<'g> {
     pub fn new(graph: &'g Graph, spec: BackendSpec) -> Result<Self> {
         graph.validate()?;
         let plan = verified_plan(graph, 1)?;
-        let float = FloatKernels::resolve(spec.flavor, spec.numerics, &spec.bugs, Engine::active());
+        let float = FloatKernels::resolve(spec.flavor, spec.numerics, &spec.bugs);
         Ok(Interpreter {
             graph,
             spec,

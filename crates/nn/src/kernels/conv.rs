@@ -453,6 +453,7 @@ mod tests {
 
     use super::*;
     use crate::kernels::gemm::SimdEngine;
+    use crate::kernels::ACTIVATIONS;
     use crate::ops::conv_out_size;
     use crate::{BackendSpec, GraphBuilder, Interpreter};
     use mlexray_tensor::{DType, Shape};
@@ -527,15 +528,6 @@ mod tests {
         Ok(())
     }
 
-    const ACTIVATIONS: [Activation; 7] = [
-        Activation::None,
-        Activation::Relu,
-        Activation::Relu6,
-        Activation::HardSwish,
-        Activation::HardSigmoid,
-        Activation::Sigmoid,
-        Activation::Gelu,
-    ];
     const KERNEL_SIDES: [usize; 5] = [1, 2, 3, 5, 7];
     /// Every mix of 8-, 4- and 1-wide panels, and none of some.
     const OUT_CHANNELS: [usize; 13] = [1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16, 24, 33];

@@ -3,28 +3,29 @@
 //! runtime-feature-dispatched engines beneath them, and the engine-explicit
 //! entry points the cross-engine test suites pin those engines with.
 //!
-//! # One im2col, two reductions
+//! # One im2col, one tile driver, two chain rules
 //!
 //! There is one whole-batch `im2col` (generic over the element type: `f32`
 //! for the float convolutions, `u8` for the quantized SIMD one); float
-//! `FullyConnected` passes its activations as the matrix. What reduces a
-//! matrix row against the weights is the flavor's, because each flavor's
+//! `FullyConnected` passes its activations as the matrix. One driver,
+//! `float_gemm`, walks the matrix for both float flavors — `ROW_TILE`-row
+//! tiles × column strips × `MR` rows, then the odd row — adds the bias,
+//! and applies the activation once per tile. What sums `M` matrix rows
+//! against one strip is the flavor's chain rule, because each flavor's
 //! summation tree is pinned by its goldens:
 //!
 //! * **Optimized — the blocked-4 cell.** Four partial sums striped over the
 //!   index (multiply, then add — never fused), a sequential remainder, then
-//!   `(s0 + s1) + (s2 + s3) + rest + bias`. The `out_c` cells of one matrix
-//!   row share nothing, so they advance side by side: the weights are packed
+//!   `(s0 + s1) + (s2 + s3) + rest + bias`. The cells of one matrix row
+//!   share nothing, so they advance side by side: the weights are packed
 //!   once into the output-channel panels the reference `Conv2d` reads
 //!   (`pack_weight_panels`), and every row meets every 8-, 4- or 1-wide
-//!   panel as four `[f32; W]` striped chains — the cell, `W` outputs at a
-//!   time (`blocked4_panels`).
-//! * **Simd — `Lanes8` tiles.** `gemm_bias_act` walks the row-major
-//!   weights in `ROW_TILE`-row tiles and asks `Lanes8::tile` for
-//!   `MR × 4` blocks of cells (`1 × 4`, `MR × 1`, `1 × 1` on the ragged
-//!   edges): `M · N` accumulator chains in flight, each weight vector loaded
-//!   once for all `M` rows. Every cell of every shape is the micro-kernel's
-//!   one dot, so the tile shape never moves a bit.
+//!   panel as four `[f32; W]` striped chains.
+//! * **Simd — `Lanes8` tiles** over strips of four row-major weight rows
+//!   (one on the ragged edge), unpacked: `MR × 4` accumulator chains in
+//!   flight (`1 × 4`, `MR × 1`, `1 × 1` on the ragged edges), each weight
+//!   vector loaded once for all rows. Every cell of every shape is the
+//!   micro-kernel's one dot, so the tile shape never moves a bit.
 //!
 //! The reference kernels in `conv.rs` / `fc.rs` are the oracle both are
 //! tested against.
@@ -32,16 +33,20 @@
 //! # Native builds at the host's vector width
 //!
 //! The x86-64 baseline the crate compiles for is SSE2: four `f32` lanes.
-//! The float kernels of the three native flavors — the blocked-4 panels
-//! here, the reference `Conv2d` panel chains and the shared depthwise kernel
-//! in `conv.rs` — are each written once, as an `#[inline(always)]` body
-//! (`native_kernel!` in `kernels/mod.rs`), and compiled twice: for the
-//! baseline, and once more under `#[target_feature(enable = "avx2")]`,
-//! which runs when the checked `Engine` says `Avx2Fma`. `fma` is *not*
-//! enabled for them: every product is rounded before it is added, as Rust
-//! writes `a + x * w`, so the AVX2 build performs the same operations in
-//! the same order on eight lanes and returns the baseline build's bits.
-//! `MLEXRAY_SIMD=scalar` runs the baseline build.
+//! The float kernels of the three native flavors — the GEMM driver here
+//! with both its rules, the reference `Conv2d` panel chains and the shared
+//! depthwise kernel in `conv.rs` — are each written once, as an
+//! `#[inline(always)]` body (`native_kernel!` in `kernels/mod.rs`), and
+//! compiled twice: for the baseline, and once more under
+//! `#[target_feature(enable = "avx2", enable = "fma")]`, which runs when
+//! the checked `Engine` says `Avx2Fma`. Enabling `fma` moves no bit of an
+//! unfused kernel: Rust never contracts `a + x * w`, so every product is
+//! still rounded before it is added, and the AVX2+FMA build performs the
+//! same operations in the same order on eight lanes and returns the
+//! baseline build's bits. The one fused kernel, the `Lanes8` tile, runs its
+//! intrinsics inlined into that build — driver, tile and epilogue one
+//! function, no call per tile — and the baseline build runs its scalar
+//! mirror. `MLEXRAY_SIMD=scalar` runs the baseline build.
 //!
 //! # The dual-engine contract
 //!
@@ -49,7 +54,9 @@
 //! "8-lane virtual SIMD" arithmetic, implemented twice:
 //!
 //! * an **AVX2/FMA** engine (x86_64 only, behind one-time runtime feature
-//!   detection), and
+//!   detection; the float tile is compiled only into the AVX2+FMA build,
+//!   which only an `Engine` holding `Avx2Fma` enters, so the build it is
+//!   inlined into is what makes its intrinsics safe to run), and
 //! * a **scalar mirror** that performs the *same* per-lane operations in the
 //!   same order with [`f32::mul_add`] (IEEE-754 fused multiply-add, exactly
 //!   what `vfmadd` computes).
@@ -181,53 +188,24 @@ fn avx2_fma_available() -> bool {
 // The Simd flavor's micro-kernel
 // ---------------------------------------------------------------------------
 
-/// The [`KernelFlavor::Simd`] micro-kernel: the canonical 8-lane
-/// virtual-SIMD dot — 8 fused multiply-add lanes striped over the index,
-/// fixed-order lane reduction, sequential fused tail — under an explicit
-/// engine, with the injectable K-tail defect.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Lanes8 {
-    engine: Engine,
-    skip_k_tail: bool,
-}
-
-impl Lanes8 {
-    /// `engine` is honoured only if this CPU can run it; asking for
-    /// `Avx2Fma` elsewhere gets the bitwise-identical scalar mirror.
-    pub(crate) fn new(engine: SimdEngine, bugs: &KernelBugs) -> Self {
-        Lanes8 {
-            engine: Engine::runnable(engine),
-            skip_k_tail: bugs.simd_gemm_k_tail_skip,
-        }
-    }
-
-    /// The `M × N` dot products of matrix rows `a` against weight rows `b`
-    /// (all of one length): `M · N` independent accumulator chains in
-    /// flight, each weight vector loaded once for all `M` rows. Every cell
-    /// is bitwise-identical to the `M = N = 1` result on the same pair, so
-    /// tiling never changes a bit.
-    #[inline]
-    fn tile<const M: usize, const N: usize>(self, a: [&[f32]; M], b: [&[f32]; N]) -> [[f32; N]; M] {
-        debug_assert!(a.iter().chain(&b).all(|row| row.len() == a[0].len()));
-        let len = k_len(a[0].len(), self.skip_k_tail);
-        let (a, b) = (a.map(|a| &a[..len]), b.map(|b| &b[..len]));
-        match self.engine.get() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: an `Engine` holds `Avx2Fma` only after AVX2 and FMA
-            // were detected on this CPU, and every row of `a` and `b` was
-            // just sliced to exactly `len` elements.
-            SimdEngine::Avx2Fma => unsafe { tile_avx2(len, a, b) },
-            _ => a.map(|a| b.map(|b| dot_f32_scalar(a, b))),
-        }
-    }
-}
-
-/// Canonical virtual-SIMD dot product under an explicit engine. Public so
-/// test suites can pin the two engines against each other in one process;
-/// on a CPU without AVX2+FMA both engines run the scalar mirror.
+/// Canonical virtual-SIMD dot product under an explicit engine — 8 fused
+/// multiply-add lanes striped over the index, fixed-order lane reduction,
+/// sequential fused tail — run as one row × one channel of the Simd
+/// `float_gemm`, through the build serving runs. Public so test suites
+/// can pin the two engines against each other in one process; on a CPU
+/// without AVX2+FMA both engines run the scalar mirror.
+///
+/// # Panics
+///
+/// If `a` and `b` differ in length.
 pub fn dot_f32_with(engine: SimdEngine, a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    Lanes8::new(engine, &KernelBugs::none()).tile([a], [b])[0][0]
+    assert_eq!(a.len(), b.len());
+    let (engine, k, skip_k_tail) = (Engine::runnable(engine), a.len(), false);
+    let mut out = [0.0];
+    // A `-0.0` bias is the identity of addition: the cell is the dot's bits.
+    let (lanes8, bias) = (Reduction::Lanes8 { w: b, skip_k_tail }, Some(&[-0.0][..]));
+    float_gemm(engine, lanes8, a, k, 1, bias, Activation::None, &mut out);
+    out[0]
 }
 
 /// Logical reduction length for the f32 GEMM paths: the injected
@@ -264,21 +242,30 @@ fn reduce8(l: [f32; 8]) -> f32 {
     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
-/// The AVX2+FMA engine's `M × N` tile: `M · N` `ymm` accumulators that stay
-/// in registers across the K loop.
+/// The AVX2+FMA engine's `M × N` tile: the dots of the first `k` elements
+/// of the `M` rows of `a` and the `N` rows of `b`, rows `stride` apart, in
+/// `M · N` `ymm` accumulators that stay in registers across the K loop. Not
+/// a `#[target_feature]` function of its own, so that it inlines into
+/// [`float_gemm`]'s AVX2+FMA build — the only caller — and its intrinsics
+/// compile to the instructions in place.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2 and FMA, and every row of `a` and `b` must hold
-/// at least `k` elements.
+/// The CPU must support AVX2 and FMA. The AVX2+FMA build of
+/// `native_kernel!` runs only for an `Engine` holding `Avx2Fma`, so this
+/// holds wherever that build calls it. (Every load is within the `k`
+/// elements each row was sliced to.)
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
+#[inline(always)]
 unsafe fn tile_avx2<const M: usize, const N: usize>(
+    a: &[f32],
+    b: &[f32],
+    stride: usize,
     k: usize,
-    a: [&[f32]; M],
-    b: [&[f32]; N],
 ) -> [[f32; N]; M] {
     use std::arch::x86_64::*;
+    let a: [&[f32]; M] = std::array::from_fn(|m| &a[m * stride..][..k]);
+    let b: [&[f32]; N] = std::array::from_fn(|j| &b[j * stride..][..k]);
     let mut acc = [[_mm256_setzero_ps(); N]; M];
     let chunks = k / SIMD_LANES;
     for i in 0..chunks {
@@ -417,252 +404,235 @@ fn im2col<'a, T: Copy>(g: &WindowGeom, x: &'a [T], fill: T, scratch: &'a mut Vec
 
 /// Output rows sharing one weight fetch: large enough to amortize streaming
 /// the weights, small enough that a tile of matrix rows stays
-/// cache-resident. Both reductions walk the matrix in tiles of this many
-/// rows.
+/// cache-resident.
 const ROW_TILE: usize = 16;
 
-/// The blocked-4 cells of matrix rows `a` against the `W` output channels
-/// of one panel (`[k][W]`, as [`pack_weight_panels`] lays it out), into
-/// `out[m · out_c..][..W]` for row `m`, before the activation: per cell,
-/// four partial sums striped over the index, `s_l += a[4i + l] · w[4i + l]`,
-/// a sequential remainder from `0.0`, then `(s0 + s1) + (s2 + s3) + rest +
-/// bias` — a missing bias adds a `0.0`, as it always has. `M` and `W` are
-/// consts, so the `M · 4 · W` chains live in registers and each weight
-/// vector is loaded once for all `M` rows.
-///
-/// [`pack_weight_panels`]: super::conv::pack_weight_panels
-#[inline(always)]
-fn blocked4_chains<const M: usize, const W: usize>(
-    a: [&[f32]; M],
-    panel: &[f32],
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-    out_c: usize,
-) {
-    let k = a[0].len();
-    let chunks = k / 4;
-    let a = a.map(|a| &a[..k]);
-    let (w_body, w_rest) = panel.split_at(chunks * 4 * W);
-    let mut s = [[[0.0f32; W]; 4]; M];
-    for (i, w) in w_body.chunks_exact(4 * W).enumerate() {
-        let x: [[f32; 4]; M] = std::array::from_fn(|m| {
-            *<&[f32; 4]>::try_from(&a[m][i * 4..][..4]).expect("a four-element slice")
-        });
-        for l in 0..4 {
-            let w = &w[l * W..][..W];
-            for (s, x) in s.iter_mut().zip(&x) {
-                for j in 0..W {
-                    s[l][j] += x[l] * w[j];
-                }
-            }
-        }
-    }
-    for (m, (s, a)) in s.iter().zip(a).enumerate() {
-        let mut rest = [0.0f32; W];
-        for (&a, w) in a[chunks * 4..].iter().zip(w_rest.chunks_exact(W)) {
-            for j in 0..W {
-                rest[j] += a * w[j];
-            }
-        }
-        for (j, o) in out[m * out_c..][..W].iter_mut().enumerate() {
-            let bias = bias.map_or(0.0, |b| b[j]);
-            *o = (s[0][j] + s[1][j]) + (s[2][j] + s[3][j]) + rest[j] + bias;
-        }
-    }
+/// Matrix rows per step of the tile driver's AVX2+FMA build, chosen by
+/// measurement. `Lanes8`: `MR × 4` accumulators, the four weight vectors
+/// and a matrix vector must fit the sixteen `ymm` registers, and 2 divides
+/// [`ROW_TILE`]. The 35 `Conv2d` layers of `mobilenet_v2@48` at batch 4
+/// (62 MMAC, the first one's im2col included), Simd flavor, best of 30
+/// invokes in three interleaved rounds on a shared 2-vCPU AVX2 host: `MR` 1
+/// → 11.0–15.1 MAC/ns, **2 → 19.5–19.7**, 3 → 15.5–16.6, 4 → 11.4–11.7.
+/// Blocked-4 panels, GMAC/s on five GEMM shapes of the zoo (`rows × k ×
+/// out_c` from `256 × 24 × 144` to `36 × 576 × 160`): one row 17–26, **two
+/// 21–29**, three 21–32, four 21–30. The baseline build steps one row at a
+/// time: two rows of `4 × 8` blocked-4 chains overfill its sixteen `xmm`
+/// registers (the same `Conv2d` layers, Optimized flavor, forced scalar:
+/// one row 5.8–6.3 ms, two 7.2–7.7).
+const MR: usize = 2;
+
+/// What reduces a float GEMM's matrix rows against the weights: the chain
+/// rule [`float_gemm`] drives.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Reduction<'a> {
+    /// The Optimized flavor: blocked-4 cells over the weights packed as
+    /// panels.
+    Blocked4(&'a [f32]),
+    /// The Simd flavor: `Lanes8` tiles over the row-major `[out_c, k]`
+    /// weights `w`; `skip_k_tail` injects the K-tail defect of
+    /// [`KernelBugs::simd_gemm_k_tail_skip`].
+    Lanes8 { w: &'a [f32], skip_k_tail: bool },
 }
 
 native_kernel! {
-    /// The Optimized float GEMM: `out[r, oc] = activation(cell(matrix[r],
-    /// w[oc]) + bias[oc])` — the blocked-4 cell of [`blocked4_chains`] —
-    /// over `matrix: [rows, k]`, the `[out_c, k]` weights as
-    /// [`pack_weight_panels`](super::conv::pack_weight_panels) lays them
-    /// out, and `out: [rows, out_c]`. A tile of [`ROW_TILE`] rows meets each
-    /// panel in turn, [`MR`] rows at a time and then the odd row, so the
-    /// panel stays cache-resident across the tile; the activation is one
-    /// pass over the tile's outputs.
-    fn blocked4_panels(
+    /// The float GEMM of the Optimized and Simd flavors: `out[r, oc] =
+    /// activation(sum(matrix[r], weights[oc]) + bias[oc])` over
+    /// `matrix: [rows, k]` and `out: [rows, out_c]`, the sum the
+    /// `reduction`'s; a missing bias adds `0.0`, which turns a `-0.0` sum
+    /// into `+0.0`. A tile of [`ROW_TILE`] rows meets each column strip in
+    /// turn, [`MR`] rows at a time (one in the baseline build) and then the
+    /// odd row, so the strip stays cache-resident across the tile; the
+    /// activation is one pass over the tile. Tiling only reorders which sum
+    /// is computed when.
+    fn float_gemm[build](
+        reduction: Reduction<'_>,
         matrix: &[f32],
-        panels: &[f32],
         k: usize,
         out_c: usize,
         bias: Option<&[f32]>,
         activation: Activation,
         out: &mut [f32],
     ) {
-        #[inline(always)]
-        fn rows<const M: usize>(
-            matrix: &[f32],
-            r: usize,
-            k: usize,
-            panel: &[f32],
-            width: usize,
-            bias: Option<&[f32]>,
-            out: &mut [f32],
-            out_c: usize,
-        ) {
-            let a: [&[f32]; M] = std::array::from_fn(|m| &matrix[(r + m) * k..][..k]);
-            match width {
-                8 => blocked4_chains::<M, 8>(a, panel, bias, out, out_c),
-                4 => blocked4_chains::<M, 4>(a, panel, bias, out, out_c),
-                _ => blocked4_chains::<M, 1>(a, panel, bias, out, out_c),
+        match reduction {
+            Reduction::Blocked4(panels) => {
+                let rule = Blocked4Panels { panels, k };
+                walk_tiles(rule, build, matrix, k, out_c, bias, activation, out);
             }
-        }
-        let rows_total = out.len() / out_c;
-        for r0 in (0..rows_total).step_by(ROW_TILE) {
-            let end = (r0 + ROW_TILE).min(rows_total);
-            for (oc0, width) in weight_panels(out_c) {
-                let panel = &panels[oc0 * k..][..width * k];
-                let bias = bias.map(|b| &b[oc0..oc0 + width]);
-                let mut r = r0;
-                while r + MR <= end {
-                    let out = &mut out[r * out_c + oc0..];
-                    rows::<MR>(matrix, r, k, panel, width, bias, out, out_c);
-                    r += MR;
-                }
-                while r < end {
-                    let out = &mut out[r * out_c + oc0..];
-                    rows::<1>(matrix, r, k, panel, width, bias, out, out_c);
-                    r += 1;
-                }
+            Reduction::Lanes8 { w, skip_k_tail } => {
+                let len = k_len(k, skip_k_tail);
+                let rule = Lanes8Tiles { build, w, k, len };
+                walk_tiles(rule, build, matrix, k, out_c, bias, activation, out);
             }
-            activation.apply_in_place(&mut out[r0 * out_c..end * out_c]);
         }
     }
 }
 
-/// Matrix rows per [`Lanes8`] tile and per [`blocked4_panels`] step, chosen
-/// by measurement. `Lanes8`: `MR × 4` accumulators, the four weight vectors
-/// and a matrix vector must fit the sixteen vector registers, eight chains
-/// are what two FMA ports × four cycles of latency need, and 2 divides
-/// [`ROW_TILE`]. `Conv` time on `mobilenet_v2@48` as a multiple of the
-/// untouched depthwise kernel's in the same run (three interleaved rounds on
-/// a shared 2-vCPU AVX2 host whose speed drifted ± 40 % between runs; the
-/// ratio held), SIMD flavor, batch 4: `MR` 1 → 5.4–6.2, **2 → 3.9–4.6**,
-/// 3 → 4.9–5.8, 4 → 5.7–6.2 (the 1 × 4 tile this replaced: 5.1). Blocked-4
-/// panels, GMAC/s of the AVX2 build on five GEMM shapes of the zoo
-/// (`rows × k × out_c` from `256 × 24 × 144` to `36 × 576 × 160`): one row
-/// 17–26, **two 21–29**, three 21–32, four 21–30 — and the baseline build,
-/// whose sixteen `xmm` registers two rows of `4 × 8` chains already fill,
-/// 13–15 for one row, 10–13 for two and 3 for three.
-const MR: usize = 2;
+/// How a [`float_gemm`] reduces matrix rows against the weights.
+trait ChainRule: Copy {
+    /// The `(first channel, width)` of each column strip of `out_c`.
+    fn strips(self, out_c: usize) -> impl Iterator<Item = (usize, usize)>;
 
-/// The operands of one [`gemm_bias_act`] call, shared by every block of it.
-struct Gemm<'a> {
-    kernel: Lanes8,
-    matrix: &'a [f32],
-    w: &'a [f32],
-    bias: Option<&'a [f32]>,
+    /// The sums of the `M` rows of `k` elements in `a` against channels
+    /// `oc0..oc0 + W`, before the bias.
+    fn sums<const M: usize, const W: usize>(self, a: &[f32], oc0: usize) -> [[f32; W]; M];
+}
+
+/// The one walk behind [`float_gemm`], whatever the chain rule, in
+/// `build` — which steps [`MR`] rows at a time only in the AVX2+FMA build.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn walk_tiles<R: ChainRule>(
+    rule: R,
+    build: SimdEngine,
+    matrix: &[f32],
     k: usize,
     out_c: usize,
-    activation: Activation,
-}
-
-impl Gemm<'_> {
-    /// Output rows `r..r + M` × channels `oc..oc + N`: one micro-kernel tile
-    /// and the bias + activation epilogue.
-    #[inline]
-    fn block<const M: usize, const N: usize>(&self, r: usize, oc: usize, out: &mut [f32]) {
-        let k = self.k;
-        let accs = self.kernel.tile::<M, N>(
-            std::array::from_fn(|i| &self.matrix[(r + i) * k..][..k]),
-            std::array::from_fn(|j| &self.w[(oc + j) * k..][..k]),
-        );
-        for (i, accs) in accs.iter().enumerate() {
-            let row = &mut out[(r + i) * self.out_c + oc..][..N];
-            for (j, (o, acc)) in row.iter_mut().zip(accs).enumerate() {
-                let bias = self.bias.map_or(0.0, |b| b[oc + j]);
-                *o = self.activation.apply(acc + bias);
-            }
-        }
-    }
-
-    /// `N` output channels from `oc` over the rows of one tile: [`MR`] rows
-    /// at a time, then the odd rows singly.
-    #[inline]
-    fn strip<const N: usize>(&self, rows: std::ops::Range<usize>, oc: usize, out: &mut [f32]) {
-        let mut r = rows.start;
-        while r + MR <= rows.end {
-            self.block::<MR, N>(r, oc, out);
-            r += MR;
-        }
-        while r < rows.end {
-            self.block::<1, N>(r, oc, out);
-            r += 1;
-        }
-    }
-}
-
-/// The Simd float GEMM: `out[r, oc] = activation(matrix[r] · w[oc] +
-/// bias[oc])` over `matrix: [rows, k]`, `w: [out_c, k]`, `out: [rows,
-/// out_c]`, tiled [`ROW_TILE`] rows × 4 output channels and walked in
-/// [`MR`]` × 4` micro-kernel tiles (`1 × 4`, `MR × 1` and `1 × 1` on the
-/// ragged edges). Tiling only reorders *which* cell is computed when — each
-/// cell's arithmetic is the micro-kernel's single dot.
-fn gemm_bias_act(
-    kernel: Lanes8,
-    matrix: &[f32],
-    w: &[f32],
     bias: Option<&[f32]>,
-    k: usize,
     activation: Activation,
     out: &mut [f32],
 ) {
-    let out_c = w.len() / k;
-    let rows = out.len() / out_c;
-    let gemm = Gemm {
-        kernel,
-        matrix,
-        w,
-        bias,
-        k,
-        out_c,
-        activation,
-    };
-    for r0 in (0..rows).step_by(ROW_TILE) {
-        let tile = r0..(r0 + ROW_TILE).min(rows);
-        let mut oc = 0usize;
-        while oc + 4 <= out_c {
-            gemm.strip::<4>(tile.clone(), oc, out);
-            oc += 4;
+    /// `sums + bias` into `out[m · out_c..][..W]` for row `m`.
+    #[inline(always)]
+    fn store<const M: usize, const W: usize>(
+        sums: [[f32; W]; M],
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_c: usize,
+    ) {
+        for (m, sums) in sums.iter().enumerate() {
+            for (j, (o, sum)) in out[m * out_c..][..W].iter_mut().zip(sums).enumerate() {
+                *o = sum + bias.map_or(0.0, |b| b[j]);
+            }
         }
-        while oc < out_c {
-            gemm.strip::<1>(tile.clone(), oc, out);
-            oc += 1;
+    }
+    #[inline(always)]
+    fn rows<R: ChainRule, const M: usize>(
+        rule: R,
+        a: &[f32],
+        (oc0, width): (usize, usize),
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_c: usize,
+    ) {
+        match width {
+            8 => store(rule.sums::<M, 8>(a, oc0), bias, out, out_c),
+            4 => store(rule.sums::<M, 4>(a, oc0), bias, out, out_c),
+            _ => store(rule.sums::<M, 1>(a, oc0), bias, out, out_c),
         }
+    }
+    let rows_total = out.len().checked_div(out_c).unwrap_or(0);
+    for r0 in (0..rows_total).step_by(ROW_TILE) {
+        let end = (r0 + ROW_TILE).min(rows_total);
+        for (oc0, width) in rule.strips(out_c) {
+            let bias = bias.map(|b| &b[oc0..oc0 + width]);
+            let mut r = r0;
+            while build == SimdEngine::Avx2Fma && r + MR <= end {
+                let (a, out) = (&matrix[r * k..][..MR * k], &mut out[r * out_c + oc0..]);
+                rows::<R, MR>(rule, a, (oc0, width), bias, out, out_c);
+                r += MR;
+            }
+            while r < end {
+                let (a, out) = (&matrix[r * k..][..k], &mut out[r * out_c + oc0..]);
+                rows::<R, 1>(rule, a, (oc0, width), bias, out, out_c);
+                r += 1;
+            }
+        }
+        activation.apply_in_place(&mut out[r0 * out_c..end * out_c]);
     }
 }
 
-/// What reduces a float GEMM's matrix rows against the weights.
-pub(crate) enum Reduction<'a> {
-    /// The Optimized flavor: blocked-4 cells over the weights packed as
-    /// panels, run by the engine's native build.
-    Blocked4(Engine, &'a [f32]),
-    /// The Simd flavor: [`Lanes8`] tiles over the row-major weights.
-    Lanes8(Lanes8),
+/// The Optimized rule: every cell is four partial sums striped over the
+/// index, `s_l += a[4i + l] · w[4i + l]` (multiply, then add — never
+/// fused), a sequential remainder from `0.0`, then `(s0 + s1) + (s2 + s3) +
+/// rest`, over the 8-, 4- and 1-wide panels of `[k][width]` that
+/// `pack_weight_panels` lays out. `M` and `W` are consts, so the
+/// `M · 4 · W` chains live in registers and each weight vector is loaded
+/// once for all `M` rows.
+#[derive(Clone, Copy)]
+struct Blocked4Panels<'a> {
+    panels: &'a [f32],
+    k: usize,
 }
 
-impl Reduction<'_> {
-    /// `out = activation(matrix · weightsᵀ + bias)`, `k` the reduction
-    /// length.
-    fn run(
-        self,
-        matrix: &[f32],
-        weights: &Tensor,
-        k: usize,
-        bias: Option<&[f32]>,
-        activation: Activation,
-        out: &mut [f32],
-    ) -> Result<()> {
-        match self {
-            Reduction::Blocked4(engine, panels) => {
-                let out_c = weights.shape().dims()[0];
-                blocked4_panels(engine, matrix, panels, k, out_c, bias, activation, out);
-            }
-            Reduction::Lanes8(kernel) => {
-                gemm_bias_act(kernel, matrix, weights.as_f32()?, bias, k, activation, out)
+impl ChainRule for Blocked4Panels<'_> {
+    fn strips(self, out_c: usize) -> impl Iterator<Item = (usize, usize)> {
+        weight_panels(out_c)
+    }
+
+    #[inline(always)]
+    fn sums<const M: usize, const W: usize>(self, a: &[f32], oc0: usize) -> [[f32; W]; M] {
+        let k = self.k;
+        let chunks = k / 4;
+        let a: [&[f32]; M] = std::array::from_fn(|m| &a[m * k..][..k]);
+        let (w_body, w_rest) = self.panels[oc0 * k..][..W * k].split_at(chunks * 4 * W);
+        let mut s = [[[0.0f32; W]; 4]; M];
+        for (i, w) in w_body.chunks_exact(4 * W).enumerate() {
+            let x: [[f32; 4]; M] = std::array::from_fn(|m| {
+                *<&[f32; 4]>::try_from(&a[m][i * 4..][..4]).expect("a four-element slice")
+            });
+            for l in 0..4 {
+                let w = &w[l * W..][..W];
+                for (s, x) in s.iter_mut().zip(&x) {
+                    for j in 0..W {
+                        s[l][j] += x[l] * w[j];
+                    }
+                }
             }
         }
-        Ok(())
+        let mut sums = [[0.0f32; W]; M];
+        for ((sums, s), a) in sums.iter_mut().zip(&s).zip(a) {
+            let mut rest = [0.0f32; W];
+            for (&a, w) in a[chunks * 4..].iter().zip(w_rest.chunks_exact(W)) {
+                for j in 0..W {
+                    rest[j] += a * w[j];
+                }
+            }
+            for j in 0..W {
+                sums[j] = (s[0][j] + s[1][j]) + (s[2][j] + s[3][j]) + rest[j];
+            }
+        }
+        sums
+    }
+}
+
+/// The Simd rule: micro-kernel tiles over strips of four row-major weight
+/// rows (single rows on the ragged edge), unpacked. Every cell is bitwise
+/// the one-row, one-channel dot on the same pair, so the tile shape never
+/// moves a bit — nor would the 8-wide tile the driver can name but these
+/// strips never ask for.
+#[derive(Clone, Copy)]
+struct Lanes8Tiles<'a> {
+    /// The build this rule is compiled into: `Avx2Fma` runs [`tile_avx2`],
+    /// anything else the scalar mirror.
+    build: SimdEngine,
+    w: &'a [f32],
+    k: usize,
+    /// The reduction length, [`k_len`] of `k`.
+    len: usize,
+}
+
+impl ChainRule for Lanes8Tiles<'_> {
+    fn strips(self, out_c: usize) -> impl Iterator<Item = (usize, usize)> {
+        let fours = out_c - out_c % 4;
+        let ones = (fours..out_c).map(|oc| (oc, 1));
+        (0..fours).step_by(4).map(|oc| (oc, 4)).chain(ones)
+    }
+
+    #[inline(always)]
+    fn sums<const M: usize, const W: usize>(self, a: &[f32], oc0: usize) -> [[f32; W]; M] {
+        let (k, len) = (self.k, self.len);
+        let (a, w) = (&a[..M * k], &self.w[oc0 * k..][..W * k]);
+        match self.build {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `build` is `Avx2Fma` only in `float_gemm`'s AVX2+FMA
+            // build, which runs only for an `Engine` holding `Avx2Fma`, so
+            // AVX2 and FMA were detected on this CPU.
+            SimdEngine::Avx2Fma => unsafe { tile_avx2::<M, W>(a, w, k, len) },
+            _ => std::array::from_fn(|m| {
+                std::array::from_fn(|j| dot_f32_scalar(&a[m * k..][..len], &w[j * k..][..len]))
+            }),
+        }
     }
 }
 
@@ -671,10 +641,11 @@ impl Reduction<'_> {
 // ---------------------------------------------------------------------------
 
 /// Optimized / SIMD float convolution: whole-batch [`im2col`], then the
-/// flavor's [`Reduction`]. Handles any batch size natively, so `invoke` and
-/// `invoke_batch` run the same code.
+/// flavor's [`Reduction`] in `engine`'s build of [`float_gemm`]. Handles any
+/// batch size natively, so `invoke` and `invoke_batch` run the same code.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_f32_gemm(
+    engine: Engine,
     reduction: Reduction<'_>,
     inputs: &[&Tensor],
     out_def: &TensorDef,
@@ -690,12 +661,15 @@ pub(crate) fn conv2d_f32_gemm(
     let g = WindowGeom::new(input, out_def, ws[1], ws[2], stride, padding);
     let matrix = im2col(&g, input.as_f32()?, 0.0, scratch);
     let out = f32_slot(out_t, out_def)?;
-    reduction.run(matrix, weights, g.patch_len(), bias, activation, out)
+    let k = g.patch_len();
+    float_gemm(engine, reduction, matrix, k, ws[0], bias, activation, out);
+    Ok(())
 }
 
 /// Optimized / SIMD float fully-connected layer, `[n, in] x [out, in]^T`:
 /// the flavor's [`Reduction`] with the activations as the matrix.
 pub(crate) fn fc_f32_gemm(
+    engine: Engine,
     reduction: Reduction<'_>,
     inputs: &[&Tensor],
     out_def: &TensorDef,
@@ -703,9 +677,12 @@ pub(crate) fn fc_f32_gemm(
     out_t: &mut Tensor,
 ) -> Result<()> {
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
-    let in_f = inputs[1].shape().dims()[1];
+    let (matrix, ws) = (inputs[0].as_f32()?, inputs[1].shape().dims());
     let out = f32_slot(out_t, out_def)?;
-    reduction.run(inputs[0].as_f32()?, inputs[1], in_f, bias, activation, out)
+    float_gemm(
+        engine, reduction, matrix, ws[1], ws[0], bias, activation, out,
+    );
+    Ok(())
 }
 
 /// SIMD quantized convolution: whole-batch `u8` [`im2col`] — padding taps
@@ -839,7 +816,7 @@ pub fn execute_node_with(
     let mut scratch = Vec::with_capacity(MemoryPlan::for_graph(graph, frames)?.scratch_elems());
     let (engine, bugs) = (Engine::runnable(engine), KernelBugs::none());
     let mut ctx = KernelCtx {
-        float: FloatKernels::resolve(flavor, None, &bugs, engine),
+        float: FloatKernels::resolve(flavor, None, &bugs),
         flavor,
         numerics: None,
         bugs: &bugs,
@@ -856,7 +833,7 @@ pub fn execute_node_with(
 mod tests {
     use super::*;
     use crate::kernels::conv::pack_weight_panels;
-    use crate::kernels::det_f32;
+    use crate::kernels::{det_f32, ACTIVATIONS};
 
     /// Runs on every host: without AVX2+FMA (or under `MLEXRAY_SIMD=scalar`,
     /// which the explicit-engine entry points ignore) asking for `Avx2Fma`
@@ -943,8 +920,9 @@ mod tests {
                 for engine in [SimdEngine::Avx2Fma, SimdEngine::Scalar] {
                     let act = Activation::Relu6;
                     let mut out = vec![f32::NAN; rows * out_c];
-                    let engine = Engine::runnable(engine);
-                    blocked4_panels(engine, &matrix, &panels, k, out_c, bias, act, &mut out);
+                    let (engine, blocked4) =
+                        (Engine::runnable(engine), Reduction::Blocked4(&panels));
+                    float_gemm(engine, blocked4, &matrix, k, out_c, bias, act, &mut out);
                     for r in 0..rows {
                         for oc in 0..out_c {
                             let dot = blocked4_dot(&matrix[r * k..][..k], &w[oc * k..][..k]);
@@ -962,76 +940,114 @@ mod tests {
         }
     }
 
-    /// The tiled driver against one micro-kernel dot per cell, on a shape
-    /// ragged in every tiled dimension — 19 rows (∤ 16, an odd row inside
-    /// the last tile), 7 output channels (∤ 4), K = 13 (∤ 4, ∤ 8) — and on
-    /// matrices of one row (no `MR` pair at all) and two (exactly one).
+    const ENGINES: [SimdEngine; 2] = [SimdEngine::Avx2Fma, SimdEngine::Scalar];
+
+    /// The Simd GEMM of the rows of `a` against the rows of `b` as output
+    /// channels, row-major, as bit patterns.
+    fn lanes8_gemm(
+        engine: SimdEngine,
+        skip_k_tail: bool,
+        a: &[&[f32]],
+        b: &[&[f32]],
+        bias: Option<&[f32]>,
+        act: Activation,
+    ) -> Vec<u32> {
+        let (matrix, w, k, out_c) = (a.concat(), b.concat(), a[0].len(), b.len());
+        let mut out = vec![f32::NAN; a.len() * out_c];
+        let (engine, lanes8) = (
+            Engine::runnable(engine),
+            Reduction::Lanes8 { w: &w, skip_k_tail },
+        );
+        float_gemm(engine, lanes8, &matrix, k, out_c, bias, act, &mut out);
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The bare dots of [`lanes8_gemm`]: a `-0.0` bias, the identity of
+    /// addition, and no activation.
+    fn lanes8_dots(engine: SimdEngine, skip_k_tail: bool, a: &[&[f32]], b: &[&[f32]]) -> Vec<u32> {
+        let bias = vec![-0.0; b.len()];
+        lanes8_gemm(engine, skip_k_tail, a, b, Some(&bias), Activation::None)
+    }
+
+    /// The tile driver against a one-row, one-channel run of it per cell —
+    /// the micro-kernel's one dot — plus bias, through the activation, on
+    /// shapes ragged in every tiled dimension: 19 rows (∤ 16, an odd row
+    /// inside the last tile), 7 output channels (∤ 4), one row (no `MR` pair
+    /// at all) and two (exactly one); K ∈ {1, 7, 8, 9, 13, 17}, with and
+    /// without the K-tail defect; both engines, every activation, with and
+    /// without bias. Row 0 against channel 0 is a `-0.0` dot (every product
+    /// rounds to a negative zero), which a missing bias turns into `+0.0`.
     #[test]
     fn gemm_driver_matches_per_cell_dots_on_ragged_shapes() {
-        let kernel = Lanes8::new(active_engine(), &KernelBugs::none());
-        for rows in [19, 1, 2] {
-            let (out_c, k) = (7, 13);
-            let matrix = det_f32(1, rows * k);
-            let w = det_f32(2, out_c * k);
+        let out_c = 7;
+        for (rows, k) in [19, 1, 2]
+            .into_iter()
+            .flat_map(|r| [1, 7, 8, 9, 13, 17].map(|k| (r, k)))
+        {
+            let (mut matrix, mut w) = (det_f32(1, rows * k), det_f32(2, out_c * k));
+            matrix[..k].fill(1e-30);
+            w[..k].fill(-1e-30);
+            let (a, b): (Vec<&[f32]>, Vec<&[f32]>) =
+                (matrix.chunks(k).collect(), w.chunks(k).collect());
             let bias = det_f32(3, out_c);
-            let mut out = vec![f32::NAN; rows * out_c];
-            let act = Activation::Relu;
-            gemm_bias_act(kernel, &matrix, &w, Some(&bias), k, act, &mut out);
-            for r in 0..rows {
-                for oc in 0..out_c {
-                    let [[dot]] = kernel.tile([&matrix[r * k..][..k]], [&w[oc * k..][..k]]);
-                    assert_eq!(
-                        out[r * out_c + oc].to_bits(),
-                        act.apply(dot + bias[oc]).to_bits(),
-                        "cell ({r}, {oc}) of {rows} rows"
-                    );
+            for (engine, skip) in ENGINES.into_iter().flat_map(|e| [(e, false), (e, true)]) {
+                let what = format!("{engine:?}, {rows} rows, K {k}, tail skip {skip}");
+                let dots: Vec<f32> = (0..rows * out_c)
+                    .map(|i| {
+                        f32::from_bits(
+                            lanes8_dots(engine, skip, &[a[i / out_c]], &[b[i % out_c]])[0],
+                        )
+                    })
+                    .collect();
+                if k_len(k, skip) > 0 {
+                    assert_eq!(dots[0].to_bits(), (-0.0f32).to_bits(), "{what}");
+                }
+                for (act, bias) in ACTIVATIONS
+                    .into_iter()
+                    .flat_map(|act| [(act, None), (act, Some(&bias[..]))])
+                {
+                    let got = lanes8_gemm(engine, skip, &a, &b, bias, act);
+                    for (i, (&got, dot)) in got.iter().zip(&dots).enumerate() {
+                        let (r, oc) = (i / out_c, i % out_c);
+                        let want = act.apply(dot + bias.map_or(0.0, |b| b[oc]));
+                        let with = bias.is_some();
+                        assert_eq!(
+                            got,
+                            want.to_bits(),
+                            "{what}, {act:?}, bias {with}: cell ({r}, {oc})"
+                        );
+                    }
                 }
             }
         }
     }
 
-    /// `tile::<M, N>` on rows `a[..M]` × `b[..N]`, flattened row-major.
-    fn tile_bits<const M: usize, const N: usize>(
-        kernel: Lanes8,
+    /// Every tile shape the driver instantiates — `MR × 4`, `1 × 4`, `MR × 1`
+    /// and `1 × 1`, as runs of that many rows and channels — cell for cell
+    /// against the `1 × 1` run on the same pair of rows, in both engines,
+    /// which must agree. Returns the `Avx2Fma` bits of each shape.
+    fn assert_tiles_match_single_dots(
+        skip: bool,
         a: &[Vec<f32>],
         b: &[Vec<f32>],
-    ) -> Vec<u32> {
-        let tile = kernel.tile::<M, N>(
-            std::array::from_fn(|i| a[i].as_slice()),
-            std::array::from_fn(|j| b[j].as_slice()),
-        );
-        tile.iter().flatten().map(|v| v.to_bits()).collect()
-    }
-
-    /// Every `(M, N)` the driver instantiates, as `(M, N, bits)`.
-    fn driver_tiles(
-        kernel: Lanes8,
-        a: &[Vec<f32>],
-        b: &[Vec<f32>],
-    ) -> Vec<(usize, usize, Vec<u32>)> {
-        vec![
-            (MR, 4, tile_bits::<MR, 4>(kernel, a, b)),
-            (1, 4, tile_bits::<1, 4>(kernel, a, b)),
-            (MR, 1, tile_bits::<MR, 1>(kernel, a, b)),
-            (1, 1, tile_bits::<1, 1>(kernel, a, b)),
-        ]
-    }
-
-    /// Every cell of every tile shape equals the `tile::<1, 1>` result on the
-    /// same pair of rows.
-    fn assert_tiles_match_single_dots(kernel: Lanes8, a: &[Vec<f32>], b: &[Vec<f32>], what: &str) {
-        for (m, n, bits) in driver_tiles(kernel, a, b) {
-            for i in 0..m {
-                for j in 0..n {
-                    let [[dot]] = kernel.tile([a[i].as_slice()], [b[j].as_slice()]);
-                    assert_eq!(
-                        bits[i * n + j],
-                        dot.to_bits(),
-                        "{what}: cell ({i}, {j}) of tile {m}x{n} diverged from its single dot"
-                    );
-                }
+        what: &str,
+    ) -> Vec<Vec<u32>> {
+        let a: Vec<&[f32]> = a.iter().map(Vec::as_slice).collect();
+        let b: Vec<&[f32]> = b.iter().map(Vec::as_slice).collect();
+        let tiles = [(MR, 4), (1, 4), (MR, 1), (1, 1)].map(|(m, n)| {
+            let runs = ENGINES.map(|engine| lanes8_dots(engine, skip, &a[..m], &b[..n]));
+            assert_eq!(runs[0], runs[1], "{what}: engines diverged on tile {m}x{n}");
+            for (i, &bits) in runs[0].iter().enumerate() {
+                let dot = lanes8_dots(ENGINES[0], skip, &[a[i / n]], &[b[i % n]])[0];
+                let (r, c) = (i / n, i % n);
+                assert_eq!(
+                    bits, dot,
+                    "{what}: cell ({r}, {c}) of tile {m}x{n} diverged from its single dot"
+                );
             }
-        }
+            runs[0].clone()
+        });
+        tiles.to_vec()
     }
 
     #[test]
@@ -1040,20 +1056,7 @@ mod tests {
             let a: Vec<Vec<f32>> = (0..MR as u64).map(|r| det_f32(9 + r, k)).collect();
             let b: Vec<Vec<f32>> = (0..4).map(|r| det_f32(100 + r, k)).collect();
             for skip in [false, true] {
-                let bugs = KernelBugs {
-                    simd_gemm_k_tail_skip: skip,
-                    ..KernelBugs::none()
-                };
-                let fast = Lanes8::new(SimdEngine::Avx2Fma, &bugs);
-                let mirror = Lanes8::new(SimdEngine::Scalar, &bugs);
-                let what = format!("K {k}, tail skip {skip}");
-                assert_tiles_match_single_dots(fast, &a, &b, &format!("Avx2Fma, {what}"));
-                assert_tiles_match_single_dots(mirror, &a, &b, &format!("Scalar, {what}"));
-                assert_eq!(
-                    driver_tiles(fast, &a, &b),
-                    driver_tiles(mirror, &a, &b),
-                    "engines diverged at {what}"
-                );
+                assert_tiles_match_single_dots(skip, &a, &b, &format!("K {k}, tail skip {skip}"));
             }
         }
     }
@@ -1080,26 +1083,16 @@ mod tests {
             [1.5, -2.0, f32::NAN, 1e-40, 7.0, -0.0, 3.0, 1e38],
         ];
         let ones = vec![vec![1.0f32; 8]; 4];
-        let none = KernelBugs::none();
         for (n, lanes) in specials.iter().enumerate() {
             // A different rotation of the lanes in each of the MR rows.
             let a: Vec<Vec<f32>> = (0..MR)
                 .map(|r| (0..8).map(|l| lanes[(l + 3 * r) % 8]).collect())
                 .collect();
-            let fast = Lanes8::new(SimdEngine::Avx2Fma, &none);
-            let mirror = Lanes8::new(SimdEngine::Scalar, &none);
-            assert_tiles_match_single_dots(fast, &a, &ones, &format!("special lanes {n}"));
-            assert_eq!(
-                driver_tiles(fast, &a, &ones),
-                driver_tiles(mirror, &a, &ones),
-                "engines diverged on special lanes {n}"
-            );
+            let what = format!("special lanes {n}");
+            let tiles = assert_tiles_match_single_dots(false, &a, &ones, &what);
             let expect = reduce8(std::array::from_fn(|l| a[0][l].mul_add(1.0, 0.0)));
-            let [[got, ..]] = fast.tile::<1, 4>(
-                [a[0].as_slice()],
-                std::array::from_fn(|j| ones[j].as_slice()),
-            );
-            assert_eq!(got.to_bits(), expect.to_bits(), "special lanes {n}");
+            // Cell (0, 0) of the 1 × 4 tile: the four-accumulator `hadd` path.
+            assert_eq!(tiles[1][0], expect.to_bits(), "{what}");
         }
     }
 

@@ -18,31 +18,34 @@
 //! * the **optimized** flavor's blocked-4 cell ([`KernelFlavor::Optimized`]:
 //!   four striped partial sums, `(s0 + s1) + (s2 + s3) + rest + bias`),
 //!   run over an im2col matrix against the *same* packed panels, a panel's
-//!   worth of cells side by side ([`gemm`]'s `blocked4_panels`); the
-//!   interpreter packs the constant `Conv2d` and `FullyConnected` weights of
-//!   this flavor too;
-//! * the **SIMD** flavor's tiled GEMM driver over [`gemm::Lanes8`]
-//!   ([`KernelFlavor::Simd`]: the 8-lane virtual-SIMD dot).
+//!   worth of cells side by side; the interpreter packs the constant
+//!   `Conv2d` and `FullyConnected` weights of this flavor too;
+//! * the **SIMD** flavor's `Lanes8` tiles ([`KernelFlavor::Simd`]: the
+//!   8-lane virtual-SIMD dot) over the row-major weights.
 //!
-//! The last two reassociate the float sum — the benign source of the small
-//! checkpoint-vs-mobile drift in Fig. 5 — and all three run the same code at
-//! every batch size, so `invoke_batch` is bitwise-identical to sequential
-//! `invoke`s by construction.
+//! The last two are the two chain rules of one tile driver ([`gemm`]'s
+//! `float_gemm`). They reassociate the float sum — the benign source of the
+//! small checkpoint-vs-mobile drift in Fig. 5 — and all three run the same
+//! code at every batch size, so `invoke_batch` is bitwise-identical to
+//! sequential `invoke`s by construction.
 //!
 //! Float `DepthwiseConv2d` has one native kernel, shared by all three
 //! flavors (`conv::dwconv_f32_channels`: every channel is its own sequential
 //! sum, so there is nothing to reassociate). The edge emulator adds a third,
 //! reference-structured family (`*_emulated`); the injected defects of
 //! [`KernelBugs`] live in the quantized depthwise/pool kernels and the
-//! [`gemm::Lanes8`] K-tail.
+//! `Lanes8` K-tail.
 //!
 //! The native float kernels — reference `Conv2d`, optimized `Conv2d` / FC,
 //! the shared depthwise — run at the host's vector width: each body is
 //! written once and compiled twice (`native_kernel!`), for the x86-64
-//! baseline and for AVX2, and the interpreter's engine
+//! baseline and for AVX2+FMA, and the interpreter's engine
 //! ([`gemm::active_engine`]) picks the build. Both builds compute the same
-//! bits (no `fma`: multiply, round, add), so the engine contract of the
-//! [`gemm`] module covers the native flavors as it covers `Lanes8`.
+//! bits (Rust never fuses a multiply and an add on its own: the unfused
+//! kernels multiply, round, add in both), so the engine contract of the
+//! [`gemm`] module covers the native flavors as it covers `Lanes8`, whose
+//! fused tile runs inlined in the AVX2+FMA build and as its scalar mirror
+//! in the baseline.
 //!
 //! Every kernel writes into an arena-provided output slot (`&mut Tensor`,
 //! preallocated from the interpreter's `MemoryPlan`), and the float im2col
@@ -69,34 +72,51 @@
 
 /// Defines a native float kernel whose body is written once and compiled
 /// twice: for the x86-64 baseline (SSE2, four lanes) and once more under
-/// `#[target_feature(enable = "avx2")]` (eight). `fma` stays off, so the
-/// AVX2 build rounds every product before adding it, exactly as the
-/// baseline does, and both builds return the same bits. The defined
-/// function takes the `gemm::Engine` to run on before the body's own
-/// arguments; `Avx2Fma` runs the AVX2 build.
+/// `#[target_feature(enable = "avx2", enable = "fma")]` (eight lanes). The
+/// defined function takes the `gemm::Engine` to run on before the body's
+/// own arguments; `Avx2Fma` runs the AVX2+FMA build, and an `Engine` holds
+/// `Avx2Fma` only where both features were detected.
+///
+/// Enabling `fma` moves no bit: Rust never contracts `a + x * w` into a
+/// fused multiply-add, so an unfused body still rounds every product
+/// before adding it, exactly as the baseline build does. It is there for
+/// the one fused body, the Simd GEMM, whose `vfmadd` intrinsics inline into
+/// this build. `fn name[build](..)` names a `gemm::SimdEngine` argument of
+/// the body that is the build it runs in — `Avx2Fma` in the AVX2+FMA one,
+/// `Scalar` in the baseline — a constant in each, so a `match` on it folds
+/// away.
 macro_rules! native_kernel {
     (
         $(#[$attr:meta])*
         $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block
     ) => {
+        native_kernel! {
+            $(#[$attr])*
+            $vis fn $name[_]($($arg: $ty),*) $body
+        }
+    };
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident[$build:tt]($($arg:ident: $ty:ty),* $(,)?) $body:block
+    ) => {
         $(#[$attr])*
         #[allow(clippy::too_many_arguments)]
         $vis fn $name(engine: $crate::kernels::gemm::Engine, $($arg: $ty),*) {
             #[inline(always)]
-            fn body($($arg: $ty),*) $body
+            fn body($build: $crate::kernels::gemm::SimdEngine, $($arg: $ty),*) $body
 
             #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx2")]
-            fn avx2($($arg: $ty),*) {
-                body($($arg),*)
+            #[target_feature(enable = "avx2", enable = "fma")]
+            fn avx2_fma($($arg: $ty),*) {
+                body($crate::kernels::gemm::SimdEngine::Avx2Fma, $($arg),*)
             }
 
             match engine.get() {
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: an `Engine` holds `Avx2Fma` only after AVX2 was
-                // detected on this CPU.
-                $crate::kernels::gemm::SimdEngine::Avx2Fma => unsafe { avx2($($arg),*) },
-                _ => body($($arg),*),
+                // SAFETY: an `Engine` holds `Avx2Fma` only after AVX2 and
+                // FMA were detected on this CPU.
+                $crate::kernels::gemm::SimdEngine::Avx2Fma => unsafe { avx2_fma($($arg),*) },
+                _ => body($crate::kernels::gemm::SimdEngine::Scalar, $($arg),*),
             }
         }
     };
@@ -131,8 +151,9 @@ pub(crate) enum FloatKernels {
     Emulated(EdgeNumerics),
     /// im2col, then blocked-4 cells over packed weight panels.
     Blocked4,
-    /// im2col + tiled GEMM around the 8-lane virtual-SIMD micro-kernel.
-    Lanes8(gemm::Lanes8),
+    /// im2col, then 8-lane virtual-SIMD micro-kernel tiles over the
+    /// row-major weights; `skip_k_tail` injects the K-tail defect.
+    Lanes8 { skip_k_tail: bool },
 }
 
 impl FloatKernels {
@@ -140,16 +161,32 @@ impl FloatKernels {
         flavor: KernelFlavor,
         numerics: Option<EdgeNumerics>,
         bugs: &KernelBugs,
-        engine: Engine,
     ) -> Self {
         match (numerics, flavor) {
             (Some(numerics), _) => FloatKernels::Emulated(numerics),
             (None, KernelFlavor::Reference) => FloatKernels::Reference,
             (None, KernelFlavor::Optimized) => FloatKernels::Blocked4,
-            (None, KernelFlavor::Simd) => {
-                FloatKernels::Lanes8(gemm::Lanes8::new(engine.get(), bugs))
-            }
+            (None, KernelFlavor::Simd) => FloatKernels::Lanes8 {
+                skip_k_tail: bugs.simd_gemm_k_tail_skip,
+            },
         }
+    }
+
+    /// The [`gemm`] chain rule of the Optimized (`Blocked4`, over
+    /// [`node_panels`]) or Simd (`Lanes8`) kernels over `weights`.
+    fn reduction<'a>(
+        self,
+        packed: Option<&'a [f32]>,
+        runtime: &'a mut Vec<f32>,
+        weights: &'a Tensor,
+    ) -> Result<Reduction<'a>> {
+        Ok(match self {
+            FloatKernels::Lanes8 { skip_k_tail } => Reduction::Lanes8 {
+                w: weights.as_f32()?,
+                skip_k_tail,
+            },
+            _ => Reduction::Blocked4(node_panels(packed, runtime, weights)?),
+        })
     }
 
     /// Whether these kernels read `op`'s float weights as
@@ -161,7 +198,7 @@ impl FloatKernels {
             FloatKernels::Blocked4 => {
                 matches!(op, OpKind::Conv2d { .. } | OpKind::FullyConnected { .. })
             }
-            FloatKernels::Emulated(_) | FloatKernels::Lanes8(_) => false,
+            FloatKernels::Emulated(_) | FloatKernels::Lanes8 { .. } => false,
         }
     }
 }
@@ -258,29 +295,22 @@ pub(crate) fn execute_node(
                 ctx.scratch,
                 out,
             ),
-            FloatKernels::Blocked4 => gemm::conv2d_f32_gemm(
-                Reduction::Blocked4(
+            FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => {
+                let reduction = ctx
+                    .float
+                    .reduction(ctx.panels, ctx.runtime_panels, inputs[1])?;
+                gemm::conv2d_f32_gemm(
                     ctx.engine,
-                    node_panels(ctx.panels, ctx.runtime_panels, inputs[1])?,
-                ),
-                inputs,
-                out_def,
-                stride,
-                padding,
-                activation,
-                ctx.scratch,
-                out,
-            ),
-            FloatKernels::Lanes8(kernel) => gemm::conv2d_f32_gemm(
-                Reduction::Lanes8(kernel),
-                inputs,
-                out_def,
-                stride,
-                padding,
-                activation,
-                ctx.scratch,
-                out,
-            ),
+                    reduction,
+                    inputs,
+                    out_def,
+                    stride,
+                    padding,
+                    activation,
+                    ctx.scratch,
+                    out,
+                )
+            }
         },
         (
             &OpKind::Conv2d {
@@ -307,7 +337,7 @@ pub(crate) fn execute_node(
             },
             false,
         ) => match ctx.float {
-            FloatKernels::Reference | FloatKernels::Blocked4 | FloatKernels::Lanes8(_) => {
+            FloatKernels::Reference | FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => {
                 conv::dwconv_f32_channels(
                     ctx.engine, inputs, out_def, stride, padding, activation, out,
                 )
@@ -338,13 +368,11 @@ pub(crate) fn execute_node(
             FloatKernels::Emulated(numerics) => {
                 fc::fc_f32_emulated(inputs, out_def, activation, &numerics, out)
             }
-            FloatKernels::Blocked4 => {
-                let panels = node_panels(ctx.panels, ctx.runtime_panels, inputs[1])?;
-                let reduction = Reduction::Blocked4(ctx.engine, panels);
-                gemm::fc_f32_gemm(reduction, inputs, out_def, activation, out)
-            }
-            FloatKernels::Lanes8(kernel) => {
-                gemm::fc_f32_gemm(Reduction::Lanes8(kernel), inputs, out_def, activation, out)
+            FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => {
+                let reduction = ctx
+                    .float
+                    .reduction(ctx.panels, ctx.runtime_panels, inputs[1])?;
+                gemm::fc_f32_gemm(ctx.engine, reduction, inputs, out_def, activation, out)
             }
         },
         (&OpKind::FullyConnected { activation }, true) => {
@@ -571,6 +599,18 @@ pub(crate) fn u8_slot<'a>(out: &'a mut Tensor, out_def: &TensorDef) -> Result<&'
     debug_assert!(holds_whole_frames(out, out_def));
     Ok(out.as_u8_mut()?)
 }
+
+/// Every activation, for the kernel unit tests.
+#[cfg(test)]
+pub(crate) const ACTIVATIONS: [Activation; 7] = [
+    Activation::None,
+    Activation::Relu,
+    Activation::Relu6,
+    Activation::HardSwish,
+    Activation::HardSigmoid,
+    Activation::Sigmoid,
+    Activation::Gelu,
+];
 
 /// Deterministic test values in `[-1.5, 1.5)` (xorshift64*), shared by the
 /// kernel unit tests.

@@ -1,8 +1,8 @@
 //! Cross-engine bitwise property suite for the native float kernels: the
-//! reference `Conv2d`, the optimized `Conv2d` / `FullyConnected` and the
-//! depthwise kernel every native flavor shares are each one body compiled
-//! twice — for the x86-64 baseline and for AVX2 — and the two builds must
-//! return the same bits. In one process, through the engine-explicit entry
+//! reference `Conv2d`, the optimized and Simd `Conv2d` / `FullyConnected`
+//! and the depthwise kernel every native flavor shares are each one body
+//! compiled twice — for the x86-64 baseline and for AVX2+FMA — and the two
+//! builds must return the same bits. In one process, through the engine-explicit entry
 //! point `simd::execute_node_with` (what `dot_f32_with` is to the dot), every
 //! case runs each flavor under both builds, and then through an
 //! `Interpreter`, which reads the process's engine and packs constant
@@ -12,9 +12,10 @@
 //! that are no multiple of 8 (and some that are), every 8/4/1 panel mix,
 //! stacked batches, weights that are a graph constant or a runtime input,
 //! with and without bias, every activation, over values that include ±0,
-//! subnormals, ±∞ and NaN. On a CPU without AVX2 both requests run the
-//! baseline build and the suite still holds; `scripts/ci-local.sh
-//! kernel-simd` runs it natively and under `MLEXRAY_SIMD=scalar`.
+//! subnormals, ±∞ and NaN, and reductions of length zero. On a CPU without
+//! AVX2 both requests run the baseline build and the suite still holds;
+//! `scripts/ci-local.sh kernel-simd` runs it natively and under
+//! `MLEXRAY_SIMD=scalar`.
 
 use proptest::prelude::*;
 
@@ -267,6 +268,44 @@ proptest! {
             side.0, side.1, ACTIVATIONS[activation]
         );
         assert_builds_agree(&case, &what);
+    }
+}
+
+/// A reduction of length zero — a `Conv2d` with no input channels, a
+/// `FullyConnected` with no inputs — passes the builder and the
+/// interpreter, so every flavor answers it in both builds: each output is
+/// its bias, or `+0.0` without one.
+#[test]
+fn zero_length_reductions_return_the_bias() {
+    for op in [Op::Conv, Op::FullyConnected] {
+        for (runtime_weights, with_bias) in [(false, true), (true, true), (false, false)] {
+            let case = build(
+                op,
+                (3, 3),
+                1,
+                1,
+                Padding::Same,
+                0,
+                13,
+                2,
+                runtime_weights,
+                with_bias,
+                Activation::None,
+                |n| (0..n).map(|i| i as f32 + 0.5).collect(),
+            );
+            let what = format!("{op:?}, K = 0, runtime_weights={runtime_weights} bias={with_bias}");
+            for (flavor, out) in assert_builds_agree(&case, &what) {
+                assert!(!out.is_empty(), "{flavor:?} {what}");
+                for (i, v) in out.iter().enumerate() {
+                    let want = if with_bias {
+                        (i % 13) as f32 + 0.5
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(v.to_bits(), want.to_bits(), "{flavor:?} {what}: output {i}");
+                }
+            }
+        }
     }
 }
 

@@ -76,16 +76,22 @@ backend-suites() {
 # peak to be independent of its frame count and a sharded replay-validate's to
 # about one shard's logs. golden_reports must read the same text either way,
 # and reference_oracle must hold either way: both builds of the reference
-# kernels compute the faithful emulator's bits.
+# kernels compute the faithful emulator's bits. The kernels::gemm unit tests
+# hold the one tile driver, under both chain rules and both explicit engines,
+# to a one-row, one-channel run of it per cell, and read the detected engine,
+# which the forced-scalar pass reports as the mirror.
 kernel-simd() {
   local nn=(-p mlexray-nn --test golden_kernels --test batch_equivalence
     --test backend_differential --test alloc_steady_state --test alloc_validation
     --test native_engines -q)
+  local gemm=(-p mlexray-nn --lib kernels::gemm -q)
   local core=(-p mlexray-core --test parallel_invoke --test golden_reports
     --test reference_oracle -q)
   cargo test "${nn[@]}"
+  cargo test "${gemm[@]}"
   cargo test "${core[@]}"
   MLEXRAY_SIMD=scalar cargo test "${nn[@]}"
+  MLEXRAY_SIMD=scalar cargo test "${gemm[@]}"
   MLEXRAY_SIMD=scalar cargo test "${core[@]}"
 }
 
