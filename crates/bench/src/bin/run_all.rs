@@ -17,15 +17,4 @@ fn main() {
         "{}\n",
         mlexray_bench::experiments::table3_5::run_float(&scale)
     );
-    println!("{}\n", mlexray_bench::experiments::fig_scaling::run(&scale));
-    println!(
-        "{}\n",
-        mlexray_bench::experiments::fig_batching::run(&scale)
-    );
-    println!(
-        "{}\n",
-        mlexray_bench::experiments::fig_differential::run(&scale)
-    );
-    println!("{}\n", mlexray_bench::experiments::fig_serving::run(&scale));
-    println!("{}\n", mlexray_bench::experiments::fig_simd::run(&scale));
 }

@@ -7,14 +7,12 @@
 //! every request traced, pushes a paced workload plus a deliberately slow
 //! half-empty batch, drains, and prints [`mlexray_core::trace_report`].
 //! The sampled traces are also exported as Chrome-trace JSON under
-//! `target/experiment-artifacts/trace_report_chrome.json`.
+//! `target/experiment-artifacts/trace_report_chrome.json`. The run ends by
+//! asserting that the drained serving books balance.
 //!
-//! Environment knobs:
-//!
-//! | variable | default | meaning |
-//! |---|---|---|
-//! | `MLEXRAY_TRACE_REQUESTS` | 32 | paced requests to serve |
-//! | `MLEXRAY_TRACE_TOPK` | 5 | hottest layers per model in the table |
+//! ```text
+//! MLEXRAY_QUICK=1 cargo run --release -p mlexray-bench --bin trace_report
+//! ```
 
 use std::time::Duration;
 
@@ -29,18 +27,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const MODEL: &str = "mini_mobilenet_v2";
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Paced requests served before the slow batch.
+const REQUESTS: usize = 32;
+/// Hottest layers per model in the report table.
+const TOP_K: usize = 5;
 
 fn main() {
     let scale = Scale::from_env();
-    let requests = env_usize("MLEXRAY_TRACE_REQUESTS", 32).max(1);
-    let top_k = env_usize("MLEXRAY_TRACE_TOPK", 5);
 
     let registry = ModelRegistry::new();
     registry
@@ -57,11 +50,11 @@ fn main() {
         ServiceConfig {
             workers_per_model: 2,
             core_budget: 2,
-            queue_capacity: requests.max(8),
+            queue_capacity: REQUESTS,
             batch: BatchPolicy::windowed(4, Duration::from_micros(200)),
             monitor: MonitorPolicy::off(),
             trace: TracePolicy {
-                completed_capacity: requests.max(64),
+                completed_capacity: 64,
                 ..TracePolicy::sampled(1)
             },
             ..Default::default()
@@ -84,8 +77,8 @@ fn main() {
     // Paced waves, so the batcher coalesces real batches.
     let mut offered = 0usize;
     let mut wave = Vec::new();
-    while offered < requests {
-        let burst = 8.min(requests - offered);
+    while offered < REQUESTS {
+        let burst = 8.min(REQUESTS - offered);
         for k in 0..burst {
             let input = frames[(offered + k) % frames.len()].clone();
             if let Ok(pending) = service.submit(MODEL, vec![input]) {
@@ -116,7 +109,7 @@ fn main() {
 
     let profiler = hub.profile();
     let counters = hub.counters();
-    println!("{}", mlexray_core::trace_report(&profiler, top_k));
+    println!("{}", mlexray_core::trace_report(&profiler, TOP_K));
     println!(
         "traces: {} sampled, {} forced, {} completed, {} spans dropped, {} evicted",
         counters.sampled,

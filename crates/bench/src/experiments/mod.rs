@@ -7,14 +7,6 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
-pub mod fig_batching;
-pub mod fig_differential;
-pub mod fig_metrics;
-pub mod fig_rpc;
-pub mod fig_scaling;
-pub mod fig_serving;
-pub mod fig_simd;
-pub mod fig_trace;
 pub mod table1;
 pub mod table2;
 pub mod table3_5;

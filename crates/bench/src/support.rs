@@ -127,37 +127,6 @@ pub fn record_artifact(name: &str, quick_scale: bool, output: &str) -> PathBuf {
     path
 }
 
-/// Records a *structured* experiment artifact
-/// (`<artifact_dir>/<name>.json`): machine-readable metrics CI can diff
-/// across runs, where [`record_artifact`] stores the rendered text. Returns
-/// the path written.
-///
-/// # Panics
-///
-/// Panics on filesystem/serialization failures, like [`record_artifact`].
-pub fn record_json_artifact<T: serde::Serialize>(
-    name: &str,
-    quick_scale: bool,
-    metrics: &T,
-) -> PathBuf {
-    // Hand-assembled envelope: the vendored serde_derive does not support
-    // generic structs, but `Value` trees serialize directly.
-    let artifact = serde::Value::Object(vec![
-        (
-            "experiment".to_string(),
-            serde::Value::String(name.to_string()),
-        ),
-        ("quick_scale".to_string(), serde::Value::Bool(quick_scale)),
-        ("metrics".to_string(), metrics.to_value()),
-    ]);
-    let dir = artifact_dir();
-    std::fs::create_dir_all(&dir).expect("create artifact dir");
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string(&artifact).expect("metrics serialize");
-    std::fs::write(&path, json).expect("write artifact");
-    path
-}
-
 /// Deterministic train/test image split used by every image experiment.
 pub fn image_split(scale: &Scale) -> (Vec<LabeledImage>, Vec<LabeledImage>) {
     synth_image::train_test_split(scale.frame_res, scale.train_n, scale.test_n, 2026)
@@ -181,26 +150,6 @@ pub fn to_frames(images: &[LabeledImage]) -> Vec<LabeledFrame> {
     images
         .iter()
         .map(|s| LabeledFrame::new(s.image.clone(), Some(s.label)))
-        .collect()
-}
-
-/// Bridges a shardable playback source (an `SdCard`, an
-/// [`mlexray_datasets::InMemoryPlayback`], ...) into replay-engine frames:
-/// reads the source shard by shard — the same contiguous partition shape
-/// the engine distributes to workers — and labels each stored image.
-///
-/// # Panics
-///
-/// Panics if the source fails to read a shard it itself advertised.
-pub fn frames_from_playback(
-    source: &impl mlexray_datasets::PlaybackSource,
-    shard_frames: usize,
-) -> Vec<LabeledFrame> {
-    source
-        .shards(shard_frames)
-        .into_iter()
-        .flat_map(|range| source.read_range(range).expect("playback source reads"))
-        .map(|s| LabeledFrame::new(s.image, Some(s.label)))
         .collect()
 }
 
@@ -304,23 +253,6 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats milliseconds with sensible precision.
-pub fn fmt_ms(ns: f64) -> String {
-    let ms = ns / 1e6;
-    if ms >= 100.0 {
-        format!("{ms:.0}")
-    } else if ms >= 1.0 {
-        format!("{ms:.1}")
-    } else {
-        format!("{ms:.2}")
-    }
-}
-
-/// Formats a byte count as MB.
-pub fn fmt_mb(bytes: u64) -> String {
-    format!("{:.1}", bytes as f64 / 1e6)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,9 +281,10 @@ mod tests {
     fn playback_shards_match_engine_partition() {
         // `PlaybackSource::shards` (datasets) and `shard_partition` (core)
         // implement the same contiguous chunking on opposite sides of the
-        // crate DAG; `frames_from_playback` and the README rely on the
-        // shapes matching. Pin them together so they cannot silently
-        // diverge.
+        // crate DAG, and neither crate can see the other: a caller that
+        // reads a source shard by shard gets exactly the partition the
+        // replay engine hands its workers only while the two agree. Pin
+        // them together so they cannot silently diverge.
         use mlexray_datasets::{InMemoryPlayback, PlaybackSource};
         for (count, shard) in [(0usize, 4usize), (1, 4), (7, 4), (8, 4), (13, 5), (9, 1)] {
             let frames = if count == 0 {

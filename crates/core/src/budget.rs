@@ -1,7 +1,7 @@
 //! Process-global core budget: one ledger every thread-pool-shaped
-//! subsystem draws from — the sharded replay engine, the parallel
-//! [`crate::invoke_batch_parallel`] path, and the serve crate's per-model
-//! worker pools — so concurrent subsystems *compose* instead of each
+//! subsystem draws from — the sharded replay engine (and the differential
+//! runs built on it) and the serve crate's per-model worker pools — so
+//! concurrent subsystems *compose* instead of each
 //! independently sizing itself to the whole machine and oversubscribing
 //! cores.
 //!

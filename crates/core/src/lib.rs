@@ -61,7 +61,6 @@ pub mod budget;
 mod error;
 mod log;
 mod monitor;
-mod parallel;
 mod pipeline;
 mod reference;
 pub mod replay;
@@ -77,9 +76,6 @@ pub use log::{
     KEY_PREPROCESS_OUTPUT,
 };
 pub use monitor::{LayerCapture, Monitor, MonitorConfig, MonitorLayerObserver};
-pub use parallel::{
-    invoke_batch_parallel, InvokeLayerRecord, ParallelInvoke, ParallelInvokeOptions,
-};
 pub use pipeline::{
     AudioPipeline, AudioRunner, ImagePipeline, ImageRunner, LabeledFrame, TextPipeline, TextRunner,
 };

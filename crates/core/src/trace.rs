@@ -311,8 +311,8 @@ impl SpanRing {
     }
 
     /// The ring's constant memory footprint in bytes — independent of how
-    /// many spans have passed through (the serve figure asserts this stays
-    /// byte-identical across 100k+ requests).
+    /// many spans have passed through (the paced-flood unit test holds it
+    /// byte-identical across 100k+ spans).
     pub fn footprint_bytes(&self) -> usize {
         size_of::<Self>() + self.slots.len() * size_of::<Slot>()
     }
@@ -1121,6 +1121,69 @@ mod tests {
         let report = trace_report(&profile, 3);
         assert!(report.contains("m"));
         assert!(report.lines().count() >= 2);
+    }
+
+    #[test]
+    fn paced_flood_completes_every_trace_and_overflow_counts_exact_drops() {
+        const RING: usize = 4096;
+        const REQUESTS: u64 = 50_000;
+        let hub = TraceHub::new(RING, 64);
+        let ring = hub.register_ring();
+        let footprint = hub.footprint_bytes();
+        // Two-span traces, collected every 1024 requests (2048 spans), well
+        // inside ring capacity: every trace completes and nothing drops.
+        for i in 0..REQUESTS {
+            let trace_id = trace_id_for("flood", i);
+            ring.push(&span(trace_id, SpanStage::QueueWait, 0));
+            ring.push(&Span {
+                parent_span_id: 0,
+                ..span(trace_id, SpanStage::Request, 0)
+            });
+            if i % 1024 == 1023 {
+                hub.collect();
+            }
+        }
+        hub.collect();
+        let paced = hub.counters();
+        assert_eq!(paced.dropped_spans, 0);
+        assert_eq!(paced.completed, REQUESTS);
+        // Overflow: 3x capacity spans of one unterminated trace between two
+        // collects. The newest `RING` survive (pending); exactly the other
+        // 2x capacity are counted dropped.
+        let trace_id = trace_id_for("flood-overflow", 0);
+        for i in 0..3 * RING as u64 {
+            ring.push(&span(trace_id, SpanStage::Layer, i));
+        }
+        hub.collect();
+        assert_eq!(hub.counters().dropped_spans, 2 * RING as u64);
+        assert_eq!(hub.counters().completed, REQUESTS);
+        assert_eq!(
+            hub.footprint_bytes(),
+            footprint,
+            "ring footprint must not grow with span count"
+        );
+    }
+
+    #[test]
+    fn overwrite_regime_drains_plus_drops_equal_pushes() {
+        // 1500 pushes between drains of a 1024-slot ring: every round
+        // overwrites spans the drain never sees, and each one is counted.
+        let ring = SpanRing::new(1024);
+        let (mut cursor, mut drained, mut dropped) = (0u64, 0u64, 0u64);
+        let mut out = Vec::new();
+        for round in 0..80u64 {
+            for i in 0..1500 {
+                ring.push(&span(7, SpanStage::Layer, round * 1500 + i));
+            }
+            out.clear();
+            let (next, lost) = ring.drain_from(cursor, &mut out);
+            cursor = next;
+            drained += out.len() as u64;
+            dropped += lost;
+        }
+        assert_eq!(ring.pushed(), 120_000);
+        assert!(dropped > 0, "the flood must overwrite");
+        assert_eq!(drained + dropped, ring.pushed());
     }
 
     #[test]

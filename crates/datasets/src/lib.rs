@@ -12,9 +12,9 @@
 //! * [`synth_audio`] — tones/chirps/noise keywords (Speech-Commands stand-in).
 //! * [`synth_text`] — templated sentiment sentences (IMDB stand-in).
 //! * [`playback`] — SD-card style frame storage, the "apps accept data from
-//!   an SD card instead of the sensor stream" instrumentation of §4, plus
-//!   looping playback and the open-loop [`TrafficGenerator`] that turn a
-//!   finite frame set into an unbounded serving request stream.
+//!   an SD card instead of the sensor stream" instrumentation of §4, and
+//!   the shardable [`PlaybackSource`] the replay engine partitions across
+//!   workers.
 //!
 //! All generators are seeded and deterministic.
 
@@ -28,7 +28,7 @@ pub mod synth_image;
 pub mod synth_text;
 
 pub use error::DatasetError;
-pub use playback::{Arrival, InMemoryPlayback, PlaybackSource, SdCard, TrafficGenerator};
+pub use playback::{InMemoryPlayback, PlaybackSource, SdCard};
 
 /// Result alias used throughout the datasets crate.
 pub type Result<T> = std::result::Result<T, DatasetError>;

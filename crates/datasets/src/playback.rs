@@ -55,39 +55,6 @@ pub trait PlaybackSource: Clone + Send + Sync {
             .map(|i| i * size..((i + 1) * size).min(n))
             .collect()
     }
-
-    /// Splits one shard into the contiguous micro-batch sub-ranges a
-    /// batched-invoke worker drains it in (the intra-shard counterpart of
-    /// [`PlaybackSource::shards`]): every sub-range holds `micro_batch`
-    /// frames except a shorter tail. Like the shard partition, this depends
-    /// only on the range and the batch size.
-    fn micro_batches(&self, shard: Range<usize>, micro_batch: usize) -> Vec<Range<usize>> {
-        let size = micro_batch.max(1);
-        let len = shard.end.saturating_sub(shard.start);
-        (0..len.div_ceil(size))
-            .map(|i| {
-                let lo = shard.start + i * size;
-                lo..(lo + size).min(shard.end)
-            })
-            .collect()
-    }
-
-    /// Drains one shard as micro-batches of at most `micro_batch` frames —
-    /// the unit a worker stacks into one batched interpreter invoke.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-frame failures.
-    fn read_micro_batches(
-        &self,
-        shard: Range<usize>,
-        micro_batch: usize,
-    ) -> Result<Vec<Vec<LabeledImage>>> {
-        self.micro_batches(shard, micro_batch)
-            .into_iter()
-            .map(|range| self.read_range(range))
-            .collect()
-    }
 }
 
 /// An in-memory playback source: the whole dataset pinned in RAM, the
@@ -119,38 +86,6 @@ impl InMemoryPlayback {
     /// The buffered frames.
     pub fn frames(&self) -> &[LabeledImage] {
         &self.frames
-    }
-}
-
-impl InMemoryPlayback {
-    /// Reads a frame in *looping* mode: indices wrap modulo the stored
-    /// frame count, so any finite frame set serves an unbounded request
-    /// stream (the serving benchmarks' open-loop traffic source). Frame
-    /// `i` and frame `i + n·frame_count` are byte-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns a format error only when the playback set is empty.
-    pub fn read_frame_looping(&self, index: usize) -> Result<LabeledImage> {
-        if self.frames.is_empty() {
-            return Err(DatasetError::Format(
-                "looping read from an empty playback set".into(),
-            ));
-        }
-        self.read_frame(index % self.frames.len())
-    }
-
-    /// An infinite iterator cycling the stored frames in index order —
-    /// `take(n)` it to draw an unbounded-but-finite request stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first draw from an empty playback set.
-    pub fn cycle(&self) -> impl Iterator<Item = LabeledImage> + '_ {
-        (0..).map(move |i| {
-            self.read_frame_looping(i)
-                .expect("cycle() requires a non-empty playback set")
-        })
     }
 }
 
@@ -314,117 +249,6 @@ impl PlaybackSource for SdCard {
     }
 }
 
-/// One request of an open-loop traffic trace: which frame to submit and the
-/// offset from trace start at which it arrives.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Arrival {
-    /// Global request index (monotonic, unbounded).
-    pub index: usize,
-    /// Arrival offset from the start of the trace.
-    pub at: std::time::Duration,
-    /// The frame to submit (drawn from the source in looping index order).
-    pub frame: LabeledImage,
-}
-
-/// An open-loop traffic generator: turns a finite [`PlaybackSource`] into an
-/// unbounded request stream with a configurable arrival rate. Frames are
-/// drawn in looping index order (request `i` carries source frame
-/// `i % frame_count`), and arrival offsets are either uniformly spaced
-/// (`1/rate` apart — deterministic, reproducible load) or exponentially
-/// distributed with a seeded RNG (Poisson arrivals, the classic open-loop
-/// serving model). Either way the trace depends only on the configuration,
-/// never on how fast the consumer drains it — the property that makes
-/// serving benchmarks comparable across runs. Drawing an arrival panics if
-/// the source fails a read it advertised: the stream must never silently
-/// shorten under a consumer that planned around its length.
-#[derive(Debug, Clone)]
-pub struct TrafficGenerator<S: PlaybackSource> {
-    source: S,
-    rate_hz: f64,
-    jitter: Option<rand::rngs::SmallRng>,
-    next_index: usize,
-    elapsed: f64,
-}
-
-impl<S: PlaybackSource> TrafficGenerator<S> {
-    /// A uniform-spacing generator emitting `rate_hz` requests per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rate_hz` is not strictly positive or the source is
-    /// empty — an open-loop trace needs both.
-    pub fn new(source: S, rate_hz: f64) -> Self {
-        assert!(
-            rate_hz > 0.0 && rate_hz.is_finite(),
-            "arrival rate must be positive and finite"
-        );
-        assert!(
-            source.frame_count() > 0,
-            "traffic generation needs at least one stored frame"
-        );
-        TrafficGenerator {
-            source,
-            rate_hz,
-            jitter: None,
-            next_index: 0,
-            elapsed: 0.0,
-        }
-    }
-
-    /// Switches to Poisson arrivals: inter-arrival gaps drawn from a seeded
-    /// exponential distribution with the same mean rate. Deterministic per
-    /// seed.
-    #[must_use]
-    pub fn poisson(mut self, seed: u64) -> Self {
-        use rand::SeedableRng;
-        self.jitter = Some(rand::rngs::SmallRng::seed_from_u64(seed));
-        self
-    }
-
-    /// The configured mean arrival rate in requests per second.
-    pub fn rate_hz(&self) -> f64 {
-        self.rate_hz
-    }
-
-    /// The wrapped playback source.
-    pub fn source(&self) -> &S {
-        &self.source
-    }
-}
-
-impl<S: PlaybackSource> Iterator for TrafficGenerator<S> {
-    type Item = Arrival;
-
-    fn next(&mut self) -> Option<Arrival> {
-        use rand::Rng;
-        let index = self.next_index;
-        self.next_index += 1;
-        let mean_gap = 1.0 / self.rate_hz;
-        let gap = match &mut self.jitter {
-            // Inverse-CDF exponential draw; 1-u keeps the log argument in
-            // (0, 1] so the gap is always finite.
-            Some(rng) => -(1.0 - rng.gen_range(0.0..1.0f64)).ln() * mean_gap,
-            None => mean_gap,
-        };
-        if index > 0 {
-            self.elapsed += gap;
-        }
-        // A failed read must not silently end a stream whose length the
-        // consumer planned around — an under-submitted benchmark reports
-        // bogus numbers with no error surfaced. Fail loudly, like
-        // `InMemoryPlayback::cycle` does for the empty case.
-        let frame = self
-            .source
-            .read_frame(index % self.source.frame_count())
-            .expect("traffic source failed to read a frame it advertised");
-        Some(Arrival {
-            index,
-            at: std::time::Duration::from_secs_f64(self.elapsed),
-            frame,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,116 +306,6 @@ mod tests {
         }
         assert!(source.read_frame(10).is_err());
         assert!(source.read_range(8..11).is_err());
-    }
-
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)] // expectations are range lists
-    fn micro_batches_tile_each_shard_exactly() {
-        let source = InMemoryPlayback::new(
-            generate(SynthImageSpec {
-                resolution: 16,
-                count: 11,
-                seed: 5,
-            })
-            .unwrap(),
-        );
-        for (shard, batch, expected) in [
-            (0..8usize, 3usize, vec![0..3, 3..6, 6..8]),
-            (8..11, 3, vec![8..11]),
-            (0..4, 8, vec![0..4]),
-            (2..2, 4, vec![]),
-            (0..4, 0, vec![0..1, 1..2, 2..3, 3..4]), // 0 clamps to 1
-        ] {
-            assert_eq!(
-                source.micro_batches(shard.clone(), batch),
-                expected,
-                "shard={shard:?} batch={batch}"
-            );
-        }
-        // Draining micro-batches yields exactly the shard's frames in order.
-        let drained: Vec<_> = source
-            .read_micro_batches(3..9, 4)
-            .unwrap()
-            .into_iter()
-            .flatten()
-            .collect();
-        assert_eq!(drained, source.read_range(3..9).unwrap());
-        assert!(
-            source.read_micro_batches(8..12, 4).is_err(),
-            "out-of-range shards must fail, not truncate"
-        );
-    }
-
-    #[test]
-    fn looping_reads_wrap_and_cycle_is_periodic() {
-        let frames = generate(SynthImageSpec {
-            resolution: 16,
-            count: 3,
-            seed: 11,
-        })
-        .unwrap();
-        let source = InMemoryPlayback::new(frames.clone());
-        for i in 0..9 {
-            assert_eq!(
-                source.read_frame_looping(i).unwrap(),
-                frames[i % 3],
-                "index {i} must wrap modulo the stored count"
-            );
-        }
-        let cycled: Vec<_> = source.cycle().take(7).collect();
-        assert_eq!(cycled.len(), 7);
-        assert_eq!(cycled[0], frames[0]);
-        assert_eq!(cycled[3], frames[0]);
-        assert_eq!(cycled[5], frames[2]);
-        assert!(
-            InMemoryPlayback::default().read_frame_looping(0).is_err(),
-            "an empty set cannot loop"
-        );
-    }
-
-    #[test]
-    fn traffic_generator_is_open_loop_and_deterministic() {
-        let frames = generate(SynthImageSpec {
-            resolution: 16,
-            count: 4,
-            seed: 13,
-        })
-        .unwrap();
-        let source = InMemoryPlayback::new(frames.clone());
-
-        // Uniform spacing: arrivals land exactly 1/rate apart, frames loop.
-        let uniform: Vec<Arrival> = TrafficGenerator::new(source.clone(), 100.0)
-            .take(10)
-            .collect();
-        assert_eq!(uniform.len(), 10, "the stream must outlast the source");
-        assert_eq!(uniform[0].at, std::time::Duration::ZERO);
-        for (i, arrival) in uniform.iter().enumerate() {
-            assert_eq!(arrival.index, i);
-            assert_eq!(arrival.frame, frames[i % 4]);
-            let expected = std::time::Duration::from_secs_f64(i as f64 * 0.01);
-            let delta = arrival.at.abs_diff(expected);
-            assert!(delta < std::time::Duration::from_micros(1), "arrival {i}");
-        }
-
-        // Poisson arrivals: deterministic per seed, mean gap near 1/rate,
-        // strictly monotone.
-        let a: Vec<Arrival> = TrafficGenerator::new(source.clone(), 200.0)
-            .poisson(7)
-            .take(400)
-            .collect();
-        let b: Vec<Arrival> = TrafficGenerator::new(source, 200.0)
-            .poisson(7)
-            .take(400)
-            .collect();
-        assert_eq!(a, b, "same seed must reproduce the same trace");
-        for pair in a.windows(2) {
-            assert!(pair[1].at >= pair[0].at, "arrivals must be monotone");
-        }
-        let mean_gap = a.last().unwrap().at.as_secs_f64() / 399.0;
-        assert!(
-            (mean_gap - 0.005).abs() < 0.0015,
-            "mean inter-arrival {mean_gap} should approximate 1/rate"
-        );
     }
 
     #[test]

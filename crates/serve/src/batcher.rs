@@ -82,8 +82,8 @@ impl Default for BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// Batch-size-1 serving: every request is its own invoke (the baseline
-    /// the `fig_serving` experiment compares against).
+    /// Batch-size-1 serving: every request is its own invoke (the
+    /// unbatched baseline).
     pub fn single() -> Self {
         BatchPolicy {
             max_batch: 1,

@@ -83,8 +83,8 @@ impl ClientError {
 pub type ClientResult<T> = Result<T, ClientError>;
 
 /// A blocking session against an [`crate::rpc::RpcServer`]: one TCP
-/// connection, one request in flight at a time, byte accounting for the
-/// bytes-moved comparisons the `fig_rpc` experiment records.
+/// connection, one request in flight at a time, byte accounting for
+/// bytes-moved comparisons (`bytes_sent` / `bytes_received`).
 pub struct RpcClient {
     stream: TcpStream,
     next_id: u64,

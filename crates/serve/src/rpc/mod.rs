@@ -23,8 +23,7 @@
 //! sealed tensors live in a per-session arena as `Arc<Vec<Tensor>>`; the
 //! service is handed the `Arc` and its workers lend the tensors to
 //! `invoke_batch` by reference — zero copies end to end.
-//! The `fig_rpc` experiment records the resulting bytes-moved and p95
-//! gap.
+//! The `rpc_loaded` suite holds the resulting bytes-moved saving.
 //!
 //! Operational middleware rides on the same loop: per-connection
 //! token→tenant identification, structured request logging through the

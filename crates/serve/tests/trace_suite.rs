@@ -1,6 +1,8 @@
 //! End-to-end proof of the span pipeline: sampled traces carry the full
-//! stage chain, structure is deterministic across runs and worker counts,
-//! sheds are force-traced, wire-propagated contexts survive the network
+//! stage chain, the profiler's root-span total reconciles with the latency
+//! histogram, a slow batch is attributed to batch formation, structure is
+//! deterministic across runs and worker counts, sheds are force-traced,
+//! wire-propagated contexts survive the network
 //! hop, and the anonymous-tenant label is consistent between the telemetry
 //! stream and the metrics exposition.
 
@@ -70,16 +72,21 @@ fn traced_config(workers: usize, every: u64) -> ServiceConfig {
     }
 }
 
-#[test]
-fn sampled_traces_carry_the_full_stage_chain() {
-    let registry = traced_registry();
-    let service = InferenceService::start(&registry, traced_config(1, 1), None).unwrap();
-    let pendings: Vec<_> = (0..6)
+/// Submits frames `0..count` to model `m`, then waits every response out.
+fn serve(service: &InferenceService, count: usize) {
+    let pendings: Vec<_> = (0..count)
         .map(|i| service.submit("m", frame_input(i)).unwrap())
         .collect();
     for pending in pendings {
         pending.wait().unwrap();
     }
+}
+
+#[test]
+fn sampled_traces_carry_the_full_stage_chain() {
+    let registry = traced_registry();
+    let service = InferenceService::start(&registry, traced_config(1, 1), None).unwrap();
+    serve(&service, 6);
     let hub = service.trace_hub().expect("tracing on").clone();
     let traces = hub.take_completed(0);
     assert_eq!(traces.len(), 6, "every request traced at 1/1 sampling");
@@ -130,17 +137,67 @@ fn sampled_traces_carry_the_full_stage_chain() {
     service.shutdown();
 }
 
+#[test]
+fn profiler_root_total_reconciles_with_latency_histogram() {
+    let registry = traced_registry();
+    let service = InferenceService::start(&registry, traced_config(2, 1), None).unwrap();
+    serve(&service, 24);
+    let hist = service.latency_histogram("m").expect("model served");
+    let hub = service.trace_hub().expect("tracing on").clone();
+    let report = service.drain();
+    assert!(report.models.iter().all(|m| m.is_balanced()), "{report:?}");
+
+    let traces = hub.take_completed(0);
+    let json = mlexray_core::chrome_trace_json(&traces);
+    let doc = serde_json::parse_value(&json).expect("chrome-trace JSON parses");
+    assert!(
+        matches!(doc.get("traceEvents"), Some(serde_json::Value::Array(events)) if !events.is_empty()),
+        "the export carries events"
+    );
+    // The root span is the recorded completion duration, so the two
+    // totals agree within the histogram's one sub-bucket (1/8) of width.
+    let breakdown = hub.profile().model("m").cloned().unwrap_or_default();
+    assert_eq!(breakdown.traces, 24);
+    assert_eq!(hist.count(), 24);
+    let diff = breakdown.total_ns.abs_diff(hist.sum_nanos());
+    assert!(
+        diff as f64 <= hist.sum_nanos() as f64 / 8.0,
+        "profiler {} ns vs histogram {} ns",
+        breakdown.total_ns,
+        hist.sum_nanos()
+    );
+}
+
+#[test]
+fn slow_batch_is_attributed_to_batch_formation() {
+    // A 120 ms window that 4 requests cannot fill parks every request in
+    // batch formation; the profiler must put the time there, not on exec.
+    let registry = traced_registry();
+    let config = ServiceConfig {
+        batch: BatchPolicy::windowed(8, Duration::from_millis(120)),
+        ..traced_config(1, 1)
+    };
+    let service = InferenceService::start(&registry, config, None).unwrap();
+    serve(&service, 4);
+    let hub = service.trace_hub().expect("tracing on").clone();
+    let report = service.drain();
+    assert!(report.models.iter().all(|m| m.is_balanced()), "{report:?}");
+    let slow = hub.profile().model("m").cloned().unwrap_or_default();
+    assert_eq!(slow.traces, 4);
+    assert!(
+        slow.batch_wait_ns > slow.exec_ns,
+        "batch formation {} ns vs exec {} ns",
+        slow.batch_wait_ns,
+        slow.exec_ns
+    );
+}
+
 /// One seeded workload pass; returns the sampled trace-id set and the
 /// sorted timestamp-free structures.
 fn workload_structures(workers: usize) -> (BTreeSet<u64>, Vec<String>) {
     let registry = traced_registry();
     let service = InferenceService::start(&registry, traced_config(workers, 4), None).unwrap();
-    let pendings: Vec<_> = (0..40)
-        .map(|i| service.submit("m", frame_input(i)).unwrap())
-        .collect();
-    for pending in pendings {
-        pending.wait().unwrap();
-    }
+    serve(&service, 40);
     let hub = service.trace_hub().unwrap().clone();
     let traces = hub.take_completed(0);
     let ids: BTreeSet<u64> = traces.iter().map(|t| t.trace_id).collect();

@@ -9,7 +9,8 @@
 #   (none)    every leg, in the order listed at the bottom; between them the
 #             legs run every test tier-1 runs, so tier-1 is not run again
 #
-# Experiment JSON lands under target/experiment-artifacts/.
+# Experiment JSON (smoke) and trace_report's Chrome-trace export
+# (trace-suite) land under target/experiment-artifacts/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,8 +86,7 @@ kernel-simd() {
     --test backend_differential --test alloc_steady_state --test alloc_validation
     --test native_engines -q)
   local gemm=(-p mlexray-nn --lib kernels::gemm -q)
-  local core=(-p mlexray-core --test parallel_invoke --test golden_reports
-    --test reference_oracle -q)
+  local core=(-p mlexray-core --test golden_reports --test reference_oracle -q)
   cargo test "${nn[@]}"
   cargo test "${gemm[@]}"
   cargo test "${core[@]}"
@@ -107,7 +107,6 @@ serve-suite() {
   cargo test -p mlexray-core --test sink_stress -q
   cargo test --release -p mlexray-core --lib sink -q
   cargo test --release -p mlexray-core --test sink_stress -q
-  MLEXRAY_QUICK=1 cargo test -p mlexray-bench --test experiments_smoke fig_serving -q
 }
 
 # metrics_suite holds the histogram properties and the wire Metrics
@@ -115,36 +114,35 @@ serve-suite() {
 # parse) and the final scrape matches the drained books counter for counter.
 metrics-suite() {
   cargo test -p mlexray-serve --test metrics_suite -q
-  MLEXRAY_QUICK=1 cargo test -p mlexray-bench --test experiments_smoke fig_metrics -q
 }
 
-# The artifact directory is cleared first (here and in the two legs below) so
-# an upload only ever contains JSON this run's code produced.
+# The artifact directory is cleared first (here and in trace-suite) so an
+# upload only ever contains files this run's code produced.
 smoke() {
   rm -rf target/experiment-artifacts
   MLEXRAY_QUICK=1 cargo test -p mlexray-bench --test experiments_smoke -q
 }
 
 # The RPC front door in release mode, every server on 127.0.0.1:0: protocol
-# robustness, the 32-session loaded proof and the fig_rpc smoke (correctness
-# and the byte saving of sealed re-infers; it ranks no latencies).
+# robustness and the 32-session loaded proof (wire bits and the byte saving
+# of sealed re-infers; it ranks no latencies).
 rpc-suite() {
-  cargo build --release -p mlexray-serve -p mlexray-bench
+  cargo build --release -p mlexray-serve
   cargo test --release -p mlexray-serve --test rpc_protocol --test rpc_loaded -q
-  rm -rf target/experiment-artifacts
-  MLEXRAY_QUICK=1 cargo test --release -p mlexray-bench --test experiments_smoke fig_rpc -q
 }
 
-# The span pipeline in release mode: the ring and collector unit tests,
-# trace_suite (wire trace context end to end, forced shed spans) and the
-# fig_trace smoke (span-flood drop accounting, profiler reconciliation). The
-# tracing tax is judged by benchmark/ (wire_monitored vs wire_plain), not here.
+# The span pipeline in release mode: the ring and collector unit tests
+# (span-flood drop accounting, fixed footprint), trace_suite (profiler
+# reconciliation, slow-batch attribution, wire trace context end to end,
+# forced shed spans) and one trace_report run, whose balanced-books assert
+# must hold and whose Chrome-trace export is the leg's artifact. The tracing
+# tax is judged by benchmark/ (wire_monitored vs wire_plain), not here.
 trace-suite() {
   cargo build --release -p mlexray-serve -p mlexray-bench
   cargo test --release -p mlexray-core --lib trace -q
   cargo test --release -p mlexray-serve --test trace_suite -q
   rm -rf target/experiment-artifacts
-  MLEXRAY_QUICK=1 cargo test --release -p mlexray-bench --test experiments_smoke fig_trace -q
+  MLEXRAY_QUICK=1 cargo run --release -q -p mlexray-bench --bin trace_report
 }
 
 # exray-lint sweeps every zoo family and golden graph, failing on any Deny
