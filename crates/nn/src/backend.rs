@@ -9,17 +9,20 @@
 //! four configurations that engine runs under:
 //!
 //! * [`BackendSpec::reference`] — the debugging-grade reference kernels
-//!   (TFLite's `RefOpResolver`): naive loops, canonical summation order.
+//!   (TFLite's `RefOpResolver`): canonical summation order.
 //! * [`BackendSpec::optimized`] — the production kernels (`OpResolver`):
 //!   blocked accumulation, whole-batch im2col GEMM, and the surface the
 //!   injected [`KernelBugs`] live in.
 //! * [`BackendSpec::simd`] — the raw-speed kernels (`SimdOpResolver`): the
 //!   runtime-feature-dispatched virtual-SIMD GEMM of `kernels::gemm`
 //!   (AVX2/FMA on x86_64, a bitwise-identical scalar mirror elsewhere)
-//!   behind the im2col conv, depthwise and fully-connected paths, with a
-//!   true i8×i8→i32 quantized batched GEMM. Float GEMM outputs differ from
-//!   the scalar flavors only by benign accumulation-order drift; quantized
-//!   outputs are bitwise-identical to the reference kernels.
+//!   behind the im2col float conv and fully-connected paths. Its float GEMM
+//!   outputs differ from the scalar flavors only by benign
+//!   accumulation-order drift.
+//!
+//! The quantized `Conv2d` and `FullyConnected` are one true i8×i8→i32
+//! batched GEMM shared by every flavor, so quantized outputs are
+//! bitwise-identical across them.
 //! * [`BackendSpec::emulator`] — reproduces a *different* edge runtime's
 //!   numerics ([`EdgeNumerics`]): configurable GEMM accumulation order,
 //!   fused multiply-add contraction, flush-to-zero denormals, and
@@ -57,8 +60,9 @@ pub struct BackendSpec {
     /// not replace — in particular it gates the optimized-only
     /// quantized-depthwise defect of [`KernelBugs`].
     pub flavor: KernelFlavor,
-    /// Injected kernel defects (off by default). Op-spec bugs like the
-    /// quantized average-pool defect fire in *both* scalar flavors; the
+    /// Injected kernel defects (off by default), resolved with the flavor
+    /// when the interpreter is built. Op-spec bugs like the quantized
+    /// average-pool defect fire in every flavor; the
     /// test-only K-tail tile-boundary defect lives in the SIMD flavor.
     pub bugs: KernelBugs,
     /// Emulated edge-runtime numerics. `None` (the default) runs the

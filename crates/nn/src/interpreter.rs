@@ -5,7 +5,7 @@ use mlexray_tensor::{DType, Shape, Tensor, TensorData};
 use crate::backend::BackendSpec;
 use crate::graph::{Graph, TensorDef, TensorId};
 use crate::kernels::gemm::Engine;
-use crate::kernels::{execute_node, pack_weight_panels, FloatKernels, KernelCtx};
+use crate::kernels::{execute_node, pack_weight_panels, FloatKernels, KernelCtx, Kernels};
 use crate::ops::OpKind;
 use crate::plan::MemoryPlan;
 use crate::{NnError, Result};
@@ -168,6 +168,9 @@ struct ExecState {
     /// [`packed_weight_panels`]); empty until such a node runs, then as large
     /// as the largest of them.
     runtime_panels: Vec<f32>,
+    /// The quantized `Conv2d`'s `u8` patch matrix: empty until such a node
+    /// runs, then as large as the largest of them.
+    patches: Vec<u8>,
 }
 
 impl ExecState {
@@ -192,6 +195,7 @@ impl ExecState {
             values,
             scratch,
             runtime_panels: Vec::new(),
+            patches: Vec::new(),
         }
     }
 
@@ -324,9 +328,9 @@ fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
 pub struct Interpreter<'g> {
     graph: &'g Graph,
     spec: BackendSpec,
-    /// The float kernel family `spec` selects, resolved once here (the
+    /// Every kernel choice `spec` makes, resolved once here (the
     /// `OpResolver` choice) instead of per node per invoke.
-    float: FloatKernels,
+    kernels: Kernels,
     /// See [`packed_weight_panels`].
     panels: Vec<Option<Vec<f32>>>,
     state: ExecState,
@@ -351,12 +355,12 @@ impl<'g> Interpreter<'g> {
     pub fn new(graph: &'g Graph, spec: BackendSpec) -> Result<Self> {
         graph.validate()?;
         let plan = verified_plan(graph, 1)?;
-        let float = FloatKernels::resolve(spec.flavor, spec.numerics, &spec.bugs);
+        let kernels = Kernels::resolve(&spec);
         Ok(Interpreter {
             graph,
             spec,
-            float,
-            panels: packed_weight_panels(graph, float)?,
+            kernels,
+            panels: packed_weight_panels(graph, kernels.float)?,
             state: ExecState::new(graph, &plan),
             plans: vec![plan],
             batch_safe: batch_safe(graph),
@@ -468,8 +472,7 @@ impl<'g> Interpreter<'g> {
     /// index reported to the observer (used by the per-frame fallback).
     fn execute_graph(
         graph: &Graph,
-        spec: BackendSpec,
-        float: FloatKernels,
+        kernels: Kernels,
         panels: &[Option<Vec<f32>>],
         state: &mut ExecState,
         observer: &mut dyn LayerObserver,
@@ -511,12 +514,10 @@ impl<'g> Interpreter<'g> {
                     &spilled
                 };
                 let mut ctx = KernelCtx {
-                    float,
-                    flavor: spec.flavor,
-                    numerics: spec.numerics,
-                    bugs: &spec.bugs,
+                    kernels,
                     engine: Engine::active(),
                     scratch: &mut state.scratch,
+                    patches: &mut state.patches,
                     panels: panels.get(index).and_then(Option::as_deref),
                     runtime_panels: &mut state.runtime_panels,
                 };
@@ -603,8 +604,7 @@ impl<'g> Interpreter<'g> {
         Self::stage_inputs(self.graph, &mut self.state, &[inputs])?;
         Self::execute_graph(
             self.graph,
-            self.spec,
-            self.float,
+            self.kernels,
             &self.panels,
             &mut self.state,
             observer,
@@ -667,15 +667,7 @@ impl<'g> Interpreter<'g> {
         let plan = self.prepare(frames)?;
         let state = &mut self.state;
         Self::stage_inputs(self.graph, state, batch)?;
-        Self::execute_graph(
-            self.graph,
-            self.spec,
-            self.float,
-            &self.panels,
-            state,
-            observer,
-            0,
-        )?;
+        Self::execute_graph(self.graph, self.kernels, &self.panels, state, observer, 0)?;
 
         let mut outputs = Vec::with_capacity(frames);
         let mut allocations = 0usize;
@@ -717,8 +709,7 @@ impl<'g> Interpreter<'g> {
             Self::stage_inputs(self.graph, &mut self.state, &[*sample])?;
             Self::execute_graph(
                 self.graph,
-                self.spec,
-                self.float,
+                self.kernels,
                 &self.panels,
                 &mut self.state,
                 observer,
@@ -754,6 +745,7 @@ impl<'g> Interpreter<'g> {
         }
         self.state.frames = 1;
         self.state.scratch = Vec::with_capacity(self.plans[0].scratch_elems());
+        self.state.patches = Vec::new();
     }
 
     /// The value of any tensor slot after the last invoke (useful for

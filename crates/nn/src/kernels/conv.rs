@@ -2,10 +2,11 @@
 //! float **reference** `Conv2d` ([`conv2d_f32`] — the oracle every faster
 //! float path is compared against), the edge-emulated twins, the
 //! channel-vectorized depthwise kernel every native flavor shares, and the
-//! quantized kernels with the injected optimized-depthwise defect of §4.4.
-//! The optimized and SIMD float `Conv2d` is the im2col + GEMM kernel in
-//! [`gemm`](super::gemm). Every window loop here is [`WindowGeom::taps`] or
-//! its row form, [`WindowGeom::row_taps`].
+//! quantized depthwise kernel with the injected optimized-flavor defect of
+//! §4.4. The optimized and SIMD float `Conv2d`, and the quantized `Conv2d` of
+//! every flavor, are the im2col + GEMM kernels in [`gemm`](super::gemm).
+//! Every window loop here is [`WindowGeom::taps`] or its row form,
+//! [`WindowGeom::row_taps`].
 //!
 //! What makes the reference kernels the oracle is their **sum**, not their
 //! loop nest: every output value is one accumulator seeded with the bias
@@ -28,7 +29,7 @@ use crate::kernels::{
     act_qbounds, emulated_dot, f32_slot, out_qparams, qparams_of, requantize, u8_slot,
 };
 use crate::ops::{Activation, Padding};
-use crate::resolver::{EdgeNumerics, KernelBugs, KernelFlavor, RequantMode};
+use crate::resolver::{EdgeNumerics, RequantMode};
 use crate::Result;
 
 /// The `(first channel, width)` of each output-channel panel of `out_c`
@@ -340,56 +341,9 @@ pub(super) fn weight_scale(q: &QuantParams, c: usize) -> f32 {
     q.for_channel(c).0
 }
 
-/// Quantized 2-D convolution (both scalar flavors compute identical i32
-/// math; padding taps are skipped, which equals adding `(zp - zp) * w`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn conv2d_q(
-    node: &Node,
-    inputs: &[&Tensor],
-    out_def: &TensorDef,
-    stride: usize,
-    padding: Padding,
-    activation: Activation,
-    requant: RequantMode,
-    out_t: &mut Tensor,
-) -> Result<()> {
-    let (input, weights) = (inputs[0], inputs[1]);
-    let bias = inputs.get(2).map(|t| t.as_i32()).transpose()?;
-    let (s_in, zp_in) = qparams_of(node, input)?;
-    let (s_out, zp_out) = out_qparams(node, out_def)?;
-    let wq = weights.quant().cloned().unwrap_or(QuantParams::PerTensor {
-        scale: 1.0,
-        zero_point: 0,
-    });
-    let x = input.as_u8()?;
-    let w = weights.as_i8()?;
-    let ws = weights.shape().dims();
-    let (out_c, kh, kw) = (ws[0], ws[1], ws[2]);
-    let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
-    let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
-    let out = u8_slot(out_t, out_def)?;
-    let ksize = g.patch_len();
-
-    for cell in g.cells() {
-        for oc in 0..out_c {
-            let mut acc: i32 = bias.map_or(0, |b| b[oc]);
-            for (tap, pixel) in g.taps(&cell) {
-                let xs = &x[pixel * g.c..][..g.c];
-                let ws = &w[oc * ksize + tap * g.c..][..g.c];
-                for ic in 0..g.c {
-                    acc += (xs[ic] as i32 - zp_in) * ws[ic] as i32;
-                }
-            }
-            let m = (s_in as f64) * (weight_scale(&wq, oc) as f64) / (s_out as f64);
-            out[cell.index * out_c + oc] = requantize(acc, m, zp_out, qlo, qhi, requant);
-        }
-    }
-    Ok(())
-}
-
-/// Quantized depthwise convolution. The optimized flavor carries the
-/// injectable i16-accumulator defect (§4.4): products are accumulated into a
-/// wrapping 16-bit register, overflowing on realistic activations.
+/// Quantized depthwise convolution. `i16_accumulator` injects the optimized
+/// flavor's defect (§4.4): products are accumulated into a wrapping 16-bit
+/// register, overflowing on realistic activations.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dwconv_q(
     node: &Node,
@@ -398,8 +352,7 @@ pub(crate) fn dwconv_q(
     stride: usize,
     padding: Padding,
     activation: Activation,
-    flavor: KernelFlavor,
-    bugs: &KernelBugs,
+    i16_accumulator: bool,
     requant: RequantMode,
     out_t: &mut Tensor,
 ) -> Result<()> {
@@ -417,7 +370,6 @@ pub(crate) fn dwconv_q(
     let (kh, kw, c) = (ws[1], ws[2], ws[3]);
     let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
     let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
-    let buggy = flavor == KernelFlavor::Optimized && bugs.optimized_dwconv_i16_accumulator;
     let out = u8_slot(out_t, out_def)?;
 
     for cell in g.cells() {
@@ -426,7 +378,7 @@ pub(crate) fn dwconv_q(
             let mut acc16: i16 = 0;
             for (tap, pixel) in g.taps(&cell) {
                 let prod = (x[pixel * c + ch] as i32 - zp_in) * w[tap * c + ch] as i32;
-                if buggy {
+                if i16_accumulator {
                     // Injected defect: the optimized kernel pre-scales
                     // products into the Q13 domain of its 16-bit SIMD lane
                     // and accumulates with wrapping arithmetic...
@@ -435,7 +387,7 @@ pub(crate) fn dwconv_q(
                     acc += prod;
                 }
             }
-            if buggy {
+            if i16_accumulator {
                 // ...and forgets to scale back down before the bias.
                 acc = acc16 as i32 >> 2;
             }

@@ -1,13 +1,14 @@
-//! The im2col + GEMM kernels behind the
-//! [`KernelFlavor::Optimized`] and [`KernelFlavor::Simd`] flavors, the
-//! runtime-feature-dispatched engines beneath them, and the engine-explicit
-//! entry points the cross-engine test suites pin those engines with.
+//! The im2col + GEMM kernels — the float `Conv2d` and `FullyConnected` of the
+//! [`KernelFlavor::Optimized`] and [`KernelFlavor::Simd`] flavors, and the
+//! quantized ones of every flavor — the runtime-feature-dispatched engines
+//! beneath them, and the engine-explicit entry points the cross-engine test
+//! suites pin those engines with.
 //!
 //! # One im2col, one tile driver, two chain rules
 //!
 //! There is one whole-batch `im2col` (generic over the element type: `f32`
-//! for the float convolutions, `u8` for the quantized SIMD one); float
-//! `FullyConnected` passes its activations as the matrix. One driver,
+//! for the float convolutions, `u8` for the quantized one); both
+//! `FullyConnected` layers pass their activations as the matrix. One driver,
 //! `float_gemm`, walks the matrix for both float flavors — `ROW_TILE`-row
 //! tiles × column strips × `MR` rows, then the odd row — adds the bias,
 //! and applies the activation once per tile. What sums `M` matrix rows
@@ -29,6 +30,15 @@
 //!
 //! The reference kernels in `conv.rs` / `fc.rs` are the oracle both are
 //! tested against.
+//!
+//! The quantized `Conv2d` and `FullyConnected` are one kernel each for
+//! every flavor (`conv2d_q`, `fc_q`): the `u8` matrix — padding taps
+//! hold the input zero point — against the row-major `i8` weights, one
+//! exact `i32` dot per output value, output channel by output channel so
+//! each channel's requantization multiplier is computed once per node. The
+//! scalar loops the reference and optimized flavors ran before are kept
+//! verbatim in this module's tests, which hold both kernels to them bit for
+//! bit.
 //!
 //! # Native builds at the host's vector width
 //!
@@ -72,9 +82,9 @@
 //! choice never changes a single output bit: golden records made on an AVX2
 //! machine verify on any host, and the CI forced-scalar run
 //! (`MLEXRAY_SIMD=scalar`) must match the feature-dispatched run exactly.
-//! Quantized kernels accumulate in exact `i32` arithmetic, where any
-//! summation order is identical — they are bitwise-equal to the *reference*
-//! kernels too.
+//! The quantized dot accumulates in exact `i32` arithmetic, where any
+//! summation order is identical, so it is bitwise-equal to the scalar
+//! oracle loops too.
 //!
 //! Feature detection runs **once** per process ([`OnceLock`]); per-call
 //! dispatch is a single atomic load. `MLEXRAY_SIMD=scalar` in the
@@ -88,18 +98,19 @@
 
 use std::sync::OnceLock;
 
-use mlexray_tensor::{QuantParams, Shape, Tensor};
+use mlexray_tensor::{Shape, Tensor};
 
+use crate::backend::BackendSpec;
 use crate::graph::{Graph, Node, NodeId, TensorDef};
 use crate::kernels::conv::{weight_panels, weight_scale};
 use crate::kernels::window::WindowGeom;
 use crate::kernels::{
-    act_qbounds, execute_node, f32_slot, out_qparams, qparams_of, requantize, u8_slot,
-    FloatKernels, KernelCtx,
+    act_qbounds, execute_node, f32_slot, out_qparams, qparams_of, requantize, u8_slot, KernelCtx,
+    Kernels,
 };
 use crate::ops::{Activation, Padding};
 use crate::plan::MemoryPlan;
-use crate::resolver::{KernelBugs, KernelFlavor, RequantMode};
+use crate::resolver::{KernelFlavor, RequantMode};
 use crate::Result;
 
 /// Vector width of the canonical virtual-SIMD arithmetic (f32 lanes).
@@ -318,15 +329,20 @@ unsafe fn tile_avx2<const M: usize, const N: usize>(
 
 /// Integer dot product over zero-point-corrected `u8` activations and `i8`
 /// weights, accumulating in exact `i32` — bitwise-identical under any
-/// engine (and to the reference kernels), absent overflow. Public for the
-/// cross-engine test suites; on a CPU without AVX2 both engines run the
-/// scalar loop.
+/// engine (and to the scalar oracle loops), absent overflow, for a `u8`
+/// zero point (`0..=255`). Public for the cross-engine test suites; on a
+/// CPU without AVX2 both engines run the scalar loop.
 pub fn dot_q8_with(engine: SimdEngine, a: &[u8], zp: i32, w: &[i8]) -> i32 {
+    dot_q8(Engine::runnable(engine), a, zp, w)
+}
+
+/// [`dot_q8_with`] on a checked engine.
+fn dot_q8(engine: Engine, a: &[u8], zp: i32, w: &[i8]) -> i32 {
     assert_eq!(a.len(), w.len());
-    match Engine::runnable(engine).get() {
+    match engine.get() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `runnable` yields `Avx2Fma` only after detecting AVX2 on
-        // this CPU, and the lengths were just checked equal.
+        // SAFETY: an `Engine` holds `Avx2Fma` only after AVX2 was detected
+        // on this CPU, and the lengths were just checked equal.
         SimdEngine::Avx2Fma => unsafe { dot_q8_avx2(a, zp, w) },
         _ => a
             .iter()
@@ -387,9 +403,6 @@ fn im2col<'a, T: Copy>(g: &WindowGeom, x: &'a [T], fill: T, scratch: &'a mut Vec
     if g.is_pointwise() {
         return x;
     }
-    // The float scratch is reserved once from the memory plan; growing it
-    // here would mean the planner under-reserved.
-    debug_assert!(scratch.capacity() >= im2col_len(g));
     let ksize = g.patch_len();
     scratch.clear();
     scratch.resize(im2col_len(g), fill);
@@ -659,6 +672,9 @@ pub(crate) fn conv2d_f32_gemm(
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
     let ws = weights.shape().dims();
     let g = WindowGeom::new(input, out_def, ws[1], ws[2], stride, padding);
+    // The float scratch is reserved once from the memory plan; growing it
+    // in `im2col` would mean the planner under-reserved.
+    debug_assert!(scratch.capacity() >= im2col_len(&g));
     let matrix = im2col(&g, input.as_f32()?, 0.0, scratch);
     let out = f32_slot(out_t, out_def)?;
     let k = g.patch_len();
@@ -685,14 +701,13 @@ pub(crate) fn fc_f32_gemm(
     Ok(())
 }
 
-/// SIMD quantized convolution: whole-batch `u8` [`im2col`] — padding taps
-/// are filled with the input zero point, so they contribute exactly
-/// `(zp - zp) * w == 0`, matching the reference kernel's skip — then an
-/// i8×i8→i32 batched GEMM. Integer accumulation is exact, so outputs are
-/// bitwise-identical to [`conv2d_q`](super::conv::conv2d_q) in every flavor
-/// and engine.
+/// The quantized `Conv2d` of every flavor: whole-batch `u8` [`im2col`] into
+/// `patches`, then [`q8_gemm`]. A padding tap holds the input zero point,
+/// so it adds `(zp − zp) · w = 0` — what the oracle's skipped tap adds.
+/// `patches` grows to the largest patch matrix it has held and then stays.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn conv2d_q_simd(
+pub(crate) fn conv2d_q(
+    engine: Engine,
     node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
@@ -700,49 +715,24 @@ pub(crate) fn conv2d_q_simd(
     padding: Padding,
     activation: Activation,
     requant: RequantMode,
+    patches: &mut Vec<u8>,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let engine = active_engine();
-    let (input, weights) = (inputs[0], inputs[1]);
-    let bias = inputs.get(2).map(|t| t.as_i32()).transpose()?;
-    let (s_in, zp_in) = qparams_of(node, input)?;
-    let (s_out, zp_out) = out_qparams(node, out_def)?;
-    let wq = weights.quant().cloned().unwrap_or(QuantParams::PerTensor {
-        scale: 1.0,
-        zero_point: 0,
-    });
-    let w = weights.as_i8()?;
-    let ws = weights.shape().dims();
-    let (out_c, kh, kw) = (ws[0], ws[1], ws[2]);
-    let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
-    let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
-    let out = u8_slot(out_t, out_def)?;
-    let ksize = g.patch_len();
-    let rows = g.cell_count();
-    // The memory plan reserves no u8 scratch: non-pointwise quantized SIMD
-    // convolutions allocate their patch matrix per node.
-    let mut patches = Vec::with_capacity(im2col_len(&g));
-    let fill = zp_in.clamp(0, 255) as u8;
-    let matrix = im2col(&g, input.as_u8()?, fill, &mut patches);
-
-    for r0 in (0..rows).step_by(ROW_TILE) {
-        let r1 = (r0 + ROW_TILE).min(rows);
-        for oc in 0..out_c {
-            let wrow = &w[oc * ksize..(oc + 1) * ksize];
-            let b = bias.map_or(0, |b| b[oc]);
-            let m = (s_in as f64) * (weight_scale(&wq, oc) as f64) / (s_out as f64);
-            for r in r0..r1 {
-                let acc = b + dot_q8_with(engine, &matrix[r * ksize..(r + 1) * ksize], zp_in, wrow);
-                out[r * out_c + oc] = requantize(acc, m, zp_out, qlo, qhi, requant);
-            }
-        }
-    }
-    Ok(())
+    let (input, ws) = (inputs[0], inputs[1].shape().dims());
+    let g = WindowGeom::new(input, out_def, ws[1], ws[2], stride, padding);
+    // `qparams_of` admits only zero points a `u8` holds.
+    let (_, zp_in) = qparams_of(node, input)?;
+    let matrix = im2col(&g, input.as_u8()?, zp_in as u8, patches);
+    let k = g.patch_len();
+    q8_gemm(
+        engine, node, inputs, matrix, k, out_def, activation, requant, out_t,
+    )
 }
 
-/// SIMD quantized fully-connected layer: i8×i8→i32 row reductions, exact
-/// and bitwise-identical to [`fc_q`](super::fc::fc_q).
-pub(crate) fn fc_q_simd(
+/// The quantized `FullyConnected` of every flavor, `[n, in] x [out, in]^T`:
+/// [`q8_gemm`] with the activations as the matrix.
+pub(crate) fn fc_q(
+    engine: Engine,
     node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
@@ -750,30 +740,44 @@ pub(crate) fn fc_q_simd(
     requant: RequantMode,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let engine = active_engine();
-    let input = inputs[0];
+    let (matrix, k) = (inputs[0].as_u8()?, inputs[1].shape().dims()[1]);
+    q8_gemm(
+        engine, node, inputs, matrix, k, out_def, activation, requant, out_t,
+    )
+}
+
+/// `out[r, oc] = requantize(bias[oc] + Σ (matrix[r] − zp_in) · w[oc])` over
+/// `matrix: [rows, k]` and the `[out_c, k]` `i8` weights `inputs[1]`: one
+/// exact `i32` [`dot_q8_with`] per output value in `engine`'s build, output
+/// channel by output channel, so each channel's requantization multiplier
+/// is computed once.
+#[allow(clippy::too_many_arguments)]
+fn q8_gemm(
+    engine: Engine,
+    node: &Node,
+    inputs: &[&Tensor],
+    matrix: &[u8],
+    k: usize,
+    out_def: &TensorDef,
+    activation: Activation,
+    requant: RequantMode,
+    out_t: &mut Tensor,
+) -> Result<()> {
     let weights = inputs[1];
     let bias = inputs.get(2).map(|t| t.as_i32()).transpose()?;
-    let (s_in, zp_in) = qparams_of(node, input)?;
+    let (s_in, zp_in) = qparams_of(node, inputs[0])?;
     let (s_out, zp_out) = out_qparams(node, out_def)?;
-    let wq = weights.quant().cloned().unwrap_or(QuantParams::PerTensor {
-        scale: 1.0,
-        zero_point: 0,
-    });
-    let x = input.as_u8()?;
-    let w = weights.as_i8()?;
-    let in_f = weights.shape().dims()[1];
-    let out_f = weights.shape().dims()[0];
-    let batch = input.shape().dims()[0];
     let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
+    let (w, out_c) = (weights.as_i8()?, weights.shape().dims()[0]);
     let out = u8_slot(out_t, out_def)?;
-    for n in 0..batch {
-        let xrow = &x[n * in_f..(n + 1) * in_f];
-        for o in 0..out_f {
-            let acc = bias.map_or(0, |b| b[o])
-                + dot_q8_with(engine, xrow, zp_in, &w[o * in_f..(o + 1) * in_f]);
-            let m = (s_in as f64) * (wq.for_channel(o).0 as f64) / (s_out as f64);
-            out[n * out_f + o] = requantize(acc, m, zp_out, qlo, qhi, requant);
+    let rows = out.len().checked_div(out_c).unwrap_or(0);
+    for oc in 0..out_c {
+        let w_scale = weights.quant().map_or(1.0, |q| weight_scale(q, oc));
+        let m = (s_in as f64) * (w_scale as f64) / (s_out as f64);
+        let (w, b) = (&w[oc * k..][..k], bias.map_or(0, |b| b[oc]));
+        for r in 0..rows {
+            let acc = b + dot_q8(engine, &matrix[r * k..][..k], zp_in, w);
+            out[r * out_c + oc] = requantize(acc, m, zp_out, qlo, qhi, requant);
         }
     }
     Ok(())
@@ -782,8 +786,9 @@ pub(crate) fn fc_q_simd(
 /// Runs node `node` of `graph` under `flavor` (native numerics, no injected
 /// defect) on an explicit engine and returns its output. `operands` are the
 /// node's inputs in order, constants included, stacked to any batch.
-/// Public so test suites can pin the AVX2 build of every native float
-/// kernel against its baseline build in one process, as [`dot_f32_with`]
+/// Public so test suites can pin the AVX2 build of every native kernel —
+/// the quantized ones' dot included — against its baseline build in one
+/// process, as [`dot_f32_with`]
 /// pins the dot: `Avx2Fma` is honoured only where the CPU has it, whatever
 /// `MLEXRAY_SIMD` says, and runs the baseline build elsewhere. Weights are
 /// packed on the call, as the interpreter packs a runtime weight operand.
@@ -814,14 +819,15 @@ pub fn execute_node_with(
     let mut out = Tensor::zeros(out_def.dtype(), Shape::new(dims));
     out.set_quant(out_def.quant().cloned());
     let mut scratch = Vec::with_capacity(MemoryPlan::for_graph(graph, frames)?.scratch_elems());
-    let (engine, bugs) = (Engine::runnable(engine), KernelBugs::none());
-    let mut ctx = KernelCtx {
-        float: FloatKernels::resolve(flavor, None, &bugs),
+    let spec = BackendSpec {
         flavor,
-        numerics: None,
-        bugs: &bugs,
-        engine,
+        ..BackendSpec::default()
+    };
+    let mut ctx = KernelCtx {
+        kernels: Kernels::resolve(&spec),
+        engine: Engine::runnable(engine),
         scratch: &mut scratch,
+        patches: &mut Vec::new(),
         panels: None,
         runtime_panels: &mut Vec::new(),
     };
@@ -831,9 +837,14 @@ pub fn execute_node_with(
 
 #[cfg(test)]
 mod tests {
+    use mlexray_tensor::{DType, QuantParams};
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::graph::TensorId;
     use crate::kernels::conv::pack_weight_panels;
     use crate::kernels::{det_f32, ACTIVATIONS};
+    use crate::ops::{conv_out_size, OpKind};
 
     /// Runs on every host: without AVX2+FMA (or under `MLEXRAY_SIMD=scalar`,
     /// which the explicit-engine entry points ignore) asking for `Avx2Fma`
@@ -1108,5 +1119,342 @@ mod tests {
         let e = active_engine();
         assert_eq!(e, active_engine());
         assert!(["avx2+fma", "scalar"].contains(&e.label()));
+    }
+
+    /// The quantized `Conv2d` the reference and optimized flavors ran before
+    /// every flavor shared [`conv2d_q`]: one `i32` accumulator per output
+    /// value, padding taps skipped, the multiplier recomputed per value.
+    /// Body verbatim — the oracle [`conv2d_q`] is held to.
+    #[allow(clippy::too_many_arguments)]
+    fn conv2d_q_naive(
+        node: &Node,
+        inputs: &[&Tensor],
+        out_def: &TensorDef,
+        stride: usize,
+        padding: Padding,
+        activation: Activation,
+        requant: RequantMode,
+        out_t: &mut Tensor,
+    ) -> Result<()> {
+        let (input, weights) = (inputs[0], inputs[1]);
+        let bias = inputs.get(2).map(|t| t.as_i32()).transpose()?;
+        let (s_in, zp_in) = qparams_of(node, input)?;
+        let (s_out, zp_out) = out_qparams(node, out_def)?;
+        let wq = weights.quant().cloned().unwrap_or(QuantParams::PerTensor {
+            scale: 1.0,
+            zero_point: 0,
+        });
+        let x = input.as_u8()?;
+        let w = weights.as_i8()?;
+        let ws = weights.shape().dims();
+        let (out_c, kh, kw) = (ws[0], ws[1], ws[2]);
+        let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
+        let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
+        let out = u8_slot(out_t, out_def)?;
+        let ksize = g.patch_len();
+
+        for cell in g.cells() {
+            for oc in 0..out_c {
+                let mut acc: i32 = bias.map_or(0, |b| b[oc]);
+                for (tap, pixel) in g.taps(&cell) {
+                    let xs = &x[pixel * g.c..][..g.c];
+                    let ws = &w[oc * ksize + tap * g.c..][..g.c];
+                    for ic in 0..g.c {
+                        acc += (xs[ic] as i32 - zp_in) * ws[ic] as i32;
+                    }
+                }
+                let m = (s_in as f64) * (weight_scale(&wq, oc) as f64) / (s_out as f64);
+                out[cell.index * out_c + oc] = requantize(acc, m, zp_out, qlo, qhi, requant);
+            }
+        }
+        Ok(())
+    }
+
+    /// The quantized `FullyConnected` the reference and optimized flavors ran
+    /// before every flavor shared [`fc_q`]. Body verbatim.
+    fn fc_q_naive(
+        node: &Node,
+        inputs: &[&Tensor],
+        out_def: &TensorDef,
+        activation: Activation,
+        requant: RequantMode,
+        out_t: &mut Tensor,
+    ) -> Result<()> {
+        let input = inputs[0];
+        let weights = inputs[1];
+        let bias = inputs.get(2).map(|t| t.as_i32()).transpose()?;
+        let (s_in, zp_in) = qparams_of(node, input)?;
+        let (s_out, zp_out) = out_qparams(node, out_def)?;
+        let wq = weights.quant().cloned().unwrap_or(QuantParams::PerTensor {
+            scale: 1.0,
+            zero_point: 0,
+        });
+        let x = input.as_u8()?;
+        let w = weights.as_i8()?;
+        let in_f = weights.shape().dims()[1];
+        let out_f = weights.shape().dims()[0];
+        let batch = input.shape().dims()[0];
+        let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
+        let out = u8_slot(out_t, out_def)?;
+        for n in 0..batch {
+            for o in 0..out_f {
+                let mut acc: i32 = bias.map(|b| b[o]).unwrap_or(0);
+                for i in 0..in_f {
+                    acc += (x[n * in_f + i] as i32 - zp_in) * w[o * in_f + i] as i32;
+                }
+                let m = (s_in as f64) * (wq.for_channel(o).0 as f64) / (s_out as f64);
+                out[n * out_f + o] = requantize(acc, m, zp_out, qlo, qhi, requant);
+            }
+        }
+        Ok(())
+    }
+
+    /// The zero points a case is drawn with; `None` draws one.
+    const ZERO_POINTS: [Option<i32>; 4] = [Some(0), Some(128), Some(255), None];
+
+    /// Quantized operands from a xorshift64* stream; the state is never zero.
+    struct Draw(u64);
+
+    impl Draw {
+        fn bits(&mut self) -> u32 {
+            let s = &mut self.0;
+            *s ^= *s >> 12;
+            *s ^= *s << 25;
+            *s ^= *s >> 27;
+            (s.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as u32
+        }
+
+        /// In `[lo, hi)`.
+        fn scale(&mut self, lo: f32, hi: f32) -> f32 {
+            lo + (hi - lo) * (self.bits() >> 8) as f32 / (1u32 << 24) as f32
+        }
+
+        fn zero_point(&mut self, which: usize) -> i32 {
+            ZERO_POINTS[which].unwrap_or_else(|| (self.bits() % 256) as i32)
+        }
+
+        /// A `[dims]` `u8` activation, codes drawn over all of `0..=255`.
+        fn input(&mut self, dims: Vec<usize>, scale: f32, zero_point: i32) -> Tensor {
+            let shape = Shape::new(dims);
+            let codes = (0..shape.num_elements())
+                .map(|_| self.bits() as u8)
+                .collect();
+            Tensor::from_u8(shape, codes, QuantParams::PerTensor { scale, zero_point }).unwrap()
+        }
+
+        /// `[out_c, ..]` `i8` weights over all of `-128..=127`, one scale
+        /// per output channel or one for the tensor.
+        fn weights(&mut self, dims: Vec<usize>, per_channel: bool) -> Tensor {
+            let (shape, out_c) = (Shape::new(dims.clone()), dims[0]);
+            let w = (0..shape.num_elements())
+                .map(|_| self.bits() as i8)
+                .collect();
+            let quant = if per_channel {
+                QuantParams::PerChannel {
+                    scales: (0..out_c).map(|_| self.scale(0.005, 0.02)).collect(),
+                    zero_points: vec![0; out_c],
+                    axis: 0,
+                }
+            } else {
+                QuantParams::PerTensor {
+                    scale: self.scale(0.005, 0.02),
+                    zero_point: 0,
+                }
+            };
+            Tensor::from_i8(shape, w, quant).unwrap()
+        }
+
+        fn bias(&mut self, out_c: usize) -> Tensor {
+            let b = (0..out_c).map(|_| (self.bits() as i32) >> 15).collect();
+            Tensor::from_i32(Shape::vector(out_c), b, None).unwrap()
+        }
+    }
+
+    /// A detached node running `op`; the kernels read only its name.
+    fn q_node(op: OpKind) -> Node {
+        Node {
+            name: "q".into(),
+            op,
+            inputs: Vec::new(),
+            output: TensorId(0),
+        }
+    }
+
+    /// `kernel`'s `u8` output over `operands`, into a slot shaped `dims`.
+    fn run_q(
+        operands: &[&Tensor],
+        dims: Vec<usize>,
+        quant: QuantParams,
+        kernel: impl FnOnce(&[&Tensor], &TensorDef, &mut Tensor) -> Result<()>,
+    ) -> Vec<u8> {
+        let out_def = TensorDef::Activation {
+            name: "out".into(),
+            shape: Shape::new(dims),
+            dtype: DType::U8,
+            quant: Some(quant),
+        };
+        let mut out = Tensor::zeros(DType::U8, out_def.shape().clone());
+        kernel(operands, &out_def, &mut out).unwrap();
+        out.as_u8().unwrap().to_vec()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Windows 1–7 on each side, strides 1–3, SAME and VALID, stacked
+        /// batches, input and output zero points 0, 128, 255 and drawn,
+        /// per-tensor and per-channel weights, with and without bias, every
+        /// activation's clamp bounds and both requantization precisions: the
+        /// one quantized `Conv2d` and — `kh·kw·in_c` inputs wide — the one
+        /// quantized FC, each in both builds, against the loops they
+        /// replaced.
+        #[test]
+        fn quantized_conv_and_fc_are_the_scalar_loops_bitwise(
+            kh in 1usize..=7,
+            kw in 1usize..=7,
+            extra_h in 0usize..3,
+            extra_w in 0usize..3,
+            stride in 1usize..=3,
+            same in 0u8..2,
+            in_c in 1usize..=12,
+            out_c in 1usize..=13,
+            batch in 1usize..=3,
+            zp_in in 0usize..ZERO_POINTS.len(),
+            zp_out in 0usize..ZERO_POINTS.len(),
+            per_channel in 0u8..2,
+            with_bias in 0u8..2,
+            activation in 0usize..ACTIVATIONS.len(),
+            single in 0u8..2,
+            seed in 1u64..=u64::MAX,
+        ) {
+            let padding = if same == 1 { Padding::Same } else { Padding::Valid };
+            let requant = [RequantMode::Double, RequantMode::Single][single as usize];
+            let activation = ACTIVATIONS[activation];
+            let (mut draw, k) = (Draw(seed), kh * kw * in_c);
+            let (s_in, zp_in) = (draw.scale(0.005, 0.05), draw.zero_point(zp_in));
+            // Outputs spread over tens to hundreds of codes around the zero
+            // point, so both the rounding and the clamps are exercised.
+            let s_out = s_in * 0.0125 * (k as f32).sqrt() / (0.04 * draw.scale(0.1, 1.5));
+            let out_quant = QuantParams::PerTensor {
+                scale: s_out,
+                zero_point: draw.zero_point(zp_out),
+            };
+            let (h, w) = (kh + extra_h, kw + extra_w);
+            let conv_in = draw.input(vec![batch, h, w, in_c], s_in, zp_in);
+            let conv_w = draw.weights(vec![out_c, kh, kw, in_c], per_channel == 1);
+            let fc_in = draw.input(vec![batch, k], s_in, zp_in);
+            let fc_w = draw.weights(vec![out_c, k], per_channel == 1);
+            let bias = draw.bias(out_c);
+            let with = |x, w| {
+                let mut operands = vec![x, w];
+                operands.extend((with_bias == 1).then_some(&bias));
+                operands
+            };
+            let (conv_ops, fc_ops) = (with(&conv_in, &conv_w), with(&fc_in, &fc_w));
+            let conv_node = q_node(OpKind::Conv2d { stride, padding, activation });
+            let fc_node = q_node(OpKind::FullyConnected { activation });
+            let (oh, ow) = (
+                conv_out_size(h, kh, stride, padding),
+                conv_out_size(w, kw, stride, padding),
+            );
+            let conv_dims = vec![batch, oh, ow, out_c];
+            let what = format!(
+                "{kh}x{kw}/{stride} {padding:?} {in_c}->{out_c} x{batch} zp {zp_in}->{:?} \
+                 per_channel={per_channel} bias={with_bias} {activation:?} {requant:?} seed {seed}",
+                out_quant.scalar().1
+            );
+            let conv_want = run_q(&conv_ops, conv_dims.clone(), out_quant.clone(), |ops, def, out| {
+                conv2d_q_naive(&conv_node, ops, def, stride, padding, activation, requant, out)
+            });
+            let fc_want = run_q(&fc_ops, vec![batch, out_c], out_quant.clone(), |ops, def, out| {
+                fc_q_naive(&fc_node, ops, def, activation, requant, out)
+            });
+            // Stale bytes from an earlier, larger node must not leak in.
+            let mut patches = vec![0xA5; 4096];
+            for engine in [SimdEngine::Scalar, SimdEngine::Avx2Fma].map(Engine::runnable) {
+                let conv = run_q(&conv_ops, conv_dims.clone(), out_quant.clone(), |ops, def, out| {
+                    conv2d_q(
+                        engine, &conv_node, ops, def, stride, padding, activation, requant,
+                        &mut patches, out,
+                    )
+                });
+                assert_eq!(conv, conv_want, "{engine:?} conv {what}");
+                let fc = run_q(&fc_ops, vec![batch, out_c], out_quant.clone(), |ops, def, out| {
+                    fc_q(engine, &fc_node, ops, def, activation, requant, out)
+                });
+                assert_eq!(fc, fc_want, "{engine:?} fc {what}");
+            }
+        }
+    }
+
+    /// `s_in · s_w / s_out = 0.5 − 2⁻⁴⁷`: exact in `f64`, `0.5` in `f32`. So
+    /// an odd accumulator rounds toward zero under [`RequantMode::Double`]
+    /// and away from it under [`RequantMode::Single`]: the precision must
+    /// reach both kernels, which must agree with their oracles either way.
+    #[test]
+    fn requantization_precision_reaches_both_kernels() {
+        let per_tensor = |scale, zero_point| QuantParams::PerTensor { scale, zero_point };
+        let (x_quant, out_quant) = (per_tensor(1.0 + f32::EPSILON, 128), per_tensor(2.0, 128));
+        let w_quant = per_tensor(1.0 - f32::EPSILON, 0);
+        let every_code =
+            |dims| Tensor::from_u8(Shape::new(dims), (0..=255).collect(), x_quant.clone()).unwrap();
+        let unit = |dims| Tensor::from_i8(Shape::new(dims), vec![1], w_quant.clone()).unwrap();
+        let (fc_in, fc_w) = (every_code(vec![256, 1]), unit(vec![1, 1]));
+        let (conv_in, conv_w) = (every_code(vec![1, 16, 16, 1]), unit(vec![1, 1, 1, 1]));
+        let (fc_ops, conv_ops) = ([&fc_in, &fc_w], [&conv_in, &conv_w]);
+        let (conv_dims, act) = (vec![1, 16, 16, 1], Activation::None);
+        let conv_node = q_node(OpKind::Conv2d {
+            stride: 1,
+            padding: Padding::Valid,
+            activation: act,
+        });
+        let fc_node = q_node(OpKind::FullyConnected { activation: act });
+        let mut by_mode = Vec::new();
+        for requant in [RequantMode::Double, RequantMode::Single] {
+            let fc_want = run_q(&fc_ops, vec![256, 1], out_quant.clone(), |ops, def, out| {
+                fc_q_naive(&fc_node, ops, def, act, requant, out)
+            });
+            let conv_want = run_q(
+                &conv_ops,
+                conv_dims.clone(),
+                out_quant.clone(),
+                |ops, def, out| {
+                    conv2d_q_naive(&conv_node, ops, def, 1, Padding::Valid, act, requant, out)
+                },
+            );
+            assert_eq!(fc_want, conv_want, "{requant:?}");
+            for engine in [SimdEngine::Scalar, SimdEngine::Avx2Fma].map(Engine::runnable) {
+                let fc = run_q(&fc_ops, vec![256, 1], out_quant.clone(), |ops, def, out| {
+                    fc_q(engine, &fc_node, ops, def, act, requant, out)
+                });
+                assert_eq!(fc, fc_want, "{engine:?} fc {requant:?}");
+                let conv = run_q(
+                    &conv_ops,
+                    conv_dims.clone(),
+                    out_quant.clone(),
+                    |ops, def, out| {
+                        let patches = &mut Vec::new();
+                        conv2d_q(
+                            engine,
+                            &conv_node,
+                            ops,
+                            def,
+                            1,
+                            Padding::Valid,
+                            act,
+                            requant,
+                            patches,
+                            out,
+                        )
+                    },
+                );
+                assert_eq!(conv, conv_want, "{engine:?} conv {requant:?}");
+            }
+            by_mode.push(fc_want);
+        }
+        assert_ne!(
+            by_mode[0], by_mode[1],
+            "the two precisions must disagree on odd sums"
+        );
     }
 }

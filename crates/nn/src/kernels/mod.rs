@@ -2,10 +2,13 @@
 //! flavor.
 //!
 //! The dispatch rule mirrors TFLite: `(op, dtype, flavor)` selects an
-//! implementation, and — as with a TFLite `OpResolver` — the float choice is
-//! resolved **once**, when the interpreter is built ([`FloatKernels`]), not
-//! per node. Each float GEMM-family op (`Conv2d`, `FullyConnected`) has
-//! one implementation per summation tree:
+//! implementation, and — as with a TFLite `OpResolver` — every choice the
+//! [`BackendSpec`] makes is resolved **once**, when the interpreter is built
+//! ([`Kernels`]: the float family, the requantization precision, the
+//! flush-to-zero knob and the two injected quantized defects), not per node;
+//! no kernel reads the flavor, the numerics or the [`KernelBugs`]. Each float
+//! GEMM-family op (`Conv2d`, `FullyConnected`) has one implementation per
+//! summation tree:
 //!
 //! * the **reference** kernels (`conv::conv2d_f32`, `fc::fc_f32`), the
 //!   oracle: one sequential accumulator per output value, seeded with the
@@ -36,6 +39,13 @@
 //! [`KernelBugs`] live in the quantized depthwise/pool kernels and the
 //! `Lanes8` K-tail.
 //!
+//! Quantized `Conv2d` and `FullyConnected` have one kernel each, shared by
+//! every flavor (`gemm::conv2d_q`, `gemm::fc_q`): a whole-batch `u8` im2col
+//! whose padding taps hold the input zero point, then one exact `i32` dot
+//! per output value. Integer sums are the same in any order, so the scalar
+//! loops the reference and optimized flavors used to run — kept verbatim in
+//! `gemm`'s tests as the oracle — return the same bits.
+//!
 //! The native float kernels — reference `Conv2d`, optimized `Conv2d` / FC,
 //! the shared depthwise — run at the host's vector width: each body is
 //! written once and compiled twice (`native_kernel!`), for the x86-64
@@ -50,20 +60,22 @@
 //! Every kernel writes into an arena-provided output slot (`&mut Tensor`,
 //! preallocated from the interpreter's `MemoryPlan`), and the float im2col
 //! matrix and the BatchNorm denominators live in the plan-sized scratch.
+//! The quantized im2col matrix lives in a `u8` buffer the interpreter keeps,
+//! which grows to the largest patch matrix it has held and then stays.
 //! The reference and optimized flavors hold a second, panel-ordered copy of
 //! their constant float weights (≈ 8 KB for `mini_mobilenet_v2`), packed
 //! when the interpreter is built; a weight operand that is a runtime tensor
 //! is packed on each invoke into a buffer the interpreter keeps. So
-//! steady-state float execution under the reference, optimized and SIMD
-//! flavors makes no heap allocation per node — measured, not self-reported:
+//! steady-state float execution, and quantized `Conv2d` and
+//! `FullyConnected`, under the reference, optimized and SIMD flavors make no
+//! heap allocation per node — measured, not self-reported:
 //! `tests/alloc_steady_state.rs` counts calls into the global allocator and
-//! holds a warmed `invoke` to the same count on 7 nodes as on 62. What
-//! still allocates per node, all outside those paths: `gemm::conv2d_q_simd`
-//! (its `u8` patch matrix, for non-1×1 windows), `conv::conv2d_f32_emulated`
-//! (its tap-offset list), `act_q` (a 256-entry lookup table) and
-//! `dequantize` (a float copy of the input); and the interpreter spills the
-//! operand list of a node with more than five inputs (only `Concat` can
-//! have them).
+//! holds a warmed `invoke` to the same count on 7 nodes as on 62, and on a
+//! shallow quantized stack as on a deep one. What still allocates per node,
+//! all outside those paths: `conv::conv2d_f32_emulated` (its tap-offset
+//! list), `act_q` (a 256-entry lookup table) and `dequantize` (a float copy
+//! of the input); and the interpreter spills the operand list of a node with
+//! more than five inputs (only `Concat` can have them).
 //!
 //! The element-wise float kernels (`Add`, `Mul`, `BatchNorm`) have no
 //! flavor: every backend runs the same row-walking loops — the broadcast is
@@ -133,15 +145,64 @@ use mlexray_tensor::{DType, QuantParams, Tensor, TensorData};
 
 pub(crate) use conv::pack_weight_panels;
 
+use crate::backend::BackendSpec;
 use crate::graph::{Node, TensorDef};
 use crate::ops::{Activation, OpKind};
-use crate::resolver::{AccumOrder, EdgeNumerics, KernelBugs, KernelFlavor, RequantMode};
+#[cfg(doc)]
+use crate::resolver::KernelBugs;
+use crate::resolver::{AccumOrder, EdgeNumerics, KernelFlavor, RequantMode};
 use crate::{NnError, Result};
 use gemm::{Engine, Reduction};
 
+/// Every kernel choice a [`BackendSpec`] makes, resolved once when the
+/// interpreter is built — the `OpResolver` choice — so that no node of any
+/// invoke reads the flavor, the numerics or the injected defects.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Kernels {
+    /// The float GEMM-family kernels.
+    pub float: FloatKernels,
+    /// Requantization multiplier precision of the quantized kernels.
+    pub requant: RequantMode,
+    /// Flush subnormal float outputs to zero after every node.
+    pub flush_to_zero: bool,
+    /// The quantized depthwise kernel accumulates in a wrapping `i16`
+    /// ([`KernelBugs::optimized_dwconv_i16_accumulator`], optimized flavor
+    /// only).
+    pub dwconv_i16_accumulator: bool,
+    /// The quantized average pool divides twice
+    /// ([`KernelBugs::avgpool_double_division`], every flavor).
+    pub avgpool_double_division: bool,
+}
+
+impl Kernels {
+    pub(crate) fn resolve(spec: &BackendSpec) -> Self {
+        let BackendSpec {
+            flavor,
+            bugs,
+            numerics,
+        } = *spec;
+        let float = match (numerics, flavor) {
+            (Some(numerics), _) => FloatKernels::Emulated(numerics),
+            (None, KernelFlavor::Reference) => FloatKernels::Reference,
+            (None, KernelFlavor::Optimized) => FloatKernels::Blocked4,
+            (None, KernelFlavor::Simd) => FloatKernels::Lanes8 {
+                skip_k_tail: bugs.simd_gemm_k_tail_skip,
+            },
+        };
+        Kernels {
+            float,
+            requant: numerics.map(|n| n.requant).unwrap_or_default(),
+            flush_to_zero: numerics.is_some_and(|n| n.flush_to_zero),
+            dwconv_i16_accumulator: flavor == KernelFlavor::Optimized
+                && bugs.optimized_dwconv_i16_accumulator,
+            avgpool_double_division: bugs.avgpool_double_division,
+        }
+    }
+}
+
 /// Which implementation family the float GEMM-family ops (`Conv2d`,
-/// `DepthwiseConv2d`, `FullyConnected`) run — `(flavor, numerics)` resolved
-/// once per interpreter.
+/// `DepthwiseConv2d`, `FullyConnected`) run: the part of [`Kernels`] that
+/// `(flavor, numerics)` decide.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FloatKernels {
     /// Reference kernels: one sequential sum per output value.
@@ -157,21 +218,6 @@ pub(crate) enum FloatKernels {
 }
 
 impl FloatKernels {
-    pub(crate) fn resolve(
-        flavor: KernelFlavor,
-        numerics: Option<EdgeNumerics>,
-        bugs: &KernelBugs,
-    ) -> Self {
-        match (numerics, flavor) {
-            (Some(numerics), _) => FloatKernels::Emulated(numerics),
-            (None, KernelFlavor::Reference) => FloatKernels::Reference,
-            (None, KernelFlavor::Optimized) => FloatKernels::Blocked4,
-            (None, KernelFlavor::Simd) => FloatKernels::Lanes8 {
-                skip_k_tail: bugs.simd_gemm_k_tail_skip,
-            },
-        }
-    }
-
     /// The [`gemm`] chain rule of the Optimized (`Blocked4`, over
     /// [`node_panels`]) or Simd (`Lanes8`) kernels over `weights`.
     fn reduction<'a>(
@@ -204,21 +250,19 @@ impl FloatKernels {
 }
 
 /// Per-invoke execution context threaded through the dispatch: the resolved
-/// float kernels and the engine their native builds run on, the flavor
-/// (quantized dispatch), the emulated numerics, injected defects and the
-/// plan-sized f32 scratch buffer.
+/// kernels, the engine their native builds run on and the buffers they
+/// reuse across nodes.
 pub(crate) struct KernelCtx<'a> {
-    pub float: FloatKernels,
-    pub flavor: KernelFlavor,
-    /// Emulated edge-runtime numerics; `None` runs native arithmetic.
-    pub numerics: Option<EdgeNumerics>,
-    pub bugs: &'a KernelBugs,
-    /// Which build of the native float kernels runs: `Avx2Fma` the AVX2
-    /// one, `Scalar` the baseline (same bits).
+    pub kernels: Kernels,
+    /// Which build of the native kernels runs: `Avx2Fma` the AVX2 one,
+    /// `Scalar` the baseline (same bits).
     pub engine: Engine,
     /// Scratch reused across nodes; capacity is reserved at plan time so
     /// `resize` never reallocates in steady state.
     pub scratch: &'a mut Vec<f32>,
+    /// The quantized `Conv2d`'s `u8` patch matrix; grows to the largest one
+    /// and then stays.
+    pub patches: &'a mut Vec<u8>,
     /// The node's weights in [`pack_weight_panels`] order: `Some` for a
     /// node whose kernel [reads panels](FloatKernels::reads_panels) and
     /// whose weights are a graph constant, packed when the interpreter was
@@ -227,14 +271,6 @@ pub(crate) struct KernelCtx<'a> {
     /// Where such a kernel packs weights that are a runtime tensor, on every
     /// invoke; grows to the largest such operand and then stays.
     pub runtime_panels: &'a mut Vec<f32>,
-}
-
-impl KernelCtx<'_> {
-    /// Requantization multiplier precision for this invoke's quantized
-    /// kernels.
-    fn requant_mode(&self) -> RequantMode {
-        self.numerics.map(|n| n.requant).unwrap_or_default()
-    }
 }
 
 /// `weights` in [`pack_weight_panels`] order: the copy packed at build, or
@@ -268,8 +304,14 @@ pub(crate) fn execute_node(
         .first()
         .map(|t| t.dtype() == DType::U8)
         .unwrap_or(false);
-    let flavor = ctx.flavor;
-    let requant = ctx.requant_mode();
+    let Kernels {
+        float,
+        requant,
+        flush_to_zero,
+        dwconv_i16_accumulator: i16_acc,
+        avgpool_double_division: div_twice,
+    } = ctx.kernels;
+    let engine = ctx.engine;
     let result = match (&node.op, quantized) {
         (
             &OpKind::Conv2d {
@@ -278,11 +320,11 @@ pub(crate) fn execute_node(
                 activation,
             },
             false,
-        ) => match ctx.float {
+        ) => match float {
             FloatKernels::Reference => {
                 let panels = node_panels(ctx.panels, ctx.runtime_panels, inputs[1])?;
                 conv::conv2d_f32(
-                    ctx.engine, inputs, panels, out_def, stride, padding, activation, out,
+                    engine, inputs, panels, out_def, stride, padding, activation, out,
                 )
             }
             FloatKernels::Emulated(numerics) => conv::conv2d_f32_emulated(
@@ -296,11 +338,9 @@ pub(crate) fn execute_node(
                 out,
             ),
             FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => {
-                let reduction = ctx
-                    .float
-                    .reduction(ctx.panels, ctx.runtime_panels, inputs[1])?;
+                let reduction = float.reduction(ctx.panels, ctx.runtime_panels, inputs[1])?;
                 gemm::conv2d_f32_gemm(
-                    ctx.engine,
+                    engine,
                     reduction,
                     inputs,
                     out_def,
@@ -319,16 +359,18 @@ pub(crate) fn execute_node(
                 activation,
             },
             true,
-        ) => {
-            let kernel = if flavor == KernelFlavor::Simd {
-                gemm::conv2d_q_simd
-            } else {
-                conv::conv2d_q
-            };
-            kernel(
-                node, inputs, out_def, stride, padding, activation, requant, out,
-            )
-        }
+        ) => gemm::conv2d_q(
+            engine,
+            node,
+            inputs,
+            out_def,
+            stride,
+            padding,
+            activation,
+            requant,
+            ctx.patches,
+            out,
+        ),
         (
             &OpKind::DepthwiseConv2d {
                 stride,
@@ -336,11 +378,9 @@ pub(crate) fn execute_node(
                 activation,
             },
             false,
-        ) => match ctx.float {
+        ) => match float {
             FloatKernels::Reference | FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => {
-                conv::dwconv_f32_channels(
-                    ctx.engine, inputs, out_def, stride, padding, activation, out,
-                )
+                conv::dwconv_f32_channels(engine, inputs, out_def, stride, padding, activation, out)
             }
             FloatKernels::Emulated(numerics) => conv::dwconv_f32_emulated(
                 inputs,
@@ -361,27 +401,20 @@ pub(crate) fn execute_node(
             },
             true,
         ) => conv::dwconv_q(
-            node, inputs, out_def, stride, padding, activation, flavor, ctx.bugs, requant, out,
+            node, inputs, out_def, stride, padding, activation, i16_acc, requant, out,
         ),
-        (&OpKind::FullyConnected { activation }, false) => match ctx.float {
+        (&OpKind::FullyConnected { activation }, false) => match float {
             FloatKernels::Reference => fc::fc_f32(inputs, out_def, activation, out),
             FloatKernels::Emulated(numerics) => {
                 fc::fc_f32_emulated(inputs, out_def, activation, &numerics, out)
             }
             FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => {
-                let reduction = ctx
-                    .float
-                    .reduction(ctx.panels, ctx.runtime_panels, inputs[1])?;
-                gemm::fc_f32_gemm(ctx.engine, reduction, inputs, out_def, activation, out)
+                let reduction = float.reduction(ctx.panels, ctx.runtime_panels, inputs[1])?;
+                gemm::fc_f32_gemm(engine, reduction, inputs, out_def, activation, out)
             }
         },
         (&OpKind::FullyConnected { activation }, true) => {
-            let kernel = if flavor == KernelFlavor::Simd {
-                gemm::fc_q_simd
-            } else {
-                fc::fc_q
-            };
-            kernel(node, inputs, out_def, activation, requant, out)
+            gemm::fc_q(engine, node, inputs, out_def, activation, requant, out)
         }
         (&OpKind::MatMul { transpose_b }, _) => fc::matmul_f32(inputs, out_def, transpose_b, out),
         (
@@ -402,7 +435,7 @@ pub(crate) fn execute_node(
             },
             true,
         ) => pool::avgpool_q(
-            node, inputs, out_def, pool_h, pool_w, stride, padding, ctx.bugs, requant, out,
+            node, inputs, out_def, pool_h, pool_w, stride, padding, div_twice, requant, out,
         ),
         (
             &OpKind::MaxPool2d {
@@ -463,7 +496,7 @@ pub(crate) fn execute_node(
     // The emulator's flush-to-zero knob models ARM's default FTZ mode at
     // node granularity: every float output has its subnormals flushed before
     // the next op can read them.
-    if result.is_ok() && ctx.numerics.is_some_and(|n| n.flush_to_zero) {
+    if result.is_ok() && flush_to_zero {
         if let TensorData::F32(_) = out.data() {
             for v in out.as_f32_mut()? {
                 if v.is_subnormal() {
@@ -521,10 +554,20 @@ pub(crate) fn unsupported(node: &Node, what: &str) -> NnError {
     }
 }
 
-/// Extracts per-tensor `(scale, zero_point)` from a runtime tensor.
+/// Extracts a `u8` activation's per-tensor `(scale, zero_point)`, the one
+/// place every quantized kernel reads them. A zero point outside `0..=255`
+/// is no `u8` value — the im2col could not pad with it, and the AVX2 dot
+/// would wrap it in `i16` — so it is refused: input quantization arrives
+/// from outside the program (a caller's tensor, the wire) unchecked.
 pub(crate) fn qparams_of(node: &Node, t: &Tensor) -> Result<(f32, i32)> {
     match t.quant() {
-        Some(QuantParams::PerTensor { scale, zero_point }) => Ok((*scale, *zero_point)),
+        Some(&QuantParams::PerTensor { scale, zero_point }) if (0..=255).contains(&zero_point) => {
+            Ok((scale, zero_point))
+        }
+        Some(QuantParams::PerTensor { zero_point, .. }) => Err(NnError::InvalidOp {
+            node: node.name.clone(),
+            reason: format!("activation zero point {zero_point} is outside 0..=255"),
+        }),
         Some(QuantParams::PerChannel { .. }) => Err(NnError::InvalidOp {
             node: node.name.clone(),
             reason: "expected per-tensor quantization on activation".into(),

@@ -8,7 +8,7 @@ use crate::graph::{Node, TensorDef};
 use crate::kernels::window::WindowGeom;
 use crate::kernels::{f32_slot, out_qparams, qparams_of, requantize, u8_slot};
 use crate::ops::Padding;
-use crate::resolver::{KernelBugs, RequantMode};
+use crate::resolver::RequantMode;
 use crate::Result;
 
 /// Float average pooling over the in-bounds part of each window.
@@ -84,10 +84,11 @@ pub(crate) fn mean_f32(inputs: &[&Tensor], out_def: &TensorDef, out_t: &mut Tens
     Ok(())
 }
 
-/// Quantized average pooling. When [`KernelBugs::avgpool_double_division`] is
-/// set (both resolvers — it is an op-spec defect), the accumulator is divided
-/// by the pool area twice, collapsing outputs toward quantized zero: the
-/// constant-output failure that zeroes MobileNet v3 in Fig. 5.
+/// Quantized average pooling. `double_division` injects the defect of
+/// `KernelBugs::avgpool_double_division` (every flavor — it is an op-spec
+/// defect): windows of area ≥ 16 divide the accumulator by the area twice,
+/// collapsing outputs toward quantized zero: the constant-output failure
+/// that zeroes MobileNet v3 in Fig. 5.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn avgpool_q(
     node: &Node,
@@ -97,7 +98,7 @@ pub(crate) fn avgpool_q(
     pool_w: usize,
     stride: usize,
     padding: Padding,
-    bugs: &KernelBugs,
+    double_division: bool,
     requant: RequantMode,
     out_t: &mut Tensor,
 ) -> Result<()> {
@@ -108,7 +109,7 @@ pub(crate) fn avgpool_q(
     let g = WindowGeom::new(input, out_def, pool_h, pool_w, stride, padding);
     let out = u8_slot(out_t, out_def)?;
     let m = (s_in as f64) / (s_out as f64);
-    let buggy = bugs.avgpool_double_division && pool_h * pool_w >= 16;
+    let buggy = double_division && pool_h * pool_w >= 16;
     for cell in g.cells() {
         for ch in 0..g.c {
             let (mut acc, mut count) = (0i32, 0i32);

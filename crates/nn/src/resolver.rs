@@ -4,21 +4,24 @@ use serde::{Deserialize, Serialize};
 ///
 /// Mirrors TFLite's two built-in op resolvers (§4.4): the production
 /// `OpResolver` dispatches *optimized kernels* (im2col, blocked loops), the
-/// debugging `RefOpResolver` dispatches *reference kernels* (naive, easy to
-/// read, orders of magnitude slower — the paper measures >200x on mobile).
-/// ML-EXray leverages the pair to separate optimization bugs from
-/// quantization-spec bugs.
+/// debugging `RefOpResolver` dispatches *reference kernels*: one sequential
+/// sum per float output value, the oracle the other flavors are held to.
+/// TFLite's are naive loops the paper measures >200x slower on mobile; here
+/// they run at vector width, and the quantized `Conv2d` and
+/// `FullyConnected` are one exact kernel shared by every flavor. ML-EXray
+/// leverages the pair to separate optimization bugs from quantization-spec
+/// bugs, which here live in the injected [`KernelBugs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum KernelFlavor {
     /// Production kernels.
     #[default]
     Optimized,
-    /// Naive reference kernels.
+    /// Reference kernels: the canonical summation order.
     Reference,
-    /// SIMD-tiled kernels: GEMM-family ops run through the runtime-feature-
-    /// dispatched micro-kernel in `kernels::gemm` (AVX2/FMA on x86_64, a
-    /// bitwise-identical scalar mirror elsewhere); every other op shares the
-    /// optimized implementations.
+    /// SIMD-tiled kernels: float GEMM-family ops run through the
+    /// runtime-feature-dispatched micro-kernel in `kernels::gemm` (AVX2/FMA
+    /// on x86_64, a bitwise-identical scalar mirror elsewhere); every other
+    /// op shares the optimized implementations.
     Simd,
 }
 

@@ -2,9 +2,9 @@
 //! `#[global_allocator]` instead of the self-reported
 //! `InvokeStats::allocations`: the allocation count of an `invoke` must not
 //! depend on graph depth (no per-node operand list, no per-node BatchNorm
-//! table) nor on whether the reference or optimized `Conv2d` packs its
-//! weights per invoke,
-//! and an interpreter cycled through batch sizes must hold the
+//! table, no per-node quantized patch matrix) nor on whether the reference
+//! or optimized `Conv2d` packs its weights per invoke, and an interpreter
+//! cycled through batch sizes must hold the
 //! memory of its largest batch, not the sum over every size it has seen.
 //!
 //! One `#[test]` in a file of its own, so no other test thread allocates
@@ -13,9 +13,10 @@
 use std::sync::atomic::Ordering;
 
 use mlexray_nn::{
-    Activation, BackendSpec, Graph, GraphBuilder, Interpreter, KernelBugs, KernelFlavor, Padding,
+    Activation, BackendSpec, Graph, GraphBuilder, Interpreter, KernelBugs, KernelFlavor, OpKind,
+    Padding,
 };
-use mlexray_tensor::{Shape, Tensor};
+use mlexray_tensor::{DType, QuantParams, Shape, Tensor};
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -92,6 +93,70 @@ fn lone_conv(runtime_weights: bool) -> Graph {
     b.finish().unwrap()
 }
 
+fn per_tensor(scale: f32, zero_point: i32) -> QuantParams {
+    QuantParams::PerTensor { scale, zero_point }
+}
+
+/// `blocks` quantized 3×3 `Conv2d`s (an im2col user each), then Mean → FC:
+/// `blocks + 2` nodes whose inputs and outputs do not depend on `blocks`.
+fn quantized_stack(blocks: usize) -> Graph {
+    let (c, q) = (8, per_tensor(0.05, 10));
+    let mut b = GraphBuilder::new("quantized-stack");
+    let mut x = b.input_typed(
+        "x",
+        Shape::nhwc(1, 6, 6, c),
+        DType::U8,
+        Some(per_tensor(0.02, 128)),
+    );
+    let weights = |dims: Vec<usize>| {
+        let shape = Shape::new(dims);
+        let w = (0..shape.num_elements())
+            .map(|i| (i % 7) as i8 - 3)
+            .collect();
+        Tensor::from_i8(shape, w, per_tensor(0.01, 0)).unwrap()
+    };
+    for i in 0..blocks {
+        let w = b.constant(format!("w{i}"), weights(vec![c, 3, 3, c]));
+        let conv = OpKind::Conv2d {
+            stride: 1,
+            padding: Padding::Same,
+            activation: Activation::Relu,
+        };
+        let shape = Shape::nhwc(1, 6, 6, c);
+        let quant = Some(q.clone());
+        x = b.push_node(
+            format!("conv{i}"),
+            conv,
+            vec![x, w],
+            shape,
+            DType::U8,
+            quant,
+        );
+    }
+    let gap = b.push_node(
+        "gap",
+        OpKind::Mean,
+        vec![x],
+        Shape::matrix(1, c),
+        DType::U8,
+        Some(q.clone()),
+    );
+    let wfc = b.constant("wfc", weights(vec![5, c]));
+    let fc = OpKind::FullyConnected {
+        activation: Activation::None,
+    };
+    let fc = b.push_node(
+        "fc",
+        fc,
+        vec![gap, wfc],
+        Shape::matrix(1, 5),
+        DType::U8,
+        Some(q),
+    );
+    b.output(fc);
+    b.finish().unwrap()
+}
+
 fn options(flavor: KernelFlavor) -> BackendSpec {
     BackendSpec {
         flavor,
@@ -153,6 +218,28 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
             baked, packed,
             "a warmed {flavor:?} invoke allocated {packed} times packing runtime weights, \
              {baked} without"
+        );
+    }
+
+    // (1c) A quantized `Conv2d` builds its patch matrix in a buffer the
+    // interpreter keeps, in every flavor: a warmed invoke allocates as often
+    // behind one quantized conv as behind twelve.
+    let codes: Vec<u8> = (0..6 * 6 * 8).map(|i| (i * 37 % 256) as u8).collect();
+    let shape = Shape::nhwc(1, 6, 6, 8);
+    let codes = [Tensor::from_u8(shape, codes, per_tensor(0.02, 128)).unwrap()];
+    let (shallow, deep) = (quantized_stack(1), quantized_stack(12));
+    assert_eq!((shallow.nodes().len(), deep.nodes().len()), (3, 14));
+    for flavor in [
+        KernelFlavor::Reference,
+        KernelFlavor::Optimized,
+        KernelFlavor::Simd,
+    ] {
+        let few = allocations_per_invoke(&shallow, flavor, &codes);
+        let many = allocations_per_invoke(&deep, flavor, &codes);
+        assert_eq!(
+            few, many,
+            "{flavor:?}: a warmed quantized invoke allocated {few} times on 3 nodes but {many} \
+             on 14"
         );
     }
 

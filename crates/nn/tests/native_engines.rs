@@ -2,7 +2,9 @@
 //! reference `Conv2d`, the optimized and Simd `Conv2d` / `FullyConnected`
 //! and the depthwise kernel every native flavor shares are each one body
 //! compiled twice — for the x86-64 baseline and for AVX2+FMA — and the two
-//! builds must return the same bits. In one process, through the engine-explicit entry
+//! builds must return the same bits; so must the quantized `Conv2d` and
+//! `FullyConnected` every flavor shares, whose dot has an AVX2 build and a
+//! scalar one. In one process, through the engine-explicit entry
 //! point `simd::execute_node_with` (what `dot_f32_with` is to the dot), every
 //! case runs each flavor under both builds, and then through an
 //! `Interpreter`, which reads the process's engine and packs constant
@@ -22,9 +24,9 @@ use proptest::prelude::*;
 use mlexray_nn::simd::{execute_node_with, SimdEngine};
 use mlexray_nn::{
     Activation, BackendSpec, Graph, GraphBuilder, Interpreter, KernelBugs, KernelFlavor, NodeId,
-    Padding,
+    OpKind, Padding,
 };
-use mlexray_tensor::{Shape, Tensor};
+use mlexray_tensor::{DType, QuantParams, Shape, Tensor};
 
 const ACTIVATIONS: [Activation; 7] = [
     Activation::None,
@@ -345,6 +347,129 @@ fn signed_zeros_survive_both_builds() {
                 assert!(
                     out.iter().all(|v| v.to_bits() == want.to_bits()),
                     "{flavor:?} {what}: want every output {want:?}, got {out:?}"
+                );
+            }
+        }
+    }
+}
+
+/// A one-node quantized graph — `Conv2d` with a `side`×`side` SAME window,
+/// or `FullyConnected` — over 11 input and 13 output channels, the input
+/// at zero point `zp`, the weights per tensor or per output channel; and
+/// one frame of input codes.
+fn quantized(op: Op, side: usize, stride: usize, zp: i32, per_channel: bool) -> Case {
+    let mut state = 0x9E37_79B9 ^ (zp as u64) << 8 ^ side as u64;
+    let mut bits = move || (next(&mut state) >> 32) as u32;
+    let (in_c, out_c) = (11, 13);
+    let per_tensor = |scale, zero_point| QuantParams::PerTensor { scale, zero_point };
+    let (in_dims, w_dims, out_dims) = match op {
+        Op::Conv => {
+            let (h, w) = (7, 6);
+            let out = |n: usize| n.div_ceil(stride);
+            let w_dims = vec![out_c, side, side, in_c];
+            (vec![1, h, w, in_c], w_dims, vec![1, out(h), out(w), out_c])
+        }
+        _ => (vec![1, 37], vec![out_c, 37], vec![1, out_c]),
+    };
+    let w_shape = Shape::new(w_dims);
+    let w_codes = (0..w_shape.num_elements()).map(|_| bits() as i8).collect();
+    let w_quant = if per_channel {
+        QuantParams::PerChannel {
+            scales: (0..out_c).map(|oc| 0.005 + 0.001 * oc as f32).collect(),
+            zero_points: vec![0; out_c],
+            axis: 0,
+        }
+    } else {
+        per_tensor(0.01, 0)
+    };
+    let bias = (0..out_c).map(|_| bits() as i32 >> 16).collect();
+    let mut b = GraphBuilder::new("native-engines-quantized");
+    let x_quant = per_tensor(0.02, zp);
+    let x = b.input_typed(
+        "x",
+        Shape::new(in_dims.clone()),
+        DType::U8,
+        Some(x_quant.clone()),
+    );
+    let w = b.constant("w", Tensor::from_i8(w_shape, w_codes, w_quant).unwrap());
+    let bias = b.constant(
+        "b",
+        Tensor::from_i32(Shape::vector(out_c), bias, None).unwrap(),
+    );
+    let op = match op {
+        Op::Conv => OpKind::Conv2d {
+            stride,
+            padding: Padding::Same,
+            activation: Activation::Relu6,
+        },
+        _ => OpKind::FullyConnected {
+            activation: Activation::None,
+        },
+    };
+    let out_quant = Some(per_tensor(0.15, 7));
+    let y = b.push_node(
+        "node",
+        op,
+        vec![x, w, bias],
+        Shape::new(out_dims),
+        DType::U8,
+        out_quant,
+    );
+    b.output(y);
+    let shape = Shape::new(in_dims);
+    let codes = (0..shape.num_elements()).map(|_| bits() as u8).collect();
+    Case {
+        graph: b.finish().unwrap(),
+        frames: vec![vec![Tensor::from_u8(shape, codes, x_quant).unwrap()]],
+    }
+}
+
+/// Quantized `Conv2d` (3×3 SAME at strides 1 and 2, and 1×1) and
+/// `FullyConnected`, input zero points 0, 128 and 255, per-tensor and
+/// per-channel weights: every flavor in both builds, and the interpreter,
+/// return the same bytes — one exact quantized kernel per op.
+#[test]
+fn quantized_kernels_are_bitwise_identical_in_both_builds_and_every_flavor() {
+    let shapes = [(Op::Conv, 3, 1), (Op::Conv, 3, 2), (Op::Conv, 1, 1)];
+    for (op, side, stride) in shapes.into_iter().chain([(Op::FullyConnected, 0, 1)]) {
+        for (zp, per_channel) in [0, 128, 255]
+            .into_iter()
+            .flat_map(|zp| [(zp, false), (zp, true)])
+        {
+            let case = quantized(op, side, stride, zp, per_channel);
+            let what = format!("{op:?} {side}x{side}/{stride} zp {zp} per_channel={per_channel}");
+            let node = &case.graph.nodes()[0];
+            let mut operands = vec![&case.frames[0][0]];
+            operands.extend(
+                node.inputs[1..]
+                    .iter()
+                    .map(|&id| case.graph.tensor(id).as_constant().unwrap()),
+            );
+            let run = |engine, flavor| {
+                let out =
+                    execute_node_with(engine, flavor, &case.graph, NodeId(0), &operands).unwrap();
+                out.as_u8().unwrap().to_vec()
+            };
+            let want = run(SimdEngine::Scalar, KernelFlavor::Reference);
+            assert!(
+                want.iter().any(|&q| q != want[0]),
+                "{what}: a constant output pins nothing"
+            );
+            for flavor in FLAVORS {
+                for engine in [SimdEngine::Avx2Fma, SimdEngine::Scalar] {
+                    assert_eq!(run(engine, flavor), want, "{flavor:?} {engine:?} {what}");
+                }
+                let spec = BackendSpec {
+                    flavor,
+                    bugs: KernelBugs::none(),
+                    numerics: None,
+                };
+                let mut interp = Interpreter::new(&case.graph, spec).unwrap();
+                let interpreted = interp.invoke(&case.frames[0]).unwrap();
+                assert_eq!(
+                    interpreted[0].as_u8().unwrap(),
+                    want,
+                    "interpreter, {flavor:?} {what}"
                 );
             }
         }

@@ -5,7 +5,7 @@
 
 use mlexray_nn::{
     calibrate, output_params, quantize_model, Activation, BackendSpec, GraphBuilder, Interpreter,
-    Model, ModelVariant, OpKind, Padding, QuantizationOptions,
+    KernelFlavor, Model, ModelVariant, NnError, OpKind, Padding, QuantizationOptions,
 };
 use mlexray_tensor::{affine_dequantize, affine_quantize_u8, DType, QuantParams, Shape, Tensor};
 
@@ -223,6 +223,92 @@ fn quantized_fc_golden_vector_by_hand() {
             want,
             "codes ({q0}, {q1}): saturation must clamp, not wrap"
         );
+    }
+}
+
+/// A `u8` activation's zero point arrives from outside the program (a
+/// caller's tensor, a wire frame) unchecked. Outside `0..=255` it is no `u8`
+/// value: it cannot pad a window, and the AVX2 dot would wrap it in `i16`.
+/// Every flavor refuses it with a typed error, for a 3×3 SAME `Conv2d` and
+/// for a `FullyConnected`.
+#[test]
+fn out_of_range_activation_zero_points_are_refused_in_every_flavor() {
+    let declared = QuantParams::PerTensor {
+        scale: 0.5,
+        zero_point: 10,
+    };
+    let weights = |shape: Shape| {
+        let n = shape.num_elements();
+        let quant = QuantParams::PerTensor {
+            scale: 0.1,
+            zero_point: 0,
+        };
+        Tensor::from_i8(shape, vec![3; n], quant).unwrap()
+    };
+    let conv = OpKind::Conv2d {
+        stride: 1,
+        padding: Padding::Same,
+        activation: Activation::None,
+    };
+    let fc = OpKind::FullyConnected {
+        activation: Activation::None,
+    };
+    for (op, in_shape, w_shape, out_shape) in [
+        (
+            conv,
+            Shape::nhwc(1, 4, 4, 2),
+            Shape::new(vec![3, 3, 3, 2]),
+            Shape::nhwc(1, 4, 4, 3),
+        ),
+        (
+            fc,
+            Shape::matrix(1, 6),
+            Shape::matrix(3, 6),
+            Shape::matrix(1, 3),
+        ),
+    ] {
+        let mut b = GraphBuilder::new("zero-points");
+        let x = b.input_typed("x", in_shape.clone(), DType::U8, Some(declared.clone()));
+        let w = b.constant("w", weights(w_shape));
+        let y = b.push_node(
+            "node",
+            op,
+            vec![x, w],
+            out_shape,
+            DType::U8,
+            Some(declared.clone()),
+        );
+        b.output(y);
+        let g = b.finish().unwrap();
+        for flavor in [
+            KernelFlavor::Reference,
+            KernelFlavor::Optimized,
+            KernelFlavor::Simd,
+        ] {
+            let spec = BackendSpec {
+                flavor,
+                ..BackendSpec::default()
+            };
+            let mut interp = Interpreter::new(&g, spec).unwrap();
+            for zero_point in [-1, 256] {
+                let quant = QuantParams::PerTensor {
+                    scale: 0.5,
+                    zero_point,
+                };
+                let n = in_shape.num_elements();
+                let input = Tensor::from_u8(in_shape.clone(), vec![7; n], quant).unwrap();
+                match interp.invoke(&[input]) {
+                    Err(NnError::InvalidOp { node, reason }) => {
+                        assert_eq!(node, "node");
+                        assert!(reason.contains(&zero_point.to_string()), "{reason}");
+                    }
+                    other => panic!("{flavor:?}, zero point {zero_point}: {other:?}"),
+                }
+            }
+            let n = in_shape.num_elements();
+            let input = Tensor::from_u8(in_shape.clone(), vec![7; n], declared.clone()).unwrap();
+            assert!(interp.invoke(&[input]).is_ok(), "{flavor:?} recovers");
+        }
     }
 }
 

@@ -79,8 +79,12 @@ backend-suites() {
 # and reference_oracle must hold either way: both builds of the reference
 # kernels compute the faithful emulator's bits. The kernels::gemm unit tests
 # hold the one tile driver, under both chain rules and both explicit engines,
-# to a one-row, one-channel run of it per cell, and read the detected engine,
-# which the forced-scalar pass reports as the mirror.
+# to a one-row, one-channel run of it per cell; hold the one quantized Conv2d
+# and FC every flavor runs, in both builds, to the scalar loops they replaced
+# (a property suite over windows, strides, zero points, per-channel weights,
+# clamp bounds and both requantization precisions); and read the detected
+# engine, which the forced-scalar pass reports as the mirror. native_engines
+# also pins the quantized Conv2d and FC of every flavor across both builds.
 kernel-simd() {
   local nn=(-p mlexray-nn --test golden_kernels --test batch_equivalence
     --test backend_differential --test alloc_steady_state --test alloc_validation
