@@ -276,33 +276,4 @@ mod tests {
     fn scales() {
         assert!(Scale::quick().train_n < Scale::default_scale().train_n);
     }
-
-    #[test]
-    fn playback_shards_match_engine_partition() {
-        // `PlaybackSource::shards` (datasets) and `shard_partition` (core)
-        // implement the same contiguous chunking on opposite sides of the
-        // crate DAG, and neither crate can see the other: a caller that
-        // reads a source shard by shard gets exactly the partition the
-        // replay engine hands its workers only while the two agree. Pin
-        // them together so they cannot silently diverge.
-        use mlexray_datasets::{InMemoryPlayback, PlaybackSource};
-        for (count, shard) in [(0usize, 4usize), (1, 4), (7, 4), (8, 4), (13, 5), (9, 1)] {
-            let frames = if count == 0 {
-                Vec::new() // the generator (rightly) rejects empty specs
-            } else {
-                synth_image::generate(synth_image::SynthImageSpec {
-                    resolution: 16,
-                    count,
-                    seed: 1,
-                })
-                .expect("valid spec")
-            };
-            let source = InMemoryPlayback::new(frames);
-            assert_eq!(
-                source.shards(shard),
-                mlexray_core::shard_partition(count, shard),
-                "count={count} shard={shard}"
-            );
-        }
-    }
 }

@@ -81,12 +81,12 @@ pub use pipeline::{
 };
 pub use reference::{collect_logs, ReferencePipeline};
 pub use replay::{
-    replay_sharded, replay_sharded_to_sink, replay_validate_sharded, shard_partition,
-    ReplayOptions, ReplayStats, ShardedValidation,
+    replay_sharded, replay_sharded_to_sink, replay_validate_sharded, ReplayOptions, ReplayStats,
+    ShardedValidation,
 };
 pub use sink::{
     ChannelSink, ChannelSinkConfig, JsonlFileSink, LogSink, MemorySink, OverflowPolicy,
-    SinkBackpressure, TeeSink,
+    SinkBackpressure,
 };
 pub use trace::{
     chrome_trace_json, span_id_for, trace_id_for, trace_report, Span, SpanRing, SpanStage,

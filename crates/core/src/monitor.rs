@@ -158,7 +158,7 @@ impl Monitor {
         self.sink.bytes_written()
     }
 
-    fn emit(&self, key: String, value: LogValue) {
+    pub(crate) fn emit(&self, key: String, value: LogValue) {
         let frame = *self.frame.lock();
         self.sink.write(LogRecord { frame, key, value });
     }
@@ -256,20 +256,6 @@ impl Monitor {
             .as_ref()
             .expect("take_logs requires the default in-memory sink");
         crate::log::LogSet::new(memory.drain())
-    }
-
-    /// Snapshots buffered records without draining (memory-sink monitors
-    /// only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the monitor was built over a custom sink.
-    pub fn snapshot_logs(&self) -> crate::log::LogSet {
-        let memory = self
-            .memory
-            .as_ref()
-            .expect("snapshot_logs requires the default in-memory sink");
-        crate::log::LogSet::new(memory.snapshot())
     }
 }
 

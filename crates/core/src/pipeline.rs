@@ -4,8 +4,11 @@
 //! backend spec. Its runner executes frames while reporting telemetry
 //! to a [`Monitor`] — preprocessing output, model I/O, per-layer details
 //! (per the monitor's capture mode), latency, memory and the final decision.
+//! An image frame is a micro-batch of one: [`ImageRunner::classify`] is
+//! [`ImageRunner::classify_batch`] over one frame, so one code path logs
+//! every image frame, however many share an invoke.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mlexray_nn::{BackendSpec, Interpreter, LayerObserver, LayerRecord, Model};
 use mlexray_preprocess::{
@@ -17,11 +20,10 @@ use crate::log::{
     layer_latency_key, layer_output_key, LogValue, KEY_MODEL_INPUT, KEY_MODEL_OUTPUT,
     KEY_PREPROCESS_OUTPUT,
 };
-use crate::monitor::{LayerCapture, Monitor};
+use crate::monitor::{LayerCapture, Monitor, MonitorConfig};
 use crate::Result;
 
-/// A frame from a playback source: the raw sensor image plus ground truth
-/// when known.
+/// A recorded frame: the raw sensor image plus ground truth when known.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabeledFrame {
     /// The captured image.
@@ -94,37 +96,29 @@ pub struct ImageRunner<'p> {
 }
 
 impl ImageRunner<'_> {
-    /// Classifies one frame, streaming telemetry into `monitor`.
+    /// Classifies one frame, streaming telemetry into `monitor`: a
+    /// [`ImageRunner::classify_batch`] of one.
     ///
     /// # Errors
     ///
     /// Propagates preprocessing and execution errors.
     pub fn classify(&mut self, frame: &LabeledFrame, monitor: &Monitor) -> Result<usize> {
-        let input = self.pipeline.preprocess.apply(&frame.image)?;
-        monitor.log_tensor(KEY_PREPROCESS_OUTPUT, &input);
-        monitor.log_tensor(KEY_MODEL_INPUT, &input);
-        monitor.on_inference_start();
-        let outputs = self
-            .interp
-            .invoke_observed(std::slice::from_ref(&input), &mut monitor.layer_observer())?;
-        let probs = outputs[0].to_f32_vec();
-        let predicted = argmax(&probs);
-        monitor.log_tensor(KEY_MODEL_OUTPUT, &outputs[0]);
-        if let Some(stats) = self.interp.last_stats() {
-            monitor.log_memory(stats.peak_activation_bytes as u64);
-        }
-        monitor.log_decision(predicted, frame.label);
-        monitor.on_inference_stop();
-        Ok(predicted)
+        let predictions = self.classify_batch(std::slice::from_ref(frame), monitor)?;
+        Ok(predictions[0])
     }
 
-    /// Classifies a micro-batch of frames with **one** batched interpreter
-    /// invoke ([`mlexray_nn::Interpreter::invoke_batch_observed`]), then
-    /// replays the collected telemetry into `monitor` frame by frame, in the
-    /// same record order [`ImageRunner::classify`] produces. Layer outputs
-    /// are bitwise-identical to per-frame classification; per-frame latency
-    /// is reported as the batch latency divided by the batch size, and
-    /// per-frame memory as the batched plan's per-frame share.
+    /// Classifies a micro-batch of frames with **one** interpreter invoke
+    /// ([`mlexray_nn::Interpreter::invoke_batch_observed`]), then logs the
+    /// collected telemetry into `monitor` frame by frame: per frame the
+    /// preprocess output and model input, each layer's output (and latency)
+    /// at the monitor's capture depth, the model output, memory, the
+    /// decision and the latency — the records the Table 1 instrumentation
+    /// (`on_inference_start`, an invoke observed by
+    /// [`Monitor::layer_observer`], `on_inference_stop`) logs, in the same
+    /// order. Layer outputs are bitwise-identical at every batch size;
+    /// per-frame latency is the invoke's latency divided by the batch size,
+    /// and per-frame memory the plan's peak divided by the frames the arena
+    /// held at once.
     ///
     /// # Errors
     ///
@@ -143,8 +137,7 @@ impl ImageRunner<'_> {
             .collect::<Result<Vec<Tensor>>>()?;
         let config = monitor.config();
         let mut collector = BatchCollector {
-            capture: config.per_layer != LayerCapture::None,
-            full: config.per_layer == LayerCapture::Full,
+            config,
             per_frame: vec![Vec::new(); frames.len()],
         };
         let started = Instant::now();
@@ -156,21 +149,15 @@ impl ImageRunner<'_> {
         for (b, frame) in frames.iter().enumerate() {
             monitor.log_tensor(KEY_PREPROCESS_OUTPUT, &inputs[b]);
             monitor.log_tensor(KEY_MODEL_INPUT, &inputs[b]);
-            for (name, value, latency) in std::mem::take(&mut collector.per_frame[b]) {
-                monitor.log_value(&layer_output_key(&name), value);
-                if config.layer_latency {
-                    monitor.log_value(
-                        &layer_latency_key(&name),
-                        LogValue::LatencyNs(latency.as_nanos() as u64),
-                    );
-                }
+            for (key, value) in std::mem::take(&mut collector.per_frame[b]) {
+                monitor.emit(key, value);
             }
             let output = &outputs[b][0];
             let predicted = argmax(&output.to_f32_vec());
             monitor.log_tensor(KEY_MODEL_OUTPUT, output);
             if let Some(stats) = stats {
                 // Per-frame attribution: the arena held `arena_frames`
-                // frames at once (1 on the per-frame fallback path).
+                // frames at once (1 on the per-frame path).
                 monitor
                     .log_memory((stats.peak_activation_bytes / stats.arena_frames.max(1)) as u64);
             }
@@ -191,27 +178,33 @@ impl ImageRunner<'_> {
     }
 }
 
-/// Collects per-frame layer records during a batched invoke so they can be
-/// replayed into the monitor grouped by frame. Outputs are rendered to
-/// [`LogValue`]s at capture depth immediately, so `Stats` capture never
-/// retains full activation copies.
+/// Collects per-frame layer records during an invoke so they can be logged
+/// into the monitor grouped by frame. Each record is kept as the key and
+/// value the monitor logs — outputs rendered at capture depth immediately,
+/// so `Stats` capture never retains full activation copies.
 struct BatchCollector {
-    capture: bool,
-    full: bool,
-    per_frame: Vec<Vec<(String, LogValue, Duration)>>,
+    config: MonitorConfig,
+    per_frame: Vec<Vec<(String, LogValue)>>,
 }
 
 impl LayerObserver for BatchCollector {
     fn on_layer(&mut self, record: &LayerRecord<'_>) {
-        self.per_frame[record.batch].push((
-            record.name.to_string(),
-            LogValue::of_tensor(record.output, self.full),
-            record.latency,
+        let records = &mut self.per_frame[record.batch];
+        let full = self.config.per_layer == LayerCapture::Full;
+        records.push((
+            layer_output_key(record.name),
+            LogValue::of_tensor(record.output, full),
         ));
+        if self.config.layer_latency {
+            records.push((
+                layer_latency_key(record.name),
+                LogValue::LatencyNs(record.latency.as_nanos() as u64),
+            ));
+        }
     }
 
     fn enabled(&self) -> bool {
-        self.capture
+        self.config.per_layer != LayerCapture::None
     }
 }
 
@@ -361,7 +354,7 @@ impl TextRunner<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::{LayerCapture, MonitorConfig};
+    use crate::log::LogRecord;
     use mlexray_nn::{Activation, Padding};
     use mlexray_preprocess::ChannelOrder;
 
@@ -479,6 +472,77 @@ mod tests {
                 "per-frame memory attribution diverged for '{}'",
                 batched.pipeline.model.graph.name()
             );
+        }
+    }
+
+    /// The Table 1 instrumentation of one frame, spelled out: the
+    /// preprocess and model-input records, then `on_inference_start` → an
+    /// invoke observed by the monitor's layer observer → output, memory and
+    /// decision → `on_inference_stop`.
+    fn classify_instrumented(
+        pipeline: &ImagePipeline,
+        interp: &mut Interpreter<'_>,
+        frame: &LabeledFrame,
+        monitor: &Monitor,
+    ) -> usize {
+        let input = pipeline.preprocess.apply(&frame.image).unwrap();
+        monitor.log_tensor(KEY_PREPROCESS_OUTPUT, &input);
+        monitor.log_tensor(KEY_MODEL_INPUT, &input);
+        monitor.on_inference_start();
+        let outputs = interp
+            .invoke_observed(std::slice::from_ref(&input), &mut monitor.layer_observer())
+            .unwrap();
+        let predicted = argmax(&outputs[0].to_f32_vec());
+        monitor.log_tensor(KEY_MODEL_OUTPUT, &outputs[0]);
+        monitor.log_memory(interp.last_stats().unwrap().peak_activation_bytes as u64);
+        monitor.log_decision(predicted, frame.label);
+        monitor.on_inference_stop();
+        predicted
+    }
+
+    /// `classify` is a batch of one, and logs record for record what the
+    /// Table 1 instrumentation logs — same keys, frames and order, values
+    /// bit for bit except wall-clock latencies — at every capture depth,
+    /// with and without layer latencies and full I/O, on the stacked and on
+    /// the per-frame-fallback graph alike.
+    #[test]
+    fn a_frame_logs_what_the_table1_instrumentation_logs() {
+        let frames: Vec<LabeledFrame> = (0..3)
+            .map(|i| LabeledFrame::new(Image::solid(8, 8, [i * 70, 120, 30]), Some(1)))
+            .collect();
+        // Debug renders every float in its shortest round-tripping form, so
+        // equal renderings are equal bits (NaN payloads aside).
+        let bits = |r: &LogRecord| match r.value {
+            LogValue::LatencyNs(_) => (r.frame, r.key.clone(), "latency".to_string()),
+            ref value => (r.frame, r.key.clone(), format!("{value:?}")),
+        };
+        for model in [tiny_image_model(), non_batchable_model()] {
+            let pipeline = ImagePipeline::new(model, ImagePreprocessConfig::mobilenet_style(4, 4));
+            for per_layer in [LayerCapture::None, LayerCapture::Stats, LayerCapture::Full] {
+                for (layer_latency, full_io) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    let config = MonitorConfig {
+                        per_layer,
+                        full_io,
+                        layer_latency,
+                    };
+                    let what = format!("{} {config:?}", pipeline.model.graph.name());
+                    let (by_hand, by_runner) = (Monitor::new(config), Monitor::new(config));
+                    let mut interp =
+                        Interpreter::new(&pipeline.model.graph, pipeline.backend).unwrap();
+                    let mut runner = pipeline.runner().unwrap();
+                    for frame in &frames {
+                        let want = classify_instrumented(&pipeline, &mut interp, frame, &by_hand);
+                        assert_eq!(runner.classify(frame, &by_runner).unwrap(), want, "{what}");
+                    }
+                    let want: Vec<_> = by_hand.take_logs().records().iter().map(bits).collect();
+                    let got: Vec<_> = by_runner.take_logs().records().iter().map(bits).collect();
+                    let layers = want.iter().filter(|r| r.1.starts_with("layer/")).count();
+                    assert_eq!(layers > 0, per_layer != LayerCapture::None, "{what}");
+                    assert_eq!(got, want, "{what}");
+                }
+            }
         }
     }
 }

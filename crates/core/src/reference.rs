@@ -56,20 +56,7 @@ impl ReferencePipeline {
     ///
     /// Propagates pipeline errors.
     pub fn replay(&self, frames: &[LabeledFrame]) -> Result<LogSet> {
-        self.replay_with_config(frames, MonitorConfig::offline_validation())
-    }
-
-    /// Replays frames with an explicit monitor configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline errors.
-    pub fn replay_with_config(
-        &self,
-        frames: &[LabeledFrame],
-        config: MonitorConfig,
-    ) -> Result<LogSet> {
-        collect_logs(&self.pipeline, frames, config)
+        collect_logs(&self.pipeline, frames, MonitorConfig::offline_validation())
     }
 }
 

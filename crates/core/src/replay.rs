@@ -3,11 +3,13 @@
 //!
 //! The single-threaded flow ([`crate::ReferencePipeline::replay`] +
 //! [`crate::DeploymentValidator::validate`]) costs N sequential inferences
-//! for an N-frame playback set. This module partitions the playback source
-//! into fixed-size frame shards, feeds them through a small bounded SPMC
-//! work queue to `std::thread` workers — each owning its *own*
-//! [`mlexray_nn::Interpreter`] instances, so no kernel state is shared —
-//! and merges the per-shard results deterministically.
+//! for an N-frame playback set. This module partitions the recorded frames
+//! (a `&[LabeledFrame]`) into fixed-size frame shards, feeds them through a
+//! small bounded SPMC work queue to `std::thread` workers — each owning its
+//! *own* [`mlexray_nn::Interpreter`] instances, so no kernel state is
+//! shared — and merges the per-shard results deterministically. A worker
+//! runs its shard through [`ImageRunner::classify_batch`] in chunks of
+//! [`ReplayOptions::micro_batch`] frames; a frame is a batch of one.
 //!
 //! # What is held, and for how long
 //!
@@ -54,11 +56,11 @@ pub struct ReplayOptions {
     /// Bounded work-queue depth. `0` means `2 × workers`.
     pub queue_depth: usize,
     /// Frames stacked into one batched interpreter invoke *within* a shard
-    /// (intra-shard micro-batching). `0` or `1` runs frame by frame; larger
-    /// values execute each shard in chunks of this many frames through
-    /// [`crate::ImageRunner::classify_batch`]. Logged tensor values are
-    /// bitwise-identical either way; only wall-clock-derived records
-    /// (latency, per-frame memory attribution) change shape.
+    /// (intra-shard micro-batching): each shard runs in chunks of this many
+    /// frames through [`crate::ImageRunner::classify_batch`] (`0` counts as
+    /// `1`). Logged tensor values are bitwise-identical at every size; only
+    /// wall-clock-derived records (latency, per-frame memory attribution)
+    /// change.
     pub micro_batch: usize,
     /// Monitor configuration each worker instruments its frames with.
     pub monitor: MonitorConfig,
@@ -152,22 +154,17 @@ impl ReplayStats {
     }
 }
 
-/// Drives one worker's shard through its runner, frame by frame or in
-/// micro-batches of `micro_batch` stacked frames per interpreter invoke.
+/// Drives one worker's shard through its runner in micro-batches of
+/// `micro_batch` stacked frames per interpreter invoke (`0` counts as `1`:
+/// a frame is a batch of one).
 fn run_frames(
     runner: &mut ImageRunner<'_>,
     frames: &[LabeledFrame],
     monitor: &Monitor,
     micro_batch: usize,
 ) -> Result<()> {
-    if micro_batch > 1 {
-        for chunk in frames.chunks(micro_batch) {
-            runner.classify_batch(chunk, monitor)?;
-        }
-    } else {
-        for frame in frames {
-            runner.classify(frame, monitor)?;
-        }
+    for chunk in frames.chunks(micro_batch.max(1)) {
+        runner.classify_batch(chunk, monitor)?;
     }
     Ok(())
 }
@@ -175,7 +172,7 @@ fn run_frames(
 /// The contiguous frame ranges `[0, n)` is split into: every shard holds
 /// `shard_frames` frames except a shorter tail. This partition is the unit
 /// of work distribution *and* of per-shard validation.
-pub fn shard_partition(frames: usize, shard_frames: usize) -> Vec<Range<usize>> {
+fn shard_partition(frames: usize, shard_frames: usize) -> Vec<Range<usize>> {
     let size = shard_frames.max(1);
     (0..frames.div_ceil(size))
         .map(|i| i * size..((i + 1) * size).min(frames))

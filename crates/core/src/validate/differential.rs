@@ -12,12 +12,13 @@
 //! divergent layer** in execution order.
 //!
 //! When [`DifferentialOptions::bisect`] is set, the debugger then confirms
-//! the localization: it re-runs the graph prefix under the *reference*
-//! backend to obtain trusted inputs for the suspect node, re-executes that
-//! node **in isolation** under both backends on those identical inputs, and
-//! classifies the divergence as op-local (the defect is in that operator —
-//! localization confirmed) or propagated (inherited from upstream
-//! numerics).
+//! the localization: it re-runs the frame under the *reference* backend to
+//! obtain trusted operands for the suspect node, re-executes that node **in
+//! isolation** — one [`execute_node_with`] call per spec, on the process's
+//! engine, with the spec's injected defects and emulated numerics — on
+//! those identical operands, and classifies the divergence as op-local (the
+//! defect is in that operator — localization confirmed) or propagated
+//! (inherited from upstream numerics).
 //!
 //! The run goes through the sharded replay engine ([`crate::replay`]):
 //! frames are partitioned into shards, workers each own a private pair of
@@ -28,7 +29,8 @@
 
 use std::borrow::Cow;
 
-use mlexray_nn::{BackendSpec, Graph, GraphBuilder, LayerObserver, LayerRecord, TensorDef};
+use mlexray_nn::simd::{active_engine, execute_node_with};
+use mlexray_nn::{BackendSpec, Graph, LayerObserver, LayerRecord};
 use mlexray_tensor::Tensor;
 
 use crate::log::layer_output_key;
@@ -304,25 +306,9 @@ fn localize(
     }
 }
 
-/// Captures every node's output tensor (typed, quantized) during a
-/// single-frame prefix replay.
-#[derive(Default)]
-struct PrefixCapture {
-    outputs: Vec<Option<Tensor>>,
-}
-
-impl LayerObserver for PrefixCapture {
-    fn on_layer(&mut self, record: &LayerRecord<'_>) {
-        if self.outputs.len() <= record.index {
-            self.outputs.resize(record.index + 1, None);
-        }
-        self.outputs[record.index] = Some(record.output.clone());
-    }
-}
-
-/// The bisection pass: re-runs the graph prefix under the **reference**
-/// backend to obtain trusted inputs for the divergent node, then executes
-/// that node in isolation under both specs on those identical inputs.
+/// The bisection pass: re-runs the graph under the **reference** backend to
+/// obtain trusted operands for the divergent node, then executes that node
+/// in isolation under both specs on those identical operands.
 fn bisect(
     graph: &Graph,
     baseline: BackendSpec,
@@ -331,76 +317,28 @@ fn bisect(
     divergent: &DivergentLayer,
     report: &DifferentialReport,
 ) -> Result<BisectionOutcome> {
-    // Trusted prefix activations: the frame replayed under the reference
-    // backend (ML-EXray's known-correct runtime), whatever the baseline of
-    // the differential run was.
-    let mut prefix = PrefixCapture::default();
-    BackendSpec::reference()
-        .build(graph)?
-        .invoke_observed(frame_inputs, &mut prefix)?;
-
-    let node = graph
-        .node_by_name(&divergent.layer)
-        .map(|(_, n)| n)
-        .ok_or_else(|| {
-            ExrayError::Validation(format!(
-                "divergent layer '{}' not present in the graph",
-                divergent.layer
-            ))
-        })?;
-
-    // Isolate the node: constants inline, runtime operands become graph
-    // inputs fed with the reference-prefix values.
-    let mut b = GraphBuilder::new(format!("isolated/{}", node.name));
-    let mut mapped = Vec::with_capacity(node.inputs.len());
-    let mut isolated_inputs = Vec::new();
-    for &id in &node.inputs {
-        let def = graph.tensor(id);
-        match def.as_constant() {
-            Some(t) => mapped.push(b.constant(def.name(), t.clone())),
-            None => {
-                let value = if let Some(pos) = graph.inputs().iter().position(|&gid| gid == id) {
-                    frame_inputs[pos].clone()
-                } else {
-                    let producer = graph
-                        .nodes()
-                        .iter()
-                        .position(|n| n.output == id)
-                        .and_then(|i| prefix.outputs.get(i).cloned().flatten())
-                        .ok_or_else(|| {
-                            ExrayError::Validation(format!(
-                                "no captured value for operand '{}' of '{}'",
-                                def.name(),
-                                node.name
-                            ))
-                        })?;
-                    producer
-                };
-                mapped.push(b.input_typed(
-                    def.name(),
-                    def.shape().clone(),
-                    def.dtype(),
-                    def.quant().cloned(),
-                ));
-                isolated_inputs.push(value);
-            }
-        }
-    }
-    let out_def: &TensorDef = graph.tensor(node.output);
-    let out = b.push_node(
-        node.name.clone(),
-        node.op.clone(),
-        mapped,
-        out_def.shape().clone(),
-        out_def.dtype(),
-        out_def.quant().cloned(),
-    );
-    b.output(out);
-    let isolated = b.finish()?;
-
+    let (id, node) = graph.node_by_name(&divergent.layer).ok_or_else(|| {
+        ExrayError::Validation(format!(
+            "divergent layer '{}' not present in the graph",
+            divergent.layer
+        ))
+    })?;
+    // Trusted operands: the frame replayed under the reference backend
+    // (ML-EXray's known-correct runtime), whatever the baseline of the
+    // differential run was. Its arena keeps every slot readable after the
+    // invoke, so the node's operands — graph constants, the frame's own
+    // staged inputs, reference-prefix activations — are read in place.
+    let mut prefix = BackendSpec::reference().build(graph)?;
+    prefix.invoke(frame_inputs)?;
+    let operands = node
+        .inputs
+        .iter()
+        .map(|&operand| prefix.tensor_value(operand))
+        .collect::<Option<Vec<&Tensor>>>()
+        .ok_or_else(|| ExrayError::Validation(format!("no operands for '{}'", divergent.layer)))?;
     let run = |spec: BackendSpec| -> Result<Vec<f32>> {
-        let outputs = spec.build(&isolated)?.invoke(&isolated_inputs)?;
-        Ok(outputs[0].to_f32_vec())
+        let output = execute_node_with(active_engine(), spec, graph, id, &operands)?;
+        Ok(output.to_f32_vec())
     };
     let a = run(baseline)?;
     let c = run(candidate)?;
@@ -427,7 +365,7 @@ fn bisect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlexray_nn::{Activation, EdgeNumerics, KernelBugs, Padding};
+    use mlexray_nn::{Activation, EdgeNumerics, GraphBuilder, KernelBugs, Padding};
     use mlexray_tensor::Shape;
 
     fn conv_chain() -> Graph {

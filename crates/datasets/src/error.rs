@@ -1,37 +1,18 @@
 use std::fmt;
 
-/// Errors produced by dataset generation and playback.
+/// Errors produced by dataset generation.
 #[derive(Debug)]
 pub enum DatasetError {
     /// Invalid generator parameters.
     InvalidSpec(String),
-    /// Playback I/O failure.
-    Io(std::io::Error),
-    /// Playback (de)serialization failure.
-    Format(String),
 }
 
 impl fmt::Display for DatasetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DatasetError::InvalidSpec(msg) => write!(f, "invalid dataset spec: {msg}"),
-            DatasetError::Io(e) => write!(f, "playback i/o error: {e}"),
-            DatasetError::Format(msg) => write!(f, "playback format error: {msg}"),
         }
     }
 }
 
-impl std::error::Error for DatasetError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DatasetError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for DatasetError {
-    fn from(e: std::io::Error) -> Self {
-        DatasetError::Io(e)
-    }
-}
+impl std::error::Error for DatasetError {}

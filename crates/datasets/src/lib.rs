@@ -11,24 +11,20 @@
 //! * [`synth_detect`] — scenes of colored shapes with boxes (COCO stand-in).
 //! * [`synth_audio`] — tones/chirps/noise keywords (Speech-Commands stand-in).
 //! * [`synth_text`] — templated sentiment sentences (IMDB stand-in).
-//! * [`playback`] — SD-card style frame storage, the "apps accept data from
-//!   an SD card instead of the sensor stream" instrumentation of §4, and
-//!   the shardable [`PlaybackSource`] the replay engine partitions across
-//!   workers.
 //!
-//! All generators are seeded and deterministic.
+//! All generators are seeded and deterministic, so the edge and the
+//! reference pipeline replay byte-identical frames (§3.3): the replay
+//! engine takes the frames as a slice (`mlexray_core::replay_sharded`).
 
 #![warn(missing_docs)]
 
 mod error;
-pub mod playback;
 pub mod synth_audio;
 pub mod synth_detect;
 pub mod synth_image;
 pub mod synth_text;
 
 pub use error::DatasetError;
-pub use playback::{InMemoryPlayback, PlaybackSource, SdCard};
 
 /// Result alias used throughout the datasets crate.
 pub type Result<T> = std::result::Result<T, DatasetError>;

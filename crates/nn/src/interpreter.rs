@@ -1,3 +1,18 @@
+//! The [`Interpreter`]: a graph executed node by node over one preplanned
+//! arena.
+//!
+//! Every invoke goes through one of two execution bodies, both over
+//! `execute_graph`:
+//!
+//! * **stacked** — [`Interpreter::invoke_batch_observed`] on a batchable
+//!   graph stacks N frames along the leading dimension and runs the graph
+//!   once;
+//! * **per frame** — everything else: [`Interpreter::invoke`] and
+//!   [`Interpreter::invoke_observed`] (one sample), a batch of one, and the
+//!   fallback for graphs or batches that cannot stack. This body is the one
+//!   place a single frame is staged, executed, collected and accounted in
+//!   [`InvokeStats`].
+
 use std::time::{Duration, Instant};
 
 use mlexray_tensor::{DType, Shape, Tensor, TensorData};
@@ -588,7 +603,9 @@ impl<'g> Interpreter<'g> {
         self.invoke_observed(inputs, &mut NullObserver)
     }
 
-    /// Runs the graph, reporting every executed node to `observer`.
+    /// Runs the graph, reporting every executed node to `observer`: the
+    /// per-frame path of [`Interpreter::invoke_batch_observed`] run on one
+    /// sample.
     ///
     /// # Errors
     ///
@@ -599,27 +616,8 @@ impl<'g> Interpreter<'g> {
         observer: &mut dyn LayerObserver,
     ) -> Result<Vec<Tensor>> {
         self.check_inputs(inputs)?;
-        let start = Instant::now();
-        self.prepare(1)?;
-        Self::stage_inputs(self.graph, &mut self.state, &[inputs])?;
-        Self::execute_graph(
-            self.graph,
-            self.kernels,
-            &self.panels,
-            &mut self.state,
-            observer,
-            0,
-        )?;
-        let outputs = Self::collect_outputs(self.graph, &self.state)?;
-        self.last_stats = Some(InvokeStats {
-            latency: start.elapsed(),
-            peak_activation_bytes: self.plans[0].peak_bytes(),
-            arena_bytes: self.plans[0].arena_bytes(),
-            allocations: outputs.len(),
-            batch: 1,
-            arena_frames: 1,
-        });
-        Ok(outputs)
+        let mut outputs = self.invoke_batch_sequential(&[inputs], observer)?;
+        Ok(outputs.pop().expect("one sample, one output set"))
     }
 
     /// Runs the graph once over a stacked `batch` of input sets and returns
@@ -693,9 +691,10 @@ impl<'g> Interpreter<'g> {
         Ok(outputs)
     }
 
-    /// Per-frame fallback for graphs (or batches) that cannot stack: runs
-    /// each sample through the arena at one frame, still reporting the frame
-    /// index to the observer.
+    /// The one per-frame execution path: single invokes, and the fallback
+    /// for graphs (or batches) that cannot stack. Runs each sample through
+    /// the arena at one frame, still reporting the frame index to the
+    /// observer.
     fn invoke_batch_sequential(
         &mut self,
         batch: &[&[Tensor]],

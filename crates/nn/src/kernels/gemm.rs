@@ -1,5 +1,6 @@
 //! The im2col + GEMM kernels — the float `Conv2d` and `FullyConnected` of the
-//! [`KernelFlavor::Optimized`] and [`KernelFlavor::Simd`] flavors, and the
+//! [`Optimized`](crate::KernelFlavor::Optimized) and
+//! [`Simd`](crate::KernelFlavor::Simd) flavors, and the
 //! quantized ones of every flavor — the runtime-feature-dispatched engines
 //! beneath them, and the engine-explicit entry points the cross-engine test
 //! suites pin those engines with.
@@ -110,7 +111,7 @@ use crate::kernels::{
 };
 use crate::ops::{Activation, Padding};
 use crate::plan::MemoryPlan;
-use crate::resolver::{KernelFlavor, RequantMode};
+use crate::resolver::RequantMode;
 use crate::Result;
 
 /// Vector width of the canonical virtual-SIMD arithmetic (f32 lanes).
@@ -783,15 +784,20 @@ fn q8_gemm(
     Ok(())
 }
 
-/// Runs node `node` of `graph` under `flavor` (native numerics, no injected
-/// defect) on an explicit engine and returns its output. `operands` are the
-/// node's inputs in order, constants included, stacked to any batch.
-/// Public so test suites can pin the AVX2 build of every native kernel —
-/// the quantized ones' dot included — against its baseline build in one
-/// process, as [`dot_f32_with`]
-/// pins the dot: `Avx2Fma` is honoured only where the CPU has it, whatever
-/// `MLEXRAY_SIMD` says, and runs the baseline build elsewhere. Weights are
-/// packed on the call, as the interpreter packs a runtime weight operand.
+/// Runs node `node` of `graph` in isolation under `spec` — its flavor,
+/// injected [`KernelBugs`](crate::KernelBugs) and emulated numerics,
+/// resolved through `Kernels::resolve` as the interpreter resolves them —
+/// on an explicit engine, and returns its output. `operands` are the node's
+/// inputs in order, constants included, stacked to any batch; on the
+/// process's engine ([`active_engine`]) the bits are those an interpreter
+/// under `spec` produces for the node on the same operands. The
+/// differential debugger's bisection re-executes a divergent node this way,
+/// and test suites pin the AVX2 build of every native kernel — the
+/// quantized ones' dot included — against its baseline build in one
+/// process, as [`dot_f32_with`] pins the dot: `Avx2Fma` is honoured only
+/// where the CPU has it, whatever `MLEXRAY_SIMD` says, and runs the
+/// baseline build elsewhere. Weights are packed on the call, as the
+/// interpreter packs a runtime weight operand.
 ///
 /// # Errors
 ///
@@ -802,7 +808,7 @@ fn q8_gemm(
 /// If `node` is not a node of `graph` or `operands` is empty.
 pub fn execute_node_with(
     engine: SimdEngine,
-    flavor: KernelFlavor,
+    spec: BackendSpec,
     graph: &Graph,
     node: NodeId,
     operands: &[&Tensor],
@@ -819,10 +825,6 @@ pub fn execute_node_with(
     let mut out = Tensor::zeros(out_def.dtype(), Shape::new(dims));
     out.set_quant(out_def.quant().cloned());
     let mut scratch = Vec::with_capacity(MemoryPlan::for_graph(graph, frames)?.scratch_elems());
-    let spec = BackendSpec {
-        flavor,
-        ..BackendSpec::default()
-    };
     let mut ctx = KernelCtx {
         kernels: Kernels::resolve(&spec),
         engine: Engine::runnable(engine),

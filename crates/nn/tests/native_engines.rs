@@ -8,7 +8,9 @@
 //! point `simd::execute_node_with` (what `dot_f32_with` is to the dot), every
 //! case runs each flavor under both builds, and then through an
 //! `Interpreter`, which reads the process's engine and packs constant
-//! weights at build and runtime weights per invoke.
+//! weights at build and runtime weights per invoke. The entry point takes
+//! the whole `BackendSpec`: under injected defects and emulated numerics it
+//! must return the bits an interpreter under that spec does.
 //!
 //! Cases: window sides 1–5, strides 1 and 2, SAME and VALID, channel counts
 //! that are no multiple of 8 (and some that are), every 8/4/1 panel mix,
@@ -23,8 +25,8 @@ use proptest::prelude::*;
 
 use mlexray_nn::simd::{execute_node_with, SimdEngine};
 use mlexray_nn::{
-    Activation, BackendSpec, Graph, GraphBuilder, Interpreter, KernelBugs, KernelFlavor, NodeId,
-    OpKind, Padding,
+    AccumOrder, Activation, BackendSpec, EdgeNumerics, Graph, GraphBuilder, Interpreter,
+    KernelBugs, KernelFlavor, NodeId, OpKind, Padding, RequantMode,
 };
 use mlexray_tensor::{DType, QuantParams, Shape, Tensor};
 
@@ -198,8 +200,12 @@ fn assert_builds_agree(case: &Case, what: &str) -> Vec<(KernelFlavor, Vec<f32>)>
     let operands: Vec<&Tensor> = operands.iter().collect();
     let mut outputs = Vec::new();
     for flavor in FLAVORS {
+        let spec = BackendSpec {
+            flavor,
+            ..BackendSpec::default()
+        };
         let run = |engine| {
-            let out = execute_node_with(engine, flavor, &case.graph, NodeId(0), &operands).unwrap();
+            let out = execute_node_with(engine, spec, &case.graph, NodeId(0), &operands).unwrap();
             out.as_f32().unwrap().to_vec()
         };
         let avx2 = run(SimdEngine::Avx2Fma);
@@ -207,11 +213,6 @@ fn assert_builds_agree(case: &Case, what: &str) -> Vec<(KernelFlavor, Vec<f32>)>
         let what = format!("{flavor:?} {what}");
         assert_same_bits(&avx2, &baseline, &what);
 
-        let spec = BackendSpec {
-            flavor,
-            bugs: KernelBugs::none(),
-            numerics: None,
-        };
         let mut interp = Interpreter::new(&case.graph, spec).unwrap();
         let frames: Vec<&[Tensor]> = case.frames.iter().map(Vec::as_slice).collect();
         let interpreted: Vec<f32> = interp
@@ -353,23 +354,32 @@ fn signed_zeros_survive_both_builds() {
     }
 }
 
-/// A one-node quantized graph — `Conv2d` with a `side`×`side` SAME window,
-/// or `FullyConnected` — over 11 input and 13 output channels, the input
-/// at zero point `zp`, the weights per tensor or per output channel; and
-/// one frame of input codes.
+/// A one-node quantized graph — `Conv2d` or `DepthwiseConv2d` with a
+/// `side`×`side` SAME window, or `FullyConnected` — over 11 input channels
+/// and 13 output channels (11 for depthwise), the input at zero point `zp`,
+/// the weights per tensor or per output channel; and one frame of input
+/// codes.
 fn quantized(op: Op, side: usize, stride: usize, zp: i32, per_channel: bool) -> Case {
     let mut state = 0x9E37_79B9 ^ (zp as u64) << 8 ^ side as u64;
     let mut bits = move || (next(&mut state) >> 32) as u32;
-    let (in_c, out_c) = (11, 13);
+    let in_c = 11;
+    let out_c = if matches!(op, Op::Depthwise) {
+        in_c
+    } else {
+        13
+    };
     let per_tensor = |scale, zero_point| QuantParams::PerTensor { scale, zero_point };
     let (in_dims, w_dims, out_dims) = match op {
-        Op::Conv => {
+        Op::Conv | Op::Depthwise => {
             let (h, w) = (7, 6);
             let out = |n: usize| n.div_ceil(stride);
-            let w_dims = vec![out_c, side, side, in_c];
+            let w_dims = match op {
+                Op::Depthwise => vec![1, side, side, in_c],
+                _ => vec![out_c, side, side, in_c],
+            };
             (vec![1, h, w, in_c], w_dims, vec![1, out(h), out(w), out_c])
         }
-        _ => (vec![1, 37], vec![out_c, 37], vec![1, out_c]),
+        Op::FullyConnected => (vec![1, 37], vec![out_c, 37], vec![1, out_c]),
     };
     let w_shape = Shape::new(w_dims);
     let w_codes = (0..w_shape.num_elements()).map(|_| bits() as i8).collect();
@@ -402,7 +412,12 @@ fn quantized(op: Op, side: usize, stride: usize, zp: i32, per_channel: bool) -> 
             padding: Padding::Same,
             activation: Activation::Relu6,
         },
-        _ => OpKind::FullyConnected {
+        Op::Depthwise => OpKind::DepthwiseConv2d {
+            stride,
+            padding: Padding::Same,
+            activation: Activation::Relu6,
+        },
+        Op::FullyConnected => OpKind::FullyConnected {
             activation: Activation::None,
         },
     };
@@ -438,40 +453,148 @@ fn quantized_kernels_are_bitwise_identical_in_both_builds_and_every_flavor() {
         {
             let case = quantized(op, side, stride, zp, per_channel);
             let what = format!("{op:?} {side}x{side}/{stride} zp {zp} per_channel={per_channel}");
-            let node = &case.graph.nodes()[0];
-            let mut operands = vec![&case.frames[0][0]];
-            operands.extend(
-                node.inputs[1..]
-                    .iter()
-                    .map(|&id| case.graph.tensor(id).as_constant().unwrap()),
-            );
-            let run = |engine, flavor| {
-                let out =
-                    execute_node_with(engine, flavor, &case.graph, NodeId(0), &operands).unwrap();
-                out.as_u8().unwrap().to_vec()
-            };
-            let want = run(SimdEngine::Scalar, KernelFlavor::Reference);
+            let want = run_node(&case, SimdEngine::Scalar, BackendSpec::reference());
             assert!(
                 want.iter().any(|&q| q != want[0]),
                 "{what}: a constant output pins nothing"
             );
             for flavor in FLAVORS {
-                for engine in [SimdEngine::Avx2Fma, SimdEngine::Scalar] {
-                    assert_eq!(run(engine, flavor), want, "{flavor:?} {engine:?} {what}");
-                }
                 let spec = BackendSpec {
                     flavor,
-                    bugs: KernelBugs::none(),
-                    numerics: None,
+                    ..BackendSpec::default()
                 };
+                for engine in [SimdEngine::Avx2Fma, SimdEngine::Scalar] {
+                    let got = run_node(&case, engine, spec);
+                    assert_eq!(got, want, "{flavor:?} {engine:?} {what}");
+                }
                 let mut interp = Interpreter::new(&case.graph, spec).unwrap();
                 let interpreted = interp.invoke(&case.frames[0]).unwrap();
                 assert_eq!(
-                    interpreted[0].as_u8().unwrap(),
+                    bit_patterns(&interpreted[0]),
                     want,
                     "interpreter, {flavor:?} {what}"
                 );
             }
+        }
+    }
+}
+
+/// The one frame of `case` through its node under `spec` on `engine`, as
+/// bit patterns: the frame's data input, then the constant weights and
+/// bias.
+fn run_node(case: &Case, engine: SimdEngine, spec: BackendSpec) -> Vec<u32> {
+    let node = &case.graph.nodes()[0];
+    let mut operands = vec![&case.frames[0][0]];
+    operands.extend(
+        node.inputs[1..]
+            .iter()
+            .map(|&id| case.graph.tensor(id).as_constant().unwrap()),
+    );
+    let out = execute_node_with(engine, spec, &case.graph, NodeId(0), &operands).unwrap();
+    bit_patterns(&out)
+}
+
+fn bit_patterns(out: &Tensor) -> Vec<u32> {
+    match out.as_f32() {
+        Ok(values) => values.iter().map(|v| v.to_bits()).collect(),
+        Err(_) => out.as_u8().unwrap().iter().map(|&q| u32::from(q)).collect(),
+    }
+}
+
+/// A 1×1 quantized `Conv2d` over every input code whose requantization
+/// multiplier, `(1 + ε)(1 − ε) / 2 = 0.5 − 2⁻⁴⁷`, is `0.5` in `f32`: odd
+/// accumulators round one way under `RequantMode::Double` and the other
+/// way under `RequantMode::Single`.
+fn requant_sensitive_conv() -> Case {
+    let per_tensor = |scale, zero_point| QuantParams::PerTensor { scale, zero_point };
+    let (shape, x_quant) = (
+        Shape::nhwc(1, 16, 16, 1),
+        per_tensor(1.0 + f32::EPSILON, 128),
+    );
+    let mut b = GraphBuilder::new("requant-sensitive");
+    let x = b.input_typed("x", shape.clone(), DType::U8, Some(x_quant.clone()));
+    let unit = Tensor::from_i8(
+        Shape::new(vec![1, 1, 1, 1]),
+        vec![1],
+        per_tensor(1.0 - f32::EPSILON, 0),
+    );
+    let w = b.constant("w", unit.unwrap());
+    let op = OpKind::Conv2d {
+        stride: 1,
+        padding: Padding::Valid,
+        activation: Activation::None,
+    };
+    let out_quant = Some(per_tensor(2.0, 128));
+    let y = b.push_node("node", op, vec![x, w], shape.clone(), DType::U8, out_quant);
+    b.output(y);
+    let codes = Tensor::from_u8(shape, (0..=255).collect(), x_quant).unwrap();
+    Case {
+        graph: b.finish().unwrap(),
+        frames: vec![vec![codes]],
+    }
+}
+
+/// `execute_node_with` runs a node under the whole spec, as the interpreter
+/// resolves it: injected defects and emulated numerics reach the node in
+/// both builds. The paper-2021 defects on a quantized depthwise node return
+/// the i16-accumulator bits; Pixel-4 numerics (`Lanes8` sums, FMA,
+/// flush-to-zero, single-precision requantization) on a float and on a
+/// quantized `Conv2d` return the emulator interpreter's bits. Each case is
+/// one where the spec without its defects or numerics answers other bits.
+#[test]
+fn isolated_nodes_honour_the_whole_spec() {
+    let pixel4 = BackendSpec::emulator(EdgeNumerics {
+        accumulation: AccumOrder::Lanes8,
+        fused_multiply_add: true,
+        flush_to_zero: true,
+        requant: RequantMode::Single,
+    });
+    let buggy = BackendSpec::optimized().with_bugs(KernelBugs::paper_2021());
+    let mut state = 7;
+    let float_conv = build(
+        Op::Conv,
+        (3, 3),
+        2,
+        1,
+        Padding::Same,
+        11,
+        13,
+        1,
+        false,
+        true,
+        Activation::Relu,
+        |n| draw(&mut state, false, n),
+    );
+    let cases = [
+        (
+            "paper-2021 quantized depthwise",
+            quantized(Op::Depthwise, 3, 1, 128, false),
+            buggy,
+            BackendSpec::optimized(),
+        ),
+        (
+            "Pixel-4 quantized conv",
+            requant_sensitive_conv(),
+            pixel4,
+            BackendSpec::reference(),
+        ),
+        (
+            "Pixel-4 float conv",
+            float_conv,
+            pixel4,
+            BackendSpec::reference(),
+        ),
+    ];
+    for (what, case, spec, without) in cases {
+        let mut interp = Interpreter::new(&case.graph, spec).unwrap();
+        let want = bit_patterns(&interp.invoke(&case.frames[0]).unwrap()[0]);
+        assert_ne!(
+            run_node(&case, SimdEngine::Scalar, without),
+            want,
+            "{what}: the case pins nothing"
+        );
+        for engine in [SimdEngine::Avx2Fma, SimdEngine::Scalar] {
+            assert_eq!(run_node(&case, engine, spec), want, "{what}, {engine:?}");
         }
     }
 }

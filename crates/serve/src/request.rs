@@ -162,17 +162,4 @@ impl PendingResponse {
             }),
         }
     }
-
-    /// Non-blocking poll: `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<ServeResult> {
-        match self.rx.try_recv() {
-            Ok(result) => Some(result),
-            Err(std::sync::mpsc::TryRecvError::Empty) => None,
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => Some(Err(Rejection {
-                model: self.model.clone(),
-                request_id: self.request_id,
-                reason: RejectReason::ChannelClosed,
-            })),
-        }
-    }
 }

@@ -53,11 +53,12 @@ kernel-suites() {
 # The multi-spec acceptance surface: injected-defect localization on random
 # graphs, every kernel dispatch arm (and EdgeNumerics knob) as bit patterns,
 # a DifferentialReport byte-identical across worker counts and micro-batch
-# settings, the rendered validation and differential reports of
-# mini_mobilenet_v2 against the golden text recorded before the drift fold,
-# the fold bitwise against the log-scanning loops it replaced, and the
-# reference flavor (packed-panel Conv2d, shared depthwise) bitwise against the
-# faithful emulator's per-cell gather loops on every zoo family.
+# settings with its divergent node bisected op-local (kernel-simd repeats
+# that under MLEXRAY_SIMD=scalar), the rendered validation and differential
+# reports of mini_mobilenet_v2 against the golden text recorded before the
+# drift fold, the fold bitwise against the log-scanning loops it replaced,
+# and the reference flavor (packed-panel Conv2d, shared depthwise) bitwise
+# against the faithful emulator's per-cell gather loops on every zoo family.
 backend-suites() {
   cargo test -p mlexray-nn --test backend_differential --test golden_kernels -q
   cargo test -p mlexray-core --test differential_replay --test golden_reports \
@@ -84,13 +85,18 @@ backend-suites() {
 # (a property suite over windows, strides, zero points, per-channel weights,
 # clamp bounds and both requantization precisions); and read the detected
 # engine, which the forced-scalar pass reports as the mirror. native_engines
-# also pins the quantized Conv2d and FC of every flavor across both builds.
+# also pins the quantized Conv2d and FC of every flavor across both builds,
+# and simd::execute_node_with to the interpreter under injected defects and
+# emulated numerics. differential_replay runs here too: bisection re-executes
+# the divergent node through execute_node_with on the process's engine, so
+# its op-local verdicts must hold under the mirror as well.
 kernel-simd() {
   local nn=(-p mlexray-nn --test golden_kernels --test batch_equivalence
     --test backend_differential --test alloc_steady_state --test alloc_validation
     --test native_engines -q)
   local gemm=(-p mlexray-nn --lib kernels::gemm -q)
-  local core=(-p mlexray-core --test golden_reports --test reference_oracle -q)
+  local core=(-p mlexray-core --test golden_reports --test reference_oracle
+    --test differential_replay -q)
   cargo test "${nn[@]}"
   cargo test "${gemm[@]}"
   cargo test "${core[@]}"

@@ -14,7 +14,7 @@
 //! * [`preprocess`] — image/audio/text sensor preprocessing (and its bugs).
 //! * [`nn`] — a TFLite-like graph interpreter with reference/optimized
 //!   kernels, conversion and full-integer quantization.
-//! * [`datasets`] — deterministic synthetic datasets and SD-card playback.
+//! * [`datasets`] — deterministic synthetic datasets.
 //! * [`models`] — the model zoo (MobileNet v1/v2/v3, ResNet, Inception,
 //!   DenseNet, SSD, audio CNN, text models).
 //! * [`trainer`] — a minimal training engine for the mini models.
