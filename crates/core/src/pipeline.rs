@@ -128,13 +128,33 @@ impl ImageRunner<'_> {
         frames: &[LabeledFrame],
         monitor: &Monitor,
     ) -> Result<Vec<usize>> {
+        let inputs = self.preprocess(frames)?;
+        self.classify_inputs(frames, &inputs, monitor)
+    }
+
+    /// The model inputs of `frames`: the pipeline's preprocessing, one
+    /// tensor per frame.
+    pub(crate) fn preprocess(&self, frames: &[LabeledFrame]) -> Result<Vec<Tensor>> {
+        frames
+            .iter()
+            .map(|f| self.pipeline.preprocess.apply(&f.image).map_err(Into::into))
+            .collect()
+    }
+
+    /// [`ImageRunner::classify_batch`] after preprocessing: `inputs[b]` is
+    /// frame `b`'s model input, logged as its preprocess output and model
+    /// input. A caller whose other pipeline preprocesses the same way hands
+    /// both runners the same tensors.
+    pub(crate) fn classify_inputs(
+        &mut self,
+        frames: &[LabeledFrame],
+        inputs: &[Tensor],
+        monitor: &Monitor,
+    ) -> Result<Vec<usize>> {
+        debug_assert_eq!(frames.len(), inputs.len());
         if frames.is_empty() {
             return Ok(Vec::new());
         }
-        let inputs = frames
-            .iter()
-            .map(|f| self.pipeline.preprocess.apply(&f.image).map_err(Into::into))
-            .collect::<Result<Vec<Tensor>>>()?;
         let config = monitor.config();
         let mut collector = BatchCollector {
             config,

@@ -9,7 +9,9 @@
 //! *own* [`mlexray_nn::Interpreter`] instances, so no kernel state is
 //! shared — and merges the per-shard results deterministically. A worker
 //! runs its shard through [`ImageRunner::classify_batch`] in chunks of
-//! [`ReplayOptions::micro_batch`] frames; a frame is a batch of one.
+//! [`ReplayOptions::micro_batch`] frames; a frame is a batch of one. The
+//! validate flow preprocesses each chunk once when the edge and reference
+//! configurations agree, and hands both runners the same inputs.
 //!
 //! # What is held, and for how long
 //!
@@ -402,8 +404,13 @@ pub struct ShardedValidation {
 /// docs).
 ///
 /// Each worker owns one edge interpreter and one reference interpreter for
-/// its whole lifetime; per-shard assertion checks run against shard-local
-/// frame numbering, so every shard gets first-frame assertion coverage.
+/// its whole lifetime and runs its shard through both, micro-batch by
+/// micro-batch. When the two preprocessing configurations are equal, each
+/// frame is preprocessed once and both runners take the same input tensors
+/// (each monitor still logs its `preprocess/output` and `model/input`);
+/// otherwise each side preprocesses on its own. Per-shard assertion checks
+/// run against shard-local frame numbering, so every shard gets first-frame
+/// assertion coverage.
 ///
 /// # Errors
 ///
@@ -418,23 +425,27 @@ pub fn replay_validate_sharded(
     let monitor_config = options.monitor;
     let micro_batch = options.micro_batch;
     let reference_pipeline = reference.pipeline();
+    // Equal configurations compute equal tensors: preprocess each frame once
+    // and hand the reference runner the edge's inputs.
+    let shared_input = edge.preprocess == reference_pipeline.preprocess;
     let ((report, shards), stats) = options.run(
         frames.len(),
         || Ok((edge.runner()?, reference_pipeline.runner()?)),
         |(edge_runner, reference_runner), shard| -> Result<ShardValidation> {
             let start = shard.start as u64;
-            let shard_frames = &frames[shard];
             // Shard-local frame numbering (0..len) so assertions that
             // inspect frame 0 run against every shard, not just the first.
             let edge_monitor = Monitor::new(monitor_config);
             let reference_monitor = Monitor::new(monitor_config);
-            run_frames(edge_runner, shard_frames, &edge_monitor, micro_batch)?;
-            run_frames(
-                reference_runner,
-                shard_frames,
-                &reference_monitor,
-                micro_batch,
-            )?;
+            for chunk in frames[shard].chunks(micro_batch.max(1)) {
+                let inputs = edge_runner.preprocess(chunk)?;
+                edge_runner.classify_inputs(chunk, &inputs, &edge_monitor)?;
+                if shared_input {
+                    reference_runner.classify_inputs(chunk, &inputs, &reference_monitor)?;
+                } else {
+                    reference_runner.classify_batch(chunk, &reference_monitor)?;
+                }
+            }
             let edge_logs = edge_monitor.take_logs();
             let reference_logs = reference_monitor.take_logs();
             Ok(validator.validate_shard(start, &edge_logs, &reference_logs))

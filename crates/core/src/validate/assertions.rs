@@ -298,7 +298,8 @@ impl Assertion for OrientationAssertion {
                         return AssertionOutcome::fail(
                             self.name(),
                             format!(
-                                "input disoriented: matches reference after {}° rotation                                  combined with a channel swap",
+                                "input disoriented: matches reference after {}° rotation \
+                                 combined with a channel swap",
                                 90 * turns
                             ),
                         );
@@ -683,6 +684,35 @@ mod tests {
         let ctx = ValidationContext::new(&e, &r);
         let out = OrientationAssertion.check(&ctx);
         assert_eq!(out.status, AssertionStatus::Fail, "{}", out.detail);
+    }
+
+    /// The §2 stacked-bug case end to end: a 90° capture whose channels
+    /// are also swapped, on a square frame, names both bugs in full.
+    #[test]
+    fn stacked_rotation_and_channel_bugs_name_each_other() {
+        use mlexray_preprocess::{ChannelOrder, Image, ImagePreprocessConfig, PreprocessBug};
+        let data = (0..16 * 16 * 3).map(|i| (i * 37 % 251) as u8).collect();
+        let frame = Image::from_raw(16, 16, ChannelOrder::Rgb, data).unwrap();
+        let reference = ImagePreprocessConfig::mobilenet_style(8, 8);
+        let edge = reference
+            .with_bug(PreprocessBug::Rotation)
+            .with_bug(PreprocessBug::Channel);
+        let values = |cfg: &ImagePreprocessConfig| cfg.apply(&frame).unwrap().to_f32_vec();
+        let (e, r) = preprocess_logs(values(&edge), values(&reference), Shape::nhwc(1, 8, 8, 3));
+        let ctx = ValidationContext::new(&e, &r);
+        let orientation = OrientationAssertion.check(&ctx);
+        assert_eq!(orientation.status, AssertionStatus::Fail);
+        assert_eq!(
+            orientation.detail,
+            "input disoriented: matches reference after 270° rotation \
+             combined with a channel swap"
+        );
+        let channel = ChannelArrangementAssertion.check(&ctx);
+        assert_eq!(channel.status, AssertionStatus::Fail);
+        assert_eq!(
+            channel.detail,
+            "channel arrangement mismatch (combined with a 270° rotation)"
+        );
     }
 
     #[test]

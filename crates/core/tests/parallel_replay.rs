@@ -2,16 +2,16 @@
 //! replay-validate engine's determinism guarantee and the `ChannelSink`'s
 //! losslessness under multi-writer contention.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use mlexray_core::{
     machine_parallelism, replay_sharded, replay_sharded_to_sink, replay_validate_sharded,
-    reserve_cores, ChannelSink, ChannelSinkConfig, DeploymentValidator, ImagePipeline,
-    LabeledFrame, LogRecord, LogSink, LogValue, MemorySink, MonitorConfig, ReferencePipeline,
-    ReplayOptions,
+    reserve_cores, ChannelSink, ChannelSinkConfig, DeploymentValidator, FnAssertion, ImagePipeline,
+    LabeledFrame, LogRecord, LogSet, LogSink, LogValue, MemorySink, Monitor, MonitorConfig,
+    ReferencePipeline, ReplayOptions, KEY_PREPROCESS_OUTPUT,
 };
 use mlexray_nn::{Activation, GraphBuilder, Model, Padding};
-use mlexray_preprocess::{Image, ImagePreprocessConfig};
+use mlexray_preprocess::{Image, ImagePreprocessConfig, PreprocessBug};
 use mlexray_tensor::{Shape, Tensor};
 
 fn tiny_model() -> Model {
@@ -299,6 +299,110 @@ fn micro_batched_validate_report_matches_per_frame() {
                 expected, &text,
                 "micro_batch={micro_batch} changed the merged report"
             ),
+        }
+    }
+}
+
+/// Each side's logs exactly as `replay_validate_sharded` hands them to the
+/// validator, shard by shard (one worker, so in shard order).
+fn validated_logs(
+    edge: &ImagePipeline,
+    reference: &ReferencePipeline,
+    frames: &[LabeledFrame],
+    options: &ReplayOptions,
+) -> Vec<(LogSet, LogSet)> {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let capture = seen.clone();
+    let validator =
+        DeploymentValidator::empty().with_assertion(FnAssertion::new("capture", move |ctx| {
+            let pair = (ctx.edge.clone(), ctx.reference.clone());
+            capture.lock().unwrap().push(pair);
+            FnAssertion::passed("capture", "logs captured")
+        }));
+    replay_validate_sharded(edge, reference, frames, &validator, options).unwrap();
+    let logs = std::mem::take(&mut *seen.lock().unwrap());
+    logs
+}
+
+/// What `pipeline` logs for each shard when it runs on its own: a fresh
+/// monitor per shard, `classify_batch` per micro-batch.
+fn classify_batch_logs(
+    pipeline: &ImagePipeline,
+    frames: &[LabeledFrame],
+    options: &ReplayOptions,
+) -> Vec<LogSet> {
+    let mut runner = pipeline.runner().unwrap();
+    frames
+        .chunks(options.shard_frames)
+        .map(|shard| {
+            let monitor = Monitor::new(options.monitor);
+            for chunk in shard.chunks(options.micro_batch) {
+                runner.classify_batch(chunk, &monitor).unwrap();
+            }
+            monitor.take_logs()
+        })
+        .collect()
+}
+
+/// Key, frame and order of every record, with its value's bits (Debug
+/// renders each float in its shortest round-tripping form) except for
+/// wall-clock latencies.
+fn record_bits(logs: &LogSet) -> Vec<(u64, String, String)> {
+    logs.records()
+        .iter()
+        .map(|r| match r.value {
+            LogValue::LatencyNs(_) => (r.frame, r.key.clone(), "latency".into()),
+            ref value => (r.frame, r.key.clone(), format!("{value:?}")),
+        })
+        .collect()
+}
+
+/// With equal preprocessing configs the worker preprocesses each frame once
+/// and hands both runners the same tensors; with a preprocessing bug each
+/// side preprocesses on its own. Either way, each side logs record for
+/// record what its pipeline's own `classify_batch` run logs, at every
+/// micro-batch size, in one shard or several.
+#[test]
+fn replay_validate_logs_what_each_pipeline_logs_on_its_own() {
+    let model = tiny_model();
+    let canonical = ImagePreprocessConfig::mobilenet_style(6, 6);
+    let reference = ReferencePipeline::new(model.clone(), canonical.clone());
+    let frames = frames(7);
+    for (edge_preprocess, shared) in [
+        (canonical.clone(), true),
+        (canonical.with_bug(PreprocessBug::Channel), false),
+    ] {
+        let edge = ImagePipeline::new(model.clone(), edge_preprocess);
+        for micro_batch in [1usize, 3] {
+            for shard_frames in [frames.len(), 3] {
+                let options = ReplayOptions {
+                    workers: 1,
+                    shard_frames,
+                    micro_batch,
+                    ..Default::default()
+                };
+                let what =
+                    format!("shared={shared} micro_batch={micro_batch} shard={shard_frames}");
+                let got = validated_logs(&edge, &reference, &frames, &options);
+                let edge_want = classify_batch_logs(&edge, &frames, &options);
+                let reference_want = classify_batch_logs(reference.pipeline(), &frames, &options);
+                assert_eq!(got.len(), frames.len().div_ceil(shard_frames), "{what}");
+                for (i, (edge_logs, reference_logs)) in got.iter().enumerate() {
+                    assert_eq!(record_bits(edge_logs), record_bits(&edge_want[i]), "{what}");
+                    assert_eq!(
+                        record_bits(reference_logs),
+                        record_bits(&reference_want[i]),
+                        "{what}"
+                    );
+                    let inputs =
+                        |logs: &LogSet| format!("{:?}", logs.get(0, KEY_PREPROCESS_OUTPUT));
+                    assert_eq!(
+                        inputs(edge_logs) == inputs(reference_logs),
+                        shared,
+                        "{what}"
+                    );
+                }
+            }
         }
     }
 }

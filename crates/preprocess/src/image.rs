@@ -91,6 +91,17 @@ impl Image {
         }
     }
 
+    /// A zero-filled image in `order`, for writers that overwrite every
+    /// byte: one allocation, no fill-then-clone.
+    pub(crate) fn blank(width: usize, height: usize, order: ChannelOrder) -> Self {
+        Image {
+            width,
+            height,
+            order,
+            data: vec![0; width * height * Self::CHANNELS],
+        }
+    }
+
     /// Image width in pixels.
     pub fn width(&self) -> usize {
         self.width
@@ -109,6 +120,11 @@ impl Image {
     /// Borrow of the interleaved pixel buffer.
     pub fn data(&self) -> &[u8] {
         &self.data
+    }
+
+    /// Mutable borrow of the interleaved pixel buffer.
+    pub(crate) fn data_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 
     /// The 3 bytes at pixel `(x, y)` in storage order.

@@ -37,6 +37,8 @@ mod error;
 mod geometry;
 mod image;
 mod normalize;
+#[cfg(test)]
+mod oracle;
 mod pipeline;
 mod resize;
 mod text;

@@ -68,6 +68,12 @@ impl NormalizationScheme {
 /// The image's *labelled* order is trusted: a mislabeled image (see
 /// [`Image::relabeled`]) flows through unchanged, exactly like the real bug.
 ///
+/// Every element is bitwise `scheme.apply_byte(v, c)` of the byte `v` that
+/// lands in channel `c` once the bytes are in `wanted` order: the 3 × 256
+/// values are tabulated once per call and the raw bytes read through the
+/// table, channel order being a swap of the index rather than a copy of the
+/// image.
+///
 /// # Errors
 ///
 /// Propagates tensor construction errors (cannot occur for valid images).
@@ -76,24 +82,31 @@ pub fn image_to_tensor(
     wanted: ChannelOrder,
     scheme: NormalizationScheme,
 ) -> Result<Tensor> {
-    let reordered;
-    let img = if img.order() == wanted {
-        img
-    } else {
-        reordered = img.to_order(wanted);
-        &reordered
-    };
-    let (w, h) = (img.width(), img.height());
-    let mut data = Vec::with_capacity(w * h * 3);
-    for y in 0..h {
-        for x in 0..w {
-            let px = img.pixel(x, y);
-            for (c, &v) in px.iter().enumerate() {
-                data.push(scheme.apply_byte(v, c));
-            }
+    let mut table = [[0f32; 256]; Image::CHANNELS];
+    for (c, row) in table.iter_mut().enumerate() {
+        for (v, out) in row.iter_mut().enumerate() {
+            *out = scheme.apply_byte(v as u8, c);
         }
     }
-    Ok(Tensor::from_f32(Shape::nhwc(1, h, w, 3), data)?)
+    // Which stored byte feeds output channel 0 and 2.
+    let (first, last) = if img.order() == wanted {
+        (0, 2)
+    } else {
+        (2, 0)
+    };
+    let mut data = vec![0f32; img.data().len()];
+    for (out, px) in data
+        .chunks_exact_mut(Image::CHANNELS)
+        .zip(img.data().chunks_exact(Image::CHANNELS))
+    {
+        out[0] = table[0][px[first] as usize];
+        out[1] = table[1][px[1] as usize];
+        out[2] = table[2][px[last] as usize];
+    }
+    Ok(Tensor::from_f32(
+        Shape::nhwc(1, img.height(), img.width(), Image::CHANNELS),
+        data,
+    )?)
 }
 
 #[cfg(test)]

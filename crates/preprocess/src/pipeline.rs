@@ -81,6 +81,13 @@ impl ImagePreprocessConfig {
     /// Runs the pipeline: rotate (sensor orientation) → resize → channel
     /// arrangement + numerical conversion, producing a `[1, H, W, 3]` tensor.
     ///
+    /// The result is bitwise the per-pixel definition: each resampled byte
+    /// is `f32` arithmetic rounded as `q.round().clamp(0.0, 255.0) as u8`
+    /// (an area average being `sum / taps` of its source footprint, the sum
+    /// exact while it stays below 2²⁴), and each element is
+    /// [`NormalizationScheme::apply_byte`] of that byte in the model's
+    /// channel order (see [`image_to_tensor`]).
+    ///
     /// # Errors
     ///
     /// Propagates resize/conversion errors.

@@ -37,7 +37,7 @@ pub fn resize(
     if target_width == img.width() && target_height == img.height() {
         return Ok(img.clone());
     }
-    let mut out = Image::solid(target_width, target_height, [0, 0, 0]).relabeled(img.order());
+    let mut out = Image::blank(target_width, target_height, img.order());
     match method {
         ResizeMethod::Nearest => nearest(img, &mut out),
         ResizeMethod::Bilinear => bilinear(img, &mut out),
@@ -46,87 +46,119 @@ pub fn resize(
     Ok(out)
 }
 
+/// Exactly `q.round().clamp(0.0, 255.0) as u8` for every `f32` (NaN and
+/// negatives give 0, anything from 254.5 up gives 255), without the libm
+/// `round` call: `q - t` is exact for the truncation `t`, so comparing it
+/// with one half rounds half away from zero as `f32::round` does. The
+/// comparison feeds an add, not a branch: on image data it is a coin flip.
+#[inline]
+pub(crate) fn round_to_u8(q: f32) -> u8 {
+    let t = q as i32; // saturating; NaN truncates to 0
+    let up = i32::from(q - t as f32 >= 0.5); // never for a negative q
+    (t.clamp(0, 255) + up).min(255) as u8
+}
+
 fn nearest(src: &Image, dst: &mut Image) {
-    let sx = src.width() as f32 / dst.width() as f32;
-    let sy = src.height() as f32 / dst.height() as f32;
-    for y in 0..dst.height() {
-        let yy = ((y as f32 + 0.5) * sy) as usize;
-        let yy = yy.min(src.height() - 1);
-        for x in 0..dst.width() {
-            let xx = ((x as f32 + 0.5) * sx) as usize;
-            let xx = xx.min(src.width() - 1);
-            dst.set_pixel(x, y, src.pixel(xx, yy));
+    const C: usize = Image::CHANNELS;
+    let (sw, sh) = (src.width(), src.height());
+    let sx = sw as f32 / dst.width() as f32;
+    let sy = sh as f32 / dst.height() as f32;
+    let columns: Vec<usize> = (0..dst.width())
+        .map(|x| (((x as f32 + 0.5) * sx) as usize).min(sw - 1))
+        .collect();
+    let row_len = dst.width() * C;
+    for (y, out) in dst.data_mut().chunks_exact_mut(row_len).enumerate() {
+        let yy = (((y as f32 + 0.5) * sy) as usize).min(sh - 1);
+        let row = &src.data()[yy * sw * C..(yy + 1) * sw * C];
+        for (px, &xx) in out.chunks_exact_mut(C).zip(&columns) {
+            px.copy_from_slice(&row[xx * C..(xx + 1) * C]);
         }
     }
+}
+
+/// The two neighbouring source samples of each output coordinate along one
+/// axis and the weight of the second: half-pixel centres, clamped to the
+/// valid sample grid.
+fn bilinear_taps(src_len: usize, dst_len: usize) -> Vec<(usize, usize, f32)> {
+    let scale = src_len as f32 / dst_len as f32;
+    (0..dst_len)
+        .map(|i| {
+            let f = ((i as f32 + 0.5) * scale - 0.5).max(0.0);
+            let lo = (f as usize).min(src_len - 1);
+            (lo, (lo + 1).min(src_len - 1), f - lo as f32)
+        })
+        .collect()
 }
 
 fn bilinear(src: &Image, dst: &mut Image) {
-    let sx = src.width() as f32 / dst.width() as f32;
-    let sy = src.height() as f32 / dst.height() as f32;
-    for y in 0..dst.height() {
-        // Half-pixel centres, clamped to the valid sample grid.
-        let fy = ((y as f32 + 0.5) * sy - 0.5).max(0.0);
-        let y0 = (fy as usize).min(src.height() - 1);
-        let y1 = (y0 + 1).min(src.height() - 1);
-        let wy = fy - y0 as f32;
-        for x in 0..dst.width() {
-            let fx = ((x as f32 + 0.5) * sx - 0.5).max(0.0);
-            let x0 = (fx as usize).min(src.width() - 1);
-            let x1 = (x0 + 1).min(src.width() - 1);
-            let wx = fx - x0 as f32;
-            let mut px = [0u8; 3];
-            for (c, out) in px.iter_mut().enumerate() {
-                let p00 = src.pixel(x0, y0)[c] as f32;
-                let p10 = src.pixel(x1, y0)[c] as f32;
-                let p01 = src.pixel(x0, y1)[c] as f32;
-                let p11 = src.pixel(x1, y1)[c] as f32;
+    const C: usize = Image::CHANNELS;
+    let src_row = src.width() * C;
+    let columns = bilinear_taps(src.width(), dst.width());
+    let rows = bilinear_taps(src.height(), dst.height());
+    let row_len = dst.width() * C;
+    for (out, &(y0, y1, wy)) in dst.data_mut().chunks_exact_mut(row_len).zip(&rows) {
+        let r0 = &src.data()[y0 * src_row..(y0 + 1) * src_row];
+        let r1 = &src.data()[y1 * src_row..(y1 + 1) * src_row];
+        for (px, &(x0, x1, wx)) in out.chunks_exact_mut(C).zip(&columns) {
+            for (c, v) in px.iter_mut().enumerate() {
+                let p00 = r0[x0 * C + c] as f32;
+                let p10 = r0[x1 * C + c] as f32;
+                let p01 = r1[x0 * C + c] as f32;
+                let p11 = r1[x1 * C + c] as f32;
                 let top = p00 + (p10 - p00) * wx;
                 let bot = p01 + (p11 - p01) * wx;
-                *out = (top + (bot - top) * wy).round().clamp(0.0, 255.0) as u8;
+                *v = round_to_u8(top + (bot - top) * wy);
             }
-            dst.set_pixel(x, y, px);
         }
     }
 }
 
-fn area_average(src: &Image, dst: &mut Image) {
-    let sx = src.width() as f32 / dst.width() as f32;
-    let sy = src.height() as f32 / dst.height() as f32;
-    // Every output row uses the same source column spans.
-    let spans: Vec<(usize, usize)> = (0..dst.width())
-        .map(|x| {
-            let x_lo = (x as f32 * sx).floor() as usize;
-            let x_hi = (((x + 1) as f32 * sx).ceil() as usize)
-                .min(src.width())
-                .max(x_lo + 1);
-            (x_lo, x_hi)
+/// The source span `[lo, hi)` each output coordinate averages along one
+/// axis: at least one sample, never past the edge.
+fn area_spans(src_len: usize, dst_len: usize) -> Vec<(usize, usize)> {
+    let scale = src_len as f32 / dst_len as f32;
+    (0..dst_len)
+        .map(|i| {
+            let lo = (i as f32 * scale).floor() as usize;
+            let hi = (((i + 1) as f32 * scale).ceil() as usize)
+                .min(src_len)
+                .max(lo + 1);
+            (lo, hi)
         })
-        .collect();
-    let row_len = src.width() * Image::CHANNELS;
-    for y in 0..dst.height() {
-        let y_lo = (y as f32 * sy).floor() as usize;
-        let y_hi = (((y + 1) as f32 * sy).ceil() as usize)
-            .min(src.height())
-            .max(y_lo + 1);
-        let rows = &src.data()[y_lo * row_len..y_hi * row_len];
-        for (x, &(x_lo, x_hi)) in spans.iter().enumerate() {
-            let mut acc = [0f32; 3];
-            let mut count = 0f32;
-            for row in rows.chunks_exact(row_len) {
-                let taps = &row[x_lo * Image::CHANNELS..x_hi * Image::CHANNELS];
-                for p in taps.chunks_exact(Image::CHANNELS) {
-                    for c in 0..3 {
-                        acc[c] += p[c] as f32;
-                    }
-                    count += 1.0;
+        .collect()
+}
+
+/// Box average: each output row first sums its source rows into an integer
+/// column buffer, then each output pixel adds its span of columns. The
+/// integer sum is exact; so is a per-tap `f32` running sum while it stays
+/// below 2²⁴ (fewer than 65 793 taps per output pixel), so up to there
+/// `sum / taps` and the rounded byte are bitwise what per-tap `f32`
+/// accumulation gives.
+fn area_average(src: &Image, dst: &mut Image) {
+    const C: usize = Image::CHANNELS;
+    let src_row = src.width() * C;
+    let columns = area_spans(src.width(), dst.width());
+    let rows = area_spans(src.height(), dst.height());
+    let mut sums = vec![0u32; src_row];
+    let row_len = dst.width() * C;
+    for (out, &(y_lo, y_hi)) in dst.data_mut().chunks_exact_mut(row_len).zip(&rows) {
+        sums.fill(0);
+        for row in src.data()[y_lo * src_row..y_hi * src_row].chunks_exact(src_row) {
+            for (sum, &v) in sums.iter_mut().zip(row) {
+                *sum += u32::from(v);
+            }
+        }
+        for (px, &(x_lo, x_hi)) in out.chunks_exact_mut(C).zip(&columns) {
+            let taps = ((y_hi - y_lo) * (x_hi - x_lo)) as f32;
+            let mut acc = [0u32; C];
+            for col in sums[x_lo * C..x_hi * C].chunks_exact(C) {
+                for (a, &s) in acc.iter_mut().zip(col) {
+                    *a += s;
                 }
             }
-            let px = [
-                (acc[0] / count).round().clamp(0.0, 255.0) as u8,
-                (acc[1] / count).round().clamp(0.0, 255.0) as u8,
-                (acc[2] / count).round().clamp(0.0, 255.0) as u8,
-            ];
-            dst.set_pixel(x, y, px);
+            for (v, a) in px.iter_mut().zip(acc) {
+                *v = round_to_u8(a as f32 / taps);
+            }
         }
     }
 }

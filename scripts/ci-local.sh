@@ -59,7 +59,13 @@ kernel-suites() {
 # drift fold, the fold bitwise against the log-scanning loops it replaced,
 # and the reference flavor (packed-panel Conv2d, shared depthwise) bitwise
 # against the faithful emulator's per-cell gather loops on every zoo family.
+# The preprocessing oracle (the preprocess crate's unit tests) holds the
+# one-pass resize and table normalization bitwise to the per-pixel code they
+# replaced, across sizes, methods, schemes, channel orders and rotations;
+# golden_reports pins the rewritten path end to end, since its drift bits
+# depend on every input bit.
 backend-suites() {
+  cargo test -p mlexray-preprocess --lib -q
   cargo test -p mlexray-nn --test backend_differential --test golden_kernels -q
   cargo test -p mlexray-core --test differential_replay --test golden_reports \
     --test drift_fold_oracle --test reference_oracle -q
