@@ -129,7 +129,7 @@ impl ImageRunner<'_> {
         monitor: &Monitor,
     ) -> Result<Vec<usize>> {
         let inputs = self.preprocess(frames)?;
-        self.classify_inputs(frames, &inputs, monitor)
+        self.classify_inputs(frames, &inputs, monitor, None)
     }
 
     /// The model inputs of `frames`: the pipeline's preprocessing, one
@@ -144,12 +144,15 @@ impl ImageRunner<'_> {
     /// [`ImageRunner::classify_batch`] after preprocessing: `inputs[b]` is
     /// frame `b`'s model input, logged as its preprocess output and model
     /// input. A caller whose other pipeline preprocesses the same way hands
-    /// both runners the same tensors.
+    /// both runners the same tensors. With a `layer_tap`, each layer record
+    /// goes to the tap instead of being logged as a `layer/*/output`
+    /// record; everything else is logged as without it.
     pub(crate) fn classify_inputs(
         &mut self,
         frames: &[LabeledFrame],
         inputs: &[Tensor],
         monitor: &Monitor,
+        layer_tap: Option<&mut dyn LayerObserver>,
     ) -> Result<Vec<usize>> {
         debug_assert_eq!(frames.len(), inputs.len());
         if frames.is_empty() {
@@ -159,6 +162,7 @@ impl ImageRunner<'_> {
         let mut collector = BatchCollector {
             config,
             per_frame: vec![Vec::new(); frames.len()],
+            layer_tap,
         };
         let started = Instant::now();
         let refs: Vec<&[Tensor]> = inputs.iter().map(std::slice::from_ref).collect();
@@ -201,20 +205,25 @@ impl ImageRunner<'_> {
 /// Collects per-frame layer records during an invoke so they can be logged
 /// into the monitor grouped by frame. Each record is kept as the key and
 /// value the monitor logs — outputs rendered at capture depth immediately,
-/// so `Stats` capture never retains full activation copies.
-struct BatchCollector {
+/// so `Stats` capture never retains full activation copies — unless a
+/// layer tap takes the outputs instead.
+struct BatchCollector<'t> {
     config: MonitorConfig,
     per_frame: Vec<Vec<(String, LogValue)>>,
+    layer_tap: Option<&'t mut dyn LayerObserver>,
 }
 
-impl LayerObserver for BatchCollector {
+impl LayerObserver for BatchCollector<'_> {
     fn on_layer(&mut self, record: &LayerRecord<'_>) {
         let records = &mut self.per_frame[record.batch];
-        let full = self.config.per_layer == LayerCapture::Full;
-        records.push((
-            layer_output_key(record.name),
-            LogValue::of_tensor(record.output, full),
-        ));
+        match self.layer_tap.as_deref_mut() {
+            Some(tap) => tap.on_layer(record),
+            None => {
+                let full = self.config.per_layer == LayerCapture::Full;
+                let value = LogValue::of_tensor(record.output, full);
+                records.push((layer_output_key(record.name), value));
+            }
+        }
         if self.config.layer_latency {
             records.push((
                 layer_latency_key(record.name),

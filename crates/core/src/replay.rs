@@ -19,7 +19,11 @@
 //! merges them. [`replay_validate_sharded`] returns a verdict: a worker
 //! holds one shard's two [`LogSet`]s while it validates them and drops both
 //! before it pulls the next shard, so the run's footprint is `workers ×` one
-//! shard's logs however long the playback set is.
+//! shard's logs however long the playback set is. Under
+//! [`LayerCapture::Full`] those logs hold no layer outputs: the worker folds
+//! them in lockstep instead (see [`replay_validate_sharded`]), holding one
+//! micro-batch chunk of reference layer outputs, overwritten by the next,
+//! and four bytes per (layer, frame).
 //!
 //! # Determinism
 //!
@@ -35,12 +39,15 @@ use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use mlexray_nn::LayerObserver;
+
 use crate::log::{LogRecord, LogSet};
-use crate::monitor::{Monitor, MonitorConfig};
+use crate::monitor::{LayerCapture, Monitor, MonitorConfig};
 use crate::pipeline::{ImagePipeline, ImageRunner, LabeledFrame};
 use crate::reference::ReferencePipeline;
 use crate::sink::LogSink;
-use crate::validate::{DeploymentValidator, ShardValidation, ValidationReport};
+use crate::validate::drift::{ChunkCapture, DriftFold, LockstepFold, NodeMap};
+use crate::validate::{DeploymentValidator, ShardValidation, ValidationContext, ValidationReport};
 use crate::Result;
 
 /// Tuning for a sharded replay run.
@@ -65,6 +72,11 @@ pub struct ReplayOptions {
     /// change.
     pub micro_batch: usize,
     /// Monitor configuration each worker instruments its frames with.
+    /// [`replay_validate_sharded`] folds `Full` layer outputs into the
+    /// per-layer drift instead of logging them; every other record is
+    /// logged as configured. A custom assertion that reads `layer/*/output`
+    /// records runs [`DeploymentValidator::validate`] over
+    /// [`replay_sharded`] logs.
     pub monitor: MonitorConfig,
 }
 
@@ -412,6 +424,14 @@ pub struct ShardedValidation {
 /// run against shard-local frame numbering, so every shard gets first-frame
 /// assertion coverage.
 ///
+/// Under [`LayerCapture::Full`] no `layer/*/output` record is logged: per
+/// chunk the reference runner copies each layer output the edge also has
+/// (matched by name, as [`crate::DriftFold::of_logs`] matches keys) into a
+/// reused capture, and the edge runner folds each of its layer outputs
+/// against it while it is hot. The shard's drift is bit for bit
+/// [`crate::per_layer_drift`] over the full logs, and every other record is
+/// logged as [`ImageRunner::classify_batch`] logs it.
+///
 /// # Errors
 ///
 /// Propagates the first pipeline error any worker hits.
@@ -423,32 +443,51 @@ pub fn replay_validate_sharded(
     options: &ReplayOptions,
 ) -> Result<ShardedValidation> {
     let monitor_config = options.monitor;
-    let micro_batch = options.micro_batch;
+    let micro_batch = options.micro_batch.max(1);
     let reference_pipeline = reference.pipeline();
     // Equal configurations compute equal tensors: preprocess each frame once
     // and hand the reference runner the edge's inputs.
     let shared_input = edge.preprocess == reference_pipeline.preprocess;
+    let fold_layers = monitor_config.per_layer == LayerCapture::Full;
+    // Each edge node folds at its output key's position among the edge
+    // logs' `layer/` keys, as `DriftFold::of_logs` numbers it.
+    let stride = 1 + monitor_config.layer_latency as usize;
+    let nodes = NodeMap::by_name(&reference_pipeline.model.graph, &edge.model.graph, stride);
     let ((report, shards), stats) = options.run(
         frames.len(),
-        || Ok((edge.runner()?, reference_pipeline.runner()?)),
-        |(edge_runner, reference_runner), shard| -> Result<ShardValidation> {
+        || {
+            let capture = ChunkCapture::new(&nodes, micro_batch);
+            Ok((edge.runner()?, reference_pipeline.runner()?, capture))
+        },
+        |(edge_runner, reference_runner, capture), shard| -> Result<ShardValidation> {
             let start = shard.start as u64;
             // Shard-local frame numbering (0..len) so assertions that
             // inspect frame 0 run against every shard, not just the first.
             let edge_monitor = Monitor::new(monitor_config);
             let reference_monitor = Monitor::new(monitor_config);
-            for chunk in frames[shard].chunks(micro_batch.max(1)) {
-                let inputs = edge_runner.preprocess(chunk)?;
-                edge_runner.classify_inputs(chunk, &inputs, &edge_monitor)?;
-                if shared_input {
-                    reference_runner.classify_inputs(chunk, &inputs, &reference_monitor)?;
-                } else {
-                    reference_runner.classify_batch(chunk, &reference_monitor)?;
-                }
+            let mut fold = DriftFold::default();
+            for (i, chunk) in frames[shard].chunks(micro_batch).enumerate() {
+                let edge_inputs = edge_runner.preprocess(chunk)?;
+                let reference_inputs = match shared_input {
+                    true => None,
+                    false => Some(reference_runner.preprocess(chunk)?),
+                };
+                let reference_inputs = reference_inputs.as_deref().unwrap_or(&edge_inputs);
+                let tap = fold_layers.then_some(&mut *capture as &mut dyn LayerObserver);
+                reference_runner.classify_inputs(
+                    chunk,
+                    reference_inputs,
+                    &reference_monitor,
+                    tap,
+                )?;
+                let mut lockstep = LockstepFold::new(capture, (i * micro_batch) as u64, &mut fold);
+                let tap = fold_layers.then_some(&mut lockstep as &mut dyn LayerObserver);
+                edge_runner.classify_inputs(chunk, &edge_inputs, &edge_monitor, tap)?;
             }
-            let edge_logs = edge_monitor.take_logs();
-            let reference_logs = reference_monitor.take_logs();
-            Ok(validator.validate_shard(start, &edge_logs, &reference_logs))
+            let (edge_logs, reference_logs) =
+                (edge_monitor.take_logs(), reference_monitor.take_logs());
+            let ctx = ValidationContext::with_drift(&edge_logs, &reference_logs, fold.drift());
+            Ok(validator.validate_shard_in(start, &ctx))
         },
         |shards| (validator.merge_shards(&shards), shards),
     )?;

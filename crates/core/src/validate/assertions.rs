@@ -64,7 +64,9 @@ impl AssertionOutcome {
 
 /// What an assertion sees: both pipelines' logs, and the per-layer drift
 /// between them, computed once by whoever asks first (the validator for its
-/// report, or an assertion in a context built by hand).
+/// report, or an assertion in a context built by hand) — or folded while
+/// the logs were made, by [`crate::replay_validate_sharded`], whose logs
+/// hold no `layer/*/output` records.
 #[derive(Debug, Clone)]
 pub struct ValidationContext<'a> {
     /// Edge (instrumented app) logs.
@@ -84,7 +86,22 @@ impl<'a> ValidationContext<'a> {
         }
     }
 
-    /// [`per_layer_drift`] of the edge logs against the reference logs.
+    /// A context whose per-layer drift was folded while its logs were made
+    /// (the logs need not hold the layer outputs).
+    pub(crate) fn with_drift(
+        edge: &'a LogSet,
+        reference: &'a LogSet,
+        drift: Vec<LayerDrift>,
+    ) -> Self {
+        ValidationContext {
+            edge,
+            reference,
+            drift: OnceCell::from(drift),
+        }
+    }
+
+    /// [`per_layer_drift`] of the edge logs against the reference logs, or
+    /// the drift the context was made with.
     pub fn drift(&self) -> &[LayerDrift] {
         let compute = || per_layer_drift(self.edge, self.reference);
         self.drift.get_or_init(compute)

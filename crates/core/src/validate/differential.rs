@@ -30,14 +30,12 @@
 use std::borrow::Cow;
 
 use mlexray_nn::simd::{active_engine, execute_node_with};
-use mlexray_nn::{BackendSpec, Graph, LayerObserver, LayerRecord};
+use mlexray_nn::{BackendSpec, Graph};
 use mlexray_tensor::Tensor;
 
-use crate::log::layer_output_key;
-use crate::monitor::MonitorConfig;
 use crate::pipeline::{ImagePipeline, LabeledFrame};
-use crate::replay::{replay_sharded, ReplayOptions};
-use crate::validate::drift::{frame_scores, DriftFold};
+use crate::replay::ReplayOptions;
+use crate::validate::drift::{frame_scores, ChunkCapture, DriftFold, LockstepFold, NodeMap};
 use crate::validate::report::{
     BisectionOutcome, BisectionVerdict, DifferentialReport, DifferentialVerdict, DivergentLayer,
 };
@@ -82,83 +80,48 @@ impl DifferentialOptions {
     }
 }
 
-/// A layer output as the real values both sides are compared in: float
-/// tensors are read in place, quantized ones dequantized (as logs are).
-fn real_values(tensor: &Tensor) -> Cow<'_, [f32]> {
-    match tensor.as_f32() {
-        Ok(values) => Cow::Borrowed(values),
-        Err(_) => Cow::Owned(tensor.to_f32_vec()),
-    }
-}
+/// One chunk's model inputs, frame by frame: the baseline's, and the
+/// candidate's when they differ (`None`: the candidate takes the baseline's).
+type ChunkInputs<'c> = (Cow<'c, [Vec<Tensor>]>, Option<Vec<Vec<Tensor>>>);
 
-/// The baseline's layer outputs of one micro-batch chunk, one buffer per
-/// (node, in-chunk frame) at `node * width + frame`, reused chunk to chunk.
-struct ChunkCapture {
-    width: usize,
-    outputs: Vec<Vec<f32>>,
-}
-
-impl LayerObserver for ChunkCapture {
-    fn on_layer(&mut self, record: &LayerRecord<'_>) {
-        let slot = &mut self.outputs[record.index * self.width + record.batch];
-        slot.clear();
-        slot.extend_from_slice(&real_values(record.output));
-    }
-}
-
-/// The candidate's observer: folds each layer output against the baseline's
-/// captured one while both are hot.
-struct LockstepFold<'a> {
-    baseline: &'a ChunkCapture,
-    /// Global frame number of the chunk's first frame.
-    base: u64,
-    fold: &'a mut DriftFold,
-}
-
-impl LayerObserver for LockstepFold<'_> {
-    fn on_layer(&mut self, record: &LayerRecord<'_>) {
-        let baseline = &self.baseline.outputs[record.index * self.baseline.width + record.batch];
-        let frame = self.base + record.batch as u64;
-        let candidate = real_values(record.output);
-        let key = || layer_output_key(record.name);
-        self.fold
-            .fold(record.index, key, frame, &candidate, baseline);
-    }
-}
-
-/// Replays `frames` through both backends in lockstep on the sharded worker
-/// pool and returns the run's fold. Worker count and micro-batching cannot
-/// change the result: layer values are batching-invariant (the
-/// `batch_equivalence` suite pins this) and shard folds concatenate sorted
-/// by start frame.
-fn fold_backends_sharded(
-    graph: &Graph,
-    baseline: BackendSpec,
-    candidate: BackendSpec,
-    frames: &[Vec<Tensor>],
+/// Replays `frames` through a baseline and a candidate `(graph, spec)` in
+/// lockstep on the sharded worker pool and returns the run's fold: per
+/// micro-batch chunk, `inputs` gives each side its model inputs, the
+/// baseline runs into the worker's [`ChunkCapture`] and the candidate folds
+/// against it ([`LockstepFold`]) at global frame numbers. Worker count and
+/// micro-batching cannot change the result: layer values are
+/// batching-invariant (the `batch_equivalence` suite pins this) and shard
+/// folds concatenate sorted by start frame.
+fn fold_lockstep<F: Sync>(
+    baseline: (&Graph, BackendSpec),
+    candidate: (&Graph, BackendSpec),
+    nodes: &NodeMap,
+    frames: &[F],
     replay: &ReplayOptions,
+    inputs: impl Fn(&[F]) -> Result<ChunkInputs<'_>> + Sync,
 ) -> Result<DriftFold> {
     let micro_batch = replay.micro_batch.max(1);
     let (run, _stats) = replay.run(
         frames.len(),
         || {
-            let capture = ChunkCapture {
-                width: micro_batch,
-                outputs: vec![Vec::new(); graph.nodes().len() * micro_batch],
-            };
-            Ok((baseline.build(graph)?, candidate.build(graph)?, capture))
+            Ok((
+                baseline.1.build(baseline.0)?,
+                candidate.1.build(candidate.0)?,
+                ChunkCapture::new(nodes, micro_batch),
+            ))
         },
         |(baseline, candidate, capture), shard| -> Result<DriftFold> {
             let mut fold = DriftFold::default();
             for (i, chunk) in frames[shard.clone()].chunks(micro_batch).enumerate() {
-                let refs: Vec<&[Tensor]> = chunk.iter().map(Vec::as_slice).collect();
-                baseline.invoke_batch_observed(&refs, capture)?;
-                let mut lockstep = LockstepFold {
-                    baseline: capture,
-                    base: (shard.start + i * micro_batch) as u64,
-                    fold: &mut fold,
-                };
-                candidate.invoke_batch_observed(&refs, &mut lockstep)?;
+                let (baseline_inputs, candidate_inputs) = inputs(chunk)?;
+                let baseline_refs = frame_refs(&baseline_inputs);
+                baseline.invoke_batch_observed(&baseline_refs, capture)?;
+                let candidate_refs = candidate_inputs
+                    .as_deref()
+                    .map_or(baseline_refs, frame_refs);
+                let base = (shard.start + i * micro_batch) as u64;
+                let mut lockstep = LockstepFold::new(capture, base, &mut fold);
+                candidate.invoke_batch_observed(&candidate_refs, &mut lockstep)?;
             }
             Ok(fold)
         },
@@ -171,6 +134,11 @@ fn fold_backends_sharded(
         },
     )?;
     Ok(run)
+}
+
+/// Each frame's inputs as the slice a batched invoke takes.
+fn frame_refs(inputs: &[Vec<Tensor>]) -> Vec<&[Tensor]> {
+    inputs.iter().map(Vec::as_slice).collect()
 }
 
 /// Runs the full differential debugger over a graph: both backends replay
@@ -190,7 +158,14 @@ pub fn diff_backends(
     frames: &[Vec<Tensor>],
     options: &DifferentialOptions,
 ) -> Result<DifferentialReport> {
-    let fold = fold_backends_sharded(graph, baseline, candidate, frames, &options.replay)?;
+    let fold = fold_lockstep(
+        (graph, baseline),
+        (graph, candidate),
+        &NodeMap::by_name(graph, graph, 1),
+        frames,
+        &options.replay,
+        |chunk: &[Vec<Tensor>]| Ok((Cow::Borrowed(chunk), None)),
+    )?;
     let static_findings = mlexray_nn::analysis::analyze(graph).diagnostics;
     let mut report = localize(
         baseline.label().to_string(),
@@ -211,14 +186,14 @@ pub fn diff_backends(
 }
 
 /// Differential run over two image pipelines (the replay-engine shape used
-/// by deployment validation): both pipelines replay the frames sharded with
-/// full per-layer capture — the two may deploy different graph variants, so
-/// layers are matched by name over the merged logs
-/// ([`DriftFold::of_logs`]) — and localization proceeds as in
-/// [`diff_backends`]. Bisection runs when both pipelines deploy the *same*
-/// graph (cross-variant comparisons localize but cannot isolate an op on
-/// shared inputs); the suspect frame is preprocessed through the baseline
-/// pipeline's (canonical) configuration.
+/// by deployment validation): both pipelines replay the frames sharded and
+/// in lockstep, each through its own preprocessing (once for both when the
+/// configurations are equal) — the two may deploy different graph variants,
+/// so layers are matched by name, as [`DriftFold::of_logs`] matches them —
+/// and localization proceeds as in [`diff_backends`]. Bisection runs when
+/// both pipelines deploy the *same* graph (cross-variant comparisons
+/// localize but cannot isolate an op on shared inputs); the suspect frame is
+/// preprocessed through the baseline pipeline's (canonical) configuration.
 ///
 /// # Errors
 ///
@@ -229,14 +204,31 @@ pub fn diff_image_pipelines(
     frames: &[LabeledFrame],
     options: &DifferentialOptions,
 ) -> Result<DifferentialReport> {
-    let mut replay = options.replay;
-    replay.monitor = MonitorConfig::offline_validation();
-    let (baseline_logs, _) = replay_sharded(baseline, frames, &replay)?;
-    let (candidate_logs, _) = replay_sharded(candidate, frames, &replay)?;
+    let (baseline_graph, candidate_graph) = (&baseline.model.graph, &candidate.model.graph);
+    let shared_input = baseline.preprocess == candidate.preprocess;
+    let preprocess =
+        |pipeline: &ImagePipeline, chunk: &[LabeledFrame]| -> Result<Vec<Vec<Tensor>>> {
+            let apply = |f: &LabeledFrame| Ok(vec![pipeline.preprocess.apply(&f.image)?]);
+            chunk.iter().map(apply).collect()
+        };
+    let fold = fold_lockstep(
+        (baseline_graph, baseline.backend),
+        (candidate_graph, candidate.backend),
+        &NodeMap::by_name(baseline_graph, candidate_graph, 1),
+        frames,
+        &options.replay,
+        |chunk: &[LabeledFrame]| {
+            let candidate_inputs = match shared_input {
+                true => None,
+                false => Some(preprocess(candidate, chunk)?),
+            };
+            Ok((Cow::Owned(preprocess(baseline, chunk)?), candidate_inputs))
+        },
+    )?;
     let mut report = localize(
         baseline.backend.label().to_string(),
         candidate.backend.label().to_string(),
-        &DriftFold::of_logs(&candidate_logs, &baseline_logs),
+        &fold,
         frames.len(),
         options.threshold,
     );

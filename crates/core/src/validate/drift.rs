@@ -5,18 +5,31 @@
 //! frame) pair of tensors once and keeps four bytes of it; [`LayerDrift`],
 //! the suspects, `quantization_drift` and the differential debugger's
 //! first-divergent localization are all derived from what it kept.
+//!
+//! A fold is fed from two finished log sets ([`DriftFold::of_logs`]) or in
+//! lockstep, with no log record built: per micro-batch chunk the baseline
+//! interpreter's observer copies each compared layer output into a reused
+//! [`ChunkCapture`], then the candidate's [`LockstepFold`] folds each of its
+//! layer outputs against the captured one while it is hot. A [`NodeMap`]
+//! says which nodes the two sides compare. The differential debugger and
+//! `replay_validate_sharded` both run this one pair.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
-use mlexray_tensor::normalized_rmse;
+use mlexray_nn::{Graph, LayerObserver, LayerRecord};
+use mlexray_tensor::{normalized_rmse, Tensor};
 
-use crate::log::LogSet;
+use crate::log::{layer_output_key, LogSet};
 
 /// Drift of one layer between the edge and reference pipelines, aggregated
 /// over frames.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerDrift {
-    /// Execution order of the layer in the edge logs.
+    /// Position of the layer's output key among the edge logs' `layer/`
+    /// keys: execution order when only outputs are logged, stepping by 2
+    /// when each output is followed by its latency key. Differential reports
+    /// renumber their layers densely from 0.
     pub index: usize,
     /// Layer log key (`layer/<name>/output`).
     pub key: String,
@@ -60,7 +73,7 @@ struct LayerFold {
     worst: (u64, f32),
 }
 
-/// The per-layer drift accumulator, keyed by execution order (`index`).
+/// The per-layer drift accumulator, keyed by [`LayerDrift::index`].
 /// Feed it the moment both sides of a layer exist ([`DriftFold::fold`]) or
 /// from two finished log sets ([`DriftFold::of_logs`]); per-shard folds
 /// concatenate with [`DriftFold::absorb`]. Fold (and absorb) each layer's
@@ -79,9 +92,8 @@ impl DriftFold {
         })
     }
 
-    /// Scores one layer's output on one frame (`frame_scores`). `index`,
-    /// the layer's execution order, identifies it; `key` names it on first
-    /// sight. Pairs of unequal length are not comparable and are skipped.
+    /// Scores one layer's output on one frame (`frame_scores`). `index`
+    /// identifies the layer and orders it; `key` names it on first sight. Pairs of unequal length are not comparable and are skipped.
     pub fn fold(
         &mut self,
         index: usize,
@@ -141,7 +153,7 @@ impl DriftFold {
         self.layers.get(&index).map(|l| l.worst)
     }
 
-    /// Per-layer drift in execution order.
+    /// Per-layer drift in `index` order.
     pub fn drift(&self) -> Vec<LayerDrift> {
         let drift = self.layers.iter().map(|(&index, l)| {
             let sum = l.nrmse.iter().fold(0.0, |sum, &v| sum + v as f64);
@@ -187,6 +199,128 @@ fn layer_outputs(logs: &LogSet) -> HashMap<(u64, &str), Option<&[f32]>> {
         }
     }
     index
+}
+
+/// A layer output as the real values both sides are compared in: float
+/// tensors are read in place, quantized ones dequantized (as logs are).
+fn real_values(tensor: &Tensor) -> Cow<'_, [f32]> {
+    match tensor.as_f32() {
+        Ok(values) => Cow::Borrowed(values),
+        Err(_) => Cow::Owned(tensor.to_f32_vec()),
+    }
+}
+
+/// Which nodes of a baseline and a candidate graph a lockstep fold
+/// compares: each compared pair shares one capture slot.
+#[derive(Debug, Clone)]
+pub(crate) struct NodeMap {
+    /// The slot each baseline node is captured in; `None` when no candidate
+    /// node compares with it.
+    baseline: Vec<Option<usize>>,
+    /// The slot each candidate node is compared with; `None` for a node the
+    /// baseline lacks.
+    candidate: Vec<Option<usize>>,
+    /// Candidate node `i` folds at index `i * stride`.
+    stride: usize,
+    slots: usize,
+}
+
+impl NodeMap {
+    /// Two graphs matched *by name*, as [`DriftFold::of_logs`] matches keys
+    /// (conversion and quantization insert and remove nodes, so two graph
+    /// variants' indices don't align): the first node of each name on each
+    /// side; nodes only one side has (e.g. `Quantize` boundaries) are
+    /// skipped. On one graph every node compares with itself. Candidate
+    /// node `i` folds at `i * stride` — with `stride` `1 + layer_latency`,
+    /// the position of its output key among the candidate's `layer/` log
+    /// keys.
+    pub(crate) fn by_name(baseline: &Graph, candidate: &Graph, stride: usize) -> Self {
+        let mut first: HashMap<&str, usize> = HashMap::new();
+        for (i, node) in baseline.nodes().iter().enumerate() {
+            first.entry(node.name.as_str()).or_insert(i);
+        }
+        let mut map = NodeMap {
+            baseline: vec![None; baseline.nodes().len()],
+            candidate: vec![None; candidate.nodes().len()],
+            stride,
+            slots: 0,
+        };
+        for (i, node) in candidate.nodes().iter().enumerate() {
+            // `remove`: a later candidate node of the same name finds none.
+            if let Some(j) = first.remove(node.name.as_str()) {
+                map.baseline[j] = Some(map.slots);
+                map.candidate[i] = Some(map.slots);
+                map.slots += 1;
+            }
+        }
+        map
+    }
+}
+
+/// The baseline's compared layer outputs of one micro-batch chunk, one
+/// buffer per (slot, in-chunk frame) at `slot * width + frame`, reused chunk
+/// to chunk.
+pub(crate) struct ChunkCapture<'m> {
+    nodes: &'m NodeMap,
+    width: usize,
+    outputs: Vec<Vec<f32>>,
+}
+
+impl<'m> ChunkCapture<'m> {
+    /// An empty capture for chunks of up to `width` frames.
+    pub(crate) fn new(nodes: &'m NodeMap, width: usize) -> Self {
+        ChunkCapture {
+            nodes,
+            width,
+            outputs: vec![Vec::new(); nodes.slots * width],
+        }
+    }
+}
+
+impl LayerObserver for ChunkCapture<'_> {
+    fn on_layer(&mut self, record: &LayerRecord<'_>) {
+        if let Some(slot) = self.nodes.baseline[record.index] {
+            let buffer = &mut self.outputs[slot * self.width + record.batch];
+            buffer.clear();
+            buffer.extend_from_slice(&real_values(record.output));
+        }
+    }
+}
+
+/// The candidate's observer: folds each layer output against the baseline's
+/// captured one while both are hot (`candidate`, `baseline` in
+/// [`DriftFold::fold`]'s order).
+pub(crate) struct LockstepFold<'a> {
+    baseline: &'a ChunkCapture<'a>,
+    /// Frame number of the chunk's first frame.
+    base: u64,
+    fold: &'a mut DriftFold,
+}
+
+impl<'a> LockstepFold<'a> {
+    /// Folds a chunk whose first frame is `base` against `baseline`.
+    pub(crate) fn new(baseline: &'a ChunkCapture<'a>, base: u64, fold: &'a mut DriftFold) -> Self {
+        LockstepFold {
+            baseline,
+            base,
+            fold,
+        }
+    }
+}
+
+impl LayerObserver for LockstepFold<'_> {
+    fn on_layer(&mut self, record: &LayerRecord<'_>) {
+        let capture = self.baseline;
+        let Some(slot) = capture.nodes.candidate[record.index] else {
+            return;
+        };
+        let baseline = &capture.outputs[slot * capture.width + record.batch];
+        let index = record.index * capture.nodes.stride;
+        let key = || layer_output_key(record.name);
+        let frame = self.base + record.batch as u64;
+        self.fold
+            .fold(index, key, frame, &real_values(record.output), baseline);
+    }
 }
 
 /// Per-layer normalized rMSE between two log sets: [`DriftFold::of_logs`]

@@ -4,7 +4,7 @@
 
 mod assertions;
 mod differential;
-mod drift;
+pub(crate) mod drift;
 mod latency;
 mod online;
 mod report;

@@ -315,15 +315,20 @@ impl DeploymentValidator {
     /// Runs the Fig. 2 flow: (1) compare accuracy, (2) per-layer drift when
     /// degraded or on request, (3) all assertions for root-cause analysis.
     pub fn validate(&self, edge: &LogSet, reference: &LogSet) -> ValidationReport {
+        self.validate_in(&ValidationContext::new(edge, reference))
+    }
+
+    /// [`Self::validate`] in a given context — one whose drift may have
+    /// been folded while its logs were made.
+    pub(crate) fn validate_in(&self, ctx: &ValidationContext<'_>) -> ValidationReport {
         let accuracy = AccuracyComparison {
-            edge: edge.accuracy(),
-            reference: reference.accuracy(),
+            edge: ctx.edge.accuracy(),
+            reference: ctx.reference.accuracy(),
         };
-        // The context computes the drift once; the report and the
+        // The context holds the drift once; the report and the
         // quantization-drift assertion read the same values.
-        let ctx = ValidationContext::new(edge, reference);
         let drift = ctx.drift().to_vec();
-        let outcomes = self.assertions.iter().map(|a| a.check(&ctx)).collect();
+        let outcomes = self.assertions.iter().map(|a| a.check(ctx)).collect();
         self.report(accuracy, drift, outcomes)
     }
 
@@ -442,13 +447,23 @@ impl DeploymentValidator {
         edge: &LogSet,
         reference: &LogSet,
     ) -> ShardValidation {
-        let report = self.validate(edge, reference);
+        self.validate_shard_in(start_frame, &ValidationContext::new(edge, reference))
+    }
+
+    /// [`Self::validate_shard`] in a given context (see
+    /// [`Self::validate_in`]).
+    pub(crate) fn validate_shard_in(
+        &self,
+        start_frame: u64,
+        ctx: &ValidationContext<'_>,
+    ) -> ShardValidation {
+        let (edge, reference) = (ctx.edge, ctx.reference);
         ShardValidation {
             start_frame,
             frames: edge.frame_count().max(reference.frame_count()),
             edge_decisions: DecisionTally::of(edge),
             reference_decisions: DecisionTally::of(reference),
-            report,
+            report: self.validate_in(ctx),
         }
     }
 

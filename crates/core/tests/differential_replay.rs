@@ -4,17 +4,19 @@
 //! — both the structured value and its rendered form. Layer tensors are
 //! batching-invariant (pinned by the nn `batch_equivalence` suite) and the
 //! shard merge is ordered, so the report is a pure function of (backends,
-//! frames, partition).
+//! frames, partition). The pipeline-level entry point's lockstep fold is
+//! held bitwise to the log fold it replaced.
 
 use mlexray_core::{
-    diff_backends, diff_image_pipelines, BisectionVerdict, DifferentialOptions, DifferentialReport,
-    ImagePipeline, LabeledFrame, ReplayOptions,
+    diff_backends, diff_image_pipelines, replay_sharded, BisectionVerdict, DifferentialOptions,
+    DifferentialReport, DriftFold, ImagePipeline, LabeledFrame, LayerDrift, MonitorConfig,
+    ReplayOptions,
 };
 use mlexray_nn::{
     calibrate, quantize_model, Activation, BackendSpec, EdgeNumerics, Graph, GraphBuilder,
     KernelBugs, KernelFlavor, Model, ModelVariant, Padding, QuantizationOptions,
 };
-use mlexray_preprocess::{Image, ImagePreprocessConfig};
+use mlexray_preprocess::{Image, ImagePreprocessConfig, PreprocessBug};
 use mlexray_tensor::{Shape, Tensor};
 
 /// Deterministic pseudo-random values (no RNG dependency in this crate's
@@ -253,4 +255,89 @@ fn pipeline_differential_identical_across_workers() {
         "same-graph pipelines must bisect"
     );
     assert_all_identical(&reports);
+    assert_drift_is_of_logs(&baseline, &candidate, &frames, &reports[0]);
+}
+
+/// Every drift value as its bit pattern.
+fn drift_bits(drift: &[LayerDrift]) -> Vec<(usize, String, u32, u32, usize)> {
+    drift
+        .iter()
+        .map(|d| {
+            let bits = (d.mean_nrmse.to_bits(), d.max_nrmse.to_bits());
+            (d.index, d.key.clone(), bits.0, bits.1, d.frames)
+        })
+        .collect()
+}
+
+/// The lockstep fold of `diff_image_pipelines` against what it replaced:
+/// both pipelines replayed with full capture into whole-run log sets,
+/// folded by name with `DriftFold::of_logs` and renumbered densely — bit
+/// for bit.
+fn assert_drift_is_of_logs(
+    baseline: &ImagePipeline,
+    candidate: &ImagePipeline,
+    frames: &[LabeledFrame],
+    report: &DifferentialReport,
+) {
+    let options = ReplayOptions {
+        workers: 1,
+        monitor: MonitorConfig::offline_validation(),
+        ..Default::default()
+    };
+    let (baseline_logs, _) = replay_sharded(baseline, frames, &options).unwrap();
+    let (candidate_logs, _) = replay_sharded(candidate, frames, &options).unwrap();
+    let mut want = DriftFold::of_logs(&candidate_logs, &baseline_logs).drift();
+    for (i, d) in want.iter_mut().enumerate() {
+        d.index = i;
+    }
+    assert!(!want.is_empty());
+    assert_eq!(drift_bits(&report.drift), drift_bits(&want));
+}
+
+/// Pipelines deploying two graph variants — a float baseline against a
+/// quantized candidate with a preprocessing bug of its own — match layers
+/// by name, skip the candidate's quantization boundaries, and fold exactly
+/// what the logs of both would.
+#[test]
+fn cross_variant_pipeline_differential_folds_what_the_logs_would() {
+    let (graph, shape) = float_graph();
+    let model = Model::checkpoint(graph, "diff");
+    let calib = calibrate(
+        &model.graph,
+        float_frames(&shape, 6).iter().map(Vec::as_slice),
+    )
+    .unwrap();
+    let quant = quantize_model(&model, &calib, QuantizationOptions::default()).unwrap();
+    let canonical = ImagePreprocessConfig::mobilenet_style(6, 6);
+    let baseline = ImagePipeline::new(model, canonical.clone());
+    let candidate = ImagePipeline::new(quant, canonical.with_bug(PreprocessBug::Channel));
+    let frames: Vec<LabeledFrame> = (0..9)
+        .map(|i| {
+            let rgb = [(i * 41 % 256) as u8, (i * 13 % 256) as u8, 90];
+            LabeledFrame::new(Image::solid(8, 8, rgb), Some(0))
+        })
+        .collect();
+    let reports: Vec<DifferentialReport> = GRID
+        .iter()
+        .map(|&(workers, micro_batch)| {
+            let options = DifferentialOptions {
+                threshold: 0.0,
+                bisect: true,
+                replay: ReplayOptions {
+                    workers,
+                    shard_frames: 4,
+                    micro_batch,
+                    ..Default::default()
+                },
+            };
+            diff_image_pipelines(&baseline, &candidate, &frames, &options).unwrap()
+        })
+        .collect();
+    assert!(!reports[0].is_equivalent());
+    assert!(
+        reports[0].bisection.is_none(),
+        "cross-variant pipelines localize but do not bisect"
+    );
+    assert_all_identical(&reports);
+    assert_drift_is_of_logs(&baseline, &candidate, &frames, &reports[0]);
 }

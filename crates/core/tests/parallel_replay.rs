@@ -1,16 +1,21 @@
 //! Integration coverage for the new concurrency surface: the sharded
-//! replay-validate engine's determinism guarantee and the `ChannelSink`'s
+//! replay-validate engine's determinism guarantee, its lockstep drift fold
+//! against the logs it no longer writes, and the `ChannelSink`'s
 //! losslessness under multi-writer contention.
 
 use std::sync::{Arc, Mutex};
 
 use mlexray_core::{
-    machine_parallelism, replay_sharded, replay_sharded_to_sink, replay_validate_sharded,
-    reserve_cores, ChannelSink, ChannelSinkConfig, DeploymentValidator, FnAssertion, ImagePipeline,
-    LabeledFrame, LogRecord, LogSet, LogSink, LogValue, MemorySink, Monitor, MonitorConfig,
-    ReferencePipeline, ReplayOptions, KEY_PREPROCESS_OUTPUT,
+    machine_parallelism, per_layer_drift, replay_sharded, replay_sharded_to_sink,
+    replay_validate_sharded, reserve_cores, AssertionStatus, ChannelSink, ChannelSinkConfig,
+    DeploymentValidator, FnAssertion, ImagePipeline, LabeledFrame, LayerCapture, LayerDrift,
+    LogRecord, LogSet, LogSink, LogValue, MemorySink, Monitor, MonitorConfig, ReferencePipeline,
+    ReplayOptions, ShardValidation, KEY_PREPROCESS_OUTPUT,
 };
-use mlexray_nn::{Activation, GraphBuilder, Model, Padding};
+use mlexray_nn::{
+    calibrate, convert_to_mobile, quantize_model, Activation, BackendSpec, GraphBuilder,
+    KernelBugs, Model, Padding, QuantizationOptions,
+};
 use mlexray_preprocess::{Image, ImagePreprocessConfig, PreprocessBug};
 use mlexray_tensor::{Shape, Tensor};
 
@@ -357,11 +362,25 @@ fn record_bits(logs: &LogSet) -> Vec<(u64, String, String)> {
         .collect()
 }
 
+/// `logs` without its `layer/*/output` records: what the validate path logs
+/// under full capture, which folds the layer outputs instead.
+fn without_layer_outputs(logs: &LogSet) -> LogSet {
+    let is_output = |r: &LogRecord| r.key.starts_with("layer/") && r.key.ends_with("/output");
+    LogSet::new(
+        logs.records()
+            .iter()
+            .filter(|r| !is_output(r))
+            .cloned()
+            .collect(),
+    )
+}
+
 /// With equal preprocessing configs the worker preprocesses each frame once
 /// and hands both runners the same tensors; with a preprocessing bug each
 /// side preprocesses on its own. Either way, each side logs record for
-/// record what its pipeline's own `classify_batch` run logs, at every
-/// micro-batch size, in one shard or several.
+/// record what its pipeline's own `classify_batch` run logs — minus the
+/// `layer/*/output` records, which full capture folds instead of logging —
+/// at every micro-batch size, in one shard or several.
 #[test]
 fn replay_validate_logs_what_each_pipeline_logs_on_its_own() {
     let model = tiny_model();
@@ -388,10 +407,14 @@ fn replay_validate_logs_what_each_pipeline_logs_on_its_own() {
                 let reference_want = classify_batch_logs(reference.pipeline(), &frames, &options);
                 assert_eq!(got.len(), frames.len().div_ceil(shard_frames), "{what}");
                 for (i, (edge_logs, reference_logs)) in got.iter().enumerate() {
-                    assert_eq!(record_bits(edge_logs), record_bits(&edge_want[i]), "{what}");
+                    let (edge_want, reference_want) = (&edge_want[i], &reference_want[i]);
+                    assert!(!edge_want.keys_with_prefix("layer/").is_empty(), "{what}");
+                    let edge_want = without_layer_outputs(edge_want);
+                    let reference_want = without_layer_outputs(reference_want);
+                    assert_eq!(record_bits(edge_logs), record_bits(&edge_want), "{what}");
                     assert_eq!(
                         record_bits(reference_logs),
-                        record_bits(&reference_want[i]),
+                        record_bits(&reference_want),
                         "{what}"
                     );
                     let inputs =
@@ -399,6 +422,180 @@ fn replay_validate_logs_what_each_pipeline_logs_on_its_own() {
                     assert_eq!(
                         inputs(edge_logs) == inputs(reference_logs),
                         shared,
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Every drift value as its bit pattern.
+fn drift_bits(drift: &[LayerDrift]) -> Vec<(usize, String, u32, u32, usize)> {
+    drift
+        .iter()
+        .map(|d| {
+            let bits = (d.mean_nrmse.to_bits(), d.max_nrmse.to_bits());
+            (d.index, d.key.clone(), bits.0, bits.1, d.frames)
+        })
+        .collect()
+}
+
+/// The edge/reference pairs the fold oracle runs over: a shared input, a
+/// channel-swap preprocessing bug (each side preprocesses on its own), and
+/// a quantized edge on optimized kernels with the paper's injected defects
+/// against the float `mobile` reference — two graph variants, so the edge's
+/// `Quantize`/`Dequantize` boundaries have no reference counterpart and
+/// layers match by name, not by index.
+fn oracle_pairs(frames: &[LabeledFrame]) -> Vec<(&'static str, ImagePipeline, ReferencePipeline)> {
+    let model = tiny_model();
+    let canonical = ImagePreprocessConfig::mobilenet_style(6, 6);
+    let mobile = convert_to_mobile(&model).unwrap();
+    let inputs: Vec<Vec<Tensor>> = frames
+        .iter()
+        .map(|f| vec![canonical.apply(&f.image).unwrap()])
+        .collect();
+    let calib = calibrate(&mobile.graph, inputs.iter().map(Vec::as_slice)).unwrap();
+    let quant = quantize_model(&mobile, &calib, QuantizationOptions::default()).unwrap();
+    assert!(quant.graph.nodes().len() > mobile.graph.nodes().len());
+    let paper_2021 = BackendSpec::optimized().with_bugs(KernelBugs::paper_2021());
+    let reference = ReferencePipeline::new(model.clone(), canonical.clone());
+    vec![
+        (
+            "shared",
+            ImagePipeline::new(model.clone(), canonical.clone()),
+            reference.clone(),
+        ),
+        (
+            "channel",
+            ImagePipeline::new(model, canonical.with_bug(PreprocessBug::Channel)),
+            reference,
+        ),
+        (
+            "quantized",
+            ImagePipeline::new(quant, canonical.clone()).with_backend(paper_2021),
+            ReferencePipeline::new(mobile, canonical),
+        ),
+    ]
+}
+
+/// The drift `replay_validate_sharded` folds in lockstep is the drift of
+/// the logs it no longer writes: each shard's `report.drift` equals
+/// `per_layer_drift` over that shard's full-capture `classify_batch` logs
+/// bitwise (index, key, mean and max bits, frames), each shard validation
+/// equals `validate_shard` over those logs, and the merged report equals
+/// their merge — with and without layer latencies, at micro-batch 1 and 3,
+/// over several shard sizes and on 1 and 2 workers.
+#[test]
+fn folded_drift_equals_the_drift_of_the_full_logs() {
+    let frames = frames(7);
+    let validator = DeploymentValidator::new();
+    for (name, edge, reference) in oracle_pairs(&frames) {
+        for layer_latency in [false, true] {
+            for micro_batch in [1usize, 3] {
+                for shard_frames in [frames.len(), 3, 2] {
+                    for workers in [1usize, 2] {
+                        let options = ReplayOptions {
+                            workers,
+                            shard_frames,
+                            micro_batch,
+                            monitor: MonitorConfig {
+                                layer_latency,
+                                ..MonitorConfig::offline_validation()
+                            },
+                            ..Default::default()
+                        };
+                        let what = format!(
+                            "{name} latency={layer_latency} micro_batch={micro_batch} \
+                             shard={shard_frames} workers={workers}"
+                        );
+                        let got = replay_validate_sharded(
+                            &edge, &reference, &frames, &validator, &options,
+                        )
+                        .unwrap();
+                        let edge_logs = classify_batch_logs(&edge, &frames, &options);
+                        let reference_logs =
+                            classify_batch_logs(reference.pipeline(), &frames, &options);
+                        let want: Vec<ShardValidation> = (0..edge_logs.len())
+                            .map(|i| {
+                                let start = (i * shard_frames) as u64;
+                                validator.validate_shard(start, &edge_logs[i], &reference_logs[i])
+                            })
+                            .collect();
+                        assert_eq!(got.shards.len(), want.len(), "{what}");
+                        for (i, (got, want)) in got.shards.iter().zip(&want).enumerate() {
+                            let oracle = per_layer_drift(&edge_logs[i], &reference_logs[i]);
+                            assert!(!oracle.is_empty(), "{what}");
+                            assert_eq!(
+                                drift_bits(&got.report.drift),
+                                drift_bits(&oracle),
+                                "{what} shard {i}"
+                            );
+                            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what} shard {i}");
+                        }
+                        let merged = validator.merge_shards(&want);
+                        assert_eq!(got.report.to_string(), merged.to_string(), "{what}");
+                        assert_eq!(drift_bits(&got.report.drift), drift_bits(&merged.drift));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Below full capture nothing is folded and the logs are what they were:
+/// under `Stats` each side logs its layer summaries (so
+/// `quantization_drift`, with no layer values to compare, stays skipped),
+/// under `None` no layer record at all — record for record what
+/// `classify_batch` logs, and every shard validation is `validate_shard`'s
+/// over those logs.
+#[test]
+fn below_full_capture_nothing_is_folded() {
+    let frames = frames(7);
+    let validator = DeploymentValidator::new();
+    for (name, edge, reference) in oracle_pairs(&frames) {
+        for per_layer in [LayerCapture::Stats, LayerCapture::None] {
+            for layer_latency in [false, true] {
+                let options = ReplayOptions {
+                    workers: 1,
+                    shard_frames: 3,
+                    micro_batch: 2,
+                    monitor: MonitorConfig {
+                        per_layer,
+                        full_io: true,
+                        layer_latency,
+                    },
+                    ..Default::default()
+                };
+                let what = format!("{name} {:?}", options.monitor);
+                let got = replay_validate_sharded(&edge, &reference, &frames, &validator, &options)
+                    .unwrap();
+                let seen = validated_logs(&edge, &reference, &frames, &options);
+                let edge_logs = classify_batch_logs(&edge, &frames, &options);
+                let reference_logs = classify_batch_logs(reference.pipeline(), &frames, &options);
+                for (i, shard) in got.shards.iter().enumerate() {
+                    let (edge_want, reference_want) = (&edge_logs[i], &reference_logs[i]);
+                    let layer_keys = edge_want.keys_with_prefix("layer/").len();
+                    assert_eq!(layer_keys > 0, per_layer == LayerCapture::Stats, "{what}");
+                    assert_eq!(record_bits(&seen[i].0), record_bits(edge_want), "{what}");
+                    assert_eq!(
+                        record_bits(&seen[i].1),
+                        record_bits(reference_want),
+                        "{what}"
+                    );
+                    let want =
+                        validator.validate_shard(shard.start_frame, edge_want, reference_want);
+                    assert_eq!(format!("{shard:?}"), format!("{want:?}"), "{what}");
+                    assert!(shard.report.drift.is_empty(), "{what}");
+                    let quantization_drift = shard
+                        .report
+                        .outcomes
+                        .iter()
+                        .find(|o| o.name == "quantization_drift")
+                        .unwrap();
+                    assert_eq!(
+                        quantization_drift.status,
+                        AssertionStatus::Skipped,
                         "{what}"
                     );
                 }

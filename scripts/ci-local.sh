@@ -57,8 +57,10 @@ kernel-suites() {
 # that under MLEXRAY_SIMD=scalar), the rendered validation and differential
 # reports of mini_mobilenet_v2 against the golden text recorded before the
 # drift fold, the fold bitwise against the log-scanning loops it replaced,
-# and the reference flavor (packed-panel Conv2d, shared depthwise) bitwise
-# against the faithful emulator's per-cell gather loops on every zoo family.
+# the reference flavor (packed-panel Conv2d, shared depthwise) bitwise
+# against the faithful emulator's per-cell gather loops on every zoo family,
+# and replay_validate_sharded's lockstep drift fold bitwise against
+# per_layer_drift and validate_shard over the full logs it no longer writes.
 # The preprocessing oracle (the preprocess crate's unit tests) holds the
 # one-pass resize and table normalization bitwise to the per-pixel code they
 # replaced, across sizes, methods, schemes, channel orders and rotations;
@@ -68,7 +70,7 @@ backend-suites() {
   cargo test -p mlexray-preprocess --lib -q
   cargo test -p mlexray-nn --test backend_differential --test golden_kernels -q
   cargo test -p mlexray-core --test differential_replay --test golden_reports \
-    --test drift_fold_oracle --test reference_oracle -q
+    --test drift_fold_oracle --test reference_oracle --test parallel_replay -q
 }
 
 # Run twice: under native runtime dispatch (AVX2+FMA where the host has it)
@@ -81,10 +83,12 @@ backend-suites() {
 # alloc_steady_state holds — with a counting global allocator — a warmed
 # invoke to a depth-independent allocation count and the one arena to the
 # footprint of its largest batch; alloc_validation holds a differential run's
-# peak to be independent of its frame count and a sharded replay-validate's to
-# about one shard's logs. golden_reports must read the same text either way,
-# and reference_oracle must hold either way: both builds of the reference
-# kernels compute the faithful emulator's bits. The kernels::gemm unit tests
+# peak (over backends or image pipelines) to be independent of its frame count
+# and a sharded replay-validate's to about one shard's logs without layer
+# outputs plus one chunk of captured outputs. golden_reports must read the same
+# text either way, and reference_oracle must hold either way: both builds of
+# the reference kernels compute the faithful emulator's bits; parallel_replay's
+# fold oracle must hold either way too. The kernels::gemm unit tests
 # hold the one tile driver, under both chain rules and both explicit engines,
 # to a one-row, one-channel run of it per cell; hold the one quantized Conv2d
 # and FC every flavor runs, in both builds, to the scalar loops they replaced
@@ -102,7 +106,7 @@ kernel-simd() {
     --test native_engines -q)
   local gemm=(-p mlexray-nn --lib kernels::gemm -q)
   local core=(-p mlexray-core --test golden_reports --test reference_oracle
-    --test differential_replay -q)
+    --test differential_replay --test parallel_replay -q)
   cargo test "${nn[@]}"
   cargo test "${gemm[@]}"
   cargo test "${core[@]}"
