@@ -1,6 +1,14 @@
 //! Log sinks: in-memory buffering, JSONL persistence, and the async batched
 //! channel sink that moves logging off the inference thread.
 //!
+//! # JSONL encoding
+//!
+//! [`JsonlFileSink`] encodes each `write` / `write_batch` call into one
+//! reused `String`: every record's derived `Serialize` writes its JSON
+//! straight into it, a newline follows each, and the whole call reaches the
+//! file in one `write_all`. No per-record `String` or JSON tree is built.
+//! `bytes_written` counts exactly the bytes handed over.
+//!
 //! # Drain protocol
 //!
 //! The [`ChannelSink`] decouples the hot path from persistence: `write`
@@ -41,6 +49,7 @@ use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
+use serde::Serialize;
 
 use crate::log::LogRecord;
 use crate::{ExrayError, Result};
@@ -153,15 +162,28 @@ pub struct JsonlFileSink {
 #[derive(Debug)]
 struct JsonlWriter {
     out: BufWriter<File>,
+    /// One call's lines, encoded in place; reused across calls.
+    lines: String,
     bytes: u64,
 }
 
+/// Capacity [`JsonlWriter::lines`] keeps between calls: a batch of full
+/// tensor dumps can run to megabytes, and one such batch should not pin
+/// that much for the sink's lifetime.
+const LINES_KEEP_BYTES: usize = 1 << 20;
+
 impl JsonlWriter {
-    fn write_line(&mut self, record: &LogRecord) {
-        if let Ok(line) = serde_json::to_string(record) {
-            self.bytes += line.len() as u64 + 1;
-            let _ = writeln!(self.out, "{line}");
+    /// Writes each record's JSON and a newline into the reused buffer, then
+    /// hands the lot to the file in one `write_all`.
+    fn write_lines<'a>(&mut self, records: impl IntoIterator<Item = &'a LogRecord>) {
+        self.lines.clear();
+        for record in records {
+            record.write_json(&mut self.lines);
+            self.lines.push('\n');
         }
+        self.bytes += self.lines.len() as u64;
+        let _ = self.out.write_all(self.lines.as_bytes());
+        self.lines.shrink_to(LINES_KEEP_BYTES);
     }
 }
 
@@ -179,6 +201,7 @@ impl JsonlFileSink {
         Ok(JsonlFileSink {
             writer: Mutex::new(JsonlWriter {
                 out: BufWriter::new(file),
+                lines: String::new(),
                 bytes: 0,
             }),
         })
@@ -193,7 +216,9 @@ impl JsonlFileSink {
         self.writer.lock().out.flush().map_err(ExrayError::Io)
     }
 
-    /// Reads a JSONL log file back into records.
+    /// Reads a JSONL log file back into records. JSON has no NaN or
+    /// infinity, so non-finite floats are written as `null`; they read back
+    /// as NaN (±∞ come back as NaN too).
     ///
     /// # Errors
     ///
@@ -209,14 +234,11 @@ impl JsonlFileSink {
 
 impl LogSink for JsonlFileSink {
     fn write(&self, record: LogRecord) {
-        self.writer.lock().write_line(&record);
+        self.writer.lock().write_lines([&record]);
     }
 
     fn write_batch(&self, records: Vec<LogRecord>) {
-        let mut writer = self.writer.lock();
-        for record in &records {
-            writer.write_line(record);
-        }
+        self.writer.lock().write_lines(&records);
     }
 
     fn bytes_written(&self) -> u64 {

@@ -185,8 +185,8 @@ impl fmt::Display for LintCode {
 }
 
 impl Serialize for LintCode {
-    fn to_value(&self) -> Value {
-        Value::String(self.as_str().to_owned())
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
     }
 }
 

@@ -121,12 +121,17 @@ kernel-simd() {
 # every-way-a-request-can-end table); sink_stress hammers the backpressure
 # accounting the serving monitor leans on. The sink's unit tests and
 # sink_stress run in release as well: the buffer's condvar protocol is
-# timing-sensitive, and debug and release interleave differently.
+# timing-sensitive, and debug and release interleave differently. The JSON
+# writer's tests (serde_json's unit tests and json_format's byte pins for
+# every JSONL record shape) run in release too: the monitored serving path
+# writes its JSONL through that writer.
 serve-suite() {
   cargo test -p mlexray-serve -q
   cargo test -p mlexray-core --test sink_stress -q
   cargo test --release -p mlexray-core --lib sink -q
   cargo test --release -p mlexray-core --test sink_stress -q
+  cargo test --release -p serde_json -q
+  cargo test --release -p mlexray-core --test json_format -q
 }
 
 # metrics_suite holds the histogram properties and the wire Metrics
