@@ -5,8 +5,8 @@
 //! quantized depthwise kernel with the injected optimized-flavor defect of
 //! §4.4. The optimized and SIMD float `Conv2d`, and the quantized `Conv2d` of
 //! every flavor, are the im2col + GEMM kernels in [`gemm`](super::gemm).
-//! Every window loop here is [`WindowGeom::taps`] or its row form,
-//! [`WindowGeom::row_taps`].
+//! Every window loop here is [`WindowGeom::taps`], its run form
+//! [`WindowGeom::runs`] or its row form [`WindowGeom::row_taps`].
 //!
 //! What makes the reference kernels the oracle is their **sum**, not their
 //! loop nest: every output value is one accumulator seeded with the bias
@@ -24,7 +24,7 @@ use mlexray_tensor::{QuantParams, Tensor};
 
 use crate::graph::{Node, TensorDef};
 use crate::kernels::gemm::Engine;
-use crate::kernels::window::{Cell, WindowGeom};
+use crate::kernels::window::{Window, WindowGeom};
 use crate::kernels::{
     act_qbounds, emulated_dot, f32_slot, out_qparams, qparams_of, requantize, u8_slot,
 };
@@ -76,7 +76,7 @@ pub(crate) fn pack_weight_panels(weights: &Tensor, packed: &mut Vec<f32>) -> Res
 #[inline(always)]
 fn conv2d_panel_chains<const W: usize>(
     g: &WindowGeom,
-    cell: &Cell,
+    window: &Window,
     x: &[f32],
     panel: &[f32],
     bias: Option<&[f32]>,
@@ -86,10 +86,9 @@ fn conv2d_panel_chains<const W: usize>(
     if let Some(bias) = bias {
         acc.copy_from_slice(bias);
     }
-    for (tap, pixel) in g.taps(cell) {
-        let xs = &x[pixel * g.c..][..g.c];
-        let ws = &panel[tap * g.c * W..][..g.c * W];
-        for (&xv, wv) in xs.iter().zip(ws.chunks_exact(W)) {
+    for (at, run) in g.runs(window) {
+        let ws = &panel[at * W..][..run.len() * W];
+        for (&xv, wv) in x[run].iter().zip(ws.chunks_exact(W)) {
             for lane in 0..W {
                 acc[lane] += xv * wv[lane];
             }
@@ -111,16 +110,16 @@ native_kernel! {
         out: &mut [f32],
     ) {
         let ksize = g.patch_len();
-        for cell in g.cells() {
-            let out = &mut out[cell.index * out_c..][..out_c];
+        for window in g.windows() {
+            let out = &mut out[window.index * out_c..][..out_c];
             for (oc0, width) in weight_panels(out_c) {
                 let panel = &panels[oc0 * ksize..][..width * ksize];
                 let bias = bias.map(|b| &b[oc0..oc0 + width]);
                 let out = &mut out[oc0..oc0 + width];
                 match width {
-                    8 => conv2d_panel_chains::<8>(g, &cell, x, panel, bias, out),
-                    4 => conv2d_panel_chains::<4>(g, &cell, x, panel, bias, out),
-                    _ => conv2d_panel_chains::<1>(g, &cell, x, panel, bias, out),
+                    8 => conv2d_panel_chains::<8>(g, &window, x, panel, bias, out),
+                    4 => conv2d_panel_chains::<4>(g, &window, x, panel, bias, out),
+                    _ => conv2d_panel_chains::<1>(g, &window, x, panel, bias, out),
                 }
             }
             activation.apply_in_place(out);

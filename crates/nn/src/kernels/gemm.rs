@@ -398,8 +398,9 @@ fn im2col_len(g: &WindowGeom) -> usize {
 }
 
 /// Whole-batch im2col: the `[cells, kh·kw·c]` patch matrix of `x`, built in
-/// `scratch` with padding taps left at `fill` — or `x` itself, copy-free,
-/// for 1×1 stride-1 windows (the bulk of MobileNet-family MACs).
+/// `scratch` one window row at a time with padding taps left at `fill` — or
+/// `x` itself, copy-free, for 1×1 stride-1 windows (the bulk of
+/// MobileNet-family MACs).
 fn im2col<'a, T: Copy>(g: &WindowGeom, x: &'a [T], fill: T, scratch: &'a mut Vec<T>) -> &'a [T] {
     if g.is_pointwise() {
         return x;
@@ -407,10 +408,10 @@ fn im2col<'a, T: Copy>(g: &WindowGeom, x: &'a [T], fill: T, scratch: &'a mut Vec
     let ksize = g.patch_len();
     scratch.clear();
     scratch.resize(im2col_len(g), fill);
-    for cell in g.cells() {
-        let row = &mut scratch[cell.index * ksize..][..ksize];
-        for (tap, pixel) in g.taps(&cell) {
-            row[tap * g.c..][..g.c].copy_from_slice(&x[pixel * g.c..][..g.c]);
+    for window in g.windows() {
+        let row = &mut scratch[window.index * ksize..][..ksize];
+        for (at, run) in g.runs(&window) {
+            row[at..at + run.len()].copy_from_slice(&x[run]);
         }
     }
     scratch
@@ -1458,5 +1459,101 @@ mod tests {
             by_mode[0], by_mode[1],
             "the two precisions must disagree on odd sums"
         );
+    }
+
+    /// The whole-batch im2col before it copied one run per window row: one
+    /// `c`-element copy per in-bounds tap. Body verbatim — the oracle
+    /// [`im2col`] is held to.
+    fn im2col_per_tap<'a, T: Copy>(
+        g: &WindowGeom,
+        x: &'a [T],
+        fill: T,
+        scratch: &'a mut Vec<T>,
+    ) -> &'a [T] {
+        if g.is_pointwise() {
+            return x;
+        }
+        let ksize = g.patch_len();
+        scratch.clear();
+        scratch.resize(im2col_len(g), fill);
+        for cell in g.cells() {
+            let row = &mut scratch[cell.index * ksize..][..ksize];
+            for (tap, pixel) in g.taps(&cell) {
+                row[tap * g.c..][..g.c].copy_from_slice(&x[pixel * g.c..][..g.c]);
+            }
+        }
+        scratch
+    }
+
+    /// The kernel sides the im2col property draws from.
+    const SIDES: [usize; 5] = [1, 2, 3, 5, 7];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Kernel sides 1, 2, 3, 5 and 7 (non-square too), strides 1–3,
+        /// SAME and VALID, inputs smaller than the window under SAME, 1–40
+        /// channels and stacked batches: the run walk builds the per-tap
+        /// walk's patch matrix element for element, `f32` with `0.0` padding
+        /// and `u8` with the zero point as padding, over stale scratch.
+        #[test]
+        fn im2col_runs_build_the_per_tap_matrix(
+            kh in 0usize..SIDES.len(),
+            kw in 0usize..SIDES.len(),
+            in_h in 1usize..=10,
+            in_w in 1usize..=10,
+            stride in 1usize..=3,
+            same in 0u8..2,
+            in_c in 1usize..=40,
+            batch in 1usize..=3,
+            seed in 1u64..=u64::MAX,
+        ) {
+            let (kh, kw) = (SIDES[kh], SIDES[kw]);
+            let padding = if same == 1 { Padding::Same } else { Padding::Valid };
+            // VALID needs the window to fit.
+            let (h, w) = match padding {
+                Padding::Same => (in_h, in_w),
+                Padding::Valid => (in_h.max(kh), in_w.max(kw)),
+            };
+            let mut draw = Draw(seed);
+            let zero_point = draw.zero_point(3);
+            let x_u8 = draw.input(vec![batch, h, w, in_c], 0.02, zero_point);
+            let shape = x_u8.shape().clone();
+            let x_f32 = Tensor::from_f32(
+                shape.clone(),
+                (0..shape.num_elements()).map(|_| f32::from_bits(draw.bits())).collect(),
+            )
+            .unwrap();
+            let out_dims = vec![
+                batch,
+                conv_out_size(h, kh, stride, padding),
+                conv_out_size(w, kw, stride, padding),
+                1,
+            ];
+            let out_def = TensorDef::Activation {
+                name: "out".into(),
+                shape: Shape::new(out_dims),
+                dtype: DType::F32,
+                quant: None,
+            };
+            let g = WindowGeom::new(&x_f32, &out_def, kh, kw, stride, padding);
+            let what = format!("{kh}x{kw}/{stride} {padding:?} {h}x{w}x{in_c} x{batch} seed {seed}");
+
+            let x = x_f32.as_f32().unwrap();
+            let (mut got, mut want) = (vec![f32::NAN; 64], vec![-1.0f32; 96]);
+            let got: Vec<u32> = im2col(&g, x, 0.0, &mut got).iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> =
+                im2col_per_tap(&g, x, 0.0, &mut want).iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want, "f32 {}", what);
+
+            let (x, fill) = (x_u8.as_u8().unwrap(), zero_point as u8);
+            let (mut got, mut want) = (vec![0xA5u8; 64], vec![0x5A; 96]);
+            prop_assert_eq!(
+                im2col(&g, x, fill, &mut got),
+                im2col_per_tap(&g, x, fill, &mut want),
+                "u8 {}",
+                what
+            );
+        }
     }
 }

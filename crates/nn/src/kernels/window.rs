@@ -1,7 +1,7 @@
 //! Sliding-window geometry shared by every convolution and pooling kernel:
 //! the one place that resolves SAME/VALID padding, enumerates output cells
 //! (or output rows) and clips a cell's kernel window (or a row's) to the
-//! input.
+//! input — tap by tap, or as one contiguous run per window row.
 
 use std::ops::Range;
 
@@ -33,6 +33,24 @@ pub(super) struct Cell {
     n: usize,
     oy: usize,
     ox: usize,
+}
+
+/// One output cell's window clipped to the input, as
+/// [`WindowGeom::windows`] yields it: `index` is the cell's flat NHW offset
+/// (the im2col row, and the output pixel). The in-bounds part of a window
+/// is a rectangle, so each in-bounds window row is one run of `len`
+/// elements — its in-bounds columns × `c` channels — contiguous in the
+/// NHWC input and in the cell's patch row alike.
+pub(super) struct Window {
+    pub(super) index: usize,
+    /// The in-bounds window rows `ky`.
+    kys: Range<usize>,
+    /// The first in-bounds window column.
+    kx0: usize,
+    /// Elements per run.
+    len: usize,
+    /// Input offset of the first run.
+    input: usize,
 }
 
 /// One output row `(n, oy)`; `index` is the flat NHW offset of its first
@@ -126,6 +144,45 @@ impl WindowGeom {
             let row = (frame + y0 + ky - self.pad_top) * self.in_w + x0;
             kxs.clone()
                 .map(move |kx| (ky * self.kw + kx, row + kx - self.pad_left))
+        })
+    }
+
+    /// [`WindowGeom::cells`] with each cell's window clipped to the input,
+    /// stepping from cell to cell along each output row rather than
+    /// dividing a flat index per cell.
+    #[inline]
+    pub(super) fn windows(&self) -> impl Iterator<Item = Window> + '_ {
+        self.rows().flat_map(move |row| {
+            let y0 = row.oy * self.stride;
+            let kys = clip(y0, self.pad_top, self.kh, self.in_h);
+            // `y0 + kys.start ≥ pad_top` by the clip, and so on for x.
+            let in_row = row.n * self.in_h + y0 + kys.start - self.pad_top;
+            (0..self.out_w).map(move |ox| {
+                let x0 = ox * self.stride;
+                let kxs = clip(x0, self.pad_left, self.kw, self.in_w);
+                Window {
+                    index: row.index + ox,
+                    // A window with no in-bounds column has no runs.
+                    kys: if kxs.is_empty() { 0..0 } else { kys.clone() },
+                    kx0: kxs.start,
+                    len: kxs.len() * self.c,
+                    input: (in_row * self.in_w + x0 + kxs.start - self.pad_left) * self.c,
+                }
+            })
+        })
+    }
+
+    /// `window`'s runs in `ky` order as `(at, run)`: the input elements
+    /// `x[run]` are the patch row's elements `at..at + run.len()`, in
+    /// `(kx, ic)` order — [`WindowGeom::taps`] one window row at a time,
+    /// channels included. Padding is never yielded.
+    #[inline]
+    pub(super) fn runs(&self, window: &Window) -> impl Iterator<Item = (usize, Range<usize>)> {
+        let (kw, c, row_len) = (self.kw, self.c, self.in_w * self.c);
+        let (first, kx0, len, input) = (window.kys.start, window.kx0, window.len, window.input);
+        window.kys.clone().map(move |ky| {
+            let start = input + (ky - first) * row_len;
+            ((ky * kw + kx0) * c, start..start + len)
         })
     }
 

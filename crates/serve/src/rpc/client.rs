@@ -2,7 +2,7 @@
 //! load-generator, the CI smoke and the robustness tests drive.
 
 use std::fmt;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -87,6 +87,8 @@ pub type ClientResult<T> = Result<T, ClientError>;
 /// bytes-moved comparisons (`bytes_sent` / `bytes_received`).
 pub struct RpcClient {
     stream: TcpStream,
+    /// The read side of `stream`: one `read` takes in a whole reply.
+    reader: BufReader<TcpStream>,
     next_id: u64,
     max_frame_len: u32,
     bytes_sent: u64,
@@ -112,6 +114,7 @@ impl RpcClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(RpcClient {
+            reader: BufReader::new(stream.try_clone()?),
             stream,
             next_id: 1,
             // Responses carry model outputs of unbounded size; the client
@@ -144,9 +147,8 @@ impl RpcClient {
     pub fn roundtrip(&mut self, request: &RpcRequest) -> ClientResult<RpcResponse> {
         let id = self.next_id;
         self.next_id += 1;
-        let payload = wire::encode_request(id, request);
-        self.bytes_sent += wire::write_frame(&mut self.stream, &payload, self.max_frame_len)?;
-        let reply = wire::read_frame(&mut self.stream, self.max_frame_len)?
+        self.bytes_sent += wire::write_request(&mut self.stream, id, request, self.max_frame_len)?;
+        let reply = wire::read_frame(&mut self.reader, self.max_frame_len)?
             .ok_or_else(|| ClientError::Protocol("server closed before replying".into()))?;
         self.bytes_received += reply.len() as u64 + 4;
         let frame = wire::decode_response(&reply)?;
@@ -404,6 +406,9 @@ impl RpcClient {
     }
 
     /// The underlying stream (robustness tests poke raw bytes through it).
+    /// The typed verbs read replies through a buffer of their own, which
+    /// holds no bytes between round trips: the server sends one reply per
+    /// request.
     pub fn stream(&mut self) -> &mut TcpStream {
         &mut self.stream
     }

@@ -20,7 +20,7 @@
 //! work finishes, new work is refused, nothing hangs.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -429,8 +429,7 @@ enum ReadEnd {
 /// Fills `buf` from the socket, polling at the configured read timeout so
 /// the thread notices stop requests, and bounding how long a started frame
 /// may dribble in.
-fn read_polled(stream: &TcpStream, buf: &mut [u8], inner: &Inner, mid_frame: bool) -> ReadEnd {
-    let mut reader = stream;
+fn read_polled(reader: &mut impl Read, buf: &mut [u8], inner: &Inner, mid_frame: bool) -> ReadEnd {
     let mut filled = 0usize;
     let mut deadline = if mid_frame {
         Some(Instant::now() + inner.config.frame_timeout)
@@ -479,14 +478,12 @@ fn send_response(inner: &Inner, stream: &TcpStream, id: u64, response: &RpcRespo
     if matches!(response, RpcResponse::Error { .. }) {
         inner.errors_sent.fetch_add(1, Ordering::AcqRel);
     }
-    let payload = wire::encode_response(id, response);
     let mut writer = stream;
     // The frame cap is a *request* defense; responses (tensor outputs) are
     // whatever the model produced, so write without the cap.
-    if let Ok(wrote) = wire::write_frame(&mut writer, &payload, u32::MAX) {
+    if let Ok(wrote) = wire::write_response(&mut writer, id, response, u32::MAX) {
         inner.bytes_out.fetch_add(wrote, Ordering::AcqRel);
     }
-    let _ = writer.flush();
 }
 
 fn send_error(
@@ -523,6 +520,15 @@ fn log_request(inner: &Inner, conn_id: u64, session: &Session, verb: &str, outco
     }
 }
 
+/// A connection's socket read buffer: a 32 × 32 RGB `Infer` frame arrives
+/// in one `read`.
+const READ_BUFFER_BYTES: usize = 16 * 1024;
+
+/// Capacity a connection's frame buffer keeps between frames: a larger
+/// frame (a `Load` of a big graph, a large `Seal`) is read into a buffer
+/// released once it is served, so an idle connection holds at most this.
+const RETAINED_FRAME_BYTES: usize = 1 << 20;
+
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(inner.config.poll_interval));
@@ -533,9 +539,14 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
         arena_bytes: 0,
         attached: BTreeMap::new(),
     };
+    // One `read` takes in as much as the socket holds — a whole frame,
+    // prefix and payload, when it has arrived — and every payload is copied
+    // out into this one buffer.
+    let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, &stream);
+    let mut payload = Vec::new();
     loop {
         let mut len_buf = [0u8; 4];
-        match read_polled(&stream, &mut len_buf, inner, false) {
+        match read_polled(&mut reader, &mut len_buf, inner, false) {
             ReadEnd::Frame => {}
             ReadEnd::CleanClose | ReadEnd::Stopped | ReadEnd::Failed => break,
             ReadEnd::Truncated => {
@@ -567,8 +578,9 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
             );
             break;
         }
-        let mut payload = vec![0u8; len as usize];
-        match read_polled(&stream, &mut payload, inner, true) {
+        payload.clear();
+        payload.resize(len as usize, 0);
+        match read_polled(&mut reader, &mut payload, inner, true) {
             ReadEnd::Frame => {}
             ReadEnd::CleanClose | ReadEnd::Stopped | ReadEnd::Failed => break,
             ReadEnd::Truncated => {
@@ -621,6 +633,9 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
                     break;
                 }
             }
+        }
+        if payload.capacity() > RETAINED_FRAME_BYTES {
+            payload = Vec::new();
         }
     }
     inner

@@ -36,7 +36,7 @@ use std::io::{self, Read, Write};
 
 use mlexray_core::TraceContext;
 use mlexray_nn::BackendSpec;
-use mlexray_tensor::{DType, QuantParams, Shape, Tensor};
+use mlexray_tensor::{DType, QuantParams, Shape, Tensor, TensorData};
 
 /// Protocol magic: `"XR"` little-endian, first on every frame payload.
 pub const MAGIC: u16 = 0x5852;
@@ -606,7 +606,40 @@ struct ByteWriter {
     buf: Vec<u8>,
 }
 
+/// Bytes of a frame's length prefix.
+const PREFIX_LEN: usize = 4;
+
 impl ByteWriter {
+    /// A writer for a whole frame: the buffer opens with room for the
+    /// length prefix, which [`ByteWriter::into_frame`] fills in once the
+    /// payload is written.
+    fn framed() -> Self {
+        ByteWriter {
+            buf: vec![0; PREFIX_LEN],
+        }
+    }
+
+    /// The finished frame of a [`ByteWriter::framed`] writer.
+    fn into_frame(mut self, max: u32) -> Result<Vec<u8>, WireError> {
+        let len = self.buf.len() - PREFIX_LEN;
+        if len > max as usize {
+            return Err(WireError::FrameTooLarge {
+                len: len as u32,
+                max,
+            });
+        }
+        self.buf[..PREFIX_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+        Ok(self.buf)
+    }
+
+    /// The payload header: magic, version, kind and correlation id.
+    fn put_header(&mut self, kind: u8, id: u64) {
+        self.put_u16(MAGIC);
+        self.put_u8(VERSION);
+        self.put_u8(kind);
+        self.put_u64(id);
+    }
+
     fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -656,6 +689,8 @@ impl ByteWriter {
         }
     }
 
+    /// One tensor of the codec; its elements go out as one little-endian
+    /// run, for which the buffer grows once.
     fn put_tensor(&mut self, tensor: &Tensor) {
         let dtype = match tensor.dtype() {
             DType::F32 => 0u8,
@@ -670,33 +705,21 @@ impl ByteWriter {
             self.put_u32(*d as u32);
         }
         self.put_quant(tensor.quant());
-        match tensor.dtype() {
-            DType::F32 => {
-                let data = tensor.as_f32().expect("dtype matched");
-                self.put_u32((data.len() * 4) as u32);
-                for v in data {
-                    self.put_f32(*v);
-                }
-            }
-            DType::U8 => {
-                let data = tensor.as_u8().expect("dtype matched");
-                self.put_u32(data.len() as u32);
-                self.buf.extend_from_slice(data);
-            }
-            DType::I8 => {
-                let data = tensor.as_i8().expect("dtype matched");
-                self.put_u32(data.len() as u32);
-                for v in data {
-                    self.buf.push(*v as u8);
-                }
-            }
-            DType::I32 => {
-                let data = tensor.as_i32().expect("dtype matched");
-                self.put_u32((data.len() * 4) as u32);
-                for v in data {
-                    self.put_i32(*v);
-                }
-            }
+        self.put_u32(tensor.byte_size() as u32);
+        match tensor.data() {
+            TensorData::F32(data) => self.put_run(data, |v| v.to_le_bytes()),
+            TensorData::U8(data) => self.buf.extend_from_slice(data),
+            TensorData::I8(data) => self.put_run(data, |v| v.to_le_bytes()),
+            TensorData::I32(data) => self.put_run(data, |v| v.to_le_bytes()),
+        }
+    }
+
+    /// `data` as one run of `N`-byte little-endian elements.
+    fn put_run<T: Copy, const N: usize>(&mut self, data: &[T], le: impl Fn(T) -> [u8; N]) {
+        let start = self.buf.len();
+        self.buf.resize(start + N * data.len(), 0);
+        for (out, v) in self.buf[start..].chunks_exact_mut(N).zip(data) {
+            out.copy_from_slice(&le(*v));
         }
     }
 
@@ -878,15 +901,6 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-fn header(kind: u8, id: u64) -> ByteWriter {
-    let mut w = ByteWriter::default();
-    w.put_u16(MAGIC);
-    w.put_u8(VERSION);
-    w.put_u8(kind);
-    w.put_u64(id);
-    w
-}
-
 /// Reads magic/version/kind/id off a payload. Unknown kinds are *not*
 /// rejected here — [`decode_request`]/[`decode_response`] police the kind
 /// against their own tables.
@@ -908,7 +922,57 @@ fn decode_header(payload: &[u8]) -> Result<(u8, u64, ByteReader<'_>), WireError>
 /// Encodes a request into a frame payload (header included, length prefix
 /// not — [`write_frame`] adds that).
 pub fn encode_request(id: u64, request: &RpcRequest) -> Vec<u8> {
-    let mut w = header(request.kind(), id);
+    let mut w = ByteWriter::default();
+    put_request(&mut w, id, request);
+    w.buf
+}
+
+/// Encodes a request as a whole frame and puts it on `w` in one write;
+/// returns the bytes written.
+///
+/// # Errors
+///
+/// [`WireError::FrameTooLarge`] when the payload exceeds `max`; transport
+/// errors as [`WireError::Io`].
+pub(crate) fn write_request(
+    w: &mut impl Write,
+    id: u64,
+    request: &RpcRequest,
+    max: u32,
+) -> Result<u64, WireError> {
+    let mut frame = ByteWriter::framed();
+    put_request(&mut frame, id, request);
+    send(w, frame, max)
+}
+
+/// Encodes a response as a whole frame and puts it on `w` in one write;
+/// returns the bytes written.
+///
+/// # Errors
+///
+/// As [`write_request`].
+pub(crate) fn write_response(
+    w: &mut impl Write,
+    id: u64,
+    response: &RpcResponse,
+    max: u32,
+) -> Result<u64, WireError> {
+    let mut frame = ByteWriter::framed();
+    put_response(&mut frame, id, response);
+    send(w, frame, max)
+}
+
+/// Puts a [`ByteWriter::framed`] frame on `w` with one `write_all`.
+fn send(w: &mut impl Write, frame: ByteWriter, max: u32) -> Result<u64, WireError> {
+    let frame = frame.into_frame(max)?;
+    w.write_all(&frame)?;
+    w.flush()?;
+    Ok(frame.len() as u64)
+}
+
+/// A request's payload: header, then the verb's body.
+fn put_request(w: &mut ByteWriter, id: u64, request: &RpcRequest) {
+    w.put_header(request.kind(), id);
     match request {
         RpcRequest::Hello { token } => w.put_str(token),
         RpcRequest::Load { spec, source } => {
@@ -967,7 +1031,6 @@ pub fn encode_request(id: u64, request: &RpcRequest) -> Vec<u8> {
         RpcRequest::Status | RpcRequest::Metrics => {}
         RpcRequest::Trace { max } => w.put_u32(*max),
     }
-    w.buf
 }
 
 /// Decodes a request frame payload.
@@ -1052,7 +1115,14 @@ pub fn decode_request(payload: &[u8]) -> Result<RequestFrame, WireError> {
 
 /// Encodes a response into a frame payload.
 pub fn encode_response(id: u64, response: &RpcResponse) -> Vec<u8> {
-    let mut w = header(response.kind(), id);
+    let mut w = ByteWriter::default();
+    put_response(&mut w, id, response);
+    w.buf
+}
+
+/// A response's payload: header, then the reply's body.
+fn put_response(w: &mut ByteWriter, id: u64, response: &RpcResponse) {
+    w.put_header(response.kind(), id);
     match response {
         RpcResponse::Hello { tenant } => w.put_str(tenant),
         RpcResponse::Load { model, existing } => {
@@ -1107,7 +1177,6 @@ pub fn encode_response(id: u64, response: &RpcResponse) -> Vec<u8> {
             w.put_str(detail);
         }
     }
-    w.buf
 }
 
 /// Decodes a response frame payload.
@@ -1197,25 +1266,21 @@ pub fn decode_response(payload: &[u8]) -> Result<ResponseFrame, WireError> {
     Ok(ResponseFrame { id, response })
 }
 
-/// Writes one length-prefixed frame; returns the bytes put on the wire
-/// (payload + 4-byte prefix).
+/// Writes one length-prefixed frame — prefix and payload in one buffer,
+/// put on `w` with one `write_all` — and returns the bytes put on the wire
+/// (payload + 4-byte prefix). The client and the server encode their
+/// frames with the prefix already in place instead (`write_request`,
+/// `write_response`); this copies `payload` behind one.
 ///
 /// # Errors
 ///
 /// [`WireError::FrameTooLarge`] when the payload exceeds `max`; transport
 /// errors as [`WireError::Io`].
 pub fn write_frame(w: &mut impl Write, payload: &[u8], max: u32) -> Result<u64, WireError> {
-    let len = payload.len();
-    if len > max as usize {
-        return Err(WireError::FrameTooLarge {
-            len: len as u32,
-            max,
-        });
-    }
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(len as u64 + 4)
+    let mut buf = Vec::with_capacity(PREFIX_LEN + payload.len());
+    buf.extend_from_slice(&[0; PREFIX_LEN]);
+    buf.extend_from_slice(payload);
+    send(w, ByteWriter { buf }, max)
 }
 
 /// Blocking frame read for clients: returns the payload, or `None` on a
@@ -1254,6 +1319,8 @@ pub fn read_frame(r: &mut impl Read, max: u32) -> Result<Option<Vec<u8>>, WireEr
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn sample_tensors() -> Vec<Tensor> {
@@ -1502,5 +1569,338 @@ mod tests {
             read_frame(&mut announce, 1024),
             Err(WireError::FrameTooLarge { .. })
         ));
+    }
+
+    impl ByteWriter {
+        /// [`ByteWriter::put_tensor`] before it wrote each payload as one
+        /// run: one `put_*` per element. Body verbatim — the oracle the
+        /// codec's bytes are held to.
+        fn put_tensor_per_element(&mut self, tensor: &Tensor) {
+            let dtype = match tensor.dtype() {
+                DType::F32 => 0u8,
+                DType::U8 => 1,
+                DType::I8 => 2,
+                DType::I32 => 3,
+            };
+            self.put_u8(dtype);
+            let dims = tensor.shape().dims();
+            self.put_u8(dims.len() as u8);
+            for d in dims {
+                self.put_u32(*d as u32);
+            }
+            self.put_quant(tensor.quant());
+            match tensor.dtype() {
+                DType::F32 => {
+                    let data = tensor.as_f32().expect("dtype matched");
+                    self.put_u32((data.len() * 4) as u32);
+                    for v in data {
+                        self.put_f32(*v);
+                    }
+                }
+                DType::U8 => {
+                    let data = tensor.as_u8().expect("dtype matched");
+                    self.put_u32(data.len() as u32);
+                    self.buf.extend_from_slice(data);
+                }
+                DType::I8 => {
+                    let data = tensor.as_i8().expect("dtype matched");
+                    self.put_u32(data.len() as u32);
+                    for v in data {
+                        self.buf.push(*v as u8);
+                    }
+                }
+                DType::I32 => {
+                    let data = tensor.as_i32().expect("dtype matched");
+                    self.put_u32((data.len() * 4) as u32);
+                    for v in data {
+                        self.put_i32(*v);
+                    }
+                }
+            }
+        }
+
+        /// A tensor list the way the oracle writes it.
+        fn put_tensors_per_element(&mut self, tensors: &[Tensor]) {
+            self.put_u32(tensors.len() as u32);
+            for t in tensors {
+                self.put_tensor_per_element(t);
+            }
+        }
+    }
+
+    /// `f32` bit patterns a codec must carry untouched: `-0.0`, the
+    /// smallest and largest subnormals, ±∞, and quiet and signalling NaNs
+    /// of either sign with distinct payloads.
+    const SPECIAL_F32: [u32; 9] = [
+        0x8000_0000,
+        0x0000_0001,
+        0x807f_ffff,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7fc0_0000,
+        0xffc0_1234,
+        0x7f80_0001,
+        0xff95_5aa5,
+    ];
+
+    /// Tensors from a xorshift64* stream; the state is never zero.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            let s = &mut self.0;
+            *s ^= *s >> 12;
+            *s ^= *s << 25;
+            *s ^= *s >> 27;
+            s.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: u64) -> usize {
+            (self.next() % n) as usize
+        }
+
+        /// Any `f32` bit pattern, a special one a quarter of the time.
+        fn f32(&mut self) -> f32 {
+            if self.below(4) == 0 {
+                f32::from_bits(SPECIAL_F32[self.below(SPECIAL_F32.len() as u64)])
+            } else {
+                f32::from_bits(self.next() as u32)
+            }
+        }
+
+        /// Per-tensor or per-channel parameters, scales included among
+        /// the special patterns.
+        fn quant(&mut self) -> QuantParams {
+            if self.below(2) == 0 {
+                QuantParams::PerTensor {
+                    scale: self.f32(),
+                    zero_point: self.next() as i32,
+                }
+            } else {
+                let n = self.below(5);
+                QuantParams::PerChannel {
+                    scales: (0..n).map(|_| self.f32()).collect(),
+                    zero_points: (0..n).map(|_| self.next() as i32).collect(),
+                    axis: self.below(4),
+                }
+            }
+        }
+
+        /// One tensor of any dtype, rank 0–4, extents 0–5.
+        fn tensor(&mut self) -> Tensor {
+            let rank = self.below(5);
+            let shape = Shape::new((0..rank).map(|_| self.below(6)).collect::<Vec<_>>());
+            let n = shape.num_elements();
+            match self.below(4) {
+                0 => Tensor::from_f32(shape, (0..n).map(|_| self.f32()).collect()),
+                1 => {
+                    let data = (0..n).map(|_| self.next() as u8).collect();
+                    Tensor::from_u8(shape, data, self.quant())
+                }
+                2 => {
+                    let data = (0..n).map(|_| self.next() as i8).collect();
+                    Tensor::from_i8(shape, data, self.quant())
+                }
+                _ => {
+                    let data = (0..n).map(|_| self.next() as i32).collect();
+                    let quant = (self.below(3) > 0).then(|| self.quant());
+                    Tensor::from_i32(shape, data, quant)
+                }
+            }
+            .unwrap()
+        }
+    }
+
+    /// `payload` behind its length prefix.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random tensor lists of every dtype, rank 0–4, with per-tensor
+        /// and per-channel quantization and `f32` payloads holding `-0.0`,
+        /// subnormals, ±∞ and NaNs with distinct payloads: `Infer` and
+        /// `Seal` requests and `Infer` responses encode to exactly the
+        /// per-element oracle's bytes — as payloads and as whole frames —
+        /// and decode back bit for bit (re-encoding what was decoded gives
+        /// the same bytes, which the oracle pins to the inputs' bits).
+        #[test]
+        fn tensor_codec_writes_the_per_element_bytes(
+            count in 0usize..5,
+            id in 0u64..=u64::MAX,
+            with_trace in 0u8..2,
+            seed in 1u64..=u64::MAX,
+        ) {
+            let mut draw = Draw(seed);
+            let tensors: Vec<Tensor> = (0..count).map(|_| draw.tensor()).collect();
+            let trace = (with_trace == 1).then(|| TraceContext {
+                trace_id: draw.next(),
+                parent_span_id: draw.next(),
+                sampled: draw.below(2) == 1,
+            });
+            let deadline_ms = draw.next() as u32;
+            let infer = RpcRequest::Infer {
+                model: "mini_mobilenet_v2".into(),
+                payload: InferPayload::Tensors(tensors.clone()),
+                deadline_ms,
+                trace,
+            };
+            let mut want = ByteWriter::default();
+            want.put_header(KIND_INFER, id);
+            want.put_str("mini_mobilenet_v2");
+            want.put_u32(deadline_ms);
+            want.put_u8(0);
+            want.put_tensors_per_element(&tensors);
+            match trace {
+                Some(t) => {
+                    want.put_u8(1);
+                    want.put_u64(t.trace_id);
+                    want.put_u64(t.parent_span_id);
+                    want.put_u8(u8::from(t.sampled));
+                }
+                None => want.put_u8(0),
+            }
+            let seal = RpcRequest::Seal { tensors: tensors.clone() };
+            let mut want_seal = ByteWriter::default();
+            want_seal.put_header(KIND_SEAL, id);
+            want_seal.put_tensors_per_element(&tensors);
+            for (request, want) in [(&infer, want.buf), (&seal, want_seal.buf)] {
+                let payload = encode_request(id, request);
+                prop_assert_eq!(&payload, &want, "{} seed {}", request.verb(), seed);
+                let mut frame = Vec::new();
+                write_request(&mut frame, id, request, u32::MAX).unwrap();
+                prop_assert_eq!(&frame, &framed(&want));
+                let decoded = decode_request(&payload).unwrap();
+                prop_assert_eq!(decoded.id, id);
+                prop_assert_eq!(encode_request(id, &decoded.request), want);
+            }
+
+            let response = RpcResponse::Infer(WireInferResponse {
+                request_id: draw.next(),
+                outputs: tensors.clone(),
+                total_latency_us: draw.next(),
+                exec_latency_us: draw.next(),
+                batch_size: draw.next() as u32,
+                sampled: draw.below(2) == 1,
+            });
+            let RpcResponse::Infer(r) = &response else { unreachable!() };
+            let mut want = ByteWriter::default();
+            want.put_header(KIND_INFER | RESP_BIT, id);
+            want.put_u64(r.request_id);
+            want.put_u64(r.total_latency_us);
+            want.put_u64(r.exec_latency_us);
+            want.put_u32(r.batch_size);
+            want.put_u8(u8::from(r.sampled));
+            want.put_tensors_per_element(&tensors);
+            let payload = encode_response(id, &response);
+            prop_assert_eq!(&payload, &want.buf, "infer response seed {}", seed);
+            let mut frame = Vec::new();
+            write_response(&mut frame, id, &response, u32::MAX).unwrap();
+            prop_assert_eq!(&frame, &framed(&want.buf));
+            let decoded = decode_response(&payload).unwrap();
+            prop_assert_eq!(decoded.id, id);
+            prop_assert_eq!(encode_response(id, &decoded.response), want.buf);
+        }
+    }
+
+    /// A `Write` that counts its `write` calls and accepts at most `chunk`
+    /// bytes per call.
+    struct Recording {
+        chunk: usize,
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Recording {
+        fn new(chunk: usize) -> Self {
+            Recording {
+                chunk,
+                calls: 0,
+                bytes: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(self.chunk);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A 12 KB tensor list: one `mini_mobilenet_v2@32` input frame.
+    fn frame_12kb() -> Vec<Tensor> {
+        let frame = (0..32 * 32 * 3).map(|i| (i as f32 * 0.37).sin()).collect();
+        vec![Tensor::from_f32(Shape::nhwc(1, 32, 32, 3), frame).unwrap()]
+    }
+
+    /// An inline `Infer` of [`frame_12kb`].
+    fn infer_12kb() -> RpcRequest {
+        RpcRequest::Infer {
+            model: "mini_mobilenet_v2".into(),
+            payload: InferPayload::Tensors(frame_12kb()),
+            deadline_ms: 0,
+            trace: None,
+        }
+    }
+
+    #[test]
+    fn a_frame_goes_out_in_one_write() {
+        let request = infer_12kb();
+        let payload = encode_request(9, &request);
+        assert!(payload.len() > 12 * 1024);
+        let frame = framed(&payload);
+
+        let mut w = Recording::new(usize::MAX);
+        let wrote = write_frame(&mut w, &payload, DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert_eq!((w.calls, wrote as usize), (1, frame.len()));
+        assert_eq!(w.bytes, frame);
+
+        let mut w = Recording::new(usize::MAX);
+        write_request(&mut w, 9, &request, DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert_eq!((w.calls, &w.bytes), (1, &frame));
+
+        let response = RpcResponse::Infer(WireInferResponse {
+            request_id: 1,
+            outputs: frame_12kb(),
+            total_latency_us: 2,
+            exec_latency_us: 3,
+            batch_size: 1,
+            sampled: false,
+        });
+        let mut w = Recording::new(usize::MAX);
+        write_response(&mut w, 9, &response, u32::MAX).unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(w.bytes, framed(&encode_response(9, &response)));
+    }
+
+    #[test]
+    fn a_writer_taking_one_byte_per_call_still_gets_the_whole_frame() {
+        let request = infer_12kb();
+        let frame = framed(&encode_request(4, &request));
+        let mut w = Recording::new(1);
+        let wrote = write_frame(&mut w, &frame[PREFIX_LEN..], DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert_eq!((wrote as usize, w.calls), (frame.len(), frame.len()));
+        assert_eq!(w.bytes, frame);
+        let mut w = Recording::new(1);
+        write_request(&mut w, 4, &request, DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert_eq!(w.bytes, frame);
+        // The cap still refuses before anything is written.
+        let mut w = Recording::new(1);
+        assert!(matches!(
+            write_request(&mut w, 4, &request, 1024),
+            Err(WireError::FrameTooLarge { max: 1024, .. })
+        ));
+        assert_eq!(w.calls, 0);
     }
 }

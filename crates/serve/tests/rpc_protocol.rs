@@ -284,6 +284,51 @@ fn mid_infer_disconnect_does_not_wedge_the_server() {
     }
 }
 
+/// Two `Infer` frames sent back to back in one `write` are two requests:
+/// the server answers both, in order, with the outputs a lone request
+/// gets. A reused or buffered frame reader must not drop the second.
+#[test]
+fn two_frames_in_one_write_are_both_answered_in_order() {
+    let server = start_server(quick_config());
+    let mut client = RpcClient::connect(server.local_addr()).unwrap();
+    let alone: Vec<Vec<Tensor>> = [11, 12]
+        .map(|seed| client.infer("m", frame_input(seed), None).unwrap().outputs)
+        .into();
+    drop(client);
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    // A dropped frame fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut both = Vec::new();
+    for (id, seed) in [(21u64, 11), (22, 12)] {
+        let payload = wire::encode_request(
+            id,
+            &RpcRequest::Infer {
+                model: "m".into(),
+                payload: mlexray_serve::rpc::InferPayload::Tensors(frame_input(seed)),
+                deadline_ms: 0,
+                trace: None,
+            },
+        );
+        both.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        both.extend_from_slice(&payload);
+    }
+    stream.write_all(&both).unwrap();
+    for (id, want) in [21u64, 22].into_iter().zip(&alone) {
+        let reply = wire::read_frame(&mut stream, u32::MAX).unwrap().unwrap();
+        let frame = wire::decode_response(&reply).unwrap();
+        assert_eq!(frame.id, id, "replies come back in request order");
+        match frame.response {
+            RpcResponse::Infer(r) => assert_eq!(&r.outputs, want),
+            other => panic!("expected an infer reply, got {other:?}"),
+        }
+    }
+    drop(stream);
+    server.shutdown();
+}
+
 #[test]
 fn authentication_gates_verbs_when_token_table_is_set() {
     let mut tokens = BTreeMap::new();

@@ -150,10 +150,13 @@ smoke() {
 
 # The RPC front door in release mode, every server on 127.0.0.1:0: protocol
 # robustness and the 32-session loaded proof (wire bits and the byte saving
-# of sealed re-infers; it ranks no latencies).
+# of sealed re-infers; it ranks no latencies), and the codec's unit tests —
+# the byte pin against the per-element encoder and the one-write frame
+# pins — in release, where the bulk tensor copies are vectorized.
 rpc-suite() {
   cargo build --release -p mlexray-serve
   cargo test --release -p mlexray-serve --test rpc_protocol --test rpc_loaded -q
+  cargo test --release -p mlexray-serve --lib rpc::wire -q
 }
 
 # The span pipeline in release mode: the ring and collector unit tests
