@@ -186,6 +186,9 @@ struct ExecState {
     /// The quantized `Conv2d`'s `u8` patch matrix: empty until such a node
     /// runs, then as large as the largest of them.
     patches: Vec<u8>,
+    /// The quantized depthwise kernel's per-channel requant multipliers:
+    /// empty until such a node runs, then as long as the widest of them.
+    multipliers: Vec<f64>,
 }
 
 impl ExecState {
@@ -211,6 +214,7 @@ impl ExecState {
             scratch,
             runtime_panels: Vec::new(),
             patches: Vec::new(),
+            multipliers: Vec::new(),
         }
     }
 
@@ -533,6 +537,7 @@ impl<'g> Interpreter<'g> {
                     engine: Engine::active(),
                     scratch: &mut state.scratch,
                     patches: &mut state.patches,
+                    multipliers: &mut state.multipliers,
                     panels: panels.get(index).and_then(Option::as_deref),
                     runtime_panels: &mut state.runtime_panels,
                 };

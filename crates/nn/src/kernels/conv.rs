@@ -1,12 +1,13 @@
 //! Convolution kernels that walk the kernel window per output cell: the
 //! float **reference** `Conv2d` ([`conv2d_f32`] — the oracle every faster
-//! float path is compared against), the edge-emulated twins, the
-//! channel-vectorized depthwise kernel every native flavor shares, and the
-//! quantized depthwise kernel with the injected optimized-flavor defect of
-//! §4.4. The optimized and SIMD float `Conv2d`, and the quantized `Conv2d` of
-//! every flavor, are the im2col + GEMM kernels in [`gemm`](super::gemm).
-//! Every window loop here is [`WindowGeom::taps`], its run form
-//! [`WindowGeom::runs`] or its row form [`WindowGeom::row_taps`].
+//! float path is compared against), the edge-emulated twins, and one
+//! depthwise cell walk ([`depthwise_row`]) that runs the float kernel every
+//! native flavor shares and the int8 kernels — exact, and with the
+//! injected optimized-flavor defect of §4.4. The optimized and SIMD float
+//! `Conv2d`, and the quantized `Conv2d` of every flavor, are the im2col +
+//! GEMM kernels in [`gemm`](super::gemm). Every window loop here is
+//! [`WindowGeom::taps`] or its run form [`WindowGeom::runs`]; the depthwise
+//! walk also unrolls the nine taps of an unclipped 3×3 window.
 //!
 //! What makes the reference kernels the oracle is their **sum**, not their
 //! loop nest: every output value is one accumulator seeded with the bias
@@ -15,16 +16,18 @@
 //! padding taps skipped rather than added as `0 · w`. The sums of different
 //! output values share nothing, so which of them advance side by side is
 //! free: [`conv2d_f32`] runs eight output-channel chains at a time over
-//! weights packed once into panels, [`dwconv_f32_channels`] runs a whole
-//! output row's channels tap by tap. The one-accumulator-at-a-time loops
-//! they replaced are kept verbatim in this module's tests, which hold both
-//! kernels to them bit for bit — under the baseline build and the AVX2 one.
+//! weights packed once into panels, [`dwconv_f32_channels`] runs up to
+//! sixteen of a cell's channels at a time in registers. The
+//! one-accumulator-at-a-time loops they replaced are kept verbatim in this
+//! module's tests, which hold both kernels to them bit for bit — under the
+//! baseline build and the AVX2 one — as they hold the int8 depthwise to the
+//! per-cell loop it replaced: integer sums are exact in any order.
 
 use mlexray_tensor::{QuantParams, Tensor};
 
 use crate::graph::{Node, TensorDef};
 use crate::kernels::gemm::Engine;
-use crate::kernels::window::{Window, WindowGeom};
+use crate::kernels::window::{Row, Window, WindowGeom};
 use crate::kernels::{
     act_qbounds, emulated_dot, f32_slot, out_qparams, qparams_of, requantize, u8_slot,
 };
@@ -204,29 +207,142 @@ pub(crate) fn conv2d_f32_emulated(
     Ok(())
 }
 
-/// `acc[ch] += x[ch] · w[ch]` over one pixel's channels: `[f32; 8]`
-/// chunks, then the remainder, each an unfused multiply then add.
+/// How one depthwise channel sum takes a tap: the running sum `Acc` of a
+/// channel adds the product of an input element `X` and its weight `W`.
+/// The float kernel and the two int8 kernels are one walk
+/// ([`depthwise_row`]) over three of these.
+trait DepthwiseMac: Copy {
+    type X: Copy;
+    type W: Copy;
+    type Acc: Copy + Default;
+
+    fn mac(self, acc: Self::Acc, x: Self::X, w: Self::W) -> Self::Acc;
+}
+
+/// The float sum: an unfused multiply, then an add (Rust never contracts
+/// `a + x * w` into an FMA).
+#[derive(Clone, Copy)]
+struct FloatMac;
+
+impl DepthwiseMac for FloatMac {
+    type X = f32;
+    type W = f32;
+    type Acc = f32;
+
+    #[inline(always)]
+    fn mac(self, acc: f32, x: f32, w: f32) -> f32 {
+        acc + x * w
+    }
+}
+
+/// The channel blocks of `c` channels as `(first channel, width)`: 16-wide
+/// while they fit, then one 8-wide, then single channels.
 #[inline(always)]
-fn madd_channels(acc: &mut [f32], x: &[f32], w: &[f32]) {
-    let (acc8, acc_rest) = acc.as_chunks_mut::<8>();
-    let (x8, x_rest) = x.as_chunks::<8>();
-    let (w8, w_rest) = w.as_chunks::<8>();
-    for ((acc, x), w) in acc8.iter_mut().zip(x8).zip(w8) {
-        for l in 0..8 {
-            acc[l] += x[l] * w[l];
+fn channel_blocks(c: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut next = 0;
+    std::iter::from_fn(move || {
+        let width = match c - next {
+            0 => return None,
+            1..=7 => 1,
+            8..=15 => 8,
+            _ => 16,
+        };
+        next += width;
+        Some((next - width, width))
+    })
+}
+
+/// `acc[lane] += xs[lane] · ws[lane]` for the `B` lanes, under `mac`.
+#[inline(always)]
+fn mac_lanes<M: DepthwiseMac, const B: usize>(
+    mac: M,
+    acc: &mut [M::Acc; B],
+    xs: &[M::X],
+    ws: &[M::W],
+) {
+    let (xs, ws) = (&xs[..B], &ws[..B]);
+    for lane in 0..B {
+        acc[lane] = mac.mac(acc[lane], xs[lane], ws[lane]);
+    }
+}
+
+/// One cell's `B` channels from `ch0` on, handed to `emit(cell, ch0,
+/// sums)`: each channel's sum starts at its `seed` (or `Acc::default()`)
+/// and adds the cell's in-bounds taps in `(ky, kx)` order — the nine of an
+/// unclipped 3×3 window unrolled, any other window's from
+/// [`WindowGeom::runs`]. `B` is a const, so the sums live in registers.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn depthwise_block<M: DepthwiseMac, const B: usize>(
+    mac: M,
+    g: &WindowGeom,
+    window: &Window,
+    x: &[M::X],
+    w: &[M::W],
+    seed: Option<&[M::Acc]>,
+    ch0: usize,
+    emit: &mut impl FnMut(usize, usize, &[M::Acc]),
+) {
+    let c = g.c;
+    let mut acc = [M::Acc::default(); B];
+    if let Some(seed) = seed {
+        acc.copy_from_slice(&seed[ch0..ch0 + B]);
+    }
+    match (g.kernel(), g.unclipped_origin(window)) {
+        ((3, 3), Some(origin)) => {
+            let row_len = g.in_row_len();
+            for ky in 0..3 {
+                let xs = &x[origin + ky * row_len + ch0..][..2 * c + B];
+                let ws = &w[ky * 3 * c + ch0..][..2 * c + B];
+                for kx in 0..3 {
+                    mac_lanes(mac, &mut acc, &xs[kx * c..], &ws[kx * c..]);
+                }
+            }
+        }
+        _ => {
+            for (at, run) in g.runs(window) {
+                for kx in 0..window.cols() {
+                    let (xs, ws) = (&x[run.start + kx * c + ch0..], &w[at + kx * c + ch0..]);
+                    mac_lanes(mac, &mut acc, xs, ws);
+                }
+            }
         }
     }
-    for ((acc, x), w) in acc_rest.iter_mut().zip(x_rest).zip(w_rest) {
-        *acc += x * w;
+    emit(window.index, ch0, &acc);
+}
+
+/// The depthwise convolution of `x` by `w: [kh·kw, c]` over one output
+/// row, cell by cell, each cell channel block by channel block of
+/// [`channel_blocks`] ([`depthwise_block`]): the block's sums go to
+/// `emit(cell, ch0, sums)`, where `cell` is the cell's flat NHW offset.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn depthwise_row<M: DepthwiseMac>(
+    mac: M,
+    g: &WindowGeom,
+    row: Row,
+    x: &[M::X],
+    w: &[M::W],
+    seed: Option<&[M::Acc]>,
+    mut emit: impl FnMut(usize, usize, &[M::Acc]),
+) {
+    for window in g.row_windows(row) {
+        for (ch0, width) in channel_blocks(g.c) {
+            match width {
+                16 => depthwise_block::<M, 16>(mac, g, &window, x, w, seed, ch0, &mut emit),
+                8 => depthwise_block::<M, 8>(mac, g, &window, x, w, seed, ch0, &mut emit),
+                _ => depthwise_block::<M, 1>(mac, g, &window, x, w, seed, ch0, &mut emit),
+            }
+        }
     }
 }
 
 native_kernel! {
-    /// The depthwise convolution of `x` by `w: [kh·kw, c]`, one output row
-    /// at a time: seed the row with the bias, then tap by tap in `(ky, kx)`
-    /// order add the tap's products onto every cell of the row it lands in
-    /// bounds for, then activate the row in one pass.
-    fn dwconv_rows(
+    /// The float depthwise convolution of `x` by `w: [kh·kw, c]`, output
+    /// row by output row: the row's cells ([`depthwise_row`], each
+    /// channel's sum seeded with its bias), then the row's activation in
+    /// one pass.
+    fn dwconv_cells(
         g: &WindowGeom,
         x: &[f32],
         w: &[f32],
@@ -235,38 +351,23 @@ native_kernel! {
         out: &mut [f32],
     ) {
         let c = g.c;
-        let step = g.stride() * c;
         for row in g.rows() {
-            let out = &mut out[row.index * c..][..g.out_width() * c];
-            match bias {
-                Some(b) => {
-                    for ox in 0..g.out_width() {
-                        out[ox * c..][..c].copy_from_slice(b);
-                    }
-                }
-                None => out.fill(0.0),
-            }
-            for (tap, cells, pixel) in g.row_taps(&row) {
-                let w = &w[tap * c..][..c];
-                let x = &x[pixel * c..];
-                for (i, ox) in cells.enumerate() {
-                    madd_channels(&mut out[ox * c..][..c], &x[i * step..][..c], w);
-                }
-            }
-            activation.apply_in_place(out);
+            depthwise_row(FloatMac, g, row, x, w, bias, #[inline(always)] |cell, ch0, sums| {
+                out[cell * c + ch0..][..sums.len()].copy_from_slice(sums);
+            });
+            activation.apply_in_place(&mut out[row.index * c..][..g.out_width() * c]);
         }
     }
 }
 
 /// Float depthwise convolution of every native flavor, the reference
-/// included, in `engine`'s build: output row by output row, taps outer,
-/// the row's cells next, contiguous NHWC channels inner — which the
-/// compiler vectorizes as vertical multiply + add — while each channel's
-/// sum accumulates in its output slot. Every channel is still an
-/// independent sequential sum that adds its in-bounds taps in `(ky, kx)`
-/// order onto the bias with **unfused** multiply-adds (Rust never contracts
-/// `a + x * w` into an FMA), so outputs are the reference bits in every
-/// flavor, on every host and in both builds.
+/// included, in `engine`'s build: cell by cell along each output row, each
+/// cell's channels in 16- and 8-wide register blocks and then one by one,
+/// the nine taps of an unclipped 3×3 window unrolled and a border cell's
+/// taps walked run by run; then one activation pass per row. Every channel
+/// is still an independent sequential sum that adds its in-bounds taps in
+/// `(ky, kx)` order onto the bias with **unfused** multiply-adds, so outputs
+/// are the reference bits in every flavor, on every host and in both builds.
 pub(crate) fn dwconv_f32_channels(
     engine: Engine,
     inputs: &[&Tensor],
@@ -281,7 +382,7 @@ pub(crate) fn dwconv_f32_channels(
     let ws = weights.shape().dims();
     let g = WindowGeom::new(input, out_def, ws[1], ws[2], stride, padding);
     let out = f32_slot(out_t, out_def)?;
-    dwconv_rows(
+    dwconv_cells(
         engine,
         &g,
         input.as_f32()?,
@@ -340,61 +441,206 @@ pub(super) fn weight_scale(q: &QuantParams, c: usize) -> f32 {
     q.for_channel(c).0
 }
 
-/// Quantized depthwise convolution. `i16_accumulator` injects the optimized
-/// flavor's defect (§4.4): products are accumulated into a wrapping 16-bit
-/// register, overflowing on realistic activations.
+/// Which quantized depthwise kernel runs — resolved once, when the
+/// interpreter is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum QuantDepthwise {
+    /// Exact `i32` sums.
+    Exact,
+    /// The optimized flavor's injected defect (§4.4,
+    /// `KernelBugs::optimized_dwconv_i16_accumulator`): products are
+    /// accumulated into a wrapping 16-bit register, overflowing on
+    /// realistic activations.
+    WrappingI16,
+}
+
+/// An int8 depthwise channel sum: `u8` inputs less their zero point times
+/// `i8` weights, and what the sum is worth before the bias.
+trait QuantMac: DepthwiseMac<X = u8, W = i8> {
+    fn total(acc: Self::Acc) -> i32;
+}
+
+/// The exact sum.
+#[derive(Clone, Copy)]
+struct ExactMac {
+    zp_in: i32,
+}
+
+impl DepthwiseMac for ExactMac {
+    type X = u8;
+    type W = i8;
+    type Acc = i32;
+
+    #[inline(always)]
+    fn mac(self, acc: i32, x: u8, w: i8) -> i32 {
+        acc + (x as i32 - self.zp_in) * w as i32
+    }
+}
+
+impl QuantMac for ExactMac {
+    #[inline(always)]
+    fn total(acc: i32) -> i32 {
+        acc
+    }
+}
+
+/// The injected defect: the optimized kernel pre-scales products into the
+/// Q13 domain of its 16-bit SIMD lane and accumulates with wrapping
+/// arithmetic...
+#[derive(Clone, Copy)]
+struct WrappingI16Mac {
+    zp_in: i32,
+}
+
+impl DepthwiseMac for WrappingI16Mac {
+    type X = u8;
+    type W = i8;
+    type Acc = i16;
+
+    #[inline(always)]
+    fn mac(self, acc: i16, x: u8, w: i8) -> i16 {
+        acc.wrapping_add((((x as i32 - self.zp_in) * w as i32) << 2) as i16)
+    }
+}
+
+impl QuantMac for WrappingI16Mac {
+    /// ...and forgets to scale back down before the bias.
+    #[inline(always)]
+    fn total(acc: i16) -> i32 {
+        acc as i32 >> 2
+    }
+}
+
+/// The output side of an int8 depthwise node: each channel's bias and
+/// requant multiplier, computed once per node, and the output zero point,
+/// clamp and multiplier precision.
+struct Requant<'a> {
+    bias: Option<&'a [i32]>,
+    multipliers: &'a [f64],
+    zp_out: i32,
+    qlo: i32,
+    qhi: i32,
+    mode: RequantMode,
+}
+
+impl Requant<'_> {
+    /// Requantizes the sums of channels `ch0..` into `out`, each total plus
+    /// its bias, with the precision's `match` taken once per block.
+    #[inline(always)]
+    fn block<M: QuantMac>(&self, ch0: usize, sums: &[M::Acc], out: &mut [u8]) {
+        let mut totals = [0i32; 16];
+        let totals = &mut totals[..sums.len()];
+        for (lane, (t, &sum)) in totals.iter_mut().zip(sums).enumerate() {
+            *t = M::total(sum) + self.bias.map_or(0, |b| b[ch0 + lane]);
+        }
+        let multipliers = &self.multipliers[ch0..][..sums.len()];
+        let (zp, lo, hi) = (self.zp_out, self.qlo, self.qhi);
+        match self.mode {
+            RequantMode::Double => {
+                for ((o, &t), &m) in out.iter_mut().zip(&*totals).zip(multipliers) {
+                    *o = requantize(t, m, zp, lo, hi, RequantMode::Double);
+                }
+            }
+            RequantMode::Single => {
+                for ((o, &t), &m) in out.iter_mut().zip(&*totals).zip(multipliers) {
+                    *o = requantize(t, m, zp, lo, hi, RequantMode::Single);
+                }
+            }
+        }
+    }
+}
+
+/// The int8 cell walk over `mac`'s sums, each block requantized as it
+/// leaves the walk.
+#[inline(always)]
+fn dwconv_q_walk<M: QuantMac>(
+    mac: M,
+    g: &WindowGeom,
+    x: &[u8],
+    w: &[i8],
+    rq: &Requant,
+    out: &mut [u8],
+) {
+    let c = g.c;
+    for row in g.rows() {
+        depthwise_row(
+            mac,
+            g,
+            row,
+            x,
+            w,
+            None,
+            #[inline(always)]
+            |cell, ch0, sums| {
+                rq.block::<M>(ch0, sums, &mut out[cell * c + ch0..][..sums.len()]);
+            },
+        );
+    }
+}
+
+native_kernel! {
+    /// The int8 depthwise convolution of `x` by `w: [kh·kw, c]`: the float
+    /// kernel's cell walk over `kind`'s sums. Each kind is its own
+    /// instantiation of the walk; the `match` is taken once per node.
+    fn dwconv_q_cells(
+        g: &WindowGeom,
+        x: &[u8],
+        w: &[i8],
+        kind: QuantDepthwise,
+        zp_in: i32,
+        rq: &Requant,
+        out: &mut [u8],
+    ) {
+        match kind {
+            QuantDepthwise::Exact => dwconv_q_walk(ExactMac { zp_in }, g, x, w, rq, out),
+            QuantDepthwise::WrappingI16 => {
+                dwconv_q_walk(WrappingI16Mac { zp_in }, g, x, w, rq, out)
+            }
+        }
+    }
+}
+
+/// Quantized depthwise convolution of every flavor, in `engine`'s build:
+/// `kind`'s kernel, over the per-channel requant multipliers
+/// `s_in · s_w[ch] / s_out` computed once into `multipliers` (whose
+/// capacity is reused).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dwconv_q(
+    kind: QuantDepthwise,
+    engine: Engine,
     node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     stride: usize,
     padding: Padding,
     activation: Activation,
-    i16_accumulator: bool,
     requant: RequantMode,
+    multipliers: &mut Vec<f64>,
     out_t: &mut Tensor,
 ) -> Result<()> {
     let (input, weights) = (inputs[0], inputs[1]);
     let bias = inputs.get(2).map(|t| t.as_i32()).transpose()?;
     let (s_in, zp_in) = qparams_of(node, input)?;
     let (s_out, zp_out) = out_qparams(node, out_def)?;
-    let wq = weights.quant().cloned().unwrap_or(QuantParams::PerTensor {
-        scale: 1.0,
-        zero_point: 0,
-    });
     let x = input.as_u8()?;
     let w = weights.as_i8()?;
     let ws = weights.shape().dims();
     let (kh, kw, c) = (ws[1], ws[2], ws[3]);
     let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
     let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
+    let w_scale = |ch| weights.quant().map_or(1.0, |q| weight_scale(q, ch));
+    multipliers.clear();
+    multipliers.extend((0..c).map(|ch| (s_in as f64) * (w_scale(ch) as f64) / (s_out as f64)));
+    let rq = Requant {
+        bias,
+        multipliers,
+        zp_out,
+        qlo,
+        qhi,
+        mode: requant,
+    };
     let out = u8_slot(out_t, out_def)?;
-
-    for cell in g.cells() {
-        for ch in 0..c {
-            let mut acc: i32 = 0;
-            let mut acc16: i16 = 0;
-            for (tap, pixel) in g.taps(&cell) {
-                let prod = (x[pixel * c + ch] as i32 - zp_in) * w[tap * c + ch] as i32;
-                if i16_accumulator {
-                    // Injected defect: the optimized kernel pre-scales
-                    // products into the Q13 domain of its 16-bit SIMD lane
-                    // and accumulates with wrapping arithmetic...
-                    acc16 = acc16.wrapping_add((prod << 2) as i16);
-                } else {
-                    acc += prod;
-                }
-            }
-            if i16_accumulator {
-                // ...and forgets to scale back down before the bias.
-                acc = acc16 as i32 >> 2;
-            }
-            let total = acc + bias.map_or(0, |b| b[ch]);
-            let m = (s_in as f64) * (weight_scale(&wq, ch) as f64) / (s_out as f64);
-            out[cell.index * c + ch] = requantize(total, m, zp_out, qlo, qhi, requant);
-        }
-    }
+    dwconv_q_cells(engine, &g, x, w, kind, zp_in, &rq, out);
     Ok(())
 }
 
@@ -403,9 +649,10 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::graph::TensorId;
     use crate::kernels::gemm::SimdEngine;
     use crate::kernels::ACTIVATIONS;
-    use crate::ops::conv_out_size;
+    use crate::ops::{conv_out_size, OpKind};
     use crate::{BackendSpec, GraphBuilder, Interpreter};
     use mlexray_tensor::{DType, Shape};
 
@@ -479,9 +726,73 @@ mod tests {
         Ok(())
     }
 
+    /// The quantized depthwise convolution as it ran before the cell walk:
+    /// per cell, per channel, a walk of the cell's taps, an `if` on the
+    /// injected defect per tap and an `f64` multiplier per output value. Body
+    /// verbatim — the oracle [`dwconv_q`] is held to.
+    #[allow(clippy::too_many_arguments)]
+    fn dwconv_q_naive(
+        node: &Node,
+        inputs: &[&Tensor],
+        out_def: &TensorDef,
+        stride: usize,
+        padding: Padding,
+        activation: Activation,
+        i16_accumulator: bool,
+        requant: RequantMode,
+        out_t: &mut Tensor,
+    ) -> Result<()> {
+        let (input, weights) = (inputs[0], inputs[1]);
+        let bias = inputs.get(2).map(|t| t.as_i32()).transpose()?;
+        let (s_in, zp_in) = qparams_of(node, input)?;
+        let (s_out, zp_out) = out_qparams(node, out_def)?;
+        let wq = weights.quant().cloned().unwrap_or(QuantParams::PerTensor {
+            scale: 1.0,
+            zero_point: 0,
+        });
+        let x = input.as_u8()?;
+        let w = weights.as_i8()?;
+        let ws = weights.shape().dims();
+        let (kh, kw, c) = (ws[1], ws[2], ws[3]);
+        let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
+        let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
+        let out = u8_slot(out_t, out_def)?;
+
+        for cell in g.cells() {
+            for ch in 0..c {
+                let mut acc: i32 = 0;
+                let mut acc16: i16 = 0;
+                for (tap, pixel) in g.taps(&cell) {
+                    let prod = (x[pixel * c + ch] as i32 - zp_in) * w[tap * c + ch] as i32;
+                    if i16_accumulator {
+                        // Injected defect: the optimized kernel pre-scales
+                        // products into the Q13 domain of its 16-bit SIMD lane
+                        // and accumulates with wrapping arithmetic...
+                        acc16 = acc16.wrapping_add((prod << 2) as i16);
+                    } else {
+                        acc += prod;
+                    }
+                }
+                if i16_accumulator {
+                    // ...and forgets to scale back down before the bias.
+                    acc = acc16 as i32 >> 2;
+                }
+                let total = acc + bias.map_or(0, |b| b[ch]);
+                let m = (s_in as f64) * (weight_scale(&wq, ch) as f64) / (s_out as f64);
+                out[cell.index * c + ch] = requantize(total, m, zp_out, qlo, qhi, requant);
+            }
+        }
+        Ok(())
+    }
+
     const KERNEL_SIDES: [usize; 5] = [1, 2, 3, 5, 7];
     /// Every mix of 8-, 4- and 1-wide panels, and none of some.
     const OUT_CHANNELS: [usize; 13] = [1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16, 24, 33];
+    /// Every mix of 16- and 8-wide depthwise channel blocks and single
+    /// channels, and none of some.
+    const DEPTHWISE_CHANNELS: [usize; 18] = [
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 96,
+    ];
 
     /// What a case's values are drawn from.
     #[derive(Clone, Copy)]
@@ -718,6 +1029,257 @@ mod tests {
                     &depthwise_want,
                     &format!("depthwise {what}"),
                 );
+            }
+        }
+    }
+
+    /// Input extents for a `k`-wide window: from one pixel up under SAME,
+    /// so small inputs have no unclipped cell at all; from the window up
+    /// under VALID, which has no output otherwise.
+    fn input_side(k: usize, extra: usize, padding: Padding) -> usize {
+        match padding {
+            Padding::Same => 1 + extra,
+            Padding::Valid => k + extra,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The depthwise kernel's own branches — unrolled unclipped 3×3
+        /// cells, border cells walked run by run, 16- and 8-wide channel
+        /// blocks and the single-channel tail — under strides 1–3, SAME
+        /// and VALID, inputs too small for an unclipped cell, stacked
+        /// batches, every activation, with and without bias and over all
+        /// three value classes, in both builds, against the loop the
+        /// reference flavor ran before. Half the cases draw a 3×3 window.
+        #[test]
+        fn depthwise_blocks_and_windows_are_the_naive_loop_bitwise(
+            square in 0u8..2,
+            kh in 0usize..KERNEL_SIDES.len(),
+            kw in 0usize..KERNEL_SIDES.len(),
+            extra_h in 0usize..6,
+            extra_w in 0usize..6,
+            stride in 1usize..=3,
+            same in 0u8..2,
+            c in 0usize..DEPTHWISE_CHANNELS.len(),
+            batch in 1usize..=3,
+            with_bias in 0u8..2,
+            activation in 0usize..ACTIVATIONS.len(),
+            values in 0u8..3,
+            seed in 1u64..=u64::MAX,
+        ) {
+            let (kh, kw) = if square == 1 { (3, 3) } else { (KERNEL_SIDES[kh], KERNEL_SIDES[kw]) };
+            let c = DEPTHWISE_CHANNELS[c];
+            let padding = if same == 1 { Padding::Same } else { Padding::Valid };
+            let (h, w) = (input_side(kh, extra_h, padding), input_side(kw, extra_w, padding));
+            let values = [Values::Tame, Values::Finite, Values::Any][values as usize];
+            let mut state = seed;
+            let case = Case::new(
+                [batch, h, w, c],
+                [1, kh, kw, c],
+                true,
+                stride,
+                padding,
+                ACTIVATIONS[activation],
+                |n| draw(&mut state, values, n),
+                with_bias == 1,
+            );
+            let want = case.run(dwconv_f32_naive);
+            for engine in builds() {
+                let what = format!(
+                    "{engine:?} {kh}x{kw}/{stride} {padding:?} {h}x{w}x{c} x{batch} \
+                     bias={with_bias} {:?} seed {seed}",
+                    ACTIVATIONS[activation]
+                );
+                assert_same_bits(&case.depthwise(engine), &want, &what);
+            }
+        }
+    }
+
+    /// One int8 depthwise call's operands, drawn from `state`: full-range
+    /// `u8` inputs and `i8` weights (so the defect's `i16` wraps), per-tensor
+    /// or per-channel weight scales, and an `i32` bias or none.
+    struct QuantCase {
+        node: Node,
+        input: Tensor,
+        weights: Tensor,
+        bias: Option<Tensor>,
+        out_def: TensorDef,
+        stride: usize,
+        padding: Padding,
+        activation: Activation,
+    }
+
+    impl QuantCase {
+        #[allow(clippy::too_many_arguments)]
+        fn new(
+            input: [usize; 4],
+            (kh, kw): (usize, usize),
+            stride: usize,
+            padding: Padding,
+            activation: Activation,
+            zp_in: i32,
+            per_channel: bool,
+            with_bias: bool,
+            state: &mut u64,
+        ) -> QuantCase {
+            let c = input[3];
+            let scale = |state: &mut u64| (1 + next(state) % 400) as f32 / 4096.0;
+            let out_shape = Shape::nhwc(
+                input[0],
+                conv_out_size(input[1], kh, stride, padding),
+                conv_out_size(input[2], kw, stride, padding),
+                c,
+            );
+            let x_shape = Shape::new(input.to_vec());
+            let x = (0..x_shape.num_elements())
+                .map(|_| next(state) as u8)
+                .collect();
+            let x_quant = QuantParams::PerTensor {
+                scale: scale(state),
+                zero_point: zp_in,
+            };
+            let w_shape = Shape::new(vec![1, kh, kw, c]);
+            let w = (0..w_shape.num_elements())
+                .map(|_| next(state) as i8)
+                .collect();
+            let w_quant = if per_channel {
+                QuantParams::PerChannel {
+                    scales: (0..c).map(|_| scale(state)).collect(),
+                    zero_points: vec![0; c],
+                    axis: 3,
+                }
+            } else {
+                QuantParams::PerTensor {
+                    scale: scale(state),
+                    zero_point: 0,
+                }
+            };
+            let bias = with_bias.then(|| {
+                let b = (0..c)
+                    .map(|_| (next(state) % 40_001) as i32 - 20_000)
+                    .collect();
+                Tensor::from_i32(Shape::vector(c), b, None).unwrap()
+            });
+            let out_quant = QuantParams::PerTensor {
+                scale: scale(state) * 8.0,
+                zero_point: (next(state) % 256) as i32,
+            };
+            QuantCase {
+                node: Node {
+                    name: "dw".into(),
+                    op: OpKind::DepthwiseConv2d {
+                        stride,
+                        padding,
+                        activation,
+                    },
+                    inputs: Vec::new(),
+                    output: TensorId(0),
+                },
+                input: Tensor::from_u8(x_shape, x, x_quant).unwrap(),
+                weights: Tensor::from_i8(w_shape, w, w_quant).unwrap(),
+                bias,
+                out_def: TensorDef::Activation {
+                    name: "out".into(),
+                    shape: out_shape,
+                    dtype: DType::U8,
+                    quant: Some(out_quant),
+                },
+                stride,
+                padding,
+                activation,
+            }
+        }
+
+        /// The output of `kernel`, called with this case's operands.
+        fn run(&self, kernel: impl FnOnce(&[&Tensor], &mut Tensor) -> Result<()>) -> Vec<u8> {
+            let mut operands = vec![&self.input, &self.weights];
+            operands.extend(&self.bias);
+            let mut out = Tensor::zeros(DType::U8, self.out_def.shape().clone());
+            out.set_quant(self.out_def.quant().cloned());
+            kernel(&operands, &mut out).unwrap();
+            out.as_u8().unwrap().to_vec()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The int8 depthwise kernels — exact and with the injected `i16`
+        /// accumulator — in both builds, under both requant precisions and
+        /// input zero points 0, 128 and 255, against the per-cell loop they
+        /// replaced: the same bytes, wrapped `i16` sums included.
+        #[test]
+        fn int8_depthwise_is_the_per_cell_loop_bytewise(
+            square in 0u8..2,
+            kh in 0usize..KERNEL_SIDES.len(),
+            kw in 0usize..KERNEL_SIDES.len(),
+            extra_h in 0usize..6,
+            extra_w in 0usize..6,
+            stride in 1usize..=3,
+            same in 0u8..2,
+            c in 0usize..DEPTHWISE_CHANNELS.len(),
+            batch in 1usize..=3,
+            with_bias in 0u8..2,
+            per_channel in 0u8..2,
+            activation in 0usize..ACTIVATIONS.len(),
+            zp_in in 0usize..3,
+            seed in 1u64..=u64::MAX,
+        ) {
+            let (kh, kw) = if square == 1 { (3, 3) } else { (KERNEL_SIDES[kh], KERNEL_SIDES[kw]) };
+            let c = DEPTHWISE_CHANNELS[c];
+            let padding = if same == 1 { Padding::Same } else { Padding::Valid };
+            let (h, w) = (input_side(kh, extra_h, padding), input_side(kw, extra_w, padding));
+            let zp_in = [0, 128, 255][zp_in];
+            let mut state = seed;
+            let case = QuantCase::new(
+                [batch, h, w, c],
+                (kh, kw),
+                stride,
+                padding,
+                ACTIVATIONS[activation],
+                zp_in,
+                per_channel == 1,
+                with_bias == 1,
+                &mut state,
+            );
+            let (node, def) = (&case.node, &case.out_def);
+            let (stride, padding, act) = (case.stride, case.padding, case.activation);
+            for requant in [RequantMode::Double, RequantMode::Single] {
+                for (kind, i16_accumulator) in
+                    [(QuantDepthwise::Exact, false), (QuantDepthwise::WrappingI16, true)]
+                {
+                    let want = case.run(|inputs, out| {
+                        dwconv_q_naive(
+                            node, inputs, def, stride, padding, act, i16_accumulator, requant,
+                            out,
+                        )
+                    });
+                    for engine in builds() {
+                        let got = case.run(|inputs, out| {
+                            dwconv_q(
+                                kind,
+                                engine,
+                                node,
+                                inputs,
+                                def,
+                                stride,
+                                padding,
+                                act,
+                                requant,
+                                &mut Vec::new(),
+                                out,
+                            )
+                        });
+                        assert_eq!(
+                            got, want,
+                            "{engine:?} {kind:?} {requant:?} {kh}x{kw}/{stride} {padding:?} \
+                             {h}x{w}x{c} x{batch} zp_in={zp_in} bias={with_bias} \
+                             per_channel={per_channel} {act:?} seed {seed}"
+                        );
+                    }
+                }
             }
         }
     }

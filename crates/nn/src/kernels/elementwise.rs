@@ -4,13 +4,30 @@
 use mlexray_tensor::{Tensor, TensorData};
 
 use crate::graph::{Node, TensorDef};
+use crate::kernels::gemm::Engine;
 use crate::kernels::{f32_slot, out_qparams, qparams_of, u8_slot};
 use crate::ops::Activation;
 use crate::Result;
 
-/// Float addition with trailing-suffix broadcast of the rhs: the lhs is
-/// walked in rhs-length rows, so the broadcast costs no index arithmetic.
+native_kernel! {
+    /// `out = activation(a + b)`, `a` walked in `b`-length rows, each row
+    /// activated in one pass as soon as it is written.
+    fn add_rows(a: &[f32], b: &[f32], activation: Activation, out: &mut [f32]) {
+        let blen = b.len().max(1);
+        for (out_row, a_row) in out.chunks_mut(blen).zip(a.chunks(blen)) {
+            for ((o, &x), &y) in out_row.iter_mut().zip(a_row).zip(b) {
+                *o = x + y;
+            }
+            activation.apply_in_place(out_row);
+        }
+    }
+}
+
+/// Float addition with trailing-suffix broadcast of the rhs, in `engine`'s
+/// build: the lhs is walked in rhs-length rows, so the broadcast costs no
+/// index arithmetic.
 pub(crate) fn add_f32(
+    engine: Engine,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     activation: Activation,
@@ -18,13 +35,8 @@ pub(crate) fn add_f32(
 ) -> Result<()> {
     let a = inputs[0].as_f32()?;
     let b = inputs[1].as_f32()?;
-    let blen = b.len().max(1);
     let out = f32_slot(out_t, out_def)?;
-    for (out_row, a_row) in out.chunks_mut(blen).zip(a.chunks(blen)) {
-        for ((o, &x), &y) in out_row.iter_mut().zip(a_row).zip(b) {
-            *o = activation.apply(x + y);
-        }
-    }
+    add_rows(engine, a, b, activation, out);
     Ok(())
 }
 
@@ -68,34 +80,49 @@ fn mul_rhs_index(lhs: &Tensor, rhs: &Tensor, i: usize) -> usize {
     n * c + ch
 }
 
-/// Float multiplication: same shape, scalar, or `[n,1,1,c]` gate — one
-/// loop per rhs shape, none of which computes an index per element.
-pub(crate) fn mul_f32(inputs: &[&Tensor], out_def: &TensorDef, out_t: &mut Tensor) -> Result<()> {
-    let a = inputs[0].as_f32()?;
-    let b = inputs[1].as_f32()?;
-    let out = f32_slot(out_t, out_def)?;
-    if let [scalar] = *b {
-        for (o, &x) in out.iter_mut().zip(a) {
-            *o = x * scalar;
-        }
-    } else if b.len() == a.len() {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = x * y;
-        }
-    } else {
-        // [n,1,1,c] gate against [n,h,w,c]: one gate row per frame.
-        let d = inputs[0].shape().dims();
-        let c = d[3].max(1);
-        let frame = (d[1] * d[2] * c).max(1);
-        let frames = out.chunks_mut(frame).zip(a.chunks(frame));
-        for ((out_frame, a_frame), gate) in frames.zip(b.chunks(c)) {
-            for (out_row, a_row) in out_frame.chunks_mut(c).zip(a_frame.chunks(c)) {
-                for ((o, &x), &g) in out_row.iter_mut().zip(a_row).zip(gate) {
-                    *o = x * g;
+native_kernel! {
+    /// `out = a · b` for a scalar `b`, a `b` shaped like `a`, or a
+    /// `[n, 1, 1, c]` gate `b` over `a`'s `frame`-long frames of `c`-long
+    /// rows — one loop per rhs shape, none of which computes an index per
+    /// element.
+    fn mul_rows(a: &[f32], b: &[f32], frame: usize, c: usize, out: &mut [f32]) {
+        if let [scalar] = *b {
+            for (o, &x) in out.iter_mut().zip(a) {
+                *o = x * scalar;
+            }
+        } else if b.len() == a.len() {
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = x * y;
+            }
+        } else {
+            let frames = out.chunks_mut(frame).zip(a.chunks(frame));
+            for ((out_frame, a_frame), gate) in frames.zip(b.chunks(c)) {
+                for (out_row, a_row) in out_frame.chunks_mut(c).zip(a_frame.chunks(c)) {
+                    for ((o, &x), &g) in out_row.iter_mut().zip(a_row).zip(gate) {
+                        *o = x * g;
+                    }
                 }
             }
         }
     }
+}
+
+/// Float multiplication in `engine`'s build: same shape, scalar, or
+/// `[n,1,1,c]` gate against `[n,h,w,c]` (one gate row per frame).
+pub(crate) fn mul_f32(
+    engine: Engine,
+    inputs: &[&Tensor],
+    out_def: &TensorDef,
+    out_t: &mut Tensor,
+) -> Result<()> {
+    let a = inputs[0].as_f32()?;
+    let b = inputs[1].as_f32()?;
+    let (frame, c) = match inputs[0].shape().dims() {
+        &[_, h, w, c] => ((h * w * c).max(1), c.max(1)),
+        _ => (1, 1),
+    };
+    let out = f32_slot(out_t, out_def)?;
+    mul_rows(engine, a, b, frame, c, out);
     Ok(())
 }
 
@@ -120,8 +147,17 @@ pub(crate) fn mul_q(
     Ok(())
 }
 
-/// Standalone float activation.
+native_kernel! {
+    /// `out = act(x)`: a copy, then one activation pass.
+    fn act_rows(x: &[f32], act: Activation, out: &mut [f32]) {
+        out.copy_from_slice(x);
+        act.apply_in_place(out);
+    }
+}
+
+/// Standalone float activation, in `engine`'s build.
 pub(crate) fn act_f32(
+    engine: Engine,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     act: Activation,
@@ -129,9 +165,7 @@ pub(crate) fn act_f32(
 ) -> Result<()> {
     let x = inputs[0].as_f32()?;
     let out = f32_slot(out_t, out_def)?;
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o = act.apply(v);
-    }
+    act_rows(engine, x, act, out);
     Ok(())
 }
 
@@ -295,13 +329,35 @@ pub(crate) fn softmax_f32(
     Ok(())
 }
 
-/// Inference-style batch normalization over the channel (last) axis. The
-/// per-channel denominators `sqrt(var + ε)` are computed once per node into
-/// `scratch` (the memory plan reserves the widest BatchNorm's channel count),
-/// then every channel row is normalized with the reference formula's five
-/// operations in their order — the division stays a division, so the loop
-/// vectorizes without moving a bit.
+native_kernel! {
+    /// `out = γ · (x − μ) / d + β` over `x`'s channel rows, the reference
+    /// formula's five operations in their order.
+    fn batch_norm_rows(
+        x: &[f32],
+        gamma: &[f32],
+        beta: &[f32],
+        mean: &[f32],
+        denom: &[f32],
+        out: &mut [f32],
+    ) {
+        let c = gamma.len().max(1);
+        for (out_row, x_row) in out.chunks_mut(c).zip(x.chunks(c)) {
+            let params = gamma.iter().zip(beta).zip(mean).zip(denom);
+            for ((o, &v), (((&g, &b), &m), &d)) in out_row.iter_mut().zip(x_row).zip(params) {
+                *o = g * (v - m) / d + b;
+            }
+        }
+    }
+}
+
+/// Inference-style batch normalization over the channel (last) axis, in
+/// `engine`'s build. The per-channel denominators `sqrt(var + ε)` are
+/// computed once per node into `scratch` (the memory plan reserves the
+/// widest BatchNorm's channel count), then every channel row is normalized
+/// with the reference formula's five operations in their order — the
+/// division stays a division, so the loop vectorizes without moving a bit.
 pub(crate) fn batch_norm_f32(
+    engine: Engine,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     epsilon: f32,
@@ -313,18 +369,11 @@ pub(crate) fn batch_norm_f32(
     let beta = inputs[2].as_f32()?;
     let mean = inputs[3].as_f32()?;
     let var = inputs[4].as_f32()?;
-    let c = gamma.len().max(1);
     debug_assert!(scratch.capacity() >= var.len());
     scratch.clear();
     scratch.extend(var.iter().map(|v| (v + epsilon).sqrt()));
-    let denom = scratch.as_slice();
     let out = f32_slot(out_t, out_def)?;
-    for (out_row, x_row) in out.chunks_mut(c).zip(x.chunks(c)) {
-        let params = gamma.iter().zip(beta).zip(mean).zip(denom);
-        for ((o, &v), (((&g, &b), &m), &d)) in out_row.iter_mut().zip(x_row).zip(params) {
-            *o = g * (v - m) / d + b;
-        }
-    }
+    batch_norm_rows(engine, x, gamma, beta, mean, scratch, out);
     Ok(())
 }
 
@@ -418,8 +467,14 @@ pub(crate) fn dequantize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::det_f32;
+    use crate::kernels::gemm::SimdEngine;
+    use crate::kernels::{det_f32, ACTIVATIONS};
     use mlexray_tensor::{DType, Shape};
+
+    /// The baseline build and — where this CPU has it — the AVX2 one.
+    fn builds() -> [Engine; 2] {
+        [SimdEngine::Scalar, SimdEngine::Avx2Fma].map(Engine::runnable)
+    }
 
     /// Deterministic values salted with the ones the formulas are touchiest
     /// about: both zeros, subnormals, and the clamp edge of `Relu6`.
@@ -478,47 +533,60 @@ mod tests {
             let var = Tensor::from_f32(Shape::vector(c), var).unwrap();
             let epsilon = 1e-3;
             let mut scratch = Vec::with_capacity(c);
-            let got = run(&x, |def, out| {
-                batch_norm_f32(
-                    &[&x, &gamma, &beta, &mean, &var],
-                    def,
-                    epsilon,
-                    &mut scratch,
-                    out,
-                )
-            });
             let [g, b, m, v] = [&gamma, &beta, &mean, &var].map(|t| t.as_f32().unwrap());
-            let want = x.as_f32().unwrap().iter().enumerate().map(|(i, &x)| {
+            let want = bits(x.as_f32().unwrap().iter().enumerate().map(|(i, &x)| {
                 let ch = i % c;
                 g[ch] * (x - m[ch]) / (v[ch] + epsilon).sqrt() + b[ch]
-            });
-            assert_eq!(got, bits(want), "BatchNorm over {dims:?}");
+            }));
+            for engine in builds() {
+                let got = run(&x, |def, out| {
+                    batch_norm_f32(
+                        engine,
+                        &[&x, &gamma, &beta, &mean, &var],
+                        def,
+                        epsilon,
+                        &mut scratch,
+                        out,
+                    )
+                });
+                assert_eq!(got, want, "{engine:?} BatchNorm over {dims:?}");
+            }
         }
     }
 
     /// `add_f32` against `b[i % blen]`, for a channel-vector rhs, a
-    /// frame-shaped rhs and a same-shape rhs.
+    /// frame-shaped rhs and a same-shape rhs, under every activation in
+    /// both builds.
     #[test]
     fn broadcast_add_matches_the_per_element_formula() {
         for dims in shapes() {
             let a = tensor(&dims, 6);
             for rhs in [&dims[3..], &dims[1..], &dims[..]] {
                 let b = tensor(rhs, 7);
-                for activation in [Activation::None, Activation::Relu6] {
-                    let got = run(&a, |def, out| add_f32(&[&a, &b], def, activation, out));
+                for (activation, engine) in ACTIVATIONS
+                    .into_iter()
+                    .flat_map(|act| builds().map(|engine| (act, engine)))
+                {
+                    let got = run(&a, |def, out| {
+                        add_f32(engine, &[&a, &b], def, activation, out)
+                    });
                     let (av, bv) = (a.as_f32().unwrap(), b.as_f32().unwrap());
                     let want = av
                         .iter()
                         .enumerate()
                         .map(|(i, &x)| activation.apply(x + bv[i % bv.len()]));
-                    assert_eq!(got, bits(want), "Add of {rhs:?} onto {dims:?}");
+                    assert_eq!(
+                        got,
+                        bits(want),
+                        "{engine:?} {activation:?} Add of {rhs:?} onto {dims:?}"
+                    );
                 }
             }
         }
     }
 
     /// `mul_f32`'s three loops against `mul_rhs_index`, the per-element index
-    /// (two divisions) they replaced and `mul_q` still uses.
+    /// (two divisions) they replaced and `mul_q` still uses, in both builds.
     #[test]
     fn mul_matches_the_per_element_index_in_all_three_shapes() {
         for dims in shapes() {
@@ -526,13 +594,32 @@ mod tests {
             let gate = [dims[0], 1, 1, dims[3]];
             for rhs in [&[1usize][..], &dims[..], &gate[..]] {
                 let b = tensor(rhs, 9);
-                let got = run(&a, |def, out| mul_f32(&[&a, &b], def, out));
                 let (av, bv) = (a.as_f32().unwrap(), b.as_f32().unwrap());
                 let want = av
                     .iter()
                     .enumerate()
                     .map(|(i, &x)| x * bv[mul_rhs_index(&a, &b, i)]);
-                assert_eq!(got, bits(want), "Mul of {rhs:?} onto {dims:?}");
+                let want = bits(want);
+                for engine in builds() {
+                    let got = run(&a, |def, out| mul_f32(engine, &[&a, &b], def, out));
+                    assert_eq!(got, want, "{engine:?} Mul of {rhs:?} onto {dims:?}");
+                }
+            }
+        }
+    }
+
+    /// `act_f32` against [`Activation::apply`] per element, for every
+    /// activation in both builds.
+    #[test]
+    fn act_matches_the_per_element_formula() {
+        for dims in shapes() {
+            let x = tensor(&dims, 10);
+            for activation in ACTIVATIONS {
+                let want = bits(x.as_f32().unwrap().iter().map(|&v| activation.apply(v)));
+                for engine in builds() {
+                    let got = run(&x, |def, out| act_f32(engine, &[&x], def, activation, out));
+                    assert_eq!(got, want, "{engine:?} {activation:?} over {dims:?}");
+                }
             }
         }
     }

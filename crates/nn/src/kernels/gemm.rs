@@ -831,6 +831,7 @@ pub fn execute_node_with(
         engine: Engine::runnable(engine),
         scratch: &mut scratch,
         patches: &mut Vec::new(),
+        multipliers: &mut Vec::new(),
         panels: None,
         runtime_panels: &mut Vec::new(),
     };

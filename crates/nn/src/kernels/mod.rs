@@ -34,10 +34,15 @@
 //!
 //! Float `DepthwiseConv2d` has one native kernel, shared by all three
 //! flavors (`conv::dwconv_f32_channels`: every channel is its own sequential
-//! sum, so there is nothing to reassociate). The edge emulator adds a third,
-//! reference-structured family (`*_emulated`); the injected defects of
-//! [`KernelBugs`] live in the quantized depthwise/pool kernels and the
-//! `Lanes8` K-tail.
+//! sum, so there is nothing to reassociate). It walks cell by cell, each
+//! cell's channel sums held in registers in 16- and 8-wide blocks and then
+//! one by one, the nine taps of an unclipped 3×3 window unrolled. Quantized
+//! `DepthwiseConv2d` runs the same walk over exact `i32` sums
+//! (`conv::dwconv_q`); the optimized flavor's wrapping-`i16` defect is a
+//! second instantiation of it, chosen by [`Kernels::resolve`], not a branch
+//! in its loop. The edge emulator adds a third, reference-structured family
+//! (`*_emulated`); the injected defects of [`KernelBugs`] live in the
+//! quantized depthwise/pool kernels and the `Lanes8` K-tail.
 //!
 //! Quantized `Conv2d` and `FullyConnected` have one kernel each, shared by
 //! every flavor (`gemm::conv2d_q`, `gemm::fc_q`): a whole-batch `u8` im2col
@@ -46,8 +51,9 @@
 //! loops the reference and optimized flavors used to run — kept verbatim in
 //! `gemm`'s tests as the oracle — return the same bits.
 //!
-//! The native float kernels — reference `Conv2d`, optimized `Conv2d` / FC,
-//! the shared depthwise — run at the host's vector width: each body is
+//! The native kernels — reference `Conv2d`, optimized `Conv2d` / FC, the
+//! shared float and the int8 depthwise, the float `Add`, `Mul`, `Act` and
+//! `BatchNorm` — run at the host's vector width: each body is
 //! written once and compiled twice (`native_kernel!`), for the x86-64
 //! baseline and for AVX2+FMA, and the interpreter's engine
 //! ([`gemm::active_engine`]) picks the build. Both builds compute the same
@@ -61,26 +67,31 @@
 //! preallocated from the interpreter's `MemoryPlan`), and the float im2col
 //! matrix and the BatchNorm denominators live in the plan-sized scratch.
 //! The quantized im2col matrix lives in a `u8` buffer the interpreter keeps,
-//! which grows to the largest patch matrix it has held and then stays.
+//! which grows to the largest patch matrix it has held and then stays; the
+//! quantized depthwise's per-channel requant multipliers, computed once per
+//! node, live in an `f64` buffer kept the same way.
 //! The reference and optimized flavors hold a second, panel-ordered copy of
 //! their constant float weights (≈ 8 KB for `mini_mobilenet_v2`), packed
 //! when the interpreter is built; a weight operand that is a runtime tensor
 //! is packed on each invoke into a buffer the interpreter keeps. So
-//! steady-state float execution, and quantized `Conv2d` and
-//! `FullyConnected`, under the reference, optimized and SIMD flavors make no
-//! heap allocation per node — measured, not self-reported:
-//! `tests/alloc_steady_state.rs` counts calls into the global allocator and
-//! holds a warmed `invoke` to the same count on 7 nodes as on 62, and on a
-//! shallow quantized stack as on a deep one. What still allocates per node,
-//! all outside those paths: `conv::conv2d_f32_emulated` (its tap-offset
-//! list), `act_q` (a 256-entry lookup table) and `dequantize` (a float copy
-//! of the input); and the interpreter spills the operand list of a node with
-//! more than five inputs (only `Concat` can have them).
+//! steady-state float execution, and quantized `Conv2d`,
+//! `DepthwiseConv2d` and `FullyConnected`, under the reference, optimized and
+//! SIMD flavors make no heap allocation per node — measured, not
+//! self-reported: `tests/alloc_steady_state.rs` counts calls into the global
+//! allocator and holds a warmed `invoke` to the same count on 7 nodes as on
+//! 62, and on a shallow quantized stack as on a deep one. What still
+//! allocates per node, all outside those paths:
+//! `conv::conv2d_f32_emulated` (its tap-offset list), `act_q` (a 256-entry
+//! lookup table) and `dequantize` (a float copy of the input); and the
+//! interpreter spills the operand list of a node with more than five inputs
+//! (only `Concat` can have them).
 //!
-//! The element-wise float kernels (`Add`, `Mul`, `BatchNorm`) have no
-//! flavor: every backend runs the same row-walking loops — the broadcast is
-//! resolved by walking the lhs in rhs-sized rows, never by a `%` or `/` per
-//! element.
+//! The element-wise float kernels (`Add`, `Mul`, `Act`, `BatchNorm`) have
+//! no flavor: every backend runs the same row-walking loops — the broadcast
+//! is resolved by walking the lhs in rhs-sized rows, never by a `%` or `/`
+//! per element, and an activation runs as one pass over each written row.
+//! Each is one IEEE operation per element, which rounds the same at any
+//! vector width, so their two builds compute the same bits.
 
 /// Defines a native float kernel whose body is written once and compiled
 /// twice: for the x86-64 baseline (SSE2, four lanes) and once more under
@@ -144,6 +155,7 @@ mod window;
 use mlexray_tensor::{DType, QuantParams, Tensor, TensorData};
 
 pub(crate) use conv::pack_weight_panels;
+use conv::QuantDepthwise;
 
 use crate::backend::BackendSpec;
 use crate::graph::{Node, TensorDef};
@@ -165,10 +177,10 @@ pub(crate) struct Kernels {
     pub requant: RequantMode,
     /// Flush subnormal float outputs to zero after every node.
     pub flush_to_zero: bool,
-    /// The quantized depthwise kernel accumulates in a wrapping `i16`
-    /// ([`KernelBugs::optimized_dwconv_i16_accumulator`], optimized flavor
-    /// only).
-    pub dwconv_i16_accumulator: bool,
+    /// The quantized depthwise kernel: exact, or accumulating in a
+    /// wrapping `i16` ([`KernelBugs::optimized_dwconv_i16_accumulator`],
+    /// optimized flavor only).
+    pub quant_depthwise: QuantDepthwise,
     /// The quantized average pool divides twice
     /// ([`KernelBugs::avgpool_double_division`], every flavor).
     pub avgpool_double_division: bool,
@@ -193,8 +205,13 @@ impl Kernels {
             float,
             requant: numerics.map(|n| n.requant).unwrap_or_default(),
             flush_to_zero: numerics.is_some_and(|n| n.flush_to_zero),
-            dwconv_i16_accumulator: flavor == KernelFlavor::Optimized
-                && bugs.optimized_dwconv_i16_accumulator,
+            quant_depthwise: if flavor == KernelFlavor::Optimized
+                && bugs.optimized_dwconv_i16_accumulator
+            {
+                QuantDepthwise::WrappingI16
+            } else {
+                QuantDepthwise::Exact
+            },
             avgpool_double_division: bugs.avgpool_double_division,
         }
     }
@@ -263,6 +280,9 @@ pub(crate) struct KernelCtx<'a> {
     /// The quantized `Conv2d`'s `u8` patch matrix; grows to the largest one
     /// and then stays.
     pub patches: &'a mut Vec<u8>,
+    /// The quantized depthwise kernel's per-channel requant multipliers;
+    /// grows to the widest such node and then stays.
+    pub multipliers: &'a mut Vec<f64>,
     /// The node's weights in [`pack_weight_panels`] order: `Some` for a
     /// node whose kernel [reads panels](FloatKernels::reads_panels) and
     /// whose weights are a graph constant, packed when the interpreter was
@@ -308,7 +328,7 @@ pub(crate) fn execute_node(
         float,
         requant,
         flush_to_zero,
-        dwconv_i16_accumulator: i16_acc,
+        quant_depthwise,
         avgpool_double_division: div_twice,
     } = ctx.kernels;
     let engine = ctx.engine;
@@ -401,7 +421,17 @@ pub(crate) fn execute_node(
             },
             true,
         ) => conv::dwconv_q(
-            node, inputs, out_def, stride, padding, activation, i16_acc, requant, out,
+            quant_depthwise,
+            engine,
+            node,
+            inputs,
+            out_def,
+            stride,
+            padding,
+            activation,
+            requant,
+            ctx.multipliers,
+            out,
         ),
         (&OpKind::FullyConnected { activation }, false) => match float {
             FloatKernels::Reference => fc::fc_f32(inputs, out_def, activation, out),
@@ -460,12 +490,12 @@ pub(crate) fn execute_node(
         (OpKind::Mean, false) => pool::mean_f32(inputs, out_def, out),
         (OpKind::Mean, true) => pool::mean_q(node, inputs, out_def, requant, out),
         (&OpKind::Add { activation }, false) => {
-            elementwise::add_f32(inputs, out_def, activation, out)
+            elementwise::add_f32(engine, inputs, out_def, activation, out)
         }
         (&OpKind::Add { activation }, true) => {
             elementwise::add_q(node, inputs, out_def, activation, out)
         }
-        (OpKind::Mul, false) => elementwise::mul_f32(inputs, out_def, out),
+        (OpKind::Mul, false) => elementwise::mul_f32(engine, inputs, out_def, out),
         (OpKind::Mul, true) => elementwise::mul_q(node, inputs, out_def, out),
         (&OpKind::Concat { axis }, _) => elementwise::concat(node, inputs, out_def, axis, out),
         (
@@ -479,10 +509,10 @@ pub(crate) fn execute_node(
         ) => elementwise::pad(node, inputs, out_def, top, bottom, left, right, out),
         (OpKind::Softmax, false) => elementwise::softmax_f32(inputs, out_def, out),
         (OpKind::Softmax, true) => Err(unsupported(node, "quantized softmax (insert Dequantize)")),
-        (&OpKind::Act(act), false) => elementwise::act_f32(inputs, out_def, act, out),
+        (&OpKind::Act(act), false) => elementwise::act_f32(engine, inputs, out_def, act, out),
         (&OpKind::Act(act), true) => elementwise::act_q(node, inputs, out_def, act, out),
         (&OpKind::BatchNorm { epsilon }, false) => {
-            elementwise::batch_norm_f32(inputs, out_def, epsilon, ctx.scratch, out)
+            elementwise::batch_norm_f32(engine, inputs, out_def, epsilon, ctx.scratch, out)
         }
         (&OpKind::LayerNorm { epsilon }, false) => {
             elementwise::layer_norm_f32(inputs, out_def, epsilon, out)

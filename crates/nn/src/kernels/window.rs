@@ -1,7 +1,7 @@
 //! Sliding-window geometry shared by every convolution and pooling kernel:
 //! the one place that resolves SAME/VALID padding, enumerates output cells
-//! (or output rows) and clips a cell's kernel window (or a row's) to the
-//! input — tap by tap, or as one contiguous run per window row.
+//! (alone or row by row) and clips a cell's kernel window to the input —
+//! tap by tap, or as one contiguous run per window row.
 
 use std::ops::Range;
 
@@ -38,7 +38,7 @@ pub(super) struct Cell {
 /// One output cell's window clipped to the input, as
 /// [`WindowGeom::windows`] yields it: `index` is the cell's flat NHW offset
 /// (the im2col row, and the output pixel). The in-bounds part of a window
-/// is a rectangle, so each in-bounds window row is one run of `len`
+/// is a rectangle, so each in-bounds window row is one run of `cols · c`
 /// elements — its in-bounds columns × `c` channels — contiguous in the
 /// NHWC input and in the cell's patch row alike.
 pub(super) struct Window {
@@ -47,14 +47,15 @@ pub(super) struct Window {
     kys: Range<usize>,
     /// The first in-bounds window column.
     kx0: usize,
-    /// Elements per run.
-    len: usize,
+    /// In-bounds window columns.
+    cols: usize,
     /// Input offset of the first run.
     input: usize,
 }
 
 /// One output row `(n, oy)`; `index` is the flat NHW offset of its first
 /// cell.
+#[derive(Clone, Copy)]
 pub(super) struct Row {
     pub(super) index: usize,
     n: usize,
@@ -65,6 +66,13 @@ pub(super) struct Row {
 /// `start + k - pad` lands inside `0..idim`.
 fn clip(start: usize, pad: usize, kdim: usize, idim: usize) -> Range<usize> {
     pad.saturating_sub(start)..kdim.min((idim + pad).saturating_sub(start))
+}
+
+impl Window {
+    /// The in-bounds window columns: each run holds this many taps.
+    pub(super) fn cols(&self) -> usize {
+        self.cols
+    }
 }
 
 impl WindowGeom {
@@ -116,8 +124,9 @@ impl WindowGeom {
         self.out_w
     }
 
-    pub(super) fn stride(&self) -> usize {
-        self.stride
+    /// The window's `(kh, kw)`.
+    pub(super) fn kernel(&self) -> (usize, usize) {
+        (self.kh, self.kw)
     }
 
     /// Every output cell, batch-outer, in output memory order.
@@ -152,24 +161,41 @@ impl WindowGeom {
     /// dividing a flat index per cell.
     #[inline]
     pub(super) fn windows(&self) -> impl Iterator<Item = Window> + '_ {
-        self.rows().flat_map(move |row| {
-            let y0 = row.oy * self.stride;
-            let kys = clip(y0, self.pad_top, self.kh, self.in_h);
-            // `y0 + kys.start ≥ pad_top` by the clip, and so on for x.
-            let in_row = row.n * self.in_h + y0 + kys.start - self.pad_top;
-            (0..self.out_w).map(move |ox| {
-                let x0 = ox * self.stride;
-                let kxs = clip(x0, self.pad_left, self.kw, self.in_w);
-                Window {
-                    index: row.index + ox,
-                    // A window with no in-bounds column has no runs.
-                    kys: if kxs.is_empty() { 0..0 } else { kys.clone() },
-                    kx0: kxs.start,
-                    len: kxs.len() * self.c,
-                    input: (in_row * self.in_w + x0 + kxs.start - self.pad_left) * self.c,
-                }
-            })
+        self.rows().flat_map(move |row| self.row_windows(row))
+    }
+
+    /// The windows of `row`'s cells, in output order.
+    #[inline]
+    pub(super) fn row_windows(&self, row: Row) -> impl Iterator<Item = Window> + '_ {
+        let y0 = row.oy * self.stride;
+        let kys = clip(y0, self.pad_top, self.kh, self.in_h);
+        // `y0 + kys.start ≥ pad_top` by the clip, and so on for x.
+        let in_row = row.n * self.in_h + y0 + kys.start - self.pad_top;
+        (0..self.out_w).map(move |ox| {
+            let x0 = ox * self.stride;
+            let kxs = clip(x0, self.pad_left, self.kw, self.in_w);
+            Window {
+                index: row.index + ox,
+                // A window with no in-bounds column has no runs.
+                kys: if kxs.is_empty() { 0..0 } else { kys.clone() },
+                kx0: kxs.start,
+                cols: kxs.len(),
+                input: (in_row * self.in_w + x0 + kxs.start - self.pad_left) * self.c,
+            }
         })
+    }
+
+    /// The input offset of `window`'s top-left tap when no tap of it is
+    /// padding: its tap `(ky, kx)` then reads the `c` input elements from
+    /// `origin + ky · in_row_len() + kx · c` on.
+    #[inline]
+    pub(super) fn unclipped_origin(&self, window: &Window) -> Option<usize> {
+        (window.kys.len() == self.kh && window.cols == self.kw).then_some(window.input)
+    }
+
+    /// Input elements per input row (`in_w · c`).
+    pub(super) fn in_row_len(&self) -> usize {
+        self.in_w * self.c
     }
 
     /// `window`'s runs in `ky` order as `(at, run)`: the input elements
@@ -179,7 +205,8 @@ impl WindowGeom {
     #[inline]
     pub(super) fn runs(&self, window: &Window) -> impl Iterator<Item = (usize, Range<usize>)> {
         let (kw, c, row_len) = (self.kw, self.c, self.in_w * self.c);
-        let (first, kx0, len, input) = (window.kys.start, window.kx0, window.len, window.input);
+        let (first, kx0, input) = (window.kys.start, window.kx0, window.input);
+        let len = window.cols * c;
         window.kys.clone().map(move |ky| {
             let start = input + (ky - first) * row_len;
             ((ky * kw + kx0) * c, start..start + len)
@@ -193,39 +220,6 @@ impl WindowGeom {
             n: r / self.out_h,
             oy: r % self.out_h,
         })
-    }
-
-    /// [`WindowGeom::taps`] for a whole output row at once: the row's
-    /// in-bounds taps in `(ky, kx)` order as `(tap, cells, pixel)` — tap
-    /// `tap` lands inside the input for exactly the cells `ox ∈ cells` of
-    /// the row, the first of them on input pixel `pixel` and each next one
-    /// `stride` pixels further on. Each cell sees its taps in the order
-    /// `taps` yields them; padding taps are never yielded.
-    pub(super) fn row_taps(
-        &self,
-        row: &Row,
-    ) -> impl Iterator<Item = (usize, Range<usize>, usize)> + '_ {
-        let y0 = row.oy * self.stride;
-        let frame = row.n * self.in_h;
-        clip(y0, self.pad_top, self.kh, self.in_h).flat_map(move |ky| {
-            let in_row = (frame + y0 + ky - self.pad_top) * self.in_w;
-            (0..self.kw).filter_map(move |kx| {
-                let cells = self.cells_in_bounds(kx);
-                let pixel = in_row + cells.start * self.stride + kx;
-                (!cells.is_empty()).then(|| (ky * self.kw + kx, cells, pixel - self.pad_left))
-            })
-        })
-    }
-
-    /// The output columns `ox` whose window column `kx` lands inside the
-    /// input, `0 ≤ ox·stride + kx − pad_left < in_w`.
-    fn cells_in_bounds(&self, kx: usize) -> Range<usize> {
-        let first = self.pad_left.saturating_sub(kx).div_ceil(self.stride);
-        let end = (self.in_w + self.pad_left)
-            .saturating_sub(kx)
-            .div_ceil(self.stride)
-            .min(self.out_w);
-        first..end.max(first)
     }
 
     /// A 1×1 stride-1 window: every cell reads exactly its own input pixel,

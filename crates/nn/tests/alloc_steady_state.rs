@@ -2,7 +2,8 @@
 //! `#[global_allocator]` instead of the self-reported
 //! `InvokeStats::allocations`: the allocation count of an `invoke` must not
 //! depend on graph depth (no per-node operand list, no per-node BatchNorm
-//! table, no per-node quantized patch matrix) nor on whether the reference
+//! table, no per-node quantized patch matrix or depthwise requant
+//! multipliers) nor on whether the reference
 //! or optimized `Conv2d` packs its weights per invoke, and an interpreter
 //! cycled through batch sizes must hold the
 //! memory of its largest batch, not the sum over every size it has seen.
@@ -97,8 +98,9 @@ fn per_tensor(scale: f32, zero_point: i32) -> QuantParams {
     QuantParams::PerTensor { scale, zero_point }
 }
 
-/// `blocks` quantized 3×3 `Conv2d`s (an im2col user each), then Mean → FC:
-/// `blocks + 2` nodes whose inputs and outputs do not depend on `blocks`.
+/// `blocks` quantized 3×3 `Conv2d`s (an im2col user each), each followed
+/// by a quantized 3×3 depthwise (a requant-multiplier user), then Mean → FC:
+/// `2 · blocks + 2` nodes whose inputs and outputs do not depend on `blocks`.
 fn quantized_stack(blocks: usize) -> Graph {
     let (c, q) = (8, per_tensor(0.05, 10));
     let mut b = GraphBuilder::new("quantized-stack");
@@ -108,15 +110,24 @@ fn quantized_stack(blocks: usize) -> Graph {
         DType::U8,
         Some(per_tensor(0.02, 128)),
     );
-    let weights = |dims: Vec<usize>| {
+    let weights = |dims: Vec<usize>, quant: QuantParams| {
         let shape = Shape::new(dims);
         let w = (0..shape.num_elements())
             .map(|i| (i % 7) as i8 - 3)
             .collect();
-        Tensor::from_i8(shape, w, per_tensor(0.01, 0)).unwrap()
+        Tensor::from_i8(shape, w, quant).unwrap()
+    };
+    // Per-channel scales, as the quantizer gives depthwise weights.
+    let per_channel = QuantParams::PerChannel {
+        scales: (0..c).map(|ch| 0.01 + ch as f32 * 1e-3).collect(),
+        zero_points: vec![0; c],
+        axis: 3,
     };
     for i in 0..blocks {
-        let w = b.constant(format!("w{i}"), weights(vec![c, 3, 3, c]));
+        let w = b.constant(
+            format!("w{i}"),
+            weights(vec![c, 3, 3, c], per_tensor(0.01, 0)),
+        );
         let conv = OpKind::Conv2d {
             stride: 1,
             padding: Padding::Same,
@@ -127,6 +138,21 @@ fn quantized_stack(blocks: usize) -> Graph {
         x = b.push_node(
             format!("conv{i}"),
             conv,
+            vec![x, w],
+            shape.clone(),
+            DType::U8,
+            quant.clone(),
+        );
+        let w = weights(vec![1, 3, 3, c], per_channel.clone());
+        let w = b.constant(format!("dw{i}"), w);
+        let depthwise = OpKind::DepthwiseConv2d {
+            stride: 1,
+            padding: Padding::Same,
+            activation: Activation::Relu6,
+        };
+        x = b.push_node(
+            format!("depthwise{i}"),
+            depthwise,
             vec![x, w],
             shape,
             DType::U8,
@@ -141,7 +167,7 @@ fn quantized_stack(blocks: usize) -> Graph {
         DType::U8,
         Some(q.clone()),
     );
-    let wfc = b.constant("wfc", weights(vec![5, c]));
+    let wfc = b.constant("wfc", weights(vec![5, c], per_tensor(0.01, 0)));
     let fc = OpKind::FullyConnected {
         activation: Activation::None,
     };
@@ -221,14 +247,15 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
         );
     }
 
-    // (1c) A quantized `Conv2d` builds its patch matrix in a buffer the
-    // interpreter keeps, in every flavor: a warmed invoke allocates as often
-    // behind one quantized conv as behind twelve.
+    // (1c) A quantized `Conv2d` builds its patch matrix, and a quantized
+    // depthwise its requant multipliers, in buffers the interpreter keeps, in
+    // every flavor: a warmed invoke allocates as often behind one quantized
+    // conv-and-depthwise pair as behind twelve.
     let codes: Vec<u8> = (0..6 * 6 * 8).map(|i| (i * 37 % 256) as u8).collect();
     let shape = Shape::nhwc(1, 6, 6, 8);
     let codes = [Tensor::from_u8(shape, codes, per_tensor(0.02, 128)).unwrap()];
     let (shallow, deep) = (quantized_stack(1), quantized_stack(12));
-    assert_eq!((shallow.nodes().len(), deep.nodes().len()), (3, 14));
+    assert_eq!((shallow.nodes().len(), deep.nodes().len()), (4, 26));
     for flavor in [
         KernelFlavor::Reference,
         KernelFlavor::Optimized,
@@ -238,8 +265,8 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
         let many = allocations_per_invoke(&deep, flavor, &codes);
         assert_eq!(
             few, many,
-            "{flavor:?}: a warmed quantized invoke allocated {few} times on 3 nodes but {many} \
-             on 14"
+            "{flavor:?}: a warmed quantized invoke allocated {few} times on 4 nodes but {many} \
+             on 26"
         );
     }
 

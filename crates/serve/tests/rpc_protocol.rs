@@ -243,6 +243,57 @@ fn unknown_model_and_bad_inputs_are_typed() {
     server.shutdown();
 }
 
+/// A tensor whose dimensions multiply past `usize::MAX` — `[65536; 4]`,
+/// 2^64 elements — announced with no data bytes: an unchecked product
+/// wraps to 0 and would accept it. It is refused as malformed, and the
+/// session still answers a good `Infer` afterwards.
+#[test]
+fn shape_whose_element_count_overflows_is_malformed() {
+    let server = start_server(quick_config());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let empty = Tensor::from_f32(Shape::new(vec![0; 4]), Vec::new()).unwrap();
+    let infer = |tensors| RpcRequest::Infer {
+        model: "m".into(),
+        payload: wire::InferPayload::Tensors(tensors),
+        deadline_ms: 0,
+        trace: None,
+    };
+    let mut payload = wire::encode_request(90, &infer(vec![empty]));
+    // The tensor's header: f32 tag, rank 4, four zero `u32` dims.
+    let mut header = vec![0u8, 4];
+    header.extend([0u8; 16]);
+    let at = payload
+        .windows(header.len())
+        .position(|w| w == header)
+        .expect("the tensor header is in the frame")
+        + 2;
+    for dim in payload[at..at + 16].chunks_exact_mut(4) {
+        dim.copy_from_slice(&65536u32.to_le_bytes());
+    }
+    stream
+        .write_all(&(payload.len() as u32).to_le_bytes())
+        .unwrap();
+    stream.write_all(&payload).unwrap();
+    let (_, code, message) = read_error(&mut stream);
+    assert_eq!(code, ErrorCode::Malformed, "{message}");
+
+    let payload = wire::encode_request(91, &infer(frame_input(0)));
+    stream
+        .write_all(&(payload.len() as u32).to_le_bytes())
+        .unwrap();
+    stream.write_all(&payload).unwrap();
+    let reply = wire::read_frame(&mut stream, u32::MAX).unwrap().unwrap();
+    let frame = wire::decode_response(&reply).unwrap();
+    assert_eq!(frame.id, 91);
+    assert!(
+        matches!(frame.response, RpcResponse::Infer(_)),
+        "{:?}",
+        frame.response
+    );
+    drop(stream);
+    server.shutdown();
+}
+
 #[test]
 fn mid_infer_disconnect_does_not_wedge_the_server() {
     let server = start_server(quick_config());

@@ -66,6 +66,13 @@ impl Shape {
         self.0.iter().product()
     }
 
+    /// [`Shape::num_elements`], or `None` when the count does not fit a
+    /// `usize` — as for dimensions read from outside the program, where
+    /// the plain product would wrap (or panic in a debug build).
+    pub fn checked_num_elements(&self) -> Option<usize> {
+        self.0.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+    }
+
     /// Dimension at `axis`.
     ///
     /// # Errors

@@ -95,14 +95,20 @@ pub struct Tensor {
 }
 
 impl Tensor {
+    /// Refuses a buffer of `len` elements for `shape` unless the shape's
+    /// element count is exactly `len` — and a shape whose element count
+    /// overflows a `usize`, which no buffer can match.
     fn check_len(shape: &Shape, len: usize) -> Result<()> {
-        if shape.num_elements() != len {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.num_elements(),
+        match shape.checked_num_elements() {
+            Some(expected) if expected == len => Ok(()),
+            Some(expected) => Err(TensorError::LengthMismatch {
+                expected,
                 actual: len,
-            });
+            }),
+            None => Err(TensorError::InvalidShape(format!(
+                "{shape} has more elements than a usize can count"
+            ))),
         }
-        Ok(())
     }
 
     /// Creates an `f32` tensor from a buffer.
@@ -499,6 +505,23 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `[65536; 4]` has 2^64 elements: the unchecked product wraps to 0 in
+    /// a release build, which an empty buffer would match.
+    #[test]
+    fn a_shape_whose_element_count_overflows_is_refused() {
+        let huge = Shape::new(vec![65536; 4]);
+        assert_eq!(huge.checked_num_elements(), None);
+        assert_eq!(
+            Shape::new(vec![65536; 3]).checked_num_elements(),
+            Some(1 << 48)
+        );
+        assert!(matches!(
+            Tensor::from_f32(huge.clone(), Vec::new()),
+            Err(TensorError::InvalidShape(_))
+        ));
+        assert!(Tensor::from_i32(huge, Vec::new(), None).is_err());
+    }
 
     #[test]
     fn length_is_validated() {

@@ -94,10 +94,15 @@ backend-suites() {
 # and FC every flavor runs, in both builds, to the scalar loops they replaced
 # (a property suite over windows, strides, zero points, per-channel weights,
 # clamp bounds and both requantization precisions); and read the detected
-# engine, which the forced-scalar pass reports as the mirror. native_engines
-# also pins the quantized Conv2d and FC of every flavor across both builds,
-# and simd::execute_node_with to the interpreter under injected defects and
-# emulated numerics. differential_replay runs here too: bisection re-executes
+# engine, which the forced-scalar pass reports as the mirror. The
+# kernels::conv unit tests hold the reference Conv2d's panel chains and the
+# depthwise cell walk — unrolled unclipped 3×3 cells, border cells, 16- and
+# 8-wide channel blocks and the single-channel tail — to the naive loops they
+# replaced, and the int8 depthwise kernels, exact and with the injected i16
+# accumulator, to the per-cell loop, under both requantization precisions, in
+# both builds. native_engines also pins the quantized Conv2d and FC of every
+# flavor across both builds, and simd::execute_node_with to the interpreter
+# under injected defects and emulated numerics. differential_replay runs here too: bisection re-executes
 # the divergent node through execute_node_with on the process's engine, so
 # its op-local verdicts must hold under the mirror as well.
 kernel-simd() {
@@ -105,13 +110,16 @@ kernel-simd() {
     --test backend_differential --test alloc_steady_state --test alloc_validation
     --test native_engines -q)
   local gemm=(-p mlexray-nn --lib kernels::gemm -q)
+  local conv=(-p mlexray-nn --lib kernels::conv -q)
   local core=(-p mlexray-core --test golden_reports --test reference_oracle
     --test differential_replay --test parallel_replay -q)
   cargo test "${nn[@]}"
   cargo test "${gemm[@]}"
+  cargo test "${conv[@]}"
   cargo test "${core[@]}"
   MLEXRAY_SIMD=scalar cargo test "${nn[@]}"
   MLEXRAY_SIMD=scalar cargo test "${gemm[@]}"
+  MLEXRAY_SIMD=scalar cargo test "${conv[@]}"
   MLEXRAY_SIMD=scalar cargo test "${core[@]}"
 }
 
