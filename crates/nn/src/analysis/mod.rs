@@ -13,11 +13,12 @@
 //!
 //! [`analyze`] runs six passes in order:
 //!
-//! 1. **Structure** (`EX001`–`EX009`): the topological invariants
+//! 1. **Structure** (`EX001`–`EX010`): the topological invariants
 //!    [`Graph::validate`] enforces — which now *delegates to this pass* —
 //!    plus the gaps the analyzer closed: graph outputs must be produced by
-//!    a node, and tensor/node display names must be unique (differential
-//!    debugging aligns layers by name). A structural Deny stops the run:
+//!    a node, tensor/node display names must be unique (differential
+//!    debugging aligns layers by name), and every slot's byte size must be
+//!    a `usize` (the later passes multiply it out). A structural Deny stops the run:
 //!    later passes index tensors by id and need the graph well-formed.
 //! 2. **Shape & dtype inference** (`EX101`–`EX104`): re-derives every node
 //!    output's shape and dtype from op semantics and diffs them against the
@@ -156,6 +157,7 @@ lint_codes! {
     OutputUnproduced = "EX007", Deny, "a graph output is not produced by any node";
     DuplicateTensorName = "EX008", Deny, "two tensor slots share a display name";
     DuplicateNodeName = "EX009", Deny, "two nodes share a display name";
+    SlotTooLarge = "EX010", Deny, "a tensor slot holds more bytes than the address space";
     ShapeMismatch = "EX101", Deny, "a declared tensor shape disagrees with the shape inferred from op semantics";
     DTypeMismatch = "EX102", Deny, "a declared tensor dtype disagrees with the dtype inferred from op semantics";
     OperandInvalid = "EX103", Deny, "an operand's rank, arity or geometry violates the op's contract";

@@ -1,4 +1,4 @@
-//! Pass 1: structural invariants (`EX001`–`EX009`).
+//! Pass 1: structural invariants (`EX001`–`EX010`).
 //!
 //! The checks [`crate::Graph::validate`] historically performed — non-empty
 //! interface, slot ids in range, def-before-use topological order, single
@@ -6,7 +6,9 @@
 //! here: nodes must write activation slots (not inputs/constants), graph
 //! outputs must actually be produced, and tensor/node display names must be
 //! unique (per-layer differential debugging aligns layers by name, so a
-//! duplicate silently corrupts every downstream report).
+//! duplicate silently corrupts every downstream report), and every slot's
+//! byte size must be a `usize`: the shape pass, the memory plan and the
+//! arena multiply it out, and a product that wraps is no size at all.
 
 use std::collections::HashMap;
 
@@ -131,6 +133,26 @@ pub(super) fn check(graph: &Graph) -> Vec<Diagnostic> {
         }
     }
 
+    for def in graph.tensors() {
+        let bytes = def.shape().checked_num_elements();
+        if bytes
+            .and_then(|n| n.checked_mul(def.dtype().byte_size()))
+            .is_none()
+        {
+            diags.push(
+                Diagnostic::new(
+                    LintCode::SlotTooLarge,
+                    format!(
+                        "tensor '{}' of shape {:?} has more bytes than the address space",
+                        def.name(),
+                        def.shape().dims()
+                    ),
+                )
+                .with_tensor(def.name()),
+            );
+        }
+    }
+
     // Display names must be unique: the differential debugger, the trainer's
     // weight copy-back and `node_by_name` all key on them.
     let mut tensor_names: HashMap<&str, usize> = HashMap::new();
@@ -174,4 +196,59 @@ pub(super) fn check(graph: &Graph) -> Vec<Diagnostic> {
     }
 
     diags
+}
+
+#[cfg(test)]
+mod tests {
+    use mlexray_tensor::Shape;
+
+    use crate::analysis::{analyze, LintCode};
+    use crate::{Activation, Graph, GraphBuilder, NnError};
+
+    /// `x → Relu` over `[65536; 4]` f32 tensors: 2^64 elements each, whose
+    /// byte count no `usize` holds. The builder refuses it, so it arrives
+    /// as serialized JSON — as a wire `Load` delivers it.
+    fn overflowing_graph_json() -> String {
+        let mut b = GraphBuilder::new("overflow");
+        let x = b.input("x", Shape::new(vec![1, 1, 1, 1]));
+        let y = b.activation("relu", x, Activation::Relu).unwrap();
+        b.output(y);
+        let json = serde_json::to_string(&b.finish().unwrap()).unwrap();
+        json.replace("[1,1,1,1]", "[65536,65536,65536,65536]")
+    }
+
+    #[test]
+    fn a_slot_whose_byte_size_overflows_is_a_structural_deny() {
+        let graph: Graph = serde_json::from_str(&overflowing_graph_json()).unwrap();
+        match graph.validate() {
+            Err(NnError::InvalidGraph(message)) => assert!(message.contains("EX010"), "{message}"),
+            other => panic!("validate answered {other:?}"),
+        }
+        let report = analyze(&graph);
+        assert!(report.has_code(LintCode::SlotTooLarge), "{report:?}");
+        assert!(!report.is_clean());
+
+        let mut b = GraphBuilder::new("overflow");
+        let x = b.input("x", Shape::new(vec![65536; 4]));
+        let y = b.activation("relu", x, Activation::Relu).unwrap();
+        b.output(y);
+        assert!(matches!(b.finish(), Err(NnError::InvalidGraph(_))));
+    }
+
+    /// Four live slots of 2^62 bytes each fit a `usize`, but the arena that
+    /// holds them all does not: the plan check answers instead of
+    /// overflowing.
+    #[test]
+    fn an_arena_whose_byte_size_overflows_cannot_be_planned() {
+        let mut b = GraphBuilder::new("overflow");
+        let mut x = b.input("x", Shape::new(vec![65536, 65536, 65536, 4096]));
+        for i in 0..4 {
+            x = b
+                .activation(format!("relu{i}"), x, Activation::Relu)
+                .unwrap();
+            b.output(x);
+        }
+        let report = analyze(&b.finish().unwrap());
+        assert!(report.has_code(LintCode::PlanSlotInvalid), "{report:?}");
+    }
 }

@@ -66,8 +66,8 @@ pub struct BackendSpec {
     /// test-only K-tail tile-boundary defect lives in the SIMD flavor.
     pub bugs: KernelBugs,
     /// Emulated edge-runtime numerics. `None` (the default) runs the
-    /// flavor's native arithmetic; `Some` routes GEMM-family float kernels
-    /// through the emulated accumulator, applies the configured
+    /// flavor's native arithmetic; `Some` runs the GEMM-family float ops on
+    /// the reference kernels under the emulated sums, applies the configured
     /// requantization precision to quantized kernels, and optionally flushes
     /// subnormal outputs to zero after every node.
     pub numerics: Option<EdgeNumerics>,
@@ -97,8 +97,9 @@ impl BackendSpec {
         }
     }
 
-    /// An emulated foreign edge runtime: the given numerics over reference
-    /// kernel structure, no bugs.
+    /// An emulated foreign edge runtime, no bugs: the reference kernels
+    /// under the given numerics' sums. The faithful numerics *are* the
+    /// reference kernels.
     pub fn emulator(numerics: EdgeNumerics) -> Self {
         BackendSpec {
             numerics: Some(numerics),
@@ -232,6 +233,7 @@ mod tests {
         assert_eq!(BackendSpec::default(), BackendSpec::optimized());
     }
 
+    /// The faithful emulator resolves to the reference kernels' own sums.
     #[test]
     fn faithful_emulator_matches_reference_bitwise() {
         let g = graph();

@@ -319,10 +319,11 @@ impl Graph {
     }
 
     /// Checks structural invariants by delegating to the static analyzer's
-    /// structure pass (`EX001`–`EX009`): non-empty interface, slot indices
+    /// structure pass (`EX001`–`EX010`): non-empty interface, slot indices
     /// in range, topological order (every node input defined before use),
     /// single writer per activation, nodes writing only activation slots,
-    /// every graph output produced by a node, and unique tensor/node names.
+    /// every graph output produced by a node, unique tensor/node names, and
+    /// slots whose byte size is a `usize`.
     ///
     /// # Errors
     ///

@@ -246,7 +246,7 @@ impl ExecState {
 /// kernel [reads panels](FloatKernels::reads_panels) — the reference
 /// `Conv2d`, the optimized `Conv2d` and `FullyConnected` — when it is a graph
 /// constant, by node index; empty — nothing packed, nothing held — for the
-/// SIMD flavor and the emulator.
+/// SIMD flavor.
 fn packed_weight_panels(graph: &Graph, float: FloatKernels) -> Result<Vec<Option<Vec<f32>>>> {
     let nodes = graph.nodes();
     if !nodes.iter().any(|node| float.reads_panels(&node.op)) {
@@ -311,19 +311,20 @@ fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
 /// size seen. With a disabled observer the node loop itself neither
 /// allocates nor reads the clock; the heap allocations of a steady-state
 /// float invoke are the returned output tensors (the kernel module docs
-/// list the quantized and emulated kernels that still allocate per node;
-/// a node with more than five inputs — only `Concat` can have them —
-/// spills its operand list to the heap). The one cost of sharing the
+/// list the quantized kernels that still allocate per node; a node with
+/// more than five inputs — only `Concat` can have them — spills its
+/// operand list to the heap). The one cost of sharing the
 /// arena: an invoke that stacks *more* frames than the one before it
 /// zero-fills the frames it adds, one extra write pass over them.
 ///
 /// Beside the arena, an interpreter built under the reference or the
-/// optimized flavor holds a second copy of its constant float weights, laid
-/// out once as the output-channel panels those kernels read — the
-/// reference flavor's `Conv2d` weights, the optimized flavor's `Conv2d` and
-/// `FullyConnected` weights: 7.5 KB (reference) and 8.5 KB (optimized) for
-/// `mini_mobilenet_v2`, ≈ 9 MB and ≈ 14 MB for `mobilenet_v2` ×1.0. The
-/// SIMD flavor and the emulator pack nothing and hold nothing.
+/// optimized flavor, or as the edge emulator (which runs the reference
+/// kernels under its own sums), holds a second copy of its constant float
+/// weights, laid out once as the output-channel panels those kernels read —
+/// the reference kernels' `Conv2d` weights, the optimized flavor's `Conv2d`
+/// and `FullyConnected` weights: 7.5 KB (reference) and 8.5 KB (optimized)
+/// for `mini_mobilenet_v2`, ≈ 9 MB and ≈ 14 MB for `mobilenet_v2` ×1.0.
+/// The SIMD flavor packs nothing and holds nothing.
 ///
 /// # Example
 ///

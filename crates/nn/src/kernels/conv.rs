@@ -1,13 +1,13 @@
 //! Convolution kernels that walk the kernel window per output cell: the
 //! float **reference** `Conv2d` ([`conv2d_f32`] — the oracle every faster
-//! float path is compared against), the edge-emulated twins, and one
-//! depthwise cell walk ([`depthwise_row`]) that runs the float kernel every
-//! native flavor shares and the int8 kernels — exact, and with the
-//! injected optimized-flavor defect of §4.4. The optimized and SIMD float
-//! `Conv2d`, and the quantized `Conv2d` of every flavor, are the im2col +
-//! GEMM kernels in [`gemm`](super::gemm). Every window loop here is
-//! [`WindowGeom::taps`] or its run form [`WindowGeom::runs`]; the depthwise
-//! walk also unrolls the nine taps of an unclipped 3×3 window.
+//! float path is compared against), and one depthwise cell walk
+//! ([`depthwise_row`]) that runs the float kernel every flavor shares and
+//! the int8 kernels — exact, and with the injected optimized-flavor defect
+//! of §4.4. The optimized and SIMD float `Conv2d`, and the quantized
+//! `Conv2d` of every flavor, are the im2col + GEMM kernels in
+//! [`gemm`](super::gemm). Every window loop here is [`WindowGeom::taps`]
+//! or its run form [`WindowGeom::runs`]; the depthwise walk also unrolls
+//! the nine taps of an unclipped 3×3 window.
 //!
 //! What makes the reference kernels the oracle is their **sum**, not their
 //! loop nest: every output value is one accumulator seeded with the bias
@@ -21,7 +21,10 @@
 //! one-accumulator-at-a-time loops they replaced are kept verbatim in this
 //! module's tests, which hold both kernels to them bit for bit — under the
 //! baseline build and the AVX2 one — as they hold the int8 depthwise to the
-//! per-cell loop it replaced: integer sums are exact in any order.
+//! per-cell loop it replaced: integer sums are exact in any order. The
+//! edge emulator runs the float walks under other [`Chain`]s — reversed, or
+//! striped over eight lanes; split or fused — which the tests hold to the
+//! per-cell gather loops the emulator ran before.
 
 use mlexray_tensor::{QuantParams, Tensor};
 
@@ -29,7 +32,7 @@ use crate::graph::{Node, TensorDef};
 use crate::kernels::gemm::Engine;
 use crate::kernels::window::{Row, Window, WindowGeom};
 use crate::kernels::{
-    act_qbounds, emulated_dot, f32_slot, out_qparams, qparams_of, requantize, u8_slot,
+    act_qbounds, f32_slot, out_qparams, qparams_of, requantize, u8_slot, Chain, Ordered,
 };
 use crate::ops::{Activation, Padding};
 use crate::resolver::{EdgeNumerics, RequantMode};
@@ -72,12 +75,13 @@ pub(crate) fn pack_weight_panels(weights: &Tensor, packed: &mut Vec<f32>) -> Res
     Ok(())
 }
 
-/// One output cell of one `W`-channel panel: `W` independent sequential
-/// sums, each seeded with its bias and adding its `(ky, kx, ic)` products in
-/// order, before the activation. `W` is a const so the chains live in
+/// One output cell of one `W`-channel panel: `W` independent `chain` sums,
+/// each seeded with its bias and taking its `(ky, kx, ic)` products in
+/// walk order, before the activation. `W` is a const so the chains live in
 /// registers.
 #[inline(always)]
-fn conv2d_panel_chains<const W: usize>(
+fn conv2d_panel_chains<C: Chain, const W: usize>(
+    chain: C,
     g: &WindowGeom,
     window: &Window,
     x: &[f32],
@@ -85,25 +89,29 @@ fn conv2d_panel_chains<const W: usize>(
     bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
-    let mut acc = [0.0f32; W];
+    let mut seeds = [0.0; W];
     if let Some(bias) = bias {
-        acc.copy_from_slice(bias);
+        seeds.copy_from_slice(bias);
     }
-    for (at, run) in g.runs(window) {
+    let mut acc = seeds.map(|b| chain.seed(b));
+    for (at, run) in Ordered(C::REVERSED, g.runs(window)) {
         let ws = &panel[at * W..][..run.len() * W];
-        for (&xv, wv) in x[run].iter().zip(ws.chunks_exact(W)) {
+        for (&xv, wv) in Ordered(C::REVERSED, x[run].iter().zip(ws.chunks_exact(W))) {
             for lane in 0..W {
-                acc[lane] += xv * wv[lane];
+                acc[lane] = chain.step(acc[lane], xv, wv[lane]);
             }
         }
     }
-    out.copy_from_slice(&acc);
+    for (o, &acc) in out.iter_mut().zip(&acc) {
+        *o = chain.finish(acc);
+    }
 }
 
 native_kernel! {
-    /// The reference `Conv2d` over `x`: per output cell, per panel, the
-    /// panel's chains, then the cell's activation in one pass.
-    fn conv2d_panel_cells(
+    /// The reference `Conv2d` over `x` under `chain`: per output cell, per
+    /// panel, the panel's chains, then the cell's activation in one pass.
+    fn conv2d_panel_cells<C: Chain>(
+        chain: C,
         g: &WindowGeom,
         x: &[f32],
         panels: &[f32],
@@ -120,9 +128,9 @@ native_kernel! {
                 let bias = bias.map(|b| &b[oc0..oc0 + width]);
                 let out = &mut out[oc0..oc0 + width];
                 match width {
-                    8 => conv2d_panel_chains::<8>(g, &window, x, panel, bias, out),
-                    4 => conv2d_panel_chains::<4>(g, &window, x, panel, bias, out),
-                    _ => conv2d_panel_chains::<1>(g, &window, x, panel, bias, out),
+                    8 => conv2d_panel_chains::<C, 8>(chain, g, &window, x, panel, bias, out),
+                    4 => conv2d_panel_chains::<C, 4>(chain, g, &window, x, panel, bias, out),
+                    _ => conv2d_panel_chains::<C, 1>(chain, g, &window, x, panel, bias, out),
                 }
             }
             activation.apply_in_place(out);
@@ -132,12 +140,13 @@ native_kernel! {
 
 /// Reference float 2-D convolution over `panels`, the weights as
 /// [`pack_weight_panels`] lays them out (`inputs[1]` is read for its shape
-/// only): one sequential accumulator per output value, seeded with the
-/// bias, a panel's worth of them advancing side by side, in `engine`'s
-/// build.
+/// only): one sum per output value under `numerics`' [`Chain`], seeded
+/// with the bias, a panel's worth of them advancing side by side, in
+/// `engine`'s build.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_f32(
     engine: Engine,
+    numerics: EdgeNumerics,
     inputs: &[&Tensor],
     panels: &[f32],
     out_def: &TensorDef,
@@ -152,86 +161,53 @@ pub(crate) fn conv2d_f32(
     let (out_c, kh, kw) = (ws[0], ws[1], ws[2]);
     let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
     let (x, out) = (input.as_f32()?, f32_slot(out_t, out_def)?);
-    conv2d_panel_cells(engine, &g, x, panels, out_c, bias, activation, out);
+    with_chain!(numerics, chain => {
+        conv2d_panel_cells(engine, chain, &g, x, panels, out_c, bias, activation, out)
+    });
     Ok(())
 }
 
-/// Edge-emulated float convolution: per-cell tap gathering (reference loop
-/// structure, so any batch size runs natively) with the reduction folded
-/// under the emulator's numerics — accumulation order, multiply-add
-/// contraction. Taps are gathered in the reference kernel's `(ky, kx, ic)`
-/// order, so the faithful configuration is bitwise-identical to
-/// [`conv2d_f32`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn conv2d_f32_emulated(
-    inputs: &[&Tensor],
-    out_def: &TensorDef,
-    stride: usize,
-    padding: Padding,
-    activation: Activation,
-    numerics: &EdgeNumerics,
-    scratch: &mut Vec<f32>,
-    out_t: &mut Tensor,
-) -> Result<()> {
-    let (input, weights) = (inputs[0], inputs[1]);
-    let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
-    let x = input.as_f32()?;
-    let w = weights.as_f32()?;
-    let ws = weights.shape().dims();
-    let (out_c, kh, kw) = (ws[0], ws[1], ws[2]);
-    let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
-    let out = f32_slot(out_t, out_def)?;
-    let ksize = g.patch_len();
-    // Weight offsets of the gathered taps, relative to an output channel's
-    // weight row (the validity pattern is shared across output channels).
-    let mut offsets: Vec<usize> = Vec::with_capacity(ksize);
-
-    for cell in g.cells() {
-        scratch.clear();
-        offsets.clear();
-        for (tap, pixel) in g.taps(&cell) {
-            scratch.extend_from_slice(&x[pixel * g.c..][..g.c]);
-            offsets.extend(tap * g.c..(tap + 1) * g.c);
-        }
-        for oc in 0..out_c {
-            let wrow = &w[oc * ksize..][..ksize];
-            let acc = emulated_dot(
-                bias.map_or(0.0, |b| b[oc]),
-                scratch.len(),
-                |i| (scratch[i], wrow[offsets[i]]),
-                numerics,
-            );
-            out[cell.index * out_c + oc] = activation.apply(acc);
-        }
-    }
-    Ok(())
-}
-
-/// How one depthwise channel sum takes a tap: the running sum `Acc` of a
-/// channel adds the product of an input element `X` and its weight `W`.
-/// The float kernel and the two int8 kernels are one walk
-/// ([`depthwise_row`]) over three of these.
+/// How one depthwise channel sum starts and takes a tap: the running sum
+/// `Acc` of a channel adds the product of an input element `X` and its
+/// weight `W`, its taps walked last to first when `REVERSED`. The float
+/// kernel under every [`Chain`] and the two int8 kernels are one walk
+/// ([`depthwise_row`]) over these.
 trait DepthwiseMac: Copy {
     type X: Copy;
     type W: Copy;
-    type Acc: Copy + Default;
+    type Acc: Copy;
+    const REVERSED: bool;
 
+    /// The sums of channels `ch0..ch0 + B` before their first tap.
+    fn seeds<const B: usize>(self, ch0: usize) -> [Self::Acc; B];
     fn mac(self, acc: Self::Acc, x: Self::X, w: Self::W) -> Self::Acc;
 }
 
-/// The float sum: an unfused multiply, then an add (Rust never contracts
-/// `a + x * w` into an FMA).
+/// The float sum: `chain`'s, seeded with the channel's bias.
 #[derive(Clone, Copy)]
-struct FloatMac;
+struct FloatMac<'a, C> {
+    chain: C,
+    bias: Option<&'a [f32]>,
+}
 
-impl DepthwiseMac for FloatMac {
+impl<C: Chain> DepthwiseMac for FloatMac<'_, C> {
     type X = f32;
     type W = f32;
-    type Acc = f32;
+    type Acc = C::Acc;
+    const REVERSED: bool = C::REVERSED;
 
     #[inline(always)]
-    fn mac(self, acc: f32, x: f32, w: f32) -> f32 {
-        acc + x * w
+    fn seeds<const B: usize>(self, ch0: usize) -> [C::Acc; B] {
+        let mut bias = [0.0; B];
+        if let Some(b) = self.bias {
+            bias.copy_from_slice(&b[ch0..ch0 + B]);
+        }
+        bias.map(|b| self.chain.seed(b))
+    }
+
+    #[inline(always)]
+    fn mac(self, acc: C::Acc, x: f32, w: f32) -> C::Acc {
+        self.chain.step(acc, x, w)
     }
 }
 
@@ -267,41 +243,36 @@ fn mac_lanes<M: DepthwiseMac, const B: usize>(
 }
 
 /// One cell's `B` channels from `ch0` on, handed to `emit(cell, ch0,
-/// sums)`: each channel's sum starts at its `seed` (or `Acc::default()`)
-/// and adds the cell's in-bounds taps in `(ky, kx)` order — the nine of an
+/// sums)`: each channel's sum starts at its seed and takes the cell's
+/// in-bounds taps in `(ky, kx)` order (or the reverse) — the nine of an
 /// unclipped 3×3 window unrolled, any other window's from
 /// [`WindowGeom::runs`]. `B` is a const, so the sums live in registers.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn depthwise_block<M: DepthwiseMac, const B: usize>(
     mac: M,
     g: &WindowGeom,
     window: &Window,
     x: &[M::X],
     w: &[M::W],
-    seed: Option<&[M::Acc]>,
     ch0: usize,
     emit: &mut impl FnMut(usize, usize, &[M::Acc]),
 ) {
     let c = g.c;
-    let mut acc = [M::Acc::default(); B];
-    if let Some(seed) = seed {
-        acc.copy_from_slice(&seed[ch0..ch0 + B]);
-    }
+    let mut acc = mac.seeds::<B>(ch0);
     match (g.kernel(), g.unclipped_origin(window)) {
         ((3, 3), Some(origin)) => {
             let row_len = g.in_row_len();
-            for ky in 0..3 {
+            for ky in Ordered(M::REVERSED, 0..3) {
                 let xs = &x[origin + ky * row_len + ch0..][..2 * c + B];
                 let ws = &w[ky * 3 * c + ch0..][..2 * c + B];
-                for kx in 0..3 {
+                for kx in Ordered(M::REVERSED, 0..3) {
                     mac_lanes(mac, &mut acc, &xs[kx * c..], &ws[kx * c..]);
                 }
             }
         }
         _ => {
-            for (at, run) in g.runs(window) {
-                for kx in 0..window.cols() {
+            for (at, run) in Ordered(M::REVERSED, g.runs(window)) {
+                for kx in Ordered(M::REVERSED, 0..window.cols()) {
                     let (xs, ws) = (&x[run.start + kx * c + ch0..], &w[at + kx * c + ch0..]);
                     mac_lanes(mac, &mut acc, xs, ws);
                 }
@@ -316,33 +287,32 @@ fn depthwise_block<M: DepthwiseMac, const B: usize>(
 /// [`channel_blocks`] ([`depthwise_block`]): the block's sums go to
 /// `emit(cell, ch0, sums)`, where `cell` is the cell's flat NHW offset.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn depthwise_row<M: DepthwiseMac>(
     mac: M,
     g: &WindowGeom,
     row: Row,
     x: &[M::X],
     w: &[M::W],
-    seed: Option<&[M::Acc]>,
     mut emit: impl FnMut(usize, usize, &[M::Acc]),
 ) {
     for window in g.row_windows(row) {
         for (ch0, width) in channel_blocks(g.c) {
             match width {
-                16 => depthwise_block::<M, 16>(mac, g, &window, x, w, seed, ch0, &mut emit),
-                8 => depthwise_block::<M, 8>(mac, g, &window, x, w, seed, ch0, &mut emit),
-                _ => depthwise_block::<M, 1>(mac, g, &window, x, w, seed, ch0, &mut emit),
+                16 => depthwise_block::<M, 16>(mac, g, &window, x, w, ch0, &mut emit),
+                8 => depthwise_block::<M, 8>(mac, g, &window, x, w, ch0, &mut emit),
+                _ => depthwise_block::<M, 1>(mac, g, &window, x, w, ch0, &mut emit),
             }
         }
     }
 }
 
 native_kernel! {
-    /// The float depthwise convolution of `x` by `w: [kh·kw, c]`, output
-    /// row by output row: the row's cells ([`depthwise_row`], each
-    /// channel's sum seeded with its bias), then the row's activation in
-    /// one pass.
-    fn dwconv_cells(
+    /// The float depthwise convolution of `x` by `w: [kh·kw, c]` under
+    /// `chain`, output row by output row: the row's cells
+    /// ([`depthwise_row`], each channel's sum seeded with its bias), then
+    /// the row's activation in one pass.
+    fn dwconv_cells<C: Chain>(
+        chain: C,
         g: &WindowGeom,
         x: &[f32],
         w: &[f32],
@@ -350,26 +320,32 @@ native_kernel! {
         activation: Activation,
         out: &mut [f32],
     ) {
-        let c = g.c;
+        let (c, mac) = (g.c, FloatMac { chain, bias });
         for row in g.rows() {
-            depthwise_row(FloatMac, g, row, x, w, bias, #[inline(always)] |cell, ch0, sums| {
-                out[cell * c + ch0..][..sums.len()].copy_from_slice(sums);
+            depthwise_row(mac, g, row, x, w, #[inline(always)] |cell, ch0, sums| {
+                let out = &mut out[cell * c + ch0..][..sums.len()];
+                for (o, &sum) in out.iter_mut().zip(sums) {
+                    *o = chain.finish(sum);
+                }
             });
             activation.apply_in_place(&mut out[row.index * c..][..g.out_width() * c]);
         }
     }
 }
 
-/// Float depthwise convolution of every native flavor, the reference
-/// included, in `engine`'s build: cell by cell along each output row, each
-/// cell's channels in 16- and 8-wide register blocks and then one by one,
-/// the nine taps of an unclipped 3×3 window unrolled and a border cell's
-/// taps walked run by run; then one activation pass per row. Every channel
-/// is still an independent sequential sum that adds its in-bounds taps in
-/// `(ky, kx)` order onto the bias with **unfused** multiply-adds, so outputs
+/// Float depthwise convolution of every flavor, the emulator included, in
+/// `engine`'s build: cell by cell along each output row, each cell's
+/// channels in 16- and 8-wide register blocks and then one by one, the nine
+/// taps of an unclipped 3×3 window unrolled and a border cell's taps walked
+/// run by run; then one activation pass per row. Every channel is an
+/// independent sum under `numerics`' [`Chain`] over its in-bounds taps in
+/// `(ky, kx)` order, seeded with the bias; the faithful chain — every
+/// native flavor's — adds them with **unfused** multiply-adds, so outputs
 /// are the reference bits in every flavor, on every host and in both builds.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn dwconv_f32_channels(
     engine: Engine,
+    numerics: EdgeNumerics,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     stride: usize,
@@ -382,58 +358,8 @@ pub(crate) fn dwconv_f32_channels(
     let ws = weights.shape().dims();
     let g = WindowGeom::new(input, out_def, ws[1], ws[2], stride, padding);
     let out = f32_slot(out_t, out_def)?;
-    dwconv_cells(
-        engine,
-        &g,
-        input.as_f32()?,
-        weights.as_f32()?,
-        bias,
-        activation,
-        out,
-    );
-    Ok(())
-}
-
-/// Edge-emulated float depthwise convolution: taps gathered per output cell
-/// and channel in the reference `(ky, kx)` order, reduced under the
-/// emulator's numerics. The faithful configuration is bitwise-identical to
-/// [`dwconv_f32_channels`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dwconv_f32_emulated(
-    inputs: &[&Tensor],
-    out_def: &TensorDef,
-    stride: usize,
-    padding: Padding,
-    activation: Activation,
-    numerics: &EdgeNumerics,
-    scratch: &mut Vec<f32>,
-    out_t: &mut Tensor,
-) -> Result<()> {
-    let (input, weights) = (inputs[0], inputs[1]);
-    let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
-    let x = input.as_f32()?;
-    let w = weights.as_f32()?;
-    let ws = weights.shape().dims();
-    let (kh, kw, c) = (ws[1], ws[2], ws[3]);
-    let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
-    let out = f32_slot(out_t, out_def)?;
-
-    for cell in g.cells() {
-        for ch in 0..c {
-            // Interleaved (value, weight) tap pairs.
-            scratch.clear();
-            for (tap, pixel) in g.taps(&cell) {
-                scratch.extend([x[pixel * c + ch], w[tap * c + ch]]);
-            }
-            let acc = emulated_dot(
-                bias.map_or(0.0, |b| b[ch]),
-                scratch.len() / 2,
-                |i| (scratch[2 * i], scratch[2 * i + 1]),
-                numerics,
-            );
-            out[cell.index * c + ch] = activation.apply(acc);
-        }
-    }
+    let (x, w) = (input.as_f32()?, weights.as_f32()?);
+    with_chain!(numerics, chain => dwconv_cells(engine, chain, &g, x, w, bias, activation, out));
     Ok(())
 }
 
@@ -470,6 +396,12 @@ impl DepthwiseMac for ExactMac {
     type X = u8;
     type W = i8;
     type Acc = i32;
+    const REVERSED: bool = false;
+
+    #[inline(always)]
+    fn seeds<const B: usize>(self, _: usize) -> [i32; B] {
+        [0; B]
+    }
 
     #[inline(always)]
     fn mac(self, acc: i32, x: u8, w: i8) -> i32 {
@@ -496,6 +428,12 @@ impl DepthwiseMac for WrappingI16Mac {
     type X = u8;
     type W = i8;
     type Acc = i16;
+    const REVERSED: bool = false;
+
+    #[inline(always)]
+    fn seeds<const B: usize>(self, _: usize) -> [i16; B] {
+        [0; B]
+    }
 
     #[inline(always)]
     fn mac(self, acc: i16, x: u8, w: i8) -> i16 {
@@ -569,7 +507,6 @@ fn dwconv_q_walk<M: QuantMac>(
             row,
             x,
             w,
-            None,
             #[inline(always)]
             |cell, ch0, sums| {
                 rq.block::<M>(ch0, sums, &mut out[cell * c + ch0..][..sums.len()]);
@@ -645,13 +582,13 @@ pub(crate) fn dwconv_q(
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use proptest::prelude::*;
 
     use super::*;
     use crate::graph::TensorId;
     use crate::kernels::gemm::SimdEngine;
-    use crate::kernels::ACTIVATIONS;
+    use crate::kernels::{emulated_dot, every_chain, ACTIVATIONS};
     use crate::ops::{conv_out_size, OpKind};
     use crate::{BackendSpec, GraphBuilder, Interpreter};
     use mlexray_tensor::{DType, Shape};
@@ -785,6 +722,98 @@ mod tests {
         Ok(())
     }
 
+    /// The edge emulator's float convolution as it ran before the reference
+    /// panel chains took its numerics: per-cell tap gathering with the
+    /// reduction folded under [`emulated_dot`]. Body verbatim — the oracle
+    /// every [`Chain`] of [`conv2d_f32`] is held to.
+    #[allow(clippy::too_many_arguments)]
+    fn conv2d_f32_emulated(
+        inputs: &[&Tensor],
+        out_def: &TensorDef,
+        stride: usize,
+        padding: Padding,
+        activation: Activation,
+        numerics: &EdgeNumerics,
+        scratch: &mut Vec<f32>,
+        out_t: &mut Tensor,
+    ) -> Result<()> {
+        let (input, weights) = (inputs[0], inputs[1]);
+        let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
+        let x = input.as_f32()?;
+        let w = weights.as_f32()?;
+        let ws = weights.shape().dims();
+        let (out_c, kh, kw) = (ws[0], ws[1], ws[2]);
+        let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
+        let out = f32_slot(out_t, out_def)?;
+        let ksize = g.patch_len();
+        // Weight offsets of the gathered taps, relative to an output channel's
+        // weight row (the validity pattern is shared across output channels).
+        let mut offsets: Vec<usize> = Vec::with_capacity(ksize);
+
+        for cell in g.cells() {
+            scratch.clear();
+            offsets.clear();
+            for (tap, pixel) in g.taps(&cell) {
+                scratch.extend_from_slice(&x[pixel * g.c..][..g.c]);
+                offsets.extend(tap * g.c..(tap + 1) * g.c);
+            }
+            for oc in 0..out_c {
+                let wrow = &w[oc * ksize..][..ksize];
+                let acc = emulated_dot(
+                    bias.map_or(0.0, |b| b[oc]),
+                    scratch.len(),
+                    |i| (scratch[i], wrow[offsets[i]]),
+                    numerics,
+                );
+                out[cell.index * out_c + oc] = activation.apply(acc);
+            }
+        }
+        Ok(())
+    }
+
+    /// The edge emulator's float depthwise convolution as it ran before the
+    /// shared cell walk took its numerics: taps gathered per output cell and
+    /// channel, reduced under [`emulated_dot`]. Body verbatim — the oracle
+    /// every [`Chain`] of [`dwconv_f32_channels`] is held to.
+    #[allow(clippy::too_many_arguments)]
+    fn dwconv_f32_emulated(
+        inputs: &[&Tensor],
+        out_def: &TensorDef,
+        stride: usize,
+        padding: Padding,
+        activation: Activation,
+        numerics: &EdgeNumerics,
+        scratch: &mut Vec<f32>,
+        out_t: &mut Tensor,
+    ) -> Result<()> {
+        let (input, weights) = (inputs[0], inputs[1]);
+        let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
+        let x = input.as_f32()?;
+        let w = weights.as_f32()?;
+        let ws = weights.shape().dims();
+        let (kh, kw, c) = (ws[1], ws[2], ws[3]);
+        let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
+        let out = f32_slot(out_t, out_def)?;
+
+        for cell in g.cells() {
+            for ch in 0..c {
+                // Interleaved (value, weight) tap pairs.
+                scratch.clear();
+                for (tap, pixel) in g.taps(&cell) {
+                    scratch.extend([x[pixel * c + ch], w[tap * c + ch]]);
+                }
+                let acc = emulated_dot(
+                    bias.map_or(0.0, |b| b[ch]),
+                    scratch.len() / 2,
+                    |i| (scratch[2 * i], scratch[2 * i + 1]),
+                    numerics,
+                );
+                out[cell.index * c + ch] = activation.apply(acc);
+            }
+        }
+        Ok(())
+    }
+
     const KERNEL_SIDES: [usize; 5] = [1, 2, 3, 5, 7];
     /// Every mix of 8-, 4- and 1-wide panels, and none of some.
     const OUT_CHANNELS: [usize; 13] = [1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16, 24, 33];
@@ -796,7 +825,7 @@ mod tests {
 
     /// What a case's values are drawn from.
     #[derive(Clone, Copy)]
-    enum Values {
+    pub(in crate::kernels) enum Values {
         /// Hundredths in `[-100, 100]` and both zeros.
         Tame,
         /// Also subnormals and finite floats of every exponent, so sums
@@ -814,7 +843,7 @@ mod tests {
         state.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    fn draw(state: &mut u64, values: Values, n: usize) -> Vec<f32> {
+    pub(in crate::kernels) fn draw(state: &mut u64, values: Values, n: usize) -> Vec<f32> {
         (0..n)
             .map(|_| {
                 let r = next(state);
@@ -916,35 +945,81 @@ mod tests {
             out.as_f32().unwrap().to_vec()
         }
 
-        /// [`conv2d_f32`] over this case's weights packed, in `engine`'s
-        /// build.
-        fn conv2d_panels(&self, engine: Engine) -> Vec<f32> {
+        /// [`conv2d_f32`] over this case's weights packed, under `numerics`,
+        /// in `engine`'s build.
+        fn conv2d_panels(&self, engine: Engine, numerics: EdgeNumerics) -> Vec<f32> {
             let mut panels = Vec::new();
             pack_weight_panels(&self.weights, &mut panels).unwrap();
             self.run(|inputs, out_def, stride, padding, activation, out| {
                 conv2d_f32(
-                    engine, inputs, &panels, out_def, stride, padding, activation, out,
+                    engine, numerics, inputs, &panels, out_def, stride, padding, activation, out,
                 )
             })
         }
 
-        /// [`dwconv_f32_channels`] in `engine`'s build.
-        fn depthwise(&self, engine: Engine) -> Vec<f32> {
+        /// [`dwconv_f32_channels`] under `numerics`, in `engine`'s build.
+        fn depthwise(&self, engine: Engine, numerics: EdgeNumerics) -> Vec<f32> {
             self.run(|inputs, out_def, stride, padding, activation, out| {
-                dwconv_f32_channels(engine, inputs, out_def, stride, padding, activation, out)
+                dwconv_f32_channels(
+                    engine, numerics, inputs, out_def, stride, padding, activation, out,
+                )
             })
+        }
+
+        /// The emulator's gather loop — [`conv2d_f32_emulated`], or
+        /// [`dwconv_f32_emulated`] for a `depthwise` case — under
+        /// `numerics`.
+        fn gathered(&self, depthwise: bool, numerics: &EdgeNumerics) -> Vec<f32> {
+            let oracle = if depthwise {
+                dwconv_f32_emulated
+            } else {
+                conv2d_f32_emulated
+            };
+            self.run(|inputs, out_def, stride, padding, activation, out| {
+                oracle(
+                    inputs,
+                    out_def,
+                    stride,
+                    padding,
+                    activation,
+                    numerics,
+                    &mut Vec::new(),
+                    out,
+                )
+            })
+        }
+
+        /// Every [`Chain`] of the reference walk — [`conv2d_f32`], or the
+        /// shared depthwise for a `depthwise` case — in both builds,
+        /// against the emulator's gather loop under the same numerics.
+        fn assert_every_chain_is_the_gather_loop(&self, depthwise: bool, what: &str) {
+            for numerics in every_chain() {
+                let want = self.gathered(depthwise, &numerics);
+                for engine in builds() {
+                    let got = if depthwise {
+                        self.depthwise(engine, numerics)
+                    } else {
+                        self.conv2d_panels(engine, numerics)
+                    };
+                    let what = format!(
+                        "{:?} fma={} {engine:?} {what}",
+                        numerics.accumulation, numerics.fused_multiply_add
+                    );
+                    assert_same_bits(&got, &want, &what);
+                }
+            }
         }
     }
 
     /// The baseline build and — where this CPU has it — the AVX2 one.
-    fn builds() -> [Engine; 2] {
+    pub(in crate::kernels) fn builds() -> [Engine; 2] {
         [SimdEngine::Scalar, SimdEngine::Avx2Fma].map(Engine::runnable)
     }
 
     /// Bit for bit, except that two `NaN`s are one value: `fadd` is
     /// commutative to LLVM, so which operand's payload a `NaN + NaN` keeps
     /// was never pinned.
-    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+    pub(in crate::kernels) fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
         assert_eq!(got.len(), want.len(), "{what}");
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
             assert!(
@@ -1023,9 +1098,10 @@ mod tests {
                 (conv.run(conv2d_f32_naive), depthwise.run(dwconv_f32_naive));
             for engine in builds() {
                 let what = format!("{engine:?} {what}");
-                assert_same_bits(&conv.conv2d_panels(engine), &conv_want, &what);
+                let conv_got = conv.conv2d_panels(engine, EdgeNumerics::faithful());
+                assert_same_bits(&conv_got, &conv_want, &what);
                 assert_same_bits(
-                    &depthwise.depthwise(engine),
+                    &depthwise.depthwise(engine, EdgeNumerics::faithful()),
                     &depthwise_want,
                     &format!("depthwise {what}"),
                 );
@@ -1092,8 +1168,171 @@ mod tests {
                      bias={with_bias} {:?} seed {seed}",
                     ACTIVATIONS[activation]
                 );
-                assert_same_bits(&case.depthwise(engine), &want, &what);
+                assert_same_bits(&case.depthwise(engine, EdgeNumerics::faithful()), &want, &what);
             }
+        }
+    }
+
+    /// `-0.0` for each of `n` channels: a sum that starts from it keeps the
+    /// sign of its `-0.0` products, one that starts from `+0.0` does not.
+    fn negative_zero_bias(n: usize) -> Tensor {
+        Tensor::from_f32(Shape::vector(n), vec![-0.0; n]).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Every edge-emulator chain — each `AccumOrder`, split and fused —
+        /// of the reference `Conv2d` over its panels and of the shared
+        /// depthwise, in both builds, against the per-cell gather loops the
+        /// emulator ran before: windows 1×1 to 7×7, square or not, strides
+        /// 1–3, SAME (inputs from one pixel, so smaller than the window)
+        /// and VALID, channel counts 1–33 on both sides, stacked batches,
+        /// no bias, a drawn bias or a `-0.0` one, every activation, over
+        /// all three value classes (±0, subnormals, ±∞ and `NaN`).
+        #[test]
+        fn every_chain_is_the_gather_loop_bitwise(
+            kh in 0usize..KERNEL_SIDES.len(),
+            kw in 0usize..KERNEL_SIDES.len(),
+            extra_h in 0usize..4,
+            extra_w in 0usize..4,
+            stride in 1usize..=3,
+            same in 0u8..2,
+            in_c in 1usize..=33,
+            out_c in 1usize..=33,
+            batch in 1usize..=3,
+            bias in 0u8..3,
+            activation in 0usize..ACTIVATIONS.len(),
+            values in 0u8..3,
+            seed in 1u64..=u64::MAX,
+        ) {
+            let (kh, kw) = (KERNEL_SIDES[kh], KERNEL_SIDES[kw]);
+            let padding = if same == 1 { Padding::Same } else { Padding::Valid };
+            let (h, w) = (input_side(kh, extra_h, padding), input_side(kw, extra_w, padding));
+            let values = [Values::Tame, Values::Finite, Values::Any][values as usize];
+            let mut state = seed;
+            let mut case = |weights: [usize; 4], depthwise: bool| {
+                let mut case = Case::new(
+                    [batch, h, w, in_c],
+                    weights,
+                    depthwise,
+                    stride,
+                    padding,
+                    ACTIVATIONS[activation],
+                    |n| draw(&mut state, values, n),
+                    bias == 1,
+                );
+                if bias == 2 {
+                    case.bias = Some(negative_zero_bias(case.out_def.shape().dims()[3]));
+                }
+                case
+            };
+            let what = format!(
+                "{kh}x{kw}/{stride} {padding:?} {h}x{w}x{in_c}->{out_c} x{batch} bias={bias} \
+                 {:?} seed {seed}",
+                ACTIVATIONS[activation]
+            );
+            case([out_c, kh, kw, in_c], false).assert_every_chain_is_the_gather_loop(false, &what);
+            case([1, kh, kw, in_c], true)
+                .assert_every_chain_is_the_gather_loop(true, &format!("depthwise {what}"));
+        }
+    }
+
+    /// `(depthwise, [h, w, in_c], [kh, kw], stride, out_c, bias)` of one
+    /// SAME layer.
+    type Layer = (bool, [usize; 3], [usize; 2], usize, usize, bool);
+
+    /// The distinct `Conv2d` and depthwise layers of every mini family at
+    /// 32×32 and of `mobilenet_v2` at 64×64, width 0.25.
+    const ZOO_LAYERS: [Layer; 59] = [
+        (false, [1, 1, 16], [1, 1], 1, 4, true),
+        (false, [1, 1, 24], [1, 1], 1, 6, true),
+        (false, [1, 1, 4], [1, 1], 1, 16, true),
+        (false, [1, 1, 6], [1, 1], 1, 24, true),
+        (false, [16, 16, 12], [3, 3], 1, 4, true),
+        (false, [16, 16, 16], [1, 1], 1, 8, true),
+        (false, [16, 16, 16], [3, 3], 1, 16, true),
+        (false, [16, 16, 20], [3, 3], 2, 16, true),
+        (false, [16, 16, 24], [1, 1], 1, 6, false),
+        (false, [16, 16, 36], [1, 1], 1, 6, false),
+        (false, [16, 16, 4], [3, 3], 1, 8, true),
+        (false, [16, 16, 6], [1, 1], 1, 36, false),
+        (false, [16, 16, 8], [1, 1], 1, 16, true),
+        (false, [16, 16, 8], [1, 1], 1, 24, true),
+        (false, [16, 16, 8], [1, 1], 1, 4, true),
+        (false, [16, 16, 8], [1, 1], 1, 8, true),
+        (false, [16, 16, 8], [3, 3], 1, 4, true),
+        (false, [2, 2, 144], [1, 1], 1, 40, false),
+        (false, [2, 2, 240], [1, 1], 1, 40, false),
+        (false, [2, 2, 240], [1, 1], 1, 80, false),
+        (false, [2, 2, 40], [1, 1], 1, 240, false),
+        (false, [2, 2, 80], [1, 1], 1, 320, false),
+        (false, [32, 32, 3], [3, 3], 2, 16, true),
+        (false, [32, 32, 3], [3, 3], 2, 8, true),
+        (false, [32, 32, 4], [1, 1], 1, 24, false),
+        (false, [32, 32, 8], [1, 1], 1, 4, false),
+        (false, [4, 4, 144], [1, 1], 1, 24, false),
+        (false, [4, 4, 16], [1, 1], 1, 96, false),
+        (false, [4, 4, 24], [1, 1], 1, 144, false),
+        (false, [4, 4, 48], [1, 1], 1, 16, false),
+        (false, [4, 4, 96], [1, 1], 1, 16, false),
+        (false, [4, 4, 96], [1, 1], 1, 24, false),
+        (false, [64, 64, 3], [3, 3], 2, 8, false),
+        (false, [8, 8, 12], [1, 1], 1, 24, true),
+        (false, [8, 8, 12], [1, 1], 1, 32, true),
+        (false, [8, 8, 12], [3, 3], 1, 4, true),
+        (false, [8, 8, 16], [1, 1], 1, 12, true),
+        (false, [8, 8, 16], [1, 1], 1, 24, true),
+        (false, [8, 8, 24], [1, 1], 1, 12, true),
+        (false, [8, 8, 24], [1, 1], 1, 24, true),
+        (false, [8, 8, 36], [1, 1], 1, 8, false),
+        (false, [8, 8, 48], [1, 1], 1, 8, false),
+        (false, [8, 8, 8], [1, 1], 1, 48, false),
+        (false, [8, 8, 8], [3, 3], 1, 4, true),
+        (true, [16, 16, 16], [3, 3], 1, 16, true),
+        (true, [16, 16, 16], [3, 3], 2, 16, true),
+        (true, [16, 16, 24], [3, 3], 2, 24, true),
+        (true, [16, 16, 36], [3, 3], 1, 36, false),
+        (true, [16, 16, 36], [3, 3], 2, 36, false),
+        (true, [16, 16, 8], [3, 3], 1, 8, true),
+        (true, [2, 2, 240], [3, 3], 1, 240, false),
+        (true, [32, 32, 24], [3, 3], 2, 24, false),
+        (true, [32, 32, 8], [3, 3], 1, 8, false),
+        (true, [4, 4, 144], [3, 3], 1, 144, false),
+        (true, [4, 4, 144], [3, 3], 2, 144, false),
+        (true, [4, 4, 96], [3, 3], 1, 96, false),
+        (true, [8, 8, 24], [3, 3], 1, 24, true),
+        (true, [8, 8, 48], [3, 3], 1, 48, false),
+        (true, [8, 8, 48], [3, 3], 2, 48, false),
+    ];
+
+    /// Every zoo layer geometry, one frame of it under each value class in
+    /// turn: every chain of the reference `Conv2d` and of the shared
+    /// depthwise, in both builds, against the emulator's gather loops.
+    #[test]
+    fn zoo_layers_under_every_chain_are_the_gather_loops_bitwise() {
+        for (i, &(depthwise, [h, w, in_c], [kh, kw], stride, out_c, bias)) in
+            ZOO_LAYERS.iter().enumerate()
+        {
+            let values = [Values::Tame, Values::Finite, Values::Any][i % 3];
+            let weights = if depthwise {
+                [1, kh, kw, in_c]
+            } else {
+                [out_c, kh, kw, in_c]
+            };
+            let mut state = i as u64 + 1;
+            let case = Case::new(
+                [1, h, w, in_c],
+                weights,
+                depthwise,
+                stride,
+                Padding::Same,
+                ACTIVATIONS[i % ACTIVATIONS.len()],
+                |n| draw(&mut state, values, n),
+                bias,
+            );
+            let what = format!("zoo {h}x{w}x{in_c} {kh}x{kw}/{stride} -> {out_c}");
+            case.assert_every_chain_is_the_gather_loop(depthwise, &what);
         }
     }
 
@@ -1307,7 +1546,7 @@ mod tests {
                 true,
             );
             for engine in builds() {
-                let got = case.conv2d_panels(engine);
+                let got = case.conv2d_panels(engine, EdgeNumerics::faithful());
                 assert!(got.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
                 assert_same_bits(&got, &case.run(conv2d_f32_naive), "negative zeros");
             }

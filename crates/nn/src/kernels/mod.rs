@@ -17,7 +17,9 @@
 //!   side by side over weight panels the interpreter packs once
 //!   (`pack_weight_panels`), changing no bit; the one-sum-at-a-time loops it
 //!   and the reference depthwise replaced live on in `conv`'s tests as the
-//!   oracle's oracle;
+//!   oracle's oracle. The edge emulator *is* these kernels: each reference
+//!   walk takes its sum's arithmetic as a [`Chain`] type, and the
+//!   emulator's [`EdgeNumerics`] pick another instance of the same walk;
 //! * the **optimized** flavor's blocked-4 cell ([`KernelFlavor::Optimized`]:
 //!   four striped partial sums, `(s0 + s1) + (s2 + s3) + rest + bias`),
 //!   run over an im2col matrix against the *same* packed panels, a panel's
@@ -40,9 +42,9 @@
 //! `DepthwiseConv2d` runs the same walk over exact `i32` sums
 //! (`conv::dwconv_q`); the optimized flavor's wrapping-`i16` defect is a
 //! second instantiation of it, chosen by [`Kernels::resolve`], not a branch
-//! in its loop. The edge emulator adds a third, reference-structured family
-//! (`*_emulated`); the injected defects of [`KernelBugs`] live in the
-//! quantized depthwise/pool kernels and the `Lanes8` K-tail.
+//! in its loop, and the float kernel runs the emulator's chains. The
+//! injected defects of [`KernelBugs`] live in the quantized depthwise/pool
+//! kernels and the `Lanes8` K-tail.
 //!
 //! Quantized `Conv2d` and `FullyConnected` have one kernel each, shared by
 //! every flavor (`gemm::conv2d_q`, `gemm::fc_q`): a whole-batch `u8` im2col
@@ -51,7 +53,7 @@
 //! loops the reference and optimized flavors used to run — kept verbatim in
 //! `gemm`'s tests as the oracle — return the same bits.
 //!
-//! The native kernels — reference `Conv2d`, optimized `Conv2d` / FC, the
+//! The native kernels — reference and optimized `Conv2d` / FC, the
 //! shared float and the int8 depthwise, the float `Add`, `Mul`, `Act` and
 //! `BatchNorm` — run at the host's vector width: each body is
 //! written once and compiled twice (`native_kernel!`), for the x86-64
@@ -61,7 +63,8 @@
 //! kernels multiply, round, add in both), so the engine contract of the
 //! [`gemm`] module covers the native flavors as it covers `Lanes8`, whose
 //! fused tile runs inlined in the AVX2+FMA build and as its scalar mirror
-//! in the baseline.
+//! in the baseline — and the emulator's fused chains, whose exact
+//! `f32::mul_add` is one `vfmadd` in the one and a libm call in the other.
 //!
 //! Every kernel writes into an arena-provided output slot (`&mut Tensor`,
 //! preallocated from the interpreter's `MemoryPlan`), and the float im2col
@@ -70,18 +73,17 @@
 //! which grows to the largest patch matrix it has held and then stays; the
 //! quantized depthwise's per-channel requant multipliers, computed once per
 //! node, live in an `f64` buffer kept the same way.
-//! The reference and optimized flavors hold a second, panel-ordered copy of
-//! their constant float weights (≈ 8 KB for `mini_mobilenet_v2`), packed
-//! when the interpreter is built; a weight operand that is a runtime tensor
-//! is packed on each invoke into a buffer the interpreter keeps. So
-//! steady-state float execution, and quantized `Conv2d`,
-//! `DepthwiseConv2d` and `FullyConnected`, under the reference, optimized and
-//! SIMD flavors make no heap allocation per node — measured, not
+//! The reference and optimized flavors and the emulator hold a second,
+//! panel-ordered copy of their constant float weights (≈ 8 KB for
+//! `mini_mobilenet_v2`), packed when the interpreter is built; a weight
+//! operand that is a runtime tensor is packed on each invoke into a buffer
+//! the interpreter keeps. So steady-state float execution, and quantized
+//! `Conv2d`, `DepthwiseConv2d` and `FullyConnected`, under every flavor and
+//! the emulator make no heap allocation per node — measured, not
 //! self-reported: `tests/alloc_steady_state.rs` counts calls into the global
 //! allocator and holds a warmed `invoke` to the same count on 7 nodes as on
 //! 62, and on a shallow quantized stack as on a deep one. What still
-//! allocates per node, all outside those paths:
-//! `conv::conv2d_f32_emulated` (its tap-offset list), `act_q` (a 256-entry
+//! allocates per node, all outside those paths: `act_q` (a 256-entry
 //! lookup table) and `dequantize` (a float copy of the input); and the
 //! interpreter spills the operand list of a node with more than five inputs
 //! (only `Concat` can have them).
@@ -107,41 +109,62 @@
 /// this build. `fn name[build](..)` names a `gemm::SimdEngine` argument of
 /// the body that is the build it runs in — `Avx2Fma` in the AVX2+FMA one,
 /// `Scalar` in the baseline — a constant in each, so a `match` on it folds
-/// away.
+/// away. `fn name<C: Chain>(..)` makes every build generic over one type.
 macro_rules! native_kernel {
     (
         $(#[$attr:meta])*
-        $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block
+        $vis:vis fn $name:ident$(<$g:ident: $b:path>)?($($arg:ident: $ty:ty),* $(,)?) $body:block
     ) => {
         native_kernel! {
             $(#[$attr])*
-            $vis fn $name[_]($($arg: $ty),*) $body
+            $vis fn $name$(<$g: $b>)?[_]($($arg: $ty),*) $body
         }
     };
     (
         $(#[$attr:meta])*
-        $vis:vis fn $name:ident[$build:tt]($($arg:ident: $ty:ty),* $(,)?) $body:block
+        $vis:vis fn $name:ident$(<$g:ident: $b:path>)?[$build:tt]($($arg:ident: $ty:ty),* $(,)?)
+            $body:block
     ) => {
         $(#[$attr])*
         #[allow(clippy::too_many_arguments)]
-        $vis fn $name(engine: $crate::kernels::gemm::Engine, $($arg: $ty),*) {
+        $vis fn $name$(<$g: $b>)?(engine: $crate::kernels::gemm::Engine, $($arg: $ty),*) {
             #[inline(always)]
-            fn body($build: $crate::kernels::gemm::SimdEngine, $($arg: $ty),*) $body
+            fn body$(<$g: $b>)?($build: $crate::kernels::gemm::SimdEngine, $($arg: $ty),*) $body
 
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx2", enable = "fma")]
-            fn avx2_fma($($arg: $ty),*) {
-                body($crate::kernels::gemm::SimdEngine::Avx2Fma, $($arg),*)
+            fn avx2_fma$(<$g: $b>)?($($arg: $ty),*) {
+                body$(::<$g>)?($crate::kernels::gemm::SimdEngine::Avx2Fma, $($arg),*)
             }
 
             match engine.get() {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: an `Engine` holds `Avx2Fma` only after AVX2 and
                 // FMA were detected on this CPU.
-                $crate::kernels::gemm::SimdEngine::Avx2Fma => unsafe { avx2_fma($($arg),*) },
-                _ => body($crate::kernels::gemm::SimdEngine::Scalar, $($arg),*),
+                $crate::kernels::gemm::SimdEngine::Avx2Fma => unsafe {
+                    avx2_fma$(::<$g>)?($($arg),*)
+                },
+                _ => body$(::<$g>)?($crate::kernels::gemm::SimdEngine::Scalar, $($arg),*),
             }
         }
+    };
+}
+
+/// Runs `$body` with `$chain` bound to the [`Chain`] that `$numerics`'
+/// accumulation order and multiply-add name: one `match`, each arm its own
+/// monomorphized instance of the body, so no loop reads the numerics.
+macro_rules! with_chain {
+    ($numerics:expr, $chain:ident => $body:expr) => {{
+        use $crate::kernels::{Serial as S, Striped};
+        use $crate::resolver::AccumOrder as O;
+        let n: $crate::resolver::EdgeNumerics = $numerics;
+        with_chain!(@arms (n.accumulation, n.fused_multiply_add), $chain => $body;
+            (O::Sequential, false) => S::<false, false>, (O::Sequential, true) => S::<false, true>,
+            (O::Reversed, false) => S::<true, false>, (O::Reversed, true) => S::<true, true>,
+            (O::Lanes8, false) => Striped::<false>, (O::Lanes8, true) => Striped::<true>)
+    }};
+    (@arms $on:expr, $chain:ident => $body:expr; $($arm:pat => $ty:expr),+) => {
+        match $on { $($arm => { let $chain = $ty; $body })+ }
     };
 }
 
@@ -160,9 +183,11 @@ use conv::QuantDepthwise;
 use crate::backend::BackendSpec;
 use crate::graph::{Node, TensorDef};
 use crate::ops::{Activation, OpKind};
+#[cfg(any(test, doc))]
+use crate::resolver::AccumOrder;
 #[cfg(doc)]
 use crate::resolver::KernelBugs;
-use crate::resolver::{AccumOrder, EdgeNumerics, KernelFlavor, RequantMode};
+use crate::resolver::{EdgeNumerics, KernelFlavor, RequantMode};
 use crate::{NnError, Result};
 use gemm::{Engine, Reduction};
 
@@ -194,8 +219,8 @@ impl Kernels {
             numerics,
         } = *spec;
         let float = match (numerics, flavor) {
-            (Some(numerics), _) => FloatKernels::Emulated(numerics),
-            (None, KernelFlavor::Reference) => FloatKernels::Reference,
+            (Some(numerics), _) => FloatKernels::Reference(numerics),
+            (None, KernelFlavor::Reference) => FloatKernels::Reference(EdgeNumerics::faithful()),
             (None, KernelFlavor::Optimized) => FloatKernels::Blocked4,
             (None, KernelFlavor::Simd) => FloatKernels::Lanes8 {
                 skip_k_tail: bugs.simd_gemm_k_tail_skip,
@@ -222,11 +247,10 @@ impl Kernels {
 /// `(flavor, numerics)` decide.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FloatKernels {
-    /// Reference kernels: one sequential sum per output value.
-    Reference,
-    /// Reference loop structure under emulated edge numerics (whatever the
+    /// Reference kernels: one sum per output value under the numerics'
+    /// [`Chain`] — the faithful one, or an edge emulator's (whatever the
     /// flavor).
-    Emulated(EdgeNumerics),
+    Reference(EdgeNumerics),
     /// im2col, then blocked-4 cells over packed weight panels.
     Blocked4,
     /// im2col, then 8-lane virtual-SIMD micro-kernel tiles over the
@@ -257,11 +281,101 @@ impl FloatKernels {
     /// optimized `Conv2d` and `FullyConnected`.
     pub(crate) fn reads_panels(self, op: &OpKind) -> bool {
         match self {
-            FloatKernels::Reference => matches!(op, OpKind::Conv2d { .. }),
+            FloatKernels::Reference(_) => matches!(op, OpKind::Conv2d { .. }),
             FloatKernels::Blocked4 => {
                 matches!(op, OpKind::Conv2d { .. } | OpKind::FullyConnected { .. })
             }
-            FloatKernels::Emulated(_) | FloatKernels::Lanes8 { .. } => false,
+            FloatKernels::Lanes8 { .. } => false,
+        }
+    }
+}
+
+/// How a float output value of a reference walk (`Conv2d`, the shared
+/// depthwise, FC) sums its in-bounds `(x, w)` terms, visited in `(ky, kx,
+/// ic)` order (last to first when `REVERSED`), padding skipped: from
+/// `seed(bias)`, by `step`, worth `finish` at the end. `Serial<false,
+/// false>` is the reference arithmetic, the others the emulator's orders.
+pub(crate) trait Chain: Copy {
+    type Acc: Copy;
+    /// Walk each value's terms last to first.
+    const REVERSED: bool = false;
+
+    fn seed(self, bias: f32) -> Self::Acc;
+    fn step(self, acc: Self::Acc, x: f32, w: f32) -> Self::Acc;
+    fn finish(self, acc: Self::Acc) -> f32;
+}
+
+/// One accumulator ([`AccumOrder::Sequential`], or
+/// [`AccumOrder::Reversed`] when `BACKWARD`) taking `acc + x · w`, rounded
+/// twice or — `FMA` — once, fused (Rust never fuses the split form).
+#[derive(Clone, Copy)]
+pub(crate) struct Serial<const BACKWARD: bool, const FMA: bool>;
+
+impl<const BACKWARD: bool, const FMA: bool> Chain for Serial<BACKWARD, FMA> {
+    type Acc = f32;
+    const REVERSED: bool = BACKWARD;
+
+    #[inline(always)]
+    fn seed(self, bias: f32) -> f32 {
+        bias
+    }
+
+    #[inline(always)]
+    fn step(self, acc: f32, x: f32, w: f32) -> f32 {
+        if FMA {
+            x.mul_add(w, acc)
+        } else {
+            acc + x * w
+        }
+    }
+
+    #[inline(always)]
+    fn finish(self, acc: f32) -> f32 {
+        acc
+    }
+}
+
+/// Eight accumulators striped over the term index, the seed in lane 0
+/// ([`AccumOrder::Lanes8`]), folded pairwise at the end: `((l0 + l1) +
+/// (l2 + l3)) + ((l4 + l5) + (l6 + l7))`. A sum is its lanes, rotated so the
+/// next term's lane is first (no lane index is a variable), and its count.
+#[derive(Clone, Copy)]
+pub(crate) struct Striped<const FMA: bool>;
+
+impl<const FMA: bool> Chain for Striped<FMA> {
+    type Acc = ([f32; 8], usize);
+
+    #[inline(always)]
+    fn seed(self, bias: f32) -> ([f32; 8], usize) {
+        ([bias, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 0)
+    }
+
+    #[inline(always)]
+    fn step(self, (l, n): ([f32; 8], usize), x: f32, w: f32) -> ([f32; 8], usize) {
+        let first = Serial::<false, FMA>.step(l[0], x, w);
+        ([l[1], l[2], l[3], l[4], l[5], l[6], l[7], first], n + 1)
+    }
+
+    #[inline(always)]
+    fn finish(self, (mut l, n): ([f32; 8], usize)) -> f32 {
+        l.rotate_right(n % 8);
+        ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+    }
+}
+
+/// Its items first to last, or — when the flag, a chain's `REVERSED` and
+/// so a constant in each instance of a walk, is set — last to first.
+struct Ordered<I>(bool, I);
+
+impl<I: DoubleEndedIterator> Iterator for Ordered<I> {
+    type Item = I::Item;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<I::Item> {
+        if self.0 {
+            self.1.next_back()
+        } else {
+            self.1.next()
         }
     }
 }
@@ -341,22 +455,12 @@ pub(crate) fn execute_node(
             },
             false,
         ) => match float {
-            FloatKernels::Reference => {
+            FloatKernels::Reference(numerics) => {
                 let panels = node_panels(ctx.panels, ctx.runtime_panels, inputs[1])?;
                 conv::conv2d_f32(
-                    engine, inputs, panels, out_def, stride, padding, activation, out,
+                    engine, numerics, inputs, panels, out_def, stride, padding, activation, out,
                 )
             }
-            FloatKernels::Emulated(numerics) => conv::conv2d_f32_emulated(
-                inputs,
-                out_def,
-                stride,
-                padding,
-                activation,
-                &numerics,
-                ctx.scratch,
-                out,
-            ),
             FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => {
                 let reduction = float.reduction(ctx.panels, ctx.runtime_panels, inputs[1])?;
                 gemm::conv2d_f32_gemm(
@@ -398,21 +502,15 @@ pub(crate) fn execute_node(
                 activation,
             },
             false,
-        ) => match float {
-            FloatKernels::Reference | FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => {
-                conv::dwconv_f32_channels(engine, inputs, out_def, stride, padding, activation, out)
-            }
-            FloatKernels::Emulated(numerics) => conv::dwconv_f32_emulated(
-                inputs,
-                out_def,
-                stride,
-                padding,
-                activation,
-                &numerics,
-                ctx.scratch,
-                out,
-            ),
-        },
+        ) => {
+            let numerics = match float {
+                FloatKernels::Reference(numerics) => numerics,
+                _ => EdgeNumerics::faithful(),
+            };
+            conv::dwconv_f32_channels(
+                engine, numerics, inputs, out_def, stride, padding, activation, out,
+            )
+        }
         (
             &OpKind::DepthwiseConv2d {
                 stride,
@@ -434,9 +532,8 @@ pub(crate) fn execute_node(
             out,
         ),
         (&OpKind::FullyConnected { activation }, false) => match float {
-            FloatKernels::Reference => fc::fc_f32(inputs, out_def, activation, out),
-            FloatKernels::Emulated(numerics) => {
-                fc::fc_f32_emulated(inputs, out_def, activation, &numerics, out)
+            FloatKernels::Reference(numerics) => {
+                fc::fc_f32(engine, numerics, inputs, out_def, activation, out)
             }
             FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => {
                 let reduction = float.reduction(ctx.panels, ctx.runtime_panels, inputs[1])?;
@@ -538,45 +635,6 @@ pub(crate) fn execute_node(
     result
 }
 
-/// Emulated GEMM-family reduction: `n` (value, weight) terms addressed by
-/// `term`, folded under the emulator's accumulation order and multiply-add
-/// contraction, starting from `init`.
-///
-/// With the faithful configuration ([`AccumOrder::Sequential`], split
-/// multiply-add) this is exactly the reference kernels' arithmetic.
-#[inline]
-pub(crate) fn emulated_dot(
-    init: f32,
-    n: usize,
-    term: impl Fn(usize) -> (f32, f32),
-    numerics: &EdgeNumerics,
-) -> f32 {
-    let fma = numerics.fused_multiply_add;
-    let step = |acc: f32, i: usize| -> f32 {
-        let (a, b) = term(i);
-        if fma {
-            a.mul_add(b, acc)
-        } else {
-            acc + a * b
-        }
-    };
-    match numerics.accumulation {
-        AccumOrder::Sequential => (0..n).fold(init, step),
-        AccumOrder::Reversed => (0..n).rev().fold(init, step),
-        AccumOrder::Lanes8 => {
-            // `init` (the bias) seeds lane 0, as a real lane reduction would
-            // fold the bias into one accumulator register.
-            let mut lanes = [0.0f32; 8];
-            lanes[0] = init;
-            for i in 0..n {
-                lanes[i % 8] = step(lanes[i % 8], i);
-            }
-            ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-                + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-        }
-    }
-}
-
 pub(crate) fn unsupported(node: &Node, what: &str) -> NnError {
     NnError::InvalidOp {
         node: node.name.clone(),
@@ -671,6 +729,63 @@ pub(crate) fn f32_slot<'a>(out: &'a mut Tensor, out_def: &TensorDef) -> Result<&
 pub(crate) fn u8_slot<'a>(out: &'a mut Tensor, out_def: &TensorDef) -> Result<&'a mut [u8]> {
     debug_assert!(holds_whole_frames(out, out_def));
     Ok(out.as_u8_mut()?)
+}
+
+/// The edge emulator's per-element reduction as its gather kernels ran it
+/// before the reference walks took its chains: `n` (value, weight) terms
+/// addressed by `term`, folded under the emulator's accumulation order and
+/// multiply-add contraction, starting from `init`. Body verbatim — the
+/// oracle of every [`Chain`].
+#[cfg(test)]
+pub(crate) fn emulated_dot(
+    init: f32,
+    n: usize,
+    term: impl Fn(usize) -> (f32, f32),
+    numerics: &EdgeNumerics,
+) -> f32 {
+    let fma = numerics.fused_multiply_add;
+    let step = |acc: f32, i: usize| -> f32 {
+        let (a, b) = term(i);
+        if fma {
+            a.mul_add(b, acc)
+        } else {
+            acc + a * b
+        }
+    };
+    match numerics.accumulation {
+        AccumOrder::Sequential => (0..n).fold(init, step),
+        AccumOrder::Reversed => (0..n).rev().fold(init, step),
+        AccumOrder::Lanes8 => {
+            // `init` (the bias) seeds lane 0, as a real lane reduction would
+            // fold the bias into one accumulator register.
+            let mut lanes = [0.0f32; 8];
+            lanes[0] = init;
+            for i in 0..n {
+                lanes[i % 8] = step(lanes[i % 8], i);
+            }
+            ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+                + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+        }
+    }
+}
+
+/// Every float chain the emulator can ask for — each [`AccumOrder`], split
+/// and fused — as the numerics that name it, for the kernel unit tests.
+#[cfg(test)]
+pub(crate) fn every_chain() -> impl Iterator<Item = EdgeNumerics> {
+    [
+        AccumOrder::Sequential,
+        AccumOrder::Reversed,
+        AccumOrder::Lanes8,
+    ]
+    .into_iter()
+    .flat_map(|accumulation| {
+        [false, true].map(|fused_multiply_add| EdgeNumerics {
+            accumulation,
+            fused_multiply_add,
+            ..EdgeNumerics::faithful()
+        })
+    })
 }
 
 /// Every activation, for the kernel unit tests.

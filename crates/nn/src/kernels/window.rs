@@ -203,7 +203,10 @@ impl WindowGeom {
     /// `(kx, ic)` order — [`WindowGeom::taps`] one window row at a time,
     /// channels included. Padding is never yielded.
     #[inline]
-    pub(super) fn runs(&self, window: &Window) -> impl Iterator<Item = (usize, Range<usize>)> {
+    pub(super) fn runs(
+        &self,
+        window: &Window,
+    ) -> impl DoubleEndedIterator<Item = (usize, Range<usize>)> {
         let (kw, c, row_len) = (self.kw, self.c, self.in_w * self.c);
         let (first, kx0, input) = (window.kys.start, window.kx0, window.input);
         let len = window.cols * c;

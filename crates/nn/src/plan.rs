@@ -83,9 +83,21 @@ pub(crate) fn batched_shape(shape: &Shape, batch: usize) -> Result<Shape> {
         .dims()
         .first()
         .ok_or_else(|| NnError::InvalidGraph("rank-0 runtime tensors cannot be batched".into()))?;
+    let lead = lead.checked_mul(batch).ok_or_else(|| {
+        NnError::InvalidGraph(format!(
+            "{batch} frames of {shape:?} overflow the address space"
+        ))
+    })?;
     shape
-        .with_batch(lead * batch)
+        .with_batch(lead)
         .map_err(|e| NnError::InvalidGraph(e.to_string()))
+}
+
+/// A plan whose slot `what` has more bytes than the address space.
+fn overflow(what: &str, batch: usize) -> NnError {
+    NnError::InvalidGraph(format!(
+        "{what} overflows the address space at batch {batch}"
+    ))
 }
 
 /// Elements of f32 scratch `node`'s float kernel needs: the whole-batch
@@ -154,7 +166,10 @@ impl MemoryPlan {
                     .position(|n| n.output.0 == i)
                     .unwrap_or(horizon),
             };
-            let bytes = batched_shape(def.shape(), batch)?.num_elements() * def.dtype().byte_size();
+            let bytes = batched_shape(def.shape(), batch)?
+                .checked_num_elements()
+                .and_then(|n| n.checked_mul(def.dtype().byte_size()))
+                .ok_or_else(|| overflow(def.name(), batch))?;
             let mut last_use = graph
                 .nodes()
                 .iter()
@@ -196,14 +211,18 @@ impl MemoryPlan {
             busy.sort_unstable();
             let mut offset = 0usize;
             for (start, end) in busy {
-                if offset + current.bytes <= start {
+                if offset
+                    .checked_add(current.bytes)
+                    .is_some_and(|e| e <= start)
+                {
                     break;
                 }
                 offset = offset.max(end);
             }
             let placed = slots[i].as_mut().expect("filtered to planned slots");
             placed.offset = offset;
-            arena_bytes = arena_bytes.max(offset + placed.bytes);
+            let end = offset.checked_add(placed.bytes);
+            arena_bytes = arena_bytes.max(end.ok_or_else(|| overflow("the arena", batch))?);
         }
 
         // True lifetime-based peak, for comparison with the arena size.

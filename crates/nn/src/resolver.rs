@@ -130,11 +130,13 @@ pub enum RequantMode {
 /// The numerics knobs of the edge-emulator backend: how an emulated edge
 /// runtime's arithmetic deviates from this crate's native kernels.
 ///
-/// The default configuration is *faithful*: sequential accumulation, split
-/// multiply-add, denormals preserved, double-precision requantization —
-/// bitwise-identical to the reference kernels. Each knob then introduces one
-/// realistic class of cross-runtime numeric divergence; device profiles in
-/// `mlexray-edgesim` bundle them per target.
+/// The emulator runs the reference kernels' own walks — the same terms in
+/// the same `(ky, kx, ic)` order, padding skipped — under the sum these
+/// knobs name, so the default configuration, *faithful* (sequential
+/// accumulation, split multiply-add, denormals preserved, double-precision
+/// requantization), *is* the reference kernels. Each knob then introduces
+/// one realistic class of cross-runtime numeric divergence; device profiles
+/// in `mlexray-edgesim` bundle them per target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct EdgeNumerics {
     /// Summation order of float GEMM reductions.

@@ -3,8 +3,9 @@
 //! `InvokeStats::allocations`: the allocation count of an `invoke` must not
 //! depend on graph depth (no per-node operand list, no per-node BatchNorm
 //! table, no per-node quantized patch matrix or depthwise requant
-//! multipliers) nor on whether the reference
-//! or optimized `Conv2d` packs its weights per invoke, and an interpreter
+//! multipliers) — in every flavor and under the edge emulator — nor on
+//! whether the reference or optimized `Conv2d` packs its weights per
+//! invoke, and an interpreter
 //! cycled through batch sizes must hold the
 //! memory of its largest batch, not the sum over every size it has seen.
 //!
@@ -14,8 +15,8 @@
 use std::sync::atomic::Ordering;
 
 use mlexray_nn::{
-    Activation, BackendSpec, Graph, GraphBuilder, Interpreter, KernelBugs, KernelFlavor, OpKind,
-    Padding,
+    AccumOrder, Activation, BackendSpec, EdgeNumerics, Graph, GraphBuilder, Interpreter,
+    KernelBugs, KernelFlavor, OpKind, Padding, RequantMode,
 };
 use mlexray_tensor::{DType, QuantParams, Shape, Tensor};
 
@@ -191,9 +192,26 @@ fn options(flavor: KernelFlavor) -> BackendSpec {
     }
 }
 
+/// The three flavors, and the edge emulator under the Pixel-4 numerics
+/// (`Lanes8` sums, FMA, flush-to-zero, single-precision requantization).
+fn specs() -> [BackendSpec; 4] {
+    let pixel4 = BackendSpec::emulator(EdgeNumerics {
+        accumulation: AccumOrder::Lanes8,
+        fused_multiply_add: true,
+        flush_to_zero: true,
+        requant: RequantMode::Single,
+    });
+    [
+        options(KernelFlavor::Reference),
+        options(KernelFlavor::Optimized),
+        options(KernelFlavor::Simd),
+        pixel4,
+    ]
+}
+
 /// Heap allocations performed by one warmed `invoke` of `graph`.
-fn allocations_per_invoke(graph: &Graph, flavor: KernelFlavor, input: &[Tensor]) -> usize {
-    let mut interp = Interpreter::new(graph, options(flavor)).unwrap();
+fn allocations_per_invoke(graph: &Graph, spec: BackendSpec, input: &[Tensor]) -> usize {
+    let mut interp = Interpreter::new(graph, spec).unwrap();
     for _ in 0..2 {
         interp.invoke(input).unwrap();
     }
@@ -220,16 +238,12 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
     let input = [filled(vec![1, 6, 6, 8], 0.25)];
     let (shallow, deep) = (residual_stack(1, 6, 8), residual_stack(12, 6, 8));
     assert_eq!((shallow.nodes().len(), deep.nodes().len()), (7, 62));
-    for flavor in [
-        KernelFlavor::Reference,
-        KernelFlavor::Optimized,
-        KernelFlavor::Simd,
-    ] {
-        let few = allocations_per_invoke(&shallow, flavor, &input);
-        let many = allocations_per_invoke(&deep, flavor, &input);
+    for spec in specs() {
+        let few = allocations_per_invoke(&shallow, spec, &input);
+        let many = allocations_per_invoke(&deep, spec, &input);
         assert_eq!(
             few, many,
-            "{flavor:?}: a warmed invoke allocated {few} times on 7 nodes but {many} on 62"
+            "{spec:?}: a warmed invoke allocated {few} times on 7 nodes but {many} on 62"
         );
     }
 
@@ -238,8 +252,9 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
     // a warmed invoke allocates what it does when the weights are baked in.
     let fed = [input[0].clone(), filled(vec![13, 3, 3, 8], 0.01)];
     for flavor in [KernelFlavor::Reference, KernelFlavor::Optimized] {
-        let baked = allocations_per_invoke(&lone_conv(false), flavor, &input);
-        let packed = allocations_per_invoke(&lone_conv(true), flavor, &fed);
+        let spec = options(flavor);
+        let baked = allocations_per_invoke(&lone_conv(false), spec, &input);
+        let packed = allocations_per_invoke(&lone_conv(true), spec, &fed);
         assert_eq!(
             baked, packed,
             "a warmed {flavor:?} invoke allocated {packed} times packing runtime weights, \
@@ -256,16 +271,12 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
     let codes = [Tensor::from_u8(shape, codes, per_tensor(0.02, 128)).unwrap()];
     let (shallow, deep) = (quantized_stack(1), quantized_stack(12));
     assert_eq!((shallow.nodes().len(), deep.nodes().len()), (4, 26));
-    for flavor in [
-        KernelFlavor::Reference,
-        KernelFlavor::Optimized,
-        KernelFlavor::Simd,
-    ] {
-        let few = allocations_per_invoke(&shallow, flavor, &codes);
-        let many = allocations_per_invoke(&deep, flavor, &codes);
+    for spec in specs() {
+        let few = allocations_per_invoke(&shallow, spec, &codes);
+        let many = allocations_per_invoke(&deep, spec, &codes);
         assert_eq!(
             few, many,
-            "{flavor:?}: a warmed quantized invoke allocated {few} times on 4 nodes but {many} \
+            "{spec:?}: a warmed quantized invoke allocated {few} times on 4 nodes but {many} \
              on 26"
         );
     }

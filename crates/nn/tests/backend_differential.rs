@@ -17,6 +17,7 @@ use rand::SeedableRng;
 
 use common::{random_graph, random_graph_with_site, sample_batch, BugSite};
 use mlexray_core::{diff_backends, BisectionVerdict, DifferentialOptions, ReplayOptions};
+use mlexray_edgesim::DeviceProfile;
 use mlexray_nn::{
     calibrate, quantize_model, BackendSpec, EdgeNumerics, Graph, KernelBugs, Model, ModelVariant,
     QuantizationOptions,
@@ -157,8 +158,10 @@ proptest! {
 
     /// Float graphs: the injected defects are quantized-only, so a bugged
     /// float candidate must stay equivalent — bitwise same-flavor, within
-    /// reassociation tolerance cross-flavor — and the faithful emulator is
-    /// bitwise-identical to the reference backend.
+    /// reassociation tolerance cross-flavor. The emulator's float sums
+    /// ignore the flavor and the defects: faithful numerics over the bugged
+    /// optimized flavor are the reference bits, and every device profile's
+    /// numerics stay within reassociation tolerance of them.
     #[test]
     fn float_graphs_stay_clean_under_injection(seed in 0u64..100_000) {
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(0xf10a7));
@@ -193,14 +196,32 @@ proptest! {
         let faithful = diff_backends(
             &graph,
             BackendSpec::reference(),
-            BackendSpec::emulator(EdgeNumerics::faithful()),
+            BackendSpec {
+                numerics: Some(EdgeNumerics::faithful()),
+                ..BackendSpec::optimized().with_bugs(bugs)
+            },
             &samples,
             &options(0.0),
         ).expect("faithful-emulator differential");
         prop_assert!(
             faithful.is_equivalent(),
-            "the faithful emulator must be bitwise-identical to reference:\n{faithful}"
+            "the faithful emulator must run the reference sums whatever its flavor:\n{faithful}"
         );
+
+        for profile in [DeviceProfile::pixel4(), DeviceProfile::pixel3(), DeviceProfile::x86_emulator()] {
+            let device = diff_backends(
+                &graph,
+                BackendSpec::reference(),
+                profile.emulator_spec().with_bugs(bugs),
+                &samples,
+                &options(1e-4),
+            ).expect("device-emulator differential");
+            prop_assert!(
+                device.is_equivalent(),
+                "{} numerics drifted past reassociation tolerance:\n{device}",
+                profile.name
+            );
+        }
     }
 }
 

@@ -10,7 +10,9 @@
 //! `Interpreter`, which reads the process's engine and packs constant
 //! weights at build and runtime weights per invoke. The entry point takes
 //! the whole `BackendSpec`: under injected defects and emulated numerics it
-//! must return the bits an interpreter under that spec does.
+//! must return the bits an interpreter under that spec does. The edge
+//! emulator under each `mlexray-edgesim` device profile's numerics runs the
+//! same bodies under its own sum chain, so its builds must agree too.
 //!
 //! Cases: window sides 1–5, strides 1 and 2, SAME and VALID, channel counts
 //! that are no multiple of 8 (and some that are), every 8/4/1 panel mix,
@@ -23,6 +25,7 @@
 
 use proptest::prelude::*;
 
+use mlexray_edgesim::DeviceProfile;
 use mlexray_nn::simd::{execute_node_with, SimdEngine};
 use mlexray_nn::{
     AccumOrder, Activation, BackendSpec, EdgeNumerics, Graph, GraphBuilder, Interpreter,
@@ -192,25 +195,41 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// Both builds of every flavor agree, and the interpreter — which packs
-/// constant weights at build, runtime weights per invoke, and runs the
-/// process's engine — agrees with them. Returns each flavor's output.
-fn assert_builds_agree(case: &Case, what: &str) -> Vec<(KernelFlavor, Vec<f32>)> {
+/// Every flavor, then the edge emulator under each `mlexray-edgesim`
+/// device profile's numerics (Pixel 4: `Lanes8` + FMA + FTZ; Pixel 3:
+/// `Lanes8` + FTZ; x86 emulator: `Reversed`).
+fn specs() -> Vec<BackendSpec> {
+    let flavors = FLAVORS.map(|flavor| BackendSpec {
+        flavor,
+        ..BackendSpec::default()
+    });
+    let profiles = [
+        DeviceProfile::pixel4(),
+        DeviceProfile::pixel3(),
+        DeviceProfile::x86_emulator(),
+    ];
+    flavors
+        .into_iter()
+        .chain(profiles.iter().map(DeviceProfile::emulator_spec))
+        .collect()
+}
+
+/// Both builds of every spec of [`specs`] agree, and the interpreter —
+/// which packs constant weights at build, runtime weights per invoke, and
+/// runs the process's engine — agrees with them. Returns each spec's
+/// output.
+fn assert_builds_agree(case: &Case, what: &str) -> Vec<(BackendSpec, Vec<f32>)> {
     let operands = case.operands();
     let operands: Vec<&Tensor> = operands.iter().collect();
     let mut outputs = Vec::new();
-    for flavor in FLAVORS {
-        let spec = BackendSpec {
-            flavor,
-            ..BackendSpec::default()
-        };
+    for spec in specs() {
         let run = |engine| {
             let out = execute_node_with(engine, spec, &case.graph, NodeId(0), &operands).unwrap();
             out.as_f32().unwrap().to_vec()
         };
         let avx2 = run(SimdEngine::Avx2Fma);
         let baseline = run(SimdEngine::Scalar);
-        let what = format!("{flavor:?} {what}");
+        let what = format!("{spec:?} {what}");
         assert_same_bits(&avx2, &baseline, &what);
 
         let mut interp = Interpreter::new(&case.graph, spec).unwrap();
@@ -222,7 +241,7 @@ fn assert_builds_agree(case: &Case, what: &str) -> Vec<(KernelFlavor, Vec<f32>)>
             .flat_map(|outs| outs[0].as_f32().unwrap().to_vec())
             .collect();
         assert_same_bits(&interpreted, &baseline, &format!("interpreter, {what}"));
-        outputs.push((flavor, baseline));
+        outputs.push((spec, baseline));
     }
     outputs
 }
@@ -297,27 +316,50 @@ fn zero_length_reductions_return_the_bias() {
                 |n| (0..n).map(|i| i as f32 + 0.5).collect(),
             );
             let what = format!("{op:?}, K = 0, runtime_weights={runtime_weights} bias={with_bias}");
-            for (flavor, out) in assert_builds_agree(&case, &what) {
-                assert!(!out.is_empty(), "{flavor:?} {what}");
+            for (spec, out) in assert_builds_agree(&case, &what) {
+                assert!(!out.is_empty(), "{spec:?} {what}");
                 for (i, v) in out.iter().enumerate() {
                     let want = if with_bias {
                         (i % 13) as f32 + 0.5
                     } else {
                         0.0
                     };
-                    assert_eq!(v.to_bits(), want.to_bits(), "{flavor:?} {what}: output {i}");
+                    assert_eq!(v.to_bits(), want.to_bits(), "{spec:?} {what}: output {i}");
                 }
             }
         }
     }
 }
 
+/// The sign an all-`-0.0` sum of `op` ends with under `spec`. A sum that
+/// starts from the `-0.0` bias and meets only `-0.0` products stays `-0.0`;
+/// one that meets a `+0.0` ends `+0.0`:
+///
+/// * every native flavor's depthwise, the reference `Conv2d` and the
+///   emulator's `Sequential` and `Reversed` orders start `Conv2d` and
+///   depthwise sums from the bias and skip padding taps: `-0.0`;
+/// * the emulator's `Lanes8` seeds the bias into lane 0 only, and folding
+///   in the seven `+0.0` lanes ends it `+0.0`;
+/// * the blocked-4 and `Lanes8` flavors' `Conv2d`, and every FC, start
+///   from `+0.0` and add the bias last: `+0.0`.
+fn signed_zero_sum(op: Op, spec: BackendSpec) -> f32 {
+    let from_bias = match (op, spec.numerics) {
+        (Op::FullyConnected, _) => false,
+        (_, Some(numerics)) => numerics.accumulation != AccumOrder::Lanes8,
+        (Op::Depthwise, None) => true,
+        (Op::Conv, None) => spec.flavor == KernelFlavor::Reference,
+    };
+    if from_bias {
+        -0.0
+    } else {
+        0.0
+    }
+}
+
 /// Positive weights, a `-0.0` bias and `-0.0` inputs make every product
-/// `-0.0`, so each output's sign is decided by where its sum starts: a
-/// reference `Conv2d` or depthwise sum starts from the bias and skips
-/// padding taps, so it stays `-0.0`; a blocked-4, `Lanes8` or reference FC
-/// sum starts from `+0.0` and adds the bias last, so it ends `+0.0`. In
-/// both builds, at the border and inside.
+/// `-0.0`, so each output's sign is decided by where its sum starts and
+/// how its partial sums meet ([`signed_zero_sum`]), under every flavor and
+/// emulator order. In both builds, at the border and inside.
 #[test]
 fn signed_zeros_survive_both_builds() {
     for op in [Op::Conv, Op::Depthwise, Op::FullyConnected] {
@@ -341,13 +383,11 @@ fn signed_zeros_survive_both_builds() {
                 },
             );
             let what = format!("{op:?} -0.0 sums, stride {stride}");
-            for (flavor, out) in assert_builds_agree(&case, &what) {
-                let from_bias = matches!(op, Op::Depthwise)
-                    || (matches!(op, Op::Conv) && flavor == KernelFlavor::Reference);
-                let want = if from_bias { -0.0f32 } else { 0.0 };
+            for (spec, out) in assert_builds_agree(&case, &what) {
+                let want = signed_zero_sum(op, spec);
                 assert!(
                     out.iter().all(|v| v.to_bits() == want.to_bits()),
-                    "{flavor:?} {what}: want every output {want:?}, got {out:?}"
+                    "{spec:?} {what}: want every output {want:?}, got {out:?}"
                 );
             }
         }

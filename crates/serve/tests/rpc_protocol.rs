@@ -294,6 +294,32 @@ fn shape_whose_element_count_overflows_is_malformed() {
     server.shutdown();
 }
 
+/// A graph whose tensors are `[65536; 4]` f32 — 2^64 elements, a byte
+/// count no `usize` holds — uploaded over the wire: the lint gate `Load`
+/// runs refuses it with a typed error instead of overflowing while it plans
+/// the arena, and the session still answers a good `Infer` afterwards.
+#[test]
+fn load_of_a_graph_whose_byte_size_overflows_is_refused() {
+    let server = start_server(quick_config());
+    let mut client = RpcClient::connect(server.local_addr()).unwrap();
+    let mut b = GraphBuilder::new("overflow");
+    let x = b.input("x", Shape::new(vec![1, 1, 1, 1]));
+    let y = b.activation("relu", x, Activation::Relu).unwrap();
+    b.output(y);
+    let json = serde_json::to_string(&b.finish().unwrap())
+        .unwrap()
+        .replace("[1,1,1,1]", "[65536,65536,65536,65536]");
+    let err = client
+        .load_graph_json("overflow", &json, wire::WireSpec::Reference)
+        .unwrap_err();
+    assert_eq!(err.server_code(), Some(ErrorCode::LintRejected), "{err:?}");
+
+    let out = client.infer("m", frame_input(0), None).unwrap();
+    assert_eq!(out.outputs.len(), 1);
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn mid_infer_disconnect_does_not_wedge_the_server() {
     let server = start_server(quick_config());

@@ -57,8 +57,6 @@ kernel-suites() {
 # that under MLEXRAY_SIMD=scalar), the rendered validation and differential
 # reports of mini_mobilenet_v2 against the golden text recorded before the
 # drift fold, the fold bitwise against the log-scanning loops it replaced,
-# the reference flavor (packed-panel Conv2d, shared depthwise) bitwise
-# against the faithful emulator's per-cell gather loops on every zoo family,
 # and replay_validate_sharded's lockstep drift fold bitwise against
 # per_layer_drift and validate_shard over the full logs it no longer writes.
 # The preprocessing oracle (the preprocess crate's unit tests) holds the
@@ -70,7 +68,7 @@ backend-suites() {
   cargo test -p mlexray-preprocess --lib -q
   cargo test -p mlexray-nn --test backend_differential --test golden_kernels -q
   cargo test -p mlexray-core --test differential_replay --test golden_reports \
-    --test drift_fold_oracle --test reference_oracle --test parallel_replay -q
+    --test drift_fold_oracle --test parallel_replay -q
 }
 
 # Run twice: under native runtime dispatch (AVX2+FMA where the host has it)
@@ -86,9 +84,8 @@ backend-suites() {
 # peak (over backends or image pipelines) to be independent of its frame count
 # and a sharded replay-validate's to about one shard's logs without layer
 # outputs plus one chunk of captured outputs. golden_reports must read the same
-# text either way, and reference_oracle must hold either way: both builds of
-# the reference kernels compute the faithful emulator's bits; parallel_replay's
-# fold oracle must hold either way too. The kernels::gemm unit tests
+# text either way; parallel_replay's fold oracle must hold either way too.
+# The kernels::gemm unit tests
 # hold the one tile driver, under both chain rules and both explicit engines,
 # to a one-row, one-channel run of it per cell; hold the one quantized Conv2d
 # and FC every flavor runs, in both builds, to the scalar loops they replaced
@@ -100,9 +97,15 @@ backend-suites() {
 # 8-wide channel blocks and the single-channel tail — to the naive loops they
 # replaced, and the int8 depthwise kernels, exact and with the injected i16
 # accumulator, to the per-cell loop, under both requantization precisions, in
-# both builds. native_engines also pins the quantized Conv2d and FC of every
-# flavor across both builds, and simd::execute_node_with to the interpreter
-# under injected defects and emulated numerics. differential_replay runs here too: bisection re-executes
+# both builds. The kernels::conv and kernels::fc unit tests also hold every
+# edge-emulator sum chain (each accumulation order, split and fused) of the
+# reference Conv2d, the shared depthwise and the reference FC — on drawn
+# windows, channel counts, biases and special values, and on every zoo layer
+# geometry — to the per-cell gather loops the emulator ran before, in both
+# builds. native_engines also runs every device profile's emulator across
+# both builds, pins the quantized Conv2d and FC of every flavor across both
+# builds, and simd::execute_node_with to the interpreter under injected
+# defects and emulated numerics. differential_replay runs here too: bisection re-executes
 # the divergent node through execute_node_with on the process's engine, so
 # its op-local verdicts must hold under the mirror as well.
 kernel-simd() {
@@ -111,15 +114,18 @@ kernel-simd() {
     --test native_engines -q)
   local gemm=(-p mlexray-nn --lib kernels::gemm -q)
   local conv=(-p mlexray-nn --lib kernels::conv -q)
-  local core=(-p mlexray-core --test golden_reports --test reference_oracle
-    --test differential_replay --test parallel_replay -q)
+  local fc=(-p mlexray-nn --lib kernels::fc -q)
+  local core=(-p mlexray-core --test golden_reports --test differential_replay
+    --test parallel_replay -q)
   cargo test "${nn[@]}"
   cargo test "${gemm[@]}"
   cargo test "${conv[@]}"
+  cargo test "${fc[@]}"
   cargo test "${core[@]}"
   MLEXRAY_SIMD=scalar cargo test "${nn[@]}"
   MLEXRAY_SIMD=scalar cargo test "${gemm[@]}"
   MLEXRAY_SIMD=scalar cargo test "${conv[@]}"
+  MLEXRAY_SIMD=scalar cargo test "${fc[@]}"
   MLEXRAY_SIMD=scalar cargo test "${core[@]}"
 }
 
