@@ -1,6 +1,6 @@
 //! Convolution kernels that walk the kernel window per output cell: the
 //! float **reference** `Conv2d` ([`conv2d_f32`] — the oracle every faster
-//! float path is compared against), and one depthwise cell walk
+//! float path is compared against), and one depthwise walk
 //! ([`depthwise_row`]) that runs the float kernel every flavor shares and
 //! the int8 kernels — exact, and with the injected optimized-flavor defect
 //! of §4.4. The optimized and SIMD float `Conv2d`, and the quantized
@@ -15,21 +15,33 @@
 //! with an unfused multiply-then-add (Rust never contracts `a + x * w`) and
 //! padding taps skipped rather than added as `0 · w`. The sums of different
 //! output values share nothing, so which of them advance side by side is
-//! free: [`conv2d_f32`] runs eight output-channel chains at a time over
-//! weights packed once into panels, [`dwconv_f32_channels`] runs up to
-//! sixteen of a cell's channels at a time in registers. The
-//! one-accumulator-at-a-time loops they replaced are kept verbatim in this
-//! module's tests, which hold both kernels to them bit for bit — under the
-//! baseline build and the AVX2 one — as they hold the int8 depthwise to the
-//! per-cell loop it replaced: integer sums are exact in any order. The
-//! edge emulator runs the float walks under other [`Chain`]s — reversed, or
-//! striped over eight lanes; split or fused — which the tests hold to the
-//! per-cell gather loops the emulator ran before.
+//! free. Both walks go along each output row in groups of adjacent cells
+//! ([`WindowGeom::row_groups`]): cells whose windows have every column in
+//! bounds have the same runs, their inputs `stride · c` apart, so a group
+//! reads each weight once for all its cells. [`conv2d_f32`] runs a group's
+//! cells × eight output channels side by side over weights packed once into
+//! panels — groups of six, three, then two cells in the AVX2+FMA build, of
+//! four, then two in the baseline; [`dwconv_f32_channels`] runs up to
+//! sixteen channels of a group of three, then two cells (two in the
+//! baseline) in registers. Border cells, and a row's end that no group fits,
+//! walk alone, as does every cell of the int8 depthwise, which measured
+//! slower in groups. A group changes which sums advance together, never a sum:
+//! each output keeps its own accumulator, seed, term order (forward, or
+//! backward for a reversed [`Chain`]) and rounding, whatever the chain. The
+//! one-accumulator-at-a-time loops these walks replaced are kept verbatim
+//! in this module's tests, which hold both kernels to them bit for bit —
+//! under the baseline build and the AVX2 one, on drawn layers and on layers
+//! that put every edge of a group on a row — as they hold the int8
+//! depthwise to the per-cell loop it replaced: integer sums are exact in
+//! any order. The edge emulator runs the float walks under other
+//! [`Chain`]s — reversed, or striped over eight lanes; split or fused —
+//! which the tests hold to the per-cell gather loops the emulator ran
+//! before.
 
 use mlexray_tensor::{QuantParams, Tensor};
 
 use crate::graph::{Node, TensorDef};
-use crate::kernels::gemm::Engine;
+use crate::kernels::gemm::{Engine, SimdEngine};
 use crate::kernels::window::{Row, Window, WindowGeom};
 use crate::kernels::{
     act_qbounds, f32_slot, out_qparams, qparams_of, requantize, u8_slot, Chain, Ordered,
@@ -75,42 +87,122 @@ pub(crate) fn pack_weight_panels(weights: &Tensor, packed: &mut Vec<f32>) -> Res
     Ok(())
 }
 
-/// One output cell of one `W`-channel panel: `W` independent `chain` sums,
-/// each seeded with its bias and taking its `(ky, kx, ic)` products in
-/// walk order, before the activation. `W` is a const so the chains live in
-/// registers.
+/// What a panel's chains read: the chain, the geometry, the group's first
+/// window, the input, the panel and its biases.
+type PanelArgs<'a, C> = (
+    C,
+    &'a WindowGeom,
+    &'a Window,
+    &'a [f32],
+    &'a [f32],
+    Option<&'a [f32]>,
+);
+
+/// `N` adjacent output cells of one `W`-channel panel — a group of
+/// [`WindowGeom::row_groups`], `window` its first cell's — into `out`, cell
+/// `i`'s channels at `i · out_c`: `N × W` independent `chain` sums, each
+/// seeded with its bias and taking its `(ky, kx, ic)` products in walk
+/// order, before the activation. Each weight vector is loaded once for the
+/// `N` cells. `W` and `N` are consts so the chains live in registers.
 #[inline(always)]
-fn conv2d_panel_chains<C: Chain, const W: usize>(
-    chain: C,
-    g: &WindowGeom,
-    window: &Window,
-    x: &[f32],
-    panel: &[f32],
-    bias: Option<&[f32]>,
+fn conv2d_panel_chains<C: Chain, const W: usize, const N: usize>(
+    (chain, g, window, x, panel, bias): PanelArgs<C>,
     out: &mut [f32],
+    out_c: usize,
 ) {
     let mut seeds = [0.0; W];
     if let Some(bias) = bias {
         seeds.copy_from_slice(bias);
     }
-    let mut acc = seeds.map(|b| chain.seed(b));
+    let mut acc = [seeds.map(|b| chain.seed(b)); N];
+    let step = g.cell_step();
     for (at, run) in Ordered(C::REVERSED, g.runs(window)) {
-        let ws = &panel[at * W..][..run.len() * W];
-        for (&xv, wv) in Ordered(C::REVERSED, x[run].iter().zip(ws.chunks_exact(W))) {
-            for lane in 0..W {
-                acc[lane] = chain.step(acc[lane], xv, wv[lane]);
+        let len = run.len();
+        let ws = &panel[at * W..][..len * W];
+        let xs: [&[f32]; N] = std::array::from_fn(|i| &x[run.start + i * step..][..len]);
+        for (t, wv) in Ordered(C::REVERSED, ws.chunks_exact(W).enumerate()) {
+            for (acc, xs) in acc.iter_mut().zip(xs) {
+                let xv = xs[t];
+                for lane in 0..W {
+                    acc[lane] = chain.step(acc[lane], xv, wv[lane]);
+                }
             }
         }
     }
-    for (o, &acc) in out.iter_mut().zip(&acc) {
-        *o = chain.finish(acc);
+    for (i, acc) in acc.iter().enumerate() {
+        for (o, &acc) in out[i * out_c..][..W].iter_mut().zip(acc) {
+            *o = chain.finish(acc);
+        }
+    }
+}
+
+/// [`conv2d_panel_chains`] over a group of `n` cells, `n` one of `N`, `H`,
+/// `Q` and 1.
+#[inline(always)]
+fn conv2d_group<C: Chain, const W: usize, const N: usize, const H: usize, const Q: usize>(
+    n: usize,
+    args: PanelArgs<C>,
+    out: &mut [f32],
+    out_c: usize,
+) {
+    match n {
+        _ if n == N => conv2d_panel_chains::<C, W, N>(args, out, out_c),
+        _ if n == H => conv2d_panel_chains::<C, W, H>(args, out, out_c),
+        _ if n == Q => conv2d_panel_chains::<C, W, Q>(args, out, out_c),
+        _ => conv2d_panel_chains::<C, W, 1>(args, out, out_c),
+    }
+}
+
+/// The reference `Conv2d` walk in [`WindowGeom::row_groups`] of `N`, `H`
+/// or `Q` cells: per output row, per group, per panel, the panel's chains;
+/// then the row's activation in one pass.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn conv2d_rows<C: Chain, const N: usize, const H: usize, const Q: usize>(
+    chain: C,
+    g: &WindowGeom,
+    x: &[f32],
+    panels: &[f32],
+    out_c: usize,
+    bias: Option<&[f32]>,
+    activation: Activation,
+    out: &mut [f32],
+) {
+    let ksize = g.patch_len();
+    for row in g.rows() {
+        for (window, n) in g.row_groups(row, [N, H, Q]) {
+            let out = &mut out[window.index * out_c..][..n * out_c];
+            for (oc0, width) in weight_panels(out_c) {
+                let panel = &panels[oc0 * ksize..][..width * ksize];
+                let bias = bias.map(|b| &b[oc0..oc0 + width]);
+                let (args, out) = ((chain, g, &window, x, panel, bias), &mut out[oc0..]);
+                match width {
+                    8 => conv2d_group::<C, 8, N, H, Q>(n, args, out, out_c),
+                    4 => conv2d_group::<C, 4, N, H, Q>(n, args, out, out_c),
+                    _ => conv2d_group::<C, 1, N, H, Q>(n, args, out, out_c),
+                }
+            }
+        }
+        activation.apply_in_place(&mut out[row.index * out_c..][..g.out_width() * out_c]);
     }
 }
 
 native_kernel! {
-    /// The reference `Conv2d` over `x` under `chain`: per output cell, per
-    /// panel, the panel's chains, then the cell's activation in one pass.
-    fn conv2d_panel_cells<C: Chain>(
+    /// The reference `Conv2d` over `x` under `chain`: [`conv2d_rows`] in
+    /// groups of six adjacent cells, then three, then two in the AVX2+FMA
+    /// build, and four, then two in the baseline — as many as the build's
+    /// sixteen vector registers hold `× 8` chains of, with a weight vector
+    /// and a broadcast input beside them; the smaller groups take the
+    /// ragged end of a row. Chosen by measurement, like `gemm`'s `MR`: the
+    /// reference `Conv2d` of `mini_mobilenet_v2@24` (rows of 12 and 6
+    /// cells), best of 60 invokes on a shared 2-vCPU AVX2 host, AVX2+FMA
+    /// build: 24.3 µs one cell at a time; groups of 4 then 2: 11.7; 8, 4, 2:
+    /// 11.0; 6, 3, 2: 9.8 — at `mini_mobilenet_v2@32` (rows of 16 and 8):
+    /// 42, 18.9, 16.0 and 18.2 µs. Baseline build: 35–45 µs one cell at a
+    /// time, 21–26 in groups of 4 then 2, 24–27 in groups of 6, 3, 2 (at
+    /// `@32`: 67–83, 36–43 and 46–49 µs). Every chain gains alike, the
+    /// emulator's striped one — whose nine-word sums spill — included.
+    fn conv2d_panel_cells<C: Chain>[build](
         chain: C,
         g: &WindowGeom,
         x: &[f32],
@@ -120,20 +212,13 @@ native_kernel! {
         activation: Activation,
         out: &mut [f32],
     ) {
-        let ksize = g.patch_len();
-        for window in g.windows() {
-            let out = &mut out[window.index * out_c..][..out_c];
-            for (oc0, width) in weight_panels(out_c) {
-                let panel = &panels[oc0 * ksize..][..width * ksize];
-                let bias = bias.map(|b| &b[oc0..oc0 + width]);
-                let out = &mut out[oc0..oc0 + width];
-                match width {
-                    8 => conv2d_panel_chains::<C, 8>(chain, g, &window, x, panel, bias, out),
-                    4 => conv2d_panel_chains::<C, 4>(chain, g, &window, x, panel, bias, out),
-                    _ => conv2d_panel_chains::<C, 1>(chain, g, &window, x, panel, bias, out),
-                }
+        match build {
+            SimdEngine::Avx2Fma => {
+                conv2d_rows::<C, 6, 3, 2>(chain, g, x, panels, out_c, bias, activation, out)
             }
-            activation.apply_in_place(out);
+            SimdEngine::Scalar => {
+                conv2d_rows::<C, 4, 2, 1>(chain, g, x, panels, out_c, bias, activation, out)
+            }
         }
     }
 }
@@ -141,8 +226,8 @@ native_kernel! {
 /// Reference float 2-D convolution over `panels`, the weights as
 /// [`pack_weight_panels`] lays them out (`inputs[1]` is read for its shape
 /// only): one sum per output value under `numerics`' [`Chain`], seeded
-/// with the bias, a panel's worth of them advancing side by side, in
-/// `engine`'s build.
+/// with the bias, a group of cells' worth of a panel's worth of them
+/// advancing side by side, in `engine`'s build.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_f32(
     engine: Engine,
@@ -177,6 +262,8 @@ trait DepthwiseMac: Copy {
     type W: Copy;
     type Acc: Copy;
     const REVERSED: bool;
+    /// Whether the walk advances several cells' sums side by side.
+    const GROUPED: bool;
 
     /// The sums of channels `ch0..ch0 + B` before their first tap.
     fn seeds<const B: usize>(self, ch0: usize) -> [Self::Acc; B];
@@ -195,6 +282,7 @@ impl<C: Chain> DepthwiseMac for FloatMac<'_, C> {
     type W = f32;
     type Acc = C::Acc;
     const REVERSED: bool = C::REVERSED;
+    const GROUPED: bool = true;
 
     #[inline(always)]
     fn seeds<const B: usize>(self, ch0: usize) -> [C::Acc; B] {
@@ -242,13 +330,15 @@ fn mac_lanes<M: DepthwiseMac, const B: usize>(
     }
 }
 
-/// One cell's `B` channels from `ch0` on, handed to `emit(cell, ch0,
-/// sums)`: each channel's sum starts at its seed and takes the cell's
-/// in-bounds taps in `(ky, kx)` order (or the reverse) — the nine of an
-/// unclipped 3×3 window unrolled, any other window's from
-/// [`WindowGeom::runs`]. `B` is a const, so the sums live in registers.
+/// `N` adjacent cells' `B` channels from `ch0` on — a group of
+/// [`WindowGeom::row_groups`], `window` its first cell's — each cell's sums
+/// handed to `emit(cell, ch0, sums)`: each channel's sum starts at its seed
+/// and takes the cell's in-bounds taps in `(ky, kx)` order (or the reverse)
+/// — the nine of an unclipped 3×3 window unrolled, any other window's from
+/// [`WindowGeom::runs`] — the `N` cells' taps side by side, sharing each
+/// weight load. `B` and `N` are consts, so the sums live in registers.
 #[inline(always)]
-fn depthwise_block<M: DepthwiseMac, const B: usize>(
+fn depthwise_block<M: DepthwiseMac, const B: usize, const N: usize>(
     mac: M,
     g: &WindowGeom,
     window: &Window,
@@ -257,37 +347,70 @@ fn depthwise_block<M: DepthwiseMac, const B: usize>(
     ch0: usize,
     emit: &mut impl FnMut(usize, usize, &[M::Acc]),
 ) {
-    let c = g.c;
-    let mut acc = mac.seeds::<B>(ch0);
+    let (c, step) = (g.c, g.cell_step());
+    let mut acc = [mac.seeds::<B>(ch0); N];
     match (g.kernel(), g.unclipped_origin(window)) {
         ((3, 3), Some(origin)) => {
             let row_len = g.in_row_len();
             for ky in Ordered(M::REVERSED, 0..3) {
-                let xs = &x[origin + ky * row_len + ch0..][..2 * c + B];
+                let at = origin + ky * row_len + ch0;
+                let xs: [&[M::X]; N] = std::array::from_fn(|i| &x[at + i * step..][..2 * c + B]);
                 let ws = &w[ky * 3 * c + ch0..][..2 * c + B];
                 for kx in Ordered(M::REVERSED, 0..3) {
-                    mac_lanes(mac, &mut acc, &xs[kx * c..], &ws[kx * c..]);
+                    for (acc, xs) in acc.iter_mut().zip(xs) {
+                        mac_lanes(mac, acc, &xs[kx * c..], &ws[kx * c..]);
+                    }
                 }
             }
         }
         _ => {
             for (at, run) in Ordered(M::REVERSED, g.runs(window)) {
                 for kx in Ordered(M::REVERSED, 0..window.cols()) {
-                    let (xs, ws) = (&x[run.start + kx * c + ch0..], &w[at + kx * c + ch0..]);
-                    mac_lanes(mac, &mut acc, xs, ws);
+                    let ws = &w[at + kx * c + ch0..];
+                    for (i, acc) in acc.iter_mut().enumerate() {
+                        mac_lanes(mac, acc, &x[run.start + i * step + kx * c + ch0..], ws);
+                    }
                 }
             }
         }
     }
-    emit(window.index, ch0, &acc);
+    for (i, acc) in acc.iter().enumerate() {
+        emit(window.index + i, ch0, acc);
+    }
 }
 
 /// The depthwise convolution of `x` by `w: [kh·kw, c]` over one output
-/// row, cell by cell, each cell channel block by channel block of
-/// [`channel_blocks`] ([`depthwise_block`]): the block's sums go to
-/// `emit(cell, ch0, sums)`, where `cell` is the cell's flat NHW offset.
+/// row ([`depthwise_groups`]). Float sums go in groups of three adjacent
+/// cells, then two, in the AVX2+FMA build and of two in the baseline; the
+/// int8 sums one cell at a time. Chosen by measurement, best of 60 invokes
+/// on a shared 2-vCPU AVX2 host: the float depthwise of
+/// `mini_mobilenet_v2@24` took 5.2 µs one cell at a time, 4.5 in groups of
+/// two and 4.2 in groups of three then two (`@32`: 8.8, 7.6 and 6.7 µs);
+/// the int8 depthwise of `mobilenet_v2@48` took
+/// 564–580 µs one cell at a time and 742–770 µs in groups of three.
 #[inline(always)]
 fn depthwise_row<M: DepthwiseMac>(
+    mac: M,
+    build: SimdEngine,
+    g: &WindowGeom,
+    row: Row,
+    x: &[M::X],
+    w: &[M::W],
+    emit: impl FnMut(usize, usize, &[M::Acc]),
+) {
+    match (M::GROUPED, build) {
+        (false, _) => depthwise_groups::<M, 1, 1>(mac, g, row, x, w, emit),
+        (true, SimdEngine::Avx2Fma) => depthwise_groups::<M, 3, 2>(mac, g, row, x, w, emit),
+        (true, SimdEngine::Scalar) => depthwise_groups::<M, 2, 1>(mac, g, row, x, w, emit),
+    }
+}
+
+/// [`depthwise_row`] in groups of up to `N` cells, each group channel
+/// block by channel block of [`channel_blocks`] ([`depthwise_block`]): each
+/// cell's block of sums goes to `emit(cell, ch0, sums)`, where `cell` is
+/// the cell's flat NHW offset.
+#[inline(always)]
+fn depthwise_groups<M: DepthwiseMac, const N: usize, const H: usize>(
     mac: M,
     g: &WindowGeom,
     row: Row,
@@ -295,14 +418,36 @@ fn depthwise_row<M: DepthwiseMac>(
     w: &[M::W],
     mut emit: impl FnMut(usize, usize, &[M::Acc]),
 ) {
-    for window in g.row_windows(row) {
+    for (window, n) in g.row_groups(row, [N, H]) {
+        let (window, emit) = (&window, &mut emit);
         for (ch0, width) in channel_blocks(g.c) {
             match width {
-                16 => depthwise_block::<M, 16>(mac, g, &window, x, w, ch0, &mut emit),
-                8 => depthwise_block::<M, 8>(mac, g, &window, x, w, ch0, &mut emit),
-                _ => depthwise_block::<M, 1>(mac, g, &window, x, w, ch0, &mut emit),
+                16 => depthwise_group::<M, 16, N, H>(n, mac, g, window, x, w, ch0, emit),
+                8 => depthwise_group::<M, 8, N, H>(n, mac, g, window, x, w, ch0, emit),
+                _ => depthwise_group::<M, 1, N, H>(n, mac, g, window, x, w, ch0, emit),
             }
         }
+    }
+}
+
+/// [`depthwise_block`] over a group of `n` cells, `n` one of `N`, `H` and
+/// 1.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn depthwise_group<M: DepthwiseMac, const B: usize, const N: usize, const H: usize>(
+    n: usize,
+    mac: M,
+    g: &WindowGeom,
+    window: &Window,
+    x: &[M::X],
+    w: &[M::W],
+    ch0: usize,
+    emit: &mut impl FnMut(usize, usize, &[M::Acc]),
+) {
+    match n {
+        _ if n == N => depthwise_block::<M, B, N>(mac, g, window, x, w, ch0, emit),
+        _ if n == H => depthwise_block::<M, B, H>(mac, g, window, x, w, ch0, emit),
+        _ => depthwise_block::<M, B, 1>(mac, g, window, x, w, ch0, emit),
     }
 }
 
@@ -311,7 +456,7 @@ native_kernel! {
     /// `chain`, output row by output row: the row's cells
     /// ([`depthwise_row`], each channel's sum seeded with its bias), then
     /// the row's activation in one pass.
-    fn dwconv_cells<C: Chain>(
+    fn dwconv_cells<C: Chain>[build](
         chain: C,
         g: &WindowGeom,
         x: &[f32],
@@ -322,7 +467,7 @@ native_kernel! {
     ) {
         let (c, mac) = (g.c, FloatMac { chain, bias });
         for row in g.rows() {
-            depthwise_row(mac, g, row, x, w, #[inline(always)] |cell, ch0, sums| {
+            depthwise_row(mac, build, g, row, x, w, #[inline(always)] |cell, ch0, sums| {
                 let out = &mut out[cell * c + ch0..][..sums.len()];
                 for (o, &sum) in out.iter_mut().zip(sums) {
                     *o = chain.finish(sum);
@@ -334,10 +479,10 @@ native_kernel! {
 }
 
 /// Float depthwise convolution of every flavor, the emulator included, in
-/// `engine`'s build: cell by cell along each output row, each cell's
-/// channels in 16- and 8-wide register blocks and then one by one, the nine
-/// taps of an unclipped 3×3 window unrolled and a border cell's taps walked
-/// run by run; then one activation pass per row. Every channel is an
+/// `engine`'s build: in groups of adjacent cells along each output row,
+/// each group's channels in 16- and 8-wide register blocks and then one by
+/// one, the nine taps of an unclipped 3×3 window unrolled and any other
+/// window's taps walked run by run; then one activation pass per row. Every channel is an
 /// independent sum under `numerics`' [`Chain`] over its in-bounds taps in
 /// `(ky, kx)` order, seeded with the bias; the faithful chain — every
 /// native flavor's — adds them with **unfused** multiply-adds, so outputs
@@ -397,6 +542,7 @@ impl DepthwiseMac for ExactMac {
     type W = i8;
     type Acc = i32;
     const REVERSED: bool = false;
+    const GROUPED: bool = false;
 
     #[inline(always)]
     fn seeds<const B: usize>(self, _: usize) -> [i32; B] {
@@ -429,6 +575,7 @@ impl DepthwiseMac for WrappingI16Mac {
     type W = i8;
     type Acc = i16;
     const REVERSED: bool = false;
+    const GROUPED: bool = false;
 
     #[inline(always)]
     fn seeds<const B: usize>(self, _: usize) -> [i16; B] {
@@ -493,6 +640,7 @@ impl Requant<'_> {
 #[inline(always)]
 fn dwconv_q_walk<M: QuantMac>(
     mac: M,
+    build: SimdEngine,
     g: &WindowGeom,
     x: &[u8],
     w: &[i8],
@@ -503,6 +651,7 @@ fn dwconv_q_walk<M: QuantMac>(
     for row in g.rows() {
         depthwise_row(
             mac,
+            build,
             g,
             row,
             x,
@@ -519,7 +668,7 @@ native_kernel! {
     /// The int8 depthwise convolution of `x` by `w: [kh·kw, c]`: the float
     /// kernel's cell walk over `kind`'s sums. Each kind is its own
     /// instantiation of the walk; the `match` is taken once per node.
-    fn dwconv_q_cells(
+    fn dwconv_q_cells[build](
         g: &WindowGeom,
         x: &[u8],
         w: &[i8],
@@ -529,9 +678,9 @@ native_kernel! {
         out: &mut [u8],
     ) {
         match kind {
-            QuantDepthwise::Exact => dwconv_q_walk(ExactMac { zp_in }, g, x, w, rq, out),
+            QuantDepthwise::Exact => dwconv_q_walk(ExactMac { zp_in }, build, g, x, w, rq, out),
             QuantDepthwise::WrappingI16 => {
-                dwconv_q_walk(WrappingI16Mac { zp_in }, g, x, w, rq, out)
+                dwconv_q_walk(WrappingI16Mac { zp_in }, build, g, x, w, rq, out)
             }
         }
     }
@@ -1048,64 +1197,228 @@ pub(super) mod tests {
         }
     }
 
+    /// One oracle case's layer: an `[n, h, w, c]` input under a `kh × kw`
+    /// window at `stride` and `padding`, into `out_c` channels — a
+    /// depthwise layer keeps its `c`.
+    #[derive(Clone, Copy, Debug)]
+    struct Geometry {
+        input: [usize; 4],
+        window: [usize; 2],
+        stride: usize,
+        padding: Padding,
+        out_c: usize,
+    }
+
+    /// A case's bias.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Bias {
+        Absent,
+        Drawn,
+        /// `-0.0` for every channel: a sum that starts from it keeps the
+        /// sign of its `-0.0` products, one that starts from `+0.0` does not.
+        NegativeZero,
+    }
+
+    const BIASES: [Bias; 3] = [Bias::Absent, Bias::Drawn, Bias::NegativeZero];
+    const VALUES: [Values; 3] = [Values::Tame, Values::Finite, Values::Any];
+
+    impl Geometry {
+        /// A float case of this layer — a `Conv2d`, or a depthwise one —
+        /// drawn from `seed`.
+        fn case(
+            self,
+            depthwise: bool,
+            bias: Bias,
+            activation: Activation,
+            values: Values,
+            seed: u64,
+        ) -> Case {
+            let ([.., c], [kh, kw]) = (self.input, self.window);
+            let weights = if depthwise {
+                [1, kh, kw, c]
+            } else {
+                [self.out_c, kh, kw, c]
+            };
+            let mut state = seed;
+            let mut case = Case::new(
+                self.input,
+                weights,
+                depthwise,
+                self.stride,
+                self.padding,
+                activation,
+                |n| draw(&mut state, values, n),
+                bias == Bias::Drawn,
+            );
+            if bias == Bias::NegativeZero {
+                case.bias = Some(negative_zero_bias(case.out_def.shape().dims()[3]));
+            }
+            case
+        }
+    }
+
+    /// The reference `Conv2d` over its panels, and — same geometry, `c`
+    /// channels — the depthwise kernel every native flavor runs, each in
+    /// both builds, against the loops the reference flavor ran before.
+    fn assert_reference_convs_are_the_naive_loops(
+        geometry: Geometry,
+        bias: Bias,
+        activation: Activation,
+        values: Values,
+        seed: u64,
+    ) {
+        let conv = geometry.case(false, bias, activation, values, seed);
+        let want = conv.run(conv2d_f32_naive);
+        for engine in builds() {
+            let what = format!("{engine:?} {geometry:?} {bias:?} {activation:?} seed {seed}");
+            let got = conv.conv2d_panels(engine, EdgeNumerics::faithful());
+            assert_same_bits(&got, &want, &what);
+        }
+        assert_depthwise_is_the_naive_loop(geometry, bias, activation, values, seed);
+    }
+
+    /// The depthwise kernel every native flavor runs, in both builds,
+    /// against the loop the reference flavor ran before.
+    fn assert_depthwise_is_the_naive_loop(
+        geometry: Geometry,
+        bias: Bias,
+        activation: Activation,
+        values: Values,
+        seed: u64,
+    ) {
+        let case = geometry.case(true, bias, activation, values, seed);
+        let want = case.run(dwconv_f32_naive);
+        for engine in builds() {
+            let what =
+                format!("depthwise {engine:?} {geometry:?} {bias:?} {activation:?} seed {seed}");
+            let got = case.depthwise(engine, EdgeNumerics::faithful());
+            assert_same_bits(&got, &want, &what);
+        }
+    }
+
+    /// Every edge-emulator chain of the reference `Conv2d` over its panels
+    /// and of the shared depthwise, in both builds, against the per-cell
+    /// gather loops the emulator ran before.
+    fn assert_every_chain_of_both_walks_is_the_gather_loop(
+        geometry: Geometry,
+        bias: Bias,
+        activation: Activation,
+        values: Values,
+        seed: u64,
+    ) {
+        let what = format!("{geometry:?} {bias:?} {activation:?} seed {seed}");
+        geometry
+            .case(false, bias, activation, values, seed)
+            .assert_every_chain_is_the_gather_loop(false, &what);
+        geometry
+            .case(true, bias, activation, values, seed)
+            .assert_every_chain_is_the_gather_loop(true, &format!("depthwise {what}"));
+    }
+
+    /// The int8 depthwise kernels — exact and with the injected `i16`
+    /// accumulator — in both builds, under both requant precisions, against
+    /// the per-cell loop they replaced.
+    fn assert_int8_depthwise_is_the_per_cell_loop(
+        geometry: Geometry,
+        with_bias: bool,
+        per_channel: bool,
+        activation: Activation,
+        zp_in: i32,
+        seed: u64,
+    ) {
+        let [kh, kw] = geometry.window;
+        let mut state = seed;
+        let case = QuantCase::new(
+            geometry.input,
+            (kh, kw),
+            geometry.stride,
+            geometry.padding,
+            activation,
+            zp_in,
+            per_channel,
+            with_bias,
+            &mut state,
+        );
+        let (node, def) = (&case.node, &case.out_def);
+        let (stride, padding, act) = (case.stride, case.padding, case.activation);
+        for requant in [RequantMode::Double, RequantMode::Single] {
+            for (kind, i16_accumulator) in [
+                (QuantDepthwise::Exact, false),
+                (QuantDepthwise::WrappingI16, true),
+            ] {
+                let want = case.run(|inputs, out| {
+                    dwconv_q_naive(
+                        node,
+                        inputs,
+                        def,
+                        stride,
+                        padding,
+                        act,
+                        i16_accumulator,
+                        requant,
+                        out,
+                    )
+                });
+                for engine in builds() {
+                    let got = case.run(|inputs, out| {
+                        dwconv_q(
+                            kind,
+                            engine,
+                            node,
+                            inputs,
+                            def,
+                            stride,
+                            padding,
+                            act,
+                            requant,
+                            &mut Vec::new(),
+                            out,
+                        )
+                    });
+                    assert_eq!(
+                        got, want,
+                        "{engine:?} {kind:?} {requant:?} {geometry:?} zp_in={zp_in} \
+                         bias={with_bias} per_channel={per_channel} {act:?} seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(360))]
 
-        /// Non-square windows, strides 1–3, SAME and VALID, ragged channel
-        /// counts on both sides, stacked batches, every activation, with and
-        /// without bias, over all three value classes: the reference
-        /// `Conv2d` over its panels, and — same geometry, `in_c` channels —
-        /// the depthwise kernel every native flavor now runs, each in both
-        /// builds, against the loop the reference flavor ran before.
+        /// Non-square windows, strides 1–3, SAME and VALID, rows of up to
+        /// fourteen cells, ragged channel counts on both sides, stacked
+        /// batches, every activation, no bias, a drawn one or a `-0.0` one,
+        /// over all three value classes: [`assert_reference_convs_are_the_naive_loops`].
         #[test]
         fn reference_float_convs_are_the_naive_loops_bitwise(
             kh in 0usize..KERNEL_SIDES.len(),
             kw in 0usize..KERNEL_SIDES.len(),
             extra_h in 0usize..4,
-            extra_w in 0usize..4,
+            extra_w in 0usize..8,
             stride in 1usize..=3,
             same in 0u8..2,
             in_c in 1usize..=40,
             out_c in 0usize..OUT_CHANNELS.len(),
             batch in 1usize..=3,
-            with_bias in 0u8..2,
+            bias in 0usize..BIASES.len(),
             activation in 0usize..ACTIVATIONS.len(),
-            values in 0u8..3,
+            values in 0usize..VALUES.len(),
             seed in 1u64..=u64::MAX,
         ) {
-            let (kh, kw, out_c) = (KERNEL_SIDES[kh], KERNEL_SIDES[kw], OUT_CHANNELS[out_c]);
-            let padding = if same == 1 { Padding::Same } else { Padding::Valid };
-            let values = [Values::Tame, Values::Finite, Values::Any][values as usize];
-            let mut state = seed;
-            let mut case = |weights: [usize; 4], depthwise: bool| Case::new(
-                [batch, kh + extra_h, kw + extra_w, in_c],
-                weights,
-                depthwise,
+            let (kh, kw) = (KERNEL_SIDES[kh], KERNEL_SIDES[kw]);
+            let geometry = Geometry {
+                input: [batch, kh + extra_h, kw + extra_w, in_c],
+                window: [kh, kw],
                 stride,
-                padding,
-                ACTIVATIONS[activation],
-                |n| draw(&mut state, values, n),
-                with_bias == 1,
+                padding: if same == 1 { Padding::Same } else { Padding::Valid },
+                out_c: OUT_CHANNELS[out_c],
+            };
+            assert_reference_convs_are_the_naive_loops(
+                geometry, BIASES[bias], ACTIVATIONS[activation], VALUES[values], seed,
             );
-            let what = format!(
-                "{kh}x{kw}/{stride} {padding:?} {in_c}->{out_c} x{batch} bias={with_bias} {:?} \
-                 seed {seed}",
-                ACTIVATIONS[activation]
-            );
-            let conv = case([out_c, kh, kw, in_c], false);
-            let depthwise = case([1, kh, kw, in_c], true);
-            let (conv_want, depthwise_want) =
-                (conv.run(conv2d_f32_naive), depthwise.run(dwconv_f32_naive));
-            for engine in builds() {
-                let what = format!("{engine:?} {what}");
-                let conv_got = conv.conv2d_panels(engine, EdgeNumerics::faithful());
-                assert_same_bits(&conv_got, &conv_want, &what);
-                assert_same_bits(
-                    &depthwise.depthwise(engine, EdgeNumerics::faithful()),
-                    &depthwise_want,
-                    &format!("depthwise {what}"),
-                );
-            }
         }
     }
 
@@ -1123,58 +1436,46 @@ pub(super) mod tests {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
         /// The depthwise kernel's own branches — unrolled unclipped 3×3
-        /// cells, border cells walked run by run, 16- and 8-wide channel
+        /// cells, border cells walked run by run, cells grouped along a row
+        /// and the ragged ends of a row's groups, 16- and 8-wide channel
         /// blocks and the single-channel tail — under strides 1–3, SAME
         /// and VALID, inputs too small for an unclipped cell, stacked
-        /// batches, every activation, with and without bias and over all
-        /// three value classes, in both builds, against the loop the
-        /// reference flavor ran before. Half the cases draw a 3×3 window.
+        /// batches, every activation, no bias, a drawn one or a `-0.0` one,
+        /// over all three value classes: [`assert_depthwise_is_the_naive_loop`].
+        /// Half the cases draw a 3×3 window.
         #[test]
         fn depthwise_blocks_and_windows_are_the_naive_loop_bitwise(
             square in 0u8..2,
             kh in 0usize..KERNEL_SIDES.len(),
             kw in 0usize..KERNEL_SIDES.len(),
             extra_h in 0usize..6,
-            extra_w in 0usize..6,
+            extra_w in 0usize..12,
             stride in 1usize..=3,
             same in 0u8..2,
             c in 0usize..DEPTHWISE_CHANNELS.len(),
             batch in 1usize..=3,
-            with_bias in 0u8..2,
+            bias in 0usize..BIASES.len(),
             activation in 0usize..ACTIVATIONS.len(),
-            values in 0u8..3,
+            values in 0usize..VALUES.len(),
             seed in 1u64..=u64::MAX,
         ) {
             let (kh, kw) = if square == 1 { (3, 3) } else { (KERNEL_SIDES[kh], KERNEL_SIDES[kw]) };
-            let c = DEPTHWISE_CHANNELS[c];
             let padding = if same == 1 { Padding::Same } else { Padding::Valid };
             let (h, w) = (input_side(kh, extra_h, padding), input_side(kw, extra_w, padding));
-            let values = [Values::Tame, Values::Finite, Values::Any][values as usize];
-            let mut state = seed;
-            let case = Case::new(
-                [batch, h, w, c],
-                [1, kh, kw, c],
-                true,
+            let geometry = Geometry {
+                input: [batch, h, w, DEPTHWISE_CHANNELS[c]],
+                window: [kh, kw],
                 stride,
                 padding,
-                ACTIVATIONS[activation],
-                |n| draw(&mut state, values, n),
-                with_bias == 1,
+                out_c: 0,
+            };
+            assert_depthwise_is_the_naive_loop(
+                geometry, BIASES[bias], ACTIVATIONS[activation], VALUES[values], seed,
             );
-            let want = case.run(dwconv_f32_naive);
-            for engine in builds() {
-                let what = format!(
-                    "{engine:?} {kh}x{kw}/{stride} {padding:?} {h}x{w}x{c} x{batch} \
-                     bias={with_bias} {:?} seed {seed}",
-                    ACTIVATIONS[activation]
-                );
-                assert_same_bits(&case.depthwise(engine, EdgeNumerics::faithful()), &want, &what);
-            }
         }
     }
 
-    /// `-0.0` for each of `n` channels: a sum that starts from it keeps the
-    /// sign of its `-0.0` products, one that starts from `+0.0` does not.
+    /// `-0.0` for each of `n` channels.
     fn negative_zero_bias(n: usize) -> Tensor {
         Tensor::from_f32(Shape::vector(n), vec![-0.0; n]).unwrap()
     }
@@ -1187,54 +1488,118 @@ pub(super) mod tests {
         /// depthwise, in both builds, against the per-cell gather loops the
         /// emulator ran before: windows 1×1 to 7×7, square or not, strides
         /// 1–3, SAME (inputs from one pixel, so smaller than the window)
-        /// and VALID, channel counts 1–33 on both sides, stacked batches,
-        /// no bias, a drawn bias or a `-0.0` one, every activation, over
-        /// all three value classes (±0, subnormals, ±∞ and `NaN`).
+        /// and VALID, rows of up to ten cells, channel counts 1–33 on both
+        /// sides, stacked batches, no bias, a drawn bias or a `-0.0` one,
+        /// every activation, over all three value classes (±0, subnormals,
+        /// ±∞ and `NaN`).
         #[test]
         fn every_chain_is_the_gather_loop_bitwise(
             kh in 0usize..KERNEL_SIDES.len(),
             kw in 0usize..KERNEL_SIDES.len(),
             extra_h in 0usize..4,
-            extra_w in 0usize..4,
+            extra_w in 0usize..10,
             stride in 1usize..=3,
             same in 0u8..2,
             in_c in 1usize..=33,
             out_c in 1usize..=33,
             batch in 1usize..=3,
-            bias in 0u8..3,
+            bias in 0usize..BIASES.len(),
             activation in 0usize..ACTIVATIONS.len(),
-            values in 0u8..3,
+            values in 0usize..VALUES.len(),
             seed in 1u64..=u64::MAX,
         ) {
             let (kh, kw) = (KERNEL_SIDES[kh], KERNEL_SIDES[kw]);
             let padding = if same == 1 { Padding::Same } else { Padding::Valid };
             let (h, w) = (input_side(kh, extra_h, padding), input_side(kw, extra_w, padding));
-            let values = [Values::Tame, Values::Finite, Values::Any][values as usize];
-            let mut state = seed;
-            let mut case = |weights: [usize; 4], depthwise: bool| {
-                let mut case = Case::new(
-                    [batch, h, w, in_c],
-                    weights,
-                    depthwise,
-                    stride,
-                    padding,
-                    ACTIVATIONS[activation],
-                    |n| draw(&mut state, values, n),
-                    bias == 1,
-                );
-                if bias == 2 {
-                    case.bias = Some(negative_zero_bias(case.out_def.shape().dims()[3]));
-                }
-                case
+            let geometry = Geometry {
+                input: [batch, h, w, in_c],
+                window: [kh, kw],
+                stride,
+                padding,
+                out_c,
             };
-            let what = format!(
-                "{kh}x{kw}/{stride} {padding:?} {h}x{w}x{in_c}->{out_c} x{batch} bias={bias} \
-                 {:?} seed {seed}",
-                ACTIVATIONS[activation]
+            assert_every_chain_of_both_walks_is_the_gather_loop(
+                geometry, BIASES[bias], ACTIVATIONS[activation], VALUES[values], seed,
             );
-            case([out_c, kh, kw, in_c], false).assert_every_chain_is_the_gather_loop(false, &what);
-            case([1, kh, kw, in_c], true)
-                .assert_every_chain_is_the_gather_loop(true, &format!("depthwise {what}"));
+        }
+    }
+
+    /// Layers whose output rows the grouped walks split at every kind of
+    /// edge, in either build's group sizes (six, three, two and one cells
+    /// in the AVX2+FMA `Conv2d`, four, two and one in the baseline; three,
+    /// two, one and two, one in the depthwise).
+    const GROUP_EDGES: [Geometry; 12] = {
+        const fn layer(
+            input: [usize; 4],
+            window: [usize; 2],
+            stride: usize,
+            padding: Padding,
+            out_c: usize,
+        ) -> Geometry {
+            Geometry {
+                input,
+                window,
+                stride,
+                padding,
+                out_c,
+            }
+        }
+        use Padding::{Same, Valid};
+        [
+            // Rows no group size divides: 17 = 6 + 6 + 3 + 2 = 4 · 4 + 1
+            // cells, 11 = 6 + 3 + 2, 8 = 6 + 2; 13 = 8 + 4 + 1, 9 = 8 + 1
+            // and 5 = 4 + 1 output channels.
+            layer([1, 2, 17, 5], [1, 1], 1, Valid, 13),
+            layer([1, 1, 11, 2], [1, 1], 1, Valid, 9),
+            layer([2, 3, 8, 4], [1, 1], 1, Valid, 5),
+            // Stacked frames of 7-cell rows (6 + 1, 4 + 2 + 1): a group
+            // that crossed a row or a frame would read the next one's
+            // pixels. 7 = 4 + 1 + 1 + 1 output channels.
+            layer([3, 2, 7, 3], [1, 1], 1, Valid, 7),
+            // SAME, stride 2: a clipped cell, an unclipped run, a clipped
+            // cell — the odd width pads left and right, the even one only
+            // right, the 5 × 5 window two columns a side.
+            layer([2, 9, 9, 3], [3, 3], 2, Same, 13),
+            layer([1, 10, 14, 3], [3, 3], 2, Same, 4),
+            layer([1, 11, 23, 2], [5, 5], 2, Same, 5),
+            // SAME 3 × 3, stride 1: border cells around 12 and 7
+            // unrolled unclipped cells; 17 = 16 + 1 and 25 = 16 + 8 + 1
+            // depthwise channels.
+            layer([2, 5, 14, 17], [3, 3], 1, Same, 12),
+            layer([1, 4, 9, 25], [3, 3], 1, Same, 1),
+            // Grouped cells walked run by run: a 5 × 5 and a 3 × 1 window
+            // under SAME, a 1 × 3 one at stride 3.
+            layer([2, 6, 13, 9], [5, 5], 1, Same, 8),
+            layer([1, 7, 19, 2], [3, 1], 2, Same, 13),
+            layer([1, 3, 20, 3], [1, 3], 3, Valid, 4),
+        ]
+    };
+
+    /// Every group edge under every bias and value class, through the
+    /// naive-loop, gather-loop and int8 per-cell oracles.
+    #[test]
+    fn group_edges_are_every_oracle_bitwise() {
+        for (i, &geometry) in GROUP_EDGES.iter().enumerate() {
+            for (j, (bias, values)) in BIASES.into_iter().zip(VALUES).enumerate() {
+                let activation = ACTIVATIONS[(i + j) % ACTIVATIONS.len()];
+                let seed = (i * 3 + j) as u64 + 1;
+                assert_reference_convs_are_the_naive_loops(
+                    geometry, bias, activation, values, seed,
+                );
+                assert_every_chain_of_both_walks_is_the_gather_loop(
+                    geometry, bias, activation, values, seed,
+                );
+                let (with_bias, per_channel) = (bias != Bias::Absent, j % 2 == 1);
+                let zp_in = [0, 128, 255][j];
+                assert_int8_depthwise_is_the_per_cell_loop(
+                    geometry,
+                    with_bias,
+                    per_channel,
+                    activation,
+                    zp_in,
+                    seed,
+                );
+            }
         }
     }
 
@@ -1447,15 +1812,16 @@ pub(super) mod tests {
 
         /// The int8 depthwise kernels — exact and with the injected `i16`
         /// accumulator — in both builds, under both requant precisions and
-        /// input zero points 0, 128 and 255, against the per-cell loop they
-        /// replaced: the same bytes, wrapped `i16` sums included.
+        /// input zero points 0, 128 and 255, on the float depthwise
+        /// oracle's geometries: [`assert_int8_depthwise_is_the_per_cell_loop`],
+        /// the same bytes, wrapped `i16` sums included.
         #[test]
         fn int8_depthwise_is_the_per_cell_loop_bytewise(
             square in 0u8..2,
             kh in 0usize..KERNEL_SIDES.len(),
             kw in 0usize..KERNEL_SIDES.len(),
             extra_h in 0usize..6,
-            extra_w in 0usize..6,
+            extra_w in 0usize..12,
             stride in 1usize..=3,
             same in 0u8..2,
             c in 0usize..DEPTHWISE_CHANNELS.len(),
@@ -1467,59 +1833,23 @@ pub(super) mod tests {
             seed in 1u64..=u64::MAX,
         ) {
             let (kh, kw) = if square == 1 { (3, 3) } else { (KERNEL_SIDES[kh], KERNEL_SIDES[kw]) };
-            let c = DEPTHWISE_CHANNELS[c];
             let padding = if same == 1 { Padding::Same } else { Padding::Valid };
             let (h, w) = (input_side(kh, extra_h, padding), input_side(kw, extra_w, padding));
-            let zp_in = [0, 128, 255][zp_in];
-            let mut state = seed;
-            let case = QuantCase::new(
-                [batch, h, w, c],
-                (kh, kw),
+            let geometry = Geometry {
+                input: [batch, h, w, DEPTHWISE_CHANNELS[c]],
+                window: [kh, kw],
                 stride,
                 padding,
-                ACTIVATIONS[activation],
-                zp_in,
-                per_channel == 1,
+                out_c: 0,
+            };
+            assert_int8_depthwise_is_the_per_cell_loop(
+                geometry,
                 with_bias == 1,
-                &mut state,
+                per_channel == 1,
+                ACTIVATIONS[activation],
+                [0, 128, 255][zp_in],
+                seed,
             );
-            let (node, def) = (&case.node, &case.out_def);
-            let (stride, padding, act) = (case.stride, case.padding, case.activation);
-            for requant in [RequantMode::Double, RequantMode::Single] {
-                for (kind, i16_accumulator) in
-                    [(QuantDepthwise::Exact, false), (QuantDepthwise::WrappingI16, true)]
-                {
-                    let want = case.run(|inputs, out| {
-                        dwconv_q_naive(
-                            node, inputs, def, stride, padding, act, i16_accumulator, requant,
-                            out,
-                        )
-                    });
-                    for engine in builds() {
-                        let got = case.run(|inputs, out| {
-                            dwconv_q(
-                                kind,
-                                engine,
-                                node,
-                                inputs,
-                                def,
-                                stride,
-                                padding,
-                                act,
-                                requant,
-                                &mut Vec::new(),
-                                out,
-                            )
-                        });
-                        assert_eq!(
-                            got, want,
-                            "{engine:?} {kind:?} {requant:?} {kh}x{kw}/{stride} {padding:?} \
-                             {h}x{w}x{c} x{batch} zp_in={zp_in} bias={with_bias} \
-                             per_channel={per_channel} {act:?} seed {seed}"
-                        );
-                    }
-                }
-            }
         }
     }
 

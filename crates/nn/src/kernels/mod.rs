@@ -13,13 +13,17 @@
 //! * the **reference** kernels (`conv::conv2d_f32`, `fc::fc_f32`), the
 //!   oracle: one sequential accumulator per output value, seeded with the
 //!   bias. What is sequential is each value's *sum*, not the loop nest —
-//!   `conv2d_f32` advances the independent sums of eight output channels
-//!   side by side over weight panels the interpreter packs once
-//!   (`pack_weight_panels`), changing no bit; the one-sum-at-a-time loops it
-//!   and the reference depthwise replaced live on in `conv`'s tests as the
-//!   oracle's oracle. The edge emulator *is* these kernels: each reference
-//!   walk takes its sum's arithmetic as a [`Chain`] type, and the
-//!   emulator's [`EdgeNumerics`] pick another instance of the same walk;
+//!   `conv2d_f32` advances the independent sums of eight output channels of
+//!   a group of adjacent output cells (six in the AVX2+FMA build, four in
+//!   the baseline) side by side over weight panels the interpreter packs
+//!   once (`pack_weight_panels`), each weight loaded once for the group;
+//!   grouped cells have the same window runs, so each sum keeps its seed,
+//!   term order and rounding and no bit changes. The one-sum-at-a-time
+//!   loops it and the reference depthwise replaced live on in `conv`'s
+//!   tests as the oracle's oracle. The edge emulator *is* these kernels:
+//!   each reference walk takes its sum's arithmetic as a [`Chain`] type,
+//!   and the emulator's [`EdgeNumerics`] pick another instance of the same
+//!   walk;
 //! * the **optimized** flavor's blocked-4 cell ([`KernelFlavor::Optimized`]:
 //!   four striped partial sums, `(s0 + s1) + (s2 + s3) + rest + bias`),
 //!   run over an im2col matrix against the *same* packed panels, a panel's
@@ -36,15 +40,19 @@
 //!
 //! Float `DepthwiseConv2d` has one native kernel, shared by all three
 //! flavors (`conv::dwconv_f32_channels`: every channel is its own sequential
-//! sum, so there is nothing to reassociate). It walks cell by cell, each
-//! cell's channel sums held in registers in 16- and 8-wide blocks and then
-//! one by one, the nine taps of an unclipped 3×3 window unrolled. Quantized
-//! `DepthwiseConv2d` runs the same walk over exact `i32` sums
-//! (`conv::dwconv_q`); the optimized flavor's wrapping-`i16` defect is a
-//! second instantiation of it, chosen by [`Kernels::resolve`], not a branch
-//! in its loop, and the float kernel runs the emulator's chains. The
-//! injected defects of [`KernelBugs`] live in the quantized depthwise/pool
-//! kernels and the `Lanes8` K-tail.
+//! sum, so there is nothing to reassociate). It walks each output row in
+//! groups of adjacent cells whose windows have every column in bounds
+//! (three, then two in the AVX2+FMA build, two in the baseline; any other
+//! cell alone), the group's channel sums held in registers in 16- and
+//! 8-wide blocks and then one by one, sharing each weight load, the nine
+//! taps of an unclipped 3×3 window unrolled. Grouping changes which sums
+//! advance together, not any sum's taps or their order. Quantized
+//! `DepthwiseConv2d` runs the same walk, one cell at a time, over exact
+//! `i32` sums (`conv::dwconv_q`); the optimized flavor's wrapping-`i16`
+//! defect is a second instantiation of it, chosen by [`Kernels::resolve`],
+//! not a branch in its loop, and the float kernel runs the emulator's
+//! chains. The injected defects of [`KernelBugs`] live in the quantized
+//! depthwise/pool kernels and the `Lanes8` K-tail.
 //!
 //! Quantized `Conv2d` and `FullyConnected` have one kernel each, shared by
 //! every flavor (`gemm::conv2d_q`, `gemm::fc_q`): a whole-batch `u8` im2col
@@ -678,13 +686,15 @@ pub(crate) fn out_qparams(node: &Node, out_def: &TensorDef) -> Result<(f32, i32)
     }
 }
 
-/// Quantized clamp bounds implied by a fused activation.
+/// Quantized clamp bounds implied by a fused activation. A tiny positive
+/// output scale sends a bound's quantized value to the `i32` range's end
+/// (`as` saturates); adding the zero point saturates too.
 pub(crate) fn act_qbounds(act: Activation, scale: f32, zp: i32) -> (i32, i32) {
     let (mut lo, mut hi) = (0i32, 255i32);
     if let Some((rlo, rhi)) = act.clamp_bounds() {
-        lo = lo.max(zp + (rlo / scale).round() as i32);
+        lo = lo.max(zp.saturating_add((rlo / scale).round() as i32));
         if rhi.is_finite() {
-            hi = hi.min(zp + (rhi / scale).round() as i32);
+            hi = hi.min(zp.saturating_add((rhi / scale).round() as i32));
         }
     }
     (lo, hi.max(lo))
@@ -693,7 +703,9 @@ pub(crate) fn act_qbounds(act: Activation, scale: f32, zp: i32) -> (i32, i32) {
 /// Requantizes an `i32` accumulator to `u8` with real multiplier `m`, at the
 /// multiplier precision the execution context dictates
 /// ([`RequantMode::Double`] is the native arithmetic; [`RequantMode::Single`]
-/// is the emulator's reduced-precision knob).
+/// is the emulator's reduced-precision knob). A scaled value beyond `i32`
+/// saturates, and adding the zero point cannot overflow: out of range
+/// clamps to `qlo` or `qhi`, never wraps to the other end.
 #[inline]
 pub(crate) fn requantize(
     acc: i32,
@@ -707,7 +719,9 @@ pub(crate) fn requantize(
         RequantMode::Double => (m * acc as f64).round() as i32,
         RequantMode::Single => ((m as f32) * acc as f32).round() as i32,
     };
-    (zp_out + scaled).clamp(qlo, qhi) as u8
+    // In `i64` the sum cannot overflow, and clamping it there is clamping
+    // the saturated `i32` sum: `qlo` and `qhi` are `i32`s.
+    (zp_out as i64 + scaled as i64).clamp(qlo as i64, qhi as i64) as u8
 }
 
 /// Whether `out` holds a whole number of frames of `out_def`'s shape (the
@@ -814,4 +828,68 @@ pub(crate) fn det_f32(seed: u64, n: usize) -> Vec<f32> {
             ((bits >> 40) as f32 / (1u64 << 24) as f32) * 3.0 - 1.5
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MODES: [RequantMode; 2] = [RequantMode::Double, RequantMode::Single];
+
+    /// `4 · 2^30` is past `i32::MAX`: the scaled value saturates, and adding
+    /// the zero point must saturate too rather than wrap to `qlo`; the same
+    /// at the negative end.
+    #[test]
+    fn requantize_saturates_past_the_i32_range() {
+        for mode in MODES {
+            assert_eq!(requantize(1 << 30, 4.0, 128, 0, 255, mode), 255, "{mode:?}");
+            assert_eq!(requantize(1 << 30, 4.0, 128, 3, 200, mode), 200, "{mode:?}");
+            assert_eq!(requantize(-(1 << 30), 4.0, -1, 7, 255, mode), 7, "{mode:?}");
+            assert_eq!(
+                requantize(i32::MAX, 1.0, i32::MAX, 0, 255, mode),
+                255,
+                "{mode:?}"
+            );
+            assert_eq!(
+                requantize(i32::MIN, 1.0, i32::MIN, 9, 255, mode),
+                9,
+                "{mode:?}"
+            );
+        }
+    }
+
+    /// In range, the sum is the plain one.
+    #[test]
+    fn requantize_rounds_scales_and_clamps_in_range() {
+        for mode in MODES {
+            assert_eq!(requantize(100, 0.5, 10, 0, 255, mode), 60, "{mode:?}");
+            assert_eq!(requantize(-100, 0.5, 10, 0, 255, mode), 0, "{mode:?}");
+            assert_eq!(requantize(-100, 0.25, 128, 0, 255, mode), 103, "{mode:?}");
+            assert_eq!(requantize(1000, 1.0, 0, 0, 255, mode), 255, "{mode:?}");
+        }
+    }
+
+    /// A positive scale too small for any finite bound passes the scale
+    /// check (`EX201`); the bounds then saturate instead of overflowing.
+    #[test]
+    fn act_qbounds_saturate_under_a_tiny_scale() {
+        let tiny = f32::MIN_POSITIVE;
+        assert_eq!(act_qbounds(Activation::Relu6, tiny, 128), (128, 255));
+        assert_eq!(act_qbounds(Activation::Sigmoid, tiny, 255), (255, 255));
+        assert_eq!(
+            act_qbounds(Activation::Relu, tiny, i32::MAX),
+            (i32::MAX, i32::MAX)
+        );
+        assert_eq!(act_qbounds(Activation::Relu6, tiny, -5), (0, 255));
+        assert_eq!(act_qbounds(Activation::None, tiny, 128), (0, 255));
+    }
+
+    /// In range, the bounds are the quantized clamp bounds.
+    #[test]
+    fn act_qbounds_quantize_the_clamp_bounds() {
+        assert_eq!(act_qbounds(Activation::Relu6, 6.0 / 255.0, 0), (0, 255));
+        assert_eq!(act_qbounds(Activation::Relu6, 0.05, 10), (10, 130));
+        assert_eq!(act_qbounds(Activation::Relu, 0.1, 20), (20, 255));
+        assert_eq!(act_qbounds(Activation::HardSigmoid, 0.01, 100), (100, 200));
+    }
 }

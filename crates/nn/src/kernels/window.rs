@@ -167,22 +167,70 @@ impl WindowGeom {
     /// The windows of `row`'s cells, in output order.
     #[inline]
     pub(super) fn row_windows(&self, row: Row) -> impl Iterator<Item = Window> + '_ {
+        self.row_groups(row, [1]).map(|(window, _)| window)
+    }
+
+    /// `row`'s cells in output order as `(window, n)`: `window` is the
+    /// first of `n` adjacent cells that share its runs, the runs of cell
+    /// `i` starting [`WindowGeom::cell_step`]` · i` input elements later.
+    /// Cells whose windows have every column in bounds do — cells of one
+    /// row clip the same window rows — and go in groups of the first of
+    /// `sizes` (widest first) that the rest of that span holds; any other
+    /// cell comes alone (`n = 1`), as does the span's end when no size
+    /// fits. A group never leaves its row, so never its frame.
+    #[inline]
+    pub(super) fn row_groups<const K: usize>(
+        &self,
+        row: Row,
+        sizes: [usize; K],
+    ) -> impl Iterator<Item = (Window, usize)> + '_ {
         let y0 = row.oy * self.stride;
         let kys = clip(y0, self.pad_top, self.kh, self.in_h);
         // `y0 + kys.start ≥ pad_top` by the clip, and so on for x.
         let in_row = row.n * self.in_h + y0 + kys.start - self.pad_top;
-        (0..self.out_w).map(move |ox| {
+        let unclipped = self.unclipped_cols();
+        let mut ox = 0;
+        std::iter::from_fn(move || {
+            if ox == self.out_w {
+                return None;
+            }
             let x0 = ox * self.stride;
             let kxs = clip(x0, self.pad_left, self.kw, self.in_w);
-            Window {
+            let left = if unclipped.contains(&ox) {
+                unclipped.end - ox
+            } else {
+                0
+            };
+            let n = sizes.into_iter().find(|&n| n <= left).unwrap_or(1);
+            let window = Window {
                 index: row.index + ox,
                 // A window with no in-bounds column has no runs.
                 kys: if kxs.is_empty() { 0..0 } else { kys.clone() },
                 kx0: kxs.start,
                 cols: kxs.len(),
                 input: (in_row * self.in_w + x0 + kxs.start - self.pad_left) * self.c,
-            }
+            };
+            ox += n;
+            Some((window, n))
         })
+    }
+
+    /// The output columns whose window has every column in bounds: those
+    /// with `pad_left ≤ ox · stride` and `ox · stride + kw ≤ pad_left +
+    /// in_w`, one span (empty when the window is wider than the padded
+    /// input).
+    fn unclipped_cols(&self) -> Range<usize> {
+        let end = match (self.in_w + self.pad_left).checked_sub(self.kw) {
+            Some(last_x0) => (last_x0 / self.stride + 1).min(self.out_w),
+            None => 0,
+        };
+        self.pad_left.div_ceil(self.stride).min(end)..end
+    }
+
+    /// Input elements from one cell's window to the next cell's along an
+    /// output row (`stride · c`).
+    pub(super) fn cell_step(&self) -> usize {
+        self.stride * self.c
     }
 
     /// The input offset of `window`'s top-left tap when no tap of it is
@@ -229,5 +277,63 @@ impl WindowGeom {
     /// so the im2col matrix *is* the input buffer.
     pub(super) fn is_pointwise(&self) -> bool {
         self.kh == 1 && self.kw == 1 && self.stride == 1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::conv_out_size;
+    use mlexray_tensor::{DType, Shape};
+
+    fn geometry(input: [usize; 4], k: usize, stride: usize, padding: Padding) -> WindowGeom {
+        let input = Tensor::zeros(DType::F32, Shape::new(input.to_vec()));
+        let dims = input.shape().dims();
+        let out = TensorDef::Activation {
+            name: "out".into(),
+            shape: Shape::nhwc(
+                dims[0],
+                conv_out_size(dims[1], k, stride, padding),
+                conv_out_size(dims[2], k, stride, padding),
+                dims[3],
+            ),
+            dtype: DType::F32,
+            quant: None,
+        };
+        WindowGeom::new(&input, &out, k, k, stride, padding)
+    }
+
+    /// Every row's groups cover its cells once, in order; a group of more
+    /// than one cell is one of the sizes, never leaves the row, and its
+    /// cells' own windows have the first's runs `cell_step` apart.
+    #[test]
+    fn row_groups_cover_each_row_with_cells_that_share_runs() {
+        for padding in [Padding::Same, Padding::Valid] {
+            for (k, stride) in [(1, 1), (3, 1), (3, 2), (5, 2), (7, 3)] {
+                for w in 1..=20 {
+                    let g = geometry([2, 3, w.max(k), 2], k, stride, padding);
+                    for row in g.rows() {
+                        let singles: Vec<Window> = g.row_windows(row).collect();
+                        assert_eq!(singles.len(), g.out_width());
+                        let mut next = row.index;
+                        for (window, n) in g.row_groups(row, [6, 3, 2]) {
+                            assert_eq!(window.index, next);
+                            assert!(matches!(n, 6 | 3 | 2 | 1));
+                            next += n;
+                            let first: Vec<_> = g.runs(&window).collect();
+                            for (i, cell) in
+                                singles[window.index - row.index..][..n].iter().enumerate()
+                            {
+                                let shifted = first.iter().map(|(at, r)| {
+                                    (*at, r.start + i * g.cell_step()..r.end + i * g.cell_step())
+                                });
+                                assert!(g.runs(cell).eq(shifted), "k{k}/{stride} {padding:?} w{w}");
+                            }
+                        }
+                        assert_eq!(next, row.index + g.out_width());
+                    }
+                }
+            }
+        }
     }
 }

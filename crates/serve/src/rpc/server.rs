@@ -81,7 +81,8 @@ pub struct RpcReport {
     pub serve: ServeReport,
     /// Connections accepted and served.
     pub connections_accepted: u64,
-    /// Connections refused during drain with `ShuttingDown`.
+    /// Connections refused at the door: during drain with `ShuttingDown`,
+    /// or with `Internal` when no thread could be started to serve them.
     pub connections_refused: u64,
     /// Request frames answered with a success response.
     pub requests_served: u64,
@@ -361,40 +362,65 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
             break;
         }
         if inner.draining.load(Ordering::Acquire) {
-            // Refuse at the door, with a typed frame so the client learns
-            // *why* instead of seeing a bare reset.
-            inner.connections_refused.fetch_add(1, Ordering::AcqRel);
-            send_response(
-                &inner,
-                &stream,
-                0,
-                &RpcResponse::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "server is draining; not accepting connections".into(),
-                    detail: String::new(),
-                },
-            );
+            let message = "server is draining; not accepting connections";
+            refuse(&inner, &stream, ErrorCode::ShuttingDown, message.into());
             continue;
         }
-        inner.connections_accepted.fetch_add(1, Ordering::AcqRel);
-        inner.open_connections.fetch_add(1, Ordering::AcqRel);
-        let conn_id = inner.connections_accepted.load(Ordering::Acquire);
-        let conn_inner = inner.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("mlexray-rpc-conn-{conn_id}"))
-            .spawn(move || {
-                handle_connection(&conn_inner, stream, conn_id);
-                conn_inner.open_connections.fetch_sub(1, Ordering::AcqRel);
-            })
-            .expect("spawn rpc connection thread");
-        let mut handles = inner.conn_handles.lock();
-        // Reap before pushing: a finished thread left unjoined keeps its
-        // stack mapped for the life of the server.
-        for finished in handles.extract_if(.., |h| h.is_finished()) {
-            let _ = finished.join();
-        }
-        handles.push(handle);
+        admit(&inner, stream, |builder, run| builder.spawn(run));
     }
+}
+
+/// A connection's thread body, as [`admit`] hands it to its spawner.
+type ConnectionThread = Box<dyn FnOnce() + Send>;
+
+/// Serves `stream` on a thread of its own, started by `spawn`, and counts
+/// it as accepted. When no thread can be started the connection is refused
+/// instead — the open count restored, a typed [`ErrorCode::Internal`] frame
+/// sent — and the acceptor carries on.
+fn admit(
+    inner: &Arc<Inner>,
+    stream: TcpStream,
+    spawn: impl FnOnce(std::thread::Builder, ConnectionThread) -> std::io::Result<JoinHandle<()>>,
+) {
+    inner.open_connections.fetch_add(1, Ordering::AcqRel);
+    // The acceptor is the count's only writer.
+    let conn_id = inner.connections_accepted.load(Ordering::Acquire) + 1;
+    let (conn_inner, stream) = (inner.clone(), Arc::new(stream));
+    let conn_stream = stream.clone();
+    let run: ConnectionThread = Box::new(move || {
+        handle_connection(&conn_inner, &conn_stream, conn_id);
+        // Closed before it stops counting as open.
+        drop(conn_stream);
+        conn_inner.open_connections.fetch_sub(1, Ordering::AcqRel);
+    });
+    let builder = std::thread::Builder::new().name(format!("mlexray-rpc-conn-{conn_id}"));
+    match spawn(builder, run) {
+        Ok(handle) => {
+            // The connection's thread is now the stream's only holder.
+            drop(stream);
+            inner.connections_accepted.fetch_add(1, Ordering::AcqRel);
+            let mut handles = inner.conn_handles.lock();
+            // Reap before pushing: a finished thread left unjoined keeps its
+            // stack mapped for the life of the server.
+            for finished in handles.extract_if(.., |h| h.is_finished()) {
+                let _ = finished.join();
+            }
+            handles.push(handle);
+        }
+        Err(e) => {
+            inner.open_connections.fetch_sub(1, Ordering::AcqRel);
+            let message = format!("could not start a connection thread: {e}");
+            refuse(inner, &stream, ErrorCode::Internal, message);
+        }
+    }
+}
+
+/// Refuses a connection at the door: counts it and answers one typed error
+/// frame, unprompted, so the client learns why instead of seeing a bare
+/// reset.
+fn refuse(inner: &Inner, stream: &TcpStream, code: ErrorCode, message: String) {
+    inner.connections_refused.fetch_add(1, Ordering::AcqRel);
+    send_error(inner, stream, 0, code, message, String::new());
 }
 
 /// Per-connection session state: who the peer is and what it has sealed.
@@ -529,7 +555,7 @@ const READ_BUFFER_BYTES: usize = 16 * 1024;
 /// released once it is served, so an idle connection holds at most this.
 const RETAINED_FRAME_BYTES: usize = 1 << 20;
 
-fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
+fn handle_connection(inner: &Arc<Inner>, stream: &TcpStream, conn_id: u64) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(inner.config.poll_interval));
     let mut session = Session {
@@ -542,7 +568,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
     // One `read` takes in as much as the socket holds — a whole frame,
     // prefix and payload, when it has arrived — and every payload is copied
     // out into this one buffer.
-    let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, &stream);
+    let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, stream);
     let mut payload = Vec::new();
     loop {
         let mut len_buf = [0u8; 4];
@@ -552,7 +578,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
             ReadEnd::Truncated => {
                 send_error(
                     inner,
-                    &stream,
+                    stream,
                     0,
                     ErrorCode::Truncated,
                     "stream ended mid-frame".into(),
@@ -567,7 +593,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
             // an unread payload, so close.
             send_error(
                 inner,
-                &stream,
+                stream,
                 0,
                 ErrorCode::PayloadTooLarge,
                 format!(
@@ -586,7 +612,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
             ReadEnd::Truncated => {
                 send_error(
                     inner,
-                    &stream,
+                    stream,
                     0,
                     ErrorCode::Truncated,
                     "stream ended mid-frame".into(),
@@ -602,7 +628,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
                 let decoded_at = Instant::now();
                 if !dispatch(
                     inner,
-                    &stream,
+                    stream,
                     &mut session,
                     conn_id,
                     frame,
@@ -623,7 +649,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
                 let fatal = matches!(err, WireError::BadMagic(_));
                 send_error(
                     inner,
-                    &stream,
+                    stream,
                     id,
                     err.code(),
                     err.to_string(),
@@ -1072,6 +1098,55 @@ mod tests {
         // yet, hence a bound and not 2.
         let held = inner.conn_handles.lock().len();
         assert!(held < 10, "{held} handles held after 202 connections");
+        server.shutdown();
+    }
+
+    /// A connection whose thread cannot start is refused like one at a
+    /// draining door — counted as refused, not accepted, the open count
+    /// restored, a typed frame sent — only with [`ErrorCode::Internal`]; the
+    /// door keeps serving.
+    #[test]
+    fn a_connection_thread_that_cannot_start_is_refused_typed() {
+        let registry = ModelRegistry::new();
+        registry
+            .register_zoo("mini_mobilenet_v2", 24, 8, 1, BackendSpec::reference())
+            .unwrap();
+        let service = InferenceService::start(&registry, ServiceConfig::default(), None).unwrap();
+        let server =
+            RpcServer::start("127.0.0.1:0", service, registry, Default::default(), None).unwrap();
+        let inner = &server.inner;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let counts = || {
+            [
+                &inner.connections_accepted,
+                &inner.connections_refused,
+                &inner.errors_sent,
+            ]
+            .map(|c| c.load(Ordering::Acquire))
+        };
+        let before = counts();
+        let open = inner.open_connections.load(Ordering::Acquire);
+
+        admit(inner, stream, |_, _| {
+            Err(std::io::Error::other("no threads left"))
+        });
+
+        let [accepted, refused, errors] = before;
+        assert_eq!(counts(), [accepted, refused + 1, errors + 1]);
+        assert_eq!(inner.open_connections.load(Ordering::Acquire), open);
+        let payload = wire::read_frame(&mut client, u32::MAX).unwrap().unwrap();
+        match wire::decode_response(&payload).unwrap().response {
+            RpcResponse::Error { code, message, .. } => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert!(message.contains("no threads left"), "{message}");
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        let mut next = crate::rpc::RpcClient::connect(server.local_addr()).unwrap();
+        assert!(next.status().unwrap().ready);
+        drop(next);
         server.shutdown();
     }
 }

@@ -93,9 +93,10 @@ backend-suites() {
 # clamp bounds and both requantization precisions); and read the detected
 # engine, which the forced-scalar pass reports as the mirror. The
 # kernels::conv unit tests hold the reference Conv2d's panel chains and the
-# depthwise cell walk — unrolled unclipped 3×3 cells, border cells, 16- and
-# 8-wide channel blocks and the single-channel tail — to the naive loops they
-# replaced, and the int8 depthwise kernels, exact and with the injected i16
+# depthwise cell walk — unrolled unclipped 3×3 cells, border cells, cells
+# grouped along a row and every edge of those groups (ragged row ends, SAME
+# stride-2 borders, stacked frames), 16- and 8-wide channel blocks and the
+# single-channel tail — to the naive loops they replaced, and the int8 depthwise kernels, exact and with the injected i16
 # accumulator, to the per-cell loop, under both requantization precisions, in
 # both builds. The kernels::conv and kernels::fc unit tests also hold every
 # edge-emulator sum chain (each accumulation order, split and fused) of the
@@ -107,7 +108,11 @@ backend-suites() {
 # builds, and simd::execute_node_with to the interpreter under injected
 # defects and emulated numerics. differential_replay runs here too: bisection re-executes
 # the divergent node through execute_node_with on the process's engine, so
-# its op-local verdicts must hold under the mirror as well.
+# its op-local verdicts must hold under the mirror as well. Last, a smoke run
+# of the two timing probes in release — depthwise_probe (the depthwise nodes
+# of mobilenet_v2@48, float and int8, every flavor) and conv_probe (every op
+# kind of mini_mobilenet_v2@24, the replay_validate model, reference and
+# optimized): they must finish; no timing is asserted.
 kernel-simd() {
   local nn=(-p mlexray-nn --test golden_kernels --test batch_equivalence
     --test backend_differential --test alloc_steady_state --test alloc_validation
@@ -127,6 +132,7 @@ kernel-simd() {
   MLEXRAY_SIMD=scalar cargo test "${conv[@]}"
   MLEXRAY_SIMD=scalar cargo test "${fc[@]}"
   MLEXRAY_SIMD=scalar cargo test "${core[@]}"
+  cargo test --release -p mlexray-nn --test depthwise_probe --test conv_probe -- --ignored -q
 }
 
 # Everything in mlexray-serve: its unit tests (the door reaps finished
