@@ -19,7 +19,7 @@ use mlexray_tensor::{DType, Shape, Tensor, TensorData};
 
 use crate::backend::BackendSpec;
 use crate::graph::{Graph, TensorDef, TensorId};
-use crate::kernels::gemm::Engine;
+use crate::kernels::gemm::{window_taps, Engine};
 use crate::kernels::{execute_node, pack_weight_panels, FloatKernels, KernelCtx, Kernels};
 use crate::ops::OpKind;
 use crate::plan::MemoryPlan;
@@ -174,7 +174,8 @@ struct ExecState {
     /// Runtime slots; constants stay `None` and are read straight from the
     /// graph.
     values: Vec<Option<Tensor>>,
-    /// f32 scratch for the im2col matrix and the BatchNorm denominators;
+    /// f32 scratch for the im2col matrix or the zero-bordered input of a
+    /// convolution and the BatchNorm denominators;
     /// its capacity covers the largest plan run so far, so kernels never
     /// reallocate it in steady state.
     scratch: Vec<f32>,
@@ -271,6 +272,32 @@ fn packed_weight_panels(graph: &Graph, float: FloatKernels) -> Result<Vec<Option
         .collect()
 }
 
+/// What the kernels read of a node besides its operands, laid out once
+/// when the interpreter is built, by node index.
+#[derive(Debug)]
+struct NodeTables {
+    /// See [`packed_weight_panels`].
+    panels: Vec<Option<Vec<f32>>>,
+    /// See [`window_tap_tables`].
+    taps: Vec<Option<Vec<usize>>>,
+}
+
+/// The tap table of every float `Conv2d` node whose window the kernels
+/// [read in place](FloatKernels::reads_windows_in_place), by node index
+/// ([`window_taps`]): a few hundred offsets per
+/// such node under the optimized flavor, and empty — nothing held — under
+/// the others.
+fn window_tap_tables(graph: &Graph, float: FloatKernels) -> Vec<Option<Vec<usize>>> {
+    if !float.reads_windows_in_place() {
+        return Vec::new();
+    }
+    graph
+        .nodes()
+        .iter()
+        .map(|node| window_taps(graph, node))
+        .collect()
+}
+
 /// Materializes frame `b` of a stacked tensor as its own tensor with the
 /// per-frame `shape`.
 fn frame_view(stacked: &Tensor, shape: &Shape, b: usize) -> Result<Tensor> {
@@ -324,7 +351,9 @@ fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
 /// the reference kernels' `Conv2d` weights, the optimized flavor's `Conv2d`
 /// and `FullyConnected` weights: 7.5 KB (reference) and 8.5 KB (optimized)
 /// for `mini_mobilenet_v2`, ≈ 9 MB and ≈ 14 MB for `mobilenet_v2` ×1.0.
-/// The SIMD flavor packs nothing and holds nothing.
+/// The SIMD flavor packs nothing and holds nothing. The optimized flavor
+/// also holds the tap table of each non-pointwise float `Conv2d` (one
+/// offset per weight of an output channel: 27 for a 3×3 stem over RGB).
 ///
 /// # Example
 ///
@@ -351,8 +380,8 @@ pub struct Interpreter<'g> {
     /// Every kernel choice `spec` makes, resolved once here (the
     /// `OpResolver` choice) instead of per node per invoke.
     kernels: Kernels,
-    /// See [`packed_weight_panels`].
-    panels: Vec<Option<Vec<f32>>>,
+    /// What the kernels read of each node besides its operands.
+    tables: NodeTables,
     state: ExecState,
     /// One memory plan per batch size seen, batch 1 first: accounting for
     /// [`InvokeStats`] and the scratch bound — no buffers hang off a plan.
@@ -380,7 +409,10 @@ impl<'g> Interpreter<'g> {
             graph,
             spec,
             kernels,
-            panels: packed_weight_panels(graph, kernels.float)?,
+            tables: NodeTables {
+                panels: packed_weight_panels(graph, kernels.float)?,
+                taps: window_tap_tables(graph, kernels.float),
+            },
             state: ExecState::new(graph, &plan),
             plans: vec![plan],
             batch_safe: batch_safe(graph),
@@ -493,7 +525,7 @@ impl<'g> Interpreter<'g> {
     fn execute_graph(
         graph: &Graph,
         kernels: Kernels,
-        panels: &[Option<Vec<f32>>],
+        tables: &NodeTables,
         state: &mut ExecState,
         observer: &mut dyn LayerObserver,
         batch_base: usize,
@@ -539,8 +571,9 @@ impl<'g> Interpreter<'g> {
                     scratch: &mut state.scratch,
                     patches: &mut state.patches,
                     multipliers: &mut state.multipliers,
-                    panels: panels.get(index).and_then(Option::as_deref),
+                    panels: tables.panels.get(index).and_then(Option::as_deref),
                     runtime_panels: &mut state.runtime_panels,
+                    taps: tables.taps.get(index).and_then(Option::as_deref),
                 };
                 let out_def = graph.tensor(node.output);
                 execute_node(node, input_refs, out_def, &mut out, &mut ctx)
@@ -671,7 +704,7 @@ impl<'g> Interpreter<'g> {
         let plan = self.prepare(frames)?;
         let state = &mut self.state;
         Self::stage_inputs(self.graph, state, batch)?;
-        Self::execute_graph(self.graph, self.kernels, &self.panels, state, observer, 0)?;
+        Self::execute_graph(self.graph, self.kernels, &self.tables, state, observer, 0)?;
 
         let mut outputs = Vec::with_capacity(frames);
         let mut allocations = 0usize;
@@ -715,7 +748,7 @@ impl<'g> Interpreter<'g> {
             Self::execute_graph(
                 self.graph,
                 self.kernels,
-                &self.panels,
+                &self.tables,
                 &mut self.state,
                 observer,
                 b,

@@ -5,16 +5,19 @@
 //! beneath them, and the engine-explicit entry points the cross-engine test
 //! suites pin those engines with.
 //!
-//! # One im2col, one tile driver, two chain rules
+//! # One im2col, one tile walk, two chain rules
 //!
 //! There is one whole-batch `im2col` (generic over the element type: `f32`
-//! for the float convolutions, `u8` for the quantized one); both
-//! `FullyConnected` layers pass their activations as the matrix. One driver,
-//! `float_gemm`, walks the matrix for both float flavors — `ROW_TILE`-row
-//! tiles × column strips × `MR` rows, then the odd row — adds the bias,
-//! and applies the activation once per tile. What sums `M` matrix rows
-//! against one strip is the flavor's chain rule, because each flavor's
-//! summation tree is pinned by its goldens:
+//! for the Simd flavor's convolution, `u8` for the quantized one); both
+//! `FullyConnected` layers pass their activations as the matrix. The
+//! Optimized convolution builds no matrix: its rows are read in place
+//! (below). One walk, `walk_tiles`, drives the float GEMM of both flavors —
+//! `ROW_TILE`-row tiles × column strips × `MR` rows, then the odd row —
+//! adds the bias, and applies the activation once per tile; it is generic
+//! over how a matrix row is read (`MatrixRows`: a row-major matrix, or a
+//! convolution's windows). What sums `M` matrix rows against one strip is
+//! the flavor's chain rule, because each flavor's summation tree is pinned
+//! by its goldens:
 //!
 //! * **Optimized — the blocked-4 cell.** Four partial sums striped over the
 //!   index (multiply, then add — never fused), a sequential remainder, then
@@ -31,6 +34,28 @@
 //!
 //! The reference kernels in `conv.rs` / `fc.rs` are the oracle both are
 //! tested against.
+//!
+//! # Windows read in place
+//!
+//! im2col copies every window — `kh · kw` taps of `c` floats per output
+//! cell — into a matrix row. For the 3-channel stem of a MobileNet that is
+//! 768 copies of 9 floats at 32 × 32, and it took longer than the GEMM
+//! after it. So the Optimized `Conv2d` (any window but a pointwise one,
+//! which reads its input as the matrix) copies the input once instead,
+//! row by row, into a zero-bordered buffer of `n × ((oh − 1)·s + kh) ×
+//! ((ow − 1)·s + kw) × c` — the input plus the padding its windows reach —
+//! and reads tap `p` of row `r` at `origin(r) + tap_offset[p]`. The tap
+//! table is a function of the node's graph shapes, built once per node when
+//! the interpreter is built; the buffer is the plan-sized float scratch.
+//! Element `p` of a window then holds exactly what element `p` of its
+//! im2col row held, the input or a `0.0`, and the blocked-4 chains meet the
+//! same terms in the same order. Padding taps are still multiplied and
+//! added as `0.0 · w`, not skipped, so that this holds for every weight:
+//! a `±∞` or NaN weight on a padding tap makes the cell NaN (`0 · ∞` is
+//! NaN) here as in the im2col path, where skipping the tap would not, and
+//! no partial sum drops or gains a zero term. im2col now serves only
+//! the Simd flavor's `Lanes8` tiles and the quantized kernels, whose dots
+//! load contiguous runs of `k`.
 //!
 //! The quantized `Conv2d` and `FullyConnected` are one kernel each for
 //! every flavor (`conv2d_q`, `fc_q`): the `u8` matrix — padding taps
@@ -99,20 +124,20 @@
 
 use std::sync::OnceLock;
 
-use mlexray_tensor::{Shape, Tensor};
+use mlexray_tensor::{DType, Shape, Tensor};
 
 use crate::backend::BackendSpec;
 use crate::graph::{Graph, Node, NodeId, TensorDef};
 use crate::kernels::conv::{weight_panels, weight_scale};
-use crate::kernels::window::WindowGeom;
+use crate::kernels::window::{BorderedSteps, WindowGeom};
 use crate::kernels::{
     act_qbounds, execute_node, f32_slot, out_qparams, qparams_of, requantize, u8_slot, KernelCtx,
     Kernels,
 };
-use crate::ops::{Activation, Padding};
+use crate::ops::{Activation, OpKind, Padding};
 use crate::plan::MemoryPlan;
 use crate::resolver::RequantMode;
-use crate::Result;
+use crate::{NnError, Result};
 
 /// Vector width of the canonical virtual-SIMD arithmetic (f32 lanes).
 pub const SIMD_LANES: usize = 8;
@@ -469,39 +494,179 @@ native_kernel! {
         activation: Activation,
         out: &mut [f32],
     ) {
+        let rows = Dense { matrix, k };
         match reduction {
             Reduction::Blocked4(panels) => {
                 let rule = Blocked4Panels { panels, k };
-                walk_tiles(rule, build, matrix, k, out_c, bias, activation, out);
+                walk_tiles(rule, build, rows, out_c, bias, activation, out);
             }
             Reduction::Lanes8 { w, skip_k_tail } => {
                 let len = k_len(k, skip_k_tail);
                 let rule = Lanes8Tiles { build, w, k, len };
-                walk_tiles(rule, build, matrix, k, out_c, bias, activation, out);
+                walk_tiles(rule, build, rows, out_c, bias, activation, out);
             }
         }
     }
 }
 
-/// How a [`float_gemm`] reduces matrix rows against the weights.
-trait ChainRule: Copy {
+native_kernel! {
+    /// [`float_gemm`]'s Optimized rule over a matrix it never builds: row
+    /// `r` is output cell `r`'s window, read in place from the zero-bordered
+    /// input ([`Windows`]), so element `p` is the one the im2col row holds
+    /// at `p` — the same terms, in the same order, to the bit.
+    fn blocked4_windows[build](
+        panels: &[f32],
+        rows: Windows<'_>,
+        out_c: usize,
+        bias: Option<&[f32]>,
+        activation: Activation,
+        out: &mut [f32],
+    ) {
+        let rule = Blocked4Panels { panels, k: rows.taps.len() };
+        walk_tiles(rule, build, rows, out_c, bias, activation, out);
+    }
+}
+
+/// How [`walk_tiles`] reads the rows of the matrix it reduces, a tile of
+/// [`ROW_TILE`] rows at a time.
+trait MatrixRows: Copy {
+    /// One row, as a chain rule reads it.
+    type Row: RowRead;
+
+    /// What finding the rows of one tile takes, worked out once per tile.
+    type Tile;
+
+    /// The tile of rows `first..end`.
+    fn tile(self, first: usize, end: usize) -> Self::Tile;
+
+    /// Rows `i..i + M` of `tile`.
+    fn rows<const M: usize>(self, tile: &Self::Tile, i: usize) -> [Self::Row; M];
+}
+
+/// How a chain rule reads the elements of one matrix row.
+trait RowRead: Copy {
+    /// Elements `4i..4i + 4`.
+    fn quad(self, i: usize) -> [f32; 4];
+
+    /// Element `p`.
+    fn at(self, p: usize) -> f32;
+}
+
+/// A row-major `[rows, k]` matrix: an im2col matrix, a pointwise
+/// convolution's input or a fully-connected layer's activations.
+#[derive(Clone, Copy)]
+struct Dense<'a> {
+    matrix: &'a [f32],
+    k: usize,
+}
+
+impl<'a> MatrixRows for Dense<'a> {
+    type Row = &'a [f32];
+    /// The tile's first row.
+    type Tile = usize;
+
+    #[inline(always)]
+    fn tile(self, first: usize, _end: usize) -> usize {
+        first
+    }
+
+    #[inline(always)]
+    fn rows<const M: usize>(self, first: &usize, i: usize) -> [&'a [f32]; M] {
+        let k = self.k;
+        let rows = &self.matrix[(first + i) * k..][..M * k];
+        std::array::from_fn(|m| &rows[m * k..][..k])
+    }
+}
+
+impl RowRead for &[f32] {
+    #[inline(always)]
+    fn quad(self, i: usize) -> [f32; 4] {
+        *<&[f32; 4]>::try_from(&self[i * 4..][..4]).expect("a four-element slice")
+    }
+
+    #[inline(always)]
+    fn at(self, p: usize) -> f32 {
+        self[p]
+    }
+}
+
+/// The windows of a convolution's output cells, read in place: cell `r`'s
+/// window starts at its origin in the zero-bordered input `bordered`
+/// ([`WindowGeom::border`]), and its element `p` lies `taps[p]` further
+/// on ([`WindowGeom::tap_offsets`]).
+#[derive(Clone, Copy)]
+struct Windows<'a> {
+    bordered: &'a [f32],
+    taps: &'a [usize],
+    steps: BorderedSteps,
+}
+
+impl<'a> MatrixRows for Windows<'a> {
+    type Row = Tapped<'a>;
+    /// Where each of the tile's windows starts in the bordered input.
+    type Tile = [usize; ROW_TILE];
+
+    #[inline(always)]
+    fn tile(self, first: usize, end: usize) -> [usize; ROW_TILE] {
+        let mut origins = [0; ROW_TILE];
+        self.steps.origins(first, &mut origins[..end - first]);
+        origins
+    }
+
+    #[inline(always)]
+    fn rows<const M: usize>(self, origins: &[usize; ROW_TILE], i: usize) -> [Tapped<'a>; M] {
+        std::array::from_fn(|m| Tapped {
+            x: &self.bordered[origins[i + m]..],
+            taps: self.taps,
+        })
+    }
+}
+
+/// One cell's window in the bordered input: element `p` is `x[taps[p]]`.
+#[derive(Clone, Copy)]
+struct Tapped<'a> {
+    x: &'a [f32],
+    taps: &'a [usize],
+}
+
+impl RowRead for Tapped<'_> {
+    #[inline(always)]
+    fn quad(self, i: usize) -> [f32; 4] {
+        let taps = <&[usize; 4]>::try_from(&self.taps[i * 4..][..4]).expect("four taps");
+        taps.map(|t| self.x[t])
+    }
+
+    #[inline(always)]
+    fn at(self, p: usize) -> f32 {
+        self.x[self.taps[p]]
+    }
+}
+
+/// How a [`float_gemm`] reduces matrix rows read through `X` against the
+/// weights.
+trait ChainRule<X: MatrixRows>: Copy {
     /// The `(first channel, width)` of each column strip of `out_c`.
     fn strips(self, out_c: usize) -> impl Iterator<Item = (usize, usize)>;
 
-    /// The sums of the `M` rows of `k` elements in `a` against channels
+    /// The sums of rows `i..i + M` of `tile` against channels
     /// `oc0..oc0 + W`, before the bias.
-    fn sums<const M: usize, const W: usize>(self, a: &[f32], oc0: usize) -> [[f32; W]; M];
+    fn sums<const M: usize, const W: usize>(
+        self,
+        rows: X,
+        tile: &X::Tile,
+        i: usize,
+        oc0: usize,
+    ) -> [[f32; W]; M];
 }
 
-/// The one walk behind [`float_gemm`], whatever the chain rule, in
-/// `build` — which steps [`MR`] rows at a time only in the AVX2+FMA build.
-#[allow(clippy::too_many_arguments)]
+/// The one walk behind [`float_gemm`] and [`blocked4_windows`], whatever
+/// the chain rule and however it reads a row, in `build` — which steps
+/// [`MR`] rows at a time only in the AVX2+FMA build.
 #[inline(always)]
-fn walk_tiles<R: ChainRule>(
+fn walk_tiles<X: MatrixRows, R: ChainRule<X>>(
     rule: R,
     build: SimdEngine,
-    matrix: &[f32],
-    k: usize,
+    rows: X,
     out_c: usize,
     bias: Option<&[f32]>,
     activation: Activation,
@@ -522,34 +687,35 @@ fn walk_tiles<R: ChainRule>(
         }
     }
     #[inline(always)]
-    fn rows<R: ChainRule, const M: usize>(
+    fn step<X: MatrixRows, R: ChainRule<X>, const M: usize>(
         rule: R,
-        a: &[f32],
+        (rows, tile, i): (X, &X::Tile, usize),
         (oc0, width): (usize, usize),
         bias: Option<&[f32]>,
         out: &mut [f32],
         out_c: usize,
     ) {
         match width {
-            8 => store(rule.sums::<M, 8>(a, oc0), bias, out, out_c),
-            4 => store(rule.sums::<M, 4>(a, oc0), bias, out, out_c),
-            _ => store(rule.sums::<M, 1>(a, oc0), bias, out, out_c),
+            8 => store(rule.sums::<M, 8>(rows, tile, i, oc0), bias, out, out_c),
+            4 => store(rule.sums::<M, 4>(rows, tile, i, oc0), bias, out, out_c),
+            _ => store(rule.sums::<M, 1>(rows, tile, i, oc0), bias, out, out_c),
         }
     }
     let rows_total = out.len().checked_div(out_c).unwrap_or(0);
     for r0 in (0..rows_total).step_by(ROW_TILE) {
         let end = (r0 + ROW_TILE).min(rows_total);
+        let tile = rows.tile(r0, end);
         for (oc0, width) in rule.strips(out_c) {
             let bias = bias.map(|b| &b[oc0..oc0 + width]);
             let mut r = r0;
             while build == SimdEngine::Avx2Fma && r + MR <= end {
-                let (a, out) = (&matrix[r * k..][..MR * k], &mut out[r * out_c + oc0..]);
-                rows::<R, MR>(rule, a, (oc0, width), bias, out, out_c);
+                let (a, out) = ((rows, &tile, r - r0), &mut out[r * out_c + oc0..]);
+                step::<X, R, MR>(rule, a, (oc0, width), bias, out, out_c);
                 r += MR;
             }
             while r < end {
-                let (a, out) = (&matrix[r * k..][..k], &mut out[r * out_c + oc0..]);
-                rows::<R, 1>(rule, a, (oc0, width), bias, out, out_c);
+                let (a, out) = ((rows, &tile, r - r0), &mut out[r * out_c + oc0..]);
+                step::<X, R, 1>(rule, a, (oc0, width), bias, out, out_c);
                 r += 1;
             }
         }
@@ -563,29 +729,32 @@ fn walk_tiles<R: ChainRule>(
 /// rest`, over the 8-, 4- and 1-wide panels of `[k][width]` that
 /// `pack_weight_panels` lays out. `M` and `W` are consts, so the
 /// `M · 4 · W` chains live in registers and each weight vector is loaded
-/// once for all `M` rows.
+/// once for all `M` rows. It reads rows however they are stored.
 #[derive(Clone, Copy)]
 struct Blocked4Panels<'a> {
     panels: &'a [f32],
     k: usize,
 }
 
-impl ChainRule for Blocked4Panels<'_> {
+impl<X: MatrixRows> ChainRule<X> for Blocked4Panels<'_> {
     fn strips(self, out_c: usize) -> impl Iterator<Item = (usize, usize)> {
         weight_panels(out_c)
     }
 
     #[inline(always)]
-    fn sums<const M: usize, const W: usize>(self, a: &[f32], oc0: usize) -> [[f32; W]; M] {
-        let k = self.k;
+    fn sums<const M: usize, const W: usize>(
+        self,
+        rows: X,
+        tile: &X::Tile,
+        i: usize,
+        oc0: usize,
+    ) -> [[f32; W]; M] {
+        let (k, a) = (self.k, rows.rows::<M>(tile, i));
         let chunks = k / 4;
-        let a: [&[f32]; M] = std::array::from_fn(|m| &a[m * k..][..k]);
         let (w_body, w_rest) = self.panels[oc0 * k..][..W * k].split_at(chunks * 4 * W);
         let mut s = [[[0.0f32; W]; 4]; M];
         for (i, w) in w_body.chunks_exact(4 * W).enumerate() {
-            let x: [[f32; 4]; M] = std::array::from_fn(|m| {
-                *<&[f32; 4]>::try_from(&a[m][i * 4..][..4]).expect("a four-element slice")
-            });
+            let x: [[f32; 4]; M] = a.map(|a| a.quad(i));
             for l in 0..4 {
                 let w = &w[l * W..][..W];
                 for (s, x) in s.iter_mut().zip(&x) {
@@ -598,7 +767,8 @@ impl ChainRule for Blocked4Panels<'_> {
         let mut sums = [[0.0f32; W]; M];
         for ((sums, s), a) in sums.iter_mut().zip(&s).zip(a) {
             let mut rest = [0.0f32; W];
-            for (&a, w) in a[chunks * 4..].iter().zip(w_rest.chunks_exact(W)) {
+            for (p, w) in (chunks * 4..k).zip(w_rest.chunks_exact(W)) {
+                let a = a.at(p);
                 for j in 0..W {
                     rest[j] += a * w[j];
                 }
@@ -615,7 +785,8 @@ impl ChainRule for Blocked4Panels<'_> {
 /// rows (single rows on the ragged edge), unpacked. Every cell is bitwise
 /// the one-row, one-channel dot on the same pair, so the tile shape never
 /// moves a bit — nor would the 8-wide tile the driver can name but these
-/// strips never ask for.
+/// strips never ask for. Its tiles load contiguous runs of `k`, so it reads
+/// [`Dense`] rows only.
 #[derive(Clone, Copy)]
 struct Lanes8Tiles<'a> {
     /// The build this rule is compiled into: `Avx2Fma` runs [`tile_avx2`],
@@ -627,7 +798,7 @@ struct Lanes8Tiles<'a> {
     len: usize,
 }
 
-impl ChainRule for Lanes8Tiles<'_> {
+impl<'r> ChainRule<Dense<'r>> for Lanes8Tiles<'_> {
     fn strips(self, out_c: usize) -> impl Iterator<Item = (usize, usize)> {
         let fours = out_c - out_c % 4;
         let ones = (fours..out_c).map(|oc| (oc, 1));
@@ -635,9 +806,21 @@ impl ChainRule for Lanes8Tiles<'_> {
     }
 
     #[inline(always)]
-    fn sums<const M: usize, const W: usize>(self, a: &[f32], oc0: usize) -> [[f32; W]; M] {
+    fn sums<const M: usize, const W: usize>(
+        self,
+        rows: Dense<'r>,
+        first: &usize,
+        i: usize,
+        oc0: usize,
+    ) -> [[f32; W]; M] {
         let (k, len) = (self.k, self.len);
-        let (a, w) = (&a[..M * k], &self.w[oc0 * k..][..W * k]);
+        // The `M` rows as one slice, `k` apart: handed an array of row
+        // slices instead, the tile ran 10–20 % slower on the narrow
+        // pointwise layers of `mobilenet_v2@48`.
+        let (a, w) = (
+            &rows.matrix[(first + i) * k..][..M * k],
+            &self.w[oc0 * k..][..W * k],
+        );
         match self.build {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `build` is `Avx2Fma` only in `float_gemm`'s AVX2+FMA
@@ -655,13 +838,23 @@ impl ChainRule for Lanes8Tiles<'_> {
 // Kernel entry points (dispatched from `execute_node`)
 // ---------------------------------------------------------------------------
 
-/// Optimized / SIMD float convolution: whole-batch [`im2col`], then the
-/// flavor's [`Reduction`] in `engine`'s build of [`float_gemm`]. Handles any
-/// batch size natively, so `invoke` and `invoke_batch` run the same code.
+/// Optimized / SIMD float convolution in `engine`'s build. The Optimized
+/// flavor reads each window in place from a zero-bordered copy of the
+/// input through `taps`, the node's [`window_taps`] (a pointwise window
+/// reads the input itself); the Simd flavor reduces a whole-batch
+/// [`im2col`] matrix. Handles any batch size natively, so `invoke` and
+/// `invoke_batch` run the same code.
+///
+/// # Errors
+///
+/// [`NnError::InvalidOp`] when the Optimized flavor meets a window with
+/// no tap table built for it; what the operands' accessors return.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_f32_gemm(
     engine: Engine,
     reduction: Reduction<'_>,
+    taps: Option<&[usize]>,
+    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     stride: usize,
@@ -674,14 +867,68 @@ pub(crate) fn conv2d_f32_gemm(
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
     let ws = weights.shape().dims();
     let g = WindowGeom::new(input, out_def, ws[1], ws[2], stride, padding);
-    // The float scratch is reserved once from the memory plan; growing it
-    // in `im2col` would mean the planner under-reserved.
-    debug_assert!(scratch.capacity() >= im2col_len(&g));
-    let matrix = im2col(&g, input.as_f32()?, 0.0, scratch);
-    let out = f32_slot(out_t, out_def)?;
-    let k = g.patch_len();
-    float_gemm(engine, reduction, matrix, k, ws[0], bias, activation, out);
+    let (x, out_c) = (input.as_f32()?, ws[0]);
+    match reduction {
+        Reduction::Blocked4(panels) if !g.is_pointwise() => {
+            let Some(taps) = taps.filter(|taps| taps_fit(&g, taps)) else {
+                return Err(NnError::InvalidOp {
+                    node: node.name.clone(),
+                    reason: "no tap table for this window".into(),
+                });
+            };
+            // The float scratch is reserved once from the memory plan;
+            // growing it here would mean the planner under-reserved.
+            debug_assert!(scratch.capacity() >= g.bordered_len());
+            g.border(x, scratch);
+            let rows = Windows {
+                bordered: scratch,
+                taps,
+                steps: g.bordered_steps(),
+            };
+            let out = f32_slot(out_t, out_def)?;
+            blocked4_windows(engine, panels, rows, out_c, bias, activation, out);
+        }
+        _ => {
+            debug_assert!(scratch.capacity() >= im2col_len(&g));
+            let matrix = im2col(&g, x, 0.0, scratch);
+            let out = f32_slot(out_t, out_def)?;
+            let k = g.patch_len();
+            float_gemm(engine, reduction, matrix, k, out_c, bias, activation, out);
+        }
+    }
     Ok(())
+}
+
+/// The tap table of a float `Conv2d` node whose window the Optimized
+/// flavor reads in place — [`WindowGeom::tap_offsets`] of its graph
+/// shapes, which every batch size shares — or `None` for any other node
+/// (a pointwise window reads the input itself). The interpreter builds one
+/// per such node when it is built.
+pub(crate) fn window_taps(graph: &Graph, node: &Node) -> Option<Vec<usize>> {
+    let &OpKind::Conv2d {
+        stride, padding, ..
+    } = &node.op
+    else {
+        return None;
+    };
+    let input = graph.tensor(node.inputs[0]);
+    let (is, ws) = (
+        input.shape().dims(),
+        graph.tensor(*node.inputs.get(1)?).shape().dims(),
+    );
+    let os = graph.tensor(node.output).shape().dims();
+    if input.dtype() != DType::F32 || is.len() != 4 || ws.len() != 4 || os.len() != 4 {
+        return None;
+    }
+    let g = WindowGeom::of_dims(is, os, ws[1], ws[2], stride, padding);
+    (!g.is_pointwise()).then(|| g.tap_offsets().collect())
+}
+
+/// Whether `taps` is `g`'s tap table: as long as its window, and its last
+/// tap one bordered row count down — the one entry that depends on the
+/// bordered width.
+fn taps_fit(g: &WindowGeom, taps: &[usize]) -> bool {
+    taps.len() == g.patch_len() && taps.last().copied() == g.tap_offsets().next_back()
 }
 
 /// Optimized / SIMD float fully-connected layer, `[n, in] x [out, in]^T`:
@@ -797,8 +1044,8 @@ fn q8_gemm(
 /// quantized ones' dot included — against its baseline build in one
 /// process, as [`dot_f32_with`] pins the dot: `Avx2Fma` is honoured only
 /// where the CPU has it, whatever `MLEXRAY_SIMD` says, and runs the
-/// baseline build elsewhere. Weights are packed on the call, as the
-/// interpreter packs a runtime weight operand.
+/// baseline build elsewhere. Weights are packed, and a window's tap table
+/// built, on the call.
 ///
 /// # Errors
 ///
@@ -826,14 +1073,21 @@ pub fn execute_node_with(
     let mut out = Tensor::zeros(out_def.dtype(), Shape::new(dims));
     out.set_quant(out_def.quant().cloned());
     let mut scratch = Vec::with_capacity(MemoryPlan::for_graph(graph, frames)?.scratch_elems());
+    let kernels = Kernels::resolve(&spec);
+    let taps = kernels
+        .float
+        .reads_windows_in_place()
+        .then(|| window_taps(graph, node))
+        .flatten();
     let mut ctx = KernelCtx {
-        kernels: Kernels::resolve(&spec),
+        kernels,
         engine: Engine::runnable(engine),
         scratch: &mut scratch,
         patches: &mut Vec::new(),
         multipliers: &mut Vec::new(),
         panels: None,
         runtime_panels: &mut Vec::new(),
+        taps: taps.as_deref(),
     };
     execute_node(node, operands, out_def, &mut out, &mut ctx)?;
     Ok(out)
@@ -1460,6 +1714,185 @@ mod tests {
             by_mode[0], by_mode[1],
             "the two precisions must disagree on odd sums"
         );
+    }
+
+    /// The Optimized `Conv2d` before it read windows in place: the
+    /// whole-batch [`im2col`] matrix, padding taps `0.0`, reduced by
+    /// [`float_gemm`]'s blocked-4 rule — the oracle the windowed walk is
+    /// held to. As bit patterns, every NaN one pattern.
+    #[allow(clippy::too_many_arguments)]
+    fn blocked4_im2col(
+        engine: Engine,
+        g: &WindowGeom,
+        x: &[f32],
+        panels: &[f32],
+        out_c: usize,
+        bias: Option<&[f32]>,
+        act: Activation,
+    ) -> Vec<u32> {
+        let mut scratch = Vec::new();
+        let matrix = im2col(g, x, 0.0, &mut scratch);
+        let mut out = vec![f32::NAN; g.cell_count() * out_c];
+        let (blocked4, k) = (Reduction::Blocked4(panels), g.patch_len());
+        float_gemm(engine, blocked4, matrix, k, out_c, bias, act, &mut out);
+        nan_as_one(&out)
+    }
+
+    fn nan_as_one(values: &[f32]) -> Vec<u32> {
+        values
+            .iter()
+            .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+            .collect()
+    }
+
+    /// The windows the windowed-conv property draws: pointwise (stride 1
+    /// reads the input itself; 2 and 3 go through the bordered copy),
+    /// square and one-sided.
+    const WINDOWS: [(usize, usize); 5] = [(1, 1), (3, 3), (5, 5), (3, 1), (1, 3)];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The Optimized `Conv2d` reading windows in place from the
+        /// zero-bordered input against the im2col path it replaced, in both
+        /// builds, bit for bit: every window of [`WINDOWS`], strides 1–3,
+        /// SAME and VALID, inputs down to 1×1 (under SAME most taps of a
+        /// cell then lie only in the padding), 1–4 input channels (so
+        /// `k mod 4` takes every value), 1–21 output channels (every mix of
+        /// 8-, 4- and 1-wide panels), stacked batches, with and without
+        /// bias, every activation, over stale scratch. Inputs carry `±0.0`
+        /// and weights are planted with `±∞` and NaN: a padding tap is
+        /// still multiplied, `0.0 · w`, and added, so a non-finite weight
+        /// it meets turns the cell NaN in both paths, and a cell whose
+        /// every product is a zero sums to the zero the im2col path made.
+        #[test]
+        fn windowed_blocked4_conv_is_the_im2col_path_bitwise(
+            window in 0usize..WINDOWS.len(),
+            in_h in 1usize..=9,
+            in_w in 1usize..=9,
+            stride in 1usize..=3,
+            same in 0u8..2,
+            in_c in 1usize..=4,
+            out_c in 1usize..=21,
+            batch in 1usize..=3,
+            with_bias in 0u8..2,
+            activation in 0usize..ACTIVATIONS.len(),
+            planted in prop::collection::vec(0usize..4096, 0..4),
+            kinds in prop::collection::vec(0usize..4, 4..5),
+            seed in 1u64..=u64::MAX,
+        ) {
+            let (kh, kw) = WINDOWS[window];
+            let padding = if same == 1 { Padding::Same } else { Padding::Valid };
+            let (h, w) = match padding {
+                Padding::Same => (in_h, in_w),
+                Padding::Valid => (in_h.max(kh), in_w.max(kw)),
+            };
+            let (oh, ow) = (
+                conv_out_size(h, kh, stride, padding),
+                conv_out_size(w, kw, stride, padding),
+            );
+            let act = ACTIVATIONS[activation];
+            let mut draw = Draw(seed);
+            // Inputs of every sign, a quarter of them zeros of either sign.
+            let x: Vec<f32> = (0..batch * h * w * in_c)
+                .map(|_| match draw.bits() % 8 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => draw.scale(-2.0, 2.0),
+                })
+                .collect();
+            let mut weights: Vec<f32> =
+                (0..out_c * kh * kw * in_c).map(|_| draw.scale(-1.0, 1.0)).collect();
+            let len = weights.len();
+            for (&at, &kind) in planted.iter().zip(&kinds) {
+                weights[at % len] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0][kind];
+            }
+            let bias: Vec<f32> = (0..out_c).map(|_| draw.scale(-0.5, 0.5)).collect();
+            let input = Tensor::from_f32(Shape::nhwc(batch, h, w, in_c), x.clone()).unwrap();
+            let weights = Tensor::from_f32(Shape::new(vec![out_c, kh, kw, in_c]), weights).unwrap();
+            let bias_t = Tensor::from_f32(Shape::vector(out_c), bias.clone()).unwrap();
+            let mut panels = Vec::new();
+            pack_weight_panels(&weights, &mut panels).unwrap();
+            let out_def = TensorDef::Activation {
+                name: "out".into(),
+                shape: Shape::nhwc(1, oh, ow, out_c),
+                dtype: DType::F32,
+                quant: None,
+            };
+            let g = WindowGeom::new(&input, &out_def, kh, kw, stride, padding);
+            let taps: Vec<usize> = g.tap_offsets().collect();
+            let node = q_node(OpKind::Conv2d { stride, padding, activation: act });
+            let mut operands = vec![&input, &weights];
+            operands.extend((with_bias == 1).then_some(&bias_t));
+            let bias = (with_bias == 1).then_some(&bias[..]);
+            let what = format!(
+                "{kh}x{kw}/{stride} {padding:?} {h}x{w}x{in_c}->{out_c} x{batch} \
+                 bias={with_bias} {act:?} planted {planted:?} {kinds:?} seed {seed}"
+            );
+            for engine in [SimdEngine::Avx2Fma, SimdEngine::Scalar].map(Engine::runnable) {
+                let want = blocked4_im2col(engine, &g, &x, &panels, out_c, bias, act);
+                let mut scratch = vec![f32::NAN; g.bordered_len().max(im2col_len(&g)) + 5];
+                let mut out = Tensor::filled_f32(Shape::nhwc(batch, oh, ow, out_c), 7.5);
+                conv2d_f32_gemm(
+                    engine, Reduction::Blocked4(&panels), Some(&taps), &node, &operands,
+                    &out_def, stride, padding, act, &mut scratch, &mut out,
+                )
+                .unwrap();
+                prop_assert_eq!(nan_as_one(out.as_f32().unwrap()), want, "{:?} {}", engine, what);
+            }
+        }
+    }
+
+    /// A tap table built for another window is refused, not read.
+    #[test]
+    fn a_tap_table_of_another_window_is_refused() {
+        let input = Tensor::filled_f32(Shape::nhwc(1, 5, 5, 2), 1.0);
+        let weights = Tensor::filled_f32(Shape::new(vec![3, 3, 3, 2]), 0.5);
+        let mut panels = Vec::new();
+        pack_weight_panels(&weights, &mut panels).unwrap();
+        let out_def = TensorDef::Activation {
+            name: "out".into(),
+            shape: Shape::nhwc(1, 5, 5, 3),
+            dtype: DType::F32,
+            quant: None,
+        };
+        let (stride, padding, act) = (1, Padding::Same, Activation::None);
+        let node = q_node(OpKind::Conv2d {
+            stride,
+            padding,
+            activation: act,
+        });
+        let wider = TensorDef::Activation {
+            name: "wider".into(),
+            shape: Shape::nhwc(1, 7, 7, 3),
+            dtype: DType::F32,
+            quant: None,
+        };
+        let other = Tensor::filled_f32(Shape::nhwc(1, 7, 7, 2), 1.0);
+        let short: Vec<usize> = (0..17).collect();
+        let of_wider: Vec<usize> = WindowGeom::new(&other, &wider, 3, 3, stride, padding)
+            .tap_offsets()
+            .collect();
+        for taps in [None, Some(&short[..]), Some(&of_wider[..])] {
+            let mut out = Tensor::filled_f32(Shape::nhwc(1, 5, 5, 3), 0.0);
+            let result = conv2d_f32_gemm(
+                Engine::active(),
+                Reduction::Blocked4(&panels),
+                taps,
+                &node,
+                &[&input, &weights],
+                &out_def,
+                stride,
+                padding,
+                act,
+                &mut Vec::with_capacity(7 * 7 * 2),
+                &mut out,
+            );
+            assert!(
+                matches!(result, Err(NnError::InvalidOp { .. })),
+                "{taps:?}: {result:?}"
+            );
+        }
     }
 
     /// The whole-batch im2col before it copied one run per window row: one

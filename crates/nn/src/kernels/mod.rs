@@ -26,9 +26,11 @@
 //!   walk;
 //! * the **optimized** flavor's blocked-4 cell ([`KernelFlavor::Optimized`]:
 //!   four striped partial sums, `(s0 + s1) + (s2 + s3) + rest + bias`),
-//!   run over an im2col matrix against the *same* packed panels, a panel's
-//!   worth of cells side by side; the interpreter packs the constant
-//!   `Conv2d` and `FullyConnected` weights of this flavor too;
+//!   run over the cells' windows — read in place from a zero-bordered copy
+//!   of the input through a tap table the interpreter builds once per node
+//!   — against the *same* packed panels, a panel's worth of cells side by
+//!   side; the interpreter packs the constant `Conv2d` and
+//!   `FullyConnected` weights of this flavor too;
 //! * the **SIMD** flavor's `Lanes8` tiles ([`KernelFlavor::Simd`]: the
 //!   8-lane virtual-SIMD dot) over the row-major weights.
 //!
@@ -62,8 +64,8 @@
 //! `gemm`'s tests as the oracle — return the same bits.
 //!
 //! The native kernels — reference and optimized `Conv2d` / FC, the
-//! shared float and the int8 depthwise, the float `Add`, `Mul`, `Act` and
-//! `BatchNorm` — run at the host's vector width: each body is
+//! shared float and the int8 depthwise, the float `Add`, `Mul`, `Act`,
+//! `BatchNorm` and `Mean` — run at the host's vector width: each body is
 //! written once and compiled twice (`native_kernel!`), for the x86-64
 //! baseline and for AVX2+FMA, and the interpreter's engine
 //! ([`gemm::active_engine`]) picks the build. Both builds compute the same
@@ -76,7 +78,9 @@
 //!
 //! Every kernel writes into an arena-provided output slot (`&mut Tensor`,
 //! preallocated from the interpreter's `MemoryPlan`), and the float im2col
-//! matrix and the BatchNorm denominators live in the plan-sized scratch.
+//! matrix (or the zero-bordered input the optimized `Conv2d` reads its
+//! windows from) and the BatchNorm denominators live in the plan-sized
+//! scratch.
 //! The quantized im2col matrix lives in a `u8` buffer the interpreter keeps,
 //! which grows to the largest patch matrix it has held and then stays; the
 //! quantized depthwise's per-channel requant multipliers, computed once per
@@ -259,7 +263,8 @@ pub(crate) enum FloatKernels {
     /// [`Chain`] — the faithful one, or an edge emulator's (whatever the
     /// flavor).
     Reference(EdgeNumerics),
-    /// im2col, then blocked-4 cells over packed weight panels.
+    /// Blocked-4 cells over packed weight panels, each `Conv2d` window read
+    /// in place from a zero-bordered input.
     Blocked4,
     /// im2col, then 8-lane virtual-SIMD micro-kernel tiles over the
     /// row-major weights; `skip_k_tail` injects the K-tail defect.
@@ -282,6 +287,14 @@ impl FloatKernels {
             },
             _ => Reduction::Blocked4(node_panels(packed, runtime, weights)?),
         })
+    }
+
+    /// Whether these kernels read a float `Conv2d`'s windows in place from
+    /// a zero-bordered input through a tap table ([`gemm::window_taps`]):
+    /// the optimized flavor's. The Simd flavor reduces an im2col matrix,
+    /// and the reference kernels walk the input's window runs.
+    pub(crate) fn reads_windows_in_place(self) -> bool {
+        matches!(self, FloatKernels::Blocked4)
     }
 
     /// Whether these kernels read `op`'s float weights as
@@ -413,6 +426,11 @@ pub(crate) struct KernelCtx<'a> {
     /// Where such a kernel packs weights that are a runtime tensor, on every
     /// invoke; grows to the largest such operand and then stays.
     pub runtime_panels: &'a mut Vec<f32>,
+    /// The node's window tap table ([`gemm::window_taps`]): `Some` for a
+    /// float `Conv2d` whose kernels [read windows in
+    /// place](FloatKernels::reads_windows_in_place) and whose window is not
+    /// pointwise, built when the interpreter was built.
+    pub taps: Option<&'a [usize]>,
 }
 
 /// `weights` in [`pack_weight_panels`] order: the copy packed at build, or
@@ -474,6 +492,8 @@ pub(crate) fn execute_node(
                 gemm::conv2d_f32_gemm(
                     engine,
                     reduction,
+                    ctx.taps,
+                    node,
                     inputs,
                     out_def,
                     stride,
@@ -592,7 +612,7 @@ pub(crate) fn execute_node(
         ) => pool::maxpool_q(
             node, inputs, out_def, pool_h, pool_w, stride, padding, requant, out,
         ),
-        (OpKind::Mean, false) => pool::mean_f32(inputs, out_def, out),
+        (OpKind::Mean, false) => pool::mean_f32(engine, inputs, out_def, out),
         (OpKind::Mean, true) => pool::mean_q(node, inputs, out_def, requant, out),
         (&OpKind::Add { activation }, false) => {
             elementwise::add_f32(engine, inputs, out_def, activation, out)

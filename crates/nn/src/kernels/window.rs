@@ -62,6 +62,41 @@ pub(super) struct Row {
     oy: usize,
 }
 
+/// Where each output cell's window starts in the bordered input
+/// [`WindowGeom::border`] writes: cells lie `cell` elements apart along an
+/// output row, output rows `row` apart, frames `frame` apart.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct BorderedSteps {
+    out_w: usize,
+    out_h: usize,
+    cell: usize,
+    row: usize,
+    frame: usize,
+}
+
+impl BorderedSteps {
+    /// The origins of the cells `first..first + origins.len()` (flat NHW
+    /// indices, in output order) into `origins`: one division for the
+    /// first, then a step per cell.
+    #[inline]
+    pub(super) fn origins(self, first: usize, origins: &mut [usize]) {
+        let q = first / self.out_w;
+        let (mut ox, mut oy, mut n) = (first % self.out_w, q % self.out_h, q / self.out_h);
+        for origin in origins {
+            *origin = n * self.frame + oy * self.row + ox * self.cell;
+            ox += 1;
+            if ox == self.out_w {
+                ox = 0;
+                oy += 1;
+                if oy == self.out_h {
+                    oy = 0;
+                    n += 1;
+                }
+            }
+        }
+    }
+}
+
 /// Window offsets `k` along one axis whose input coordinate
 /// `start + k - pad` lands inside `0..idim`.
 fn clip(start: usize, pad: usize, kdim: usize, idim: usize) -> Range<usize> {
@@ -84,8 +119,26 @@ impl WindowGeom {
         stride: usize,
         padding: Padding,
     ) -> Self {
-        let is = input.shape().dims();
-        let os = out_def.shape().dims();
+        Self::of_dims(
+            input.shape().dims(),
+            out_def.shape().dims(),
+            kh,
+            kw,
+            stride,
+            padding,
+        )
+    }
+
+    /// [`WindowGeom::new`] over the NHWC dims `is` of the input and `os` of
+    /// the output.
+    pub(super) fn of_dims(
+        is: &[usize],
+        os: &[usize],
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        padding: Padding,
+    ) -> Self {
         let (pad_top, pad_left) = match padding {
             Padding::Same => (
                 same_pad_before(is[1], kh, stride),
@@ -262,6 +315,73 @@ impl WindowGeom {
             let start = input + (ky - first) * row_len;
             ((ky * kw + kx0) * c, start..start + len)
         })
+    }
+
+    /// The per-frame `(rows, columns)` of the input the windows cover,
+    /// padding included — `((oh − 1)·s + kh, (ow − 1)·s + kw)` — or
+    /// `(0, 0)` when there is no output cell.
+    fn bordered_dims(&self) -> (usize, usize) {
+        if self.out_h == 0 || self.out_w == 0 {
+            return (0, 0);
+        }
+        let side = |out: usize, k: usize| (out - 1) * self.stride + k;
+        (side(self.out_h, self.kh), side(self.out_w, self.kw))
+    }
+
+    /// Elements of the zero-bordered input [`WindowGeom::border`] writes:
+    /// `n × rows × columns × c` of [`WindowGeom::bordered_dims`].
+    pub(super) fn bordered_len(&self) -> usize {
+        let (rows, cols) = self.bordered_dims();
+        self.n * rows * cols * self.c
+    }
+
+    /// Copies `x` into `out` as the zero-bordered input every window reads
+    /// in place: frame by frame the rows and columns the windows cover,
+    /// `0.0` where they lie in the padding, the input row by row where they
+    /// do not — so tap `p` of a cell's window, `tap_offsets()[p]` elements
+    /// past the cell's origin ([`BorderedSteps::origins`]), holds what its
+    /// im2col row holds at `p`. Input rows and columns no window reaches
+    /// are left out.
+    pub(super) fn border(&self, x: &[f32], out: &mut Vec<f32>) {
+        let (rows, cols) = self.bordered_dims();
+        let c = self.c;
+        out.clear();
+        out.resize(self.bordered_len(), 0.0);
+        // In-bounds bordered rows `pad_top..` and columns `pad_left..`.
+        let ys = self.pad_top..rows.min(self.pad_top + self.in_h);
+        let run = cols
+            .min(self.pad_left + self.in_w)
+            .saturating_sub(self.pad_left)
+            * c;
+        for frame in 0..self.n {
+            for yb in ys.clone() {
+                let from = ((frame * self.in_h + yb - self.pad_top) * self.in_w) * c;
+                let to = ((frame * rows + yb) * cols + self.pad_left) * c;
+                out[to..to + run].copy_from_slice(&x[from..from + run]);
+            }
+        }
+    }
+
+    /// The offset of each of a window's `kh · kw · c` taps from its cell's
+    /// origin in the bordered input, in patch order `(ky, kx, ic)`: a
+    /// window row's `kw · c` taps are contiguous there, and window rows lie
+    /// one bordered row apart.
+    pub(super) fn tap_offsets(&self) -> impl DoubleEndedIterator<Item = usize> {
+        let (_, cols) = self.bordered_dims();
+        let (row, bordered_row) = (self.kw * self.c, cols * self.c);
+        (0..self.patch_len()).map(move |p| p / row * bordered_row + p % row)
+    }
+
+    /// How far apart cells' windows start in the bordered input.
+    pub(super) fn bordered_steps(&self) -> BorderedSteps {
+        let (rows, cols) = self.bordered_dims();
+        BorderedSteps {
+            out_w: self.out_w,
+            out_h: self.out_h,
+            cell: self.stride * self.c,
+            row: self.stride * cols * self.c,
+            frame: rows * cols * self.c,
+        }
     }
 
     /// Every output row, batch-outer, in output memory order.

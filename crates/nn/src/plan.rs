@@ -4,8 +4,8 @@
 //! a [`MemoryPlan`]: the byte size and lifetime of every runtime tensor
 //! (graph inputs and node outputs), a greedy first-fit offset assignment that
 //! lets lifetime-disjoint tensors share the same arena range, and the f32
-//! scratch requirement of the float kernels (the im2col matrix; BatchNorm's
-//! per-channel denominators). The interpreter then preallocates one buffer
+//! scratch requirement of the float kernels (a convolution's im2col matrix
+//! or zero-bordered input; BatchNorm's per-channel denominators). The interpreter then preallocates one buffer
 //! per planned slot and reuses them across invokes — and, re-shaped in
 //! place, across batch sizes — so steady-state execution performs no
 //! per-node allocation. `InvokeStats::allocations` reports what the
@@ -100,8 +100,9 @@ fn overflow(what: &str, batch: usize) -> NnError {
     ))
 }
 
-/// Elements of f32 scratch `node`'s float kernel needs: the whole-batch
-/// im2col matrix of a convolution (at every batch factor, 1 included), the
+/// Elements of f32 scratch `node`'s float kernel needs: the larger of the
+/// whole-batch im2col matrix of a convolution and its zero-bordered input
+/// (at every batch factor, 1 included), the
 /// per-channel denominators of a BatchNorm (its channel count, whatever the
 /// batch), or 0 when the node needs none.
 fn node_scratch_elems(graph: &Graph, node: &crate::graph::Node, batch: usize) -> usize {
@@ -129,14 +130,18 @@ fn node_scratch_elems(graph: &Graph, node: &crate::graph::Node, batch: usize) ->
     let (kh, kw, in_c) = (ws[1], ws[2], ws[3]);
     let is = input.shape().dims();
     // The 1x1 stride-1 fast path reads the input directly; everything else
-    // materializes [rows, kh*kw*in_c].
+    // materializes [rows, kh*kw*in_c] (im2col) or the zero-bordered input
+    // the windows are read from in place, by flavor — so the larger.
     if kh == 1 && kw == 1 && *stride == 1 {
         return 0;
     }
     let oh = conv_out_size(is[1], kh, *stride, *padding);
     let ow = conv_out_size(is[2], kw, *stride, *padding);
-    let rows = is[0] * batch * oh * ow;
-    rows * kh * kw * in_c
+    let frames = is[0] * batch;
+    let im2col = frames * oh * ow * kh * kw * in_c;
+    let covered = |out: usize, k: usize| if out == 0 { 0 } else { (out - 1) * stride + k };
+    let bordered = frames * covered(oh, kh) * covered(ow, kw) * in_c;
+    im2col.max(bordered)
 }
 
 impl MemoryPlan {
@@ -272,8 +277,8 @@ impl MemoryPlan {
     }
 
     /// The f32 scratch elements the float kernels need: the largest
-    /// whole-batch im2col matrix in the graph, or the widest BatchNorm's
-    /// channel count if that is larger.
+    /// whole-batch im2col matrix or zero-bordered convolution input in the
+    /// graph, or the widest BatchNorm's channel count if that is larger.
     pub fn scratch_elems(&self) -> usize {
         self.scratch_elems
     }

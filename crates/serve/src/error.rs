@@ -27,6 +27,14 @@ pub enum ServeError {
     Core(ExrayError),
     /// The service was configured inconsistently.
     Config(String),
+    /// A model's serving worker thread could not be started; the model's
+    /// pool was drained and not started.
+    WorkerSpawn {
+        /// The model whose pool could not start.
+        model: String,
+        /// What the operating system said.
+        reason: String,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -39,6 +47,12 @@ impl fmt::Display for ServeError {
             }
             ServeError::Core(e) => write!(f, "core: {e}"),
             ServeError::Config(msg) => write!(f, "configuration: {msg}"),
+            ServeError::WorkerSpawn { model, reason } => {
+                write!(
+                    f,
+                    "could not start a serving worker for '{model}': {reason}"
+                )
+            }
         }
     }
 }

@@ -1284,7 +1284,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max: u32) -> Result<u64, 
 }
 
 /// Blocking frame read for clients: returns the payload, or `None` on a
-/// clean EOF at a frame boundary.
+/// clean EOF at a frame boundary. The payload buffer grows as its bytes
+/// arrive rather than to the announced length up front, so `max` bounds
+/// what a frame may carry, not what a lying peer can make the reader
+/// allocate.
 ///
 /// # Errors
 ///
@@ -1306,16 +1309,21 @@ pub fn read_frame(r: &mut impl Read, max: u32) -> Result<Option<Vec<u8>>, WireEr
     if len > max {
         return Err(WireError::FrameTooLarge { len, max });
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            WireError::Truncated
-        } else {
-            WireError::Io(e)
-        }
-    })?;
+    // The announced length is the peer's word: the buffer grows as bytes
+    // arrive, from at most `READ_CHUNK` up front, so a peer that announces
+    // gigabytes and sends a few bytes costs a few bytes.
+    let mut payload = Vec::with_capacity((len as usize).min(READ_CHUNK));
+    r.take(u64::from(len))
+        .read_to_end(&mut payload)
+        .map_err(WireError::Io)?;
+    if payload.len() < len as usize {
+        return Err(WireError::Truncated);
+    }
     Ok(Some(payload))
 }
+
+/// The most [`read_frame`] reserves before a frame's bytes arrive.
+const READ_CHUNK: usize = 64 * 1024;
 
 #[cfg(test)]
 mod tests {

@@ -297,6 +297,34 @@ struct ModelServer {
     lease: Option<CoreLease>,
 }
 
+impl ModelServer {
+    /// Closes the pool's queue, joins its workers and — dropping the
+    /// server — returns its cores to the ledger: a pool that never served
+    /// (a lost registration race, a worker that could not start).
+    fn retire(mut self) {
+        self.pool.queue.close();
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// A serving worker's thread body, as the pool hands it to its spawner.
+type WorkerThread = Box<dyn FnOnce() + Send>;
+
+/// Starts one serving worker's thread: [`spawn_thread`], or a test's
+/// stand-in that fails on demand.
+type Spawner<'a> =
+    &'a mut dyn FnMut(std::thread::Builder, WorkerThread) -> std::io::Result<JoinHandle<()>>;
+
+/// The spawner a running service uses: a plain OS thread.
+fn spawn_thread(
+    builder: std::thread::Builder,
+    run: WorkerThread,
+) -> std::io::Result<JoinHandle<()>> {
+    builder.spawn(run)
+}
+
 /// The in-process inference service: spawn it over a [`ModelRegistry`],
 /// submit requests from any thread, shut it down for the final accounting.
 /// See the module docs for the data path.
@@ -334,11 +362,24 @@ impl InferenceService {
     ///
     /// # Errors
     ///
-    /// Propagates trial backend builds; rejects an empty registry.
+    /// Propagates trial backend builds; rejects an empty registry;
+    /// [`ServeError::WorkerSpawn`] when a worker thread cannot be started
+    /// (every pool already started is then drained and joined, and its
+    /// cores returned).
     pub fn start(
         registry: &ModelRegistry,
         config: ServiceConfig,
         sink: Option<Arc<dyn LogSink>>,
+    ) -> Result<Self> {
+        Self::start_with(registry, config, sink, &mut spawn_thread)
+    }
+
+    /// [`InferenceService::start`], each worker thread started by `spawn`.
+    fn start_with(
+        registry: &ModelRegistry,
+        config: ServiceConfig,
+        sink: Option<Arc<dyn LogSink>>,
+        spawn: Spawner<'_>,
     ) -> Result<Self> {
         let entries = registry.snapshot();
         if entries.is_empty() {
@@ -370,15 +411,20 @@ impl InferenceService {
         };
         for entry in entries {
             let name = entry.name().to_string();
-            let server = service.spawn_server(entry)?;
+            // On an error the service drops, which drains the pools
+            // already inserted.
+            let server = service.spawn_server(entry, spawn)?;
             service.servers.write().insert(name, server);
         }
         Ok(service)
     }
 
     /// Builds one model's worker pool, drawing threads from the remaining
-    /// core budget (every model still gets at least one worker).
-    fn spawn_server(&self, entry: Arc<ServedModel>) -> Result<ModelServer> {
+    /// core budget (every model still gets at least one worker), each
+    /// started by `spawn`. When one cannot start, the workers already
+    /// running are drained and joined, and the pool's cores and budget
+    /// returned, before the error is.
+    fn spawn_server(&self, entry: Arc<ServedModel>, spawn: Spawner<'_>) -> Result<ModelServer> {
         // Validate the spec builds before any worker relies on it.
         entry.spec().build(entry.graph())?;
         let remaining = self.budget_left.load(Ordering::Acquire);
@@ -410,20 +456,30 @@ impl InferenceService {
             trace_clock: AtomicU64::new(0),
             entry,
         });
-        let workers = (0..workers)
-            .map(|i| {
-                let pool = pool.clone();
-                std::thread::Builder::new()
-                    .name(format!("mlexray-serve-{}-{i}", pool.entry.name()))
-                    .spawn(move || worker_loop(pool))
-                    .expect("spawn serving worker")
-            })
-            .collect();
-        Ok(ModelServer {
+        let taken = remaining - remaining.saturating_sub(workers);
+        let mut server = ModelServer {
             pool,
-            workers,
+            workers: Vec::with_capacity(workers),
             lease: Some(lease),
-        })
+        };
+        for i in 0..workers {
+            let pool = server.pool.clone();
+            let builder = std::thread::Builder::new()
+                .name(format!("mlexray-serve-{}-{i}", pool.entry.name()));
+            match spawn(builder, Box::new(move || worker_loop(pool))) {
+                Ok(handle) => server.workers.push(handle),
+                Err(e) => {
+                    let model = server.pool.entry.name().to_string();
+                    server.retire();
+                    self.budget_left.fetch_add(taken, Ordering::AcqRel);
+                    return Err(ServeError::WorkerSpawn {
+                        model,
+                        reason: e.to_string(),
+                    });
+                }
+            }
+        }
+        Ok(server)
     }
 
     /// Adds a model to a *running* service, spawning a fresh worker pool
@@ -434,8 +490,10 @@ impl InferenceService {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Config`] once shutdown has begun; otherwise propagates
-    /// the trial backend build.
+    /// [`ServeError::Config`] once shutdown has begun;
+    /// [`ServeError::WorkerSpawn`] when a worker thread cannot be started
+    /// (nothing is then added); otherwise propagates the trial backend
+    /// build.
     pub fn add_model(&self, entry: Arc<ServedModel>) -> Result<bool> {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServeError::Config(
@@ -446,7 +504,7 @@ impl InferenceService {
             return Ok(false);
         }
         let name = entry.name().to_string();
-        let server = self.spawn_server(entry)?;
+        let server = self.spawn_server(entry, &mut spawn_thread)?;
         let displaced = {
             let mut servers = self.servers.write();
             match servers.entry(name) {
@@ -459,11 +517,8 @@ impl InferenceService {
                 std::collections::btree_map::Entry::Occupied(_) => Some(server),
             }
         };
-        if let Some(mut loser) = displaced {
-            loser.pool.queue.close();
-            for handle in loser.workers.drain(..) {
-                let _ = handle.join();
-            }
+        if let Some(loser) = displaced {
+            loser.retire();
             return Ok(false);
         }
         Ok(true)
@@ -998,5 +1053,112 @@ fn flavor_tag(spec: &BackendSpec) -> u8 {
         "optimized" => 1,
         "simd" => 2,
         _ => 3,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io;
+    use std::sync::Mutex;
+
+    use mlexray_core::budget::reserved_cores;
+    use mlexray_nn::{Activation, GraphBuilder, Model, Padding};
+    use mlexray_tensor::Shape;
+
+    use super::*;
+
+    /// So large a pool's lease stands out over whatever the crate's other
+    /// tests hold on the process-wide core ledger while this one runs.
+    const WORKERS: usize = 1000;
+
+    fn registry(names: &[&str]) -> ModelRegistry {
+        let registry = ModelRegistry::new();
+        for &name in names {
+            let mut b = GraphBuilder::new(name);
+            let x = b.input("x", Shape::nhwc(1, 4, 4, 2));
+            let w = b.constant("w", Tensor::filled_f32(Shape::new(vec![2, 1, 1, 2]), 0.5));
+            let y = b
+                .conv2d("conv", x, w, None, 1, Padding::Same, Activation::Relu)
+                .unwrap();
+            b.output(y);
+            let model = Model::checkpoint(b.finish().unwrap(), name);
+            registry
+                .register_model(name, model, BackendSpec::optimized())
+                .unwrap();
+        }
+        registry
+    }
+
+    /// A spawner that starts `ok` workers, counting each one that has
+    /// returned in `exited`, then fails and records what the core ledger
+    /// held at that moment in `leased`.
+    fn failing_after(
+        ok: usize,
+        exited: &Arc<AtomicUsize>,
+        leased: &Arc<Mutex<Option<usize>>>,
+    ) -> impl FnMut(std::thread::Builder, WorkerThread) -> io::Result<JoinHandle<()>> {
+        let (exited, leased, mut started) = (exited.clone(), leased.clone(), 0);
+        move |builder, run| {
+            if started == ok {
+                *leased.lock().unwrap() = Some(reserved_cores());
+                return Err(io::Error::other("no thread for you"));
+            }
+            started += 1;
+            let exited = exited.clone();
+            builder.spawn(move || {
+                run();
+                exited.fetch_add(1, Ordering::SeqCst);
+            })
+        }
+    }
+
+    /// The third of a pool's workers cannot start: `start` answers a typed
+    /// `WorkerSpawn`, and by then the two that did start have returned and
+    /// been joined, and the pool's lease — held when the spawn failed — is
+    /// back on the ledger.
+    #[test]
+    fn a_worker_that_cannot_start_fails_start_with_the_pool_drained() {
+        let (exited, leased) = (Arc::new(AtomicUsize::new(0)), Arc::new(Mutex::new(None)));
+        let config = ServiceConfig {
+            workers_per_model: WORKERS,
+            core_budget: WORKERS,
+            ..ServiceConfig::default()
+        };
+        let mut spawn = failing_after(2, &exited, &leased);
+        let result = InferenceService::start_with(&registry(&["m"]), config, None, &mut spawn);
+        match result {
+            Err(ServeError::WorkerSpawn { model, reason }) => {
+                assert_eq!(model, "m");
+                assert!(reason.contains("no thread for you"), "{reason}");
+            }
+            other => panic!("expected WorkerSpawn, got {other:?}"),
+        }
+        assert_eq!(exited.load(Ordering::SeqCst), 2, "started workers joined");
+        let leased = leased.lock().unwrap().expect("the third spawn was tried");
+        assert!(leased >= WORKERS, "the pool's lease was held: {leased}");
+        assert!(reserved_cores() < WORKERS, "and is returned");
+    }
+
+    /// On a running service, a pool that cannot start leaves the served
+    /// models and the unspent core budget as they were.
+    #[test]
+    fn a_pool_that_cannot_start_returns_its_budget() {
+        let config = ServiceConfig {
+            workers_per_model: 2,
+            core_budget: 5,
+            ..ServiceConfig::default()
+        };
+        let service = InferenceService::start(&registry(&["a"]), config, None).unwrap();
+        let budget = service.budget_left.load(Ordering::Acquire);
+        assert_eq!(budget, 3);
+        let (exited, leased) = (Arc::new(AtomicUsize::new(0)), Arc::new(Mutex::new(None)));
+        let entry = registry(&["b"]).get("b").unwrap();
+        let result = service.spawn_server(entry, &mut failing_after(1, &exited, &leased));
+        assert!(matches!(result, Err(ServeError::WorkerSpawn { .. })));
+        assert_eq!(exited.load(Ordering::SeqCst), 1);
+        assert_eq!(service.budget_left.load(Ordering::Acquire), budget);
+        assert_eq!(service.models(), vec!["a".to_string()]);
+        let report = service.shutdown();
+        assert_eq!(report.models.len(), 1);
     }
 }

@@ -21,13 +21,15 @@ pub struct TensorStats {
 impl TensorStats {
     /// Computes statistics over a value slice in one walk: `Σv` and `Σv²`
     /// add up left to right in `f64`, the extremes are order-free and ride
-    /// along in eight lanes, as they do in [`normalized_rmse`]. A plain `<`
-    /// / `>` never makes a NaN an extreme (as `f32::min` / `f32::max` ignore
-    /// them), so an all-NaN slice keeps `min = +∞`, `max = −∞`.
+    /// along in eight lanes, as they do in [`normalized_rmse`]. Each block
+    /// of eight values is widened (and squared) into lane arrays first;
+    /// only the sixteen `f64` adds into the two running sums stay
+    /// sequential, in element order. A plain `<` / `>` never makes a NaN an
+    /// extreme (as `f32::min` / `f32::max` ignore them), so an all-NaN
+    /// slice keeps `min = +∞`, `max = −∞`.
     ///
     /// Empty slices produce a zeroed summary with `count == 0`.
     pub fn of(values: &[f32]) -> Self {
-        const LANES: usize = 8;
         if values.is_empty() {
             return TensorStats {
                 min: 0.0,
@@ -38,28 +40,24 @@ impl TensorStats {
                 count: 0,
             };
         }
-        let mut sum = 0.0f64;
-        let mut sq = 0.0f64;
-        let mut lo = [f32::INFINITY; LANES];
-        let mut hi = [f32::NEG_INFINITY; LANES];
-        for block in values.chunks(LANES) {
-            for (lane, &v) in block.iter().enumerate() {
-                sum += v as f64;
-                sq += (v as f64) * (v as f64);
-                if v < lo[lane] {
-                    lo[lane] = v;
-                }
-                if v > hi[lane] {
-                    hi[lane] = v;
-                }
+        let (mut sum, mut sq) = (0.0f64, 0.0f64);
+        let mut extremes = Extremes::new();
+        let mut blocks = values.chunks_exact(LANES);
+        for block in blocks.by_ref() {
+            let block: &[f32; LANES] = block.try_into().expect("an eight-element block");
+            let v = block.map(f64::from);
+            let squares = v.map(|v| v * v);
+            for (v, v2) in v.into_iter().zip(squares) {
+                sum += v;
+                sq += v2;
             }
+            extremes.block(block);
         }
-        let min = lo
-            .iter()
-            .fold(f32::INFINITY, |m, &v| if v < m { v } else { m });
-        let max = hi
-            .iter()
-            .fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+        for &v in blocks.remainder() {
+            sum += v as f64;
+            sq += (v as f64) * (v as f64);
+        }
+        let (min, max) = extremes.finish(blocks.remainder());
         let n = values.len() as f64;
         let mean = sum / n;
         let var = (sq / n - mean * mean).max(0.0);
@@ -76,6 +74,68 @@ impl TensorStats {
     /// The value range `max - min`.
     pub fn range(&self) -> f32 {
         self.max - self.min
+    }
+}
+
+/// Lanes of the order-free extremes fold.
+const LANES: usize = 8;
+
+/// Running extremes of a value stream in eight lanes: element `i` of a
+/// block meets lane `i`, and the lanes fold into one minimum and one
+/// maximum at the end. Min and max are order-free, so the lanes change no
+/// result. Each lane update is a branch-free select, `if y < lo { y } else
+/// { lo }` (and `>` for the maximum): a NaN never replaces an extreme, and
+/// of two equal zeros the one already held stays — exactly what the
+/// conditional-store loop it replaced kept, and the operand order of
+/// `minps` / `maxps`.
+struct Extremes {
+    lo: [f32; LANES],
+    hi: [f32; LANES],
+}
+
+impl Extremes {
+    fn new() -> Self {
+        Extremes {
+            lo: [f32::INFINITY; LANES],
+            hi: [f32::NEG_INFINITY; LANES],
+        }
+    }
+
+    /// Lane `lane` takes `y`.
+    #[inline(always)]
+    fn select(&mut self, lane: usize, y: f32) {
+        let (lo, hi) = (self.lo[lane], self.hi[lane]);
+        self.lo[lane] = if y < lo { y } else { lo };
+        self.hi[lane] = if y > hi { y } else { hi };
+    }
+
+    /// Folds one whole block, lane `l` taking `ys[l]`.
+    #[inline(always)]
+    fn block(&mut self, ys: &[f32; LANES]) {
+        for (lane, &y) in ys.iter().enumerate() {
+            self.select(lane, y);
+        }
+    }
+
+    /// Folds `tail`, the last and partial block (fewer than eight values),
+    /// into the first lanes, then every lane from 0 to 7 into `(min, max)`
+    /// by the same selects. Out of line on purpose: folded in the caller,
+    /// the lanes are split into scalars there, and the block loop pays a
+    /// shuffle per lane per block instead of one select per half.
+    #[inline(never)]
+    fn finish(mut self, tail: &[f32]) -> (f32, f32) {
+        for (lane, &y) in tail.iter().enumerate().take(LANES) {
+            self.select(lane, y);
+        }
+        let min = self
+            .lo
+            .iter()
+            .fold(f32::INFINITY, |m, &v| if v < m { v } else { m });
+        let max = self
+            .hi
+            .iter()
+            .fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+        (min, max)
     }
 }
 
@@ -107,18 +167,20 @@ pub fn rmse(a: &[f32], b: &[f32]) -> f32 {
 /// A constant reference output (zero range) degenerates to the raw rMSE so a
 /// drift is still reported rather than dividing by zero.
 ///
-/// One walk over both slices. The squared differences add up left to right
-/// in `f64`, exactly as [`rmse`] adds them, so the value is bitwise
-/// `rmse(edge, reference) / TensorStats::of(reference).range()`; the
-/// reference's extremes are order-free and ride along in eight lanes. A
-/// plain `<` / `>` ignores NaNs the way `f32::min` / `f32::max` do: an
-/// all-NaN reference keeps its `−∞` range and falls through to the raw rMSE.
+/// One walk over both slices, eight elements at a time. Each block's
+/// differences are taken in `f32`, widened and squared into a lane array;
+/// then its eight `f64` squares add into the one running sum left to
+/// right — the only sequential step, in element order, exactly as [`rmse`]
+/// adds them — so the value is bitwise `rmse(edge, reference) /
+/// TensorStats::of(reference).range()`. The reference's extremes are
+/// order-free and ride along in eight lanes (`Extremes`). A plain `<` /
+/// `>` ignores NaNs the way `f32::min` / `f32::max` do: an all-NaN
+/// reference keeps its `−∞` range and falls through to the raw rMSE.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn normalized_rmse(edge: &[f32], reference: &[f32]) -> f32 {
-    const LANES: usize = 8;
     assert_eq!(
         edge.len(),
         reference.len(),
@@ -128,38 +190,27 @@ pub fn normalized_rmse(edge: &[f32], reference: &[f32]) -> f32 {
         return 0.0;
     }
     let mut sum = 0.0f64;
-    let mut lo = [f32::INFINITY; LANES];
-    let mut hi = [f32::NEG_INFINITY; LANES];
-    let mut track = |x: f32, y: f32, lane: usize| {
-        let d = (x - y) as f64;
-        sum += d * d;
-        if y < lo[lane] {
-            lo[lane] = y;
-        }
-        if y > hi[lane] {
-            hi[lane] = y;
-        }
-    };
+    let mut extremes = Extremes::new();
     let mut edge_blocks = edge.chunks_exact(LANES);
     let mut reference_blocks = reference.chunks_exact(LANES);
     for (xs, ys) in edge_blocks.by_ref().zip(reference_blocks.by_ref()) {
-        for lane in 0..LANES {
-            track(xs[lane], ys[lane], lane);
+        let xs: &[f32; LANES] = xs.try_into().expect("an eight-element block");
+        let ys: &[f32; LANES] = ys.try_into().expect("an eight-element block");
+        let squares: [f64; LANES] = std::array::from_fn(|l| {
+            let d = (xs[l] - ys[l]) as f64;
+            d * d
+        });
+        for d2 in squares {
+            sum += d2;
         }
+        extremes.block(ys);
     }
-    let tail = edge_blocks
-        .remainder()
-        .iter()
-        .zip(reference_blocks.remainder());
-    for (lane, (&x, &y)) in tail.enumerate() {
-        track(x, y, lane);
+    let (xs, ys) = (edge_blocks.remainder(), reference_blocks.remainder());
+    for (&x, &y) in xs.iter().zip(ys) {
+        let d = (x - y) as f64;
+        sum += d * d;
     }
-    let min = lo
-        .iter()
-        .fold(f32::INFINITY, |m, &v| if v < m { v } else { m });
-    let max = hi
-        .iter()
-        .fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+    let (min, max) = extremes.finish(ys);
     let e = (sum / edge.len() as f64).sqrt() as f32;
     let range = max - min;
     if range > f32::EPSILON {
@@ -371,6 +422,37 @@ mod tests {
         ];
         for (edge, reference) in cases {
             assert_same(edge, reference, "special case");
+        }
+    }
+
+    /// A minimum and a maximum planted at every pair of positions of
+    /// slices of one to four blocks, with and without a tail, so each
+    /// extreme lands in every lane of every block and of the tail — alone
+    /// in its lane or sharing it with the other — over a background that
+    /// ties at several values in every lane.
+    #[test]
+    fn extremes_in_every_lane_are_the_sequential_ones() {
+        for n in [1usize, 7, 8, 9, 16, 23, 24, 31, 32] {
+            let background: Vec<f32> = (0..n).map(|i| (i * 7 % 5) as f32 - 2.0).collect();
+            let edge: Vec<f32> = background.iter().map(|v| v * 0.5 + 0.25).collect();
+            for lo_at in 0..n {
+                for hi_at in 0..n {
+                    let mut values = background.clone();
+                    values[lo_at] = -9.5;
+                    values[hi_at] = 9.5;
+                    let (got, want) = (TensorStats::of(&values), sequential_stats(&values));
+                    let case = format!("n={n} lo_at={lo_at} hi_at={hi_at}");
+                    assert!(got.min == want.min && got.max == want.max, "{case}");
+                    for (g, w) in [
+                        (got.mean, want.mean),
+                        (got.std, want.std),
+                        (got.l2, want.l2),
+                    ] {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{case}");
+                    }
+                    assert_same(&edge, &values, &case);
+                }
+            }
         }
     }
 

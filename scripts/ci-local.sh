@@ -109,10 +109,12 @@ backend-suites() {
 # defects and emulated numerics. differential_replay runs here too: bisection re-executes
 # the divergent node through execute_node_with on the process's engine, so
 # its op-local verdicts must hold under the mirror as well. Last, a smoke run
-# of the two timing probes in release — depthwise_probe (the depthwise nodes
-# of mobilenet_v2@48, float and int8, every flavor) and conv_probe (every op
-# kind of mini_mobilenet_v2@24, the replay_validate model, reference and
-# optimized): they must finish; no timing is asserted.
+# of the three timing probes in release — depthwise_probe (the depthwise
+# nodes of mobilenet_v2@48, float and int8, every flavor), conv_probe (every
+# op kind and the stem of mini_mobilenet_v2@24, the replay_validate model,
+# reference and optimized, and @32, the wire_plain model, optimized) and
+# fold_probe (normalized_rmse and TensorStats::of on frame-sized inputs):
+# they must finish; no timing is asserted.
 kernel-simd() {
   local nn=(-p mlexray-nn --test golden_kernels --test batch_equivalence
     --test backend_differential --test alloc_steady_state --test alloc_validation
@@ -132,7 +134,8 @@ kernel-simd() {
   MLEXRAY_SIMD=scalar cargo test "${conv[@]}"
   MLEXRAY_SIMD=scalar cargo test "${fc[@]}"
   MLEXRAY_SIMD=scalar cargo test "${core[@]}"
-  cargo test --release -p mlexray-nn --test depthwise_probe --test conv_probe -- --ignored -q
+  cargo test --release -p mlexray-nn -p mlexray-tensor --test depthwise_probe --test conv_probe \
+    --test fold_probe -- --ignored -q
 }
 
 # Everything in mlexray-serve: its unit tests (the door reaps finished
