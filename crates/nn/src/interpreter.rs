@@ -19,7 +19,7 @@ use mlexray_tensor::{DType, Shape, Tensor, TensorData};
 
 use crate::backend::BackendSpec;
 use crate::graph::{Graph, TensorDef, TensorId};
-use crate::kernels::gemm::{window_taps, Engine};
+use crate::kernels::gemm::Engine;
 use crate::kernels::{execute_node, pack_weight_panels, FloatKernels, KernelCtx, Kernels};
 use crate::ops::OpKind;
 use crate::plan::MemoryPlan;
@@ -179,6 +179,10 @@ struct ExecState {
     /// its capacity covers the largest plan run so far, so kernels never
     /// reallocate it in steady state.
     scratch: Vec<f32>,
+    /// The optimized `Conv2d`'s window tap offsets, which the kernel writes
+    /// from its own geometry: empty until such a node runs, then as long as
+    /// the largest window (27 for a 3×3 stem over RGB).
+    taps: Vec<usize>,
     /// Where a kernel that reads weight panels packs a runtime weight operand
     /// on each invoke (constant weights are packed once, in
     /// [`packed_weight_panels`]); empty until such a node runs, then as large
@@ -187,8 +191,8 @@ struct ExecState {
     /// The quantized `Conv2d`'s `u8` patch matrix: empty until such a node
     /// runs, then as large as the largest of them.
     patches: Vec<u8>,
-    /// The quantized depthwise kernel's per-channel requant multipliers:
-    /// empty until such a node runs, then as long as the widest of them.
+    /// The quantized kernels' per-channel requant multipliers: empty until
+    /// such a node runs, then as long as the widest of them.
     multipliers: Vec<f64>,
 }
 
@@ -213,6 +217,7 @@ impl ExecState {
             frames: 1,
             values,
             scratch,
+            taps: Vec::new(),
             runtime_panels: Vec::new(),
             patches: Vec::new(),
             multipliers: Vec::new(),
@@ -272,32 +277,6 @@ fn packed_weight_panels(graph: &Graph, float: FloatKernels) -> Result<Vec<Option
         .collect()
 }
 
-/// What the kernels read of a node besides its operands, laid out once
-/// when the interpreter is built, by node index.
-#[derive(Debug)]
-struct NodeTables {
-    /// See [`packed_weight_panels`].
-    panels: Vec<Option<Vec<f32>>>,
-    /// See [`window_tap_tables`].
-    taps: Vec<Option<Vec<usize>>>,
-}
-
-/// The tap table of every float `Conv2d` node whose window the kernels
-/// [read in place](FloatKernels::reads_windows_in_place), by node index
-/// ([`window_taps`]): a few hundred offsets per
-/// such node under the optimized flavor, and empty — nothing held — under
-/// the others.
-fn window_tap_tables(graph: &Graph, float: FloatKernels) -> Vec<Option<Vec<usize>>> {
-    if !float.reads_windows_in_place() {
-        return Vec::new();
-    }
-    graph
-        .nodes()
-        .iter()
-        .map(|node| window_taps(graph, node))
-        .collect()
-}
-
 /// Materializes frame `b` of a stacked tensor as its own tensor with the
 /// per-frame `shape`.
 fn frame_view(stacked: &Tensor, shape: &Shape, b: usize) -> Result<Tensor> {
@@ -351,9 +330,7 @@ fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
 /// the reference kernels' `Conv2d` weights, the optimized flavor's `Conv2d`
 /// and `FullyConnected` weights: 7.5 KB (reference) and 8.5 KB (optimized)
 /// for `mini_mobilenet_v2`, ≈ 9 MB and ≈ 14 MB for `mobilenet_v2` ×1.0.
-/// The SIMD flavor packs nothing and holds nothing. The optimized flavor
-/// also holds the tap table of each non-pointwise float `Conv2d` (one
-/// offset per weight of an output channel: 27 for a 3×3 stem over RGB).
+/// The SIMD flavor packs nothing and holds nothing.
 ///
 /// # Example
 ///
@@ -380,8 +357,8 @@ pub struct Interpreter<'g> {
     /// Every kernel choice `spec` makes, resolved once here (the
     /// `OpResolver` choice) instead of per node per invoke.
     kernels: Kernels,
-    /// What the kernels read of each node besides its operands.
-    tables: NodeTables,
+    /// See [`packed_weight_panels`].
+    panels: Vec<Option<Vec<f32>>>,
     state: ExecState,
     /// One memory plan per batch size seen, batch 1 first: accounting for
     /// [`InvokeStats`] and the scratch bound — no buffers hang off a plan.
@@ -409,10 +386,7 @@ impl<'g> Interpreter<'g> {
             graph,
             spec,
             kernels,
-            tables: NodeTables {
-                panels: packed_weight_panels(graph, kernels.float)?,
-                taps: window_tap_tables(graph, kernels.float),
-            },
+            panels: packed_weight_panels(graph, kernels.float)?,
             state: ExecState::new(graph, &plan),
             plans: vec![plan],
             batch_safe: batch_safe(graph),
@@ -525,7 +499,7 @@ impl<'g> Interpreter<'g> {
     fn execute_graph(
         graph: &Graph,
         kernels: Kernels,
-        tables: &NodeTables,
+        panels: &[Option<Vec<f32>>],
         state: &mut ExecState,
         observer: &mut dyn LayerObserver,
         batch_base: usize,
@@ -569,11 +543,11 @@ impl<'g> Interpreter<'g> {
                     kernels,
                     engine: Engine::active(),
                     scratch: &mut state.scratch,
+                    taps: &mut state.taps,
                     patches: &mut state.patches,
                     multipliers: &mut state.multipliers,
-                    panels: tables.panels.get(index).and_then(Option::as_deref),
+                    panels: panels.get(index).and_then(Option::as_deref),
                     runtime_panels: &mut state.runtime_panels,
-                    taps: tables.taps.get(index).and_then(Option::as_deref),
                 };
                 let out_def = graph.tensor(node.output);
                 execute_node(node, input_refs, out_def, &mut out, &mut ctx)
@@ -704,7 +678,7 @@ impl<'g> Interpreter<'g> {
         let plan = self.prepare(frames)?;
         let state = &mut self.state;
         Self::stage_inputs(self.graph, state, batch)?;
-        Self::execute_graph(self.graph, self.kernels, &self.tables, state, observer, 0)?;
+        Self::execute_graph(self.graph, self.kernels, &self.panels, state, observer, 0)?;
 
         let mut outputs = Vec::with_capacity(frames);
         let mut allocations = 0usize;
@@ -748,7 +722,7 @@ impl<'g> Interpreter<'g> {
             Self::execute_graph(
                 self.graph,
                 self.kernels,
-                &self.tables,
+                &self.panels,
                 &mut self.state,
                 observer,
                 b,

@@ -43,9 +43,7 @@ use mlexray_tensor::{QuantParams, Tensor};
 use crate::graph::{Node, TensorDef};
 use crate::kernels::gemm::{Engine, SimdEngine};
 use crate::kernels::window::{Row, Window, WindowGeom};
-use crate::kernels::{
-    act_qbounds, f32_slot, out_qparams, qparams_of, requantize, u8_slot, Chain, Ordered,
-};
+use crate::kernels::{f32_slot, qparams_of, requantize, u8_slot, Chain, Ordered, Requant};
 use crate::ops::{Activation, Padding};
 use crate::resolver::{EdgeNumerics, RequantMode};
 use crate::Result;
@@ -596,18 +594,6 @@ impl QuantMac for WrappingI16Mac {
     }
 }
 
-/// The output side of an int8 depthwise node: each channel's bias and
-/// requant multiplier, computed once per node, and the output zero point,
-/// clamp and multiplier precision.
-struct Requant<'a> {
-    bias: Option<&'a [i32]>,
-    multipliers: &'a [f64],
-    zp_out: i32,
-    qlo: i32,
-    qhi: i32,
-    mode: RequantMode,
-}
-
 impl Requant<'_> {
     /// Requantizes the sums of channels `ch0..` into `out`, each total plus
     /// its bias, with the precision's `match` taken once per block.
@@ -687,9 +673,8 @@ native_kernel! {
 }
 
 /// Quantized depthwise convolution of every flavor, in `engine`'s build:
-/// `kind`'s kernel, over the per-channel requant multipliers
-/// `s_in · s_w[ch] / s_out` computed once into `multipliers` (whose
-/// capacity is reused).
+/// `kind`'s kernel, over the per-channel [`Requant`] multipliers computed
+/// once into `multipliers` (whose capacity is reused).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dwconv_q(
     kind: QuantDepthwise,
@@ -705,26 +690,13 @@ pub(crate) fn dwconv_q(
     out_t: &mut Tensor,
 ) -> Result<()> {
     let (input, weights) = (inputs[0], inputs[1]);
-    let bias = inputs.get(2).map(|t| t.as_i32()).transpose()?;
-    let (s_in, zp_in) = qparams_of(node, input)?;
-    let (s_out, zp_out) = out_qparams(node, out_def)?;
+    let (_, zp_in) = qparams_of(node, input)?;
     let x = input.as_u8()?;
     let w = weights.as_i8()?;
     let ws = weights.shape().dims();
     let (kh, kw, c) = (ws[1], ws[2], ws[3]);
     let g = WindowGeom::new(input, out_def, kh, kw, stride, padding);
-    let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
-    let w_scale = |ch| weights.quant().map_or(1.0, |q| weight_scale(q, ch));
-    multipliers.clear();
-    multipliers.extend((0..c).map(|ch| (s_in as f64) * (w_scale(ch) as f64) / (s_out as f64)));
-    let rq = Requant {
-        bias,
-        multipliers,
-        zp_out,
-        qlo,
-        qhi,
-        mode: requant,
-    };
+    let rq = Requant::new(node, inputs, out_def, c, activation, requant, multipliers)?;
     let out = u8_slot(out_t, out_def)?;
     dwconv_q_cells(engine, &g, x, w, kind, zp_in, &rq, out);
     Ok(())
@@ -737,7 +709,7 @@ pub(super) mod tests {
     use super::*;
     use crate::graph::TensorId;
     use crate::kernels::gemm::SimdEngine;
-    use crate::kernels::{emulated_dot, every_chain, ACTIVATIONS};
+    use crate::kernels::{act_qbounds, emulated_dot, every_chain, out_qparams, ACTIVATIONS};
     use crate::ops::{conv_out_size, OpKind};
     use crate::{BackendSpec, GraphBuilder, Interpreter};
     use mlexray_tensor::{DType, Shape};

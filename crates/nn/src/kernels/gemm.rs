@@ -44,9 +44,11 @@
 //! which reads its input as the matrix) copies the input once instead,
 //! row by row, into a zero-bordered buffer of `n × ((oh − 1)·s + kh) ×
 //! ((ow − 1)·s + kw) × c` — the input plus the padding its windows reach —
-//! and reads tap `p` of row `r` at `origin(r) + tap_offset[p]`. The tap
-//! table is a function of the node's graph shapes, built once per node when
-//! the interpreter is built; the buffer is the plan-sized float scratch.
+//! and reads tap `p` of row `r` at `origin(r) + tap_offset[p]`. The kernel
+//! writes the tap offsets from the same `WindowGeom` it borders the input
+//! with, on every call (27 of them for a 3×3 stem over RGB), into a buffer
+//! the interpreter keeps, so no table built for another window can reach
+//! it; the bordered input is the plan-sized float scratch.
 //! Element `p` of a window then holds exactly what element `p` of its
 //! im2col row held, the input or a `0.0`, and the blocked-4 chains meet the
 //! same terms in the same order. Padding taps are still multiplied and
@@ -60,20 +62,22 @@
 //! The quantized `Conv2d` and `FullyConnected` are one kernel each for
 //! every flavor (`conv2d_q`, `fc_q`): the `u8` matrix — padding taps
 //! hold the input zero point — against the row-major `i8` weights, one
-//! exact `i32` dot per output value, output channel by output channel so
-//! each channel's requantization multiplier is computed once per node. The
-//! scalar loops the reference and optimized flavors ran before are kept
-//! verbatim in this module's tests, which hold both kernels to them bit for
-//! bit.
+//! exact `i32` dot per output value, output channel by output channel, each
+//! channel's requantization multiplier computed once per node. The output
+//! loop is one native body (`q8_gemm`), entered once per node, and its dot
+//! is plain integer Rust that both builds vectorize (`pmaddwd` in the
+//! baseline, `vpmaddwd` in the AVX2 one). The scalar loops the reference
+//! and optimized flavors ran before are kept verbatim in this module's
+//! tests, which hold both kernels to them bit for bit.
 //!
 //! # Native builds at the host's vector width
 //!
 //! The x86-64 baseline the crate compiles for is SSE2: four `f32` lanes.
-//! The float kernels of the three native flavors — the GEMM driver here
-//! with both its rules, the reference `Conv2d` panel chains and the shared
-//! depthwise kernel in `conv.rs` — are each written once, as an
-//! `#[inline(always)]` body (`native_kernel!` in `kernels/mod.rs`), and
-//! compiled twice: for the baseline, and once more under
+//! The kernels of the three native flavors — the float GEMM driver here
+//! with both its rules, the int8 GEMM, the reference `Conv2d` panel chains
+//! and the shared depthwise kernel in `conv.rs` — are each written once,
+//! as an `#[inline(always)]` body (`native_kernel!` in `kernels/mod.rs`),
+//! and compiled twice: for the baseline, and once more under
 //! `#[target_feature(enable = "avx2", enable = "fma")]`, which runs when
 //! the checked `Engine` says `Avx2Fma`. Enabling `fma` moves no bit of an
 //! unfused kernel: Rust never contracts `a + x * w`, so every product is
@@ -86,8 +90,9 @@
 //!
 //! # The dual-engine contract
 //!
-//! The `Lanes8` and quantized dots are defined in terms of one canonical
-//! "8-lane virtual SIMD" arithmetic, implemented twice:
+//! The `Lanes8` tile is the one intrinsic kernel left. Its dot is defined in
+//! terms of one canonical "8-lane virtual SIMD" arithmetic, implemented
+//! twice:
 //!
 //! * an **AVX2/FMA** engine (x86_64 only, behind one-time runtime feature
 //!   detection; the float tile is compiled only into the AVX2+FMA build,
@@ -108,15 +113,16 @@
 //! choice never changes a single output bit: golden records made on an AVX2
 //! machine verify on any host, and the CI forced-scalar run
 //! (`MLEXRAY_SIMD=scalar`) must match the feature-dispatched run exactly.
-//! The quantized dot accumulates in exact `i32` arithmetic, where any
-//! summation order is identical, so it is bitwise-equal to the scalar
-//! oracle loops too.
+//! The int8 dot needs no mirror: it is a portable body that both builds
+//! vectorize, accumulating in exact `i32` arithmetic, where any summation
+//! order is identical, so it is bitwise-equal to the scalar oracle loops in
+//! either build.
 //!
 //! Feature detection runs **once** per process ([`OnceLock`]); per-call
 //! dispatch is a single atomic load. `MLEXRAY_SIMD=scalar` in the
 //! environment forces the scalar engine (the CI fallback leg); tests that
 //! need both engines in one process use the engine-explicit entry points
-//! ([`dot_f32_with`], [`dot_q8_with`], [`execute_node_with`]) instead of
+//! ([`dot_f32_with`], [`execute_node_with`]) instead of
 //! mutating the environment. Those honour a request for
 //! [`SimdEngine::Avx2Fma`] only where the CPU really has AVX2+FMA —
 //! independent of the override — and otherwise run the mirror, so no caller
@@ -124,20 +130,17 @@
 
 use std::sync::OnceLock;
 
-use mlexray_tensor::{DType, Shape, Tensor};
+use mlexray_tensor::{Shape, Tensor};
 
 use crate::backend::BackendSpec;
 use crate::graph::{Graph, Node, NodeId, TensorDef};
-use crate::kernels::conv::{weight_panels, weight_scale};
+use crate::kernels::conv::weight_panels;
 use crate::kernels::window::{BorderedSteps, WindowGeom};
-use crate::kernels::{
-    act_qbounds, execute_node, f32_slot, out_qparams, qparams_of, requantize, u8_slot, KernelCtx,
-    Kernels,
-};
-use crate::ops::{Activation, OpKind, Padding};
+use crate::kernels::{execute_node, f32_slot, qparams_of, u8_slot, KernelCtx, Kernels, Requant};
+use crate::ops::{Activation, Padding};
 use crate::plan::MemoryPlan;
 use crate::resolver::RequantMode;
-use crate::{NnError, Result};
+use crate::Result;
 
 /// Vector width of the canonical virtual-SIMD arithmetic (f32 lanes).
 pub const SIMD_LANES: usize = 8;
@@ -347,65 +350,6 @@ unsafe fn tile_avx2<const M: usize, const N: usize>(
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// i8 × i8 → i32 dot micro-kernel
-// ---------------------------------------------------------------------------
-
-/// Integer dot product over zero-point-corrected `u8` activations and `i8`
-/// weights, accumulating in exact `i32` — bitwise-identical under any
-/// engine (and to the scalar oracle loops), absent overflow, for a `u8`
-/// zero point (`0..=255`). Public for the cross-engine test suites; on a
-/// CPU without AVX2 both engines run the scalar loop.
-pub fn dot_q8_with(engine: SimdEngine, a: &[u8], zp: i32, w: &[i8]) -> i32 {
-    dot_q8(Engine::runnable(engine), a, zp, w)
-}
-
-/// [`dot_q8_with`] on a checked engine.
-fn dot_q8(engine: Engine, a: &[u8], zp: i32, w: &[i8]) -> i32 {
-    assert_eq!(a.len(), w.len());
-    match engine.get() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: an `Engine` holds `Avx2Fma` only after AVX2 was detected
-        // on this CPU, and the lengths were just checked equal.
-        SimdEngine::Avx2Fma => unsafe { dot_q8_avx2(a, zp, w) },
-        _ => a
-            .iter()
-            .zip(w)
-            .map(|(&a, &w)| (a as i32 - zp) * w as i32)
-            .sum(),
-    }
-}
-
-/// # Safety
-///
-/// The CPU must support AVX2, and `w` must be at least as long as `a`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_q8_avx2(a: &[u8], zp: i32, w: &[i8]) -> i32 {
-    use std::arch::x86_64::*;
-    // 16 MACs per iteration: widen u8→i16 / i8→i16, subtract the zero
-    // point in i16 (exact: 0..=255 minus −255..=255 fits), then madd pairs
-    // into i32. Integer arithmetic is associative, so the lane order does
-    // not matter for bit-equality with the scalar mirror.
-    let vzp = _mm256_set1_epi16(zp as i16);
-    let mut acc = _mm256_setzero_si256();
-    let chunks = a.len() / 16;
-    for i in 0..chunks {
-        let o = i * 16;
-        let va = _mm256_cvtepu8_epi16(_mm_loadu_si128(a.as_ptr().add(o) as *const _));
-        let vw = _mm256_cvtepi8_epi16(_mm_loadu_si128(w.as_ptr().add(o) as *const _));
-        let vx = _mm256_sub_epi16(va, vzp);
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(vx, vw));
-    }
-    let mut lanes = [0i32; 8];
-    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut _, acc);
-    let mut sum: i32 = lanes.iter().sum();
-    for i in chunks * 16..a.len() {
-        sum += (a[i] as i32 - zp) * w[i] as i32;
-    }
-    sum
 }
 
 // ---------------------------------------------------------------------------
@@ -840,27 +784,26 @@ impl<'r> ChainRule<Dense<'r>> for Lanes8Tiles<'_> {
 
 /// Optimized / SIMD float convolution in `engine`'s build. The Optimized
 /// flavor reads each window in place from a zero-bordered copy of the
-/// input through `taps`, the node's [`window_taps`] (a pointwise window
-/// reads the input itself); the Simd flavor reduces a whole-batch
-/// [`im2col`] matrix. Handles any batch size natively, so `invoke` and
-/// `invoke_batch` run the same code.
+/// input, through the tap offsets ([`WindowGeom::tap_offsets`]) it writes
+/// into `taps` from the same geometry (a pointwise window reads the input
+/// itself); the Simd flavor reduces a whole-batch [`im2col`] matrix.
+/// Handles any batch size natively, so `invoke` and `invoke_batch` run the
+/// same code. `taps` keeps its capacity.
 ///
 /// # Errors
 ///
-/// [`NnError::InvalidOp`] when the Optimized flavor meets a window with
-/// no tap table built for it; what the operands' accessors return.
+/// What the operands' accessors return.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_f32_gemm(
     engine: Engine,
     reduction: Reduction<'_>,
-    taps: Option<&[usize]>,
-    node: &Node,
     inputs: &[&Tensor],
     out_def: &TensorDef,
     stride: usize,
     padding: Padding,
     activation: Activation,
     scratch: &mut Vec<f32>,
+    taps: &mut Vec<usize>,
     out_t: &mut Tensor,
 ) -> Result<()> {
     let (input, weights) = (inputs[0], inputs[1]);
@@ -870,12 +813,8 @@ pub(crate) fn conv2d_f32_gemm(
     let (x, out_c) = (input.as_f32()?, ws[0]);
     match reduction {
         Reduction::Blocked4(panels) if !g.is_pointwise() => {
-            let Some(taps) = taps.filter(|taps| taps_fit(&g, taps)) else {
-                return Err(NnError::InvalidOp {
-                    node: node.name.clone(),
-                    reason: "no tap table for this window".into(),
-                });
-            };
+            taps.clear();
+            taps.extend(g.tap_offsets());
             // The float scratch is reserved once from the memory plan;
             // growing it here would mean the planner under-reserved.
             debug_assert!(scratch.capacity() >= g.bordered_len());
@@ -897,38 +836,6 @@ pub(crate) fn conv2d_f32_gemm(
         }
     }
     Ok(())
-}
-
-/// The tap table of a float `Conv2d` node whose window the Optimized
-/// flavor reads in place — [`WindowGeom::tap_offsets`] of its graph
-/// shapes, which every batch size shares — or `None` for any other node
-/// (a pointwise window reads the input itself). The interpreter builds one
-/// per such node when it is built.
-pub(crate) fn window_taps(graph: &Graph, node: &Node) -> Option<Vec<usize>> {
-    let &OpKind::Conv2d {
-        stride, padding, ..
-    } = &node.op
-    else {
-        return None;
-    };
-    let input = graph.tensor(node.inputs[0]);
-    let (is, ws) = (
-        input.shape().dims(),
-        graph.tensor(*node.inputs.get(1)?).shape().dims(),
-    );
-    let os = graph.tensor(node.output).shape().dims();
-    if input.dtype() != DType::F32 || is.len() != 4 || ws.len() != 4 || os.len() != 4 {
-        return None;
-    }
-    let g = WindowGeom::of_dims(is, os, ws[1], ws[2], stride, padding);
-    (!g.is_pointwise()).then(|| g.tap_offsets().collect())
-}
-
-/// Whether `taps` is `g`'s tap table: as long as its window, and its last
-/// tap one bordered row count down — the one entry that depends on the
-/// bordered width.
-fn taps_fit(g: &WindowGeom, taps: &[usize]) -> bool {
-    taps.len() == g.patch_len() && taps.last().copied() == g.tap_offsets().next_back()
 }
 
 /// Optimized / SIMD float fully-connected layer, `[n, in] x [out, in]^T`:
@@ -953,7 +860,8 @@ pub(crate) fn fc_f32_gemm(
 /// The quantized `Conv2d` of every flavor: whole-batch `u8` [`im2col`] into
 /// `patches`, then [`q8_gemm`]. A padding tap holds the input zero point,
 /// so it adds `(zp − zp) · w = 0` — what the oracle's skipped tap adds.
-/// `patches` grows to the largest patch matrix it has held and then stays.
+/// `patches` grows to the largest patch matrix it has held and then stays,
+/// as `multipliers` does to the widest node.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_q(
     engine: Engine,
@@ -965,6 +873,7 @@ pub(crate) fn conv2d_q(
     activation: Activation,
     requant: RequantMode,
     patches: &mut Vec<u8>,
+    multipliers: &mut Vec<f64>,
     out_t: &mut Tensor,
 ) -> Result<()> {
     let (input, ws) = (inputs[0], inputs[1].shape().dims());
@@ -972,14 +881,23 @@ pub(crate) fn conv2d_q(
     // `qparams_of` admits only zero points a `u8` holds.
     let (_, zp_in) = qparams_of(node, input)?;
     let matrix = im2col(&g, input.as_u8()?, zp_in as u8, patches);
-    let k = g.patch_len();
-    q8_gemm(
-        engine, node, inputs, matrix, k, out_def, activation, requant, out_t,
-    )
+    let rq = Requant::new(
+        node,
+        inputs,
+        out_def,
+        ws[0],
+        activation,
+        requant,
+        multipliers,
+    )?;
+    let (w, out) = (inputs[1].as_i8()?, u8_slot(out_t, out_def)?);
+    q8_gemm(engine, matrix, g.patch_len(), zp_in, w, &rq, out);
+    Ok(())
 }
 
 /// The quantized `FullyConnected` of every flavor, `[n, in] x [out, in]^T`:
 /// [`q8_gemm`] with the activations as the matrix.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn fc_q(
     engine: Engine,
     node: &Node,
@@ -987,49 +905,57 @@ pub(crate) fn fc_q(
     out_def: &TensorDef,
     activation: Activation,
     requant: RequantMode,
+    multipliers: &mut Vec<f64>,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let (matrix, k) = (inputs[0].as_u8()?, inputs[1].shape().dims()[1]);
-    q8_gemm(
-        engine, node, inputs, matrix, k, out_def, activation, requant, out_t,
-    )
+    let (input, ws) = (inputs[0], inputs[1].shape().dims());
+    let (_, zp_in) = qparams_of(node, input)?;
+    let rq = Requant::new(
+        node,
+        inputs,
+        out_def,
+        ws[0],
+        activation,
+        requant,
+        multipliers,
+    )?;
+    let (w, out) = (inputs[1].as_i8()?, u8_slot(out_t, out_def)?);
+    q8_gemm(engine, input.as_u8()?, ws[1], zp_in, w, &rq, out);
+    Ok(())
 }
 
-/// `out[r, oc] = requantize(bias[oc] + Σ (matrix[r] − zp_in) · w[oc])` over
-/// `matrix: [rows, k]` and the `[out_c, k]` `i8` weights `inputs[1]`: one
-/// exact `i32` [`dot_q8_with`] per output value in `engine`'s build, output
-/// channel by output channel, so each channel's requantization multiplier
-/// is computed once.
-#[allow(clippy::too_many_arguments)]
-fn q8_gemm(
-    engine: Engine,
-    node: &Node,
-    inputs: &[&Tensor],
-    matrix: &[u8],
-    k: usize,
-    out_def: &TensorDef,
-    activation: Activation,
-    requant: RequantMode,
-    out_t: &mut Tensor,
-) -> Result<()> {
-    let weights = inputs[1];
-    let bias = inputs.get(2).map(|t| t.as_i32()).transpose()?;
-    let (s_in, zp_in) = qparams_of(node, inputs[0])?;
-    let (s_out, zp_out) = out_qparams(node, out_def)?;
-    let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
-    let (w, out_c) = (weights.as_i8()?, weights.shape().dims()[0]);
-    let out = u8_slot(out_t, out_def)?;
-    let rows = out.len().checked_div(out_c).unwrap_or(0);
-    for oc in 0..out_c {
-        let w_scale = weights.quant().map_or(1.0, |q| weight_scale(q, oc));
-        let m = (s_in as f64) * (w_scale as f64) / (s_out as f64);
-        let (w, b) = (&w[oc * k..][..k], bias.map_or(0, |b| b[oc]));
-        for r in 0..rows {
-            let acc = b + dot_q8(engine, &matrix[r * k..][..k], zp_in, w);
-            out[r * out_c + oc] = requantize(acc, m, zp_out, qlo, qhi, requant);
+native_kernel! {
+    /// `out[r, oc] = rq.value(oc, Σ_p (matrix[r, p] − zp_in) · w[oc, p])`
+    /// over `matrix: [rows, k]` and the row-major `[out_c, k]` weights `w`,
+    /// output channel by output channel. The dot is plain integer Rust — an
+    /// `i16` difference times an `i8` weight, widened to `i32` and summed —
+    /// which both builds vectorize; an integer sum is exact in any order,
+    /// so every build returns the scalar loop's bits.
+    fn q8_gemm(
+        matrix: &[u8],
+        k: usize,
+        zp_in: i32,
+        w: &[i8],
+        rq: &Requant<'_>,
+        out: &mut [u8],
+    ) {
+        // `qparams_of` admits only zero points a `u8` holds, so the
+        // difference `0..=255` minus `0..=255` fits an `i16`.
+        let (zp, out_c) = (zp_in as i16, rq.multipliers.len());
+        let rows = out.len().checked_div(out_c).unwrap_or(0);
+        for oc in 0..out_c {
+            let w = &w[oc * k..][..k];
+            for r in 0..rows {
+                let a = &matrix[r * k..][..k];
+                let dot: i32 = a
+                    .iter()
+                    .zip(w)
+                    .map(|(&a, &w)| i32::from(a as i16 - zp) * i32::from(w))
+                    .sum();
+                out[r * out_c + oc] = rq.value(oc, dot);
+            }
         }
     }
-    Ok(())
 }
 
 /// Runs node `node` of `graph` in isolation under `spec` — its flavor,
@@ -1044,8 +970,7 @@ fn q8_gemm(
 /// quantized ones' dot included — against its baseline build in one
 /// process, as [`dot_f32_with`] pins the dot: `Avx2Fma` is honoured only
 /// where the CPU has it, whatever `MLEXRAY_SIMD` says, and runs the
-/// baseline build elsewhere. Weights are packed, and a window's tap table
-/// built, on the call.
+/// baseline build elsewhere. Weights are packed on the call.
 ///
 /// # Errors
 ///
@@ -1073,21 +998,15 @@ pub fn execute_node_with(
     let mut out = Tensor::zeros(out_def.dtype(), Shape::new(dims));
     out.set_quant(out_def.quant().cloned());
     let mut scratch = Vec::with_capacity(MemoryPlan::for_graph(graph, frames)?.scratch_elems());
-    let kernels = Kernels::resolve(&spec);
-    let taps = kernels
-        .float
-        .reads_windows_in_place()
-        .then(|| window_taps(graph, node))
-        .flatten();
     let mut ctx = KernelCtx {
-        kernels,
+        kernels: Kernels::resolve(&spec),
         engine: Engine::runnable(engine),
         scratch: &mut scratch,
+        taps: &mut Vec::new(),
         patches: &mut Vec::new(),
         multipliers: &mut Vec::new(),
         panels: None,
         runtime_panels: &mut Vec::new(),
-        taps: taps.as_deref(),
     };
     execute_node(node, operands, out_def, &mut out, &mut ctx)?;
     Ok(out)
@@ -1100,8 +1019,8 @@ mod tests {
 
     use super::*;
     use crate::graph::TensorId;
-    use crate::kernels::conv::pack_weight_panels;
-    use crate::kernels::{det_f32, ACTIVATIONS};
+    use crate::kernels::conv::{pack_weight_panels, weight_scale};
+    use crate::kernels::{act_qbounds, det_f32, out_qparams, requantize, ACTIVATIONS};
     use crate::ops::{conv_out_size, OpKind};
 
     /// Runs on every host: without AVX2+FMA (or under `MLEXRAY_SIMD=scalar`,
@@ -1123,23 +1042,6 @@ mod tests {
                 dot_f32_with(SimdEngine::Scalar, &a, &b).to_bits(),
                 mirror.to_bits()
             );
-        }
-    }
-
-    #[test]
-    fn engines_agree_bitwise_on_q8_dots() {
-        for len in [0, 1, 5, 15, 16, 17, 31, 32, 33, 100, 1000] {
-            let a: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
-            let w: Vec<i8> = (0..len)
-                .map(|i| ((i * 53 % 255) as i16 - 127) as i8)
-                .collect();
-            for zp in [0, 7, 128, 255] {
-                assert_eq!(
-                    dot_q8_with(SimdEngine::Avx2Fma, &a, zp, &w),
-                    dot_q8_with(SimdEngine::Scalar, &a, zp, &w),
-                    "q8 engine divergence at len {len}, zp {zp}"
-                );
-            }
         }
     }
 
@@ -1628,17 +1530,17 @@ mod tests {
                 fc_q_naive(&fc_node, ops, def, activation, requant, out)
             });
             // Stale bytes from an earlier, larger node must not leak in.
-            let mut patches = vec![0xA5; 4096];
+            let (mut patches, mut multipliers) = (vec![0xA5; 4096], vec![f64::NAN; 40]);
             for engine in [SimdEngine::Scalar, SimdEngine::Avx2Fma].map(Engine::runnable) {
                 let conv = run_q(&conv_ops, conv_dims.clone(), out_quant.clone(), |ops, def, out| {
                     conv2d_q(
                         engine, &conv_node, ops, def, stride, padding, activation, requant,
-                        &mut patches, out,
+                        &mut patches, &mut multipliers, out,
                     )
                 });
                 assert_eq!(conv, conv_want, "{engine:?} conv {what}");
                 let fc = run_q(&fc_ops, vec![batch, out_c], out_quant.clone(), |ops, def, out| {
-                    fc_q(engine, &fc_node, ops, def, activation, requant, out)
+                    fc_q(engine, &fc_node, ops, def, activation, requant, &mut multipliers, out)
                 });
                 assert_eq!(fc, fc_want, "{engine:?} fc {what}");
             }
@@ -1683,7 +1585,16 @@ mod tests {
             assert_eq!(fc_want, conv_want, "{requant:?}");
             for engine in [SimdEngine::Scalar, SimdEngine::Avx2Fma].map(Engine::runnable) {
                 let fc = run_q(&fc_ops, vec![256, 1], out_quant.clone(), |ops, def, out| {
-                    fc_q(engine, &fc_node, ops, def, act, requant, out)
+                    fc_q(
+                        engine,
+                        &fc_node,
+                        ops,
+                        def,
+                        act,
+                        requant,
+                        &mut Vec::new(),
+                        out,
+                    )
                 });
                 assert_eq!(fc, fc_want, "{engine:?} fc {requant:?}");
                 let conv = run_q(
@@ -1691,7 +1602,7 @@ mod tests {
                     conv_dims.clone(),
                     out_quant.clone(),
                     |ops, def, out| {
-                        let patches = &mut Vec::new();
+                        let (patches, multipliers) = (&mut Vec::new(), &mut Vec::new());
                         conv2d_q(
                             engine,
                             &conv_node,
@@ -1702,6 +1613,7 @@ mod tests {
                             act,
                             requant,
                             patches,
+                            multipliers,
                             out,
                         )
                     },
@@ -1714,6 +1626,69 @@ mod tests {
             by_mode[0], by_mode[1],
             "the two precisions must disagree on odd sums"
         );
+    }
+
+    /// The int8 dot in both builds, through a `[1, len]` FC against
+    /// [`fc_q_naive`], over lengths on both sides of every vector width
+    /// and zero points from 0 to 255, and over the largest terms there are
+    /// (every code 255, every weight −128, zero point 0). Each channel's
+    /// bias cancels its exact dot to a code of 100 under a unit multiplier,
+    /// so a dot that is off by any amount below 100 moves the output.
+    #[test]
+    fn engines_agree_bitwise_on_q8_dots() {
+        let unit = |zero_point| QuantParams::PerTensor {
+            scale: 1.0,
+            zero_point,
+        };
+        let fc_node = q_node(OpKind::FullyConnected {
+            activation: Activation::None,
+        });
+        let cases = [1, 5, 15, 16, 17, 31, 32, 33, 100, 1000]
+            .into_iter()
+            .flat_map(|len| {
+                let a: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
+                let w: Vec<i8> = (0..2 * len)
+                    .map(|i| ((i * 53 % 255) as i16 - 127) as i8)
+                    .collect();
+                [0, 7, 128, 255].map(|zp| (a.clone(), w.clone(), zp))
+            })
+            .chain([(vec![255; 1000], vec![-128; 2000], 0)]);
+        for (a, w, zp) in cases {
+            let len = a.len();
+            let dots: Vec<i32> = w
+                .chunks(len)
+                .map(|w| {
+                    a.iter()
+                        .zip(w)
+                        .map(|(&a, &w)| (a as i32 - zp) * w as i32)
+                        .sum()
+                })
+                .collect();
+            let x = Tensor::from_u8(Shape::matrix(1, len), a, unit(zp)).unwrap();
+            let w = Tensor::from_i8(Shape::matrix(2, len), w, unit(0)).unwrap();
+            let bias: Vec<i32> = dots.iter().map(|dot| 100 - dot).collect();
+            let bias = Tensor::from_i32(Shape::vector(2), bias, None).unwrap();
+            let (operands, act, requant) = ([&x, &w, &bias], Activation::None, RequantMode::Double);
+            let want = run_q(&operands, vec![1, 2], unit(0), |ops, def, out| {
+                fc_q_naive(&fc_node, ops, def, act, requant, out)
+            });
+            assert_eq!(want, [100, 100], "len {len}, zp {zp}");
+            for engine in ENGINES.map(Engine::runnable) {
+                let got = run_q(&operands, vec![1, 2], unit(0), |ops, def, out| {
+                    fc_q(
+                        engine,
+                        &fc_node,
+                        ops,
+                        def,
+                        act,
+                        requant,
+                        &mut Vec::new(),
+                        out,
+                    )
+                });
+                assert_eq!(got, want, "{engine:?} len {len}, zp {zp}");
+            }
+        }
     }
 
     /// The Optimized `Conv2d` before it read windows in place: the
@@ -1760,7 +1735,8 @@ mod tests {
         /// cell then lie only in the padding), 1–4 input channels (so
         /// `k mod 4` takes every value), 1–21 output channels (every mix of
         /// 8-, 4- and 1-wide panels), stacked batches, with and without
-        /// bias, every activation, over stale scratch. Inputs carry `±0.0`
+        /// bias, every activation, over stale scratch and a stale, longer tap
+        /// buffer. Inputs carry `±0.0`
         /// and weights are planted with `±∞` and NaN: a padding tap is
         /// still multiplied, `0.0 · w`, and added, so a non-finite weight
         /// it meets turns the cell NaN in both paths, and a cell whose
@@ -1820,8 +1796,6 @@ mod tests {
                 quant: None,
             };
             let g = WindowGeom::new(&input, &out_def, kh, kw, stride, padding);
-            let taps: Vec<usize> = g.tap_offsets().collect();
-            let node = q_node(OpKind::Conv2d { stride, padding, activation: act });
             let mut operands = vec![&input, &weights];
             operands.extend((with_bias == 1).then_some(&bias_t));
             let bias = (with_bias == 1).then_some(&bias[..]);
@@ -1832,66 +1806,15 @@ mod tests {
             for engine in [SimdEngine::Avx2Fma, SimdEngine::Scalar].map(Engine::runnable) {
                 let want = blocked4_im2col(engine, &g, &x, &panels, out_c, bias, act);
                 let mut scratch = vec![f32::NAN; g.bordered_len().max(im2col_len(&g)) + 5];
+                let mut taps = vec![usize::MAX; g.patch_len() + 7];
                 let mut out = Tensor::filled_f32(Shape::nhwc(batch, oh, ow, out_c), 7.5);
                 conv2d_f32_gemm(
-                    engine, Reduction::Blocked4(&panels), Some(&taps), &node, &operands,
-                    &out_def, stride, padding, act, &mut scratch, &mut out,
+                    engine, Reduction::Blocked4(&panels), &operands, &out_def, stride, padding,
+                    act, &mut scratch, &mut taps, &mut out,
                 )
                 .unwrap();
                 prop_assert_eq!(nan_as_one(out.as_f32().unwrap()), want, "{:?} {}", engine, what);
             }
-        }
-    }
-
-    /// A tap table built for another window is refused, not read.
-    #[test]
-    fn a_tap_table_of_another_window_is_refused() {
-        let input = Tensor::filled_f32(Shape::nhwc(1, 5, 5, 2), 1.0);
-        let weights = Tensor::filled_f32(Shape::new(vec![3, 3, 3, 2]), 0.5);
-        let mut panels = Vec::new();
-        pack_weight_panels(&weights, &mut panels).unwrap();
-        let out_def = TensorDef::Activation {
-            name: "out".into(),
-            shape: Shape::nhwc(1, 5, 5, 3),
-            dtype: DType::F32,
-            quant: None,
-        };
-        let (stride, padding, act) = (1, Padding::Same, Activation::None);
-        let node = q_node(OpKind::Conv2d {
-            stride,
-            padding,
-            activation: act,
-        });
-        let wider = TensorDef::Activation {
-            name: "wider".into(),
-            shape: Shape::nhwc(1, 7, 7, 3),
-            dtype: DType::F32,
-            quant: None,
-        };
-        let other = Tensor::filled_f32(Shape::nhwc(1, 7, 7, 2), 1.0);
-        let short: Vec<usize> = (0..17).collect();
-        let of_wider: Vec<usize> = WindowGeom::new(&other, &wider, 3, 3, stride, padding)
-            .tap_offsets()
-            .collect();
-        for taps in [None, Some(&short[..]), Some(&of_wider[..])] {
-            let mut out = Tensor::filled_f32(Shape::nhwc(1, 5, 5, 3), 0.0);
-            let result = conv2d_f32_gemm(
-                Engine::active(),
-                Reduction::Blocked4(&panels),
-                taps,
-                &node,
-                &[&input, &weights],
-                &out_def,
-                stride,
-                padding,
-                act,
-                &mut Vec::with_capacity(7 * 7 * 2),
-                &mut out,
-            );
-            assert!(
-                matches!(result, Err(NnError::InvalidOp { .. })),
-                "{taps:?}: {result:?}"
-            );
         }
     }
 

@@ -27,9 +27,9 @@
 //! * the **optimized** flavor's blocked-4 cell ([`KernelFlavor::Optimized`]:
 //!   four striped partial sums, `(s0 + s1) + (s2 + s3) + rest + bias`),
 //!   run over the cells' windows — read in place from a zero-bordered copy
-//!   of the input through a tap table the interpreter builds once per node
-//!   — against the *same* packed panels, a panel's worth of cells side by
-//!   side; the interpreter packs the constant `Conv2d` and
+//!   of the input through tap offsets the kernel writes from its own
+//!   window geometry — against the *same* packed panels, a panel's worth
+//!   of cells side by side; the interpreter packs the constant `Conv2d` and
 //!   `FullyConnected` weights of this flavor too;
 //! * the **SIMD** flavor's `Lanes8` tiles ([`KernelFlavor::Simd`]: the
 //!   8-lane virtual-SIMD dot) over the row-major weights.
@@ -59,15 +59,16 @@
 //! Quantized `Conv2d` and `FullyConnected` have one kernel each, shared by
 //! every flavor (`gemm::conv2d_q`, `gemm::fc_q`): a whole-batch `u8` im2col
 //! whose padding taps hold the input zero point, then one exact `i32` dot
-//! per output value. Integer sums are the same in any order, so the scalar
-//! loops the reference and optimized flavors used to run — kept verbatim in
+//! per output value, requantized through the same [`Requant`] as the int8
+//! depthwise. Integer sums are the same in any order, so the scalar loops
+//! the reference and optimized flavors used to run — kept verbatim in
 //! `gemm`'s tests as the oracle — return the same bits.
 //!
-//! The native kernels — reference and optimized `Conv2d` / FC, the
-//! shared float and the int8 depthwise, the float `Add`, `Mul`, `Act`,
-//! `BatchNorm` and `Mean` — run at the host's vector width: each body is
-//! written once and compiled twice (`native_kernel!`), for the x86-64
-//! baseline and for AVX2+FMA, and the interpreter's engine
+//! The native kernels — reference and optimized `Conv2d` / FC, the int8
+//! `Conv2d` / FC, the shared float and the int8 depthwise, the float `Add`,
+//! `Mul`, `Act`, `BatchNorm` and `Mean` — run at the host's vector width:
+//! each body is written once and compiled twice (`native_kernel!`), for the
+//! x86-64 baseline and for AVX2+FMA, and the interpreter's engine
 //! ([`gemm::active_engine`]) picks the build. Both builds compute the same
 //! bits (Rust never fuses a multiply and an add on its own: the unfused
 //! kernels multiply, round, add in both), so the engine contract of the
@@ -75,6 +76,8 @@
 //! fused tile runs inlined in the AVX2+FMA build and as its scalar mirror
 //! in the baseline — and the emulator's fused chains, whose exact
 //! `f32::mul_add` is one `vfmadd` in the one and a libm call in the other.
+//! `native_kernel!` is the only way a kernel reaches AVX2: no kernel has a
+//! `#[target_feature]` of its own, and the CI lint leg fails on one.
 //!
 //! Every kernel writes into an arena-provided output slot (`&mut Tensor`,
 //! preallocated from the interpreter's `MemoryPlan`), and the float im2col
@@ -83,8 +86,9 @@
 //! scratch.
 //! The quantized im2col matrix lives in a `u8` buffer the interpreter keeps,
 //! which grows to the largest patch matrix it has held and then stays; the
-//! quantized depthwise's per-channel requant multipliers, computed once per
-//! node, live in an `f64` buffer kept the same way.
+//! quantized kernels' per-channel requant multipliers, computed once per
+//! node, and the optimized `Conv2d`'s window tap offsets live in buffers
+//! kept the same way.
 //! The reference and optimized flavors and the emulator hold a second,
 //! panel-ordered copy of their constant float weights (≈ 8 KB for
 //! `mini_mobilenet_v2`), packed when the interpreter is built; a weight
@@ -107,7 +111,7 @@
 //! Each is one IEEE operation per element, which rounds the same at any
 //! vector width, so their two builds compute the same bits.
 
-/// Defines a native float kernel whose body is written once and compiled
+/// Defines a native kernel whose body is written once and compiled
 /// twice: for the x86-64 baseline (SSE2, four lanes) and once more under
 /// `#[target_feature(enable = "avx2", enable = "fma")]` (eight lanes). The
 /// defined function takes the `gemm::Engine` to run on before the body's
@@ -289,14 +293,6 @@ impl FloatKernels {
         })
     }
 
-    /// Whether these kernels read a float `Conv2d`'s windows in place from
-    /// a zero-bordered input through a tap table ([`gemm::window_taps`]):
-    /// the optimized flavor's. The Simd flavor reduces an im2col matrix,
-    /// and the reference kernels walk the input's window runs.
-    pub(crate) fn reads_windows_in_place(self) -> bool {
-        matches!(self, FloatKernels::Blocked4)
-    }
-
     /// Whether these kernels read `op`'s float weights as
     /// [`pack_weight_panels`] lays them out: the reference `Conv2d`, and the
     /// optimized `Conv2d` and `FullyConnected`.
@@ -412,11 +408,14 @@ pub(crate) struct KernelCtx<'a> {
     /// Scratch reused across nodes; capacity is reserved at plan time so
     /// `resize` never reallocates in steady state.
     pub scratch: &'a mut Vec<f32>,
+    /// The optimized `Conv2d`'s window tap offsets, written by the kernel
+    /// from its own geometry; grows to the largest window and then stays.
+    pub taps: &'a mut Vec<usize>,
     /// The quantized `Conv2d`'s `u8` patch matrix; grows to the largest one
     /// and then stays.
     pub patches: &'a mut Vec<u8>,
-    /// The quantized depthwise kernel's per-channel requant multipliers;
-    /// grows to the widest such node and then stays.
+    /// The quantized kernels' per-channel requant multipliers
+    /// ([`Requant`]); grows to the widest such node and then stays.
     pub multipliers: &'a mut Vec<f64>,
     /// The node's weights in [`pack_weight_panels`] order: `Some` for a
     /// node whose kernel [reads panels](FloatKernels::reads_panels) and
@@ -426,11 +425,6 @@ pub(crate) struct KernelCtx<'a> {
     /// Where such a kernel packs weights that are a runtime tensor, on every
     /// invoke; grows to the largest such operand and then stays.
     pub runtime_panels: &'a mut Vec<f32>,
-    /// The node's window tap table ([`gemm::window_taps`]): `Some` for a
-    /// float `Conv2d` whose kernels [read windows in
-    /// place](FloatKernels::reads_windows_in_place) and whose window is not
-    /// pointwise, built when the interpreter was built.
-    pub taps: Option<&'a [usize]>,
 }
 
 /// `weights` in [`pack_weight_panels`] order: the copy packed at build, or
@@ -492,14 +486,13 @@ pub(crate) fn execute_node(
                 gemm::conv2d_f32_gemm(
                     engine,
                     reduction,
-                    ctx.taps,
-                    node,
                     inputs,
                     out_def,
                     stride,
                     padding,
                     activation,
                     ctx.scratch,
+                    ctx.taps,
                     out,
                 )
             }
@@ -521,6 +514,7 @@ pub(crate) fn execute_node(
             activation,
             requant,
             ctx.patches,
+            ctx.multipliers,
             out,
         ),
         (
@@ -568,9 +562,16 @@ pub(crate) fn execute_node(
                 gemm::fc_f32_gemm(engine, reduction, inputs, out_def, activation, out)
             }
         },
-        (&OpKind::FullyConnected { activation }, true) => {
-            gemm::fc_q(engine, node, inputs, out_def, activation, requant, out)
-        }
+        (&OpKind::FullyConnected { activation }, true) => gemm::fc_q(
+            engine,
+            node,
+            inputs,
+            out_def,
+            activation,
+            requant,
+            ctx.multipliers,
+            out,
+        ),
         (&OpKind::MatMul { transpose_b }, _) => fc::matmul_f32(inputs, out_def, transpose_b, out),
         (
             &OpKind::AveragePool2d {
@@ -672,7 +673,7 @@ pub(crate) fn unsupported(node: &Node, what: &str) -> NnError {
 
 /// Extracts a `u8` activation's per-tensor `(scale, zero_point)`, the one
 /// place every quantized kernel reads them. A zero point outside `0..=255`
-/// is no `u8` value — the im2col could not pad with it, and the AVX2 dot
+/// is no `u8` value — the im2col could not pad with it, and the int8 dot
 /// would wrap it in `i16` — so it is refused: input quantization arrives
 /// from outside the program (a caller's tensor, the wire) unchecked.
 pub(crate) fn qparams_of(node: &Node, t: &Tensor) -> Result<(f32, i32)> {
@@ -742,6 +743,65 @@ pub(crate) fn requantize(
     // In `i64` the sum cannot overflow, and clamping it there is clamping
     // the saturated `i32` sum: `qlo` and `qhi` are `i32`s.
     (zp_out as i64 + scaled as i64).clamp(qlo as i64, qhi as i64) as u8
+}
+
+/// The output side of an int8 `Conv2d`, `DepthwiseConv2d` or
+/// `FullyConnected` node: each output channel's bias and requantization
+/// multiplier `s_in · s_w[ch] / s_out`, computed once per node, and the
+/// output zero point, clamp and multiplier precision.
+pub(crate) struct Requant<'a> {
+    pub bias: Option<&'a [i32]>,
+    pub multipliers: &'a [f64],
+    pub zp_out: i32,
+    pub qlo: i32,
+    pub qhi: i32,
+    pub mode: RequantMode,
+}
+
+impl<'a> Requant<'a> {
+    /// Node `node`'s, over the `channels` output channels of its weights
+    /// `inputs[1]`, the multipliers written into `multipliers` (whose
+    /// capacity is reused).
+    pub(crate) fn new(
+        node: &Node,
+        inputs: &[&'a Tensor],
+        out_def: &TensorDef,
+        channels: usize,
+        activation: Activation,
+        mode: RequantMode,
+        multipliers: &'a mut Vec<f64>,
+    ) -> Result<Self> {
+        let bias = inputs.get(2).map(|t| t.as_i32()).transpose()?;
+        let (s_in, _) = qparams_of(node, inputs[0])?;
+        let (s_out, zp_out) = out_qparams(node, out_def)?;
+        let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
+        let w_scale = |ch| inputs[1].quant().map_or(1.0, |q| conv::weight_scale(q, ch));
+        multipliers.clear();
+        multipliers
+            .extend((0..channels).map(|ch| (s_in as f64) * (w_scale(ch) as f64) / (s_out as f64)));
+        Ok(Requant {
+            bias,
+            multipliers,
+            zp_out,
+            qlo,
+            qhi,
+            mode,
+        })
+    }
+
+    /// Channel `ch`'s output code for the sum `acc`, its bias added.
+    #[inline(always)]
+    pub(crate) fn value(&self, ch: usize, acc: i32) -> u8 {
+        let acc = self.bias.map_or(0, |b| b[ch]) + acc;
+        requantize(
+            acc,
+            self.multipliers[ch],
+            self.zp_out,
+            self.qlo,
+            self.qhi,
+            self.mode,
+        )
+    }
 }
 
 /// Whether `out` holds a whole number of frames of `out_def`'s shape (the

@@ -119,26 +119,8 @@ impl WindowGeom {
         stride: usize,
         padding: Padding,
     ) -> Self {
-        Self::of_dims(
-            input.shape().dims(),
-            out_def.shape().dims(),
-            kh,
-            kw,
-            stride,
-            padding,
-        )
-    }
-
-    /// [`WindowGeom::new`] over the NHWC dims `is` of the input and `os` of
-    /// the output.
-    pub(super) fn of_dims(
-        is: &[usize],
-        os: &[usize],
-        kh: usize,
-        kw: usize,
-        stride: usize,
-        padding: Padding,
-    ) -> Self {
+        let is = input.shape().dims();
+        let os = out_def.shape().dims();
         let (pad_top, pad_left) = match padding {
             Padding::Same => (
                 same_pad_before(is[1], kh, stride),

@@ -31,7 +31,9 @@ pub enum RejectReason {
     },
     /// The service is shutting down and no longer admits work.
     ShuttingDown,
-    /// The batched invoke itself failed (graph/input mismatch).
+    /// The request's own invoke failed (graph/input mismatch); a failed
+    /// batch is re-run member by member, so only the request at fault gets
+    /// this.
     ExecutionFailed {
         /// Rendered execution error.
         detail: String,

@@ -5,11 +5,13 @@
 //! span ring of its own. Everything else it touches — queue, books, caller
 //! ledger, validator, sink — is the [`ModelPool`] admission also holds.
 //! This is where ordering rule 2 of [`crate::batcher`] is kept: a batch is
-//! counted out of the ledger *before* its first reply is sent.
+//! counted out of the ledger *before* its first reply is sent. A batch of
+//! several whose invoke fails is run again one member at a time before
+//! then, so one bad request fails alone.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mlexray_core::{
     layer_output_key, LogRecord, LogValue, SpanRing, SpanStage, KEY_INFERENCE_LATENCY,
@@ -114,16 +116,36 @@ fn shed_expired(
     let _ = request.reply.send(Err(rejection));
 }
 
-fn run_batch(
+/// One invoke over `frames` members of a batch, and what it returned.
+struct Run {
+    frames: usize,
+    started: Instant,
+    ended: Instant,
+    /// What it served, or why it failed.
+    result: Result<Served, String>,
+}
+
+/// What a successful invoke returned.
+struct Served {
+    /// Each member's outputs.
+    outputs: Vec<Vec<Tensor>>,
+    /// The backend's per-frame execution latency.
+    exec_latency: Duration,
+    /// The traced frame's `(index, latency, macs)` layer stream.
+    trace_layers: Vec<(u32, u64, u64)>,
+}
+
+/// Invokes `requests` as one batch, observed when a member is
+/// deep-monitored or traced; the sampled frames' layer records go to
+/// `telemetry` if it succeeds.
+fn invoke(
     pool: &ModelPool,
     ring: Option<&SpanRing>,
     backend: &mut Interpreter<'_>,
-    requests: Vec<(InferRequest, Instant)>,
-    close: CloseReason,
-) {
-    let formed_at = Instant::now();
-    let size = requests.len();
-    let leader_id = requests[0].0.id;
+    requests: &[(InferRequest, Instant)],
+    telemetry: &mut Vec<LogRecord>,
+) -> Run {
+    let started = Instant::now();
     let inputs: Vec<&[Tensor]> = requests.iter().map(|(r, _)| r.inputs.as_slice()).collect();
     let traced = |r: &InferRequest| r.trace.is_some_and(|t| t.sampled);
     let deep_monitor = pool.sink.is_some() && requests.iter().any(|(r, _)| r.sampled);
@@ -142,112 +164,164 @@ fn run_batch(
         };
         backend
             .invoke_batch_observed(&inputs, &mut capture)
-            .map(|outputs| (outputs, capture.records, capture.trace_layers))
+            .map(|outputs| {
+                telemetry.append(&mut capture.records);
+                (outputs, capture.trace_layers)
+            })
     } else {
-        backend
-            .invoke_batch(&inputs)
-            .map(|o| (o, Vec::new(), Vec::new()))
+        backend.invoke_batch(&inputs).map(|o| (o, Vec::new()))
+    };
+    let ended = Instant::now();
+    let result = result.map(|(outputs, trace_layers)| Served {
+        outputs,
+        exec_latency: backend
+            .last_stats()
+            .map(|s| s.per_frame_latency())
+            .unwrap_or_default(),
+        trace_layers,
+    });
+    Run {
+        frames: requests.len(),
+        started,
+        ended,
+        result: result.map_err(|error| error.to_string()),
+    }
+}
+
+fn run_batch(
+    pool: &ModelPool,
+    ring: Option<&SpanRing>,
+    backend: &mut Interpreter<'_>,
+    requests: Vec<(InferRequest, Instant)>,
+    close: CloseReason,
+) {
+    let size = requests.len();
+    let leader_id = requests[0].0.id;
+    let mut telemetry = Vec::new();
+    let whole = invoke(pool, ring, backend, &requests, &mut telemetry);
+    // The batch is formed when its invoke starts.
+    let formed_at = whole.started;
+    let runs = if size > 1 && whole.result.is_err() {
+        // A batch fails as a whole — `invoke_batch` checks every member's
+        // inputs before it runs any — so each member runs alone and is
+        // answered with its own result.
+        let alone = |one| invoke(pool, ring, backend, one, &mut telemetry);
+        requests.chunks(1).map(alone).collect()
+    } else {
+        vec![whole]
     };
     let exec_ended = Instant::now();
     // Ordering rule 2 of `crate::batcher`: the whole batch is counted out
     // before its first reply, on the failure path too.
     pool.ledger
         .leave(requests.iter().filter(|(r, _)| r.from_caller).count());
-    let (outputs, mut telemetry, trace_layers) = match result {
-        Ok(done) => done,
-        Err(error) => {
-            let detail = error.to_string();
-            for (request, _) in requests {
-                let reason = RejectReason::ExecutionFailed {
-                    detail: detail.clone(),
-                };
-                let rejection = pool.refuse(request.trace, request.admitted_at, request.id, reason);
-                let _ = request.reply.send(Err(rejection));
-            }
-            return;
-        }
-    };
-    pool.counters.record_batch(size, close);
-    let exec_latency = backend
-        .last_stats()
-        .map(|s| s.per_frame_latency())
-        .unwrap_or_default();
-    if !exec_latency.is_zero() {
-        pool.counters.record_exec_latency(exec_latency);
+    let served = runs
+        .iter()
+        .filter(|run| run.result.is_ok())
+        .map(|run| run.frames)
+        .sum();
+    if served > 0 {
+        pool.counters.record_batch(served, close);
     }
-    for ((request, popped_at), outputs) in requests.into_iter().zip(outputs) {
-        let mut drift_check = None;
-        if request.sampled {
-            pool.counters.sampled.fetch_add(1, Ordering::AcqRel);
-            if let Some(validator) = &pool.validator {
-                let observe_start = Instant::now();
-                validator.observe(&request.inputs);
-                drift_check = Some((observe_start, Instant::now()));
-            }
-        }
-        let total_latency = request.admitted_at.elapsed();
-        if pool.config.monitor.log_latency && pool.sink.is_some() {
-            telemetry.push(LogRecord {
-                frame: request.id,
-                key: KEY_INFERENCE_LATENCY.to_string(),
-                value: LogValue::LatencyNs(total_latency.as_nanos() as u64),
-            });
-        }
-        pool.counters.record_completion(total_latency);
-        // The full chain of a completed traced request: queue wait, batch
-        // formation, execution, per-layer kernels, drift-check offload,
-        // respond, and the root whose duration is *exactly* the latency
-        // recorded into the model's bounded histogram (the profiler
-        // reconciles against those books).
-        if let Some(spans) = pool.spans(ring, request.trace).filter(|s| s.sampled()) {
-            let [popped_ns, formed_ns, exec_end_ns] =
-                [popped_at, formed_at, exec_ended].map(|at| spans.hub.ns_of(at));
-            let (frames, flavor) = (size as u64, pool.flavor);
-            spans.timed(SpanStage::QueueWait, request.admitted_at, popped_at);
-            // A `batch_form` span's flavor byte says what closed the batch.
-            let closed_by = close as u8;
-            spans.child(
-                SpanStage::BatchForm,
-                0,
-                popped_ns,
-                formed_ns,
-                closed_by,
-                frames,
-                leader_id,
-            );
-            spans.child(
-                SpanStage::Exec,
-                0,
-                formed_ns,
-                exec_end_ns,
-                flavor,
-                frames,
-                0,
-            );
-            // Layer spans are laid end to end from the invoke start; each
-            // carries its per-frame latency share, layer index and MAC
-            // estimate.
-            let mut cursor = formed_ns;
-            for &(index, latency_ns, macs) in &trace_layers {
-                let (index, end) = (u64::from(index), cursor + latency_ns);
-                spans.child(SpanStage::Layer, index, cursor, end, flavor, index, macs);
-                cursor = end;
-            }
-            if let Some((start, end)) = drift_check {
-                spans.timed(SpanStage::DriftCheck, start, end);
-            }
-            spans.timed(SpanStage::Respond, exec_ended, Instant::now());
-            let admitted_ns = spans.hub.ns_of(request.admitted_at);
-            spans.root(admitted_ns, total_latency.as_nanos() as u64, frames);
-        }
-        let _ = request.reply.send(Ok(InferResponse {
-            request_id: request.id,
+    let mut requests = requests.into_iter();
+    for run in runs {
+        let members = requests.by_ref().take(run.frames);
+        let Served {
             outputs,
-            total_latency,
             exec_latency,
-            batch_size: size,
-            sampled: request.sampled,
-        }));
+            trace_layers,
+        } = match run.result {
+            Ok(served) => served,
+            Err(detail) => {
+                for (request, _) in members {
+                    let reason = RejectReason::ExecutionFailed {
+                        detail: detail.clone(),
+                    };
+                    let rejection =
+                        pool.refuse(request.trace, request.admitted_at, request.id, reason);
+                    let _ = request.reply.send(Err(rejection));
+                }
+                continue;
+            }
+        };
+        if !exec_latency.is_zero() {
+            pool.counters.record_exec_latency(exec_latency);
+        }
+        let frames = run.frames;
+        for ((request, popped_at), outputs) in members.zip(outputs) {
+            let mut drift_check = None;
+            if request.sampled {
+                pool.counters.sampled.fetch_add(1, Ordering::AcqRel);
+                if let Some(validator) = &pool.validator {
+                    let observe_start = Instant::now();
+                    validator.observe(&request.inputs);
+                    drift_check = Some((observe_start, Instant::now()));
+                }
+            }
+            let total_latency = request.admitted_at.elapsed();
+            if pool.config.monitor.log_latency && pool.sink.is_some() {
+                telemetry.push(LogRecord {
+                    frame: request.id,
+                    key: KEY_INFERENCE_LATENCY.to_string(),
+                    value: LogValue::LatencyNs(total_latency.as_nanos() as u64),
+                });
+            }
+            pool.counters.record_completion(total_latency);
+            // The full chain of a completed traced request: queue wait, batch
+            // formation, execution, per-layer kernels, drift-check offload,
+            // respond, and the root whose duration is *exactly* the latency
+            // recorded into the model's bounded histogram (the profiler
+            // reconciles against those books).
+            if let Some(spans) = pool.spans(ring, request.trace).filter(|s| s.sampled()) {
+                let [popped_ns, formed_ns, exec_start_ns, exec_end_ns] =
+                    [popped_at, formed_at, run.started, run.ended].map(|at| spans.hub.ns_of(at));
+                let (frames, flavor) = (frames as u64, pool.flavor);
+                spans.timed(SpanStage::QueueWait, request.admitted_at, popped_at);
+                // A `batch_form` span's flavor byte says what closed the batch.
+                let closed_by = close as u8;
+                spans.child(
+                    SpanStage::BatchForm,
+                    0,
+                    popped_ns,
+                    formed_ns,
+                    closed_by,
+                    size as u64,
+                    leader_id,
+                );
+                spans.child(
+                    SpanStage::Exec,
+                    0,
+                    exec_start_ns,
+                    exec_end_ns,
+                    flavor,
+                    frames,
+                    0,
+                );
+                // Layer spans are laid end to end from the invoke start; each
+                // carries its per-frame latency share, layer index and MAC
+                // estimate.
+                let mut cursor = exec_start_ns;
+                for &(index, latency_ns, macs) in &trace_layers {
+                    let (index, end) = (u64::from(index), cursor + latency_ns);
+                    spans.child(SpanStage::Layer, index, cursor, end, flavor, index, macs);
+                    cursor = end;
+                }
+                if let Some((start, end)) = drift_check {
+                    spans.timed(SpanStage::DriftCheck, start, end);
+                }
+                spans.timed(SpanStage::Respond, exec_ended, Instant::now());
+                let admitted_ns = spans.hub.ns_of(request.admitted_at);
+                spans.root(admitted_ns, total_latency.as_nanos() as u64, frames);
+            }
+            let _ = request.reply.send(Ok(InferResponse {
+                request_id: request.id,
+                outputs,
+                total_latency,
+                exec_latency,
+                batch_size: frames,
+                sampled: request.sampled,
+            }));
+        }
     }
     if let Some(sink) = &pool.sink {
         if !telemetry.is_empty() {

@@ -453,3 +453,45 @@ fn callers_in_another_workers_batch_count_as_in_the_system() {
     );
     assert_settles(server);
 }
+
+/// One request of the wrong shape fails alone. Its batch of four fails as
+/// a whole, so each member is re-run by itself: the three good requests are
+/// answered with a solo invoke's bits and only the bad one is counted
+/// failed.
+#[test]
+fn one_bad_request_does_not_fail_its_batchmates() {
+    let (service, _registry) = start_service(ServiceConfig {
+        batch: BatchPolicy::windowed(4, Duration::from_millis(200)),
+        start_paused: true,
+        ..Default::default()
+    });
+    let bad = vec![Tensor::from_f32(Shape::new(vec![1, 3]), vec![1.0, 2.0, 3.0]).unwrap()];
+    let first = service.submit("m", frame_input(0)).unwrap();
+    let bad = service.submit("m", bad).unwrap();
+    let rest: Vec<_> = (1..3)
+        .map(|seed| service.submit("m", frame_input(seed)).unwrap())
+        .collect();
+    service.resume();
+    let model = serving_model("m");
+    let mut solo = mlexray_nn::Interpreter::new(&model.graph, BackendSpec::optimized()).unwrap();
+    for (seed, pending) in [first].into_iter().chain(rest).enumerate() {
+        let response = pending.wait().expect("a good request is answered");
+        let want = solo.invoke(&frame_input(seed)).unwrap();
+        let bits = |outputs: &[Tensor]| -> Vec<u32> {
+            outputs
+                .iter()
+                .flat_map(|t| t.as_f32().unwrap().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&response.outputs), bits(&want), "request {seed}");
+    }
+    let rejection = bad.wait().unwrap_err();
+    assert!(
+        matches!(rejection.reason, RejectReason::ExecutionFailed { .. }),
+        "{rejection:?}"
+    );
+    let report = service.shutdown();
+    let stats = &report.models[0];
+    assert_eq!((stats.completed, stats.failed), (3, 1), "{stats:?}");
+    assert!(stats.is_balanced(), "{stats:?}");
+}

@@ -16,8 +16,18 @@ cd "$(dirname "$0")/.."
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# `native_kernel!` (crates/nn/src/kernels/mod.rs) is the one way a kernel
+# reaches AVX2: a `#[target_feature]` anywhere else in crates/ is a second,
+# hand-dispatched kernel, and fails the leg.
 lint() {
   cargo fmt --all --check
+  local stray
+  stray="$(grep -rnE '^\s*#\[target_feature' --include='*.rs' crates |
+    grep -v '^crates/nn/src/kernels/mod.rs:' || true)"
+  if [[ -n "$stray" ]]; then
+    printf '#[target_feature] outside native_kernel!:\n%s\n' "$stray" >&2
+    return 1
+  fi
 }
 
 clippy() {
