@@ -4,8 +4,8 @@
 //! The single-threaded flow ([`crate::ReferencePipeline::replay`] +
 //! [`crate::DeploymentValidator::validate`]) costs N sequential inferences
 //! for an N-frame playback set. This module partitions the recorded frames
-//! (a `&[LabeledFrame]`) into fixed-size frame shards, feeds them through a
-//! small bounded SPMC work queue to `std::thread` workers — each owning its
+//! (a `&[LabeledFrame]`) into fixed-size frame shards, lets `std::thread`
+//! workers claim shard indices from a shared cursor — each worker owning its
 //! *own* [`mlexray_nn::Interpreter`] instances, so no kernel state is
 //! shared — and merges the per-shard results deterministically. A worker
 //! runs its shard through [`ImageRunner::classify_batch`] in chunks of
@@ -18,7 +18,7 @@
 //! [`replay_sharded`] returns logs: it keeps every shard's records and
 //! merges them. [`replay_validate_sharded`] returns a verdict: a worker
 //! holds one shard's two [`LogSet`]s while it validates them and drops both
-//! before it pulls the next shard, so the run's footprint is `workers ×` one
+//! before it claims the next shard, so the run's footprint is `workers ×` one
 //! shard's logs however long the playback set is. Under
 //! [`LayerCapture::Full`] those logs hold no layer outputs: the worker folds
 //! them in lockstep instead (see [`replay_validate_sharded`]), holding one
@@ -28,15 +28,15 @@
 //! # Determinism
 //!
 //! The shard partition depends only on the frame count and
-//! [`ReplayOptions::shard_frames`], never on the worker count. Workers pull
+//! [`ReplayOptions::shard_frames`], never on the worker count. Workers claim
 //! shards dynamically, but every shard's result carries its start frame and
 //! the merge sorts by it, so the merged [`LogSet`] (excluding wall-clock
 //! latency values) and the merged [`ValidationReport`] are identical for
 //! `workers = 1, 2, 4, ...` over the same partition.
 
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mlexray_nn::LayerObserver;
@@ -62,7 +62,10 @@ pub struct ReplayOptions {
     /// comparing runs across worker counts, or the merged drift/report
     /// arithmetic changes with it.
     pub shard_frames: usize,
-    /// Bounded work-queue depth. `0` means `2 × workers`.
+    /// Has no effect: workers claim shard indices from a shared cursor, so
+    /// there is no queue to size. The field stays only so that struct
+    /// literals which set it still compile; it goes once `ReplayOptions`
+    /// has a constructor for them.
     pub queue_depth: usize,
     /// Frames stacked into one batched interpreter invoke *within* a shard
     /// (intra-shard micro-batching): each shard runs in chunks of this many
@@ -106,10 +109,11 @@ impl ReplayOptions {
     /// elastic against the global [`crate::budget`] ledger for
     /// `workers == 0`, an exact (ledger-recorded) claim otherwise, never
     /// more workers than shards, held until the merge is done so concurrent
-    /// pools size themselves around this run — sizes the bounded queue,
-    /// runs `work` over the shards on that many threads (each worker builds
-    /// its private state with `init` on the first shard it claims) and
-    /// hands the per-shard results, in frame order, to `merge`.
+    /// pools size themselves around this run — runs `work` over the shards
+    /// on that many threads, which claim shard indices from a shared cursor
+    /// (each worker builds its private state with `init` on the first shard
+    /// it claims), and hands the per-shard results, in frame order, to
+    /// `merge`.
     pub(crate) fn run<S, T: Send, R>(
         &self,
         n_frames: usize,
@@ -126,12 +130,7 @@ impl ReplayOptions {
             crate::budget::reserve_cores(self.workers.min(cap))
         };
         let workers = lease.cores();
-        let queue_depth = if self.queue_depth == 0 {
-            workers * 2
-        } else {
-            self.queue_depth
-        };
-        let merged = merge(run_sharded(&partition, workers, queue_depth, init, work)?);
+        let merged = merge(run_sharded(&partition, workers, init, work)?);
         let stats = ReplayStats {
             frames: n_frames,
             shards: partition.len(),
@@ -193,148 +192,63 @@ fn shard_partition(frames: usize, shard_frames: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// A small bounded SPMC work queue: one producer pushes shards (blocking
-/// when the queue is full, which bounds memory no matter how large the
-/// playback set is), many workers pop. Closing wakes everyone; workers close
-/// the queue on every exit path (error *and* panic, via a drop guard) so the
-/// producer never deadlocks on a full queue with no consumers left.
-struct ShardQueue<T> {
-    state: Mutex<ShardQueueState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-struct ShardQueueState<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-    closed: bool,
-}
-
-impl<T> ShardQueue<T> {
-    fn new(capacity: usize) -> Self {
-        ShardQueue {
-            state: Mutex::new(ShardQueueState {
-                items: VecDeque::new(),
-                capacity: capacity.max(1),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    /// Blocks while full; returns `false` (dropping the item) once closed.
-    fn push(&self, item: T) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if state.closed {
-                return false;
-            }
-            if state.items.len() < state.capacity {
-                state.items.push_back(item);
-                self.not_empty.notify_one();
-                return true;
-            }
-            state = self.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Blocks until an item is available; `None` once closed and drained.
-    fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
 /// Runs `work` over the shard partition on `workers` threads and collects
-/// each shard's output, sorted by start frame. Each worker lazily builds its
-/// own state (interpreter instances) via `init` on the first shard it claims,
-/// so workers that never win a shard never pay for construction. A worker's
-/// panic is re-raised here with its own payload.
+/// each shard's output, sorted by start frame. Workers claim shard indices
+/// from one shared cursor; a worker that fails (`Err` or panic) stops the
+/// claims, so the others end with the shard they hold. Each worker lazily
+/// builds its own state (interpreter instances) via `init` on the first
+/// shard it claims, so workers that never win a shard never pay for
+/// construction. A worker's panic is re-raised here with its own payload.
 fn run_sharded<T: Send, S>(
     partition: &[Range<usize>],
     workers: usize,
-    queue_depth: usize,
     init: impl Fn() -> Result<S> + Sync,
     work: impl Fn(&mut S, Range<usize>) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
-    let queue: ShardQueue<Range<usize>> = ShardQueue::new(queue_depth);
-    let mut chunks: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let queue = &queue;
-        let init = &init;
-        let work = &work;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || -> Result<Vec<(usize, T)>> {
-                    // Close the queue however this worker exits — Err return
-                    // *or* panic inside init/work. Without this, a panicking
-                    // worker leaves the producer parked forever on a full
-                    // queue instead of letting the scope propagate the
-                    // panic. (Closing after a normal drain is a no-op.)
-                    struct CloseOnExit<'q, Q>(&'q ShardQueue<Q>);
-                    impl<Q> Drop for CloseOnExit<'_, Q> {
-                        fn drop(&mut self) {
-                            self.0.close();
-                        }
-                    }
-                    let _guard = CloseOnExit(queue);
-                    let mut state: Option<S> = None;
-                    let mut produced = Vec::new();
-                    while let Some(shard) = queue.pop() {
-                        let start = shard.start;
-                        if state.is_none() {
-                            state = Some(init()?);
-                        }
-                        match work(state.as_mut().expect("state built above"), shard) {
-                            Ok(value) => produced.push((start, value)),
-                            // The CloseOnExit guard unblocks the producer
-                            // and the other workers on the way out.
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    Ok(produced)
-                })
-            })
-            .collect();
-        for shard in partition {
-            if !queue.push(shard.clone()) {
-                break; // A worker failed and closed the queue.
+    let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let claim = || match stop.load(Ordering::Relaxed) {
+        true => None,
+        false => partition.get(cursor.fetch_add(1, Ordering::Relaxed)),
+    };
+    let worker = || -> Result<Vec<(usize, T)>> {
+        // Stops the claims however this worker exits: `Err` return *or* a
+        // panic inside `init` / `work`. After a normal exit every shard has
+        // been claimed (or a failure stopped the claims), so it changes
+        // nothing.
+        struct StopOnExit<'a>(&'a AtomicBool);
+        impl Drop for StopOnExit<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
             }
         }
-        queue.close();
+        let _guard = StopOnExit(&stop);
+        let mut shards = std::iter::from_fn(claim);
+        let Some(first) = shards.next() else {
+            return Ok(Vec::new());
+        };
+        let mut state = init()?;
+        let mut produced = Vec::new();
+        for shard in std::iter::once(first).chain(shards) {
+            produced.push((shard.start, work(&mut state, shard.clone())?));
+        }
+        Ok(produced)
+    };
+    let mut chunks: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
         let mut all = Vec::new();
         let mut first_err = None;
         for handle in handles {
             match handle.join() {
                 Ok(Ok(produced)) => all.extend(produced),
                 Ok(Err(e)) => first_err = first_err.or(Some(e)),
-                // The scope joins the remaining workers (the queue is
-                // closed, so they drain and exit) before this unwinds.
+                // The scope joins the remaining workers (the claims are
+                // stopped, so each ends with its current shard) before this
+                // unwinds.
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(all),
-        }
+        first_err.map_or(Ok(all), Err)
     })?;
     chunks.sort_by_key(|(start, _)| *start);
     Ok(chunks.into_iter().map(|(_, value)| value).collect())
@@ -518,14 +432,12 @@ mod tests {
         }
     }
 
-    /// A worker's panic reaches the caller with the worker's own payload,
-    /// and the producer is not left parked on the full queue.
+    /// A worker's panic reaches the caller with the worker's own payload.
     #[test]
     fn worker_panic_resumes_with_its_payload() {
         let options = ReplayOptions {
             workers: 1,
             shard_frames: 1,
-            queue_depth: 1,
             ..Default::default()
         };
         let unwound = std::panic::catch_unwind(|| {
@@ -545,29 +457,60 @@ mod tests {
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
 
+    /// 64 one-frame shards on two workers. The first shard to start fails,
+    /// by `Err` or by panic; every other shard waits until that failure is
+    /// recorded, then counts itself. The caller gets the failure, and the
+    /// claims stop with it: only a shard another worker already holds (at
+    /// most `workers - 1`) completes after it.
     #[test]
-    fn queue_is_bounded_and_fifo() {
-        let queue = ShardQueue::new(2);
-        assert!(queue.push(1));
-        assert!(queue.push(2));
-        assert_eq!(queue.pop(), Some(1));
-        assert_eq!(queue.pop(), Some(2));
-        queue.close();
-        assert_eq!(queue.pop(), None);
-        assert!(!queue.push(3), "push after close must be rejected");
-    }
-
-    #[test]
-    fn queue_blocks_producer_at_capacity() {
-        let queue = Arc::new(ShardQueue::new(1));
-        assert!(queue.push(0));
-        let q = queue.clone();
-        let producer = std::thread::spawn(move || q.push(1));
-        // The producer must be parked on the full queue until we pop.
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!producer.is_finished(), "bounded queue failed to block");
-        assert_eq!(queue.pop(), Some(0));
-        assert!(producer.join().unwrap());
-        assert_eq!(queue.pop(), Some(1));
+    fn a_failure_stops_the_claims() {
+        const WORKERS: usize = 2;
+        let options = ReplayOptions {
+            workers: WORKERS,
+            shard_frames: 1,
+            ..Default::default()
+        };
+        for panics in [false, true] {
+            let started = AtomicUsize::new(0);
+            let failed = AtomicBool::new(false);
+            let completed = AtomicUsize::new(0);
+            let outcome = std::panic::catch_unwind(|| {
+                options.run(
+                    64,
+                    || Ok(()),
+                    |(), shard| {
+                        if started.fetch_add(1, Ordering::SeqCst) == 0 {
+                            failed.store(true, Ordering::SeqCst);
+                            if panics {
+                                panic!("first shard");
+                            }
+                            return Err(crate::ExrayError::Validation("first shard".into()));
+                        }
+                        while !failed.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        // The failing worker stops the claims on its way out.
+                        std::thread::sleep(Duration::from_millis(50));
+                        completed.fetch_add(1, Ordering::SeqCst);
+                        Ok(shard.start)
+                    },
+                    |shards| shards,
+                )
+            });
+            match (panics, outcome) {
+                (true, Err(payload)) => {
+                    assert_eq!(payload.downcast_ref::<&str>(), Some(&"first shard"));
+                }
+                (false, Ok(Err(crate::ExrayError::Validation(reason)))) => {
+                    assert_eq!(reason, "first shard");
+                }
+                (_, other) => panic!("panics={panics}: the failure was lost: {other:?}"),
+            }
+            let completed = completed.into_inner();
+            assert!(
+                completed < WORKERS,
+                "panics={panics}: {completed} shards completed after the failure"
+            );
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Element-wise, normalization, reshape and quantization-boundary kernels.
 //! Outputs are laid out batch-major, so stacked batches run natively.
 
-use mlexray_tensor::{Tensor, TensorData};
+use mlexray_tensor::{affine_quantize_u8, Tensor, TensorData};
 
 use crate::graph::{Node, TensorDef};
 use crate::kernels::gemm::Engine;
@@ -60,7 +60,7 @@ pub(crate) fn add_q(
         let ra = s_a * (x as i32 - zp_a) as f32;
         let rb = s_b * (b[i % blen] as i32 - zp_b) as f32;
         let r = activation.apply(ra + rb);
-        *o = (zp_out + (r / s_out).round() as i32).clamp(0, 255) as u8;
+        *o = affine_quantize_u8(r, s_out, zp_out);
     }
     Ok(())
 }
@@ -142,7 +142,7 @@ pub(crate) fn mul_q(
     for (i, (o, &x)) in out.iter_mut().zip(a).enumerate() {
         let rb = s_b * (b[mul_rhs_index(inputs[0], inputs[1], i)] as i32 - zp_b) as f32;
         let r = s_a * (x as i32 - zp_a) as f32 * rb;
-        *o = (zp_out + (r / s_out).round() as i32).clamp(0, 255) as u8;
+        *o = affine_quantize_u8(r, s_out, zp_out);
     }
     Ok(())
 }
@@ -184,7 +184,7 @@ pub(crate) fn act_q(
     let lut: Vec<u8> = (0..256)
         .map(|q| {
             let r = act.apply(s_in * (q - zp_in) as f32);
-            (zp_out + (r / s_out).round() as i32).clamp(0, 255) as u8
+            affine_quantize_u8(r, s_out, zp_out)
         })
         .collect();
     let x = inputs[0].as_u8()?;
@@ -276,7 +276,7 @@ pub(crate) fn concat(
                         let src = (o * a + ai) * inner + ii;
                         let dst = (o * out_axis + axis_off + ai) * inner + ii;
                         let r = s_in * (x[src] as i32 - zp_in) as f32;
-                        out[dst] = (zp_out + (r / s_out).round() as i32).clamp(0, 255) as u8;
+                        out[dst] = affine_quantize_u8(r, s_out, zp_out);
                     }
                 }
             }
@@ -447,7 +447,7 @@ pub(crate) fn quantize(
     let x = inputs[0].as_f32()?;
     let out = u8_slot(out_t, out_def)?;
     for (o, &v) in out.iter_mut().zip(x) {
-        *o = (zp + (v / scale).round() as i32).clamp(0, 255) as u8;
+        *o = affine_quantize_u8(v, scale, zp);
     }
     Ok(())
 }
@@ -458,9 +458,7 @@ pub(crate) fn dequantize(
     out_def: &TensorDef,
     out_t: &mut Tensor,
 ) -> Result<()> {
-    let values = inputs[0].to_f32_vec();
-    let out = f32_slot(out_t, out_def)?;
-    out.copy_from_slice(&values);
+    inputs[0].dequantize_into(f32_slot(out_t, out_def)?);
     Ok(())
 }
 

@@ -2,8 +2,8 @@
 //! `#[global_allocator]` instead of the self-reported
 //! `InvokeStats::allocations`: the allocation count of an `invoke` must not
 //! depend on graph depth (no per-node operand list, no per-node BatchNorm
-//! table, no per-node quantized patch matrix or depthwise requant
-//! multipliers) — in every flavor and under the edge emulator — nor on
+//! table, no per-node quantized patch matrix, depthwise requant
+//! multipliers or dequantized copy) — in every flavor and under the edge emulator — nor on
 //! whether the reference or optimized `Conv2d` packs its weights per
 //! invoke, and an interpreter
 //! cycled through batch sizes must hold the
@@ -100,8 +100,9 @@ fn per_tensor(scale: f32, zero_point: i32) -> QuantParams {
 }
 
 /// `blocks` quantized 3×3 `Conv2d`s (an im2col user each), each followed
-/// by a quantized 3×3 depthwise (a requant-multiplier user), then Mean → FC:
-/// `2 · blocks + 2` nodes whose inputs and outputs do not depend on `blocks`.
+/// by a quantized 3×3 depthwise (a requant-multiplier user) and a
+/// `Dequantize → Quantize` round trip, then Mean → FC: `4 · blocks + 2`
+/// nodes whose inputs and outputs do not depend on `blocks`.
 fn quantized_stack(blocks: usize) -> Graph {
     let (c, q) = (8, per_tensor(0.05, 10));
     let mut b = GraphBuilder::new("quantized-stack");
@@ -155,6 +156,22 @@ fn quantized_stack(blocks: usize) -> Graph {
             format!("depthwise{i}"),
             depthwise,
             vec![x, w],
+            shape.clone(),
+            DType::U8,
+            quant.clone(),
+        );
+        let real = b.push_node(
+            format!("dequantize{i}"),
+            OpKind::Dequantize,
+            vec![x],
+            shape.clone(),
+            DType::F32,
+            None,
+        );
+        x = b.push_node(
+            format!("quantize{i}"),
+            OpKind::Quantize,
+            vec![real],
             shape,
             DType::U8,
             quant,
@@ -263,21 +280,22 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
     }
 
     // (1c) A quantized `Conv2d` builds its patch matrix, and a quantized
-    // depthwise its requant multipliers, in buffers the interpreter keeps, in
-    // every flavor: a warmed invoke allocates as often behind one quantized
-    // conv-and-depthwise pair as behind twelve.
+    // depthwise its requant multipliers, in buffers the interpreter keeps,
+    // and a `Dequantize` writes straight into its output slot, in every
+    // flavor: a warmed invoke allocates as often behind one quantized block
+    // as behind twelve.
     let codes: Vec<u8> = (0..6 * 6 * 8).map(|i| (i * 37 % 256) as u8).collect();
     let shape = Shape::nhwc(1, 6, 6, 8);
     let codes = [Tensor::from_u8(shape, codes, per_tensor(0.02, 128)).unwrap()];
     let (shallow, deep) = (quantized_stack(1), quantized_stack(12));
-    assert_eq!((shallow.nodes().len(), deep.nodes().len()), (4, 26));
+    assert_eq!((shallow.nodes().len(), deep.nodes().len()), (6, 50));
     for spec in specs() {
         let few = allocations_per_invoke(&shallow, spec, &codes);
         let many = allocations_per_invoke(&deep, spec, &codes);
         assert_eq!(
             few, many,
-            "{spec:?}: a warmed quantized invoke allocated {few} times on 4 nodes but {many} \
-             on 26"
+            "{spec:?}: a warmed quantized invoke allocated {few} times on 6 nodes but {many} \
+             on 50"
         );
     }
 

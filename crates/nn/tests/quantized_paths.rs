@@ -226,6 +226,49 @@ fn quantized_fc_golden_vector_by_hand() {
     }
 }
 
+/// A quantized `Add` whose output scale is `1e-30` (any positive finite
+/// scale is legal): `±1.0 / 1e-30` passes the `i32` range, and the output
+/// must clamp to 255 / 0, not overflow adding the zero point or wrap to the
+/// other end, in every flavor.
+#[test]
+fn quantized_add_at_a_tiny_output_scale_clamps() {
+    let per_tensor = |scale, zero_point| Some(QuantParams::PerTensor { scale, zero_point });
+    let shape = Shape::matrix(1, 4);
+    let mut b = GraphBuilder::new("tiny_scale_add");
+    let x = b.input_typed("x", shape.clone(), DType::U8, per_tensor(0.1, 128));
+    let y = b.input_typed("y", shape.clone(), DType::U8, per_tensor(0.1, 128));
+    let sum = b.push_node(
+        "add",
+        OpKind::Add {
+            activation: Activation::None,
+        },
+        vec![x, y],
+        shape.clone(),
+        DType::U8,
+        per_tensor(1e-30, 128),
+    );
+    b.output(sum);
+    let g = b.finish().unwrap();
+    // x + y in reals: 1.0, -1.0, 0.0, 2.0.
+    let codes = |codes: Vec<u8>| {
+        Tensor::from_u8(shape.clone(), codes, per_tensor(0.1, 128).unwrap()).unwrap()
+    };
+    let inputs = [codes(vec![138, 118, 128, 148]), codes(vec![128; 4])];
+    for flavor in [
+        KernelFlavor::Reference,
+        KernelFlavor::Optimized,
+        KernelFlavor::Simd,
+    ] {
+        let spec = BackendSpec {
+            flavor,
+            ..BackendSpec::default()
+        };
+        let mut interp = Interpreter::new(&g, spec).unwrap();
+        let out = interp.invoke(&inputs).unwrap();
+        assert_eq!(out[0].as_u8().unwrap(), [255, 0, 128, 255], "{flavor:?}");
+    }
+}
+
 /// A `u8` activation's zero point arrives from outside the program (a
 /// caller's tensor, a wire frame) unchecked. Outside `0..=255` it is no `u8`
 /// value: it cannot pad a window, and the AVX2 dot would wrap it in `i16`.

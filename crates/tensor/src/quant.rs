@@ -108,16 +108,27 @@ impl QuantParams {
     }
 }
 
-/// Quantizes one real value to `u8` with the given affine parameters.
+/// Quantizes one real value to `u8` with the given affine parameters. A
+/// tiny scale sends the quantized step to the `i32` range's end (`as`
+/// saturates); the zero point is added in `i64`, so it cannot overflow and
+/// out of range clamps to the nearer end.
 #[inline]
 pub fn affine_quantize_u8(value: f32, scale: f32, zero_point: i32) -> u8 {
-    ((value / scale).round() as i32 + zero_point).clamp(0, 255) as u8
+    affine_quantize(value, scale, zero_point).clamp(0, 255) as u8
 }
 
-/// Quantizes one real value to `i8` with the given affine parameters.
+/// Quantizes one real value to `i8` with the given affine parameters; out
+/// of range clamps as in [`affine_quantize_u8`].
 #[inline]
 pub fn affine_quantize_i8(value: f32, scale: f32, zero_point: i32) -> i8 {
-    ((value / scale).round() as i32 + zero_point).clamp(-128, 127) as i8
+    affine_quantize(value, scale, zero_point).clamp(-128, 127) as i8
+}
+
+/// `round(value / scale) + zero_point`, unclamped, with the step saturated
+/// to `i32` and the sum taken in `i64`.
+#[inline]
+fn affine_quantize(value: f32, scale: f32, zero_point: i32) -> i64 {
+    (value / scale).round() as i32 as i64 + zero_point as i64
 }
 
 /// Reconstructs the real value of a quantized integer, Eqn. (2) of the paper.
@@ -219,6 +230,13 @@ mod tests {
         let (scale, zp) = p.scalar();
         assert_eq!(affine_quantize_u8(100.0, scale, zp), 255);
         assert_eq!(affine_quantize_u8(-100.0, scale, zp), 0);
+        // At a scale so small that `value / scale` passes `i32`, adding the
+        // zero point neither overflows nor wraps to the other end.
+        let (scale, zp) = (1e-30, 128);
+        assert_eq!(affine_quantize_u8(1.0, scale, zp), 255);
+        assert_eq!(affine_quantize_u8(-1.0, scale, zp), 0);
+        assert_eq!(affine_quantize_i8(1.0, scale, zp), 127);
+        assert_eq!(affine_quantize_i8(-1.0, scale, zp), -128);
     }
 
     #[test]

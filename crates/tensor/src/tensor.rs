@@ -354,19 +354,34 @@ impl Tensor {
     /// parameters where present (Eqn. 2 of the paper). Per-channel parameters
     /// are honoured along their axis.
     pub fn to_f32_vec(&self) -> Vec<f32> {
+        let mut out = vec![0.0; self.len()];
+        self.dequantize_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::to_f32_vec`] into a caller's buffer: writes the real value
+    /// of every element to `out`, which must hold exactly [`Tensor::len`]
+    /// values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.len()`.
+    pub fn dequantize_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.len(), "dequantize_into: length mismatch");
         match &self.data {
-            TensorData::F32(v) => v.clone(),
-            TensorData::U8(v) => self.dequantize_ints(v.iter().map(|&x| x as i32)),
-            TensorData::I8(v) => self.dequantize_ints(v.iter().map(|&x| x as i32)),
-            TensorData::I32(v) => self.dequantize_ints(v.iter().copied()),
+            TensorData::F32(v) => out.copy_from_slice(v),
+            TensorData::U8(v) => self.dequantize_ints(v.iter().map(|&x| x as i32), out),
+            TensorData::I8(v) => self.dequantize_ints(v.iter().map(|&x| x as i32), out),
+            TensorData::I32(v) => self.dequantize_ints(v.iter().copied(), out),
         }
     }
 
-    fn dequantize_ints(&self, ints: impl Iterator<Item = i32>) -> Vec<f32> {
+    fn dequantize_ints(&self, ints: impl Iterator<Item = i32>, out: &mut [f32]) {
+        let pairs = out.iter_mut().zip(ints);
         match &self.quant {
-            None => ints.map(|q| q as f32).collect(),
+            None => pairs.for_each(|(o, q)| *o = q as f32),
             Some(QuantParams::PerTensor { scale, zero_point }) => {
-                ints.map(|q| scale * (q - zero_point) as f32).collect()
+                pairs.for_each(|(o, q)| *o = scale * (q - zero_point) as f32)
             }
             Some(QuantParams::PerChannel {
                 scales,
@@ -376,12 +391,10 @@ impl Tensor {
                 let strides = self.shape.strides();
                 let dim = self.shape.dims().get(*axis).copied().unwrap_or(1);
                 let stride = strides.get(*axis).copied().unwrap_or(1);
-                ints.enumerate()
-                    .map(|(i, q)| {
-                        let c = (i / stride) % dim;
-                        scales[c] * (q - zero_points[c]) as f32
-                    })
-                    .collect()
+                for (i, (o, q)) in pairs.enumerate() {
+                    let c = (i / stride) % dim;
+                    *o = scales[c] * (q - zero_points[c]) as f32;
+                }
             }
         }
     }

@@ -18,7 +18,11 @@ step() { printf '\n==> %s\n' "$*"; }
 
 # `native_kernel!` (crates/nn/src/kernels/mod.rs) is the one way a kernel
 # reaches AVX2: a `#[target_feature]` anywhere else in crates/ is a second,
-# hand-dispatched kernel, and fails the leg.
+# hand-dispatched kernel, and fails the leg. Two queues block on a `Condvar`
+# (serve's request queue, where requests wait for work, and the
+# `ChannelSink`, where producers wait for the writer); a `Condvar` anywhere
+# else in crates/*/src is a third hand-rolled blocking queue, and fails the
+# leg too.
 lint() {
   cargo fmt --all --check
   local stray
@@ -26,6 +30,12 @@ lint() {
     grep -v '^crates/nn/src/kernels/mod.rs:' || true)"
   if [[ -n "$stray" ]]; then
     printf '#[target_feature] outside native_kernel!:\n%s\n' "$stray" >&2
+    return 1
+  fi
+  stray="$(grep -rnw 'Condvar' --include='*.rs' crates/*/src |
+    grep -vE '^crates/(serve/src/queue|core/src/sink)\.rs:' || true)"
+  if [[ -n "$stray" ]]; then
+    printf 'Condvar outside the serve queue and the ChannelSink:\n%s\n' "$stray" >&2
     return 1
   fi
 }
