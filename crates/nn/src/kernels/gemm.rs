@@ -534,15 +534,54 @@ impl RowRead for &[f32] {
     }
 }
 
-/// The windows of a convolution's output cells, read in place: cell `r`'s
-/// window starts at its origin in the zero-bordered input `bordered`
-/// ([`WindowGeom::border`]), and its element `p` lies `taps[p]` further
-/// on ([`WindowGeom::tap_offsets`]).
+/// The windows of a convolution's output cells `0..cells`, read in place:
+/// cell `r`'s window starts at its origin in the zero-bordered input
+/// `bordered` ([`WindowGeom::border`]), and its element `p` lies `taps[p]`
+/// further on ([`WindowGeom::tap_offsets`]). Built only by
+/// [`Windows::new`], which proves every such read in bounds.
 #[derive(Clone, Copy)]
 struct Windows<'a> {
     bordered: &'a [f32],
     taps: &'a [usize],
     steps: BorderedSteps,
+    cells: usize,
+}
+
+impl<'a> Windows<'a> {
+    /// The windows of cells `0..cells`, once [`windows_inside`] has proved
+    /// that every read [`Tapped`] makes of them lies inside `bordered`.
+    ///
+    /// # Panics
+    ///
+    /// When a read would land outside `bordered`: a geometry whose tap
+    /// offsets or cell steps do not fit its bordered input.
+    fn new(bordered: &'a [f32], taps: &'a [usize], steps: BorderedSteps, cells: usize) -> Self {
+        assert!(
+            windows_inside(bordered.len(), taps, steps, cells),
+            "windows of {cells} cells reach past a bordered input of {} elements",
+            bordered.len()
+        );
+        Windows {
+            bordered,
+            taps,
+            steps,
+            cells,
+        }
+    }
+}
+
+/// Whether every read of the windows of cells `0..cells` lies below `len`:
+/// no origin passes [`BorderedSteps::origin_bound`] and no tap offset passes
+/// the largest in `taps`, so it is enough that their sum, computed without
+/// overflow, does not reach `len`. With no cell or no tap there is no read.
+fn windows_inside(len: usize, taps: &[usize], steps: BorderedSteps, cells: usize) -> bool {
+    let (Some(&reach), Some(last)) = (taps.iter().max(), cells.checked_sub(1)) else {
+        return true;
+    };
+    steps
+        .origin_bound(last)
+        .and_then(|origin| origin.checked_add(reach))
+        .is_some_and(|end| end < len)
 }
 
 impl<'a> MatrixRows for Windows<'a> {
@@ -552,6 +591,8 @@ impl<'a> MatrixRows for Windows<'a> {
 
     #[inline(always)]
     fn tile(self, first: usize, end: usize) -> [usize; ROW_TILE] {
+        // The proof in `new` covers cells `0..cells` only.
+        assert!(end <= self.cells, "cells {first}..{end} of {}", self.cells);
         let mut origins = [0; ROW_TILE];
         self.steps.origins(first, &mut origins[..end - first]);
         origins
@@ -566,23 +607,40 @@ impl<'a> MatrixRows for Windows<'a> {
     }
 }
 
-/// One cell's window in the bordered input: element `p` is `x[taps[p]]`.
+/// One cell's window in the bordered input: element `p` is `x[taps[p]]`,
+/// `x` starting at the cell's origin. Made only by [`Windows::rows`], from
+/// origins of cells [`Windows::new`] proved every tap of in bounds, so a
+/// read checks the tap index but not the read it leads to.
 #[derive(Clone, Copy)]
 struct Tapped<'a> {
     x: &'a [f32],
     taps: &'a [usize],
 }
 
+impl Tapped<'_> {
+    /// `x[t]` for a tap offset `t` of this window.
+    #[inline(always)]
+    fn read(self, t: usize) -> f32 {
+        debug_assert!(t < self.x.len());
+        // SAFETY: `t` is an element of `taps`, so at most its largest, and
+        // `x` starts at the origin of a cell below `Windows::cells`, so at
+        // most `BorderedSteps::origin_bound`; `Windows::new` asserted that
+        // their sum lies inside the bordered input `x` is the tail of, so
+        // `t < x.len()`.
+        unsafe { *self.x.get_unchecked(t) }
+    }
+}
+
 impl RowRead for Tapped<'_> {
     #[inline(always)]
     fn quad(self, i: usize) -> [f32; 4] {
         let taps = <&[usize; 4]>::try_from(&self.taps[i * 4..][..4]).expect("four taps");
-        taps.map(|t| self.x[t])
+        taps.map(|t| self.read(t))
     }
 
     #[inline(always)]
     fn at(self, p: usize) -> f32 {
-        self.x[self.taps[p]]
+        self.read(self.taps[p])
     }
 }
 
@@ -819,12 +877,9 @@ pub(crate) fn conv2d_f32_gemm(
             // growing it here would mean the planner under-reserved.
             debug_assert!(scratch.capacity() >= g.bordered_len());
             g.border(x, scratch);
-            let rows = Windows {
-                bordered: scratch,
-                taps,
-                steps: g.bordered_steps(),
-            };
             let out = f32_slot(out_t, out_def)?;
+            let cells = out.len().checked_div(out_c).unwrap_or(0);
+            let rows = Windows::new(scratch, taps, g.bordered_steps(), cells);
             blocked4_windows(engine, panels, rows, out_c, bias, activation, out);
         }
         _ => {
@@ -1816,6 +1871,33 @@ mod tests {
                 prop_assert_eq!(nan_as_one(out.as_f32().unwrap()), want, "{:?} {}", engine, what);
             }
         }
+    }
+
+    /// The once-per-node proof behind the Optimized `Conv2d`'s unchecked
+    /// window reads: it holds for a geometry's own taps, whose last cell's
+    /// last tap is the bordered input's last element, and fails — so
+    /// `Windows::new` panics — once a tap reaches one element further.
+    #[test]
+    #[should_panic(expected = "reach past a bordered input")]
+    fn windows_whose_taps_reach_past_the_bordered_input_are_refused() {
+        let input = Tensor::filled_f32(Shape::nhwc(2, 5, 5, 3), 1.0);
+        let out_def = TensorDef::Activation {
+            name: "out".into(),
+            shape: Shape::nhwc(1, 3, 3, 4),
+            dtype: DType::F32,
+            quant: None,
+        };
+        let g = WindowGeom::new(&input, &out_def, 3, 3, 2, Padding::Same);
+        let mut bordered = Vec::new();
+        g.border(input.as_f32().unwrap(), &mut bordered);
+        let mut taps: Vec<usize> = g.tap_offsets().collect();
+        let (steps, cells) = (g.bordered_steps(), 2 * 3 * 3);
+        assert!(windows_inside(bordered.len(), &taps, steps, cells));
+        let bound = steps.origin_bound(cells - 1).unwrap();
+        assert_eq!(bound + taps.iter().max().unwrap(), bordered.len() - 1);
+        *taps.last_mut().unwrap() += 1;
+        assert!(!windows_inside(bordered.len(), &taps, steps, cells));
+        Windows::new(&bordered, &taps, steps, cells);
     }
 
     /// The whole-batch im2col before it copied one run per window row: one

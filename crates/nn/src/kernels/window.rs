@@ -75,6 +75,18 @@ pub(super) struct BorderedSteps {
 }
 
 impl BorderedSteps {
+    /// An origin that no cell `0..=last` passes ([`BorderedSteps::origins`]):
+    /// each of an origin's three terms at its largest — the frame of cell
+    /// `last`, the last output row, the last column — or `None` when that
+    /// overflows.
+    pub(super) fn origin_bound(self, last: usize) -> Option<usize> {
+        let frame = last / self.out_w.checked_mul(self.out_h)?.max(1);
+        frame
+            .checked_mul(self.frame)?
+            .checked_add(self.out_h.saturating_sub(1).checked_mul(self.row)?)?
+            .checked_add(self.out_w.saturating_sub(1).checked_mul(self.cell)?)
+    }
+
     /// The origins of the cells `first..first + origins.len()` (flat NHW
     /// indices, in output order) into `origins`: one division for the
     /// first, then a step per cell.

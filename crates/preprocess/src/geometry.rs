@@ -35,7 +35,7 @@ pub fn rotate(img: &Image, rotation: Rotation) -> Image {
         Rotation::None => img.clone(),
         Rotation::Deg90 => {
             let (w, h) = (img.width(), img.height());
-            let mut out = Image::blank(h, w, img.order());
+            let mut out = img.blank_like(h, w);
             for y in 0..h {
                 for x in 0..w {
                     out.set_pixel(h - 1 - y, x, img.pixel(x, y));
@@ -45,7 +45,7 @@ pub fn rotate(img: &Image, rotation: Rotation) -> Image {
         }
         Rotation::Deg180 => {
             let (w, h) = (img.width(), img.height());
-            let mut out = Image::blank(w, h, img.order());
+            let mut out = img.blank_like(w, h);
             for y in 0..h {
                 for x in 0..w {
                     out.set_pixel(w - 1 - x, h - 1 - y, img.pixel(x, y));
@@ -55,7 +55,7 @@ pub fn rotate(img: &Image, rotation: Rotation) -> Image {
         }
         Rotation::Deg270 => {
             let (w, h) = (img.width(), img.height());
-            let mut out = Image::blank(h, w, img.order());
+            let mut out = img.blank_like(h, w);
             for y in 0..h {
                 for x in 0..w {
                     out.set_pixel(y, w - 1 - x, img.pixel(x, y));
@@ -69,7 +69,7 @@ pub fn rotate(img: &Image, rotation: Rotation) -> Image {
 /// Mirrors an image left-right.
 pub fn flip_horizontal(img: &Image) -> Image {
     let (w, h) = (img.width(), img.height());
-    let mut out = Image::blank(w, h, img.order());
+    let mut out = img.blank_like(w, h);
     for y in 0..h {
         for x in 0..w {
             out.set_pixel(w - 1 - x, y, img.pixel(x, y));
@@ -81,7 +81,7 @@ pub fn flip_horizontal(img: &Image) -> Image {
 /// Mirrors an image top-bottom.
 pub fn flip_vertical(img: &Image) -> Image {
     let (w, h) = (img.width(), img.height());
-    let mut out = Image::blank(w, h, img.order());
+    let mut out = img.blank_like(w, h);
     for y in 0..h {
         for x in 0..w {
             out.set_pixel(x, h - 1 - y, img.pixel(x, y));
@@ -106,7 +106,7 @@ pub fn center_crop(img: &Image, crop_width: usize, crop_height: usize) -> Result
     }
     let x0 = (img.width() - crop_width) / 2;
     let y0 = (img.height() - crop_height) / 2;
-    let mut out = Image::blank(crop_width, crop_height, img.order());
+    let mut out = Image::blank(crop_width, crop_height, img.order())?;
     for y in 0..crop_height {
         for x in 0..crop_width {
             out.set_pixel(x, y, img.pixel(x0 + x, y0 + y));

@@ -25,7 +25,8 @@ impl Image {
     /// # Errors
     ///
     /// Returns [`PreprocessError::InvalidImage`] if the buffer length is not
-    /// `width * height * 3` or a dimension is zero.
+    /// `width * height * 3`, that product overflows `usize`, or a dimension
+    /// is zero.
     pub fn from_raw(
         width: usize,
         height: usize,
@@ -35,7 +36,7 @@ impl Image {
         if width == 0 || height == 0 {
             return Err(PreprocessError::InvalidImage("zero-sized image".into()));
         }
-        let expected = width * height * Self::CHANNELS;
+        let expected = Self::byte_len(width, height)?;
         if data.len() != expected {
             return Err(PreprocessError::InvalidImage(format!(
                 "buffer length {} does not match {width}x{height}x3 = {expected}",
@@ -50,14 +51,33 @@ impl Image {
         })
     }
 
+    /// `width * height * 3`, the bytes of a `width x height` image.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PreprocessError::InvalidImage`] when the product overflows
+    /// `usize`.
+    pub(crate) fn byte_len(width: usize, height: usize) -> Result<usize> {
+        width
+            .checked_mul(height)
+            .and_then(|pixels| pixels.checked_mul(Self::CHANNELS))
+            .ok_or_else(|| {
+                PreprocessError::InvalidImage(format!(
+                    "{width}x{height}x3 bytes overflow the address space"
+                ))
+            })
+    }
+
     /// Creates a solid-color RGB image.
     ///
     /// # Panics
     ///
-    /// Panics if `width` or `height` is zero.
+    /// Panics if `width` or `height` is zero, or if `width * height * 3`
+    /// overflows `usize`.
     pub fn solid(width: usize, height: usize, rgb: [u8; 3]) -> Self {
         assert!(width > 0 && height > 0, "zero-sized image");
-        let mut data = Vec::with_capacity(width * height * 3);
+        let len = Self::byte_len(width, height).expect("image size fits usize");
+        let mut data = Vec::with_capacity(len);
         for _ in 0..width * height {
             data.extend_from_slice(&rgb);
         }
@@ -73,10 +93,12 @@ impl Image {
     ///
     /// # Panics
     ///
-    /// Panics if `width` or `height` is zero.
+    /// Panics if `width` or `height` is zero, or if `width * height * 3`
+    /// overflows `usize`.
     pub fn checkerboard(width: usize, height: usize, a: [u8; 3], b: [u8; 3]) -> Self {
         assert!(width > 0 && height > 0, "zero-sized image");
-        let mut data = Vec::with_capacity(width * height * 3);
+        let len = Self::byte_len(width, height).expect("image size fits usize");
+        let mut data = Vec::with_capacity(len);
         for y in 0..height {
             for x in 0..width {
                 let cell = if (x + y) % 2 == 0 { a } else { b };
@@ -93,12 +115,30 @@ impl Image {
 
     /// A zero-filled image in `order`, for writers that overwrite every
     /// byte: one allocation, no fill-then-clone.
-    pub(crate) fn blank(width: usize, height: usize, order: ChannelOrder) -> Self {
-        Image {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PreprocessError::InvalidImage`] when `width * height * 3`
+    /// overflows `usize`.
+    pub(crate) fn blank(width: usize, height: usize, order: ChannelOrder) -> Result<Self> {
+        Ok(Image {
             width,
             height,
             order,
-            data: vec![0; width * height * Self::CHANNELS],
+            data: vec![0; Self::byte_len(width, height)?],
+        })
+    }
+
+    /// A zero-filled `width x height` image with `self`'s order and byte
+    /// count, for a rotation or mirror of `self` (the same pixel count) to
+    /// overwrite.
+    pub(crate) fn blank_like(&self, width: usize, height: usize) -> Self {
+        debug_assert_eq!(width * height, self.width * self.height);
+        Image {
+            width,
+            height,
+            order: self.order,
+            data: vec![0; self.data.len()],
         }
     }
 
@@ -191,6 +231,26 @@ mod tests {
         assert!(Image::from_raw(0, 4, ChannelOrder::Rgb, vec![]).is_err());
         assert!(Image::from_raw(2, 2, ChannelOrder::Rgb, vec![0; 11]).is_err());
         assert!(Image::from_raw(2, 2, ChannelOrder::Rgb, vec![0; 12]).is_ok());
+    }
+
+    #[test]
+    fn from_raw_refuses_a_size_that_overflows() {
+        // 2^62 · 4 · 3 wraps to 0 bytes, which an empty buffer would match.
+        let err = Image::from_raw(1 << 62, 4, ChannelOrder::Rgb, vec![]).unwrap_err();
+        assert!(matches!(err, PreprocessError::InvalidImage(_)), "{err:?}");
+        assert!(Image::from_raw(usize::MAX, 2, ChannelOrder::Rgb, vec![]).is_err());
+    }
+
+    #[test]
+    fn blank_refuses_a_size_that_overflows() {
+        assert!(matches!(
+            Image::blank(1 << 62, 4, ChannelOrder::Rgb),
+            Err(PreprocessError::InvalidImage(_))
+        ));
+        assert_eq!(
+            Image::blank(2, 3, ChannelOrder::Bgr).unwrap().data().len(),
+            18
+        );
     }
 
     #[test]

@@ -1,3 +1,9 @@
+//! Byte → float conversion. A scheme that ignores the channel (every one
+//! but `MeanStd`) converts a run of bytes in one vector pass of its own
+//! formula and swaps channels afterwards; `MeanStd` reads each byte through
+//! a per-channel table. Either way every float is bitwise
+//! `NormalizationScheme::apply_byte` of its byte.
+
 use serde::{Deserialize, Serialize};
 
 use mlexray_tensor::{Shape, Tensor};
@@ -69,10 +75,9 @@ impl NormalizationScheme {
 /// [`Image::relabeled`]) flows through unchanged, exactly like the real bug.
 ///
 /// Every element is bitwise `scheme.apply_byte(v, c)` of the byte `v` that
-/// lands in channel `c` once the bytes are in `wanted` order: the 3 × 256
-/// values are tabulated once per call and the raw bytes read through the
-/// table, channel order being a swap of the index rather than a copy of the
-/// image.
+/// lands in channel `c` once the bytes are in `wanted` order: one vector
+/// pass of the scheme's formula when it ignores the channel, a per-channel
+/// table for `MeanStd`.
 ///
 /// # Errors
 ///
@@ -82,31 +87,105 @@ pub fn image_to_tensor(
     wanted: ChannelOrder,
     scheme: NormalizationScheme,
 ) -> Result<Tensor> {
-    let mut table = [[0f32; 256]; Image::CHANNELS];
-    for (c, row) in table.iter_mut().enumerate() {
-        for (v, out) in row.iter_mut().enumerate() {
-            *out = scheme.apply_byte(v as u8, c);
-        }
-    }
-    // Which stored byte feeds output channel 0 and 2.
-    let (first, last) = if img.order() == wanted {
-        (0, 2)
-    } else {
-        (2, 0)
-    };
-    let mut data = vec![0f32; img.data().len()];
-    for (out, px) in data
-        .chunks_exact_mut(Image::CHANNELS)
-        .zip(img.data().chunks_exact(Image::CHANNELS))
-    {
-        out[0] = table[0][px[first] as usize];
-        out[1] = table[1][px[1] as usize];
-        out[2] = table[2][px[last] as usize];
-    }
+    let mut data = Vec::with_capacity(img.data().len());
+    Normalizer::new(scheme, img.order(), wanted).extend(&mut data, img.data());
     Ok(Tensor::from_f32(
         Shape::nhwc(1, img.height(), img.width(), Image::CHANNELS),
         data,
     )?)
+}
+
+/// How one image's bytes become model-input floats, worked out once per
+/// image and applied to any run of its whole pixels.
+pub(crate) enum Normalizer {
+    /// A scheme that ignores the channel (`ZeroToOne`, `MinusOneToOne`,
+    /// `RawByte`): its formula over every byte in one vector pass, then —
+    /// when the stored order is not the wanted one — the first and last
+    /// float of each pixel swapped, which is the same as swapping the bytes
+    /// first.
+    Flat {
+        scheme: NormalizationScheme,
+        swap: bool,
+    },
+    /// `MeanStd`, which reads the channel: its 3 × 256 values tabulated and
+    /// each byte read through the table of the channel it lands in, channel
+    /// order being a swap of the index rather than a copy of the bytes.
+    PerChannel {
+        table: Box<[[f32; 256]; Image::CHANNELS]>,
+        /// Which stored byte feeds output channel 0 and 2.
+        first: usize,
+        last: usize,
+    },
+}
+
+impl Normalizer {
+    /// The conversion of bytes stored in `stored` order to `scheme` floats
+    /// in `wanted` order.
+    pub(crate) fn new(
+        scheme: NormalizationScheme,
+        stored: ChannelOrder,
+        wanted: ChannelOrder,
+    ) -> Self {
+        let swap = stored != wanted;
+        if !matches!(scheme, NormalizationScheme::MeanStd { .. }) {
+            return Normalizer::Flat { scheme, swap };
+        }
+        let mut table = Box::new([[0f32; 256]; Image::CHANNELS]);
+        for (c, row) in table.iter_mut().enumerate() {
+            for (v, out) in row.iter_mut().enumerate() {
+                *out = scheme.apply_byte(v as u8, c);
+            }
+        }
+        let (first, last) = if swap { (2, 0) } else { (0, 2) };
+        Normalizer::PerChannel { table, first, last }
+    }
+
+    /// Appends the floats of `bytes`, whole pixels in the stored order, to
+    /// `out` in the wanted order.
+    pub(crate) fn extend(&self, out: &mut Vec<f32>, bytes: &[u8]) {
+        /// `formula` of every byte, in a loop the compiler vectorizes.
+        #[inline(always)]
+        fn each(out: &mut Vec<f32>, bytes: &[u8], formula: impl Fn(u8) -> f32) {
+            out.extend(bytes.iter().map(|&v| formula(v)));
+        }
+        debug_assert_eq!(bytes.len() % Image::CHANNELS, 0);
+        match *self {
+            Normalizer::Flat { scheme, swap } => {
+                let start = out.len();
+                // Each arm names its scheme, so `apply_byte`'s match folds
+                // away and only the formula is left in the loop.
+                match scheme {
+                    NormalizationScheme::ZeroToOne => each(out, bytes, |v| {
+                        NormalizationScheme::ZeroToOne.apply_byte(v, 0)
+                    }),
+                    NormalizationScheme::MinusOneToOne => each(out, bytes, |v| {
+                        NormalizationScheme::MinusOneToOne.apply_byte(v, 0)
+                    }),
+                    // `new` makes only channel-free schemes flat: this is `RawByte`.
+                    scheme => each(out, bytes, |v| scheme.apply_byte(v, 0)),
+                }
+                if swap {
+                    for px in out[start..].chunks_exact_mut(Image::CHANNELS) {
+                        px.swap(0, 2);
+                    }
+                }
+            }
+            Normalizer::PerChannel {
+                ref table,
+                first,
+                last,
+            } => {
+                out.reserve(bytes.len());
+                for px in bytes.chunks_exact(Image::CHANNELS) {
+                    out.extend_from_slice(&[
+                        table[0][px[first] as usize],
+                        table[1][px[1] as usize],
+                        table[2][px[last] as usize],
+                    ]);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

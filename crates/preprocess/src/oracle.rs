@@ -129,7 +129,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::resize::round_to_u8;
+    use crate::resize::{round_in_range, round_to_u8};
 
     const METHODS: [ResizeMethod; 3] = [
         ResizeMethod::Nearest,
@@ -229,15 +229,23 @@ mod tests {
         }
     }
 
+    /// Both rounding helpers against `f32::round` then the clamp: the
+    /// general one everywhere, the in-range one on `[0, 255]`, where every
+    /// area-average quotient lies.
     fn assert_rounds_like_f32_round(q: f32) {
         let want = q.round().clamp(0.0, 255.0) as u8;
         assert_eq!(round_to_u8(q), want, "{q:?} ({:#010x})", q.to_bits());
+        if (0.0..=255.0).contains(&q) {
+            assert_eq!(round_in_range(q), want, "{q:?} ({:#010x})", q.to_bits());
+        }
     }
 
     #[test]
     fn rounding_matches_f32_round_then_clamp() {
-        // Every area-average quotient of up to 64 taps.
-        for n in 1..=64u32 {
+        // Every area-average quotient of up to 64 taps, and of 255, 65 535
+        // and 65 793 taps — the last the most whose byte sums stay below
+        // 2²⁴.
+        for n in (1..=64u32).chain([255, 65_535, 65_793]) {
             for k in 0..=255 * n {
                 assert_rounds_like_f32_round(k as f32 / n as f32);
             }

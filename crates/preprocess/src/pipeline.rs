@@ -1,10 +1,11 @@
 use serde::{Deserialize, Serialize};
 
-use mlexray_tensor::Tensor;
+use mlexray_tensor::{Shape, Tensor};
 
+use crate::normalize::{image_to_tensor, Normalizer};
+use crate::resize::{area_average, target_len};
 use crate::{
-    normalize::image_to_tensor, resize, rotate, ChannelOrder, Image, NormalizationScheme,
-    ResizeMethod, Result, Rotation,
+    resize, rotate, ChannelOrder, Image, NormalizationScheme, ResizeMethod, Result, Rotation,
 };
 
 /// The full image-preprocessing stage of an inference pipeline.
@@ -101,8 +102,26 @@ impl ImagePreprocessConfig {
                 &rotated
             }
         };
-        let resized = resize(oriented, self.target_width, self.target_height, self.resize)?;
-        image_to_tensor(&resized, self.channel_order, self.normalization)
+        let (width, height) = (self.target_width, self.target_height);
+        let (order, scheme) = (self.channel_order, self.normalization);
+        if (width, height) == (oriented.width(), oriented.height()) {
+            return image_to_tensor(oriented, order, scheme);
+        }
+        if self.resize != ResizeMethod::AreaAverage {
+            let resized = resize(oriented, width, height, self.resize)?;
+            return image_to_tensor(&resized, order, scheme);
+        }
+        // Each block of averaged bytes becomes floats as it is made: no
+        // resized image in between.
+        let mut data = Vec::with_capacity(target_len(width, height)?);
+        let normalizer = Normalizer::new(scheme, oriented.order(), order);
+        area_average(oriented, width, height, |bytes| {
+            normalizer.extend(&mut data, bytes)
+        });
+        Ok(Tensor::from_f32(
+            Shape::nhwc(1, height, width, Image::CHANNELS),
+            data,
+        )?)
     }
 
     /// Returns this config with one field replaced by a buggy variant, for

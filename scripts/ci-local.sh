@@ -80,10 +80,12 @@ kernel-suites() {
 # and replay_validate_sharded's lockstep drift fold bitwise against
 # per_layer_drift and validate_shard over the full logs it no longer writes.
 # The preprocessing oracle (the preprocess crate's unit tests) holds the
-# one-pass resize and table normalization bitwise to the per-pixel code they
-# replaced, across sizes, methods, schemes, channel orders and rotations;
-# golden_reports pins the rewritten path end to end, since its drift bits
-# depend on every input bit.
+# whole-row area-average passes (column sums in u16 or u32 lanes, four-lane
+# pixel sums, vector divides and the in-range rounding) and the vector-pass
+# normalization bitwise to the per-pixel code they replaced, across sizes,
+# methods, schemes, channel orders and rotations, and the in-range rounding
+# to f32::round on every area-average quotient; golden_reports pins the
+# rewritten path end to end, since its drift bits depend on every input bit.
 backend-suites() {
   cargo test -p mlexray-preprocess --lib -q
   cargo test -p mlexray-nn --test backend_differential --test golden_kernels -q
@@ -129,12 +131,13 @@ backend-suites() {
 # defects and emulated numerics. differential_replay runs here too: bisection re-executes
 # the divergent node through execute_node_with on the process's engine, so
 # its op-local verdicts must hold under the mirror as well. Last, a smoke run
-# of the three timing probes in release — depthwise_probe (the depthwise
+# of the four timing probes in release — depthwise_probe (the depthwise
 # nodes of mobilenet_v2@48, float and int8, every flavor), conv_probe (every
 # op kind and the stem of mini_mobilenet_v2@24, the replay_validate model,
-# reference and optimized, and @32, the wire_plain model, optimized) and
-# fold_probe (normalized_rmse and TensorStats::of on frame-sized inputs):
-# they must finish; no timing is asserted.
+# reference and optimized, and @32, the wire_plain model, optimized),
+# fold_probe (normalized_rmse and TensorStats::of on frame-sized inputs) and
+# preprocess_probe (the canonical image preprocessing, 60x60 -> 24x24 and
+# 224x224 -> 96x96): they must finish; no timing is asserted.
 kernel-simd() {
   local nn=(-p mlexray-nn --test golden_kernels --test batch_equivalence
     --test backend_differential --test alloc_steady_state --test alloc_validation
@@ -154,8 +157,9 @@ kernel-simd() {
   MLEXRAY_SIMD=scalar cargo test "${conv[@]}"
   MLEXRAY_SIMD=scalar cargo test "${fc[@]}"
   MLEXRAY_SIMD=scalar cargo test "${core[@]}"
-  cargo test --release -p mlexray-nn -p mlexray-tensor --test depthwise_probe --test conv_probe \
-    --test fold_probe -- --ignored -q
+  cargo test --release -p mlexray-nn -p mlexray-tensor -p mlexray-preprocess \
+    --test depthwise_probe --test conv_probe --test fold_probe --test preprocess_probe \
+    -- --ignored -q
 }
 
 # Everything in mlexray-serve: its unit tests (the door reaps finished
