@@ -210,8 +210,9 @@ native_kernel! {
         activation: Activation,
         out: &mut [f32],
     ) {
+        // A two-build kernel: `Avx512` engines run its AVX2+FMA build.
         match build {
-            SimdEngine::Avx2Fma => {
+            SimdEngine::Avx2Fma | SimdEngine::Avx512 => {
                 conv2d_rows::<C, 6, 3, 2>(chain, g, x, panels, out_c, bias, activation, out)
             }
             SimdEngine::Scalar => {
@@ -398,7 +399,10 @@ fn depthwise_row<M: DepthwiseMac>(
 ) {
     match (M::GROUPED, build) {
         (false, _) => depthwise_groups::<M, 1, 1>(mac, g, row, x, w, emit),
-        (true, SimdEngine::Avx2Fma) => depthwise_groups::<M, 3, 2>(mac, g, row, x, w, emit),
+        // The depthwise kernels have two builds: `Avx512` runs the AVX2 one.
+        (true, SimdEngine::Avx2Fma | SimdEngine::Avx512) => {
+            depthwise_groups::<M, 3, 2>(mac, g, row, x, w, emit)
+        }
         (true, SimdEngine::Scalar) => depthwise_groups::<M, 2, 1>(mac, g, row, x, w, emit),
     }
 }
@@ -1132,9 +1136,11 @@ pub(super) mod tests {
         }
     }
 
-    /// The baseline build and — where this CPU has it — the AVX2 one.
-    pub(in crate::kernels) fn builds() -> [Engine; 2] {
-        [SimdEngine::Scalar, SimdEngine::Avx2Fma].map(Engine::runnable)
+    /// Every engine's build — the baseline, and where this CPU has them
+    /// the AVX2 and AVX-512 ones (the latter only the Simd GEMM has; other
+    /// kernels run their AVX2 build under it).
+    pub(in crate::kernels) fn builds() -> [Engine; 3] {
+        SimdEngine::ALL.map(Engine::runnable)
     }
 
     /// Bit for bit, except that two `NaN`s are one value: `fadd` is

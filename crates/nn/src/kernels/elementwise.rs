@@ -148,10 +148,9 @@ pub(crate) fn mul_q(
 }
 
 native_kernel! {
-    /// `out = act(x)`: a copy, then one activation pass.
+    /// `out = act(x)`, in one pass.
     fn act_rows(x: &[f32], act: Activation, out: &mut [f32]) {
-        out.copy_from_slice(x);
-        act.apply_in_place(out);
+        act.apply_into(x, out);
     }
 }
 
@@ -469,9 +468,10 @@ mod tests {
     use crate::kernels::{det_f32, ACTIVATIONS};
     use mlexray_tensor::{DType, Shape};
 
-    /// The baseline build and — where this CPU has it — the AVX2 one.
-    fn builds() -> [Engine; 2] {
-        [SimdEngine::Scalar, SimdEngine::Avx2Fma].map(Engine::runnable)
+    /// Every engine's build: the baseline and — where this CPU has it —
+    /// the AVX2 one, which an `Avx512` engine runs too.
+    fn builds() -> [Engine; 3] {
+        SimdEngine::ALL.map(Engine::runnable)
     }
 
     /// Deterministic values salted with the ones the formulas are touchiest

@@ -12,8 +12,9 @@
 //! `FullyConnected` layers pass their activations as the matrix. The
 //! Optimized convolution builds no matrix: its rows are read in place
 //! (below). One walk, `walk_tiles`, drives the float GEMM of both flavors —
-//! `ROW_TILE`-row tiles × column strips × `MR` rows, then the odd row —
-//! adds the bias, and applies the activation once per tile; it is generic
+//! `ROW_TILE`-row tiles × column strips × `MR` rows (four, then `MR`, in
+//! the Simd rule's AVX-512 build), then the odd row — adds the bias, and
+//! applies the activation once per tile; it is generic
 //! over how a matrix row is read (`MatrixRows`: a row-major matrix, or a
 //! convolution's windows). What sums `M` matrix rows against one strip is
 //! the flavor's chain rule, because each flavor's summation tree is pinned
@@ -29,8 +30,10 @@
 //! * **Simd — `Lanes8` tiles** over strips of four row-major weight rows
 //!   (one on the ragged edge), unpacked: `MR × 4` accumulator chains in
 //!   flight (`1 × 4`, `MR × 1`, `1 × 1` on the ragged edges), each weight
-//!   vector loaded once for all rows. Every cell of every shape is the
-//!   micro-kernel's one dot, so the tile shape never moves a bit.
+//!   vector loaded once for all rows; in the AVX-512 build, strips of eight
+//!   rows first, four matrix rows at a time (below). Every cell of every
+//!   shape is the micro-kernel's one dot, so the tile shape never moves a
+//!   bit.
 //!
 //! The reference kernels in `conv.rs` / `fc.rs` are the oracle both are
 //! tested against.
@@ -73,44 +76,67 @@
 //! # Native builds at the host's vector width
 //!
 //! The x86-64 baseline the crate compiles for is SSE2: four `f32` lanes.
-//! The kernels of the three native flavors — the float GEMM driver here
-//! with both its rules, the int8 GEMM, the reference `Conv2d` panel chains
-//! and the shared depthwise kernel in `conv.rs` — are each written once,
-//! as an `#[inline(always)]` body (`native_kernel!` in `kernels/mod.rs`),
-//! and compiled twice: for the baseline, and once more under
-//! `#[target_feature(enable = "avx2", enable = "fma")]`, which runs when
-//! the checked `Engine` says `Avx2Fma`. Enabling `fma` moves no bit of an
-//! unfused kernel: Rust never contracts `a + x * w`, so every product is
-//! still rounded before it is added, and the AVX2+FMA build performs the
-//! same operations in the same order on eight lanes and returns the
-//! baseline build's bits. The one fused kernel, the `Lanes8` tile, runs its
-//! intrinsics inlined into that build — driver, tile and epilogue one
-//! function, no call per tile — and the baseline build runs its scalar
-//! mirror. `MLEXRAY_SIMD=scalar` runs the baseline build.
+//! The kernels of the three native flavors — the float GEMM drivers here
+//! with both their rules, the int8 GEMM, the reference `Conv2d` panel
+//! chains and the shared depthwise kernel in `conv.rs` — are each written
+//! once, as an `#[inline(always)]` body (`native_kernel!` in
+//! `kernels/mod.rs`), and compiled twice: for the baseline, and once more
+//! under `#[target_feature(enable = "avx2", enable = "fma")]`, which runs
+//! when the checked `Engine` says `Avx2Fma` or `Avx512`. Enabling `fma`
+//! moves no bit of an unfused kernel: Rust never contracts `a + x * w`, so
+//! every product is still rounded before it is added, and the AVX2+FMA
+//! build performs the same operations in the same order on eight lanes
+//! and returns the baseline build's bits. The one fused kernel, the Simd
+//! rule's `lanes8_gemm`, runs its intrinsics inlined into that build —
+//! driver, tile and epilogue one function, no call per tile — and the
+//! baseline build runs its scalar mirror. It alone opts into a third
+//! build, under `avx512f` as well, which an `Avx512` engine runs; the
+//! Optimized rule is a kernel of its own (`blocked4_gemm`), so the
+//! Optimized pointwise convolutions keep their two builds.
+//! `MLEXRAY_SIMD=scalar` runs the baseline build.
 //!
-//! # The dual-engine contract
+//! # Three builds, one contract
 //!
 //! The `Lanes8` tile is the one intrinsic kernel left. Its dot is defined in
 //! terms of one canonical "8-lane virtual SIMD" arithmetic, implemented
-//! twice:
+//! three times:
 //!
-//! * an **AVX2/FMA** engine (x86_64 only, behind one-time runtime feature
-//!   detection; the float tile is compiled only into the AVX2+FMA build,
-//!   which only an `Engine` holding `Avx2Fma` enters, so the build it is
-//!   inlined into is what makes its intrinsics safe to run), and
+//! * an **AVX-512F** engine and an **AVX2/FMA** engine (x86_64 only, behind
+//!   one-time runtime feature detection; each float tile is compiled only
+//!   into its own build, which only an `Engine` holding that engine enters,
+//!   so the build it is inlined into is what makes its intrinsics safe to
+//!   run), and
 //! * a **scalar mirror** that performs the *same* per-lane operations in the
 //!   same order with [`f32::mul_add`] (IEEE-754 fused multiply-add, exactly
 //!   what `vfmadd` computes).
 //!
-//! The two engines are **bitwise identical** by construction: per-lane FMA
-//! (`_mm256_fmadd_ps` ≡ `f32::mul_add` lane by lane), a fixed-order
-//! horizontal reduction `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, and a
-//! sequential fused tail. The AVX2 engine reduces four accumulators at once
-//! without leaving the registers, with `hadd` — but only in the one order
-//! that *is* that tree (two rounds of `hadd` pair the lanes exactly as
-//! written above, then the low half is added to the high half); any other
-//! horizontal shuffle would reassociate the sum. Consequently the engine
-//! choice never changes a single output bit: golden records made on an AVX2
+//! The engines are **bitwise identical** by construction: per-lane FMA
+//! (`_mm256_fmadd_ps` and `_mm512_fmadd_ps` ≡ `f32::mul_add` lane by lane),
+//! a fixed-order horizontal reduction `((l0+l1)+(l2+l3)) +
+//! ((l4+l5)+(l6+l7))`, and a sequential fused tail. The AVX2 engine
+//! reduces four accumulators at once without leaving the registers, with
+//! `hadd` — but only in the one order that *is* that tree (two rounds of
+//! `hadd` pair the lanes exactly as written above, then the low half is
+//! added to the high half); any other horizontal shuffle would reassociate
+//! the sum. The AVX-512 tile (`tile_avx512`) is four matrix rows × eight
+//! channels: each row's four `zmm` accumulators hold channel `p` in the
+//! low 256 bits and channel `p + 4` in the high, fed per 8-element chunk
+//! by one 256→512-bit broadcast of the row chunk and two 256-bit weight
+//! loads joined per channel pair — so the row-major weights need no
+//! packing, and no second copy of them is kept. Its reduction is the same
+//! tree: `hadd` does not exist at 512 bits, but `shuffle_ps(x, y, 0x88) +
+//! shuffle_ps(x, y, 0xDD)` is its pairing within each 128-bit lane, lower
+//! operand first; two rounds of it leave `(l0+l1)+(l2+l3)` and
+//! `(l4+l5)+(l6+l7)` of every channel in separate 128-bit lanes, and one
+//! lane shuffle plus one add sums them low + high, leaving the eight
+//! channels in order in one `ymm`. Its K tail is one `ymm` fused
+//! multiply-add per element across the eight channels — lane `j` the
+//! scalar tail's `a[i] · b[j][i] + sum`, in the same order. On a shared
+//! 2-vCPU AVX-512 host a loop of independent FMAs peaks at about 43 MAC/ns
+//! in `ymm` and 86 in `zmm` (two 512-bit FMA ports); the AVX2 tile reached
+//! 27–32 MAC/ns on wide `k`, and 12–24 on the narrow `k` of 16–32 where
+//! its per-cell reductions dominate. Consequently the engine choice never
+//! changes a single output bit: golden records made on an AVX2 or AVX-512
 //! machine verify on any host, and the CI forced-scalar run
 //! (`MLEXRAY_SIMD=scalar`) must match the feature-dispatched run exactly.
 //! The int8 dot needs no mirror: it is a portable body that both builds
@@ -118,15 +144,17 @@
 //! order is identical, so it is bitwise-equal to the scalar oracle loops in
 //! either build.
 //!
-//! Feature detection runs **once** per process ([`OnceLock`]); per-call
-//! dispatch is a single atomic load. `MLEXRAY_SIMD=scalar` in the
-//! environment forces the scalar engine (the CI fallback leg); tests that
-//! need both engines in one process use the engine-explicit entry points
-//! ([`dot_f32_with`], [`execute_node_with`]) instead of
-//! mutating the environment. Those honour a request for
-//! [`SimdEngine::Avx2Fma`] only where the CPU really has AVX2+FMA —
-//! independent of the override — and otherwise run the mirror, so no caller
-//! can reach the intrinsics on a CPU without them.
+//! Feature detection runs **once** per process ([`OnceLock`]), here and
+//! nowhere else in the crate; per-call dispatch is a single atomic load.
+//! The engines form a ladder — `Avx512` needs AVX-512F, AVX2 and FMA,
+//! `Avx2Fma` the last two — and the process runs the highest rung the CPU
+//! has. `MLEXRAY_SIMD=scalar` in the environment forces the scalar engine
+//! (the CI fallback leg); tests that need every engine in one process use
+//! the engine-explicit entry points ([`dot_f32_with`],
+//! [`execute_node_with`]) instead of mutating the environment. Those honour
+//! a request for an engine only where the CPU really has it — independent
+//! of the override — and otherwise run the next rung down, so no caller can
+//! reach intrinsics on a CPU without them.
 
 use std::sync::OnceLock;
 
@@ -147,10 +175,14 @@ pub const SIMD_LANES: usize = 8;
 
 /// The instruction engine backing the SIMD kernels.
 ///
-/// Both engines compute bit-identical results (see the module docs); the
+/// Every engine computes bit-identical results (see the module docs); the
 /// enum only selects how fast the bits are produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdEngine {
+    /// 512-bit AVX-512F intrinsics for the Simd flavor's GEMM, the
+    /// AVX2+FMA builds for every other native kernel (x86_64,
+    /// runtime-detected).
+    Avx512,
     /// 256-bit AVX2 + FMA intrinsics (x86_64, runtime-detected).
     Avx2Fma,
     /// The portable scalar mirror of the same arithmetic.
@@ -158,11 +190,26 @@ pub enum SimdEngine {
 }
 
 impl SimdEngine {
+    /// Every engine, widest first: what a test that pins the builds
+    /// against each other iterates.
+    pub const ALL: [SimdEngine; 3] = [SimdEngine::Avx512, SimdEngine::Avx2Fma, SimdEngine::Scalar];
+
     /// Stable label for logs and benchmark artifacts.
     pub fn label(self) -> &'static str {
         match self {
+            SimdEngine::Avx512 => "avx512f",
             SimdEngine::Avx2Fma => "avx2+fma",
             SimdEngine::Scalar => "scalar",
+        }
+    }
+
+    /// Its rung on the fallback ladder `Avx512` → `Avx2Fma` → `Scalar`:
+    /// an engine runs everything a lower rung needs.
+    fn rung(self) -> u8 {
+        match self {
+            SimdEngine::Avx512 => 2,
+            SimdEngine::Avx2Fma => 1,
+            SimdEngine::Scalar => 0,
         }
     }
 }
@@ -180,25 +227,26 @@ fn detect_engine() -> SimdEngine {
     if std::env::var_os("MLEXRAY_SIMD").is_some_and(|v| v == "scalar") {
         return SimdEngine::Scalar;
     }
-    Engine::runnable(SimdEngine::Avx2Fma).get()
+    cpu_engine()
 }
 
 /// A [`SimdEngine`] checked against this CPU — the one form in which an
-/// engine reaches a kernel, so `Avx2Fma` inside an `Engine` means AVX2 and
-/// FMA were detected.
+/// engine reaches a kernel, so `Avx512` inside an `Engine` means AVX-512F,
+/// AVX2 and FMA were detected, and `Avx2Fma` that AVX2 and FMA were.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Engine(SimdEngine);
 
 impl Engine {
     /// `engine` where this CPU can run it, whatever `MLEXRAY_SIMD` says;
-    /// else the scalar mirror and the baseline builds (same bits either
-    /// way).
+    /// else the next rung down the ladder `Avx512` → `Avx2Fma` → `Scalar`
+    /// that it can (same bits on every rung).
     pub(crate) fn runnable(engine: SimdEngine) -> Self {
-        if avx2_fma_available() {
-            Engine(engine)
+        let cpu = cpu_engine();
+        Engine(if engine.rung() <= cpu.rung() {
+            engine
         } else {
-            Engine(SimdEngine::Scalar)
-        }
+            cpu
+        })
     }
 
     /// This process's engine, [`active_engine`].
@@ -211,17 +259,26 @@ impl Engine {
     }
 }
 
-/// Whether this CPU can run the AVX2+FMA engine, whatever `MLEXRAY_SIMD`
-/// says (std caches the CPUID probe, so this is one atomic load).
-fn avx2_fma_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+/// The widest engine this CPU can run, whatever `MLEXRAY_SIMD` says:
+/// `Avx512` with AVX-512F, AVX2 and FMA, `Avx2Fma` with the last two. The
+/// one place the crate probes the CPU, once per process.
+fn cpu_engine() -> SimdEngine {
+    static CPU: OnceLock<SimdEngine> = OnceLock::new();
+    *CPU.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            match (has!("avx2") && has!("fma"), has!("avx512f")) {
+                (true, true) => SimdEngine::Avx512,
+                (true, false) => SimdEngine::Avx2Fma,
+                (false, _) => SimdEngine::Scalar,
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            SimdEngine::Scalar
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -232,8 +289,8 @@ fn avx2_fma_available() -> bool {
 /// multiply-add lanes striped over the index, fixed-order lane reduction,
 /// sequential fused tail — run as one row × one channel of the Simd
 /// `float_gemm`, through the build serving runs. Public so test suites
-/// can pin the two engines against each other in one process; on a CPU
-/// without AVX2+FMA both engines run the scalar mirror.
+/// can pin the engines against each other in one process; a request for
+/// an engine this CPU lacks runs the next rung down the ladder.
 ///
 /// # Panics
 ///
@@ -352,6 +409,95 @@ unsafe fn tile_avx2<const M: usize, const N: usize>(
     out
 }
 
+/// The AVX-512F engine's `M × 8` tile: the dots of the first `k` elements
+/// of the `M` rows of `a` and the eight rows of `b`, rows `stride` apart.
+/// Each row keeps four `zmm` accumulators; accumulator `p` holds the
+/// eight lanes of channel `p` in its low half and those of channel `p + 4`
+/// in its high half, so each 8-element chunk is one broadcast of the row
+/// chunk to both halves, two 256-bit weight loads joined per channel pair
+/// (the row-major weights need no packing) and four fused multiply-adds
+/// per row — lane `l` of every cell the lane `l` of [`tile_avx2`]'s. The
+/// reduction is `reduce8`'s tree in registers: two rounds of pairwise sums
+/// within each 128-bit lane (`hadd`'s pairing, built from two shuffles,
+/// lower operand first), then the 128-bit lane of low-half sums plus the
+/// lane of high-half sums, which leaves the eight channels in order in one
+/// `ymm`. The K tail adds one fused multiply-add per element across the
+/// eight channels: lane `j` takes `a[i] · b[j][i] + sum`, the scalar
+/// tail's operation on cell `j`, in the same order. `N` must be 8; it is a
+/// parameter so that the tile fits [`ChainRule::sums`]. Inlines into
+/// [`lanes8_gemm`]'s AVX-512 build, its only caller.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, AVX2 and FMA. The AVX-512 build of
+/// `native_kernel!` runs only for an `Engine` holding `Avx512`, so this
+/// holds wherever that build calls it. (Every load is within the `k`
+/// elements each row was sliced to.)
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tile_avx512<const M: usize, const N: usize>(
+    a: &[f32],
+    b: &[f32],
+    stride: usize,
+    k: usize,
+) -> [[f32; N]; M] {
+    use std::arch::x86_64::*;
+    assert_eq!(N, 8, "the zmm tile is eight channels wide");
+    let a: [&[f32]; M] = std::array::from_fn(|m| &a[m * stride..][..k]);
+    let b: [&[f32]; N] = std::array::from_fn(|j| &b[j * stride..][..k]);
+    let mut acc = [[_mm512_setzero_ps(); 4]; M];
+    let chunks = k / SIMD_LANES;
+    for i in 0..chunks {
+        let o = i * SIMD_LANES;
+        // Written out: an `array::from_fn` closure stayed a call in the
+        // one-row tile, compiled without AVX-512.
+        macro_rules! pair {
+            ($p:expr) => {{
+                let low = _mm256_loadu_ps(b[$p].as_ptr().add(o));
+                let high = _mm256_castps_pd(_mm256_loadu_ps(b[$p + 4].as_ptr().add(o)));
+                let low = _mm512_castps_pd(_mm512_castps256_ps512(low));
+                _mm512_castpd_ps(_mm512_insertf64x4::<1>(low, high))
+            }};
+        }
+        let vb = [pair!(0), pair!(1), pair!(2), pair!(3)];
+        for (acc, a) in acc.iter_mut().zip(a) {
+            let va = _mm256_loadu_pd(a.as_ptr().add(o).cast());
+            let va = _mm512_castpd_ps(_mm512_broadcast_f64x4(va));
+            for (acc, vb) in acc.iter_mut().zip(vb) {
+                *acc = _mm512_fmadd_ps(va, vb, *acc);
+            }
+        }
+    }
+    // Within each 128-bit lane, `[x0 + x1, x2 + x3, y0 + y1, y2 + y3]`.
+    macro_rules! hadd {
+        ($x:expr, $y:expr) => {{
+            let (x, y) = ($x, $y);
+            _mm512_add_ps(
+                _mm512_shuffle_ps::<0x88>(x, y),
+                _mm512_shuffle_ps::<0xDD>(x, y),
+            )
+        }};
+    }
+    let mut out = [[0.0f32; N]; M];
+    for ((out, acc), a) in out.iter_mut().zip(acc).zip(a) {
+        // Lane `j` of the four 128-bit lanes of `h`: `(l0+l1)+(l2+l3)` of
+        // channel `j`, `(l4+l5)+(l6+l7)` of channel `j`, then the same of
+        // channel `j + 4`. Low-half sums plus high-half sums is the tree.
+        let h = hadd!(hadd!(acc[0], acc[1]), hadd!(acc[2], acc[3]));
+        let low = _mm512_shuffle_f32x4::<0b10_00_10_00>(h, h);
+        let high = _mm512_shuffle_f32x4::<0b11_01_11_01>(h, h);
+        let mut sums = _mm512_castps512_ps256(_mm512_add_ps(low, high));
+        for i in chunks * SIMD_LANES..k {
+            let w = _mm256_setr_ps(
+                b[0][i], b[1][i], b[2][i], b[3][i], b[4][i], b[5][i], b[6][i], b[7][i],
+            );
+            sums = _mm256_fmadd_ps(_mm256_set1_ps(a[i]), w, sums);
+        }
+        _mm256_storeu_ps(out.as_mut_ptr(), sums);
+    }
+    out
+}
+
 // ---------------------------------------------------------------------------
 // im2col and the two reductions
 // ---------------------------------------------------------------------------
@@ -403,7 +549,11 @@ const ROW_TILE: usize = 16;
 /// 21–29**, three 21–32, four 21–30. The baseline build steps one row at a
 /// time: two rows of `4 × 8` blocked-4 chains overfill its sixteen `xmm`
 /// registers (the same `Conv2d` layers, Optimized flavor, forced scalar:
-/// one row 5.8–6.3 ms, two 7.2–7.7).
+/// one row 5.8–6.3 ms, two 7.2–7.7). The `Lanes8` rule's AVX-512 build
+/// steps four rows across its eight-wide strips first: `4 × 4` `zmm`
+/// accumulators, four weight pairs and a row chunk take 21 of its 32
+/// `zmm` registers. Its four-wide strips keep `MR`: `avx512f` alone gives
+/// 256-bit instructions no more than the sixteen `ymm` registers.
 const MR: usize = 2;
 
 /// What reduces a float GEMM's matrix rows against the weights: the chain
@@ -419,37 +569,72 @@ pub(crate) enum Reduction<'a> {
     Lanes8 { w: &'a [f32], skip_k_tail: bool },
 }
 
+/// The float GEMM of the Optimized and Simd flavors: `out[r, oc] =
+/// activation(sum(matrix[r], weights[oc]) + bias[oc])` over `matrix: [rows,
+/// k]` and `out: [rows, out_c]`, the sum the `reduction`'s; a missing bias
+/// adds `0.0`, which turns a `-0.0` sum into `+0.0`. Each rule is a native
+/// kernel of its own ([`blocked4_gemm`], [`lanes8_gemm`]), so that only the
+/// Simd one has an AVX-512 build.
+#[allow(clippy::too_many_arguments)]
+fn float_gemm(
+    engine: Engine,
+    reduction: Reduction<'_>,
+    matrix: &[f32],
+    k: usize,
+    out_c: usize,
+    bias: Option<&[f32]>,
+    activation: Activation,
+    out: &mut [f32],
+) {
+    let rows = Dense { matrix, k };
+    match reduction {
+        Reduction::Blocked4(panels) => {
+            blocked4_gemm(engine, panels, rows, out_c, bias, activation, out)
+        }
+        Reduction::Lanes8 { w, skip_k_tail } => {
+            lanes8_gemm(engine, w, skip_k_tail, rows, out_c, bias, activation, out)
+        }
+    }
+}
+
 native_kernel! {
-    /// The float GEMM of the Optimized and Simd flavors: `out[r, oc] =
-    /// activation(sum(matrix[r], weights[oc]) + bias[oc])` over
-    /// `matrix: [rows, k]` and `out: [rows, out_c]`, the sum the
-    /// `reduction`'s; a missing bias adds `0.0`, which turns a `-0.0` sum
-    /// into `+0.0`. A tile of [`ROW_TILE`] rows meets each column strip in
-    /// turn, [`MR`] rows at a time (one in the baseline build) and then the
-    /// odd row, so the strip stays cache-resident across the tile; the
-    /// activation is one pass over the tile. Tiling only reorders which sum
-    /// is computed when.
-    fn float_gemm[build](
-        reduction: Reduction<'_>,
-        matrix: &[f32],
-        k: usize,
+    /// [`float_gemm`]'s Optimized rule over a row-major matrix. A tile of
+    /// [`ROW_TILE`] rows meets each column strip in turn, [`MR`] rows at a
+    /// time (one in the baseline build) and then the odd row, so the strip
+    /// stays cache-resident across the tile; the activation is one pass
+    /// over the tile. Tiling only reorders which sum is computed when.
+    fn blocked4_gemm[build](
+        panels: &[f32],
+        rows: Dense<'_>,
         out_c: usize,
         bias: Option<&[f32]>,
         activation: Activation,
         out: &mut [f32],
     ) {
-        let rows = Dense { matrix, k };
-        match reduction {
-            Reduction::Blocked4(panels) => {
-                let rule = Blocked4Panels { panels, k };
-                walk_tiles(rule, build, rows, out_c, bias, activation, out);
-            }
-            Reduction::Lanes8 { w, skip_k_tail } => {
-                let len = k_len(k, skip_k_tail);
-                let rule = Lanes8Tiles { build, w, k, len };
-                walk_tiles(rule, build, rows, out_c, bias, activation, out);
-            }
-        }
+        let rule = Blocked4Panels { panels, k: rows.k };
+        walk_tiles(rule, build, rows, out_c, bias, activation, out);
+    }
+}
+
+native_kernel! {
+    /// [`float_gemm`]'s Simd rule, the one kernel with an AVX-512 build:
+    /// there its strips are eight channels wide, then four, then one, and
+    /// an eight-wide strip meets four rows at a time ([`tile_avx512`]),
+    /// then [`MR`], then one; the narrower strips run [`tile_avx2`]. The
+    /// AVX2+FMA build walks as the Optimized rule does. Every cell is the
+    /// same dot in every build.
+    fn lanes8_gemm[build + avx512](
+        w: &[f32],
+        skip_k_tail: bool,
+        rows: Dense<'_>,
+        out_c: usize,
+        bias: Option<&[f32]>,
+        activation: Activation,
+        out: &mut [f32],
+    ) {
+        let (k, len) = (rows.k, k_len(rows.k, skip_k_tail));
+        let rule = Lanes8Tiles { build, w, k, len };
+        walk_tiles(rule, build, rows, out_c, bias, activation, out);
     }
 }
 
@@ -661,9 +846,11 @@ trait ChainRule<X: MatrixRows>: Copy {
     ) -> [[f32; W]; M];
 }
 
-/// The one walk behind [`float_gemm`] and [`blocked4_windows`], whatever
-/// the chain rule and however it reads a row, in `build` — which steps
-/// [`MR`] rows at a time only in the AVX2+FMA build.
+/// The one walk behind [`blocked4_gemm`], [`lanes8_gemm`] and
+/// [`blocked4_windows`], whatever the chain rule and however it reads a
+/// row, in `build` — which steps [`MR`] rows at a time in the AVX2+FMA
+/// build, one in the baseline, and in the AVX-512 build four rows at a
+/// time across an eight-wide strip first.
 #[inline(always)]
 fn walk_tiles<X: MatrixRows, R: ChainRule<X>>(
     rule: R,
@@ -688,38 +875,45 @@ fn walk_tiles<X: MatrixRows, R: ChainRule<X>>(
             }
         }
     }
+    /// Rows `r..` of the tile starting at row `r0` against one strip, `M`
+    /// at a time while `M` more fit before `end`; returns the first row
+    /// left.
     #[inline(always)]
-    fn step<X: MatrixRows, R: ChainRule<X>, const M: usize>(
+    fn run<X: MatrixRows, R: ChainRule<X>, const M: usize>(
         rule: R,
-        (rows, tile, i): (X, &X::Tile, usize),
+        (rows, tile, r0): (X, &X::Tile, usize),
+        (mut r, end): (usize, usize),
         (oc0, width): (usize, usize),
         bias: Option<&[f32]>,
         out: &mut [f32],
         out_c: usize,
-    ) {
-        match width {
-            8 => store(rule.sums::<M, 8>(rows, tile, i, oc0), bias, out, out_c),
-            4 => store(rule.sums::<M, 4>(rows, tile, i, oc0), bias, out, out_c),
-            _ => store(rule.sums::<M, 1>(rows, tile, i, oc0), bias, out, out_c),
+    ) -> usize {
+        while r + M <= end {
+            let (i, out) = (r - r0, &mut out[r * out_c + oc0..]);
+            match width {
+                8 => store(rule.sums::<M, 8>(rows, tile, i, oc0), bias, out, out_c),
+                4 => store(rule.sums::<M, 4>(rows, tile, i, oc0), bias, out, out_c),
+                _ => store(rule.sums::<M, 1>(rows, tile, i, oc0), bias, out, out_c),
+            }
+            r += M;
         }
+        r
     }
     let rows_total = out.len().checked_div(out_c).unwrap_or(0);
     for r0 in (0..rows_total).step_by(ROW_TILE) {
         let end = (r0 + ROW_TILE).min(rows_total);
         let tile = rows.tile(r0, end);
-        for (oc0, width) in rule.strips(out_c) {
-            let bias = bias.map(|b| &b[oc0..oc0 + width]);
+        for strip in rule.strips(out_c) {
+            let bias = bias.map(|b| &b[strip.0..strip.0 + strip.1]);
+            let at = (rows, &tile, r0);
             let mut r = r0;
-            while build == SimdEngine::Avx2Fma && r + MR <= end {
-                let (a, out) = ((rows, &tile, r - r0), &mut out[r * out_c + oc0..]);
-                step::<X, R, MR>(rule, a, (oc0, width), bias, out, out_c);
-                r += MR;
+            if build == SimdEngine::Avx512 && strip.1 == 8 {
+                r = run::<X, R, 4>(rule, at, (r, end), strip, bias, out, out_c);
             }
-            while r < end {
-                let (a, out) = ((rows, &tile, r - r0), &mut out[r * out_c + oc0..]);
-                step::<X, R, 1>(rule, a, (oc0, width), bias, out, out_c);
-                r += 1;
+            if build != SimdEngine::Scalar {
+                r = run::<X, R, MR>(rule, at, (r, end), strip, bias, out, out_c);
             }
+            run::<X, R, 1>(rule, at, (r, end), strip, bias, out, out_c);
         }
         activation.apply_in_place(&mut out[r0 * out_c..end * out_c]);
     }
@@ -783,16 +977,16 @@ impl<X: MatrixRows> ChainRule<X> for Blocked4Panels<'_> {
     }
 }
 
-/// The Simd rule: micro-kernel tiles over strips of four row-major weight
-/// rows (single rows on the ragged edge), unpacked. Every cell is bitwise
-/// the one-row, one-channel dot on the same pair, so the tile shape never
-/// moves a bit — nor would the 8-wide tile the driver can name but these
-/// strips never ask for. Its tiles load contiguous runs of `k`, so it reads
-/// [`Dense`] rows only.
+/// The Simd rule: micro-kernel tiles over strips of row-major weight rows,
+/// unpacked — eight wide in the AVX-512 build, then four, then single
+/// rows on the ragged edge. Every cell is bitwise the one-row, one-channel
+/// dot on the same pair, so the tile shape never moves a bit. Its tiles
+/// load contiguous runs of `k`, so it reads [`Dense`] rows only.
 #[derive(Clone, Copy)]
 struct Lanes8Tiles<'a> {
-    /// The build this rule is compiled into: `Avx2Fma` runs [`tile_avx2`],
-    /// anything else the scalar mirror.
+    /// The build this rule is compiled into: `Avx512` runs [`tile_avx512`]
+    /// on eight-wide strips and [`tile_avx2`] on the rest, `Avx2Fma`
+    /// [`tile_avx2`], and `Scalar` the scalar mirror.
     build: SimdEngine,
     w: &'a [f32],
     k: usize,
@@ -802,9 +996,16 @@ struct Lanes8Tiles<'a> {
 
 impl<'r> ChainRule<Dense<'r>> for Lanes8Tiles<'_> {
     fn strips(self, out_c: usize) -> impl Iterator<Item = (usize, usize)> {
+        let eights = match self.build {
+            SimdEngine::Avx512 => out_c - out_c % 8,
+            _ => 0,
+        };
+        // `eights` is a multiple of four, so the four-wide strips end where
+        // they would without it.
         let fours = out_c - out_c % 4;
-        let ones = (fours..out_c).map(|oc| (oc, 1));
-        (0..fours).step_by(4).map(|oc| (oc, 4)).chain(ones)
+        let wide = (0..eights).step_by(8).map(|oc| (oc, 8));
+        let four = (eights..fours).step_by(4).map(|oc| (oc, 4));
+        wide.chain(four).chain((fours..out_c).map(|oc| (oc, 1)))
     }
 
     #[inline(always)]
@@ -825,10 +1026,15 @@ impl<'r> ChainRule<Dense<'r>> for Lanes8Tiles<'_> {
         );
         match self.build {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `build` is `Avx2Fma` only in `float_gemm`'s AVX2+FMA
-            // build, which runs only for an `Engine` holding `Avx2Fma`, so
-            // AVX2 and FMA were detected on this CPU.
-            SimdEngine::Avx2Fma => unsafe { tile_avx2::<M, W>(a, w, k, len) },
+            // SAFETY: `build` is `Avx512` only in `lanes8_gemm`'s AVX-512
+            // build, which runs only for an `Engine` holding `Avx512`, so
+            // AVX-512F, AVX2 and FMA were detected on this CPU.
+            SimdEngine::Avx512 if W == 8 => unsafe { tile_avx512::<M, W>(a, w, k, len) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `build` is `Avx2Fma` or `Avx512` only in a build that
+            // runs for an `Engine` holding one of them, so AVX2 and FMA
+            // were detected on this CPU.
+            SimdEngine::Avx2Fma | SimdEngine::Avx512 => unsafe { tile_avx2::<M, W>(a, w, k, len) },
             _ => std::array::from_fn(|m| {
                 std::array::from_fn(|j| dot_f32_scalar(&a[m * k..][..len], &w[j * k..][..len]))
             }),
@@ -1021,11 +1227,11 @@ native_kernel! {
 /// process's engine ([`active_engine`]) the bits are those an interpreter
 /// under `spec` produces for the node on the same operands. The
 /// differential debugger's bisection re-executes a divergent node this way,
-/// and test suites pin the AVX2 build of every native kernel — the
-/// quantized ones' dot included — against its baseline build in one
-/// process, as [`dot_f32_with`] pins the dot: `Avx2Fma` is honoured only
-/// where the CPU has it, whatever `MLEXRAY_SIMD` says, and runs the
-/// baseline build elsewhere. Weights are packed on the call.
+/// and test suites pin the AVX2 and AVX-512 builds of every native kernel
+/// — the quantized ones' dot included — against its baseline build in one
+/// process, as [`dot_f32_with`] pins the dot: an engine is honoured only
+/// where the CPU has it, whatever `MLEXRAY_SIMD` says, and runs the next
+/// rung down the ladder elsewhere. Weights are packed on the call.
 ///
 /// # Errors
 ///
@@ -1078,25 +1284,24 @@ mod tests {
     use crate::kernels::{act_qbounds, det_f32, out_qparams, requantize, ACTIVATIONS};
     use crate::ops::{conv_out_size, OpKind};
 
-    /// Runs on every host: without AVX2+FMA (or under `MLEXRAY_SIMD=scalar`,
-    /// which the explicit-engine entry points ignore) asking for `Avx2Fma`
-    /// must fall back to the mirror instead of executing unsupported code.
+    /// Runs on every host: without AVX-512F or AVX2+FMA (or under
+    /// `MLEXRAY_SIMD=scalar`, which the explicit-engine entry points ignore)
+    /// asking for a wider engine must fall down the ladder instead of
+    /// executing unsupported code.
     #[test]
     fn engines_agree_bitwise_on_f32_dots() {
         for len in [0, 1, 3, 7, 8, 9, 15, 16, 17, 27, 64, 129, 1000] {
             let a = det_f32(len as u64 + 1, len);
             let b = det_f32(len as u64 + 2, len);
-            let fast = dot_f32_with(SimdEngine::Avx2Fma, &a, &b);
             let mirror = dot_f32_scalar(&a, &b);
-            assert_eq!(
-                fast.to_bits(),
-                mirror.to_bits(),
-                "engine divergence at len {len}: {fast} vs {mirror}"
-            );
-            assert_eq!(
-                dot_f32_with(SimdEngine::Scalar, &a, &b).to_bits(),
-                mirror.to_bits()
-            );
+            for engine in SimdEngine::ALL {
+                let got = dot_f32_with(engine, &a, &b);
+                assert_eq!(
+                    got.to_bits(),
+                    mirror.to_bits(),
+                    "{engine:?} diverged at len {len}: {got} vs {mirror}"
+                );
+            }
         }
     }
 
@@ -1143,7 +1348,7 @@ mod tests {
             pack_weight_panels(&weights, &mut panels).unwrap();
             let bias = det_f32(3, out_c);
             for bias in [None, Some(bias.as_slice())] {
-                for engine in [SimdEngine::Avx2Fma, SimdEngine::Scalar] {
+                for engine in SimdEngine::ALL {
                     let act = Activation::Relu6;
                     let mut out = vec![f32::NAN; rows * out_c];
                     let (engine, blocked4) =
@@ -1166,11 +1371,9 @@ mod tests {
         }
     }
 
-    const ENGINES: [SimdEngine; 2] = [SimdEngine::Avx2Fma, SimdEngine::Scalar];
-
     /// The Simd GEMM of the rows of `a` against the rows of `b` as output
     /// channels, row-major, as bit patterns.
-    fn lanes8_gemm(
+    fn lanes8_bits(
         engine: SimdEngine,
         skip_k_tail: bool,
         a: &[&[f32]],
@@ -1188,11 +1391,11 @@ mod tests {
         out.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The bare dots of [`lanes8_gemm`]: a `-0.0` bias, the identity of
+    /// The bare dots of [`lanes8_bits`]: a `-0.0` bias, the identity of
     /// addition, and no activation.
     fn lanes8_dots(engine: SimdEngine, skip_k_tail: bool, a: &[&[f32]], b: &[&[f32]]) -> Vec<u32> {
         let bias = vec![-0.0; b.len()];
-        lanes8_gemm(engine, skip_k_tail, a, b, Some(&bias), Activation::None)
+        lanes8_bits(engine, skip_k_tail, a, b, Some(&bias), Activation::None)
     }
 
     /// The tile driver against a one-row, one-channel run of it per cell —
@@ -1216,7 +1419,10 @@ mod tests {
             let (a, b): (Vec<&[f32]>, Vec<&[f32]>) =
                 (matrix.chunks(k).collect(), w.chunks(k).collect());
             let bias = det_f32(3, out_c);
-            for (engine, skip) in ENGINES.into_iter().flat_map(|e| [(e, false), (e, true)]) {
+            for (engine, skip) in SimdEngine::ALL
+                .into_iter()
+                .flat_map(|e| [(e, false), (e, true)])
+            {
                 let what = format!("{engine:?}, {rows} rows, K {k}, tail skip {skip}");
                 let dots: Vec<f32> = (0..rows * out_c)
                     .map(|i| {
@@ -1232,7 +1438,7 @@ mod tests {
                     .into_iter()
                     .flat_map(|act| [(act, None), (act, Some(&bias[..]))])
                 {
-                    let got = lanes8_gemm(engine, skip, &a, &b, bias, act);
+                    let got = lanes8_bits(engine, skip, &a, &b, bias, act);
                     for (i, (&got, dot)) in got.iter().zip(&dots).enumerate() {
                         let (r, oc) = (i / out_c, i % out_c);
                         let want = act.apply(dot + bias.map_or(0.0, |b| b[oc]));
@@ -1248,10 +1454,12 @@ mod tests {
         }
     }
 
-    /// Every tile shape the driver instantiates — `MR × 4`, `1 × 4`, `MR × 1`
-    /// and `1 × 1`, as runs of that many rows and channels — cell for cell
-    /// against the `1 × 1` run on the same pair of rows, in both engines,
-    /// which must agree. Returns the `Avx2Fma` bits of each shape.
+    /// Every tile shape the driver instantiates — `4 × 8`, `MR × 8` and
+    /// `1 × 8` (the AVX-512 build's `zmm` tiles), `4 × 4`, `MR × 4`, `1 × 4`,
+    /// `4 × 1`, `MR × 1` and `1 × 1`, as runs of that many rows and
+    /// channels — cell for cell against the `1 × 1` run on the same pair of
+    /// rows, in every engine, which must agree. Returns the bits of each
+    /// shape.
     fn assert_tiles_match_single_dots(
         skip: bool,
         a: &[Vec<f32>],
@@ -1260,36 +1468,59 @@ mod tests {
     ) -> Vec<Vec<u32>> {
         let a: Vec<&[f32]> = a.iter().map(Vec::as_slice).collect();
         let b: Vec<&[f32]> = b.iter().map(Vec::as_slice).collect();
-        let tiles = [(MR, 4), (1, 4), (MR, 1), (1, 1)].map(|(m, n)| {
-            let runs = ENGINES.map(|engine| lanes8_dots(engine, skip, &a[..m], &b[..n]));
-            assert_eq!(runs[0], runs[1], "{what}: engines diverged on tile {m}x{n}");
-            for (i, &bits) in runs[0].iter().enumerate() {
-                let dot = lanes8_dots(ENGINES[0], skip, &[a[i / n]], &[b[i % n]])[0];
-                let (r, c) = (i / n, i % n);
-                assert_eq!(
-                    bits, dot,
-                    "{what}: cell ({r}, {c}) of tile {m}x{n} diverged from its single dot"
-                );
-            }
-            runs[0].clone()
-        });
-        tiles.to_vec()
+        TILES
+            .map(|(m, n)| {
+                let runs = SimdEngine::ALL.map(|e| lanes8_dots(e, skip, &a[..m], &b[..n]));
+                for (engine, run) in SimdEngine::ALL.iter().zip(&runs) {
+                    let first = SimdEngine::ALL[0];
+                    assert_eq!(
+                        run, &runs[0],
+                        "{what}: {engine:?} ≠ {first:?} on tile {m}x{n}"
+                    );
+                }
+                for (i, &bits) in runs[0].iter().enumerate() {
+                    let dot = lanes8_dots(SimdEngine::ALL[0], skip, &[a[i / n]], &[b[i % n]])[0];
+                    let (r, c) = (i / n, i % n);
+                    assert_eq!(
+                        bits, dot,
+                        "{what}: cell ({r}, {c}) of tile {m}x{n} diverged from its single dot"
+                    );
+                }
+                runs[0].clone()
+            })
+            .to_vec()
     }
+
+    /// The `(rows, channels)` of [`assert_tiles_match_single_dots`].
+    const TILES: [(usize, usize); 9] = [
+        (4, 8),
+        (MR, 8),
+        (1, 8),
+        (4, 4),
+        (MR, 4),
+        (1, 4),
+        (4, 1),
+        (MR, 1),
+        (1, 1),
+    ];
 
     #[test]
     fn x4_matches_single_row_dots() {
         for k in [0, 1, 7, 8, 9, 17, 65, 144] {
-            let a: Vec<Vec<f32>> = (0..MR as u64).map(|r| det_f32(9 + r, k)).collect();
-            let b: Vec<Vec<f32>> = (0..4).map(|r| det_f32(100 + r, k)).collect();
+            let a: Vec<Vec<f32>> = (0..4).map(|r| det_f32(9 + r, k)).collect();
+            let b: Vec<Vec<f32>> = (0..8).map(|r| det_f32(100 + r, k)).collect();
             for skip in [false, true] {
                 assert_tiles_match_single_dots(skip, &a, &b, &format!("K {k}, tail skip {skip}"));
             }
         }
     }
 
-    /// The in-register lane reduction against `reduce8` on lanes the tree's
-    /// order matters for: with K = 8 and unit weights each accumulator lane
-    /// holds exactly one input, so the tile's value *is* the reduction.
+    /// The in-register lane reductions against `reduce8` on lanes the
+    /// tree's order matters for: with K = 8 each accumulator lane holds
+    /// exactly one product, so the tile's value *is* the reduction. Channel
+    /// `j`'s weights are ones but for a `-1.0` in lane `j`, so that every
+    /// channel of the eight-wide `zmm` tile, wherever its lanes sit in the
+    /// registers, reduces different lanes.
     #[test]
     fn in_register_reduction_is_the_canonical_tree() {
         let specials: [[f32; 8]; 5] = [
@@ -1308,17 +1539,94 @@ mod tests {
             ],
             [1.5, -2.0, f32::NAN, 1e-40, 7.0, -0.0, 3.0, 1e38],
         ];
-        let ones = vec![vec![1.0f32; 8]; 4];
+        let w: Vec<Vec<f32>> = (0..8)
+            .map(|j| (0..8).map(|l| if l == j { -1.0 } else { 1.0 }).collect())
+            .collect();
         for (n, lanes) in specials.iter().enumerate() {
-            // A different rotation of the lanes in each of the MR rows.
-            let a: Vec<Vec<f32>> = (0..MR)
+            // A different rotation of the lanes in each of the four rows.
+            let a: Vec<Vec<f32>> = (0..4)
                 .map(|r| (0..8).map(|l| lanes[(l + 3 * r) % 8]).collect())
                 .collect();
             let what = format!("special lanes {n}");
-            let tiles = assert_tiles_match_single_dots(false, &a, &ones, &what);
-            let expect = reduce8(std::array::from_fn(|l| a[0][l].mul_add(1.0, 0.0)));
-            // Cell (0, 0) of the 1 × 4 tile: the four-accumulator `hadd` path.
-            assert_eq!(tiles[1][0], expect.to_bits(), "{what}");
+            let tiles = assert_tiles_match_single_dots(false, &a, &w, &what);
+            let expect = |j: usize| reduce8(std::array::from_fn(|l| a[0][l].mul_add(w[j][l], 0.0)));
+            // The 1 × 8 tile, the `zmm` reduction, and the 1 × 4 tile, the
+            // four-accumulator `hadd` one.
+            for tile in [2, 5] {
+                for (j, &bits) in tiles[tile].iter().enumerate() {
+                    assert_eq!(bits, expect(j).to_bits(), "{what}, channel {j}");
+                }
+            }
+        }
+    }
+
+    /// Values of every sign, an eighth of them zeros of either sign or
+    /// subnormals, for [`lanes8_builds_agree_on_every_tile_edge`].
+    fn edge_values(draw: &mut Draw, n: usize) -> Vec<f32> {
+        const QUIET: [f32; 4] = [0.0, -0.0, 1e-40, -3e-39];
+        (0..n)
+            .map(|_| match draw.bits() % 16 {
+                i @ 0..=1 => QUIET[i as usize],
+                i @ 2..=3 => QUIET[i as usize] * (1 + draw.bits() % 7) as f32,
+                _ => draw.scale(-2.0, 2.0),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The Simd GEMM in every engine's build against one
+        /// [`dot_f32_scalar`] plus bias per cell: 0–21 rows (every mix of
+        /// the four-, two- and one-row steps, and past the 16-row tile),
+        /// 1–19 output channels (every mix of 8-, 4- and 1-wide strips), K
+        /// 0–41 (every tail, and K below one chunk), with and without the
+        /// K-tail defect and the bias, over ±0, subnormals and up to four
+        /// planted ±∞ or NaN. As bit patterns, every NaN one pattern: which
+        /// of two NaNs a fused multiply-add keeps depends on the instruction
+        /// form the compiler picks.
+        #[test]
+        fn lanes8_builds_agree_on_every_tile_edge(
+            rows in 0usize..=21,
+            out_c in 1usize..=19,
+            k in 0usize..=41,
+            skip in 0u8..2,
+            with_bias in 0u8..2,
+            planted in prop::collection::vec(0usize..4096, 0..5),
+            kinds in prop::collection::vec(0usize..3, 4..5),
+            seed in 1u64..=u64::MAX,
+        ) {
+            let (skip, with_bias, mut draw) = (skip == 1, with_bias == 1, Draw(seed));
+            let (mut matrix, mut w) = (edge_values(&mut draw, rows * k), edge_values(&mut draw, out_c * k));
+            for (&at, &kind) in planted.iter().zip(&kinds) {
+                let special = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][kind];
+                match at % (matrix.len() + w.len()).max(1) {
+                    i if i < matrix.len() => matrix[i] = special,
+                    i if i - matrix.len() < w.len() => w[i - matrix.len()] = special,
+                    _ => {}
+                }
+            }
+            let bias = edge_values(&mut draw, out_c);
+            let bias = with_bias.then_some(&bias[..]);
+            let len = k_len(k, skip);
+            let want: Vec<f32> = (0..rows * out_c)
+                .map(|i| {
+                    let (r, oc) = (i / out_c, i % out_c);
+                    let dot = dot_f32_scalar(&matrix[r * k..][..len], &w[oc * k..][..len]);
+                    dot + bias.map_or(0.0, |b| b[oc])
+                })
+                .collect();
+            for engine in SimdEngine::ALL {
+                let mut out = vec![7.5; rows * out_c];
+                let lanes8 = Reduction::Lanes8 { w: &w, skip_k_tail: skip };
+                let engine = Engine::runnable(engine);
+                float_gemm(engine, lanes8, &matrix, k, out_c, bias, Activation::None, &mut out);
+                prop_assert_eq!(
+                    nan_as_one(&out),
+                    nan_as_one(&want),
+                    "{:?} {}x{}x{} skip {} bias {}", engine, rows, out_c, k, skip, with_bias
+                );
+            }
         }
     }
 
@@ -1333,7 +1641,7 @@ mod tests {
     fn detection_is_cached_and_labelled() {
         let e = active_engine();
         assert_eq!(e, active_engine());
-        assert!(["avx2+fma", "scalar"].contains(&e.label()));
+        assert!(["avx512f", "avx2+fma", "scalar"].contains(&e.label()));
     }
 
     /// The quantized `Conv2d` the reference and optimized flavors ran before
@@ -1586,7 +1894,7 @@ mod tests {
             });
             // Stale bytes from an earlier, larger node must not leak in.
             let (mut patches, mut multipliers) = (vec![0xA5; 4096], vec![f64::NAN; 40]);
-            for engine in [SimdEngine::Scalar, SimdEngine::Avx2Fma].map(Engine::runnable) {
+            for engine in SimdEngine::ALL.map(Engine::runnable) {
                 let conv = run_q(&conv_ops, conv_dims.clone(), out_quant.clone(), |ops, def, out| {
                     conv2d_q(
                         engine, &conv_node, ops, def, stride, padding, activation, requant,
@@ -1638,7 +1946,7 @@ mod tests {
                 },
             );
             assert_eq!(fc_want, conv_want, "{requant:?}");
-            for engine in [SimdEngine::Scalar, SimdEngine::Avx2Fma].map(Engine::runnable) {
+            for engine in SimdEngine::ALL.map(Engine::runnable) {
                 let fc = run_q(&fc_ops, vec![256, 1], out_quant.clone(), |ops, def, out| {
                     fc_q(
                         engine,
@@ -1728,7 +2036,7 @@ mod tests {
                 fc_q_naive(&fc_node, ops, def, act, requant, out)
             });
             assert_eq!(want, [100, 100], "len {len}, zp {zp}");
-            for engine in ENGINES.map(Engine::runnable) {
+            for engine in SimdEngine::ALL.map(Engine::runnable) {
                 let got = run_q(&operands, vec![1, 2], unit(0), |ops, def, out| {
                     fc_q(
                         engine,
@@ -1858,7 +2166,7 @@ mod tests {
                 "{kh}x{kw}/{stride} {padding:?} {h}x{w}x{in_c}->{out_c} x{batch} \
                  bias={with_bias} {act:?} planted {planted:?} {kinds:?} seed {seed}"
             );
-            for engine in [SimdEngine::Avx2Fma, SimdEngine::Scalar].map(Engine::runnable) {
+            for engine in SimdEngine::ALL.map(Engine::runnable) {
                 let want = blocked4_im2col(engine, &g, &x, &panels, out_c, bias, act);
                 let mut scratch = vec![f32::NAN; g.bordered_len().max(im2col_len(&g)) + 5];
                 let mut taps = vec![usize::MAX; g.patch_len() + 7];

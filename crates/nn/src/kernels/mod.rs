@@ -76,8 +76,14 @@
 //! fused tile runs inlined in the AVX2+FMA build and as its scalar mirror
 //! in the baseline — and the emulator's fused chains, whose exact
 //! `f32::mul_add` is one `vfmadd` in the one and a libm call in the other.
-//! `native_kernel!` is the only way a kernel reaches AVX2: no kernel has a
-//! `#[target_feature]` of its own, and the CI lint leg fails on one.
+//! The Simd GEMM alone has a third build, under AVX-512F as well
+//! (`native_kernel!`'s opt-in `fn name[build + avx512]` form), in which
+//! its tile holds four rows × eight channels in `zmm` registers; the
+//! engine ladder `Avx512` → `Avx2Fma` → `Scalar` runs every other kernel's
+//! AVX2+FMA build on an AVX-512 host. `native_kernel!` is the only way a
+//! kernel reaches AVX2 or AVX-512: no kernel has a `#[target_feature]` of
+//! its own, and the CI lint leg fails on one, and on an AVX-512 intrinsic
+//! or a CPU feature probe outside `gemm.rs`.
 //!
 //! Every kernel writes into an arena-provided output slot (`&mut Tensor`,
 //! preallocated from the interpreter's `MemoryPlan`), and the float im2col
@@ -115,8 +121,8 @@
 /// twice: for the x86-64 baseline (SSE2, four lanes) and once more under
 /// `#[target_feature(enable = "avx2", enable = "fma")]` (eight lanes). The
 /// defined function takes the `gemm::Engine` to run on before the body's
-/// own arguments; `Avx2Fma` runs the AVX2+FMA build, and an `Engine` holds
-/// `Avx2Fma` only where both features were detected.
+/// own arguments; `Avx2Fma` and `Avx512` run the AVX2+FMA build, and an
+/// `Engine` holds either only where AVX2 and FMA were detected.
 ///
 /// Enabling `fma` moves no bit: Rust never contracts `a + x * w` into a
 /// fused multiply-add, so an unfused body still rounds every product
@@ -126,6 +132,13 @@
 /// the body that is the build it runs in — `Avx2Fma` in the AVX2+FMA one,
 /// `Scalar` in the baseline — a constant in each, so a `match` on it folds
 /// away. `fn name<C: Chain>(..)` makes every build generic over one type.
+///
+/// `fn name[build + avx512](..)` opts into a third build, under
+/// `#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]`,
+/// which an `Avx512` engine runs and in which `build` is `Avx512`. Only
+/// the Simd GEMM (`gemm::lanes8_gemm`) opts in: its `zmm` tile is written
+/// for that build. Every other kernel keeps two builds, so a body that
+/// does not name the third never meets `build == Avx512`.
 macro_rules! native_kernel {
     (
         $(#[$attr:meta])*
@@ -141,6 +154,36 @@ macro_rules! native_kernel {
         $vis:vis fn $name:ident$(<$g:ident: $b:path>)?[$build:tt]($($arg:ident: $ty:ty),* $(,)?)
             $body:block
     ) => {
+        native_kernel! {
+            @builds avx2_fma {}
+            $(#[$attr])*
+            $vis fn $name$(<$g: $b>)?[$build]($($arg: $ty),*) $body
+        }
+    };
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident[$build:tt + avx512]($($arg:ident: $ty:ty),* $(,)?) $body:block
+    ) => {
+        native_kernel! {
+            @builds avx512 {
+                #[cfg(target_arch = "x86_64")]
+                #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+                fn avx512($($arg: $ty),*) {
+                    body($crate::kernels::gemm::SimdEngine::Avx512, $($arg),*)
+                }
+            }
+            $(#[$attr])*
+            $vis fn $name[$build]($($arg: $ty),*) $body
+        }
+    };
+    // `$wide` is the build an `Avx512` engine runs: the AVX2+FMA one, or
+    // `avx512`, one of the `$extra` items.
+    (
+        @builds $wide:ident { $($extra:item)* }
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident$(<$g:ident: $b:path>)?[$build:tt]($($arg:ident: $ty:ty),*)
+            $body:block
+    ) => {
         $(#[$attr])*
         #[allow(clippy::too_many_arguments)]
         $vis fn $name$(<$g: $b>)?(engine: $crate::kernels::gemm::Engine, $($arg: $ty),*) {
@@ -153,7 +196,15 @@ macro_rules! native_kernel {
                 body$(::<$g>)?($crate::kernels::gemm::SimdEngine::Avx2Fma, $($arg),*)
             }
 
+            $($extra)*
+
             match engine.get() {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: an `Engine` holds `Avx512` only after AVX-512F,
+                // AVX2 and FMA were detected on this CPU.
+                $crate::kernels::gemm::SimdEngine::Avx512 => unsafe {
+                    $wide$(::<$g>)?($($arg),*)
+                },
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: an `Engine` holds `Avx2Fma` only after AVX2 and
                 // FMA were detected on this CPU.
@@ -402,8 +453,9 @@ impl<I: DoubleEndedIterator> Iterator for Ordered<I> {
 /// reuse across nodes.
 pub(crate) struct KernelCtx<'a> {
     pub kernels: Kernels,
-    /// Which build of the native kernels runs: `Avx2Fma` the AVX2 one,
-    /// `Scalar` the baseline (same bits).
+    /// Which build of the native kernels runs: `Avx512` the Simd GEMM's
+    /// AVX-512 one and every other kernel's AVX2 one, `Avx2Fma` the AVX2
+    /// ones, `Scalar` the baseline (same bits).
     pub engine: Engine,
     /// Scratch reused across nodes; capacity is reserved at plan time so
     /// `resize` never reallocates in steady state.

@@ -295,7 +295,7 @@ mod tests {
                             .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
                             .collect()
                     };
-                    for engine in [SimdEngine::Avx2Fma, SimdEngine::Scalar] {
+                    for engine in SimdEngine::ALL {
                         let mut got = fresh();
                         mean_f32(Engine::runnable(engine), &[&input], &out_def, &mut got).unwrap();
                         assert_eq!(bits(&got), bits(&want), "{engine:?} {dims:?}");

@@ -69,6 +69,33 @@ impl Activation {
         }
     }
 
+    /// [`Activation::apply`] of every value of `x` into `out`, in one pass
+    /// with the `match` taken once, as in [`Activation::apply_in_place`];
+    /// `None` is a plain copy.
+    ///
+    /// # Panics
+    ///
+    /// If `x` and `out` differ in length.
+    #[inline(always)]
+    pub(crate) fn apply_into(self, x: &[f32], out: &mut [f32]) {
+        #[inline(always)]
+        fn each(x: &[f32], out: &mut [f32], act: Activation) {
+            for (o, &v) in out.iter_mut().zip(x) {
+                *o = act.apply(v);
+            }
+        }
+        assert_eq!(x.len(), out.len());
+        match self {
+            Activation::None => out.copy_from_slice(x),
+            Activation::Relu => each(x, out, Activation::Relu),
+            Activation::Relu6 => each(x, out, Activation::Relu6),
+            Activation::HardSwish => each(x, out, Activation::HardSwish),
+            Activation::HardSigmoid => each(x, out, Activation::HardSigmoid),
+            Activation::Sigmoid => each(x, out, Activation::Sigmoid),
+            Activation::Gelu => each(x, out, Activation::Gelu),
+        }
+    }
+
     /// Real-valued output clamp implied by the activation, used to clamp
     /// quantized outputs (`None` means unbounded).
     pub fn clamp_bounds(self) -> Option<(f32, f32)> {

@@ -1,12 +1,13 @@
 //! Cross-engine bitwise property suite for the native float kernels: the
 //! reference `Conv2d`, the optimized and Simd `Conv2d` / `FullyConnected`
 //! and the depthwise kernel every native flavor shares are each one body
-//! compiled twice — for the x86-64 baseline and for AVX2+FMA — and the two
-//! builds must return the same bits; so must the quantized `Conv2d` and
-//! `FullyConnected` every flavor shares, whose dot has an AVX2 build and a
-//! scalar one. In one process, through the engine-explicit entry
-//! point `simd::execute_node_with` (what `dot_f32_with` is to the dot), every
-//! case runs each flavor under both builds, and then through an
+//! compiled twice — for the x86-64 baseline and for AVX2+FMA — and the Simd
+//! GEMM once more for AVX-512F, and the builds must return the same bits;
+//! so must the quantized `Conv2d` and `FullyConnected` every flavor shares,
+//! whose dot has an AVX2 build and a scalar one. In one process, through the
+//! engine-explicit entry point `simd::execute_node_with` (what
+//! `dot_f32_with` is to the dot), every case runs each flavor under every
+//! engine of `SimdEngine::ALL`, and then through an
 //! `Interpreter`, which reads the process's engine and packs constant
 //! weights at build and runtime weights per invoke. The entry point takes
 //! the whole `BackendSpec`: under injected defects and emulated numerics it
@@ -19,7 +20,8 @@
 //! stacked batches, weights that are a graph constant or a runtime input,
 //! with and without bias, every activation, over values that include ±0,
 //! subnormals, ±∞ and NaN, and reductions of length zero. On a CPU without
-//! AVX2 both requests run the baseline build and the suite still holds;
+//! AVX-512F or AVX2 a request for that engine runs the next build down the
+//! ladder and the suite still holds;
 //! `scripts/ci-local.sh kernel-simd` runs it natively and under
 //! `MLEXRAY_SIMD=scalar`.
 
@@ -227,10 +229,11 @@ fn assert_builds_agree(case: &Case, what: &str) -> Vec<(BackendSpec, Vec<f32>)> 
             let out = execute_node_with(engine, spec, &case.graph, NodeId(0), &operands).unwrap();
             out.as_f32().unwrap().to_vec()
         };
-        let avx2 = run(SimdEngine::Avx2Fma);
         let baseline = run(SimdEngine::Scalar);
         let what = format!("{spec:?} {what}");
-        assert_same_bits(&avx2, &baseline, &what);
+        for engine in SimdEngine::ALL {
+            assert_same_bits(&run(engine), &baseline, &format!("{engine:?} {what}"));
+        }
 
         let mut interp = Interpreter::new(&case.graph, spec).unwrap();
         let frames: Vec<&[Tensor]> = case.frames.iter().map(Vec::as_slice).collect();
@@ -503,7 +506,7 @@ fn quantized_kernels_are_bitwise_identical_in_both_builds_and_every_flavor() {
                     flavor,
                     ..BackendSpec::default()
                 };
-                for engine in [SimdEngine::Avx2Fma, SimdEngine::Scalar] {
+                for engine in SimdEngine::ALL {
                     let got = run_node(&case, engine, spec);
                     assert_eq!(got, want, "{flavor:?} {engine:?} {what}");
                 }
@@ -633,7 +636,7 @@ fn isolated_nodes_honour_the_whole_spec() {
             want,
             "{what}: the case pins nothing"
         );
-        for engine in [SimdEngine::Avx2Fma, SimdEngine::Scalar] {
+        for engine in SimdEngine::ALL {
             assert_eq!(run_node(&case, engine, spec), want, "{what}, {engine:?}");
         }
     }

@@ -17,8 +17,12 @@ cd "$(dirname "$0")/.."
 step() { printf '\n==> %s\n' "$*"; }
 
 # `native_kernel!` (crates/nn/src/kernels/mod.rs) is the one way a kernel
-# reaches AVX2: a `#[target_feature]` anywhere else in crates/ is a second,
-# hand-dispatched kernel, and fails the leg. Two queues block on a `Condvar`
+# reaches AVX2 or AVX-512: a `#[target_feature]` anywhere else in crates/ is
+# a second, hand-dispatched kernel, and fails the leg. The Simd GEMM's zmm
+# tile is the one AVX-512 code, so an `_mm512_` intrinsic outside
+# crates/nn/src/kernels/gemm.rs fails it too, as does an
+# `is_x86_feature_detected!` there: gemm.rs probes the CPU once for every
+# engine. Two queues block on a `Condvar`
 # (serve's request queue, where requests wait for work, and the
 # `ChannelSink`, where producers wait for the writer); a `Condvar` anywhere
 # else in crates/*/src is a third hand-rolled blocking queue, and fails the
@@ -30,6 +34,12 @@ lint() {
     grep -v '^crates/nn/src/kernels/mod.rs:' || true)"
   if [[ -n "$stray" ]]; then
     printf '#[target_feature] outside native_kernel!:\n%s\n' "$stray" >&2
+    return 1
+  fi
+  stray="$(grep -rnE '_mm512_|is_x86_feature_detected' --include='*.rs' crates |
+    grep -v '^crates/nn/src/kernels/gemm.rs:' || true)"
+  if [[ -n "$stray" ]]; then
+    printf 'AVX-512 intrinsic or CPU probe outside kernels/gemm.rs:\n%s\n' "$stray" >&2
     return 1
   fi
   stray="$(grep -rnw 'Condvar' --include='*.rs' crates/*/src |
@@ -93,13 +103,14 @@ backend-suites() {
     --test drift_fold_oracle --test parallel_replay -q
 }
 
-# Run twice: under native runtime dispatch (AVX2+FMA where the host has it)
-# and with MLEXRAY_SIMD=scalar forcing the scalar mirror engine and the
+# Run twice: under native runtime dispatch (AVX-512 or AVX2+FMA where the host
+# has it) and with MLEXRAY_SIMD=scalar forcing the scalar mirror engine and the
 # baseline builds of the native float kernels. The SIMD goldens are recorded
 # bitwise from the SIMD flavor, so the forced-scalar pass proves identical bits
 # on any host, not just that a fallback exists; native_engines pins the AVX2
-# build of every native float kernel against its baseline build in one process
-# (explicit engines), and both against the interpreter's engine.
+# build of every native float kernel, and the Simd GEMM's AVX-512 build,
+# against the baseline build in one process (explicit engines), and all of
+# them against the interpreter's engine.
 # alloc_steady_state holds — with a counting global allocator — a warmed
 # invoke to a depth-independent allocation count and the one arena to the
 # footprint of its largest batch; alloc_validation holds a differential run's
@@ -135,6 +146,7 @@ backend-suites() {
 # nodes of mobilenet_v2@48, float and int8, every flavor), conv_probe (every
 # op kind and the stem of mini_mobilenet_v2@24, the replay_validate model,
 # reference and optimized, and @32, the wire_plain model, optimized),
+# serve_probe (mobilenet_v2@48, the serve_batch model, Simd flavor, batch 4),
 # fold_probe (normalized_rmse and TensorStats::of on frame-sized inputs) and
 # preprocess_probe (the canonical image preprocessing, 60x60 -> 24x24 and
 # 224x224 -> 96x96): they must finish; no timing is asserted.
@@ -158,8 +170,8 @@ kernel-simd() {
   MLEXRAY_SIMD=scalar cargo test "${fc[@]}"
   MLEXRAY_SIMD=scalar cargo test "${core[@]}"
   cargo test --release -p mlexray-nn -p mlexray-tensor -p mlexray-preprocess \
-    --test depthwise_probe --test conv_probe --test fold_probe --test preprocess_probe \
-    -- --ignored -q
+    --test depthwise_probe --test conv_probe --test serve_probe --test fold_probe \
+    --test preprocess_probe -- --ignored -q
 }
 
 # Everything in mlexray-serve: its unit tests (the door reaps finished
