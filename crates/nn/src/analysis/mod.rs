@@ -20,10 +20,14 @@
 //!    debugging aligns layers by name), and every slot's byte size must be
 //!    a `usize` (the later passes multiply it out). A structural Deny stops the run:
 //!    later passes index tensors by id and need the graph well-formed.
-//! 2. **Shape & dtype inference** (`EX101`–`EX104`): re-derives every node
-//!    output's shape and dtype from op semantics and diffs them against the
-//!    declarations, catching graphs assembled through the unchecked
-//!    low-level constructors.
+//! 2. **Shape & dtype inference** (`EX101`–`EX104`): calls the one per-op
+//!    rule — the same function [`crate::GraphBuilder`]'s typed methods and
+//!    the quantizer derive their outputs from, so the pass re-derives
+//!    nothing of its own — on every node's declared operands, and diffs
+//!    the result against the declared output, catching graphs assembled
+//!    through the unchecked low-level constructors or edited by hand.
+//!    Operands the rule refuses (wrong rank, arity or geometry, sizes that
+//!    overflow a `usize`) are `EX103`/`EX104` findings, never a panic.
 //! 3. **Quantization consistency** (`EX201`–`EX208`): scale/zero-point
 //!    range sanity, per-channel axis agreement, float↔quant boundary
 //!    mismatches and requant-chain dtype agreement — the paper's classic

@@ -9,7 +9,10 @@
 //!
 //! Mutations are deliberately *minimal*: they corrupt one declaration and
 //! leave the rest of the graph intact, so a finding anywhere else is a
-//! false positive the suite would also catch.
+//! false positive the suite would also catch. The operand mutations
+//! (`RankZeroNorm`, `PadOverflow`, `ReshapeOverflow`) append one node whose
+//! op breaks its contract over a fresh constant: inputs that once panicked
+//! or wrapped inside the analyzer, which must answer them with `EX103`.
 
 use mlexray_tensor::{QuantParams, Shape, Tensor};
 
@@ -39,6 +42,12 @@ pub enum GraphMutation {
     UnreachableNode,
     /// Give two tensor slots the same display name.
     DuplicateTensorName,
+    /// Append a batch norm whose data operand has rank 0 (no channel axis).
+    RankZeroNorm,
+    /// Append a pad whose padded height overflows `usize`.
+    PadOverflow,
+    /// Append a reshape whose target element count overflows `usize`.
+    ReshapeOverflow,
 }
 
 impl GraphMutation {
@@ -53,6 +62,9 @@ impl GraphMutation {
         GraphMutation::UnusedConstant,
         GraphMutation::UnreachableNode,
         GraphMutation::DuplicateTensorName,
+        GraphMutation::RankZeroNorm,
+        GraphMutation::PadOverflow,
+        GraphMutation::ReshapeOverflow,
     ];
 
     /// The lint code that must flag this mutation.
@@ -67,6 +79,9 @@ impl GraphMutation {
             GraphMutation::UnusedConstant => LintCode::UnusedConstant,
             GraphMutation::UnreachableNode => LintCode::UnreachableNode,
             GraphMutation::DuplicateTensorName => LintCode::DuplicateTensorName,
+            GraphMutation::RankZeroNorm
+            | GraphMutation::PadOverflow
+            | GraphMutation::ReshapeOverflow => LintCode::OperandInvalid,
         }
     }
 
@@ -171,9 +186,62 @@ impl GraphMutation {
                     | TensorDef::Activation { name, .. } => *name = stolen,
                 }
             }
+            GraphMutation::RankZeroNorm => {
+                let x = Tensor::scalar_f32(1.0);
+                let op = OpKind::BatchNorm { epsilon: 1e-3 };
+                append_over_constant(&mut g, "lint:rank0_norm", x, op, 5, Shape::scalar());
+            }
+            GraphMutation::PadOverflow => {
+                let x = Tensor::filled_f32(Shape::nhwc(1, 1, 1, 1), 0.0);
+                let op = OpKind::Pad {
+                    top: usize::MAX,
+                    bottom: 1,
+                    left: 0,
+                    right: 0,
+                };
+                // The declared output is what a wrapping sum would infer.
+                append_over_constant(&mut g, "lint:pad", x, op, 1, Shape::nhwc(1, 1, 1, 1));
+            }
+            GraphMutation::ReshapeOverflow => {
+                let x = Tensor::filled_f32(Shape::vector(1), 0.0);
+                let op = OpKind::Reshape {
+                    dims: vec![1 << 40, 1 << 40],
+                };
+                append_over_constant(&mut g, "lint:reshape", x, op, 1, Shape::vector(1));
+            }
         }
         Some(g)
     }
+}
+
+/// Appends a node `name` running `op` over a fresh constant `data`, passed
+/// as each of its `arity` operands, with a declared `f32` output of shape
+/// `out`. The op or its operand breaks the contract, not the declaration.
+fn append_over_constant(
+    g: &mut Graph,
+    name: &str,
+    data: Tensor,
+    op: OpKind,
+    arity: usize,
+    out: Shape,
+) {
+    let x = TensorId(g.tensors().len());
+    g.tensors_mut().push(TensorDef::Constant {
+        name: format!("{name}:in"),
+        tensor: data,
+    });
+    g.tensors_mut().push(TensorDef::Activation {
+        name: format!("{name}:out"),
+        shape: out,
+        dtype: mlexray_tensor::DType::F32,
+        quant: None,
+    });
+    g.nodes_mut().push(Node {
+        name: name.into(),
+        op,
+        inputs: vec![x; arity],
+        output: TensorId(x.0 + 1),
+    });
 }
 
 /// The first input/activation slot carrying quantization parameters.

@@ -1,435 +1,55 @@
 //! Pass 2: shape & dtype inference (`EX101`–`EX104`).
 //!
-//! Re-derives every node output's shape and dtype from op semantics — the
-//! same rules [`crate::GraphBuilder`] applies on the way in — and diffs
-//! them against the declared [`TensorDef`]s. The builder's checked methods
-//! cannot produce a mismatch, but the low-level escape hatches
-//! (`push_node`, serde deserialization of a hand-edited artifact, in-crate
-//! rewrite passes) can, and the interpreter would otherwise discover it as
-//! a corrupt read mid-invoke.
+//! Calls the one op rule, `OpKind::infer_output`, on every node's
+//! *declared* operands — the rule [`crate::GraphBuilder`] and the quantizer
+//! derive their outputs from, so this pass re-derives nothing of its own —
+//! and diffs the result against the declared output [`TensorDef`]. The builder's checked methods cannot produce a mismatch,
+//! but the low-level escape hatches (`push_node`, serde deserialization of
+//! a hand-edited artifact, in-crate rewrite passes) can, and the
+//! interpreter would otherwise discover it as a corrupt read mid-invoke.
 //!
-//! Inference is per-node over *declared* input shapes, so one bad
+//! Inference is per-node over declared input shapes, so one bad
 //! declaration produces one localized finding instead of an error cascade.
 
-use mlexray_tensor::{DType, Shape};
-
-use crate::graph::{Graph, Node};
-use crate::ops::{conv_out_size, OpKind};
+use crate::graph::{Graph, TensorDef};
 
 use super::{Diagnostic, LintCode};
 
 pub(super) fn check(graph: &Graph) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for node in graph.nodes() {
-        match infer(graph, node) {
-            Err(d) => diags.push(d),
+        let operands: Vec<&TensorDef> = node.inputs.iter().map(|&id| graph.tensor(id)).collect();
+        let declared = graph.tensor(node.output);
+        let finding = |code: LintCode, message: String, at: &TensorDef| {
+            Diagnostic::new(code, message)
+                .with_node(&node.name)
+                .with_tensor(at.name())
+        };
+        match node.op.infer_output(&operands) {
+            Err((code, operand, message)) => {
+                diags.push(finding(
+                    code,
+                    message,
+                    operand.map_or(declared, |i| operands[i]),
+                ));
+            }
             Ok((shape, dtype)) => {
-                let declared = graph.tensor(node.output);
                 if *declared.shape() != shape {
-                    diags.push(
-                        Diagnostic::new(
-                            LintCode::ShapeMismatch,
-                            format!(
-                                "declared output shape {} but op semantics infer {}",
-                                declared.shape(),
-                                shape
-                            ),
-                        )
-                        .with_node(&node.name)
-                        .with_tensor(declared.name()),
+                    let message = format!(
+                        "declared output shape {} but op semantics infer {shape}",
+                        declared.shape()
                     );
+                    diags.push(finding(LintCode::ShapeMismatch, message, declared));
                 }
                 if declared.dtype() != dtype {
-                    diags.push(
-                        Diagnostic::new(
-                            LintCode::DTypeMismatch,
-                            format!(
-                                "declared output dtype {:?} but op semantics infer {:?}",
-                                declared.dtype(),
-                                dtype
-                            ),
-                        )
-                        .with_node(&node.name)
-                        .with_tensor(declared.name()),
+                    let message = format!(
+                        "declared output dtype {:?} but op semantics infer {dtype:?}",
+                        declared.dtype()
                     );
+                    diags.push(finding(LintCode::DTypeMismatch, message, declared));
                 }
             }
         }
     }
     diags
-}
-
-/// Infers `(shape, dtype)` of `node`'s output from its declared inputs, or
-/// explains why the operands violate the op's contract.
-fn infer(graph: &Graph, node: &Node) -> Result<(Shape, DType), Diagnostic> {
-    let err = |code: LintCode, msg: String| {
-        Err(Diagnostic::new(code, msg)
-            .with_node(&node.name)
-            .with_tensor(graph.tensor(node.output).name()))
-    };
-    let arity = |lo: usize, hi: usize| -> Result<(), Diagnostic> {
-        let n = node.inputs.len();
-        if n < lo || n > hi {
-            return Err(Diagnostic::new(
-                LintCode::OperandInvalid,
-                format!("expected {lo}..={hi} inputs, got {n}"),
-            )
-            .with_node(&node.name));
-        }
-        Ok(())
-    };
-    let def = |i: usize| graph.tensor(node.inputs[i]);
-    let shape = |i: usize| def(i).shape();
-    let dtype = |i: usize| def(i).dtype();
-    let want_rank = |i: usize, rank: usize| -> Result<(), Diagnostic> {
-        if shape(i).rank() != rank {
-            return Err(Diagnostic::new(
-                LintCode::OperandInvalid,
-                format!(
-                    "operand '{}' must have rank {rank}, has rank {}",
-                    def(i).name(),
-                    shape(i).rank()
-                ),
-            )
-            .with_node(&node.name)
-            .with_tensor(def(i).name()));
-        }
-        Ok(())
-    };
-    // The data operand's dtype selects the kernel family, mirroring the
-    // dispatch rule: `u8` data → quantized kernel, `f32` data → float.
-    let data_dtype = |allowed: &[DType]| -> Result<DType, Diagnostic> {
-        let dt = dtype(0);
-        if !allowed.contains(&dt) {
-            return Err(Diagnostic::new(
-                LintCode::UnsupportedDType,
-                format!(
-                    "no {} kernel accepts {:?} data (supported: {allowed:?})",
-                    node.op.type_label(),
-                    dt
-                ),
-            )
-            .with_node(&node.name)
-            .with_tensor(def(0).name()));
-        }
-        Ok(dt)
-    };
-    const FQ: [DType; 2] = [DType::F32, DType::U8];
-
-    match &node.op {
-        OpKind::Conv2d {
-            stride, padding, ..
-        } => {
-            arity(2, 3)?;
-            want_rank(0, 4)?;
-            want_rank(1, 4)?;
-            let dt = data_dtype(&FQ)?;
-            let (is_, ws) = (shape(0).dims().to_vec(), shape(1).dims().to_vec());
-            let (out_c, kh, kw, w_in_c) = (ws[0], ws[1], ws[2], ws[3]);
-            if w_in_c != is_[3] {
-                return err(
-                    LintCode::OperandInvalid,
-                    format!("weight in_c {} != input channels {}", w_in_c, is_[3]),
-                );
-            }
-            if *stride == 0 {
-                return err(LintCode::OperandInvalid, "stride must be positive".into());
-            }
-            if let Some(&b) = node.inputs.get(2) {
-                if graph.tensor(b).shape().num_elements() != out_c {
-                    return err(
-                        LintCode::OperandInvalid,
-                        format!("bias length must equal out_c {out_c}"),
-                    );
-                }
-            }
-            let oh = conv_out_size(is_[1], kh, *stride, *padding);
-            let ow = conv_out_size(is_[2], kw, *stride, *padding);
-            if oh == 0 || ow == 0 {
-                return err(
-                    LintCode::OperandInvalid,
-                    "kernel larger than input under Valid padding".into(),
-                );
-            }
-            Ok((Shape::nhwc(is_[0], oh, ow, out_c), dt))
-        }
-        OpKind::DepthwiseConv2d {
-            stride, padding, ..
-        } => {
-            arity(2, 3)?;
-            want_rank(0, 4)?;
-            want_rank(1, 4)?;
-            let dt = data_dtype(&FQ)?;
-            let (is_, ws) = (shape(0).dims().to_vec(), shape(1).dims().to_vec());
-            let (kh, kw, c) = (ws[1], ws[2], ws[3]);
-            if ws[0] != 1 {
-                return err(
-                    LintCode::OperandInvalid,
-                    "depthwise weights must be [1, kh, kw, c]".into(),
-                );
-            }
-            if c != is_[3] {
-                return err(
-                    LintCode::OperandInvalid,
-                    format!("weight channels {} != input channels {}", c, is_[3]),
-                );
-            }
-            if *stride == 0 {
-                return err(LintCode::OperandInvalid, "stride must be positive".into());
-            }
-            if let Some(&b) = node.inputs.get(2) {
-                if graph.tensor(b).shape().num_elements() != c {
-                    return err(
-                        LintCode::OperandInvalid,
-                        format!("bias length must equal channels {c}"),
-                    );
-                }
-            }
-            let oh = conv_out_size(is_[1], kh, *stride, *padding);
-            let ow = conv_out_size(is_[2], kw, *stride, *padding);
-            if oh == 0 || ow == 0 {
-                return err(
-                    LintCode::OperandInvalid,
-                    "kernel larger than input under Valid padding".into(),
-                );
-            }
-            Ok((Shape::nhwc(is_[0], oh, ow, c), dt))
-        }
-        OpKind::FullyConnected { .. } => {
-            arity(2, 3)?;
-            want_rank(0, 2)?;
-            want_rank(1, 2)?;
-            let dt = data_dtype(&FQ)?;
-            let (is_, ws) = (shape(0).dims().to_vec(), shape(1).dims().to_vec());
-            if ws[1] != is_[1] {
-                return err(
-                    LintCode::OperandInvalid,
-                    format!("weight in {} != input features {}", ws[1], is_[1]),
-                );
-            }
-            if let Some(&b) = node.inputs.get(2) {
-                if graph.tensor(b).shape().num_elements() != ws[0] {
-                    return err(
-                        LintCode::OperandInvalid,
-                        format!("bias length must equal out features {}", ws[0]),
-                    );
-                }
-            }
-            Ok((Shape::matrix(is_[0], ws[0]), dt))
-        }
-        OpKind::AveragePool2d {
-            pool_h,
-            pool_w,
-            stride,
-            padding,
-        }
-        | OpKind::MaxPool2d {
-            pool_h,
-            pool_w,
-            stride,
-            padding,
-        } => {
-            arity(1, 1)?;
-            want_rank(0, 4)?;
-            let dt = data_dtype(&FQ)?;
-            if *pool_h == 0 || *pool_w == 0 || *stride == 0 {
-                return err(
-                    LintCode::OperandInvalid,
-                    "pool window and stride must be positive".into(),
-                );
-            }
-            let is_ = shape(0).dims().to_vec();
-            let oh = conv_out_size(is_[1], *pool_h, *stride, *padding);
-            let ow = conv_out_size(is_[2], *pool_w, *stride, *padding);
-            if oh == 0 || ow == 0 {
-                return err(
-                    LintCode::OperandInvalid,
-                    "pool window larger than input under Valid padding".into(),
-                );
-            }
-            Ok((Shape::nhwc(is_[0], oh, ow, is_[3]), dt))
-        }
-        OpKind::Mean => {
-            arity(1, 1)?;
-            let dt = data_dtype(&FQ)?;
-            let s = shape(0);
-            if s.rank() < 2 {
-                return err(LintCode::OperandInvalid, "Mean requires rank >= 2".into());
-            }
-            Ok((Shape::matrix(s.dims()[0], s.dims()[s.rank() - 1]), dt))
-        }
-        OpKind::Add { .. } => {
-            arity(2, 2)?;
-            let dt = data_dtype(&FQ)?;
-            let (a, b) = (shape(0), shape(1));
-            let suffix_ok = b.rank() <= a.rank() && a.dims()[a.rank() - b.rank()..] == *b.dims();
-            if !suffix_ok {
-                return err(
-                    LintCode::OperandInvalid,
-                    format!("cannot broadcast {b} onto {a}"),
-                );
-            }
-            Ok((a.clone(), dt))
-        }
-        OpKind::Mul => {
-            arity(2, 2)?;
-            let dt = data_dtype(&FQ)?;
-            let (a, b) = (shape(0), shape(1));
-            let gate_ok = a.rank() == 4
-                && b.rank() == 4
-                && b.dims()[0] == a.dims()[0]
-                && b.dims()[1] == 1
-                && b.dims()[2] == 1
-                && b.dims()[3] == a.dims()[3];
-            if !(b == a || b.num_elements() == 1 || gate_ok) {
-                return err(
-                    LintCode::OperandInvalid,
-                    format!("cannot broadcast {b} onto {a}"),
-                );
-            }
-            Ok((a.clone(), dt))
-        }
-        OpKind::Concat { axis } => {
-            arity(1, usize::MAX)?;
-            let dt = data_dtype(&FQ)?;
-            let first = shape(0);
-            if *axis >= first.rank() {
-                return err(LintCode::OperandInvalid, "concat axis out of range".into());
-            }
-            let mut axis_sum = 0usize;
-            for &id in &node.inputs {
-                let s = graph.tensor(id).shape();
-                if s.rank() != first.rank() {
-                    return err(LintCode::OperandInvalid, "concat rank mismatch".into());
-                }
-                for (d, (&x, &y)) in s.dims().iter().zip(first.dims()).enumerate() {
-                    if d != *axis && x != y {
-                        return err(
-                            LintCode::OperandInvalid,
-                            "concat off-axis dimension mismatch".into(),
-                        );
-                    }
-                }
-                axis_sum += s.dims()[*axis];
-            }
-            let mut dims = first.dims().to_vec();
-            dims[*axis] = axis_sum;
-            Ok((Shape::new(dims), dt))
-        }
-        OpKind::Pad {
-            top,
-            bottom,
-            left,
-            right,
-        } => {
-            arity(1, 1)?;
-            want_rank(0, 4)?;
-            let dt = data_dtype(&FQ)?;
-            let s = shape(0).dims().to_vec();
-            Ok((
-                Shape::nhwc(s[0], s[1] + top + bottom, s[2] + left + right, s[3]),
-                dt,
-            ))
-        }
-        OpKind::Softmax => {
-            arity(1, 1)?;
-            data_dtype(&[DType::F32])?;
-            Ok((shape(0).clone(), DType::F32))
-        }
-        OpKind::Act(_) => {
-            arity(1, 1)?;
-            let dt = data_dtype(&FQ)?;
-            Ok((shape(0).clone(), dt))
-        }
-        OpKind::BatchNorm { .. } => {
-            arity(5, 5)?;
-            data_dtype(&[DType::F32])?;
-            let s = shape(0);
-            let c = s.dims()[s.rank() - 1];
-            for i in 1..5 {
-                if graph.tensor(node.inputs[i]).shape().num_elements() != c {
-                    return err(
-                        LintCode::OperandInvalid,
-                        "batch-norm vectors must match channels".into(),
-                    );
-                }
-            }
-            Ok((s.clone(), DType::F32))
-        }
-        OpKind::LayerNorm { .. } => {
-            arity(3, 3)?;
-            data_dtype(&[DType::F32])?;
-            let s = shape(0);
-            let d = s.dims()[s.rank() - 1];
-            for i in 1..3 {
-                if graph.tensor(node.inputs[i]).shape().num_elements() != d {
-                    return err(
-                        LintCode::OperandInvalid,
-                        "layer-norm vectors must match last axis".into(),
-                    );
-                }
-            }
-            Ok((s.clone(), DType::F32))
-        }
-        OpKind::MatMul { transpose_b } => {
-            arity(2, 2)?;
-            want_rank(0, 2)?;
-            want_rank(1, 2)?;
-            data_dtype(&[DType::F32])?;
-            if dtype(1) != DType::F32 {
-                return err(
-                    LintCode::UnsupportedDType,
-                    format!("matmul rhs must be f32, is {:?}", dtype(1)),
-                );
-            }
-            let (sa, sb) = (shape(0).dims().to_vec(), shape(1).dims().to_vec());
-            let (k_b, n) = if *transpose_b {
-                (sb[1], sb[0])
-            } else {
-                (sb[0], sb[1])
-            };
-            if sa[1] != k_b {
-                return err(
-                    LintCode::OperandInvalid,
-                    "inner dimensions must agree".into(),
-                );
-            }
-            Ok((Shape::matrix(sa[0], n), DType::F32))
-        }
-        OpKind::Embedding => {
-            arity(2, 2)?;
-            want_rank(0, 2)?;
-            want_rank(1, 2)?;
-            data_dtype(&[DType::I32])?;
-            if dtype(1) != DType::F32 {
-                return err(
-                    LintCode::UnsupportedDType,
-                    format!("embedding table must be f32, is {:?}", dtype(1)),
-                );
-            }
-            let (si, st) = (shape(0).dims().to_vec(), shape(1).dims().to_vec());
-            Ok((Shape::new(vec![si[0], si[1], st[1]]), DType::F32))
-        }
-        OpKind::Reshape { dims } => {
-            arity(1, 1)?;
-            let target = Shape::new(dims.clone());
-            if target.num_elements() != shape(0).num_elements() {
-                return err(
-                    LintCode::OperandInvalid,
-                    format!("cannot reshape {} to {target}", shape(0)),
-                );
-            }
-            Ok((target, dtype(0)))
-        }
-        OpKind::Quantize => {
-            arity(1, 1)?;
-            data_dtype(&[DType::F32])?;
-            Ok((shape(0).clone(), DType::U8))
-        }
-        OpKind::Dequantize => {
-            arity(1, 1)?;
-            data_dtype(&[DType::U8])?;
-            Ok((shape(0).clone(), DType::F32))
-        }
-    }
 }

@@ -2,7 +2,7 @@ use serde::{Deserialize, Serialize};
 
 use mlexray_tensor::{DType, QuantParams, Shape, Tensor};
 
-use crate::ops::{conv_out_size, Activation, OpKind, Padding};
+use crate::ops::{Activation, OpKind, Padding};
 use crate::{NnError, Result};
 
 /// Identifier of a tensor slot within a [`Graph`].
@@ -374,6 +374,11 @@ impl Graph {
 
 /// Incremental [`Graph`] constructor with builder-side shape inference.
 ///
+/// Every typed method derives its output's shape and dtype from the one
+/// per-op rule the lint's shape pass (`EX101`–`EX104`) checks graphs
+/// against, and returns [`NnError::InvalidOp`], in the lint's wording, for
+/// operands that rule refuses.
+///
 /// # Example
 ///
 /// ```
@@ -459,9 +464,11 @@ impl GraphBuilder {
         self.graph.outputs.push(id);
     }
 
-    /// Low-level node insertion with an explicit output definition; used by
-    /// the conversion and quantization passes, which know the output dtype
-    /// and quantization they want.
+    /// Low-level node insertion with an explicit output definition, which
+    /// nothing derives or checks: hand-built kernel fixtures (the golden
+    /// suite's among them) declare exactly the output they test, and tests
+    /// build the mis-declared graphs the lint must catch. The typed methods
+    /// below derive theirs from the op rule instead.
     pub fn push_node(
         &mut self,
         name: impl Into<String>,
@@ -487,19 +494,28 @@ impl GraphBuilder {
         out
     }
 
-    fn err(&self, node: &str, reason: impl Into<String>) -> NnError {
-        NnError::InvalidOp {
-            node: node.into(),
-            reason: reason.into(),
+    /// Adds a node whose output shape and dtype the op rule derives from
+    /// `inputs` — the same rule the lint's shape pass checks graphs
+    /// against. Every typed method below and the quantizer add their nodes
+    /// through it; `quant` is the output's quantization.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidOp`], in the lint's wording, when the
+    /// operands break the op's contract.
+    pub(crate) fn push_op(
+        &mut self,
+        name: impl Into<String>,
+        op: OpKind,
+        inputs: Vec<TensorId>,
+        quant: Option<QuantParams>,
+    ) -> Result<TensorId> {
+        let name = name.into();
+        let operands: Vec<&TensorDef> = inputs.iter().map(|&id| self.graph.tensor(id)).collect();
+        match op.infer_output(&operands) {
+            Ok((shape, dtype)) => Ok(self.push_node(name, op, inputs, shape, dtype, quant)),
+            Err((_, _, reason)) => Err(NnError::InvalidOp { node: name, reason }),
         }
-    }
-
-    fn expect_rank(&self, node: &str, id: TensorId, rank: usize) -> Result<()> {
-        let actual = self.shape_of(id).rank();
-        if actual != rank {
-            return Err(self.err(node, format!("expected rank {rank}, got rank {actual}")));
-        }
-        Ok(())
     }
 
     /// Adds a 2-D convolution. `weights` must be `[out_c, kh, kw, in_c]`;
@@ -507,7 +523,9 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] on rank/channel mismatches.
+    /// Returns [`NnError::InvalidOp`] on rank/channel mismatches, a zero
+    /// stride, a kernel larger than a `Valid`-padded input, or `input` data
+    /// that is neither `f32` nor `u8`.
     #[allow(clippy::too_many_arguments)]
     pub fn conv2d(
         &mut self,
@@ -519,57 +537,22 @@ impl GraphBuilder {
         padding: Padding,
         activation: Activation,
     ) -> Result<TensorId> {
-        let name = name.into();
-        self.expect_rank(&name, input, 4)?;
-        self.expect_rank(&name, weights, 4)?;
-        let in_shape = self.shape_of(input).clone();
-        let w = self.shape_of(weights).clone();
-        let (out_c, kh, kw, w_in_c) = (w.dims()[0], w.dims()[1], w.dims()[2], w.dims()[3]);
-        if w_in_c != in_shape.dims()[3] {
-            return Err(self.err(
-                &name,
-                format!(
-                    "weight in_c {} != input channels {}",
-                    w_in_c,
-                    in_shape.dims()[3]
-                ),
-            ));
-        }
-        if stride == 0 {
-            return Err(self.err(&name, "stride must be positive"));
-        }
-        if let Some(b) = bias {
-            if self.shape_of(b).num_elements() != out_c {
-                return Err(self.err(&name, "bias length must equal out_c"));
-            }
-        }
-        let oh = conv_out_size(in_shape.dims()[1], kh, stride, padding);
-        let ow = conv_out_size(in_shape.dims()[2], kw, stride, padding);
-        if oh == 0 || ow == 0 {
-            return Err(self.err(&name, "kernel larger than input under Valid padding"));
-        }
-        let mut inputs = vec![input, weights];
-        inputs.extend(bias);
-        let out_shape = Shape::nhwc(in_shape.dims()[0], oh, ow, out_c);
-        Ok(self.push_node(
-            name,
-            OpKind::Conv2d {
-                stride,
-                padding,
-                activation,
-            },
-            inputs,
-            out_shape,
-            DType::F32,
-            None,
-        ))
+        let op = OpKind::Conv2d {
+            stride,
+            padding,
+            activation,
+        };
+        let inputs = [input, weights].into_iter().chain(bias).collect();
+        self.push_op(name, op, inputs, None)
     }
 
     /// Adds a depthwise 2-D convolution. `weights` must be `[1, kh, kw, c]`.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] on rank/channel mismatches.
+    /// Returns [`NnError::InvalidOp`] on rank/channel mismatches, a zero
+    /// stride, a kernel larger than a `Valid`-padded input, or `input` data
+    /// that is neither `f32` nor `u8`.
     #[allow(clippy::too_many_arguments)]
     pub fn depthwise_conv2d(
         &mut self,
@@ -581,53 +564,13 @@ impl GraphBuilder {
         padding: Padding,
         activation: Activation,
     ) -> Result<TensorId> {
-        let name = name.into();
-        self.expect_rank(&name, input, 4)?;
-        self.expect_rank(&name, weights, 4)?;
-        let in_shape = self.shape_of(input).clone();
-        let w = self.shape_of(weights).clone();
-        let (kh, kw, c) = (w.dims()[1], w.dims()[2], w.dims()[3]);
-        if w.dims()[0] != 1 {
-            return Err(self.err(&name, "depthwise weights must be [1, kh, kw, c]"));
-        }
-        if c != in_shape.dims()[3] {
-            return Err(self.err(
-                &name,
-                format!(
-                    "weight channels {} != input channels {}",
-                    c,
-                    in_shape.dims()[3]
-                ),
-            ));
-        }
-        if stride == 0 {
-            return Err(self.err(&name, "stride must be positive"));
-        }
-        if let Some(b) = bias {
-            if self.shape_of(b).num_elements() != c {
-                return Err(self.err(&name, "bias length must equal channels"));
-            }
-        }
-        let oh = conv_out_size(in_shape.dims()[1], kh, stride, padding);
-        let ow = conv_out_size(in_shape.dims()[2], kw, stride, padding);
-        if oh == 0 || ow == 0 {
-            return Err(self.err(&name, "kernel larger than input under Valid padding"));
-        }
-        let mut inputs = vec![input, weights];
-        inputs.extend(bias);
-        let out_shape = Shape::nhwc(in_shape.dims()[0], oh, ow, c);
-        Ok(self.push_node(
-            name,
-            OpKind::DepthwiseConv2d {
-                stride,
-                padding,
-                activation,
-            },
-            inputs,
-            out_shape,
-            DType::F32,
-            None,
-        ))
+        let op = OpKind::DepthwiseConv2d {
+            stride,
+            padding,
+            activation,
+        };
+        let inputs = [input, weights].into_iter().chain(bias).collect();
+        self.push_op(name, op, inputs, None)
     }
 
     /// Adds a fully connected layer. Input must be `[n, in]`; weights
@@ -635,7 +578,8 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] on rank/size mismatches.
+    /// Returns [`NnError::InvalidOp`] on rank/size mismatches or `input`
+    /// data that is neither `f32` nor `u8`.
     pub fn fully_connected(
         &mut self,
         name: impl Into<String>,
@@ -644,84 +588,16 @@ impl GraphBuilder {
         bias: Option<TensorId>,
         activation: Activation,
     ) -> Result<TensorId> {
-        let name = name.into();
-        self.expect_rank(&name, input, 2)?;
-        self.expect_rank(&name, weights, 2)?;
-        let in_shape = self.shape_of(input).clone();
-        let w = self.shape_of(weights).clone();
-        if w.dims()[1] != in_shape.dims()[1] {
-            return Err(self.err(
-                &name,
-                format!(
-                    "weight in {} != input features {}",
-                    w.dims()[1],
-                    in_shape.dims()[1]
-                ),
-            ));
-        }
-        if let Some(b) = bias {
-            if self.shape_of(b).num_elements() != w.dims()[0] {
-                return Err(self.err(&name, "bias length must equal out features"));
-            }
-        }
-        let mut inputs = vec![input, weights];
-        inputs.extend(bias);
-        let out_shape = Shape::matrix(in_shape.dims()[0], w.dims()[0]);
-        Ok(self.push_node(
-            name,
-            OpKind::FullyConnected { activation },
-            inputs,
-            out_shape,
-            DType::F32,
-            None,
-        ))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn pool(
-        &mut self,
-        name: String,
-        input: TensorId,
-        pool_h: usize,
-        pool_w: usize,
-        stride: usize,
-        padding: Padding,
-        max: bool,
-    ) -> Result<TensorId> {
-        self.expect_rank(&name, input, 4)?;
-        if pool_h == 0 || pool_w == 0 || stride == 0 {
-            return Err(self.err(&name, "pool window and stride must be positive"));
-        }
-        let s = self.shape_of(input).clone();
-        let oh = conv_out_size(s.dims()[1], pool_h, stride, padding);
-        let ow = conv_out_size(s.dims()[2], pool_w, stride, padding);
-        if oh == 0 || ow == 0 {
-            return Err(self.err(&name, "pool window larger than input under Valid padding"));
-        }
-        let out_shape = Shape::nhwc(s.dims()[0], oh, ow, s.dims()[3]);
-        let op = if max {
-            OpKind::MaxPool2d {
-                pool_h,
-                pool_w,
-                stride,
-                padding,
-            }
-        } else {
-            OpKind::AveragePool2d {
-                pool_h,
-                pool_w,
-                stride,
-                padding,
-            }
-        };
-        Ok(self.push_node(name, op, vec![input], out_shape, DType::F32, None))
+        let inputs = [input, weights].into_iter().chain(bias).collect();
+        self.push_op(name, OpKind::FullyConnected { activation }, inputs, None)
     }
 
     /// Adds an average-pooling layer.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] on invalid windows.
+    /// Returns [`NnError::InvalidOp`] on invalid windows, non-4D inputs or
+    /// `input` data that is neither `f32` nor `u8`.
     pub fn avg_pool2d(
         &mut self,
         name: impl Into<String>,
@@ -731,7 +607,13 @@ impl GraphBuilder {
         stride: usize,
         padding: Padding,
     ) -> Result<TensorId> {
-        self.pool(name.into(), input, pool_h, pool_w, stride, padding, false)
+        let op = OpKind::AveragePool2d {
+            pool_h,
+            pool_w,
+            stride,
+            padding,
+        };
+        self.push_op(name, op, vec![input], None)
     }
 
     /// Adds a global average pool implemented as `AveragePool2d` spanning the
@@ -740,31 +622,27 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] for non-4D inputs.
+    /// Returns [`NnError::InvalidOp`] for non-4D inputs or `input` data that
+    /// is neither `f32` nor `u8`.
     pub fn avg_pool_global(
         &mut self,
         name: impl Into<String>,
         input: TensorId,
     ) -> Result<TensorId> {
-        let s = self.shape_of(input).clone();
-        let name = name.into();
-        self.expect_rank(&name, input, 4)?;
-        self.pool(
-            name,
-            input,
-            s.dims()[1],
-            s.dims()[2],
-            1,
-            Padding::Valid,
-            false,
-        )
+        // A non-4D input gets an empty window, which the rule refuses by rank.
+        let (h, w) = match *self.shape_of(input).dims() {
+            [_, h, w, _] => (h, w),
+            _ => (0, 0),
+        };
+        self.avg_pool2d(name, input, h, w, 1, Padding::Valid)
     }
 
     /// Adds a max-pooling layer.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] on invalid windows.
+    /// Returns [`NnError::InvalidOp`] on invalid windows, non-4D inputs or
+    /// `input` data that is neither `f32` nor `u8`.
     pub fn max_pool2d(
         &mut self,
         name: impl Into<String>,
@@ -774,22 +652,23 @@ impl GraphBuilder {
         stride: usize,
         padding: Padding,
     ) -> Result<TensorId> {
-        self.pool(name.into(), input, pool_h, pool_w, stride, padding, true)
+        let op = OpKind::MaxPool2d {
+            pool_h,
+            pool_w,
+            stride,
+            padding,
+        };
+        self.push_op(name, op, vec![input], None)
     }
 
     /// Adds a global reduce-mean (`Mean` op), `[n, ..., c] → [n, c]`.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] for inputs of rank < 2.
+    /// Returns [`NnError::InvalidOp`] for inputs of rank < 2 or data that is
+    /// neither `f32` nor `u8`.
     pub fn mean(&mut self, name: impl Into<String>, input: TensorId) -> Result<TensorId> {
-        let name = name.into();
-        let s = self.shape_of(input).clone();
-        if s.rank() < 2 {
-            return Err(self.err(&name, "Mean requires rank >= 2"));
-        }
-        let out_shape = Shape::matrix(s.dims()[0], s.dims()[s.rank() - 1]);
-        Ok(self.push_node(name, OpKind::Mean, vec![input], out_shape, DType::F32, None))
+        self.push_op(name, OpKind::Mean, vec![input], None)
     }
 
     /// Adds element-wise addition. `rhs` may have the same shape as `lhs` or
@@ -797,7 +676,8 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] on incompatible shapes.
+    /// Returns [`NnError::InvalidOp`] on incompatible shapes or `lhs` data
+    /// that is neither `f32` nor `u8`.
     pub fn add(
         &mut self,
         name: impl Into<String>,
@@ -805,21 +685,7 @@ impl GraphBuilder {
         rhs: TensorId,
         activation: Activation,
     ) -> Result<TensorId> {
-        let name = name.into();
-        let a = self.shape_of(lhs).clone();
-        let b = self.shape_of(rhs).clone();
-        let suffix_ok = b.rank() <= a.rank() && a.dims()[a.rank() - b.rank()..] == *b.dims();
-        if !suffix_ok {
-            return Err(self.err(&name, format!("cannot broadcast {b} onto {a}")));
-        }
-        Ok(self.push_node(
-            name,
-            OpKind::Add { activation },
-            vec![lhs, rhs],
-            a,
-            DType::F32,
-            None,
-        ))
+        self.push_op(name, OpKind::Add { activation }, vec![lhs, rhs], None)
     }
 
     /// Adds element-wise multiplication. `rhs` may equal `lhs` in shape, be a
@@ -827,77 +693,39 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] on incompatible shapes.
+    /// Returns [`NnError::InvalidOp`] on incompatible shapes or `lhs` data
+    /// that is neither `f32` nor `u8`.
     pub fn mul(
         &mut self,
         name: impl Into<String>,
         lhs: TensorId,
         rhs: TensorId,
     ) -> Result<TensorId> {
-        let name = name.into();
-        let a = self.shape_of(lhs).clone();
-        let b = self.shape_of(rhs).clone();
-        let gate_ok = a.rank() == 4
-            && b.rank() == 4
-            && b.dims()[0] == a.dims()[0]
-            && b.dims()[1] == 1
-            && b.dims()[2] == 1
-            && b.dims()[3] == a.dims()[3];
-        if !(b == a || b.num_elements() == 1 || gate_ok) {
-            return Err(self.err(&name, format!("cannot broadcast {b} onto {a}")));
-        }
-        Ok(self.push_node(name, OpKind::Mul, vec![lhs, rhs], a, DType::F32, None))
+        self.push_op(name, OpKind::Mul, vec![lhs, rhs], None)
     }
 
     /// Adds concatenation along `axis`.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] if shapes disagree off-axis.
+    /// Returns [`NnError::InvalidOp`] for no inputs, an axis out of range,
+    /// shapes that disagree off-axis, or first-input data that is neither
+    /// `f32` nor `u8`.
     pub fn concat(
         &mut self,
         name: impl Into<String>,
         inputs: &[TensorId],
         axis: usize,
     ) -> Result<TensorId> {
-        let name = name.into();
-        if inputs.is_empty() {
-            return Err(self.err(&name, "concat requires at least one input"));
-        }
-        let first = self.shape_of(inputs[0]).clone();
-        if axis >= first.rank() {
-            return Err(self.err(&name, "concat axis out of range"));
-        }
-        let mut axis_sum = 0usize;
-        for &id in inputs {
-            let s = self.shape_of(id);
-            if s.rank() != first.rank() {
-                return Err(self.err(&name, "concat rank mismatch"));
-            }
-            for (d, (&x, &y)) in s.dims().iter().zip(first.dims()).enumerate() {
-                if d != axis && x != y {
-                    return Err(self.err(&name, "concat off-axis dimension mismatch"));
-                }
-            }
-            axis_sum += s.dims()[axis];
-        }
-        let mut dims = first.dims().to_vec();
-        dims[axis] = axis_sum;
-        Ok(self.push_node(
-            name,
-            OpKind::Concat { axis },
-            inputs.to_vec(),
-            Shape::new(dims),
-            DType::F32,
-            None,
-        ))
+        self.push_op(name, OpKind::Concat { axis }, inputs.to_vec(), None)
     }
 
     /// Adds zero padding of the spatial axes of an NHWC tensor.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] for non-4D inputs.
+    /// Returns [`NnError::InvalidOp`] for non-4D inputs, padded sizes that
+    /// overflow `usize`, or `input` data that is neither `f32` nor `u8`.
     pub fn pad(
         &mut self,
         name: impl Into<String>,
@@ -907,38 +735,23 @@ impl GraphBuilder {
         left: usize,
         right: usize,
     ) -> Result<TensorId> {
-        let name = name.into();
-        self.expect_rank(&name, input, 4)?;
-        let s = self.shape_of(input).clone();
-        let out_shape = Shape::nhwc(
-            s.dims()[0],
-            s.dims()[1] + top + bottom,
-            s.dims()[2] + left + right,
-            s.dims()[3],
-        );
-        Ok(self.push_node(
-            name,
-            OpKind::Pad {
-                top,
-                bottom,
-                left,
-                right,
-            },
-            vec![input],
-            out_shape,
-            DType::F32,
-            None,
-        ))
+        let op = OpKind::Pad {
+            top,
+            bottom,
+            left,
+            right,
+        };
+        self.push_op(name, op, vec![input], None)
     }
 
     /// Adds softmax over the last axis.
     ///
     /// # Errors
     ///
-    /// Currently infallible but kept fallible for interface uniformity.
+    /// Returns [`NnError::InvalidOp`] unless `input` is `f32`: softmax has
+    /// no quantized kernel (`u8` data is dequantized first).
     pub fn softmax(&mut self, name: impl Into<String>, input: TensorId) -> Result<TensorId> {
-        let s = self.shape_of(input).clone();
-        Ok(self.push_node(name, OpKind::Softmax, vec![input], s, DType::F32, None))
+        self.push_op(name, OpKind::Softmax, vec![input], None)
     }
 
     /// Adds a standalone activation node (checkpoint-style graphs keep these
@@ -946,15 +759,15 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Currently infallible but kept fallible for interface uniformity.
+    /// Returns [`NnError::InvalidOp`] for `input` data that is neither `f32`
+    /// nor `u8`.
     pub fn activation(
         &mut self,
         name: impl Into<String>,
         input: TensorId,
         act: Activation,
     ) -> Result<TensorId> {
-        let s = self.shape_of(input).clone();
-        Ok(self.push_node(name, OpKind::Act(act), vec![input], s, DType::F32, None))
+        self.push_op(name, OpKind::Act(act), vec![input], None)
     }
 
     /// Adds inference-style batch normalization with constant
@@ -962,8 +775,8 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] if the vectors don't match the channel
-    /// count.
+    /// Returns [`NnError::InvalidOp`] if `input` is not `f32` or has rank 0,
+    /// or the vectors don't match its channel count.
     #[allow(clippy::too_many_arguments)]
     pub fn batch_norm(
         &mut self,
@@ -975,29 +788,16 @@ impl GraphBuilder {
         variance: TensorId,
         epsilon: f32,
     ) -> Result<TensorId> {
-        let name = name.into();
-        let s = self.shape_of(input).clone();
-        let c = s.dims()[s.rank() - 1];
-        for &v in &[gamma, beta, mean, variance] {
-            if self.shape_of(v).num_elements() != c {
-                return Err(self.err(&name, "batch-norm vectors must match channels"));
-            }
-        }
-        Ok(self.push_node(
-            name,
-            OpKind::BatchNorm { epsilon },
-            vec![input, gamma, beta, mean, variance],
-            s,
-            DType::F32,
-            None,
-        ))
+        let inputs = vec![input, gamma, beta, mean, variance];
+        self.push_op(name, OpKind::BatchNorm { epsilon }, inputs, None)
     }
 
     /// Adds layer normalization over the last axis with `gamma, beta`.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] if the vectors don't match the last axis.
+    /// Returns [`NnError::InvalidOp`] if `input` is not `f32` or has rank 0,
+    /// or the vectors don't match its last axis.
     pub fn layer_norm(
         &mut self,
         name: impl Into<String>,
@@ -1006,27 +806,16 @@ impl GraphBuilder {
         beta: TensorId,
         epsilon: f32,
     ) -> Result<TensorId> {
-        let name = name.into();
-        let s = self.shape_of(input).clone();
-        let d = s.dims()[s.rank() - 1];
-        if self.shape_of(gamma).num_elements() != d || self.shape_of(beta).num_elements() != d {
-            return Err(self.err(&name, "layer-norm vectors must match last axis"));
-        }
-        Ok(self.push_node(
-            name,
-            OpKind::LayerNorm { epsilon },
-            vec![input, gamma, beta],
-            s,
-            DType::F32,
-            None,
-        ))
+        let inputs = vec![input, gamma, beta];
+        self.push_op(name, OpKind::LayerNorm { epsilon }, inputs, None)
     }
 
     /// Adds a 2-D matrix multiplication.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] on rank or inner-dimension mismatches.
+    /// Returns [`NnError::InvalidOp`] on rank or inner-dimension mismatches,
+    /// or when `a` or `b` is not `f32`.
     pub fn matmul(
         &mut self,
         name: impl Into<String>,
@@ -1034,87 +823,39 @@ impl GraphBuilder {
         b: TensorId,
         transpose_b: bool,
     ) -> Result<TensorId> {
-        let name = name.into();
-        self.expect_rank(&name, a, 2)?;
-        self.expect_rank(&name, b, 2)?;
-        let sa = self.shape_of(a).clone();
-        let sb = self.shape_of(b).clone();
-        let (k_b, n) = if transpose_b {
-            (sb.dims()[1], sb.dims()[0])
-        } else {
-            (sb.dims()[0], sb.dims()[1])
-        };
-        if sa.dims()[1] != k_b {
-            return Err(self.err(&name, "inner dimensions must agree"));
-        }
-        let out_shape = Shape::matrix(sa.dims()[0], n);
-        Ok(self.push_node(
-            name,
-            OpKind::MatMul { transpose_b },
-            vec![a, b],
-            out_shape,
-            DType::F32,
-            None,
-        ))
+        self.push_op(name, OpKind::MatMul { transpose_b }, vec![a, b], None)
     }
 
     /// Adds an embedding lookup: `i32` ids `[n, l]` + table `[v, d]`.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] on rank or dtype mismatches.
+    /// Returns [`NnError::InvalidOp`] on rank mismatches, `ids` that are not
+    /// `i32`, or a `table` that is not `f32`.
     pub fn embedding(
         &mut self,
         name: impl Into<String>,
         ids: TensorId,
         table: TensorId,
     ) -> Result<TensorId> {
-        let name = name.into();
-        self.expect_rank(&name, ids, 2)?;
-        self.expect_rank(&name, table, 2)?;
-        if self.dtype_of(ids) != DType::I32 {
-            return Err(self.err(&name, "embedding ids must be i32"));
-        }
-        let si = self.shape_of(ids).clone();
-        let st = self.shape_of(table).clone();
-        let out_shape = Shape::new(vec![si.dims()[0], si.dims()[1], st.dims()[1]]);
-        Ok(self.push_node(
-            name,
-            OpKind::Embedding,
-            vec![ids, table],
-            out_shape,
-            DType::F32,
-            None,
-        ))
+        self.push_op(name, OpKind::Embedding, vec![ids, table], None)
     }
 
-    /// Adds a reshape to explicit target dims.
+    /// Adds a reshape to explicit target dims. The output keeps `input`'s
+    /// dtype and quantization.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidOp`] if element counts differ.
+    /// Returns [`NnError::InvalidOp`] if element counts differ, including a
+    /// target whose element count overflows `usize`.
     pub fn reshape(
         &mut self,
         name: impl Into<String>,
         input: TensorId,
         dims: Vec<usize>,
     ) -> Result<TensorId> {
-        let name = name.into();
-        let s = self.shape_of(input).clone();
-        let target = Shape::new(dims.clone());
-        if target.num_elements() != s.num_elements() {
-            return Err(self.err(&name, format!("cannot reshape {s} to {target}")));
-        }
-        let dtype = self.dtype_of(input);
         let quant = self.graph.tensor(input).quant().cloned();
-        Ok(self.push_node(
-            name,
-            OpKind::Reshape { dims },
-            vec![input],
-            target,
-            dtype,
-            quant,
-        ))
+        self.push_op(name, OpKind::Reshape { dims }, vec![input], quant)
     }
 
     /// Finalizes and validates the graph.
@@ -1147,6 +888,7 @@ mod tests {
         assert_eq!(b.shape_of(y).dims(), &[1, 4, 4, 16]);
     }
 
+    /// A call that breaks an op's contract is an `Err`, never a panic.
     #[test]
     fn conv_channel_mismatch_rejected() {
         let mut b = GraphBuilder::new("t");
@@ -1155,6 +897,19 @@ mod tests {
         assert!(b
             .conv2d("c", x, w, None, 1, Padding::Same, Activation::None)
             .is_err());
+
+        let s = b.input("s", Shape::scalar());
+        let v = b.constant("v", Tensor::scalar_f32(1.0));
+        assert!(b.batch_norm("bn", s, v, v, v, v, 1e-3).is_err());
+        assert!(b.layer_norm("ln", s, v, v, 1e-3).is_err());
+        let ids = b.input_typed("ids", Shape::matrix(1, 2), DType::I32, None);
+        let table = b.constant("table", Tensor::zeros(DType::I32, Shape::matrix(4, 3)));
+        assert!(b.embedding("emb", ids, table).is_err());
+        let table = b.constant("table_f32", zeros(Shape::matrix(4, 3)));
+        assert_eq!(
+            b.embedding("ok", ids, table).map(|y| b.dtype_of(y)),
+            Ok(DType::F32)
+        );
     }
 
     #[test]

@@ -1,4 +1,8 @@
+use mlexray_tensor::{DType, Shape};
 use serde::{Deserialize, Serialize};
+
+use crate::analysis::LintCode;
+use crate::graph::TensorDef;
 
 /// Spatial padding policy for convolution and pooling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -260,6 +264,315 @@ impl OpKind {
             _ => None,
         }
     }
+
+    /// Derives the shape and dtype of this op's output from its operands
+    /// (node-input order: data first, then weights/bias), or says how the
+    /// operands break the op's contract. This is the one place an op's
+    /// output is derived: [`crate::GraphBuilder`]'s typed methods, the
+    /// quantizer and the lint's shape pass (`EX101`–`EX104`) all call it.
+    ///
+    /// # Errors
+    ///
+    /// The [`Violation`] of the first contract clause the operands break:
+    /// arity, ranks, the data dtype (which selects the kernel family —
+    /// `u8` data runs the quantized kernel, `f32` the float one), then the
+    /// op's geometry, including sizes that overflow a `usize`.
+    pub(crate) fn infer_output(
+        &self,
+        operands: &[&TensorDef],
+    ) -> Result<(Shape, DType), Violation> {
+        const FQ: [DType; 2] = [DType::F32, DType::U8];
+        let n = operands.len();
+        let arity = |lo: usize, hi: usize| {
+            if n < lo || n > hi {
+                return invalid(format!("expected {lo}..={hi} inputs, got {n}"));
+            }
+            Ok(())
+        };
+        let shape = |i: usize| operands[i].shape();
+        let dims = |i: usize| operands[i].shape().dims();
+        let bad_rank = |i: usize, want: &str| -> Violation {
+            let msg = format!(
+                "operand '{}' must have rank {want}, has rank {}",
+                operands[i].name(),
+                shape(i).rank()
+            );
+            (LintCode::OperandInvalid, Some(i), msg)
+        };
+        let want_rank = |i: usize, rank: usize| {
+            if shape(i).rank() != rank {
+                return Err(bad_rank(i, &rank.to_string()));
+            }
+            Ok(())
+        };
+        let data_dtype = |allowed: &[DType]| {
+            let dt = operands[0].dtype();
+            if allowed.contains(&dt) {
+                return Ok(dt);
+            }
+            let msg = format!(
+                "no {} kernel accepts {dt:?} data (supported: {allowed:?})",
+                self.type_label()
+            );
+            Err((LintCode::UnsupportedDType, Some(0), msg))
+        };
+        let operand_dtype = |i: usize, what: &str| match operands[i].dtype() {
+            DType::F32 => Ok(()),
+            dt => Err((
+                LintCode::UnsupportedDType,
+                None,
+                format!("{what} must be f32, is {dt:?}"),
+            )),
+        };
+        let window = |kh: usize, kw: usize, stride: usize, padding: Padding, what: &str| {
+            let (oh, ow) = (
+                conv_out_size(dims(0)[1], kh, stride, padding),
+                conv_out_size(dims(0)[2], kw, stride, padding),
+            );
+            if oh == 0 || ow == 0 {
+                return invalid(format!("{what} larger than input under Valid padding"));
+            }
+            Ok((oh, ow))
+        };
+
+        match self {
+            OpKind::Conv2d {
+                stride, padding, ..
+            }
+            | OpKind::DepthwiseConv2d {
+                stride, padding, ..
+            } => {
+                arity(2, 3)?;
+                want_rank(0, 4)?;
+                want_rank(1, 4)?;
+                let dt = data_dtype(&FQ)?;
+                let (in_c, ws) = (dims(0)[3], dims(1));
+                let (out_c, out_what) = if matches!(self, OpKind::Conv2d { .. }) {
+                    if ws[3] != in_c {
+                        return invalid(format!("weight in_c {} != input channels {in_c}", ws[3]));
+                    }
+                    (ws[0], "out_c")
+                } else {
+                    if ws[0] != 1 {
+                        return invalid("depthwise weights must be [1, kh, kw, c]");
+                    }
+                    if ws[3] != in_c {
+                        return invalid(format!(
+                            "weight channels {} != input channels {in_c}",
+                            ws[3]
+                        ));
+                    }
+                    (ws[3], "channels")
+                };
+                if *stride == 0 {
+                    return invalid("stride must be positive");
+                }
+                if operands
+                    .get(2)
+                    .is_some_and(|b| b.shape().num_elements() != out_c)
+                {
+                    return invalid(format!("bias length must equal {out_what} {out_c}"));
+                }
+                let (oh, ow) = window(ws[1], ws[2], *stride, *padding, "kernel")?;
+                Ok((Shape::nhwc(dims(0)[0], oh, ow, out_c), dt))
+            }
+            OpKind::FullyConnected { .. } => {
+                arity(2, 3)?;
+                want_rank(0, 2)?;
+                want_rank(1, 2)?;
+                let dt = data_dtype(&FQ)?;
+                let (is_, ws) = (dims(0), dims(1));
+                if ws[1] != is_[1] {
+                    return invalid(format!("weight in {} != input features {}", ws[1], is_[1]));
+                }
+                if operands
+                    .get(2)
+                    .is_some_and(|b| b.shape().num_elements() != ws[0])
+                {
+                    return invalid(format!("bias length must equal out features {}", ws[0]));
+                }
+                Ok((Shape::matrix(is_[0], ws[0]), dt))
+            }
+            OpKind::AveragePool2d {
+                pool_h,
+                pool_w,
+                stride,
+                padding,
+            }
+            | OpKind::MaxPool2d {
+                pool_h,
+                pool_w,
+                stride,
+                padding,
+            } => {
+                arity(1, 1)?;
+                want_rank(0, 4)?;
+                let dt = data_dtype(&FQ)?;
+                if *pool_h == 0 || *pool_w == 0 || *stride == 0 {
+                    return invalid("pool window and stride must be positive");
+                }
+                let (oh, ow) = window(*pool_h, *pool_w, *stride, *padding, "pool window")?;
+                Ok((Shape::nhwc(dims(0)[0], oh, ow, dims(0)[3]), dt))
+            }
+            OpKind::Mean => {
+                arity(1, 1)?;
+                let dt = data_dtype(&FQ)?;
+                match dims(0) {
+                    [n, .., c] => Ok((Shape::matrix(*n, *c), dt)),
+                    _ => invalid("Mean requires rank >= 2"),
+                }
+            }
+            OpKind::Add { .. } | OpKind::Mul => {
+                arity(2, 2)?;
+                let dt = data_dtype(&FQ)?;
+                let (a, b) = (shape(0), shape(1));
+                let fits = if matches!(self, OpKind::Add { .. }) {
+                    a.dims().ends_with(b.dims())
+                } else {
+                    let gate = matches!((a.dims(), b.dims()),
+                        ([n, _, _, c], [bn, 1, 1, bc]) if n == bn && c == bc);
+                    b == a || b.num_elements() == 1 || gate
+                };
+                if !fits {
+                    return invalid(format!("cannot broadcast {b} onto {a}"));
+                }
+                Ok((a.clone(), dt))
+            }
+            OpKind::Concat { axis } => {
+                arity(1, usize::MAX)?;
+                let dt = data_dtype(&FQ)?;
+                let first = dims(0);
+                if *axis >= first.len() {
+                    return invalid("concat axis out of range");
+                }
+                let mut axis_sum = 0usize;
+                for def in operands {
+                    let s = def.shape().dims();
+                    if s.len() != first.len() {
+                        return invalid("concat rank mismatch");
+                    }
+                    if (0..s.len()).any(|d| d != *axis && s[d] != first[d]) {
+                        return invalid("concat off-axis dimension mismatch");
+                    }
+                    axis_sum = match axis_sum.checked_add(s[*axis]) {
+                        Some(sum) => sum,
+                        None => return invalid("concat axis length overflows usize"),
+                    };
+                }
+                let mut out = first.to_vec();
+                out[*axis] = axis_sum;
+                Ok((Shape::new(out), dt))
+            }
+            OpKind::Pad {
+                top,
+                bottom,
+                left,
+                right,
+            } => {
+                arity(1, 1)?;
+                want_rank(0, 4)?;
+                let dt = data_dtype(&FQ)?;
+                let s = dims(0);
+                let grow = |x: usize, a: usize, b: usize| x.checked_add(a)?.checked_add(b);
+                let out = grow(s[1], *top, *bottom)
+                    .zip(grow(s[2], *left, *right))
+                    .map(|(h, w)| Shape::nhwc(s[0], h, w, s[3]))
+                    .filter(|out| out.checked_num_elements().is_some());
+                match out {
+                    Some(out) => Ok((out, dt)),
+                    None => invalid(format!(
+                        "padding {top}/{bottom}/{left}/{right} of {} overflows usize",
+                        shape(0)
+                    )),
+                }
+            }
+            OpKind::Softmax => {
+                arity(1, 1)?;
+                data_dtype(&[DType::F32])?;
+                Ok((shape(0).clone(), DType::F32))
+            }
+            OpKind::Act(_) => {
+                arity(1, 1)?;
+                let dt = data_dtype(&FQ)?;
+                Ok((shape(0).clone(), dt))
+            }
+            OpKind::BatchNorm { .. } | OpKind::LayerNorm { .. } => {
+                let (count, mismatch) = match self {
+                    OpKind::BatchNorm { .. } => (5, "batch-norm vectors must match channels"),
+                    _ => (3, "layer-norm vectors must match last axis"),
+                };
+                arity(count, count)?;
+                data_dtype(&[DType::F32])?;
+                let Some(&last) = dims(0).last() else {
+                    return Err(bad_rank(0, ">= 1"));
+                };
+                if operands[1..]
+                    .iter()
+                    .any(|v| v.shape().num_elements() != last)
+                {
+                    return invalid(mismatch);
+                }
+                Ok((shape(0).clone(), DType::F32))
+            }
+            OpKind::MatMul { transpose_b } => {
+                arity(2, 2)?;
+                want_rank(0, 2)?;
+                want_rank(1, 2)?;
+                data_dtype(&[DType::F32])?;
+                operand_dtype(1, "matmul rhs")?;
+                let (sa, sb) = (dims(0), dims(1));
+                let (k_b, n) = if *transpose_b {
+                    (sb[1], sb[0])
+                } else {
+                    (sb[0], sb[1])
+                };
+                if sa[1] != k_b {
+                    return invalid("inner dimensions must agree");
+                }
+                Ok((Shape::matrix(sa[0], n), DType::F32))
+            }
+            OpKind::Embedding => {
+                arity(2, 2)?;
+                want_rank(0, 2)?;
+                want_rank(1, 2)?;
+                data_dtype(&[DType::I32])?;
+                operand_dtype(1, "embedding table")?;
+                Ok((
+                    Shape::new(vec![dims(0)[0], dims(0)[1], dims(1)[1]]),
+                    DType::F32,
+                ))
+            }
+            OpKind::Reshape { dims: target } => {
+                arity(1, 1)?;
+                let target = Shape::new(target.clone());
+                match target.checked_num_elements() {
+                    Some(n) if Some(n) == shape(0).checked_num_elements() => {
+                        Ok((target, operands[0].dtype()))
+                    }
+                    _ => invalid(format!("cannot reshape {} to {target}", shape(0))),
+                }
+            }
+            OpKind::Quantize => {
+                arity(1, 1)?;
+                data_dtype(&[DType::F32])?;
+                Ok((shape(0).clone(), DType::U8))
+            }
+            OpKind::Dequantize => {
+                arity(1, 1)?;
+                data_dtype(&[DType::U8])?;
+                Ok((shape(0).clone(), DType::F32))
+            }
+        }
+    }
+}
+
+/// How operands break an op's contract ([`OpKind::infer_output`]): the lint
+/// code, the index of the operand at fault (`None` when the fault lies in
+/// the op's arity or geometry rather than one operand) and the message.
+pub(crate) type Violation = (LintCode, Option<usize>, String);
+
+fn invalid<T>(message: impl Into<String>) -> Result<T, Violation> {
+    Err((LintCode::OperandInvalid, None, message.into()))
 }
 
 /// Computes the output spatial size of a windowed op.

@@ -162,7 +162,9 @@ fn scalar_params(q: &QuantParams) -> (f32, i32) {
 /// # Errors
 ///
 /// Returns [`NnError::Quantization`] for uncalibrated tensors or ops with no
-/// quantized kernel (batch-norm must be folded by conversion first).
+/// quantized kernel (batch-norm must be folded by conversion first), and
+/// [`NnError::InvalidOp`] for a node whose quantized operands break its
+/// op's contract (every output is derived by the same rule the lint checks).
 ///
 /// # Example
 ///
@@ -199,14 +201,12 @@ pub fn quantize_model(
         }
         let f = b.input(def.name().to_string(), def.shape().clone());
         let params = calib.u8_params(in_id)?;
-        let q = b.push_node(
+        let q = b.push_op(
             format!("{}_quantize", def.name()),
             OpKind::Quantize,
             vec![f],
-            def.shape().clone(),
-            DType::U8,
             Some(params.clone()),
-        );
+        )?;
         map.insert(in_id.0, q);
         qparams.insert(q.0, params);
     }
@@ -217,9 +217,10 @@ pub fn quantize_model(
         })
     };
 
+    // Every supported op but softmax runs its quantized kernel: the same op
+    // over mapped (u8) inputs, with the calibrated output parameters.
     for node in graph.nodes() {
-        let out_def = graph.tensor(node.output);
-        match &node.op {
+        let inputs = match &node.op {
             OpKind::Conv2d { .. }
             | OpKind::DepthwiseConv2d { .. }
             | OpKind::FullyConnected { .. } => {
@@ -246,58 +247,24 @@ pub fn quantize_model(
                     let bq = quantize_bias(bias_const, s_in, &wq_params)?;
                     inputs.push(b.constant(format!("{}:bq", node.name), bq));
                 }
-                let params = calib.u8_params(node.output)?;
-                let out = b.push_node(
-                    node.name.clone(),
-                    node.op.clone(),
-                    inputs,
-                    out_def.shape().clone(),
-                    DType::U8,
-                    Some(params.clone()),
-                );
-                map.insert(node.output.0, out);
-                qparams.insert(out.0, params);
+                inputs
             }
             OpKind::Softmax => {
+                // Softmax has no quantized kernel: dequantize, then run it in
+                // float.
                 let x = mapped(&map, node.inputs[0])?;
-                let in_shape = out_def.shape().clone();
-                let d = b.push_node(
-                    format!("{}_dequantize", node.name),
-                    OpKind::Dequantize,
-                    vec![x],
-                    in_shape.clone(),
-                    DType::F32,
-                    None,
-                );
-                let s = b.push_node(
-                    node.name.clone(),
-                    OpKind::Softmax,
-                    vec![d],
-                    in_shape,
-                    DType::F32,
-                    None,
-                );
+                let dq_name = format!("{}_dequantize", node.name);
+                let d = b.push_op(dq_name, OpKind::Dequantize, vec![x], None)?;
+                let s = b.push_op(node.name.clone(), OpKind::Softmax, vec![d], None)?;
                 map.insert(node.output.0, s);
+                continue;
             }
             OpKind::AveragePool2d { .. }
             | OpKind::MaxPool2d { .. }
             | OpKind::Mean
             | OpKind::Pad { .. }
             | OpKind::Reshape { .. }
-            | OpKind::Act(_) => {
-                let x = mapped(&map, node.inputs[0])?;
-                let params = calib.u8_params(node.output)?;
-                let out = b.push_node(
-                    node.name.clone(),
-                    node.op.clone(),
-                    vec![x],
-                    out_def.shape().clone(),
-                    DType::U8,
-                    Some(params.clone()),
-                );
-                map.insert(node.output.0, out);
-                qparams.insert(out.0, params);
-            }
+            | OpKind::Act(_) => vec![mapped(&map, node.inputs[0])?],
             OpKind::Add { .. } | OpKind::Mul => {
                 let x = mapped(&map, node.inputs[0])?;
                 // The rhs may be an activation or a (rare) float constant
@@ -320,57 +287,36 @@ pub fn quantize_model(
                         b.constant(format!("{}:rhs_q", node.name), qc)
                     }
                 };
-                let params = calib.u8_params(node.output)?;
-                let out = b.push_node(
-                    node.name.clone(),
-                    node.op.clone(),
-                    vec![x, y],
-                    out_def.shape().clone(),
-                    DType::U8,
-                    Some(params.clone()),
-                );
-                map.insert(node.output.0, out);
-                qparams.insert(out.0, params);
+                vec![x, y]
             }
-            OpKind::Concat { .. } => {
-                let inputs = node
-                    .inputs
-                    .iter()
-                    .map(|&id| mapped(&map, id))
-                    .collect::<Result<Vec<_>>>()?;
-                let params = calib.u8_params(node.output)?;
-                let out = b.push_node(
-                    node.name.clone(),
-                    node.op.clone(),
-                    inputs,
-                    out_def.shape().clone(),
-                    DType::U8,
-                    Some(params.clone()),
-                );
-                map.insert(node.output.0, out);
-                qparams.insert(out.0, params);
-            }
+            OpKind::Concat { .. } => node
+                .inputs
+                .iter()
+                .map(|&id| mapped(&map, id))
+                .collect::<Result<Vec<_>>>()?,
             other => {
                 return Err(NnError::Quantization(format!(
                     "op {} has no quantized kernel (convert the model first)",
                     other.type_label()
                 )));
             }
-        }
+        };
+        let params = calib.u8_params(node.output)?;
+        let out = b.push_op(
+            node.name.clone(),
+            node.op.clone(),
+            inputs,
+            Some(params.clone()),
+        )?;
+        map.insert(node.output.0, out);
+        qparams.insert(out.0, params);
     }
 
     for &out_id in graph.outputs() {
         let new_id = mapped(&map, out_id)?;
         let final_id = if b.dtype_of(new_id) == DType::U8 {
-            let shape = b.shape_of(new_id).clone();
-            b.push_node(
-                format!("{}_output_dequantize", graph.tensor(out_id).name()),
-                OpKind::Dequantize,
-                vec![new_id],
-                shape,
-                DType::F32,
-                None,
-            )
+            let name = format!("{}_output_dequantize", graph.tensor(out_id).name());
+            b.push_op(name, OpKind::Dequantize, vec![new_id], None)?
         } else {
             new_id
         };

@@ -320,6 +320,34 @@ fn load_of_a_graph_whose_byte_size_overflows_is_refused() {
     server.shutdown();
 }
 
+/// A layer norm whose data operand is rewritten to rank 0 — no last axis to
+/// normalize over — uploaded over the wire: the lint gate refuses it with a
+/// typed error instead of panicking on the missing axis and taking the
+/// connection down, and the session still answers a good `Infer` afterwards.
+#[test]
+fn load_of_a_norm_over_a_rank_zero_operand_is_refused() {
+    let server = start_server(quick_config());
+    let mut client = RpcClient::connect(server.local_addr()).unwrap();
+    let mut b = GraphBuilder::new("rank0_norm");
+    let x = b.input("x", Shape::matrix(1, 5));
+    let gamma = b.constant("gamma", Tensor::filled_f32(Shape::vector(5), 1.0));
+    let beta = b.constant("beta", Tensor::filled_f32(Shape::vector(5), 0.0));
+    let y = b.layer_norm("ln", x, gamma, beta, 1e-3).unwrap();
+    b.output(y);
+    let json = serde_json::to_string(&b.finish().unwrap())
+        .unwrap()
+        .replace("[1,5]", "[]");
+    let err = client
+        .load_graph_json("rank0_norm", &json, wire::WireSpec::Reference)
+        .unwrap_err();
+    assert_eq!(err.server_code(), Some(ErrorCode::LintRejected), "{err:?}");
+
+    let out = client.infer("m", frame_input(0), None).unwrap();
+    assert_eq!(out.outputs.len(), 1);
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn mid_infer_disconnect_does_not_wedge_the_server() {
     let server = start_server(quick_config());

@@ -26,7 +26,11 @@ step() { printf '\n==> %s\n' "$*"; }
 # (serve's request queue, where requests wait for work, and the
 # `ChannelSink`, where producers wait for the writer); a `Condvar` anywhere
 # else in crates/*/src is a third hand-rolled blocking queue, and fails the
-# leg too.
+# leg too. An op's output geometry has one home, `OpKind::infer_output` in
+# crates/nn/src/ops.rs, which the builder, the quantizer and the lint's
+# shape pass all call; a `conv_out_size(` call in crates/nn/src outside
+# ops.rs, plan.rs (scratch sizing) and kernels/ (the kernels' own window
+# walks) is a second copy of that rule, and fails the leg.
 lint() {
   cargo fmt --all --check
   local stray
@@ -46,6 +50,12 @@ lint() {
     grep -vE '^crates/(serve/src/queue|core/src/sink)\.rs:' || true)"
   if [[ -n "$stray" ]]; then
     printf 'Condvar outside the serve queue and the ChannelSink:\n%s\n' "$stray" >&2
+    return 1
+  fi
+  stray="$(grep -rnF 'conv_out_size(' --include='*.rs' crates/nn/src |
+    grep -vE '^crates/nn/src/(ops\.rs|plan\.rs|kernels/)' || true)"
+  if [[ -n "$stray" ]]; then
+    printf 'conv_out_size outside the op rule, the planner and the kernels:\n%s\n' "$stray" >&2
     return 1
   fi
 }
