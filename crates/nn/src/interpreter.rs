@@ -20,7 +20,7 @@ use mlexray_tensor::{DType, Shape, Tensor, TensorData};
 use crate::backend::BackendSpec;
 use crate::graph::{Graph, TensorDef, TensorId};
 use crate::kernels::gemm::Engine;
-use crate::kernels::{execute_node, pack_weight_panels, FloatKernels, KernelCtx, Kernels};
+use crate::kernels::{execute_node, FloatKernels, KernelCtx, Kernels};
 use crate::ops::OpKind;
 use crate::plan::MemoryPlan;
 use crate::{NnError, Result};
@@ -144,8 +144,13 @@ impl InvokeStats {
 /// layout with the independent verifier from the static analyzer, so a
 /// future planner bug fails loudly in tests instead of silently corrupting
 /// activations in release.
-fn verified_plan(graph: &Graph, batch: usize) -> Result<MemoryPlan> {
-    let plan = MemoryPlan::for_graph(graph, batch)?;
+fn verified_plan(graph: &Graph, batch: usize, float: FloatKernels) -> Result<MemoryPlan> {
+    let engine = Engine::active();
+    let conv = |node: &crate::graph::Node| {
+        let weights = graph.tensor(*node.inputs.get(1)?).shape();
+        Some(float.conv_scratch(engine, &node.op, weights))
+    };
+    let plan = MemoryPlan::for_kernels(graph, batch, &conv)?;
     #[cfg(debug_assertions)]
     {
         let findings = crate::analysis::verify_plan(graph, &plan);
@@ -179,7 +184,7 @@ struct ExecState {
     /// its capacity covers the largest plan run so far, so kernels never
     /// reallocate it in steady state.
     scratch: Vec<f32>,
-    /// The optimized `Conv2d`'s window tap offsets, which the kernel writes
+    /// A windowed `Conv2d`'s tap offsets, which the kernel writes
     /// from its own geometry: empty until such a node runs, then as long as
     /// the largest window (27 for a 3×3 stem over RGB).
     taps: Vec<usize>,
@@ -249,27 +254,31 @@ impl ExecState {
 }
 
 /// A panel-ordered copy of the float weight operand of every node whose
-/// kernel [reads panels](FloatKernels::reads_panels) — the reference
-/// `Conv2d`, the optimized `Conv2d` and `FullyConnected` — when it is a graph
-/// constant, by node index; empty — nothing packed, nothing held — for the
-/// SIMD flavor.
+/// kernel [reads panels](FloatKernels::reads_panels) on this process's
+/// engine — the reference `Conv2d`, the optimized `Conv2d` and
+/// `FullyConnected`, the AVX-512 build's narrow Simd `Conv2d` — when it is
+/// a graph constant, by node index; empty when no node's kernel reads
+/// panels.
 fn packed_weight_panels(graph: &Graph, float: FloatKernels) -> Result<Vec<Option<Vec<f32>>>> {
-    let nodes = graph.nodes();
-    if !nodes.iter().any(|node| float.reads_panels(&node.op)) {
+    let (nodes, engine) = (graph.nodes(), Engine::active());
+    let reads_panels = |node: &crate::graph::Node| {
+        let weights = graph.tensor(*node.inputs.get(1)?);
+        float
+            .reads_panels(engine, &node.op, weights.shape())
+            .then_some(weights)
+    };
+    if !nodes.iter().any(|node| reads_panels(node).is_some()) {
         return Ok(Vec::new());
     }
     nodes
         .iter()
         .map(|node| {
-            let weights = float
-                .reads_panels(&node.op)
-                .then(|| graph.tensor(node.inputs[1]).as_constant())
-                .flatten();
-            weights
+            reads_panels(node)
+                .and_then(TensorDef::as_constant)
                 .filter(|w| w.dtype() == DType::F32)
                 .map(|w| {
                     let mut packed = Vec::new();
-                    pack_weight_panels(w, &mut packed)?;
+                    float.pack(w, &mut packed)?;
                     Ok(packed)
                 })
                 .transpose()
@@ -330,7 +339,9 @@ fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
 /// the reference kernels' `Conv2d` weights, the optimized flavor's `Conv2d`
 /// and `FullyConnected` weights: 7.5 KB (reference) and 8.5 KB (optimized)
 /// for `mini_mobilenet_v2`, ≈ 9 MB and ≈ 14 MB for `mobilenet_v2` ×1.0.
-/// The SIMD flavor packs nothing and holds nothing.
+/// The SIMD flavor on an AVX-512 engine packs its `Conv2d` weights whose
+/// reduction is at most `simd::NARROW_K` long, as 16-channel panels:
+/// ≈ 0.5 MB for `mobilenet_v2@48`; on any other engine it packs nothing.
 ///
 /// # Example
 ///
@@ -380,8 +391,8 @@ impl<'g> Interpreter<'g> {
     /// Returns [`NnError::InvalidGraph`] if validation fails.
     pub fn new(graph: &'g Graph, spec: BackendSpec) -> Result<Self> {
         graph.validate()?;
-        let plan = verified_plan(graph, 1)?;
         let kernels = Kernels::resolve(&spec);
+        let plan = verified_plan(graph, 1, kernels.float)?;
         Ok(Interpreter {
             graph,
             spec,
@@ -421,7 +432,8 @@ impl<'g> Interpreter<'g> {
         let index = match self.plans.iter().position(|p| p.batch() == frames) {
             Some(i) => i,
             None => {
-                self.plans.push(verified_plan(self.graph, frames)?);
+                self.plans
+                    .push(verified_plan(self.graph, frames, self.kernels.float)?);
                 self.plans.len() - 1
             }
         };

@@ -5,16 +5,18 @@
 //! beneath them, and the engine-explicit entry points the cross-engine test
 //! suites pin those engines with.
 //!
-//! # One im2col, one tile walk, two chain rules
+//! # One im2col, one tile walk, three chain rules
 //!
 //! There is one whole-batch `im2col` (generic over the element type: `f32`
-//! for the Simd flavor's convolution, `u8` for the quantized one); both
-//! `FullyConnected` layers pass their activations as the matrix. The
-//! Optimized convolution builds no matrix: its rows are read in place
-//! (below). One walk, `walk_tiles`, drives the float GEMM of both flavors —
-//! `ROW_TILE`-row tiles × column strips × `MR` rows (four, then `MR`, in
-//! the Simd rule's AVX-512 build), then the odd row — adds the bias, and
-//! applies the activation once per tile; it is generic
+//! for the Simd flavor's wide convolutions, `u8` for the quantized one);
+//! both `FullyConnected` layers pass their activations as the matrix. The
+//! Optimized convolution, and the Simd one wherever it reads panels, build
+//! no matrix: their rows are read in place (below). One walk, `walk_tiles`,
+//! drives the float GEMM of both flavors — `ROW_TILE`-row tiles × column
+//! strips × a few rows at a time, as the rule steps (`ChainRule::strip`:
+//! `MR`, then the odd row; four rows first across the Simd rule's
+//! eight-wide strips in its AVX-512 build; `PANEL_MR` for the panels) —
+//! adds the bias, and applies the activation once per tile; it is generic
 //! over how a matrix row is read (`MatrixRows`: a row-major matrix, or a
 //! convolution's windows). What sums `M` matrix rows against one strip is
 //! the flavor's chain rule, because each flavor's summation tree is pinned
@@ -34,6 +36,11 @@
 //!   rows first, four matrix rows at a time (below). Every cell of every
 //!   shape is the micro-kernel's one dot, so the tile shape never moves a
 //!   bit.
+//! * **Simd on narrow reductions — `Lanes8` panels.** Where `k = kh·kw·in_c`
+//!   is at most [`NARROW_K`], the AVX-512 build reads a `Conv2d`'s weights
+//!   packed once into 16-channel panels `[k][16]` (`pack_lanes8_panels`)
+//!   and puts the channels, not the virtual lanes, in the vector lanes
+//!   (below): the same dot per cell, with no horizontal reduction.
 //!
 //! The reference kernels in `conv.rs` / `fc.rs` are the oracle both are
 //! tested against.
@@ -58,9 +65,13 @@
 //! added as `0.0 · w`, not skipped, so that this holds for every weight:
 //! a `±∞` or NaN weight on a padding tap makes the cell NaN (`0 · ∞` is
 //! NaN) here as in the im2col path, where skipping the tap would not, and
-//! no partial sum drops or gains a zero term. im2col now serves only
-//! the Simd flavor's `Lanes8` tiles and the quantized kernels, whose dots
-//! load contiguous runs of `k`.
+//! no partial sum drops or gains a zero term. The Simd flavor's panel rule
+//! reads a narrow windowed convolution — the 3×3 stem of a MobileNet,
+//! `k = 27` — the same way (`lanes8_windows`): its element `p` is the
+//! im2col row's element `p`, so the dot meets the same terms in the same
+//! order, and the stem's im2col matrix (and its scratch) is gone. im2col
+//! now serves only the Simd flavor's row-major `Lanes8` tiles and the
+//! quantized kernels, whose dots load contiguous runs of `k`.
 //!
 //! The quantized `Conv2d` and `FullyConnected` are one kernel each for
 //! every flavor (`conv2d_q`, `fc_q`): the `u8` matrix — padding taps
@@ -86,20 +97,21 @@
 //! moves no bit of an unfused kernel: Rust never contracts `a + x * w`, so
 //! every product is still rounded before it is added, and the AVX2+FMA
 //! build performs the same operations in the same order on eight lanes
-//! and returns the baseline build's bits. The one fused kernel, the Simd
-//! rule's `lanes8_gemm`, runs its intrinsics inlined into that build —
-//! driver, tile and epilogue one function, no call per tile — and the
-//! baseline build runs its scalar mirror. It alone opts into a third
-//! build, under `avx512f` as well, which an `Avx512` engine runs; the
-//! Optimized rule is a kernel of its own (`blocked4_gemm`), so the
-//! Optimized pointwise convolutions keep their two builds.
+//! and returns the baseline build's bits. The fused kernels, the Simd
+//! rule's `lanes8_gemm` and its windowed twin `lanes8_windows`, run their
+//! intrinsics inlined into that build — driver, tile and epilogue one
+//! function, no call per tile — and the baseline build runs the scalar
+//! mirror. They alone opt into a third build, under `avx512f` as well,
+//! which an `Avx512` engine runs; the Optimized rule is a kernel of its
+//! own (`blocked4_gemm`), so the Optimized pointwise convolutions keep
+//! their two builds.
 //! `MLEXRAY_SIMD=scalar` runs the baseline build.
 //!
 //! # Three builds, one contract
 //!
-//! The `Lanes8` tile is the one intrinsic kernel left. Its dot is defined in
-//! terms of one canonical "8-lane virtual SIMD" arithmetic, implemented
-//! three times:
+//! The `Lanes8` tiles are the one intrinsic kernel left. Their dot is
+//! defined in terms of one canonical "8-lane virtual SIMD" arithmetic,
+//! implemented three times:
 //!
 //! * an **AVX-512F** engine and an **AVX2/FMA** engine (x86_64 only, behind
 //!   one-time runtime feature detection; each float tile is compiled only
@@ -135,7 +147,34 @@
 //! 2-vCPU AVX-512 host a loop of independent FMAs peaks at about 43 MAC/ns
 //! in `ymm` and 86 in `zmm` (two 512-bit FMA ports); the AVX2 tile reached
 //! 27–32 MAC/ns on wide `k`, and 12–24 on the narrow `k` of 16–32 where
-//! its per-cell reductions dominate. Consequently the engine choice never
+//! its per-cell reductions dominate.
+//!
+//! On those narrow `k` the `zmm` tile's three-round shuffle tree still
+//! costs as many vector operations per row as the two to eight fused
+//! multiply-adds per lane it reduces. The panel tile (`panel_avx512`)
+//! turns the layout around: a virtual lane is a register and a channel is
+//! a vector lane. Each of `M` rows keeps eight `zmm` accumulators;
+//! accumulator `l` takes elements `l, l + 8, …` of the row, each broadcast
+//! to all sixteen lanes, times the panel's sixteen weights of that element,
+//! by `_mm512_fmadd_ps` in index order from `+0.0` — so vector lane `c` of
+//! accumulator `l` performs exactly the operations of lane `l` of
+//! `dot_f32_scalar` for channel `c`. `reduce8`'s tree is then seven
+//! *vertical* adds, `((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))`,
+//! one per tree node for all sixteen channels at once, and the K tail is
+//! one fused multiply-add per element to `len` (so the `skip_k_tail`
+//! defect fires as before). The ragged channel edge is zero-padded in the
+//! panel and masked off at the store. Every lane performs one cell's
+//! canonical operations in order, so no output bit can move. On wide `k`
+//! the row-major tile stays: its reduction is spread over many fused
+//! multiply-adds, and it loads three vectors for every four of them, where
+//! the panel tile, which broadcasts every element of every row, loads four
+//! for every three — see [`NARROW_K`] for where that crosses over. The
+//! AVX2+FMA and baseline builds keep `tile_avx2` and the scalar mirror:
+//! the interpreter packs the panels only for an AVX-512 engine, and the
+//! rule's own mirror (`Lanes8Panels::cells`, one cell at a time) serves the
+//! engine-explicit test entry points and the property suites.
+//!
+//! Consequently the engine choice never
 //! changes a single output bit: golden records made on an AVX2 or AVX-512
 //! machine verify on any host, and the CI forced-scalar run
 //! (`MLEXRAY_SIMD=scalar`) must match the feature-dispatched run exactly.
@@ -300,7 +339,12 @@ pub fn dot_f32_with(engine: SimdEngine, a: &[f32], b: &[f32]) -> f32 {
     let (engine, k, skip_k_tail) = (Engine::runnable(engine), a.len(), false);
     let mut out = [0.0];
     // A `-0.0` bias is the identity of addition: the cell is the dot's bits.
-    let (lanes8, bias) = (Reduction::Lanes8 { w: b, skip_k_tail }, Some(&[-0.0][..]));
+    let lanes8 = Reduction::Lanes8 {
+        w: b,
+        panels: None,
+        skip_k_tail,
+    };
+    let bias = Some(&[-0.0][..]);
     float_gemm(engine, lanes8, a, k, 1, bias, Activation::None, &mut out);
     out[0]
 }
@@ -498,6 +542,76 @@ unsafe fn tile_avx512<const M: usize, const N: usize>(
     out
 }
 
+/// The AVX-512F engine's panel tile: `M` matrix rows against one
+/// [`PANEL`]-channel panel `[k][16]` ([`pack_lanes8_panels`]), each channel
+/// a vector lane. Every row keeps eight `zmm` accumulators, one per virtual
+/// lane of the canonical dot: accumulator `l` takes elements `l, l + 8, …`
+/// of the row, broadcast, times the panel's row of that element, by one
+/// fused multiply-add each, in index order from `+0.0` — so vector lane `c`
+/// of accumulator `l` is exactly lane `l` of [`dot_f32_scalar`] for channel
+/// `c`. `reduce8`'s tree is then seven vertical adds, and the K tail one
+/// fused multiply-add per element up to `len`, again channel-wise, each
+/// panel row loaded once for all `M` rows. The sum plus `bias` (`+0.0`
+/// where there is none) goes to the first `width` channels of each row's
+/// `out[m · out_c..]`, which `mask` holds; the other lanes are not stored.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F. The AVX-512 build of `native_kernel!`
+/// runs only for an `Engine` holding `Avx512`, so this holds wherever that
+/// build calls it. (Every panel load lies within the `len` panel rows
+/// `panel` is sliced to, and the masked stores touch only the `width`
+/// elements each row of `out` is sliced to, `mask` having `width` bits.)
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn panel_avx512<R: RowRead, const M: usize>(
+    a: [R; M],
+    panel: &[f32],
+    len: usize,
+    (mask, width): (std::arch::x86_64::__mmask16, usize),
+    bias: std::arch::x86_64::__m512,
+    out: &mut [f32],
+    out_c: usize,
+) {
+    use std::arch::x86_64::*;
+    debug_assert_eq!(u32::from(mask).count_ones() as usize, width);
+    let panel = &panel[..len * PANEL];
+    let mut acc = [[_mm512_setzero_ps(); SIMD_LANES]; M];
+    let chunks = len / SIMD_LANES;
+    for (i, w) in panel.chunks_exact(SIMD_LANES * PANEL).enumerate() {
+        // No closure here: one stays a call compiled without AVX-512.
+        let mut x = [[0.0f32; SIMD_LANES]; M];
+        for (x, a) in x.iter_mut().zip(a) {
+            *x = a.chunk(i);
+        }
+        for l in 0..SIMD_LANES {
+            let w = _mm512_loadu_ps(w[l * PANEL..][..PANEL].as_ptr());
+            for (acc, x) in acc.iter_mut().zip(&x) {
+                acc[l] = _mm512_fmadd_ps(_mm512_set1_ps(x[l]), w, acc[l]);
+            }
+        }
+    }
+    let mut sums = [_mm512_setzero_ps(); M];
+    for (sum, acc) in sums.iter_mut().zip(&acc) {
+        // `((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))`, lane-wise.
+        let low = _mm512_add_ps(_mm512_add_ps(acc[0], acc[1]), _mm512_add_ps(acc[2], acc[3]));
+        let high = _mm512_add_ps(_mm512_add_ps(acc[4], acc[5]), _mm512_add_ps(acc[6], acc[7]));
+        *sum = _mm512_add_ps(low, high);
+    }
+    // The tail element by element, each panel row loaded once for every row.
+    for p in chunks * SIMD_LANES..len {
+        let w = _mm512_loadu_ps(panel[p * PANEL..][..PANEL].as_ptr());
+        for (sum, a) in sums.iter_mut().zip(a) {
+            *sum = _mm512_fmadd_ps(_mm512_set1_ps(a.at(p)), w, *sum);
+        }
+    }
+    for (m, sum) in sums.into_iter().enumerate() {
+        let out = &mut out[m * out_c..][..width];
+        _mm512_mask_storeu_ps(out.as_mut_ptr(), mask, _mm512_add_ps(sum, bias));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // im2col and the two reductions
 // ---------------------------------------------------------------------------
@@ -553,8 +667,38 @@ const ROW_TILE: usize = 16;
 /// steps four rows across its eight-wide strips first: `4 × 4` `zmm`
 /// accumulators, four weight pairs and a row chunk take 21 of its 32
 /// `zmm` registers. Its four-wide strips keep `MR`: `avx512f` alone gives
-/// 256-bit instructions no more than the sixteen `ymm` registers.
+/// 256-bit instructions no more than the sixteen `ymm` registers. The
+/// narrow-panel rule ([`Lanes8Panels`]) does not step by `MR`: its AVX-512
+/// build takes [`PANEL_MR`] rows a step, its scalar mirror one.
 const MR: usize = 2;
+
+/// The longest reduction the Simd flavor runs as `Lanes8Panels`: the
+/// AVX-512 build packs a `Conv2d`'s constant weights into 16-channel
+/// panels only where `k = kh · kw · in_c` is at most this. Fixed by
+/// measurement on `mobilenet_v2@48`, batch 4, per node, minimum of 60
+/// invokes under `taskset -c 1` on a shared 2-vCPU AVX-512 host, row-major
+/// `zmm` tile → panel tile (`rows × k × out_c`): the stem `2304 × 27 × 32`
+/// 122.9 → 48.7 µs (its im2col included, then gone), `2304 × 16 × 96`
+/// 103.8 → 69.9, `576 × 24 × 144` 45.6–46.2 → 30.7–34.0, `144 × 32 × 192`
+/// 17.3–18.1 → 12.9–14.6, `36 × 64 × 384` 15.6–16.6 → 14.7–15.6; with the
+/// threshold raised to 160, `36 × 96 × 576` tied (32.6 → 32.4),
+/// `16 × 160 × 960` tied (42.5 → 42.0–42.6) and `576 × 144 × 24` lost
+/// (25.7 → 35.6, a ragged 24-channel edge). So the gain ends between 64
+/// and 96, where no layer of the zoo's MobileNets falls; 64 holds the
+/// panels of `mobilenet_v2@48` to ≈ 0.5 MB, where 96 would add 0.66 MB for
+/// nothing measurable.
+pub const NARROW_K: usize = 64;
+
+/// Output channels per [`Lanes8Panels`] panel: the `f32` lanes of a `zmm`.
+const PANEL: usize = 16;
+
+/// Matrix rows per step of [`panel_avx512`]: eight `zmm` accumulators a
+/// row, so three rows take 24 of the 32 registers beside the panel row (the
+/// broadcast element is the fused multiply-add's memory operand). On the
+/// narrow layers of `mobilenet_v2@48` (min of 60, `taskset -c 1`): two rows
+/// 13.9–76.5 µs, **three 12.9–70.8**, four (which spills) 16.2–88.1, from
+/// `144 × 32 × 192` to `2304 × 16 × 96`.
+const PANEL_MR: usize = 3;
 
 /// What reduces a float GEMM's matrix rows against the weights: the chain
 /// rule [`float_gemm`] drives.
@@ -564,9 +708,34 @@ pub(crate) enum Reduction<'a> {
     /// panels.
     Blocked4(&'a [f32]),
     /// The Simd flavor: `Lanes8` tiles over the row-major `[out_c, k]`
-    /// weights `w`; `skip_k_tail` injects the K-tail defect of
-    /// [`KernelBugs::simd_gemm_k_tail_skip`].
-    Lanes8 { w: &'a [f32], skip_k_tail: bool },
+    /// weights `w` — or, given `panels` ([`pack_lanes8_panels`]), the
+    /// [`Lanes8Panels`] rule over those; `skip_k_tail` injects the K-tail
+    /// defect of [`KernelBugs::simd_gemm_k_tail_skip`].
+    Lanes8 {
+        w: &'a [f32],
+        panels: Option<&'a [f32]>,
+        skip_k_tail: bool,
+    },
+}
+
+/// Lays a `Conv2d`'s `[out_c, kh, kw, in_c]` weights (`k = kh·kw·in_c`)
+/// out as [`Lanes8Panels`] reads them: panel `s` holds channels `16s..16s +
+/// 16` as `[k][16]`, so element `p` of channel `16s + c` lies at `16s · k +
+/// 16p + c`, and the channels past `out_c` are zero. `packed`'s capacity is
+/// reused.
+pub(crate) fn pack_lanes8_panels(weights: &Tensor, packed: &mut Vec<f32>) -> Result<()> {
+    let w = weights.as_f32()?;
+    let out_c = weights.shape().dims()[0];
+    let k = w.len() / out_c.max(1);
+    packed.clear();
+    packed.reserve_exact(out_c.div_ceil(PANEL) * PANEL * k);
+    for oc0 in (0..out_c).step_by(PANEL) {
+        for p in 0..k {
+            packed
+                .extend((oc0..oc0 + PANEL).map(|oc| if oc < out_c { w[oc * k + p] } else { 0.0 }));
+        }
+    }
+    Ok(())
 }
 
 /// The float GEMM of the Optimized and Simd flavors: `out[r, oc] =
@@ -591,9 +760,21 @@ fn float_gemm(
         Reduction::Blocked4(panels) => {
             blocked4_gemm(engine, panels, rows, out_c, bias, activation, out)
         }
-        Reduction::Lanes8 { w, skip_k_tail } => {
-            lanes8_gemm(engine, w, skip_k_tail, rows, out_c, bias, activation, out)
-        }
+        Reduction::Lanes8 {
+            w,
+            panels,
+            skip_k_tail,
+        } => lanes8_gemm(
+            engine,
+            w,
+            panels,
+            skip_k_tail,
+            rows,
+            out_c,
+            bias,
+            activation,
+            out,
+        ),
     }
 }
 
@@ -617,14 +798,16 @@ native_kernel! {
 }
 
 native_kernel! {
-    /// [`float_gemm`]'s Simd rule, the one kernel with an AVX-512 build:
-    /// there its strips are eight channels wide, then four, then one, and
-    /// an eight-wide strip meets four rows at a time ([`tile_avx512`]),
-    /// then [`MR`], then one; the narrower strips run [`tile_avx2`]. The
+    /// [`float_gemm`]'s Simd rule, with an AVX-512 build: given `panels`,
+    /// [`Lanes8Panels`] over them; else [`Lanes8Tiles`] over the row-major
+    /// `w`, whose AVX-512 build runs strips eight channels wide, then four,
+    /// then one, an eight-wide strip four rows at a time ([`tile_avx512`]),
+    /// then [`MR`], then one, and the narrower strips [`tile_avx2`]; its
     /// AVX2+FMA build walks as the Optimized rule does. Every cell is the
-    /// same dot in every build.
+    /// same dot in every build and under either rule.
     fn lanes8_gemm[build + avx512](
         w: &[f32],
+        panels: Option<&[f32]>,
         skip_k_tail: bool,
         rows: Dense<'_>,
         out_c: usize,
@@ -633,7 +816,34 @@ native_kernel! {
         out: &mut [f32],
     ) {
         let (k, len) = (rows.k, k_len(rows.k, skip_k_tail));
-        let rule = Lanes8Tiles { build, w, k, len };
+        match panels {
+            Some(panels) => {
+                let rule = Lanes8Panels { panels, k, len };
+                walk_tiles(rule, build, rows, out_c, bias, activation, out);
+            }
+            None => {
+                let rule = Lanes8Tiles { build, w, k, len };
+                walk_tiles(rule, build, rows, out_c, bias, activation, out);
+            }
+        }
+    }
+}
+
+native_kernel! {
+    /// [`float_gemm`]'s Simd rule over a matrix it never builds, as
+    /// [`blocked4_windows`] reads one: [`Lanes8Panels`] over `panels`,
+    /// row `r` output cell `r`'s window in the zero-bordered input.
+    fn lanes8_windows[build + avx512](
+        panels: &[f32],
+        skip_k_tail: bool,
+        rows: Windows<'_>,
+        out_c: usize,
+        bias: Option<&[f32]>,
+        activation: Activation,
+        out: &mut [f32],
+    ) {
+        let k = rows.taps.len();
+        let rule = Lanes8Panels { panels, k, len: k_len(k, skip_k_tail) };
         walk_tiles(rule, build, rows, out_c, bias, activation, out);
     }
 }
@@ -674,8 +884,8 @@ trait MatrixRows: Copy {
 
 /// How a chain rule reads the elements of one matrix row.
 trait RowRead: Copy {
-    /// Elements `4i..4i + 4`.
-    fn quad(self, i: usize) -> [f32; 4];
+    /// Elements `N·i..N·i + N`.
+    fn chunk<const N: usize>(self, i: usize) -> [f32; N];
 
     /// Element `p`.
     fn at(self, p: usize) -> f32;
@@ -709,8 +919,8 @@ impl<'a> MatrixRows for Dense<'a> {
 
 impl RowRead for &[f32] {
     #[inline(always)]
-    fn quad(self, i: usize) -> [f32; 4] {
-        *<&[f32; 4]>::try_from(&self[i * 4..][..4]).expect("a four-element slice")
+    fn chunk<const N: usize>(self, i: usize) -> [f32; N] {
+        *<&[f32; N]>::try_from(&self[i * N..][..N]).expect("an N-element slice")
     }
 
     #[inline(always)]
@@ -818,8 +1028,8 @@ impl Tapped<'_> {
 
 impl RowRead for Tapped<'_> {
     #[inline(always)]
-    fn quad(self, i: usize) -> [f32; 4] {
-        let taps = <&[usize; 4]>::try_from(&self.taps[i * 4..][..4]).expect("four taps");
+    fn chunk<const N: usize>(self, i: usize) -> [f32; N] {
+        let taps = <&[usize; N]>::try_from(&self.taps[i * N..][..N]).expect("N taps");
         taps.map(|t| self.read(t))
     }
 
@@ -835,22 +1045,88 @@ trait ChainRule<X: MatrixRows>: Copy {
     /// The `(first channel, width)` of each column strip of `out_c`.
     fn strips(self, out_c: usize) -> impl Iterator<Item = (usize, usize)>;
 
-    /// The sums of rows `i..i + M` of `tile` against channels
-    /// `oc0..oc0 + W`, before the bias.
-    fn sums<const M: usize, const W: usize>(
+    /// Rows `i..i + M` of `tile` against the strip `(oc0, width)`: each sum
+    /// plus its channel's `bias` (`0.0` without one) into `out`, where row
+    /// `m`'s channels `oc0..` start at `m · out_c`.
+    #[allow(clippy::too_many_arguments)]
+    fn cells<const M: usize>(
         self,
         rows: X,
         tile: &X::Tile,
         i: usize,
-        oc0: usize,
-    ) -> [[f32; W]; M];
+        strip: (usize, usize),
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_c: usize,
+    );
+
+    /// Rows `r0..end` of `tile` against one strip, in `build`: [`MR`] rows
+    /// at a time in the AVX2+FMA build, one in the baseline, and in the
+    /// AVX-512 build four rows at a time across an eight-wide strip first;
+    /// then the odd row.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn strip(
+        self,
+        build: SimdEngine,
+        at: (X, &X::Tile, usize),
+        end: usize,
+        strip: (usize, usize),
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_c: usize,
+    ) {
+        let mut r = at.2;
+        if build == SimdEngine::Avx512 && strip.1 == 8 {
+            r = run::<X, Self, 4>(self, at, (r, end), strip, bias, out, out_c);
+        }
+        if build != SimdEngine::Scalar {
+            r = run::<X, Self, MR>(self, at, (r, end), strip, bias, out, out_c);
+        }
+        run::<X, Self, 1>(self, at, (r, end), strip, bias, out, out_c);
+    }
 }
 
-/// The one walk behind [`blocked4_gemm`], [`lanes8_gemm`] and
-/// [`blocked4_windows`], whatever the chain rule and however it reads a
-/// row, in `build` — which steps [`MR`] rows at a time in the AVX2+FMA
-/// build, one in the baseline, and in the AVX-512 build four rows at a
-/// time across an eight-wide strip first.
+/// Rows `r..` of the tile starting at row `r0` against one strip, `M` at a
+/// time while `M` more fit before `end`; returns the first row left.
+#[inline(always)]
+fn run<X: MatrixRows, R: ChainRule<X>, const M: usize>(
+    rule: R,
+    (rows, tile, r0): (X, &X::Tile, usize),
+    (mut r, end): (usize, usize),
+    strip: (usize, usize),
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    out_c: usize,
+) -> usize {
+    while r + M <= end {
+        let out = &mut out[r * out_c + strip.0..];
+        rule.cells::<M>(rows, tile, r - r0, strip, bias, out, out_c);
+        r += M;
+    }
+    r
+}
+
+/// `sums + bias` into `out[m · out_c..][..W]` for row `m`.
+#[inline(always)]
+fn store<const M: usize, const W: usize>(
+    sums: [[f32; W]; M],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    out_c: usize,
+) {
+    for (m, sums) in sums.iter().enumerate() {
+        for (j, (o, sum)) in out[m * out_c..][..W].iter_mut().zip(sums).enumerate() {
+            *o = sum + bias.map_or(0.0, |b| b[j]);
+        }
+    }
+}
+
+/// The one walk behind every float GEMM kernel here, whatever the chain
+/// rule and however it reads a row, in `build`: a tile of [`ROW_TILE`]
+/// rows meets each column strip in turn, as the rule steps through its
+/// rows ([`ChainRule::strip`]), so the strip stays cache-resident across
+/// the tile; the activation is one pass over the tile.
 #[inline(always)]
 fn walk_tiles<X: MatrixRows, R: ChainRule<X>>(
     rule: R,
@@ -861,59 +1137,13 @@ fn walk_tiles<X: MatrixRows, R: ChainRule<X>>(
     activation: Activation,
     out: &mut [f32],
 ) {
-    /// `sums + bias` into `out[m · out_c..][..W]` for row `m`.
-    #[inline(always)]
-    fn store<const M: usize, const W: usize>(
-        sums: [[f32; W]; M],
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        out_c: usize,
-    ) {
-        for (m, sums) in sums.iter().enumerate() {
-            for (j, (o, sum)) in out[m * out_c..][..W].iter_mut().zip(sums).enumerate() {
-                *o = sum + bias.map_or(0.0, |b| b[j]);
-            }
-        }
-    }
-    /// Rows `r..` of the tile starting at row `r0` against one strip, `M`
-    /// at a time while `M` more fit before `end`; returns the first row
-    /// left.
-    #[inline(always)]
-    fn run<X: MatrixRows, R: ChainRule<X>, const M: usize>(
-        rule: R,
-        (rows, tile, r0): (X, &X::Tile, usize),
-        (mut r, end): (usize, usize),
-        (oc0, width): (usize, usize),
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        out_c: usize,
-    ) -> usize {
-        while r + M <= end {
-            let (i, out) = (r - r0, &mut out[r * out_c + oc0..]);
-            match width {
-                8 => store(rule.sums::<M, 8>(rows, tile, i, oc0), bias, out, out_c),
-                4 => store(rule.sums::<M, 4>(rows, tile, i, oc0), bias, out, out_c),
-                _ => store(rule.sums::<M, 1>(rows, tile, i, oc0), bias, out, out_c),
-            }
-            r += M;
-        }
-        r
-    }
     let rows_total = out.len().checked_div(out_c).unwrap_or(0);
     for r0 in (0..rows_total).step_by(ROW_TILE) {
         let end = (r0 + ROW_TILE).min(rows_total);
         let tile = rows.tile(r0, end);
         for strip in rule.strips(out_c) {
             let bias = bias.map(|b| &b[strip.0..strip.0 + strip.1]);
-            let at = (rows, &tile, r0);
-            let mut r = r0;
-            if build == SimdEngine::Avx512 && strip.1 == 8 {
-                r = run::<X, R, 4>(rule, at, (r, end), strip, bias, out, out_c);
-            }
-            if build != SimdEngine::Scalar {
-                r = run::<X, R, MR>(rule, at, (r, end), strip, bias, out, out_c);
-            }
-            run::<X, R, 1>(rule, at, (r, end), strip, bias, out, out_c);
+            rule.strip(build, (rows, &tile, r0), end, strip, bias, out, out_c);
         }
         activation.apply_in_place(&mut out[r0 * out_c..end * out_c]);
     }
@@ -938,7 +1168,29 @@ impl<X: MatrixRows> ChainRule<X> for Blocked4Panels<'_> {
     }
 
     #[inline(always)]
-    fn sums<const M: usize, const W: usize>(
+    fn cells<const M: usize>(
+        self,
+        rows: X,
+        tile: &X::Tile,
+        i: usize,
+        (oc0, width): (usize, usize),
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_c: usize,
+    ) {
+        match width {
+            8 => store(self.sums::<X, M, 8>(rows, tile, i, oc0), bias, out, out_c),
+            4 => store(self.sums::<X, M, 4>(rows, tile, i, oc0), bias, out, out_c),
+            _ => store(self.sums::<X, M, 1>(rows, tile, i, oc0), bias, out, out_c),
+        }
+    }
+}
+
+impl Blocked4Panels<'_> {
+    /// The sums of rows `i..i + M` of `tile` against channels
+    /// `oc0..oc0 + W`, before the bias.
+    #[inline(always)]
+    fn sums<X: MatrixRows, const M: usize, const W: usize>(
         self,
         rows: X,
         tile: &X::Tile,
@@ -950,7 +1202,7 @@ impl<X: MatrixRows> ChainRule<X> for Blocked4Panels<'_> {
         let (w_body, w_rest) = self.panels[oc0 * k..][..W * k].split_at(chunks * 4 * W);
         let mut s = [[[0.0f32; W]; 4]; M];
         for (i, w) in w_body.chunks_exact(4 * W).enumerate() {
-            let x: [[f32; 4]; M] = a.map(|a| a.quad(i));
+            let x: [[f32; 4]; M] = a.map(|a| a.chunk(i));
             for l in 0..4 {
                 let w = &w[l * W..][..W];
                 for (s, x) in s.iter_mut().zip(&x) {
@@ -1009,9 +1261,31 @@ impl<'r> ChainRule<Dense<'r>> for Lanes8Tiles<'_> {
     }
 
     #[inline(always)]
-    fn sums<const M: usize, const W: usize>(
+    fn cells<const M: usize>(
         self,
         rows: Dense<'r>,
+        first: &usize,
+        i: usize,
+        (oc0, width): (usize, usize),
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_c: usize,
+    ) {
+        match width {
+            8 => store(self.sums::<M, 8>(rows, first, i, oc0), bias, out, out_c),
+            4 => store(self.sums::<M, 4>(rows, first, i, oc0), bias, out, out_c),
+            _ => store(self.sums::<M, 1>(rows, first, i, oc0), bias, out, out_c),
+        }
+    }
+}
+
+impl Lanes8Tiles<'_> {
+    /// The sums of rows `i..i + M` of the tile starting at row `first`
+    /// against channels `oc0..oc0 + W`, before the bias.
+    #[inline(always)]
+    fn sums<const M: usize, const W: usize>(
+        self,
+        rows: Dense<'_>,
         first: &usize,
         i: usize,
         oc0: usize,
@@ -1042,15 +1316,143 @@ impl<'r> ChainRule<Dense<'r>> for Lanes8Tiles<'_> {
     }
 }
 
+/// The Simd rule on narrow reductions: the same dot per cell as
+/// [`Lanes8Tiles`], over the weights packed as [`PANEL`]-channel panels
+/// ([`pack_lanes8_panels`]) and with the channels in the vector lanes
+/// instead of the virtual lanes: [`panel_avx512`] in the AVX-512 build,
+/// [`PANEL_MR`] rows at a time, then one; elsewhere its scalar mirror, one
+/// cell at a time. It reads rows however they are stored, so a windowed
+/// convolution reads its windows in place.
+#[derive(Clone, Copy)]
+struct Lanes8Panels<'a> {
+    panels: &'a [f32],
+    k: usize,
+    /// The reduction length, [`k_len`] of `k`.
+    len: usize,
+}
+
+impl<X: MatrixRows> ChainRule<X> for Lanes8Panels<'_> {
+    fn strips(self, out_c: usize) -> impl Iterator<Item = (usize, usize)> {
+        (0..out_c)
+            .step_by(PANEL)
+            .map(move |oc| (oc, PANEL.min(out_c - oc)))
+    }
+
+    #[inline(always)]
+    fn strip(
+        self,
+        build: SimdEngine,
+        at: (X, &X::Tile, usize),
+        end: usize,
+        strip: (usize, usize),
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_c: usize,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if build == SimdEngine::Avx512 {
+            // SAFETY: `build` is `Avx512` only in the AVX-512 build of
+            // `lanes8_gemm` or `lanes8_windows`, which runs only for an
+            // `Engine` holding `Avx512`, so AVX-512F was detected.
+            unsafe { self.strip_avx512(at, end, strip, bias, out, out_c) };
+            return;
+        }
+        run::<X, Self, 1>(self, at, (at.2, end), strip, bias, out, out_c);
+    }
+
+    /// The scalar mirror of [`panel_avx512`], one cell at a time:
+    /// [`dot_f32_scalar`] down each panel column.
+    #[inline(always)]
+    fn cells<const M: usize>(
+        self,
+        rows: X,
+        tile: &X::Tile,
+        i: usize,
+        (oc0, width): (usize, usize),
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_c: usize,
+    ) {
+        let (a, len) = (rows.rows::<M>(tile, i), self.len);
+        let panel = &self.panels[oc0 * self.k..][..PANEL * self.k];
+        for (m, a) in a.into_iter().enumerate() {
+            let out = &mut out[m * out_c..][..width];
+            for (c, o) in out.iter_mut().enumerate() {
+                let mut lanes = [0.0f32; SIMD_LANES];
+                let chunks = len / SIMD_LANES;
+                for p in 0..chunks * SIMD_LANES {
+                    let lane = &mut lanes[p % SIMD_LANES];
+                    *lane = a.at(p).mul_add(panel[p * PANEL + c], *lane);
+                }
+                let mut sum = reduce8(lanes);
+                for p in chunks * SIMD_LANES..len {
+                    sum = a.at(p).mul_add(panel[p * PANEL + c], sum);
+                }
+                *o = sum + bias.map_or(0.0, |b| b[c]);
+            }
+        }
+    }
+}
+
+impl Lanes8Panels<'_> {
+    /// [`ChainRule::strip`] in the AVX-512 build: rows `r0..end` of `tile`
+    /// against one panel, [`PANEL_MR`] rows a step and then one at a time,
+    /// through [`panel_avx512`], with the panel, the mask of its `width`
+    /// channels and the bias vector worked out once for the strip.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn strip_avx512<X: MatrixRows>(
+        self,
+        (rows, tile, r0): (X, &X::Tile, usize),
+        end: usize,
+        (oc0, width): (usize, usize),
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_c: usize,
+    ) {
+        use std::arch::x86_64::*;
+        let panel = &self.panels[oc0 * self.k..][..PANEL * self.k];
+        // The masked stores write `width` channels: the mask must hold
+        // exactly that many bits.
+        assert!((1..=PANEL).contains(&width), "a strip of {width} channels");
+        let mask = (u32::MAX >> (32 - width)) as __mmask16;
+        let bias = match bias {
+            Some(b) => _mm512_maskz_loadu_ps(mask, b[..width].as_ptr()),
+            None => _mm512_setzero_ps(),
+        };
+        let (len, lanes) = (self.len, (mask, width));
+        let mut r = r0;
+        while r + PANEL_MR <= end {
+            let (a, out) = (
+                rows.rows::<PANEL_MR>(tile, r - r0),
+                &mut out[r * out_c + oc0..],
+            );
+            panel_avx512::<X::Row, PANEL_MR>(a, panel, len, lanes, bias, out, out_c);
+            r += PANEL_MR;
+        }
+        for r in r..end {
+            let (a, out) = (rows.rows::<1>(tile, r - r0), &mut out[r * out_c + oc0..]);
+            panel_avx512::<X::Row, 1>(a, panel, len, lanes, bias, out, out_c);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Kernel entry points (dispatched from `execute_node`)
 // ---------------------------------------------------------------------------
 
 /// Optimized / SIMD float convolution in `engine`'s build. The Optimized
-/// flavor reads each window in place from a zero-bordered copy of the
-/// input, through the tap offsets ([`WindowGeom::tap_offsets`]) it writes
-/// into `taps` from the same geometry (a pointwise window reads the input
-/// itself); the Simd flavor reduces a whole-batch [`im2col`] matrix.
+/// flavor, and the Simd flavor when `reduction` carries its narrow panels,
+/// read each window in place from a zero-bordered copy of the input,
+/// through the tap offsets ([`WindowGeom::tap_offsets`]) written into
+/// `taps` from the same geometry (a pointwise window reads the input
+/// itself); otherwise the Simd flavor reduces a whole-batch [`im2col`]
+/// matrix.
 /// Handles any batch size natively, so `invoke` and `invoke_batch` run the
 /// same code. `taps` keeps its capacity.
 ///
@@ -1077,16 +1479,27 @@ pub(crate) fn conv2d_f32_gemm(
     let (x, out_c) = (input.as_f32()?, ws[0]);
     match reduction {
         Reduction::Blocked4(panels) if !g.is_pointwise() => {
-            taps.clear();
-            taps.extend(g.tap_offsets());
-            // The float scratch is reserved once from the memory plan;
-            // growing it here would mean the planner under-reserved.
-            debug_assert!(scratch.capacity() >= g.bordered_len());
-            g.border(x, scratch);
             let out = f32_slot(out_t, out_def)?;
-            let cells = out.len().checked_div(out_c).unwrap_or(0);
-            let rows = Windows::new(scratch, taps, g.bordered_steps(), cells);
+            let rows = bordered_windows(&g, x, scratch, taps, out.len(), out_c);
             blocked4_windows(engine, panels, rows, out_c, bias, activation, out);
+        }
+        Reduction::Lanes8 {
+            panels: Some(panels),
+            skip_k_tail,
+            ..
+        } if !g.is_pointwise() => {
+            let out = f32_slot(out_t, out_def)?;
+            let rows = bordered_windows(&g, x, scratch, taps, out.len(), out_c);
+            lanes8_windows(
+                engine,
+                panels,
+                skip_k_tail,
+                rows,
+                out_c,
+                bias,
+                activation,
+                out,
+            );
         }
         _ => {
             debug_assert!(scratch.capacity() >= im2col_len(&g));
@@ -1097,6 +1510,27 @@ pub(crate) fn conv2d_f32_gemm(
         }
     }
     Ok(())
+}
+
+/// The windows of the output cells of `g`, `out_len / out_c` of them, read
+/// in place: `x` copied into `scratch` with the zero border they reach, and
+/// their tap offsets written into `taps` from the same geometry.
+fn bordered_windows<'a>(
+    g: &WindowGeom,
+    x: &[f32],
+    scratch: &'a mut Vec<f32>,
+    taps: &'a mut Vec<usize>,
+    out_len: usize,
+    out_c: usize,
+) -> Windows<'a> {
+    taps.clear();
+    taps.extend(g.tap_offsets());
+    // The float scratch is reserved once from the memory plan; growing it
+    // here would mean the planner under-reserved.
+    debug_assert!(scratch.capacity() >= g.bordered_len());
+    g.border(x, scratch);
+    let cells = out_len.checked_div(out_c).unwrap_or(0);
+    Windows::new(scratch, taps, g.bordered_steps(), cells)
 }
 
 /// Optimized / SIMD float fully-connected layer, `[n, in] x [out, in]^T`:
@@ -1385,7 +1819,11 @@ mod tests {
         let mut out = vec![f32::NAN; a.len() * out_c];
         let (engine, lanes8) = (
             Engine::runnable(engine),
-            Reduction::Lanes8 { w: &w, skip_k_tail },
+            Reduction::Lanes8 {
+                w: &w,
+                panels: None,
+                skip_k_tail,
+            },
         );
         float_gemm(engine, lanes8, &matrix, k, out_c, bias, act, &mut out);
         out.iter().map(|v| v.to_bits()).collect()
@@ -1618,13 +2056,98 @@ mod tests {
                 .collect();
             for engine in SimdEngine::ALL {
                 let mut out = vec![7.5; rows * out_c];
-                let lanes8 = Reduction::Lanes8 { w: &w, skip_k_tail: skip };
+                let lanes8 = Reduction::Lanes8 { w: &w, panels: None, skip_k_tail: skip };
                 let engine = Engine::runnable(engine);
                 float_gemm(engine, lanes8, &matrix, k, out_c, bias, Activation::None, &mut out);
                 prop_assert_eq!(
                     nan_as_one(&out),
                     nan_as_one(&want),
                     "{:?} {}x{}x{} skip {} bias {}", engine, rows, out_c, k, skip, with_bias
+                );
+            }
+        }
+    }
+
+    /// `[out_c, k]` weights `w` packed as [`Lanes8Panels`] reads them.
+    fn lanes8_panels(w: &[f32], out_c: usize, k: usize) -> Vec<f32> {
+        let weights = Tensor::from_f32(Shape::matrix(out_c, k), w.to_vec()).unwrap();
+        let mut panels = vec![f32::NAN; 3];
+        pack_lanes8_panels(&weights, &mut panels).unwrap();
+        panels
+    }
+
+    /// The reduction length the panel property draws from `(kind, any)`:
+    /// below one chunk, ragged against it, [`NARROW_K`] or either side of
+    /// it, or any of 0–72.
+    fn panel_k(kind: usize, any: usize) -> usize {
+        match kind {
+            0 => any % SIMD_LANES,
+            1 => SIMD_LANES * (1 + any % 8) + 3,
+            2 => NARROW_K - 1 + any % 3,
+            _ => any,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The Simd GEMM over narrow panels ([`Lanes8Panels`]) in every
+        /// engine's build against one [`dot_f32_scalar`] plus bias per cell,
+        /// and against the row-major rule: 0–40 rows (every mix of the
+        /// three- and one-row steps, past the 16-row tile, and counts no
+        /// step divides), K 0–72 (below one chunk, ragged, the threshold
+        /// and either side of it), 1–40 output channels (ragged against the
+        /// sixteen-wide panel, under and over one panel), with and without
+        /// the K-tail defect and the bias (a missing one adds `+0.0`, which
+        /// turns a `-0.0` dot into `+0.0`), over ±0, subnormals and up to
+        /// four planted ±∞ or NaN, every NaN one pattern.
+        #[test]
+        fn lanes8_panels_are_the_canonical_dots_bitwise(
+            rows in 0usize..=40,
+            out_c in 1usize..=40,
+            k_kind in 0usize..4,
+            k_any in 0usize..=72,
+            skip in 0u8..2,
+            with_bias in 0u8..2,
+            planted in prop::collection::vec(0usize..8192, 0..5),
+            kinds in prop::collection::vec(0usize..3, 4..5),
+            seed in 1u64..=u64::MAX,
+        ) {
+            let (skip, with_bias, mut draw) = (skip == 1, with_bias == 1, Draw(seed));
+            let k = panel_k(k_kind, k_any);
+            let (mut matrix, mut w) = (edge_values(&mut draw, rows * k), edge_values(&mut draw, out_c * k));
+            for (&at, &kind) in planted.iter().zip(&kinds) {
+                let special = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][kind];
+                match at % (matrix.len() + w.len()).max(1) {
+                    i if i < matrix.len() => matrix[i] = special,
+                    i if i - matrix.len() < w.len() => w[i - matrix.len()] = special,
+                    _ => {}
+                }
+            }
+            let bias = edge_values(&mut draw, out_c);
+            let bias = with_bias.then_some(&bias[..]);
+            let len = k_len(k, skip);
+            let want: Vec<f32> = (0..rows * out_c)
+                .map(|i| {
+                    let (r, oc) = (i / out_c, i % out_c);
+                    let dot = dot_f32_scalar(&matrix[r * k..][..len], &w[oc * k..][..len]);
+                    dot + bias.map_or(0.0, |b| b[oc])
+                })
+                .collect();
+            let panels = lanes8_panels(&w, out_c, k);
+            for (engine, panels) in SimdEngine::ALL
+                .into_iter()
+                .flat_map(|e| [(e, Some(&panels[..])), (e, None)])
+            {
+                let mut out = vec![7.5; rows * out_c];
+                let lanes8 = Reduction::Lanes8 { w: &w, panels, skip_k_tail: skip };
+                let engine = Engine::runnable(engine);
+                float_gemm(engine, lanes8, &matrix, k, out_c, bias, Activation::None, &mut out);
+                prop_assert_eq!(
+                    nan_as_one(&out),
+                    nan_as_one(&want),
+                    "{:?} panels {} {}x{}x{} skip {} bias {}",
+                    engine, panels.is_some(), rows, out_c, k, skip, with_bias
                 );
             }
         }
@@ -2177,6 +2700,97 @@ mod tests {
                 )
                 .unwrap();
                 prop_assert_eq!(nan_as_one(out.as_f32().unwrap()), want, "{:?} {}", engine, what);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The Simd `Conv2d` over narrow panels, reading its windows in
+        /// place from the zero-bordered input, against the im2col path the
+        /// row-major rule reads, in every engine's build, bit for bit: 3×3
+        /// and 1×3 windows, strides 1 and 2, SAME and VALID, inputs down to
+        /// 1×1, 1–4 input channels, 1–40 output channels (ragged against
+        /// the panel), batches of 1 and 3, with and without bias and the
+        /// K-tail defect, every activation, over stale scratch and a stale
+        /// tap buffer, with `±0.0` inputs and `±∞` / NaN weights.
+        #[test]
+        fn windowed_lanes8_conv_is_the_im2col_path_bitwise(
+            window in 0usize..2,
+            in_h in 1usize..=9,
+            in_w in 1usize..=9,
+            stride in 1usize..=2,
+            same in 0u8..2,
+            in_c in 1usize..=4,
+            out_c in 1usize..=40,
+            three in 0u8..2,
+            with_bias in 0u8..2,
+            skip in 0u8..2,
+            activation in 0usize..ACTIVATIONS.len(),
+            planted in prop::collection::vec(0usize..4096, 0..4),
+            kinds in prop::collection::vec(0usize..4, 4..5),
+            seed in 1u64..=u64::MAX,
+        ) {
+            let ((kh, kw), batch) = ([(3, 3), (1, 3)][window], [1, 3][three as usize]);
+            let padding = if same == 1 { Padding::Same } else { Padding::Valid };
+            let (h, w) = match padding {
+                Padding::Same => (in_h, in_w),
+                Padding::Valid => (in_h.max(kh), in_w.max(kw)),
+            };
+            let (oh, ow) = (
+                conv_out_size(h, kh, stride, padding),
+                conv_out_size(w, kw, stride, padding),
+            );
+            let (act, skip_k_tail) = (ACTIVATIONS[activation], skip == 1);
+            let mut draw = Draw(seed);
+            let x: Vec<f32> = (0..batch * h * w * in_c)
+                .map(|_| match draw.bits() % 8 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => draw.scale(-2.0, 2.0),
+                })
+                .collect();
+            let mut weights: Vec<f32> =
+                (0..out_c * kh * kw * in_c).map(|_| draw.scale(-1.0, 1.0)).collect();
+            let len = weights.len();
+            for (&at, &kind) in planted.iter().zip(&kinds) {
+                weights[at % len] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0][kind];
+            }
+            let bias: Vec<f32> = (0..out_c).map(|_| draw.scale(-0.5, 0.5)).collect();
+            let input = Tensor::from_f32(Shape::nhwc(batch, h, w, in_c), x.clone()).unwrap();
+            let weights = Tensor::from_f32(Shape::new(vec![out_c, kh, kw, in_c]), weights).unwrap();
+            let bias_t = Tensor::from_f32(Shape::vector(out_c), bias).unwrap();
+            let mut panels = Vec::new();
+            pack_lanes8_panels(&weights, &mut panels).unwrap();
+            let out_def = TensorDef::Activation {
+                name: "out".into(),
+                shape: Shape::nhwc(1, oh, ow, out_c),
+                dtype: DType::F32,
+                quant: None,
+            };
+            let g = WindowGeom::new(&input, &out_def, kh, kw, stride, padding);
+            let mut operands = vec![&input, &weights];
+            operands.extend((with_bias == 1).then_some(&bias_t));
+            let what = format!(
+                "{kh}x{kw}/{stride} {padding:?} {h}x{w}x{in_c}->{out_c} x{batch} \
+                 bias={with_bias} skip={skip} {act:?} planted {planted:?} {kinds:?} seed {seed}"
+            );
+            let w = weights.as_f32().unwrap();
+            for engine in SimdEngine::ALL.map(Engine::runnable) {
+                let run = |panels| {
+                    let mut scratch = vec![f32::NAN; g.bordered_len().max(im2col_len(&g)) + 5];
+                    let mut taps = vec![usize::MAX; g.patch_len() + 7];
+                    let mut out = Tensor::filled_f32(Shape::nhwc(batch, oh, ow, out_c), 7.5);
+                    let lanes8 = Reduction::Lanes8 { w, panels, skip_k_tail };
+                    conv2d_f32_gemm(
+                        engine, lanes8, &operands, &out_def, stride, padding, act,
+                        &mut scratch, &mut taps, &mut out,
+                    )
+                    .unwrap();
+                    nan_as_one(out.as_f32().unwrap())
+                };
+                prop_assert_eq!(run(Some(&panels[..])), run(None), "{:?} {}", engine, what);
             }
         }
     }

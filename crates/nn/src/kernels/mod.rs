@@ -32,7 +32,10 @@
 //!   of cells side by side; the interpreter packs the constant `Conv2d` and
 //!   `FullyConnected` weights of this flavor too;
 //! * the **SIMD** flavor's `Lanes8` tiles ([`KernelFlavor::Simd`]: the
-//!   8-lane virtual-SIMD dot) over the row-major weights.
+//!   8-lane virtual-SIMD dot) over the row-major weights — or, in the
+//!   AVX-512 build, where a `Conv2d`'s reduction is at most
+//!   [`gemm::NARROW_K`] long, over 16-channel panels the interpreter packs
+//!   once, its windows read in place as the optimized flavor reads them.
 //!
 //! The last two are the two chain rules of one tile driver ([`gemm`]'s
 //! `float_gemm`). They reassociate the float sum — the benign source of the
@@ -78,7 +81,8 @@
 //! `f32::mul_add` is one `vfmadd` in the one and a libm call in the other.
 //! The Simd GEMM alone has a third build, under AVX-512F as well
 //! (`native_kernel!`'s opt-in `fn name[build + avx512]` form), in which
-//! its tile holds four rows × eight channels in `zmm` registers; the
+//! its tile holds four rows × eight channels in `zmm` registers, or, on a
+//! narrow reduction, three rows × sixteen channels of packed panels; the
 //! engine ladder `Avx512` → `Avx2Fma` → `Scalar` runs every other kernel's
 //! AVX2+FMA build on an AVX-512 host. `native_kernel!` is the only way a
 //! kernel reaches AVX2 or AVX-512: no kernel has a `#[target_feature]` of
@@ -87,19 +91,22 @@
 //!
 //! Every kernel writes into an arena-provided output slot (`&mut Tensor`,
 //! preallocated from the interpreter's `MemoryPlan`), and the float im2col
-//! matrix (or the zero-bordered input the optimized `Conv2d` reads its
-//! windows from) and the BatchNorm denominators live in the plan-sized
-//! scratch.
+//! matrix (or the zero-bordered input a `Conv2d` reads its windows from)
+//! and the BatchNorm denominators live in the scratch, which the plan
+//! sizes for what the interpreter's kernels keep there
+//! ([`FloatKernels::conv_scratch`]).
 //! The quantized im2col matrix lives in a `u8` buffer the interpreter keeps,
 //! which grows to the largest patch matrix it has held and then stays; the
 //! quantized kernels' per-channel requant multipliers, computed once per
-//! node, and the optimized `Conv2d`'s window tap offsets live in buffers
+//! node, and a windowed `Conv2d`'s tap offsets live in buffers
 //! kept the same way.
 //! The reference and optimized flavors and the emulator hold a second,
 //! panel-ordered copy of their constant float weights (≈ 8 KB for
-//! `mini_mobilenet_v2`), packed when the interpreter is built; a weight
-//! operand that is a runtime tensor is packed on each invoke into a buffer
-//! the interpreter keeps. So steady-state float execution, and quantized
+//! `mini_mobilenet_v2`), packed when the interpreter is built, and so does
+//! the SIMD flavor on an AVX-512 engine for its narrow `Conv2d` weights
+//! (≈ 0.5 MB for `mobilenet_v2@48`); a weight operand that is a runtime
+//! tensor is packed on each invoke into a buffer the interpreter keeps.
+//! So steady-state float execution, and quantized
 //! `Conv2d`, `DepthwiseConv2d` and `FullyConnected`, under every flavor and
 //! the emulator make no heap allocation per node — measured, not
 //! self-reported: `tests/alloc_steady_state.rs` counts calls into the global
@@ -136,8 +143,9 @@
 /// `fn name[build + avx512](..)` opts into a third build, under
 /// `#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]`,
 /// which an `Avx512` engine runs and in which `build` is `Avx512`. Only
-/// the Simd GEMM (`gemm::lanes8_gemm`) opts in: its `zmm` tile is written
-/// for that build. Every other kernel keeps two builds, so a body that
+/// the Simd GEMM (`gemm::lanes8_gemm`, and `gemm::lanes8_windows` for the
+/// windows it reads in place) opts in: its `zmm` tiles are written for
+/// that build. Every other kernel keeps two builds, so a body that
 /// does not name the third never meets `build == Avx512`.
 macro_rules! native_kernel {
     (
@@ -242,7 +250,7 @@ pub mod gemm;
 mod pool;
 mod window;
 
-use mlexray_tensor::{DType, QuantParams, Tensor, TensorData};
+use mlexray_tensor::{DType, QuantParams, Shape, Tensor, TensorData};
 
 pub(crate) use conv::pack_weight_panels;
 use conv::QuantDepthwise;
@@ -250,6 +258,7 @@ use conv::QuantDepthwise;
 use crate::backend::BackendSpec;
 use crate::graph::{Node, TensorDef};
 use crate::ops::{Activation, OpKind};
+use crate::plan::ConvScratch;
 #[cfg(any(test, doc))]
 use crate::resolver::AccumOrder;
 #[cfg(doc)]
@@ -328,9 +337,13 @@ pub(crate) enum FloatKernels {
 
 impl FloatKernels {
     /// The [`gemm`] chain rule of the Optimized (`Blocked4`, over
-    /// [`node_panels`]) or Simd (`Lanes8`) kernels over `weights`.
+    /// [`node_panels`]) or Simd (`Lanes8`, over the panels too where
+    /// [`reads_panels`](Self::reads_panels)) kernels over the weights of
+    /// `op`, in `engine`'s build.
     fn reduction<'a>(
         self,
+        engine: Engine,
+        op: &OpKind,
         packed: Option<&'a [f32]>,
         runtime: &'a mut Vec<f32>,
         weights: &'a Tensor,
@@ -338,22 +351,54 @@ impl FloatKernels {
         Ok(match self {
             FloatKernels::Lanes8 { skip_k_tail } => Reduction::Lanes8 {
                 w: weights.as_f32()?,
+                panels: self
+                    .reads_panels(engine, op, weights.shape())
+                    .then(|| node_panels(self, packed, runtime, weights))
+                    .transpose()?,
                 skip_k_tail,
             },
-            _ => Reduction::Blocked4(node_panels(packed, runtime, weights)?),
+            _ => Reduction::Blocked4(node_panels(self, packed, runtime, weights)?),
         })
     }
 
-    /// Whether these kernels read `op`'s float weights as
-    /// [`pack_weight_panels`] lays them out: the reference `Conv2d`, and the
-    /// optimized `Conv2d` and `FullyConnected`.
-    pub(crate) fn reads_panels(self, op: &OpKind) -> bool {
+    /// Whether these kernels, in `engine`'s build, read `op`'s float
+    /// weights, shaped `weights`, packed ([`pack`](Self::pack)): the
+    /// reference `Conv2d`, the optimized `Conv2d` and `FullyConnected`, and
+    /// in the AVX-512 build the Simd `Conv2d` whose reduction is at most
+    /// [`gemm::NARROW_K`] long.
+    pub(crate) fn reads_panels(self, engine: Engine, op: &OpKind, weights: &Shape) -> bool {
+        let conv = matches!(op, OpKind::Conv2d { .. });
         match self {
-            FloatKernels::Reference(_) => matches!(op, OpKind::Conv2d { .. }),
-            FloatKernels::Blocked4 => {
-                matches!(op, OpKind::Conv2d { .. } | OpKind::FullyConnected { .. })
+            FloatKernels::Reference(_) => conv,
+            FloatKernels::Blocked4 => conv || matches!(op, OpKind::FullyConnected { .. }),
+            FloatKernels::Lanes8 { .. } => {
+                let k: usize = weights.dims().iter().skip(1).product();
+                conv && engine.get() == gemm::SimdEngine::Avx512 && k <= gemm::NARROW_K
             }
-            FloatKernels::Lanes8 { .. } => false,
+        }
+    }
+
+    /// `weights` laid out as these kernels read them where they
+    /// [read panels](Self::reads_panels): [`gemm::pack_lanes8_panels`] for
+    /// the Simd kernels, [`pack_weight_panels`] for the others.
+    pub(crate) fn pack(self, weights: &Tensor, packed: &mut Vec<f32>) -> Result<()> {
+        match self {
+            FloatKernels::Lanes8 { .. } => gemm::pack_lanes8_panels(weights, packed),
+            _ => pack_weight_panels(weights, packed),
+        }
+    }
+
+    /// What these kernels, in `engine`'s build, keep in the float scratch
+    /// for a `Conv2d` whose window is not pointwise, its weights shaped
+    /// `weights`: the memory plan reserves by it.
+    pub(crate) fn conv_scratch(self, engine: Engine, op: &OpKind, weights: &Shape) -> ConvScratch {
+        match self {
+            FloatKernels::Reference(_) => ConvScratch::Nothing,
+            FloatKernels::Blocked4 => ConvScratch::Bordered,
+            FloatKernels::Lanes8 { .. } if self.reads_panels(engine, op, weights) => {
+                ConvScratch::Bordered
+            }
+            FloatKernels::Lanes8 { .. } => ConvScratch::Im2col,
         }
     }
 }
@@ -460,7 +505,7 @@ pub(crate) struct KernelCtx<'a> {
     /// Scratch reused across nodes; capacity is reserved at plan time so
     /// `resize` never reallocates in steady state.
     pub scratch: &'a mut Vec<f32>,
-    /// The optimized `Conv2d`'s window tap offsets, written by the kernel
+    /// A windowed `Conv2d`'s tap offsets, written by the kernel
     /// from its own geometry; grows to the largest window and then stays.
     pub taps: &'a mut Vec<usize>,
     /// The quantized `Conv2d`'s `u8` patch matrix; grows to the largest one
@@ -479,9 +524,10 @@ pub(crate) struct KernelCtx<'a> {
     pub runtime_panels: &'a mut Vec<f32>,
 }
 
-/// `weights` in [`pack_weight_panels`] order: the copy packed at build, or
-/// else packed now into `runtime`.
+/// `weights` as `float` [packs](FloatKernels::pack) them: the copy packed
+/// at build, or else packed now into `runtime`.
 fn node_panels<'a>(
+    float: FloatKernels,
     packed: Option<&'a [f32]>,
     runtime: &'a mut Vec<f32>,
     weights: &Tensor,
@@ -489,7 +535,7 @@ fn node_panels<'a>(
     match packed {
         Some(packed) => Ok(packed),
         None => {
-            pack_weight_panels(weights, runtime)?;
+            float.pack(weights, runtime)?;
             Ok(runtime)
         }
     }
@@ -528,13 +574,14 @@ pub(crate) fn execute_node(
             false,
         ) => match float {
             FloatKernels::Reference(numerics) => {
-                let panels = node_panels(ctx.panels, ctx.runtime_panels, inputs[1])?;
+                let panels = node_panels(float, ctx.panels, ctx.runtime_panels, inputs[1])?;
                 conv::conv2d_f32(
                     engine, numerics, inputs, panels, out_def, stride, padding, activation, out,
                 )
             }
             FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => {
-                let reduction = float.reduction(ctx.panels, ctx.runtime_panels, inputs[1])?;
+                let (packed, runtime) = (ctx.panels, &mut *ctx.runtime_panels);
+                let reduction = float.reduction(engine, &node.op, packed, runtime, inputs[1])?;
                 gemm::conv2d_f32_gemm(
                     engine,
                     reduction,
@@ -610,7 +657,8 @@ pub(crate) fn execute_node(
                 fc::fc_f32(engine, numerics, inputs, out_def, activation, out)
             }
             FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => {
-                let reduction = float.reduction(ctx.panels, ctx.runtime_panels, inputs[1])?;
+                let (packed, runtime) = (ctx.panels, &mut *ctx.runtime_panels);
+                let reduction = float.reduction(engine, &node.op, packed, runtime, inputs[1])?;
                 gemm::fc_f32_gemm(engine, reduction, inputs, out_def, activation, out)
             }
         },

@@ -100,12 +100,30 @@ fn overflow(what: &str, batch: usize) -> NnError {
     ))
 }
 
-/// Elements of f32 scratch `node`'s float kernel needs: the larger of the
-/// whole-batch im2col matrix of a convolution and its zero-bordered input
-/// (at every batch factor, 1 included), the
-/// per-channel denominators of a BatchNorm (its channel count, whatever the
-/// batch), or 0 when the node needs none.
-fn node_scratch_elems(graph: &Graph, node: &crate::graph::Node, batch: usize) -> usize {
+/// What the float kernels keep in the f32 scratch for a `Conv2d` whose
+/// window is not pointwise — as the kernels an interpreter runs decide
+/// (`FloatKernels::conv_scratch`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ConvScratch {
+    /// Nothing: the reference walks read the input itself.
+    Nothing,
+    /// The zero-bordered input whose windows are read in place.
+    Bordered,
+    /// The whole-batch im2col matrix.
+    Im2col,
+}
+
+/// Elements of f32 scratch `node`'s float kernel needs: for a convolution
+/// what `conv` says it keeps (at every batch factor, 1 included) — without
+/// a say, the larger of its whole-batch im2col matrix and its zero-bordered
+/// input — the per-channel denominators of a BatchNorm (its channel count,
+/// whatever the batch), or 0 when the node needs none.
+fn node_scratch_elems(
+    graph: &Graph,
+    node: &crate::graph::Node,
+    batch: usize,
+    conv: &dyn Fn(&crate::graph::Node) -> Option<ConvScratch>,
+) -> usize {
     let (stride, padding) = match &node.op {
         OpKind::Conv2d {
             stride, padding, ..
@@ -141,18 +159,35 @@ fn node_scratch_elems(graph: &Graph, node: &crate::graph::Node, batch: usize) ->
     let im2col = frames * oh * ow * kh * kw * in_c;
     let covered = |out: usize, k: usize| if out == 0 { 0 } else { (out - 1) * stride + k };
     let bordered = frames * covered(oh, kh) * covered(ow, kw) * in_c;
-    im2col.max(bordered)
+    match conv(node) {
+        Some(ConvScratch::Nothing) => 0,
+        Some(ConvScratch::Bordered) => bordered,
+        Some(ConvScratch::Im2col) => im2col,
+        None => im2col.max(bordered),
+    }
 }
 
 impl MemoryPlan {
     /// Plans the arena for `graph` executed at `batch` stacked frames per
-    /// invoke (`1` = the graph's natural shapes).
+    /// invoke (`1` = the graph's natural shapes), the float scratch sized
+    /// for any kernels: a convolution's larger matrix, im2col or bordered.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidGraph`] when `batch == 0` or a runtime
     /// tensor cannot carry a batch dimension.
     pub fn for_graph(graph: &Graph, batch: usize) -> Result<Self> {
+        Self::for_kernels(graph, batch, &|_| None)
+    }
+
+    /// [`MemoryPlan::for_graph`], the float scratch reserved for what
+    /// `conv` says the kernels keep there for each `Conv2d` (`None`: either
+    /// matrix).
+    pub(crate) fn for_kernels(
+        graph: &Graph,
+        batch: usize,
+        conv: &dyn Fn(&crate::graph::Node) -> Option<ConvScratch>,
+    ) -> Result<Self> {
         if batch == 0 {
             return Err(NnError::InvalidGraph(
                 "memory plans require a positive batch factor".into(),
@@ -245,7 +280,7 @@ impl MemoryPlan {
         let scratch_elems = graph
             .nodes()
             .iter()
-            .map(|n| node_scratch_elems(graph, n, batch))
+            .map(|n| node_scratch_elems(graph, n, batch, conv))
             .max()
             .unwrap_or(0);
 
@@ -402,6 +437,17 @@ mod tests {
         // Single invokes run the same im2col, so batch 1 reserves it too.
         let single = MemoryPlan::for_graph(&g, 1).unwrap();
         assert_eq!(single.scratch_elems(), 8 * 8 * (3 * 3 * 3));
+        // Kernels that say what they keep get that much: the im2col
+        // matrix, the bordered input (10 × 10 a frame for a 3 × 3 SAME
+        // window over 8 × 8), or nothing.
+        for (keeps, elems) in [
+            (ConvScratch::Im2col, 2 * 8 * 8 * (3 * 3 * 3)),
+            (ConvScratch::Bordered, 2 * 10 * 10 * 3),
+            (ConvScratch::Nothing, 0),
+        ] {
+            let plan = MemoryPlan::for_kernels(&g, 2, &|_| Some(keeps)).unwrap();
+            assert_eq!(plan.scratch_elems(), elems, "{keeps:?}");
+        }
         // 1x1 convs use the direct path and need no scratch.
         assert_eq!(
             MemoryPlan::for_graph(&chain(), 8).unwrap().scratch_elems(),

@@ -641,3 +641,65 @@ fn isolated_nodes_honour_the_whole_spec() {
         }
     }
 }
+
+/// The `serve_batch` model, `mobilenet_v2@48`, under the Simd flavor: a
+/// whole invoke run node by node through `execute_node_with` in each
+/// engine's build — on an AVX-512 host its narrow `Conv2d` layers (the
+/// stem reading its windows in place, the expansions of 16–64 channels)
+/// run the panel rule there and the row-major tiles in the other two —
+/// agrees bit for bit with the baseline build at every node, and the
+/// interpreter, which packs those panels at build on such a host, returns
+/// the same output.
+#[test]
+fn simd_mobilenet_v2_invoke_agrees_across_builds() {
+    let model = mlexray_models::by_name("mobilenet_v2")
+        .unwrap()
+        .build(48, 8, 1)
+        .unwrap();
+    let graph = &model.graph;
+    let mut state = 45;
+    let input = Tensor::from_f32(
+        Shape::nhwc(1, 48, 48, 3),
+        draw(&mut state, false, 48 * 48 * 3),
+    )
+    .unwrap();
+    let spec = BackendSpec::simd();
+    let invoke = |engine| -> Vec<Tensor> {
+        let mut values: Vec<Option<Tensor>> = vec![None; graph.tensors().len()];
+        values[graph.inputs()[0].0] = Some(input.clone());
+        for (i, node) in graph.nodes().iter().enumerate() {
+            let operands: Vec<&Tensor> = node
+                .inputs
+                .iter()
+                .map(|&id| match graph.tensor(id).as_constant() {
+                    Some(constant) => constant,
+                    None => values[id.0].as_ref().expect("produced before it is read"),
+                })
+                .collect();
+            let out = execute_node_with(engine, spec, graph, NodeId(i), &operands).unwrap();
+            values[node.output.0] = Some(out);
+        }
+        graph
+            .nodes()
+            .iter()
+            .map(|node| values[node.output.0].take().unwrap())
+            .collect()
+    };
+    let baseline = invoke(SimdEngine::Scalar);
+    for engine in SimdEngine::ALL {
+        for (node, (got, want)) in graph
+            .nodes()
+            .iter()
+            .zip(invoke(engine).iter().zip(&baseline))
+        {
+            let (got, want) = (got.as_f32().unwrap(), want.as_f32().unwrap());
+            assert_same_bits(got, want, &format!("{engine:?}, node {}", node.name));
+        }
+    }
+    let out = Interpreter::new(graph, spec)
+        .unwrap()
+        .invoke(&[input])
+        .unwrap();
+    let last = baseline.last().unwrap().as_f32().unwrap();
+    assert_same_bits(out[0].as_f32().unwrap(), last, "the interpreter");
+}

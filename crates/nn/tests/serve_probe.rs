@@ -4,7 +4,11 @@
 //! interpreter for one burst. It prints the engine the process runs, the
 //! median and the minimum over 60 invokes (after 5 warm-ups) of the whole
 //! invoke, and of each op kind's summed node time, read by a timing-only
-//! `LayerObserver`.
+//! `LayerObserver`. `Conv` is split three ways: the stem (the one windowed
+//! `Conv2d`, node 0) on its own, as `conv_probe` prints it; `Conv k≤64`,
+//! the other nodes whose reduction the narrow-panel rule takes
+//! (`simd::NARROW_K`; it runs them on the AVX-512 engine only); and
+//! `Conv k>64`, the rest.
 //!
 //! Ignored by default — it asserts nothing and its numbers are the host's:
 //!
@@ -20,7 +24,8 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use mlexray_models::by_name;
-use mlexray_nn::{BackendSpec, Interpreter, LayerObserver, LayerRecord};
+use mlexray_nn::simd::NARROW_K;
+use mlexray_nn::{BackendSpec, Graph, Interpreter, LayerObserver, LayerRecord, Node, OpKind};
 use mlexray_tensor::{Shape, Tensor};
 
 const SIDE: usize = 48;
@@ -29,18 +34,36 @@ const BATCH: usize = 4;
 const WARMUPS: usize = 5;
 const INVOKES: usize = 60;
 
-/// Sums one invoke's node latency per op kind: a batched invoke reports
-/// each frame's share of a node, so the sum over frames is the node's time.
-#[derive(Default)]
-struct KindTime(BTreeMap<&'static str, Duration>);
+/// Sums one invoke's node latency per kind — [`kind_of`] each node — a
+/// batched invoke reports each frame's share of a node, so the sum over
+/// frames is the node's time.
+struct KindTime<'a> {
+    kinds: &'a [&'static str],
+    time: BTreeMap<&'static str, Duration>,
+}
 
-impl LayerObserver for KindTime {
+impl LayerObserver for KindTime<'_> {
     fn on_layer(&mut self, record: &LayerRecord<'_>) {
-        *self.0.entry(record.op.type_label()).or_default() += record.latency;
+        *self.time.entry(self.kinds[record.index]).or_default() += record.latency;
     }
 
     fn wants_output(&self, _batch: usize) -> bool {
         false
+    }
+}
+
+/// What a node is timed as: its op's label, but a `Conv2d` as the stem (a
+/// window that is not pointwise), or by whether its reduction `kh·kw·in_c`
+/// is narrow enough for the panel rule.
+fn kind_of(graph: &Graph, node: &Node) -> &'static str {
+    let OpKind::Conv2d { .. } = node.op else {
+        return node.op.type_label();
+    };
+    let dims = graph.tensor(node.inputs[1]).shape().dims();
+    match (dims[1] * dims[2], dims[1] * dims[2] * dims[3]) {
+        (taps, _) if taps > 1 => "stem",
+        (_, k) if k <= NARROW_K => "Conv k≤64",
+        _ => "Conv k>64",
     }
 }
 
@@ -69,6 +92,12 @@ fn op_kind_time_on_the_serve_batch_model() {
         .unwrap()
         .build(SIDE, CLASSES, 1)
         .unwrap();
+    let node_kinds: Vec<_> = model
+        .graph
+        .nodes()
+        .iter()
+        .map(|node| kind_of(&model.graph, node))
+        .collect();
     let mut interp = Interpreter::new(&model.graph, BackendSpec::simd()).unwrap();
     let frames: Vec<Vec<Tensor>> = (0..BATCH).map(frame).collect();
     let batch: Vec<&[Tensor]> = frames.iter().map(Vec::as_slice).collect();
@@ -80,12 +109,15 @@ fn op_kind_time_on_the_serve_batch_model() {
     let mut whole = Vec::new();
     let mut kinds: BTreeMap<&'static str, Vec<Duration>> = BTreeMap::new();
     for i in 0..WARMUPS + INVOKES {
-        let mut observer = KindTime::default();
+        let mut observer = KindTime {
+            kinds: &node_kinds,
+            time: BTreeMap::new(),
+        };
         let start = Instant::now();
         interp.invoke_batch_observed(&batch, &mut observer).unwrap();
         if i >= WARMUPS {
             whole.push(start.elapsed());
-            for (kind, took) in observer.0 {
+            for (kind, took) in observer.time {
                 kinds.entry(kind).or_default().push(took);
             }
         }

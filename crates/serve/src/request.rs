@@ -31,9 +31,15 @@ pub enum RejectReason {
     },
     /// The service is shutting down and no longer admits work.
     ShuttingDown,
-    /// The request's own invoke failed (graph/input mismatch); a failed
-    /// batch is re-run member by member, so only the request at fault gets
-    /// this.
+    /// The request's tensors do not fit the model's inputs — their count,
+    /// a dtype or a per-frame shape — so admission refused it before it
+    /// reached the queue.
+    BadInput {
+        /// Which input differs, and how.
+        detail: String,
+    },
+    /// The request's own invoke failed; a failed batch is re-run member by
+    /// member, so only the request at fault gets this.
     ExecutionFailed {
         /// Rendered execution error.
         detail: String,
@@ -54,6 +60,7 @@ impl fmt::Display for RejectReason {
                 write!(f, "deadline expired {missed_by:?} before dequeue")
             }
             RejectReason::ShuttingDown => write!(f, "service shutting down"),
+            RejectReason::BadInput { detail } => write!(f, "bad input: {detail}"),
             RejectReason::ExecutionFailed { detail } => {
                 write!(f, "execution failed: {detail}")
             }

@@ -910,6 +910,7 @@ fn rejection_to_wire(rejection: Rejection) -> (ErrorCode, String, String) {
         RejectReason::QueueFull { .. } => ErrorCode::QueueFull,
         RejectReason::DeadlineExpired { .. } => ErrorCode::DeadlineExpired,
         RejectReason::ShuttingDown => ErrorCode::ShuttingDown,
+        RejectReason::BadInput { .. } => ErrorCode::BadInput,
         RejectReason::ExecutionFailed { .. } => ErrorCode::ExecutionFailed,
         RejectReason::ChannelClosed => ErrorCode::Internal,
     };

@@ -104,6 +104,9 @@ pub enum ErrorCode {
     ExecutionFailed,
     /// Any other server-side failure.
     Internal,
+    /// Admission refused the request: its tensors do not fit the model's
+    /// inputs (count, dtype or per-frame shape).
+    BadInput,
 }
 
 impl ErrorCode {
@@ -126,6 +129,7 @@ impl ErrorCode {
             ErrorCode::ShuttingDown => 14,
             ErrorCode::ExecutionFailed => 15,
             ErrorCode::Internal => 16,
+            ErrorCode::BadInput => 17,
         }
     }
 
@@ -148,6 +152,7 @@ impl ErrorCode {
             13 => ErrorCode::DeadlineExpired,
             14 => ErrorCode::ShuttingDown,
             15 => ErrorCode::ExecutionFailed,
+            17 => ErrorCode::BadInput,
             _ => ErrorCode::Internal,
         }
     }
@@ -172,6 +177,7 @@ impl fmt::Display for ErrorCode {
             ErrorCode::ShuttingDown => "shutting-down",
             ErrorCode::ExecutionFailed => "execution-failed",
             ErrorCode::Internal => "internal",
+            ErrorCode::BadInput => "bad-input",
         };
         f.write_str(name)
     }

@@ -618,13 +618,21 @@ impl InferenceService {
             });
         };
         let offered_tick = pool.counters.offered.fetch_add(1, Ordering::AcqRel);
+        // No admission id exists yet: a forced shed trace mints its identity
+        // from the offered tick, in a disjoint id namespace.
+        let shed_trace = || {
+            let minted =
+                || TraceContext::sampled(trace_id_for(model, offered_tick) | SHED_TRACE_IDS);
+            Some(wire.unwrap_or_else(minted))
+        };
         if !self.accepting.load(Ordering::Acquire) {
-            // No admission id exists yet: the forced shed trace mints its
-            // identity from the offered tick, in a disjoint id namespace.
-            let trace = wire.unwrap_or_else(|| {
-                TraceContext::sampled(trace_id_for(model, offered_tick) | SHED_TRACE_IDS)
-            });
-            return Err(pool.refuse(Some(trace), entered_at, 0, RejectReason::ShuttingDown));
+            return Err(pool.refuse(shed_trace(), entered_at, 0, RejectReason::ShuttingDown));
+        }
+        // What `invoke_batch` checks of every member, checked before the
+        // request costs its batch a failed invoke.
+        if let Err(detail) = pool.entry.check_inputs(&inputs) {
+            let reason = RejectReason::BadInput { detail };
+            return Err(pool.refuse(shed_trace(), entered_at, 0, reason));
         }
         let id = pool.next_id.fetch_add(1, Ordering::AcqRel);
         let sample_every = self.config.monitor.sample_every;
@@ -926,6 +934,7 @@ impl crate::metrics::Collect for InferenceService {
                 ),
                 ("deadline", counters.shed_deadline.load(Ordering::Acquire)),
                 ("shutdown", counters.shed_shutdown.load(Ordering::Acquire)),
+                ("bad_input", counters.shed_bad_input.load(Ordering::Acquire)),
             ] {
                 out.counter(
                     "mlexray_serve_requests_shed_total",
@@ -1137,6 +1146,78 @@ mod tests {
         let leased = leased.lock().unwrap().expect("the third spawn was tried");
         assert!(leased >= WORKERS, "the pool's lease was held: {leased}");
         assert!(reserved_cores() < WORKERS, "and is returned");
+    }
+
+    /// A member admission never saw — its tensors a frame of the wrong
+    /// shape, queued past `submit_from` as no peer's request can be any
+    /// more — fails its batch as a whole, so `run_batch` re-runs every
+    /// member alone: the good ones are answered with a solo invoke's bits
+    /// and only it with `ExecutionFailed`, on the `failed` book, under a
+    /// forced trace whose `Shed` span carries code 4; it was an attached
+    /// caller's, and the ledger is counted out all the same.
+    #[test]
+    fn a_batch_member_admission_never_saw_fails_alone() {
+        let config = ServiceConfig {
+            batch: BatchPolicy::windowed(4, Duration::from_millis(200)),
+            start_paused: true,
+            trace: TracePolicy {
+                completed_capacity: 16,
+                ..TracePolicy::sampled(1_000_000)
+            },
+            ..ServiceConfig::default()
+        };
+        let registry = registry(&["m"]);
+        let service = InferenceService::start(&registry, config, None).unwrap();
+        let frame = |v: f32| vec![Tensor::filled_f32(Shape::nhwc(1, 4, 4, 2), v)];
+        let good: Vec<_> = (1..4)
+            .map(|v| service.submit("m", frame(v as f32)).unwrap())
+            .collect();
+        let (bad, ledger) = {
+            let servers = service.servers.read();
+            let pool = &servers["m"].pool;
+            let caller = pool.ledger.attach();
+            pool.counters.offered.fetch_add(1, Ordering::AcqRel);
+            pool.counters.admitted.fetch_add(1, Ordering::AcqRel);
+            pool.ledger.enter();
+            let (reply, rx) = sync_channel(1);
+            let id = pool.next_id.fetch_add(1, Ordering::AcqRel);
+            let request = InferRequest {
+                id,
+                inputs: Arc::new(vec![Tensor::filled_f32(Shape::nhwc(1, 4, 4, 3), 1.0)]),
+                deadline: None,
+                admitted_at: Instant::now(),
+                sampled: false,
+                trace: Some(TraceContext::unsampled(7)),
+                from_caller: true,
+                reply,
+            };
+            assert!(pool.queue.try_push(request).is_ok());
+            (rx, (caller, pool.ledger.clone()))
+        };
+        service.resume();
+        let entry = registry.get("m").unwrap();
+        let mut solo = entry.spec().build(entry.graph()).unwrap();
+        for (v, pending) in (1..4).zip(good) {
+            let got = pending.wait().expect("a good member is answered");
+            let want = solo.invoke(&frame(v as f32)).unwrap();
+            assert_eq!(got.outputs, want, "member {v}");
+        }
+        let rejection = bad.recv().unwrap().unwrap_err();
+        assert!(
+            matches!(rejection.reason, RejectReason::ExecutionFailed { .. }),
+            "{rejection:?}"
+        );
+        assert_eq!(ledger.1.in_system(), 0, "the failed batch was counted out");
+        drop(ledger);
+        let hub = service.trace_hub().unwrap().clone();
+        let report = service.shutdown();
+        let stats = &report.models[0];
+        let books = (stats.completed, stats.failed, stats.shed_bad_input);
+        assert_eq!(books, (3, 1, 0), "{stats:?}");
+        assert!(stats.is_balanced(), "{stats:?}");
+        let traces = hub.take_completed(0);
+        let shed = traces.iter().find_map(|t| t.stage(SpanStage::Shed));
+        assert_eq!(shed.map(|s| s.arg_a), Some(4), "{traces:?}");
     }
 
     /// On a running service, a pool that cannot start leaves the served

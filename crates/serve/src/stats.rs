@@ -15,8 +15,9 @@ use crate::request::RejectReason;
 /// Internal live counters of one model's serving pool. Every admitted
 /// request increments exactly one terminal counter (`completed`,
 /// `shed_deadline` or `failed`); every refused submit increments exactly
-/// one of the shed-at-admission counters — so the books balance once the
-/// pool has drained.
+/// one of the shed-at-admission counters (`shed_queue_full`,
+/// `shed_shutdown`, `shed_bad_input`) — so the books balance once the pool
+/// has drained.
 #[derive(Debug, Default)]
 pub(crate) struct ModelCounters {
     pub(crate) offered: AtomicU64,
@@ -25,6 +26,7 @@ pub(crate) struct ModelCounters {
     pub(crate) shed_queue_full: AtomicU64,
     pub(crate) shed_deadline: AtomicU64,
     pub(crate) shed_shutdown: AtomicU64,
+    pub(crate) shed_bad_input: AtomicU64,
     pub(crate) failed: AtomicU64,
     pub(crate) batches: AtomicU64,
     pub(crate) batched_frames: AtomicU64,
@@ -53,6 +55,7 @@ impl ModelCounters {
             RejectReason::QueueFull { .. } => &self.shed_queue_full,
             RejectReason::DeadlineExpired { .. } => &self.shed_deadline,
             RejectReason::ShuttingDown => &self.shed_shutdown,
+            RejectReason::BadInput { .. } => &self.shed_bad_input,
             RejectReason::ExecutionFailed { .. } => &self.failed,
             // Not a pool's to count: no pool exists, or it is gone.
             RejectReason::UnknownModel | RejectReason::ChannelClosed => return,
@@ -103,6 +106,7 @@ impl ModelCounters {
             shed_queue_full: self.shed_queue_full.load(Ordering::Acquire),
             shed_deadline: self.shed_deadline.load(Ordering::Acquire),
             shed_shutdown: self.shed_shutdown.load(Ordering::Acquire),
+            shed_bad_input: self.shed_bad_input.load(Ordering::Acquire),
             failed: self.failed.load(Ordering::Acquire),
             batches: self.batches.load(Ordering::Acquire),
             batched_frames: self.batched_frames.load(Ordering::Acquire),
@@ -141,6 +145,8 @@ pub struct ModelStats {
     pub shed_deadline: u64,
     /// Refused at admission: service shutting down.
     pub shed_shutdown: u64,
+    /// Refused at admission: tensors that do not fit the model's inputs.
+    pub shed_bad_input: u64,
     /// Answered with an execution error.
     pub failed: u64,
     /// Batched invokes executed.
@@ -162,9 +168,13 @@ pub struct ModelStats {
 
 impl ModelStats {
     /// Requests shed for any reason (queue-full + deadline + shutdown +
-    /// execution failure).
+    /// bad input + execution failure).
     pub fn shed(&self) -> u64 {
-        self.shed_queue_full + self.shed_deadline + self.shed_shutdown + self.failed
+        self.shed_queue_full
+            + self.shed_deadline
+            + self.shed_shutdown
+            + self.shed_bad_input
+            + self.failed
     }
 
     /// Shed fraction of everything offered.
@@ -190,7 +200,8 @@ impl ModelStats {
     /// for post-drain readings — a live reading may transiently observe a
     /// request between counters.
     pub fn is_balanced(&self) -> bool {
-        self.offered == self.admitted + self.shed_queue_full + self.shed_shutdown
+        self.offered
+            == self.admitted + self.shed_queue_full + self.shed_shutdown + self.shed_bad_input
             && self.admitted == self.completed + self.shed_deadline + self.failed
     }
 }

@@ -25,6 +25,7 @@ fn shed_code(reason: &RejectReason) -> (u64, u64) {
         RejectReason::DeadlineExpired { missed_by } => (2, missed_by.as_nanos() as u64),
         RejectReason::ShuttingDown => (3, 0),
         RejectReason::ExecutionFailed { .. } => (4, 0),
+        RejectReason::BadInput { .. } => (5, 0),
         // Never a pool's refusal: no pool exists, or no caller is left.
         RejectReason::UnknownModel | RejectReason::ChannelClosed => (0, 0),
     }
@@ -140,8 +141,11 @@ mod tests {
             RejectReason::QueueFull { depth: 0 },
             RejectReason::DeadlineExpired { missed_by },
             RejectReason::ShuttingDown,
-            RejectReason::ExecutionFailed { detail },
+            RejectReason::ExecutionFailed {
+                detail: detail.clone(),
+            },
+            RejectReason::BadInput { detail },
         ];
-        assert_eq!(reasons.map(|r| shed_code(&r).0), [1, 2, 3, 4]);
+        assert_eq!(reasons.map(|r| shed_code(&r).0), [1, 2, 3, 4, 5]);
     }
 }

@@ -409,15 +409,18 @@ fn a_deadline_shed_leaves_the_ledger_at_zero() {
     assert_settles(server);
 }
 
-/// (iii-d) A batch whose invoke fails is counted out before its error
-/// replies; the session stays attached and keeps working.
+/// (iii-d) A request whose tensors do not fit the model is refused at
+/// admission, before the ledger counts it in; the session stays attached
+/// and keeps working. (A batch whose invoke fails is counted out before
+/// its error replies: `service::tests` drives that path, which admission
+/// no longer lets a peer's tensors reach.)
 #[test]
-fn an_execution_failure_leaves_the_ledger_at_zero() {
+fn a_bad_input_refusal_leaves_the_ledger_at_zero() {
     let server = start_server(ServiceConfig::default());
     let mut client = RpcClient::connect(server.local_addr()).unwrap();
     let bad = vec![Tensor::from_f32(Shape::new(vec![1, 3]), vec![1.0, 2.0, 3.0]).unwrap()];
     let err = client.infer("m", bad, None).unwrap_err();
-    assert_eq!(err.server_code(), Some(ErrorCode::ExecutionFailed));
+    assert_eq!(err.server_code(), Some(ErrorCode::BadInput));
     assert_eq!(callers(&server), (1, 0));
     client.infer("m", frame_input(0), None).unwrap();
     assert_eq!(callers(&server), (1, 0));
@@ -454,10 +457,10 @@ fn callers_in_another_workers_batch_count_as_in_the_system() {
     assert_settles(server);
 }
 
-/// One request of the wrong shape fails alone. Its batch of four fails as
-/// a whole, so each member is re-run by itself: the three good requests are
-/// answered with a solo invoke's bits and only the bad one is counted
-/// failed.
+/// One request of the wrong shape is refused at admission with
+/// `BadInput`, before it reaches the queue, so it never joins — or fails —
+/// a batch: the three good requests are answered with a solo invoke's bits
+/// from one batch, and the bad one is counted on its own book.
 #[test]
 fn one_bad_request_does_not_fail_its_batchmates() {
     let (service, _registry) = start_service(ServiceConfig {
@@ -467,7 +470,16 @@ fn one_bad_request_does_not_fail_its_batchmates() {
     });
     let bad = vec![Tensor::from_f32(Shape::new(vec![1, 3]), vec![1.0, 2.0, 3.0]).unwrap()];
     let first = service.submit("m", frame_input(0)).unwrap();
-    let bad = service.submit("m", bad).unwrap();
+    let rejection = service.submit("m", bad).unwrap_err();
+    assert!(
+        matches!(&rejection.reason, RejectReason::BadInput { detail } if detail.contains("shape")),
+        "{rejection:?}"
+    );
+    assert_eq!(
+        service.queue_depth("m"),
+        Some(1),
+        "the bad request was never queued"
+    );
     let rest: Vec<_> = (1..3)
         .map(|seed| service.submit("m", frame_input(seed)).unwrap())
         .collect();
@@ -485,13 +497,10 @@ fn one_bad_request_does_not_fail_its_batchmates() {
         };
         assert_eq!(bits(&response.outputs), bits(&want), "request {seed}");
     }
-    let rejection = bad.wait().unwrap_err();
-    assert!(
-        matches!(rejection.reason, RejectReason::ExecutionFailed { .. }),
-        "{rejection:?}"
-    );
     let report = service.shutdown();
     let stats = &report.models[0];
-    assert_eq!((stats.completed, stats.failed), (3, 1), "{stats:?}");
+    let books = (stats.completed, stats.failed, stats.shed_bad_input);
+    assert_eq!(books, (3, 0, 1), "{stats:?}");
+    assert_eq!((stats.batches, stats.max_batch), (1, 3), "{stats:?}");
     assert!(stats.is_balanced(), "{stats:?}");
 }

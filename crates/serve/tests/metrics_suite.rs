@@ -231,6 +231,12 @@ fn wire_metrics_matches_drained_books_exactly() {
     scraper.join().unwrap();
     assert!(scrapes.load(Ordering::Acquire) >= 1);
 
+    // One request whose tensor does not fit the model: refused at
+    // admission, on its own book.
+    let wrong_shape = vec![Tensor::filled_f32(Shape::nhwc(1, 2, 2, 3), 0.5)];
+    let err = client.infer("m", wrong_shape, None).unwrap_err();
+    assert_eq!(err.server_code(), Some(ErrorCode::BadInput));
+
     // One online drift check over the six completed frames.
     let alarm = server.service().drift_check("m").unwrap();
     assert!(alarm.is_some_and(|alarm| !alarm.raised));
@@ -290,6 +296,11 @@ fn wire_metrics_matches_drained_books_exactly() {
             vec![("model", "m"), ("reason", "shutdown")],
             books.shed_shutdown,
         ),
+        (
+            "mlexray_serve_requests_shed_total",
+            vec![("model", "m"), ("reason", "bad_input")],
+            books.shed_bad_input,
+        ),
         ("mlexray_serve_batches_total", m.to_vec(), books.batches),
         (
             "mlexray_serve_batched_frames_total",
@@ -335,10 +346,14 @@ fn wire_metrics_matches_drained_books_exactly() {
         "mlexray_serve_requests_shed_total",
         &[("model", "m"), ("reason", "shutdown")],
     );
-    assert_eq!(offered, admitted + shed_q + shed_s);
+    let shed_b = get(
+        "mlexray_serve_requests_shed_total",
+        &[("model", "m"), ("reason", "bad_input")],
+    );
+    assert_eq!(offered, admitted + shed_q + shed_s + shed_b);
     assert_eq!(admitted, completed + shed_d + failed);
     assert_eq!(completed, COMPLETED as u64);
-    assert_eq!(shed_d, 2);
+    assert_eq!((shed_d, shed_b), (2, 1));
     // Every executed batch was closed by exactly one reason.
     let closes: u64 = ["full", "callers_in", "window", "drained"]
         .iter()

@@ -227,11 +227,11 @@ fn unknown_model_and_bad_inputs_are_typed() {
     let mut client = RpcClient::connect(server.local_addr()).unwrap();
     let err = client.infer("nope", frame_input(0), None).unwrap_err();
     assert_eq!(err.server_code(), Some(ErrorCode::UnknownModel));
-    // Wrong input shape: execution fails, the client gets the typed
+    // Wrong input shape: admission refuses it, the client gets the typed
     // reason, the server survives.
     let bad = vec![Tensor::from_f32(Shape::new(vec![1, 3]), vec![1.0, 2.0, 3.0]).unwrap()];
     let err = client.infer("m", bad, None).unwrap_err();
-    assert_eq!(err.server_code(), Some(ErrorCode::ExecutionFailed));
+    assert_eq!(err.server_code(), Some(ErrorCode::BadInput));
     assert_eq!(
         client
             .infer("m", frame_input(3), None)

@@ -272,11 +272,13 @@ fn queue_full_and_deadline_sheds_are_force_traced() {
     service.shutdown();
 }
 
-/// Every way a request can end without an answer, as one table. Whatever
-/// the reason, the caller gets the typed `Rejection`, exactly one book
-/// moves and the drained books balance, and — with the sampling clock at
-/// "almost never" — one forced trace completes whose `Shed` span carries
-/// the code `docs/tracing.md` documents.
+/// Every way a peer can make a request end without an answer, as one
+/// table. Whatever the reason, the caller gets the typed `Rejection`,
+/// exactly one book moves and the drained books balance, and — with the
+/// sampling clock at "almost never" — one forced trace completes whose
+/// `Shed` span carries the code `docs/tracing.md` documents. (A failed
+/// invoke, code 4, is no longer reachable from a request's tensors, which
+/// admission checks: `service::tests` drives it past admission.)
 #[test]
 fn every_refusal_is_typed_counted_once_and_force_traced() {
     type Provoke = fn(&InferenceService) -> Rejection;
@@ -302,13 +304,9 @@ fn every_refusal_is_typed_counted_once_and_force_traced() {
             service.drain();
             service.submit("m", frame_input(1)).unwrap_err()
         }),
-        (4, |service| {
+        (5, |service| {
             let wrong_shape = vec![Tensor::filled_f32(Shape::nhwc(1, 4, 4, 3), 0.5)];
-            service
-                .submit("m", wrong_shape)
-                .unwrap()
-                .wait()
-                .unwrap_err()
+            service.submit("m", wrong_shape).unwrap_err()
         }),
     ];
     for (code, provoke) in table {
@@ -330,6 +328,7 @@ fn every_refusal_is_typed_counted_once_and_force_traced() {
             RejectReason::DeadlineExpired { .. } => 2,
             RejectReason::ShuttingDown => 3,
             RejectReason::ExecutionFailed { .. } => 4,
+            RejectReason::BadInput { .. } => 5,
             _ => 0,
         };
         assert_eq!(typed, code, "{rejection}");
@@ -340,8 +339,9 @@ fn every_refusal_is_typed_counted_once_and_force_traced() {
             stats.shed_deadline,
             stats.shed_shutdown,
             stats.failed,
+            stats.shed_bad_input,
         ];
-        let mut only_its_own = [0; 4];
+        let mut only_its_own = [0; 5];
         only_its_own[code as usize - 1] = 1;
         assert_eq!(books, only_its_own, "{rejection}");
         assert!(stats.is_balanced(), "{stats:?}");

@@ -30,7 +30,9 @@ step() { printf '\n==> %s\n' "$*"; }
 # crates/nn/src/ops.rs, which the builder, the quantizer and the lint's
 # shape pass all call; a `conv_out_size(` call in crates/nn/src outside
 # ops.rs, plan.rs (scratch sizing) and kernels/ (the kernels' own window
-# walks) is a second copy of that rule, and fails the leg.
+# walks) is a second copy of that rule, and fails the leg. The leg also
+# runs scripts/rust-lines.sh, which writes the `rust_lines` object of every
+# BENCH_PR*.json, and fails if it stops printing one.
 lint() {
   cargo fmt --all --check
   local stray
@@ -58,6 +60,13 @@ lint() {
     printf 'conv_out_size outside the op rule, the planner and the kernels:\n%s\n' "$stray" >&2
     return 1
   fi
+  local lines
+  lines="$(scripts/rust-lines.sh)"
+  if ! grep -qE '^\{"[a-z_-]+": [0-9]+(, "[a-z_-]+": [0-9]+)*, "benchmark": [0-9]+\}$' <<<"$lines"; then
+    printf 'scripts/rust-lines.sh printed no rust_lines object:\n%s\n' "$lines" >&2
+    return 1
+  fi
+  echo "rust_lines $lines"
 }
 
 clippy() {
@@ -129,8 +138,10 @@ backend-suites() {
 # outputs plus one chunk of captured outputs. golden_reports must read the same
 # text either way; parallel_replay's fold oracle must hold either way too.
 # The kernels::gemm unit tests
-# hold the one tile driver, under both chain rules and both explicit engines,
-# to a one-row, one-channel run of it per cell; hold the one quantized Conv2d
+# hold the one tile driver, under its three chain rules and every explicit
+# engine, to a one-row, one-channel run of it per cell (the narrow-panel rule
+# to dot_f32_scalar per cell, its windows read in place to the im2col path);
+# hold the one quantized Conv2d
 # and FC every flavor runs, in both builds, to the scalar loops they replaced
 # (a property suite over windows, strides, zero points, per-channel weights,
 # clamp bounds and both requantization precisions); and read the detected
@@ -156,7 +167,8 @@ backend-suites() {
 # nodes of mobilenet_v2@48, float and int8, every flavor), conv_probe (every
 # op kind and the stem of mini_mobilenet_v2@24, the replay_validate model,
 # reference and optimized, and @32, the wire_plain model, optimized),
-# serve_probe (mobilenet_v2@48, the serve_batch model, Simd flavor, batch 4),
+# serve_probe (mobilenet_v2@48, the serve_batch model, Simd flavor, batch 4,
+# the stem and the narrow-panel Conv2d nodes timed apart),
 # fold_probe (normalized_rmse and TensorStats::of on frame-sized inputs) and
 # preprocess_probe (the canonical image preprocessing, 60x60 -> 24x24 and
 # 224x224 -> 96x96): they must finish; no timing is asserted.
