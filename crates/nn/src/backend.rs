@@ -11,12 +11,13 @@
 //! * [`BackendSpec::reference`] — the debugging-grade reference kernels
 //!   (TFLite's `RefOpResolver`): canonical summation order.
 //! * [`BackendSpec::optimized`] — the production kernels (`OpResolver`):
-//!   blocked accumulation, whole-batch im2col GEMM, and the surface the
-//!   injected [`KernelBugs`] live in.
+//!   blocked accumulation, a GEMM over windows read in place, and the
+//!   surface the injected [`KernelBugs`] live in.
 //! * [`BackendSpec::simd`] — the raw-speed kernels (`SimdOpResolver`): the
 //!   runtime-feature-dispatched virtual-SIMD GEMM of `kernels::gemm`
-//!   (AVX2/FMA on x86_64, a bitwise-identical scalar mirror elsewhere)
-//!   behind the im2col float conv and fully-connected paths. Its float GEMM
+//!   (AVX-512F or AVX2/FMA on x86_64, a bitwise-identical scalar mirror
+//!   elsewhere) behind the float conv — its windows read in place, as the
+//!   optimized kernels read them — and fully-connected paths. Its float GEMM
 //!   outputs differ from the scalar flavors only by benign
 //!   accumulation-order drift.
 //!
@@ -82,8 +83,8 @@ impl BackendSpec {
         }
     }
 
-    /// The production runtime: optimized kernels (im2col + blocked-dot
-    /// GEMM), no bugs. This is the `Default`.
+    /// The production runtime: optimized kernels (blocked-dot GEMM over
+    /// windows read in place), no bugs. This is the `Default`.
     pub fn optimized() -> Self {
         Self::default()
     }

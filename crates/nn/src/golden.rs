@@ -1002,7 +1002,7 @@ pub fn cases() -> Vec<GoldenCase> {
     }
     // --- SIMD GEMM dispatch arms --------------------------------------------
     // One case per arm of the SIMD backend's cache-blocked GEMM: the tiled
-    // f32 im2col path (ragged K + row-tile + column-remainder coverage), the
+    // f32 windowed path (ragged K + row-tile + column-remainder coverage), the
     // 1x1 stride-1 copy-free path, the channel-vectorized depthwise path,
     // the fc path and the exact i8×i8→i32 quantized paths. SIMD goldens are
     // recorded from the SIMD flavor itself and compared bitwise: the
@@ -1045,7 +1045,7 @@ pub fn cases() -> Vec<GoldenCase> {
         simd_conv_input(),
     ));
     {
-        // 1x1 stride-1 conv: the copy-free direct arm (no im2col buffer).
+        // 1x1 stride-1 conv: the copy-free direct arm (no bordered copy).
         // c = 8 makes K exactly one lane wide, so the vector loop runs with
         // no scalar tail.
         let mut b = GraphBuilder::new("simd_conv2d_f32_1x1");

@@ -15,7 +15,7 @@
 
 use std::time::{Duration, Instant};
 
-use mlexray_tensor::{DType, Shape, Tensor, TensorData};
+use mlexray_tensor::{DType, Shape, Tensor, TensorData, TensorError};
 
 use crate::backend::BackendSpec;
 use crate::graph::{Graph, TensorDef, TensorId};
@@ -145,12 +145,7 @@ impl InvokeStats {
 /// future planner bug fails loudly in tests instead of silently corrupting
 /// activations in release.
 fn verified_plan(graph: &Graph, batch: usize, float: FloatKernels) -> Result<MemoryPlan> {
-    let engine = Engine::active();
-    let conv = |node: &crate::graph::Node| {
-        let weights = graph.tensor(*node.inputs.get(1)?).shape();
-        Some(float.conv_scratch(engine, &node.op, weights))
-    };
-    let plan = MemoryPlan::for_kernels(graph, batch, &conv)?;
+    let plan = MemoryPlan::for_kernels(graph, batch, float.conv_scratch())?;
     #[cfg(debug_assertions)]
     {
         let findings = crate::analysis::verify_plan(graph, &plan);
@@ -179,10 +174,10 @@ struct ExecState {
     /// Runtime slots; constants stay `None` and are read straight from the
     /// graph.
     values: Vec<Option<Tensor>>,
-    /// f32 scratch for the im2col matrix or the zero-bordered input of a
-    /// convolution and the BatchNorm denominators;
-    /// its capacity covers the largest plan run so far, so kernels never
-    /// reallocate it in steady state.
+    /// f32 scratch for the zero-bordered input a convolution reads its
+    /// windows from and the BatchNorm denominators; its capacity covers the
+    /// largest plan run so far, so kernels never reallocate it in steady
+    /// state.
     scratch: Vec<f32>,
     /// A windowed `Conv2d`'s tap offsets, which the kernel writes
     /// from its own geometry: empty until such a node runs, then as long as
@@ -193,9 +188,10 @@ struct ExecState {
     /// [`packed_weight_panels`]); empty until such a node runs, then as large
     /// as the largest of them.
     runtime_panels: Vec<f32>,
-    /// The quantized `Conv2d`'s `u8` patch matrix: empty until such a node
-    /// runs, then as large as the largest of them.
-    patches: Vec<u8>,
+    /// The quantized `Conv2d`'s bordered input, its border the input zero
+    /// point: empty until such a node runs, then as large as the largest of
+    /// them.
+    bordered_q: Vec<u8>,
     /// The quantized kernels' per-channel requant multipliers: empty until
     /// such a node runs, then as long as the widest of them.
     multipliers: Vec<f64>,
@@ -203,30 +199,36 @@ struct ExecState {
 
 impl ExecState {
     /// A one-frame arena for `graph`, sized from its batch-1 `plan`.
-    fn new(graph: &Graph, plan: &MemoryPlan) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::AllocationRefused`] when
+    /// the allocator refuses a slot or the scratch: a graph no machine
+    /// holds is refused, not an aborted process.
+    fn new(graph: &Graph, plan: &MemoryPlan) -> Result<Self> {
         let values = graph
             .tensors()
             .iter()
             .map(|def| {
                 if matches!(def, TensorDef::Constant { .. }) {
-                    return None;
+                    return Ok(None);
                 }
-                let mut slot = Tensor::zeros(def.dtype(), def.shape().clone());
+                let mut slot = Tensor::try_zeros(def.dtype(), def.shape().clone())?;
                 slot.set_quant(def.quant().cloned());
-                Some(slot)
+                Ok(Some(slot))
             })
-            .collect();
-        let mut scratch = Vec::new();
-        scratch.reserve_exact(plan.scratch_elems());
-        ExecState {
+            .collect::<Result<_>>()?;
+        let mut state = ExecState {
             frames: 1,
             values,
-            scratch,
+            scratch: Vec::new(),
             taps: Vec::new(),
             runtime_panels: Vec::new(),
-            patches: Vec::new(),
+            bordered_q: Vec::new(),
             multipliers: Vec::new(),
-        }
+        };
+        state.reshape(graph, plan)?;
+        Ok(state)
     }
 
     /// Re-shapes every slot to `plan`'s batch factor — a no-op when the
@@ -239,15 +241,19 @@ impl ExecState {
             for (slot, def) in self.values.iter_mut().zip(graph.tensors()) {
                 if let Some(slot) = slot {
                     let lead = def.shape().dims().first().copied().unwrap_or(1);
-                    slot.resize_batch(lead * plan.batch())
-                        .map_err(|e| NnError::InvalidGraph(e.to_string()))?;
+                    slot.resize_batch(lead * plan.batch())?;
                 }
             }
             self.frames = plan.batch();
         }
-        if self.scratch.capacity() < plan.scratch_elems() {
+        let need = plan.scratch_elems();
+        if self.scratch.capacity() < need {
             self.scratch.clear();
-            self.scratch.reserve_exact(plan.scratch_elems());
+            let refused = TensorError::AllocationRefused {
+                elements: need,
+                dtype: DType::F32,
+            };
+            self.scratch.try_reserve_exact(need).map_err(|_| refused)?;
         }
         Ok(())
     }
@@ -398,7 +404,7 @@ impl<'g> Interpreter<'g> {
             spec,
             kernels,
             panels: packed_weight_panels(graph, kernels.float)?,
-            state: ExecState::new(graph, &plan),
+            state: ExecState::new(graph, &plan)?,
             plans: vec![plan],
             batch_safe: batch_safe(graph),
             last_stats: None,
@@ -423,6 +429,12 @@ impl<'g> Interpreter<'g> {
     /// The memory plan backing single-frame invokes.
     pub fn memory_plan(&self) -> &MemoryPlan {
         &self.plans[0]
+    }
+
+    /// The memory plan of `batch` stacked frames, once an invoke has run
+    /// that many.
+    pub fn memory_plan_at(&self, batch: usize) -> Option<&MemoryPlan> {
+        self.plans.iter().find(|p| p.batch() == batch)
     }
 
     /// Shapes the arena for `frames` stacked frames and returns the index of
@@ -556,7 +568,7 @@ impl<'g> Interpreter<'g> {
                     engine: Engine::active(),
                     scratch: &mut state.scratch,
                     taps: &mut state.taps,
-                    patches: &mut state.patches,
+                    bordered_q: &mut state.bordered_q,
                     multipliers: &mut state.multipliers,
                     panels: panels.get(index).and_then(Option::as_deref),
                     runtime_panels: &mut state.runtime_panels,
@@ -769,7 +781,7 @@ impl<'g> Interpreter<'g> {
         }
         self.state.frames = 1;
         self.state.scratch = Vec::with_capacity(self.plans[0].scratch_elems());
-        self.state.patches = Vec::new();
+        self.state.bordered_q = Vec::new();
     }
 
     /// The value of any tensor slot after the last invoke (useful for

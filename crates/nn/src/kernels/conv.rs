@@ -4,8 +4,8 @@
 //! ([`depthwise_row`]) that runs the float kernel every flavor shares and
 //! the int8 kernels — exact, and with the injected optimized-flavor defect
 //! of §4.4. The optimized and SIMD float `Conv2d`, and the quantized
-//! `Conv2d` of every flavor, are the im2col + GEMM kernels in
-//! [`gemm`](super::gemm). Every window loop here is [`WindowGeom::taps`]
+//! `Conv2d` of every flavor, are the GEMM kernels in [`gemm`](super::gemm),
+//! which read their windows in place from a bordered copy of the input. Every window loop here is [`WindowGeom::taps`]
 //! or its run form [`WindowGeom::runs`]; the depthwise walk also unrolls
 //! the nine taps of an unclipped 3×3 window.
 //!

@@ -1,26 +1,25 @@
-//! The im2col + GEMM kernels — the float `Conv2d` and `FullyConnected` of the
+//! The GEMM kernels — the float `Conv2d` and `FullyConnected` of the
 //! [`Optimized`](crate::KernelFlavor::Optimized) and
 //! [`Simd`](crate::KernelFlavor::Simd) flavors, and the
 //! quantized ones of every flavor — the runtime-feature-dispatched engines
 //! beneath them, and the engine-explicit entry points the cross-engine test
 //! suites pin those engines with.
 //!
-//! # One im2col, one tile walk, three chain rules
+//! # One tile walk, three chain rules, one way to read a window
 //!
-//! There is one whole-batch `im2col` (generic over the element type: `f32`
-//! for the Simd flavor's wide convolutions, `u8` for the quantized one);
-//! both `FullyConnected` layers pass their activations as the matrix. The
-//! Optimized convolution, and the Simd one wherever it reads panels, build
-//! no matrix: their rows are read in place (below). One walk, `walk_tiles`,
-//! drives the float GEMM of both flavors — `ROW_TILE`-row tiles × column
-//! strips × a few rows at a time, as the rule steps (`ChainRule::strip`:
-//! `MR`, then the odd row; four rows first across the Simd rule's
-//! eight-wide strips in its AVX-512 build; `PANEL_MR` for the panels) —
-//! adds the bias, and applies the activation once per tile; it is generic
-//! over how a matrix row is read (`MatrixRows`: a row-major matrix, or a
-//! convolution's windows). What sums `M` matrix rows against one strip is
-//! the flavor's chain rule, because each flavor's summation tree is pinned
-//! by its goldens:
+//! No kernel here builds a patch matrix. Both `FullyConnected` layers, and
+//! a pointwise `Conv2d` (1×1, stride 1), reduce their input as the matrix
+//! itself; every other `Conv2d` reads its windows in place (below). One
+//! walk, `walk_tiles`, drives the float GEMM of both flavors —
+//! `ROW_TILE`-row tiles × column strips × a few rows at a time, as the rule
+//! steps (`ChainRule::strip`: `MR`, then the odd row; four rows first
+//! across the Simd rule's eight-wide strips in its AVX-512 build;
+//! `PANEL_MR` for the panels) — adds the bias, and applies the activation
+//! once per tile; it and every chain rule are generic over how a matrix
+//! row is read (`MatrixRows`: a row-major matrix, or a convolution's
+//! windows). What sums `M` matrix rows against one strip is the flavor's
+//! chain rule, because each flavor's summation tree is pinned by its
+//! goldens:
 //!
 //! * **Optimized — the blocked-4 cell.** Four partial sums striped over the
 //!   index (multiply, then add — never fused), a sequential remainder, then
@@ -47,42 +46,37 @@
 //!
 //! # Windows read in place
 //!
-//! im2col copies every window — `kh · kw` taps of `c` floats per output
-//! cell — into a matrix row. For the 3-channel stem of a MobileNet that is
-//! 768 copies of 9 floats at 32 × 32, and it took longer than the GEMM
-//! after it. So the Optimized `Conv2d` (any window but a pointwise one,
-//! which reads its input as the matrix) copies the input once instead,
-//! row by row, into a zero-bordered buffer of `n × ((oh − 1)·s + kh) ×
-//! ((ow − 1)·s + kw) × c` — the input plus the padding its windows reach —
-//! and reads tap `p` of row `r` at `origin(r) + tap_offset[p]`. The kernel
-//! writes the tap offsets from the same `WindowGeom` it borders the input
-//! with, on every call (27 of them for a 3×3 stem over RGB), into a buffer
-//! the interpreter keeps, so no table built for another window can reach
-//! it; the bordered input is the plan-sized float scratch.
-//! Element `p` of a window then holds exactly what element `p` of its
-//! im2col row held, the input or a `0.0`, and the blocked-4 chains meet the
-//! same terms in the same order. Padding taps are still multiplied and
-//! added as `0.0 · w`, not skipped, so that this holds for every weight:
-//! a `±∞` or NaN weight on a padding tap makes the cell NaN (`0 · ∞` is
-//! NaN) here as in the im2col path, where skipping the tap would not, and
-//! no partial sum drops or gains a zero term. The Simd flavor's panel rule
-//! reads a narrow windowed convolution — the 3×3 stem of a MobileNet,
-//! `k = 27` — the same way (`lanes8_windows`): its element `p` is the
-//! im2col row's element `p`, so the dot meets the same terms in the same
-//! order, and the stem's im2col matrix (and its scratch) is gone. im2col
-//! now serves only the Simd flavor's row-major `Lanes8` tiles and the
-//! quantized kernels, whose dots load contiguous runs of `k`.
+//! A patch (im2col) matrix would copy every window — `kh · kw` taps of `c`
+//! floats per output cell — into a matrix row. A windowed float `Conv2d`
+//! copies the input once instead, row by row, into a zero-bordered buffer
+//! of `n × ((oh − 1)·s + kh) × ((ow − 1)·s + kw) × c` — the input plus the
+//! padding its windows reach, the plan-sized float scratch on every engine
+//! — and reads tap `p` of row `r` at `origin(r) + tap_offset[p]`, the tap
+//! offsets written on every call from the same `WindowGeom` into a buffer
+//! the interpreter keeps. Element `p` of a window then holds exactly what
+//! element `p` of its im2col row would hold, the input or a `0.0`, and
+//! every chain rule meets the same terms in the same order; the im2col
+//! matrix survives only in this module's tests, as the oracle every
+//! windowed kernel is held to bit for bit. Padding taps are still
+//! multiplied and added as `0.0 · w`, not skipped: a `±∞` or NaN weight on
+//! a padding tap makes the cell NaN (`0 · ∞` is NaN) as it would in a
+//! matrix row, and no partial sum drops or gains a zero term. A rule reads
+//! a row a few elements at a time (`RowRead::chunk`): a slice of a matrix
+//! row, or a window's taps gathered into registers, across window rows.
 //!
 //! The quantized `Conv2d` and `FullyConnected` are one kernel each for
-//! every flavor (`conv2d_q`, `fc_q`): the `u8` matrix — padding taps
-//! hold the input zero point — against the row-major `i8` weights, one
-//! exact `i32` dot per output value, output channel by output channel, each
-//! channel's requantization multiplier computed once per node. The output
-//! loop is one native body (`q8_gemm`), entered once per node, and its dot
-//! is plain integer Rust that both builds vectorize (`pmaddwd` in the
-//! baseline, `vpmaddwd` in the AVX2 one). The scalar loops the reference
-//! and optimized flavors ran before are kept verbatim in this module's
-//! tests, which hold both kernels to them bit for bit.
+//! every flavor (`conv2d_q`, `fc_q`): one exact `i32` dot per output value
+//! against the row-major `i8` weights, output channel by output channel,
+//! each channel's requantization multiplier computed once per node. A
+//! windowed `Conv2d` borders its `u8` input with the input zero point and
+//! reads each window as its `kh` contiguous runs of `kw · in_c` bytes, each
+//! run an exact dot against the matching segment of the weight row; a
+//! plain matrix row is the one-run case. The output loop is one native body
+//! (`q8_gemm`), entered once per node, and its dot is plain integer Rust
+//! that both builds vectorize (`pmaddwd` in the baseline, `vpmaddwd` in the
+//! AVX2 one). The scalar loops the reference and optimized flavors ran
+//! before are kept verbatim in this module's tests, which hold both kernels
+//! to them bit for bit.
 //!
 //! # Native builds at the host's vector width
 //!
@@ -97,14 +91,14 @@
 //! moves no bit of an unfused kernel: Rust never contracts `a + x * w`, so
 //! every product is still rounded before it is added, and the AVX2+FMA
 //! build performs the same operations in the same order on eight lanes
-//! and returns the baseline build's bits. The fused kernels, the Simd
-//! rule's `lanes8_gemm` and its windowed twin `lanes8_windows`, run their
-//! intrinsics inlined into that build — driver, tile and epilogue one
-//! function, no call per tile — and the baseline build runs the scalar
-//! mirror. They alone opt into a third build, under `avx512f` as well,
-//! which an `Avx512` engine runs; the Optimized rule is a kernel of its
-//! own (`blocked4_gemm`), so the Optimized pointwise convolutions keep
-//! their two builds.
+//! and returns the baseline build's bits. The fused kernel, the Simd
+//! rule's `lanes8_gemm` (generic over how it reads its rows, like the
+//! Optimized `blocked4_gemm`), runs its intrinsics inlined into that build
+//! — driver, tile and epilogue one function, no call per tile — and the
+//! baseline build runs the scalar mirror. It alone opts into a third
+//! build, under `avx512f` as well, which an `Avx512` engine runs; the
+//! Optimized rule is a kernel of its own, so the Optimized convolutions
+//! keep their two builds.
 //! `MLEXRAY_SIMD=scalar` runs the baseline build.
 //!
 //! # Three builds, one contract
@@ -158,7 +152,7 @@
 //! to all sixteen lanes, times the panel's sixteen weights of that element,
 //! by `_mm512_fmadd_ps` in index order from `+0.0` — so vector lane `c` of
 //! accumulator `l` performs exactly the operations of lane `l` of
-//! `dot_f32_scalar` for channel `c`. `reduce8`'s tree is then seven
+//! `lanes8_dot` for channel `c`. `reduce8`'s tree is then seven
 //! *vertical* adds, `((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))`,
 //! one per tree node for all sixteen channels at once, and the K tail is
 //! one fused multiply-add per element to `len` (so the `skip_k_tail`
@@ -202,7 +196,7 @@ use mlexray_tensor::{Shape, Tensor};
 use crate::backend::BackendSpec;
 use crate::graph::{Graph, Node, NodeId, TensorDef};
 use crate::kernels::conv::weight_panels;
-use crate::kernels::window::{BorderedSteps, WindowGeom};
+use crate::kernels::window::{BorderedSteps, WindowGeom, WindowRuns};
 use crate::kernels::{execute_node, f32_slot, qparams_of, u8_slot, KernelCtx, Kernels, Requant};
 use crate::ops::{Activation, Padding};
 use crate::plan::MemoryPlan;
@@ -344,8 +338,8 @@ pub fn dot_f32_with(engine: SimdEngine, a: &[f32], b: &[f32]) -> f32 {
         panels: None,
         skip_k_tail,
     };
-    let bias = Some(&[-0.0][..]);
-    float_gemm(engine, lanes8, a, k, 1, bias, Activation::None, &mut out);
+    let (rows, bias) = (Dense { matrix: a, k }, Some(&[-0.0][..]));
+    float_gemm(engine, lanes8, rows, 1, bias, Activation::None, &mut out);
     out[0]
 }
 
@@ -361,18 +355,21 @@ fn k_len(k: usize, skip_k_tail: bool) -> usize {
     }
 }
 
-fn dot_f32_scalar(a: &[f32], b: &[f32]) -> f32 {
+/// The canonical dot of the first `len` elements of row `a` and of `b`,
+/// the scalar mirror of the `Lanes8` tiles: eight fused multiply-add lanes
+/// striped over the index, [`reduce8`], then a sequential fused tail.
+fn lanes8_dot<R: RowRead>(a: R, b: &[f32], len: usize) -> f32 {
     let mut lanes = [0.0f32; SIMD_LANES];
-    let chunks = a.len() / SIMD_LANES;
+    let chunks = len / SIMD_LANES;
     for i in 0..chunks {
-        let o = i * SIMD_LANES;
-        for (l, acc) in lanes.iter_mut().enumerate() {
-            *acc = a[o + l].mul_add(b[o + l], *acc);
+        let (x, w) = (a.chunk::<SIMD_LANES>(i), &b[i * SIMD_LANES..][..SIMD_LANES]);
+        for ((acc, x), w) in lanes.iter_mut().zip(x).zip(w) {
+            *acc = x.mul_add(*w, *acc);
         }
     }
     let mut sum = reduce8(lanes);
-    for i in chunks * SIMD_LANES..a.len() {
-        sum = a[i].mul_add(b[i], sum);
+    for (p, w) in b[..len].iter().enumerate().skip(chunks * SIMD_LANES) {
+        sum = a.at(p).mul_add(*w, sum);
     }
     sum
 }
@@ -383,37 +380,40 @@ fn reduce8(l: [f32; 8]) -> f32 {
     ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
-/// The AVX2+FMA engine's `M × N` tile: the dots of the first `k` elements
-/// of the `M` rows of `a` and the `N` rows of `b`, rows `stride` apart, in
-/// `M · N` `ymm` accumulators that stay in registers across the K loop. Not
-/// a `#[target_feature]` function of its own, so that it inlines into
-/// [`float_gemm`]'s AVX2+FMA build — the only caller — and its intrinsics
-/// compile to the instructions in place.
+/// The AVX2+FMA engine's `M × N` tile: the dots of the first `len`
+/// elements of the `M` rows `a` and of the `N` rows of `b`, `stride` apart,
+/// in `M · N` `ymm` accumulators that stay in registers across the K loop.
+/// A row is read eight elements at a time ([`RowRead::chunk`]) into one
+/// register. Not a `#[target_feature]` function of its own, so that it
+/// inlines into [`lanes8_gemm`]'s AVX2+FMA build — the only caller — and
+/// its intrinsics compile to the instructions in place.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2 and FMA. The AVX2+FMA build of
 /// `native_kernel!` runs only for an `Engine` holding `Avx2Fma`, so this
-/// holds wherever that build calls it. (Every load is within the `k`
-/// elements each row was sliced to.)
+/// holds wherever that build calls it. Every row of `a` must hold at least
+/// `len` elements: the tile reads them unchecked
+/// ([`RowRead::chunk_unchecked`]), eight at a time and then the tail one at
+/// a time. (Every weight load is within the `len` elements each row of `b`
+/// was sliced to.)
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn tile_avx2<const M: usize, const N: usize>(
-    a: &[f32],
+unsafe fn tile_avx2<R: RowRead, const M: usize, const N: usize>(
+    a: [R; M],
     b: &[f32],
     stride: usize,
-    k: usize,
+    len: usize,
 ) -> [[f32; N]; M] {
     use std::arch::x86_64::*;
-    let a: [&[f32]; M] = std::array::from_fn(|m| &a[m * stride..][..k]);
-    let b: [&[f32]; N] = std::array::from_fn(|j| &b[j * stride..][..k]);
+    let b: [&[f32]; N] = std::array::from_fn(|j| &b[j * stride..][..len]);
     let mut acc = [[_mm256_setzero_ps(); N]; M];
-    let chunks = k / SIMD_LANES;
+    let chunks = len / SIMD_LANES;
     for i in 0..chunks {
         let o = i * SIMD_LANES;
         let vb = b.map(|b| _mm256_loadu_ps(b.as_ptr().add(o)));
         for (acc, a) in acc.iter_mut().zip(a) {
-            let va = _mm256_loadu_ps(a.as_ptr().add(o));
+            let va = _mm256_loadu_ps(a.chunk_unchecked::<SIMD_LANES>(i).as_ptr());
             for (acc, vb) in acc.iter_mut().zip(vb) {
                 *acc = _mm256_fmadd_ps(va, vb, *acc);
             }
@@ -443,19 +443,20 @@ unsafe fn tile_avx2<const M: usize, const N: usize>(
             }
         }
     }
-    for i in chunks * SIMD_LANES..k {
+    for i in chunks * SIMD_LANES..len {
         for (out, a) in out.iter_mut().zip(a) {
+            let a = a.chunk_unchecked::<1>(i)[0];
             for (sum, b) in out.iter_mut().zip(b) {
-                *sum = a[i].mul_add(b[i], *sum);
+                *sum = a.mul_add(b[i], *sum);
             }
         }
     }
     out
 }
 
-/// The AVX-512F engine's `M × 8` tile: the dots of the first `k` elements
-/// of the `M` rows of `a` and the eight rows of `b`, rows `stride` apart.
-/// Each row keeps four `zmm` accumulators; accumulator `p` holds the
+/// The AVX-512F engine's `M × 8` tile: the dots of the first `len`
+/// elements of the `M` rows `a` and of the eight rows of `b`, `stride`
+/// apart. Each row keeps four `zmm` accumulators; accumulator `p` holds the
 /// eight lanes of channel `p` in its low half and those of channel `p + 4`
 /// in its high half, so each 8-element chunk is one broadcast of the row
 /// chunk to both halves, two 256-bit weight loads joined per channel pair
@@ -475,22 +476,22 @@ unsafe fn tile_avx2<const M: usize, const N: usize>(
 ///
 /// The CPU must support AVX-512F, AVX2 and FMA. The AVX-512 build of
 /// `native_kernel!` runs only for an `Engine` holding `Avx512`, so this
-/// holds wherever that build calls it. (Every load is within the `k`
-/// elements each row was sliced to.)
+/// holds wherever that build calls it. Every row of `a` must hold at least
+/// `len` elements, as for [`tile_avx2`]. (Every weight load is within the
+/// `len` elements each row of `b` was sliced to.)
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn tile_avx512<const M: usize, const N: usize>(
-    a: &[f32],
+unsafe fn tile_avx512<R: RowRead, const M: usize, const N: usize>(
+    a: [R; M],
     b: &[f32],
     stride: usize,
-    k: usize,
+    len: usize,
 ) -> [[f32; N]; M] {
     use std::arch::x86_64::*;
     assert_eq!(N, 8, "the zmm tile is eight channels wide");
-    let a: [&[f32]; M] = std::array::from_fn(|m| &a[m * stride..][..k]);
-    let b: [&[f32]; N] = std::array::from_fn(|j| &b[j * stride..][..k]);
+    let b: [&[f32]; N] = std::array::from_fn(|j| &b[j * stride..][..len]);
     let mut acc = [[_mm512_setzero_ps(); 4]; M];
-    let chunks = k / SIMD_LANES;
+    let chunks = len / SIMD_LANES;
     for i in 0..chunks {
         let o = i * SIMD_LANES;
         // Written out: an `array::from_fn` closure stayed a call in the
@@ -505,7 +506,7 @@ unsafe fn tile_avx512<const M: usize, const N: usize>(
         }
         let vb = [pair!(0), pair!(1), pair!(2), pair!(3)];
         for (acc, a) in acc.iter_mut().zip(a) {
-            let va = _mm256_loadu_pd(a.as_ptr().add(o).cast());
+            let va = _mm256_loadu_pd(a.chunk_unchecked::<SIMD_LANES>(i).as_ptr().cast());
             let va = _mm512_castpd_ps(_mm512_broadcast_f64x4(va));
             for (acc, vb) in acc.iter_mut().zip(vb) {
                 *acc = _mm512_fmadd_ps(va, vb, *acc);
@@ -531,11 +532,12 @@ unsafe fn tile_avx512<const M: usize, const N: usize>(
         let low = _mm512_shuffle_f32x4::<0b10_00_10_00>(h, h);
         let high = _mm512_shuffle_f32x4::<0b11_01_11_01>(h, h);
         let mut sums = _mm512_castps512_ps256(_mm512_add_ps(low, high));
-        for i in chunks * SIMD_LANES..k {
+        #[allow(clippy::needless_range_loop)] // `i` indexes eight weight rows
+        for i in chunks * SIMD_LANES..len {
             let w = _mm256_setr_ps(
                 b[0][i], b[1][i], b[2][i], b[3][i], b[4][i], b[5][i], b[6][i], b[7][i],
             );
-            sums = _mm256_fmadd_ps(_mm256_set1_ps(a[i]), w, sums);
+            sums = _mm256_fmadd_ps(_mm256_set1_ps(a.chunk_unchecked::<1>(i)[0]), w, sums);
         }
         _mm256_storeu_ps(out.as_mut_ptr(), sums);
     }
@@ -548,7 +550,7 @@ unsafe fn tile_avx512<const M: usize, const N: usize>(
 /// lane of the canonical dot: accumulator `l` takes elements `l, l + 8, …`
 /// of the row, broadcast, times the panel's row of that element, by one
 /// fused multiply-add each, in index order from `+0.0` — so vector lane `c`
-/// of accumulator `l` is exactly lane `l` of [`dot_f32_scalar`] for channel
+/// of accumulator `l` is exactly lane `l` of [`lanes8_dot`] for channel
 /// `c`. `reduce8`'s tree is then seven vertical adds, and the K tail one
 /// fused multiply-add per element up to `len`, again channel-wise, each
 /// panel row loaded once for all `M` rows. The sum plus `bias` (`+0.0`
@@ -613,38 +615,8 @@ unsafe fn panel_avx512<R: RowRead, const M: usize>(
 }
 
 // ---------------------------------------------------------------------------
-// im2col and the two reductions
+// The tile walk and its chain rules
 // ---------------------------------------------------------------------------
-
-/// Elements of the patch matrix [`im2col`] materializes for `g` (0 for a
-/// pointwise window, which reads the input in place).
-fn im2col_len(g: &WindowGeom) -> usize {
-    if g.is_pointwise() {
-        0
-    } else {
-        g.cell_count() * g.patch_len()
-    }
-}
-
-/// Whole-batch im2col: the `[cells, kh·kw·c]` patch matrix of `x`, built in
-/// `scratch` one window row at a time with padding taps left at `fill` — or
-/// `x` itself, copy-free, for 1×1 stride-1 windows (the bulk of
-/// MobileNet-family MACs).
-fn im2col<'a, T: Copy>(g: &WindowGeom, x: &'a [T], fill: T, scratch: &'a mut Vec<T>) -> &'a [T] {
-    if g.is_pointwise() {
-        return x;
-    }
-    let ksize = g.patch_len();
-    scratch.clear();
-    scratch.resize(im2col_len(g), fill);
-    for window in g.windows() {
-        let row = &mut scratch[window.index * ksize..][..ksize];
-        for (at, run) in g.runs(&window) {
-            row[at..at + run.len()].copy_from_slice(&x[run]);
-        }
-    }
-    scratch
-}
 
 /// Output rows sharing one weight fetch: large enough to amortize streaming
 /// the weights, small enough that a tile of matrix rows stays
@@ -739,23 +711,21 @@ pub(crate) fn pack_lanes8_panels(weights: &Tensor, packed: &mut Vec<f32>) -> Res
 }
 
 /// The float GEMM of the Optimized and Simd flavors: `out[r, oc] =
-/// activation(sum(matrix[r], weights[oc]) + bias[oc])` over `matrix: [rows,
-/// k]` and `out: [rows, out_c]`, the sum the `reduction`'s; a missing bias
+/// activation(sum(row r, weights[oc]) + bias[oc])` over the rows of `rows`
+/// and `out: [rows, out_c]`, the sum the `reduction`'s; a missing bias
 /// adds `0.0`, which turns a `-0.0` sum into `+0.0`. Each rule is a native
 /// kernel of its own ([`blocked4_gemm`], [`lanes8_gemm`]), so that only the
 /// Simd one has an AVX-512 build.
 #[allow(clippy::too_many_arguments)]
-fn float_gemm(
+fn float_gemm<X: MatrixRows>(
     engine: Engine,
     reduction: Reduction<'_>,
-    matrix: &[f32],
-    k: usize,
+    rows: X,
     out_c: usize,
     bias: Option<&[f32]>,
     activation: Activation,
     out: &mut [f32],
 ) {
-    let rows = Dense { matrix, k };
     match reduction {
         Reduction::Blocked4(panels) => {
             blocked4_gemm(engine, panels, rows, out_c, bias, activation, out)
@@ -779,20 +749,21 @@ fn float_gemm(
 }
 
 native_kernel! {
-    /// [`float_gemm`]'s Optimized rule over a row-major matrix. A tile of
-    /// [`ROW_TILE`] rows meets each column strip in turn, [`MR`] rows at a
-    /// time (one in the baseline build) and then the odd row, so the strip
-    /// stays cache-resident across the tile; the activation is one pass
-    /// over the tile. Tiling only reorders which sum is computed when.
-    fn blocked4_gemm[build](
+    /// [`float_gemm`]'s Optimized rule, [`Blocked4Panels`], over rows read
+    /// however they are stored. A tile of [`ROW_TILE`] rows meets each
+    /// column strip in turn, [`MR`] rows at a time (one in the baseline
+    /// build) and then the odd row, so the strip stays cache-resident
+    /// across the tile; the activation is one pass over the tile. Tiling
+    /// only reorders which sum is computed when.
+    fn blocked4_gemm<X: MatrixRows>[build](
         panels: &[f32],
-        rows: Dense<'_>,
+        rows: X,
         out_c: usize,
         bias: Option<&[f32]>,
         activation: Activation,
         out: &mut [f32],
     ) {
-        let rule = Blocked4Panels { panels, k: rows.k };
+        let rule = Blocked4Panels { panels, k: rows.k() };
         walk_tiles(rule, build, rows, out_c, bias, activation, out);
     }
 }
@@ -804,18 +775,19 @@ native_kernel! {
     /// then one, an eight-wide strip four rows at a time ([`tile_avx512`]),
     /// then [`MR`], then one, and the narrower strips [`tile_avx2`]; its
     /// AVX2+FMA build walks as the Optimized rule does. Every cell is the
-    /// same dot in every build and under either rule.
-    fn lanes8_gemm[build + avx512](
+    /// same dot in every build, under either rule, however its row is
+    /// read.
+    fn lanes8_gemm<X: MatrixRows>[build + avx512](
         w: &[f32],
         panels: Option<&[f32]>,
         skip_k_tail: bool,
-        rows: Dense<'_>,
+        rows: X,
         out_c: usize,
         bias: Option<&[f32]>,
         activation: Activation,
         out: &mut [f32],
     ) {
-        let (k, len) = (rows.k, k_len(rows.k, skip_k_tail));
+        let (k, len) = (rows.k(), k_len(rows.k(), skip_k_tail));
         match panels {
             Some(panels) => {
                 let rule = Lanes8Panels { panels, k, len };
@@ -829,48 +801,14 @@ native_kernel! {
     }
 }
 
-native_kernel! {
-    /// [`float_gemm`]'s Simd rule over a matrix it never builds, as
-    /// [`blocked4_windows`] reads one: [`Lanes8Panels`] over `panels`,
-    /// row `r` output cell `r`'s window in the zero-bordered input.
-    fn lanes8_windows[build + avx512](
-        panels: &[f32],
-        skip_k_tail: bool,
-        rows: Windows<'_>,
-        out_c: usize,
-        bias: Option<&[f32]>,
-        activation: Activation,
-        out: &mut [f32],
-    ) {
-        let k = rows.taps.len();
-        let rule = Lanes8Panels { panels, k, len: k_len(k, skip_k_tail) };
-        walk_tiles(rule, build, rows, out_c, bias, activation, out);
-    }
-}
-
-native_kernel! {
-    /// [`float_gemm`]'s Optimized rule over a matrix it never builds: row
-    /// `r` is output cell `r`'s window, read in place from the zero-bordered
-    /// input ([`Windows`]), so element `p` is the one the im2col row holds
-    /// at `p` — the same terms, in the same order, to the bit.
-    fn blocked4_windows[build](
-        panels: &[f32],
-        rows: Windows<'_>,
-        out_c: usize,
-        bias: Option<&[f32]>,
-        activation: Activation,
-        out: &mut [f32],
-    ) {
-        let rule = Blocked4Panels { panels, k: rows.taps.len() };
-        walk_tiles(rule, build, rows, out_c, bias, activation, out);
-    }
-}
-
 /// How [`walk_tiles`] reads the rows of the matrix it reduces, a tile of
 /// [`ROW_TILE`] rows at a time.
 trait MatrixRows: Copy {
     /// One row, as a chain rule reads it.
     type Row: RowRead;
+
+    /// Elements per row.
+    fn k(self) -> usize;
 
     /// What finding the rows of one tile takes, worked out once per tile.
     type Tile;
@@ -887,12 +825,23 @@ trait RowRead: Copy {
     /// Elements `N·i..N·i + N`.
     fn chunk<const N: usize>(self, i: usize) -> [f32; N];
 
+    /// [`RowRead::chunk`], unchecked where the row is a slice: what the
+    /// intrinsic tiles read a row with.
+    ///
+    /// # Safety
+    ///
+    /// `N·i + N` must not pass the row's length.
+    #[inline(always)]
+    unsafe fn chunk_unchecked<const N: usize>(self, i: usize) -> [f32; N] {
+        self.chunk(i)
+    }
+
     /// Element `p`.
     fn at(self, p: usize) -> f32;
 }
 
-/// A row-major `[rows, k]` matrix: an im2col matrix, a pointwise
-/// convolution's input or a fully-connected layer's activations.
+/// A row-major `[rows, k]` matrix: a pointwise convolution's input or a
+/// fully-connected layer's activations.
 #[derive(Clone, Copy)]
 struct Dense<'a> {
     matrix: &'a [f32],
@@ -903,6 +852,11 @@ impl<'a> MatrixRows for Dense<'a> {
     type Row = &'a [f32];
     /// The tile's first row.
     type Tile = usize;
+
+    #[inline(always)]
+    fn k(self) -> usize {
+        self.k
+    }
 
     #[inline(always)]
     fn tile(self, first: usize, _end: usize) -> usize {
@@ -921,6 +875,15 @@ impl RowRead for &[f32] {
     #[inline(always)]
     fn chunk<const N: usize>(self, i: usize) -> [f32; N] {
         *<&[f32; N]>::try_from(&self[i * N..][..N]).expect("an N-element slice")
+    }
+
+    /// Checked, the wide pointwise layers of `mobilenet_v2@48` (batch 4,
+    /// AVX-512 engine, `serve_probe`'s `Conv k>64`) ran 755 µs against 706.
+    #[inline(always)]
+    unsafe fn chunk_unchecked<const N: usize>(self, i: usize) -> [f32; N] {
+        debug_assert!(N * i + N <= self.len());
+        // SAFETY: the caller keeps `N·i + N` within the slice.
+        unsafe { *self.as_ptr().add(N * i).cast::<[f32; N]>() }
     }
 
     #[inline(always)]
@@ -985,11 +948,21 @@ impl<'a> MatrixRows for Windows<'a> {
     type Tile = [usize; ROW_TILE];
 
     #[inline(always)]
+    fn k(self) -> usize {
+        self.taps.len()
+    }
+
+    #[inline(always)]
     fn tile(self, first: usize, end: usize) -> [usize; ROW_TILE] {
         // The proof in `new` covers cells `0..cells` only.
         assert!(end <= self.cells, "cells {first}..{end} of {}", self.cells);
         let mut origins = [0; ROW_TILE];
-        self.steps.origins(first, &mut origins[..end - first]);
+        for (slot, origin) in origins[..end - first]
+            .iter_mut()
+            .zip(self.steps.origins(first))
+        {
+            *slot = origin;
+        }
         origins
     }
 
@@ -1232,8 +1205,10 @@ impl Blocked4Panels<'_> {
 /// The Simd rule: micro-kernel tiles over strips of row-major weight rows,
 /// unpacked — eight wide in the AVX-512 build, then four, then single
 /// rows on the ragged edge. Every cell is bitwise the one-row, one-channel
-/// dot on the same pair, so the tile shape never moves a bit. Its tiles
-/// load contiguous runs of `k`, so it reads [`Dense`] rows only.
+/// dot on the same pair, so the tile shape never moves a bit. It reads rows
+/// however they are stored: a tile takes eight elements of a row at a time
+/// ([`RowRead::chunk`]), a slice of a matrix row or a window's taps
+/// gathered from the bordered input.
 #[derive(Clone, Copy)]
 struct Lanes8Tiles<'a> {
     /// The build this rule is compiled into: `Avx512` runs [`tile_avx512`]
@@ -1246,7 +1221,7 @@ struct Lanes8Tiles<'a> {
     len: usize,
 }
 
-impl<'r> ChainRule<Dense<'r>> for Lanes8Tiles<'_> {
+impl<X: MatrixRows> ChainRule<X> for Lanes8Tiles<'_> {
     fn strips(self, out_c: usize) -> impl Iterator<Item = (usize, usize)> {
         let eights = match self.build {
             SimdEngine::Avx512 => out_c - out_c % 8,
@@ -1263,55 +1238,49 @@ impl<'r> ChainRule<Dense<'r>> for Lanes8Tiles<'_> {
     #[inline(always)]
     fn cells<const M: usize>(
         self,
-        rows: Dense<'r>,
-        first: &usize,
+        rows: X,
+        tile: &X::Tile,
         i: usize,
         (oc0, width): (usize, usize),
         bias: Option<&[f32]>,
         out: &mut [f32],
         out_c: usize,
     ) {
+        let a = rows.rows::<M>(tile, i);
         match width {
-            8 => store(self.sums::<M, 8>(rows, first, i, oc0), bias, out, out_c),
-            4 => store(self.sums::<M, 4>(rows, first, i, oc0), bias, out, out_c),
-            _ => store(self.sums::<M, 1>(rows, first, i, oc0), bias, out, out_c),
+            8 => store(self.sums::<X::Row, M, 8>(a, oc0), bias, out, out_c),
+            4 => store(self.sums::<X::Row, M, 4>(a, oc0), bias, out, out_c),
+            _ => store(self.sums::<X::Row, M, 1>(a, oc0), bias, out, out_c),
         }
     }
 }
 
 impl Lanes8Tiles<'_> {
-    /// The sums of rows `i..i + M` of the tile starting at row `first`
-    /// against channels `oc0..oc0 + W`, before the bias.
+    /// The sums of rows `a` against channels `oc0..oc0 + W`, before the
+    /// bias.
     #[inline(always)]
-    fn sums<const M: usize, const W: usize>(
+    fn sums<R: RowRead, const M: usize, const W: usize>(
         self,
-        rows: Dense<'_>,
-        first: &usize,
-        i: usize,
+        a: [R; M],
         oc0: usize,
     ) -> [[f32; W]; M] {
         let (k, len) = (self.k, self.len);
-        // The `M` rows as one slice, `k` apart: handed an array of row
-        // slices instead, the tile ran 10–20 % slower on the narrow
-        // pointwise layers of `mobilenet_v2@48`.
-        let (a, w) = (
-            &rows.matrix[(first + i) * k..][..M * k],
-            &self.w[oc0 * k..][..W * k],
-        );
+        let w = &self.w[oc0 * k..][..W * k];
         match self.build {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `build` is `Avx512` only in `lanes8_gemm`'s AVX-512
             // build, which runs only for an `Engine` holding `Avx512`, so
-            // AVX-512F, AVX2 and FMA were detected on this CPU.
-            SimdEngine::Avx512 if W == 8 => unsafe { tile_avx512::<M, W>(a, w, k, len) },
+            // AVX-512F, AVX2 and FMA were detected on this CPU. Each row of
+            // `a` holds `k = MatrixRows::k` elements — `Dense::rows` slices
+            // every row to its `k`, and a `Tapped` row checks its own tap
+            // reads — and `lanes8_gemm` sets `len = k_len(k, _) ≤ k`.
+            SimdEngine::Avx512 if W == 8 => unsafe { tile_avx512::<R, M, W>(a, w, k, len) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `build` is `Avx2Fma` or `Avx512` only in a build that
             // runs for an `Engine` holding one of them, so AVX2 and FMA
-            // were detected on this CPU.
-            SimdEngine::Avx2Fma | SimdEngine::Avx512 => unsafe { tile_avx2::<M, W>(a, w, k, len) },
-            _ => std::array::from_fn(|m| {
-                std::array::from_fn(|j| dot_f32_scalar(&a[m * k..][..len], &w[j * k..][..len]))
-            }),
+            // were detected on this CPU; the rows as above.
+            SimdEngine::Avx2Fma | SimdEngine::Avx512 => unsafe { tile_avx2(a, w, k, len) },
+            _ => a.map(|a| std::array::from_fn(|j| lanes8_dot(a, &w[j * k..], len))),
         }
     }
 }
@@ -1352,16 +1321,16 @@ impl<X: MatrixRows> ChainRule<X> for Lanes8Panels<'_> {
         #[cfg(target_arch = "x86_64")]
         if build == SimdEngine::Avx512 {
             // SAFETY: `build` is `Avx512` only in the AVX-512 build of
-            // `lanes8_gemm` or `lanes8_windows`, which runs only for an
-            // `Engine` holding `Avx512`, so AVX-512F was detected.
+            // `lanes8_gemm`, which runs only for an `Engine` holding
+            // `Avx512`, so AVX-512F was detected.
             unsafe { self.strip_avx512(at, end, strip, bias, out, out_c) };
             return;
         }
         run::<X, Self, 1>(self, at, (at.2, end), strip, bias, out, out_c);
     }
 
-    /// The scalar mirror of [`panel_avx512`], one cell at a time:
-    /// [`dot_f32_scalar`] down each panel column.
+    /// The scalar mirror of [`panel_avx512`], one cell at a time: the
+    /// operations of [`lanes8_dot`] down each panel column.
     #[inline(always)]
     fn cells<const M: usize>(
         self,
@@ -1446,15 +1415,13 @@ impl Lanes8Panels<'_> {
 // Kernel entry points (dispatched from `execute_node`)
 // ---------------------------------------------------------------------------
 
-/// Optimized / SIMD float convolution in `engine`'s build. The Optimized
-/// flavor, and the Simd flavor when `reduction` carries its narrow panels,
-/// read each window in place from a zero-bordered copy of the input,
-/// through the tap offsets ([`WindowGeom::tap_offsets`]) written into
-/// `taps` from the same geometry (a pointwise window reads the input
-/// itself); otherwise the Simd flavor reduces a whole-batch [`im2col`]
-/// matrix.
-/// Handles any batch size natively, so `invoke` and `invoke_batch` run the
-/// same code. `taps` keeps its capacity.
+/// Optimized / SIMD float convolution in `engine`'s build: the flavor's
+/// [`Reduction`] over the windows of the output cells. A pointwise window
+/// reads the input itself as the matrix; every other window is read in
+/// place from a zero-bordered copy of the input in `scratch`, through tap
+/// offsets ([`WindowGeom::tap_offsets`]) written into `taps` from the same
+/// geometry. Handles any batch size natively, so `invoke` and
+/// `invoke_batch` run the same code. `taps` keeps its capacity.
 ///
 /// # Errors
 ///
@@ -1477,60 +1444,23 @@ pub(crate) fn conv2d_f32_gemm(
     let ws = weights.shape().dims();
     let g = WindowGeom::new(input, out_def, ws[1], ws[2], stride, padding);
     let (x, out_c) = (input.as_f32()?, ws[0]);
-    match reduction {
-        Reduction::Blocked4(panels) if !g.is_pointwise() => {
-            let out = f32_slot(out_t, out_def)?;
-            let rows = bordered_windows(&g, x, scratch, taps, out.len(), out_c);
-            blocked4_windows(engine, panels, rows, out_c, bias, activation, out);
-        }
-        Reduction::Lanes8 {
-            panels: Some(panels),
-            skip_k_tail,
-            ..
-        } if !g.is_pointwise() => {
-            let out = f32_slot(out_t, out_def)?;
-            let rows = bordered_windows(&g, x, scratch, taps, out.len(), out_c);
-            lanes8_windows(
-                engine,
-                panels,
-                skip_k_tail,
-                rows,
-                out_c,
-                bias,
-                activation,
-                out,
-            );
-        }
-        _ => {
-            debug_assert!(scratch.capacity() >= im2col_len(&g));
-            let matrix = im2col(&g, x, 0.0, scratch);
-            let out = f32_slot(out_t, out_def)?;
-            let k = g.patch_len();
-            float_gemm(engine, reduction, matrix, k, out_c, bias, activation, out);
-        }
+    let out = f32_slot(out_t, out_def)?;
+    if g.is_pointwise() {
+        let k = g.patch_len();
+        let rows = Dense { matrix: x, k };
+        float_gemm(engine, reduction, rows, out_c, bias, activation, out);
+        return Ok(());
     }
-    Ok(())
-}
-
-/// The windows of the output cells of `g`, `out_len / out_c` of them, read
-/// in place: `x` copied into `scratch` with the zero border they reach, and
-/// their tap offsets written into `taps` from the same geometry.
-fn bordered_windows<'a>(
-    g: &WindowGeom,
-    x: &[f32],
-    scratch: &'a mut Vec<f32>,
-    taps: &'a mut Vec<usize>,
-    out_len: usize,
-    out_c: usize,
-) -> Windows<'a> {
     taps.clear();
     taps.extend(g.tap_offsets());
     // The float scratch is reserved once from the memory plan; growing it
     // here would mean the planner under-reserved.
     debug_assert!(scratch.capacity() >= g.bordered_len());
-    g.border(x, scratch);
-    let cells = out_len.checked_div(out_c).unwrap_or(0);
-    Windows::new(scratch, taps, g.bordered_steps(), cells)
+    g.border(x, 0.0, scratch);
+    let cells = out.len().checked_div(out_c).unwrap_or(0);
+    let rows = Windows::new(scratch, taps, g.bordered_steps(), cells);
+    float_gemm(engine, reduction, rows, out_c, bias, activation, out);
+    Ok(())
 }
 
 /// Optimized / SIMD float fully-connected layer, `[n, in] x [out, in]^T`:
@@ -1546,17 +1476,18 @@ pub(crate) fn fc_f32_gemm(
     let bias = inputs.get(2).map(|t| t.as_f32()).transpose()?;
     let (matrix, ws) = (inputs[0].as_f32()?, inputs[1].shape().dims());
     let out = f32_slot(out_t, out_def)?;
-    float_gemm(
-        engine, reduction, matrix, ws[1], ws[0], bias, activation, out,
-    );
+    let rows = Dense { matrix, k: ws[1] };
+    float_gemm(engine, reduction, rows, ws[0], bias, activation, out);
     Ok(())
 }
 
-/// The quantized `Conv2d` of every flavor: whole-batch `u8` [`im2col`] into
-/// `patches`, then [`q8_gemm`]. A padding tap holds the input zero point,
-/// so it adds `(zp − zp) · w = 0` — what the oracle's skipped tap adds.
-/// `patches` grows to the largest patch matrix it has held and then stays,
-/// as `multipliers` does to the widest node.
+/// The quantized `Conv2d` of every flavor: [`q8_gemm`] over the windows of
+/// the output cells. A pointwise window reads the input itself as the
+/// matrix; every other window is read in place from a copy of the input
+/// into `bordered` whose border holds the input zero point, so a padding
+/// tap adds `(zp − zp) · w = 0` — what the oracle's skipped tap adds.
+/// `bordered` grows to the largest bordered input it has held and then
+/// stays, as `multipliers` does to the widest node.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_q(
     engine: Engine,
@@ -1567,7 +1498,7 @@ pub(crate) fn conv2d_q(
     padding: Padding,
     activation: Activation,
     requant: RequantMode,
-    patches: &mut Vec<u8>,
+    bordered: &mut Vec<u8>,
     multipliers: &mut Vec<f64>,
     out_t: &mut Tensor,
 ) -> Result<()> {
@@ -1575,7 +1506,17 @@ pub(crate) fn conv2d_q(
     let g = WindowGeom::new(input, out_def, ws[1], ws[2], stride, padding);
     // `qparams_of` admits only zero points a `u8` holds.
     let (_, zp_in) = qparams_of(node, input)?;
-    let matrix = im2col(&g, input.as_u8()?, zp_in as u8, patches);
+    let x = input.as_u8()?;
+    let rows = if g.is_pointwise() {
+        ByteRows::matrix(x, g.patch_len())
+    } else {
+        g.border(x, zp_in as u8, bordered);
+        ByteRows {
+            x: bordered,
+            steps: g.bordered_steps(),
+            runs: g.bordered_runs(),
+        }
+    };
     let rq = Requant::new(
         node,
         inputs,
@@ -1586,7 +1527,7 @@ pub(crate) fn conv2d_q(
         multipliers,
     )?;
     let (w, out) = (inputs[1].as_i8()?, u8_slot(out_t, out_def)?);
-    q8_gemm(engine, matrix, g.patch_len(), zp_in, w, &rq, out);
+    q8_gemm(engine, rows, zp_in, w, &rq, out);
     Ok(())
 }
 
@@ -1615,20 +1556,40 @@ pub(crate) fn fc_q(
         multipliers,
     )?;
     let (w, out) = (inputs[1].as_i8()?, u8_slot(out_t, out_def)?);
-    q8_gemm(engine, input.as_u8()?, ws[1], zp_in, w, &rq, out);
+    let rows = ByteRows::matrix(input.as_u8()?, ws[1]);
+    q8_gemm(engine, rows, zp_in, w, &rq, out);
     Ok(())
 }
 
+/// The `u8` rows [`q8_gemm`] reduces: row `r` is `runs`, read from cell
+/// `r`'s origin in `x` ([`BorderedSteps::origins`]) — a convolution's
+/// window in its bordered input, or one run of `k` bytes, a row of a plain
+/// `[rows, k]` matrix ([`ByteRows::matrix`]).
+#[derive(Clone, Copy)]
+struct ByteRows<'a> {
+    x: &'a [u8],
+    steps: BorderedSteps,
+    runs: WindowRuns,
+}
+
+impl<'a> ByteRows<'a> {
+    fn matrix(x: &'a [u8], k: usize) -> Self {
+        let (steps, runs) = BorderedSteps::matrix(k);
+        ByteRows { x, steps, runs }
+    }
+}
+
 native_kernel! {
-    /// `out[r, oc] = rq.value(oc, Σ_p (matrix[r, p] − zp_in) · w[oc, p])`
-    /// over `matrix: [rows, k]` and the row-major `[out_c, k]` weights `w`,
-    /// output channel by output channel. The dot is plain integer Rust — an
+    /// `out[r, oc] = rq.value(oc, Σ_p (row_r[p] − zp_in) · w[oc, p])` over
+    /// the rows of `rows` and the row-major `[out_c, k]` weights `w`, output
+    /// channel by output channel. Each run of a row is an exact dot against
+    /// the matching segment of the weight row: plain integer Rust — an
     /// `i16` difference times an `i8` weight, widened to `i32` and summed —
-    /// which both builds vectorize; an integer sum is exact in any order,
-    /// so every build returns the scalar loop's bits.
+    /// which both builds vectorize. An integer sum is exact in any order,
+    /// so every build, and any split of a row into runs, returns the scalar
+    /// loop's bits.
     fn q8_gemm(
-        matrix: &[u8],
-        k: usize,
+        rows: ByteRows<'_>,
         zp_in: i32,
         w: &[i8],
         rq: &Requant<'_>,
@@ -1637,16 +1598,20 @@ native_kernel! {
         // `qparams_of` admits only zero points a `u8` holds, so the
         // difference `0..=255` minus `0..=255` fits an `i16`.
         let (zp, out_c) = (zp_in as i16, rq.multipliers.len());
-        let rows = out.len().checked_div(out_c).unwrap_or(0);
+        let ByteRows { x, steps, runs } = rows;
+        let (cells, k) = (out.len().checked_div(out_c).unwrap_or(0), runs.count * runs.len);
         for oc in 0..out_c {
             let w = &w[oc * k..][..k];
-            for r in 0..rows {
-                let a = &matrix[r * k..][..k];
-                let dot: i32 = a
-                    .iter()
-                    .zip(w)
-                    .map(|(&a, &w)| i32::from(a as i16 - zp) * i32::from(w))
-                    .sum();
+            for (r, origin) in steps.origins(0).take(cells).enumerate() {
+                let mut dot = 0i32;
+                for (j, w) in w.chunks_exact(runs.len.max(1)).enumerate() {
+                    let a = &x[origin + j * runs.step..][..runs.len];
+                    dot += a
+                        .iter()
+                        .zip(w)
+                        .map(|(&a, &w)| i32::from(a as i16 - zp) * i32::from(w))
+                        .sum::<i32>();
+                }
                 out[r * out_c + oc] = rq.value(oc, dot);
             }
         }
@@ -1698,7 +1663,7 @@ pub fn execute_node_with(
         engine: Engine::runnable(engine),
         scratch: &mut scratch,
         taps: &mut Vec::new(),
-        patches: &mut Vec::new(),
+        bordered_q: &mut Vec::new(),
         multipliers: &mut Vec::new(),
         panels: None,
         runtime_panels: &mut Vec::new(),
@@ -1727,7 +1692,7 @@ mod tests {
         for len in [0, 1, 3, 7, 8, 9, 15, 16, 17, 27, 64, 129, 1000] {
             let a = det_f32(len as u64 + 1, len);
             let b = det_f32(len as u64 + 2, len);
-            let mirror = dot_f32_scalar(&a, &b);
+            let mirror = lanes8_dot(&a[..], &b, len);
             for engine in SimdEngine::ALL {
                 let got = dot_f32_with(engine, &a, &b);
                 assert_eq!(
@@ -1787,7 +1752,8 @@ mod tests {
                     let mut out = vec![f32::NAN; rows * out_c];
                     let (engine, blocked4) =
                         (Engine::runnable(engine), Reduction::Blocked4(&panels));
-                    float_gemm(engine, blocked4, &matrix, k, out_c, bias, act, &mut out);
+                    let dense = Dense { matrix: &matrix, k };
+                    float_gemm(engine, blocked4, dense, out_c, bias, act, &mut out);
                     for r in 0..rows {
                         for oc in 0..out_c {
                             let dot = blocked4_dot(&matrix[r * k..][..k], &w[oc * k..][..k]);
@@ -1825,7 +1791,8 @@ mod tests {
                 skip_k_tail,
             },
         );
-        float_gemm(engine, lanes8, &matrix, k, out_c, bias, act, &mut out);
+        let rows = Dense { matrix: &matrix, k };
+        float_gemm(engine, lanes8, rows, out_c, bias, act, &mut out);
         out.iter().map(|v| v.to_bits()).collect()
     }
 
@@ -2015,7 +1982,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The Simd GEMM in every engine's build against one
-        /// [`dot_f32_scalar`] plus bias per cell: 0–21 rows (every mix of
+        /// [`lanes8_dot`] plus bias per cell: 0–21 rows (every mix of
         /// the four-, two- and one-row steps, and past the 16-row tile),
         /// 1–19 output channels (every mix of 8-, 4- and 1-wide strips), K
         /// 0–41 (every tail, and K below one chunk), with and without the
@@ -2050,7 +2017,7 @@ mod tests {
             let want: Vec<f32> = (0..rows * out_c)
                 .map(|i| {
                     let (r, oc) = (i / out_c, i % out_c);
-                    let dot = dot_f32_scalar(&matrix[r * k..][..len], &w[oc * k..][..len]);
+                    let dot = lanes8_dot(&matrix[r * k..][..len], &w[oc * k..], len);
                     dot + bias.map_or(0.0, |b| b[oc])
                 })
                 .collect();
@@ -2058,7 +2025,8 @@ mod tests {
                 let mut out = vec![7.5; rows * out_c];
                 let lanes8 = Reduction::Lanes8 { w: &w, panels: None, skip_k_tail: skip };
                 let engine = Engine::runnable(engine);
-                float_gemm(engine, lanes8, &matrix, k, out_c, bias, Activation::None, &mut out);
+                let dense = Dense { matrix: &matrix, k };
+                float_gemm(engine, lanes8, dense, out_c, bias, Activation::None, &mut out);
                 prop_assert_eq!(
                     nan_as_one(&out),
                     nan_as_one(&want),
@@ -2092,7 +2060,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The Simd GEMM over narrow panels ([`Lanes8Panels`]) in every
-        /// engine's build against one [`dot_f32_scalar`] plus bias per cell,
+        /// engine's build against one [`lanes8_dot`] plus bias per cell,
         /// and against the row-major rule: 0–40 rows (every mix of the
         /// three- and one-row steps, past the 16-row tile, and counts no
         /// step divides), K 0–72 (below one chunk, ragged, the threshold
@@ -2130,7 +2098,7 @@ mod tests {
             let want: Vec<f32> = (0..rows * out_c)
                 .map(|i| {
                     let (r, oc) = (i / out_c, i % out_c);
-                    let dot = dot_f32_scalar(&matrix[r * k..][..len], &w[oc * k..][..len]);
+                    let dot = lanes8_dot(&matrix[r * k..][..len], &w[oc * k..], len);
                     dot + bias.map_or(0.0, |b| b[oc])
                 })
                 .collect();
@@ -2142,7 +2110,8 @@ mod tests {
                 let mut out = vec![7.5; rows * out_c];
                 let lanes8 = Reduction::Lanes8 { w: &w, panels, skip_k_tail: skip };
                 let engine = Engine::runnable(engine);
-                float_gemm(engine, lanes8, &matrix, k, out_c, bias, Activation::None, &mut out);
+                let dense = Dense { matrix: &matrix, k };
+                float_gemm(engine, lanes8, dense, out_c, bias, Activation::None, &mut out);
                 prop_assert_eq!(
                     nan_as_one(&out),
                     nan_as_one(&want),
@@ -2416,12 +2385,12 @@ mod tests {
                 fc_q_naive(&fc_node, ops, def, activation, requant, out)
             });
             // Stale bytes from an earlier, larger node must not leak in.
-            let (mut patches, mut multipliers) = (vec![0xA5; 4096], vec![f64::NAN; 40]);
+            let (mut bordered, mut multipliers) = (vec![0xA5; 4096], vec![f64::NAN; 40]);
             for engine in SimdEngine::ALL.map(Engine::runnable) {
                 let conv = run_q(&conv_ops, conv_dims.clone(), out_quant.clone(), |ops, def, out| {
                     conv2d_q(
                         engine, &conv_node, ops, def, stride, padding, activation, requant,
-                        &mut patches, &mut multipliers, out,
+                        &mut bordered, &mut multipliers, out,
                     )
                 });
                 assert_eq!(conv, conv_want, "{engine:?} conv {what}");
@@ -2488,7 +2457,7 @@ mod tests {
                     conv_dims.clone(),
                     out_quant.clone(),
                     |ops, def, out| {
-                        let (patches, multipliers) = (&mut Vec::new(), &mut Vec::new());
+                        let (bordered, multipliers) = (&mut Vec::new(), &mut Vec::new());
                         conv2d_q(
                             engine,
                             &conv_node,
@@ -2498,7 +2467,7 @@ mod tests {
                             Padding::Valid,
                             act,
                             requant,
-                            patches,
+                            bordered,
                             multipliers,
                             out,
                         )
@@ -2577,25 +2546,25 @@ mod tests {
         }
     }
 
-    /// The Optimized `Conv2d` before it read windows in place: the
-    /// whole-batch [`im2col`] matrix, padding taps `0.0`, reduced by
-    /// [`float_gemm`]'s blocked-4 rule — the oracle the windowed walk is
+    /// A float `Conv2d` before it read windows in place: the whole-batch
+    /// [`im2col_per_tap`] matrix, padding taps `0.0`, reduced by
+    /// [`float_gemm`] under `reduction` — the oracle the windowed walks are
     /// held to. As bit patterns, every NaN one pattern.
     #[allow(clippy::too_many_arguments)]
-    fn blocked4_im2col(
+    fn im2col_gemm(
         engine: Engine,
+        reduction: Reduction<'_>,
         g: &WindowGeom,
         x: &[f32],
-        panels: &[f32],
         out_c: usize,
         bias: Option<&[f32]>,
         act: Activation,
     ) -> Vec<u32> {
         let mut scratch = Vec::new();
-        let matrix = im2col(g, x, 0.0, &mut scratch);
-        let mut out = vec![f32::NAN; g.cell_count() * out_c];
-        let (blocked4, k) = (Reduction::Blocked4(panels), g.patch_len());
-        float_gemm(engine, blocked4, matrix, k, out_c, bias, act, &mut out);
+        let matrix = im2col_per_tap(g, x, 0.0, &mut scratch);
+        let (mut out, k) = (vec![f32::NAN; g.cell_count() * out_c], g.patch_len());
+        let rows = Dense { matrix, k };
+        float_gemm(engine, reduction, rows, out_c, bias, act, &mut out);
         nan_as_one(&out)
     }
 
@@ -2690,8 +2659,9 @@ mod tests {
                  bias={with_bias} {act:?} planted {planted:?} {kinds:?} seed {seed}"
             );
             for engine in SimdEngine::ALL.map(Engine::runnable) {
-                let want = blocked4_im2col(engine, &g, &x, &panels, out_c, bias, act);
-                let mut scratch = vec![f32::NAN; g.bordered_len().max(im2col_len(&g)) + 5];
+                let blocked4 = Reduction::Blocked4(&panels);
+                let want = im2col_gemm(engine, blocked4, &g, &x, out_c, bias, act);
+                let mut scratch = vec![f32::NAN; g.bordered_len() + 5];
                 let mut taps = vec![usize::MAX; g.patch_len() + 7];
                 let mut out = Tensor::filled_f32(Shape::nhwc(batch, oh, ow, out_c), 7.5);
                 conv2d_f32_gemm(
@@ -2704,20 +2674,37 @@ mod tests {
         }
     }
 
+    /// The `(kh, kw, in_c)` the Simd windowed-conv property draws beside
+    /// its narrow windows: `k` of 63, 64 and 65 — either side of
+    /// [`NARROW_K`] — and past it, most with a window row `kw · in_c` that
+    /// eight does not divide, so that a chunk of eight taps crosses from
+    /// one window row into the next.
+    const WIDE_WINDOWS: [(usize, usize, usize); 6] = [
+        (3, 3, 7),
+        (2, 2, 16),
+        (1, 5, 13),
+        (3, 1, 22),
+        (3, 3, 8),
+        (5, 5, 3),
+    ];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The Simd `Conv2d` over narrow panels, reading its windows in
-        /// place from the zero-bordered input, against the im2col path the
-        /// row-major rule reads, in every engine's build, bit for bit: 3×3
-        /// and 1×3 windows, strides 1 and 2, SAME and VALID, inputs down to
-        /// 1×1, 1–4 input channels, 1–40 output channels (ragged against
-        /// the panel), batches of 1 and 3, with and without bias and the
+        /// The Simd `Conv2d` reading its windows in place from the
+        /// zero-bordered input — over narrow panels and as the row-major
+        /// tiles (no panels) — against the im2col path, in every engine's
+        /// build, bit for bit: 3×3 and 1×3 windows over 1–4 input channels
+        /// and the [`WIDE_WINDOWS`], strides 1 and 2, SAME and VALID, inputs
+        /// down to 1×1, 1–40 output channels (ragged against the panel and
+        /// the strips), batches of 1 and 3, with and without bias and the
         /// K-tail defect, every activation, over stale scratch and a stale
         /// tap buffer, with `±0.0` inputs and `±∞` / NaN weights.
         #[test]
         fn windowed_lanes8_conv_is_the_im2col_path_bitwise(
             window in 0usize..2,
+            wide in 0u8..2,
+            wide_at in 0usize..WIDE_WINDOWS.len(),
             in_h in 1usize..=9,
             in_w in 1usize..=9,
             stride in 1usize..=2,
@@ -2732,7 +2719,11 @@ mod tests {
             kinds in prop::collection::vec(0usize..4, 4..5),
             seed in 1u64..=u64::MAX,
         ) {
-            let ((kh, kw), batch) = ([(3, 3), (1, 3)][window], [1, 3][three as usize]);
+            let (kh, kw, in_c) = match wide {
+                1 => WIDE_WINDOWS[wide_at],
+                _ => ([3, 1][window], 3, in_c),
+            };
+            let batch = [1, 3][three as usize];
             let padding = if same == 1 { Padding::Same } else { Padding::Valid };
             let (h, w) = match padding {
                 Padding::Same => (in_h, in_w),
@@ -2760,7 +2751,7 @@ mod tests {
             let bias: Vec<f32> = (0..out_c).map(|_| draw.scale(-0.5, 0.5)).collect();
             let input = Tensor::from_f32(Shape::nhwc(batch, h, w, in_c), x.clone()).unwrap();
             let weights = Tensor::from_f32(Shape::new(vec![out_c, kh, kw, in_c]), weights).unwrap();
-            let bias_t = Tensor::from_f32(Shape::vector(out_c), bias).unwrap();
+            let bias_t = Tensor::from_f32(Shape::vector(out_c), bias.clone()).unwrap();
             let mut panels = Vec::new();
             pack_lanes8_panels(&weights, &mut panels).unwrap();
             let out_def = TensorDef::Activation {
@@ -2772,14 +2763,17 @@ mod tests {
             let g = WindowGeom::new(&input, &out_def, kh, kw, stride, padding);
             let mut operands = vec![&input, &weights];
             operands.extend((with_bias == 1).then_some(&bias_t));
+            let bias = (with_bias == 1).then_some(&bias[..]);
             let what = format!(
                 "{kh}x{kw}/{stride} {padding:?} {h}x{w}x{in_c}->{out_c} x{batch} \
                  bias={with_bias} skip={skip} {act:?} planted {planted:?} {kinds:?} seed {seed}"
             );
             let w = weights.as_f32().unwrap();
             for engine in SimdEngine::ALL.map(Engine::runnable) {
-                let run = |panels| {
-                    let mut scratch = vec![f32::NAN; g.bordered_len().max(im2col_len(&g)) + 5];
+                let tiles = Reduction::Lanes8 { w, panels: None, skip_k_tail };
+                let want = im2col_gemm(engine, tiles, &g, &x, out_c, bias, act);
+                for panels in [Some(&panels[..]), None] {
+                    let mut scratch = vec![f32::NAN; g.bordered_len() + 5];
                     let mut taps = vec![usize::MAX; g.patch_len() + 7];
                     let mut out = Tensor::filled_f32(Shape::nhwc(batch, oh, ow, out_c), 7.5);
                     let lanes8 = Reduction::Lanes8 { w, panels, skip_k_tail };
@@ -2788,9 +2782,11 @@ mod tests {
                         &mut scratch, &mut taps, &mut out,
                     )
                     .unwrap();
-                    nan_as_one(out.as_f32().unwrap())
-                };
-                prop_assert_eq!(run(Some(&panels[..])), run(None), "{:?} {}", engine, what);
+                    prop_assert_eq!(
+                        &nan_as_one(out.as_f32().unwrap()), &want,
+                        "{:?} panels {} {}", engine, panels.is_some(), what
+                    );
+                }
             }
         }
     }
@@ -2811,7 +2807,7 @@ mod tests {
         };
         let g = WindowGeom::new(&input, &out_def, 3, 3, 2, Padding::Same);
         let mut bordered = Vec::new();
-        g.border(input.as_f32().unwrap(), &mut bordered);
+        g.border(input.as_f32().unwrap(), 0.0, &mut bordered);
         let mut taps: Vec<usize> = g.tap_offsets().collect();
         let (steps, cells) = (g.bordered_steps(), 2 * 3 * 3);
         assert!(windows_inside(bordered.len(), &taps, steps, cells));
@@ -2822,9 +2818,11 @@ mod tests {
         Windows::new(&bordered, &taps, steps, cells);
     }
 
-    /// The whole-batch im2col before it copied one run per window row: one
-    /// `c`-element copy per in-bounds tap. Body verbatim — the oracle
-    /// [`im2col`] is held to.
+    /// The whole-batch im2col matrix of `x`, `[cells, kh·kw·c]`, padding
+    /// taps `fill`: one `c`-element copy per in-bounds tap — or `x` itself
+    /// for a pointwise window. The oracle of every windowed float kernel:
+    /// element `p` of a window read in place must be element `p` of its
+    /// row here.
     fn im2col_per_tap<'a, T: Copy>(
         g: &WindowGeom,
         x: &'a [T],
@@ -2836,7 +2834,7 @@ mod tests {
         }
         let ksize = g.patch_len();
         scratch.clear();
-        scratch.resize(im2col_len(g), fill);
+        scratch.resize(g.cell_count() * ksize, fill);
         for cell in g.cells() {
             let row = &mut scratch[cell.index * ksize..][..ksize];
             for (tap, pixel) in g.taps(&cell) {
@@ -2844,77 +2842,5 @@ mod tests {
             }
         }
         scratch
-    }
-
-    /// The kernel sides the im2col property draws from.
-    const SIDES: [usize; 5] = [1, 2, 3, 5, 7];
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Kernel sides 1, 2, 3, 5 and 7 (non-square too), strides 1–3,
-        /// SAME and VALID, inputs smaller than the window under SAME, 1–40
-        /// channels and stacked batches: the run walk builds the per-tap
-        /// walk's patch matrix element for element, `f32` with `0.0` padding
-        /// and `u8` with the zero point as padding, over stale scratch.
-        #[test]
-        fn im2col_runs_build_the_per_tap_matrix(
-            kh in 0usize..SIDES.len(),
-            kw in 0usize..SIDES.len(),
-            in_h in 1usize..=10,
-            in_w in 1usize..=10,
-            stride in 1usize..=3,
-            same in 0u8..2,
-            in_c in 1usize..=40,
-            batch in 1usize..=3,
-            seed in 1u64..=u64::MAX,
-        ) {
-            let (kh, kw) = (SIDES[kh], SIDES[kw]);
-            let padding = if same == 1 { Padding::Same } else { Padding::Valid };
-            // VALID needs the window to fit.
-            let (h, w) = match padding {
-                Padding::Same => (in_h, in_w),
-                Padding::Valid => (in_h.max(kh), in_w.max(kw)),
-            };
-            let mut draw = Draw(seed);
-            let zero_point = draw.zero_point(3);
-            let x_u8 = draw.input(vec![batch, h, w, in_c], 0.02, zero_point);
-            let shape = x_u8.shape().clone();
-            let x_f32 = Tensor::from_f32(
-                shape.clone(),
-                (0..shape.num_elements()).map(|_| f32::from_bits(draw.bits())).collect(),
-            )
-            .unwrap();
-            let out_dims = vec![
-                batch,
-                conv_out_size(h, kh, stride, padding),
-                conv_out_size(w, kw, stride, padding),
-                1,
-            ];
-            let out_def = TensorDef::Activation {
-                name: "out".into(),
-                shape: Shape::new(out_dims),
-                dtype: DType::F32,
-                quant: None,
-            };
-            let g = WindowGeom::new(&x_f32, &out_def, kh, kw, stride, padding);
-            let what = format!("{kh}x{kw}/{stride} {padding:?} {h}x{w}x{in_c} x{batch} seed {seed}");
-
-            let x = x_f32.as_f32().unwrap();
-            let (mut got, mut want) = (vec![f32::NAN; 64], vec![-1.0f32; 96]);
-            let got: Vec<u32> = im2col(&g, x, 0.0, &mut got).iter().map(|v| v.to_bits()).collect();
-            let want: Vec<u32> =
-                im2col_per_tap(&g, x, 0.0, &mut want).iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(got, want, "f32 {}", what);
-
-            let (x, fill) = (x_u8.as_u8().unwrap(), zero_point as u8);
-            let (mut got, mut want) = (vec![0xA5u8; 64], vec![0x5A; 96]);
-            prop_assert_eq!(
-                im2col(&g, x, fill, &mut got),
-                im2col_per_tap(&g, x, fill, &mut want),
-                "u8 {}",
-                what
-            );
-        }
     }
 }

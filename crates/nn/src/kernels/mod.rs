@@ -35,7 +35,8 @@
 //!   8-lane virtual-SIMD dot) over the row-major weights — or, in the
 //!   AVX-512 build, where a `Conv2d`'s reduction is at most
 //!   [`gemm::NARROW_K`] long, over 16-channel panels the interpreter packs
-//!   once, its windows read in place as the optimized flavor reads them.
+//!   once — their windows read in place as the optimized flavor reads
+//!   them, on every engine.
 //!
 //! The last two are the two chain rules of one tile driver ([`gemm`]'s
 //! `float_gemm`). They reassociate the float sum — the benign source of the
@@ -60,10 +61,10 @@
 //! depthwise/pool kernels and the `Lanes8` K-tail.
 //!
 //! Quantized `Conv2d` and `FullyConnected` have one kernel each, shared by
-//! every flavor (`gemm::conv2d_q`, `gemm::fc_q`): a whole-batch `u8` im2col
-//! whose padding taps hold the input zero point, then one exact `i32` dot
-//! per output value, requantized through the same [`Requant`] as the int8
-//! depthwise. Integer sums are the same in any order, so the scalar loops
+//! every flavor (`gemm::conv2d_q`, `gemm::fc_q`): one exact `i32` dot per
+//! output value — a window read in place as the runs of a copy of the
+//! input whose border holds the input zero point — requantized through
+//! the same [`Requant`] as the int8 depthwise. Integer sums are the same in any order, so the scalar loops
 //! the reference and optimized flavors used to run — kept verbatim in
 //! `gemm`'s tests as the oracle — return the same bits.
 //!
@@ -90,16 +91,15 @@
 //! or a CPU feature probe outside `gemm.rs`.
 //!
 //! Every kernel writes into an arena-provided output slot (`&mut Tensor`,
-//! preallocated from the interpreter's `MemoryPlan`), and the float im2col
-//! matrix (or the zero-bordered input a `Conv2d` reads its windows from)
-//! and the BatchNorm denominators live in the scratch, which the plan
-//! sizes for what the interpreter's kernels keep there
-//! ([`FloatKernels::conv_scratch`]).
-//! The quantized im2col matrix lives in a `u8` buffer the interpreter keeps,
-//! which grows to the largest patch matrix it has held and then stays; the
-//! quantized kernels' per-channel requant multipliers, computed once per
-//! node, and a windowed `Conv2d`'s tap offsets live in buffers
-//! kept the same way.
+//! preallocated from the interpreter's `MemoryPlan`), and the zero-bordered
+//! input a float `Conv2d` reads its windows from and the BatchNorm
+//! denominators live in the scratch, which the plan sizes for what the
+//! interpreter's flavor keeps there ([`FloatKernels::conv_scratch`]: the
+//! same on every engine). The quantized `Conv2d`'s bordered input lives in
+//! a `u8` buffer the interpreter keeps, which grows to the largest one it
+//! has held and then stays; the quantized kernels' per-channel requant
+//! multipliers, computed once per node, and a windowed `Conv2d`'s tap
+//! offsets live in buffers kept the same way.
 //! The reference and optimized flavors and the emulator hold a second,
 //! panel-ordered copy of their constant float weights (≈ 8 KB for
 //! `mini_mobilenet_v2`), packed when the interpreter is built, and so does
@@ -140,13 +140,13 @@
 /// `Scalar` in the baseline — a constant in each, so a `match` on it folds
 /// away. `fn name<C: Chain>(..)` makes every build generic over one type.
 ///
-/// `fn name[build + avx512](..)` opts into a third build, under
-/// `#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]`,
-/// which an `Avx512` engine runs and in which `build` is `Avx512`. Only
-/// the Simd GEMM (`gemm::lanes8_gemm`, and `gemm::lanes8_windows` for the
-/// windows it reads in place) opts in: its `zmm` tiles are written for
-/// that build. Every other kernel keeps two builds, so a body that
-/// does not name the third never meets `build == Avx512`.
+/// `fn name[build + avx512](..)` (or `fn name<X: Bound>[build + avx512]`)
+/// opts into a third build, under `#[target_feature(enable = "avx512f",
+/// enable = "avx2", enable = "fma")]`, which an `Avx512` engine runs and in
+/// which `build` is `Avx512`. Only the Simd GEMM (`gemm::lanes8_gemm`,
+/// generic over how it reads its rows) opts in: its `zmm` tiles are
+/// written for that build. Every other kernel keeps two builds, so a body
+/// that does not name the third never meets `build == Avx512`.
 macro_rules! native_kernel {
     (
         $(#[$attr:meta])*
@@ -170,18 +170,19 @@ macro_rules! native_kernel {
     };
     (
         $(#[$attr:meta])*
-        $vis:vis fn $name:ident[$build:tt + avx512]($($arg:ident: $ty:ty),* $(,)?) $body:block
+        $vis:vis fn $name:ident$(<$g:ident: $b:path>)?[$build:tt + avx512]($($arg:ident: $ty:ty),* $(,)?)
+            $body:block
     ) => {
         native_kernel! {
             @builds avx512 {
                 #[cfg(target_arch = "x86_64")]
                 #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-                fn avx512($($arg: $ty),*) {
-                    body($crate::kernels::gemm::SimdEngine::Avx512, $($arg),*)
+                fn avx512$(<$g: $b>)?($($arg: $ty),*) {
+                    body$(::<$g>)?($crate::kernels::gemm::SimdEngine::Avx512, $($arg),*)
                 }
             }
             $(#[$attr])*
-            $vis fn $name[$build]($($arg: $ty),*) $body
+            $vis fn $name$(<$g: $b>)?[$build]($($arg: $ty),*) $body
         }
     };
     // `$wide` is the build an `Avx512` engine runs: the AVX2+FMA one, or
@@ -330,8 +331,10 @@ pub(crate) enum FloatKernels {
     /// Blocked-4 cells over packed weight panels, each `Conv2d` window read
     /// in place from a zero-bordered input.
     Blocked4,
-    /// im2col, then 8-lane virtual-SIMD micro-kernel tiles over the
-    /// row-major weights; `skip_k_tail` injects the K-tail defect.
+    /// 8-lane virtual-SIMD micro-kernel tiles over the row-major weights
+    /// (or, on a narrow reduction in the AVX-512 build, over packed
+    /// panels), each `Conv2d` window read in place from a zero-bordered
+    /// input; `skip_k_tail` injects the K-tail defect.
     Lanes8 { skip_k_tail: bool },
 }
 
@@ -388,17 +391,13 @@ impl FloatKernels {
         }
     }
 
-    /// What these kernels, in `engine`'s build, keep in the float scratch
-    /// for a `Conv2d` whose window is not pointwise, its weights shaped
-    /// `weights`: the memory plan reserves by it.
-    pub(crate) fn conv_scratch(self, engine: Engine, op: &OpKind, weights: &Shape) -> ConvScratch {
+    /// What these kernels keep in the float scratch for a `Conv2d` whose
+    /// window is not pointwise, on every engine: the memory plan reserves
+    /// by it.
+    pub(crate) fn conv_scratch(self) -> ConvScratch {
         match self {
             FloatKernels::Reference(_) => ConvScratch::Nothing,
-            FloatKernels::Blocked4 => ConvScratch::Bordered,
-            FloatKernels::Lanes8 { .. } if self.reads_panels(engine, op, weights) => {
-                ConvScratch::Bordered
-            }
-            FloatKernels::Lanes8 { .. } => ConvScratch::Im2col,
+            FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => ConvScratch::Bordered,
         }
     }
 }
@@ -508,9 +507,9 @@ pub(crate) struct KernelCtx<'a> {
     /// A windowed `Conv2d`'s tap offsets, written by the kernel
     /// from its own geometry; grows to the largest window and then stays.
     pub taps: &'a mut Vec<usize>,
-    /// The quantized `Conv2d`'s `u8` patch matrix; grows to the largest one
-    /// and then stays.
-    pub patches: &'a mut Vec<u8>,
+    /// The quantized `Conv2d`'s bordered input, its border the input zero
+    /// point; grows to the largest one and then stays.
+    pub bordered_q: &'a mut Vec<u8>,
     /// The quantized kernels' per-channel requant multipliers
     /// ([`Requant`]); grows to the widest such node and then stays.
     pub multipliers: &'a mut Vec<f64>,
@@ -612,7 +611,7 @@ pub(crate) fn execute_node(
             padding,
             activation,
             requant,
-            ctx.patches,
+            ctx.bordered_q,
             ctx.multipliers,
             out,
         ),
@@ -773,9 +772,9 @@ pub(crate) fn unsupported(node: &Node, what: &str) -> NnError {
 
 /// Extracts a `u8` activation's per-tensor `(scale, zero_point)`, the one
 /// place every quantized kernel reads them. A zero point outside `0..=255`
-/// is no `u8` value — the im2col could not pad with it, and the int8 dot
-/// would wrap it in `i16` — so it is refused: input quantization arrives
-/// from outside the program (a caller's tensor, the wire) unchecked.
+/// is no `u8` value — the bordered input could not pad with it, and the
+/// int8 dot would wrap it in `i16` — so it is refused: input quantization
+/// arrives from outside the program (a caller's tensor, the wire) unchecked.
 pub(crate) fn qparams_of(node: &Node, t: &Tensor) -> Result<(f32, i32)> {
     match t.quant() {
         Some(&QuantParams::PerTensor { scale, zero_point }) if (0..=255).contains(&zero_point) => {

@@ -27,7 +27,7 @@ pub(super) struct WindowGeom {
 }
 
 /// One output position `(n, oy, ox)`; `index` is its flat NHW offset (the
-/// im2col row, and the output pixel).
+/// output pixel).
 pub(super) struct Cell {
     pub(super) index: usize,
     n: usize,
@@ -36,11 +36,11 @@ pub(super) struct Cell {
 }
 
 /// One output cell's window clipped to the input, as
-/// [`WindowGeom::windows`] yields it: `index` is the cell's flat NHW offset
-/// (the im2col row, and the output pixel). The in-bounds part of a window
-/// is a rectangle, so each in-bounds window row is one run of `cols · c`
+/// [`WindowGeom::row_groups`] yields it: `index` is the cell's flat NHW
+/// offset (the output pixel). The in-bounds part of a window is a
+/// rectangle, so each in-bounds window row is one run of `cols · c`
 /// elements — its in-bounds columns × `c` channels — contiguous in the
-/// NHWC input and in the cell's patch row alike.
+/// NHWC input and in the window's `(ky, kx, ic)` order alike.
 pub(super) struct Window {
     pub(super) index: usize,
     /// The in-bounds window rows `ky`.
@@ -87,26 +87,51 @@ impl BorderedSteps {
             .checked_add(self.out_w.saturating_sub(1).checked_mul(self.cell)?)
     }
 
-    /// The origins of the cells `first..first + origins.len()` (flat NHW
-    /// indices, in output order) into `origins`: one division for the
-    /// first, then a step per cell.
+    /// The origins of the cells `first..` (flat NHW indices), in output
+    /// order: one division for the first, then a step per cell.
     #[inline]
-    pub(super) fn origins(self, first: usize, origins: &mut [usize]) {
-        let q = first / self.out_w;
-        let (mut ox, mut oy, mut n) = (first % self.out_w, q % self.out_h, q / self.out_h);
-        for origin in origins {
-            *origin = n * self.frame + oy * self.row + ox * self.cell;
+    pub(super) fn origins(self, first: usize) -> impl Iterator<Item = usize> {
+        let (out_w, out_h) = (self.out_w.max(1), self.out_h.max(1));
+        let q = first / out_w;
+        let (mut ox, mut oy, mut n) = (first % out_w, q % out_h, q / out_h);
+        std::iter::repeat_with(move || {
+            let origin = n * self.frame + oy * self.row + ox * self.cell;
             ox += 1;
-            if ox == self.out_w {
+            if ox == out_w {
                 ox = 0;
                 oy += 1;
-                if oy == self.out_h {
+                if oy == out_h {
                     oy = 0;
                     n += 1;
                 }
             }
-        }
+            origin
+        })
     }
+
+    /// The rows of a plain `[rows, k]` matrix as cells, and each row as
+    /// one run of `k` elements.
+    pub(super) fn matrix(k: usize) -> (Self, WindowRuns) {
+        let steps = BorderedSteps {
+            out_w: 1,
+            out_h: 1,
+            cell: 0,
+            row: 0,
+            frame: k,
+        };
+        let (count, len, step) = (1, k, k);
+        (steps, WindowRuns { count, len, step })
+    }
+}
+
+/// Where the `kh · kw · c` elements of a window lie in the bordered input
+/// [`WindowGeom::border`] writes, from its cell's origin: `count` runs of
+/// `len` contiguous elements, `step` apart — a run per window row.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct WindowRuns {
+    pub(super) count: usize,
+    pub(super) len: usize,
+    pub(super) step: usize,
 }
 
 /// Window offsets `k` along one axis whose input coordinate
@@ -156,7 +181,7 @@ impl WindowGeom {
     }
 
     /// Elements under one cell's whole window, padding included
-    /// (`kh * kw * c`): an im2col row, and a weight row per output channel.
+    /// (`kh * kw * c`): a window, and a weight row per output channel.
     pub(super) fn patch_len(&self) -> usize {
         self.kh * self.kw * self.c
     }
@@ -201,20 +226,6 @@ impl WindowGeom {
             kxs.clone()
                 .map(move |kx| (ky * self.kw + kx, row + kx - self.pad_left))
         })
-    }
-
-    /// [`WindowGeom::cells`] with each cell's window clipped to the input,
-    /// stepping from cell to cell along each output row rather than
-    /// dividing a flat index per cell.
-    #[inline]
-    pub(super) fn windows(&self) -> impl Iterator<Item = Window> + '_ {
-        self.rows().flat_map(move |row| self.row_windows(row))
-    }
-
-    /// The windows of `row`'s cells, in output order.
-    #[inline]
-    pub(super) fn row_windows(&self, row: Row) -> impl Iterator<Item = Window> + '_ {
-        self.row_groups(row, [1]).map(|(window, _)| window)
     }
 
     /// `row`'s cells in output order as `(window, n)`: `window` is the
@@ -294,9 +305,9 @@ impl WindowGeom {
     }
 
     /// `window`'s runs in `ky` order as `(at, run)`: the input elements
-    /// `x[run]` are the patch row's elements `at..at + run.len()`, in
-    /// `(kx, ic)` order — [`WindowGeom::taps`] one window row at a time,
-    /// channels included. Padding is never yielded.
+    /// `x[run]` are the window's elements `at..at + run.len()` in `(ky, kx,
+    /// ic)` order — [`WindowGeom::taps`] one window row at a time, channels
+    /// included. Padding is never yielded.
     #[inline]
     pub(super) fn runs(
         &self,
@@ -329,18 +340,18 @@ impl WindowGeom {
         self.n * rows * cols * self.c
     }
 
-    /// Copies `x` into `out` as the zero-bordered input every window reads
-    /// in place: frame by frame the rows and columns the windows cover,
-    /// `0.0` where they lie in the padding, the input row by row where they
-    /// do not — so tap `p` of a cell's window, `tap_offsets()[p]` elements
-    /// past the cell's origin ([`BorderedSteps::origins`]), holds what its
-    /// im2col row holds at `p`. Input rows and columns no window reaches
-    /// are left out.
-    pub(super) fn border(&self, x: &[f32], out: &mut Vec<f32>) {
+    /// Copies `x` into `out` as the bordered input every window reads in
+    /// place: frame by frame the rows and columns the windows cover, `fill`
+    /// where they lie in the padding (`0.0`, or a quantized input's zero
+    /// point), the input row by row where they do not — so tap `p` of a
+    /// cell's window, `tap_offsets()[p]` elements past the cell's origin
+    /// ([`BorderedSteps::origins`]), holds the input under that tap, or
+    /// `fill`. Input rows and columns no window reaches are left out.
+    pub(super) fn border<T: Copy>(&self, x: &[T], fill: T, out: &mut Vec<T>) {
         let (rows, cols) = self.bordered_dims();
         let c = self.c;
         out.clear();
-        out.resize(self.bordered_len(), 0.0);
+        out.resize(self.bordered_len(), fill);
         // In-bounds bordered rows `pad_top..` and columns `pad_left..`.
         let ys = self.pad_top..rows.min(self.pad_top + self.in_h);
         let run = cols
@@ -356,14 +367,24 @@ impl WindowGeom {
         }
     }
 
-    /// The offset of each of a window's `kh · kw · c` taps from its cell's
-    /// origin in the bordered input, in patch order `(ky, kx, ic)`: a
-    /// window row's `kw · c` taps are contiguous there, and window rows lie
-    /// one bordered row apart.
-    pub(super) fn tap_offsets(&self) -> impl DoubleEndedIterator<Item = usize> {
+    /// The runs a window is in the bordered input: a window row's `kw · c`
+    /// taps are contiguous there, and window rows lie one bordered row
+    /// apart.
+    pub(super) fn bordered_runs(&self) -> WindowRuns {
         let (_, cols) = self.bordered_dims();
-        let (row, bordered_row) = (self.kw * self.c, cols * self.c);
-        (0..self.patch_len()).map(move |p| p / row * bordered_row + p % row)
+        WindowRuns {
+            count: self.kh,
+            len: self.kw * self.c,
+            step: cols * self.c,
+        }
+    }
+
+    /// The offset of each of a window's `kh · kw · c` taps from its cell's
+    /// origin in the bordered input, in `(ky, kx, ic)` order, run by run
+    /// ([`WindowGeom::bordered_runs`]).
+    pub(super) fn tap_offsets(&self) -> impl DoubleEndedIterator<Item = usize> {
+        let WindowRuns { len, step, .. } = self.bordered_runs();
+        (0..self.patch_len()).map(move |p| p / len * step + p % len)
     }
 
     /// How far apart cells' windows start in the bordered input.
@@ -388,7 +409,7 @@ impl WindowGeom {
     }
 
     /// A 1×1 stride-1 window: every cell reads exactly its own input pixel,
-    /// so the im2col matrix *is* the input buffer.
+    /// so the input buffer is the matrix of the windows, one per row.
     pub(super) fn is_pointwise(&self) -> bool {
         self.kh == 1 && self.kw == 1 && self.stride == 1
     }
@@ -427,7 +448,7 @@ mod tests {
                 for w in 1..=20 {
                     let g = geometry([2, 3, w.max(k), 2], k, stride, padding);
                     for row in g.rows() {
-                        let singles: Vec<Window> = g.row_windows(row).collect();
+                        let singles: Vec<Window> = g.row_groups(row, [1]).map(|(w, _)| w).collect();
                         assert_eq!(singles.len(), g.out_width());
                         let mut next = row.index;
                         for (window, n) in g.row_groups(row, [6, 3, 2]) {

@@ -4,13 +4,15 @@
 //! a [`MemoryPlan`]: the byte size and lifetime of every runtime tensor
 //! (graph inputs and node outputs), a greedy first-fit offset assignment that
 //! lets lifetime-disjoint tensors share the same arena range, and the f32
-//! scratch requirement of the float kernels (a convolution's im2col matrix
-//! or zero-bordered input; BatchNorm's per-channel denominators). The interpreter then preallocates one buffer
-//! per planned slot and reuses them across invokes — and, re-shaped in
-//! place, across batch sizes — so steady-state execution performs no
-//! per-node allocation. `InvokeStats::allocations` reports what the
-//! interpreter *knows* it allocated (the output tensors); the property
-//! itself is pinned from outside by the counting allocator in
+//! scratch requirement of the float kernels (the zero-bordered input a
+//! convolution reads its windows from in place; BatchNorm's per-channel
+//! denominators), which depends on the kernel flavor only, never on the
+//! CPU: every engine reads windows the same way. The interpreter then
+//! preallocates one buffer per planned slot and reuses them across
+//! invokes — and, re-shaped in place, across batch sizes — so steady-state
+//! execution performs no per-node allocation. `InvokeStats::allocations`
+//! reports what the interpreter *knows* it allocated (the output tensors);
+//! the property itself is pinned from outside by the counting allocator in
 //! `tests/alloc_steady_state.rs`. One plan is kept per batch size seen:
 //! accounting only, no buffers hang off it.
 
@@ -101,7 +103,7 @@ fn overflow(what: &str, batch: usize) -> NnError {
 }
 
 /// What the float kernels keep in the f32 scratch for a `Conv2d` whose
-/// window is not pointwise — as the kernels an interpreter runs decide
+/// window is not pointwise — as the flavor an interpreter runs decides
 /// (`FloatKernels::conv_scratch`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ConvScratch {
@@ -109,20 +111,17 @@ pub(crate) enum ConvScratch {
     Nothing,
     /// The zero-bordered input whose windows are read in place.
     Bordered,
-    /// The whole-batch im2col matrix.
-    Im2col,
 }
 
 /// Elements of f32 scratch `node`'s float kernel needs: for a convolution
-/// what `conv` says it keeps (at every batch factor, 1 included) — without
-/// a say, the larger of its whole-batch im2col matrix and its zero-bordered
-/// input — the per-channel denominators of a BatchNorm (its channel count,
+/// what `conv` says the kernels keep (at every batch factor, 1 included),
+/// the per-channel denominators of a BatchNorm (its channel count,
 /// whatever the batch), or 0 when the node needs none.
 fn node_scratch_elems(
     graph: &Graph,
     node: &crate::graph::Node,
     batch: usize,
-    conv: &dyn Fn(&crate::graph::Node) -> Option<ConvScratch>,
+    conv: ConvScratch,
 ) -> usize {
     let (stride, padding) = match &node.op {
         OpKind::Conv2d {
@@ -147,47 +146,34 @@ fn node_scratch_elems(
     }
     let (kh, kw, in_c) = (ws[1], ws[2], ws[3]);
     let is = input.shape().dims();
-    // The 1x1 stride-1 fast path reads the input directly; everything else
-    // materializes [rows, kh*kw*in_c] (im2col) or the zero-bordered input
-    // the windows are read from in place, by flavor — so the larger.
-    if kh == 1 && kw == 1 && *stride == 1 {
+    // The 1x1 stride-1 fast path reads the input directly; every other
+    // window is read in place from the zero-bordered input, unless the
+    // kernels read the input itself.
+    if (kh == 1 && kw == 1 && *stride == 1) || conv == ConvScratch::Nothing {
         return 0;
     }
     let oh = conv_out_size(is[1], kh, *stride, *padding);
     let ow = conv_out_size(is[2], kw, *stride, *padding);
-    let frames = is[0] * batch;
-    let im2col = frames * oh * ow * kh * kw * in_c;
     let covered = |out: usize, k: usize| if out == 0 { 0 } else { (out - 1) * stride + k };
-    let bordered = frames * covered(oh, kh) * covered(ow, kw) * in_c;
-    match conv(node) {
-        Some(ConvScratch::Nothing) => 0,
-        Some(ConvScratch::Bordered) => bordered,
-        Some(ConvScratch::Im2col) => im2col,
-        None => im2col.max(bordered),
-    }
+    is[0] * batch * covered(oh, kh) * covered(ow, kw) * in_c
 }
 
 impl MemoryPlan {
     /// Plans the arena for `graph` executed at `batch` stacked frames per
     /// invoke (`1` = the graph's natural shapes), the float scratch sized
-    /// for any kernels: a convolution's larger matrix, im2col or bordered.
+    /// for every kernel flavor: a convolution's zero-bordered input.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidGraph`] when `batch == 0` or a runtime
     /// tensor cannot carry a batch dimension.
     pub fn for_graph(graph: &Graph, batch: usize) -> Result<Self> {
-        Self::for_kernels(graph, batch, &|_| None)
+        Self::for_kernels(graph, batch, ConvScratch::Bordered)
     }
 
-    /// [`MemoryPlan::for_graph`], the float scratch reserved for what
-    /// `conv` says the kernels keep there for each `Conv2d` (`None`: either
-    /// matrix).
-    pub(crate) fn for_kernels(
-        graph: &Graph,
-        batch: usize,
-        conv: &dyn Fn(&crate::graph::Node) -> Option<ConvScratch>,
-    ) -> Result<Self> {
+    /// [`MemoryPlan::for_graph`], the float scratch reserved for what the
+    /// kernels keep there for a `Conv2d`, `conv`.
+    pub(crate) fn for_kernels(graph: &Graph, batch: usize, conv: ConvScratch) -> Result<Self> {
         if batch == 0 {
             return Err(NnError::InvalidGraph(
                 "memory plans require a positive batch factor".into(),
@@ -312,8 +298,8 @@ impl MemoryPlan {
     }
 
     /// The f32 scratch elements the float kernels need: the largest
-    /// whole-batch im2col matrix or zero-bordered convolution input in the
-    /// graph, or the widest BatchNorm's channel count if that is larger.
+    /// zero-bordered convolution input in the graph, or the widest
+    /// BatchNorm's channel count if that is larger.
     pub fn scratch_elems(&self) -> usize {
         self.scratch_elems
     }
@@ -423,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_covers_batched_im2col() {
+    fn scratch_covers_the_batched_bordered_input() {
         let mut b = GraphBuilder::new("s");
         let x = b.input("x", Shape::nhwc(1, 8, 8, 3));
         let w = b.constant("w", Tensor::filled_f32(Shape::new(vec![4, 3, 3, 3]), 0.1));
@@ -432,20 +418,19 @@ mod tests {
             .unwrap();
         b.output(y);
         let g = b.finish().unwrap();
+        // The bordered input of a 3 × 3 SAME window over 8 × 8 is 10 × 10
+        // a frame.
         let plan = MemoryPlan::for_graph(&g, 2).unwrap();
-        assert_eq!(plan.scratch_elems(), 2 * 8 * 8 * (3 * 3 * 3));
-        // Single invokes run the same im2col, so batch 1 reserves it too.
+        assert_eq!(plan.scratch_elems(), 2 * 10 * 10 * 3);
+        // Single invokes read the same windows, so batch 1 reserves it too.
         let single = MemoryPlan::for_graph(&g, 1).unwrap();
-        assert_eq!(single.scratch_elems(), 8 * 8 * (3 * 3 * 3));
-        // Kernels that say what they keep get that much: the im2col
-        // matrix, the bordered input (10 × 10 a frame for a 3 × 3 SAME
-        // window over 8 × 8), or nothing.
+        assert_eq!(single.scratch_elems(), 10 * 10 * 3);
+        // Kernels that read the input itself keep nothing.
         for (keeps, elems) in [
-            (ConvScratch::Im2col, 2 * 8 * 8 * (3 * 3 * 3)),
             (ConvScratch::Bordered, 2 * 10 * 10 * 3),
             (ConvScratch::Nothing, 0),
         ] {
-            let plan = MemoryPlan::for_kernels(&g, 2, &|_| Some(keeps)).unwrap();
+            let plan = MemoryPlan::for_kernels(&g, 2, keeps).unwrap();
             assert_eq!(plan.scratch_elems(), elems, "{keeps:?}");
         }
         // 1x1 convs use the direct path and need no scratch.

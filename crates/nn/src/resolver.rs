@@ -3,7 +3,7 @@ use serde::{Deserialize, Serialize};
 /// Which kernel implementation family the interpreter uses.
 ///
 /// Mirrors TFLite's two built-in op resolvers (§4.4): the production
-/// `OpResolver` dispatches *optimized kernels* (im2col, blocked loops), the
+/// `OpResolver` dispatches *optimized kernels* (GEMM, blocked loops), the
 /// debugging `RefOpResolver` dispatches *reference kernels*: one sequential
 /// sum per float output value, the oracle the other flavors are held to.
 /// TFLite's are naive loops the paper measures >200x slower on mobile; here
@@ -93,7 +93,7 @@ impl KernelBugs {
     }
 }
 
-/// Summation order of a float GEMM-family reduction (conv im2col rows,
+/// Summation order of a float GEMM-family reduction (conv windows,
 /// depthwise kernel windows, fully-connected rows) under the edge emulator.
 ///
 /// Real edge runtimes reassociate float sums freely — NEON lane reductions,

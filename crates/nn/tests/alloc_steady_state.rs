@@ -28,7 +28,7 @@ fn filled(dims: Vec<usize>, value: f32) -> Tensor {
     Tensor::filled_f32(Shape::new(dims), value)
 }
 
-/// `blocks` residual blocks of conv 3×3 (an im2col user) → depthwise →
+/// `blocks` residual blocks of conv 3×3 (a bordered-input user) → depthwise →
 /// BatchNorm → Act → Add, then Mean → FC: `5 · blocks + 2` nodes whose
 /// inputs and outputs do not depend on `blocks`.
 fn residual_stack(blocks: usize, side: usize, c: usize) -> Graph {
@@ -99,7 +99,7 @@ fn per_tensor(scale: f32, zero_point: i32) -> QuantParams {
     QuantParams::PerTensor { scale, zero_point }
 }
 
-/// `blocks` quantized 3×3 `Conv2d`s (an im2col user each), each followed
+/// `blocks` quantized 3×3 `Conv2d`s (a bordered-input user each), each followed
 /// by a quantized 3×3 depthwise (a requant-multiplier user) and a
 /// `Dequantize → Quantize` round trip, then Mean → FC: `4 · blocks + 2`
 /// nodes whose inputs and outputs do not depend on `blocks`.

@@ -124,7 +124,7 @@ pub enum BugSite {
     /// A quantized `AveragePool2d` with window area >= 16 — the
     /// double-division defect's target (small windows are unaffected).
     AvgPool16,
-    /// A float convolution whose im2col depth is not a multiple of the
+    /// A float convolution whose reduction depth is not a multiple of the
     /// 8-wide SIMD lane count — the `simd_gemm_k_tail_skip` tile-boundary
     /// defect's target. The generated prefix is GEMM-free (no conv/fc),
     /// so under the injected defect the target is the unique
@@ -227,7 +227,7 @@ pub fn random_graph_with_site(rng: &mut SmallRng, site: BugSite) -> (Graph, Shap
                 .expect("spatial size stays >= 4 through the prefix");
         }
         BugSite::SimdKTail => {
-            // 3x3 over 2..4 channels: im2col depth K = 9*c ∈ {18, 27} —
+            // 3x3 over 2..4 channels: reduction depth K = 9*c ∈ {18, 27} —
             // never a multiple of the 8-wide lane count, so the SIMD GEMM
             // always takes (and, bugged, always truncates) the K tail.
             let out_c = rng.gen_range(2..5usize);

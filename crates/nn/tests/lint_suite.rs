@@ -211,3 +211,26 @@ fn structural_deny_short_circuits_deeper_passes() {
         );
     }
 }
+
+/// A slot that fits a `usize` but no machine: an `f32` input of `2^59`
+/// elements (`2^61` bytes) feeding a `Relu`. The lint gate has nothing to
+/// deny, so building an interpreter must refuse it with a typed error, not
+/// abort the process when the allocator says no.
+#[test]
+fn a_graph_no_machine_can_hold_is_refused_at_build() {
+    use mlexray_nn::{Activation, GraphBuilder, NnError::Tensor};
+    use mlexray_tensor::{DType::F32, Shape, TensorError::AllocationRefused};
+
+    let mut b = GraphBuilder::new("huge");
+    let x = b.input("x", Shape::vector(1 << 59));
+    let y = b.activation("relu", x, Activation::Relu).unwrap();
+    b.output(y);
+    let graph = b.finish().unwrap();
+    assert!(analyze(&graph).is_clean());
+    let err = Interpreter::new(&graph, BackendSpec::optimized()).unwrap_err();
+    let refused = AllocationRefused {
+        elements: 1 << 59,
+        dtype: F32,
+    };
+    assert_eq!(err, Tensor(refused));
+}

@@ -703,3 +703,27 @@ fn simd_mobilenet_v2_invoke_agrees_across_builds() {
     let last = baseline.last().unwrap().as_f32().unwrap();
     assert_same_bits(out[0].as_f32().unwrap(), last, "the interpreter");
 }
+
+/// The memory plan depends on the flavor, never on the CPU: every engine
+/// reads a windowed `Conv2d`'s windows in place from one zero-bordered
+/// input. So the Simd flavor — whose wide windowed layers (a ResNet's 3×3s,
+/// `k > 64`) once ran an im2col on some engines — plans exactly what the
+/// Optimized one plans, slots, arena and scratch, for every zoo family at
+/// batch 1 and 4, natively and under `MLEXRAY_SIMD=scalar`.
+#[test]
+fn the_simd_plan_is_the_optimized_plan_on_every_zoo_family() {
+    use mlexray_models::{FullFamily, MiniFamily, ZooModel};
+    let minis = MiniFamily::ALL.map(ZooModel::Mini);
+    for family in FullFamily::ALL.map(ZooModel::Full).into_iter().chain(minis) {
+        let model = family.build_scaled(32, 4, 0.25, 3).unwrap();
+        let shape = model.graph.tensor(model.graph.inputs()[0]).shape();
+        let frame = [Tensor::zeros(DType::F32, shape.clone())];
+        let plans = [BackendSpec::simd(), BackendSpec::optimized()].map(|spec| {
+            let mut interp = Interpreter::new(&model.graph, spec).unwrap();
+            interp.invoke_batch(&[&frame[..]; 4]).unwrap();
+            let at_four = interp.memory_plan_at(4).cloned().expect("a batch-4 plan");
+            (interp.memory_plan().clone(), at_four)
+        });
+        assert_eq!(plans[0], plans[1], "{}", family.name());
+    }
+}

@@ -320,6 +320,32 @@ fn load_of_a_graph_whose_byte_size_overflows_is_refused() {
     server.shutdown();
 }
 
+/// A graph whose input is `2^59` f32 — `2^61` bytes, a size a `usize`
+/// holds but no machine does — uploaded over the wire: the lint gate has
+/// nothing to deny, so the refusal comes from building the interpreter,
+/// whose allocation fails as a typed error instead of aborting the server,
+/// and the session still answers a good `Infer` afterwards.
+#[test]
+fn load_of_a_graph_no_machine_can_hold_is_refused() {
+    let server = start_server(quick_config());
+    let mut client = RpcClient::connect(server.local_addr()).unwrap();
+    let mut b = GraphBuilder::new("huge");
+    let x = b.input("x", Shape::vector(1 << 59));
+    let y = b.activation("relu", x, Activation::Relu).unwrap();
+    b.output(y);
+    let json = serde_json::to_string(&b.finish().unwrap()).unwrap();
+    let err = client
+        .load_graph_json("huge", &json, wire::WireSpec::Optimized)
+        .unwrap_err();
+    assert_eq!(err.server_code(), Some(ErrorCode::Malformed), "{err:?}");
+    assert!(err.to_string().contains("allocator refused"), "{err}");
+
+    let out = client.infer("m", frame_input(0), None).unwrap();
+    assert_eq!(out.outputs.len(), 1);
+    drop(client);
+    server.shutdown();
+}
+
 /// A layer norm whose data operand is rewritten to rank 0 — no last axis to
 /// normalize over — uploaded over the wire: the lint gate refuses it with a
 /// typed error instead of panicking on the missing axis and taking the

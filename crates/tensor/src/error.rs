@@ -44,6 +44,14 @@ pub enum TensorError {
     InvalidQuantization(String),
     /// A shape with zero elements or an invalid axis was supplied.
     InvalidShape(String),
+    /// The allocator refused a tensor's buffer: more bytes than this
+    /// machine can hold.
+    AllocationRefused {
+        /// Elements the buffer was to hold.
+        elements: usize,
+        /// Their dtype.
+        dtype: DType,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -69,6 +77,12 @@ impl fmt::Display for TensorError {
             }
             TensorError::InvalidQuantization(msg) => write!(f, "invalid quantization: {msg}"),
             TensorError::InvalidShape(msg) => write!(f, "invalid shape: {msg}"),
+            TensorError::AllocationRefused { elements, dtype } => {
+                write!(
+                    f,
+                    "the allocator refused a buffer of {elements} {dtype:?} elements"
+                )
+            }
         }
     }
 }

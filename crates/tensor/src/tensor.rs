@@ -168,6 +168,54 @@ impl Tensor {
         })
     }
 
+    /// [`Tensor::zeros`], where the allocator may refuse the buffer: a
+    /// shape no machine holds is an error, not an aborted process.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::AllocationRefused`] when the allocator refuses
+    /// the buffer, and [`TensorError::InvalidShape`] when its element count
+    /// overflows a `usize`.
+    pub fn try_zeros(dtype: DType, shape: Shape) -> Result<Self> {
+        let len = shape.checked_num_elements().ok_or_else(|| {
+            TensorError::InvalidShape(format!("{shape} overflows the address space"))
+        })?;
+        let data = match dtype {
+            DType::F32 => TensorData::F32(Vec::new()),
+            DType::U8 => TensorData::U8(Vec::new()),
+            DType::I8 => TensorData::I8(Vec::new()),
+            DType::I32 => TensorData::I32(Vec::new()),
+        };
+        let mut tensor = Tensor {
+            shape,
+            data,
+            quant: None,
+        };
+        tensor.fit_len(len)?;
+        Ok(tensor)
+    }
+
+    /// Sets the buffer's length to `len`, truncating it or extending it
+    /// with zeros; an allocation that must grow grows to exactly `len`.
+    fn fit_len(&mut self, len: usize) -> Result<()> {
+        fn fit<T: Clone + Default>(v: &mut Vec<T>, len: usize, dtype: DType) -> Result<()> {
+            v.try_reserve_exact(len.saturating_sub(v.len()))
+                .map_err(|_| TensorError::AllocationRefused {
+                    elements: len,
+                    dtype,
+                })?;
+            v.resize(len, T::default());
+            Ok(())
+        }
+        let dtype = self.dtype();
+        match &mut self.data {
+            TensorData::F32(v) => fit(v, len, dtype),
+            TensorData::U8(v) => fit(v, len, dtype),
+            TensorData::I8(v) => fit(v, len, dtype),
+            TensorData::I32(v) => fit(v, len, dtype),
+        }
+    }
+
     /// Creates a zero-filled tensor of the given dtype.
     pub fn zeros(dtype: DType, shape: Shape) -> Self {
         let n = shape.num_elements();
@@ -480,21 +528,27 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidShape`] for rank-0 tensors.
+    /// Returns [`TensorError::InvalidShape`] for rank-0 tensors and for `n`
+    /// frames whose element count overflows a `usize`, and
+    /// [`TensorError::AllocationRefused`] when the allocator refuses to
+    /// grow the buffer; the tensor is then left as it was.
     pub fn resize_batch(&mut self, n: usize) -> Result<()> {
-        self.shape.set_batch(n)?;
-        let len = self.shape.num_elements();
-        fn fit<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
-            v.reserve_exact(len.saturating_sub(v.len()));
-            v.resize(len, T::default());
-        }
-        match &mut self.data {
-            TensorData::F32(v) => fit(v, len),
-            TensorData::U8(v) => fit(v, len),
-            TensorData::I8(v) => fit(v, len),
-            TensorData::I32(v) => fit(v, len),
-        }
-        Ok(())
+        let Some((_, frame)) = self.shape.dims().split_first() else {
+            return Err(TensorError::InvalidShape(
+                "scalar has no batch dimension".into(),
+            ));
+        };
+        let len = frame
+            .iter()
+            .try_fold(n, |len, &d| len.checked_mul(d))
+            .ok_or_else(|| {
+                TensorError::InvalidShape(format!(
+                    "{n} frames of {} overflow the address space",
+                    self.shape
+                ))
+            })?;
+        self.fit_len(len)?;
+        self.shape.set_batch(n)
     }
 
     /// `f32` value at NHWC coordinates (convenience for tests and examples).
@@ -608,6 +662,34 @@ mod tests {
             "regrowth within capacity must not reallocate"
         );
         assert!(Tensor::scalar_f32(1.0).resize_batch(2).is_err());
+    }
+
+    /// A buffer no machine holds — `2^59` `f32`, `2^61` bytes — is a typed
+    /// refusal, not an aborted process, and a refused growth leaves the
+    /// tensor as it was.
+    #[test]
+    fn a_buffer_no_machine_holds_is_refused() {
+        let huge = 1usize << 59;
+        assert_eq!(
+            Tensor::try_zeros(DType::F32, Shape::vector(huge)).unwrap_err(),
+            TensorError::AllocationRefused {
+                elements: huge,
+                dtype: DType::F32
+            }
+        );
+        let zeros = Tensor::try_zeros(DType::U8, Shape::matrix(2, 3)).unwrap();
+        assert_eq!(zeros, Tensor::zeros(DType::U8, Shape::matrix(2, 3)));
+        let mut t = Tensor::from_f32(Shape::matrix(1, 2), vec![1.0, 2.0]).unwrap();
+        let err = t.resize_batch(huge).unwrap_err();
+        assert!(
+            matches!(err, TensorError::AllocationRefused { .. }),
+            "{err}"
+        );
+        assert!(t.resize_batch(usize::MAX).is_err());
+        assert_eq!(
+            t,
+            Tensor::from_f32(Shape::matrix(1, 2), vec![1.0, 2.0]).unwrap()
+        );
     }
 
     #[test]

@@ -30,7 +30,15 @@ step() { printf '\n==> %s\n' "$*"; }
 # crates/nn/src/ops.rs, which the builder, the quantizer and the lint's
 # shape pass all call; a `conv_out_size(` call in crates/nn/src outside
 # ops.rs, plan.rs (scratch sizing) and kernels/ (the kernels' own window
-# walks) is a second copy of that rule, and fails the leg. The leg also
+# walks) is a second copy of that rule, and fails the leg. Every
+# convolution reads its windows in place — the float ones through tap
+# offsets into a zero-bordered copy of the input, the int8 one as runs of a
+# copy bordered with the input zero point — so the kernels and the memory
+# plan read a window one way on every engine; an `im2col(` call or an
+# `Im2col` name in crates/nn/src outside the test modules (each file is read
+# only up to its first column-0 `#[cfg(test)]`, where gemm.rs keeps the
+# per-tap im2col oracle the windowed kernels are held to) is a second way
+# back, and fails the leg. The leg also
 # runs scripts/rust-lines.sh, which writes the `rust_lines` object of every
 # BENCH_PR*.json, and fails if it stops printing one.
 lint() {
@@ -58,6 +66,13 @@ lint() {
     grep -vE '^crates/nn/src/(ops\.rs|plan\.rs|kernels/)' || true)"
   if [[ -n "$stray" ]]; then
     printf 'conv_out_size outside the op rule, the planner and the kernels:\n%s\n' "$stray" >&2
+    return 1
+  fi
+  stray="$(find crates/nn/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /im2col\(|Im2col/ { print FILENAME ":" FNR ": " $0 }')"
+  if [[ -n "$stray" ]]; then
+    printf 'an im2col outside the test modules of crates/nn/src:\n%s\n' "$stray" >&2
     return 1
   fi
   local lines
@@ -140,7 +155,9 @@ backend-suites() {
 # The kernels::gemm unit tests
 # hold the one tile driver, under its three chain rules and every explicit
 # engine, to a one-row, one-channel run of it per cell (the narrow-panel rule
-# to dot_f32_scalar per cell, its windows read in place to the im2col path);
+# to lanes8_dot per cell), and every float Conv2d's windows read in place
+# — the narrow panels and the row-major tiles alike — to the per-tap im2col
+# oracle in gemm's tests;
 # hold the one quantized Conv2d
 # and FC every flavor runs, in both builds, to the scalar loops they replaced
 # (a property suite over windows, strides, zero points, per-channel weights,
