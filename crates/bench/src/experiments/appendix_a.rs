@@ -65,8 +65,10 @@ pub fn run(scale: &Scale) -> String {
     )
     .expect("nnlm trains");
 
-    // Evaluate both pipelines and measure embedding-output divergence.
-    let mut interp = Interpreter::new(&model.graph, BackendSpec::optimized()).expect("valid");
+    // Evaluate both pipelines and measure embedding-output divergence; the
+    // embedding is an intermediate read after each invoke.
+    let mut interp =
+        Interpreter::preserving(&model.graph, BackendSpec::optimized()).expect("valid");
     let mut results = Vec::new();
     let mut divergence = 0.0f64;
     let mut agree = 0usize;

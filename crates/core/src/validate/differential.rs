@@ -30,7 +30,7 @@
 use std::borrow::Cow;
 
 use mlexray_nn::simd::{active_engine, execute_node_with};
-use mlexray_nn::{BackendSpec, Graph};
+use mlexray_nn::{BackendSpec, Graph, Interpreter};
 use mlexray_tensor::Tensor;
 
 use crate::pipeline::{ImagePipeline, LabeledFrame};
@@ -317,10 +317,11 @@ fn bisect(
     })?;
     // Trusted operands: the frame replayed under the reference backend
     // (ML-EXray's known-correct runtime), whatever the baseline of the
-    // differential run was. Its arena keeps every slot readable after the
-    // invoke, so the node's operands — graph constants, the frame's own
-    // staged inputs, reference-prefix activations — are read in place.
-    let mut prefix = BackendSpec::reference().build(graph)?;
+    // differential run was. It is built preserving, so every tensor stays
+    // readable after the invoke and the node's operands — graph constants,
+    // the frame's own staged inputs, reference-prefix activations — are
+    // read in place.
+    let mut prefix = Interpreter::preserving(graph, BackendSpec::reference())?;
     prefix.invoke(frame_inputs)?;
     let operands = node
         .inputs

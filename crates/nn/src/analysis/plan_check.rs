@@ -5,7 +5,10 @@
 //! checker that shares the planner's code would share its bugs; this pass
 //! re-derives every runtime tensor's byte size and live range straight from
 //! the graph and then proves, pairwise, that no two placements overlap both
-//! in lifetime and in byte range. The same verifier runs (debug builds
+//! in lifetime and in byte range — and, for the physical buffers the
+//! interpreter runs, that no two tensors sharing one are live together or
+//! differ in dtype or size, and that a kept tensor (readable after the
+//! invoke) shares with none. The same verifier runs (debug builds
 //! only) inside the interpreter's arena setup, so a future planner
 //! regression fails loudly in tests instead of silently corrupting
 //! activations in release.
@@ -27,7 +30,9 @@ pub(super) fn check(graph: &Graph) -> Vec<Diagnostic> {
 
 /// Independently verifies `plan` against `graph`: every runtime tensor gets
 /// exactly one slot of the right size and lifetime, no placement extends
-/// past the arena, and no two lifetime-overlapping placements share bytes.
+/// past the arena, no two lifetime-overlapping placements share bytes, and
+/// no two tensors share a buffer unless they are lifetime-disjoint, of one
+/// dtype and size, and neither is kept.
 ///
 /// Returns one [`Diagnostic`] per violation; an empty vector is a proof
 /// (over the re-derived lifetimes) that the arena layout is safe.
@@ -158,6 +163,38 @@ pub fn verify_plan(graph: &Graph, plan: &MemoryPlan) -> Vec<Diagnostic> {
                             name(b_id),
                             b.offset,
                             b.offset + b.bytes
+                        ),
+                    )
+                    .with_tensor(name(a_id)),
+                );
+            }
+            if a.buffer != b.buffer {
+                continue;
+            }
+            if live_together || a.kept || b.kept {
+                diags.push(
+                    Diagnostic::new(
+                        LintCode::PlanAliasOverlap,
+                        format!(
+                            "tensors '{}' and '{}' share buffer {} while one is live or kept",
+                            name(a_id),
+                            name(b_id),
+                            a.buffer
+                        ),
+                    )
+                    .with_tensor(name(a_id)),
+                );
+            }
+            let dtype = |id: TensorId| graph.tensor(id).dtype();
+            if dtype(a_id) != dtype(b_id) || a.bytes != b.bytes {
+                diags.push(
+                    Diagnostic::new(
+                        LintCode::PlanSlotInvalid,
+                        format!(
+                            "tensors '{}' and '{}' share buffer {} across dtypes or sizes",
+                            name(a_id),
+                            name(b_id),
+                            a.buffer
                         ),
                     )
                     .with_tensor(name(a_id)),

@@ -22,7 +22,7 @@ use crate::graph::{Graph, TensorDef, TensorId};
 use crate::kernels::gemm::Engine;
 use crate::kernels::{execute_node, FloatKernels, KernelCtx, Kernels};
 use crate::ops::OpKind;
-use crate::plan::MemoryPlan;
+use crate::plan::{BufferLayout, MemoryPlan};
 use crate::{NnError, Result};
 
 /// Everything ML-EXray's per-layer instrumentation can see about one executed
@@ -99,11 +99,14 @@ pub struct InvokeStats {
     pub peak_activation_bytes: usize,
     /// Planned arena footprint: what one contiguous allocation serving every
     /// runtime tensor of the invoke would occupy, with lifetime-disjoint
-    /// tensors sharing bytes. This is the layout a byte-arena deployment
-    /// backend would allocate; the interpreter itself keeps one buffer per
-    /// slot ([`MemoryPlan::unshared_bytes`] resident) so
-    /// [`Interpreter::tensor_value`] can expose every intermediate after
-    /// the invoke.
+    /// tensors sharing bytes — the layout a byte-arena deployment backend
+    /// would allocate. The interpreter holds the plan's buffers instead: by
+    /// default dead activations hand their buffers on to activations of the
+    /// same dtype and size, which comes near this figure; an interpreter
+    /// built with [`Interpreter::preserving`] keeps every tensor in its own
+    /// buffer ([`MemoryPlan::unshared_bytes`]) so
+    /// [`Interpreter::tensor_value`] can expose every intermediate after the
+    /// invoke.
     pub arena_bytes: usize,
     /// Output tensors this invoke materialized: `outputs × frames`, the
     /// interpreter's own count of the buffers it handed out. It is not a
@@ -144,8 +147,13 @@ impl InvokeStats {
 /// layout with the independent verifier from the static analyzer, so a
 /// future planner bug fails loudly in tests instead of silently corrupting
 /// activations in release.
-fn verified_plan(graph: &Graph, batch: usize, float: FloatKernels) -> Result<MemoryPlan> {
-    let plan = MemoryPlan::for_kernels(graph, batch, float.conv_scratch())?;
+fn verified_plan(
+    graph: &Graph,
+    batch: usize,
+    float: FloatKernels,
+    layout: BufferLayout,
+) -> Result<MemoryPlan> {
+    let plan = MemoryPlan::for_kernels(graph, batch, float.conv_scratch(), layout)?;
     #[cfg(debug_assertions)]
     {
         let findings = crate::analysis::verify_plan(graph, &plan);
@@ -162,18 +170,74 @@ fn verified_plan(graph: &Graph, batch: usize, float: FloatKernels) -> Result<Mem
     Ok(plan)
 }
 
-/// The interpreter's one execution arena: a preallocated buffer per runtime
-/// slot, stacked to the batch size of the current invoke, plus the float
+/// The plan's physical buffers and which runtime tensor each holds.
+#[derive(Debug)]
+struct Buffers {
+    /// One tensor per planned buffer, stacked to the invoke's frames; a
+    /// node takes its output's buffer out while it runs.
+    tensors: Vec<Option<Tensor>>,
+    /// Each runtime tensor's buffer index (`None` for constants, which are
+    /// read straight from the graph).
+    of: Vec<Option<usize>>,
+    /// The runtime tensor each buffer last took the shape of.
+    holder: Vec<usize>,
+    /// Each runtime tensor's shape stacked to the invoke's frames, which
+    /// its buffer takes when the tensor's producer runs.
+    shapes: Vec<Option<Shape>>,
+    /// Per node, fixed at construction: its output's buffer, and whether
+    /// other tensors run in that buffer too, so the output takes it over
+    /// before the node runs.
+    writes: Vec<(usize, bool)>,
+}
+
+impl Buffers {
+    /// Tensor `id`'s value, while its buffer holds it.
+    fn value(&self, id: TensorId) -> Option<&Tensor> {
+        let b = self.of.get(id.0).copied().flatten()?;
+        if self.holder[b] == id.0 {
+            self.tensors[b].as_ref()
+        } else {
+            None
+        }
+    }
+
+    /// A running node's operand `id`, `None` for a constant. A live
+    /// operand's buffer still holds it — the plan frees a buffer only after
+    /// the last node reading its tensor, which debug builds re-prove for
+    /// every plan (`verified_plan`) and check here.
+    fn operand(&self, id: TensorId) -> Option<&Tensor> {
+        let b = self.of[id.0]?;
+        debug_assert_eq!(self.holder[b], id.0, "an operand's buffer was handed on");
+        self.tensors[b].as_ref()
+    }
+
+    /// Hands buffer `b` to tensor `id`: the tensor's stacked shape and its
+    /// definition's quantization, the values left as they were (the
+    /// producer overwrites them all).
+    fn hand_to(&mut self, b: usize, id: TensorId, def: &TensorDef) -> Result<()> {
+        let buffer = self.tensors[b]
+            .as_mut()
+            .expect("buffers are restored after every node");
+        let shape = self.shapes[id.0]
+            .as_ref()
+            .expect("planned tensors have shapes");
+        buffer.set_shape(shape)?;
+        buffer.set_quant(def.quant().cloned());
+        self.holder[b] = id.0;
+        Ok(())
+    }
+}
+
+/// The interpreter's one execution arena: the memory plan's physical
+/// buffers, stacked to the batch size of the current invoke, plus the float
 /// kernels' scratch. Buffers are re-shaped in place when the batch size
 /// changes and never shrink on their own, so the arena's footprint is that
 /// of the largest batch it has run, however many sizes it has seen.
 #[derive(Debug)]
 struct ExecState {
-    /// Frames the slots are currently shaped for.
+    /// Frames the buffers are currently shaped for.
     frames: usize,
-    /// Runtime slots; constants stay `None` and are read straight from the
-    /// graph.
-    values: Vec<Option<Tensor>>,
+    buffers: Buffers,
     /// f32 scratch for the zero-bordered input a convolution reads its
     /// windows from and the BatchNorm denominators; its capacity covers the
     /// largest plan run so far, so kernels never reallocate it in steady
@@ -198,29 +262,46 @@ struct ExecState {
 }
 
 impl ExecState {
-    /// A one-frame arena for `graph`, sized from its batch-1 `plan`.
+    /// A one-frame arena for `graph`: the buffers of its batch-1 `plan`,
+    /// each allocated here, at the shape of the first tensor it holds.
     ///
     /// # Errors
     ///
     /// [`TensorError::AllocationRefused`] when
-    /// the allocator refuses a slot or the scratch: a graph no machine
+    /// the allocator refuses a buffer or the scratch: a graph no machine
     /// holds is refused, not an aborted process.
     fn new(graph: &Graph, plan: &MemoryPlan) -> Result<Self> {
-        let values = graph
-            .tensors()
-            .iter()
-            .map(|def| {
-                if matches!(def, TensorDef::Constant { .. }) {
-                    return Ok(None);
-                }
-                let mut slot = Tensor::try_zeros(def.dtype(), def.shape().clone())?;
-                slot.set_quant(def.quant().cloned());
-                Ok(Some(slot))
-            })
-            .collect::<Result<_>>()?;
+        let count = graph.tensors().len();
+        let mut buffers = Buffers {
+            tensors: (0..plan.buffer_count()).map(|_| None).collect(),
+            of: vec![None; count],
+            holder: vec![0; plan.buffer_count()],
+            shapes: vec![None; count],
+            writes: Vec::with_capacity(graph.nodes().len()),
+        };
+        let mut tenants = vec![0usize; plan.buffer_count()];
+        for (i, def) in graph.tensors().iter().enumerate() {
+            let Some(slot) = plan.slot(TensorId(i)) else {
+                continue;
+            };
+            tenants[slot.buffer] += 1;
+            buffers.of[i] = Some(slot.buffer);
+            buffers.shapes[i] = Some(def.shape().clone());
+            if buffers.tensors[slot.buffer].is_none() {
+                let mut buffer = Tensor::try_zeros(def.dtype(), def.shape().clone())?;
+                buffer.set_quant(def.quant().cloned());
+                buffers.tensors[slot.buffer] = Some(buffer);
+                buffers.holder[slot.buffer] = i;
+            }
+        }
+        for node in graph.nodes() {
+            let b = buffers.of[node.output.0]
+                .expect("validated graph: nodes write planned activations");
+            buffers.writes.push((b, tenants[b] > 1));
+        }
         let mut state = ExecState {
             frames: 1,
-            values,
+            buffers,
             scratch: Vec::new(),
             taps: Vec::new(),
             runtime_panels: Vec::new(),
@@ -231,17 +312,25 @@ impl ExecState {
         Ok(state)
     }
 
-    /// Re-shapes every slot to `plan`'s batch factor — a no-op when the
+    /// Re-shapes every buffer to `plan`'s batch factor — a no-op when the
     /// arena already has it — and grows the scratch to `plan`'s need.
     /// Shrinking frees nothing and regrowing within a buffer's capacity
     /// allocates nothing; added frames are zero-filled (every kernel
     /// overwrites its whole output, so their content is never read).
     fn reshape(&mut self, graph: &Graph, plan: &MemoryPlan) -> Result<()> {
         if self.frames != plan.batch() {
-            for (slot, def) in self.values.iter_mut().zip(graph.tensors()) {
-                if let Some(slot) = slot {
-                    let lead = def.shape().dims().first().copied().unwrap_or(1);
-                    slot.resize_batch(lead * plan.batch())?;
+            let lead = |id: usize| {
+                let dims = graph.tensors()[id].shape().dims();
+                dims.first().copied().unwrap_or(1) * plan.batch()
+            };
+            let buffers = &mut self.buffers;
+            for (buffer, &holder) in buffers.tensors.iter_mut().zip(&buffers.holder) {
+                let buffer = buffer.as_mut().expect("no node is running");
+                buffer.resize_batch(lead(holder))?;
+            }
+            for (id, shape) in buffers.shapes.iter_mut().enumerate() {
+                if let Some(shape) = shape {
+                    shape.set_batch(lead(id))?;
                 }
             }
             self.frames = plan.batch();
@@ -324,12 +413,24 @@ fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
 }
 
 /// Executes a [`Graph`] node by node, TFLite-interpreter style, over a
-/// preplanned buffer arena ([`MemoryPlan`]): every runtime tensor's buffer
-/// is allocated once, up front, and reused across invokes — and across
+/// preplanned buffer arena ([`MemoryPlan`]): the plan's buffers are
+/// allocated once, up front, and reused across invokes — and across
 /// batch sizes: there is **one** arena, re-shaped in place when
 /// [`Interpreter::invoke_batch`] changes the number of stacked frames, so
 /// its footprint is that of the largest batch run, not the sum over every
-/// size seen. With a disabled observer the node loop itself neither
+/// size seen.
+///
+/// [`Interpreter::new`] shares the plan's buffers: an activation hands its
+/// buffer on, once its last reader has run, to the next activation of its
+/// dtype and size, so an intermediate's value is gone after the invoke —
+/// every
+/// [`LayerObserver`] still sees each node's output when it is produced,
+/// and [`Interpreter::tensor_value`] answers for inputs, outputs and
+/// constants only. [`Interpreter::preserving`] — for code that reads
+/// intermediates after the invoke, as TFLite's `preserve_all_tensors` —
+/// gives every runtime tensor its own buffer on the same execution path,
+/// holding [`MemoryPlan::unshared_bytes`]; no output bit differs between
+/// the two. With a disabled observer the node loop itself neither
 /// allocates nor reads the clock; the heap allocations of a steady-state
 /// float invoke are the returned output tensors (the kernel module docs
 /// list the quantized kernels that still allocate per node; a node with
@@ -377,8 +478,9 @@ pub struct Interpreter<'g> {
     /// See [`packed_weight_panels`].
     panels: Vec<Option<Vec<f32>>>,
     state: ExecState,
-    /// One memory plan per batch size seen, batch 1 first: accounting for
-    /// [`InvokeStats`] and the scratch bound — no buffers hang off a plan.
+    /// One memory plan per batch size seen, batch 1 first, all of one
+    /// layout: accounting for [`InvokeStats`] and the scratch bound — the
+    /// buffers are batch 1's, re-shaped; none hang off a plan.
     /// Dropped (all but the first) via
     /// [`Interpreter::release_batched_arenas`].
     plans: Vec<MemoryPlan>,
@@ -390,15 +492,34 @@ pub struct Interpreter<'g> {
 
 impl<'g> Interpreter<'g> {
     /// Prepares an interpreter for a graph: validates it, computes the
-    /// [`MemoryPlan`] and preallocates every runtime tensor's buffer.
+    /// [`MemoryPlan`] in its shared layout and preallocates the plan's
+    /// buffers, where dead activations hand theirs on.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidGraph`] if validation fails.
+    /// Returns [`NnError::InvalidGraph`] if validation fails, and
+    /// [`TensorError::AllocationRefused`] (as [`NnError::Tensor`]) when the
+    /// allocator refuses a buffer.
     pub fn new(graph: &'g Graph, spec: BackendSpec) -> Result<Self> {
+        Self::with_layout(graph, spec, BufferLayout::Shared)
+    }
+
+    /// [`Interpreter::new`], every runtime tensor in a buffer of its own
+    /// ([`MemoryPlan::unshared_bytes`]), so [`Interpreter::tensor_value`]
+    /// reads every intermediate of the last invoke — for code that reads
+    /// them after the invoke rather than through a [`LayerObserver`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Interpreter::new`].
+    pub fn preserving(graph: &'g Graph, spec: BackendSpec) -> Result<Self> {
+        Self::with_layout(graph, spec, BufferLayout::Preserving)
+    }
+
+    fn with_layout(graph: &'g Graph, spec: BackendSpec, layout: BufferLayout) -> Result<Self> {
         graph.validate()?;
         let kernels = Kernels::resolve(&spec);
-        let plan = verified_plan(graph, 1, kernels.float)?;
+        let plan = verified_plan(graph, 1, kernels.float, layout)?;
         Ok(Interpreter {
             graph,
             spec,
@@ -444,8 +565,13 @@ impl<'g> Interpreter<'g> {
         let index = match self.plans.iter().position(|p| p.batch() == frames) {
             Some(i) => i,
             None => {
-                self.plans
-                    .push(verified_plan(self.graph, frames, self.kernels.float)?);
+                let layout = self.plans[0].layout();
+                self.plans.push(verified_plan(
+                    self.graph,
+                    frames,
+                    self.kernels.float,
+                    layout,
+                )?);
                 self.plans.len() - 1
             }
         };
@@ -493,15 +619,16 @@ impl<'g> Interpreter<'g> {
         Ok(())
     }
 
-    /// Copies every sample's inputs into the arena's input slots (sample `b`
-    /// lands at frame offset `b`) and resolves the slots' quantization.
+    /// Copies every sample's inputs into the arena's input buffers (sample
+    /// `b` lands at frame offset `b`) and resolves their quantization.
     fn stage_inputs(graph: &Graph, state: &mut ExecState, samples: &[&[Tensor]]) -> Result<()> {
         for (k, &id) in graph.inputs().iter().enumerate() {
             let def = graph.tensor(id);
             let per = def.shape().num_elements();
-            let slot = state.values[id.0]
+            let buffer = state.buffers.of[id.0].expect("inputs are always planned");
+            let slot = state.buffers.tensors[buffer]
                 .as_mut()
-                .expect("input slots are always planned");
+                .expect("inputs own their buffers");
             for (b, sample) in samples.iter().enumerate() {
                 copy_into_slot(slot, &sample[k], b * per)?;
             }
@@ -535,18 +662,22 @@ impl<'g> Interpreter<'g> {
         // is immaterial); unused operand positions borrow it too.
         let placeholder = Tensor::zeros(DType::F32, Shape::new([0usize; 0]));
         for (index, node) in graph.nodes().iter().enumerate() {
-            let out_id = node.output.0;
-            let mut out = state.values[out_id]
+            let out_def = graph.tensor(node.output);
+            let (out_buffer, shared) = state.buffers.writes[index];
+            if shared {
+                state.buffers.hand_to(out_buffer, node.output, out_def)?;
+            }
+            let mut out = state.buffers.tensors[out_buffer]
                 .take()
-                .expect("validated graph: nodes write planned activation slots");
+                .expect("buffers are restored after every node");
             // Only an observer reads the latency, so only then is the clock
             // read.
             let node_start = observing.then(Instant::now);
             let result = {
-                let values = &state.values;
+                let buffers = &state.buffers;
                 let resolve = |id: &TensorId| {
-                    values[id.0]
-                        .as_ref()
+                    buffers
+                        .operand(*id)
                         .or_else(|| graph.tensor(*id).as_constant())
                         .expect("validated graph guarantees def-before-use")
                 };
@@ -573,15 +704,16 @@ impl<'g> Interpreter<'g> {
                     panels: panels.get(index).and_then(Option::as_deref),
                     runtime_panels: &mut state.runtime_panels,
                 };
-                let out_def = graph.tensor(node.output);
                 execute_node(node, input_refs, out_def, &mut out, &mut ctx)
             };
             let latency = node_start.map_or(Duration::ZERO, |start| start.elapsed());
-            state.values[out_id] = Some(out);
+            state.buffers.tensors[out_buffer] = Some(out);
             result?;
             if observing {
                 let macs = graph.node_macs(crate::graph::NodeId(index));
-                let produced = state.values[out_id].as_ref().expect("restored above");
+                let produced = state.buffers.tensors[out_buffer]
+                    .as_ref()
+                    .expect("restored above");
                 if frames == 1 {
                     observer.on_layer(&LayerRecord {
                         index,
@@ -593,7 +725,7 @@ impl<'g> Interpreter<'g> {
                         macs,
                     });
                 } else {
-                    let per_shape = graph.tensor(node.output).shape();
+                    let per_shape = out_def.shape();
                     let share = latency / frames as u32;
                     for b in 0..frames {
                         let frame = batch_base + b;
@@ -623,8 +755,10 @@ impl<'g> Interpreter<'g> {
             .outputs()
             .iter()
             .map(|&id| {
-                state.values[id.0]
-                    .clone()
+                state
+                    .buffers
+                    .value(id)
+                    .cloned()
                     .ok_or_else(|| NnError::InvalidGraph("output never produced".into()))
             })
             .collect()
@@ -709,8 +843,9 @@ impl<'g> Interpreter<'g> {
         for b in 0..frames {
             let mut per_frame = Vec::with_capacity(self.graph.outputs().len());
             for &id in self.graph.outputs() {
-                let stacked = state.values[id.0]
-                    .as_ref()
+                let stacked = state
+                    .buffers
+                    .value(id)
                     .ok_or_else(|| NnError::InvalidGraph("output never produced".into()))?;
                 per_frame.push(frame_view(stacked, self.graph.tensor(id).shape(), b)?);
                 allocations += 1;
@@ -766,17 +901,25 @@ impl<'g> Interpreter<'g> {
         Ok(outputs)
     }
 
-    /// Shrinks the arena back to one frame — every slot keeps frame 0 of
-    /// its current value in a buffer of exactly that size — and forgets the
-    /// plans of the batch sizes seen, returning the interpreter to its
+    /// Shrinks the arena back to one frame — every buffer keeps frame 0 of
+    /// its current value in an allocation of exactly that size — and forgets
+    /// the plans of the batch sizes seen, returning the interpreter to its
     /// single-invoke memory footprint. The arena is otherwise retained at
     /// its largest size so repeated `invoke_batch` calls pay no replanning
     /// or reallocation.
     pub fn release_batched_arenas(&mut self) {
         self.plans.truncate(1);
-        for (slot, def) in self.state.values.iter_mut().zip(self.graph.tensors()) {
-            if let Some(slot) = slot {
-                *slot = frame_view(slot, def.shape(), 0).expect("a view has its source's dtype");
+        let tensors = self.graph.tensors();
+        let buffers = &mut self.state.buffers;
+        for (buffer, &holder) in buffers.tensors.iter_mut().zip(&buffers.holder) {
+            if let Some(buffer) = buffer {
+                let shape = tensors[holder].shape();
+                *buffer = frame_view(buffer, shape, 0).expect("a view has its source's dtype");
+            }
+        }
+        for (shape, def) in buffers.shapes.iter_mut().zip(tensors) {
+            if let Some(shape) = shape {
+                shape.clone_from(def.shape());
             }
         }
         self.state.frames = 1;
@@ -784,21 +927,24 @@ impl<'g> Interpreter<'g> {
         self.state.bordered_q = Vec::new();
     }
 
-    /// The value of any tensor slot after the last invoke (useful for
-    /// debugging intermediate activations by id). Arena slots are reused,
-    /// not freed, so every intermediate remains readable until the next
-    /// invoke; after a stacked batched invoke the value holds all frames.
+    /// The value of a tensor after the last invoke, when it is kept: a
+    /// constant, a graph input or output, or — on an interpreter built with
+    /// [`Interpreter::preserving`] — any intermediate activation (useful
+    /// for reading activations by id after the invoke). On an interpreter
+    /// built with [`Interpreter::new`] an intermediate's buffer is handed on
+    /// once the intermediate is dead, so this is `None` for it, never a
+    /// stale value; read intermediates there through a [`LayerObserver`].
+    /// After a stacked batched invoke the value holds all frames.
     pub fn tensor_value(&self, id: TensorId) -> Option<&Tensor> {
-        self.state
-            .values
-            .get(id.0)
-            .and_then(Option::as_ref)
-            .or_else(|| {
-                self.graph
-                    .tensors()
-                    .get(id.0)
-                    .and_then(TensorDef::as_constant)
-            })
+        match self.plans[0].slot(id) {
+            Some(slot) if slot.kept => self.state.buffers.value(id),
+            Some(_) => None,
+            None => self
+                .graph
+                .tensors()
+                .get(id.0)
+                .and_then(TensorDef::as_constant),
+        }
     }
 }
 

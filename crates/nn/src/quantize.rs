@@ -51,7 +51,8 @@ pub fn calibrate<'a>(
     graph: &Graph,
     samples: impl IntoIterator<Item = &'a [Tensor]>,
 ) -> Result<Calibration> {
-    let mut interp = Interpreter::new(graph, BackendSpec::optimized())?;
+    // Every activation is read after its invoke: each keeps its own buffer.
+    let mut interp = Interpreter::preserving(graph, BackendSpec::optimized())?;
     let mut ranges = vec![MinMaxObserver::new(); graph.tensors().len()];
     let mut count = 0usize;
     for sample in samples {

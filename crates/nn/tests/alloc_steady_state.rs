@@ -8,6 +8,10 @@
 //! invoke, and an interpreter
 //! cycled through batch sizes must hold the
 //! memory of its largest batch, not the sum over every size it has seen.
+//! The default interpreter, whose dead activations hand their buffers on,
+//! holds less than half of what a preserving one holds on a deep stack, and
+//! a graph whose buffers no machine holds is refused when the interpreter
+//! is built.
 //!
 //! One `#[test]` in a file of its own, so no other test thread allocates
 //! while the counters are being read.
@@ -16,9 +20,9 @@ use std::sync::atomic::Ordering;
 
 use mlexray_nn::{
     AccumOrder, Activation, BackendSpec, EdgeNumerics, Graph, GraphBuilder, Interpreter,
-    KernelBugs, KernelFlavor, OpKind, Padding, RequantMode,
+    KernelBugs, KernelFlavor, NnError, OpKind, Padding, RequantMode, Result,
 };
-use mlexray_tensor::{DType, QuantParams, Shape, Tensor};
+use mlexray_tensor::{DType, QuantParams, Shape, Tensor, TensorError};
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -239,10 +243,28 @@ fn allocations_per_invoke(graph: &Graph, spec: BackendSpec, input: &[Tensor]) ->
     after - before
 }
 
-/// Bytes the interpreter holds after `drive` has run it (outputs dropped).
-fn live_bytes_after(graph: &Graph, drive: impl FnOnce(&mut Interpreter<'_>)) -> usize {
+/// How an interpreter is built: [`shared`] or [`preserving`].
+type Build = for<'g> fn(&'g Graph, BackendSpec) -> Result<Interpreter<'g>>;
+
+/// [`Interpreter::new`]: dead activations hand their buffers on.
+fn shared(graph: &Graph, spec: BackendSpec) -> Result<Interpreter<'_>> {
+    Interpreter::new(graph, spec)
+}
+
+/// [`Interpreter::preserving`]: every tensor keeps its own buffer.
+fn preserving(graph: &Graph, spec: BackendSpec) -> Result<Interpreter<'_>> {
+    Interpreter::preserving(graph, spec)
+}
+
+/// Bytes an interpreter made by `build` holds after `drive` has run it
+/// (outputs dropped).
+fn live_bytes_after(
+    graph: &Graph,
+    build: Build,
+    drive: impl FnOnce(&mut Interpreter<'_>),
+) -> usize {
     let before = LIVE_BYTES.load(Ordering::Relaxed);
-    let mut interp = Interpreter::new(graph, options(KernelFlavor::Simd)).unwrap();
+    let mut interp = build(graph, options(KernelFlavor::Simd)).unwrap();
     drive(&mut interp);
     let held = LIVE_BYTES.load(Ordering::Relaxed) - before;
     drop(interp);
@@ -309,16 +331,16 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
         let refs: Vec<&[Tensor]> = samples[..n].iter().map(Vec::as_slice).collect();
         interp.invoke_batch(&refs).unwrap();
     };
-    let single = live_bytes_after(&graph, |interp| batch(interp, 1));
-    let eight = live_bytes_after(&graph, |interp| batch(interp, 8));
-    let ladder = live_bytes_after(&graph, |interp| {
+    let single = live_bytes_after(&graph, shared, |interp| batch(interp, 1));
+    let eight = live_bytes_after(&graph, shared, |interp| batch(interp, 8));
+    let ladder = live_bytes_after(&graph, shared, |interp| {
         for _ in 0..2 {
             for n in 1..=8 {
                 batch(interp, n);
             }
         }
     });
-    let released = live_bytes_after(&graph, |interp| {
+    let released = live_bytes_after(&graph, shared, |interp| {
         for n in 1..=8 {
             batch(interp, n);
         }
@@ -336,4 +358,44 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
         released.abs_diff(single) * 20 <= single,
         "after release the interpreter holds {released} B, a single invoke {single} B"
     );
+
+    // (3) Dead activations hand their buffers on: at batch 8 the default
+    // interpreter holds less than half of what one keeping every tensor
+    // does.
+    let preserved = live_bytes_after(&graph, preserving, |interp| batch(interp, 8));
+    assert!(
+        eight * 2 < preserved,
+        "at batch 8 the default interpreter holds {eight} B, a preserving one {preserved} B"
+    );
+
+    // (4) An intermediate of 2^61 bytes — a one-pixel input padded to
+    // 2^30 × 2^29 f32, then averaged back to one value — is refused when
+    // the interpreter is built, by either constructor, not at its first
+    // invoke; the refused request leaves the live count where it stood.
+    let mut b = GraphBuilder::new("huge");
+    let x = b.input("x", Shape::nhwc(1, 1, 1, 1));
+    let wide = b
+        .pad("wide", x, (1 << 30) - 1, 0, (1 << 29) - 1, 0)
+        .unwrap();
+    let y = b.mean("gap", wide).unwrap();
+    b.output(y);
+    let huge = b.finish().unwrap();
+    let builds: [Build; 2] = [shared, preserving];
+    for build in builds {
+        let before = LIVE_BYTES.load(Ordering::Relaxed);
+        let err = build(&huge, BackendSpec::optimized()).unwrap_err();
+        let after = LIVE_BYTES.load(Ordering::Relaxed);
+        assert!(
+            after.abs_diff(before) < 1 << 20,
+            "live bytes {before} → {after} across a refused build"
+        );
+        assert!(
+            matches!(
+                err,
+                NnError::Tensor(TensorError::AllocationRefused { elements, .. })
+                    if elements == 1 << 59
+            ),
+            "{err}"
+        );
+    }
 }

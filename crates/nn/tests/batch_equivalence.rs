@@ -6,7 +6,9 @@
 //! per-frame observer records must carry the right frame index and data.
 //! The SIMD flavor additionally tracks the reference flavor across random
 //! graphs: within reassociation tolerance in float, bitwise in quantized
-//! form (its i8×i8→i32 path is exact integer arithmetic).
+//! form (its i8×i8→i32 path is exact integer arithmetic). An interpreter
+//! whose dead activations hand their buffers on runs bitwise like one that
+//! keeps every tensor, node output by node output, across batch sizes.
 
 mod common;
 
@@ -14,13 +16,13 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use common::{rand_tensor, random_graph, sample_batch};
+use common::{rand_tensor, random_dag, random_graph, sample_batch};
 use mlexray_nn::{
     calibrate, quantize_model, Activation, BackendSpec, Graph, GraphBuilder, Interpreter,
     KernelBugs, KernelFlavor, LayerObserver, LayerRecord, Model, ModelVariant, Padding,
-    QuantizationOptions,
+    QuantizationOptions, TensorId,
 };
-use mlexray_tensor::{Shape, Tensor};
+use mlexray_tensor::{QuantParams, Shape, Tensor, TensorData};
 
 /// Asserts `invoke_batch` output equals sequential invokes, bitwise
 /// (tensor equality covers values, shapes and quantization).
@@ -124,6 +126,94 @@ proptest! {
             run_batched(&quant.graph, &samples, KernelFlavor::Simd),
             "quantized SIMD must be bitwise-identical to reference"
         );
+    }
+}
+
+/// A tensor as its shape, quantization and element bit patterns: equality
+/// that tells `-0.0` from `0.0` and holds NaN to its bits.
+type Bits = (Shape, Option<QuantParams>, Vec<u32>);
+
+fn bits_of(t: &Tensor) -> Bits {
+    let elems = match t.data() {
+        TensorData::F32(v) => v.iter().map(|x| x.to_bits()).collect(),
+        TensorData::U8(v) => v.iter().map(|&x| u32::from(x)).collect(),
+        TensorData::I8(v) => v.iter().map(|&x| x as u32).collect(),
+        TensorData::I32(v) => v.iter().map(|&x| x as u32).collect(),
+    };
+    (t.shape().clone(), t.quant().cloned(), elems)
+}
+
+/// Every record an observer is handed: (node, frame, output bits).
+#[derive(Default)]
+struct Seen(Vec<(usize, usize, Bits)>);
+
+impl LayerObserver for Seen {
+    fn on_layer(&mut self, r: &LayerRecord<'_>) {
+        self.0.push((r.index, r.batch, bits_of(r.output)));
+    }
+}
+
+/// `graph` quantized over a calibration on `samples`.
+fn quantized(graph: Graph, samples: &[Vec<Tensor>]) -> Graph {
+    let calib = calibrate(&graph, samples.iter().map(Vec::as_slice))
+        .expect("calibration over the sample batch");
+    let model = Model {
+        graph,
+        family: "prop".into(),
+        variant: ModelVariant::MobileFloat,
+    };
+    quantize_model(&model, &calib, QuantizationOptions::default())
+        .expect("quantizable op set")
+        .graph
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The default interpreter, whose dead activations hand their buffers
+    /// on, and the preserving one run random graphs with residual `Add`s,
+    /// `Concat`s and the non-batchable fallback — float and quantized, in
+    /// every flavor, with and without the injected kernel defects —
+    /// through batch sizes 3 → 1 → 8 → 2 → 8 with bitwise-equal outputs
+    /// and node outputs seen by an observer; after each invoke the default
+    /// answers `tensor_value` for inputs, outputs and constants only.
+    #[test]
+    fn shared_buffers_run_like_preserved_ones(seed in 0u64..100_000, quantize in 0u8..2) {
+        let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(0x5a4ed));
+        let (graph, in_shape) = random_dag(&mut rng);
+        let samples = sample_batch(&mut rng, &in_shape, 8);
+        let graph = if quantize == 1 { quantized(graph, &samples) } else { graph };
+        for flavor in [KernelFlavor::Optimized, KernelFlavor::Reference, KernelFlavor::Simd] {
+            for bugs in [KernelBugs::none(), KernelBugs::paper_2021()] {
+                let spec = BackendSpec { flavor, bugs, numerics: None };
+                let mut shared = Interpreter::new(&graph, spec).unwrap();
+                let mut kept = Interpreter::preserving(&graph, spec).unwrap();
+                for n in [3usize, 1, 8, 2, 8] {
+                    let refs: Vec<&[Tensor]> = samples[..n].iter().map(Vec::as_slice).collect();
+                    let (mut seen_shared, mut seen_kept) = (Seen::default(), Seen::default());
+                    let a = shared.invoke_batch_observed(&refs, &mut seen_shared).unwrap();
+                    let b = kept.invoke_batch_observed(&refs, &mut seen_kept).unwrap();
+                    let frames = |outs: &[Vec<Tensor>]| -> Vec<Vec<Bits>> {
+                        outs.iter().map(|f| f.iter().map(bits_of).collect()).collect()
+                    };
+                    prop_assert_eq!(frames(&a), frames(&b), "{:?} n {}: outputs", spec, n);
+                    prop_assert_eq!(&seen_shared.0, &seen_kept.0, "{:?} n {}: observed", spec, n);
+                    prop_assert_eq!(seen_shared.0.len(), graph.nodes().len() * n);
+                    for (i, def) in graph.tensors().iter().enumerate() {
+                        let id = TensorId(i);
+                        let value = shared.tensor_value(id).map(bits_of);
+                        let preserved = kept.tensor_value(id).map(bits_of);
+                        prop_assert!(preserved.is_some(), "preserving keeps '{}'", def.name());
+                        let io = graph.inputs().contains(&id) || graph.outputs().contains(&id);
+                        if io || def.as_constant().is_some() {
+                            prop_assert_eq!(value, preserved, "'{}' kept", def.name());
+                        } else {
+                            prop_assert!(value.is_none(), "intermediate '{}' read", def.name());
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -299,7 +389,8 @@ fn runtime_bias_falls_back_and_matches() {
 /// One interpreter driven through batch sizes 3 → 1 → 8 → 2 → 8 — its single
 /// arena re-shaped in place, shrinking and regrowing — must produce, at every
 /// step, outputs *and* `tensor_value`s of every node bitwise-identical to an
-/// interpreter that only ever ran the frames one by one.
+/// interpreter that only ever ran the frames one by one. Both keep every
+/// tensor readable after the invoke (built preserving).
 #[test]
 fn one_arena_across_batch_sizes_matches_sequential_invokes() {
     fn bits(t: &Tensor) -> Vec<u32> {
@@ -321,7 +412,7 @@ fn one_arena_across_batch_sizes_matches_sequential_invokes() {
                 numerics: None,
             };
             // The oracle: per sample, the outputs and every node's value.
-            let mut sequential = Interpreter::new(&graph, options).unwrap();
+            let mut sequential = Interpreter::preserving(&graph, options).unwrap();
             let expected: Vec<(Vec<Tensor>, Vec<Vec<u32>>)> = samples
                 .iter()
                 .map(|s| {
@@ -332,7 +423,7 @@ fn one_arena_across_batch_sizes_matches_sequential_invokes() {
                 })
                 .collect();
 
-            let mut interp = Interpreter::new(&graph, options).unwrap();
+            let mut interp = Interpreter::preserving(&graph, options).unwrap();
             stacked_graphs += usize::from(interp.is_batchable());
             for n in [3usize, 1, 8, 2, 8] {
                 let refs: Vec<&[Tensor]> = samples[..n].iter().map(Vec::as_slice).collect();

@@ -107,6 +107,106 @@ pub fn random_graph(rng: &mut SmallRng) -> (Graph, Shape) {
     (b.finish().expect("generated graph validates"), in_shape)
 }
 
+/// Builds a random small image graph whose activations outlive their
+/// producers' successors: besides convolutions, depthwise convolutions and
+/// standalone activations over any live activation, residual `Add`s of two
+/// live activations and channel `Concat`s; sometimes a second graph output
+/// read by later nodes, an axis-0 `Concat` that makes the graph
+/// non-batchable (per-frame fallback) and activations no node reads. Plus
+/// the input shape it expects. Every op has a quantized kernel.
+pub fn random_dag(rng: &mut SmallRng) -> (Graph, Shape) {
+    let h = rng.gen_range(3..6usize);
+    let c = rng.gen_range(1..4usize);
+    let in_shape = Shape::nhwc(1, h, h, c);
+    let mut b = GraphBuilder::new("dag");
+    let x = b.input("x", in_shape.clone());
+    // Live activations and their channel counts; every op keeps h × h.
+    let mut live = vec![(x, c)];
+    for i in 0..rng.gen_range(2..8usize) {
+        let (src, src_c) = live[rng.gen_range(0..live.len())];
+        let partner = |rng: &mut SmallRng, want: Option<usize>| {
+            let fits: Vec<_> = live
+                .iter()
+                .filter(|&&(_, pc)| want.is_none_or(|w| w == pc))
+                .copied()
+                .collect();
+            fits[rng.gen_range(0..fits.len())]
+        };
+        let next = match rng.gen_range(0..5u8) {
+            0 => {
+                let out_c = if rng.gen_bool(0.5) {
+                    src_c
+                } else {
+                    rng.gen_range(1..5usize)
+                };
+                let k = [1, 3][rng.gen_range(0..2usize)];
+                let w = b.constant(
+                    format!("w{i}"),
+                    rand_tensor(rng, Shape::new(vec![out_c, k, k, src_c])),
+                );
+                let act = pick_act(rng);
+                let y = b
+                    .conv2d(format!("conv{i}"), src, w, None, 1, Padding::Same, act)
+                    .expect("stride-1 Same conv");
+                (y, out_c)
+            }
+            1 => {
+                let w = b.constant(
+                    format!("w{i}"),
+                    rand_tensor(rng, Shape::new(vec![1, 3, 3, src_c])),
+                );
+                let act = pick_act(rng);
+                let y = b
+                    .depthwise_conv2d(format!("dw{i}"), src, w, None, 1, Padding::Same, act)
+                    .expect("stride-1 Same depthwise");
+                (y, src_c)
+            }
+            2 => {
+                let act = [Activation::Relu, Activation::Relu6, Activation::HardSwish]
+                    [rng.gen_range(0..3usize)];
+                let y = b
+                    .activation(format!("act{i}"), src, act)
+                    .expect("standalone activation");
+                (y, src_c)
+            }
+            3 => {
+                let (other, _) = partner(rng, Some(src_c));
+                let y = b
+                    .add(format!("add{i}"), src, other, pick_act(rng))
+                    .expect("same-shape residual add");
+                (y, src_c)
+            }
+            _ => {
+                let (other, other_c) = partner(rng, None);
+                let y = b
+                    .concat(format!("cat{i}"), &[src, other], 3)
+                    .expect("channel concat");
+                (y, src_c + other_c)
+            }
+        };
+        live.push(next);
+    }
+    let (mut cur, cur_c) = *live.last().expect("the input is live");
+    if rng.gen_bool(0.3) && live.len() > 2 {
+        // An intermediate that is also a graph output.
+        b.output(live[rng.gen_range(1..live.len() - 1)].0);
+    }
+    if rng.gen_bool(0.3) {
+        cur = b.concat("frames", &[cur, cur], 0).expect("axis-0 concat");
+    }
+    if rng.gen_bool(0.6) {
+        let m = b.mean("gap", cur).expect("rank-4 mean");
+        let classes = rng.gen_range(2..5usize);
+        let w = b.constant("wfc", rand_tensor(rng, Shape::matrix(classes, cur_c)));
+        let fc = b
+            .fully_connected("fc", m, w, None, Activation::None)
+            .expect("matching features");
+        cur = b.softmax("softmax", fc).expect("softmax");
+    }
+    b.output(cur);
+    (b.finish().expect("generated graph validates"), in_shape)
+}
+
 /// One random input set per frame for a generated graph.
 pub fn sample_batch(rng: &mut SmallRng, shape: &Shape, n: usize) -> Vec<Vec<Tensor>> {
     (0..n)

@@ -156,7 +156,8 @@ fn quant_mutations_skip_float_graphs() {
 
 /// A fresh plan verifies clean; forcing one activation's offset onto a
 /// tensor it is live with is reported as EX301, and pushing a slot past
-/// the arena end is reported as EX302. The verifier re-derives lifetimes
+/// the arena end is reported as EX302, and running it in the input's
+/// buffer is reported as EX301. The verifier re-derives lifetimes
 /// itself, so the corrupted plan cannot vouch for its own placements.
 #[test]
 fn corrupted_plan_offsets_fail_verification() {
@@ -190,6 +191,19 @@ fn corrupted_plan_offsets_fail_verification() {
     assert!(
         findings.iter().any(|d| d.code == LintCode::PlanSlotInvalid),
         "overrunning plan must report EX302, got: {findings:?}"
+    );
+
+    // Running the first node's output in the input's buffer — live
+    // together, the input kept — is reported as EX301 too.
+    let mut shared = MemoryPlan::for_graph(&graph, 1).expect("plannable graph");
+    let input_buffer = shared.slot(input).expect("input is planned").buffer;
+    shared.force_buffer(out, input_buffer);
+    let findings = verify_plan(&graph, &shared);
+    assert!(
+        findings
+            .iter()
+            .any(|d| d.code == LintCode::PlanAliasOverlap),
+        "a buffer shared by live tensors must report EX301, got: {findings:?}"
     );
 }
 

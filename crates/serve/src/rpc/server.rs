@@ -30,8 +30,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use mlexray_core::{chrome_trace_json, LogRecord, LogSink, LogValue, SpanStage, TraceContext};
-use mlexray_nn::{Graph, Model};
-use mlexray_tensor::Tensor;
+use mlexray_nn::{Graph, Model, NnError};
+use mlexray_tensor::{Tensor, TensorError};
 
 use crate::batcher::AttachedCaller;
 use crate::metrics::{Collect, MetricsBuilder, MetricsRegistry};
@@ -797,6 +797,11 @@ fn serve_error_to_wire(error: ServeError) -> (ErrorCode, String, String) {
         ServeError::UnknownModel(name) => (
             ErrorCode::UnknownModel,
             format!("unknown model '{name}'"),
+            String::new(),
+        ),
+        ServeError::Nn(e @ NnError::Tensor(TensorError::AllocationRefused { .. })) => (
+            ErrorCode::ResourceExhausted,
+            format!("model rejected: {e}"),
             String::new(),
         ),
         ServeError::Nn(e) => (

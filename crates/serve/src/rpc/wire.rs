@@ -107,6 +107,10 @@ pub enum ErrorCode {
     /// Admission refused the request: its tensors do not fit the model's
     /// inputs (count, dtype or per-frame shape).
     BadInput,
+    /// `Load` of a well-formed graph was refused because the allocator
+    /// would not give the interpreter its buffers: more memory than this
+    /// server can hold.
+    ResourceExhausted,
 }
 
 impl ErrorCode {
@@ -130,6 +134,7 @@ impl ErrorCode {
             ErrorCode::ExecutionFailed => 15,
             ErrorCode::Internal => 16,
             ErrorCode::BadInput => 17,
+            ErrorCode::ResourceExhausted => 18,
         }
     }
 
@@ -153,6 +158,7 @@ impl ErrorCode {
             14 => ErrorCode::ShuttingDown,
             15 => ErrorCode::ExecutionFailed,
             17 => ErrorCode::BadInput,
+            18 => ErrorCode::ResourceExhausted,
             _ => ErrorCode::Internal,
         }
     }
@@ -178,6 +184,7 @@ impl fmt::Display for ErrorCode {
             ErrorCode::ExecutionFailed => "execution-failed",
             ErrorCode::Internal => "internal",
             ErrorCode::BadInput => "bad-input",
+            ErrorCode::ResourceExhausted => "resource-exhausted",
         };
         f.write_str(name)
     }

@@ -337,7 +337,11 @@ fn load_of_a_graph_no_machine_can_hold_is_refused() {
     let err = client
         .load_graph_json("huge", &json, wire::WireSpec::Optimized)
         .unwrap_err();
-    assert_eq!(err.server_code(), Some(ErrorCode::Malformed), "{err:?}");
+    assert_eq!(
+        err.server_code(),
+        Some(ErrorCode::ResourceExhausted),
+        "{err:?}"
+    );
     assert!(err.to_string().contains("allocator refused"), "{err}");
 
     let out = client.infer("m", frame_input(0), None).unwrap();

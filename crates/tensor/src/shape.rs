@@ -145,9 +145,18 @@ impl Shape {
         Ok(shape)
     }
 
-    /// Overwrites the batch (first) dimension in place; fails like
-    /// [`Shape::with_batch`] for rank-0 shapes.
-    pub(crate) fn set_batch(&mut self, n: usize) -> Result<(), TensorError> {
+    /// Overwrites these dims with `other`'s, reusing their storage.
+    pub(crate) fn assign(&mut self, other: &Shape) {
+        self.0.clone_from(&other.0);
+    }
+
+    /// Overwrites the batch (first) dimension in place, allocating
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`Shape::with_batch`] for rank-0 shapes.
+    pub fn set_batch(&mut self, n: usize) -> Result<(), TensorError> {
         let lead = self
             .0
             .first_mut()

@@ -518,6 +518,24 @@ impl Tensor {
         })
     }
 
+    /// Gives the buffer a new shape of the same element count **in place**,
+    /// its values untouched and no allocation made once the dims' own
+    /// storage has held a shape of that rank — what lets an interpreter
+    /// hand one activation buffer on from a dead tensor to the next
+    /// tensor of its size. Quantization parameters are unaffected.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] (or
+    /// [`TensorError::InvalidShape`] for a count that overflows a `usize`)
+    /// when `shape` does not hold exactly this tensor's element count; the
+    /// tensor is then left as it was.
+    pub fn set_shape(&mut self, shape: &Shape) -> Result<()> {
+        Self::check_len(shape, self.len())?;
+        self.shape.assign(shape);
+        Ok(())
+    }
+
     /// Re-shapes the tensor **in place** to `n` along its batch (first)
     /// dimension, truncating the buffer or extending it with zeros. The
     /// buffer's allocation is never released and grows to exactly the
@@ -662,6 +680,29 @@ mod tests {
             "regrowth within capacity must not reallocate"
         );
         assert!(Tensor::scalar_f32(1.0).resize_batch(2).is_err());
+    }
+
+    #[test]
+    fn set_shape_keeps_values_and_checks_the_count() {
+        let mut t = Tensor::from_f32(Shape::nhwc(1, 2, 2, 1), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        t.set_shape(&Shape::nhwc(1, 1, 2, 2)).unwrap();
+        assert_eq!(t.shape(), &Shape::nhwc(1, 1, 2, 2));
+        t.set_shape(&Shape::matrix(2, 2)).unwrap();
+        assert_eq!(t.shape(), &Shape::matrix(2, 2));
+        assert_eq!(t.as_f32().unwrap(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(
+            t.set_shape(&Shape::vector(5)).unwrap_err(),
+            TensorError::LengthMismatch {
+                expected: 5,
+                actual: 4
+            }
+        );
+        assert!(t.set_shape(&Shape::new(vec![usize::MAX, 2])).is_err());
+        assert_eq!(
+            t.shape(),
+            &Shape::matrix(2, 2),
+            "a refused shape changes nothing"
+        );
     }
 
     /// A buffer no machine holds — `2^59` `f32`, `2^61` bytes — is a typed

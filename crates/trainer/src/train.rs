@@ -106,7 +106,8 @@ pub fn train(model: Model, data: &[Sample], cfg: &TrainConfig) -> Result<(Model,
         for chunk in order.chunks(cfg.batch_size) {
             let mut batch_grads: HashMap<usize, Vec<f32>> = HashMap::new();
             {
-                let mut interp = Interpreter::new(&tgraph, BackendSpec::optimized())?;
+                // Backprop reads every forward activation after the invoke.
+                let mut interp = Interpreter::preserving(&tgraph, BackendSpec::optimized())?;
                 let scale = 1.0 / chunk.len() as f32;
                 for &idx in chunk {
                     let sample = &data[idx];
@@ -200,7 +201,7 @@ pub fn gradients(model: &Model, sample: &Sample) -> Result<(f32, HashMap<usize, 
     check_classifier(model)?;
     let tgraph = model.graph.split_fused_activations();
     let softmax_idx = tgraph.nodes().len() - 1;
-    let mut interp = Interpreter::new(&tgraph, BackendSpec::optimized())?;
+    let mut interp = Interpreter::preserving(&tgraph, BackendSpec::optimized())?;
     let outputs = interp.invoke(&sample.inputs)?;
     let probs = outputs[0].as_f32()?;
     let p = probs

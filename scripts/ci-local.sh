@@ -38,9 +38,18 @@ step() { printf '\n==> %s\n' "$*"; }
 # `Im2col` name in crates/nn/src outside the test modules (each file is read
 # only up to its first column-0 `#[cfg(test)]`, where gemm.rs keeps the
 # per-tap im2col oracle the windowed kernels are held to) is a second way
-# back, and fails the leg. The leg also
-# runs scripts/rust-lines.sh, which writes the `rust_lines` object of every
-# BENCH_PR*.json, and fails if it stops printing one.
+# back, and fails the leg. An interpreter hands a dead activation's buffer
+# on to the next activation of its size; the preserving constructor
+# (`Interpreter::preserving`) keeps every tensor in a buffer of its own, for
+# the code that reads intermediates after an invoke: calibration
+# (crates/nn/src/quantize.rs), backpropagation (crates/trainer/src),
+# bisection's reference prefix (crates/core/src/validate/differential.rs) and
+# appendix A's embedding (crates/bench/src/experiments/appendix_a.rs). A call
+# of it anywhere else in crates/*/src (beside its own definition in
+# interpreter.rs) is a serving or replay path sliding back to the unshared
+# layout, and fails the leg. The leg also runs scripts/rust-lines.sh, which
+# writes the `rust_lines` object of every BENCH_PR*.json, and fails if it
+# stops printing one.
 lint() {
   cargo fmt --all --check
   local stray
@@ -73,6 +82,12 @@ lint() {
     /im2col\(|Im2col/ { print FILENAME ":" FNR ": " $0 }')"
   if [[ -n "$stray" ]]; then
     printf 'an im2col outside the test modules of crates/nn/src:\n%s\n' "$stray" >&2
+    return 1
+  fi
+  stray="$(grep -rnE 'Interpreter::preserving\(' --include='*.rs' crates/*/src |
+    grep -vE '^crates/(nn/src/(quantize|interpreter)\.rs|trainer/src/|core/src/validate/differential\.rs|bench/src/experiments/appendix_a\.rs)' || true)"
+  if [[ -n "$stray" ]]; then
+    printf 'a preserving interpreter outside the readers of intermediates:\n%s\n' "$stray" >&2
     return 1
   fi
   local lines
@@ -146,8 +161,11 @@ backend-suites() {
 # against the baseline build in one process (explicit engines), and all of
 # them against the interpreter's engine.
 # alloc_steady_state holds — with a counting global allocator — a warmed
-# invoke to a depth-independent allocation count and the one arena to the
-# footprint of its largest batch; alloc_validation holds a differential run's
+# invoke to a depth-independent allocation count, the one arena to the
+# footprint of its largest batch, the default interpreter (dead activations
+# hand their buffers on) to less than half the bytes of a preserving one at
+# batch 8, and a graph whose buffers no machine holds to a refusal when the
+# interpreter is built; alloc_validation holds a differential run's
 # peak (over backends or image pipelines) to be independent of its frame count
 # and a sharded replay-validate's to about one shard's logs without layer
 # outputs plus one chunk of captured outputs. golden_reports must read the same
