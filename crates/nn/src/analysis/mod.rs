@@ -32,12 +32,13 @@
 //!    range sanity, per-channel axis agreement, float↔quant boundary
 //!    mismatches and requant-chain dtype agreement — the paper's classic
 //!    edge-deployment bug class.
-//! 4. **Memory-plan alias verification** (`EX301`–`EX302`):
-//!    [`verify_plan`] independently recomputes every runtime tensor's
-//!    lifetime and proves the first-fit arena offsets never overlap two
-//!    live tensors, so the zero-allocation arena is proven safe rather
-//!    than trusted (the interpreter re-checks this under
-//!    `debug_assertions` at arena-setup time).
+//! 4. **Memory-plan buffer verification** (`EX301`–`EX302`):
+//!    [`verify_plan`] independently recomputes every runtime tensor's size
+//!    and lifetime and proves that no buffer the interpreter runs is shared
+//!    by two live tensors, by a kept one or across dtypes or sizes, so the
+//!    zero-allocation arena is proven safe rather than trusted (the
+//!    interpreter re-checks this under `debug_assertions` when it is
+//!    built).
 //! 5. **Batchability certification** (`EX401`–`EX402`):
 //!    [`certify_batchable`] statically derives whether stacking frames
 //!    preserves per-frame semantics and cross-checks the interpreter's own
@@ -174,7 +175,7 @@ lint_codes! {
     PerChannelInvalid = "EX206", Deny, "per-channel parameter vectors disagree with the axis dimension";
     PerChannelOnActivation = "EX207", Deny, "a runtime tensor carries per-channel parameters (kernels require per-tensor)";
     AsymmetricWeights = "EX208", Warn, "signed weights carry a nonzero zero point (kernels assume symmetric)";
-    PlanAliasOverlap = "EX301", Deny, "two lifetime-overlapping planned tensors share arena bytes";
+    PlanAliasOverlap = "EX301", Deny, "two lifetime-overlapping planned tensors, or a kept one, share a buffer";
     PlanSlotInvalid = "EX302", Deny, "a planned slot is missing or disagrees with independently recomputed size/lifetime";
     BatchabilityDisagreement = "EX401", Warn, "static batchability derivation disagrees with the interpreter's claim";
     NotBatchable = "EX402", Info, "the graph is certified non-batchable (frames cannot be stacked)";

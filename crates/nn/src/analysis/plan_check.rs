@@ -1,25 +1,23 @@
-//! Pass 4: memory-plan alias verification (`EX301`–`EX302`).
+//! Pass 4: memory-plan buffer verification (`EX301`–`EX302`).
 //!
-//! [`MemoryPlan`] assigns first-fit arena offsets so lifetime-disjoint
-//! activations share bytes. The planner's own tests exercise it, but a
+//! [`MemoryPlan`] runs lifetime-disjoint activations of one dtype and size
+//! in one physical buffer. The planner's own tests exercise it, but a
 //! checker that shares the planner's code would share its bugs; this pass
 //! re-derives every runtime tensor's byte size and live range straight from
-//! the graph and then proves, pairwise, that no two placements overlap both
-//! in lifetime and in byte range — and, for the physical buffers the
-//! interpreter runs, that no two tensors sharing one are live together or
-//! differ in dtype or size, and that a kept tensor (readable after the
-//! invoke) shares with none. The same verifier runs (debug builds
-//! only) inside the interpreter's arena setup, so a future planner
-//! regression fails loudly in tests instead of silently corrupting
+//! the graph and then proves, pairwise, that no two tensors sharing a
+//! buffer are live together or differ in dtype or size, and that a kept
+//! tensor (readable after the invoke) shares with none. The same verifier
+//! runs (debug builds only) when an interpreter is built, so a future
+//! planner regression fails loudly in tests instead of silently corrupting
 //! activations in release.
 
 use crate::graph::{Graph, TensorDef, TensorId};
-use crate::plan::{batched_shape, MemoryPlan};
+use crate::plan::MemoryPlan;
 
 use super::{Diagnostic, LintCode};
 
 pub(super) fn check(graph: &Graph) -> Vec<Diagnostic> {
-    match MemoryPlan::for_graph(graph, 1) {
+    match MemoryPlan::for_graph(graph) {
         Ok(plan) => verify_plan(graph, &plan),
         Err(e) => vec![Diagnostic::new(
             LintCode::PlanSlotInvalid,
@@ -29,13 +27,12 @@ pub(super) fn check(graph: &Graph) -> Vec<Diagnostic> {
 }
 
 /// Independently verifies `plan` against `graph`: every runtime tensor gets
-/// exactly one slot of the right size and lifetime, no placement extends
-/// past the arena, no two lifetime-overlapping placements share bytes, and
-/// no two tensors share a buffer unless they are lifetime-disjoint, of one
-/// dtype and size, and neither is kept.
+/// exactly one slot of the right size and lifetime, and no two tensors
+/// share a buffer unless they are lifetime-disjoint, of one dtype and size,
+/// and neither is kept.
 ///
 /// Returns one [`Diagnostic`] per violation; an empty vector is a proof
-/// (over the re-derived lifetimes) that the arena layout is safe.
+/// (over the re-derived lifetimes) that the buffers are safe.
 pub fn verify_plan(graph: &Graph, plan: &MemoryPlan) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let horizon = graph.nodes().len();
@@ -66,18 +63,19 @@ pub fn verify_plan(graph: &Graph, plan: &MemoryPlan) -> Vec<Diagnostic> {
                 .position(|n| n.output == id)
                 .unwrap_or(horizon),
         };
-        let bytes = match batched_shape(def.shape(), plan.batch()) {
-            Ok(s) => s.num_elements() * def.dtype().byte_size(),
-            Err(e) => {
-                diags.push(
-                    Diagnostic::new(
-                        LintCode::PlanSlotInvalid,
-                        format!("cannot size slot at batch {}: {e}", plan.batch()),
-                    )
-                    .with_tensor(name(id)),
-                );
-                continue;
-            }
+        let bytes = def
+            .shape()
+            .checked_num_elements()
+            .and_then(|n| n.checked_mul(def.dtype().byte_size()));
+        let Some(bytes) = bytes else {
+            diags.push(
+                Diagnostic::new(
+                    LintCode::PlanSlotInvalid,
+                    "slot size overflows the address space",
+                )
+                .with_tensor(name(id)),
+            );
+            continue;
         };
         let mut last_use = graph
             .nodes()
@@ -127,50 +125,18 @@ pub fn verify_plan(graph: &Graph, plan: &MemoryPlan) -> Vec<Diagnostic> {
                 .with_tensor(name(id)),
             );
         }
-        if slot.offset + slot.bytes > plan.arena_bytes() {
-            diags.push(
-                Diagnostic::new(
-                    LintCode::PlanSlotInvalid,
-                    format!(
-                        "slot [{}, {}) extends past the {}-byte arena",
-                        slot.offset,
-                        slot.offset + slot.bytes,
-                        plan.arena_bytes()
-                    ),
-                )
-                .with_tensor(name(id)),
-            );
-        }
         // Alias-check against the *derived* lifetime, not the slot's own
         // claim — a planner that shrank a lifetime must not be able to
-        // vouch for its own placements.
+        // vouch for its own buffers.
         verified.push((id, *slot, first_use, last_use));
     }
 
     for (i, &(a_id, a, a_first, a_last)) in verified.iter().enumerate() {
         for &(b_id, b, b_first, b_last) in verified.iter().skip(i + 1) {
-            let live_together = a_first <= b_last && b_first <= a_last;
-            let bytes_disjoint = a.offset + a.bytes <= b.offset || b.offset + b.bytes <= a.offset;
-            if live_together && !bytes_disjoint {
-                diags.push(
-                    Diagnostic::new(
-                        LintCode::PlanAliasOverlap,
-                        format!(
-                            "live tensors '{}' [{}, {}) and '{}' [{}, {}) share arena bytes",
-                            name(a_id),
-                            a.offset,
-                            a.offset + a.bytes,
-                            name(b_id),
-                            b.offset,
-                            b.offset + b.bytes
-                        ),
-                    )
-                    .with_tensor(name(a_id)),
-                );
-            }
             if a.buffer != b.buffer {
                 continue;
             }
+            let live_together = a_first <= b_last && b_first <= a_last;
             if live_together || a.kept || b.kept {
                 diags.push(
                     Diagnostic::new(

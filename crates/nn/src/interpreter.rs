@@ -94,19 +94,18 @@ impl LayerObserver for NullObserver {
 pub struct InvokeStats {
     /// End-to-end wall-clock latency of the whole (possibly batched) invoke.
     pub latency: Duration,
-    /// Planned peak bytes simultaneously live across runtime tensors
-    /// (inputs + activations) under the memory plan's lifetimes.
+    /// Peak bytes simultaneously live across runtime tensors (inputs +
+    /// activations) under the memory plan's lifetimes: `arena_frames ×`
+    /// [`MemoryPlan::peak_bytes`], the least a byte arena could hold.
     pub peak_activation_bytes: usize,
-    /// Planned arena footprint: what one contiguous allocation serving every
-    /// runtime tensor of the invoke would occupy, with lifetime-disjoint
-    /// tensors sharing bytes — the layout a byte-arena deployment backend
-    /// would allocate. The interpreter holds the plan's buffers instead: by
-    /// default dead activations hand their buffers on to activations of the
-    /// same dtype and size, which comes near this figure; an interpreter
-    /// built with [`Interpreter::preserving`] keeps every tensor in its own
-    /// buffer ([`MemoryPlan::unshared_bytes`]) so
+    /// Bytes of the buffers the interpreter ran the invoke's runtime tensors
+    /// in, `arena_frames ×` the memory plan's buffers: the memory it holds
+    /// for them. By default dead activations hand their buffers on to
+    /// activations of the same dtype and size; an interpreter built with
+    /// [`Interpreter::preserving`] keeps every tensor in its own buffer
+    /// ([`MemoryPlan::unshared_bytes`] a frame) so
     /// [`Interpreter::tensor_value`] can expose every intermediate after the
-    /// invoke.
+    /// invoke. A buffer keeps the capacity of the largest batch it has run.
     pub arena_bytes: usize,
     /// Output tensors this invoke materialized: `outputs × frames`, the
     /// interpreter's own count of the buffers it handed out. It is not a
@@ -143,17 +142,12 @@ impl InvokeStats {
     }
 }
 
-/// Plans `graph` at `batch` stacked frames. Debug builds re-prove the arena
-/// layout with the independent verifier from the static analyzer, so a
-/// future planner bug fails loudly in tests instead of silently corrupting
-/// activations in release.
-fn verified_plan(
-    graph: &Graph,
-    batch: usize,
-    float: FloatKernels,
-    layout: BufferLayout,
-) -> Result<MemoryPlan> {
-    let plan = MemoryPlan::for_kernels(graph, batch, float.conv_scratch(), layout)?;
+/// Plans the buffers of `graph`. Debug builds re-prove them with the
+/// independent verifier from the static analyzer, so a future planner bug
+/// fails loudly in tests instead of silently corrupting activations in
+/// release.
+fn verified_plan(graph: &Graph, float: FloatKernels, layout: BufferLayout) -> Result<MemoryPlan> {
+    let plan = MemoryPlan::for_kernels(graph, float.conv_scratch(), layout)?;
     #[cfg(debug_assertions)]
     {
         let findings = crate::analysis::verify_plan(graph, &plan);
@@ -229,18 +223,19 @@ impl Buffers {
 }
 
 /// The interpreter's one execution arena: the memory plan's physical
-/// buffers, stacked to the batch size of the current invoke, plus the float
-/// kernels' scratch. Buffers are re-shaped in place when the batch size
+/// buffers, fitted to the frames of the current invoke, plus the float
+/// kernels' scratch. Buffers are re-fitted in place when the batch size
 /// changes and never shrink on their own, so the arena's footprint is that
 /// of the largest batch it has run, however many sizes it has seen.
 #[derive(Debug)]
 struct ExecState {
-    /// Frames the buffers are currently shaped for.
+    /// Frames the buffers are fitted to; 0 while a re-fit the allocator
+    /// refused has left them at mixed sizes.
     frames: usize,
     buffers: Buffers,
     /// f32 scratch for the zero-bordered input a convolution reads its
     /// windows from and the BatchNorm denominators; its capacity covers the
-    /// largest plan run so far, so kernels never reallocate it in steady
+    /// largest batch run so far, so kernels never reallocate it in steady
     /// state.
     scratch: Vec<f32>,
     /// A windowed `Conv2d`'s tap offsets, which the kernel writes
@@ -262,8 +257,8 @@ struct ExecState {
 }
 
 impl ExecState {
-    /// A one-frame arena for `graph`: the buffers of its batch-1 `plan`,
-    /// each allocated here, at the shape of the first tensor it holds.
+    /// A one-frame arena for `graph`: the buffers of its `plan`, each
+    /// allocated here, at the shape of the first tensor it holds.
     ///
     /// # Errors
     ///
@@ -308,34 +303,43 @@ impl ExecState {
             bordered_q: Vec::new(),
             multipliers: Vec::new(),
         };
-        state.reshape(graph, plan)?;
+        state.reshape(graph, plan, 1)?;
         Ok(state)
     }
 
-    /// Re-shapes every buffer to `plan`'s batch factor — a no-op when the
-    /// arena already has it — and grows the scratch to `plan`'s need.
-    /// Shrinking frees nothing and regrowing within a buffer's capacity
-    /// allocates nothing; added frames are zero-filled (every kernel
-    /// overwrites its whole output, so their content is never read).
-    fn reshape(&mut self, graph: &Graph, plan: &MemoryPlan) -> Result<()> {
-        if self.frames != plan.batch() {
+    /// Fits every buffer to `frames` stacked frames — a no-op when they
+    /// already hold that many — and grows the scratch to `plan`'s need at
+    /// `frames`. Shrinking frees nothing and regrowing within a buffer's
+    /// capacity allocates nothing; added frames are zero-filled (every
+    /// kernel overwrites its whole output, so their content is never read).
+    /// A buffer the allocator refuses leaves the arena fitted to no frame
+    /// count, so the next call re-fits every buffer.
+    fn reshape(&mut self, graph: &Graph, plan: &MemoryPlan, frames: usize) -> Result<()> {
+        if self.frames != frames {
+            self.frames = 0;
             let lead = |id: usize| {
-                let dims = graph.tensors()[id].shape().dims();
-                dims.first().copied().unwrap_or(1) * plan.batch()
+                let def = &graph.tensors()[id];
+                let lead = def.shape().dims().first().copied().unwrap_or(1);
+                lead.checked_mul(frames).ok_or_else(|| {
+                    NnError::InvalidGraph(format!(
+                        "{frames} frames of '{}' overflow the address space",
+                        def.name()
+                    ))
+                })
             };
             let buffers = &mut self.buffers;
             for (buffer, &holder) in buffers.tensors.iter_mut().zip(&buffers.holder) {
                 let buffer = buffer.as_mut().expect("no node is running");
-                buffer.resize_batch(lead(holder))?;
+                buffer.resize_batch(lead(holder)?)?;
             }
             for (id, shape) in buffers.shapes.iter_mut().enumerate() {
                 if let Some(shape) = shape {
-                    shape.set_batch(lead(id))?;
+                    shape.set_batch(lead(id)?)?;
                 }
             }
-            self.frames = plan.batch();
+            self.frames = frames;
         }
-        let need = plan.scratch_elems();
+        let need = plan.scratch_elems(frames);
         if self.scratch.capacity() < need {
             self.scratch.clear();
             let refused = TensorError::AllocationRefused {
@@ -478,12 +482,9 @@ pub struct Interpreter<'g> {
     /// See [`packed_weight_panels`].
     panels: Vec<Option<Vec<f32>>>,
     state: ExecState,
-    /// One memory plan per batch size seen, batch 1 first, all of one
-    /// layout: accounting for [`InvokeStats`] and the scratch bound — the
-    /// buffers are batch 1's, re-shaped; none hang off a plan.
-    /// Dropped (all but the first) via
-    /// [`Interpreter::release_batched_arenas`].
-    plans: Vec<MemoryPlan>,
+    /// The buffers `state` holds, planned for one frame: an invoke of N
+    /// stacked frames fits each to N frames.
+    plan: MemoryPlan,
     /// Whether the graph can run stacked batches (see
     /// [`Interpreter::is_batchable`]).
     batch_safe: bool,
@@ -519,14 +520,14 @@ impl<'g> Interpreter<'g> {
     fn with_layout(graph: &'g Graph, spec: BackendSpec, layout: BufferLayout) -> Result<Self> {
         graph.validate()?;
         let kernels = Kernels::resolve(&spec);
-        let plan = verified_plan(graph, 1, kernels.float, layout)?;
+        let plan = verified_plan(graph, kernels.float, layout)?;
         Ok(Interpreter {
             graph,
             spec,
             kernels,
             panels: packed_weight_panels(graph, kernels.float)?,
             state: ExecState::new(graph, &plan)?,
-            plans: vec![plan],
+            plan,
             batch_safe: batch_safe(graph),
             last_stats: None,
         })
@@ -547,36 +548,9 @@ impl<'g> Interpreter<'g> {
         self.last_stats
     }
 
-    /// The memory plan backing single-frame invokes.
+    /// The memory plan of the buffers this interpreter runs, for one frame.
     pub fn memory_plan(&self) -> &MemoryPlan {
-        &self.plans[0]
-    }
-
-    /// The memory plan of `batch` stacked frames, once an invoke has run
-    /// that many.
-    pub fn memory_plan_at(&self, batch: usize) -> Option<&MemoryPlan> {
-        self.plans.iter().find(|p| p.batch() == batch)
-    }
-
-    /// Shapes the arena for `frames` stacked frames and returns the index of
-    /// that batch factor's plan, planning (and, in debug builds, verifying)
-    /// it on first sight.
-    fn prepare(&mut self, frames: usize) -> Result<usize> {
-        let index = match self.plans.iter().position(|p| p.batch() == frames) {
-            Some(i) => i,
-            None => {
-                let layout = self.plans[0].layout();
-                self.plans.push(verified_plan(
-                    self.graph,
-                    frames,
-                    self.kernels.float,
-                    layout,
-                )?);
-                self.plans.len() - 1
-            }
-        };
-        self.state.reshape(self.graph, &self.plans[index])?;
-        Ok(index)
+        &self.plan
     }
 
     /// Whether [`Interpreter::invoke_batch`] can stack frames into one graph
@@ -833,7 +807,7 @@ impl<'g> Interpreter<'g> {
         }
 
         let start = Instant::now();
-        let plan = self.prepare(frames)?;
+        self.state.reshape(self.graph, &self.plan, frames)?;
         let state = &mut self.state;
         Self::stage_inputs(self.graph, state, batch)?;
         Self::execute_graph(self.graph, self.kernels, &self.panels, state, observer, 0)?;
@@ -854,8 +828,8 @@ impl<'g> Interpreter<'g> {
         }
         self.last_stats = Some(InvokeStats {
             latency: start.elapsed(),
-            peak_activation_bytes: self.plans[plan].peak_bytes(),
-            arena_bytes: self.plans[plan].arena_bytes(),
+            peak_activation_bytes: frames * self.plan.peak_bytes(),
+            arena_bytes: frames * self.plan.held_bytes(),
             allocations,
             batch: frames,
             arena_frames: frames,
@@ -873,7 +847,7 @@ impl<'g> Interpreter<'g> {
         observer: &mut dyn LayerObserver,
     ) -> Result<Vec<Vec<Tensor>>> {
         let start = Instant::now();
-        self.prepare(1)?;
+        self.state.reshape(self.graph, &self.plan, 1)?;
         let mut outputs = Vec::with_capacity(batch.len());
         let mut allocations = 0usize;
         for (b, sample) in batch.iter().enumerate() {
@@ -892,39 +866,13 @@ impl<'g> Interpreter<'g> {
         }
         self.last_stats = Some(InvokeStats {
             latency: start.elapsed(),
-            peak_activation_bytes: self.plans[0].peak_bytes(),
-            arena_bytes: self.plans[0].arena_bytes(),
+            peak_activation_bytes: self.plan.peak_bytes(),
+            arena_bytes: self.plan.held_bytes(),
             allocations,
             batch: batch.len(),
             arena_frames: 1,
         });
         Ok(outputs)
-    }
-
-    /// Shrinks the arena back to one frame — every buffer keeps frame 0 of
-    /// its current value in an allocation of exactly that size — and forgets
-    /// the plans of the batch sizes seen, returning the interpreter to its
-    /// single-invoke memory footprint. The arena is otherwise retained at
-    /// its largest size so repeated `invoke_batch` calls pay no replanning
-    /// or reallocation.
-    pub fn release_batched_arenas(&mut self) {
-        self.plans.truncate(1);
-        let tensors = self.graph.tensors();
-        let buffers = &mut self.state.buffers;
-        for (buffer, &holder) in buffers.tensors.iter_mut().zip(&buffers.holder) {
-            if let Some(buffer) = buffer {
-                let shape = tensors[holder].shape();
-                *buffer = frame_view(buffer, shape, 0).expect("a view has its source's dtype");
-            }
-        }
-        for (shape, def) in buffers.shapes.iter_mut().zip(tensors) {
-            if let Some(shape) = shape {
-                shape.clone_from(def.shape());
-            }
-        }
-        self.state.frames = 1;
-        self.state.scratch = Vec::with_capacity(self.plans[0].scratch_elems());
-        self.state.bordered_q = Vec::new();
     }
 
     /// The value of a tensor after the last invoke, when it is kept: a
@@ -936,7 +884,7 @@ impl<'g> Interpreter<'g> {
     /// stale value; read intermediates there through a [`LayerObserver`].
     /// After a stacked batched invoke the value holds all frames.
     pub fn tensor_value(&self, id: TensorId) -> Option<&Tensor> {
-        match self.plans[0].slot(id) {
+        match self.plan.slot(id) {
             Some(slot) if slot.kept => self.state.buffers.value(id),
             Some(_) => None,
             None => self
@@ -1247,8 +1195,56 @@ mod tests {
         let interp = Interpreter::new(&g, BackendSpec::optimized()).unwrap();
         let plan = interp.memory_plan();
         assert!(
-            plan.arena_bytes() < plan.unshared_bytes(),
+            plan.held_bytes() < plan.unshared_bytes(),
             "a 6-deep chain must not keep 6 live buffers"
         );
+    }
+
+    /// An invoke of N stacked frames reports N times the plan's one-frame
+    /// figures: the buffers it holds and the lifetime peak, under either
+    /// layout, whatever batch ran before.
+    #[test]
+    fn batched_stats_are_frames_times_the_plan() {
+        let mut b = GraphBuilder::new("chain");
+        let mut x = b.input("x", Shape::nhwc(1, 4, 4, 2));
+        for i in 0..4 {
+            let w = b.constant(
+                format!("w{i}"),
+                Tensor::filled_f32(Shape::new(vec![2, 1, 1, 2]), 0.3),
+            );
+            x = b
+                .conv2d(
+                    format!("c{i}"),
+                    x,
+                    w,
+                    None,
+                    1,
+                    Padding::Same,
+                    Activation::Relu,
+                )
+                .unwrap();
+        }
+        b.output(x);
+        let g = b.finish().unwrap();
+        let frame = [Tensor::filled_f32(Shape::nhwc(1, 4, 4, 2), 0.5)];
+        let builds: [for<'a> fn(&'a Graph, BackendSpec) -> Result<Interpreter<'a>>; 2] = [
+            |graph, spec| Interpreter::new(graph, spec),
+            |graph, spec| Interpreter::preserving(graph, spec),
+        ];
+        for build in builds {
+            let mut interp = build(&g, BackendSpec::optimized()).unwrap();
+            let (held, peak) = (
+                interp.memory_plan().held_bytes(),
+                interp.memory_plan().peak_bytes(),
+            );
+            assert!(held > peak, "the chain's buffers hold more than its peak");
+            for n in [3, 1, 8, 2] {
+                interp.invoke_batch(&vec![&frame[..]; n]).unwrap();
+                let stats = interp.last_stats().unwrap();
+                assert_eq!(stats.arena_frames, n);
+                assert_eq!(stats.arena_bytes, n * held, "{n} frames");
+                assert_eq!(stats.peak_activation_bytes, n * peak, "{n} frames");
+            }
+        }
     }
 }

@@ -199,7 +199,7 @@ use crate::kernels::conv::weight_panels;
 use crate::kernels::window::{BorderedSteps, WindowGeom, WindowRuns};
 use crate::kernels::{execute_node, f32_slot, qparams_of, u8_slot, KernelCtx, Kernels, Requant};
 use crate::ops::{Activation, Padding};
-use crate::plan::MemoryPlan;
+use crate::plan::node_scratch_elems;
 use crate::resolver::RequantMode;
 use crate::Result;
 
@@ -1657,9 +1657,11 @@ pub fn execute_node_with(
     }
     let mut out = Tensor::zeros(out_def.dtype(), Shape::new(dims));
     out.set_quant(out_def.quant().cloned());
-    let mut scratch = Vec::with_capacity(MemoryPlan::for_graph(graph, frames)?.scratch_elems());
+    let kernels = Kernels::resolve(&spec);
+    let conv = kernels.float.conv_scratch();
+    let mut scratch = Vec::with_capacity(node_scratch_elems(graph, node, frames, conv));
     let mut ctx = KernelCtx {
-        kernels: Kernels::resolve(&spec),
+        kernels,
         engine: Engine::runnable(engine),
         scratch: &mut scratch,
         taps: &mut Vec::new(),

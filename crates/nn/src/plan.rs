@@ -1,13 +1,11 @@
-//! Ahead-of-time activation memory planning, TFLite arena-planner style.
+//! Ahead-of-time activation memory planning.
 //!
 //! Before the first invoke, the interpreter walks the graph once and computes
-//! a [`MemoryPlan`]: the byte size and lifetime of every runtime tensor
-//! (graph inputs and node outputs), the physical buffer the interpreter runs
-//! each of them in, a greedy first-fit offset assignment into one
-//! contiguous arena (the layout a byte-arena deployment target would
-//! allocate), and the f32 scratch requirement of the float kernels (the
-//! zero-bordered input a convolution reads its windows from in place;
-//! BatchNorm's per-channel denominators), which depends on the kernel
+//! a [`MemoryPlan`] for one frame: the byte size and lifetime of every
+//! runtime tensor (graph inputs and node outputs), the physical buffer the
+//! interpreter runs each of them in, and the f32 scratch the float kernels
+//! keep (the zero-bordered input a convolution reads its windows from in
+//! place; BatchNorm's per-channel denominators), which depends on the kernel
 //! flavor only, never on the CPU: every engine reads windows the same way.
 //!
 //! Under the default [`BufferLayout::Shared`] an activation's buffer is
@@ -17,28 +15,27 @@
 //! [`BufferLayout::Preserving`] — the opt-in of the code that reads
 //! intermediates after an invoke — gives every runtime tensor its own. The
 //! interpreter allocates the plan's buffers once, up front, and reuses them
-//! across invokes — and, re-shaped in place, across batch sizes — so
-//! steady-state execution performs no per-node allocation.
+//! across invokes, so steady-state execution performs no per-node
+//! allocation. An invoke of N stacked frames re-fits every buffer in place
+//! to N frames (the leading dimension of every runtime tensor is the
+//! batch), so the plan holds no batch: its byte figures at N frames are N
+//! times its one-frame figures, and so is the convolution scratch.
 //! `InvokeStats::allocations` reports what the interpreter *knows* it
 //! allocated (the output tensors); the property itself is pinned from
-//! outside by the counting allocator in `tests/alloc_steady_state.rs`. One
-//! plan is kept per batch size seen: accounting only, no buffers hang off
-//! it, and every batch size's plan assigns the same buffers.
+//! outside by the counting allocator in `tests/alloc_steady_state.rs`.
 
-use mlexray_tensor::{DType, Shape};
+use mlexray_tensor::DType;
 
 use crate::graph::{Graph, TensorDef, TensorId};
 use crate::ops::{conv_out_size, OpKind};
 use crate::{NnError, Result};
 
-/// One runtime tensor's slot in the planned arena.
+/// One runtime tensor's entry in the plan, for one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedTensor {
     /// The tensor slot this entry plans.
     pub id: TensorId,
-    /// Assigned byte offset inside the arena.
-    pub offset: usize,
-    /// Byte size at the plan's batch factor.
+    /// Byte size of one frame of the tensor.
     pub bytes: usize,
     /// Index of the node producing the tensor (`0` for graph inputs, which
     /// are live from the start of the invoke).
@@ -56,12 +53,6 @@ pub struct PlannedTensor {
     pub kept: bool,
 }
 
-impl PlannedTensor {
-    fn overlaps_lifetime(&self, other: &PlannedTensor) -> bool {
-        self.first_use <= other.last_use && other.first_use <= self.last_use
-    }
-}
-
 /// How a [`MemoryPlan`] maps runtime tensors onto physical buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BufferLayout {
@@ -77,60 +68,42 @@ pub(crate) enum BufferLayout {
     Preserving,
 }
 
-/// A preplanned set of buffers for one graph at one batch factor.
+/// The buffers an interpreter runs one graph in, planned for one frame.
 ///
-/// Every runtime tensor has a slot: its byte size, its lifetime, the
+/// Every runtime tensor has a slot: its byte size, its lifetime and the
 /// physical buffer the interpreter runs it in ([`PlannedTensor::buffer`]:
 /// dead activations hand theirs on, unless the plan is for
-/// `Interpreter::preserving`) and an offset into one contiguous arena. The
-/// buffers are what the interpreter holds;
-/// the offsets are the **layout blueprint and accounting** — what a
-/// byte-backed arena (a deployment target sizing its activation memory)
-/// would allocate: [`MemoryPlan::arena_bytes`] is that arena's size and
-/// [`MemoryPlan::peak_bytes`] the true lifetime-based peak (the arena can
-/// be slightly larger because first-fit placement is not optimal). The
-/// interpreter's buffers are shared only between tensors of one dtype and
-/// byte size, never part of one buffer with part of another, so they
-/// usually hold more than the arena: 1.26 MB in 42 buffers against 0.44 MB
-/// for one `mobilenet_v2@48` frame (3.82 MB in 153 unshared).
+/// `Interpreter::preserving`). The buffers are what the interpreter holds.
+/// They are shared only between tensors of one dtype and byte size, never
+/// part of one buffer with part of another, so they hold more than the
+/// lifetime peak ([`MemoryPlan::peak_bytes`], the least a byte arena
+/// could hold): 1.26 MB in 42 buffers against 0.44 MB for one
+/// `mobilenet_v2@48` frame (3.82 MB in 153 unshared). An invoke of N
+/// stacked frames holds N times the buffers' bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryPlan {
-    batch: usize,
-    layout: BufferLayout,
     slots: Vec<Option<PlannedTensor>>,
-    order: Vec<TensorId>,
-    /// Byte size of each physical buffer, by buffer index.
-    buffers: Vec<usize>,
-    arena_bytes: usize,
+    buffer_count: usize,
+    held_bytes: usize,
     peak_bytes: usize,
-    scratch_elems: usize,
+    unshared_bytes: usize,
+    /// The f32 scratch the float kernels keep, as elements a stacked frame
+    /// (the widest zero-bordered convolution input) and elements whatever
+    /// the batch (the widest BatchNorm's denominators).
+    scratch: (usize, usize),
 }
 
-/// Scales a slot shape by the plan's batch factor (the leading dimension is
-/// the batch dimension for every runtime tensor in this op inventory).
-pub(crate) fn batched_shape(shape: &Shape, batch: usize) -> Result<Shape> {
-    if batch == 1 {
-        return Ok(shape.clone());
-    }
-    let lead = *shape
-        .dims()
-        .first()
-        .ok_or_else(|| NnError::InvalidGraph("rank-0 runtime tensors cannot be batched".into()))?;
-    let lead = lead.checked_mul(batch).ok_or_else(|| {
-        NnError::InvalidGraph(format!(
-            "{batch} frames of {shape:?} overflow the address space"
-        ))
-    })?;
-    shape
-        .with_batch(lead)
-        .map_err(|e| NnError::InvalidGraph(e.to_string()))
+/// A plan whose `what` has more bytes than the address space.
+fn overflow(what: &str) -> NnError {
+    NnError::InvalidGraph(format!("{what} overflows the address space"))
 }
 
-/// A plan whose slot `what` has more bytes than the address space.
-fn overflow(what: &str, batch: usize) -> NnError {
-    NnError::InvalidGraph(format!(
-        "{what} overflows the address space at batch {batch}"
-    ))
+/// The sum of `bytes`, or an overflow of `what`.
+fn total(what: &str, bytes: impl IntoIterator<Item = usize>) -> Result<usize> {
+    bytes
+        .into_iter()
+        .try_fold(0usize, usize::checked_add)
+        .ok_or_else(|| overflow(what))
 }
 
 /// What the float kernels keep in the f32 scratch for a `Conv2d` whose
@@ -144,36 +117,32 @@ pub(crate) enum ConvScratch {
     Bordered,
 }
 
-/// Elements of f32 scratch `node`'s float kernel needs: for a convolution
-/// what `conv` says the kernels keep (at every batch factor, 1 included),
-/// the per-channel denominators of a BatchNorm (its channel count,
-/// whatever the batch), or 0 when the node needs none.
-fn node_scratch_elems(
-    graph: &Graph,
-    node: &crate::graph::Node,
-    batch: usize,
-    conv: ConvScratch,
-) -> usize {
+/// The f32 scratch `node`'s float kernel keeps, as (elements a stacked
+/// frame, elements whatever the batch): for a convolution what `conv` says
+/// the kernels keep, a frame of its zero-bordered input; for a BatchNorm its
+/// per-channel denominators; nothing for any other node.
+fn node_scratch(graph: &Graph, node: &crate::graph::Node, conv: ConvScratch) -> (usize, usize) {
     let (stride, padding) = match &node.op {
         OpKind::Conv2d {
             stride, padding, ..
         } => (stride, padding),
         OpKind::BatchNorm { .. } => {
-            return node
-                .inputs
-                .get(4)
-                .map_or(0, |&var| graph.tensor(var).shape().num_elements())
+            let channels = node.inputs.get(4);
+            return (
+                0,
+                channels.map_or(0, |&var| graph.tensor(var).shape().num_elements()),
+            );
         }
-        _ => return 0,
+        _ => return (0, 0),
     };
     let input = graph.tensor(node.inputs[0]);
     if input.dtype() != DType::F32 || input.shape().rank() != 4 {
-        return 0;
+        return (0, 0);
     }
     let weights = graph.tensor(node.inputs[1]);
     let ws = weights.shape().dims();
     if ws.len() != 4 {
-        return 0;
+        return (0, 0);
     }
     let (kh, kw, in_c) = (ws[1], ws[2], ws[3]);
     let is = input.shape().dims();
@@ -181,12 +150,29 @@ fn node_scratch_elems(
     // window is read in place from the zero-bordered input, unless the
     // kernels read the input itself.
     if (kh == 1 && kw == 1 && *stride == 1) || conv == ConvScratch::Nothing {
-        return 0;
+        return (0, 0);
     }
     let oh = conv_out_size(is[1], kh, *stride, *padding);
     let ow = conv_out_size(is[2], kw, *stride, *padding);
     let covered = |out: usize, k: usize| if out == 0 { 0 } else { (out - 1) * stride + k };
-    is[0] * batch * covered(oh, kh) * covered(ow, kw) * in_c
+    (is[0] * covered(oh, kh) * covered(ow, kw) * in_c, 0)
+}
+
+/// f32 scratch elements at `frames` stacked frames of kernels that keep
+/// `scratch` (elements a frame, elements whatever the batch).
+fn scratch_at((per_frame, fixed): (usize, usize), frames: usize) -> usize {
+    per_frame.saturating_mul(frames).max(fixed)
+}
+
+/// Elements of f32 scratch `node`'s float kernel needs at `frames` stacked
+/// frames, under kernels that keep `conv` for a convolution.
+pub(crate) fn node_scratch_elems(
+    graph: &Graph,
+    node: &crate::graph::Node,
+    frames: usize,
+    conv: ConvScratch,
+) -> usize {
+    scratch_at(node_scratch(graph, node, conv), frames)
 }
 
 /// Assigns every planned slot its physical buffer and returns the buffers'
@@ -235,18 +221,18 @@ fn assign_buffers(graph: &Graph, slots: &mut [Option<PlannedTensor>]) -> Vec<usi
 }
 
 impl MemoryPlan {
-    /// Plans the arena for `graph` executed at `batch` stacked frames per
-    /// invoke (`1` = the graph's natural shapes), its activations sharing
-    /// buffers as [`Interpreter::new`](crate::Interpreter::new) runs them
-    /// and the float scratch sized for every kernel flavor: a
-    /// convolution's zero-bordered input.
+    /// Plans the buffers of one frame of `graph`, its activations sharing
+    /// them as [`Interpreter::new`](crate::Interpreter::new) runs them and
+    /// the float scratch sized for every kernel flavor: a convolution's
+    /// zero-bordered input.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidGraph`] when `batch == 0` or a runtime
-    /// tensor cannot carry a batch dimension.
-    pub fn for_graph(graph: &Graph, batch: usize) -> Result<Self> {
-        Self::for_kernels(graph, batch, ConvScratch::Bordered, BufferLayout::Shared)
+    /// Returns [`NnError::InvalidGraph`] when a tensor's bytes, or the bytes
+    /// of the tensors live together or of the buffers, overflow the address
+    /// space.
+    pub fn for_graph(graph: &Graph) -> Result<Self> {
+        Self::for_kernels(graph, ConvScratch::Bordered, BufferLayout::Shared)
     }
 
     /// [`MemoryPlan::for_graph`], the buffers laid out by `layout` and the
@@ -254,15 +240,9 @@ impl MemoryPlan {
     /// `Conv2d`, `conv`.
     pub(crate) fn for_kernels(
         graph: &Graph,
-        batch: usize,
         conv: ConvScratch,
         layout: BufferLayout,
     ) -> Result<Self> {
-        if batch == 0 {
-            return Err(NnError::InvalidGraph(
-                "memory plans require a positive batch factor".into(),
-            ));
-        }
         let horizon = graph.nodes().len();
         let mut slots: Vec<Option<PlannedTensor>> = vec![None; graph.tensors().len()];
 
@@ -276,10 +256,11 @@ impl MemoryPlan {
                     .position(|n| n.output.0 == i)
                     .unwrap_or(horizon),
             };
-            let bytes = batched_shape(def.shape(), batch)?
+            let bytes = def
+                .shape()
                 .checked_num_elements()
                 .and_then(|n| n.checked_mul(def.dtype().byte_size()))
-                .ok_or_else(|| overflow(def.name(), batch))?;
+                .ok_or_else(|| overflow(def.name()))?;
             let mut last_use = graph
                 .nodes()
                 .iter()
@@ -296,7 +277,6 @@ impl MemoryPlan {
                 || last_use == horizon;
             slots[i] = Some(PlannedTensor {
                 id: TensorId(i),
-                offset: 0,
                 bytes,
                 first_use,
                 last_use,
@@ -306,104 +286,53 @@ impl MemoryPlan {
         }
         let buffers = assign_buffers(graph, &mut slots);
 
-        // Greedy first-fit placement, largest tensor first (ties broken by
-        // slot index, so the plan is fully deterministic).
-        let mut order: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_some()).collect();
-        order.sort_by_key(|&i| {
-            let p = slots[i].as_ref().expect("filtered to planned slots");
-            (usize::MAX - p.bytes, i)
-        });
-        let mut arena_bytes = 0usize;
-        for &i in &order {
-            let current = slots[i].expect("filtered to planned slots");
-            // Ranges already placed whose lifetime overlaps this tensor's.
-            let mut busy: Vec<(usize, usize)> = order
-                .iter()
-                .take_while(|&&j| j != i)
-                .filter_map(|&j| slots[j])
-                .filter(|p| p.overlaps_lifetime(&current))
-                .map(|p| (p.offset, p.offset + p.bytes))
-                .collect();
-            busy.sort_unstable();
-            let mut offset = 0usize;
-            for (start, end) in busy {
-                if offset
-                    .checked_add(current.bytes)
-                    .is_some_and(|e| e <= start)
-                {
-                    break;
-                }
-                offset = offset.max(end);
-            }
-            let placed = slots[i].as_mut().expect("filtered to planned slots");
-            placed.offset = offset;
-            let end = offset.checked_add(placed.bytes);
-            arena_bytes = arena_bytes.max(end.ok_or_else(|| overflow("the arena", batch))?);
-        }
-
-        // True lifetime-based peak, for comparison with the arena size.
-        let mut peak_bytes = 0usize;
+        let planned = || slots.iter().flatten();
+        let mut peak_bytes = 0;
         for t in 0..=horizon {
-            let live: usize = slots
-                .iter()
-                .flatten()
-                .filter(|p| p.first_use <= t && t <= p.last_use)
-                .map(|p| p.bytes)
-                .sum();
-            peak_bytes = peak_bytes.max(live);
+            let live = planned().filter(|p| p.first_use <= t && t <= p.last_use);
+            peak_bytes = peak_bytes.max(total("the live tensors", live.map(|p| p.bytes))?);
         }
-
-        let scratch_elems = graph
+        let scratch = graph
             .nodes()
             .iter()
-            .map(|n| node_scratch_elems(graph, n, batch, conv))
-            .max()
-            .unwrap_or(0);
+            .map(|n| node_scratch(graph, n, conv))
+            .fold((0, 0), |(bordered, norm), (b, n)| {
+                (bordered.max(b), norm.max(n))
+            });
 
         Ok(MemoryPlan {
-            batch,
-            layout,
-            slots,
-            buffers,
-            order: order.into_iter().map(TensorId).collect(),
-            arena_bytes,
+            buffer_count: buffers.len(),
+            held_bytes: total("the buffers", buffers)?,
             peak_bytes,
-            scratch_elems,
+            unshared_bytes: total("the runtime tensors", planned().map(|p| p.bytes))?,
+            slots,
+            scratch,
         })
-    }
-
-    /// The batch factor the plan was computed for.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// How the plan lays runtime tensors out on buffers.
-    pub(crate) fn layout(&self) -> BufferLayout {
-        self.layout
     }
 
     /// Number of physical buffers the plan's tensors run in.
     pub(crate) fn buffer_count(&self) -> usize {
-        self.buffers.len()
+        self.buffer_count
     }
 
-    /// Total bytes of the planned arena (one allocation covers every
-    /// activation of an invoke, with lifetime-disjoint tensors sharing).
-    pub fn arena_bytes(&self) -> usize {
-        self.arena_bytes
+    /// Bytes of every physical buffer together, a frame: what an
+    /// interpreter running the plan holds for its runtime tensors.
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.held_bytes
     }
 
-    /// Peak bytes simultaneously live under the plan's lifetimes — the
-    /// lower bound any arena layout must reach.
+    /// Peak bytes simultaneously live under the plan's lifetimes, a frame —
+    /// the least any byte arena could hold.
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
     }
 
-    /// The f32 scratch elements the float kernels need: the largest
-    /// zero-bordered convolution input in the graph, or the widest
-    /// BatchNorm's channel count if that is larger.
-    pub fn scratch_elems(&self) -> usize {
-        self.scratch_elems
+    /// The f32 scratch elements the float kernels need at `frames` stacked
+    /// frames: `frames` times the largest zero-bordered convolution input
+    /// in the graph, or the widest BatchNorm's channel count if that is
+    /// larger.
+    pub fn scratch_elems(&self, frames: usize) -> usize {
+        scratch_at(self.scratch, frames)
     }
 
     /// The planned slot for a tensor, when it is a runtime tensor
@@ -412,28 +341,16 @@ impl MemoryPlan {
         self.slots.get(id.0).and_then(Option::as_ref)
     }
 
-    /// Planned slots in placement order (largest first).
+    /// Planned slots in tensor order.
     pub fn slots(&self) -> impl Iterator<Item = &PlannedTensor> {
-        self.order.iter().filter_map(|id| self.slots[id.0].as_ref())
+        self.slots.iter().flatten()
     }
 
-    /// Sum of slot sizes with no reuse at all — what per-node allocation
-    /// would hold live at the end of an invoke, and what a plan for
-    /// `Interpreter::preserving` holds.
+    /// Sum of slot sizes with no reuse at all, a frame — what per-node
+    /// allocation would hold live at the end of an invoke, and what a plan
+    /// for `Interpreter::preserving` holds.
     pub fn unshared_bytes(&self) -> usize {
-        self.slots.iter().flatten().map(|p| p.bytes).sum()
-    }
-
-    /// Overrides one slot's arena offset, bypassing first-fit placement.
-    ///
-    /// Test-only hook for the lint suite: corrupting a correct plan is how
-    /// `verify_plan` proves it detects aliasing, without depending on a
-    /// planner bug to exist. No-op when `id` has no slot.
-    #[doc(hidden)]
-    pub fn force_offset(&mut self, id: TensorId, offset: usize) {
-        if let Some(Some(slot)) = self.slots.get_mut(id.0) {
-            slot.offset = offset;
-        }
+        self.unshared_bytes
     }
 
     /// Overrides one slot's buffer, bypassing the buffer assignment: the
@@ -452,16 +369,10 @@ mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
     use crate::ops::{Activation, Padding};
-    use mlexray_tensor::Tensor;
-
-    /// Bytes of every physical buffer of `plan` together: what an
-    /// interpreter running it holds for its runtime tensors.
-    fn held_bytes(plan: &MemoryPlan) -> usize {
-        plan.buffers.iter().sum()
-    }
+    use mlexray_tensor::{Shape, Tensor};
 
     /// A 4-deep chain of 1x1 convs: every intermediate dies one node later,
-    /// so the arena should be ~2 activation buffers, not 4.
+    /// so the activations should need ~2 buffers, not 4.
     fn chain() -> Graph {
         let mut b = GraphBuilder::new("chain");
         let mut x = b.input("x", Shape::nhwc(1, 4, 4, 2));
@@ -486,40 +397,77 @@ mod tests {
         b.finish().unwrap()
     }
 
-    #[test]
-    fn lifetimes_enable_reuse() {
-        let g = chain();
-        let plan = MemoryPlan::for_graph(&g, 1).unwrap();
-        let one = 4 * 4 * 2 * 4; // one activation's bytes
-        assert!(plan.arena_bytes() < plan.unshared_bytes());
-        // Chain: input + first activation live together, later pairs reuse.
-        assert_eq!(plan.peak_bytes(), 2 * one);
-        assert!(plan.arena_bytes() >= plan.peak_bytes());
-        assert_eq!(plan.batch(), 1);
+    /// A 3×3 stem conv → BatchNorm → Relu6 → pointwise conv → residual Add.
+    fn mixed() -> Graph {
+        let mut b = GraphBuilder::new("mixed");
+        let x = b.input("x", Shape::nhwc(1, 6, 6, 3));
+        let w = b.constant("w", Tensor::filled_f32(Shape::new(vec![8, 3, 3, 3]), 0.1));
+        let stem = b
+            .conv2d("stem", x, w, None, 1, Padding::Same, Activation::None)
+            .unwrap();
+        let [gamma, beta, mean, var] = ["gamma", "beta", "mean", "var"]
+            .map(|name| b.constant(name, Tensor::filled_f32(Shape::vector(8), 0.5)));
+        let bn = b
+            .batch_norm("bn", stem, gamma, beta, mean, var, 1e-3)
+            .unwrap();
+        let act = b.activation("act", bn, Activation::Relu6).unwrap();
+        let w1 = b.constant("w1", Tensor::filled_f32(Shape::new(vec![8, 1, 1, 8]), 0.2));
+        let pw = b
+            .conv2d("pw", act, w1, None, 1, Padding::Same, Activation::None)
+            .unwrap();
+        let y = b.add("add", act, pw, Activation::None).unwrap();
+        b.output(y);
+        b.finish().unwrap()
     }
 
     #[test]
-    fn batched_plan_scales_slot_sizes() {
+    fn lifetimes_enable_reuse() {
         let g = chain();
-        let p1 = MemoryPlan::for_graph(&g, 1).unwrap();
-        let p4 = MemoryPlan::for_graph(&g, 4).unwrap();
-        assert_eq!(p4.peak_bytes(), 4 * p1.peak_bytes());
-        let id = g.nodes()[0].output;
-        assert_eq!(p4.slot(id).unwrap().bytes, 4 * p1.slot(id).unwrap().bytes);
-        assert!(MemoryPlan::for_graph(&g, 0).is_err());
+        let plan = MemoryPlan::for_graph(&g).unwrap();
+        let one = 4 * 4 * 2 * 4; // one activation's bytes
+        assert!(plan.held_bytes() < plan.unshared_bytes());
+        // Chain: input + first activation live together, later pairs reuse.
+        assert_eq!(plan.peak_bytes(), 2 * one);
+        assert!(plan.held_bytes() >= plan.peak_bytes());
+    }
+
+    /// The plan holds no batch: N stacked frames hold N times each
+    /// one-frame figure. These are the figures a planner run at 3 frames
+    /// computed for `mixed`, one plan per batch size: a 10 368-byte peak,
+    /// 11 664 bytes of shared buffers, 18 576 bytes unshared (what the
+    /// preserving buffers hold), slots of 1 296 bytes (the input) and
+    /// 3 456, and 576 scratch elements (three bordered 8 × 8 × 3 stem
+    /// inputs, over the BatchNorm's 8).
+    #[test]
+    fn batched_plan_scales_slot_sizes() {
+        let g = mixed();
+        let plan = MemoryPlan::for_graph(&g).unwrap();
+        let conv = ConvScratch::Bordered;
+        let kept = MemoryPlan::for_kernels(&g, conv, BufferLayout::Preserving).unwrap();
+        let n = 3;
+        assert_eq!(n * plan.peak_bytes(), 10_368);
+        assert_eq!(n * plan.held_bytes(), 11_664);
+        assert_eq!(n * plan.unshared_bytes(), 18_576);
+        assert_eq!(n * kept.held_bytes(), 18_576);
+        let bytes: Vec<usize> = plan.slots().map(|p| n * p.bytes).collect();
+        assert_eq!(bytes, [1_296, 3_456, 3_456, 3_456, 3_456, 3_456]);
+        assert_eq!(plan.scratch_elems(n), 576);
     }
 
     #[test]
     fn placements_never_alias_live_ranges() {
-        let g = chain();
-        let plan = MemoryPlan::for_graph(&g, 2).unwrap();
+        let g = mixed();
+        let plan = MemoryPlan::for_graph(&g).unwrap();
         let placed: Vec<_> = plan.slots().collect();
         for (i, a) in placed.iter().enumerate() {
-            for b in placed.iter().skip(i + 1) {
-                if a.overlaps_lifetime(b) {
-                    let disjoint = a.offset + a.bytes <= b.offset || b.offset + b.bytes <= a.offset;
-                    assert!(disjoint, "slots {:?} and {:?} alias", a.id, b.id);
-                }
+            for b in &placed[i + 1..] {
+                let live_together = a.first_use <= b.last_use && b.first_use <= a.last_use;
+                assert!(
+                    !live_together || a.buffer != b.buffer,
+                    "slots {:?} and {:?} alias",
+                    a.id,
+                    b.id
+                );
             }
         }
         // Outputs stay live to the end.
@@ -533,36 +481,28 @@ mod tests {
         let one = 4 * 4 * 2 * 4;
         let ids: Vec<TensorId> = g.nodes().iter().map(|n| n.output).collect();
         let (input, output) = (g.inputs()[0], ids[3]);
-        for batch in [1, 3] {
-            let plan = MemoryPlan::for_graph(&g, batch).unwrap();
-            let slot = |id: TensorId| *plan.slot(id).unwrap();
-            // c0 is still read when c1 is written, so they take two
-            // buffers; c2 takes c0's, freed once c1 has run.
-            assert_ne!(slot(ids[0]).buffer, slot(ids[1]).buffer);
-            assert_eq!(slot(ids[2]).buffer, slot(ids[0]).buffer);
-            // The input and the output keep buffers of their own.
-            assert_eq!(plan.buffer_count(), 4);
-            assert!(slot(input).kept && slot(output).kept);
-            assert!(ids[..3].iter().all(|&id| !slot(id).kept));
-            assert_eq!(held_bytes(&plan), 4 * one * batch);
-            assert_eq!(plan.layout(), BufferLayout::Shared);
-            // Every batch size assigns the same buffers.
-            let first = MemoryPlan::for_graph(&g, 1).unwrap();
-            for id in ids.iter().chain([&input]) {
-                assert_eq!(slot(*id).buffer, first.slot(*id).unwrap().buffer);
-            }
+        let plan = MemoryPlan::for_graph(&g).unwrap();
+        let slot = |id: TensorId| *plan.slot(id).unwrap();
+        // c0 is still read when c1 is written, so they take two buffers; c2
+        // takes c0's, freed once c1 has run.
+        assert_ne!(slot(ids[0]).buffer, slot(ids[1]).buffer);
+        assert_eq!(slot(ids[2]).buffer, slot(ids[0]).buffer);
+        // The input and the output keep buffers of their own.
+        assert_eq!(plan.buffer_count(), 4);
+        assert!(slot(input).kept && slot(output).kept);
+        assert!(ids[..3].iter().all(|&id| !slot(id).kept));
+        assert_eq!(plan.held_bytes(), 4 * one);
 
-            let conv = ConvScratch::Bordered;
-            let kept = MemoryPlan::for_kernels(&g, batch, conv, BufferLayout::Preserving).unwrap();
-            assert_eq!(kept.buffer_count(), 5);
-            assert_eq!(held_bytes(&kept), kept.unshared_bytes());
-            assert!(kept.slots().all(|p| p.kept));
-            assert_eq!(
-                (kept.arena_bytes(), kept.peak_bytes()),
-                (plan.arena_bytes(), plan.peak_bytes()),
-                "the layout moves no accounting figure"
-            );
-        }
+        let conv = ConvScratch::Bordered;
+        let kept = MemoryPlan::for_kernels(&g, conv, BufferLayout::Preserving).unwrap();
+        assert_eq!(kept.buffer_count(), 5);
+        assert_eq!(kept.held_bytes(), kept.unshared_bytes());
+        assert!(kept.slots().all(|p| p.kept));
+        assert_eq!(
+            kept.peak_bytes(),
+            plan.peak_bytes(),
+            "the layout moves no lifetime"
+        );
     }
 
     #[test]
@@ -590,7 +530,7 @@ mod tests {
         }
         b.output(x);
         let g = b.finish().unwrap();
-        let plan = MemoryPlan::for_graph(&g, 1).unwrap();
+        let plan = MemoryPlan::for_graph(&g).unwrap();
         let slots: Vec<PlannedTensor> = g
             .nodes()
             .iter()
@@ -619,24 +559,21 @@ mod tests {
         let g = b.finish().unwrap();
         // The bordered input of a 3 × 3 SAME window over 8 × 8 is 10 × 10
         // a frame.
-        let plan = MemoryPlan::for_graph(&g, 2).unwrap();
-        assert_eq!(plan.scratch_elems(), 2 * 10 * 10 * 3);
-        // Single invokes read the same windows, so batch 1 reserves it too.
-        let single = MemoryPlan::for_graph(&g, 1).unwrap();
-        assert_eq!(single.scratch_elems(), 10 * 10 * 3);
+        let plan = MemoryPlan::for_graph(&g).unwrap();
+        assert_eq!(plan.scratch_elems(2), 2 * 10 * 10 * 3);
+        // Single invokes read the same windows, so one frame reserves it too.
+        assert_eq!(plan.scratch_elems(1), 10 * 10 * 3);
         // Kernels that read the input itself keep nothing.
         for (keeps, elems) in [
             (ConvScratch::Bordered, 2 * 10 * 10 * 3),
             (ConvScratch::Nothing, 0),
         ] {
-            let plan = MemoryPlan::for_kernels(&g, 2, keeps, BufferLayout::Shared).unwrap();
-            assert_eq!(plan.scratch_elems(), elems, "{keeps:?}");
+            let plan = MemoryPlan::for_kernels(&g, keeps, BufferLayout::Shared).unwrap();
+            assert_eq!(plan.scratch_elems(2), elems, "{keeps:?}");
         }
         // 1x1 convs use the direct path and need no scratch.
-        assert_eq!(
-            MemoryPlan::for_graph(&chain(), 8).unwrap().scratch_elems(),
-            0
-        );
+        let pointwise = MemoryPlan::for_graph(&chain()).unwrap();
+        assert_eq!(pointwise.scratch_elems(8), 0);
         // A BatchNorm keeps its per-channel denominators there: its channel
         // count, whatever the batch.
         let mut b = GraphBuilder::new("bn");
@@ -646,9 +583,9 @@ mod tests {
         let y = b.batch_norm("bn", x, gamma, beta, mean, var, 1e-3).unwrap();
         b.output(y);
         let g = b.finish().unwrap();
-        for batch in [1, 8] {
-            let plan = MemoryPlan::for_graph(&g, batch).unwrap();
-            assert_eq!(plan.scratch_elems(), 24);
+        let plan = MemoryPlan::for_graph(&g).unwrap();
+        for frames in [1, 8] {
+            assert_eq!(plan.scratch_elems(frames), 24);
         }
     }
 }

@@ -9,9 +9,9 @@
 //! cycled through batch sizes must hold the
 //! memory of its largest batch, not the sum over every size it has seen.
 //! The default interpreter, whose dead activations hand their buffers on,
-//! holds less than half of what a preserving one holds on a deep stack, and
-//! a graph whose buffers no machine holds is refused when the interpreter
-//! is built.
+//! holds less than half of what a preserving one holds on a deep stack —
+//! and reports so in `InvokeStats::arena_bytes` — and a graph whose buffers
+//! no machine holds is refused when the interpreter is built.
 //!
 //! One `#[test]` in a file of its own, so no other test thread allocates
 //! while the counters are being read.
@@ -322,7 +322,7 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
     }
 
     // (2) One arena: the ladder 1..=8, twice, ends holding what batch 8 alone
-    // holds, and releasing returns to the single-invoke footprint.
+    // holds.
     let graph = residual_stack(4, 16, 16);
     let samples: Vec<Vec<Tensor>> = (0..8)
         .map(|i| vec![filled(vec![1, 16, 16, 16], i as f32 * 0.1)])
@@ -332,19 +332,17 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
         interp.invoke_batch(&refs).unwrap();
     };
     let single = live_bytes_after(&graph, shared, |interp| batch(interp, 1));
-    let eight = live_bytes_after(&graph, shared, |interp| batch(interp, 8));
+    let mut reported = [0; 2];
+    let eight = live_bytes_after(&graph, shared, |interp| {
+        batch(interp, 8);
+        reported[0] = interp.last_stats().unwrap().arena_bytes;
+    });
     let ladder = live_bytes_after(&graph, shared, |interp| {
         for _ in 0..2 {
             for n in 1..=8 {
                 batch(interp, n);
             }
         }
-    });
-    let released = live_bytes_after(&graph, shared, |interp| {
-        for n in 1..=8 {
-            batch(interp, n);
-        }
-        interp.release_batched_arenas();
     });
     assert!(
         eight > 4 * single,
@@ -354,18 +352,23 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
         ladder.abs_diff(eight) * 20 <= eight,
         "after batches 1..=8 twice the interpreter holds {ladder} B, batch 8 alone {eight} B"
     );
-    assert!(
-        released.abs_diff(single) * 20 <= single,
-        "after release the interpreter holds {released} B, a single invoke {single} B"
-    );
 
     // (3) Dead activations hand their buffers on: at batch 8 the default
     // interpreter holds less than half of what one keeping every tensor
-    // does.
-    let preserved = live_bytes_after(&graph, preserving, |interp| batch(interp, 8));
+    // does, and the arena bytes each reports say the same.
+    let preserved = live_bytes_after(&graph, preserving, |interp| {
+        batch(interp, 8);
+        reported[1] = interp.last_stats().unwrap().arena_bytes;
+    });
     assert!(
         eight * 2 < preserved,
         "at batch 8 the default interpreter holds {eight} B, a preserving one {preserved} B"
+    );
+    assert!(
+        reported[0] * 2 < reported[1],
+        "at batch 8 the default interpreter reports {} B, a preserving one {} B",
+        reported[0],
+        reported[1]
     );
 
     // (4) An intermediate of 2^61 bytes — a one-pixel input padded to

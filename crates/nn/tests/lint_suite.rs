@@ -8,7 +8,7 @@
 //! 2. **No false negatives**: every [`GraphMutation`] bug class, injected
 //!    into a clean graph, is caught by exactly its expected lint code.
 //! 3. **Plan verification is independent**: a fresh [`MemoryPlan`]
-//!    verifies clean, and a plan with corrupted offsets fails
+//!    verifies clean, and a plan with corrupted buffers fails
 //!    [`verify_plan`] even though the planner itself produced it.
 
 mod common;
@@ -23,7 +23,7 @@ use mlexray_nn::analysis::{
 };
 use mlexray_nn::{
     calibrate, quantize_model, BackendSpec, Graph, Interpreter, MemoryPlan, Model, ModelVariant,
-    QuantizationOptions,
+    PlannedTensor, QuantizationOptions, TensorId,
 };
 
 /// A random float graph from the shared generator.
@@ -154,56 +154,68 @@ fn quant_mutations_skip_float_graphs() {
     }
 }
 
-/// A fresh plan verifies clean; forcing one activation's offset onto a
-/// tensor it is live with is reported as EX301, and pushing a slot past
-/// the arena end is reported as EX302, and running it in the input's
-/// buffer is reported as EX301. The verifier re-derives lifetimes
-/// itself, so the corrupted plan cannot vouch for its own placements.
+/// A fresh plan verifies clean. Running the first node's output in the
+/// input's buffer (live together) or an activation in a kept output's
+/// buffer (read after the invoke) is reported as EX301; running two
+/// lifetime-disjoint activations of different sizes or dtypes in one buffer
+/// is reported as EX302. The verifier re-derives lifetimes and sizes
+/// itself, so the corrupted plan cannot vouch for its own buffers.
 #[test]
 fn corrupted_plan_offsets_fail_verification() {
     let graph = float_fixture(3);
-    let plan = MemoryPlan::for_graph(&graph, 1).expect("plannable graph");
+    let plan = MemoryPlan::for_graph(&graph).expect("plannable graph");
     assert!(
         verify_plan(&graph, &plan).is_empty(),
         "fresh planner output must verify clean"
     );
+    let codes_after = |moved: TensorId, onto: &PlannedTensor| {
+        let mut corrupted = plan.clone();
+        corrupted.force_buffer(moved, onto.buffer);
+        let findings = verify_plan(&graph, &corrupted);
+        let codes: Vec<LintCode> = findings.iter().map(|d| d.code).collect();
+        (codes, findings)
+    };
+    let disjoint =
+        |a: &PlannedTensor, b: &PlannedTensor| a.last_use < b.first_use || b.last_use < a.first_use;
 
     // The first node reads the graph input and writes its output, so the
-    // two tensors are live simultaneously at step 0: placing the output at
-    // the input's offset is a guaranteed alias.
-    let input = graph.inputs()[0];
-    let out = graph.nodes()[0].output;
-    let mut aliased = MemoryPlan::for_graph(&graph, 1).expect("plannable graph");
-    let input_offset = aliased.slot(input).expect("input is planned").offset;
-    aliased.force_offset(out, input_offset);
-    let findings = verify_plan(&graph, &aliased);
+    // two tensors are live together at step 0.
+    let input = plan.slot(graph.inputs()[0]).expect("input is planned");
+    let (codes, findings) = codes_after(graph.nodes()[0].output, input);
     assert!(
-        findings
-            .iter()
-            .any(|d| d.code == LintCode::PlanAliasOverlap),
-        "aliased plan must report EX301, got: {findings:?}"
-    );
-
-    let mut overrun = MemoryPlan::for_graph(&graph, 1).expect("plannable graph");
-    let arena = overrun.arena_bytes();
-    overrun.force_offset(out, arena);
-    let findings = verify_plan(&graph, &overrun);
-    assert!(
-        findings.iter().any(|d| d.code == LintCode::PlanSlotInvalid),
-        "overrunning plan must report EX302, got: {findings:?}"
-    );
-
-    // Running the first node's output in the input's buffer — live
-    // together, the input kept — is reported as EX301 too.
-    let mut shared = MemoryPlan::for_graph(&graph, 1).expect("plannable graph");
-    let input_buffer = shared.slot(input).expect("input is planned").buffer;
-    shared.force_buffer(out, input_buffer);
-    let findings = verify_plan(&graph, &shared);
-    assert!(
-        findings
-            .iter()
-            .any(|d| d.code == LintCode::PlanAliasOverlap),
+        codes.contains(&LintCode::PlanAliasOverlap),
         "a buffer shared by live tensors must report EX301, got: {findings:?}"
+    );
+
+    // An activation dead before a graph output is written still may not
+    // run in the output's buffer: the output is read after the invoke.
+    let output = plan.slot(graph.outputs()[0]).expect("output is planned");
+    let early = plan
+        .slots()
+        .find(|a| !a.kept && disjoint(a, output))
+        .expect("an activation dies before the output is written");
+    let (codes, findings) = codes_after(early.id, output);
+    assert!(
+        codes.contains(&LintCode::PlanAliasOverlap),
+        "a kept buffer shared must report EX301, got: {findings:?}"
+    );
+
+    // Two activations live apart, neither kept, but of different byte
+    // sizes or dtypes.
+    let (a, b) = plan
+        .slots()
+        .filter(|a| !a.kept)
+        .flat_map(|a| plan.slots().map(move |b| (a, b)))
+        .find(|(a, b)| {
+            let dtype = |p: &PlannedTensor| graph.tensor(p.id).dtype();
+            !b.kept && disjoint(a, b) && (a.bytes != b.bytes || dtype(a) != dtype(b))
+        })
+        .expect("two activations of different sizes live apart");
+    let (codes, findings) = codes_after(a.id, b);
+    assert_eq!(
+        codes,
+        [LintCode::PlanSlotInvalid],
+        "a buffer shared across sizes or dtypes must report EX302 alone, got: {findings:?}"
     );
 }
 

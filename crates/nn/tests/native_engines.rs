@@ -708,8 +708,9 @@ fn simd_mobilenet_v2_invoke_agrees_across_builds() {
 /// reads a windowed `Conv2d`'s windows in place from one zero-bordered
 /// input. So the Simd flavor — whose wide windowed layers (a ResNet's 3×3s,
 /// `k > 64`) once ran an im2col on some engines — plans exactly what the
-/// Optimized one plans, slots, arena and scratch, for every zoo family at
-/// batch 1 and 4, natively and under `MLEXRAY_SIMD=scalar`.
+/// Optimized one plans, slots, buffers and scratch, for every zoo family,
+/// and reserves the same scratch at 4 frames after a batch-4 invoke,
+/// natively and under `MLEXRAY_SIMD=scalar`.
 #[test]
 fn the_simd_plan_is_the_optimized_plan_on_every_zoo_family() {
     use mlexray_models::{FullFamily, MiniFamily, ZooModel};
@@ -721,8 +722,8 @@ fn the_simd_plan_is_the_optimized_plan_on_every_zoo_family() {
         let plans = [BackendSpec::simd(), BackendSpec::optimized()].map(|spec| {
             let mut interp = Interpreter::new(&model.graph, spec).unwrap();
             interp.invoke_batch(&[&frame[..]; 4]).unwrap();
-            let at_four = interp.memory_plan_at(4).cloned().expect("a batch-4 plan");
-            (interp.memory_plan().clone(), at_four)
+            let plan = interp.memory_plan();
+            (plan.clone(), plan.scratch_elems(4))
         });
         assert_eq!(plans[0], plans[1], "{}", family.name());
     }

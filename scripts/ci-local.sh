@@ -47,7 +47,14 @@ step() { printf '\n==> %s\n' "$*"; }
 # appendix A's embedding (crates/bench/src/experiments/appendix_a.rs). A call
 # of it anywhere else in crates/*/src (beside its own definition in
 # interpreter.rs) is a serving or replay path sliding back to the unshared
-# layout, and fails the leg. The leg also runs scripts/rust-lines.sh, which
+# layout, and fails the leg. An interpreter plans its buffers once, for one
+# frame, and fits them to each invoke's frames; a `MemoryPlan::for_graph(`
+# or `for_kernels(` call in crates/*/src outside the planner
+# (crates/nn/src/plan.rs), the interpreter (interpreter.rs) and the lint's
+# plan check (analysis/plan_check.rs) — each file read, as for im2col, only
+# up to its first column-0 `#[cfg(test)]` — is a second memory model (a plan
+# per batch size, a whole graph planned to size one node's scratch), and
+# fails the leg. The leg also runs scripts/rust-lines.sh, which
 # writes the `rust_lines` object of every BENCH_PR*.json, and fails if it
 # stops printing one.
 lint() {
@@ -88,6 +95,14 @@ lint() {
     grep -vE '^crates/(nn/src/(quantize|interpreter)\.rs|trainer/src/|core/src/validate/differential\.rs|bench/src/experiments/appendix_a\.rs)' || true)"
   if [[ -n "$stray" ]]; then
     printf 'a preserving interpreter outside the readers of intermediates:\n%s\n' "$stray" >&2
+    return 1
+  fi
+  stray="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /MemoryPlan::for_graph\(|for_kernels\(/ { print FILENAME ":" FNR ": " $0 }' |
+    grep -vE '^crates/nn/src/(plan|interpreter|analysis/plan_check)\.rs:' || true)"
+  if [[ -n "$stray" ]]; then
+    printf 'a memory plan outside the planner, the interpreter and the plan check:\n%s\n' "$stray" >&2
     return 1
   fi
   local lines
@@ -164,8 +179,12 @@ backend-suites() {
 # invoke to a depth-independent allocation count, the one arena to the
 # footprint of its largest batch, the default interpreter (dead activations
 # hand their buffers on) to less than half the bytes of a preserving one at
-# batch 8, and a graph whose buffers no machine holds to a refusal when the
-# interpreter is built; alloc_validation holds a differential run's
+# batch 8 (measured, and as each reports in InvokeStats::arena_bytes), and a
+# graph whose buffers no machine holds to a refusal when the interpreter is
+# built; refused_reshape (a size-capped global allocator) holds an
+# interpreter whose re-fit to a larger batch was refused to a fresh
+# interpreter's bits at one frame after it, and to running that batch once
+# the cap is lifted; alloc_validation holds a differential run's
 # peak (over backends or image pipelines) to be independent of its frame count
 # and a sharded replay-validate's to about one shard's logs without layer
 # outputs plus one chunk of captured outputs. golden_reports must read the same
@@ -210,7 +229,7 @@ backend-suites() {
 kernel-simd() {
   local nn=(-p mlexray-nn --test golden_kernels --test batch_equivalence
     --test backend_differential --test alloc_steady_state --test alloc_validation
-    --test native_engines -q)
+    --test refused_reshape --test native_engines -q)
   local gemm=(-p mlexray-nn --lib kernels::gemm -q)
   local conv=(-p mlexray-nn --lib kernels::conv -q)
   local fc=(-p mlexray-nn --lib kernels::fc -q)
