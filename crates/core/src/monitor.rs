@@ -282,6 +282,12 @@ impl LayerObserver for MonitorLayerObserver<'_> {
             );
         }
     }
+
+    /// Under [`LayerCapture::None`] no record is kept, so the interpreter
+    /// neither reads the clock nor counts MACs for one.
+    fn enabled(&self) -> bool {
+        self.monitor.config.per_layer != LayerCapture::None
+    }
 }
 
 #[cfg(test)]
@@ -350,6 +356,24 @@ mod tests {
                 expect_layers,
                 "{capture:?}"
             );
+        }
+    }
+
+    /// The runtime default captures no layer, so its observer asks the
+    /// interpreter for no record; every other capture mode asks for them.
+    #[test]
+    fn layer_observer_is_enabled_only_when_it_captures() {
+        assert_eq!(MonitorConfig::runtime().per_layer, LayerCapture::None);
+        for (capture, enabled) in [
+            (LayerCapture::None, false),
+            (LayerCapture::Stats, true),
+            (LayerCapture::Full, true),
+        ] {
+            let m = Monitor::new(MonitorConfig {
+                per_layer: capture,
+                ..MonitorConfig::runtime()
+            });
+            assert_eq!(m.layer_observer().enabled(), enabled, "{capture:?}");
         }
     }
 

@@ -151,6 +151,40 @@ impl Graph {
         &self.outputs
     }
 
+    /// How `inputs` fail to fit the graph's inputs — as many tensors, each
+    /// of its input's per-frame shape and dtype — or `None` when they fit:
+    /// the rule an interpreter applies to every frame it runs, and serving
+    /// admission to every request before it joins a batch.
+    pub fn input_mismatch(&self, inputs: &[Tensor]) -> Option<String> {
+        if inputs.len() != self.inputs.len() {
+            return Some(format!(
+                "expected {} inputs, got {}",
+                self.inputs.len(),
+                inputs.len()
+            ));
+        }
+        self.inputs.iter().zip(inputs).find_map(|(&id, t)| {
+            let def = self.tensor(id);
+            if def.shape() != t.shape() {
+                Some(format!(
+                    "input '{}' expects shape {}, got {}",
+                    def.name(),
+                    def.shape(),
+                    t.shape()
+                ))
+            } else if def.dtype() != t.dtype() {
+                Some(format!(
+                    "input '{}' expects {:?}, got {:?}",
+                    def.name(),
+                    def.dtype(),
+                    t.dtype()
+                ))
+            } else {
+                None
+            }
+        })
+    }
+
     /// Number of nodes ("layers" in the paper's Tables 3/5 counting).
     pub fn layer_count(&self) -> usize {
         self.nodes.len()

@@ -15,12 +15,14 @@
 
 use std::time::{Duration, Instant};
 
-use mlexray_tensor::{DType, Shape, Tensor, TensorData, TensorError};
+#[cfg(doc)]
+use mlexray_tensor::TensorError;
+use mlexray_tensor::{DType, Shape, Tensor, TensorData};
 
 use crate::backend::BackendSpec;
 use crate::graph::{Graph, TensorDef, TensorId};
 use crate::kernels::gemm::Engine;
-use crate::kernels::{execute_node, FloatKernels, KernelCtx, Kernels};
+use crate::kernels::{execute_node, FloatKernels, KernelCtx, Kernels, Scratch};
 use crate::ops::OpKind;
 use crate::plan::{BufferLayout, MemoryPlan};
 use crate::{NnError, Result};
@@ -146,8 +148,8 @@ impl InvokeStats {
 /// independent verifier from the static analyzer, so a future planner bug
 /// fails loudly in tests instead of silently corrupting activations in
 /// release.
-fn verified_plan(graph: &Graph, float: FloatKernels, layout: BufferLayout) -> Result<MemoryPlan> {
-    let plan = MemoryPlan::for_kernels(graph, float.conv_scratch(), layout)?;
+fn verified_plan(graph: &Graph, layout: BufferLayout) -> Result<MemoryPlan> {
+    let plan = MemoryPlan::for_kernels(graph, layout)?;
     #[cfg(debug_assertions)]
     {
         let findings = crate::analysis::verify_plan(graph, &plan);
@@ -223,37 +225,21 @@ impl Buffers {
 }
 
 /// The interpreter's one execution arena: the memory plan's physical
-/// buffers, fitted to the frames of the current invoke, plus the float
-/// kernels' scratch. Buffers are re-fitted in place when the batch size
-/// changes and never shrink on their own, so the arena's footprint is that
-/// of the largest batch it has run, however many sizes it has seen.
+/// buffers, fitted to the frames of the current invoke, plus the kernels'
+/// scratch. Buffers are re-fitted in place when the batch size changes and
+/// never shrink on their own, so the arena's footprint is that of the
+/// largest batch it has run, however many sizes it has seen.
 #[derive(Debug)]
 struct ExecState {
     /// Frames the buffers are fitted to; 0 while a re-fit the allocator
     /// refused has left them at mixed sizes.
     frames: usize,
     buffers: Buffers,
-    /// f32 scratch for the zero-bordered input a convolution reads its
-    /// windows from and the BatchNorm denominators; its capacity covers the
-    /// largest batch run so far, so kernels never reallocate it in steady
-    /// state.
-    scratch: Vec<f32>,
-    /// A windowed `Conv2d`'s tap offsets, which the kernel writes
-    /// from its own geometry: empty until such a node runs, then as long as
-    /// the largest window (27 for a 3×3 stem over RGB).
-    taps: Vec<usize>,
-    /// Where a kernel that reads weight panels packs a runtime weight operand
-    /// on each invoke (constant weights are packed once, in
-    /// [`packed_weight_panels`]); empty until such a node runs, then as large
-    /// as the largest of them.
-    runtime_panels: Vec<f32>,
-    /// The quantized `Conv2d`'s bordered input, its border the input zero
-    /// point: empty until such a node runs, then as large as the largest of
-    /// them.
-    bordered_q: Vec<u8>,
-    /// The quantized kernels' per-channel requant multipliers: empty until
-    /// such a node runs, then as long as the widest of them.
-    multipliers: Vec<f64>,
+    /// What the kernels keep across nodes and invokes, each buffer empty
+    /// until a node that needs it runs, then grown by its kernel to the
+    /// largest it has held (constant weights are packed once, in
+    /// [`packed_weight_panels`]).
+    scratch: Scratch,
 }
 
 impl ExecState {
@@ -262,9 +248,8 @@ impl ExecState {
     ///
     /// # Errors
     ///
-    /// [`TensorError::AllocationRefused`] when
-    /// the allocator refuses a buffer or the scratch: a graph no machine
-    /// holds is refused, not an aborted process.
+    /// [`TensorError::AllocationRefused`] when the allocator refuses a
+    /// buffer: a graph no machine holds is refused, not an aborted process.
     fn new(graph: &Graph, plan: &MemoryPlan) -> Result<Self> {
         let count = graph.tensors().len();
         let mut buffers = Buffers {
@@ -294,27 +279,20 @@ impl ExecState {
                 .expect("validated graph: nodes write planned activations");
             buffers.writes.push((b, tenants[b] > 1));
         }
-        let mut state = ExecState {
+        Ok(ExecState {
             frames: 1,
             buffers,
-            scratch: Vec::new(),
-            taps: Vec::new(),
-            runtime_panels: Vec::new(),
-            bordered_q: Vec::new(),
-            multipliers: Vec::new(),
-        };
-        state.reshape(graph, plan, 1)?;
-        Ok(state)
+            scratch: Scratch::default(),
+        })
     }
 
     /// Fits every buffer to `frames` stacked frames — a no-op when they
-    /// already hold that many — and grows the scratch to `plan`'s need at
-    /// `frames`. Shrinking frees nothing and regrowing within a buffer's
-    /// capacity allocates nothing; added frames are zero-filled (every
-    /// kernel overwrites its whole output, so their content is never read).
-    /// A buffer the allocator refuses leaves the arena fitted to no frame
-    /// count, so the next call re-fits every buffer.
-    fn reshape(&mut self, graph: &Graph, plan: &MemoryPlan, frames: usize) -> Result<()> {
+    /// already hold that many. Shrinking frees nothing and regrowing within
+    /// a buffer's capacity allocates nothing; added frames are zero-filled
+    /// (every kernel overwrites its whole output, so their content is never
+    /// read). A buffer the allocator refuses leaves the arena fitted to no
+    /// frame count, so the next call re-fits every buffer.
+    fn reshape(&mut self, graph: &Graph, frames: usize) -> Result<()> {
         if self.frames != frames {
             self.frames = 0;
             let lead = |id: usize| {
@@ -338,15 +316,6 @@ impl ExecState {
                 }
             }
             self.frames = frames;
-        }
-        let need = plan.scratch_elems(frames);
-        if self.scratch.capacity() < need {
-            self.scratch.clear();
-            let refused = TensorError::AllocationRefused {
-                elements: need,
-                dtype: DType::F32,
-            };
-            self.scratch.try_reserve_exact(need).map_err(|_| refused)?;
         }
         Ok(())
     }
@@ -436,9 +405,8 @@ fn copy_into_slot(dst: &mut Tensor, src: &Tensor, at: usize) -> Result<()> {
 /// holding [`MemoryPlan::unshared_bytes`]; no output bit differs between
 /// the two. With a disabled observer the node loop itself neither
 /// allocates nor reads the clock; the heap allocations of a steady-state
-/// float invoke are the returned output tensors (the kernel module docs
-/// list the quantized kernels that still allocate per node; a node with
-/// more than five inputs — only `Concat` can have them — spills its
+/// invoke, float or quantized, are the returned output tensors (a node
+/// with more than five inputs — only `Concat` can have them — spills its
 /// operand list to the heap). The one cost of sharing the
 /// arena: an invoke that stacks *more* frames than the one before it
 /// zero-fills the frames it adds, one extra write pass over them.
@@ -520,7 +488,7 @@ impl<'g> Interpreter<'g> {
     fn with_layout(graph: &'g Graph, spec: BackendSpec, layout: BufferLayout) -> Result<Self> {
         graph.validate()?;
         let kernels = Kernels::resolve(&spec);
-        let plan = verified_plan(graph, kernels.float, layout)?;
+        let plan = verified_plan(graph, layout)?;
         Ok(Interpreter {
             graph,
             spec,
@@ -563,34 +531,10 @@ impl<'g> Interpreter<'g> {
     }
 
     fn check_inputs(&self, inputs: &[Tensor]) -> Result<()> {
-        let expected = self.graph.inputs();
-        if inputs.len() != expected.len() {
-            return Err(NnError::InvalidInput(format!(
-                "expected {} inputs, got {}",
-                expected.len(),
-                inputs.len()
-            )));
+        match self.graph.input_mismatch(inputs) {
+            Some(detail) => Err(NnError::InvalidInput(detail)),
+            None => Ok(()),
         }
-        for (&id, t) in expected.iter().zip(inputs) {
-            let def = self.graph.tensor(id);
-            if def.shape() != t.shape() {
-                return Err(NnError::InvalidInput(format!(
-                    "input '{}' expects shape {}, got {}",
-                    def.name(),
-                    def.shape(),
-                    t.shape()
-                )));
-            }
-            if def.dtype() != t.dtype() {
-                return Err(NnError::InvalidInput(format!(
-                    "input '{}' expects {:?}, got {:?}",
-                    def.name(),
-                    def.dtype(),
-                    t.dtype()
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Copies every sample's inputs into the arena's input buffers (sample
@@ -672,11 +616,7 @@ impl<'g> Interpreter<'g> {
                     kernels,
                     engine: Engine::active(),
                     scratch: &mut state.scratch,
-                    taps: &mut state.taps,
-                    bordered_q: &mut state.bordered_q,
-                    multipliers: &mut state.multipliers,
                     panels: panels.get(index).and_then(Option::as_deref),
-                    runtime_panels: &mut state.runtime_panels,
                 };
                 execute_node(node, input_refs, out_def, &mut out, &mut ctx)
             };
@@ -807,7 +747,7 @@ impl<'g> Interpreter<'g> {
         }
 
         let start = Instant::now();
-        self.state.reshape(self.graph, &self.plan, frames)?;
+        self.state.reshape(self.graph, frames)?;
         let state = &mut self.state;
         Self::stage_inputs(self.graph, state, batch)?;
         Self::execute_graph(self.graph, self.kernels, &self.panels, state, observer, 0)?;
@@ -847,7 +787,7 @@ impl<'g> Interpreter<'g> {
         observer: &mut dyn LayerObserver,
     ) -> Result<Vec<Vec<Tensor>>> {
         let start = Instant::now();
-        self.state.reshape(self.graph, &self.plan, 1)?;
+        self.state.reshape(self.graph, 1)?;
         let mut outputs = Vec::with_capacity(batch.len());
         let mut allocations = 0usize;
         for (b, sample) in batch.iter().enumerate() {

@@ -43,7 +43,7 @@ use mlexray_tensor::{QuantParams, Tensor};
 use crate::graph::{Node, TensorDef};
 use crate::kernels::gemm::{Engine, SimdEngine};
 use crate::kernels::window::{Row, Window, WindowGeom};
-use crate::kernels::{f32_slot, qparams_of, requantize, u8_slot, Chain, Ordered, Requant};
+use crate::kernels::{f32_slot, qparams_of, requantize, room, u8_slot, Chain, Ordered, Requant};
 use crate::ops::{Activation, Padding};
 use crate::resolver::{EdgeNumerics, RequantMode};
 use crate::Result;
@@ -69,13 +69,13 @@ pub(super) fn weight_panels(out_c: usize) -> impl Iterator<Item = (usize, usize)
 /// (`k = kh·kw·in_c`), a `FullyConnected`'s `[out, in]` — out as the panel
 /// kernels read them: each panel of [`weight_panels`] is `[k][width]`
 /// contiguous and the panel of channel `oc0` starts at `oc0 · k`, so
-/// `packed` ends up as long as the weights. `packed`'s capacity is reused.
+/// `packed` ends up as long as the weights. `packed` grows through
+/// [`room`].
 pub(crate) fn pack_weight_panels(weights: &Tensor, packed: &mut Vec<f32>) -> Result<()> {
     let w = weights.as_f32()?;
     let out_c = weights.shape().dims()[0];
     let ksize = w.len() / out_c.max(1);
-    packed.clear();
-    packed.reserve_exact(w.len());
+    let packed = room(packed, w.len())?;
     for (oc0, width) in weight_panels(out_c) {
         let rows = &w[oc0 * ksize..][..width * ksize];
         for k in 0..ksize {
@@ -678,7 +678,7 @@ native_kernel! {
 
 /// Quantized depthwise convolution of every flavor, in `engine`'s build:
 /// `kind`'s kernel, over the per-channel [`Requant`] multipliers computed
-/// once into `multipliers` (whose capacity is reused).
+/// once into `multipliers`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dwconv_q(
     kind: QuantDepthwise,

@@ -5,7 +5,7 @@ use mlexray_tensor::{affine_quantize_u8, Tensor, TensorData};
 
 use crate::graph::{Node, TensorDef};
 use crate::kernels::gemm::Engine;
-use crate::kernels::{f32_slot, out_qparams, qparams_of, u8_slot};
+use crate::kernels::{f32_slot, out_qparams, qparams_of, room, u8_slot};
 use crate::ops::Activation;
 use crate::Result;
 
@@ -180,12 +180,10 @@ pub(crate) fn act_q(
     let (s_in, zp_in) = qparams_of(node, inputs[0])?;
     let (s_out, zp_out) = out_qparams(node, out_def)?;
     // Build the 256-entry LUT, as the real runtime does.
-    let lut: Vec<u8> = (0..256)
-        .map(|q| {
-            let r = act.apply(s_in * (q - zp_in) as f32);
-            affine_quantize_u8(r, s_out, zp_out)
-        })
-        .collect();
+    let lut: [u8; 256] = std::array::from_fn(|q| {
+        let r = act.apply(s_in * (q as i32 - zp_in) as f32);
+        affine_quantize_u8(r, s_out, zp_out)
+    });
     let x = inputs[0].as_u8()?;
     let out = u8_slot(out_t, out_def)?;
     for (o, &q) in out.iter_mut().zip(x) {
@@ -351,10 +349,10 @@ native_kernel! {
 
 /// Inference-style batch normalization over the channel (last) axis, in
 /// `engine`'s build. The per-channel denominators `sqrt(var + ε)` are
-/// computed once per node into `scratch` (the memory plan reserves the
-/// widest BatchNorm's channel count), then every channel row is normalized
-/// with the reference formula's five operations in their order — the
-/// division stays a division, so the loop vectorizes without moving a bit.
+/// computed once per node into `scratch` (grown through [`room`]), then
+/// every channel row is normalized with the reference formula's five
+/// operations in their order — the division stays a division, so the loop
+/// vectorizes without moving a bit.
 pub(crate) fn batch_norm_f32(
     engine: Engine,
     inputs: &[&Tensor],
@@ -368,11 +366,10 @@ pub(crate) fn batch_norm_f32(
     let beta = inputs[2].as_f32()?;
     let mean = inputs[3].as_f32()?;
     let var = inputs[4].as_f32()?;
-    debug_assert!(scratch.capacity() >= var.len());
-    scratch.clear();
-    scratch.extend(var.iter().map(|v| (v + epsilon).sqrt()));
+    let denom = room(scratch, var.len())?;
+    denom.extend(var.iter().map(|v| (v + epsilon).sqrt()));
     let out = f32_slot(out_t, out_def)?;
-    batch_norm_rows(engine, x, gamma, beta, mean, scratch, out);
+    batch_norm_rows(engine, x, gamma, beta, mean, denom, out);
     Ok(())
 }
 

@@ -50,10 +50,10 @@
 //! floats per output cell — into a matrix row. A windowed float `Conv2d`
 //! copies the input once instead, row by row, into a zero-bordered buffer
 //! of `n × ((oh − 1)·s + kh) × ((ow − 1)·s + kw) × c` — the input plus the
-//! padding its windows reach, the plan-sized float scratch on every engine
-//! — and reads tap `p` of row `r` at `origin(r) + tap_offset[p]`, the tap
-//! offsets written on every call from the same `WindowGeom` into a buffer
-//! the interpreter keeps. Element `p` of a window then holds exactly what
+//! padding its windows reach, kept in the interpreter's scratch on every
+//! engine — and reads tap `p` of row `r` at `origin(r) + tap_offset[p]`,
+//! the tap offsets written on every call from the same `WindowGeom` into a
+//! buffer kept there too. Element `p` of a window then holds exactly what
 //! element `p` of its im2col row would hold, the input or a `0.0`, and
 //! every chain rule meets the same terms in the same order; the im2col
 //! matrix survives only in this module's tests, as the oracle every
@@ -197,9 +197,10 @@ use crate::backend::BackendSpec;
 use crate::graph::{Graph, Node, NodeId, TensorDef};
 use crate::kernels::conv::weight_panels;
 use crate::kernels::window::{BorderedSteps, WindowGeom, WindowRuns};
-use crate::kernels::{execute_node, f32_slot, qparams_of, u8_slot, KernelCtx, Kernels, Requant};
+use crate::kernels::{
+    execute_node, f32_slot, qparams_of, room, u8_slot, KernelCtx, Kernels, Requant, Scratch,
+};
 use crate::ops::{Activation, Padding};
-use crate::plan::node_scratch_elems;
 use crate::resolver::RequantMode;
 use crate::Result;
 
@@ -693,14 +694,13 @@ pub(crate) enum Reduction<'a> {
 /// Lays a `Conv2d`'s `[out_c, kh, kw, in_c]` weights (`k = kh·kw·in_c`)
 /// out as [`Lanes8Panels`] reads them: panel `s` holds channels `16s..16s +
 /// 16` as `[k][16]`, so element `p` of channel `16s + c` lies at `16s · k +
-/// 16p + c`, and the channels past `out_c` are zero. `packed`'s capacity is
-/// reused.
+/// 16p + c`, and the channels past `out_c` are zero. `packed` grows
+/// through [`room`].
 pub(crate) fn pack_lanes8_panels(weights: &Tensor, packed: &mut Vec<f32>) -> Result<()> {
     let w = weights.as_f32()?;
     let out_c = weights.shape().dims()[0];
     let k = w.len() / out_c.max(1);
-    packed.clear();
-    packed.reserve_exact(out_c.div_ceil(PANEL) * PANEL * k);
+    let packed = room(packed, out_c.div_ceil(PANEL) * PANEL * k)?;
     for oc0 in (0..out_c).step_by(PANEL) {
         for p in 0..k {
             packed
@@ -1420,12 +1420,12 @@ impl Lanes8Panels<'_> {
 /// reads the input itself as the matrix; every other window is read in
 /// place from a zero-bordered copy of the input in `scratch`, through tap
 /// offsets ([`WindowGeom::tap_offsets`]) written into `taps` from the same
-/// geometry. Handles any batch size natively, so `invoke` and
-/// `invoke_batch` run the same code. `taps` keeps its capacity.
+/// geometry, both grown through [`room`]. Handles any batch size natively,
+/// so `invoke` and `invoke_batch` run the same code.
 ///
 /// # Errors
 ///
-/// What the operands' accessors return.
+/// What the operands' accessors and [`room`] return.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_f32_gemm(
     engine: Engine,
@@ -1451,12 +1451,8 @@ pub(crate) fn conv2d_f32_gemm(
         float_gemm(engine, reduction, rows, out_c, bias, activation, out);
         return Ok(());
     }
-    taps.clear();
-    taps.extend(g.tap_offsets());
-    // The float scratch is reserved once from the memory plan; growing it
-    // here would mean the planner under-reserved.
-    debug_assert!(scratch.capacity() >= g.bordered_len());
-    g.border(x, 0.0, scratch);
+    room(taps, g.patch_len())?.extend(g.tap_offsets());
+    g.border(x, 0.0, scratch)?;
     let cells = out.len().checked_div(out_c).unwrap_or(0);
     let rows = Windows::new(scratch, taps, g.bordered_steps(), cells);
     float_gemm(engine, reduction, rows, out_c, bias, activation, out);
@@ -1486,8 +1482,7 @@ pub(crate) fn fc_f32_gemm(
 /// matrix; every other window is read in place from a copy of the input
 /// into `bordered` whose border holds the input zero point, so a padding
 /// tap adds `(zp − zp) · w = 0` — what the oracle's skipped tap adds.
-/// `bordered` grows to the largest bordered input it has held and then
-/// stays, as `multipliers` does to the widest node.
+/// `bordered` and `multipliers` grow through [`room`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_q(
     engine: Engine,
@@ -1510,7 +1505,7 @@ pub(crate) fn conv2d_q(
     let rows = if g.is_pointwise() {
         ByteRows::matrix(x, g.patch_len())
     } else {
-        g.border(x, zp_in as u8, bordered);
+        g.border(x, zp_in as u8, bordered)?;
         ByteRows {
             x: bordered,
             steps: g.bordered_steps(),
@@ -1657,18 +1652,11 @@ pub fn execute_node_with(
     }
     let mut out = Tensor::zeros(out_def.dtype(), Shape::new(dims));
     out.set_quant(out_def.quant().cloned());
-    let kernels = Kernels::resolve(&spec);
-    let conv = kernels.float.conv_scratch();
-    let mut scratch = Vec::with_capacity(node_scratch_elems(graph, node, frames, conv));
     let mut ctx = KernelCtx {
-        kernels,
+        kernels: Kernels::resolve(&spec),
         engine: Engine::runnable(engine),
-        scratch: &mut scratch,
-        taps: &mut Vec::new(),
-        bordered_q: &mut Vec::new(),
-        multipliers: &mut Vec::new(),
+        scratch: &mut Scratch::default(),
         panels: None,
-        runtime_panels: &mut Vec::new(),
     };
     execute_node(node, operands, out_def, &mut out, &mut ctx)?;
     Ok(out)
@@ -2809,7 +2797,8 @@ mod tests {
         };
         let g = WindowGeom::new(&input, &out_def, 3, 3, 2, Padding::Same);
         let mut bordered = Vec::new();
-        g.border(input.as_f32().unwrap(), 0.0, &mut bordered);
+        g.border(input.as_f32().unwrap(), 0.0, &mut bordered)
+            .unwrap();
         let mut taps: Vec<usize> = g.tap_offsets().collect();
         let (steps, cells) = (g.bordered_steps(), 2 * 3 * 3);
         assert!(windows_inside(bordered.len(), &taps, steps, cells));

@@ -91,31 +91,31 @@
 //! or a CPU feature probe outside `gemm.rs`.
 //!
 //! Every kernel writes into an arena-provided output slot (`&mut Tensor`,
-//! preallocated from the interpreter's `MemoryPlan`), and the zero-bordered
-//! input a float `Conv2d` reads its windows from and the BatchNorm
-//! denominators live in the scratch, which the plan sizes for what the
-//! interpreter's flavor keeps there ([`FloatKernels::conv_scratch`]: the
-//! same on every engine). The quantized `Conv2d`'s bordered input lives in
-//! a `u8` buffer the interpreter keeps, which grows to the largest one it
-//! has held and then stays; the quantized kernels' per-channel requant
-//! multipliers, computed once per node, and a windowed `Conv2d`'s tap
-//! offsets live in buffers kept the same way.
+//! preallocated from the interpreter's `MemoryPlan`, which plans runtime
+//! tensors only). What a kernel keeps besides — the zero-bordered input a
+//! float `Conv2d` reads its windows from, its tap offsets, the int8
+//! `Conv2d`'s input bordered with the zero point, the int8 kernels'
+//! per-channel requant multipliers, BatchNorm's denominators, a runtime
+//! weight operand packed as panels — lives in the interpreter's one
+//! [`Scratch`], and this module is its one home: each buffer starts empty
+//! and is grown by the kernel that needs it, to the length its operands
+//! and window geometry give, through one fallible rule ([`room`]), so a
+//! buffer the allocator refuses is a typed refusal, never an abort; it
+//! then keeps the capacity of the largest it has held.
 //! The reference and optimized flavors and the emulator hold a second,
 //! panel-ordered copy of their constant float weights (≈ 8 KB for
-//! `mini_mobilenet_v2`), packed when the interpreter is built, and so does
-//! the SIMD flavor on an AVX-512 engine for its narrow `Conv2d` weights
-//! (≈ 0.5 MB for `mobilenet_v2@48`); a weight operand that is a runtime
-//! tensor is packed on each invoke into a buffer the interpreter keeps.
-//! So steady-state float execution, and quantized
-//! `Conv2d`, `DepthwiseConv2d` and `FullyConnected`, under every flavor and
-//! the emulator make no heap allocation per node — measured, not
-//! self-reported: `tests/alloc_steady_state.rs` counts calls into the global
-//! allocator and holds a warmed `invoke` to the same count on 7 nodes as on
-//! 62, and on a shallow quantized stack as on a deep one. What still
-//! allocates per node, all outside those paths: `act_q` (a 256-entry
-//! lookup table) and `dequantize` (a float copy of the input); and the
-//! interpreter spills the operand list of a node with more than five inputs
-//! (only `Concat` can have them).
+//! `mini_mobilenet_v2`), packed through the same rule when the interpreter
+//! is built, and so does the SIMD flavor on an AVX-512 engine for its
+//! narrow `Conv2d` weights (≈ 0.5 MB for `mobilenet_v2@48`); a weight
+//! operand that is a runtime tensor is packed on each invoke into the
+//! scratch. So steady-state float execution, and quantized
+//! `Conv2d`, `DepthwiseConv2d`, `FullyConnected` and `Act`, under every
+//! flavor and the emulator make no heap allocation per node — measured,
+//! not self-reported: `tests/alloc_steady_state.rs` counts calls into the
+//! global allocator and holds a warmed `invoke` to the same count on 7
+//! nodes as on 62, float and quantized. The one per-node allocation left:
+//! the interpreter spills the operand list of a node with more than five
+//! inputs (only `Concat` can have them).
 //!
 //! The element-wise float kernels (`Add`, `Mul`, `Act`, `BatchNorm`) have
 //! no flavor: every backend runs the same row-walking loops — the broadcast
@@ -251,7 +251,7 @@ pub mod gemm;
 mod pool;
 mod window;
 
-use mlexray_tensor::{DType, QuantParams, Shape, Tensor, TensorData};
+use mlexray_tensor::{DType, QuantParams, Shape, Tensor, TensorData, TensorError};
 
 pub(crate) use conv::pack_weight_panels;
 use conv::QuantDepthwise;
@@ -259,7 +259,6 @@ use conv::QuantDepthwise;
 use crate::backend::BackendSpec;
 use crate::graph::{Node, TensorDef};
 use crate::ops::{Activation, OpKind};
-use crate::plan::ConvScratch;
 #[cfg(any(test, doc))]
 use crate::resolver::AccumOrder;
 #[cfg(doc)]
@@ -390,16 +389,6 @@ impl FloatKernels {
             _ => pack_weight_panels(weights, packed),
         }
     }
-
-    /// What these kernels keep in the float scratch for a `Conv2d` whose
-    /// window is not pointwise, on every engine: the memory plan reserves
-    /// by it.
-    pub(crate) fn conv_scratch(self) -> ConvScratch {
-        match self {
-            FloatKernels::Reference(_) => ConvScratch::Nothing,
-            FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => ConvScratch::Bordered,
-        }
-    }
 }
 
 /// How a float output value of a reference walk (`Conv2d`, the shared
@@ -492,35 +481,57 @@ impl<I: DoubleEndedIterator> Iterator for Ordered<I> {
     }
 }
 
+/// The working buffers the kernels keep across nodes and invokes, so that
+/// a warmed invoke allocates none: each starts empty and is grown through
+/// [`room`] by the kernel that needs it, then keeps the capacity of the
+/// largest it has held.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// The zero-bordered input a windowed float `Conv2d` reads its windows
+    /// from (`WindowGeom::bordered_len`), or BatchNorm's
+    /// per-channel denominators.
+    floats: Vec<f32>,
+    /// A windowed float `Conv2d`'s tap offsets, from its own geometry.
+    taps: Vec<usize>,
+    /// The int8 `Conv2d`'s bordered input, its border the input zero point.
+    bordered_q: Vec<u8>,
+    /// The int8 kernels' per-channel requant multipliers ([`Requant`]).
+    multipliers: Vec<f64>,
+    /// A weight operand that is a runtime tensor, packed on every invoke as
+    /// a kernel that [reads panels](FloatKernels::reads_panels) reads it.
+    runtime_panels: Vec<f32>,
+}
+
+/// The one way a kernel grows a buffer it keeps: empties `buf` and makes
+/// room in it for `len` elements, a no-op once it has held that many. A
+/// length the allocator refuses is [`TensorError::AllocationRefused`], its
+/// bytes counted as `U8` elements, never an aborted process.
+pub(crate) fn room<T>(buf: &mut Vec<T>, len: usize) -> Result<&mut Vec<T>> {
+    buf.clear();
+    buf.try_reserve_exact(len)
+        .map_err(|_| TensorError::AllocationRefused {
+            elements: len.saturating_mul(size_of::<T>()),
+            dtype: DType::U8,
+        })?;
+    Ok(buf)
+}
+
 /// Per-invoke execution context threaded through the dispatch: the resolved
 /// kernels, the engine their native builds run on and the buffers they
-/// reuse across nodes.
+/// keep.
 pub(crate) struct KernelCtx<'a> {
     pub kernels: Kernels,
     /// Which build of the native kernels runs: `Avx512` the Simd GEMM's
     /// AVX-512 one and every other kernel's AVX2 one, `Avx2Fma` the AVX2
     /// ones, `Scalar` the baseline (same bits).
     pub engine: Engine,
-    /// Scratch reused across nodes; capacity is reserved at plan time so
-    /// `resize` never reallocates in steady state.
-    pub scratch: &'a mut Vec<f32>,
-    /// A windowed `Conv2d`'s tap offsets, written by the kernel
-    /// from its own geometry; grows to the largest window and then stays.
-    pub taps: &'a mut Vec<usize>,
-    /// The quantized `Conv2d`'s bordered input, its border the input zero
-    /// point; grows to the largest one and then stays.
-    pub bordered_q: &'a mut Vec<u8>,
-    /// The quantized kernels' per-channel requant multipliers
-    /// ([`Requant`]); grows to the widest such node and then stays.
-    pub multipliers: &'a mut Vec<f64>,
+    /// What the kernels keep across nodes and invokes.
+    pub scratch: &'a mut Scratch,
     /// The node's weights in [`pack_weight_panels`] order: `Some` for a
     /// node whose kernel [reads panels](FloatKernels::reads_panels) and
     /// whose weights are a graph constant, packed when the interpreter was
     /// built.
     pub panels: Option<&'a [f32]>,
-    /// Where such a kernel packs weights that are a runtime tensor, on every
-    /// invoke; grows to the largest such operand and then stays.
-    pub runtime_panels: &'a mut Vec<f32>,
 }
 
 /// `weights` as `float` [packs](FloatKernels::pack) them: the copy packed
@@ -562,7 +573,14 @@ pub(crate) fn execute_node(
         quant_depthwise,
         avgpool_double_division: div_twice,
     } = ctx.kernels;
-    let engine = ctx.engine;
+    let (engine, packed) = (ctx.engine, ctx.panels);
+    let Scratch {
+        floats,
+        taps,
+        bordered_q,
+        multipliers,
+        runtime_panels,
+    } = &mut *ctx.scratch;
     let result = match (&node.op, quantized) {
         (
             &OpKind::Conv2d {
@@ -573,24 +591,16 @@ pub(crate) fn execute_node(
             false,
         ) => match float {
             FloatKernels::Reference(numerics) => {
-                let panels = node_panels(float, ctx.panels, ctx.runtime_panels, inputs[1])?;
+                let panels = node_panels(float, packed, runtime_panels, inputs[1])?;
                 conv::conv2d_f32(
                     engine, numerics, inputs, panels, out_def, stride, padding, activation, out,
                 )
             }
             FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => {
-                let (packed, runtime) = (ctx.panels, &mut *ctx.runtime_panels);
-                let reduction = float.reduction(engine, &node.op, packed, runtime, inputs[1])?;
+                let reduction =
+                    float.reduction(engine, &node.op, packed, runtime_panels, inputs[1])?;
                 gemm::conv2d_f32_gemm(
-                    engine,
-                    reduction,
-                    inputs,
-                    out_def,
-                    stride,
-                    padding,
-                    activation,
-                    ctx.scratch,
-                    ctx.taps,
+                    engine, reduction, inputs, out_def, stride, padding, activation, floats, taps,
                     out,
                 )
             }
@@ -611,8 +621,8 @@ pub(crate) fn execute_node(
             padding,
             activation,
             requant,
-            ctx.bordered_q,
-            ctx.multipliers,
+            bordered_q,
+            multipliers,
             out,
         ),
         (
@@ -648,7 +658,7 @@ pub(crate) fn execute_node(
             padding,
             activation,
             requant,
-            ctx.multipliers,
+            multipliers,
             out,
         ),
         (&OpKind::FullyConnected { activation }, false) => match float {
@@ -656,8 +666,8 @@ pub(crate) fn execute_node(
                 fc::fc_f32(engine, numerics, inputs, out_def, activation, out)
             }
             FloatKernels::Blocked4 | FloatKernels::Lanes8 { .. } => {
-                let (packed, runtime) = (ctx.panels, &mut *ctx.runtime_panels);
-                let reduction = float.reduction(engine, &node.op, packed, runtime, inputs[1])?;
+                let reduction =
+                    float.reduction(engine, &node.op, packed, runtime_panels, inputs[1])?;
                 gemm::fc_f32_gemm(engine, reduction, inputs, out_def, activation, out)
             }
         },
@@ -668,7 +678,7 @@ pub(crate) fn execute_node(
             out_def,
             activation,
             requant,
-            ctx.multipliers,
+            multipliers,
             out,
         ),
         (&OpKind::MatMul { transpose_b }, _) => fc::matmul_f32(inputs, out_def, transpose_b, out),
@@ -737,7 +747,7 @@ pub(crate) fn execute_node(
         (&OpKind::Act(act), false) => elementwise::act_f32(engine, inputs, out_def, act, out),
         (&OpKind::Act(act), true) => elementwise::act_q(node, inputs, out_def, act, out),
         (&OpKind::BatchNorm { epsilon }, false) => {
-            elementwise::batch_norm_f32(engine, inputs, out_def, epsilon, ctx.scratch, out)
+            elementwise::batch_norm_f32(engine, inputs, out_def, epsilon, floats, out)
         }
         (&OpKind::LayerNorm { epsilon }, false) => {
             elementwise::layer_norm_f32(inputs, out_def, epsilon, out)
@@ -859,8 +869,7 @@ pub(crate) struct Requant<'a> {
 
 impl<'a> Requant<'a> {
     /// Node `node`'s, over the `channels` output channels of its weights
-    /// `inputs[1]`, the multipliers written into `multipliers` (whose
-    /// capacity is reused).
+    /// `inputs[1]`, the multipliers written into `multipliers` ([`room`]).
     pub(crate) fn new(
         node: &Node,
         inputs: &[&'a Tensor],
@@ -875,7 +884,7 @@ impl<'a> Requant<'a> {
         let (s_out, zp_out) = out_qparams(node, out_def)?;
         let (qlo, qhi) = act_qbounds(activation, s_out, zp_out);
         let w_scale = |ch| inputs[1].quant().map_or(1.0, |q| conv::weight_scale(q, ch));
-        multipliers.clear();
+        let multipliers = room(multipliers, channels)?;
         multipliers
             .extend((0..channels).map(|ch| (s_in as f64) * (w_scale(ch) as f64) / (s_out as f64)));
         Ok(Requant {

@@ -7,8 +7,10 @@ use std::ops::Range;
 
 use mlexray_tensor::Tensor;
 
+use super::room;
 use crate::graph::TensorDef;
 use crate::ops::{same_pad_before, Padding};
+use crate::Result;
 
 /// NHWC input/output extents plus the window that slides over them.
 pub(super) struct WindowGeom {
@@ -346,12 +348,16 @@ impl WindowGeom {
     /// point), the input row by row where they do not — so tap `p` of a
     /// cell's window, `tap_offsets()[p]` elements past the cell's origin
     /// ([`BorderedSteps::origins`]), holds the input under that tap, or
-    /// `fill`. Input rows and columns no window reaches are left out.
-    pub(super) fn border<T: Copy>(&self, x: &[T], fill: T, out: &mut Vec<T>) {
+    /// `fill`. Input rows and columns no window reaches are left out. `out`
+    /// grows through [`room`].
+    ///
+    /// # Errors
+    ///
+    /// What [`room`] returns when the allocator refuses `out`'s growth.
+    pub(super) fn border<T: Copy>(&self, x: &[T], fill: T, out: &mut Vec<T>) -> Result<()> {
         let (rows, cols) = self.bordered_dims();
-        let c = self.c;
-        out.clear();
-        out.resize(self.bordered_len(), fill);
+        let (c, len) = (self.c, self.bordered_len());
+        room(out, len)?.resize(len, fill);
         // In-bounds bordered rows `pad_top..` and columns `pad_left..`.
         let ys = self.pad_top..rows.min(self.pad_top + self.in_h);
         let run = cols
@@ -365,6 +371,7 @@ impl WindowGeom {
                 out[to..to + run].copy_from_slice(&x[from..from + run]);
             }
         }
+        Ok(())
     }
 
     /// The runs a window is in the bordered input: a window row's `kw · c`

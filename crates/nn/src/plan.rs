@@ -2,11 +2,11 @@
 //!
 //! Before the first invoke, the interpreter walks the graph once and computes
 //! a [`MemoryPlan`] for one frame: the byte size and lifetime of every
-//! runtime tensor (graph inputs and node outputs), the physical buffer the
-//! interpreter runs each of them in, and the f32 scratch the float kernels
-//! keep (the zero-bordered input a convolution reads its windows from in
-//! place; BatchNorm's per-channel denominators), which depends on the kernel
-//! flavor only, never on the CPU: every engine reads windows the same way.
+//! runtime tensor (graph inputs and node outputs) and the physical buffer
+//! the interpreter runs each of them in. The plan knows runtime tensors
+//! only — neither the kernel flavor nor any window geometry: what a kernel
+//! keeps besides its output is the kernels' own scratch, which they size
+//! and grow themselves.
 //!
 //! Under the default [`BufferLayout::Shared`] an activation's buffer is
 //! handed on, once the activation is dead, to the next activation of the
@@ -19,7 +19,7 @@
 //! allocation. An invoke of N stacked frames re-fits every buffer in place
 //! to N frames (the leading dimension of every runtime tensor is the
 //! batch), so the plan holds no batch: its byte figures at N frames are N
-//! times its one-frame figures, and so is the convolution scratch.
+//! times its one-frame figures.
 //! `InvokeStats::allocations` reports what the interpreter *knows* it
 //! allocated (the output tensors); the property itself is pinned from
 //! outside by the counting allocator in `tests/alloc_steady_state.rs`.
@@ -27,7 +27,6 @@
 use mlexray_tensor::DType;
 
 use crate::graph::{Graph, TensorDef, TensorId};
-use crate::ops::{conv_out_size, OpKind};
 use crate::{NnError, Result};
 
 /// One runtime tensor's entry in the plan, for one frame.
@@ -87,10 +86,6 @@ pub struct MemoryPlan {
     held_bytes: usize,
     peak_bytes: usize,
     unshared_bytes: usize,
-    /// The f32 scratch the float kernels keep, as elements a stacked frame
-    /// (the widest zero-bordered convolution input) and elements whatever
-    /// the batch (the widest BatchNorm's denominators).
-    scratch: (usize, usize),
 }
 
 /// A plan whose `what` has more bytes than the address space.
@@ -104,75 +99,6 @@ fn total(what: &str, bytes: impl IntoIterator<Item = usize>) -> Result<usize> {
         .into_iter()
         .try_fold(0usize, usize::checked_add)
         .ok_or_else(|| overflow(what))
-}
-
-/// What the float kernels keep in the f32 scratch for a `Conv2d` whose
-/// window is not pointwise — as the flavor an interpreter runs decides
-/// (`FloatKernels::conv_scratch`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ConvScratch {
-    /// Nothing: the reference walks read the input itself.
-    Nothing,
-    /// The zero-bordered input whose windows are read in place.
-    Bordered,
-}
-
-/// The f32 scratch `node`'s float kernel keeps, as (elements a stacked
-/// frame, elements whatever the batch): for a convolution what `conv` says
-/// the kernels keep, a frame of its zero-bordered input; for a BatchNorm its
-/// per-channel denominators; nothing for any other node.
-fn node_scratch(graph: &Graph, node: &crate::graph::Node, conv: ConvScratch) -> (usize, usize) {
-    let (stride, padding) = match &node.op {
-        OpKind::Conv2d {
-            stride, padding, ..
-        } => (stride, padding),
-        OpKind::BatchNorm { .. } => {
-            let channels = node.inputs.get(4);
-            return (
-                0,
-                channels.map_or(0, |&var| graph.tensor(var).shape().num_elements()),
-            );
-        }
-        _ => return (0, 0),
-    };
-    let input = graph.tensor(node.inputs[0]);
-    if input.dtype() != DType::F32 || input.shape().rank() != 4 {
-        return (0, 0);
-    }
-    let weights = graph.tensor(node.inputs[1]);
-    let ws = weights.shape().dims();
-    if ws.len() != 4 {
-        return (0, 0);
-    }
-    let (kh, kw, in_c) = (ws[1], ws[2], ws[3]);
-    let is = input.shape().dims();
-    // The 1x1 stride-1 fast path reads the input directly; every other
-    // window is read in place from the zero-bordered input, unless the
-    // kernels read the input itself.
-    if (kh == 1 && kw == 1 && *stride == 1) || conv == ConvScratch::Nothing {
-        return (0, 0);
-    }
-    let oh = conv_out_size(is[1], kh, *stride, *padding);
-    let ow = conv_out_size(is[2], kw, *stride, *padding);
-    let covered = |out: usize, k: usize| if out == 0 { 0 } else { (out - 1) * stride + k };
-    (is[0] * covered(oh, kh) * covered(ow, kw) * in_c, 0)
-}
-
-/// f32 scratch elements at `frames` stacked frames of kernels that keep
-/// `scratch` (elements a frame, elements whatever the batch).
-fn scratch_at((per_frame, fixed): (usize, usize), frames: usize) -> usize {
-    per_frame.saturating_mul(frames).max(fixed)
-}
-
-/// Elements of f32 scratch `node`'s float kernel needs at `frames` stacked
-/// frames, under kernels that keep `conv` for a convolution.
-pub(crate) fn node_scratch_elems(
-    graph: &Graph,
-    node: &crate::graph::Node,
-    frames: usize,
-    conv: ConvScratch,
-) -> usize {
-    scratch_at(node_scratch(graph, node, conv), frames)
 }
 
 /// Assigns every planned slot its physical buffer and returns the buffers'
@@ -222,9 +148,7 @@ fn assign_buffers(graph: &Graph, slots: &mut [Option<PlannedTensor>]) -> Vec<usi
 
 impl MemoryPlan {
     /// Plans the buffers of one frame of `graph`, its activations sharing
-    /// them as [`Interpreter::new`](crate::Interpreter::new) runs them and
-    /// the float scratch sized for every kernel flavor: a convolution's
-    /// zero-bordered input.
+    /// them as [`Interpreter::new`](crate::Interpreter::new) runs them.
     ///
     /// # Errors
     ///
@@ -232,17 +156,11 @@ impl MemoryPlan {
     /// of the tensors live together or of the buffers, overflow the address
     /// space.
     pub fn for_graph(graph: &Graph) -> Result<Self> {
-        Self::for_kernels(graph, ConvScratch::Bordered, BufferLayout::Shared)
+        Self::for_kernels(graph, BufferLayout::Shared)
     }
 
-    /// [`MemoryPlan::for_graph`], the buffers laid out by `layout` and the
-    /// float scratch reserved for what the kernels keep there for a
-    /// `Conv2d`, `conv`.
-    pub(crate) fn for_kernels(
-        graph: &Graph,
-        conv: ConvScratch,
-        layout: BufferLayout,
-    ) -> Result<Self> {
+    /// [`MemoryPlan::for_graph`], the buffers laid out by `layout`.
+    pub(crate) fn for_kernels(graph: &Graph, layout: BufferLayout) -> Result<Self> {
         let horizon = graph.nodes().len();
         let mut slots: Vec<Option<PlannedTensor>> = vec![None; graph.tensors().len()];
 
@@ -292,13 +210,6 @@ impl MemoryPlan {
             let live = planned().filter(|p| p.first_use <= t && t <= p.last_use);
             peak_bytes = peak_bytes.max(total("the live tensors", live.map(|p| p.bytes))?);
         }
-        let scratch = graph
-            .nodes()
-            .iter()
-            .map(|n| node_scratch(graph, n, conv))
-            .fold((0, 0), |(bordered, norm), (b, n)| {
-                (bordered.max(b), norm.max(n))
-            });
 
         Ok(MemoryPlan {
             buffer_count: buffers.len(),
@@ -306,7 +217,6 @@ impl MemoryPlan {
             peak_bytes,
             unshared_bytes: total("the runtime tensors", planned().map(|p| p.bytes))?,
             slots,
-            scratch,
         })
     }
 
@@ -325,14 +235,6 @@ impl MemoryPlan {
     /// the least any byte arena could hold.
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
-    }
-
-    /// The f32 scratch elements the float kernels need at `frames` stacked
-    /// frames: `frames` times the largest zero-bordered convolution input
-    /// in the graph, or the widest BatchNorm's channel count if that is
-    /// larger.
-    pub fn scratch_elems(&self, frames: usize) -> usize {
-        scratch_at(self.scratch, frames)
     }
 
     /// The planned slot for a tensor, when it is a runtime tensor
@@ -435,15 +337,13 @@ mod tests {
     /// one-frame figure. These are the figures a planner run at 3 frames
     /// computed for `mixed`, one plan per batch size: a 10 368-byte peak,
     /// 11 664 bytes of shared buffers, 18 576 bytes unshared (what the
-    /// preserving buffers hold), slots of 1 296 bytes (the input) and
-    /// 3 456, and 576 scratch elements (three bordered 8 × 8 × 3 stem
-    /// inputs, over the BatchNorm's 8).
+    /// preserving buffers hold), and slots of 1 296 bytes (the input) and
+    /// 3 456.
     #[test]
     fn batched_plan_scales_slot_sizes() {
         let g = mixed();
         let plan = MemoryPlan::for_graph(&g).unwrap();
-        let conv = ConvScratch::Bordered;
-        let kept = MemoryPlan::for_kernels(&g, conv, BufferLayout::Preserving).unwrap();
+        let kept = MemoryPlan::for_kernels(&g, BufferLayout::Preserving).unwrap();
         let n = 3;
         assert_eq!(n * plan.peak_bytes(), 10_368);
         assert_eq!(n * plan.held_bytes(), 11_664);
@@ -451,7 +351,6 @@ mod tests {
         assert_eq!(n * kept.held_bytes(), 18_576);
         let bytes: Vec<usize> = plan.slots().map(|p| n * p.bytes).collect();
         assert_eq!(bytes, [1_296, 3_456, 3_456, 3_456, 3_456, 3_456]);
-        assert_eq!(plan.scratch_elems(n), 576);
     }
 
     #[test]
@@ -493,8 +392,7 @@ mod tests {
         assert!(ids[..3].iter().all(|&id| !slot(id).kept));
         assert_eq!(plan.held_bytes(), 4 * one);
 
-        let conv = ConvScratch::Bordered;
-        let kept = MemoryPlan::for_kernels(&g, conv, BufferLayout::Preserving).unwrap();
+        let kept = MemoryPlan::for_kernels(&g, BufferLayout::Preserving).unwrap();
         assert_eq!(kept.buffer_count(), 5);
         assert_eq!(kept.held_bytes(), kept.unshared_bytes());
         assert!(kept.slots().all(|p| p.kept));
@@ -545,47 +443,5 @@ mod tests {
             assert_ne!(a.buffer, b.buffer);
         }
         assert!(crate::analysis::verify_plan(&g, &plan).is_empty());
-    }
-
-    #[test]
-    fn scratch_covers_the_batched_bordered_input() {
-        let mut b = GraphBuilder::new("s");
-        let x = b.input("x", Shape::nhwc(1, 8, 8, 3));
-        let w = b.constant("w", Tensor::filled_f32(Shape::new(vec![4, 3, 3, 3]), 0.1));
-        let y = b
-            .conv2d("c", x, w, None, 1, Padding::Same, Activation::None)
-            .unwrap();
-        b.output(y);
-        let g = b.finish().unwrap();
-        // The bordered input of a 3 × 3 SAME window over 8 × 8 is 10 × 10
-        // a frame.
-        let plan = MemoryPlan::for_graph(&g).unwrap();
-        assert_eq!(plan.scratch_elems(2), 2 * 10 * 10 * 3);
-        // Single invokes read the same windows, so one frame reserves it too.
-        assert_eq!(plan.scratch_elems(1), 10 * 10 * 3);
-        // Kernels that read the input itself keep nothing.
-        for (keeps, elems) in [
-            (ConvScratch::Bordered, 2 * 10 * 10 * 3),
-            (ConvScratch::Nothing, 0),
-        ] {
-            let plan = MemoryPlan::for_kernels(&g, keeps, BufferLayout::Shared).unwrap();
-            assert_eq!(plan.scratch_elems(2), elems, "{keeps:?}");
-        }
-        // 1x1 convs use the direct path and need no scratch.
-        let pointwise = MemoryPlan::for_graph(&chain()).unwrap();
-        assert_eq!(pointwise.scratch_elems(8), 0);
-        // A BatchNorm keeps its per-channel denominators there: its channel
-        // count, whatever the batch.
-        let mut b = GraphBuilder::new("bn");
-        let x = b.input("x", Shape::nhwc(1, 4, 4, 24));
-        let [gamma, beta, mean, var] = ["gamma", "beta", "mean", "var"]
-            .map(|name| b.constant(name, Tensor::filled_f32(Shape::vector(24), 0.5)));
-        let y = b.batch_norm("bn", x, gamma, beta, mean, var, 1e-3).unwrap();
-        b.output(y);
-        let g = b.finish().unwrap();
-        let plan = MemoryPlan::for_graph(&g).unwrap();
-        for frames in [1, 8] {
-            assert_eq!(plan.scratch_elems(frames), 24);
-        }
     }
 }

@@ -3,7 +3,8 @@
 //! `InvokeStats::allocations`: the allocation count of an `invoke` must not
 //! depend on graph depth (no per-node operand list, no per-node BatchNorm
 //! table, no per-node quantized patch matrix, depthwise requant
-//! multipliers or dequantized copy) — in every flavor and under the edge emulator — nor on
+//! multipliers, activation lookup table or dequantized copy) — in every
+//! flavor and under the edge emulator — nor on
 //! whether the reference or optimized `Conv2d` packs its weights per
 //! invoke, and an interpreter
 //! cycled through batch sizes must hold the
@@ -104,9 +105,10 @@ fn per_tensor(scale: f32, zero_point: i32) -> QuantParams {
 }
 
 /// `blocks` quantized 3×3 `Conv2d`s (a bordered-input user each), each followed
-/// by a quantized 3×3 depthwise (a requant-multiplier user) and a
-/// `Dequantize → Quantize` round trip, then Mean → FC: `4 · blocks + 2`
-/// nodes whose inputs and outputs do not depend on `blocks`.
+/// by a quantized 3×3 depthwise (a requant-multiplier user), a quantized
+/// `Act` (a lookup-table user) and a `Dequantize → Quantize` round trip,
+/// then Mean → FC: `5 · blocks + 2` nodes whose inputs and outputs do not
+/// depend on `blocks`.
 fn quantized_stack(blocks: usize) -> Graph {
     let (c, q) = (8, per_tensor(0.05, 10));
     let mut b = GraphBuilder::new("quantized-stack");
@@ -160,6 +162,14 @@ fn quantized_stack(blocks: usize) -> Graph {
             format!("depthwise{i}"),
             depthwise,
             vec![x, w],
+            shape.clone(),
+            DType::U8,
+            quant.clone(),
+        );
+        x = b.push_node(
+            format!("act{i}"),
+            OpKind::Act(Activation::HardSwish),
+            vec![x],
             shape.clone(),
             DType::U8,
             quant.clone(),
@@ -303,21 +313,22 @@ fn warmed_invokes_allocate_outputs_only_and_one_arena_serves_every_batch_size() 
 
     // (1c) A quantized `Conv2d` builds its patch matrix, and a quantized
     // depthwise its requant multipliers, in buffers the interpreter keeps,
-    // and a `Dequantize` writes straight into its output slot, in every
-    // flavor: a warmed invoke allocates as often behind one quantized block
-    // as behind twelve.
+    // a quantized `Act` its lookup table on the stack, and a `Dequantize`
+    // writes straight into its output slot, in every flavor: a warmed
+    // invoke allocates as often behind one quantized block as behind
+    // twelve.
     let codes: Vec<u8> = (0..6 * 6 * 8).map(|i| (i * 37 % 256) as u8).collect();
     let shape = Shape::nhwc(1, 6, 6, 8);
     let codes = [Tensor::from_u8(shape, codes, per_tensor(0.02, 128)).unwrap()];
     let (shallow, deep) = (quantized_stack(1), quantized_stack(12));
-    assert_eq!((shallow.nodes().len(), deep.nodes().len()), (6, 50));
+    assert_eq!((shallow.nodes().len(), deep.nodes().len()), (7, 62));
     for spec in specs() {
         let few = allocations_per_invoke(&shallow, spec, &codes);
         let many = allocations_per_invoke(&deep, spec, &codes);
         assert_eq!(
             few, many,
-            "{spec:?}: a warmed quantized invoke allocated {few} times on 6 nodes but {many} \
-             on 50"
+            "{spec:?}: a warmed quantized invoke allocated {few} times on 7 nodes but {many} \
+             on 62"
         );
     }
 

@@ -2,7 +2,9 @@
 //! serving: the refused `invoke_batch` answers `AllocationRefused`, the next
 //! single invoke re-fits every buffer to one frame and answers the bits a
 //! fresh interpreter answers, and the same batch runs once the allocator
-//! grants it.
+//! grants it. The same holds when what the allocator refuses is a buffer a
+//! kernel keeps, not one the plan holds: the int8 `Conv2d`'s input bordered
+//! with its zero point.
 //!
 //! One `#[test]` in a file of its own: the `#[global_allocator]` below
 //! refuses every request over a cap while the cap is set, on every thread
@@ -12,9 +14,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mlexray_nn::{
-    Activation, BackendSpec, Graph, GraphBuilder, Interpreter, NnError, Padding, Result,
+    Activation, BackendSpec, Graph, GraphBuilder, Interpreter, NnError, OpKind, Padding, Result,
 };
-use mlexray_tensor::{Shape, Tensor, TensorError};
+use mlexray_tensor::{DType, QuantParams, Shape, Tensor, TensorData, TensorError};
 
 /// Largest single request the allocator grants; `usize::MAX` lifts the cap.
 static CAP: AtomicUsize = AtomicUsize::new(usize::MAX);
@@ -75,22 +77,64 @@ fn chain() -> Graph {
     b.finish().unwrap()
 }
 
+/// An int8 3×3 SAME `Conv2d` over an 8×8 frame of 160 channels: its input
+/// is 80 KiB staged at 8 frames, its zero-point-bordered copy 125 KiB, the
+/// one buffer over 100 KiB.
+fn int8_conv() -> (Graph, Tensor) {
+    let per_tensor = |scale, zero_point| QuantParams::PerTensor { scale, zero_point };
+    let shape = Shape::nhwc(1, 8, 8, 160);
+    let mut b = GraphBuilder::new("int8-conv");
+    let x = b.input_typed("x", shape.clone(), DType::U8, Some(per_tensor(0.02, 128)));
+    let w = (0..8 * 3 * 3 * 160).map(|j| (j % 7) as i8 - 3).collect();
+    let w = Tensor::from_i8(Shape::new(vec![8, 3, 3, 160]), w, per_tensor(0.01, 0)).unwrap();
+    let w = b.constant("w", w);
+    let conv = OpKind::Conv2d {
+        stride: 1,
+        padding: Padding::Same,
+        activation: Activation::Relu,
+    };
+    let y = b.push_node(
+        "conv",
+        conv,
+        vec![x, w],
+        Shape::nhwc(1, 8, 8, 8),
+        DType::U8,
+        Some(per_tensor(0.05, 10)),
+    );
+    b.output(y);
+    let codes = (0..shape.num_elements()).map(|i| (i * 37 % 256) as u8);
+    let frame = Tensor::from_u8(shape, codes.collect(), per_tensor(0.02, 128)).unwrap();
+    (b.finish().unwrap(), frame)
+}
+
 fn bits(outputs: &[Tensor]) -> Vec<u32> {
     outputs
         .iter()
-        .flat_map(|t| t.as_f32().unwrap().iter().map(|v| v.to_bits()))
+        .flat_map(|t| -> Vec<u32> {
+            match t.data() {
+                TensorData::F32(v) => v.iter().map(|v| v.to_bits()).collect(),
+                TensorData::U8(v) => v.iter().map(|&v| u32::from(v)).collect(),
+                other => panic!("unexpected output {other:?}"),
+            }
+        })
         .collect()
 }
 
 #[test]
 fn a_refused_batch_leaves_the_interpreter_serving() {
-    let graph = chain();
     let values = (0..4 * 4 * 8).map(|i| (i % 7) as f32 * 0.25 - 0.5);
-    let frame = [Tensor::from_f32(Shape::nhwc(1, 4, 4, 8), values.collect()).unwrap()];
+    let float = Tensor::from_f32(Shape::nhwc(1, 4, 4, 8), values.collect()).unwrap();
+    let (int8_graph, int8_frame) = int8_conv();
+    for (graph, frame) in [(chain(), float), (int8_graph, int8_frame)] {
+        refused_batch_leaves_serving(&graph, [frame]);
+    }
+}
+
+fn refused_batch_leaves_serving(graph: &Graph, frame: [Tensor; 1]) {
     let batch = vec![&frame[..]; 8];
     let spec = BackendSpec::simd();
     let fresh = bits(
-        &Interpreter::new(&graph, spec)
+        &Interpreter::new(graph, spec)
             .unwrap()
             .invoke(&frame)
             .unwrap(),
@@ -102,7 +146,7 @@ fn a_refused_batch_leaves_the_interpreter_serving() {
         |graph, spec| Interpreter::preserving(graph, spec),
     ];
     for build in builds {
-        let mut interp = build(&graph, spec).unwrap();
+        let mut interp = build(graph, spec).unwrap();
         assert_eq!(bits(&interp.invoke(&frame).unwrap()), fresh);
 
         CAP.store(100 << 10, Ordering::Relaxed);

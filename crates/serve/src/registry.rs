@@ -8,7 +8,6 @@ use parking_lot::RwLock;
 
 use mlexray_models::by_name;
 use mlexray_nn::{BackendSpec, Graph, Model};
-use mlexray_tensor::{DType, Shape, Tensor};
 
 use crate::{Result, ServeError};
 
@@ -21,9 +20,6 @@ pub struct ServedModel {
     name: String,
     model: Arc<Model>,
     spec: BackendSpec,
-    /// The graph's inputs as a request must carry them: name, per-frame
-    /// shape and dtype, worked out once here for [`ServedModel::check_inputs`].
-    inputs: Box<[(String, Shape, DType)]>,
 }
 
 impl ServedModel {
@@ -53,51 +49,11 @@ impl ServedModel {
         // Trial build: surface graph/spec incompatibilities at registration
         // time, not on the first request.
         spec.build(&model.graph)?;
-        let graph = &model.graph;
-        let inputs = graph
-            .inputs()
-            .iter()
-            .map(|&id| {
-                let def = graph.tensor(id);
-                (def.name().to_string(), def.shape().clone(), def.dtype())
-            })
-            .collect();
         Ok(ServedModel {
             name,
             model: Arc::new(model),
             spec,
-            inputs,
         })
-    }
-
-    /// Whether `inputs` fit the graph's inputs — as many tensors, each of
-    /// its input's per-frame shape and dtype — the rule the interpreter
-    /// applies to every frame of a batch, so a request that passes cannot
-    /// fail its batch on its inputs. `Err` says which input differs, in
-    /// the interpreter's words.
-    pub(crate) fn check_inputs(&self, inputs: &[Tensor]) -> std::result::Result<(), String> {
-        if inputs.len() != self.inputs.len() {
-            return Err(format!(
-                "expected {} inputs, got {}",
-                self.inputs.len(),
-                inputs.len()
-            ));
-        }
-        for ((name, shape, dtype), t) in self.inputs.iter().zip(inputs) {
-            if shape != t.shape() {
-                return Err(format!(
-                    "input '{name}' expects shape {shape}, got {}",
-                    t.shape()
-                ));
-            }
-            if *dtype != t.dtype() {
-                return Err(format!(
-                    "input '{name}' expects {dtype:?}, got {:?}",
-                    t.dtype()
-                ));
-            }
-        }
-        Ok(())
     }
 
     /// The serving name.

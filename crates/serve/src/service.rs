@@ -630,7 +630,7 @@ impl InferenceService {
         }
         // What `invoke_batch` checks of every member, checked before the
         // request costs its batch a failed invoke.
-        if let Err(detail) = pool.entry.check_inputs(&inputs) {
+        if let Some(detail) = pool.entry.graph().input_mismatch(&inputs) {
             let reason = RejectReason::BadInput { detail };
             return Err(pool.refuse(shed_trace(), entered_at, 0, reason));
         }

@@ -29,12 +29,12 @@ step() { printf '\n==> %s\n' "$*"; }
 # leg too. An op's output geometry has one home, `OpKind::infer_output` in
 # crates/nn/src/ops.rs, which the builder, the quantizer and the lint's
 # shape pass all call; a `conv_out_size(` call in crates/nn/src outside
-# ops.rs, plan.rs (scratch sizing) and kernels/ (the kernels' own window
-# walks) is a second copy of that rule, and fails the leg. Every
+# ops.rs and kernels/ (the kernels' own window walks) is a second copy of
+# that rule, and fails the leg. Every
 # convolution reads its windows in place — the float ones through tap
 # offsets into a zero-bordered copy of the input, the int8 one as runs of a
-# copy bordered with the input zero point — so the kernels and the memory
-# plan read a window one way on every engine; an `im2col(` call or an
+# copy bordered with the input zero point — so the kernels read a window
+# one way on every engine; an `im2col(` call or an
 # `Im2col` name in crates/nn/src outside the test modules (each file is read
 # only up to its first column-0 `#[cfg(test)]`, where gemm.rs keeps the
 # per-tap im2col oracle the windowed kernels are held to) is a second way
@@ -53,8 +53,15 @@ step() { printf '\n==> %s\n' "$*"; }
 # (crates/nn/src/plan.rs), the interpreter (interpreter.rs) and the lint's
 # plan check (analysis/plan_check.rs) — each file read, as for im2col, only
 # up to its first column-0 `#[cfg(test)]` — is a second memory model (a plan
-# per batch size, a whole graph planned to size one node's scratch), and
-# fails the leg. The leg also runs scripts/rust-lines.sh, which
+# per batch size, a whole graph planned to run one node), and fails the leg.
+# The plan knows runtime tensors only: what a kernel keeps besides its
+# output lives in the kernels' one `Scratch` (crates/nn/src/kernels/mod.rs),
+# each buffer grown by the kernel that needs it through one fallible rule,
+# `room`, so a buffer the allocator refuses is a typed refusal, never an
+# abort. A `reserve(`, `reserve_exact(` or `with_capacity(` in
+# crates/nn/src/kernels outside that rule (library part only, as for
+# im2col) is a second growth policy, and fails the leg. The leg also runs
+# scripts/rust-lines.sh, which
 # writes the `rust_lines` object of every BENCH_PR*.json, and fails if it
 # stops printing one.
 lint() {
@@ -79,9 +86,9 @@ lint() {
     return 1
   fi
   stray="$(grep -rnF 'conv_out_size(' --include='*.rs' crates/nn/src |
-    grep -vE '^crates/nn/src/(ops\.rs|plan\.rs|kernels/)' || true)"
+    grep -vE '^crates/nn/src/(ops\.rs|kernels/)' || true)"
   if [[ -n "$stray" ]]; then
-    printf 'conv_out_size outside the op rule, the planner and the kernels:\n%s\n' "$stray" >&2
+    printf 'conv_out_size outside the op rule and the kernels:\n%s\n' "$stray" >&2
     return 1
   fi
   stray="$(find crates/nn/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
@@ -103,6 +110,16 @@ lint() {
     grep -vE '^crates/nn/src/(plan|interpreter|analysis/plan_check)\.rs:' || true)"
   if [[ -n "$stray" ]]; then
     printf 'a memory plan outside the planner, the interpreter and the plan check:\n%s\n' "$stray" >&2
+    return 1
+  fi
+  stray="$(find crates/nn/src/kernels -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { rule = 0 }
+    /^#\[cfg\(test\)\]/ { nextfile }
+    FILENAME ~ /kernels\/mod\.rs$/ && /^pub\(crate\) fn room</ { rule = 1 }
+    rule { if (/^}/) rule = 0; next }
+    /reserve\(|reserve_exact\(|with_capacity\(/ { print FILENAME ":" FNR ": " $0 }')"
+  if [[ -n "$stray" ]]; then
+    printf 'a kernel buffer grown outside the scratch rule:\n%s\n' "$stray" >&2
     return 1
   fi
   local lines
